@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
+	"flag"
 	"io"
 	"net/http"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -93,7 +97,7 @@ func benchArgs(dir string, extra ...string) []string {
 		"--sizes", "tiny",
 		"--seed", "1",
 		"--workloads", "uniform",
-		"--experiments", "parallel_sweep,size_model",
+		"--experiments", "parallel_scaling,size_model",
 		"--queries", "8",
 		"--out", dir,
 		"-q",
@@ -158,7 +162,7 @@ func TestCmdBenchHumanTableAndBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	table := stdout.String()
-	for _, want := range []string{"parallel_sweep", "size_model", "honest_vs_zero_x", "speedup_x"} {
+	for _, want := range []string{"parallel_scaling", "size_model", "honest_vs_zero_x", "speedup_x"} {
 		if !strings.Contains(table, want) {
 			t.Errorf("table missing %q:\n%s", want, table)
 		}
@@ -387,12 +391,15 @@ func TestCmdServeSmoke(t *testing.T) {
 	go func() {
 		done <- runServe([]string{"--size", "tiny", "--seed", "1", "--addr", "127.0.0.1:0",
 			"--max-sessions", "16", "--session-ttl", "5m", "--pool-size", "2",
-			"--queue-depth", "8", "--tenant-quota", "8"}, ctl)
+			"--queue-depth", "8", "--tenant-quota", "8", "--workers", "2"}, ctl)
 	}()
 	var base string
 	select {
 	case addr := <-ctl.ready:
 		base = "http://" + addr + "/api/v1"
+		if got := ctl.d.Workers(); got != 2 {
+			t.Errorf("--workers 2: sweep pool width = %d, want 2", got)
+		}
 	case err := <-done:
 		t.Fatalf("serve exited before listening: %v", err)
 	case <-time.After(30 * time.Second):
@@ -483,8 +490,36 @@ func TestCmdServeSmoke(t *testing.T) {
 	}
 
 	// The port must no longer accept connections.
-	if _, err := http.Get(base + "/health"); err == nil {
+	if _, err := http.Get(base + "/schema"); err == nil {
 		t.Fatal("server still accepting after shutdown")
+	}
+}
+
+// TestCmdServeRejectsShardFlags pins that serve has no coordinator or worker
+// mode left to start: --workers takes an integer only and --worker does not
+// exist, so both die at flag parsing with a usage error. The flag set exits
+// the process on a parse failure, so each case runs in a re-executed copy of
+// this test binary, which finds the serve arguments after "--".
+func TestCmdServeRejectsShardFlags(t *testing.T) {
+	if args := flag.Args(); len(args) > 0 {
+		t.Fatalf("serve %v parsed its flags and returned: %v", args, runServe(args, nil))
+	}
+	for _, tc := range []struct{ arg, want string }{
+		{"--workers=http://127.0.0.1:1", "invalid value"},
+		{"--worker", "flag provided but not defined: -worker"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestCmdServeRejectsShardFlags$",
+			"--", "--size", "tiny", "--addr", "127.0.0.1:0", tc.arg)
+		out, err := cmd.CombinedOutput()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("serve %s: err = %v, want exit status 2\n%s", tc.arg, err, out)
+		}
+		if !strings.Contains(string(out), tc.want) || !strings.Contains(string(out), "Usage of serve") {
+			t.Errorf("serve %s: no usage error naming %q:\n%s", tc.arg, tc.want, out)
+		}
 	}
 }
 
@@ -494,7 +529,7 @@ func TestCmdBenchAssertGates(t *testing.T) {
 	// Holding assertions: presence plus a metric bound on a cell the tiny
 	// run actually produces.
 	if err := cmdBench(benchArgs(dir,
-		"--assert", "parallel_sweep",
+		"--assert", "parallel_scaling",
 		"--assert", "size_model"), &sink, &stderr); err != nil {
 		t.Fatalf("holding assertions failed: %v\n%s", err, stderr.String())
 	}
@@ -509,7 +544,7 @@ func TestCmdBenchAssertGates(t *testing.T) {
 	}
 
 	// A malformed expression fails loudly instead of being skipped.
-	err = cmdBench(benchArgs(t.TempDir(), "--assert", "parallel_sweep:oops"), &sink, &sink)
+	err = cmdBench(benchArgs(t.TempDir(), "--assert", "parallel_scaling:oops"), &sink, &sink)
 	if err == nil || !strings.Contains(err.Error(), "needs metric=V") {
 		t.Fatalf("malformed assertion: err = %v", err)
 	}

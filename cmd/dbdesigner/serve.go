@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
 	"syscall"
 	"time"
 
@@ -15,11 +14,12 @@ import (
 )
 
 // serveControl lets tests drive the serve loop: ready receives the bound
-// address once listening; closing stop triggers the same graceful shutdown
-// a SIGINT would.
+// address once listening (d is the served designer by then); closing stop
+// triggers the same graceful shutdown a SIGINT would.
 type serveControl struct {
 	ready chan string
 	stop  chan struct{}
+	d     *designer.Designer
 }
 
 // cmdServe runs the designer as a JSON-over-HTTP service until SIGINT or
@@ -31,8 +31,7 @@ func runServe(args []string, ctl *serveControl) error {
 	df := commonFlags(fs)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (host:0 for an ephemeral port)")
 	grace := fs.Duration("grace", 10*time.Second, "graceful-shutdown timeout")
-	worker := fs.Bool("worker", false, "worker mode: additionally serve the shard-pricing endpoint (POST /api/v1/shards/sweep)")
-	workers := fs.String("workers", "", "in-process sweep width N, or comma-separated worker base URLs for coordinator mode")
+	workers := fs.Int("workers", 0, "sweep worker goroutines (0 = GOMAXPROCS)")
 	maxSessions := fs.Int("max-sessions", 1024, "global live-session cap (LRU eviction past it)")
 	sessionTTL := fs.Duration("session-ttl", 30*time.Minute, "idle timeout before a session is reclaimed (0 disables)")
 	poolSize := fs.Int("pool-size", 0, "concurrently executing CPU-heavy requests (0 = GOMAXPROCS)")
@@ -52,36 +51,14 @@ func runServe(args []string, ctl *serveControl) error {
 		serve.WithQueueDepth(*queueDepth),
 		serve.WithTenantQuota(*tenantQuota),
 	}
-	if *worker {
-		opts = append(opts, serve.WithWorkerMode())
-	}
-	if *workers != "" {
-		if n, convErr := strconv.Atoi(*workers); convErr == nil {
-			d.SetWorkers(n)
-		} else {
-			// Not an integer: a comma-separated worker URL list, i.e.
-			// coordinator mode over remote shard workers.
-			if *worker {
-				return fmt.Errorf("--worker cannot be combined with --workers=<urls>: a worker must not re-distribute its shards")
-			}
-			fp := d.Fingerprint()
-			var shardWorkers []designer.ShardWorker
-			for _, u := range splitCSV(*workers) {
-				shardWorkers = append(shardWorkers, serve.NewShardClient(u, fp))
-			}
-			if len(shardWorkers) == 0 {
-				return fmt.Errorf("--workers=%q names no worker URLs", *workers)
-			}
-			d.SetShardWorkers(shardWorkers...)
-			fmt.Fprintf(os.Stderr, "dbdesigner: coordinating sweeps across %d worker(s)\n", len(shardWorkers))
-		}
-	}
+	d.SetWorkers(*workers)
 	srv := serve.New(d, opts...)
 	if err := srv.Start(*addr); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "dbdesigner: serving the design API on http://%s/api/v1/\n", srv.Addr())
 	if ctl != nil && ctl.ready != nil {
+		ctl.d = d
 		ctl.ready <- srv.Addr()
 	}
 

@@ -170,6 +170,13 @@ func (d *Designer) CacheStats() CacheStats {
 	return CacheStats{FullOptimizations: full, CachedCostings: cached}
 }
 
+// SetWorkers bounds the in-process sweep pool (0 restores the GOMAXPROCS
+// default) — the dbdesigner --workers N wiring.
+func (d *Designer) SetWorkers(n int) { d.eng.SetWorkers(n) }
+
+// Workers reports the effective in-process sweep pool width.
+func (d *Designer) Workers() int { return d.eng.Workers() }
+
 // ParseQuery parses and resolves one SELECT statement into a workload
 // query (weight 1).
 func (d *Designer) ParseQuery(id, sql string) (Query, error) {

@@ -28,8 +28,8 @@ const (
 	// Interactive is the what-if loop: index add/drop, evaluate, explain,
 	// re-advise. Workers drain this queue first.
 	Interactive Class = iota
-	// Batch is the heavy tail: full advise runs, materialization, shard
-	// sweeps. Served only when no interactive work waits.
+	// Batch is the heavy tail: full advise runs and materialization. Served
+	// only when no interactive work waits.
 	Batch
 )
 

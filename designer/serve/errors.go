@@ -45,9 +45,6 @@ const (
 	codeCancelled = "cancelled"
 	// codeNotReady: readiness probe failure. HTTP 503.
 	codeNotReady = "not_ready"
-	// codeFingerprintMismatch: shard worker serves a different dataset or
-	// backend than the coordinator. HTTP 409.
-	codeFingerprintMismatch = "fingerprint_mismatch"
 	// codeInternal: a server-side failure. HTTP 500.
 	codeInternal = "internal"
 )

@@ -50,7 +50,7 @@ func parseOpenAPIRoutes(t *testing.T) map[string]bool {
 }
 
 // TestOpenAPIRouteParity pins openapi.yaml to the server's route table in
-// both directions, worker-mode routes included.
+// both directions.
 func TestOpenAPIRouteParity(t *testing.T) {
 	documented := parseOpenAPIRoutes(t)
 	registered := make(map[string]bool)

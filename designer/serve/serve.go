@@ -9,8 +9,8 @@
 // (create/list/detail/close, index and partition edits, evaluate,
 // explain, advise, readvise), automatic advice and materialization, the
 // online tuner (create/observe/status/SSE stream), schema and cache
-// introspection, the shard-pricing endpoint in worker mode, and the
-// operational endpoints /healthz, /readyz, and /metrics.
+// introspection, and the operational endpoints /healthz, /readyz, and
+// /metrics.
 //
 // The service is multi-tenant: requests carry an X-Tenant header (a
 // default tenant applies when absent), sessions are owned by the
@@ -60,8 +60,6 @@ type Server struct {
 	// handlers (SSE) exit instead of holding graceful shutdown hostage.
 	closing   chan struct{}
 	closeOnce sync.Once
-	// worker enables the shard-pricing endpoint (WithWorkerMode).
-	worker bool
 
 	// Fabric sizing (options; defaults applied in New).
 	maxSessions int
@@ -213,14 +211,6 @@ func (sess *session) lockLive(w http.ResponseWriter) bool {
 // Option configures a Server at construction time.
 type Option func(*Server)
 
-// WithWorkerMode enables the shard-pricing endpoint
-// (POST /api/v1/shards/sweep): the server answers coordinator shard
-// requests in addition to the regular facade routes. Wired by
-// `dbdesigner serve --worker`.
-func WithWorkerMode() Option {
-	return func(s *Server) { s.worker = true }
-}
-
 // WithMaxSessions caps live sessions globally; at the cap, creating a
 // session evicts the least-recently-used one (it answers 410 afterwards).
 // <=0 keeps the default (1024).
@@ -242,8 +232,8 @@ func WithTenantQuota(n int) Option {
 }
 
 // WithPoolSize sets the number of concurrently executing CPU-heavy
-// requests (advise, readvise, evaluate, explain, materialize, shard
-// sweeps). <=0 defaults to GOMAXPROCS.
+// requests (advise, readvise, evaluate, explain, materialize). <=0
+// defaults to GOMAXPROCS.
 func WithPoolSize(n int) Option {
 	return func(s *Server) { s.poolSize = n }
 }
@@ -375,7 +365,6 @@ func (s *Server) StartAutopilot(topts designer.TunerOptions, aopts designer.Auto
 type route struct {
 	method  string
 	pattern string
-	worker  bool // registered only in worker mode
 	h       http.HandlerFunc
 }
 
@@ -388,14 +377,13 @@ func (s *Server) pooled(class admission.Class, h http.HandlerFunc) http.HandlerF
 
 // routeTable lists every endpoint. Interactive what-if verbs (index
 // add/drop, partitions, evaluate, explain, readvise) are admitted ahead
-// of batch work (advise, materialize, shard sweeps); control-plane and
-// read-only endpoints bypass the pool entirely.
+// of batch work (advise, materialize); control-plane and read-only
+// endpoints bypass the pool entirely.
 func (s *Server) routeTable() []route {
 	return []route{
 		{method: "GET", pattern: "/healthz", h: s.handleHealthz},
 		{method: "GET", pattern: "/readyz", h: s.handleReadyz},
 		{method: "GET", pattern: "/metrics", h: s.handleMetrics},
-		{method: "GET", pattern: "/api/v1/health", h: s.handleHealth},
 		{method: "GET", pattern: "/api/v1/schema", h: s.handleSchema},
 		{method: "GET", pattern: "/api/v1/stats", h: s.handleStats},
 		{method: "POST", pattern: "/api/v1/sessions", h: s.handleSessionCreate},
@@ -419,15 +407,11 @@ func (s *Server) routeTable() []route {
 		{method: "POST", pattern: "/api/v1/tuners/{id}/autopilot", h: s.pooled(admission.Batch, s.handleAutopilotStart)},
 		{method: "GET", pattern: "/api/v1/tuners/{id}/autopilot", h: s.handleAutopilotStatus},
 		{method: "DELETE", pattern: "/api/v1/tuners/{id}/autopilot", h: s.handleAutopilotStop},
-		{method: "POST", pattern: "/api/v1/shards/sweep", worker: true, h: s.pooled(admission.Batch, s.handleShardSweep)},
 	}
 }
 
 func (s *Server) routes() {
 	for _, rt := range s.routeTable() {
-		if rt.worker && !s.worker {
-			continue
-		}
 		s.mux.HandleFunc(rt.method+" "+rt.pattern, rt.h)
 	}
 }
@@ -583,14 +567,8 @@ func writeSessionLookupError(w http.ResponseWriter, id string, err error) {
 }
 
 // --------------------------------------------------------------------------
-// Handlers: health, schema, stats.
+// Handlers: schema, stats.
 // --------------------------------------------------------------------------
-
-// handleHealth is the legacy combined probe (kept for compatibility);
-// /healthz and /readyz are the split liveness/readiness pair.
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "sessions": s.sm.Len()})
-}
 
 func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 	type columnJSON struct {

@@ -79,7 +79,7 @@ const testSQL = "SELECT psfmag_r FROM photoobj WHERE psfmag_r < 14"
 func TestSessionRoundTrip(t *testing.T) {
 	base := start(t)
 
-	health := call(t, "GET", base+"/health", nil, http.StatusOK)
+	health := call(t, "GET", strings.TrimSuffix(base, "/api/v1")+"/healthz", nil, http.StatusOK)
 	if health["status"] != "ok" {
 		t.Fatalf("health = %v", health)
 	}
@@ -242,10 +242,10 @@ func TestConcurrentSessions(t *testing.T) {
 		t.Error(err)
 	}
 
-	// All sessions closed; server still healthy.
-	health := call(t, "GET", base+"/health", nil, http.StatusOK)
-	if health["sessions"].(float64) != 0 {
-		t.Fatalf("sessions leaked: %v", health)
+	// All sessions closed; server still ready.
+	ready := call(t, "GET", strings.TrimSuffix(base, "/api/v1")+"/readyz", nil, http.StatusOK)
+	if ready["sessions"].(float64) != 0 {
+		t.Fatalf("sessions leaked: %v", ready)
 	}
 }
 
@@ -290,7 +290,7 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 
 	// After shutdown the port no longer accepts.
-	if _, err := http.Get(base + "/health"); err == nil {
+	if _, err := http.Get(base + "/schema"); err == nil {
 		t.Fatal("server still accepting after Shutdown")
 	}
 }

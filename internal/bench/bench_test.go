@@ -41,8 +41,8 @@ func TestRunProducesValidatedResult(t *testing.T) {
 	if _, ok := byName["inum_vs_optimizer"].Quality["costings_per_optimizer_call"]; !ok {
 		t.Error("inum_vs_optimizer missing calls-avoided ratio")
 	}
-	if v := byName["parallel_sweep"].Quality["parity_max_abs_diff"]; v != 0 {
-		t.Errorf("parallel sweep parity broken: max diff %v", v)
+	if v, ok := byName["parallel_scaling"].Quality["w16_sweep_max_abs_diff"]; !ok || v != 0 {
+		t.Errorf("parallel sweep parity broken: max diff %v (recorded: %v)", v, ok)
 	}
 	if byName["cophy_vs_greedy"].Quality["budget100_gap_pct"] > 1e-9 {
 		t.Errorf("unlimited-node CoPhy should prove optimality, gap %v",
@@ -308,7 +308,7 @@ func TestCompareSeverities(t *testing.T) {
 func TestCalibratedSuiteRuns(t *testing.T) {
 	spec := testSpec()
 	spec.Backend = "calibrated"
-	spec.Experiments = []string{"inum_vs_optimizer", "parallel_sweep"}
+	spec.Experiments = []string{"inum_vs_optimizer", "parallel_scaling"}
 	res, err := Run(spec, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -320,8 +320,8 @@ func TestCalibratedSuiteRuns(t *testing.T) {
 	for _, x := range res.Experiments {
 		byName[x.Name] = x
 	}
-	if v := byName["parallel_sweep"].Quality["parity_max_abs_diff"]; v != 0 {
-		t.Errorf("parallel sweep parity broken under calibrated backend: %v", v)
+	if v, ok := byName["parallel_scaling"].Quality["w16_sweep_max_abs_diff"]; !ok || v != 0 {
+		t.Errorf("parallel sweep parity broken under calibrated backend: %v (recorded: %v)", v, ok)
 	}
 
 	// A calibrated document never silently compares against a native

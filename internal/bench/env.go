@@ -108,9 +108,8 @@ func NewEnvWith(sizeName string, seed int64, profile string, numQ int, spec engi
 }
 
 // SetDefaultWorkers bounds the Env engine's sweep pool (0 restores the
-// GOMAXPROCS default) and remembers the width so width-sweeping experiments
-// (parallel_sweep, parallel_scaling) restore it rather than the global
-// default.
+// GOMAXPROCS default) and remembers the width so the width-sweeping
+// experiment (parallel_scaling) restores it rather than the global default.
 func (e *Env) SetDefaultWorkers(n int) {
 	if n < 0 {
 		n = 0

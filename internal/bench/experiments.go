@@ -313,33 +313,6 @@ func (e *Env) SweepOnce(workers int, cfgs []*catalog.Configuration) error {
 	return err
 }
 
-// SweepParity verifies the parallel sweep is bit-for-bit identical to the
-// serial sweep and returns the maximum absolute cost difference (0 when the
-// determinism contract holds).
-func (e *Env) SweepParity(cfgs []*catalog.Configuration) (float64, error) {
-	e.Eng.SetWorkers(1)
-	serial, err := e.Eng.SweepConfigs(context.Background(), e.W, cfgs)
-	e.Eng.SetWorkers(e.defaultWorkers)
-	if err != nil {
-		return 0, err
-	}
-	parallel, err := e.Eng.SweepConfigs(context.Background(), e.W, cfgs)
-	if err != nil {
-		return 0, err
-	}
-	var maxDiff float64
-	for i := range serial {
-		d := serial[i] - parallel[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > maxDiff {
-			maxDiff = d
-		}
-	}
-	return maxDiff, nil
-}
-
 // ScalingWidths are the fixed sweep widths parallel_scaling measures.
 // Fixed — never GOMAXPROCS — so the experiment's deterministic cells are
 // identical on any machine, including 1-core CI.
@@ -356,25 +329,15 @@ type ScalingCell struct {
 }
 
 // ScalingResult is the outcome of one parallel_scaling measurement: the
-// per-width cells plus the distributed (coordinator/worker) parity leg.
+// per-width cells.
 type ScalingResult struct {
 	Configs int
 	Cells   []ScalingCell
-
-	DistWorkers       int
-	DistSweepExact    bool
-	DistSweepMaxDiff  float64
-	DistEvaluateExact bool
-	DistRemoteJobs    int64
-	DistFailedShards  int64
 }
 
 // ParallelScaling measures sweep and warm-re-advise latency at each fixed
 // width, asserting every width's answers are bit-identical to the serial
-// ones, then runs the same sweep through a coordinator over two in-process
-// shard workers (fresh engines on the same dataset) and asserts the merged
-// costs are bit-identical too — the shared-nothing determinism contract as
-// a recorded metric.
+// ones — the determinism contract as a recorded metric.
 func (e *Env) ParallelScaling(reps int) (*ScalingResult, error) {
 	ctx := context.Background()
 	cfgs := e.SweepFamily(32)
@@ -419,38 +382,6 @@ func (e *Env) ParallelScaling(reps int) (*ScalingResult, error) {
 		out.Cells = append(out.Cells, cell)
 	}
 
-	// Distributed leg: a coordinator over two in-process shard workers, each
-	// a fresh cold-cache engine over the same dataset and backend — the same
-	// merge path serve's ShardClient drives over HTTP, minus the wire.
-	dist := engine.NewDistributedSweep(
-		engine.NewLocalShardWorker("bench-worker-1", e.FreshEngine().Pin()),
-		engine.NewLocalShardWorker("bench-worker-2", e.FreshEngine().Pin()),
-	)
-	e.Eng.SetDistributor(dist)
-	defer e.Eng.SetDistributor(nil)
-	distCosts, err := e.Eng.SweepConfigs(ctx, e.W, cfgs)
-	if err != nil {
-		return nil, err
-	}
-	out.DistSweepExact, out.DistSweepMaxDiff = costParity(ref, distCosts)
-
-	// Evaluate parity: the whole-workload benefit report through the
-	// distributor vs the local reference model.
-	cfg := cfgs[len(cfgs)-1]
-	e.Eng.SetDistributor(nil)
-	localRep, err := e.Eng.Evaluate(ctx, e.W, cfg)
-	if err != nil {
-		return nil, err
-	}
-	e.Eng.SetDistributor(dist)
-	distRep, err := e.Eng.Evaluate(ctx, e.W, cfg)
-	if err != nil {
-		return nil, err
-	}
-	out.DistEvaluateExact = localRep.BaseTotal == distRep.BaseTotal &&
-		localRep.NewTotal == distRep.NewTotal
-	out.DistWorkers = dist.Workers()
-	out.DistRemoteJobs, out.DistFailedShards = dist.Stats()
 	return out, nil
 }
 

@@ -42,8 +42,8 @@ type Spec struct {
 	Repeat int
 	// Workers bounds every Env engine's sweep pool (0 = GOMAXPROCS) — the
 	// `dbdesigner bench --workers N` wiring. The effective width is recorded
-	// in the result's RunEnv. parallel_sweep and parallel_scaling override
-	// the width per measurement and restore this default.
+	// in the result's RunEnv. parallel_scaling overrides the width per
+	// measurement and restores this default.
 	Workers int
 	// StreamLen and EpochLen shape the COLT convergence experiment.
 	StreamLen int
@@ -56,7 +56,6 @@ var CoreExperiments = []string{
 	"cophy_vs_greedy",
 	"colt_convergence",
 	"interaction_schedule",
-	"parallel_sweep",
 	"backend_portability",
 	"incremental_readvise",
 	"parallel_scaling",
@@ -84,7 +83,6 @@ var workloadSensitive = map[string]bool{
 	"colt_convergence":     true,
 	"colt_autopilot":       true,
 	"interaction_schedule": true,
-	"parallel_sweep":       true,
 	"parallel_scaling":     true,
 	"incremental_readvise": true,
 	"whatif_session":       true,
@@ -232,7 +230,6 @@ var runners = map[string]runner{
 	"colt_convergence":     runCOLTConvergence,
 	"colt_autopilot":       runColtAutopilot,
 	"interaction_schedule": runInteractionSchedule,
-	"parallel_sweep":       runParallelSweep,
 	"parallel_scaling":     runParallelScaling,
 	"whatif_session":       runWhatIfSession,
 	"offline_advisor":      runOfflineAdvisor,
@@ -612,38 +609,10 @@ func runInteractionSchedule(e *Env, spec Spec, x *Experiment) error {
 	return nil
 }
 
-// runParallelSweep measures the engine's worker-pool sweep against the
-// serial path and checks the determinism contract.
-func runParallelSweep(e *Env, spec Spec, x *Experiment) error {
-	cfgs := e.SweepFamily(32)
-	maxDiff, err := e.SweepParity(cfgs)
-	if err != nil {
-		return err
-	}
-	serialNs, err := timeOp(spec.Repeat, func() error { return e.SweepOnce(1, cfgs) })
-	if err != nil {
-		return err
-	}
-	parallelNs, err := timeOp(spec.Repeat, func() error { return e.SweepOnce(0, cfgs) })
-	if err != nil {
-		return err
-	}
-	x.Quality["parity_max_abs_diff"] = maxDiff
-	x.Counts["configs"] = int64(len(cfgs))
-	x.Counts["queries"] = int64(len(e.W.Queries))
-	x.TimingNs["serial_sweep"] = serialNs
-	x.TimingNs["parallel_sweep"] = parallelNs
-	if parallelNs > 0 {
-		x.TimingNs["speedup_x"] = serialNs / parallelNs
-	}
-	return nil
-}
-
 // runParallelScaling records speedup vs worker count for the costing hot
-// path — the configuration sweep and the warm re-advise — at fixed widths,
-// plus the coordinator/worker distributed leg. Every *_exact count must be
-// 1 and every *_max_abs_diff quality exactly 0 on any machine: parallelism
-// and distribution change latency, never results.
+// path — the configuration sweep and the warm re-advise — at fixed widths.
+// Every *_exact count must be 1 and every *_max_abs_diff quality exactly 0
+// on any machine: parallelism changes latency, never results.
 func runParallelScaling(e *Env, spec Spec, x *Experiment) error {
 	r, err := e.ParallelScaling(spec.Repeat)
 	if err != nil {
@@ -670,12 +639,6 @@ func runParallelScaling(e *Env, spec Spec, x *Experiment) error {
 			x.TimingNs[key+"_readvise_speedup_x"] = serialReadviseNs / c.ReadviseNs
 		}
 	}
-	x.Counts["dist_workers"] = int64(r.DistWorkers)
-	x.Counts["dist_sweep_exact"] = bool01(r.DistSweepExact)
-	x.Counts["dist_evaluate_exact"] = bool01(r.DistEvaluateExact)
-	x.Counts["dist_remote_jobs"] = r.DistRemoteJobs
-	x.Counts["dist_failed_shards"] = r.DistFailedShards
-	x.Quality["dist_sweep_max_abs_diff"] = r.DistSweepMaxDiff
 	return nil
 }
 

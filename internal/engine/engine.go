@@ -54,16 +54,10 @@ type snapshot struct {
 	backend CostBackend
 	session *whatif.Session
 
-	// prepMu guards the prepare bookkeeping below. prepared is the set of
-	// workload fingerprints whose queries all have backend entries in this
-	// generation (the prepareAll fast path). guides records, per query ID,
-	// the candidate guidance the query's plan templates were built with —
-	// first build wins, matching the backend's Prepare idempotency — so a
-	// distributed coordinator can ship the guidance shard workers need to
-	// rebuild bit-identical templates.
+	// prepMu guards prepared: the set of workload fingerprints whose queries
+	// all have backend entries in this generation (the prepareAll fast path).
 	prepMu   sync.Mutex
 	prepared map[string]bool
-	guides   map[string][]*catalog.Index
 }
 
 // preparedFor reports whether a workload fingerprint was fully prepared.
@@ -80,30 +74,6 @@ func (s *snapshot) markPrepared(fp string) {
 	s.prepMu.Unlock()
 }
 
-// recordGuide records the template guidance a query was first prepared
-// with. Later calls with different guidance are ignored, because the
-// backend's entry (and therefore its template set) keeps the first build.
-func (s *snapshot) recordGuide(id string, cands []*catalog.Index) {
-	s.prepMu.Lock()
-	if _, ok := s.guides[id]; !ok {
-		s.guides[id] = cands
-	}
-	s.prepMu.Unlock()
-}
-
-// guidesFor assembles the per-query template guidance for a workload, in
-// query order — what SweepShardLocal on a worker needs to mirror this
-// generation's entries.
-func (s *snapshot) guidesFor(w *workload.Workload) [][]*catalog.Index {
-	out := make([][]*catalog.Index, len(w.Queries))
-	s.prepMu.Lock()
-	for i, q := range w.Queries {
-		out[i] = s.guides[q.ID]
-	}
-	s.prepMu.Unlock()
-	return out
-}
-
 // Engine is the shared, concurrency-safe what-if costing handle.
 type Engine struct {
 	schema *catalog.Schema
@@ -116,8 +86,6 @@ type Engine struct {
 
 	// workers bounds sweep parallelism; 0 means GOMAXPROCS.
 	workers int
-	// dist, when set, shards eligible sweeps across worker processes.
-	dist *DistributedSweep
 }
 
 // New creates an engine over a schema/statistics snapshot and a base
@@ -164,7 +132,6 @@ func (e *Engine) build(base *catalog.Configuration, opts optimizer.Options, spec
 		backend:  backend,
 		session:  whatif.NewSessionFromEnv(env, base),
 		prepared: make(map[string]bool),
-		guides:   make(map[string][]*catalog.Index),
 	}, nil
 }
 
@@ -229,7 +196,6 @@ func (e *Engine) PinBackend(spec BackendSpec) (*View, error) {
 		backend:  backend,
 		session:  whatif.NewSessionFromEnv(env, cur.base),
 		prepared: make(map[string]bool),
-		guides:   make(map[string][]*catalog.Index),
 	}
 	return &View{e: e, s: derived}, nil
 }
@@ -322,23 +288,6 @@ func (e *Engine) Workers() int {
 		return e.workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// SetDistributor attaches (nil detaches) a distributed-sweep coordinator:
-// subsequent eligible sweeps are sharded across its workers, with local
-// fallback on any shard failure. The distributor is orthogonal to
-// configuration generations — invalidations keep it attached.
-func (e *Engine) SetDistributor(d *DistributedSweep) {
-	e.mu.Lock()
-	e.dist = d
-	e.mu.Unlock()
-}
-
-// distributor returns the attached coordinator, or nil.
-func (e *Engine) distributor() *DistributedSweep {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.dist
 }
 
 // SetBaseConfig swaps the base configuration and invalidates every cached
@@ -460,7 +409,6 @@ func (e *Engine) Prepare(ctx context.Context, w *workload.Workload, candidates [
 func (v *View) Prepare(ctx context.Context, w *workload.Workload, candidates []*catalog.Index) error {
 	err := v.e.sweep(ctx, len(w.Queries), func(i int) error {
 		q := w.Queries[i]
-		v.s.recordGuide(q.ID, candidates)
 		return v.s.backend.Prepare(q.ID, q.Stmt, candidates)
 	})
 	if err != nil {
@@ -479,7 +427,6 @@ func (e *Engine) PrepareQuery(q workload.Query, candidates []*catalog.Index) ([]
 
 // PrepareQuery primes the pinned backend for one query.
 func (v *View) PrepareQuery(q workload.Query, candidates []*catalog.Index) ([]string, error) {
-	v.s.recordGuide(q.ID, candidates)
 	if err := v.s.backend.Prepare(q.ID, q.Stmt, candidates); err != nil {
 		return nil, err
 	}

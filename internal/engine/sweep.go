@@ -132,29 +132,6 @@ func (e *Engine) sweep(ctx context.Context, n int, fn func(i int) error) error {
 	return nil
 }
 
-// resolveAll maps nil entries to the pinned base configuration.
-func (v *View) resolveAll(cfgs []*catalog.Configuration) []*catalog.Configuration {
-	out := make([]*catalog.Configuration, len(cfgs))
-	for i, cfg := range cfgs {
-		out[i] = v.s.resolve(cfg)
-	}
-	return out
-}
-
-// sweepCostsLocal prices already-resolved configurations into out with the
-// in-process pool — the shard-sized building block the distributed
-// coordinator schedules and falls back to.
-func (v *View) sweepCostsLocal(ctx context.Context, w *workload.Workload, cfgs []*catalog.Configuration, out []float64) error {
-	return v.e.sweep(ctx, len(cfgs), func(i int) error {
-		c, err := v.s.workloadCost(w, cfgs[i])
-		if err != nil {
-			return err
-		}
-		out[i] = c
-		return nil
-	})
-}
-
 // SweepConfigs prices the whole workload under every configuration in
 // parallel, through the INUM cache. costs[i] corresponds to cfgs[i]; a nil
 // configuration means the engine's base. Results are identical to calling
@@ -164,62 +141,21 @@ func (e *Engine) SweepConfigs(ctx context.Context, w *workload.Workload, cfgs []
 }
 
 // SweepConfigs prices the workload under every configuration in parallel
-// against the pinned generation. With a distributor attached, eligible
-// sweeps are sharded across worker processes (bit-identical results, see
-// DistributedSweep); everything else runs on the in-process pool.
+// against the pinned generation.
 func (v *View) SweepConfigs(ctx context.Context, w *workload.Workload, cfgs []*catalog.Configuration) ([]float64, error) {
 	if err := v.prepareAll(ctx, w); err != nil {
 		return nil, err
 	}
-	resolved := v.resolveAll(cfgs)
-	if d := v.e.distributor(); d != nil {
-		if costs, ok, err := d.sweepConfigs(ctx, v, w, resolved); ok {
-			return costs, err
+	costs := make([]float64, len(cfgs))
+	err := v.e.sweep(ctx, len(cfgs), func(i int) error {
+		c, err := v.s.workloadCost(w, v.s.resolve(cfgs[i]))
+		if err != nil {
+			return err
 		}
-	}
-	costs := make([]float64, len(resolved))
-	if err := v.sweepCostsLocal(ctx, w, resolved, costs); err != nil {
-		return nil, err
-	}
-	return costs, nil
-}
-
-// SweepConfigsLocal is SweepConfigs restricted to the in-process pool — the
-// worker-serving primitive: a shard worker must never re-distribute work it
-// was handed.
-func (v *View) SweepConfigsLocal(ctx context.Context, w *workload.Workload, cfgs []*catalog.Configuration) ([]float64, error) {
-	if err := v.prepareAll(ctx, w); err != nil {
-		return nil, err
-	}
-	resolved := v.resolveAll(cfgs)
-	costs := make([]float64, len(resolved))
-	if err := v.sweepCostsLocal(ctx, w, resolved, costs); err != nil {
-		return nil, err
-	}
-	return costs, nil
-}
-
-// SweepShardLocal primes each query with its shipped template guidance and
-// prices the configurations strictly in-process — the worker side of the
-// shard protocol. prepare[i] guides queries[i]'s plan templates; it must
-// match what the coordinator's own entries were built with for the returned
-// costs to be bit-identical to the coordinator's local sweep.
-func (v *View) SweepShardLocal(ctx context.Context, w *workload.Workload, prepare [][]*catalog.Index, cfgs []*catalog.Configuration) ([]float64, error) {
-	err := v.e.sweep(ctx, len(w.Queries), func(i int) error {
-		q := w.Queries[i]
-		var guide []*catalog.Index
-		if i < len(prepare) {
-			guide = prepare[i]
-		}
-		v.s.recordGuide(q.ID, guide)
-		return v.s.backend.Prepare(q.ID, q.Stmt, guide)
+		costs[i] = c
+		return nil
 	})
 	if err != nil {
-		return nil, err
-	}
-	resolved := v.resolveAll(cfgs)
-	costs := make([]float64, len(resolved))
-	if err := v.sweepCostsLocal(ctx, w, resolved, costs); err != nil {
 		return nil, err
 	}
 	return costs, nil
@@ -234,21 +170,12 @@ func (e *Engine) SweepCandidates(ctx context.Context, w *workload.Workload, base
 }
 
 // SweepCandidates prices base ∪ {cands[i]} per candidate against the
-// pinned generation, distributing across shard workers when eligible.
+// pinned generation.
 func (v *View) SweepCandidates(ctx context.Context, w *workload.Workload, base *catalog.Configuration, cands []*catalog.Index) ([]float64, error) {
 	if err := v.prepareAll(ctx, w); err != nil {
 		return nil, err
 	}
 	base = v.s.resolve(base)
-	if d := v.e.distributor(); d != nil {
-		cfgs := make([]*catalog.Configuration, len(cands))
-		for i, ix := range cands {
-			cfgs[i] = base.WithIndex(ix)
-		}
-		if costs, ok, err := d.sweepConfigs(ctx, v, w, cfgs); ok {
-			return costs, err
-		}
-	}
 	costs := make([]float64, len(cands))
 	err := v.e.sweep(ctx, len(cands), func(i int) error {
 		c, err := v.s.workloadCost(w, base.WithIndex(cands[i]))
@@ -271,27 +198,14 @@ func (e *Engine) SweepQueryConfigs(ctx context.Context, q workload.Query, cfgs [
 }
 
 // SweepQueryConfigs prices one query under many configurations in parallel
-// against the pinned generation. With a distributor attached the
-// configurations are sharded like a workload sweep: shipping the query with
-// unit weight makes the shard protocol's weighted workload cost coincide
-// exactly with the query cost.
+// against the pinned generation.
 func (v *View) SweepQueryConfigs(ctx context.Context, q workload.Query, cfgs []*catalog.Configuration) ([]float64, error) {
-	v.s.recordGuide(q.ID, nil)
 	if err := v.s.backend.Prepare(q.ID, q.Stmt, nil); err != nil {
 		return nil, err
 	}
-	resolved := v.resolveAll(cfgs)
-	if d := v.e.distributor(); d != nil {
-		uq := q
-		uq.Weight = 1
-		uw := &workload.Workload{Queries: []workload.Query{uq}}
-		if costs, ok, err := d.sweepConfigs(ctx, v, uw, resolved); ok {
-			return costs, err
-		}
-	}
-	costs := make([]float64, len(resolved))
-	err := v.e.sweep(ctx, len(resolved), func(i int) error {
-		c, err := v.s.backend.QueryCost(q, resolved[i])
+	costs := make([]float64, len(cfgs))
+	err := v.e.sweep(ctx, len(cfgs), func(i int) error {
+		c, err := v.s.backend.QueryCost(q, v.s.resolve(cfgs[i]))
 		if err != nil {
 			return err
 		}
@@ -317,7 +231,6 @@ func (v *View) prepareAll(ctx context.Context, w *workload.Workload) error {
 	}
 	if err := v.e.sweep(ctx, len(w.Queries), func(i int) error {
 		q := w.Queries[i]
-		v.s.recordGuide(q.ID, nil)
 		return v.s.backend.Prepare(q.ID, q.Stmt, nil)
 	}); err != nil {
 		return err
@@ -337,26 +250,29 @@ func (e *Engine) Evaluate(ctx context.Context, w *workload.Workload, cfg *catalo
 // Evaluate runs the benefit report against the pinned generation — the
 // per-session isolation surface: a design session pinned at creation keeps
 // evaluating against its generation (and its backend) even if the engine is
-// reconfigured. Queries are priced in parallel — sharded across worker
-// processes when a distributor is attached — and results are deterministic
-// and identical to a serial loop over FullCost.
+// reconfigured. Queries are priced in parallel, and results are
+// deterministic and identical to a serial loop over FullCost.
 func (v *View) Evaluate(ctx context.Context, w *workload.Workload, cfg *catalog.Configuration) (*whatif.Report, error) {
 	newCfg := v.s.resolve(cfg)
-	var queries []whatif.QueryBenefit
-	if d := v.e.distributor(); d != nil {
-		res, ok, err := d.evaluate(ctx, v, w, v.s.base, newCfg)
-		if ok {
-			if err != nil {
-				return nil, err
-			}
-			queries = res
+	queries := make([]whatif.QueryBenefit, len(w.Queries))
+	err := v.e.sweep(ctx, len(w.Queries), func(i int) error {
+		q := w.Queries[i]
+		bc, err := v.s.backend.StmtCost(q.Stmt, v.s.base)
+		if err != nil {
+			return fmt.Errorf("engine: %s: %w", q.ID, err)
 		}
-	}
-	if queries == nil {
-		queries = make([]whatif.QueryBenefit, len(w.Queries))
-		if err := v.evaluateRangeLocal(ctx, w.Queries, v.s.base, newCfg, queries); err != nil {
-			return nil, err
+		nc, err := v.s.backend.StmtCost(q.Stmt, newCfg)
+		if err != nil {
+			return fmt.Errorf("engine: %s: %w", q.ID, err)
 		}
+		queries[i] = whatif.QueryBenefit{
+			ID: q.ID, SQL: q.SQL,
+			BaseCost: bc * q.Weight, NewCost: nc * q.Weight,
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	rep := &whatif.Report{Queries: queries}
 	for _, qb := range rep.Queries {
@@ -364,37 +280,4 @@ func (v *View) Evaluate(ctx context.Context, w *workload.Workload, cfg *catalog.
 		rep.NewTotal += qb.NewCost
 	}
 	return rep, nil
-}
-
-// EvaluateAgainstLocal prices every query under two explicit configurations
-// with the backend's reference model, strictly in-process — the worker side
-// of the shard protocol's evaluate mode. Both configurations resolve nil to
-// the pinned base.
-func (v *View) EvaluateAgainstLocal(ctx context.Context, w *workload.Workload, base, cfg *catalog.Configuration) ([]whatif.QueryBenefit, error) {
-	out := make([]whatif.QueryBenefit, len(w.Queries))
-	if err := v.evaluateRangeLocal(ctx, w.Queries, v.s.resolve(base), v.s.resolve(cfg), out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// evaluateRangeLocal prices a slice of queries under (base, cfg) with the
-// reference model into out, via the in-process pool.
-func (v *View) evaluateRangeLocal(ctx context.Context, qs []workload.Query, base, cfg *catalog.Configuration, out []whatif.QueryBenefit) error {
-	return v.e.sweep(ctx, len(qs), func(i int) error {
-		q := qs[i]
-		bc, err := v.s.backend.StmtCost(q.Stmt, base)
-		if err != nil {
-			return fmt.Errorf("engine: %s: %w", q.ID, err)
-		}
-		nc, err := v.s.backend.StmtCost(q.Stmt, cfg)
-		if err != nil {
-			return fmt.Errorf("engine: %s: %w", q.ID, err)
-		}
-		out[i] = whatif.QueryBenefit{
-			ID: q.ID, SQL: q.SQL,
-			BaseCost: bc * q.Weight, NewCost: nc * q.Weight,
-		}
-		return nil
-	})
 }

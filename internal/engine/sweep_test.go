@@ -5,6 +5,9 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/catalog"
+	"repro/internal/whatif"
 )
 
 // TestSweepChunkSize pins the self-scheduling granularity at its edges: one
@@ -124,5 +127,42 @@ func TestSweepZeroJobs(t *testing.T) {
 		return nil
 	}); err != nil {
 		t.Fatalf("empty sweep: %v", err)
+	}
+}
+
+// TestSweepWidthsBitIdentical runs the same sweep at worker counts
+// {1, 2, 7, 16} and asserts every width returns exactly the serial costs —
+// the schedule-independence half of the determinism contract.
+func TestSweepWidthsBitIdentical(t *testing.T) {
+	e, w, _ := newCountingEngine(t)
+	cands := e.GenerateCandidates(w, whatif.DefaultCandidateOptions())
+	if len(cands) < 4 {
+		t.Fatalf("want at least 4 candidates, got %d", len(cands))
+	}
+	cfgs := make([]*catalog.Configuration, 33) // odd count: uneven chunk deal
+	for i := range cfgs {
+		cfgs[i] = catalog.NewConfiguration()
+		for j, ix := range cands {
+			if (i+j)%3 == 0 {
+				cfgs[i] = cfgs[i].WithIndex(ix)
+			}
+		}
+	}
+	e.SetWorkers(1)
+	serial, err := e.SweepConfigs(context.Background(), w, cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 7, 16} {
+		e.SetWorkers(workers)
+		got, err := e.SweepConfigs(context.Background(), w, cfgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range serial {
+			if got[i] != serial[i] {
+				t.Fatalf("workers=%d config %d: %v != serial %v", workers, i, got[i], serial[i])
+			}
+		}
 	}
 }

@@ -1,10 +1,12 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
+	"strconv"
 
 	"repro/internal/catalog"
 	"repro/internal/sqlparse"
@@ -33,17 +35,25 @@ func (w *Workload) TotalWeight() float64 {
 	return t
 }
 
-// Fingerprint identifies the workload by content: query IDs, SQL, weights,
-// and order. Two workloads with equal fingerprints are interchangeable for
-// costing, so every warm-start layer (engine delta evaluation, greedy
-// frontier replay, designer re-advise) keys its reuse decisions on this one
-// definition.
+// Fingerprint identifies the workload by content: a SHA-256 digest over
+// query IDs, SQL, weights, and order. Two workloads with equal fingerprints
+// are interchangeable for costing, so every warm-start layer (engine delta
+// evaluation, greedy frontier replay, designer re-advise) keys its reuse
+// decisions on this one definition — hence a cryptographic digest: a
+// collision would serve one workload another's cached state.
 func (w *Workload) Fingerprint() string {
-	var b strings.Builder
+	h := sha256.New()
+	var buf []byte
 	for _, q := range w.Queries {
-		fmt.Fprintf(&b, "%s\x00%s\x00%g\x01", q.ID, q.SQL, q.Weight)
+		buf = append(buf[:0], q.ID...)
+		buf = append(buf, 0)
+		buf = append(buf, q.SQL...)
+		buf = append(buf, 0)
+		buf = strconv.AppendFloat(buf, q.Weight, 'g', -1, 64)
+		buf = append(buf, 1)
+		h.Write(buf)
 	}
-	return b.String()
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Template generates a parameterized SQL instance. Template functions are

@@ -111,6 +111,38 @@ func TestNewWorkloadCyclesTemplates(t *testing.T) {
 	}
 }
 
+// TestFingerprintIsFixedLengthDigest pins the fingerprint as a digest, not
+// the workload's text: constant length whatever the workload size, and
+// sensitive to every field it covers.
+func TestFingerprintIsFixedLengthDigest(t *testing.T) {
+	w, err := NewWorkload(Schema(), 1, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := w.Fingerprint()
+	if len(fp) != 64 {
+		t.Fatalf("fingerprint length = %d, want 64 hex characters", len(fp))
+	}
+	if fp != w.Fingerprint() {
+		t.Fatal("fingerprint is not deterministic")
+	}
+	if got := (&Workload{Queries: w.Queries[:3]}).Fingerprint(); len(got) != 64 || got == fp {
+		t.Fatalf("3-query prefix fingerprint = %q (full workload %q)", got, fp)
+	}
+	edits := map[string]func(q *Query){
+		"id":     func(q *Query) { q.ID += "x" },
+		"sql":    func(q *Query) { q.SQL = q.SQL[:len(q.SQL)-1] + "~" },
+		"weight": func(q *Query) { q.Weight += 0.5 },
+	}
+	for name, edit := range edits {
+		e := &Workload{Queries: append([]Query(nil), w.Queries...)}
+		edit(&e.Queries[7])
+		if e.Fingerprint() == fp {
+			t.Errorf("changing one query's %s left the fingerprint unchanged", name)
+		}
+	}
+}
+
 func TestStreamPhases(t *testing.T) {
 	phases := DefaultDriftPhases(10)
 	qs, err := Stream(Schema(), 3, phases)
