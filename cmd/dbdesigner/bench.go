@@ -12,9 +12,9 @@ import (
 	"repro/internal/workload"
 )
 
-// cmdBench runs the shared experiment harness (internal/bench) and emits
-// the perf-trajectory document BENCH_<label>.json — the same measurements
-// `go test -bench` reports, in machine-comparable form.
+// cmdBench runs the deterministic experiment suite (internal/bench) and
+// emits the answer document BENCH_<label>.json. It times nothing: latency
+// questions go to `bash benchmark/run.sh`.
 func cmdBench(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
 	profile := fs.String("profile", "smoke", "suite profile: smoke|quick|full")
@@ -26,12 +26,10 @@ func cmdBench(args []string, stdout, stderr io.Writer) error {
 	workloads := fs.String("workloads", "", "comma-separated workload profiles ("+strings.Join(workload.ProfileNames(), "|")+"); overrides the profile")
 	experiments := fs.String("experiments", "", "comma-separated experiments ("+strings.Join(bench.ExperimentNames(), "|")+"); overrides the profile")
 	queries := fs.Int("queries", 0, "workload queries per matrix cell; overrides the profile")
-	repeat := fs.Int("repeat", 0, "timing repetitions; overrides the profile")
-	workers := fs.Int("workers", 0, "sweep worker goroutines per engine (0 = GOMAXPROCS)")
 	label := fs.String("label", "", "output label (default: the profile name)")
 	out := fs.String("out", ".", "directory for BENCH_<label>.json")
 	jsonOut := fs.Bool("json", false, "print the JSON document to stdout instead of the table")
-	baseline := fs.String("baseline", "", "baseline BENCH_*.json to compare against (warn-only)")
+	baseline := fs.String("baseline", "", "baseline BENCH_*.json the run must reproduce (changed or missing cells fail the run)")
 	var asserts multiFlag
 	fs.Var(&asserts, "assert",
 		"require an experiment cell, optionally with a metric condition "+
@@ -73,12 +71,6 @@ func cmdBench(args []string, stdout, stderr io.Writer) error {
 	if *queries > 0 {
 		spec.Queries = *queries
 	}
-	if *repeat > 0 {
-		spec.Repeat = *repeat
-	}
-	if *workers > 0 {
-		spec.Workers = *workers
-	}
 	if *backend != "" {
 		spec.Backend = *backend
 	}
@@ -118,11 +110,10 @@ func cmdBench(args []string, stdout, stderr io.Writer) error {
 	}
 
 	// The comparison goes to stderr so that `--json > file` still captures
-	// a clean document. Severity decides the exit code: schema-version or
-	// backend mismatches and baseline cells missing from the current run
-	// (coverage regressions) fail the command; metric drift — quality and
-	// especially machine-local timing — stays warn-only for humans and CI
-	// logs to judge.
+	// a clean document. Nothing in the document is machine-local, so every
+	// error-severity finding — schema or backend mismatch, a baseline cell or
+	// metric missing from this run, a changed count, quality drift beyond
+	// tolerance — fails the command; only cells new in this run warn.
 	if *baseline != "" {
 		base, err := bench.ReadResult(*baseline)
 		if err != nil {
@@ -131,19 +122,7 @@ func cmdBench(args []string, stdout, stderr io.Writer) error {
 			// typo'd path silently exiting 0 would disable the gate.
 			return fmt.Errorf("baseline %s is missing or unreadable: %w", *baseline, err)
 		}
-		warns := bench.Compare(base, res, 5.0, 2.0)
-		// Quality/count metrics are deterministic; timing is machine-local.
-		// Report the deterministic verdict separately so timing noise on a
-		// loaded machine cannot mask the quality answer.
-		qualityWarns := 0
-		for _, w := range warns {
-			if !strings.HasPrefix(w.Message, "timing ") {
-				qualityWarns++
-			}
-		}
-		if qualityWarns == 0 {
-			fmt.Fprintf(stderr, "baseline %s: no quality drift (tol 5%%; timing warn-only at 2.0x)\n", *baseline)
-		}
+		warns := bench.Compare(base, res, 5.0)
 		for _, w := range warns {
 			tag := "WARN"
 			if w.Severity == bench.SeverityError {
@@ -152,8 +131,9 @@ func cmdBench(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stderr, "%s %s\n", tag, w)
 		}
 		if errs := bench.Errors(warns); len(errs) != 0 {
-			return fmt.Errorf("baseline %s: %d comparability error(s) (schema/backend/coverage); see stderr", *baseline, len(errs))
+			return fmt.Errorf("baseline %s: %d cell(s) differ (schema/backend/coverage/counts/quality); see stderr", *baseline, len(errs))
 		}
+		fmt.Fprintf(stderr, "baseline %s: no quality drift (tol 5%%), counts identical\n", *baseline)
 	}
 
 	// --assert expressions are hard gates on the document just written —
@@ -170,8 +150,7 @@ func cmdBench(args []string, stdout, stderr io.Writer) error {
 // printBenchTable renders the result as a human-readable table: one row per
 // metric, grouped by experiment cell.
 func printBenchTable(w io.Writer, res *bench.Result) {
-	fmt.Fprintf(w, "bench %s (schema v%d, %s %s/%s, GOMAXPROCS=%d)\n",
-		res.Label, res.SchemaVersion, res.Env.GoVersion, res.Env.GOOS, res.Env.GOARCH, res.Env.GOMAXPROCS)
+	fmt.Fprintf(w, "bench %s (schema v%d)\n", res.Label, res.SchemaVersion)
 	for _, x := range res.Experiments {
 		fmt.Fprintf(w, "\n%s  [size=%s workload=%s seed=%d]\n", x.Name, x.Size, x.Workload, x.Seed)
 		for _, k := range bench.SortedKeys(x.Quality) {
@@ -179,13 +158,6 @@ func printBenchTable(w io.Writer, res *bench.Result) {
 		}
 		for _, k := range bench.SortedKeys(x.Counts) {
 			fmt.Fprintf(w, "  %-36s %14d\n", k, x.Counts[k])
-		}
-		for _, k := range bench.SortedKeys(x.TimingNs) {
-			if strings.HasSuffix(k, "_x") {
-				fmt.Fprintf(w, "  %-36s %14.2fx\n", k, x.TimingNs[k])
-			} else {
-				fmt.Fprintf(w, "  %-36s %12.1fµs\n", k, x.TimingNs[k]/1e3)
-			}
 		}
 	}
 }

@@ -123,7 +123,7 @@ func TestCmdBenchWritesValidJSON(t *testing.T) {
 		t.Fatalf("got %d experiments, want 2", len(res.Experiments))
 	}
 	// --json must print the same document to stdout.
-	if !strings.Contains(stdout.String(), `"schema_version": 1`) {
+	if !strings.Contains(stdout.String(), `"schema_version": 2`) {
 		t.Errorf("--json did not print the document:\n%s", stdout.String())
 	}
 	if !strings.Contains(stderr.String(), "wrote ") {
@@ -148,10 +148,10 @@ func TestCmdBenchStableAcrossRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, _ := r1.StableJSON()
-	s2, _ := r2.StableJSON()
+	s1, _ := r1.JSON()
+	s2, _ := r2.JSON()
 	if !bytes.Equal(s1, s2) {
-		t.Fatalf("bench quality/count fields not byte-stable:\n%s\nvs\n%s", s1, s2)
+		t.Fatalf("bench document not byte-stable:\n%s\nvs\n%s", s1, s2)
 	}
 }
 
@@ -162,13 +162,16 @@ func TestCmdBenchHumanTableAndBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	table := stdout.String()
-	for _, want := range []string{"parallel_scaling", "size_model", "honest_vs_zero_x", "speedup_x"} {
+	if header, _, _ := strings.Cut(table, "\n"); header != "bench smoke (schema v2)" {
+		t.Errorf("table header = %q, want label and schema only", header)
+	}
+	for _, want := range []string{"parallel_scaling", "size_model", "honest_vs_zero_x", "w16_sweep_exact"} {
 		if !strings.Contains(table, want) {
 			t.Errorf("table missing %q:\n%s", want, table)
 		}
 	}
-	// Re-run against the just-written file as baseline: identical quality
-	// metrics must produce the no-drift notice on stderr, warn-only.
+	// Re-run against the just-written file as baseline: identical cells
+	// must produce the no-drift notice on stderr and exit 0.
 	stderr.Reset()
 	baseline := filepath.Join(dir, "BENCH_smoke.json")
 	if err := cmdBench(benchArgs(t.TempDir(), "--baseline", baseline), &stdout, &stderr); err != nil {
@@ -180,8 +183,9 @@ func TestCmdBenchHumanTableAndBaseline(t *testing.T) {
 }
 
 // TestCmdBenchBaselineHardFail pins the exit-code contract: schema-version
-// mismatches and baseline experiments missing from the current run fail the
-// command, while pure quality/timing drift stays warn-only.
+// mismatches, baseline experiments or metrics missing from the current run,
+// changed counts and quality drift beyond tolerance all fail the command;
+// a cell only the current run has warns and exits 0.
 func TestCmdBenchBaselineHardFail(t *testing.T) {
 	dir := t.TempDir()
 	var sink bytes.Buffer
@@ -243,21 +247,58 @@ func TestCmdBenchBaselineHardFail(t *testing.T) {
 		t.Error("schema-version mismatch did not fail the command")
 	}
 
-	// Pure quality drift stays warn-only: exit 0, warning on stderr.
-	drifted := rewrite(func(m map[string]any) {
-		x := m["experiments"].([]any)[0].(map[string]any)
-		if q, ok := x["quality"].(map[string]any); ok {
+	// A changed answer fails: quality drift beyond tolerance, a changed
+	// count, or a metric the current run no longer emits.
+	firstCell := func(m map[string]any, field string) map[string]any {
+		for _, x := range m["experiments"].([]any) {
+			if f, ok := x.(map[string]any)[field].(map[string]any); ok && len(f) > 0 {
+				return f
+			}
+		}
+		t.Fatalf("no cell with %s metrics", field)
+		return nil
+	}
+	for name, tc := range map[string]struct {
+		mutate func(map[string]any)
+		want   string
+	}{
+		"quality drift": {func(m map[string]any) {
+			q := firstCell(m, "quality")
 			for k := range q {
 				q[k] = q[k].(float64)*2 + 1
 			}
+		}, "drifted"},
+		"changed count": {func(m map[string]any) {
+			c := firstCell(m, "counts")
+			for k := range c {
+				c[k] = c[k].(float64) + 1
+			}
+		}, "changed"},
+		"missing metric": {func(m map[string]any) {
+			firstCell(m, "counts")["vanished"] = float64(1)
+		}, "count vanished missing"},
+	} {
+		stderr.Reset()
+		err := cmdBench(benchArgs(t.TempDir(), "--baseline", rewrite(tc.mutate)), &sink, &stderr)
+		if err == nil {
+			t.Errorf("%s did not fail the command; stderr:\n%s", name, stderr.String())
 		}
+		if !strings.Contains(stderr.String(), "ERROR") || !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("%s: stderr missing ERROR naming %q:\n%s", name, tc.want, stderr.String())
+		}
+	}
+
+	// New coverage is not a regression: a cell the baseline lacks warns.
+	narrower := rewrite(func(m map[string]any) {
+		xs := m["experiments"].([]any)
+		m["experiments"] = xs[:len(xs)-1]
 	})
 	stderr.Reset()
-	if err := cmdBench(benchArgs(t.TempDir(), "--baseline", drifted), &sink, &stderr); err != nil {
-		t.Fatalf("quality drift must stay warn-only, got: %v\nstderr:\n%s", err, stderr.String())
+	if err := cmdBench(benchArgs(t.TempDir(), "--baseline", narrower), &sink, &stderr); err != nil {
+		t.Fatalf("a new cell must stay warn-only, got: %v\nstderr:\n%s", err, stderr.String())
 	}
-	if !strings.Contains(stderr.String(), "WARN") {
-		t.Errorf("expected drift warnings on stderr:\n%s", stderr.String())
+	if !strings.Contains(stderr.String(), "WARN") || !strings.Contains(stderr.String(), "new experiment cell") {
+		t.Errorf("expected a new-cell warning on stderr:\n%s", stderr.String())
 	}
 }
 
@@ -497,28 +538,48 @@ func TestCmdServeSmoke(t *testing.T) {
 
 // TestCmdServeRejectsShardFlags pins that serve has no coordinator or worker
 // mode left to start: --workers takes an integer only and --worker does not
-// exist, so both die at flag parsing with a usage error. The flag set exits
-// the process on a parse failure, so each case runs in a re-executed copy of
-// this test binary, which finds the serve arguments after "--".
+// exist, so both die at flag parsing with a usage error.
 func TestCmdServeRejectsShardFlags(t *testing.T) {
 	if args := flag.Args(); len(args) > 0 {
 		t.Fatalf("serve %v parsed its flags and returned: %v", args, runServe(args, nil))
 	}
-	for _, tc := range []struct{ arg, want string }{
-		{"--workers=http://127.0.0.1:1", "invalid value"},
-		{"--worker", "flag provided but not defined: -worker"},
-	} {
+	wantUsageExit(t, "TestCmdServeRejectsShardFlags", "serve", []string{"--size", "tiny", "--addr", "127.0.0.1:0"}, map[string]string{
+		"--workers=http://127.0.0.1:1": "invalid value",
+		"--worker":                     "flag provided but not defined: -worker",
+	})
+}
+
+// TestCmdBenchRejectsTimingFlags pins that bench has no timing knob left:
+// --repeat and --workers do not exist, so both die at flag parsing with a
+// usage error. (`serve --workers N` is a different flag set and stays.)
+func TestCmdBenchRejectsTimingFlags(t *testing.T) {
+	if args := flag.Args(); len(args) > 0 {
+		t.Fatalf("bench %v parsed its flags and returned: %v", args, cmdBench(args, io.Discard, io.Discard))
+	}
+	wantUsageExit(t, "TestCmdBenchRejectsTimingFlags", "bench", nil, map[string]string{
+		"--repeat=3":  "flag provided but not defined: -repeat",
+		"--workers=2": "flag provided but not defined: -workers",
+	})
+}
+
+// wantUsageExit runs `<sub> <base...> <flag>` for every flag in cases and
+// requires exit status 2 with a usage error naming the case's message. The
+// subcommands' flag sets exit the process on a parse failure, so each case
+// runs in a re-executed copy of this test binary restricted to the calling
+// test, which finds the subcommand's arguments after "--".
+func wantUsageExit(t *testing.T, test, sub string, base []string, cases map[string]string) {
+	t.Helper()
+	for arg, want := range cases {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestCmdServeRejectsShardFlags$",
-			"--", "--size", "tiny", "--addr", "127.0.0.1:0", tc.arg)
-		out, err := cmd.CombinedOutput()
+		args := append([]string{"-test.run=^" + test + "$", "--"}, append(base, arg)...)
+		out, err := exec.CommandContext(ctx, os.Args[0], args...).CombinedOutput()
 		cancel()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Errorf("serve %s: err = %v, want exit status 2\n%s", tc.arg, err, out)
+			t.Errorf("%s %s: err = %v, want exit status 2\n%s", sub, arg, err, out)
 		}
-		if !strings.Contains(string(out), tc.want) || !strings.Contains(string(out), "Usage of serve") {
-			t.Errorf("serve %s: no usage error naming %q:\n%s", tc.arg, tc.want, out)
+		if !strings.Contains(string(out), want) || !strings.Contains(string(out), "Usage of "+sub) {
+			t.Errorf("%s %s: no usage error naming %q:\n%s", sub, arg, want, out)
 		}
 	}
 }

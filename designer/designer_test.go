@@ -2,6 +2,7 @@ package designer_test
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -298,6 +299,39 @@ func TestGreedyVsCoPhyIntegration(t *testing.T) {
 	}
 	if c.Objective > g.Objective*1.001 {
 		t.Fatalf("CoPhy %f worse than greedy %f", c.Objective, g.Objective)
+	}
+}
+
+// TestJoinSteeredEvaluateHonorsWorkers pins that a join-steered session
+// evaluate runs on the designer's sweep pool: the reports at SetWorkers(1)
+// and SetWorkers(4) are bit-identical, and steering changed what was priced.
+func TestJoinSteeredEvaluateHonorsWorkers(t *testing.T) {
+	ctx := context.Background()
+	d := open(t)
+	w := sdssWorkload(t, d, 16)
+	evaluate := func(workers int, steer bool) *designer.Report {
+		t.Helper()
+		d.SetWorkers(workers)
+		s := d.NewDesignSession()
+		if _, err := s.AddIndex("specobj", "bestobjid"); err != nil {
+			t.Fatal(err)
+		}
+		if steer {
+			s.SetJoinControl(designer.JoinControl{DisableHashJoin: true, DisableMergeJoin: true})
+		}
+		rep, err := s.Evaluate(ctx, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	serial, wide := evaluate(1, true), evaluate(4, true)
+	if !reflect.DeepEqual(serial, wide) {
+		t.Fatalf("join-steered reports differ across widths: %v/%v at 1, %v/%v at 4",
+			serial.BaseTotal, serial.NewTotal, wide.BaseTotal, wide.NewTotal)
+	}
+	if plain := evaluate(4, false); reflect.DeepEqual(plain, wide) {
+		t.Fatal("join steering changed no cost — the switches did not reach the planner")
 	}
 }
 

@@ -29,6 +29,10 @@ func start(t *testing.T) string {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
+		// A connection the client dialed but never sent a request on stays
+		// in StateNew, which http.Server.Shutdown only treats as idle after
+		// five seconds — the whole deadline below. Drop the client's pool.
+		http.DefaultClient.CloseIdleConnections()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := s.Shutdown(ctx); err != nil {

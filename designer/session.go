@@ -228,7 +228,7 @@ func (s *DesignSession) AddHorizontalPartition(table, column string, k int) erro
 // session falls back to native plan costing under join steering).
 func (s *DesignSession) Evaluate(ctx context.Context, w *Workload) (*Report, error) {
 	if s.hasJoinOpts {
-		rep, err := s.whatifSession().EvaluateWorkload(ctx, w.internal(), s.cfg)
+		rep, err := s.view.EvaluateSteered(ctx, w.internal(), s.cfg, s.joinOpts)
 		if err != nil {
 			return nil, err
 		}

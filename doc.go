@@ -42,13 +42,10 @@
 // (designer.SessionOptions / the serve API's per-session backend field),
 // or per CLI run (dbdesigner --backend). Designer.Describe reports the
 // active backend. See README.md ("Portability & backends") for the
-// calibration file format and the record/replay workflow, DESIGN.md for
-// the full inventory, and EXPERIMENTS.md for the paper-versus-measured
-// record.
+// calibration file format and the record/replay workflow.
 //
-// The benchmark harness in bench_test.go regenerates every figure,
-// scenario, and quantitative claim of the paper (experiments E2–E12 in
-// DESIGN.md §3):
-//
-//	go test -bench=. -benchmem .
+// The paper's experiments (E2–E12) run as the deterministic suite behind
+// `dbdesigner bench` (repro/internal/bench): quality and count cells only,
+// pinned by the committed BENCH_*.json baselines. Latency is measured by
+// benchmark/ (BENCHMARK.json, `bash benchmark/run.sh`) and nowhere else.
 package repro

@@ -17,7 +17,6 @@ func testSpec() Spec {
 		Workloads:   []string{"uniform"},
 		Experiments: CoreExperiments,
 		Queries:     12,
-		Repeat:      1,
 		StreamLen:   50,
 		EpochLen:    25,
 	}
@@ -69,14 +68,29 @@ func TestRunProducesValidatedResult(t *testing.T) {
 	if res.BackendOrNative() != "native" {
 		t.Errorf("default suite backend = %q", res.BackendOrNative())
 	}
-	for _, x := range res.Experiments {
-		if len(x.TimingNs) == 0 && x.Name != "interaction_schedule" {
-			t.Errorf("%s has no timing metrics", x.Name)
-		}
+}
+
+// TestSmokeMatchesCommittedBaseline is the repo's central contract as a
+// tier-1 test: the smoke document is a pure function of (spec, seed), so a
+// fresh run must reproduce every quality and count cell of the committed
+// baseline. A PR that moves an answer on purpose regenerates
+// BENCH_baseline.json in the same change.
+func TestSmokeMatchesCommittedBaseline(t *testing.T) {
+	base, err := ReadResult("../../BENCH_baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(SmokeSpec(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Tolerance 0: the contract is byte-identical cells, not "close".
+	for _, w := range Compare(base, res, 0) {
+		t.Errorf("%s: %s", w.Severity, w)
 	}
 }
 
-func TestStableJSONIsByteStableAcrossRuns(t *testing.T) {
+func TestJSONIsByteStableAcrossRuns(t *testing.T) {
 	a, err := Run(testSpec(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -85,22 +99,16 @@ func TestStableJSONIsByteStableAcrossRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aj, err := a.StableJSON()
+	aj, err := a.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	bj, err := b.StableJSON()
+	bj, err := b.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(aj, bj) {
-		t.Fatalf("stable JSON differs across identical runs:\n--- run1\n%s\n--- run2\n%s", aj, bj)
-	}
-	if strings.Contains(string(aj), "timing_ns") {
-		t.Error("stable JSON leaks timing fields")
-	}
-	if strings.Contains(string(aj), "go_version\": \"go") {
-		t.Error("stable JSON leaks machine environment")
+		t.Fatalf("JSON differs across identical runs:\n--- run1\n%s\n--- run2\n%s", aj, bj)
 	}
 }
 
@@ -143,10 +151,10 @@ func TestResultFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aj, _ := res.StableJSON()
-	bj, _ := back.StableJSON()
+	aj, _ := res.JSON()
+	bj, _ := back.JSON()
 	if !bytes.Equal(aj, bj) {
-		t.Fatal("round-tripped result differs in stable form")
+		t.Fatal("round-tripped result differs")
 	}
 }
 
@@ -187,36 +195,30 @@ func TestCompareFlagsDriftAndRegressions(t *testing.T) {
 			Label:         "x",
 			Experiments: []Experiment{{
 				Name: "e", Size: "tiny", Workload: "uniform", Seed: 1,
-				Quality:  map[string]float64{"improvement_pct": 50},
-				Counts:   map[string]int64{"indexes": 4},
-				TimingNs: map[string]float64{"advise": 1000, "speedup_x": 1.0},
+				Quality: map[string]float64{"improvement_pct": 50},
+				Counts:  map[string]int64{"indexes": 4},
 			}},
 		}
 	}
 	base, cur := mk(), mk()
-	if warns := Compare(base, cur, 1, 1.5); len(warns) != 0 {
+	if warns := Compare(base, cur, 1); len(warns) != 0 {
 		t.Fatalf("identical results produced warnings: %v", warns)
 	}
 	cur.Experiments[0].Quality["improvement_pct"] = 40 // -20% drift
 	cur.Experiments[0].Counts["indexes"] = 5
-	cur.Experiments[0].TimingNs["advise"] = 5000    // 5x slower
-	cur.Experiments[0].TimingNs["speedup_x"] = 10.0 // ratios never warn
-	warns := Compare(base, cur, 1, 1.5)
+	warns := Compare(base, cur, 1)
 	var msgs []string
 	for _, w := range warns {
 		msgs = append(msgs, w.String())
 	}
 	joined := strings.Join(msgs, "\n")
-	for _, want := range []string{"improvement_pct drifted", "count indexes changed", "timing advise regressed"} {
+	for _, want := range []string{"improvement_pct drifted", "count indexes changed"} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("missing warning %q in:\n%s", want, joined)
 		}
 	}
-	if strings.Contains(joined, "speedup_x") {
-		t.Errorf("ratio metric should not warn:\n%s", joined)
-	}
-	if len(warns) != 3 {
-		t.Errorf("got %d warnings, want 3: %v", len(warns), msgs)
+	if len(warns) != 2 {
+		t.Errorf("got %d warnings, want 2: %v", len(warns), msgs)
 	}
 
 	// Cells present on only one side are reported.
@@ -225,19 +227,19 @@ func TestCompareFlagsDriftAndRegressions(t *testing.T) {
 		Name: "new", Size: "tiny", Workload: "uniform",
 		Counts: map[string]int64{"n": 1},
 	})
-	warns = Compare(base, extra, 1, 1.5)
+	warns = Compare(base, extra, 1)
 	if len(warns) != 1 || !strings.Contains(warns[0].String(), "new experiment cell") {
 		t.Errorf("new-cell warning missing: %v", warns)
 	}
-	warns = Compare(extra, base, 1, 1.5)
+	warns = Compare(extra, base, 1)
 	if len(warns) != 1 || !strings.Contains(warns[0].String(), "missing from current run") {
 		t.Errorf("missing-cell warning missing: %v", warns)
 	}
 }
 
 // TestCompareSeverities pins the hard-fail contract of `bench --baseline`:
-// schema-version mismatches, backend mismatches, and coverage regressions
-// are errors; metric drift (quality, counts, timing) and new cells warn.
+// schema-version mismatches, backend mismatches, coverage regressions and
+// metric drift (quality, counts) are errors; new cells warn.
 func TestCompareSeverities(t *testing.T) {
 	mk := func() *Result {
 		return &Result{
@@ -245,9 +247,8 @@ func TestCompareSeverities(t *testing.T) {
 			Label:         "x",
 			Experiments: []Experiment{{
 				Name: "e", Size: "tiny", Workload: "uniform", Seed: 1,
-				Quality:  map[string]float64{"improvement_pct": 50},
-				Counts:   map[string]int64{"indexes": 4},
-				TimingNs: map[string]float64{"advise": 1000},
+				Quality: map[string]float64{"improvement_pct": 50},
+				Counts:  map[string]int64{"indexes": 4},
 			}},
 		}
 	}
@@ -256,7 +257,7 @@ func TestCompareSeverities(t *testing.T) {
 	base, cur := mk(), mk()
 	cur.SchemaVersion = SchemaVersion + 1
 	cur.Experiments[0].Quality["improvement_pct"] = 1 // would drift, must not be reached
-	warns := Compare(base, cur, 1, 1.5)
+	warns := Compare(base, cur, 1)
 	if len(warns) != 1 || warns[0].Severity != SeverityError || !strings.Contains(warns[0].String(), "schema_version") {
 		t.Fatalf("schema mismatch: %v", warns)
 	}
@@ -264,18 +265,18 @@ func TestCompareSeverities(t *testing.T) {
 	// Backend mismatch: error (absolute costs not comparable).
 	base, cur = mk(), mk()
 	cur.Backend = "calibrated"
-	warns = Compare(base, cur, 1, 1.5)
+	warns = Compare(base, cur, 1)
 	if len(warns) != 1 || warns[0].Severity != SeverityError || !strings.Contains(warns[0].String(), "backend") {
 		t.Fatalf("backend mismatch: %v", warns)
 	}
 	// "" and "native" are the same backend (pre-backend documents).
 	base, cur = mk(), mk()
 	cur.Backend = "native"
-	if warns := Compare(base, cur, 1, 1.5); len(warns) != 0 {
+	if warns := Compare(base, cur, 1); len(warns) != 0 {
 		t.Fatalf("native vs empty backend flagged: %v", warns)
 	}
 
-	// Coverage regression: error. Drift: warn. New cell: warn.
+	// Coverage regression: error. Drift: error. New cell: warn.
 	base, cur = mk(), mk()
 	base.Experiments = append(base.Experiments, Experiment{
 		Name: "gone", Size: "tiny", Workload: "uniform",
@@ -286,19 +287,28 @@ func TestCompareSeverities(t *testing.T) {
 		Name: "fresh", Size: "tiny", Workload: "uniform",
 		Counts: map[string]int64{"n": 1},
 	})
-	warns = Compare(base, cur, 1, 1.5)
-	errs := Errors(warns)
-	if len(errs) != 1 || !strings.Contains(errs[0].String(), "coverage regressed") {
-		t.Fatalf("coverage regression not an error: %v", warns)
+	warns = Compare(base, cur, 1)
+	var coverage, drift int
+	for _, w := range Errors(warns) {
+		switch {
+		case strings.Contains(w.Message, "coverage regressed"):
+			coverage++
+		case strings.Contains(w.Message, "drifted"):
+			drift++
+		default:
+			t.Errorf("unexpected error: %v", w)
+		}
+	}
+	if coverage != 1 || drift != 1 {
+		t.Fatalf("want one coverage error and one drift error: %v", warns)
 	}
 	for _, w := range warns {
-		if w.Severity == SeverityWarn &&
-			!strings.Contains(w.Message, "drifted") && !strings.Contains(w.Message, "new experiment cell") {
+		if w.Severity == SeverityWarn && !strings.Contains(w.Message, "new experiment cell") {
 			t.Errorf("unexpected warn: %v", w)
 		}
-		if strings.Contains(w.Message, "drifted") && w.Severity != SeverityWarn {
-			t.Errorf("quality drift must stay warn-only: %v", w)
-		}
+	}
+	if len(warns) != 3 {
+		t.Errorf("got %d findings, want 3 (coverage, drift, new cell): %v", len(warns), warns)
 	}
 }
 
@@ -330,7 +340,7 @@ func TestCalibratedSuiteRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warns := Compare(native, res, 5, 2)
+	warns := Compare(native, res, 5)
 	if len(Errors(warns)) == 0 {
 		t.Fatal("calibrated-vs-native comparison did not error")
 	}

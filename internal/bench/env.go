@@ -1,18 +1,18 @@
-// Package bench is the shared experiment harness behind the repository's
-// performance trajectory. It runs the paper's experiment suite — INUM vs
-// full-optimizer speedup (E8), CoPhy vs greedy design quality across
+// Package bench is the deterministic experiment suite behind the committed
+// BENCH_*.json baselines. It runs the paper's experiments — INUM costings
+// served per optimizer call (E8), CoPhy vs greedy design quality across
 // storage budgets (E7), COLT convergence under workload drift (E6),
-// interaction-aware schedule quality (E2/E9), and engine parallel-sweep
-// scaling — over a matrix of dataset sizes, seeds, and workload profiles,
-// and emits one schema-versioned result document (BENCH_<label>.json) per
-// run. The `dbdesigner bench` subcommand and every Benchmark* in
-// bench_test.go are thin wrappers over this package, so the numbers CI
-// records and the numbers `go test -bench` prints come from the same code.
+// interaction-aware schedule quality (E2/E9), and parallel-sweep exactness —
+// over a matrix of dataset sizes, seeds, and workload profiles, and emits
+// one schema-versioned answer document (BENCH_<label>.json) per run: quality
+// and count cells only, a pure function of (spec, seed). It measures no
+// wall-clock time; latency claims are made with benchmark/ (BENCHMARK.json)
+// and nothing else. The `dbdesigner bench` subcommand is a thin wrapper over
+// this package.
 package bench
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"repro/designer"
@@ -26,8 +26,7 @@ import (
 // Env is one cell of the experiment matrix: a generated dataset, a workload
 // drawn from one profile, the candidate index set, and the shared costing
 // engine (pre-warmed INUM cache). Building an Env is the expensive part of
-// every experiment; the harness and the Go benchmarks share built Envs
-// through CachedEnv.
+// every experiment; one Env serves every experiment of its cell.
 type Env struct {
 	SizeName string
 	Seed     int64
@@ -46,10 +45,6 @@ type Env struct {
 	// backendSpec rebuilds engines with the Env's backend (FreshEngine).
 	backendSpec engine.BackendSpec
 
-	// defaultWorkers is the sweep width experiments restore after a
-	// width-controlled measurement (0 = the engine's GOMAXPROCS default).
-	defaultWorkers int
-
 	// advised caches the default CoPhy recommendation (used by the
 	// interaction and schedule experiments, which analyze an advised set).
 	advisedOnce sync.Once
@@ -60,15 +55,9 @@ type Env struct {
 // NewEnv generates the dataset (dataset seed = seed), draws NumQ queries
 // from the named workload profile (workload seed = seed+1, so dataset and
 // workload randomness stay independent), enumerates candidates, and warms
-// the native backend's INUM cache.
-func NewEnv(sizeName string, seed int64, profile string, numQ int) (*Env, error) {
-	return NewEnvWith(sizeName, seed, profile, numQ, engine.BackendSpec{})
-}
-
-// NewEnvWith is NewEnv with an explicit cost-backend selection — the whole
-// experiment suite runs unchanged on any backend, which is itself the
-// portability claim.
-func NewEnvWith(sizeName string, seed int64, profile string, numQ int, spec engine.BackendSpec) (*Env, error) {
+// the INUM cache of the given cost backend — the whole experiment suite runs
+// unchanged on any backend, which is itself the portability claim.
+func NewEnv(sizeName string, seed int64, profile string, numQ int, spec engine.BackendSpec) (*Env, error) {
 	size, err := workload.SizeByName(sizeName)
 	if err != nil {
 		return nil, err
@@ -105,41 +94,6 @@ func NewEnvWith(sizeName string, seed int64, profile string, numQ int, spec engi
 		Eng:         eng,
 		backendSpec: spec,
 	}, nil
-}
-
-// SetDefaultWorkers bounds the Env engine's sweep pool (0 restores the
-// GOMAXPROCS default) and remembers the width so the width-sweeping
-// experiment (parallel_scaling) restores it rather than the global default.
-func (e *Env) SetDefaultWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	e.defaultWorkers = n
-	e.Eng.SetWorkers(n)
-}
-
-var (
-	envMu    sync.Mutex
-	envCache = map[string]*Env{}
-)
-
-// CachedEnv returns a process-wide shared Env for the given matrix cell,
-// building it on first use. Benchmarks use this so thirteen Benchmark*
-// functions pay for one dataset generation, exactly like the old package
-// fixture did.
-func CachedEnv(sizeName string, seed int64, profile string, numQ int) (*Env, error) {
-	key := fmt.Sprintf("%s/%d/%s/%d", sizeName, seed, profile, numQ)
-	envMu.Lock()
-	defer envMu.Unlock()
-	if e, ok := envCache[key]; ok {
-		return e, nil
-	}
-	e, err := NewEnv(sizeName, seed, profile, numQ)
-	if err != nil {
-		return nil, err
-	}
-	envCache[key] = e
-	return e, nil
 }
 
 // FreshDesigner generates an unshared copy of the Env's dataset and opens a
@@ -228,23 +182,6 @@ func (e *Env) CandidateFootprint() int64 {
 		total += ix.EstimatedPages
 	}
 	return total
-}
-
-// RotatingConfigs builds n configurations that cycle through the candidate
-// set with different phases — the advisor's actual access mix of memo hits
-// and fresh per-table designs (E8's sweep shape).
-func (e *Env) RotatingConfigs(n int) []*catalog.Configuration {
-	configs := make([]*catalog.Configuration, 0, n)
-	for i := 0; i < n; i++ {
-		cfg := catalog.NewConfiguration()
-		for j, ix := range e.Cands {
-			if (j+i)%4 == 0 {
-				cfg = cfg.WithIndex(ix)
-			}
-		}
-		configs = append(configs, cfg)
-	}
-	return configs
 }
 
 // SweepFamily builds n distinct configurations with varied per-table design

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/designer"
 	"repro/internal/autopart"
@@ -22,27 +21,6 @@ import (
 	"repro/internal/whatif"
 	"repro/internal/workload"
 )
-
-// ---------------------------------------------------------------------------
-// Step functions: each is one logical unit of measured work, shared between
-// the harness runners below and the Benchmark* wrappers in bench_test.go.
-// ---------------------------------------------------------------------------
-
-// INUMCostOnce prices one (query, configuration) pair through the INUM
-// cache — E8's fast path.
-func (e *Env) INUMCostOnce(i int, cfgs []*catalog.Configuration) error {
-	q := e.W.Queries[i%len(e.W.Queries)]
-	_, err := e.Eng.QueryCost(q, cfgs[i%len(cfgs)])
-	return err
-}
-
-// FullCostOnce prices one (query, configuration) pair with the complete
-// optimizer — E8's baseline.
-func (e *Env) FullCostOnce(i int, cfgs []*catalog.Configuration) error {
-	q := e.W.Queries[i%len(e.W.Queries)]
-	_, err := e.Eng.FullCost(q.Stmt, cfgs[i%len(cfgs)])
-	return err
-}
 
 // PipelineCallsAvoided runs a full designer pipeline (CoPhy + interaction
 // analysis + scheduling) on a cold engine and reports how many cached
@@ -139,64 +117,54 @@ type COLTResult struct {
 	Epochs        int
 	ConfigChanges int
 	Alerts        int
-	// ObserveNs is the wall-clock time spent in Tuner.ObserveAll only —
-	// dataset, stream, and static-baseline preparation are excluded, so
-	// observe_per_query tracks the tuner, not the generators.
-	ObserveNs float64
 }
 
-// COLTFixture is the prepared state for online-tuning runs: an unshared
-// costing engine over the Env's dataset, the profile-drawn stream (stream
-// seed = dataset seed + 2), and the static no-index baseline cost, all
-// computed once so repeated Run calls time only the tuner.
-type COLTFixture struct {
-	eng    *engine.Engine
-	stream []workload.Query
-	static float64
-}
-
-// COLTFixture builds the online-tuning fixture for the E6 experiment.
-func (e *Env) COLTFixture(streamLen int) (*COLTFixture, error) {
+// profileStream draws the online experiments' query stream from the Env's
+// profile (stream seed = dataset seed + 2) and prices it under the empty
+// configuration on eng — the static no-index baseline adaptive savings are
+// measured against.
+func (e *Env) profileStream(eng *engine.Engine, streamLen int) (stream []workload.Query, static float64, err error) {
 	p, err := workload.ProfileByName(e.Profile)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	eng := e.FreshEngine()
-	stream, err := p.GenerateStream(e.Store.Schema, e.Seed+2, streamLen)
+	stream, err = p.GenerateStream(e.Store.Schema, e.Seed+2, streamLen)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	var static float64
 	empty := catalog.NewConfiguration()
 	for _, q := range stream {
 		c, err := eng.QueryCost(q, empty)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		static += c
 	}
-	return &COLTFixture{eng: eng, stream: stream, static: static}, nil
+	return stream, static, nil
 }
 
-// Run streams the fixture through a fresh COLT tuner and reports savings
-// against the precomputed static baseline (E6).
-func (f *COLTFixture) Run(epochLen int) (*COLTResult, error) {
+// COLTStream streams profile-drawn queries through a fresh COLT tuner over
+// an unshared engine and reports savings against the static baseline (E6).
+func (e *Env) COLTStream(streamLen, epochLen int) (*COLTResult, error) {
+	eng := e.FreshEngine()
+	stream, static, err := e.profileStream(eng, streamLen)
+	if err != nil {
+		return nil, err
+	}
 	opts := colt.DefaultOptions()
 	opts.EpochLength = epochLen
-	tuner := colt.New(f.eng, nil, opts)
+	tuner := colt.New(eng, nil, opts)
 	defer tuner.Close()
-	start := time.Now()
-	adaptive, err := tuner.ObserveAll(context.Background(), f.stream)
+	adaptive, err := tuner.ObserveAll(context.Background(), stream)
 	if err != nil {
 		return nil, err
 	}
 	out := &COLTResult{
-		Queries:   len(f.stream),
-		Alerts:    len(tuner.Alerts()),
-		ObserveNs: float64(time.Since(start).Nanoseconds()),
+		Queries: len(stream),
+		Alerts:  len(tuner.Alerts()),
 	}
-	if f.static > 0 {
-		out.SavingsPct = (f.static - adaptive) / f.static * 100
+	if static > 0 {
+		out.SavingsPct = (static - adaptive) / static * 100
 	}
 	for _, r := range tuner.Reports() {
 		out.Epochs++
@@ -205,15 +173,6 @@ func (f *COLTFixture) Run(epochLen int) (*COLTResult, error) {
 		}
 	}
 	return out, nil
-}
-
-// COLTStream is COLTFixture + one Run — the harness's single-shot form.
-func (e *Env) COLTStream(streamLen, epochLen int) (*COLTResult, error) {
-	f, err := e.COLTFixture(streamLen)
-	if err != nil {
-		return nil, err
-	}
-	return f.Run(epochLen)
 }
 
 // AutopilotResult is the outcome of one closed-loop tuning run: COLT under
@@ -231,7 +190,6 @@ type AutopilotResult struct {
 	BuildPages     int64
 	Rollbacks      int64
 	RegretSamples  int
-	ObserveNs      float64 // ObserveAll wall-clock only, like COLTResult
 }
 
 // AutopilotStream drives the colt_autopilot experiment: the profile-drawn
@@ -240,23 +198,10 @@ type AutopilotResult struct {
 // the short smoke stream), and a capped exhaustive oracle for the regret
 // samples.
 func (e *Env) AutopilotStream(streamLen, epochLen int) (*AutopilotResult, error) {
-	p, err := workload.ProfileByName(e.Profile)
-	if err != nil {
-		return nil, err
-	}
 	eng := e.FreshEngine()
-	stream, err := p.GenerateStream(e.Store.Schema, e.Seed+2, streamLen)
+	stream, static, err := e.profileStream(eng, streamLen)
 	if err != nil {
 		return nil, err
-	}
-	var static float64
-	empty := catalog.NewConfiguration()
-	for _, q := range stream {
-		c, err := eng.QueryCost(q, empty)
-		if err != nil {
-			return nil, err
-		}
-		static += c
 	}
 
 	opts := autopilot.DefaultOptions()
@@ -270,15 +215,11 @@ func (e *Env) AutopilotStream(streamLen, epochLen int) (*AutopilotResult, error)
 	}
 	defer ap.Close()
 
-	start := time.Now()
 	adaptive, err := ap.ObserveAll(context.Background(), stream)
 	if err != nil {
 		return nil, err
 	}
-	out := &AutopilotResult{
-		Queries:   len(stream),
-		ObserveNs: float64(time.Since(start).Nanoseconds()),
-	}
+	out := &AutopilotResult{Queries: len(stream)}
 	if static > 0 {
 		out.SavingsPct = (static - adaptive) / static * 100
 	}
@@ -303,42 +244,30 @@ func (e *Env) AutopilotStream(streamLen, epochLen int) (*AutopilotResult, error)
 	return out, nil
 }
 
-// SweepOnce runs one configuration sweep over the Env's workload with the
-// given worker count (1 = serial, 0 = GOMAXPROCS) and restores the Env's
-// worker default before returning.
-func (e *Env) SweepOnce(workers int, cfgs []*catalog.Configuration) error {
-	e.Eng.SetWorkers(workers)
-	defer e.Eng.SetWorkers(e.defaultWorkers)
-	_, err := e.Eng.SweepConfigs(context.Background(), e.W, cfgs)
-	return err
-}
-
-// ScalingWidths are the fixed sweep widths parallel_scaling measures.
+// ScalingWidths are the fixed sweep widths parallel_scaling runs at.
 // Fixed — never GOMAXPROCS — so the experiment's deterministic cells are
 // identical on any machine, including 1-core CI.
 var ScalingWidths = []int{1, 2, 4, 16}
 
-// ScalingCell is one width's measurement in the parallel_scaling experiment.
+// ScalingCell is one width's verdict in the parallel_scaling experiment.
 type ScalingCell struct {
 	Workers       int
 	SweepExact    bool    // sweep costs bit-identical to the serial sweep
 	SweepMaxDiff  float64 // max |cost - serial cost| (0 when exact)
-	SweepNs       float64
-	ReadviseExact bool // warm re-advise design + report identical to serial
-	ReadviseNs    float64
+	ReadviseExact bool    // warm re-advise design + report identical to serial
 }
 
-// ScalingResult is the outcome of one parallel_scaling measurement: the
-// per-width cells.
+// ScalingResult is the outcome of one parallel_scaling run: the per-width
+// cells.
 type ScalingResult struct {
 	Configs int
 	Cells   []ScalingCell
 }
 
-// ParallelScaling measures sweep and warm-re-advise latency at each fixed
-// width, asserting every width's answers are bit-identical to the serial
-// ones — the determinism contract as a recorded metric.
-func (e *Env) ParallelScaling(reps int) (*ScalingResult, error) {
+// ParallelScaling runs the sweep and the warm re-advise at each fixed width
+// and compares every width's answers with the serial ones — the determinism
+// contract as a recorded metric.
+func (e *Env) ParallelScaling() (*ScalingResult, error) {
 	ctx := context.Background()
 	cfgs := e.SweepFamily(32)
 	out := &ScalingResult{Configs: len(cfgs)}
@@ -350,7 +279,7 @@ func (e *Env) ParallelScaling(reps int) (*ScalingResult, error) {
 		cell := ScalingCell{Workers: width}
 		e.Eng.SetWorkers(width)
 		costs, err := e.Eng.SweepConfigs(ctx, e.W, cfgs)
-		e.Eng.SetWorkers(e.defaultWorkers)
+		e.Eng.SetWorkers(0)
 		if err != nil {
 			return nil, err
 		}
@@ -358,11 +287,7 @@ func (e *Env) ParallelScaling(reps int) (*ScalingResult, error) {
 			ref = costs
 		}
 		cell.SweepExact, cell.SweepMaxDiff = costParity(ref, costs)
-		cell.SweepNs, err = timeOp(reps, func() error { return e.SweepOnce(width, cfgs) })
-		if err != nil {
-			return nil, err
-		}
-		keys, baseTotal, newTotal, readviseNs, err := e.readviseAtWidth(width)
+		keys, baseTotal, newTotal, err := e.readviseAtWidth(width)
 		if err != nil {
 			return nil, err
 		}
@@ -378,7 +303,6 @@ func (e *Env) ParallelScaling(reps int) (*ScalingResult, error) {
 				}
 			}
 		}
-		cell.ReadviseNs = readviseNs
 		out.Cells = append(out.Cells, cell)
 	}
 
@@ -386,39 +310,36 @@ func (e *Env) ParallelScaling(reps int) (*ScalingResult, error) {
 }
 
 // readviseAtWidth answers the incremental-readvise follow-up question (the
-// same first-budget → grown-budget transition IncrementalReadvise measures)
-// on a fresh designer bounded to the given sweep width, returning the
-// advised design's index keys, the report totals, and the warm ReAdvise
-// latency.
-func (e *Env) readviseAtWidth(workers int) (keys []string, baseTotal, newTotal, ns float64, err error) {
+// same first-budget → grown-budget transition IncrementalReadvise asks) on a
+// fresh designer bounded to the given sweep width, returning the advised
+// design's index keys and the report totals.
+func (e *Env) readviseAtWidth(workers int) (keys []string, baseTotal, newTotal float64, err error) {
 	ctx := context.Background()
 	d, err := e.FreshDesigner()
 	if err != nil {
-		return nil, 0, 0, 0, err
+		return nil, 0, 0, err
 	}
 	d.SetWorkers(workers)
 	fw, err := e.FacadeWorkload(d)
 	if err != nil {
-		return nil, 0, 0, 0, err
+		return nil, 0, 0, err
 	}
 	footprint := e.CandidateFootprint()
 	firstOpts := designer.AdviceOptions{StorageBudgetPages: footprint / 2}
 	grownOpts := designer.AdviceOptions{StorageBudgetPages: footprint * 65 / 100}
 	sess := d.NewDesignSession()
 	if _, err := sess.Advise(ctx, fw, firstOpts); err != nil {
-		return nil, 0, 0, 0, err
+		return nil, 0, 0, err
 	}
-	start := time.Now()
 	adv, _, err := sess.ReAdvise(ctx, fw, grownOpts)
-	ns = float64(time.Since(start).Nanoseconds())
 	if err != nil {
-		return nil, 0, 0, 0, err
+		return nil, 0, 0, err
 	}
 	keys = make([]string, len(adv.Indexes))
 	for i, ix := range adv.Indexes {
 		keys[i] = ix.Key()
 	}
-	return keys, adv.Report.BaseTotal, adv.Report.NewTotal, ns, nil
+	return keys, adv.Report.BaseTotal, adv.Report.NewTotal, nil
 }
 
 // costParity compares a cost vector against the serial reference: exact
@@ -473,23 +394,21 @@ func (e *Env) WhatIfBenefit(cfg *catalog.Configuration) (float64, error) {
 
 // OfflineAdvise runs the full Scenario 2 pipeline (indexes + partitions +
 // interactions) on a fresh designer and returns the advised improvement
-// percentage (E5). adviseNs covers only the Advise call — dataset
-// regeneration is excluded from the measurement.
-func (e *Env) OfflineAdvise() (improvementPct, adviseNs float64, err error) {
+// percentage (E5).
+func (e *Env) OfflineAdvise() (improvementPct float64, err error) {
 	d, err := e.FreshDesigner()
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	fw, err := e.FacadeWorkload(d)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	start := time.Now()
 	advice, err := d.Advise(context.Background(), fw, designer.AdviceOptions{Partitions: true, Interactions: true})
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	return advice.Report.AvgBenefitPct(), float64(time.Since(start).Nanoseconds()), nil
+	return advice.Report.AvgBenefitPct(), nil
 }
 
 // AutoPartWorkload draws the photometric 4-template workload that motivates
@@ -557,18 +476,8 @@ func (e *Env) AblationImprovement(maxPerTable int) (improvementPct float64, cand
 	return res.Improvement() * 100, len(cands), nil
 }
 
-// ReadviseResult is the outcome of one incremental re-advise measurement.
+// ReadviseResult is the outcome of one incremental re-advise check.
 type ReadviseResult struct {
-	// ColdNs is a cold advise of the tight-budget question on a fresh
-	// designer (cold caches) — the latency a non-incremental tool pays for
-	// every design question.
-	ColdNs float64
-	// WarmNs is the same question answered by ReAdvise on a session that
-	// already advised once (candidates reused, solver seeded, warm memo).
-	WarmNs float64
-	// CachedNs is the repeat of an identical question (verbatim cache hit).
-	CachedNs float64
-
 	DesignsAgree      bool // warm and cold chose identical index sets
 	ReportsAgree      bool // ... with bit-identical report totals
 	WarmIndexes       int
@@ -584,11 +493,10 @@ type ReadviseResult struct {
 	EvalExact    bool // delta report bit-identical to a cold session's
 }
 
-// IncrementalReadvise measures the interactive pillar at scale: a design
+// IncrementalReadvise checks the interactive pillar at scale: a design
 // session answers a budget-tweaked follow-up question warm and must agree
-// exactly with a cold advise of the same question, at a fraction of the
-// latency; the session's add-index/re-evaluate loop re-prices only the
-// affected queries.
+// exactly with a cold advise of the same question; the session's
+// add-index/re-evaluate loop re-prices only the affected queries.
 func (e *Env) IncrementalReadvise() (*ReadviseResult, error) {
 	ctx := context.Background()
 	// The interactive shape: a tight first budget, then "what if I gave it
@@ -614,60 +522,27 @@ func (e *Env) IncrementalReadvise() (*ReadviseResult, error) {
 	if _, err := sess.Advise(ctx, fw1, firstOpts); err != nil {
 		return nil, err
 	}
-	// Latencies are min-of-reps: single-shot wall clock on a loaded 1-core
-	// box is too noisy to carry the cold/warm ratio. Each warm repetition
-	// re-primes a fresh session on the same designer (warm engine, cold
-	// handle) so it measures the first-question → grown-budget transition,
-	// not the cached repeat.
-	const reps = 3
-	var warm *designer.Advice
-	var stats designer.ReadviseStats
-	warmNs, err := minNs(reps, func() (time.Duration, error) {
-		s := d1.NewDesignSession()
-		if _, err := s.Advise(ctx, fw1, firstOpts); err != nil {
-			return 0, err
-		}
-		sess = s
-		start := time.Now()
-		var err error
-		warm, stats, err = s.ReAdvise(ctx, fw1, tightOpts)
-		return time.Since(start), err
-	})
-	if err != nil {
-		return nil, err
-	}
-	cachedNs, err := minNs(reps, func() (time.Duration, error) {
-		start := time.Now()
-		_, _, err := sess.ReAdvise(ctx, fw1, tightOpts)
-		return time.Since(start), err
-	})
+	warm, stats, err := sess.ReAdvise(ctx, fw1, tightOpts)
 	if err != nil {
 		return nil, err
 	}
 
 	// Cold reference: a fresh designer (cold INUM cache, no handle) asked
-	// the grown-budget question directly — what every re-advise cost before
-	// the incremental pipeline existed.
-	var cold *designer.Advice
-	coldNs, err := minNs(2, func() (time.Duration, error) {
-		d2, err := e.FreshDesigner()
-		if err != nil {
-			return 0, err
-		}
-		fw2, err := e.FacadeWorkload(d2)
-		if err != nil {
-			return 0, err
-		}
-		start := time.Now()
-		cold, err = d2.Advise(ctx, fw2, tightOpts)
-		return time.Since(start), err
-	})
+	// the grown-budget question directly.
+	d2, err := e.FreshDesigner()
+	if err != nil {
+		return nil, err
+	}
+	fw2, err := e.FacadeWorkload(d2)
+	if err != nil {
+		return nil, err
+	}
+	cold, err := d2.Advise(ctx, fw2, tightOpts)
 	if err != nil {
 		return nil, err
 	}
 
 	out := &ReadviseResult{
-		ColdNs: coldNs, WarmNs: warmNs, CachedNs: cachedNs,
 		WarmIndexes: len(warm.Indexes), ColdIndexes: len(cold.Indexes),
 		RecostedQueries: stats.RecostedQueries, ReusedQueries: stats.ReusedQueries,
 		CandidatesReused: stats.CandidatesReused, SolverWarmStarted: stats.SolverWarmStarted,
@@ -869,8 +744,8 @@ func jaccardPct(a, b []string) float64 {
 
 func equalKeySets(a, b []string) bool { return jaccardPct(a, b) == 100 }
 
-// SolverProblem builds the n-binary knapsack-shaped MIP used by the solver
-// scaling benchmark.
+// SolverProblem builds the n-binary knapsack-shaped MIP used by the
+// solver_scaling experiment.
 func SolverProblem(n int) *lp.Problem {
 	p := lp.NewProblem(n)
 	for i := 0; i < n; i++ {
@@ -892,39 +767,6 @@ func SolveOnce(p *lp.Problem) (nodes int, err error) {
 		return 0, fmt.Errorf("bench: MIP status %v", sol.Status)
 	}
 	return sol.Nodes, nil
-}
-
-// minNs runs op reps times and returns the minimum measured duration in
-// nanoseconds — the noise-robust estimator for small wall-clock
-// measurements on a shared 1-core machine, where a single sample can be
-// inflated arbitrarily by scheduling.
-func minNs(reps int, op func() (time.Duration, error)) (float64, error) {
-	best := time.Duration(-1)
-	for i := 0; i < reps; i++ {
-		d, err := op()
-		if err != nil {
-			return 0, err
-		}
-		if best < 0 || d < best {
-			best = d
-		}
-	}
-	return float64(best.Nanoseconds()), nil
-}
-
-// timeOp measures the average wall-clock nanoseconds of op over `reps`
-// repetitions (at least one).
-func timeOp(reps int, op func() error) (float64, error) {
-	if reps < 1 {
-		reps = 1
-	}
-	start := time.Now()
-	for i := 0; i < reps; i++ {
-		if err := op(); err != nil {
-			return 0, err
-		}
-	}
-	return float64(time.Since(start).Nanoseconds()) / float64(reps), nil
 }
 
 // DesignSpaceCell is one profile's measurement in the design_space_width

@@ -5,21 +5,22 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 )
 
 // SchemaVersion identifies the BENCH_*.json document layout. Bump it on
-// any incompatible change so trajectory tooling can refuse to compare
-// across layouts.
-const SchemaVersion = 1
+// any incompatible change so baseline tooling can refuse to compare across
+// layouts. Version 2 carries no machine-local field (version 1 had an env
+// header and per-cell timings): wall-clock questions belong to benchmark/
+// (BENCHMARK.json).
+const SchemaVersion = 2
 
-// Result is one harness run: the perf-trajectory document serialized to
-// BENCH_<label>.json. Quality and Counts fields are deterministic for a
-// given (spec, seed) — byte-stable across runs — while Timing and RunEnv
-// vary with the machine and are excluded from the stable form.
+// Result is one harness run: the answer document serialized to
+// BENCH_<label>.json. It is a pure function of (spec, seed) — two runs on
+// any machines render byte-identical JSON, so a committed baseline can be
+// regenerated in place and checked by `go test`.
 type Result struct {
 	SchemaVersion int    `json:"schema_version"`
 	Label         string `json:"label"`
@@ -27,7 +28,6 @@ type Result struct {
 	// Backend is the cost backend the suite priced through; empty in
 	// documents written before backends existed and means "native".
 	Backend     string       `json:"backend,omitempty"`
-	Env         RunEnv       `json:"env"`
 	Experiments []Experiment `json:"experiments"`
 }
 
@@ -37,28 +37,6 @@ func (r *Result) BackendOrNative() string {
 		return "native"
 	}
 	return r.Backend
-}
-
-// RunEnv records where the numbers came from (informational only).
-type RunEnv struct {
-	GoVersion  string `json:"go_version"`
-	GOOS       string `json:"goos"`
-	GOARCH     string `json:"goarch"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	// Workers is the effective sweep-pool width the suite's engines priced
-	// with (spec.Workers, or GOMAXPROCS when unset). Zero in documents
-	// written before the width was recorded.
-	Workers int `json:"workers,omitempty"`
-}
-
-// CurrentRunEnv captures the running toolchain and machine shape.
-func CurrentRunEnv() RunEnv {
-	return RunEnv{
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
 }
 
 // Experiment is one cell of the matrix: an experiment name run at one
@@ -74,10 +52,6 @@ type Experiment struct {
 	// Counts holds deterministic cardinalities (queries, candidates,
 	// advised indexes, epochs, solver nodes).
 	Counts map[string]int64 `json:"counts,omitempty"`
-	// TimingNs holds wall-clock measurements in nanoseconds (and derived
-	// speedup ratios, suffixed _x). Machine-dependent; excluded from the
-	// stable form.
-	TimingNs map[string]float64 `json:"timing_ns,omitempty"`
 }
 
 // key identifies an experiment cell for baseline matching.
@@ -85,33 +59,9 @@ func (x Experiment) key() string {
 	return fmt.Sprintf("%s|%s|%s|%d", x.Name, x.Size, x.Workload, x.Seed)
 }
 
-// JSON renders the full document, indented, with a trailing newline.
+// JSON renders the document, indented, with a trailing newline.
 func (r *Result) JSON() ([]byte, error) {
 	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-// StableJSON renders only the run-independent portion of the document: the
-// schema header and every experiment's quality/count metrics, with timing
-// and machine info stripped. Two runs of the same spec on any machines must
-// produce byte-identical StableJSON — this is the property CI's baseline
-// comparison and the determinism acceptance test key on.
-func (r *Result) StableJSON() ([]byte, error) {
-	stable := Result{
-		SchemaVersion: r.SchemaVersion,
-		Label:         r.Label,
-		Profile:       r.Profile,
-		Backend:       r.Backend,
-		Experiments:   make([]Experiment, len(r.Experiments)),
-	}
-	for i, x := range r.Experiments {
-		x.TimingNs = nil
-		stable.Experiments[i] = x
-	}
-	b, err := json.MarshalIndent(stable, "", "  ")
 	if err != nil {
 		return nil, err
 	}
@@ -175,18 +125,18 @@ func ReadResult(path string) (*Result, error) {
 	return &r, nil
 }
 
-// Warning severities. Errors are findings the caller must treat as fatal:
-// the two documents are not comparable (schema or backend mismatch) or the
-// current run lost coverage the baseline had. Warnings are advisory drift.
+// Finding severities. Errors fail `bench --baseline`: the two documents are
+// not comparable (schema or backend mismatch), the current run lost a cell
+// or metric the baseline had, a count changed, or a quality metric drifted
+// beyond tolerance — nothing in the document is machine-local, so any of
+// these is a changed answer. A cell only the current run has is a warning:
+// new coverage is not a regression.
 const (
 	SeverityError = "error"
 	SeverityWarn  = "warn"
 )
 
-// Warning is one baseline-comparison finding. Error-severity findings mean
-// the comparison itself is broken (schema/backend mismatch, missing
-// experiment cells); warn-severity findings are metric drift the caller
-// prints and a human judges.
+// Warning is one baseline-comparison finding.
 type Warning struct {
 	Severity string // SeverityError or SeverityWarn
 	Cell     string
@@ -207,11 +157,11 @@ func Errors(warns []Warning) []Warning {
 }
 
 // Compare diffs a new result against a baseline. Quality metrics that drift
-// by more than qualityTolPct percent (relative) and timings that regress by
-// more than timingTolX (ratio) produce warnings, as do cells or metrics
-// present on only one side. A nil/empty return means the run is consistent
-// with the baseline.
-func Compare(baseline, current *Result, qualityTolPct, timingTolX float64) []Warning {
+// by more than qualityTolPct percent (relative), counts that differ at all,
+// and baseline cells or metrics missing from the current run are errors;
+// cells only the current run has are warnings. A nil/empty return means the
+// run reproduces the baseline.
+func Compare(baseline, current *Result, qualityTolPct float64) []Warning {
 	var warns []Warning
 	if baseline.SchemaVersion != current.SchemaVersion {
 		return []Warning{{Severity: SeverityError, Cell: "schema", Message: fmt.Sprintf(
@@ -246,7 +196,6 @@ func Compare(baseline, current *Result, qualityTolPct, timingTolX float64) []War
 		}
 		warns = append(warns, compareQuality(k, b.Quality, c.Quality, qualityTolPct)...)
 		warns = append(warns, compareCounts(k, b.Counts, c.Counts)...)
-		warns = append(warns, compareTiming(k, b.TimingNs, c.TimingNs, timingTolX)...)
 	}
 	var curKeys []string
 	for k := range cur {
@@ -267,7 +216,7 @@ func compareQuality(cell string, base, cur map[string]float64, tolPct float64) [
 		bv := base[m]
 		cv, ok := cur[m]
 		if !ok {
-			warns = append(warns, Warning{Severity: SeverityWarn, Cell: cell, Message: fmt.Sprintf("quality metric %s missing", m)})
+			warns = append(warns, Warning{Severity: SeverityError, Cell: cell, Message: fmt.Sprintf("quality metric %s missing", m)})
 			continue
 		}
 		denom := bv
@@ -279,8 +228,8 @@ func compareQuality(cell string, base, cur map[string]float64, tolPct float64) [
 		}
 		driftPct := (cv - bv) / denom * 100
 		if driftPct > tolPct || driftPct < -tolPct {
-			warns = append(warns, Warning{Severity: SeverityWarn, Cell: cell, Message: fmt.Sprintf(
-				"quality %s drifted %+.1f%% (baseline %.4g, current %.4g)", m, driftPct, bv, cv)})
+			warns = append(warns, Warning{Severity: SeverityError, Cell: cell, Message: fmt.Sprintf(
+				"quality %s drifted %+.1f%% (baseline %v, current %v)", m, driftPct, bv, cv)})
 		}
 	}
 	return warns
@@ -292,33 +241,12 @@ func compareCounts(cell string, base, cur map[string]int64) []Warning {
 		bv := base[m]
 		cv, ok := cur[m]
 		if !ok {
-			warns = append(warns, Warning{Severity: SeverityWarn, Cell: cell, Message: fmt.Sprintf("count %s missing", m)})
+			warns = append(warns, Warning{Severity: SeverityError, Cell: cell, Message: fmt.Sprintf("count %s missing", m)})
 			continue
 		}
 		if cv != bv {
-			warns = append(warns, Warning{Severity: SeverityWarn, Cell: cell, Message: fmt.Sprintf(
+			warns = append(warns, Warning{Severity: SeverityError, Cell: cell, Message: fmt.Sprintf(
 				"count %s changed: baseline %d, current %d", m, bv, cv)})
-		}
-	}
-	return warns
-}
-
-func compareTiming(cell string, base, cur map[string]float64, tolX float64) []Warning {
-	var warns []Warning
-	for _, m := range SortedKeys(base) {
-		bv := base[m]
-		cv, ok := cur[m]
-		if !ok || bv <= 0 {
-			continue
-		}
-		// Only flag slowdowns on wall-clock metrics; ratios (speedup_x
-		// suffixed _x) and sub-nanosecond noise are informational.
-		if len(m) > 2 && m[len(m)-2:] == "_x" {
-			continue
-		}
-		if cv/bv > tolX {
-			warns = append(warns, Warning{Severity: SeverityWarn, Cell: cell, Message: fmt.Sprintf(
-				"timing %s regressed %.1fx (baseline %.0fns, current %.0fns)", m, cv/bv, bv, cv)})
 		}
 	}
 	return warns

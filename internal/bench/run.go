@@ -5,12 +5,10 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/cophy"
 	"repro/internal/engine"
-	"repro/internal/schedule"
 )
 
-// Spec selects what one harness run measures: the experiment subset and the
+// Spec selects what one harness run computes: the experiment subset and the
 // (size × seed × workload profile) matrix it sweeps.
 type Spec struct {
 	// Label names the emitted document (BENCH_<label>.json).
@@ -38,13 +36,6 @@ type Spec struct {
 	CalibrationFile string
 	// Queries is the workload size per cell.
 	Queries int
-	// Repeat is how many repetitions timing measurements average over.
-	Repeat int
-	// Workers bounds every Env engine's sweep pool (0 = GOMAXPROCS) — the
-	// `dbdesigner bench --workers N` wiring. The effective width is recorded
-	// in the result's RunEnv. parallel_scaling overrides the width per
-	// measurement and restores this default.
-	Workers int
 	// StreamLen and EpochLen shape the COLT convergence experiment.
 	StreamLen int
 	EpochLen  int
@@ -96,8 +87,8 @@ func ExperimentNames() []string {
 }
 
 // SmokeSpec is the CI profile: tiny dataset, one seed, two workload
-// profiles, the core suite, single-shot timings. It is sized to finish in
-// well under a minute on one core.
+// profiles, the core suite. It is sized to finish in a few seconds on one
+// core.
 func SmokeSpec() Spec {
 	return Spec{
 		Label:     "smoke",
@@ -106,7 +97,6 @@ func SmokeSpec() Spec {
 		Seeds:     []int64{1},
 		Workloads: []string{"uniform", "zipf"},
 		Queries:   16,
-		Repeat:    1,
 		StreamLen: 75,
 		EpochLen:  25,
 	}
@@ -123,14 +113,13 @@ func QuickSpec() Spec {
 		Workloads:   []string{"uniform", "zipf", "drifting"},
 		Experiments: append(append([]string{}, CoreExperiments...), "whatif_session", "offline_advisor"),
 		Queries:     24,
-		Repeat:      2,
 		StreamLen:   150,
 		EpochLen:    25,
 	}
 }
 
 // FullSpec is the complete matrix: every experiment over every workload
-// profile, two seeds, with averaged timings.
+// profile, two seeds.
 func FullSpec() Spec {
 	return Spec{
 		Label:       "full",
@@ -140,7 +129,6 @@ func FullSpec() Spec {
 		Workloads:   []string{"uniform", "zipf", "template_heavy", "drifting", "update_heavy"},
 		Experiments: ExperimentNames(),
 		Queries:     24,
-		Repeat:      3,
 		StreamLen:   300,
 		EpochLen:    25,
 	}
@@ -172,9 +160,6 @@ func (s *Spec) normalize() error {
 	}
 	if s.Queries <= 0 {
 		s.Queries = 16
-	}
-	if s.Repeat <= 0 {
-		s.Repeat = 1
 	}
 	if s.StreamLen <= 0 {
 		s.StreamLen = 75
@@ -240,7 +225,7 @@ var runners = map[string]runner{
 	"design_space_width":   runDesignSpaceWidth,
 }
 
-// Run executes the spec's experiment matrix and returns the trajectory
+// Run executes the spec's experiment matrix and returns the answer
 // document. logf (optional) receives progress lines.
 func Run(spec Spec, logf func(format string, args ...any)) (*Result, error) {
 	if err := spec.normalize(); err != nil {
@@ -258,27 +243,17 @@ func Run(spec Spec, logf func(format string, args ...any)) (*Result, error) {
 		Label:         spec.Label,
 		Profile:       spec.Profile,
 		Backend:       spec.Backend,
-		Env:           CurrentRunEnv(),
-	}
-	// Record the effective sweep width the suite priced with. RunEnv is
-	// informational (excluded from the stable form), so machine-dependent
-	// defaults are fine here.
-	res.Env.Workers = spec.Workers
-	if res.Env.Workers <= 0 {
-		res.Env.Workers = res.Env.GOMAXPROCS
 	}
 	for _, size := range spec.Sizes {
 		for _, seed := range spec.Seeds {
 			for wi, profile := range spec.Workloads {
 				// One Env per cell, dropped when the cell completes: the
 				// harness's peak memory is a single dataset + cache, not the
-				// whole matrix. (Benchmarks share Envs via CachedEnv instead
-				// — a test binary only ever builds a handful.)
-				env, err := NewEnvWith(size, seed, profile, spec.Queries, espec)
+				// whole matrix.
+				env, err := NewEnv(size, seed, profile, spec.Queries, espec)
 				if err != nil {
 					return nil, fmt.Errorf("bench: env %s/%d/%s: %w", size, seed, profile, err)
 				}
-				env.SetDefaultWorkers(spec.Workers)
 				for _, name := range spec.Experiments {
 					if wi > 0 && !workloadSensitive[name] {
 						continue
@@ -291,7 +266,6 @@ func Run(spec Spec, logf func(format string, args ...any)) (*Result, error) {
 						Seed:     seed,
 						Quality:  map[string]float64{},
 						Counts:   map[string]int64{},
-						TimingNs: map[string]float64{},
 					}
 					if err := runners[name](env, spec, &x); err != nil {
 						return nil, fmt.Errorf("bench: %s [%s/%s/seed %d]: %w", name, size, profile, seed, err)
@@ -334,47 +308,20 @@ func sortExperiments(xs []Experiment) {
 
 // --- experiment runners ----------------------------------------------------
 
-// runINUMVsOptimizer measures the E8 speedup: INUM-cached costing vs the
-// full optimizer over a rotating configuration mix, plus the pipeline-level
-// calls-avoided ratio.
+// runINUMVsOptimizer records the latency-independent form of the E8
+// speedup: cached costings served per full optimizer call over a whole
+// advise pipeline. The wall-clock form is benchmark/'s inum.speedup_x.
 func runINUMVsOptimizer(e *Env, spec Spec, x *Experiment) error {
-	cfgs := e.RotatingConfigs(16)
-	ops := 4 * len(e.W.Queries)
-	inumNs, err := timeOp(spec.Repeat, func() error {
-		for i := 0; i < ops; i++ {
-			if err := e.INUMCostOnce(i, cfgs); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	fullNs, err := timeOp(spec.Repeat, func() error {
-		for i := 0; i < ops; i++ {
-			if err := e.FullCostOnce(i, cfgs); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
 	ratio, err := e.PipelineCallsAvoided()
 	if err != nil {
 		return err
 	}
 	x.Quality["costings_per_optimizer_call"] = ratio
 	x.Counts["queries"] = int64(len(e.W.Queries))
-	x.Counts["configs"] = int64(len(cfgs))
+	// A constant the committed baselines carry for this experiment; it
+	// stays so every baseline cell remains byte-identical.
+	x.Counts["configs"] = 16
 	x.Counts["candidates"] = int64(len(e.Cands))
-	x.TimingNs["inum_cost"] = inumNs / float64(ops)
-	x.TimingNs["full_cost"] = fullNs / float64(ops)
-	if inumNs > 0 {
-		x.TimingNs["speedup_x"] = fullNs / inumNs
-	}
 	return nil
 }
 
@@ -390,12 +337,7 @@ func runBackendPortability(e *Env, spec Spec, x *Experiment) error {
 	// tie-breaking, where a 3.6x random-page-cost swing legitimately ranks
 	// marginal indexes differently.
 	const budget = int64(0)
-	var res *PortabilityResult
-	portNs, err := timeOp(spec.Repeat, func() error {
-		var err error
-		res, err = e.Portability(budget)
-		return err
-	})
+	res, err := e.Portability(budget)
 	if err != nil {
 		return err
 	}
@@ -418,14 +360,12 @@ func runBackendPortability(e *Env, spec Spec, x *Experiment) error {
 	if res.ReplayAgrees {
 		x.Counts["replay_exact"] = 1
 	}
-	x.TimingNs["portability_check"] = portNs
 	return nil
 }
 
-// runIncrementalReadvise measures the interactive pillar at scale: the
-// cold-vs-warm re-advise latency ratio, exact agreement between the warm
-// and cold answers, and the session evaluate delta split. Agreement and
-// the recost counts are deterministic; latencies are machine-local.
+// runIncrementalReadvise checks the interactive pillar at scale: exact
+// agreement between the warm and cold answers to a follow-up question, and
+// the session evaluate delta split.
 func runIncrementalReadvise(e *Env, spec Spec, x *Experiment) error {
 	r, err := e.IncrementalReadvise()
 	if err != nil {
@@ -442,15 +382,6 @@ func runIncrementalReadvise(e *Env, spec Spec, x *Experiment) error {
 	x.Counts["eval_recosted_queries"] = int64(r.EvalRecosted)
 	x.Counts["eval_reused_queries"] = int64(r.EvalReused)
 	x.Counts["eval_delta_exact"] = bool01(r.EvalExact)
-	x.TimingNs["cold_advise"] = r.ColdNs
-	x.TimingNs["warm_readvise"] = r.WarmNs
-	x.TimingNs["cached_readvise"] = r.CachedNs
-	if r.WarmNs > 0 {
-		x.TimingNs["warm_speedup_x"] = r.ColdNs / r.WarmNs
-	}
-	if r.CachedNs > 0 {
-		x.TimingNs["cached_speedup_x"] = r.ColdNs / r.CachedNs
-	}
 	return nil
 }
 
@@ -472,37 +403,21 @@ func runCoPhyVsGreedy(e *Env, spec Spec, x *Experiment) error {
 		f     float64
 	}{{"budget25", 0.25}, {"budget50", 0.5}, {"budget100", 1.0}} {
 		budget := int64(float64(total) * frac.f)
-		var r *cophy.Result
-		cophyNs, err := timeOp(spec.Repeat, func() error {
-			var err error
-			r, err = e.CoPhy(budget, 0)
-			return err
-		})
+		r, err := e.CoPhy(budget, 0)
 		if err != nil {
 			return err
 		}
-		var gobj float64
-		var gIndexes int
-		greedyNs, err := timeOp(spec.Repeat, func() error {
-			r, err := e.Greedy(budget)
-			if err != nil {
-				return err
-			}
-			gobj, gIndexes = r.Objective, len(r.Indexes)
-			return nil
-		})
+		g, err := e.Greedy(budget)
 		if err != nil {
 			return err
 		}
-		if gobj > 0 {
-			x.Quality[frac.label+"_cophy_wins_pct"] = (gobj - r.Objective) / gobj * 100
+		if g.Objective > 0 {
+			x.Quality[frac.label+"_cophy_wins_pct"] = (g.Objective - r.Objective) / g.Objective * 100
 		}
 		x.Quality[frac.label+"_gap_pct"] = r.Gap() * 100
 		x.Quality[frac.label+"_cophy_improvement_pct"] = r.Improvement() * 100
 		x.Counts[frac.label+"_cophy_indexes"] = int64(len(r.Indexes))
-		x.Counts[frac.label+"_greedy_indexes"] = int64(gIndexes)
-		x.TimingNs[frac.label+"_cophy"] = cophyNs
-		x.TimingNs[frac.label+"_greedy"] = greedyNs
+		x.Counts[frac.label+"_greedy_indexes"] = int64(len(g.Indexes))
 
 		// Ground truth at the midpoint budget: cost ratio vs the exhaustive
 		// optimum, only when 2^|candidates| is enumerable.
@@ -534,9 +449,6 @@ func runCOLTConvergence(e *Env, spec Spec, x *Experiment) error {
 	x.Counts["epochs"] = int64(out.Epochs)
 	x.Counts["config_changes"] = int64(out.ConfigChanges)
 	x.Counts["alerts"] = int64(out.Alerts)
-	if out.Queries > 0 {
-		x.TimingNs["observe_per_query"] = out.ObserveNs / float64(out.Queries)
-	}
 	return nil
 }
 
@@ -563,9 +475,6 @@ func runColtAutopilot(e *Env, spec Spec, x *Experiment) error {
 	x.Counts["regret_samples"] = int64(out.RegretSamples)
 	x.Counts["regret_improved"] = bool01(out.FinalRegretPct <= out.FirstRegretPct)
 	x.Counts["final_under_5pct"] = bool01(out.FinalRegretPct <= 5.0)
-	if out.Queries > 0 {
-		x.TimingNs["observe_per_query"] = out.ObserveNs / float64(out.Queries)
-	}
 	return nil
 }
 
@@ -591,12 +500,7 @@ func runInteractionSchedule(e *Env, spec Spec, x *Experiment) error {
 	}
 	x.Counts["edges"] = int64(len(g.Edges))
 	x.Quality["total_doi"] = mass
-	var aware, obliv *schedule.Schedule
-	schedNs, err := timeOp(spec.Repeat, func() error {
-		var err error
-		aware, obliv, err = e.Schedules()
-		return err
-	})
+	aware, obliv, err := e.Schedules()
 	if err != nil {
 		return err
 	}
@@ -605,39 +509,25 @@ func runInteractionSchedule(e *Env, spec Spec, x *Experiment) error {
 	if obliv.AUC > 0 {
 		x.Quality["aware_wins_pct"] = (obliv.AUC - aware.AUC) / obliv.AUC * 100
 	}
-	x.TimingNs["schedule_pair"] = schedNs
 	return nil
 }
 
-// runParallelScaling records speedup vs worker count for the costing hot
-// path — the configuration sweep and the warm re-advise — at fixed widths.
-// Every *_exact count must be 1 and every *_max_abs_diff quality exactly 0
-// on any machine: parallelism changes latency, never results.
+// runParallelScaling runs the costing hot path — the configuration sweep
+// and the warm re-advise — at fixed worker counts. Every *_exact count must
+// be 1 and every *_max_abs_diff quality exactly 0 on any machine:
+// parallelism changes latency, never results.
 func runParallelScaling(e *Env, spec Spec, x *Experiment) error {
-	r, err := e.ParallelScaling(spec.Repeat)
+	r, err := e.ParallelScaling()
 	if err != nil {
 		return err
 	}
 	x.Counts["configs"] = int64(r.Configs)
 	x.Counts["queries"] = int64(len(e.W.Queries))
-	var serialSweepNs, serialReadviseNs float64
 	for _, c := range r.Cells {
 		key := fmt.Sprintf("w%02d", c.Workers)
 		x.Quality[key+"_sweep_max_abs_diff"] = c.SweepMaxDiff
 		x.Counts[key+"_sweep_exact"] = bool01(c.SweepExact)
 		x.Counts[key+"_readvise_exact"] = bool01(c.ReadviseExact)
-		x.TimingNs[key+"_sweep"] = c.SweepNs
-		x.TimingNs[key+"_readvise"] = c.ReadviseNs
-		if c.Workers == 1 {
-			serialSweepNs, serialReadviseNs = c.SweepNs, c.ReadviseNs
-			continue
-		}
-		if c.SweepNs > 0 {
-			x.TimingNs[key+"_sweep_speedup_x"] = serialSweepNs / c.SweepNs
-		}
-		if c.ReadviseNs > 0 {
-			x.TimingNs[key+"_readvise_speedup_x"] = serialReadviseNs / c.ReadviseNs
-		}
 	}
 	return nil
 }
@@ -648,52 +538,39 @@ func runWhatIfSession(e *Env, spec Spec, x *Experiment) error {
 	if err != nil {
 		return err
 	}
-	var benefit float64
-	evalNs, err := timeOp(spec.Repeat, func() error {
-		var err error
-		benefit, err = e.WhatIfBenefit(cfg)
-		return err
-	})
+	benefit, err := e.WhatIfBenefit(cfg)
 	if err != nil {
 		return err
 	}
 	x.Quality["benefit_pct"] = benefit
 	x.Counts["indexes"] = int64(len(cfg.Indexes))
-	x.TimingNs["evaluate"] = evalNs
 	return nil
 }
 
-// runOfflineAdvisor measures the full Scenario 2 pipeline (E5).
+// runOfflineAdvisor runs the full Scenario 2 pipeline (E5).
 func runOfflineAdvisor(e *Env, spec Spec, x *Experiment) error {
-	improvement, adviseNs, err := e.OfflineAdvise()
+	improvement, err := e.OfflineAdvise()
 	if err != nil {
 		return err
 	}
 	x.Quality["improvement_pct"] = improvement
 	x.Counts["queries"] = int64(len(e.W.Queries))
-	x.TimingNs["advise"] = adviseNs
 	return nil
 }
 
-// runAutoPart measures partition-only advice over the photometric workload
+// runAutoPart runs partition-only advice over the photometric workload
 // (E3/E11).
 func runAutoPart(e *Env, spec Spec, x *Experiment) error {
 	w, err := e.AutoPartWorkload()
 	if err != nil {
 		return err
 	}
-	var improvement float64
-	adviseNs, err := timeOp(spec.Repeat, func() error {
-		var err error
-		improvement, err = e.AutoPartImprovement(w)
-		return err
-	})
+	improvement, err := e.AutoPartImprovement(w)
 	if err != nil {
 		return err
 	}
 	x.Quality["improvement_pct"] = improvement
 	x.Counts["queries"] = int64(len(w.Queries))
-	x.TimingNs["advise"] = adviseNs
 	return nil
 }
 
@@ -723,23 +600,15 @@ func runCandidateAblation(e *Env, spec Spec, x *Experiment) error {
 	return nil
 }
 
-// runSolverScaling times the branch-and-bound solver on growing binary
-// programs.
+// runSolverScaling counts the branch-and-bound nodes the solver needs on
+// growing binary programs.
 func runSolverScaling(e *Env, spec Spec, x *Experiment) error {
 	for _, n := range []int{10, 20, 40} {
-		p := SolverProblem(n)
-		var nodes int
-		solveNs, err := timeOp(spec.Repeat, func() error {
-			var err error
-			nodes, err = SolveOnce(p)
-			return err
-		})
+		nodes, err := SolveOnce(SolverProblem(n))
 		if err != nil {
 			return err
 		}
-		label := fmt.Sprintf("n%d", n)
-		x.Counts[label+"_nodes"] = int64(nodes)
-		x.TimingNs[label+"_solve"] = solveNs
+		x.Counts[fmt.Sprintf("n%d_nodes", n)] = int64(nodes)
 	}
 	return nil
 }
@@ -750,16 +619,10 @@ func runSolverScaling(e *Env, spec Spec, x *Experiment) error {
 // workload-insensitive and runs once per (size, seed).
 func runDesignSpaceWidth(e *Env, spec Spec, x *Experiment) error {
 	for _, profile := range []string{"template_heavy", "update_heavy"} {
-		var cell *DesignSpaceCell
-		solveNs, err := timeOp(1, func() error {
-			var err error
-			cell, err = e.DesignSpaceWidth(profile, spec.Queries)
-			return err
-		})
+		cell, err := e.DesignSpaceWidth(profile, spec.Queries)
 		if err != nil {
 			return fmt.Errorf("%s: %w", profile, err)
 		}
-		x.TimingNs[profile+"_solve"] = solveNs
 		x.Quality[profile+"_base_cost"] = cell.BaseObjective
 		x.Quality[profile+"_wide_cost"] = cell.WideObjective
 		if cell.BaseObjective > 0 {

@@ -99,15 +99,6 @@ func (t *Table) RowWidthBytes() int {
 	return w
 }
 
-// ColumnNames returns the table's column names in definition order.
-func (t *Table) ColumnNames() []string {
-	out := make([]string, len(t.Columns))
-	for i, c := range t.Columns {
-		out[i] = c.Name
-	}
-	return out
-}
-
 // Schema is a named collection of tables.
 type Schema struct {
 	tables  map[string]*Table

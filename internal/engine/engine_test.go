@@ -2,7 +2,9 @@ package engine_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -315,6 +317,121 @@ func TestEvaluateMatchesSerialFullCosts(t *testing.T) {
 	}
 	if rep.BaseTotal != wantBase || rep.NewTotal != wantNew {
 		t.Fatalf("totals (%v -> %v) != serial (%v -> %v)", rep.BaseTotal, rep.NewTotal, wantBase, wantNew)
+	}
+}
+
+// TestEvaluateBenefit asserts the report's shape on a design that
+// helps: every query covered, a positive total benefit, and no query made
+// worse (what-if evaluation only adds access paths).
+func TestEvaluateBenefit(t *testing.T) {
+	f := newFixture(t)
+	cfg := catalog.NewConfiguration()
+	for _, spec := range [][]string{{"objid"}, {"ra"}, {"type", "psfmag_r"}} {
+		ix, err := f.eng.HypotheticalIndex("photoobj", spec...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg = cfg.WithIndex(ix)
+	}
+	ix, err := f.eng.HypotheticalIndex("specobj", "bestobjid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg = cfg.WithIndex(ix)
+
+	rep, err := f.eng.Evaluate(context.Background(), f.w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Queries) != len(f.w.Queries) {
+		t.Fatalf("report covers %d queries, want %d", len(rep.Queries), len(f.w.Queries))
+	}
+	if rep.TotalBenefit() <= 0 {
+		t.Fatalf("indexes should help this workload: base=%f new=%f", rep.BaseTotal, rep.NewTotal)
+	}
+	for _, qb := range rep.Queries {
+		if qb.NewCost > qb.BaseCost*1.0001 {
+			t.Errorf("query %s regressed: %f -> %f", qb.ID, qb.BaseCost, qb.NewCost)
+		}
+	}
+	if rep.AvgBenefitPct() <= 0 || rep.AvgBenefitPct() > 100 {
+		t.Errorf("avg benefit pct = %f", rep.AvgBenefitPct())
+	}
+}
+
+func TestEvaluateEmptyConfigIsNeutral(t *testing.T) {
+	f := newFixture(t)
+	rep, err := f.eng.Evaluate(context.Background(), f.w, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.TotalBenefit() != 0 || rep.AvgBenefitPct() != 0 {
+		t.Fatalf("nil config should be cost-neutral: benefit %f, pct %f", rep.TotalBenefit(), rep.AvgBenefitPct())
+	}
+}
+
+// TestEvaluateSteered pins the join-steered evaluate to the engine's own
+// pool: with no switch set it reproduces Evaluate bit-for-bit, with joins
+// disabled it prices exactly what a steered session prices query by query,
+// at every pool width, and a cancelled context aborts it like any sweep.
+func TestEvaluateSteered(t *testing.T) {
+	f := newFixture(t)
+	ctx := context.Background()
+	v := f.eng.Pin()
+	cfg := catalog.NewConfiguration()
+	for _, ix := range f.cands[:3] {
+		cfg = cfg.WithIndex(ix)
+	}
+
+	plain, err := v.Evaluate(ctx, f.w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unsteered, err := v.EvaluateSteered(ctx, f.w, cfg, optimizer.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain, unsteered) {
+		t.Fatal("EvaluateSteered with no switches differs from Evaluate")
+	}
+
+	opts := optimizer.Options{DisableHashJoin: true, DisableMergeJoin: true}
+	sess := v.SessionWith(opts)
+	var ref *whatif.Report
+	for _, width := range []int{1, 4} {
+		f.eng.SetWorkers(width)
+		rep, err := v.EvaluateSteered(ctx, f.w, cfg, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = rep
+			for i, q := range f.w.Queries {
+				base, err := sess.Cost(q.Stmt, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				nw, err := sess.Cost(q.Stmt, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.Queries[i].BaseCost != base*q.Weight || rep.Queries[i].NewCost != nw*q.Weight {
+					t.Fatalf("%s: steered report (%v -> %v) != steered session (%v -> %v)",
+						q.ID, rep.Queries[i].BaseCost, rep.Queries[i].NewCost, base*q.Weight, nw*q.Weight)
+				}
+			}
+		} else if !reflect.DeepEqual(ref, rep) {
+			t.Fatalf("steered report at width %d differs from width 1", width)
+		}
+	}
+	if reflect.DeepEqual(plain, ref) {
+		t.Fatal("disabling hash and merge joins changed no cost — the switches did not reach the planner")
+	}
+
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := v.EvaluateSteered(cancelled, f.w, cfg, opts); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled steered evaluate returned %v", err)
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 
 	"repro/internal/catalog"
+	"repro/internal/optimizer"
+	"repro/internal/sqlparse"
 	"repro/internal/whatif"
 	"repro/internal/workload"
 )
@@ -253,15 +255,32 @@ func (e *Engine) Evaluate(ctx context.Context, w *workload.Workload, cfg *catalo
 // reconfigured. Queries are priced in parallel, and results are
 // deterministic and identical to a serial loop over FullCost.
 func (v *View) Evaluate(ctx context.Context, w *workload.Workload, cfg *catalog.Configuration) (*whatif.Report, error) {
+	return v.evaluate(ctx, w, cfg, v.s.backend.StmtCost)
+}
+
+// EvaluateSteered is Evaluate with per-session join steering: every query is
+// planned by a throwaway what-if session carrying the optimizer switches
+// (SessionWith), on the same worker pool and with the same first-index error
+// and cancellation behaviour as Evaluate. The backend's cost constants still
+// apply for analytical backends; a replay-backed view falls back to native
+// plan costing under join steering.
+func (v *View) EvaluateSteered(ctx context.Context, w *workload.Workload, cfg *catalog.Configuration, opts optimizer.Options) (*whatif.Report, error) {
+	return v.evaluate(ctx, w, cfg, v.SessionWith(opts).Cost)
+}
+
+// evaluate prices every query under the pinned base and under cfg with the
+// given statement-costing function and folds the benefit report.
+func (v *View) evaluate(ctx context.Context, w *workload.Workload, cfg *catalog.Configuration,
+	cost func(*sqlparse.SelectStmt, *catalog.Configuration) (float64, error)) (*whatif.Report, error) {
 	newCfg := v.s.resolve(cfg)
 	queries := make([]whatif.QueryBenefit, len(w.Queries))
 	err := v.e.sweep(ctx, len(w.Queries), func(i int) error {
 		q := w.Queries[i]
-		bc, err := v.s.backend.StmtCost(q.Stmt, v.s.base)
+		bc, err := cost(q.Stmt, v.s.base)
 		if err != nil {
 			return fmt.Errorf("engine: %s: %w", q.ID, err)
 		}
-		nc, err := v.s.backend.StmtCost(q.Stmt, newCfg)
+		nc, err := cost(q.Stmt, newCfg)
 		if err != nil {
 			return fmt.Errorf("engine: %s: %w", q.ID, err)
 		}

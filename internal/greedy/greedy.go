@@ -14,10 +14,8 @@ package greedy
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"repro/internal/catalog"
 	"repro/internal/engine"
@@ -62,144 +60,25 @@ func New(eng *engine.Engine, candidates []*catalog.Index) *Advisor {
 	return &Advisor{eng: eng, candidates: candidates}
 }
 
-// Frontier is the reusable state of a completed greedy run: the chosen
-// configuration, the cost frontier it stopped at, and fingerprints of the
-// inputs it is valid for. A subsequent Advise with the same inputs replays
-// the result without pricing anything; one whose storage budget merely grew
-// resumes the search from the frontier instead of from the empty design.
-type Frontier struct {
-	version    uint64
-	workloadFP string
-	candFP     string
-	opts       Options
-
-	result    *Result
-	cfg       *catalog.Configuration
-	cur       float64
-	usedPages int64
-	remaining []*catalog.Index
-}
-
-// WarmKind classifies how a warm advise reused the frontier.
-type WarmKind string
-
-// Warm reuse kinds.
-const (
-	WarmNone   WarmKind = ""       // cold run
-	WarmReplay WarmKind = "replay" // identical inputs: result replayed outright
-	WarmResume WarmKind = "resume" // budget grew: search resumed from the frontier
-)
-
-// candFP fingerprints the advisor's candidate set.
-func candFP(cands []*catalog.Index) string {
-	keys := make([]string, 0, len(cands))
-	for _, ix := range cands {
-		keys = append(keys, fmt.Sprintf("%s@%d", ix.Key(), ix.EstimatedPages))
-	}
-	return strings.Join(keys, ";")
-}
-
 // Advise runs the greedy loop. Every iteration prices the eligible
 // candidates against the current configuration in one parallel sweep; a
 // cancelled context aborts mid-sweep and returns ctx.Err().
 func (a *Advisor) Advise(ctx context.Context, w *workload.Workload, opts Options) (*Result, error) {
-	res, _, _, err := a.AdviseWarm(ctx, w, opts, nil)
-	return res, err
-}
-
-// AdviseWarm is Advise with frontier reuse. When prev matches the current
-// inputs exactly (engine generation, workload, candidates, options) the
-// previous result is replayed with zero pricing calls. When only the
-// storage budget grew, the search resumes from the previous frontier —
-// already-chosen indexes stay chosen and only the extension is priced; this
-// is the standard greedy continuation, which can differ from a cold run at
-// the larger budget only where a cold run would have reordered marginal
-// picks. Any other delta (workload content, candidate set, engine
-// generation, budget shrink) falls back to a cold run. The returned
-// Frontier seeds the next call.
-func (a *Advisor) AdviseWarm(ctx context.Context, w *workload.Workload, opts Options, prev *Frontier) (*Result, *Frontier, WarmKind, error) {
 	// Pin one engine generation for the whole greedy run.
 	v := a.eng.Pin()
-	wfp, cfp := w.Fingerprint(), candFP(a.candidates)
-	if prev != nil && prev.version == v.Version() && prev.workloadFP == wfp &&
-		prev.candFP == cfp && prev.opts.BenefitPerPage == opts.BenefitPerPage {
-		if prev.opts.StorageBudgetPages == opts.StorageBudgetPages {
-			res := cloneResult(prev.result)
-			res.PricingCalls = 0 // replayed: nothing was priced
-			return res, prev, WarmReplay, nil
-		}
-		// A grown (but still finite→finite or finite→unlimited) budget
-		// resumes; an unlimited previous run already saturated every budget.
-		grew := prev.opts.StorageBudgetPages > 0 &&
-			(opts.StorageBudgetPages == 0 || opts.StorageBudgetPages >= prev.opts.StorageBudgetPages)
-		if grew {
-			st := &frontierState{
-				cfg:       prev.cfg,
-				cur:       prev.cur,
-				usedPages: prev.usedPages,
-				remaining: append([]*catalog.Index(nil), prev.remaining...),
-				res: &Result{
-					Indexes:      append([]*catalog.Index(nil), prev.result.Indexes...),
-					BaselineCost: prev.result.BaselineCost,
-					Steps:        prev.result.Steps,
-				},
-			}
-			next, err := a.run(ctx, v, w, opts, st, wfp, cfp)
-			if err != nil {
-				return nil, nil, WarmNone, err
-			}
-			return cloneResult(next.result), next, WarmResume, nil
-		}
-	}
-
 	if err := v.Prepare(ctx, w, a.candidates); err != nil {
-		return nil, nil, WarmNone, err
+		return nil, err
 	}
 	res := &Result{}
 	cfg := catalog.NewConfiguration()
 	cur, err := v.WorkloadCost(w, cfg)
 	if err != nil {
-		return nil, nil, WarmNone, err
+		return nil, err
 	}
 	res.PricingCalls += len(w.Queries)
 	res.BaselineCost = cur
-	st := &frontierState{
-		cfg:       cfg,
-		cur:       cur,
-		remaining: append([]*catalog.Index(nil), a.candidates...),
-		res:       res,
-	}
-	next, err := a.run(ctx, v, w, opts, st, wfp, cfp)
-	if err != nil {
-		return nil, nil, WarmNone, err
-	}
-	return cloneResult(next.result), next, WarmNone, nil
-}
-
-// frontierState is the in-flight search position the greedy loop advances.
-type frontierState struct {
-	cfg       *catalog.Configuration
-	cur       float64
-	usedPages int64
-	remaining []*catalog.Index
-	res       *Result
-}
-
-// cloneResult copies a result so callers can't mutate the frontier's copy.
-func cloneResult(r *Result) *Result {
-	out := *r
-	out.Indexes = append([]*catalog.Index(nil), r.Indexes...)
-	return &out
-}
-
-// run advances the greedy loop from st until no eligible candidate helps,
-// then freezes the frontier.
-func (a *Advisor) run(ctx context.Context, v *engine.View, w *workload.Workload, opts Options, st *frontierState, wfp, cfp string) (*Frontier, error) {
-	res := st.res
-	cfg := st.cfg
-	cur := st.cur
-	remaining := st.remaining
-	usedPages := st.usedPages
+	remaining := append([]*catalog.Index(nil), a.candidates...)
+	var usedPages int64
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -260,17 +139,7 @@ func (a *Advisor) run(ctx context.Context, v *engine.View, w *workload.Workload,
 	}
 	res.Objective = cur
 	sort.Slice(res.Indexes, func(i, j int) bool { return res.Indexes[i].Key() < res.Indexes[j].Key() })
-	return &Frontier{
-		version:    v.Version(),
-		workloadFP: wfp,
-		candFP:     cfp,
-		opts:       opts,
-		result:     res,
-		cfg:        cfg,
-		cur:        cur,
-		usedPages:  usedPages,
-		remaining:  remaining,
-	}, nil
+	return res, nil
 }
 
 // Exhaustive enumerates every candidate subset within budget and returns

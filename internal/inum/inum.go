@@ -110,17 +110,6 @@ func (q *CachedQuery) memoPut(key string, v float64) {
 	s.mu.Unlock()
 }
 
-// MemoLen reports how many access costs are memoized across all stripes.
-func (q *CachedQuery) MemoLen() int {
-	n := 0
-	for i := range q.memo {
-		q.memo[i].mu.RLock()
-		n += len(q.memo[i].m)
-		q.memo[i].mu.RUnlock()
-	}
-	return n
-}
-
 // Cache is the INUM store for a workload.
 type Cache struct {
 	base *optimizer.Env

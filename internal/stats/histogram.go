@@ -2,7 +2,6 @@ package stats
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/catalog"
 )
@@ -156,13 +155,4 @@ func (h *Histogram) Quantile(q float64) catalog.Datum {
 		return catalog.Int(lo.I + int64(float64(hi.I-lo.I)*f))
 	}
 	return lo
-}
-
-// DebugDump renders all boundaries (testing helper).
-func (h *Histogram) DebugDump() string {
-	parts := make([]string, len(h.Bounds))
-	for i, b := range h.Bounds {
-		parts[i] = b.String()
-	}
-	return strings.Join(parts, " | ")
 }

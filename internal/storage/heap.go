@@ -83,9 +83,6 @@ func (h *Heap) Pages() int64 {
 	return (n + int64(h.rowsPerPage) - 1) / int64(h.rowsPerPage)
 }
 
-// RowsPerPage exposes the page fill factor for cost calibration.
-func (h *Heap) RowsPerPage() int { return h.rowsPerPage }
-
 // Get fetches one row by id and charges a random page read. Fetching a row
 // id out of range panics: that is a bug in an access path, not user error.
 func (h *Heap) Get(id int64, io *IOCounter) catalog.Row {
@@ -95,10 +92,6 @@ func (h *Heap) Get(id int64, io *IOCounter) catalog.Row {
 	}
 	return h.rows[id]
 }
-
-// GetNoIO fetches a row without charging I/O (used when the caller has
-// already accounted the page, e.g. clustered fetches of adjacent ids).
-func (h *Heap) GetNoIO(id int64) catalog.Row { return h.rows[id] }
 
 // PageOf returns the page number holding the row id.
 func (h *Heap) PageOf(id int64) int64 { return id / int64(h.rowsPerPage) }

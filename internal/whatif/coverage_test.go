@@ -1,7 +1,6 @@
 package whatif_test
 
 import (
-	"context"
 	"strings"
 	"testing"
 
@@ -49,19 +48,5 @@ func TestCandidatesOnlyForReferencedTables(t *testing.T) {
 		if !strings.EqualFold(ix.Table, "neighbors") {
 			t.Fatalf("candidate %s on unreferenced table", ix.Key())
 		}
-	}
-}
-
-func TestEvaluateWorkloadEmptyConfigIsNeutral(t *testing.T) {
-	s, w := newSession(t)
-	rep, err := s.EvaluateWorkload(context.Background(), w, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.TotalBenefit() != 0 {
-		t.Fatalf("nil config should be cost-neutral, benefit = %f", rep.TotalBenefit())
-	}
-	if rep.AvgBenefitPct() != 0 {
-		t.Fatalf("pct = %f", rep.AvgBenefitPct())
 	}
 }

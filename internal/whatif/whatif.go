@@ -11,18 +11,14 @@
 package whatif
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
 	"repro/internal/catalog"
 	"repro/internal/optimizer"
 	"repro/internal/sqlparse"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // Session evaluates hypothetical designs against a fixed schema/statistics
@@ -242,80 +238,4 @@ func (r *Report) AvgBenefitPct() float64 {
 		return 0
 	}
 	return r.TotalBenefit() / r.BaseTotal * 100
-}
-
-// EvaluateWorkload costs every query under the base and hypothetical
-// configurations in parallel and returns the benefit report. A cancelled
-// context stops workers before their next query and returns ctx.Err().
-func (s *Session) EvaluateWorkload(ctx context.Context, w *workload.Workload, cfg *catalog.Configuration) (*Report, error) {
-	rep := &Report{Queries: make([]QueryBenefit, len(w.Queries))}
-	errs := make([]error, len(w.Queries))
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(w.Queries) {
-		workers = len(w.Queries)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				if ctx.Err() != nil {
-					continue // drain without pricing
-				}
-				q := w.Queries[i]
-				base, err := s.Cost(q.Stmt, nil)
-				if err != nil {
-					errs[i] = fmt.Errorf("whatif: %s: %w", q.ID, err)
-					continue
-				}
-				nw, err := s.Cost(q.Stmt, cfg)
-				if err != nil {
-					errs[i] = fmt.Errorf("whatif: %s: %w", q.ID, err)
-					continue
-				}
-				rep.Queries[i] = QueryBenefit{
-					ID: q.ID, SQL: q.SQL,
-					BaseCost: base * q.Weight, NewCost: nw * q.Weight,
-				}
-			}
-		}()
-	}
-	for i := range w.Queries {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	for _, qb := range rep.Queries {
-		rep.BaseTotal += qb.BaseCost
-		rep.NewTotal += qb.NewCost
-	}
-	return rep, nil
-}
-
-// WorkloadCost sums weighted query costs under a configuration.
-func (s *Session) WorkloadCost(w *workload.Workload, cfg *catalog.Configuration) (float64, error) {
-	var total float64
-	for _, q := range w.Queries {
-		c, err := s.Cost(q.Stmt, cfg)
-		if err != nil {
-			return 0, fmt.Errorf("whatif: %s: %w", q.ID, err)
-		}
-		total += c * q.Weight
-	}
-	return total, nil
 }

@@ -1,11 +1,9 @@
 package whatif_test
 
 import (
-	"context"
 	"strings"
 	"testing"
 
-	"repro/internal/catalog"
 	"repro/internal/optimizer"
 	"repro/internal/whatif"
 	"repro/internal/workload"
@@ -59,44 +57,6 @@ func TestHypotheticalIndexValidation(t *testing.T) {
 	}
 	if _, err := s.HypotheticalIndex("photoobj", "nope"); err == nil {
 		t.Error("unknown column should error")
-	}
-}
-
-func TestEvaluateWorkloadBenefit(t *testing.T) {
-	s, w := newSession(t)
-	cfg := catalog.NewConfiguration()
-	for _, spec := range [][]string{{"objid"}, {"ra"}, {"type", "psfmag_r"}} {
-		ix, err := s.HypotheticalIndex("photoobj", spec...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg = cfg.WithIndex(ix)
-	}
-	ix, err := s.HypotheticalIndex("specobj", "bestobjid")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg = cfg.WithIndex(ix)
-
-	rep, err := s.EvaluateWorkload(context.Background(), w, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Queries) != len(w.Queries) {
-		t.Fatalf("report covers %d queries, want %d", len(rep.Queries), len(w.Queries))
-	}
-	if rep.TotalBenefit() <= 0 {
-		t.Fatalf("indexes should help this workload: base=%f new=%f",
-			rep.BaseTotal, rep.NewTotal)
-	}
-	// No query may get worse: what-if evaluation only adds options.
-	for _, qb := range rep.Queries {
-		if qb.NewCost > qb.BaseCost*1.0001 {
-			t.Errorf("query %s regressed: %f -> %f", qb.ID, qb.BaseCost, qb.NewCost)
-		}
-	}
-	if rep.AvgBenefitPct() <= 0 || rep.AvgBenefitPct() > 100 {
-		t.Errorf("avg benefit pct = %f", rep.AvgBenefitPct())
 	}
 }
 
@@ -163,22 +123,6 @@ func TestGenerateCandidatesRespectsCap(t *testing.T) {
 		if n > 2 {
 			t.Errorf("table %s has %d candidates, cap 2", table, n)
 		}
-	}
-}
-
-func TestWorkloadCostMatchesReportTotals(t *testing.T) {
-	s, w := newSession(t)
-	cfg := catalog.NewConfiguration()
-	rep, err := s.EvaluateWorkload(context.Background(), w, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := s.WorkloadCost(w, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := rep.BaseTotal - base; diff > 1e-6 || diff < -1e-6 {
-		t.Fatalf("report base %f != workload cost %f", rep.BaseTotal, base)
 	}
 }
 

@@ -133,6 +133,3 @@ func SizeByName(name string) (Size, error) {
 	}
 	return Size{}, fmt.Errorf("workload: unknown size %q (tiny|small|medium)", name)
 }
-
-// SizeNames lists the dataset size labels, smallest first.
-func SizeNames() []string { return []string{"tiny", "small", "medium"} }
