@@ -7,10 +7,10 @@ import (
 )
 
 // NormCol is the single canonicalization rule for column (and table) names
-// across the design pipeline. Every identity comparison — Key, Covers,
-// TableSignature, the optimizer's coverage checks, the engine's
-// delta-relevance sets — must go through this helper so two layers can never
-// disagree about whether "RA" and "ra" name the same column.
+// across the design pipeline. Every identity comparison — Key, Covers, the
+// optimizer's coverage and relevance checks (Relevance.CanUse), INUM's
+// per-table configuration slices — must go through this helper so two layers
+// can never disagree about whether "RA" and "ra" name the same column.
 func NormCol(name string) string { return strings.ToLower(name) }
 
 // NormCols canonicalizes a column list (fresh slice; input untouched).
@@ -153,19 +153,40 @@ func (ix *Index) LeadingColumn() string { return ix.Columns[0] }
 // any position (used for index-only scan eligibility). Projections also
 // cover through their INCLUDE leaf columns.
 func (ix *Index) Covers(cols []string) bool {
-	have := make(map[string]bool, len(ix.Columns)+len(ix.Include))
-	for _, c := range ix.Columns {
-		have[NormCol(c)] = true
-	}
-	for _, c := range ix.Include {
-		have[NormCol(c)] = true
-	}
 	for _, c := range cols {
-		if !have[NormCol(c)] {
+		if !ix.stores(NormCol(c)) {
 			return false
 		}
 	}
 	return true
+}
+
+// CoversAll is Covers over a set of canonical (NormCol) column names — the
+// form the optimizer's needed-column analysis produces.
+func (ix *Index) CoversAll(cols map[string]bool) bool {
+	for c := range cols {
+		if !ix.stores(c) {
+			return false
+		}
+	}
+	return true
+}
+
+// stores reports whether the canonical column name is among the structure's
+// key or INCLUDE columns. Structures are a handful of columns wide, so a
+// scan beats building a set and allocates nothing.
+func (ix *Index) stores(col string) bool {
+	for _, c := range ix.Columns {
+		if NormCol(c) == col {
+			return true
+		}
+	}
+	for _, c := range ix.Include {
+		if NormCol(c) == col {
+			return true
+		}
+	}
+	return false
 }
 
 // DDL renders the statement that would materialize the structure, using
@@ -353,8 +374,8 @@ func (c *Configuration) HorizontalOn(table string) *HorizontalLayout {
 	return c.Horizontal[NormCol(table)]
 }
 
-// Signature returns a deterministic identity for the whole configuration,
-// used as a cache key by INUM and the interaction analyzer.
+// Signature returns a deterministic identity for the whole configuration:
+// the configuration half of a recorded costing call's key (engine/trace.go).
 func (c *Configuration) Signature() string {
 	keys := make([]string, 0, len(c.Indexes))
 	for _, ix := range c.Indexes {
@@ -376,26 +397,6 @@ func (c *Configuration) Signature() string {
 	sort.Strings(ht)
 	parts = append(parts, strings.Join(ht, ";"))
 	return strings.Join(parts, "|")
-}
-
-// TableSignature identifies the slice of the configuration visible to one
-// table: its indexes (sorted by key) and partition layouts. Two
-// configurations with equal table signatures are indistinguishable to any
-// costing of that table's access paths — the invariant the INUM access-cost
-// memo and the engine's delta evaluation both key on.
-func (c *Configuration) TableSignature(table string) string {
-	var parts []string
-	for _, ix := range c.IndexesOn(table) {
-		parts = append(parts, ix.Key())
-	}
-	sort.Strings(parts)
-	if v := c.VerticalOn(table); v != nil {
-		parts = append(parts, v.String())
-	}
-	if h := c.HorizontalOn(table); h != nil {
-		parts = append(parts, h.String())
-	}
-	return strings.Join(parts, ";")
 }
 
 // TotalIndexPages sums the estimated page footprint of all indexes; this is

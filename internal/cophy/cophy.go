@@ -163,7 +163,12 @@ func (a *Advisor) AdviseView(ctx context.Context, v *engine.View, w *workload.Wo
 
 	res := &Result{}
 
-	// Prepare INUM entries and per-query atoms.
+	// Prepare INUM entries — template building is one full optimization per
+	// seed configuration and query, so it runs on the engine's sweep pool,
+	// not query by query in the loop below — and per-query atoms.
+	if err := v.Prepare(ctx, w, a.candidates); err != nil {
+		return nil, err
+	}
 	type queryAtoms struct {
 		q     workload.Query
 		atoms []atom

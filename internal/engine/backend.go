@@ -49,6 +49,13 @@ func BackendKinds() []string { return []string{BackendNative, BackendCalibrated,
 // Backends are built per engine generation and discarded on invalidation;
 // they may cache freely (the native backend's INUM cache) without any
 // cross-generation or cross-backend aliasing concern.
+//
+// Cached-path pricing is staged, because a sweep prices |queries| ×
+// |configurations| cells and most of a cell's work belongs to its row or
+// its column: Pricer does the per-query work once per sweep call (the INUM
+// entry lookup, the SQL rendering of a trace key), the Pricer it returns
+// does the per-configuration work once per configuration (INUM's digest,
+// the configuration signature), and only what is left runs per cell.
 type CostBackend interface {
 	// Kind identifies the backend ("native", "calibrated", "replay").
 	Kind() string
@@ -60,9 +67,11 @@ type CostBackend interface {
 	Params() optimizer.CostParams
 	// Prepare primes per-query state (plan templates) for a candidate set.
 	Prepare(id string, stmt *sqlparse.SelectStmt, candidates []*catalog.Index) error
-	// QueryCost prices one query under a configuration through the
-	// backend's cached (INUM-style) path.
-	QueryCost(q workload.Query, cfg *catalog.Configuration) (float64, error)
+	// Pricer resolves the queries against the backend's cached
+	// (INUM-style) path — preparing any that are not — and returns the
+	// function that prices them. What it resolved lives as long as the
+	// returned function and no longer.
+	Pricer(queries []workload.Query) (Pricer, error)
 	// StmtCost prices a statement with the backend's reference model (the
 	// full optimizer for analytical backends), bypassing the cached path.
 	StmtCost(stmt *sqlparse.SelectStmt, cfg *catalog.Configuration) (float64, error)
@@ -71,6 +80,15 @@ type CostBackend interface {
 	// EvictPrefix drops per-query cached state by query-ID prefix.
 	EvictPrefix(prefix string) int
 }
+
+// Pricer takes one configuration in — digesting it once, however many
+// queries are then priced under it — and returns its QueryPricer. Both are
+// safe for concurrent use.
+type Pricer func(cfg *catalog.Configuration) QueryPricer
+
+// QueryPricer prices queries[i] of the slice its Pricer was made for, under
+// the configuration it was made for.
+type QueryPricer func(i int) (float64, error)
 
 // BackendInfo is the descriptive form of the active backend.
 type BackendInfo struct {
@@ -209,12 +227,26 @@ func (b *envBackend) Prepare(id string, stmt *sqlparse.SelectStmt, candidates []
 	return err
 }
 
-func (b *envBackend) QueryCost(q workload.Query, cfg *catalog.Configuration) (float64, error) {
-	cq, err := b.cache.Prepare(q.ID, q.Stmt, nil)
-	if err != nil {
-		return 0, err
+func (b *envBackend) Pricer(queries []workload.Query) (Pricer, error) {
+	entries := make([]*inum.CachedQuery, len(queries))
+	for i, q := range queries {
+		cq, err := b.cache.Prepare(q.ID, q.Stmt, nil)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", q.ID, err)
+		}
+		entries[i] = cq
 	}
-	return b.cache.CostFor(cq, cfg)
+	if len(entries) == 1 {
+		// One query sees the slices of its own tables and nothing else:
+		// cutting them out of cfg directly is cheaper than a whole digest.
+		return func(cfg *catalog.Configuration) QueryPricer {
+			return func(int) (float64, error) { return b.cache.CostFor(entries[0], cfg) }
+		}, nil
+	}
+	return func(cfg *catalog.Configuration) QueryPricer {
+		d := inum.DigestOf(cfg)
+		return func(i int) (float64, error) { return b.cache.CostUnder(entries[i], d), nil }
+	}, nil
 }
 
 func (b *envBackend) StmtCost(stmt *sqlparse.SelectStmt, cfg *catalog.Configuration) (float64, error) {
@@ -240,17 +272,29 @@ func (b *replayBackend) Params() optimizer.CostParams { return b.params }
 // Prepare is a no-op: the trace holds finished costs, not plan templates.
 func (b *replayBackend) Prepare(string, *sqlparse.SelectStmt, []*catalog.Index) error { return nil }
 
-func (b *replayBackend) QueryCost(q workload.Query, cfg *catalog.Configuration) (float64, error) {
-	return b.lookup(opQuery, q.Stmt, cfg)
+func (b *replayBackend) Pricer(queries []workload.Query) (Pricer, error) {
+	sqls := renderAll(queries)
+	return func(cfg *catalog.Configuration) QueryPricer {
+		sig := configSignature(cfg)
+		return func(i int) (float64, error) { return b.lookup(opQuery, sqls[i], sig) }
+	}, nil
 }
 
 func (b *replayBackend) StmtCost(stmt *sqlparse.SelectStmt, cfg *catalog.Configuration) (float64, error) {
-	return b.lookup(opStmt, stmt, cfg)
+	return b.lookup(opStmt, stmt.String(), configSignature(cfg))
 }
 
-func (b *replayBackend) lookup(op string, stmt *sqlparse.SelectStmt, cfg *catalog.Configuration) (float64, error) {
-	sql := stmt.String()
-	sig := configSignature(cfg)
+// renderAll renders each query's canonical SQL, the statement half of a
+// trace key.
+func renderAll(queries []workload.Query) []string {
+	sqls := make([]string, len(queries))
+	for i, q := range queries {
+		sqls[i] = q.Stmt.String()
+	}
+	return sqls
+}
+
+func (b *replayBackend) lookup(op, sql, sig string) (float64, error) {
 	if cost, ok := b.trace.lookup(op, sql, sig); ok {
 		b.served.Add(1)
 		return cost, nil
@@ -283,12 +327,22 @@ func (b *recordingBackend) Prepare(id string, stmt *sqlparse.SelectStmt, candida
 	return b.inner.Prepare(id, stmt, candidates)
 }
 
-func (b *recordingBackend) QueryCost(q workload.Query, cfg *catalog.Configuration) (float64, error) {
-	cost, err := b.inner.QueryCost(q, cfg)
-	if err == nil {
-		b.rec.record(b.inner.Kind(), opQuery, q.Stmt.String(), configSignature(cfg), cost)
+func (b *recordingBackend) Pricer(queries []workload.Query) (Pricer, error) {
+	inner, err := b.inner.Pricer(queries)
+	if err != nil {
+		return nil, err
 	}
-	return cost, err
+	sqls := renderAll(queries)
+	return func(cfg *catalog.Configuration) QueryPricer {
+		price, sig := inner(cfg), configSignature(cfg)
+		return func(i int) (float64, error) {
+			cost, err := price(i)
+			if err == nil {
+				b.rec.record(b.inner.Kind(), opQuery, sqls[i], sig, cost)
+			}
+			return cost, err
+		}
+	}, nil
 }
 
 func (b *recordingBackend) StmtCost(stmt *sqlparse.SelectStmt, cfg *catalog.Configuration) (float64, error) {

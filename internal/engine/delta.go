@@ -7,7 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/catalog"
-	"repro/internal/sqlparse"
+	"repro/internal/optimizer"
 	"repro/internal/whatif"
 	"repro/internal/workload"
 )
@@ -22,13 +22,10 @@ import (
 // copied. This is the delta-costing layer behind the interactive re-advise
 // loop: identical numbers to a cold Evaluate, a fraction of the work.
 //
-// Relevance is exact-conservative, mirroring the optimizer's index
-// usability rules (internal/optimizer/paths.go): an index can enter a
-// query's plan only when its leading column is referenced somewhere in the
-// query (predicate, join key, ORDER/GROUP BY, projection) or when it covers
-// every column the query reads from its table (index-only scans). An index
-// failing both tests is invisible to that query's optimization, so adding
-// or dropping it cannot change the query's cost.
+// Relevance is the optimizer's own exact-conservative rule
+// (optimizer.Relevance.CanUse, next to the path generation it mirrors):
+// a structure failing it is invisible to that query's optimization, so
+// adding or dropping it cannot change the query's cost.
 type EvalState struct {
 	// snap pins the generation the costs were computed against; a state is
 	// only reusable on a view holding the same snapshot.
@@ -50,61 +47,36 @@ type EvalState struct {
 }
 
 // queryRelevance is the precomputed relevance set of one query: the tables
-// it references and, per table, the referenced columns.
+// it references and the analysis CanUse decides on.
 type queryRelevance struct {
-	tables []string          // lower-case base tables, in FROM order
-	cols   []map[string]bool // per table: lower-case referenced columns
-	colsL  [][]string        // per table: the same columns as a sorted list
-	star   bool              // SELECT * disables index-only relevance
-	// Aggregate-view relevance: an MV can only enter a plan as a
-	// whole-query rewrite of a single-table aggregate query whose plain
-	// group keys are a subset of the view's keys.
-	hasAgg    bool
-	plainKeys bool
-	groupKeys []string // lower-case plain GROUP BY columns
+	tables []string // lower-case base tables, in FROM order
+	*optimizer.Relevance
 }
 
-// relevanceOf resolves a query's tables and referenced-column sets.
+// relevanceOf resolves a query's tables and relevance analysis.
 func (v *View) relevanceOf(q workload.Query) (queryRelevance, error) {
-	cols, star := sqlparse.ReferencedColumns(q.Stmt)
-	rel := queryRelevance{star: star}
-	rel.hasAgg = sqlparse.HasAggregate(q.Stmt)
-	rel.groupKeys, rel.plainKeys = sqlparse.GroupKeyColumns(q.Stmt)
+	rel := queryRelevance{Relevance: optimizer.RelevanceOf(q.Stmt)}
 	for _, ref := range q.Stmt.From {
 		t := v.e.schema.Table(ref.Name)
 		if t == nil {
 			return queryRelevance{}, fmt.Errorf("engine: %s: unknown table %q", q.ID, ref.Name)
 		}
-		lt := strings.ToLower(t.Name)
-		set := cols[lt]
-		list := make([]string, 0, len(set))
-		for c := range set {
-			list = append(list, c)
-		}
-		sort.Strings(list)
-		rel.tables = append(rel.tables, lt)
-		rel.cols = append(rel.cols, set)
-		rel.colsL = append(rel.colsL, list)
+		rel.tables = append(rel.tables, strings.ToLower(t.Name))
 	}
 	return rel, nil
 }
 
 // relevantSignature renders the slice of cfg that can influence the query's
-// access to its t-th table: the keys of relevant indexes (sorted) plus any
-// partition layouts. Two configurations with equal relevant signatures on
-// every table of a query price that query identically.
+// access to its t-th table: the keys of relevant structures (sorted) plus
+// any partition layouts. Two configurations with equal relevant signatures
+// on every table of a query price that query identically. The full
+// optimizer only wants orders over columns the query references, so CanUse
+// is asked about no extra orders.
 func (rel *queryRelevance) relevantSignature(cfg *catalog.Configuration, t int) string {
 	table := rel.tables[t]
 	var parts []string
 	for _, ix := range cfg.IndexesOn(table) {
-		if ix.Kind == catalog.KindAggView {
-			if rel.aggViewRelevant(ix) {
-				parts = append(parts, ix.Key())
-			}
-			continue
-		}
-		if rel.cols[t][strings.ToLower(ix.LeadingColumn())] ||
-			(!rel.star && ix.Covers(rel.colsL[t])) {
+		if rel.CanUse(table, ix, nil) {
 			parts = append(parts, ix.Key())
 		}
 	}
@@ -116,27 +88,6 @@ func (rel *queryRelevance) relevantSignature(cfg *catalog.Configuration, t int) 
 		parts = append(parts, h.String())
 	}
 	return strings.Join(parts, ";")
-}
-
-// aggViewRelevant reports whether the aggregate view could rewrite this
-// query: single-table aggregation with plain group keys forming a subset of
-// the view's keys (the optimizer's applicability precondition; the full
-// check also inspects filters and aggregate coverage, so this is
-// exact-conservative).
-func (rel *queryRelevance) aggViewRelevant(ix *catalog.Index) bool {
-	if !rel.hasAgg || !rel.plainKeys || len(rel.tables) != 1 {
-		return false
-	}
-	keys := make(map[string]bool, len(ix.Columns))
-	for _, c := range ix.Columns {
-		keys[catalog.NormCol(c)] = true
-	}
-	for _, k := range rel.groupKeys {
-		if !keys[k] {
-			return false
-		}
-	}
-	return true
 }
 
 // signatures computes every query's per-table relevant signatures for cfg.

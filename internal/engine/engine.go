@@ -60,6 +60,12 @@ type snapshot struct {
 	prepared map[string]bool
 }
 
+// maxPreparedWorkloads bounds the prepared set. A generation can live as
+// long as its process and meet any number of distinct workloads; at the
+// bound the set starts over, and a forgotten workload costs one idempotent
+// backend Prepare per query the next time it is swept.
+const maxPreparedWorkloads = 1024
+
 // preparedFor reports whether a workload fingerprint was fully prepared.
 func (s *snapshot) preparedFor(fp string) bool {
 	s.prepMu.Lock()
@@ -70,6 +76,9 @@ func (s *snapshot) preparedFor(fp string) bool {
 // markPrepared records a fully prepared workload fingerprint.
 func (s *snapshot) markPrepared(fp string) {
 	s.prepMu.Lock()
+	if len(s.prepared) >= maxPreparedWorkloads {
+		clear(s.prepared)
+	}
 	s.prepared[fp] = true
 	s.prepMu.Unlock()
 }
@@ -450,7 +459,11 @@ func (e *Engine) QueryCost(q workload.Query, cfg *catalog.Configuration) (float6
 // QueryCost prices one query against the pinned generation (nil = the
 // pinned base configuration).
 func (v *View) QueryCost(q workload.Query, cfg *catalog.Configuration) (float64, error) {
-	return v.s.backend.QueryCost(q, v.s.resolve(cfg))
+	price, err := v.s.backend.Pricer([]workload.Query{q})
+	if err != nil {
+		return 0, err
+	}
+	return price(v.s.resolve(cfg))(0)
 }
 
 // WorkloadCost sums weighted backend query costs under a configuration
@@ -462,13 +475,29 @@ func (e *Engine) WorkloadCost(w *workload.Workload, cfg *catalog.Configuration) 
 // WorkloadCost sums weighted backend query costs against the pinned
 // generation.
 func (v *View) WorkloadCost(w *workload.Workload, cfg *catalog.Configuration) (float64, error) {
-	return v.s.workloadCost(w, v.s.resolve(cfg))
+	price, err := v.s.pricer(w)
+	if err != nil {
+		return 0, err
+	}
+	return workloadCost(w, price(v.s.resolve(cfg)))
 }
 
-func (s *snapshot) workloadCost(w *workload.Workload, cfg *catalog.Configuration) (float64, error) {
+// pricer resolves the workload's queries against the backend, once for
+// however many configurations the caller then prices.
+func (s *snapshot) pricer(w *workload.Workload) (Pricer, error) {
+	price, err := s.backend.Pricer(w.Queries)
+	if err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
+	}
+	return price, nil
+}
+
+// workloadCost sums the weighted query costs under one configuration's
+// pricer (made by a Pricer over w.Queries).
+func workloadCost(w *workload.Workload, price QueryPricer) (float64, error) {
 	var total float64
-	for _, q := range w.Queries {
-		c, err := s.backend.QueryCost(q, cfg)
+	for i, q := range w.Queries {
+		c, err := price(i)
 		if err != nil {
 			return 0, fmt.Errorf("engine: %s: %w", q.ID, err)
 		}

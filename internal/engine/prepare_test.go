@@ -116,3 +116,36 @@ func TestInvalidationResetsPreparedSet(t *testing.T) {
 		t.Fatalf("post-invalidation sweep made %d Prepare calls, want %d", got, len(w.Queries))
 	}
 }
+
+// TestPreparedSetIsBounded prepares 10,000 distinct one-statement workloads
+// (one statement under 10,000 weights: the fingerprint covers the weight)
+// against one generation, as a long-lived serve process meeting fresh
+// workloads would, and requires the prepared set to stay within its bound
+// while a workload it may have forgotten still sweeps to the same cost.
+func TestPreparedSetIsBounded(t *testing.T) {
+	e, w, _ := newCountingEngine(t)
+	ctx := context.Background()
+	v := e.Pin()
+	first := &workload.Workload{Queries: []workload.Query{w.Queries[0]}}
+	want, err := v.SweepConfigs(ctx, first, []*catalog.Configuration{nil})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 10000; i++ {
+		q := w.Queries[0]
+		q.Weight = float64(i + 1)
+		if err := v.Prepare(ctx, &workload.Workload{Queries: []workload.Query{q}}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(v.s.prepared); n > maxPreparedWorkloads {
+			t.Fatalf("after %d workloads the prepared set holds %d fingerprints, bound %d", i+1, n, maxPreparedWorkloads)
+		}
+	}
+	got, err := v.SweepConfigs(ctx, first, []*catalog.Configuration{nil})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0] != want[0] {
+		t.Fatalf("sweep after the set started over: %v, before %v", got[0], want[0])
+	}
+}

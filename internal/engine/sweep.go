@@ -148,9 +148,13 @@ func (v *View) SweepConfigs(ctx context.Context, w *workload.Workload, cfgs []*c
 	if err := v.prepareAll(ctx, w); err != nil {
 		return nil, err
 	}
+	price, err := v.s.pricer(w)
+	if err != nil {
+		return nil, err
+	}
 	costs := make([]float64, len(cfgs))
-	err := v.e.sweep(ctx, len(cfgs), func(i int) error {
-		c, err := v.s.workloadCost(w, v.s.resolve(cfgs[i]))
+	err = v.e.sweep(ctx, len(cfgs), func(i int) error {
+		c, err := workloadCost(w, price(v.s.resolve(cfgs[i])))
 		if err != nil {
 			return err
 		}
@@ -177,10 +181,14 @@ func (v *View) SweepCandidates(ctx context.Context, w *workload.Workload, base *
 	if err := v.prepareAll(ctx, w); err != nil {
 		return nil, err
 	}
+	price, err := v.s.pricer(w)
+	if err != nil {
+		return nil, err
+	}
 	base = v.s.resolve(base)
 	costs := make([]float64, len(cands))
-	err := v.e.sweep(ctx, len(cands), func(i int) error {
-		c, err := v.s.workloadCost(w, base.WithIndex(cands[i]))
+	err = v.e.sweep(ctx, len(cands), func(i int) error {
+		c, err := workloadCost(w, price(base.WithIndex(cands[i])))
 		if err != nil {
 			return err
 		}
@@ -202,12 +210,13 @@ func (e *Engine) SweepQueryConfigs(ctx context.Context, q workload.Query, cfgs [
 // SweepQueryConfigs prices one query under many configurations in parallel
 // against the pinned generation.
 func (v *View) SweepQueryConfigs(ctx context.Context, q workload.Query, cfgs []*catalog.Configuration) ([]float64, error) {
-	if err := v.s.backend.Prepare(q.ID, q.Stmt, nil); err != nil {
+	price, err := v.s.backend.Pricer([]workload.Query{q})
+	if err != nil {
 		return nil, err
 	}
 	costs := make([]float64, len(cfgs))
-	err := v.e.sweep(ctx, len(cfgs), func(i int) error {
-		c, err := v.s.backend.QueryCost(q, v.s.resolve(cfgs[i]))
+	err = v.e.sweep(ctx, len(cfgs), func(i int) error {
+		c, err := price(v.s.resolve(cfgs[i]))(0)
 		if err != nil {
 			return err
 		}

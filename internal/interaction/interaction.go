@@ -60,9 +60,9 @@ type Graph struct {
 }
 
 // Analyze computes pairwise interaction degrees for the index set against
-// the workload. All costs flow through the engine's INUM cache, and each
+// the workload. All costs flow through the engine's INUM cache, and every
 // pair's lattice walk — the four corner configurations of every sampled
-// context — is priced with one parallel engine sweep, which is what makes
+// context — is priced in one parallel engine sweep, which is what makes
 // the quadratic pair analysis interactive. One engine generation is pinned
 // for the whole pair analysis; to analyze against an already-pinned
 // generation (a design session's view), use AnalyzeView.
@@ -116,6 +116,39 @@ func AnalyzeView(ctx context.Context, v *engine.View, w *workload.Workload, inde
 		usable[i] = ix.Kind != catalog.KindAggView || aggViewUsable(w, ix)
 	}
 
+	// Every surviving pair's lattice corners — X, X∪{a}, X∪{b}, X∪{a,b} per
+	// context — are collected first and priced in one engine sweep: one pool
+	// start-up and one workload fingerprint per analysis, not per pair.
+	type pairWalk struct {
+		a, b     int
+		first    int // offset of the pair's first corner in cfgs
+		contexts int
+	}
+	var pairs []pairWalk
+	var cfgs []*catalog.Configuration
+	// A configuration holds one structure per key (WithIndex's rule). Keys
+	// are rendered once per analysis, and corners are assembled as ordinal
+	// lists compared on them.
+	keys := make([]string, n)
+	for i, ix := range indexes {
+		keys[i] = ix.Key()
+	}
+	with := func(members []int, k int) []int {
+		for _, m := range members {
+			if keys[m] == keys[k] {
+				return members
+			}
+		}
+		return append(members[:len(members):len(members)], k)
+	}
+	config := func(members []int) *catalog.Configuration {
+		cfg := catalog.NewConfiguration()
+		cfg.Indexes = make([]*catalog.Index, len(members))
+		for i, k := range members {
+			cfg.Indexes[i] = indexes[k]
+		}
+		return cfg
+	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	for a := 0; a < n; a++ {
 		for b := a + 1; b < n; b++ {
@@ -129,41 +162,40 @@ func AnalyzeView(ctx context.Context, v *engine.View, w *workload.Workload, inde
 				g.PrunedPairs++
 				continue
 			}
-			// Lattice corners per context: X, X∪{a}, X∪{b}, X∪{a,b}.
-			cfgs := make([]*catalog.Configuration, 0, 4*len(contexts))
+			pairs = append(pairs, pairWalk{a: a, b: b, first: len(cfgs), contexts: len(contexts)})
 			for _, cx := range contexts {
-				base := catalog.NewConfiguration()
+				var x []int
 				for _, k := range cx {
-					base = base.WithIndex(indexes[k])
+					x = with(x, k)
 				}
-				cfgs = append(cfgs,
-					base,
-					base.WithIndex(indexes[a]),
-					base.WithIndex(indexes[b]),
-					base.WithIndex(indexes[a]).WithIndex(indexes[b]))
+				xa := with(x, a)
+				cfgs = append(cfgs, config(x), config(xa), config(with(x, b)), config(with(xa, b)))
 			}
-			costs, err := v.SweepConfigs(ctx, w, cfgs)
-			if err != nil {
-				return nil, err
+		}
+	}
+	costs, err := v.SweepConfigs(ctx, w, cfgs)
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range pairs {
+		maxDoi := 0.0
+		for ci := 0; ci < p.contexts; ci++ {
+			at := p.first + 4*ci
+			cX, cXa, cXb, cXab := costs[at], costs[at+1], costs[at+2], costs[at+3]
+			if cXab <= 0 {
+				continue
 			}
-			maxDoi := 0.0
-			for ci := range contexts {
-				cX, cXa, cXb, cXab := costs[4*ci], costs[4*ci+1], costs[4*ci+2], costs[4*ci+3]
-				if cXab <= 0 {
-					continue
-				}
-				d := cXa + cXb - cX - cXab
-				if d < 0 {
-					d = -d
-				}
-				d /= cXab
-				if d > maxDoi {
-					maxDoi = d
-				}
+			d := cXa + cXb - cX - cXab
+			if d < 0 {
+				d = -d
 			}
-			if maxDoi > 1e-9 {
-				g.Edges = append(g.Edges, Edge{A: a, B: b, Doi: maxDoi})
+			d /= cXab
+			if d > maxDoi {
+				maxDoi = d
 			}
+		}
+		if maxDoi > 1e-9 {
+			g.Edges = append(g.Edges, Edge{A: p.a, B: p.b, Doi: maxDoi})
 		}
 	}
 	sort.Slice(g.Edges, func(i, j int) bool {

@@ -8,10 +8,18 @@
 // lattice walks feasible ("speeds up the cost estimation process by orders
 // of magnitude", paper §1; experiment E8).
 //
-// The cache is additionally keyed by the partition layouts in play — the
-// paper's extension of INUM "to cache table partitions and partial plans"
-// (§3.3): access costs are partition-aware, while cached internals are
-// reused across layouts.
+// A costing is a function of the slice of the configuration the query can
+// see, and nothing else. Per table of the query that slice is the set of
+// structures that could enter one of its plans (optimizer's
+// Relevance.CanUse, plus the leaf orders the cached templates require)
+// and the table's partition layouts — the paper's extension of INUM "to
+// cache table partitions and partial plans" (§3.3): access costs are
+// partition-aware, while cached internals are reused across layouts. Each
+// cached query numbers the structures it meets (memo.go), keys its
+// access-cost memo on the set of relevant numbers, and evaluates its
+// templates as a loop over slices: a costing whose slices were priced before
+// allocates nothing and takes no lock. A configuration priced against many
+// queries is split into per-table slices once (Digest).
 package inum
 
 import (
@@ -33,8 +41,9 @@ const maxTemplatesPerQuery = 24
 // Prepare.
 const maxOrderCombos = 16
 
-// template is one cached plan skeleton: the internal (non-leaf) cost and
-// the leaf order each table must deliver for the internals to be valid.
+// template is one plan skeleton while Prepare collects them: the internal
+// (non-leaf) cost and the leaf order each table must deliver for the
+// internals to be valid. build flattens the kept ones into CachedQuery.
 type template struct {
 	orders   map[string][]optimizer.OrderKey // per table; nil = any order
 	internal float64
@@ -51,63 +60,25 @@ type CachedQuery struct {
 	// re-rendering the cached side.
 	sql string
 
-	templates []template
+	// The cached templates, flattened for the costing loop. Template i has
+	// internal cost internals[i] and needs table t (an index into Tables) to
+	// deliver orders[t][slots[i*len(Tables)+t]]. orders[t] lists the distinct
+	// leaf orders the templates require of table t (nil = any order), so one
+	// memo entry per table — the access cost per slot — serves every
+	// template.
+	internals []float64
+	slots     []int32
+	orders    [][][]optimizer.OrderKey
 	// accessCtx is the one-time query analysis reused by every costing.
 	accessCtx *optimizer.AccessContext
-	// memo caches per-table access costs keyed by
-	// table|order|index-subset|layout signature: most CostFor calls in a
-	// configuration sweep become pure map lookups, which is where INUM's
-	// orders-of-magnitude speedup comes from. The memo is sharded into
-	// lock-striped segments selected by key hash, so 8-16 sweep workers
-	// hitting the same query entry do not serialize on a single mutex;
-	// hits take only the segment's read lock.
-	memo [memoShards]memoShard
+	// memo is the access-cost memo (memo.go), made by the first costing:
+	// an entry that is prepared and never priced carries none. It is where
+	// INUM's speedup comes from — most CostFor calls in a configuration
+	// sweep resolve every table from it.
+	memo atomic.Pointer[costMemo]
 	// prepOptimizerCalls counts the full optimizations spent in Prepare;
 	// amortized over every subsequent CostFor call.
 	prepOptimizerCalls int
-}
-
-// memoShards is the stripe count of the per-query access-cost memo. Key
-// space per query is small (tables × orders × design signatures), so 16
-// stripes keep collision probability low without bloating CachedQuery.
-const memoShards = 16
-
-// memoShard is one lock stripe of the access-cost memo.
-type memoShard struct {
-	mu sync.RWMutex
-	m  map[string]float64
-}
-
-// memoIndex hashes a memo key (FNV-1a) onto its stripe.
-func memoIndex(key string) int {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	return int(h % memoShards)
-}
-
-// memoGet reads a memoized access cost.
-func (q *CachedQuery) memoGet(key string) (float64, bool) {
-	s := &q.memo[memoIndex(key)]
-	s.mu.RLock()
-	v, ok := s.m[key]
-	s.mu.RUnlock()
-	return v, ok
-}
-
-// memoPut stores a memoized access cost. Racing writers store the same
-// value: the cost is a pure function of the key within one generation.
-func (q *CachedQuery) memoPut(key string, v float64) {
-	s := &q.memo[memoIndex(key)]
-	s.mu.Lock()
-	s.m[key] = v
-	s.mu.Unlock()
 }
 
 // Cache is the INUM store for a workload.
@@ -145,30 +116,31 @@ func (c *Cache) Stats() (fullOpts, cachedCostings int64) {
 // pricing the new query with the old query's plans.
 func (c *Cache) Prepare(id string, stmt *sqlparse.SelectStmt, candidates []*catalog.Index) (*CachedQuery, error) {
 	c.mu.RLock()
-	if q, ok := c.entries[id]; ok && q.matches(stmt) {
-		c.mu.RUnlock()
+	q := c.entries[id]
+	c.mu.RUnlock()
+	if q != nil && q.Stmt == stmt {
+		// The common case: one workload reuses its parsed statements for
+		// every costing.
 		return q, nil
 	}
-	c.mu.RUnlock()
+	// A re-parsed workload matches on canonical SQL, rendered once here and
+	// handed to build on a miss.
+	sql := stmt.String()
+	if q != nil && q.sql == sql {
+		return q, nil
+	}
 
-	q, err := c.build(id, stmt, candidates)
+	q, err := c.build(id, stmt, sql, candidates)
 	if err != nil {
 		return nil, err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if prev, ok := c.entries[id]; ok && prev.matches(stmt) {
+	if prev, ok := c.entries[id]; ok && (prev.Stmt == stmt || prev.sql == sql) {
 		return prev, nil
 	}
 	c.entries[id] = q
 	return q, nil
-}
-
-// matches reports whether the entry was built for this statement: same
-// pointer (the common case — one workload reuses its parsed statements for
-// every costing), or identical canonical SQL (a re-parsed workload).
-func (q *CachedQuery) matches(stmt *sqlparse.SelectStmt) bool {
-	return q.Stmt == stmt || q.sql == stmt.String()
 }
 
 // Get returns the cached entry, or nil.
@@ -196,7 +168,7 @@ func (c *Cache) EvictPrefix(prefix string) int {
 }
 
 // build computes the template set for a query.
-func (c *Cache) build(id string, stmt *sqlparse.SelectStmt, candidates []*catalog.Index) (*CachedQuery, error) {
+func (c *Cache) build(id string, stmt *sqlparse.SelectStmt, sql string, candidates []*catalog.Index) (*CachedQuery, error) {
 	tables := make([]string, 0, len(stmt.From))
 	for _, ref := range stmt.From {
 		t := c.base.Schema.Table(ref.Name)
@@ -206,11 +178,8 @@ func (c *Cache) build(id string, stmt *sqlparse.SelectStmt, candidates []*catalo
 		tables = append(tables, strings.ToLower(t.Name))
 	}
 	q := &CachedQuery{
-		ID: id, Stmt: stmt, Tables: tables, sql: stmt.String(),
+		ID: id, Stmt: stmt, Tables: tables, sql: sql,
 		accessCtx: c.base.PrepareAccess(stmt),
-	}
-	for i := range q.memo {
-		q.memo[i].m = make(map[string]float64)
 	}
 
 	// Seed configurations, following INUM's interesting-order structure:
@@ -252,27 +221,57 @@ func (c *Cache) build(id string, stmt *sqlparse.SelectStmt, candidates []*catalo
 		}
 	}
 
+	var templates []template
+	var err error
 	seen := make(map[string]bool)
 	for _, cfg := range seeds {
-		if err := c.addTemplate(q, cfg, seen); err != nil {
+		if templates, err = c.addTemplate(q, cfg, templates, seen); err != nil {
 			return nil, err
 		}
 	}
-	if len(q.templates) == 0 {
+	if len(templates) == 0 {
 		return nil, fmt.Errorf("inum: no templates built for %s", id)
 	}
 	// Deterministic template order: by signature.
-	sort.Slice(q.templates, func(a, b int) bool { return q.templates[a].sig < q.templates[b].sig })
+	sort.Slice(templates, func(a, b int) bool { return templates[a].sig < templates[b].sig })
+	q.flatten(templates)
 	return q, nil
 }
 
-// addTemplate optimizes the query under cfg and records the resulting plan
+// flatten stores the templates in the form the costing loop reads. Two
+// templates share an order slot of a table when they require the same
+// leading column of it — the identity the template signature is built from.
+func (q *CachedQuery) flatten(templates []template) {
+	q.internals = make([]float64, len(templates))
+	q.slots = make([]int32, 0, len(templates)*len(q.Tables))
+	q.orders = make([][][]optimizer.OrderKey, len(q.Tables))
+	for i, tpl := range templates {
+		q.internals[i] = tpl.internal
+		for t, table := range q.Tables {
+			want := tpl.orders[table]
+			slot := -1
+			for k, have := range q.orders[t] {
+				if len(have) == len(want) && (len(want) == 0 || have[0].Column == want[0].Column) {
+					slot = k
+					break
+				}
+			}
+			if slot < 0 {
+				slot = len(q.orders[t])
+				q.orders[t] = append(q.orders[t], want)
+			}
+			q.slots = append(q.slots, int32(slot))
+		}
+	}
+}
+
+// addTemplate optimizes the query under cfg and appends the resulting plan
 // skeleton if its leaf-order signature is new.
-func (c *Cache) addTemplate(q *CachedQuery, cfg *catalog.Configuration, seen map[string]bool) error {
+func (c *Cache) addTemplate(q *CachedQuery, cfg *catalog.Configuration, templates []template, seen map[string]bool) ([]template, error) {
 	env := c.base.WithConfig(cfg)
 	plan, err := env.Optimize(q.Stmt)
 	if err != nil {
-		return fmt.Errorf("inum: %s: %w", q.ID, err)
+		return nil, fmt.Errorf("inum: %s: %w", q.ID, err)
 	}
 	q.prepOptimizerCalls++
 	c.fullOptimizations.Add(1)
@@ -301,92 +300,78 @@ func (c *Cache) addTemplate(q *CachedQuery, cfg *catalog.Configuration, seen map
 	tpl.sig = strings.Join(sigParts, "|")
 	if seen[tpl.sig] {
 		// Keep the cheaper internals for an existing signature.
-		for i := range q.templates {
-			if q.templates[i].sig == tpl.sig && tpl.internal < q.templates[i].internal {
-				q.templates[i].internal = tpl.internal
+		for i := range templates {
+			if templates[i].sig == tpl.sig && tpl.internal < templates[i].internal {
+				templates[i].internal = tpl.internal
 			}
 		}
-		return nil
+		return templates, nil
 	}
 	seen[tpl.sig] = true
-	if len(q.templates) < maxTemplatesPerQuery {
-		q.templates = append(q.templates, tpl)
+	if len(templates) < maxTemplatesPerQuery {
+		templates = append(templates, tpl)
 	}
-	return nil
+	return templates, nil
 }
 
 // CostFor prices the query under an arbitrary configuration using cached
 // templates: min over templates of internal + Σ per-table access costs.
-// Access costs are memoized on (table, required order, the table's index
-// subset, partition layout), so sweeps over many configurations that share
-// per-table designs resolve almost entirely from the memo.
+// Access costs are memoized on the slice of the configuration each table of
+// the query can see (memo.go), so sweeps over many configurations that share
+// relevant per-table designs resolve almost entirely from the memo. This is
+// the one-configuration form: it walks cfg directly and allocates nothing on
+// a hit. To price one configuration against many queries, digest it once
+// (DigestOf) and call CostUnder. The error is always nil — every table was
+// resolved when the entry was built — and stays for the callers that check
+// it.
 func (c *Cache) CostFor(q *CachedQuery, cfg *catalog.Configuration) (float64, error) {
+	return c.cost(q, cfg, nil), nil
+}
+
+// CostUnder is CostFor against a digested configuration.
+func (c *Cache) CostUnder(q *CachedQuery, d *Digest) float64 {
+	return c.cost(q, nil, d)
+}
+
+// cost evaluates the templates over the access costs of each table of the
+// query, whose slice of the configuration comes from the digest when there
+// is one and is cut out of cfg otherwise.
+func (c *Cache) cost(q *CachedQuery, cfg *catalog.Configuration, d *Digest) float64 {
 	c.cachedCostings.Add(1)
-	env := c.base.WithConfig(cfg)
+	m := q.costMemo()
 
-	// Per-table design signatures for memo keys, computed once per call.
-	tblSig := make(map[string]string, len(q.Tables))
-	for _, t := range q.Tables {
-		tblSig[t] = cfg.TableSignature(t)
+	// Accumulate per template in table order, so every total is the same
+	// sum, in the same order, as pricing the templates one by one.
+	var buf [maxTemplatesPerQuery]float64
+	totals := buf[:len(q.internals)]
+	copy(totals, q.internals)
+	nt := len(q.Tables)
+	mvCost := -1.0
+	for t, table := range q.Tables {
+		var s tableSlice
+		if d == nil {
+			s = sliceOf(cfg, table, cfg.Indexes)
+		} else if found := d.find(table); found != nil {
+			s = *found
+		}
+		var access []float64
+		access, mvCost = c.accessCosts(q, m, t, &s)
+		for i := range totals {
+			totals[i] += access[q.slots[i*nt+t]]
+		}
 	}
-
-	best := -1.0
-	for ti := range q.templates {
-		tpl := &q.templates[ti]
-		total := tpl.internal
-		feasible := true
-		for _, t := range q.Tables {
-			cost, err := c.accessCost(q, env, t, tpl, tblSig[t])
-			if err != nil {
-				feasible = false
-				break
-			}
-			total += cost
-		}
-		if !feasible {
-			continue
-		}
-		if best < 0 || total < best {
+	best := totals[0]
+	for _, total := range totals[1:] {
+		if total < best {
 			best = total
 		}
 	}
-	// Aggregate views compete as whole-query rewrites (matching what the
-	// full optimizer does), memoized on the table's design signature. The
-	// guard keeps plain-index sweeps on the exact pre-existing hot path.
-	if len(q.Tables) == 1 && cfg.HasAggView(q.Tables[0]) {
-		key := "mv|" + q.Tables[0] + "|" + tblSig[q.Tables[0]]
-		mvCost, ok := q.memoGet(key)
-		if !ok {
-			mvCost = env.BestMVRewriteCost(q.Stmt)
-			q.memoPut(key, mvCost)
-		}
-		if mvCost >= 0 && (best < 0 || mvCost < best) {
-			best = mvCost
-		}
+	// Aggregate views compete as whole-query rewrites of single-table
+	// queries (matching what the full optimizer does).
+	if mvCost >= 0 && mvCost < best {
+		best = mvCost
 	}
-	if best < 0 {
-		return 0, fmt.Errorf("inum: no feasible template for %s", q.ID)
-	}
-	return best, nil
-}
-
-// accessCost returns the memoized per-table access cost for a template.
-func (c *Cache) accessCost(q *CachedQuery, env *optimizer.Env, table string, tpl *template, designSig string) (float64, error) {
-	orderSig := "-"
-	if o := tpl.orders[table]; len(o) > 0 {
-		orderSig = o[0].Column
-	}
-	key := table + "|" + orderSig + "|" + designSig
-	if v, ok := q.memoGet(key); ok {
-		return v, nil
-	}
-
-	acc, err := env.BestAccessWith(q.accessCtx, table, tpl.orders[table])
-	if err != nil {
-		return 0, err
-	}
-	q.memoPut(key, acc.Cost)
-	return acc.Cost, nil
+	return best
 }
 
 // interestingOrderColumns returns, per table, the columns whose sort order
@@ -422,7 +407,7 @@ func (c *Cache) FullCost(q *CachedQuery, cfg *catalog.Configuration) (float64, e
 }
 
 // TemplateCount reports how many plan skeletons are cached for a query.
-func (q *CachedQuery) TemplateCount() int { return len(q.templates) }
+func (q *CachedQuery) TemplateCount() int { return len(q.internals) }
 
 // PrepCost reports the number of full optimizations Prepare spent.
 func (q *CachedQuery) PrepCost() int { return q.prepOptimizerCalls }

@@ -1,0 +1,403 @@
+package inum
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/catalog"
+	"repro/internal/optimizer"
+	"repro/internal/storage"
+	"repro/internal/whatif"
+	"repro/internal/workload"
+)
+
+// coldCosts is the memo's cold twin: it prices every table of the query
+// from scratch under the full configuration — every structure of the table,
+// visible or not, no memo — and evaluates the templates over the result.
+// It returns the per-table access costs per order slot, the aggregate-view
+// rewrite cost (-1: none) and the query cost.
+func coldCosts(t *testing.T, c *Cache, q *CachedQuery, cfg *catalog.Configuration) (access [][]float64, mv, total float64) {
+	t.Helper()
+	for ti, table := range q.Tables {
+		costs, err := c.base.AccessCosts(q.accessCtx, table, optimizer.DesignOn(cfg, table), q.orders[ti])
+		if err != nil {
+			t.Fatal(err)
+		}
+		access = append(access, costs)
+	}
+	total = math.Inf(1)
+	nt := len(q.Tables)
+	for i, internal := range q.internals {
+		sum := internal
+		for ti := range q.Tables {
+			sum += access[ti][q.slots[i*nt+ti]]
+		}
+		total = math.Min(total, sum)
+	}
+	mv = -1
+	if nt == 1 {
+		mv = c.base.BestMVRewriteCost(q.Stmt, cfg.Indexes)
+		if mv >= 0 {
+			total = math.Min(total, mv)
+		}
+	}
+	return access, mv, total
+}
+
+// checkAgainstCold prices cfg through the long-lived cache — per table, per
+// order slot, and as a whole, in both the one-configuration and the
+// digested form — and requires every number to equal the cold twin's on a
+// fresh cache, bit for bit.
+func checkAgainstCold(t *testing.T, env *optimizer.Env, warm *Cache, wq *CachedQuery, cands []*catalog.Index, cfg *catalog.Configuration, what string) {
+	t.Helper()
+	fresh := New(env)
+	fq, err := fresh.Prepare(wq.ID, wq.Stmt, cands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantAccess, wantMV, want := coldCosts(t, fresh, fq, cfg)
+
+	m := wq.costMemo()
+	for ti, table := range wq.Tables {
+		s := sliceOf(cfg, table, cfg.Indexes)
+		got, gotMV := warm.accessCosts(wq, m, ti, &s)
+		if len(got) != len(wantAccess[ti]) {
+			t.Fatalf("%s: %s: %d order slots, fresh cache has %d", what, table, len(got), len(wantAccess[ti]))
+		}
+		for slot := range got {
+			if math.Float64bits(got[slot]) != math.Float64bits(wantAccess[ti][slot]) {
+				t.Fatalf("%s: %s order %v: memo %v, cold %v", what, table, wq.orders[ti][slot], got[slot], wantAccess[ti][slot])
+			}
+		}
+		if len(wq.Tables) == 1 && math.Float64bits(gotMV) != math.Float64bits(wantMV) {
+			t.Fatalf("%s: aggregate-view rewrite: memo %v, cold %v", what, gotMV, wantMV)
+		}
+	}
+	direct, err := warm.CostFor(wq, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digested := warm.CostUnder(wq, DigestOf(cfg))
+	if math.Float64bits(direct) != math.Float64bits(want) || math.Float64bits(digested) != math.Float64bits(want) {
+		t.Fatalf("%s: CostFor %v, CostUnder %v, cold %v", what, direct, digested, want)
+	}
+}
+
+// designSpace is everything the differential tests draw configurations
+// from: the wide candidate set plus, per table, every two-column
+// permutation of its first six columns — structures that cover a query, or
+// deliver an order, without their leading column being referenced.
+func designSpace(t *testing.T, store *storage.Store, w *workload.Workload) []*catalog.Index {
+	t.Helper()
+	sess := whatif.NewSession(store.Schema, store.Stats, nil)
+	opts := whatif.DefaultCandidateOptions()
+	opts.IncludeProjections, opts.IncludeAggViews = true, true
+	space := sess.GenerateCandidates(w, opts)
+	for _, table := range store.Schema.Tables() {
+		cols := table.Columns
+		if len(cols) > 6 {
+			cols = cols[:6]
+		}
+		for _, a := range cols {
+			for _, b := range cols {
+				if a.Name == b.Name {
+					continue
+				}
+				ix, err := sess.HypotheticalIndex(table.Name, a.Name, b.Name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				space = append(space, ix)
+			}
+		}
+	}
+	return space
+}
+
+// randomDesign draws a configuration: a random subset of the space and,
+// often, a random vertical and a random horizontal layout.
+func randomDesign(rng *rand.Rand, store *storage.Store, space []*catalog.Index) *catalog.Configuration {
+	cfg := catalog.NewConfiguration()
+	for _, ix := range space {
+		if rng.Intn(8) == 0 {
+			cfg.Indexes = append(cfg.Indexes, ix)
+		}
+	}
+	tables := store.Schema.Tables()
+	if rng.Intn(2) == 0 {
+		table := tables[rng.Intn(len(tables))]
+		pk := map[string]bool{}
+		for _, c := range table.PrimaryKey {
+			pk[strings.ToLower(c)] = true
+		}
+		frags := make([][]string, 2+rng.Intn(2))
+		for _, c := range table.Columns {
+			if lc := strings.ToLower(c.Name); !pk[lc] {
+				f := rng.Intn(len(frags))
+				frags[f] = append(frags[f], lc)
+			}
+		}
+		var kept [][]string
+		for _, f := range frags {
+			if len(f) > 0 {
+				kept = append(kept, f)
+			}
+		}
+		cfg.SetVertical(&catalog.VerticalLayout{Table: strings.ToLower(table.Name), Fragments: kept})
+	}
+	if rng.Intn(3) == 0 {
+		table := tables[rng.Intn(len(tables))]
+		col := table.Columns[rng.Intn(len(table.Columns))]
+		if cs := store.Stats.Table(table.Name).Column(col.Name); cs != nil && cs.Hist != nil {
+			k := 2 + rng.Intn(4)
+			var bounds []catalog.Datum
+			for i := 1; i < k; i++ {
+				bounds = append(bounds, cs.Hist.Quantile(float64(i)/float64(k)))
+			}
+			cfg.SetHorizontal(&catalog.HorizontalLayout{Table: strings.ToLower(table.Name), Column: strings.ToLower(col.Name), Bounds: bounds})
+		}
+	}
+	return cfg
+}
+
+// TestMemoMatchesColdTwin is the differential test of the access-cost memo:
+// whatever the long-lived cache has numbered, marked invisible and memoized
+// so far, its answer for a configuration equals pricing that configuration
+// from scratch with every structure in view.
+func TestMemoMatchesColdTwin(t *testing.T) {
+	store, err := workload.Generate(workload.TinySize(), 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := optimizer.NewEnv(store.Schema, store.Stats, nil)
+	for pi, name := range []string{"uniform", "zipf", "drifting", "update_heavy"} {
+		profile, err := workload.ProfileByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := profile.Generate(store.Schema, int64(50+pi), 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		space := designSpace(t, store, w)
+		warm := New(env)
+		entries := make([]*CachedQuery, len(w.Queries))
+		for i, q := range w.Queries {
+			if entries[i], err = warm.Prepare(q.ID, q.Stmt, space); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rng := rand.New(rand.NewSource(int64(pi)))
+		for k := 0; k < 60; k++ {
+			cfg := randomDesign(rng, store, space)
+			for i, wq := range entries {
+				checkAgainstCold(t, env, warm, wq, space, cfg, fmt.Sprintf("%s configuration %d query %d (%s)", name, k, i, w.Queries[i].SQL))
+			}
+		}
+	}
+}
+
+// TestTemplateOrderMakesStructureVisible pins the one relevance case the
+// full optimizer does not have. A covering index with an unreferenced
+// leading column in the seed set gives a template whose leaf order is that
+// column; a non-covering index sharing the leading column is then neither
+// referenced nor covering, yet BestAccessWith keeps its full scan for the
+// order it delivers, so the memo must see it.
+func TestTemplateOrderMakesStructureVisible(t *testing.T) {
+	store, err := workload.Generate(workload.TinySize(), 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := optimizer.NewEnv(store.Schema, store.Stats, nil)
+	sess := whatif.NewSession(store.Schema, store.Stats, nil)
+	w, err := workload.NewWorkloadFrom(store.Schema, 1, 1, []workload.Template{{
+		Name: "all_ra", Gen: func(*rand.Rand) string { return "SELECT ra FROM photoobj" },
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	covering, err := sess.HypotheticalIndex("photoobj", "objid", "ra")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharing, err := sess.HypotheticalIndex("photoobj", "objid", "type")
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := sess.HypotheticalIndex("photoobj", "type", "dec")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := []*catalog.Index{covering}
+
+	cache := New(env)
+	q := w.Queries[0]
+	cq, err := cache.Prepare(q.ID, q.Stmt, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ordered := false
+	for _, o := range cq.orders[0] {
+		ordered = ordered || (len(o) > 0 && o[0].Column == "objid")
+	}
+	if !ordered {
+		t.Fatalf("no template requires photoobj ordered by objid (orders %v): the seed plan no longer scans the covering index, rebuild this case", cq.orders[0])
+	}
+	m := cq.costMemo()
+	if m.idOf(cq, 0, sharing) < 0 {
+		t.Error("an index leading with a template's order column must be visible")
+	}
+	if m.idOf(cq, 0, other) >= 0 {
+		t.Error("an index that is neither referenced, covering nor ordering must stay invisible")
+	}
+	for _, members := range [][]*catalog.Index{nil, {covering}, {sharing}, {other}, {sharing, other}, {covering, sharing, other}} {
+		cfg := catalog.NewConfiguration()
+		cfg.Indexes = members
+		checkAgainstCold(t, env, cache, cq, seeds, cfg, fmt.Sprintf("%d structures", len(members)))
+	}
+	// The case has teeth only while the sharing index's ordered scan beats
+	// sorting a sequential scan (objid is the clustering key).
+	price := func(members ...*catalog.Index) []float64 {
+		cfg := catalog.NewConfiguration()
+		cfg.Indexes = members
+		s := sliceOf(cfg, "photoobj", cfg.Indexes)
+		access, _ := cache.accessCosts(cq, m, 0, &s)
+		return access
+	}
+	bare, shared := price(), price(sharing)
+	moved := false
+	for slot := range bare {
+		moved = moved || bare[slot] != shared[slot]
+	}
+	if !moved {
+		t.Errorf("the sharing index changes no access cost (%v): the case no longer shows what an invisible structure would get wrong", bare)
+	}
+}
+
+// TestConcurrentCostingMatchesSerial prices random configurations against
+// one cached query from eight goroutines at once — first-touch numbering,
+// misses and table growth included — and requires the serial pass's costs,
+// bit for bit. Run under -race (ci.yml: race-soak).
+func TestConcurrentCostingMatchesSerial(t *testing.T) {
+	store, err := workload.Generate(workload.TinySize(), 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := optimizer.NewEnv(store.Schema, store.Stats, nil)
+	w, err := workload.NewWorkload(store.Schema, 42, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	space := designSpace(t, store, w)
+	rng := rand.New(rand.NewSource(3))
+	cfgs := make([]*catalog.Configuration, 96)
+	for i := range cfgs {
+		cfgs[i] = randomDesign(rng, store, space)
+	}
+	for _, q := range w.Queries {
+		serial := New(env)
+		sq, err := serial.Prepare(q.ID, q.Stmt, space)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]float64, len(cfgs))
+		for i, cfg := range cfgs {
+			if want[i], err = serial.CostFor(sq, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		shared := New(env)
+		cq, err := shared.Prepare(q.ID, q.Stmt, space)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const workers = 8
+		got := make([][]float64, workers)
+		var wg sync.WaitGroup
+		for g := 0; g < workers; g++ {
+			got[g] = make([]float64, len(cfgs))
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				// Each goroutine walks the configurations from its own
+				// offset, half of them through a digest.
+				for k := range cfgs {
+					i := (k + g*len(cfgs)/workers) % len(cfgs)
+					var err error
+					if g%2 == 0 {
+						got[g][i], err = shared.CostFor(cq, cfgs[i])
+					} else {
+						got[g][i] = shared.CostUnder(cq, DigestOf(cfgs[i]))
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		for g := range got {
+			for i := range cfgs {
+				if math.Float64bits(got[g][i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s: goroutine %d configuration %d: %v, serial pass %v", q.ID, g, i, got[g][i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestMemoStartsOverAtTheBound prices more distinct structure addresses
+// against one entry than a memo may number: the memo is replaced, never
+// grown past the bound, and the costs do not move.
+func TestMemoStartsOverAtTheBound(t *testing.T) {
+	store, err := workload.Generate(workload.TinySize(), 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := optimizer.NewEnv(store.Schema, store.Stats, nil)
+	w, err := workload.NewWorkload(store.Schema, 42, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := New(env)
+	q := w.Queries[0]
+	cq, err := cache.Prepare(q.ID, q.Stmt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := whatif.NewSession(store.Schema, store.Stats, nil)
+	proto, err := sess.HypotheticalIndex(cq.Tables[0], store.Schema.Table(cq.Tables[0]).Columns[0].Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := catalog.NewConfiguration()
+	cfg.Indexes = []*catalog.Index{proto}
+	want, err := cache.CostFor(cq, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := cq.memo.Load()
+	for i := 0; i < maxInterned+10; i++ {
+		twin := *proto // the same design at a new address
+		cfg.Indexes = []*catalog.Index{&twin}
+		got, err := cache.CostFor(cq, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("address %d: cost %v, first address cost %v", i, got, want)
+		}
+		if n := cq.memo.Load().interned.Load(); n > maxInterned {
+			t.Fatalf("memo numbers %d structures, bound %d", n, maxInterned)
+		}
+	}
+	if cq.memo.Load() == first {
+		t.Fatal("the memo was never replaced")
+	}
+}

@@ -4,12 +4,13 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/catalog"
 	"repro/internal/sqlparse"
 )
 
 // TableAccess is the per-table access summary INUM plugs into cached plans:
 // the cheapest way to deliver one table's rows (optionally in a required
-// order) under the environment's configuration.
+// order) under a table design.
 type TableAccess struct {
 	Node *Node
 	// Cost is the access cost including any sort needed to satisfy the
@@ -24,20 +25,95 @@ type TableAccess struct {
 // re-analysis. Build once with PrepareAccess, reuse across configurations.
 type AccessContext struct {
 	Filters map[string][]sqlparse.Expr
-	Needed  map[string]map[string]bool
-	Star    bool
+	// Relevance holds the needed columns and decides which structures the
+	// costings can see at all (CanUse).
+	*Relevance
+}
+
+// Relevance is the part of a query's analysis that decides which structures
+// can enter its plans: the columns it reads per table, and its aggregate
+// shape. The engine's delta costing keeps one per statement of a session's
+// workload, so it holds nothing the rule does not read.
+type Relevance struct {
+	Needed map[string]map[string]bool
+	Star   bool
+
+	aggOK   bool     // single-table aggregate query with plain group keys
+	aggKeys []string // its lower-case GROUP BY columns
+}
+
+// RelevanceOf analyzes a resolved query for CanUse. The result does not
+// reference the statement.
+func RelevanceOf(sel *sqlparse.SelectStmt) *Relevance {
+	needed, star := neededColumns(sel)
+	r := &Relevance{Needed: needed, Star: star}
+	if len(sel.From) == 1 && sqlparse.HasAggregate(sel) {
+		r.aggKeys, r.aggOK = sqlparse.GroupKeyColumns(sel)
+	}
+	return r
 }
 
 // PrepareAccess analyzes a resolved query once for repeated BestAccessWith
 // calls.
 func (e *Env) PrepareAccess(sel *sqlparse.SelectStmt) *AccessContext {
 	filters, _, _ := sqlparse.SplitPredicates(sel)
-	needed, star := neededColumns(sel)
-	return &AccessContext{
-		Filters: filters,
-		Needed:  needed,
-		Star:    star,
+	return &AccessContext{Filters: filters, Relevance: RelevanceOf(sel)}
+}
+
+// CanUse reports whether the structure could enter some plan of the query
+// through its table (lower-case) — the exact-conservative mirror of the
+// keep rule in indexAccess and of mvRewritePlan's preconditions. A row
+// structure is usable only when its leading column is referenced somewhere
+// in the query (every sargable match needs a predicate on it), when it
+// covers every column the query reads from the table and the query is not
+// SELECT * (index-only scans), or when its leading column leads one of the
+// given required orders (a full index scan kept for the order it delivers).
+// Orders the query itself wants — ORDER BY, join keys — name referenced
+// columns, so the full optimizer passes none; INUM passes the leaf orders of
+// its cached templates, which are read off seed plans and can name a column
+// the query never mentions. An aggregate view is usable only as a
+// whole-query rewrite of a single-table aggregate query whose plain group
+// keys are a subset of the view's keys. A structure failing these tests is
+// invisible to every costing of the query: adding or dropping it cannot
+// change a cost.
+func (c *Relevance) CanUse(table string, ix *catalog.Index, orders [][]OrderKey) bool {
+	if ix.Kind == catalog.KindAggView {
+		return c.aggViewApplies(ix)
 	}
+	lead := catalog.NormCol(ix.LeadingColumn())
+	if c.Needed[table][lead] {
+		return true
+	}
+	if !c.Star && ix.CoversAll(c.Needed[table]) {
+		return true
+	}
+	for _, o := range orders {
+		if len(o) > 0 && catalog.NormCol(o[0].Column) == lead {
+			return true
+		}
+	}
+	return false
+}
+
+// aggViewApplies is CanUse for aggregate views (the full applicability
+// check in mvRewritePlan also inspects filters and aggregate coverage).
+func (c *Relevance) aggViewApplies(mv *catalog.Index) bool {
+	if !c.aggOK {
+		return false
+	}
+	for _, k := range c.aggKeys {
+		found := false
+		for _, col := range mv.Columns {
+			if catalog.NormCol(col) == k {
+				found = true
+				break
+			}
+		}
+		if !found {
+			return false
+		}
+	}
+	return true
 }
 
 // BestTableAccess computes the cheapest access path for one base table of a
@@ -46,42 +122,116 @@ func (e *Env) PrepareAccess(sel *sqlparse.SelectStmt) *AccessContext {
 // which is what makes INUM's configuration sweep orders of magnitude
 // cheaper than full re-optimization (experiment E8).
 func (e *Env) BestTableAccess(sel *sqlparse.SelectStmt, table string, required []OrderKey) (TableAccess, error) {
-	return e.BestAccessWith(e.PrepareAccess(sel), table, required)
+	return e.BestAccessWith(e.PrepareAccess(sel), table, DesignOn(e.Config, table), required)
 }
 
-// BestAccessWith is BestTableAccess with a precomputed AccessContext.
-func (e *Env) BestAccessWith(ctx *AccessContext, table string, required []OrderKey) (TableAccess, error) {
+// BestAccessWith is BestTableAccess with a precomputed AccessContext and an
+// explicit table design; e.Config is not consulted.
+func (e *Env) BestAccessWith(ctx *AccessContext, table string, d TableDesign, required []OrderKey) (TableAccess, error) {
+	s, err := e.scanOf(ctx, table, d)
+	if err != nil {
+		return TableAccess{}, err
+	}
+	c := s.choose(required)
+	return TableAccess{Node: s.node(c), Cost: c.cost, Sorted: c.sorted}, nil
+}
+
+// scanOf starts access-path selection for one table of an analyzed query.
+func (e *Env) scanOf(ctx *AccessContext, table string, d TableDesign) (tableScan, error) {
 	if e.Schema.Table(table) == nil {
-		return TableAccess{}, fmt.Errorf("optimizer: unknown table %q", table)
+		return tableScan{}, fmt.Errorf("optimizer: unknown table %q", table)
 	}
 	lt := strings.ToLower(table)
+	return e.newTableScan(lt, d, ctx.Filters[lt], ctx.Needed[lt], ctx.Star), nil
+}
+
+// AccessCosts is the Cost of BestAccessWith for each of the required orders
+// (nil = any order), sharing the table's scan analysis between them and
+// building no plan node. This is what INUM computes on a memo miss, with a
+// design holding the structures CanUse admits and nothing else.
+func (e *Env) AccessCosts(ctx *AccessContext, table string, d TableDesign, orders [][]OrderKey) ([]float64, error) {
+	s, err := e.scanOf(ctx, table, d)
+	if err != nil {
+		return nil, err
+	}
+	costs := make([]float64, len(orders))
+	for i, required := range orders {
+		costs[i] = s.choose(required).cost
+	}
+	return costs, nil
+}
+
+// accessChoice is the outcome of access-path selection for one required
+// order: the winning path (ix == nil: the sequential scan), whether it is
+// scanned backward, and its cost including the sort when one is needed.
+type accessChoice struct {
+	ix       *catalog.Index
+	use      indexUse
+	backward bool
+	cost     float64
+	sorted   bool
+}
+
+// choose picks the table's cheapest access under its design. No path that
+// loses is ever built: candidates are compared as index uses, by value.
+func (s *tableScan) choose(required []OrderKey) accessChoice {
 	var wanted [][]OrderKey
 	if len(required) > 0 {
-		wanted = append(wanted, required)
+		wanted = [][]OrderKey{required}
 	}
-	paths := e.scanPaths(lt, ctx.Filters[lt], ctx.Needed[lt], ctx.Star, wanted)
-	if len(paths) == 0 {
-		return TableAccess{}, fmt.Errorf("optimizer: no access path for table %q", table)
-	}
-	if len(required) == 0 {
-		p := cheapest(paths)
-		return TableAccess{Node: p, Cost: p.TotalCost}, nil
-	}
-	// Prefer a path that already delivers the order; otherwise sort the
-	// cheapest one.
-	var ordered *Node
-	for _, p := range paths {
-		if orderSatisfies(p.Order, required) && (ordered == nil || p.TotalCost < ordered.TotalCost) {
-			ordered = p
+	// cheap is the cheapest path of any order; ordered the cheapest that
+	// delivers the required order, scanning forward or backward. Ties keep
+	// the earlier path, as cheapest() does.
+	cheap := accessChoice{cost: s.seqCost}
+	ordered, haveOrdered := accessChoice{}, false
+	if !s.e.Opts.DisableIndexScan {
+		for _, ix := range s.indexes {
+			if ix.Kind == catalog.KindAggView {
+				continue
+			}
+			u, ok := s.indexAccess(ix, wanted)
+			if !ok {
+				continue
+			}
+			if u.total < cheap.cost {
+				cheap = accessChoice{ix: ix, use: u, cost: u.total}
+			}
+			if len(required) == 0 {
+				continue
+			}
+			forward := indexDelivers(s.table, ix, required, false)
+			if (forward || indexDelivers(s.table, ix, required, true)) && (!haveOrdered || u.total < ordered.cost) {
+				ordered, haveOrdered = accessChoice{ix: ix, use: u, backward: !forward, cost: u.total}, true
+			}
 		}
 	}
-	cheap := cheapest(paths)
-	_, sortTotal := e.Params.sortCost(cheap.EstRows)
-	sortedCost := cheap.TotalCost + sortTotal
-	if ordered != nil && ordered.TotalCost <= sortedCost {
-		return TableAccess{Node: ordered, Cost: ordered.TotalCost}, nil
+	if len(required) == 0 {
+		return cheap
 	}
-	return TableAccess{Node: cheap, Cost: sortedCost, Sorted: true}, nil
+	// Prefer a path that already delivers the order; otherwise sort the
+	// cheapest one (every path of a table estimates the same row count).
+	_, sortTotal := s.e.Params.sortCost(s.outRows)
+	sortedCost := cheap.cost + sortTotal
+	if haveOrdered && ordered.cost <= sortedCost {
+		return ordered
+	}
+	cheap.cost, cheap.sorted = sortedCost, true
+	return cheap
+}
+
+// node builds the scan node of a choice.
+func (s *tableScan) node(c accessChoice) *Node {
+	if c.ix == nil {
+		return s.seqNode()
+	}
+	n := s.indexNode(c.ix, c.use)
+	if c.backward {
+		n.Backward = true
+		for i := range n.Order {
+			n.Order[i].Desc = true
+		}
+	}
+	return n
 }
 
 // ScanCostTotal sums the total costs of all leaf scan nodes in a plan. The

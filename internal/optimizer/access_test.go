@@ -144,3 +144,94 @@ func TestOrderKeyAndAggSpecStrings(t *testing.T) {
 		t.Fatalf("AggSpec = %q", a.String())
 	}
 }
+
+// TestCanUseMirrorsPathGeneration walks the relevance rule case by case and
+// checks each verdict against what path generation does with the structure:
+// a structure CanUse rejects must leave every access cost where it was.
+func TestCanUseMirrorsPathGeneration(t *testing.T) {
+	env := testEnv(t, nil)
+	sel := resolvedStmt(t, env, "SELECT ra, dec FROM photoobj WHERE type = 3 ORDER BY dec")
+	ctx := env.PrepareAccess(sel)
+	byObjid := [][]optimizer.OrderKey{nil, {{Table: "photoobj", Column: "objid"}}}
+	cases := []struct {
+		name   string
+		ix     *catalog.Index
+		orders [][]optimizer.OrderKey
+		want   bool
+	}{
+		{"leading column filtered", hypoIndex(env, "photoobj", "type", "objid"), nil, true},
+		{"leading column only projected", hypoIndex(env, "photoobj", "ra"), nil, true},
+		{"covering, leading column unreferenced", hypoIndex(env, "photoobj", "objid", "ra", "dec", "type"), nil, true},
+		{"unreferenced and not covering", hypoIndex(env, "photoobj", "objid", "ra"), nil, false},
+		{"the same, leading a required order", hypoIndex(env, "photoobj", "objid", "ra"), byObjid, true},
+		{"aggregate view on a plain query", &catalog.Index{Table: "photoobj", Columns: []string{"type"}, Kind: catalog.KindAggView, Aggs: []string{"count(*)"}}, nil, false},
+	}
+	bare, err := env.AccessCosts(ctx, "photoobj", optimizer.TableDesign{}, byObjid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range cases {
+		if got := ctx.CanUse("photoobj", tc.ix, tc.orders); got != tc.want {
+			t.Errorf("%s: CanUse = %v, want %v", tc.name, got, tc.want)
+		}
+		if tc.want {
+			continue
+		}
+		with, err := env.AccessCosts(ctx, "photoobj", optimizer.TableDesign{Indexes: []*catalog.Index{tc.ix}}, tc.orders)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range with {
+			if with[i] != bare[i] {
+				t.Errorf("%s: rejected, yet access cost %d moved from %v to %v", tc.name, i, bare[i], with[i])
+			}
+		}
+	}
+
+	star := env.PrepareAccess(resolvedStmt(t, env, "SELECT * FROM field"))
+	if star.CanUse("field", hypoIndex(env, "field", "quality", "fieldid"), nil) {
+		t.Error("SELECT * admits no index-only scan: a covering index with an unreferenced leading column is invisible")
+	}
+	agg := env.PrepareAccess(resolvedStmt(t, env, "SELECT type, COUNT(*) FROM photoobj GROUP BY type"))
+	view := func(keys ...string) *catalog.Index {
+		return &catalog.Index{Table: "photoobj", Columns: keys, Kind: catalog.KindAggView, Aggs: []string{"count(*)"}}
+	}
+	if !agg.CanUse("photoobj", view("type", "fieldid"), nil) || agg.CanUse("photoobj", view("fieldid"), nil) {
+		t.Error("an aggregate view is usable exactly when the query's group keys are among its keys")
+	}
+}
+
+// TestAccessCostsIsBestAccessCost holds AccessCosts to BestAccessWith, order
+// by order, under a design with matching, ordering and useless indexes.
+func TestAccessCostsIsBestAccessCost(t *testing.T) {
+	env := testEnv(t, nil)
+	sel := resolvedStmt(t, env, "SELECT objid, ra FROM photoobj WHERE psfmag_r < 18 AND type = 3")
+	ctx := env.PrepareAccess(sel)
+	d := optimizer.TableDesign{Indexes: []*catalog.Index{
+		hypoIndex(env, "photoobj", "type", "psfmag_r"),
+		hypoIndex(env, "photoobj", "ra"),
+		hypoIndex(env, "photoobj", "fieldid"),
+	}}
+	orders := [][]optimizer.OrderKey{
+		nil,
+		{{Table: "photoobj", Column: "ra"}},
+		{{Table: "photoobj", Column: "ra", Desc: true}},
+		{{Table: "photoobj", Column: "dec"}},
+	}
+	costs, err := env.AccessCosts(ctx, "photoobj", d, orders)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, required := range orders {
+		acc, err := env.BestAccessWith(ctx, "photoobj", d, required)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if costs[i] != acc.Cost {
+			t.Errorf("order %v: AccessCosts %v, BestAccessWith %v", required, costs[i], acc.Cost)
+		}
+	}
+	if _, err := env.AccessCosts(ctx, "nosuch", d, orders); err == nil {
+		t.Error("unknown table should error")
+	}
+}

@@ -77,7 +77,7 @@ func BenchmarkBestTableAccess(b *testing.B) {
 	ctx := env.PrepareAccess(sel)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := env.BestAccessWith(ctx, "photoobj", nil); err != nil {
+		if _, err := env.BestAccessWith(ctx, "photoobj", optimizer.DesignOn(env.Config, "photoobj"), nil); err != nil {
 			b.Fatal(err)
 		}
 	}

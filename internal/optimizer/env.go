@@ -90,18 +90,3 @@ func (e *Env) tableStats(table string) *stats.TableStats {
 func neededColumns(sel *sqlparse.SelectStmt) (map[string]map[string]bool, bool) {
 	return sqlparse.ReferencedColumns(sel)
 }
-
-// columnsOf returns the needed-column set for a table as a sorted slice.
-func columnsOf(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for c := range m {
-		out = append(out, c)
-	}
-	// Deterministic order keeps plans and EXPLAIN output stable.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}

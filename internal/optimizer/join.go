@@ -32,7 +32,7 @@ func (s *joinState) bestJoin() []*Node {
 
 	// Base: single-table access paths.
 	for i, t := range s.tables {
-		paths := s.env.scanPaths(t, s.filters[t], s.needed[t], s.star, s.wantedOrders)
+		paths := s.env.scanPaths(t, DesignOn(s.env.Config, t), s.filters[t], s.needed[t], s.star, s.wantedOrders)
 		s.memo[1<<i] = prunePaths(paths, s.wantedOrders)
 	}
 	if n == 1 {

@@ -31,11 +31,12 @@ import (
 // attempted, preserving bit-identical plans for index-only workloads.
 
 // BestMVRewriteCost returns the total cost of the cheapest MV-rewrite plan
-// for a resolved statement under e.Config, or -1 when no configured
-// aggregate view applies. INUM's CostFor takes the min of this against its
-// template costs: an MV rewrite replaces scan and aggregation wholesale, so
-// its benefit cannot flow through per-table access-cost plugging.
-func (e *Env) BestMVRewriteCost(sel *sqlparse.SelectStmt) float64 {
+// for a resolved statement over the given structures (anything but an
+// aggregate view on the statement's table is skipped), or -1 when none applies.
+// e.Config is not consulted. INUM's CostFor takes the min of this against
+// its template costs: an MV rewrite replaces scan and aggregation wholesale,
+// so its benefit cannot flow through per-table access-cost plugging.
+func (e *Env) BestMVRewriteCost(sel *sqlparse.SelectStmt, views []*catalog.Index) float64 {
 	if len(sel.From) != 1 {
 		return -1
 	}
@@ -43,7 +44,7 @@ func (e *Env) BestMVRewriteCost(sel *sqlparse.SelectStmt) float64 {
 	if t == nil {
 		return -1
 	}
-	n := e.bestMVRewrite(sel, catalog.NormCol(t.Name))
+	n := e.bestMVRewrite(sel, catalog.NormCol(t.Name), views)
 	if n == nil {
 		return -1
 	}
@@ -51,11 +52,12 @@ func (e *Env) BestMVRewriteCost(sel *sqlparse.SelectStmt) float64 {
 }
 
 // bestMVRewrite returns the cheapest finished MV-rewrite plan for the
-// statement, or nil when no configured aggregate view applies.
-func (e *Env) bestMVRewrite(sel *sqlparse.SelectStmt, table string) *Node {
+// statement over the given structures, or nil when no aggregate view on its
+// table among them applies.
+func (e *Env) bestMVRewrite(sel *sqlparse.SelectStmt, table string, views []*catalog.Index) *Node {
 	var best *Node
-	for _, mv := range e.Config.IndexesOn(table) {
-		if mv.Kind != catalog.KindAggView {
+	for _, mv := range views {
+		if mv.Kind != catalog.KindAggView || catalog.NormCol(mv.Table) != table {
 			continue
 		}
 		n := e.mvRewritePlan(sel, table, mv)

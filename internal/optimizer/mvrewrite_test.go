@@ -27,7 +27,7 @@ func bestMVCost(t *testing.T, env *optimizer.Env, sql string) float64 {
 	if err := sqlparse.Resolve(sel, env.Schema); err != nil {
 		t.Fatal(err)
 	}
-	return env.BestMVRewriteCost(sel)
+	return env.BestMVRewriteCost(sel, env.Config.Indexes)
 }
 
 func TestMVRewriteApplicability(t *testing.T) {

@@ -87,7 +87,7 @@ func (e *Env) Optimize(sel *sqlparse.SelectStmt) (*Plan, error) {
 	// the rewrite replaces scan+aggregation wholesale, so it cannot be
 	// composed from per-table access paths.
 	if len(tables) == 1 {
-		if mv := e.bestMVRewrite(sel, tables[0]); mv != nil && mv.TotalCost < best.TotalCost {
+		if mv := e.bestMVRewrite(sel, tables[0], e.Config.Indexes); mv != nil && mv.TotalCost < best.TotalCost {
 			best = mv
 		}
 	}

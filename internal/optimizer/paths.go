@@ -7,20 +7,47 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/sqlparse"
+	"repro/internal/stats"
 )
 
-// scanPaths enumerates access paths for one base table: a sequential scan
-// (partition-aware), plus one path per usable index (index scan or
-// index-only scan). wantedOrders lists single-table sort orders that would
-// be useful upstream (ORDER BY, GROUP BY, merge-join keys); full index
-// scans that deliver one are kept even without matching predicates.
-func (e *Env) scanPaths(
-	table string,
-	filters []sqlparse.Expr,
-	needed map[string]bool,
-	star bool,
-	wantedOrders [][]OrderKey,
-) []*Node {
+// TableDesign is the slice of a physical configuration one table's access
+// paths can see: the structures defined on the table and its partition
+// layouts. Nothing else in a Configuration can change what scanPaths or
+// BestAccessWith compute for that table.
+type TableDesign struct {
+	Indexes    []*catalog.Index
+	Vertical   *catalog.VerticalLayout
+	Horizontal *catalog.HorizontalLayout
+}
+
+// DesignOn extracts one table's slice of a configuration.
+func DesignOn(cfg *catalog.Configuration, table string) TableDesign {
+	return TableDesign{
+		Indexes:    cfg.IndexesOn(table),
+		Vertical:   cfg.VerticalOn(table),
+		Horizontal: cfg.HorizontalOn(table),
+	}
+}
+
+// tableScan holds what every access path of one table shares: the
+// structures to try, the query's filters and needed columns on the table,
+// the row estimates, and the sequential scan's cost under the table's
+// partition layouts.
+type tableScan struct {
+	e       *Env
+	table   string
+	indexes []*catalog.Index
+	filters []sqlparse.Expr
+	needed  map[string]bool
+	star    bool
+	ts      *stats.TableStats
+	rows    float64
+	baseSel float64
+	outRows float64
+	seqCost float64
+}
+
+func (e *Env) newTableScan(table string, d TableDesign, filters []sqlparse.Expr, needed map[string]bool, star bool) tableScan {
 	ts := e.tableStats(table)
 	rows := float64(ts.RowCount)
 	baseSel := e.SelectivityAll(filters)
@@ -28,36 +55,55 @@ func (e *Env) scanPaths(
 	if outRows < 1 && rows > 0 {
 		outRows = 1
 	}
-
-	var paths []*Node
-
-	// --- Sequential scan (always available as the fallback). -------------
-	effPages, cpuRows, fragJoinCPU := e.effectiveScanFootprint(table, ts.Pages, rows, filters, needed, star)
-	seq := &Node{
-		Kind:    NodeSeqScan,
-		Table:   table,
-		Filter:  filters,
-		EstRows: outRows,
-	}
-	seq.TotalCost = e.Params.seqScanCost(effPages, cpuRows, len(filters)) + fragJoinCPU
+	effPages, cpuRows, fragJoinCPU := e.effectiveScanFootprint(table, d, ts.Pages, rows, filters, needed, star)
+	seqCost := e.Params.seqScanCost(effPages, cpuRows, len(filters)) + fragJoinCPU
 	if e.Opts.DisableSeqScan {
-		seq.TotalCost += 1e7 // discouraged, not impossible (PostgreSQL's enable_seqscan)
+		seqCost += 1e7 // discouraged, not impossible (PostgreSQL's enable_seqscan)
 	}
-	paths = append(paths, seq)
+	return tableScan{
+		e: e, table: table, indexes: d.Indexes, filters: filters, needed: needed, star: star,
+		ts: ts, rows: rows, baseSel: baseSel, outRows: outRows, seqCost: seqCost,
+	}
+}
 
+// seqNode is the sequential scan, always available as the fallback.
+func (s *tableScan) seqNode() *Node {
+	return &Node{
+		Kind:      NodeSeqScan,
+		Table:     s.table,
+		Filter:    s.filters,
+		EstRows:   s.outRows,
+		TotalCost: s.seqCost,
+	}
+}
+
+// scanPaths enumerates access paths for one base table under its design: a
+// sequential scan (partition-aware), plus one path per usable index (index
+// scan or index-only scan). wantedOrders lists single-table sort orders that
+// would be useful upstream (ORDER BY, GROUP BY, merge-join keys); full index
+// scans that deliver one are kept even without matching predicates.
+func (e *Env) scanPaths(
+	table string,
+	d TableDesign,
+	filters []sqlparse.Expr,
+	needed map[string]bool,
+	star bool,
+	wantedOrders [][]OrderKey,
+) []*Node {
+	s := e.newTableScan(table, d, filters, needed, star)
+	paths := []*Node{s.seqNode()}
 	if e.Opts.DisableIndexScan {
 		return paths
 	}
-
-	// --- Index paths. -----------------------------------------------------
-	for _, ix := range e.Config.IndexesOn(table) {
+	for _, ix := range s.indexes {
 		if ix.Kind == catalog.KindAggView {
 			continue // aggregate views rewrite whole queries, not row scans
 		}
-		n := e.indexPath(table, ix, filters, needed, star, wantedOrders, float64(ts.Pages), rows, baseSel, outRows)
-		if n == nil {
+		u, ok := s.indexAccess(ix, wantedOrders)
+		if !ok {
 			continue
 		}
+		n := s.indexNode(ix, u)
 		paths = append(paths, n)
 		// A backward twin serves descending wanted orders at equal cost.
 		if bw := backwardTwin(n, wantedOrders); bw != nil {
@@ -70,17 +116,9 @@ func (e *Env) scanPaths(
 // backwardTwin clones an index path scanning in reverse when some wanted
 // order requires descending delivery the forward scan cannot provide.
 func backwardTwin(n *Node, wantedOrders [][]OrderKey) *Node {
-	if len(n.Order) == 0 {
-		return nil
-	}
-	reversed := make([]OrderKey, len(n.Order))
-	for i, k := range n.Order {
-		k.Desc = !k.Desc
-		reversed[i] = k
-	}
 	useful := false
 	for _, w := range wantedOrders {
-		if len(w) > 0 && orderSatisfies(reversed, w) && !orderSatisfies(n.Order, w) {
+		if len(w) > 0 && indexDelivers(n.Table, n.Index, w, true) && !indexDelivers(n.Table, n.Index, w, false) {
 			useful = true
 			break
 		}
@@ -90,36 +128,74 @@ func backwardTwin(n *Node, wantedOrders [][]OrderKey) *Node {
 	}
 	bw := *n
 	bw.Backward = true
-	bw.Order = reversed
+	bw.Order = make([]OrderKey, len(n.Order))
+	for i, k := range n.Order {
+		k.Desc = !k.Desc
+		bw.Order[i] = k
+	}
 	return &bw
 }
 
-// indexPath builds the best use of one index for the table's filters, or
-// nil when the index is useless for this query.
-func (e *Env) indexPath(
-	table string, ix *catalog.Index,
-	filters []sqlparse.Expr,
-	needed map[string]bool, star bool,
-	wantedOrders [][]OrderKey,
-	heapPages, heapRows, baseSel, outRows float64,
-) *Node {
-	n := &Node{
-		Kind:    NodeIndexScan,
-		Table:   table,
-		Index:   ix,
-		EstRows: outRows,
+// indexDelivers reports whether scanning the index forward (desc false: its
+// columns ascending) or backward (all descending) satisfies the wanted
+// order — orderSatisfies against the order the scan would deliver, without
+// building it.
+func indexDelivers(table string, ix *catalog.Index, want []OrderKey, desc bool) bool {
+	if len(want) > len(ix.Columns) {
+		return false
 	}
+	for i, w := range want {
+		if !strings.EqualFold(table, w.Table) || !strings.EqualFold(ix.Columns[i], w.Column) || w.Desc != desc {
+			return false
+		}
+	}
+	return true
+}
+
+// indexUse is the best use of one index for a table's filters: what the
+// leading columns matched, what is left to filter, and the price. It is a
+// value, so an index that loses to another path costs no allocation beyond
+// the bounds it matched.
+type indexUse struct {
+	eqVals   []catalog.Datum
+	inVals   []catalog.Datum
+	hasRange bool
+	loVal    catalog.Datum
+	hiVal    catalog.Datum
+	loIncl   bool
+	hiIncl   bool
+	// residual is what the index did not match; it aliases the table's
+	// filter list when nothing matched.
+	residual  []sqlparse.Expr
+	indexOnly bool
+	startup   float64
+	total     float64
+}
+
+// indexAccess works out the best use of one index for the table's filters,
+// or reports false when the index is useless for this query.
+func (s *tableScan) indexAccess(ix *catalog.Index, wantedOrders [][]OrderKey) (indexUse, bool) {
+	e := s.e
+	var u indexUse
 
 	// Match filters against the index's leading columns: an equality per
 	// column while possible, then one IN-list (multi-probe) or one range
 	// bound, then stop. A range may also follow the IN column, applied per
 	// probe.
-	remaining := append([]sqlparse.Expr(nil), filters...)
+	remaining := s.filters
+	owned := false // remaining is copied before its first removal
+	drop := func(i int) {
+		if !owned {
+			remaining = append([]sqlparse.Expr(nil), remaining...)
+			owned = true
+		}
+		remaining = append(remaining[:i], remaining[i+1:]...)
+	}
 	indexSel := 1.0
 	matchedAny := false
 
-	// matchRange consumes range conjuncts on idxCol into the node's range
-	// bound and reports whether anything matched.
+	// matchRange consumes range conjuncts on idxCol into the range bound and
+	// reports whether anything matched.
 	matchRange := func(idxCol string) bool {
 		lo, hi := catalog.Null(), catalog.Null()
 		loIncl, hiIncl := false, false
@@ -144,12 +220,12 @@ func (e *Env) indexPath(
 				hi, hiIncl = sr.Value, true
 			}
 			rangeSel *= e.Selectivity(remaining[i])
-			remaining = append(remaining[:i], remaining[i+1:]...)
+			drop(i)
 			found = true
 		}
 		if found {
-			n.HasRange = true
-			n.LoVal, n.HiVal, n.LoIncl, n.HiIncl = lo, hi, loIncl, hiIncl
+			u.hasRange = true
+			u.loVal, u.hiVal, u.loIncl, u.hiIncl = lo, hi, loIncl, hiIncl
 			indexSel *= rangeSel
 			matchedAny = true
 		}
@@ -174,9 +250,9 @@ func (e *Env) indexPath(
 			}
 		}
 		if found >= 0 {
-			n.EqVals = append(n.EqVals, foundSr.Value)
+			u.eqVals = append(u.eqVals, foundSr.Value)
 			indexSel *= e.Selectivity(remaining[found])
-			remaining = append(remaining[:found], remaining[found+1:]...)
+			drop(found)
 			matchedAny = true
 			continue
 		}
@@ -207,13 +283,13 @@ func (e *Env) indexPath(
 		if inFound >= 0 {
 			in := remaining[inFound].(*sqlparse.InExpr)
 			for _, item := range in.List {
-				n.InVals = append(n.InVals, item.(*sqlparse.Literal).Value)
+				u.inVals = append(u.inVals, item.(*sqlparse.Literal).Value)
 			}
 			// Probing in ascending value order keeps the concatenated
 			// output globally sorted in index order.
-			sort.Slice(n.InVals, func(a, b int) bool { return n.InVals[a].Less(n.InVals[b]) })
+			sort.Slice(u.inVals, func(a, b int) bool { return u.inVals[a].Less(u.inVals[b]) })
 			indexSel *= e.Selectivity(in)
-			remaining = append(remaining[:inFound], remaining[inFound+1:]...)
+			drop(inFound)
 			matchedAny = true
 			// A range on the column after the IN applies within each probe.
 			if pos+1 < len(ix.Columns) {
@@ -226,57 +302,69 @@ func (e *Env) indexPath(
 		break
 	}
 
-	n.Filter = remaining
+	u.residual = remaining
+	u.indexOnly = !s.star && ix.CoversAll(s.needed) && len(remaining) == 0
 
-	neededCols := columnsOf(needed)
-	indexOnly := !star && ix.Covers(neededCols) && len(remaining) == 0
-	if indexOnly {
-		n.Kind = NodeIndexOnlyScan
-	}
-
-	// Delivered order: the index's columns ascending.
-	for _, c := range ix.Columns {
-		n.Order = append(n.Order, OrderKey{Table: table, Column: c})
-	}
-
-	if !matchedAny {
+	if !matchedAny && !u.indexOnly {
 		// A full index scan is only worth keeping when it delivers a wanted
 		// order (forward or backward) or can answer the query from the
 		// index alone.
-		reversed := make([]OrderKey, len(n.Order))
-		for i, k := range n.Order {
-			k.Desc = !k.Desc
-			reversed[i] = k
-		}
 		deliversWanted := false
 		for _, w := range wantedOrders {
-			if len(w) > 0 && (orderSatisfies(n.Order, w) || orderSatisfies(reversed, w)) {
+			if len(w) > 0 && (indexDelivers(s.table, ix, w, false) || indexDelivers(s.table, ix, w, true)) {
 				deliversWanted = true
 				break
 			}
 		}
-		if !deliversWanted && !indexOnly {
-			return nil
+		if !deliversWanted {
+			return indexUse{}, false
 		}
 	}
 
-	ts := e.tableStats(table)
 	corr := 0.0
-	if cs := ts.Column(ix.LeadingColumn()); cs != nil {
+	if cs := s.ts.Column(ix.LeadingColumn()); cs != nil {
 		corr = cs.Correlation
 	}
-	geom := e.geometry(ix, ts)
+	geom := e.geometry(ix, s.ts)
 	heapSel := indexSel
-	startup, total := e.Params.indexScanCost(
-		geom, heapPages, heapRows, indexSel, heapSel, corr,
-		indexOnly, len(remaining), 1,
+	u.startup, u.total = e.Params.indexScanCost(
+		geom, float64(s.ts.Pages), s.rows, indexSel, heapSel, corr,
+		u.indexOnly, len(remaining), 1,
 	)
 	// A multi-probe scan repeats the tree descent once per IN value.
-	if probes := len(n.InVals); probes > 1 {
+	if probes := len(u.inVals); probes > 1 {
 		extra := float64(probes-1) * float64(geom.height) * e.Params.RandomPageCost * 0.5
-		total += extra
+		u.total += extra
 	}
-	n.StartupCost, n.TotalCost = startup, total
+	return u, true
+}
+
+// indexNode builds the scan node of a kept index use. Delivered order: the
+// index's columns ascending.
+func (s *tableScan) indexNode(ix *catalog.Index, u indexUse) *Node {
+	n := &Node{
+		Kind:        NodeIndexScan,
+		Table:       s.table,
+		Index:       ix,
+		EqVals:      u.eqVals,
+		HasRange:    u.hasRange,
+		LoVal:       u.loVal,
+		HiVal:       u.hiVal,
+		LoIncl:      u.loIncl,
+		HiIncl:      u.hiIncl,
+		InVals:      u.inVals,
+		Filter:      u.residual,
+		EstRows:     s.outRows,
+		StartupCost: u.startup,
+		TotalCost:   u.total,
+		Order:       make([]OrderKey, len(ix.Columns)),
+	}
+	if u.indexOnly {
+		n.Kind = NodeIndexOnlyScan
+	}
+	for i, c := range ix.Columns {
+		n.Order[i] = OrderKey{Table: s.table, Column: c}
+	}
 	return n
 }
 
@@ -321,8 +409,7 @@ func (e *Env) innerIndexPath(
 		filterSel := e.SelectivityAll(filters)
 		n.EstRows = math.Max(rows*indexSel*filterSel, 0)
 
-		neededCols := columnsOf(needed)
-		indexOnly := !star && ix.Covers(neededCols) && len(filters) == 0
+		indexOnly := !star && ix.CoversAll(needed) && len(filters) == 0
 		if indexOnly {
 			n.Kind = NodeIndexOnlyScan
 		}
@@ -351,7 +438,7 @@ func (e *Env) innerIndexPath(
 //   - A horizontal layout prunes range fragments that cannot satisfy a
 //     sargable predicate on the partition column.
 func (e *Env) effectiveScanFootprint(
-	table string, pages int64, rows float64,
+	table string, d TableDesign, pages int64, rows float64,
 	filters []sqlparse.Expr,
 	needed map[string]bool, star bool,
 ) (effPages, cpuRows, fragJoinCPU float64) {
@@ -363,7 +450,7 @@ func (e *Env) effectiveScanFootprint(
 	}
 
 	// Vertical layout: scan only the fragments covering needed columns.
-	if v := e.Config.VerticalOn(table); v != nil && !star {
+	if v := d.Vertical; v != nil && !star {
 		fullWidth := float64(t.RowWidthBytes())
 		pkWidth := 24 // tuple header
 		for _, pk := range t.PrimaryKey {
@@ -413,7 +500,7 @@ func (e *Env) effectiveScanFootprint(
 
 	// Horizontal layout: prune fragments by sargable bounds on the
 	// partition column.
-	if h := e.Config.HorizontalOn(table); h != nil {
+	if h := d.Horizontal; h != nil {
 		frac := e.horizontalCoverage(table, h, filters)
 		effPages = math.Max(math.Ceil(effPages*frac), 1)
 		cpuRows = math.Max(rows*frac, 1)
