@@ -139,10 +139,7 @@ type Autopilot struct {
 // with the currently materialized configuration. When opts.StatePath names
 // an existing snapshot, the autopilot resumes from it instead.
 func (d *Designer) NewAutopilot(topts TunerOptions, opts AutopilotOptions) (*Autopilot, error) {
-	d.mu.RLock()
-	initial := d.store.MaterializedConfiguration()
-	d.mu.RUnlock()
-	a, err := autopilot.New(d.eng, initial, opts.internal(topts))
+	a, err := autopilot.New(d.eng, d.eng.Pin().Base(), opts.internal(topts))
 	if err != nil {
 		return nil, err
 	}

@@ -119,7 +119,7 @@ type DatabaseInfo struct {
 func (d *Designer) Describe() DatabaseInfo {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	out := DatabaseInfo{Backend: backendInfoFromInternal(d.eng.Backend())}
+	out := DatabaseInfo{Backend: backendInfoFromInternal(d.eng.Pin().Backend())}
 	for _, t := range d.store.Schema.Tables() {
 		info := TableInfo{Name: t.Name, RowWidthBytes: t.RowWidthBytes()}
 		if h := d.store.Heap(t.Name); h != nil {
@@ -248,7 +248,7 @@ func (d *Designer) DriftStream(seed int64, perPhase int) ([]Query, error) {
 // HypotheticalIndex constructs a sized what-if index (leaf pages and
 // height estimated from statistics — the paper's honest-size requirement).
 func (d *Designer) HypotheticalIndex(table string, columns ...string) (Index, error) {
-	ix, err := d.eng.HypotheticalIndex(table, columns...)
+	ix, err := d.eng.Pin().Session().HypotheticalIndex(table, columns...)
 	if err != nil {
 		return Index{}, err
 	}
@@ -259,7 +259,7 @@ func (d *Designer) HypotheticalIndex(table string, columns ...string) (Index, er
 // key columns plus INCLUDE leaf columns, honestly sized over the combined
 // width so budget accounting charges for the payload it carries.
 func (d *Designer) HypotheticalProjection(table string, keys, include []string) (Index, error) {
-	ix, err := d.eng.HypotheticalProjection(table, keys, include)
+	ix, err := d.eng.Pin().Session().HypotheticalProjection(table, keys, include)
 	if err != nil {
 		return Index{}, err
 	}
@@ -271,7 +271,7 @@ func (d *Designer) HypotheticalProjection(table string, keys, include []string) 
 // like "count(*)", "sum(col)"), with the group count estimated from column
 // distinct-value statistics.
 func (d *Designer) HypotheticalAggView(table string, keys, aggs []string) (Index, error) {
-	ix, err := d.eng.HypotheticalAggView(table, keys, aggs)
+	ix, err := d.eng.Pin().Session().HypotheticalAggView(table, keys, aggs)
 	if err != nil {
 		return Index{}, err
 	}
@@ -284,7 +284,11 @@ func (d *Designer) Explain(q Query, cfg *Configuration) (string, error) {
 	if err := q.valid(); err != nil {
 		return "", err
 	}
-	return d.eng.Explain(q.stmt, d.currentConfig(cfg))
+	plan, err := d.eng.Pin().Optimize(q.stmt, cfg.internal())
+	if err != nil {
+		return "", err
+	}
+	return plan.Explain(), nil
 }
 
 // Execute runs a query against the store under the materialized design and
@@ -295,7 +299,7 @@ func (d *Designer) Execute(q Query) (*QueryResult, error) {
 	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	plan, err := d.eng.Optimize(q.stmt, d.store.MaterializedConfiguration())
+	plan, err := d.eng.Pin().Optimize(q.stmt, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -323,14 +327,14 @@ func (d *Designer) Cost(q Query, cfg *Configuration) (float64, error) {
 	if err := q.valid(); err != nil {
 		return 0, err
 	}
-	return d.eng.FullCost(q.stmt, d.currentConfig(cfg))
+	return d.eng.Pin().FullCost(q.stmt, cfg.internal())
 }
 
 // Evaluate reports per-query and workload-level benefits of a hypothetical
 // configuration versus the current materialized design. Queries are priced
 // in parallel; a cancelled context aborts mid-evaluation.
 func (d *Designer) Evaluate(ctx context.Context, w *Workload, cfg *Configuration) (*Report, error) {
-	rep, err := d.eng.Evaluate(ctx, w.internal(), cfg.internal())
+	rep, err := d.eng.Pin().Evaluate(ctx, w.internal(), cfg.internal())
 	if err != nil {
 		return nil, err
 	}
@@ -389,32 +393,18 @@ func (d *Designer) Materialize(ctx context.Context, indexes []Index) (IOStats, e
 	return ioFromInternal(total), nil
 }
 
-// currentConfig substitutes the live materialized design for nil.
-func (d *Designer) currentConfig(cfg *Configuration) *catalog.Configuration {
-	if cfg != nil {
-		return cfg.cfg
-	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.store.MaterializedConfiguration()
-}
-
 // NewOnlineTuner creates a COLT tuner seeded with the current materialized
 // design (Scenario 3). The tuner shares the designer's costing engine.
 func (d *Designer) NewOnlineTuner(opts TunerOptions) *Tuner {
-	d.mu.RLock()
-	initial := d.store.MaterializedConfiguration()
-	d.mu.RUnlock()
-	return &Tuner{t: newColtTuner(d.eng, initial, opts)}
+	return &Tuner{t: newColtTuner(d.eng, d.eng.Pin().Base(), opts)}
 }
 
 // AdviseGreedy runs the DTA-style greedy baseline over the same candidate
 // set CoPhy would use — the comparison the paper's introduction draws.
 func (d *Designer) AdviseGreedy(ctx context.Context, w *Workload, budgetPages int64) (*GreedyResult, error) {
-	iw := w.internal()
-	cands := d.eng.GenerateCandidates(iw, whatif.DefaultCandidateOptions())
-	adv := greedy.New(d.eng, cands)
-	res, err := adv.Advise(ctx, iw, greedy.Options{StorageBudgetPages: budgetPages, BenefitPerPage: true})
+	iw, v := w.internal(), d.eng.Pin()
+	cands := v.Session().GenerateCandidates(iw, whatif.DefaultCandidateOptions())
+	res, err := greedy.Advise(ctx, v, cands, iw, greedy.Options{StorageBudgetPages: budgetPages, BenefitPerPage: true})
 	if err != nil {
 		return nil, err
 	}
@@ -424,10 +414,9 @@ func (d *Designer) AdviseGreedy(ctx context.Context, w *Workload, budgetPages in
 // AdviseCoPhy runs only the CoPhy index advisor with explicit options. The
 // context is honored through atom pricing and every branch-and-bound node.
 func (d *Designer) AdviseCoPhy(ctx context.Context, w *Workload, opts SolverOptions) (*SolverResult, error) {
-	iw := w.internal()
-	cands := d.eng.GenerateCandidates(iw, whatif.DefaultCandidateOptions())
-	adv := cophy.New(d.eng, cands)
-	res, err := adv.Advise(ctx, iw, opts.internal())
+	iw, v := w.internal(), d.eng.Pin()
+	cands := v.Session().GenerateCandidates(iw, whatif.DefaultCandidateOptions())
+	res, err := cophy.New(d.eng, cands).AdviseView(ctx, v, iw, opts.internal())
 	if err != nil {
 		return nil, err
 	}
@@ -437,9 +426,8 @@ func (d *Designer) AdviseCoPhy(ctx context.Context, w *Workload, opts SolverOpti
 // AdvisePartitions runs only the AutoPart partition advisor on top of the
 // current materialized design (existing indexes keep pricing credit).
 func (d *Designer) AdvisePartitions(ctx context.Context, w *Workload, opts PartitionOptions) (*PartitionResult, error) {
-	iw := w.internal()
-	adv := autopart.New(d.eng)
-	res, err := adv.Advise(ctx, iw, d.currentConfig(nil), opts.internal())
+	iw, v := w.internal(), d.eng.Pin()
+	res, err := autopart.New(d.eng).AdviseView(ctx, v, iw, v.Base(), opts.internal())
 	if err != nil {
 		return nil, err
 	}
@@ -477,7 +465,7 @@ func (d *Designer) partitionResultFromInternal(w *workload.Workload, res *autopa
 // Interactions computes the index-interaction graph (Figure 2) for an
 // index set against the workload.
 func (d *Designer) Interactions(ctx context.Context, w *Workload, indexes []Index) (*InteractionGraph, error) {
-	g, err := interaction.Analyze(ctx, d.eng, w.internal(), indexesToInternal(indexes), interaction.DefaultOptions())
+	g, err := interaction.AnalyzeView(ctx, d.eng.Pin(), w.internal(), indexesToInternal(indexes), interaction.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -488,7 +476,7 @@ func (d *Designer) Interactions(ctx context.Context, w *Workload, indexes []Inde
 // an index set: each step builds the index with the best marginal
 // benefit-to-build-cost ratio given the prefix already built.
 func (d *Designer) ScheduleGreedy(ctx context.Context, w *Workload, indexes []Index) (*Schedule, error) {
-	s, err := schedule.New(d.eng).Greedy(ctx, w.internal(), indexesToInternal(indexes))
+	s, err := schedule.New(d.eng).GreedyView(ctx, d.eng.Pin(), w.internal(), indexesToInternal(indexes))
 	if err != nil {
 		return nil, err
 	}
@@ -498,7 +486,7 @@ func (d *Designer) ScheduleGreedy(ctx context.Context, w *Workload, indexes []In
 // ScheduleOblivious computes the interaction-oblivious baseline order:
 // indexes ranked once by standalone benefit per build cost.
 func (d *Designer) ScheduleOblivious(ctx context.Context, w *Workload, indexes []Index) (*Schedule, error) {
-	s, err := schedule.New(d.eng).Oblivious(ctx, w.internal(), indexesToInternal(indexes))
+	s, err := schedule.New(d.eng).ObliviousView(ctx, d.eng.Pin(), w.internal(), indexesToInternal(indexes))
 	if err != nil {
 		return nil, err
 	}

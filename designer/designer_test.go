@@ -2,6 +2,7 @@ package designer_test
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -75,6 +76,23 @@ func TestAdviseEndToEnd(t *testing.T) {
 	}
 	if advice.Graph == nil {
 		t.Fatal("interaction graph missing")
+	}
+	// The standalone scheduler entry point reproduces the pipeline's
+	// schedule for the advised set: same order, same area, bit for bit.
+	sched, err := d.ScheduleGreedy(context.Background(), w, advice.Indexes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sched.Steps) != len(advice.Schedule.Steps) ||
+		math.Float64bits(sched.AUC) != math.Float64bits(advice.Schedule.AUC) {
+		t.Fatalf("ScheduleGreedy: %d steps, AUC %v; advice.Schedule: %d steps, AUC %v",
+			len(sched.Steps), sched.AUC, len(advice.Schedule.Steps), advice.Schedule.AUC)
+	}
+	for i, st := range sched.Steps {
+		if st.Index.Key() != advice.Schedule.Steps[i].Index.Key() {
+			t.Fatalf("ScheduleGreedy step %d builds %s, advice.Schedule builds %s",
+				i, st.Index.Key(), advice.Schedule.Steps[i].Index.Key())
+		}
 	}
 	sum := advice.Summary()
 	for _, want := range []string{"Suggested indexes", "Workload benefit", "materialization schedule"} {
@@ -267,6 +285,51 @@ func TestExplainAndExecute(t *testing.T) {
 	if len(res.Rows) != 1 {
 		t.Fatalf("rows = %d, want 1", len(res.Rows))
 	}
+
+	// The zero-value Configuration is the empty design — not "whatever is
+	// materialized" — for every entry point that takes one. Tell the two
+	// apart on a designer whose materialized design serves the query.
+	ctx := context.Background()
+	ix, err := d.HypotheticalIndex("photoobj", "psfmag_r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Materialize(ctx, []designer.Index{ix}); err != nil {
+		t.Fatal(err)
+	}
+	w, err := d.WorkloadFromSQL([]string{"SELECT psfmag_r FROM photoobj WHERE psfmag_r BETWEEN 17 AND 18"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q = w.Query(0)
+	type answer struct {
+		cost, evaluated float64
+		plan            string
+	}
+	ask := func(cfg *designer.Configuration) answer {
+		t.Helper()
+		var a answer
+		var err error
+		if a.cost, err = d.Cost(q, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if a.plan, err = d.Explain(q, cfg); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := d.Evaluate(ctx, w, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.evaluated = rep.NewTotal
+		return a
+	}
+	zero, empty, materialized := ask(&designer.Configuration{}), ask(designer.NewConfiguration()), ask(nil)
+	if zero != empty {
+		t.Fatalf("&Configuration{} answers %+v, NewConfiguration() %+v", zero, empty)
+	}
+	if materialized.cost >= empty.cost || materialized.evaluated >= empty.evaluated || materialized.plan == empty.plan {
+		t.Fatalf("the materialized index does not tell the designs apart: nil %+v, empty %+v", materialized, empty)
+	}
 }
 
 func TestOnlineTunerIntegration(t *testing.T) {
@@ -389,5 +452,76 @@ func TestSessionPinIsolation(t *testing.T) {
 	if rep2.BaseTotal >= before.BaseTotal {
 		t.Fatalf("new session should see the cheaper materialized base: %v vs %v",
 			rep2.BaseTotal, before.BaseTotal)
+	}
+}
+
+// TestSessionPartitionBoundsArePinned: a session cuts range-partition bounds
+// from the statistics of the generation it pinned, not from whatever the
+// store holds by the time it is asked. Two sessions open on one generation;
+// the first partitions and evaluates, the table's ra distribution is then
+// moved and re-analyzed, and the second — still on the old generation —
+// must reproduce the first's report bit for bit.
+func TestSessionPartitionBoundsArePinned(t *testing.T) {
+	ctx := context.Background()
+	d, err := designer.OpenSDSS("tiny", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := d.GenerateWorkload(1, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	partitionAndEvaluate := func(s *designer.DesignSession) *designer.Report {
+		t.Helper()
+		if err := s.AddHorizontalPartition("photoobj", "ra", 4); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := s.Evaluate(ctx, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	a, b := d.NewDesignSession(), d.NewDesignSession()
+	repA := partitionAndEvaluate(a)
+
+	// 3,000 rows at the top of the ra range move every quantile.
+	photo, ok := d.DescribeTable("photoobj")
+	if !ok {
+		t.Fatal("no photoobj table")
+	}
+	rows := make([][]any, 3000)
+	for i := range rows {
+		row := make([]any, len(photo.Columns))
+		for c, col := range photo.Columns {
+			switch {
+			case col.Name == "objid":
+				row[c] = int64(900_000_000 + i)
+			case col.Name == "ra":
+				row[c] = 359.9
+			case col.Type == "BIGINT":
+				row[c] = int64(1)
+			default:
+				row[c] = 1.0
+			}
+		}
+		rows[i] = row
+	}
+	if err := d.InsertRows("photoobj", rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Analyze(); err != nil {
+		t.Fatal(err)
+	}
+
+	repB := partitionAndEvaluate(b)
+	if math.Float64bits(repA.BaseTotal) != math.Float64bits(repB.BaseTotal) ||
+		math.Float64bits(repA.NewTotal) != math.Float64bits(repB.NewTotal) {
+		t.Fatalf("two sessions on one generation disagree: %v -> %v before the re-analyze, %v -> %v after",
+			repA.BaseTotal, repA.NewTotal, repB.BaseTotal, repB.NewTotal)
+	}
+	// A session opened now sees the moved quantiles.
+	if repC := partitionAndEvaluate(d.NewDesignSession()); repC.NewTotal == repA.NewTotal {
+		t.Fatalf("re-analyzed statistics did not reach a new session: NewTotal %v", repC.NewTotal)
 	}
 }

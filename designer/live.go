@@ -214,11 +214,12 @@ func (lv *Live) CrossCheck(ctx context.Context, w *Workload, sample int, toleran
 		tolerance = 0.25
 	}
 	var items []livedb.CostedQuery
+	v := lv.eng.Pin()
 	for _, q := range w.internal().Queries {
 		if len(items) >= sample {
 			break
 		}
-		plan, err := lv.eng.Optimize(q.Stmt, lv.eng.Base())
+		plan, err := v.Optimize(q.Stmt, nil)
 		if err != nil {
 			return nil, fmt.Errorf("designer: cross-check %s: %w", q.ID, err)
 		}

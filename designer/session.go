@@ -50,13 +50,15 @@ type DesignSession struct {
 // NewDesignSession starts an interactive what-if session on top of the
 // current materialized design, pinned to the current engine generation.
 func (d *Designer) NewDesignSession() *DesignSession {
-	// Config read and generation pin must be atomic with respect to
-	// Materialize (which holds the write lock across the store mutation AND
-	// the engine invalidation): releasing between the two could hand the
-	// session an old base design paired with a newer engine generation.
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return &DesignSession{d: d, view: d.eng.Pin(), cfg: d.store.MaterializedConfiguration()}
+	return newDesignSession(d, d.eng.Pin())
+}
+
+// newDesignSession starts the session's design from the view's own base:
+// the view carries the design that was materialized when its generation was
+// built, so the session's starting point and the generation it prices on
+// cannot disagree, whatever Materialize does in the meantime.
+func newDesignSession(d *Designer, view *engine.View) *DesignSession {
+	return &DesignSession{d: d, view: view, cfg: view.Base().Clone()}
 }
 
 // SessionOptions configure an interactive what-if session.
@@ -81,13 +83,11 @@ func (d *Designer) NewDesignSessionWith(opts SessionOptions) (*DesignSession, er
 	if err != nil {
 		return nil, err
 	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
 	view, err := d.eng.PinBackend(espec)
 	if err != nil {
 		return nil, err
 	}
-	return &DesignSession{d: d, view: view, cfg: d.store.MaterializedConfiguration()}, nil
+	return newDesignSession(d, view), nil
 }
 
 // Backend reports the cost backend this session prices through.
@@ -187,7 +187,8 @@ func (s *DesignSession) AddVerticalPartition(table string, fragments [][]string)
 }
 
 // AddHorizontalPartition declares a hypothetical range layout with k
-// fragments split at histogram quantiles of the column.
+// fragments split at histogram quantiles of the column, read from the
+// statistics of the session's pinned generation.
 func (s *DesignSession) AddHorizontalPartition(table, column string, k int) error {
 	t := s.d.store.Schema.Table(table)
 	if t == nil {
@@ -199,9 +200,7 @@ func (s *DesignSession) AddHorizontalPartition(table, column string, k int) erro
 	if k < 2 {
 		return fmt.Errorf("designer: need at least 2 fragments, got %d", k)
 	}
-	s.d.mu.RLock()
-	ts := s.d.store.Stats.Table(table)
-	s.d.mu.RUnlock()
+	ts := s.view.Stats().Table(table)
 	if ts == nil {
 		return fmt.Errorf("designer: table %s has no statistics; run ANALYZE", table)
 	}

@@ -26,11 +26,13 @@
 // (AdviceOptions.CandidateOptions) and advisory-only; with the flags off,
 // candidate enumeration and advice are bit-identical to the index-only
 // designer. See README.md ("Design space"). All cost
-// estimation is unified behind repro/internal/engine — a concurrency-safe
-// handle that owns the optimizer environment and the what-if session with
-// explicit configuration versioning, sweeps candidate designs over a
-// bounded worker pool, and supports pinned generation views for
-// run-consistent advisors and isolated design sessions.
+// estimation is unified behind repro/internal/engine: an Engine builds
+// immutable, versioned generations of the optimizer environment, the
+// what-if session and the cost backend (a new one after Materialize or
+// Analyze), and a pinned View of one generation is the only what-if
+// interface — every advisor, session, observation and facade call pins
+// once and asks all its costing questions, sweeps over a bounded worker
+// pool included, on that view, so an answer never mixes two generations.
 //
 // Costing itself is pluggable — the paper's "portable" pillar: the engine
 // delegates every pricing call to a CostBackend. Three ship in-tree:

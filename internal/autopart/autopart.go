@@ -97,17 +97,11 @@ func New(eng *engine.Engine) *Advisor {
 	return &Advisor{eng: eng}
 }
 
-// Advise computes vertical (and optionally horizontal) layouts per table.
-// base is the configuration to extend (typically empty or the current
-// index set); it is not mutated. Candidate layouts within each search step
-// are priced with one parallel engine sweep.
-func (a *Advisor) Advise(ctx context.Context, w *workload.Workload, base *catalog.Configuration, opts Options) (*Result, error) {
-	// Pin one engine generation for the whole partitioning search.
-	return a.AdviseView(ctx, a.eng.Pin(), w, base, opts)
-}
-
-// AdviseView runs the partitioning search against one pinned engine
-// generation.
+// AdviseView computes vertical (and optionally horizontal) layouts per
+// table against one pinned engine generation. base is the configuration to
+// extend (typically empty or the current index set); it is not mutated.
+// Candidate layouts within each search step are priced with one parallel
+// sweep.
 func (a *Advisor) AdviseView(ctx context.Context, v *engine.View, w *workload.Workload, base *catalog.Configuration, opts Options) (*Result, error) {
 	if base == nil {
 		base = catalog.NewConfiguration()

@@ -14,6 +14,7 @@ import (
 
 type fixture struct {
 	eng    *engine.Engine
+	v      *engine.View
 	schema *catalog.Schema
 	adv    *autopart.Advisor
 	w      *workload.Workload
@@ -38,6 +39,7 @@ func newFixture(t *testing.T) *fixture {
 	}
 	return &fixture{
 		eng:    eng,
+		v:      eng.Pin(),
 		schema: store.Schema,
 		adv:    autopart.New(eng),
 		w:      w,
@@ -46,7 +48,7 @@ func newFixture(t *testing.T) *fixture {
 
 func TestAdviseVerticalImprovesWideTableWorkload(t *testing.T) {
 	f := newFixture(t)
-	res, err := f.adv.Advise(context.Background(), f.w, nil, autopart.DefaultOptions())
+	res, err := f.adv.AdviseView(context.Background(), f.v, f.w, nil, autopart.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +88,7 @@ func TestAdviseVerticalImprovesWideTableWorkload(t *testing.T) {
 
 func TestAdviseSkipsUnhelpfulTables(t *testing.T) {
 	f := newFixture(t)
-	res, err := f.adv.Advise(context.Background(), f.w, nil, autopart.DefaultOptions())
+	res, err := f.adv.AdviseView(context.Background(), f.v, f.w, nil, autopart.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +104,7 @@ func TestAdviseSkipsUnhelpfulTables(t *testing.T) {
 func TestHorizontalPartitioning(t *testing.T) {
 	f := newFixture(t)
 	opts := autopart.DefaultOptions()
-	res, err := f.adv.Advise(context.Background(), f.w, nil, opts)
+	res, err := f.adv.AdviseView(context.Background(), f.v, f.w, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +203,7 @@ func TestAdviseWithIndexesAsBase(t *testing.T) {
 		Name: "h", Table: "photoobj", Columns: []string{"ra"},
 		Hypothetical: true, EstimatedPages: 50, EstimatedHeight: 2,
 	})
-	res, err := f.adv.Advise(context.Background(), f.w, base, autopart.DefaultOptions())
+	res, err := f.adv.AdviseView(context.Background(), f.v, f.w, base, autopart.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

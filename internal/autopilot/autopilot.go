@@ -328,7 +328,7 @@ func (a *Autopilot) Adopt(ix *catalog.Index, promise float64) {
 		return
 	}
 	a.builds = append(a.builds, &buildState{
-		build:   engine.NewIndexBuild(ix, a.eng.Stats()),
+		build:   engine.NewIndexBuild(ix, a.eng.Pin().Stats()),
 		promise: promise,
 	})
 	a.record(Decision{Epoch: a.lastEpoch, Kind: KindAdopt, Index: key, Promised: promise, Note: "manual"})
@@ -430,19 +430,22 @@ func (a *Autopilot) buildQueuedLocked(key string) bool {
 
 // endEpochLocked runs the between-epochs control tasks, in a fixed order
 // so resumed runs replay identically: alerts -> builds -> probation ->
-// regret -> snapshot.
+// regret -> snapshot. One generation is pinned for the whole epoch, so
+// builds are sized, probation measured and regret sampled (live design and
+// oracle alike) against the same statistics and cache.
 func (a *Autopilot) endEpochLocked(ctx context.Context, epoch int) error {
 	window := a.window
 	a.window = nil
 	prevEpoch := a.lastEpoch
 	a.lastEpoch = epoch
 
-	a.consumeAlertsLocked(prevEpoch)
+	v := a.eng.Pin()
+	a.consumeAlertsLocked(v, prevEpoch)
 	a.advanceBuildsLocked(prevEpoch)
-	if err := a.measureProbationLocked(ctx, prevEpoch, window); err != nil {
+	if err := a.measureProbationLocked(ctx, v, prevEpoch, window); err != nil {
 		return err
 	}
-	if err := a.sampleRegretLocked(ctx, prevEpoch, window); err != nil {
+	if err := a.sampleRegretLocked(ctx, v, prevEpoch, window); err != nil {
 		return err
 	}
 	if a.opts.StatePath != "" {
@@ -454,7 +457,7 @@ func (a *Autopilot) endEpochLocked(ctx context.Context, epoch int) error {
 }
 
 // consumeAlertsLocked turns tuner alerts into drops and queued builds.
-func (a *Autopilot) consumeAlertsLocked(epoch int) {
+func (a *Autopilot) consumeAlertsLocked(v *engine.View, epoch int) {
 	alerts := a.pendingAlerts
 	a.pendingAlerts = nil
 	for _, al := range alerts {
@@ -491,7 +494,7 @@ func (a *Autopilot) consumeAlertsLocked(epoch int) {
 				continue
 			}
 			a.builds = append(a.builds, &buildState{
-				build:   engine.NewIndexBuild(ix, a.eng.Stats()),
+				build:   engine.NewIndexBuild(ix, v.Stats()),
 				promise: al.Scores[key],
 			})
 			a.record(Decision{Epoch: epoch, Kind: KindAdopt, Index: key, Promised: al.Scores[key]})
@@ -531,11 +534,10 @@ func (a *Autopilot) advanceBuildsLocked(epoch int) {
 
 // measureProbationLocked prices the epoch window with and without each
 // in-probation index and issues keep/rollback verdicts when probation ends.
-func (a *Autopilot) measureProbationLocked(ctx context.Context, epoch int, window []workload.Query) error {
+func (a *Autopilot) measureProbationLocked(ctx context.Context, v *engine.View, epoch int, window []workload.Query) error {
 	if len(a.probation) == 0 {
 		return nil
 	}
-	v := a.eng.Pin()
 	live := a.tuner.Current()
 	for _, key := range sortedKeys(a.probation) {
 		p := a.probation[key]
@@ -591,7 +593,7 @@ func (a *Autopilot) measureProbationLocked(ctx context.Context, epoch int, windo
 
 // sampleRegretLocked compares the live configuration to the oracle-best
 // subset of the strongest candidates over the epoch window.
-func (a *Autopilot) sampleRegretLocked(ctx context.Context, epoch int, window []workload.Query) error {
+func (a *Autopilot) sampleRegretLocked(ctx context.Context, v *engine.View, epoch int, window []workload.Query) error {
 	if a.opts.RegretCandidates == 0 || len(window) == 0 {
 		return nil
 	}
@@ -643,7 +645,6 @@ func (a *Autopilot) sampleRegretLocked(ctx context.Context, epoch int, window []
 		w.Queries[i] = nq
 	}
 
-	v := a.eng.Pin()
 	if err := v.Prepare(ctx, w, pool); err != nil {
 		return err
 	}
@@ -651,7 +652,7 @@ func (a *Autopilot) sampleRegretLocked(ctx context.Context, epoch int, window []
 	if err != nil {
 		return err
 	}
-	oracle, err := greedy.Exhaustive(ctx, a.eng, pool, w, a.opts.Colt.SpaceBudgetPages)
+	oracle, err := greedy.Exhaustive(ctx, v, pool, w, a.opts.Colt.SpaceBudgetPages)
 	if err != nil {
 		return err
 	}

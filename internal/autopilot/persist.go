@@ -142,9 +142,10 @@ func (a *Autopilot) load(path string) (bool, error) {
 	if st.Cooldown != nil {
 		a.cooldown = st.Cooldown
 	}
+	v := a.eng.Pin()
 	for _, pb := range st.Builds {
 		b := &buildState{
-			build:   restoreBuild(a, pb),
+			build:   restoreBuild(v, pb),
 			promise: pb.Promise,
 		}
 		a.builds = append(a.builds, b)
@@ -174,8 +175,8 @@ func (a *Autopilot) load(path string) (bool, error) {
 // restoreBuild reconstructs a tracker and replays its completed pages.
 // The same index spec and stats yield the same total, so progress resumes
 // exactly where the snapshot left off.
-func restoreBuild(a *Autopilot, pb persistedBuild) *engine.IndexBuild {
-	b := engine.NewIndexBuild(pb.Index.Index(), a.eng.Stats())
+func restoreBuild(v *engine.View, pb persistedBuild) *engine.IndexBuild {
+	b := engine.NewIndexBuild(pb.Index.Index(), v.Stats())
 	b.Advance(pb.Done)
 	return b
 }

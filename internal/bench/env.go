@@ -25,8 +25,9 @@ import (
 
 // Env is one cell of the experiment matrix: a generated dataset, a workload
 // drawn from one profile, the candidate index set, and the shared costing
-// engine (pre-warmed INUM cache). Building an Env is the expensive part of
-// every experiment; one Env serves every experiment of its cell.
+// engine (pre-warmed INUM cache) with its one pinned view. Building an Env
+// is the expensive part of every experiment; one Env serves every
+// experiment of its cell.
 type Env struct {
 	SizeName string
 	Seed     int64
@@ -41,6 +42,9 @@ type Env struct {
 	W     *workload.Workload
 	Cands []*catalog.Index
 	Eng   *engine.Engine
+	// View is the Env engine's one generation, pinned at construction: the
+	// Env never reconfigures its engine, so every experiment prices on it.
+	View *engine.View
 
 	// backendSpec rebuilds engines with the Env's backend (FreshEngine).
 	backendSpec engine.BackendSpec
@@ -78,8 +82,9 @@ func NewEnv(sizeName string, seed int64, profile string, numQ int, spec engine.B
 	if err != nil {
 		return nil, err
 	}
-	cands := eng.GenerateCandidates(w, whatif.DefaultCandidateOptions())
-	if err := eng.Prepare(context.Background(), w, cands); err != nil {
+	v := eng.Pin()
+	cands := v.Session().GenerateCandidates(w, whatif.DefaultCandidateOptions())
+	if err := v.Prepare(context.Background(), w, cands); err != nil {
 		return nil, err
 	}
 	return &Env{
@@ -87,25 +92,40 @@ func NewEnv(sizeName string, seed int64, profile string, numQ int, spec engine.B
 		Seed:        seed,
 		Profile:     profile,
 		NumQ:        numQ,
-		Backend:     eng.Backend().Kind,
+		Backend:     v.Backend().Kind,
 		Store:       store,
 		W:           w,
 		Cands:       cands,
 		Eng:         eng,
+		View:        v,
 		backendSpec: spec,
 	}, nil
 }
 
-// FreshDesigner generates an unshared copy of the Env's dataset and opens a
-// facade designer over it with the Env's backend — for experiments that
-// exercise the public v2 pipeline (offline advisors that build indexes) and
-// must not poison the shared engine's caches.
-func (e *Env) FreshDesigner() (*designer.Designer, error) {
+// freshFacade generates an unshared copy of the Env's dataset, opens a
+// facade designer over it with the Env's backend, and re-parses the Env's
+// workload through it (IDs and weights preserved) — for experiments that
+// exercise the public v2 pipeline and must not poison the shared engine's
+// caches.
+func (e *Env) freshFacade() (*designer.Designer, *designer.Workload, error) {
 	opts := []designer.Option{}
 	if spec := e.designerSpec(); !spec.IsNative() {
 		opts = append(opts, designer.WithBackend(spec))
 	}
-	return designer.OpenSDSS(e.SizeName, e.Seed, opts...)
+	d, err := designer.OpenSDSS(e.SizeName, e.Seed, opts...)
+	if err != nil {
+		return nil, nil, err
+	}
+	qs := make([]designer.Query, 0, len(e.W.Queries))
+	for _, q := range e.W.Queries {
+		fq, err := d.ParseQuery(q.ID, q.SQL)
+		if err != nil {
+			return nil, nil, err
+		}
+		qs = append(qs, fq.WithWeight(q.Weight))
+	}
+	fw, err := designer.NewWorkload(qs...)
+	return d, fw, err
 }
 
 // designerSpec mirrors the Env's engine backend spec into the facade form.
@@ -125,24 +145,9 @@ func (e *Env) designerSpec() designer.BackendSpec {
 	return spec
 }
 
-// FacadeWorkload converts the Env's internal workload into the public
-// facade representation by re-parsing each query through the designer,
-// preserving IDs and weights.
-func (e *Env) FacadeWorkload(d *designer.Designer) (*designer.Workload, error) {
-	qs := make([]designer.Query, 0, len(e.W.Queries))
-	for _, q := range e.W.Queries {
-		fq, err := d.ParseQuery(q.ID, q.SQL)
-		if err != nil {
-			return nil, err
-		}
-		qs = append(qs, fq.WithWeight(q.Weight))
-	}
-	return designer.NewWorkload(qs...)
-}
-
 // FreshEngine builds an unshared, cold-cache engine over the Env's dataset
 // with the Env's backend (for cold-path measurements like the pipeline
-// calls-avoided ratio).
+// calls-avoided ratio). Its caller pins it once.
 func (e *Env) FreshEngine() *engine.Engine {
 	eng, err := engine.NewWithBackend(e.Store.Schema, e.Store.Stats, nil, e.backendSpec)
 	if err != nil {
@@ -150,13 +155,6 @@ func (e *Env) FreshEngine() *engine.Engine {
 		panic(err)
 	}
 	return eng
-}
-
-// FreshEngineWith builds an unshared, cold-cache engine over the Env's
-// dataset with an explicit backend — the portability experiment's way of
-// running the same selection under several cost models.
-func (e *Env) FreshEngineWith(spec engine.BackendSpec) (*engine.Engine, error) {
-	return engine.NewWithBackend(e.Store.Schema, e.Store.Stats, nil, spec)
 }
 
 // Advised returns the default CoPhy recommendation over the Env's workload,

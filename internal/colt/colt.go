@@ -26,7 +26,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/engine"
-	"repro/internal/optimizer"
 	"repro/internal/schedule"
 	"repro/internal/sqlparse"
 	"repro/internal/workload"
@@ -238,7 +237,7 @@ func (t *Tuner) Observe(ctx context.Context, q workload.Query) (float64, error) 
 		key := spec.key()
 		st, ok := t.candidates[key]
 		if !ok {
-			ix := t.sizedIndex(spec.table, spec.column)
+			ix := sizedIndex(v, spec.table, spec.column)
 			if ix == nil {
 				continue
 			}
@@ -271,7 +270,7 @@ func (t *Tuner) Observe(ctx context.Context, q workload.Query) (float64, error) 
 
 	t.queriesInEpoch++
 	if t.queriesInEpoch >= t.opts.EpochLength {
-		if err := t.endEpoch(); err != nil {
+		if err := t.endEpoch(v); err != nil {
 			return 0, err
 		}
 	}
@@ -293,8 +292,9 @@ func (t *Tuner) ObserveAll(ctx context.Context, qs []workload.Query) (float64, e
 	return total, nil
 }
 
-// endEpoch re-selects the materialized set and alerts on change.
-func (t *Tuner) endEpoch() error {
+// endEpoch re-selects the materialized set and alerts on change, pricing
+// builds on the generation of the observation that closed the epoch.
+func (t *Tuner) endEpoch(v *engine.View) error {
 	report := EpochReport{
 		Epoch:       t.epoch,
 		Queries:     t.queriesInEpoch,
@@ -358,7 +358,7 @@ func (t *Tuner) endEpoch() error {
 		}
 		var buildCost float64
 		for _, ix := range diffIndexes(proposed, t.current) {
-			buildCost += schedule.BuildCost(ix, t.eng.Stats(), t.eng.Params())
+			buildCost += schedule.BuildCost(ix, v.Stats(), v.Params())
 		}
 		if buildCost > 0 && expectedBenefit*float64(horizon) < buildCost {
 			adopt = false
@@ -409,26 +409,16 @@ func (t *Tuner) endEpoch() error {
 	return nil
 }
 
-// sizedIndex builds a single-column hypothetical index with realistic size.
-func (t *Tuner) sizedIndex(table, column string) *catalog.Index {
-	tab := t.eng.Schema().Table(table)
-	if tab == nil || !tab.HasColumn(column) {
+// sizedIndex builds a single-column hypothetical index with realistic size
+// from the pinned generation's statistics, or nil when the (lower-cased)
+// table and column do not name a base-table column.
+func sizedIndex(v *engine.View, table, column string) *catalog.Index {
+	ix, err := v.Session().HypotheticalIndex(table, column)
+	if err != nil {
 		return nil
 	}
-	ts := t.eng.Stats().Table(table)
-	rows := int64(1000)
-	if ts != nil {
-		rows = ts.RowCount
-	}
-	pages := optimizer.EstimateIndexLeafPages(tab, []string{column}, rows)
-	return &catalog.Index{
-		Name:            "colt_" + strings.ToLower(table) + "_" + strings.ToLower(column),
-		Table:           tab.Name,
-		Columns:         []string{strings.ToLower(column)},
-		Hypothetical:    true,
-		EstimatedPages:  int64(pages),
-		EstimatedHeight: optimizer.EstimateIndexHeight(pages),
-	}
+	ix.Name = "colt_" + table + "_" + column
+	return ix
 }
 
 // candSpec identifies a single-column candidate.

@@ -83,7 +83,7 @@ func TestSetCurrentDrivesPricing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ix, err := eng.HypotheticalIndex("photoobj", "psfmag_r")
+	ix, err := eng.Pin().Session().HypotheticalIndex("photoobj", "psfmag_r")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@ import (
 
 type fixture struct {
 	eng   *engine.Engine
+	v     *engine.View
 	w     *workload.Workload
 	cands []*catalog.Index
 }
@@ -34,17 +35,18 @@ func newFixture(t *testing.T, nQueries, maxCands int) *fixture {
 	}
 	opts := whatif.DefaultCandidateOptions()
 	opts.MaxPerTable = 4
-	cands := eng.GenerateCandidates(w, opts)
+	v := eng.Pin()
+	cands := v.Session().GenerateCandidates(w, opts)
 	if len(cands) > maxCands {
 		cands = cands[:maxCands]
 	}
-	return &fixture{eng: eng, w: w, cands: cands}
+	return &fixture{eng: eng, v: v, w: w, cands: cands}
 }
 
 func TestAdviseImprovesWorkload(t *testing.T) {
 	f := newFixture(t, 12, 24)
 	adv := cophy.New(f.eng, f.cands)
-	res, err := adv.Advise(context.Background(), f.w, cophy.DefaultOptions())
+	res, err := adv.AdviseView(context.Background(), f.v, f.w, cophy.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +81,11 @@ func TestCoPhyMatchesExhaustive(t *testing.T) {
 	opts := cophy.DefaultOptions()
 	opts.MaxIndexesPerQueryTable = 8
 	opts.MaxAtomsPerQuery = 256
-	res, err := adv.Advise(context.Background(), f.w, opts)
+	res, err := adv.AdviseView(context.Background(), f.v, f.w, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exh, err := greedy.Exhaustive(context.Background(), f.eng, f.cands, f.w, 0)
+	exh, err := greedy.Exhaustive(context.Background(), f.v, f.cands, f.w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +109,7 @@ func TestCoPhyMatchesExhaustiveUnderBudget(t *testing.T) {
 	opts.StorageBudgetPages = budget
 	opts.MaxIndexesPerQueryTable = 8
 	opts.MaxAtomsPerQuery = 256
-	res, err := adv.Advise(context.Background(), f.w, opts)
+	res, err := adv.AdviseView(context.Background(), f.v, f.w, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +120,7 @@ func TestCoPhyMatchesExhaustiveUnderBudget(t *testing.T) {
 	if used > budget {
 		t.Fatalf("budget violated: %d > %d", used, budget)
 	}
-	exh, err := greedy.Exhaustive(context.Background(), f.eng, f.cands, f.w, budget)
+	exh, err := greedy.Exhaustive(context.Background(), f.v, f.cands, f.w, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,12 +143,11 @@ func TestCoPhyAtLeastAsGoodAsGreedy(t *testing.T) {
 		copts.StorageBudgetPages = budget
 		copts.MaxIndexesPerQueryTable = 5
 		copts.MaxAtomsPerQuery = 64
-		cres, err := adv.Advise(context.Background(), f.w, copts)
+		cres, err := adv.AdviseView(context.Background(), f.v, f.w, copts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gadv := greedy.New(f.eng, f.cands)
-		gres, err := gadv.Advise(context.Background(), f.w, greedy.Options{StorageBudgetPages: budget, BenefitPerPage: true})
+		gres, err := greedy.Advise(context.Background(), f.v, f.cands, f.w, greedy.Options{StorageBudgetPages: budget, BenefitPerPage: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,13 +162,13 @@ func TestNodeBudgetProducesValidBound(t *testing.T) {
 	f := newFixture(t, 10, 16)
 	adv := cophy.New(f.eng, f.cands)
 
-	full, err := adv.Advise(context.Background(), f.w, cophy.DefaultOptions())
+	full, err := adv.AdviseView(context.Background(), f.v, f.w, cophy.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	lopts := cophy.DefaultOptions()
 	lopts.NodeBudget = 2
-	limited, err := adv.Advise(context.Background(), f.w, lopts)
+	limited, err := adv.AdviseView(context.Background(), f.v, f.w, lopts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,14 +188,14 @@ func TestNodeBudgetProducesValidBound(t *testing.T) {
 func TestAdviseBudgetZeroIsUnlimited(t *testing.T) {
 	f := newFixture(t, 6, 10)
 	adv := cophy.New(f.eng, f.cands)
-	res, err := adv.Advise(context.Background(), f.w, cophy.DefaultOptions())
+	res, err := adv.AdviseView(context.Background(), f.v, f.w, cophy.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Unlimited budget should never be worse than any budgeted run.
 	opts := cophy.DefaultOptions()
 	opts.StorageBudgetPages = 1 // effectively nothing fits
-	tight, err := adv.Advise(context.Background(), f.w, opts)
+	tight, err := adv.AdviseView(context.Background(), f.v, f.w, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,9 +16,9 @@
 //     (BackendSpec.Recorder) wraps any backend and dumps its calls.
 //
 // Backend state is generation-scoped: every engine snapshot builds a fresh
-// backend instance (own INUM cache), so swapping backends — engine-wide via
-// SetBackend or per-session via PinBackend — can never serve plan costs
-// cached under a different backend.
+// backend instance (own INUM cache), and a per-session backend (PinBackend)
+// derives its own, so no view can be served plan costs cached under a
+// different backend.
 package engine
 
 import (
@@ -218,7 +218,6 @@ type envBackend struct {
 func (b *envBackend) Kind() string                  { return b.kind }
 func (b *envBackend) Describe() string              { return b.desc }
 func (b *envBackend) Params() optimizer.CostParams  { return b.env.Params }
-func (b *envBackend) inumCache() *inum.Cache        { return b.cache }
 func (b *envBackend) CacheStats() (int64, int64)    { return b.cache.Stats() }
 func (b *envBackend) EvictPrefix(prefix string) int { return b.cache.EvictPrefix(prefix) }
 
@@ -351,16 +350,4 @@ func (b *recordingBackend) StmtCost(stmt *sqlparse.SelectStmt, cfg *catalog.Conf
 		b.rec.record(b.inner.Kind(), opStmt, stmt.String(), configSignature(cfg), cost)
 	}
 	return cost, err
-}
-
-// inumCached is the optional interface env-backed backends implement so the
-// engine can expose the generation's INUM cache (telemetry, tests). The
-// recording wrapper forwards it.
-type inumCached interface{ inumCache() *inum.Cache }
-
-func (b *recordingBackend) inumCache() *inum.Cache {
-	if c, ok := b.inner.(inumCached); ok {
-		return c.inumCache()
-	}
-	return nil
 }

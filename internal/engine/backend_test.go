@@ -31,11 +31,12 @@ func newBackendFixture(t *testing.T, spec engine.BackendSpec) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands := eng.GenerateCandidates(w, candOpts())
-	if err := eng.Prepare(context.Background(), w, cands); err != nil {
+	v := eng.Pin()
+	cands := v.Session().GenerateCandidates(w, candOpts())
+	if err := v.Prepare(context.Background(), w, cands); err != nil {
 		t.Fatal(err)
 	}
-	return &fixture{eng: eng, w: w, cands: cands}
+	return &fixture{eng: eng, v: v, w: w, cands: cands}
 }
 
 // indexProbe returns a selective range query plus a configuration holding a
@@ -43,9 +44,9 @@ func newBackendFixture(t *testing.T, spec engine.BackendSpec) *fixture {
 // calibrated backends must disagree on the absolute cost. (Seq-scan-only
 // plans price identically under both: seq_page_cost and the CPU constants
 // are shared between the default calibration and the native model.)
-func indexProbe(t *testing.T, e *engine.Engine) (workload.Query, *catalog.Configuration) {
+func indexProbe(t *testing.T, f *fixture) (workload.Query, *catalog.Configuration) {
 	t.Helper()
-	ix, err := e.HypotheticalIndex("photoobj", "psfmag_r")
+	ix, err := f.v.Session().HypotheticalIndex("photoobj", "psfmag_r")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func indexProbe(t *testing.T, e *engine.Engine) (workload.Query, *catalog.Config
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sqlparse.Resolve(stmt, e.Schema()); err != nil {
+	if err := sqlparse.Resolve(stmt, f.eng.Schema()); err != nil {
 		t.Fatal(err)
 	}
 	q := workload.Query{ID: "probe", SQL: sql, Weight: 1, Stmt: stmt}
@@ -69,15 +70,15 @@ func TestCalibratedBackendDisagreesOnAbsoluteCosts(t *testing.T) {
 	native := newFixture(t)
 	calib := newBackendFixture(t, engine.BackendSpec{Kind: engine.BackendCalibrated})
 
-	if got := calib.eng.Backend().Kind; got != engine.BackendCalibrated {
+	if got := calib.v.Backend().Kind; got != engine.BackendCalibrated {
 		t.Fatalf("backend kind = %q", got)
 	}
-	q, cfg := indexProbe(t, native.eng)
-	nc, err := native.eng.QueryCost(q, cfg)
+	q, cfg := indexProbe(t, native)
+	nc, err := native.v.QueryCost(q, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc, err := calib.eng.QueryCost(q, cfg)
+	cc, err := calib.v.QueryCost(q, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,118 +90,53 @@ func TestCalibratedBackendDisagreesOnAbsoluteCosts(t *testing.T) {
 	}
 	// Every query stays priceable under both backends.
 	for _, wq := range native.w.Queries {
-		if _, err := calib.eng.QueryCost(wq, nil); err != nil {
+		if _, err := calib.v.QueryCost(wq, nil); err != nil {
 			t.Fatalf("%s under calibrated: %v", wq.ID, err)
 		}
 	}
 }
 
-// TestSetBackendBumpsGenerationAndInvalidates is the no-stale-costs
-// regression test: swapping backends must bump the engine generation and
-// rebuild all cached costing state, while views pinned before the swap keep
-// pricing through the backend they were created with.
-func TestSetBackendBumpsGenerationAndInvalidates(t *testing.T) {
-	f := newFixture(t)
-	q, cfg := indexProbe(t, f.eng)
-
-	v0 := f.eng.Version()
-	cache0 := f.eng.Cache()
-	pinned := f.eng.Pin()
-	nativeCost, err := pinned.QueryCost(q, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if err := f.eng.SetBackend(engine.BackendSpec{Kind: engine.BackendCalibrated}); err != nil {
-		t.Fatal(err)
-	}
-	if got := f.eng.Version(); got != v0+1 {
-		t.Fatalf("version after SetBackend = %d, want %d", got, v0+1)
-	}
-	if f.eng.Cache() == cache0 {
-		t.Fatal("SetBackend kept the previous backend's INUM cache")
-	}
-	if got := f.eng.Backend().Kind; got != engine.BackendCalibrated {
-		t.Fatalf("active backend = %q", got)
-	}
-
-	calibCost, err := f.eng.QueryCost(q, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calibCost == nativeCost {
-		t.Fatalf("cost after backend swap unchanged (%v) — stale plan costs served across backends", calibCost)
-	}
-
-	// The pinned view still prices through the native backend, exactly.
-	after, err := pinned.QueryCost(q, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after != nativeCost {
-		t.Fatalf("pinned view leaked the new backend: %v != %v", after, nativeCost)
-	}
-	if pinned.Backend().Kind != engine.BackendNative {
-		t.Fatalf("pinned view backend = %q, want native", pinned.Backend().Kind)
-	}
-
-	// Swapping back restores native pricing bit-for-bit (fresh cache, same
-	// model).
-	if err := f.eng.SetBackend(engine.BackendSpec{}); err != nil {
-		t.Fatal(err)
-	}
-	if got := f.eng.Version(); got != v0+2 {
-		t.Fatalf("version after second swap = %d, want %d", got, v0+2)
-	}
-	back, err := f.eng.QueryCost(q, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back != nativeCost {
-		t.Fatalf("native costs not reproducible after swap round-trip: %v != %v", back, nativeCost)
-	}
-}
-
-// TestSetBackendRejectsInvalidSpec ensures a bad spec cannot tear down a
-// working engine.
+// TestSetBackendRejectsInvalidSpec: a backend is set when the engine is
+// opened (NewWithBackend) or per pinned view (PinBackend), and both doors
+// refuse a bad spec — an unknown kind, a replay without a trace, parameters
+// the selected kind would ignore — without touching the working engine.
 func TestSetBackendRejectsInvalidSpec(t *testing.T) {
 	f := newFixture(t)
-	v0 := f.eng.Version()
-	if err := f.eng.SetBackend(engine.BackendSpec{Kind: "voodoo"}); err == nil {
-		t.Fatal("unknown backend kind accepted")
+	for _, bad := range []struct {
+		what string
+		spec engine.BackendSpec
+	}{
+		{"unknown backend kind", engine.BackendSpec{Kind: "voodoo"}},
+		{"replay backend without a trace", engine.BackendSpec{Kind: engine.BackendReplay}},
+		{"zero-valued calibration", engine.BackendSpec{Kind: engine.BackendCalibrated, Calibration: &engine.Calibration{Name: "zero"}}},
+		// Parameters the selected kind would ignore are rejected, not
+		// dropped: a calibration on a native spec means the caller thinks it
+		// applies.
+		{"calibration attached to a native backend", engine.BackendSpec{Calibration: engine.DefaultCalibration()}},
+		{"trace attached to a calibrated backend", engine.BackendSpec{Kind: engine.BackendCalibrated, Trace: &engine.Trace{}}},
+		{"calibration attached to a replay backend", engine.BackendSpec{Kind: engine.BackendReplay, Trace: &engine.Trace{}, Calibration: engine.DefaultCalibration()}},
+	} {
+		if _, err := f.eng.PinBackend(bad.spec); err == nil {
+			t.Errorf("PinBackend: %s accepted", bad.what)
+		}
+		if _, err := engine.NewWithBackend(f.eng.Schema(), f.v.Stats(), nil, bad.spec); err == nil {
+			t.Errorf("NewWithBackend: %s accepted", bad.what)
+		}
 	}
-	if err := f.eng.SetBackend(engine.BackendSpec{Kind: engine.BackendReplay}); err == nil {
-		t.Fatal("replay backend without a trace accepted")
-	}
-	if f.eng.Version() != v0 {
-		t.Fatal("failed SetBackend bumped the generation")
-	}
-	if _, err := engine.NewWithBackend(f.eng.Schema(), f.eng.Stats(), nil,
-		engine.BackendSpec{Kind: engine.BackendCalibrated, Calibration: &engine.Calibration{Name: "zero"}}); err == nil {
-		t.Fatal("zero-valued calibration accepted")
-	}
-	// Parameters the selected kind would ignore are rejected, not dropped:
-	// a calibration on a native spec means the caller thinks it applies.
-	if err := f.eng.SetBackend(engine.BackendSpec{Calibration: engine.DefaultCalibration()}); err == nil {
-		t.Fatal("calibration attached to a native backend accepted")
-	}
-	if err := f.eng.SetBackend(engine.BackendSpec{Kind: engine.BackendCalibrated, Trace: &engine.Trace{}}); err == nil {
-		t.Fatal("trace attached to a calibrated backend accepted")
-	}
-	if err := f.eng.SetBackend(engine.BackendSpec{Kind: engine.BackendReplay, Trace: &engine.Trace{}, Calibration: engine.DefaultCalibration()}); err == nil {
-		t.Fatal("calibration attached to a replay backend accepted")
+	if f.eng.Pin().Version() != f.v.Version() {
+		t.Fatal("a refused spec bumped the generation")
 	}
 }
 
 // TestPinBackendIsolated checks the per-session backend surface: a
 // calibrated view prices with calibrated constants while the engine — and
-// views pinned normally — stay native, and the engine version is untouched.
+// views pinned normally — stay native, the engine version is untouched, and
+// the derived view keeps its backend when the engine is reconfigured.
 func TestPinBackendIsolated(t *testing.T) {
 	f := newFixture(t)
-	q, cfg := indexProbe(t, f.eng)
-	v0 := f.eng.Version()
+	q, cfg := indexProbe(t, f)
 
-	native, err := f.eng.QueryCost(q, cfg)
+	native, err := f.v.QueryCost(q, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,18 +151,29 @@ func TestPinBackendIsolated(t *testing.T) {
 	if calib == native {
 		t.Fatalf("per-session calibrated view returned the native cost %v", calib)
 	}
-	if f.eng.Version() != v0 {
+	fresh := f.eng.Pin()
+	if fresh.Version() != f.v.Version() {
 		t.Fatal("PinBackend bumped the engine generation")
 	}
-	if got := f.eng.Backend().Kind; got != engine.BackendNative {
+	if got := fresh.Backend().Kind; got != engine.BackendNative {
 		t.Fatalf("PinBackend leaked into the engine: %q", got)
 	}
-	again, err := f.eng.QueryCost(q, cfg)
+	again, err := fresh.QueryCost(q, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if again != native {
 		t.Fatalf("engine costing changed after PinBackend: %v != %v", again, native)
+	}
+
+	f.eng.SetBaseConfig(cfg)
+	kept, err := cv.QueryCost(q, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kept != calib || cv.Backend().Kind != engine.BackendCalibrated || cv.Version() != f.v.Version() {
+		t.Fatalf("derived view moved with the engine: cost %v (was %v), backend %q, version %d",
+			kept, calib, cv.Backend().Kind, cv.Version())
 	}
 }
 
@@ -242,7 +189,7 @@ func TestRecordReplayReproducesCostsExactly(t *testing.T) {
 	for i, cfg := range cfgs {
 		costs := make([]float64, len(f.w.Queries))
 		for j, q := range f.w.Queries {
-			c, err := f.eng.QueryCost(q, cfg)
+			c, err := f.v.QueryCost(q, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -250,7 +197,7 @@ func TestRecordReplayReproducesCostsExactly(t *testing.T) {
 		}
 		recorded[i] = costs
 	}
-	rep, err := f.eng.Evaluate(context.Background(), f.w, cfgs[1])
+	rep, err := f.v.Evaluate(context.Background(), f.w, cfgs[1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,11 +215,12 @@ func TestRecordReplayReproducesCostsExactly(t *testing.T) {
 		t.Fatalf("trace backend = %q", trace.Backend)
 	}
 
-	replay, err := engine.NewWithBackend(f.eng.Schema(), f.eng.Stats(), nil,
+	replayEng, err := engine.NewWithBackend(f.eng.Schema(), f.v.Stats(), nil,
 		engine.BackendSpec{Kind: engine.BackendReplay, Trace: trace})
 	if err != nil {
 		t.Fatal(err)
 	}
+	replay := replayEng.Pin()
 	for i, cfg := range cfgs {
 		for j, q := range f.w.Queries {
 			c, err := replay.QueryCost(q, cfg)
@@ -335,24 +283,22 @@ func TestCalibrationFileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestConcurrentBackendSwapsStayConsistent hammers SetBackend while sweeps
-// run. Under -race this proves the swap path is safe; the assertion checks
-// every sweep returns internally consistent costs (all from one backend
-// generation, matching a serial re-computation on the same pinned view).
-func TestConcurrentBackendSwapsStayConsistent(t *testing.T) {
+// TestConcurrentBaseSwapsStayConsistent hammers SetBaseConfig, alternating
+// two base designs, while sweeps run. Under -race this proves the swap path
+// is safe; the assertion checks every sweep returns internally consistent
+// costs (all from one generation, matching a serial re-computation on the
+// same pinned view — the nil configuration included, which prices whichever
+// base the view pinned).
+func TestConcurrentBaseSwapsStayConsistent(t *testing.T) {
 	f := newFixture(t)
-	cfgs := f.sweepConfigs(8)
-	specs := []engine.BackendSpec{
-		{},
-		{Kind: engine.BackendCalibrated},
-		{Kind: engine.BackendCalibrated, Calibration: &engine.Calibration{
-			Name: "hdd", SeqPageCost: 1, RandomPageCost: 8, CPUTupleCost: 0.02,
-			CPUIndexTupleCost: 0.01, CPUOperatorCost: 0.005, EffectiveCacheSizePages: 1 << 16,
-		}},
+	cfgs := append(f.sweepConfigs(8), nil)
+	bases := []*catalog.Configuration{
+		catalog.NewConfiguration(),
+		catalog.NewConfiguration().WithIndex(f.cands[0]).WithIndex(f.cands[1]),
 	}
 
 	var wg sync.WaitGroup
-	errs := make([]error, 6)
+	errs := make([]error, 4)
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -371,7 +317,6 @@ func TestConcurrentBackendSwapsStayConsistent(t *testing.T) {
 						return
 					}
 					if swept[i] != want {
-						errs[g] = context.DeadlineExceeded // marker; message below
 						t.Errorf("goroutine %d: sweep cost %v != pinned serial %v", g, swept[i], want)
 						return
 					}
@@ -384,18 +329,18 @@ func TestConcurrentBackendSwapsStayConsistent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for r := 0; r < 4; r++ {
-				if err := f.eng.SetBackend(specs[(g+r)%len(specs)]); err != nil {
-					errs[4+g] = err
-					return
-				}
+				f.eng.SetBaseConfig(bases[(g+r)%len(bases)])
 			}
 		}(g)
 	}
 	wg.Wait()
 	for _, err := range errs {
-		if err != nil && err != context.DeadlineExceeded {
+		if err != nil {
 			t.Fatal(err)
 		}
+	}
+	if got, want := f.eng.Pin().Version(), f.v.Version()+8; got != want {
+		t.Fatalf("8 base swaps left the engine at generation %d, want %d", got, want)
 	}
 }
 

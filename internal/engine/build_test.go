@@ -12,7 +12,7 @@ func TestIndexBuildThrottledSteps(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := New(store.Schema, store.Stats, nil)
-	ix, err := eng.HypotheticalIndex("photoobj", "psfmag_r")
+	ix, err := eng.Pin().Session().HypotheticalIndex("photoobj", "psfmag_r")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestIndexBuildUnknownTableFloorsAtOnePage(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := New(store.Schema, store.Stats, nil)
-	ix, err := eng.HypotheticalIndex("photoobj", "psfmag_r")
+	ix, err := eng.Pin().Session().HypotheticalIndex("photoobj", "psfmag_r")
 	if err != nil {
 		t.Fatal(err)
 	}

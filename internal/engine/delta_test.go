@@ -157,7 +157,7 @@ func TestEvaluateDeltaStateInvalidation(t *testing.T) {
 	}
 
 	// A new engine generation must not reuse the state either.
-	f.eng.Invalidate()
+	f.eng.SetBaseConfig(v.Base())
 	v2 := f.eng.Pin()
 	if state.Reusable(v2, f.w) {
 		t.Fatal("state reusable across generations")

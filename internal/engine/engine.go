@@ -2,26 +2,36 @@
 // component plans through. It owns the triple that used to be wired by hand
 // in each advisor — the optimizer environment (schema + statistics + cost
 // parameters), the INUM cost cache (§3.2.1), and the what-if session
-// (§3.1) — behind one concurrency-safe handle with explicit configuration
-// versioning: when the physical design changes (indexes are materialized,
-// join controls flip), the engine rebuilds all three members atomically and
-// bumps its version, so no consumer can keep pricing against a stale cache.
+// (§3.1) — as immutable, versioned generations: when the physical design
+// changes (indexes are materialized, statistics are refreshed), the engine
+// builds all three members afresh and bumps the version, so no consumer can
+// keep pricing against a stale cache.
 //
-// Costing itself is pluggable (backend.go): the engine delegates every
-// query/statement pricing call to a CostBackend — native (built-in
-// optimizer + INUM), calibrated (JSON-loaded cost constants), or replay
-// (trace-served) — which is what makes the designer portable across cost
-// models. Backend state is rebuilt per generation, so backend swaps are
-// invalidations like any other reconfiguration.
+// The package has two types with two jobs. *Engine is the lifecycle object:
+// construct it, Pin a generation, reconfigure it through the two doors the
+// product uses (SetBaseConfig after Materialize, SetStats after Analyze),
+// bound its worker pool, read its counters. *View is one pinned generation
+// and the only what-if interface: sizing, candidates, prepare, query and
+// workload costs, plans, sweeps and benefit reports are all methods on a
+// view. A question — one advisor run, one observation, one facade call —
+// pins once and passes the view down, so it is answered on one generation
+// by construction; there is no call that pins on the caller's behalf.
 //
-// On top of the unified layer the engine exposes bounded worker-pool sweep
-// primitives (SweepConfigs, SweepCandidates, SweepQueryConfigs, Evaluate)
-// that advisors use to price many hypothetical designs in parallel — the
-// hot path of CoPhy's atom enumeration, the interaction analyzer's lattice
-// walks, and greedy candidate selection. All sweeps take one snapshot of
-// the engine state at entry, so a concurrent invalidation never tears a
-// sweep in half, and results are deterministic: a parallel sweep returns
-// bit-for-bit the costs a serial loop would.
+// Costing itself is pluggable (backend.go): a view delegates every
+// query/statement pricing call to its generation's CostBackend — native
+// (built-in optimizer + INUM), calibrated (JSON-loaded cost constants), or
+// replay (trace-served) — which is what makes the designer portable across
+// cost models. The backend is chosen when the engine is opened
+// (NewWithBackend) or per pinned view (PinBackend); backend state is built
+// per generation and per derived view, never shared between two.
+//
+// Sweeps (SweepConfigs, SweepCandidates, SweepQueryConfigs, Evaluate,
+// EvaluateDelta) price many hypothetical designs in parallel over a bounded
+// worker pool — the hot path of CoPhy's atom enumeration, the interaction
+// analyzer's lattice walks, and greedy candidate selection. A concurrent
+// reconfiguration never tears a sweep in half, and results are
+// deterministic: a parallel sweep returns bit-for-bit the costs a serial
+// loop would.
 package engine
 
 import (
@@ -32,7 +42,6 @@ import (
 	"sync"
 
 	"repro/internal/catalog"
-	"repro/internal/inum"
 	"repro/internal/optimizer"
 	"repro/internal/sqlparse"
 	"repro/internal/stats"
@@ -86,11 +95,9 @@ func (s *snapshot) markPrepared(fp string) {
 // Engine is the shared, concurrency-safe what-if costing handle.
 type Engine struct {
 	schema *catalog.Schema
-	stats  *stats.Catalog
 
 	mu   sync.RWMutex
 	snap *snapshot
-	opts optimizer.Options
 	spec BackendSpec
 
 	// workers bounds sweep parallelism; 0 means GOMAXPROCS.
@@ -114,8 +121,8 @@ func NewWithBackend(schema *catalog.Schema, st *stats.Catalog, base *catalog.Con
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Engine{schema: schema, stats: st, spec: spec}
-	snap, err := e.build(base, optimizer.Options{}, spec, 1)
+	e := &Engine{schema: schema, spec: spec}
+	snap, err := e.build(st, base, spec, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -124,19 +131,18 @@ func NewWithBackend(schema *catalog.Schema, st *stats.Catalog, base *catalog.Con
 }
 
 // build assembles a fresh generation of the costing state.
-func (e *Engine) build(base *catalog.Configuration, opts optimizer.Options, spec BackendSpec, version uint64) (*snapshot, error) {
+func (e *Engine) build(st *stats.Catalog, base *catalog.Configuration, spec BackendSpec, version uint64) (*snapshot, error) {
 	if base == nil {
 		base = catalog.NewConfiguration()
 	}
-	nativeEnv := optimizer.NewEnv(e.schema, e.stats, base).WithOptions(opts)
-	backend, env, err := spec.build(nativeEnv)
+	backend, env, err := spec.build(optimizer.NewEnv(e.schema, st, base))
 	if err != nil {
 		return nil, err
 	}
 	return &snapshot{
 		version:  version,
 		base:     base,
-		stats:    e.stats,
+		stats:    st,
 		env:      env,
 		backend:  backend,
 		session:  whatif.NewSessionFromEnv(env, base),
@@ -144,10 +150,9 @@ func (e *Engine) build(base *catalog.Configuration, opts optimizer.Options, spec
 	}, nil
 }
 
-// rebuild swaps in a new generation; callers hold e.mu and pass a spec that
-// already validated (the stored one, or a fresh one vetted by the caller).
-func (e *Engine) rebuild(base *catalog.Configuration, opts optimizer.Options, spec BackendSpec, version uint64) {
-	snap, err := e.build(base, opts, spec, version)
+// rebuild swaps in the next generation; callers hold e.mu.
+func (e *Engine) rebuild(st *stats.Catalog, base *catalog.Configuration) {
+	snap, err := e.build(st, base, e.spec, e.snap.version+1)
 	if err != nil {
 		// Only reachable with a spec that validated but failed to build —
 		// the current backend kinds cannot do that.
@@ -163,20 +168,20 @@ func (e *Engine) snapshot() *snapshot {
 	return e.snap
 }
 
-// View is one pinned configuration generation of the engine. An advisor
-// run spans many costing calls (prepare, base costs, many sweeps); pinning
-// a view at the start guarantees every one of them prices against the same
-// generation — environment, backend, and session — even if the engine is
-// reconfigured concurrently: the run stays internally consistent, and the
-// next run picks up the new generation.
+// View is one pinned configuration generation of the engine, and the one
+// what-if interface: every costing, sizing and planning call is a method on
+// a view, so a question that spans many of them (prepare, base costs, many
+// sweeps) is answered on one generation — environment, backend, session,
+// statistics and base design — even if the engine is reconfigured
+// concurrently. The caller pins once per question and passes the view down;
+// the next question picks up the new generation.
 type View struct {
 	e *Engine
 	s *snapshot
 }
 
-// Pin captures the current generation. Costing methods on the returned
-// view are unaffected by subsequent SetBaseConfig/SetJoinControl/SetBackend
-// calls.
+// Pin captures the current generation. The returned view is unaffected by
+// subsequent SetBaseConfig/SetStats calls.
 func (e *Engine) Pin() *View { return &View{e: e, s: e.snapshot()} }
 
 // PinBackend captures the current generation but substitutes a different
@@ -187,35 +192,24 @@ func (e *Engine) Pin() *View { return &View{e: e, s: e.snapshot()} }
 // state (its own INUM cache), so per-session backends can never alias the
 // engine's cached plan costs.
 func (e *Engine) PinBackend(spec BackendSpec) (*View, error) {
-	// One read-lock acquisition for snapshot + switches, so a concurrent
-	// SetJoinControl cannot pair new options with an old generation.
-	e.mu.RLock()
-	cur, opts := e.snap, e.opts
-	e.mu.RUnlock()
-	nativeEnv := optimizer.NewEnv(e.schema, cur.stats, cur.base).WithOptions(opts)
-	backend, env, err := spec.build(nativeEnv)
+	cur := e.snapshot()
+	derived, err := e.build(cur.stats, cur.base, spec, cur.version)
 	if err != nil {
 		return nil, err
-	}
-	derived := &snapshot{
-		version:  cur.version,
-		base:     cur.base,
-		stats:    cur.stats,
-		env:      env,
-		backend:  backend,
-		session:  whatif.NewSessionFromEnv(env, cur.base),
-		prepared: make(map[string]bool),
 	}
 	return &View{e: e, s: derived}, nil
 }
 
-// Version reports the pinned generation.
+// Version reports the pinned generation. It increments every time the base
+// configuration or the statistics change.
 func (v *View) Version() uint64 { return v.s.version }
 
-// Base returns the pinned base configuration.
+// Base returns the pinned base configuration: the design materialized when
+// the generation was built.
 func (v *View) Base() *catalog.Configuration { return v.s.base }
 
-// Session returns the pinned generation's what-if session.
+// Session returns the pinned generation's what-if session: hypothetical
+// structures sized from the generation's statistics, candidate enumeration.
 func (v *View) Session() *whatif.Session { return v.s.session }
 
 // Stats returns the pinned generation's statistics catalog.
@@ -237,43 +231,12 @@ func (v *View) SessionWith(opts optimizer.Options) *whatif.Session {
 	return whatif.NewSessionFromEnv(v.s.env.WithOptions(opts), v.s.base)
 }
 
-// Version reports the configuration generation. It increments every time
-// the base configuration, the optimizer switches, or the cost backend
-// change.
-func (e *Engine) Version() uint64 { return e.snapshot().version }
-
 // Schema exposes the logical schema.
 func (e *Engine) Schema() *catalog.Schema { return e.schema }
-
-// Stats exposes the current generation's statistics catalog.
-func (e *Engine) Stats() *stats.Catalog { return e.snapshot().stats }
-
-// Params exposes the active backend's cost parameters.
-func (e *Engine) Params() optimizer.CostParams { return e.snapshot().backend.Params() }
 
 // Env exposes the current optimizer environment (base configuration,
 // backend cost constants).
 func (e *Engine) Env() *optimizer.Env { return e.snapshot().env }
-
-// Backend describes the active cost backend.
-func (e *Engine) Backend() BackendInfo {
-	snap := e.snapshot()
-	return BackendInfo{Kind: snap.backend.Kind(), Description: snap.backend.Describe()}
-}
-
-// Cache exposes the current generation's INUM cost cache, or nil when the
-// active backend does not price through one (replay). The pointer identity
-// changes on invalidation — do not hold it across configuration changes;
-// prefer the engine's costing methods, which snapshot internally.
-func (e *Engine) Cache() *inum.Cache {
-	if c, ok := e.snapshot().backend.(inumCached); ok {
-		return c.inumCache()
-	}
-	return nil
-}
-
-// Session exposes the current what-if session.
-func (e *Engine) Session() *whatif.Session { return e.snapshot().session }
 
 // Base returns the current base (materialized) configuration.
 func (e *Engine) Base() *catalog.Configuration { return e.snapshot().base }
@@ -307,46 +270,7 @@ func (e *Engine) Workers() int {
 func (e *Engine) SetBaseConfig(base *catalog.Configuration) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.rebuild(base, e.opts, e.spec, e.snap.version+1)
-}
-
-// SetJoinControl flips the what-if join component's optimizer switches for
-// all subsequent costings, engine-wide. Cached plan templates embed join
-// choices, so the backend is rebuilt alongside. For join steering scoped
-// to one exploration (a design session) use SessionWith instead.
-func (e *Engine) SetJoinControl(opts optimizer.Options) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.opts = opts
-	e.rebuild(e.snap.base, opts, e.spec, e.snap.version+1)
-}
-
-// SetBackend swaps the cost backend engine-wide and bumps the generation:
-// the old backend's cached plan costs are discarded with its snapshot, so a
-// backend swap can never serve costs computed under the previous model.
-// Pinned views keep pricing through the backend they were pinned with.
-func (e *Engine) SetBackend(spec BackendSpec) error {
-	if err := spec.Validate(); err != nil {
-		return err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	snap, err := e.build(e.snap.base, e.opts, spec, e.snap.version+1)
-	if err != nil {
-		return err
-	}
-	e.spec = spec
-	e.snap = snap
-	return nil
-}
-
-// SessionWith returns a throwaway what-if session over the engine's
-// current base configuration with the given optimizer switches applied.
-// The engine itself — its environment, backend, and version — is untouched,
-// so per-session join steering cannot leak into other consumers' costing.
-func (e *Engine) SessionWith(opts optimizer.Options) *whatif.Session {
-	snap := e.snapshot()
-	return whatif.NewSessionFromEnv(snap.env.WithOptions(opts), snap.base)
+	e.rebuild(e.snap.stats, base)
 }
 
 // SetStats swaps the statistics catalog (after a re-ANALYZE) together with
@@ -356,17 +280,7 @@ func (e *Engine) SessionWith(opts optimizer.Options) *whatif.Session {
 func (e *Engine) SetStats(st *stats.Catalog, base *catalog.Configuration) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.stats = st
-	e.rebuild(base, e.opts, e.spec, e.snap.version+1)
-}
-
-// Invalidate rebuilds the current generation in place (same base
-// configuration, fresh backend state). Use after external statistics
-// changes.
-func (e *Engine) Invalidate() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.rebuild(e.snap.base, e.opts, e.spec, e.snap.version+1)
+	e.rebuild(st, base)
 }
 
 // resolve substitutes the snapshot base configuration for nil.
@@ -377,44 +291,12 @@ func (s *snapshot) resolve(cfg *catalog.Configuration) *catalog.Configuration {
 	return s.base
 }
 
-// HypotheticalIndex constructs a sized what-if index (leaf pages and height
-// estimated from statistics, §2's honest-size requirement).
-func (e *Engine) HypotheticalIndex(table string, columns ...string) (*catalog.Index, error) {
-	return e.snapshot().session.HypotheticalIndex(table, columns...)
-}
-
-// HypotheticalProjection constructs a sized what-if covering projection:
-// key columns plus INCLUDE leaf columns, sized over the combined width.
-func (e *Engine) HypotheticalProjection(table string, keys, include []string) (*catalog.Index, error) {
-	return e.snapshot().session.HypotheticalProjection(table, keys, include)
-}
-
-// HypotheticalAggView constructs a sized what-if single-table aggregate
-// materialized view: group keys plus stored aggregates, with group count
-// and pages estimated from column statistics.
-func (e *Engine) HypotheticalAggView(table string, keys, aggs []string) (*catalog.Index, error) {
-	return e.snapshot().session.HypotheticalAggView(table, keys, aggs)
-}
-
-// GenerateCandidates enumerates sized candidate indexes implied by the
-// workload's predicate structure. Candidate enumeration is backend-neutral:
-// it depends on predicates and statistics, never on cost constants.
-func (e *Engine) GenerateCandidates(w *workload.Workload, opts whatif.CandidateOptions) []*catalog.Index {
-	return e.snapshot().session.GenerateCandidates(w, opts)
-}
-
-// Prepare primes the backend for every workload query. candidates guide
-// which interesting orders get plan templates (pass the set you intend to
-// sweep). Prepare is idempotent per query ID within a configuration
-// generation. A cancelled context aborts between queries.
-func (e *Engine) Prepare(ctx context.Context, w *workload.Workload, candidates []*catalog.Index) error {
-	return e.Pin().Prepare(ctx, w, candidates)
-}
-
 // Prepare primes the pinned generation's backend for every workload query.
-// Queries are prepared in parallel over the sweep pool; already-prepared
-// queries are deduplicated by the backend's idempotency. The workload's
-// fingerprint is recorded so subsequent sweeps skip re-preparing it.
+// candidates guide which interesting orders get plan templates (pass the set
+// you intend to sweep). Queries are prepared in parallel over the sweep
+// pool; Prepare is idempotent per query ID within a generation, and the
+// workload's fingerprint is recorded so subsequent sweeps skip re-preparing
+// it. A cancelled context aborts between queries.
 func (v *View) Prepare(ctx context.Context, w *workload.Workload, candidates []*catalog.Index) error {
 	err := v.e.sweep(ctx, len(w.Queries), func(i int) error {
 		q := w.Queries[i]
@@ -427,14 +309,9 @@ func (v *View) Prepare(ctx context.Context, w *workload.Workload, candidates []*
 	return nil
 }
 
-// PrepareQuery primes the backend for one query and returns the lower-case
-// names of the base tables it references (the per-query table set CoPhy
-// enumerates atoms over).
-func (e *Engine) PrepareQuery(q workload.Query, candidates []*catalog.Index) ([]string, error) {
-	return e.Pin().PrepareQuery(q, candidates)
-}
-
-// PrepareQuery primes the pinned backend for one query.
+// PrepareQuery primes the pinned backend for one query and returns the
+// lower-case names of the base tables it references (the per-query table
+// set CoPhy enumerates atoms over).
 func (v *View) PrepareQuery(q workload.Query, candidates []*catalog.Index) ([]string, error) {
 	if err := v.s.backend.Prepare(q.ID, q.Stmt, candidates); err != nil {
 		return nil, err
@@ -450,14 +327,8 @@ func (v *View) PrepareQuery(q workload.Query, candidates []*catalog.Index) ([]st
 	return tables, nil
 }
 
-// QueryCost prices one query under a configuration through the active
-// backend's cached path (nil = the engine's base configuration).
-func (e *Engine) QueryCost(q workload.Query, cfg *catalog.Configuration) (float64, error) {
-	return e.Pin().QueryCost(q, cfg)
-}
-
-// QueryCost prices one query against the pinned generation (nil = the
-// pinned base configuration).
+// QueryCost prices one query under a configuration through the pinned
+// backend's cached path (nil = the pinned base configuration).
 func (v *View) QueryCost(q workload.Query, cfg *catalog.Configuration) (float64, error) {
 	price, err := v.s.backend.Pricer([]workload.Query{q})
 	if err != nil {
@@ -467,13 +338,7 @@ func (v *View) QueryCost(q workload.Query, cfg *catalog.Configuration) (float64,
 }
 
 // WorkloadCost sums weighted backend query costs under a configuration
-// (nil = base).
-func (e *Engine) WorkloadCost(w *workload.Workload, cfg *catalog.Configuration) (float64, error) {
-	return e.Pin().WorkloadCost(w, cfg)
-}
-
-// WorkloadCost sums weighted backend query costs against the pinned
-// generation.
+// (nil = base) against the pinned generation.
 func (v *View) WorkloadCost(w *workload.Workload, cfg *catalog.Configuration) (float64, error) {
 	price, err := v.s.pricer(w)
 	if err != nil {
@@ -507,14 +372,9 @@ func workloadCost(w *workload.Workload, price QueryPricer) (float64, error) {
 }
 
 // FullCost prices a statement with the backend's reference model (the full
-// optimizer for analytical backends), bypassing the cached path — the E8
-// comparison baseline and the exactness fallback.
-func (e *Engine) FullCost(stmt *sqlparse.SelectStmt, cfg *catalog.Configuration) (float64, error) {
-	return e.Pin().FullCost(stmt, cfg)
-}
-
-// FullCost prices a statement with the backend's reference model against
-// the pinned generation.
+// optimizer for analytical backends) against the pinned generation,
+// bypassing the cached path — the E8 comparison baseline and the exactness
+// fallback.
 func (v *View) FullCost(stmt *sqlparse.SelectStmt, cfg *catalog.Configuration) (float64, error) {
 	return v.s.backend.StmtCost(stmt, v.s.resolve(cfg))
 }
@@ -523,18 +383,8 @@ func (v *View) FullCost(stmt *sqlparse.SelectStmt, cfg *catalog.Configuration) (
 // the full plan tree. Planning always runs through the generation's
 // optimizer environment — under the replay backend plans are rendered with
 // the built-in optimizer while costs come from the trace.
-func (e *Engine) Optimize(stmt *sqlparse.SelectStmt, cfg *catalog.Configuration) (*optimizer.Plan, error) {
-	snap := e.snapshot()
-	return snap.env.WithConfig(snap.resolve(cfg)).Optimize(stmt)
-}
-
-// Explain plans a statement under a configuration and renders the plan.
-func (e *Engine) Explain(stmt *sqlparse.SelectStmt, cfg *catalog.Configuration) (string, error) {
-	plan, err := e.Optimize(stmt, cfg)
-	if err != nil {
-		return "", err
-	}
-	return plan.Explain(), nil
+func (v *View) Optimize(stmt *sqlparse.SelectStmt, cfg *catalog.Configuration) (*optimizer.Plan, error) {
+	return v.s.env.WithConfig(v.s.resolve(cfg)).Optimize(stmt)
 }
 
 // CacheStats reports the current generation's full-optimization and cached

@@ -15,8 +15,11 @@ import (
 	"repro/internal/workload"
 )
 
+// fixture is an engine with its first generation pinned as v: tests that
+// do not reconfigure the engine price on v, tests that do pin again.
 type fixture struct {
 	eng   *engine.Engine
+	v     *engine.View
 	w     *workload.Workload
 	cands []*catalog.Index
 }
@@ -34,14 +37,15 @@ func newFixture(t *testing.T) *fixture {
 	}
 	opts := whatif.DefaultCandidateOptions()
 	opts.MaxPerTable = 4
-	cands := eng.GenerateCandidates(w, opts)
+	v := eng.Pin()
+	cands := v.Session().GenerateCandidates(w, opts)
 	if len(cands) < 4 {
 		t.Fatalf("want at least 4 candidates, got %d", len(cands))
 	}
-	if err := eng.Prepare(context.Background(), w, cands); err != nil {
+	if err := v.Prepare(context.Background(), w, cands); err != nil {
 		t.Fatal(err)
 	}
-	return &fixture{eng: eng, w: w, cands: cands}
+	return &fixture{eng: eng, v: v, w: w, cands: cands}
 }
 
 // sweepConfigs builds a deterministic family of configurations over the
@@ -68,13 +72,13 @@ func TestSweepConfigsMatchesSerial(t *testing.T) {
 
 	serial := make([]float64, len(cfgs))
 	for i, cfg := range cfgs {
-		c, err := f.eng.WorkloadCost(f.w, cfg)
+		c, err := f.v.WorkloadCost(f.w, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		serial[i] = c
 	}
-	parallel, err := f.eng.SweepConfigs(context.Background(), f.w, cfgs)
+	parallel, err := f.v.SweepConfigs(context.Background(), f.w, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,12 +95,12 @@ func TestSweepCandidatesMatchesSerial(t *testing.T) {
 	f := newFixture(t)
 	base := catalog.NewConfiguration().WithIndex(f.cands[0])
 
-	costs, err := f.eng.SweepCandidates(context.Background(), f.w, base, f.cands[1:])
+	costs, err := f.v.SweepCandidates(context.Background(), f.w, base, f.cands[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, ix := range f.cands[1:] {
-		want, err := f.eng.WorkloadCost(f.w, base.WithIndex(ix))
+		want, err := f.v.WorkloadCost(f.w, base.WithIndex(ix))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +119,7 @@ func TestConcurrentSweepsMatchSerial(t *testing.T) {
 
 	serial := make([]float64, len(cfgs))
 	for i, cfg := range cfgs {
-		c, err := f.eng.WorkloadCost(f.w, cfg)
+		c, err := f.v.WorkloadCost(f.w, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +134,7 @@ func TestConcurrentSweepsMatchSerial(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			// Mix whole-workload sweeps and per-query costings.
-			got, err := f.eng.SweepConfigs(context.Background(), f.w, cfgs)
+			got, err := f.v.SweepConfigs(context.Background(), f.w, cfgs)
 			if err != nil {
 				errs[g] = err
 				return
@@ -142,7 +146,7 @@ func TestConcurrentSweepsMatchSerial(t *testing.T) {
 				}
 			}
 			for i, q := range f.w.Queries {
-				if _, err := f.eng.QueryCost(q, cfgs[i%len(cfgs)]); err != nil {
+				if _, err := f.v.QueryCost(q, cfgs[i%len(cfgs)]); err != nil {
 					errs[g] = err
 					return
 				}
@@ -163,12 +167,12 @@ func TestSweepQueryConfigsMatchesSerial(t *testing.T) {
 	cfgs := f.sweepConfigs(10)
 	q := f.w.Queries[0]
 
-	costs, err := f.eng.SweepQueryConfigs(context.Background(), q, cfgs)
+	costs, err := f.v.SweepQueryConfigs(context.Background(), q, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, cfg := range cfgs {
-		want, err := f.eng.QueryCost(q, cfg)
+		want, err := f.v.QueryCost(q, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,11 +189,13 @@ func TestVersioningAndInvalidation(t *testing.T) {
 	f := newFixture(t)
 	q := f.w.Queries[0]
 
-	v0 := f.eng.Version()
-	cache0 := f.eng.Cache()
-	baseCost, err := f.eng.QueryCost(q, nil)
+	v0 := f.v.Version()
+	baseCost, err := f.v.QueryCost(q, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if full, _ := f.eng.CacheStats(); full == 0 {
+		t.Fatal("the prepared fixture reports no full optimizations")
 	}
 
 	// Adopt the full candidate set as the new base design.
@@ -199,17 +205,18 @@ func TestVersioningAndInvalidation(t *testing.T) {
 	}
 	f.eng.SetBaseConfig(cfg)
 
-	if got := f.eng.Version(); got != v0+1 {
+	v := f.eng.Pin()
+	if got := v.Version(); got != v0+1 {
 		t.Fatalf("version = %d, want %d", got, v0+1)
 	}
-	if f.eng.Cache() == cache0 {
-		t.Fatal("SetBaseConfig kept the stale INUM cache")
+	if full, cached := f.eng.CacheStats(); full != 0 || cached != 0 {
+		t.Fatalf("SetBaseConfig kept the stale INUM cache: %d full optimizations, %d cached costings", full, cached)
 	}
-	newCost, err := f.eng.QueryCost(q, nil)
+	newCost, err := v.QueryCost(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := f.eng.QueryCost(q, cfg)
+	want, err := v.QueryCost(q, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,9 +227,10 @@ func TestVersioningAndInvalidation(t *testing.T) {
 		t.Fatalf("cost under the full candidate set (%v) should not exceed the empty base (%v)", newCost, baseCost)
 	}
 
-	f.eng.Invalidate()
-	if got := f.eng.Version(); got != v0+2 {
-		t.Fatalf("version after Invalidate = %d, want %d", got, v0+2)
+	// Re-installing the same base is still a new generation.
+	f.eng.SetBaseConfig(v.Base())
+	if got := f.eng.Pin().Version(); got != v0+2 {
+		t.Fatalf("version after re-installing the base = %d, want %d", got, v0+2)
 	}
 }
 
@@ -252,7 +260,7 @@ func TestPinnedViewSurvivesReconfiguration(t *testing.T) {
 	if after != before {
 		t.Fatalf("pinned view changed generation: %v != %v", after, before)
 	}
-	if v.Version() == f.eng.Version() {
+	if v.Version() == f.eng.Pin().Version() {
 		t.Fatal("pinned view should report the old version")
 	}
 	// A fresh pin sees the new generation.
@@ -271,7 +279,7 @@ func TestEvictPrefix(t *testing.T) {
 	q := f.w.Queries[0]
 	nq := q
 	nq.ID = "ns|" + q.ID
-	if _, err := f.eng.QueryCost(nq, nil); err != nil {
+	if _, err := f.v.QueryCost(nq, nil); err != nil {
 		t.Fatal(err)
 	}
 	if n := f.eng.EvictPrefix("ns|"); n != 1 {
@@ -291,7 +299,7 @@ func TestEvaluateMatchesSerialFullCosts(t *testing.T) {
 	for _, ix := range f.cands[:2] {
 		cfg = cfg.WithIndex(ix)
 	}
-	rep, err := f.eng.Evaluate(context.Background(), f.w, cfg)
+	rep, err := f.v.Evaluate(context.Background(), f.w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,11 +308,11 @@ func TestEvaluateMatchesSerialFullCosts(t *testing.T) {
 	}
 	var wantBase, wantNew float64
 	for i, q := range f.w.Queries {
-		base, err := f.eng.FullCost(q.Stmt, nil)
+		base, err := f.v.FullCost(q.Stmt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nw, err := f.eng.FullCost(q.Stmt, cfg)
+		nw, err := f.v.FullCost(q.Stmt, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,19 +335,19 @@ func TestEvaluateBenefit(t *testing.T) {
 	f := newFixture(t)
 	cfg := catalog.NewConfiguration()
 	for _, spec := range [][]string{{"objid"}, {"ra"}, {"type", "psfmag_r"}} {
-		ix, err := f.eng.HypotheticalIndex("photoobj", spec...)
+		ix, err := f.v.Session().HypotheticalIndex("photoobj", spec...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg = cfg.WithIndex(ix)
 	}
-	ix, err := f.eng.HypotheticalIndex("specobj", "bestobjid")
+	ix, err := f.v.Session().HypotheticalIndex("specobj", "bestobjid")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg = cfg.WithIndex(ix)
 
-	rep, err := f.eng.Evaluate(context.Background(), f.w, cfg)
+	rep, err := f.v.Evaluate(context.Background(), f.w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +369,7 @@ func TestEvaluateBenefit(t *testing.T) {
 
 func TestEvaluateEmptyConfigIsNeutral(t *testing.T) {
 	f := newFixture(t)
-	rep, err := f.eng.Evaluate(context.Background(), f.w, nil)
+	rep, err := f.v.Evaluate(context.Background(), f.w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,20 +447,20 @@ func TestEvaluateSteered(t *testing.T) {
 // not leak into the engine.
 func TestSessionWithScopedJoinControl(t *testing.T) {
 	f := newFixture(t)
-	v0 := f.eng.Version()
-	cache0 := f.eng.Cache()
+	full0, cached0 := f.eng.CacheStats()
 
-	sess := f.eng.SessionWith(optimizer.Options{DisableHashJoin: true, DisableMergeJoin: true})
-	if sess == f.eng.Session() {
+	sess := f.v.SessionWith(optimizer.Options{DisableHashJoin: true, DisableMergeJoin: true})
+	if sess == f.v.Session() {
 		t.Fatal("SessionWith returned the shared session")
 	}
-	if f.eng.Version() != v0 || f.eng.Cache() != cache0 {
+	full, cached := f.eng.CacheStats()
+	if f.eng.Pin().Version() != f.v.Version() || full != full0 || cached != cached0 {
 		t.Fatal("SessionWith mutated the engine")
 	}
 	if !sess.Env().Opts.DisableHashJoin {
 		t.Fatal("derived session did not apply the switches")
 	}
-	if f.eng.Env().Opts.DisableHashJoin {
+	if f.v.Session().Env().Opts.DisableHashJoin || f.eng.Env().Opts.DisableHashJoin {
 		t.Fatal("join switches leaked into the engine environment")
 	}
 }
@@ -461,13 +469,13 @@ func TestSessionWithScopedJoinControl(t *testing.T) {
 func TestSetWorkers(t *testing.T) {
 	f := newFixture(t)
 	cfgs := f.sweepConfigs(6)
-	want, err := f.eng.SweepConfigs(context.Background(), f.w, cfgs)
+	want, err := f.v.SweepConfigs(context.Background(), f.w, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range []int{1, 2, 0} {
 		f.eng.SetWorkers(n)
-		got, err := f.eng.SweepConfigs(context.Background(), f.w, cfgs)
+		got, err := f.v.SweepConfigs(context.Background(), f.w, cfgs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -476,5 +484,25 @@ func TestSetWorkers(t *testing.T) {
 				t.Fatalf("workers=%d config %d: %v != %v", n, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestEngineIsLifecycleOnly pins the division of labour: *Engine is
+// constructed, pinned, reconfigured through the two doors the product uses,
+// bounded and counted; every what-if question is a method on *View. A new
+// exported method on *Engine fails here — costing belongs on the view, so a
+// question cannot be answered on two generations.
+func TestEngineIsLifecycleOnly(t *testing.T) {
+	want := []string{
+		"Base", "CacheStats", "Env", "EvictPrefix", "Pin", "PinBackend",
+		"Schema", "SetBaseConfig", "SetStats", "SetWorkers", "Workers",
+	}
+	typ := reflect.TypeOf((*engine.Engine)(nil))
+	got := make([]string, typ.NumMethod())
+	for i := range got {
+		got[i] = typ.Method(i).Name
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("exported methods of *Engine:\n got %v\nwant %v", got, want)
 	}
 }

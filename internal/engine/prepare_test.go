@@ -46,10 +46,10 @@ func newCountingEngine(t *testing.T) (*Engine, *workload.Workload, *countingBack
 // zero backend Prepare calls (one fingerprint lookup instead of |W| calls).
 func TestSweepPreparesWorkloadOnce(t *testing.T) {
 	e, w, cb := newCountingEngine(t)
-	ctx := context.Background()
+	ctx, v := context.Background(), e.Pin()
 	cfgs := []*catalog.Configuration{nil, catalog.NewConfiguration()}
 
-	first, err := e.SweepConfigs(ctx, w, cfgs)
+	first, err := v.SweepConfigs(ctx, w, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestSweepPreparesWorkloadOnce(t *testing.T) {
 	}
 
 	for i := 0; i < 3; i++ {
-		again, err := e.SweepConfigs(ctx, w, cfgs)
+		again, err := v.SweepConfigs(ctx, w, cfgs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,16 +79,16 @@ func TestSweepPreparesWorkloadOnce(t *testing.T) {
 // the fingerprint recorded by Prepare satisfies the sweep's fast path.
 func TestExplicitPrepareSkipsSweepPrepare(t *testing.T) {
 	e, w, cb := newCountingEngine(t)
-	ctx := context.Background()
+	ctx, v := context.Background(), e.Pin()
 
-	if err := e.Prepare(ctx, w, nil); err != nil {
+	if err := v.Prepare(ctx, w, nil); err != nil {
 		t.Fatal(err)
 	}
 	afterPrepare := cb.prepares.Load()
 	if afterPrepare != int64(len(w.Queries)) {
 		t.Fatalf("Prepare made %d backend calls, want %d", afterPrepare, len(w.Queries))
 	}
-	if _, err := e.SweepConfigs(ctx, w, []*catalog.Configuration{nil}); err != nil {
+	if _, err := v.SweepConfigs(ctx, w, []*catalog.Configuration{nil}); err != nil {
 		t.Fatal(err)
 	}
 	if got := cb.prepares.Load(); got != afterPrepare {
@@ -97,19 +97,20 @@ func TestExplicitPrepareSkipsSweepPrepare(t *testing.T) {
 }
 
 // TestInvalidationResetsPreparedSet asserts the fast path is generation
-// scoped: after an invalidation the new snapshot re-prepares the workload
-// (stale templates must never satisfy a fresh generation).
+// scoped: after an invalidation (the same base installed again) the new
+// snapshot re-prepares the workload — stale templates must never satisfy a
+// fresh generation.
 func TestInvalidationResetsPreparedSet(t *testing.T) {
 	e, w, _ := newCountingEngine(t)
-	ctx := context.Background()
-	if _, err := e.SweepConfigs(ctx, w, []*catalog.Configuration{nil}); err != nil {
+	ctx, v := context.Background(), e.Pin()
+	if _, err := v.SweepConfigs(ctx, w, []*catalog.Configuration{nil}); err != nil {
 		t.Fatal(err)
 	}
-	e.Invalidate()
+	e.SetBaseConfig(v.Base())
 	// The rebuilt snapshot has a fresh (unwrapped) backend; count again.
 	cb := &countingBackend{CostBackend: e.snap.backend}
 	e.snap.backend = cb
-	if _, err := e.SweepConfigs(ctx, w, []*catalog.Configuration{nil}); err != nil {
+	if _, err := e.Pin().SweepConfigs(ctx, w, []*catalog.Configuration{nil}); err != nil {
 		t.Fatal(err)
 	}
 	if got := cb.prepares.Load(); got != int64(len(w.Queries)) {

@@ -135,15 +135,10 @@ func (e *Engine) sweep(ctx context.Context, n int, fn func(i int) error) error {
 }
 
 // SweepConfigs prices the whole workload under every configuration in
-// parallel, through the INUM cache. costs[i] corresponds to cfgs[i]; a nil
-// configuration means the engine's base. Results are identical to calling
-// WorkloadCost serially per configuration.
-func (e *Engine) SweepConfigs(ctx context.Context, w *workload.Workload, cfgs []*catalog.Configuration) ([]float64, error) {
-	return e.Pin().SweepConfigs(ctx, w, cfgs)
-}
-
-// SweepConfigs prices the workload under every configuration in parallel
-// against the pinned generation.
+// parallel against the pinned generation, through the backend's cached
+// path. costs[i] corresponds to cfgs[i]; a nil configuration means the
+// pinned base. Results are identical to calling WorkloadCost serially per
+// configuration.
 func (v *View) SweepConfigs(ctx context.Context, w *workload.Workload, cfgs []*catalog.Configuration) ([]float64, error) {
 	if err := v.prepareAll(ctx, w); err != nil {
 		return nil, err
@@ -169,14 +164,8 @@ func (v *View) SweepConfigs(ctx context.Context, w *workload.Workload, cfgs []*c
 
 // SweepCandidates prices, in parallel, the workload under base extended by
 // each candidate index on its own: costs[i] is the workload cost under
-// base ∪ {cands[i]}. This is the inner loop of greedy selection and
-// materialization scheduling.
-func (e *Engine) SweepCandidates(ctx context.Context, w *workload.Workload, base *catalog.Configuration, cands []*catalog.Index) ([]float64, error) {
-	return e.Pin().SweepCandidates(ctx, w, base, cands)
-}
-
-// SweepCandidates prices base ∪ {cands[i]} per candidate against the
-// pinned generation.
+// base ∪ {cands[i]}, against the pinned generation. This is the inner loop
+// of greedy selection and materialization scheduling.
 func (v *View) SweepCandidates(ctx context.Context, w *workload.Workload, base *catalog.Configuration, cands []*catalog.Index) ([]float64, error) {
 	if err := v.prepareAll(ctx, w); err != nil {
 		return nil, err
@@ -202,13 +191,8 @@ func (v *View) SweepCandidates(ctx context.Context, w *workload.Workload, base *
 }
 
 // SweepQueryConfigs prices one query under many configurations in parallel
-// — CoPhy's atom pricing. costs[i] corresponds to cfgs[i].
-func (e *Engine) SweepQueryConfigs(ctx context.Context, q workload.Query, cfgs []*catalog.Configuration) ([]float64, error) {
-	return e.Pin().SweepQueryConfigs(ctx, q, cfgs)
-}
-
-// SweepQueryConfigs prices one query under many configurations in parallel
-// against the pinned generation.
+// against the pinned generation — CoPhy's atom pricing. costs[i]
+// corresponds to cfgs[i].
 func (v *View) SweepQueryConfigs(ctx context.Context, q workload.Query, cfgs []*catalog.Configuration) ([]float64, error) {
 	price, err := v.s.backend.Pricer([]workload.Query{q})
 	if err != nil {
@@ -250,19 +234,13 @@ func (v *View) prepareAll(ctx context.Context, w *workload.Workload) error {
 	return nil
 }
 
-// Evaluate costs every query under the base and the hypothetical
+// Evaluate costs every query under the pinned base and the hypothetical
 // configuration with the backend's reference model (the full optimizer for
 // analytical backends, the trace for replay) and returns the benefit report
-// the demo's Scenario 1/2 panels display.
-func (e *Engine) Evaluate(ctx context.Context, w *workload.Workload, cfg *catalog.Configuration) (*whatif.Report, error) {
-	return e.Pin().Evaluate(ctx, w, cfg)
-}
-
-// Evaluate runs the benefit report against the pinned generation — the
-// per-session isolation surface: a design session pinned at creation keeps
-// evaluating against its generation (and its backend) even if the engine is
-// reconfigured. Queries are priced in parallel, and results are
-// deterministic and identical to a serial loop over FullCost.
+// the demo's Scenario 1/2 panels display. A design session pinned at
+// creation keeps evaluating against its generation (and its backend) even
+// if the engine is reconfigured. Queries are priced in parallel, and
+// results are deterministic and identical to a serial loop over FullCost.
 func (v *View) Evaluate(ctx context.Context, w *workload.Workload, cfg *catalog.Configuration) (*whatif.Report, error) {
 	return v.evaluate(ctx, w, cfg, v.s.backend.StmtCost)
 }

@@ -135,7 +135,8 @@ func TestSweepZeroJobs(t *testing.T) {
 // the schedule-independence half of the determinism contract.
 func TestSweepWidthsBitIdentical(t *testing.T) {
 	e, w, _ := newCountingEngine(t)
-	cands := e.GenerateCandidates(w, whatif.DefaultCandidateOptions())
+	v := e.Pin()
+	cands := v.Session().GenerateCandidates(w, whatif.DefaultCandidateOptions())
 	if len(cands) < 4 {
 		t.Fatalf("want at least 4 candidates, got %d", len(cands))
 	}
@@ -149,13 +150,13 @@ func TestSweepWidthsBitIdentical(t *testing.T) {
 		}
 	}
 	e.SetWorkers(1)
-	serial, err := e.SweepConfigs(context.Background(), w, cfgs)
+	serial, err := v.SweepConfigs(context.Background(), w, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 7, 16} {
 		e.SetWorkers(workers)
-		got, err := e.SweepConfigs(context.Background(), w, cfgs)
+		got, err := v.SweepConfigs(context.Background(), w, cfgs)
 		if err != nil {
 			t.Fatal(err)
 		}

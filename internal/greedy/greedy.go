@@ -8,8 +8,9 @@
 // The package also provides exhaustive enumeration for small instances, the
 // ground truth used to verify CoPhy's optimality claims in tests.
 //
-// All what-if pricing flows through the shared costing engine; each greedy
-// step evaluates the surviving candidates with one parallel sweep.
+// All what-if pricing flows through the pinned engine view the caller hands
+// in; each greedy step evaluates the surviving candidates with one parallel
+// sweep.
 package greedy
 
 import (
@@ -48,25 +49,12 @@ func (r *Result) Improvement() float64 {
 	return (r.BaselineCost - r.Objective) / r.BaselineCost
 }
 
-// Advisor runs the greedy heuristic over a candidate set using the engine's
-// INUM-cached what-if pricing.
-type Advisor struct {
-	eng        *engine.Engine
-	candidates []*catalog.Index
-}
-
-// New creates a greedy advisor.
-func New(eng *engine.Engine, candidates []*catalog.Index) *Advisor {
-	return &Advisor{eng: eng, candidates: candidates}
-}
-
-// Advise runs the greedy loop. Every iteration prices the eligible
-// candidates against the current configuration in one parallel sweep; a
-// cancelled context aborts mid-sweep and returns ctx.Err().
-func (a *Advisor) Advise(ctx context.Context, w *workload.Workload, opts Options) (*Result, error) {
-	// Pin one engine generation for the whole greedy run.
-	v := a.eng.Pin()
-	if err := v.Prepare(ctx, w, a.candidates); err != nil {
+// Advise runs the greedy loop over a candidate set against one pinned
+// engine generation. Every iteration prices the eligible candidates against
+// the current configuration in one parallel sweep; a cancelled context
+// aborts mid-sweep and returns ctx.Err().
+func Advise(ctx context.Context, v *engine.View, candidates []*catalog.Index, w *workload.Workload, opts Options) (*Result, error) {
+	if err := v.Prepare(ctx, w, candidates); err != nil {
 		return nil, err
 	}
 	res := &Result{}
@@ -77,7 +65,7 @@ func (a *Advisor) Advise(ctx context.Context, w *workload.Workload, opts Options
 	}
 	res.PricingCalls += len(w.Queries)
 	res.BaselineCost = cur
-	remaining := append([]*catalog.Index(nil), a.candidates...)
+	remaining := append([]*catalog.Index(nil), candidates...)
 	var usedPages int64
 	for {
 		if err := ctx.Err(); err != nil {
@@ -146,9 +134,7 @@ func (a *Advisor) Advise(ctx context.Context, w *workload.Workload, opts Options
 // the true optimum. Exponential — use only with small candidate sets (the
 // E7 ground truth). Subsets are priced in bounded parallel batches so peak
 // memory stays fixed instead of materializing all 2^n configurations.
-func Exhaustive(ctx context.Context, eng *engine.Engine, candidates []*catalog.Index, w *workload.Workload, budgetPages int64) (*Result, error) {
-	// Pin one engine generation for the whole enumeration.
-	v := eng.Pin()
+func Exhaustive(ctx context.Context, v *engine.View, candidates []*catalog.Index, w *workload.Workload, budgetPages int64) (*Result, error) {
 	if err := v.Prepare(ctx, w, candidates); err != nil {
 		return nil, err
 	}

@@ -11,30 +11,29 @@ import (
 	"repro/internal/workload"
 )
 
-func fixture(t *testing.T, nQueries, maxCands int) (*engine.Engine, []*catalog.Index, *workload.Workload) {
+func fixture(t *testing.T, nQueries, maxCands int) (*engine.View, []*catalog.Index, *workload.Workload) {
 	t.Helper()
 	store, err := workload.Generate(workload.TinySize(), 61)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := engine.New(store.Schema, store.Stats, nil)
+	v := engine.New(store.Schema, store.Stats, nil).Pin()
 	w, err := workload.NewWorkload(store.Schema, 62, nQueries)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := whatif.DefaultCandidateOptions()
 	opts.MaxPerTable = 4
-	cands := eng.GenerateCandidates(w, opts)
+	cands := v.Session().GenerateCandidates(w, opts)
 	if len(cands) > maxCands {
 		cands = cands[:maxCands]
 	}
-	return eng, cands, w
+	return v, cands, w
 }
 
 func TestGreedyImproves(t *testing.T) {
-	eng, cands, w := fixture(t, 12, 20)
-	adv := greedy.New(eng, cands)
-	res, err := adv.Advise(context.Background(), w, greedy.Options{})
+	v, cands, w := fixture(t, 12, 20)
+	res, err := greedy.Advise(context.Background(), v, cands, w, greedy.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,14 +49,13 @@ func TestGreedyImproves(t *testing.T) {
 }
 
 func TestGreedyRespectsBudget(t *testing.T) {
-	eng, cands, w := fixture(t, 8, 16)
+	v, cands, w := fixture(t, 8, 16)
 	var total int64
 	for _, ix := range cands {
 		total += ix.EstimatedPages
 	}
 	budget := total / 4
-	adv := greedy.New(eng, cands)
-	res, err := adv.Advise(context.Background(), w, greedy.Options{StorageBudgetPages: budget, BenefitPerPage: true})
+	res, err := greedy.Advise(context.Background(), v, cands, w, greedy.Options{StorageBudgetPages: budget, BenefitPerPage: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,10 +69,9 @@ func TestGreedyRespectsBudget(t *testing.T) {
 }
 
 func TestGreedyNeverWorseThanBaseline(t *testing.T) {
-	eng, cands, w := fixture(t, 8, 10)
-	adv := greedy.New(eng, cands)
+	v, cands, w := fixture(t, 8, 10)
 	for _, budget := range []int64{0, 1, 100, 100000} {
-		res, err := adv.Advise(context.Background(), w, greedy.Options{StorageBudgetPages: budget})
+		res, err := greedy.Advise(context.Background(), v, cands, w, greedy.Options{StorageBudgetPages: budget})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,13 +83,12 @@ func TestGreedyNeverWorseThanBaseline(t *testing.T) {
 }
 
 func TestExhaustiveAtLeastAsGoodAsGreedy(t *testing.T) {
-	eng, cands, w := fixture(t, 6, 8)
-	adv := greedy.New(eng, cands)
-	gres, err := adv.Advise(context.Background(), w, greedy.Options{})
+	v, cands, w := fixture(t, 6, 8)
+	gres, err := greedy.Advise(context.Background(), v, cands, w, greedy.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eres, err := greedy.Exhaustive(context.Background(), eng, cands, w, 0)
+	eres, err := greedy.Exhaustive(context.Background(), v, cands, w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,18 +59,12 @@ type Graph struct {
 	PrunedPairs int
 }
 
-// Analyze computes pairwise interaction degrees for the index set against
-// the workload. All costs flow through the engine's INUM cache, and every
-// pair's lattice walk — the four corner configurations of every sampled
-// context — is priced in one parallel engine sweep, which is what makes
-// the quadratic pair analysis interactive. One engine generation is pinned
-// for the whole pair analysis; to analyze against an already-pinned
-// generation (a design session's view), use AnalyzeView.
-func Analyze(ctx context.Context, eng *engine.Engine, w *workload.Workload, indexes []*catalog.Index, opts Options) (*Graph, error) {
-	return AnalyzeView(ctx, eng.Pin(), w, indexes, opts)
-}
-
-// AnalyzeView runs the pair analysis against one pinned engine generation.
+// AnalyzeView computes pairwise interaction degrees for the index set
+// against the workload on one pinned engine generation. All costs flow
+// through the view's cached path, and every pair's lattice walk — the four
+// corner configurations of every sampled context — is priced in one
+// parallel sweep, which is what makes the quadratic pair analysis
+// interactive.
 func AnalyzeView(ctx context.Context, v *engine.View, w *workload.Workload, indexes []*catalog.Index, opts Options) (*Graph, error) {
 	if opts.SampleContexts < 0 {
 		opts.SampleContexts = 0

@@ -16,7 +16,7 @@ import (
 // pairs only photoobj×photoobj survives.
 func TestRelevancePruningSkipsDisjointPairs(t *testing.T) {
 	f := newFixture(t)
-	g, err := interaction.Analyze(context.Background(), f.eng, f.w, f.indexes, interaction.DefaultOptions())
+	g, err := interaction.AnalyzeView(context.Background(), f.v, f.w, f.indexes, interaction.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestRelevancePruningSkipsDisjointPairs(t *testing.T) {
 func TestRelevancePruningIsExact(t *testing.T) {
 	f := newFixture(t)
 	ctx := context.Background()
-	v := f.eng.Pin()
+	v := f.v
 	if err := v.Prepare(ctx, f.w, f.indexes); err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func benchSetup(b *testing.B) (*inum.Cache, []*workload.Query, []*catalog.Index,
 	if err != nil {
 		b.Fatal(err)
 	}
-	sess := whatif.NewSession(store.Schema, store.Stats, nil)
+	sess := whatif.NewSessionFromEnv(env, nil)
 	cands := sess.GenerateCandidates(w, whatif.DefaultCandidateOptions())
 	cache := inum.New(env)
 	qs := make([]*workload.Query, len(w.Queries))

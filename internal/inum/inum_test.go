@@ -31,7 +31,7 @@ func newFixture(t *testing.T, nQueries int) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := whatif.NewSession(store.Schema, store.Stats, nil)
+	sess := whatif.NewSessionFromEnv(env, nil)
 	cands := sess.GenerateCandidates(w, whatif.DefaultCandidateOptions())
 	return &fixture{env: env, cache: inum.New(env), w: w, cands: cands}
 }

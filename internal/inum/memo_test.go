@@ -93,7 +93,7 @@ func checkAgainstCold(t *testing.T, env *optimizer.Env, warm *Cache, wq *CachedQ
 // deliver an order, without their leading column being referenced.
 func designSpace(t *testing.T, store *storage.Store, w *workload.Workload) []*catalog.Index {
 	t.Helper()
-	sess := whatif.NewSession(store.Schema, store.Stats, nil)
+	sess := whatif.NewSessionFromEnv(optimizer.NewEnv(store.Schema, store.Stats, nil), nil)
 	opts := whatif.DefaultCandidateOptions()
 	opts.IncludeProjections, opts.IncludeAggViews = true, true
 	space := sess.GenerateCandidates(w, opts)
@@ -213,7 +213,7 @@ func TestTemplateOrderMakesStructureVisible(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := optimizer.NewEnv(store.Schema, store.Stats, nil)
-	sess := whatif.NewSession(store.Schema, store.Stats, nil)
+	sess := whatif.NewSessionFromEnv(env, nil)
 	w, err := workload.NewWorkloadFrom(store.Schema, 1, 1, []workload.Template{{
 		Name: "all_ra", Gen: func(*rand.Rand) string { return "SELECT ra FROM photoobj" },
 	}})
@@ -371,7 +371,7 @@ func TestMemoStartsOverAtTheBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := whatif.NewSession(store.Schema, store.Stats, nil)
+	sess := whatif.NewSessionFromEnv(env, nil)
 	proto, err := sess.HypotheticalIndex(cq.Tables[0], store.Schema.Table(cq.Tables[0]).Columns[0].Name)
 	if err != nil {
 		t.Fatal(err)

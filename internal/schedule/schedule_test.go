@@ -13,7 +13,7 @@ import (
 )
 
 type fixture struct {
-	eng     *engine.Engine
+	v       *engine.View
 	sched   *schedule.Scheduler
 	w       *workload.Workload
 	indexes []*catalog.Index
@@ -26,12 +26,13 @@ func newFixture(t *testing.T) *fixture {
 		t.Fatal(err)
 	}
 	eng := engine.New(store.Schema, store.Stats, nil)
+	v := eng.Pin()
 	w, err := workload.NewWorkload(store.Schema, 92, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mk := func(table string, cols ...string) *catalog.Index {
-		ix, err := eng.HypotheticalIndex(table, cols...)
+		ix, err := v.Session().HypotheticalIndex(table, cols...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,14 +47,14 @@ func newFixture(t *testing.T) *fixture {
 		mk("neighbors", "objid"),
 	}
 	return &fixture{
-		eng: eng, sched: schedule.New(eng),
+		v: v, sched: schedule.New(eng),
 		w: w, indexes: indexes,
 	}
 }
 
 func TestGreedyScheduleBasics(t *testing.T) {
 	f := newFixture(t)
-	s, err := f.sched.Greedy(context.Background(), f.w, f.indexes)
+	s, err := f.sched.GreedyView(context.Background(), f.v, f.w, f.indexes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +82,11 @@ func TestGreedyScheduleBasics(t *testing.T) {
 // AUC) as the interaction-oblivious ranking.
 func TestGreedyBeatsOrMatchesOblivious(t *testing.T) {
 	f := newFixture(t)
-	greedy, err := f.sched.Greedy(context.Background(), f.w, f.indexes)
+	greedy, err := f.sched.GreedyView(context.Background(), f.v, f.w, f.indexes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	obliv, err := f.sched.Oblivious(context.Background(), f.w, f.indexes)
+	obliv, err := f.sched.ObliviousView(context.Background(), f.v, f.w, f.indexes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,21 +102,51 @@ func TestGreedyBeatsOrMatchesOblivious(t *testing.T) {
 	}
 }
 
+// fixedOrder evaluates a build order as given — the reference any chosen
+// order is compared against: each step's build runs while the workload pays
+// the cost of the prefix already built.
+func fixedOrder(t *testing.T, f *fixture, indexes []*catalog.Index) *schedule.Schedule {
+	t.Helper()
+	cfg := catalog.NewConfiguration()
+	base, err := f.v.WorkloadCost(f.w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := &schedule.Schedule{BaseCost: base}
+	prev := base
+	for _, ix := range indexes {
+		cfg = cfg.WithIndex(ix)
+		c, err := f.v.WorkloadCost(f.w, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		build := schedule.BuildCost(ix, f.v.Stats(), f.v.Params())
+		out.Steps = append(out.Steps, schedule.Step{Index: ix, BuildCost: build, CostAfter: c})
+		out.AUC += prev * build
+		out.TotalBuild += build
+		prev = c
+	}
+	return out
+}
+
 func TestFixedOrderWorstCase(t *testing.T) {
 	f := newFixture(t)
-	greedy, err := f.sched.Greedy(context.Background(), f.w, f.indexes)
+	greedy, err := f.sched.GreedyView(context.Background(), f.v, f.w, f.indexes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reverse the greedy order: must be no better.
+	// Reverse the greedy order: must be no better. Replayed in its own
+	// order, the reference reproduces the greedy schedule's area exactly.
+	own := make([]*catalog.Index, len(greedy.Steps))
 	reversed := make([]*catalog.Index, len(greedy.Steps))
 	for i, st := range greedy.Steps {
+		own[i] = st.Index
 		reversed[len(reversed)-1-i] = st.Index
 	}
-	fixed, err := f.sched.FixedOrder(context.Background(), f.w, reversed)
-	if err != nil {
-		t.Fatal(err)
+	if same := fixedOrder(t, f, own); same.AUC != greedy.AUC {
+		t.Fatalf("greedy order replayed step by step: AUC %v, schedule says %v", same.AUC, greedy.AUC)
 	}
+	fixed := fixedOrder(t, f, reversed)
 	if fixed.AUC < greedy.AUC*0.999 {
 		t.Fatalf("reversed order AUC %f beats greedy %f", fixed.AUC, greedy.AUC)
 	}
@@ -139,7 +170,7 @@ func TestBuildCostScalesWithSize(t *testing.T) {
 
 func TestScheduleString(t *testing.T) {
 	f := newFixture(t)
-	s, err := f.sched.Greedy(context.Background(), f.w, f.indexes[:2])
+	s, err := f.sched.GreedyView(context.Background(), f.v, f.w, f.indexes[:2])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,8 @@
 // Configuration, and costed by the unmodified optimizer.
 //
 // The what-if join sub-component (§3.1c) is exposed as optimizer.Options
-// pass-through: join methods can be disabled per evaluation to steer and
-// inspect plan shape.
+// pass-through: a session built over an environment with join methods
+// disabled (engine.View.SessionWith) steers and inspects plan shape.
 package whatif
 
 import (
@@ -18,7 +18,6 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/optimizer"
 	"repro/internal/sqlparse"
-	"repro/internal/stats"
 )
 
 // Session evaluates hypothetical designs against a fixed schema/statistics
@@ -28,19 +27,11 @@ type Session struct {
 	base *catalog.Configuration
 }
 
-// NewSession creates a what-if session. base may be nil for "no physical
-// design" (heap-only tables).
-func NewSession(schema *catalog.Schema, st *stats.Catalog, base *catalog.Configuration) *Session {
-	if base == nil {
-		base = catalog.NewConfiguration()
-	}
-	return &Session{env: optimizer.NewEnv(schema, st, base), base: base}
-}
-
 // NewSessionFromEnv creates a what-if session over a prepared optimizer
 // environment — the engine uses this to hand sessions the active cost
 // backend's constants (a calibrated engine evaluates designs with
-// calibrated costs). The environment's configuration is replaced by base.
+// calibrated costs). The environment's configuration is replaced by base,
+// which may be nil for "no physical design" (heap-only tables).
 func NewSessionFromEnv(env *optimizer.Env, base *catalog.Configuration) *Session {
 	if base == nil {
 		base = catalog.NewConfiguration()
@@ -53,12 +44,6 @@ func (s *Session) Env() *optimizer.Env { return s.env }
 
 // Base returns the session's base configuration.
 func (s *Session) Base() *catalog.Configuration { return s.base }
-
-// SetJoinControl configures the what-if join component's switches for all
-// subsequent evaluations.
-func (s *Session) SetJoinControl(opts optimizer.Options) {
-	s.env = s.env.WithOptions(opts)
-}
 
 // HypotheticalIndex constructs a sized what-if index on the table: leaf
 // pages and height are estimated from statistics exactly as a real build

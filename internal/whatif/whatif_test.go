@@ -15,7 +15,7 @@ func newSession(t *testing.T) (*whatif.Session, *workload.Workload) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := whatif.NewSession(store.Schema, store.Stats, nil)
+	s := whatif.NewSessionFromEnv(optimizer.NewEnv(store.Schema, store.Stats, nil), nil)
 	w, err := workload.NewWorkload(store.Schema, 32, 12)
 	if err != nil {
 		t.Fatal(err)
@@ -73,8 +73,9 @@ func TestJoinControlChangesPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetJoinControl(optimizer.Options{DisableHashJoin: true, DisableMergeJoin: true})
-	planNL, err := s.Explain(q.Stmt, nil)
+	steered := whatif.NewSessionFromEnv(
+		s.Env().WithOptions(optimizer.Options{DisableHashJoin: true, DisableMergeJoin: true}), s.Base())
+	planNL, err := steered.Explain(q.Stmt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
