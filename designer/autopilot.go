@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"repro/internal/autopilot"
-	"repro/internal/workload"
 )
 
 // AutopilotOptions configure the closed-loop supervisor layered over the
@@ -160,12 +159,9 @@ func (a *Autopilot) Observe(ctx context.Context, q Query) (float64, error) {
 // ObserveAll feeds a whole stream; a cancelled context aborts between
 // queries.
 func (a *Autopilot) ObserveAll(ctx context.Context, qs []Query) (float64, error) {
-	stream := make([]workload.Query, 0, len(qs))
-	for _, q := range qs {
-		if err := q.valid(); err != nil {
-			return 0, err
-		}
-		stream = append(stream, q.internal())
+	stream, err := queriesToInternal(qs)
+	if err != nil {
+		return 0, err
 	}
 	return a.a.ObserveAll(ctx, stream)
 }
@@ -233,31 +229,10 @@ func (a *Autopilot) Current() []Index {
 }
 
 // Alerts returns the wrapped tuner's alerts.
-func (a *Autopilot) Alerts() []TunerAlert {
-	alerts := a.a.Tuner().Alerts()
-	out := make([]TunerAlert, len(alerts))
-	for i, al := range alerts {
-		out[i] = alertFromInternal(al)
-	}
-	return out
-}
+func (a *Autopilot) Alerts() []TunerAlert { return alertsFromInternal(a.a.Tuner().Alerts()) }
 
 // Reports returns the wrapped tuner's per-epoch summaries.
-func (a *Autopilot) Reports() []TunerReport {
-	reps := a.a.Tuner().Reports()
-	out := make([]TunerReport, len(reps))
-	for i, r := range reps {
-		out[i] = TunerReport{
-			Epoch:         r.Epoch,
-			Queries:       r.Queries,
-			EpochCost:     r.EpochCost,
-			WhatIfCalls:   r.WhatIfCalls,
-			ConfigChanged: r.ConfigChanged,
-			IndexKeys:     append([]string(nil), r.IndexKeys...),
-		}
-	}
-	return out
-}
+func (a *Autopilot) Reports() []TunerReport { return reportsFromInternal(a.a.Tuner().Reports()) }
 
 // Save persists the current state to the configured StatePath (no-op
 // without one). Call it on shutdown for a mid-epoch-exact snapshot;

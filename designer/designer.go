@@ -492,22 +492,3 @@ func (d *Designer) ScheduleOblivious(ctx context.Context, w *Workload, indexes [
 	}
 	return scheduleFromInternal(s), nil
 }
-
-// internal of PartitionOptions (kept here so types.go stays conversion-only
-// for option structs that need package defaults).
-func (o PartitionOptions) internal() autopart.Options {
-	return autopart.Options{
-		MinFragmentColumns:  o.MinFragmentColumns,
-		HorizontalFragments: append([]int(nil), o.HorizontalFragments...),
-		MinImprovement:      o.MinImprovement,
-	}
-}
-
-func autopartDefaults() PartitionOptions {
-	o := autopart.DefaultOptions()
-	return PartitionOptions{
-		MinFragmentColumns:  o.MinFragmentColumns,
-		HorizontalFragments: o.HorizontalFragments,
-		MinImprovement:      o.MinImprovement,
-	}
-}

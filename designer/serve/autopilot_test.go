@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -282,4 +283,54 @@ func TestAutopilotStaleTunerID(t *testing.T) {
 	// The live id works.
 	call(t, "POST", base+"/tuners/"+id2+"/autopilot", map[string]any{"probation_epochs": 2}, http.StatusCreated)
 	call(t, "GET", base+"/tuners/"+id2+"/autopilot", nil, http.StatusOK)
+}
+
+// TestAutopilotRestartOnSameTuner pins /tuner/status across an autopilot
+// stop and restart on one tuner id: the slot's reading says what the slot
+// holds. Stopped, it is neither active nor supervised (and observing is a
+// 404); started again, it is both, and observing works.
+func TestAutopilotRestartOnSameTuner(t *testing.T) {
+	base := start(t)
+	id := call(t, "POST", base+"/tuner", map[string]any{"epoch_length": 4}, http.StatusCreated)["id"].(string)
+	apURL := base + "/tuners/" + id + "/autopilot"
+	flags := func() (active, autopilot any) {
+		st := call(t, "GET", base+"/tuner/status", nil, http.StatusOK)
+		if st["id"] != id {
+			t.Fatalf("status id = %v, want %s: autopilot start/stop must not mint a tuner generation", st["id"], id)
+		}
+		return st["active"], st["autopilot"]
+	}
+
+	call(t, "POST", apURL, nil, http.StatusCreated)
+	call(t, "DELETE", apURL, nil, http.StatusOK)
+	if active, ap := flags(); active != false || ap != false {
+		t.Fatalf("after stop: active=%v autopilot=%v, want false false", active, ap)
+	}
+
+	call(t, "POST", apURL, nil, http.StatusCreated)
+	if active, ap := flags(); active != true || ap != true {
+		t.Fatalf("after restart: active=%v autopilot=%v, want true true", active, ap)
+	}
+	call(t, "POST", base+"/tuner/observe", map[string]any{"sql": []string{testSQL}}, http.StatusOK)
+}
+
+// TestFreshTunerReportsMaterializedDesign: a tuner seated over a design that
+// already holds an index lists it in /tuner/status from the start, not only
+// once its first observation happens to refresh the reading.
+func TestFreshTunerReportsMaterializedDesign(t *testing.T) {
+	base := start(t)
+	call(t, "POST", base+"/materialize", map[string]any{
+		"indexes": []map[string]any{{"table": "photoobj", "columns": []string{"ra"}}},
+	}, http.StatusOK)
+	call(t, "POST", base+"/tuner", nil, http.StatusCreated)
+
+	want := []any{"photoobj(ra)"}
+	current := func() any { return call(t, "GET", base+"/tuner/status", nil, http.StatusOK)["current"] }
+	if got := current(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("current before any observation = %v, want %v", got, want)
+	}
+	call(t, "POST", base+"/tuner/observe", map[string]any{"sql": []string{testSQL}}, http.StatusOK)
+	if got := current(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("current after one observation = %v, want %v", got, want)
+	}
 }

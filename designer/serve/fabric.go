@@ -284,9 +284,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mCacheFullOpt.Set(float64(cs.FullOptimizations))
 	s.mCacheCostings.Set(float64(cs.CachedCostings))
 
-	// The autopilot owns its monotonic totals; mirror the read-side copy.
-	_, apActive, apSt, apDecs, _ := s.autopilotSnapshot()
-	if apActive {
+	// The autopilot owns its monotonic totals; mirror the slot's reading.
+	tv := s.tunerView.Load()
+	apSt, apDecs := tv.status, tv.decisions
+	if tv.autopilot {
 		s.mAPActive.Set(1)
 	} else {
 		s.mAPActive.Set(0)

@@ -26,6 +26,14 @@
 // client or a reclaimed session cancels its advisor run mid-sweep.
 // Design sessions are isolated on pinned engine generations: a
 // concurrent /materialize does not tear an open session's evaluations.
+//
+// Two rules are spelled once each. Every session-scoped verb runs through
+// sessionVerb, which owns session lookup, decoding, the work lock and error
+// mapping, so a DesignSession is only ever touched locked and live. The
+// online tuner lives in one slot (a plain tuner or the autopilot supervising
+// one) whose holder publishes an immutable reading after every change; the
+// status routes, the SSE stream and /metrics answer from that reading alone
+// and never wait on an observation in flight.
 package serve
 
 import (
@@ -40,6 +48,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/designer"
@@ -98,32 +107,23 @@ type Server struct {
 	mAPDecisions   *metrics.CounterVec
 	mAPPending     *metrics.GaugeVec
 
-	// tunerMu guards the tuner handle and all calls into it: the COLT
-	// tuner serializes observation, so the server serializes access. When
-	// the autopilot supervises the tuner slot, ap is non-nil and tuner is
-	// nil — observations flow through the closed loop instead.
+	// tunerMu guards the tuner slot and every call into its occupant: the
+	// COLT tuner serializes observation, so the server serializes access.
+	// occupant is what observes — a *designer.Tuner, or the
+	// *designer.Autopilot supervising one (observations then flow through
+	// the closed loop) — and nil before POST /tuner and after the autopilot
+	// is stopped. tunerOpts are the options the occupant was built with; an
+	// autopilot started over HTTP inherits them.
 	tunerMu   sync.Mutex
-	tuner     *designer.Tuner
-	ap        *designer.Autopilot
+	occupant  observer
 	tunerOpts designer.TunerOptions
 
-	// tunerStateMu guards a cheap read-side copy of the tuner's telemetry,
-	// refreshed after every observation batch, so /tuner/status and the SSE
-	// stream never block behind a long-running ObserveAll. tunerGen counts
-	// tuner replacements so alert streams can tell a fresh tuner's alert
-	// list from the old one's. tunerID ("t<gen>") is the id the autopilot
-	// routes address.
-	tunerStateMu sync.Mutex
-	tunerGen     int64
-	tunerID      string
-	tunerActive  bool
-	tunerAlerts  []tunerAlertJSON
-	tunerReports []designer.TunerReport
-	tunerCurrent []string
-	apActive     bool
-	apDecisions  []designer.AutopilotDecision
-	apStatus     designer.AutopilotStatus
-	apRegret     []designer.AutopilotRegretPoint
+	// tunerView is the slot's published reading: whoever changes the slot or
+	// finishes an observation batch builds a fresh immutable view under
+	// tunerMu and stores it here, and every reader takes one Load() — so
+	// /tuner/status, the SSE stream and /metrics never block behind a
+	// long-running ObserveAll, and never see two halves of two states.
+	tunerView atomic.Pointer[tunerView]
 }
 
 // goneClosed marks a session released by an explicit DELETE (as opposed
@@ -254,6 +254,7 @@ func New(d *designer.Designer, opts ...Option) *Server {
 		maxSessions: 1024,
 		sessionTTL:  30 * time.Minute,
 	}
+	s.tunerView.Store(&tunerView{})
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -318,14 +319,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		// dirty shutdowns — an in-flight observe could hold tunerMu past
 		// the caller's deadline.
 		s.tunerMu.Lock()
-		if s.ap != nil {
-			s.ap.Close()
-			s.ap = nil
-		}
-		if s.tuner != nil {
-			s.tuner.Close()
-			s.tuner = nil
-		}
+		_, _ = s.seatTuner(nil, false) // winding down: nobody is left to tell
 		s.tunerMu.Unlock()
 	}
 	s.sm.Stop()
@@ -341,22 +335,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 func (s *Server) StartAutopilot(topts designer.TunerOptions, aopts designer.AutopilotOptions) (string, error) {
 	s.tunerMu.Lock()
 	defer s.tunerMu.Unlock()
-	ap, err := s.d.NewAutopilot(topts, aopts)
+	v, err := s.seatAutopilot(topts, aopts, true)
 	if err != nil {
 		return "", err
 	}
-	if s.tuner != nil {
-		s.tuner.Close()
-		s.tuner = nil
-	}
-	if s.ap != nil {
-		s.ap.Close()
-	}
-	s.ap = ap
-	s.tunerOpts = topts
-	id := s.resetTunerState()
-	s.refreshTunerState()
-	return id, nil
+	return v.id(), nil
 }
 
 // route is one registered endpoint. The table is the single source of
@@ -566,6 +549,56 @@ func writeSessionLookupError(w http.ResponseWriter, id string, err error) {
 	writeError(w, http.StatusNotFound, codeSessionNotFound, fmt.Errorf("no such session %q", id))
 }
 
+// sessionVerb is the one shape of a session-scoped route; a verb is its
+// request struct plus the lines that differ. It resolves the request's
+// session (404/410), decodes the body into req (nil: the verb has none) and
+// runs check — the verb's validation and parsing, outside the work lock: a
+// 960-statement WorkloadFromSQL must not hold it. It then takes the work
+// lock on a live session, hands run the locked session under the merged
+// request/session context, unlocks, and answers run's body with status or
+// maps its error. A verb never sees the lock or the gone flag, so it cannot
+// forget the unlock or touch a released DesignSession.
+func (s *Server) sessionVerb(w http.ResponseWriter, r *http.Request, req any, status int,
+	check func() error, run func(ctx context.Context, sess *session) (any, error)) {
+	sess := s.session(w, r)
+	if sess == nil {
+		return
+	}
+	var err error
+	if req != nil {
+		err = readJSON(r, req)
+	}
+	if err == nil && check != nil {
+		err = check()
+	}
+	if err != nil {
+		writeFacadeError(w, r, err)
+		return
+	}
+	ctx, cancel := workCtx(r, sess)
+	defer cancel()
+	if !sess.lockLive(w) {
+		return
+	}
+	body, err := run(ctx, sess)
+	sess.mu.Unlock()
+	var missing indexNotFoundError
+	switch {
+	case errors.As(err, &missing):
+		writeError(w, http.StatusNotFound, codeIndexNotFound, err)
+	case err != nil:
+		writeFacadeError(w, r, err)
+	default:
+		writeJSON(w, status, body)
+	}
+}
+
+// indexNotFoundError is the one verb failure writeFacadeError cannot map:
+// dropping a key the design does not hold is a 404 index_not_found.
+type indexNotFoundError struct{ key string }
+
+func (e indexNotFoundError) Error() string { return fmt.Sprintf("index %q not in the design", e.key) }
+
 // --------------------------------------------------------------------------
 // Handlers: schema, stats.
 // --------------------------------------------------------------------------
@@ -644,12 +677,9 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeInvalidRequest, err)
 		return
 	}
-	sess := &session{tenant: tenant, backend: ds.Backend().Kind, ds: ds}
-	// Seed the cheap key snapshot from the full design (base materialized
+	// The cheap key snapshot is seeded from the full design (base materialized
 	// indexes included) so the list and detail endpoints agree.
-	for _, ix := range ds.Config().Indexes() {
-		sess.keys = append(sess.keys, ix.Key())
-	}
+	sess := &session{tenant: tenant, backend: ds.Backend().Kind, ds: ds, keys: keysOf(ds.Config().Indexes())}
 	ms, err := s.sm.Create(tenant, sess)
 	if err != nil {
 		if errors.Is(err, sessionmgr.ErrQuotaExceeded) {
@@ -720,21 +750,14 @@ func (s *Server) handleSessionList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
-	sess := s.session(w, r)
-	if sess == nil {
-		return
-	}
-	if !sess.lockLive(w) {
-		return
-	}
-	cfg := sess.ds.Config()
-	sess.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"id":      sess.id,
-		"tenant":  sess.tenant,
-		"created": sess.created.UTC().Format(time.RFC3339),
-		"backend": sess.backend,
-		"indexes": toIndexesJSON(cfg.Indexes()),
+	s.sessionVerb(w, r, nil, http.StatusOK, nil, func(_ context.Context, sess *session) (any, error) {
+		return map[string]any{
+			"id":      sess.id,
+			"tenant":  sess.tenant,
+			"created": sess.created.UTC().Format(time.RFC3339),
+			"backend": sess.backend,
+			"indexes": toIndexesJSON(sess.ds.Config().Indexes()),
+		}, nil
 	})
 }
 
@@ -743,17 +766,11 @@ func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 // in-flight work through the session context, and releases resources
 // asynchronously once the work drains.
 func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
+	sess := s.session(w, r)
+	if sess == nil {
+		return
+	}
 	id := r.PathValue("id")
-	ms, err := s.sm.Get(id)
-	if err != nil {
-		writeSessionLookupError(w, id, err)
-		return
-	}
-	sess := ms.Value.(*session)
-	if sess.tenant != tenantFrom(r) {
-		writeError(w, http.StatusNotFound, codeSessionNotFound, fmt.Errorf("no such session %q", id))
-		return
-	}
 	if _, err := s.sm.Close(id); err != nil {
 		// Raced an eviction or another close between Get and Close.
 		writeSessionLookupError(w, id, err)
@@ -764,10 +781,6 @@ func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSessionAddIndex(w http.ResponseWriter, r *http.Request) {
-	sess := s.session(w, r)
-	if sess == nil {
-		return
-	}
 	var req struct {
 		Table   string   `json:"table"`
 		Columns []string `json:"columns"`
@@ -777,177 +790,98 @@ func (s *Server) handleSessionAddIndex(w http.ResponseWriter, r *http.Request) {
 		Include []string `json:"include,omitempty"`
 		Aggs    []string `json:"aggs,omitempty"`
 	}
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, err)
-		return
-	}
-	if len(req.Include) > 0 && len(req.Aggs) > 0 {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest,
-			errors.New("include and aggs are mutually exclusive"))
-		return
-	}
-	if !sess.lockLive(w) {
-		return
-	}
-	var ix designer.Index
-	var err error
-	switch {
-	case len(req.Include) > 0:
-		ix, err = sess.ds.AddProjection(req.Table, req.Columns, req.Include)
-	case len(req.Aggs) > 0:
-		ix, err = sess.ds.AddAggView(req.Table, req.Columns, req.Aggs)
-	default:
-		ix, err = sess.ds.AddIndex(req.Table, req.Columns...)
-	}
-	if err == nil {
+	s.sessionVerb(w, r, &req, http.StatusCreated, func() error {
+		if len(req.Include) > 0 && len(req.Aggs) > 0 {
+			return errors.New("include and aggs are mutually exclusive")
+		}
+		return nil
+	}, func(_ context.Context, sess *session) (any, error) {
+		var ix designer.Index
+		var err error
+		switch {
+		case len(req.Include) > 0:
+			ix, err = sess.ds.AddProjection(req.Table, req.Columns, req.Include)
+		case len(req.Aggs) > 0:
+			ix, err = sess.ds.AddAggView(req.Table, req.Columns, req.Aggs)
+		default:
+			ix, err = sess.ds.AddIndex(req.Table, req.Columns...)
+		}
+		if err != nil {
+			return nil, err
+		}
 		// Update the key snapshot inside the work lock so it can never
 		// desync from the design under concurrent add/drop of one key.
 		sess.addKey(ix.Key())
-	}
-	sess.mu.Unlock()
-	if err != nil {
-		writeFacadeError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, toIndexJSON(ix))
+		return toIndexJSON(ix), nil
+	})
 }
 
 func (s *Server) handleSessionDropIndex(w http.ResponseWriter, r *http.Request) {
-	sess := s.session(w, r)
-	if sess == nil {
-		return
-	}
 	key := r.URL.Query().Get("key")
-	if key == "" {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, errors.New("missing ?key=table(col,...)"))
-		return
-	}
-	if !sess.lockLive(w) {
-		return
-	}
-	ok := sess.ds.DropIndex(key)
-	if ok {
+	s.sessionVerb(w, r, nil, http.StatusOK, func() error {
+		if key == "" {
+			return errors.New("missing ?key=table(col,...)")
+		}
+		return nil
+	}, func(_ context.Context, sess *session) (any, error) {
+		if !sess.ds.DropIndex(key) {
+			return nil, indexNotFoundError{key}
+		}
 		sess.dropKey(strings.ToLower(key))
-	}
-	sess.mu.Unlock()
-	if !ok {
-		writeError(w, http.StatusNotFound, codeIndexNotFound, fmt.Errorf("index %q not in the design", key))
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"dropped": key})
+		return map[string]any{"dropped": key}, nil
+	})
 }
 
 func (s *Server) handleSessionVertical(w http.ResponseWriter, r *http.Request) {
-	sess := s.session(w, r)
-	if sess == nil {
-		return
-	}
 	var req struct {
 		Table     string     `json:"table"`
 		Fragments [][]string `json:"fragments"`
 	}
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, err)
-		return
-	}
-	if !sess.lockLive(w) {
-		return
-	}
-	err := sess.ds.AddVerticalPartition(req.Table, req.Fragments)
-	sess.mu.Unlock()
-	if err != nil {
-		writeFacadeError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, map[string]any{"table": req.Table, "fragments": len(req.Fragments)})
+	s.sessionVerb(w, r, &req, http.StatusCreated, nil, func(_ context.Context, sess *session) (any, error) {
+		err := sess.ds.AddVerticalPartition(req.Table, req.Fragments)
+		return map[string]any{"table": req.Table, "fragments": len(req.Fragments)}, err
+	})
 }
 
 func (s *Server) handleSessionHorizontal(w http.ResponseWriter, r *http.Request) {
-	sess := s.session(w, r)
-	if sess == nil {
-		return
-	}
 	var req struct {
 		Table     string `json:"table"`
 		Column    string `json:"column"`
 		Fragments int    `json:"fragments"`
 	}
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, err)
-		return
-	}
-	if !sess.lockLive(w) {
-		return
-	}
-	err := sess.ds.AddHorizontalPartition(req.Table, req.Column, req.Fragments)
-	sess.mu.Unlock()
-	if err != nil {
-		writeFacadeError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, map[string]any{"table": req.Table, "column": req.Column, "fragments": req.Fragments})
+	s.sessionVerb(w, r, &req, http.StatusCreated, nil, func(_ context.Context, sess *session) (any, error) {
+		err := sess.ds.AddHorizontalPartition(req.Table, req.Column, req.Fragments)
+		return map[string]any{"table": req.Table, "column": req.Column, "fragments": req.Fragments}, err
+	})
 }
 
 func (s *Server) handleSessionEvaluate(w http.ResponseWriter, r *http.Request) {
-	sess := s.session(w, r)
-	if sess == nil {
-		return
-	}
 	var req workloadJSON
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, err)
-		return
-	}
-	wl, err := s.workload(req)
-	if err != nil {
-		writeFacadeError(w, r, err)
-		return
-	}
-	ctx, cancel := workCtx(r, sess)
-	defer cancel()
-	if !sess.lockLive(w) {
-		return
-	}
-	rep, err := sess.ds.Evaluate(ctx, wl)
-	sess.mu.Unlock()
-	if err != nil {
-		writeFacadeError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, toReportJSON(rep))
+	var wl *designer.Workload
+	s.sessionVerb(w, r, &req, http.StatusOK, func() (err error) {
+		wl, err = s.workload(req)
+		return err
+	}, func(ctx context.Context, sess *session) (any, error) {
+		rep, err := sess.ds.Evaluate(ctx, wl)
+		return toReportJSON(rep), err
+	})
 }
 
 func (s *Server) handleSessionExplain(w http.ResponseWriter, r *http.Request) {
-	sess := s.session(w, r)
-	if sess == nil {
-		return
-	}
 	var req struct {
 		SQL string `json:"sql"`
 	}
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, err)
-		return
-	}
-	if req.SQL == "" {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, errors.New("missing sql"))
-		return
-	}
-	q, err := s.d.ParseQuery("q", req.SQL)
-	if err != nil {
-		writeFacadeError(w, r, err)
-		return
-	}
-	if !sess.lockLive(w) {
-		return
-	}
-	plan, err := sess.ds.Explain(q)
-	sess.mu.Unlock()
-	if err != nil {
-		writeFacadeError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"plan": plan})
+	var q designer.Query
+	s.sessionVerb(w, r, &req, http.StatusOK, func() (err error) {
+		if req.SQL == "" {
+			return errors.New("missing sql")
+		}
+		q, err = s.d.ParseQuery("q", req.SQL)
+		return err
+	}, func(_ context.Context, sess *session) (any, error) {
+		plan, err := sess.ds.Explain(q)
+		return map[string]any{"plan": plan}, err
+	})
 }
 
 // --------------------------------------------------------------------------
@@ -1067,35 +1001,19 @@ func adviceResponse(advice *designer.Advice) map[string]any {
 // handleSessionAdvise runs the cold session-scoped pipeline against the
 // session's pinned generation and primes its re-advise handle.
 func (s *Server) handleSessionAdvise(w http.ResponseWriter, r *http.Request) {
-	sess := s.session(w, r)
-	if sess == nil {
-		return
-	}
 	var req adviseRequestJSON
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, err)
-		return
-	}
-	wl, err := s.workload(req.workloadJSON)
-	if err != nil {
-		writeFacadeError(w, r, err)
-		return
-	}
-	ctx, cancel := workCtx(r, sess)
-	defer cancel()
-	if !sess.lockLive(w) {
-		return
-	}
-	advice, err := sess.ds.Advise(ctx, wl, req.options())
-	if err == nil {
+	var wl *designer.Workload
+	s.sessionVerb(w, r, &req, http.StatusOK, func() (err error) {
+		wl, err = s.workload(req.workloadJSON)
+		return err
+	}, func(ctx context.Context, sess *session) (any, error) {
+		advice, err := sess.ds.Advise(ctx, wl, req.options())
+		if err != nil {
+			return nil, err
+		}
 		sess.lastReq, sess.lastWl = &req, wl
-	}
-	sess.mu.Unlock()
-	if err != nil {
-		writeFacadeError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, adviceResponse(advice))
+		return adviceResponse(advice), nil
+	})
 }
 
 // handleSessionReadvise answers the session's next design question warm,
@@ -1105,69 +1023,42 @@ func (s *Server) handleSessionAdvise(w http.ResponseWriter, r *http.Request) {
 // /advise. The response carries a "readvise" object reporting what was
 // reused.
 func (s *Server) handleSessionReadvise(w http.ResponseWriter, r *http.Request) {
-	sess := s.session(w, r)
-	if sess == nil {
-		return
-	}
 	var req adviseRequestJSON
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, err)
-		return
-	}
-
-	ctx, cancel := workCtx(r, sess)
-	defer cancel()
-	if !sess.lockLive(w) {
-		return
-	}
-	wl, opts := sess.lastWl, designer.AdviceOptions{}
-	if sess.lastReq != nil {
-		opts = sess.lastReq.options()
-	}
-	if req.isZero() && wl == nil {
-		// An empty body means "repeat the last question", and this session
-		// never asked one — erroring beats fabricating a default workload
-		// on what is documented as the instant cached path.
-		sess.mu.Unlock()
-		writeError(w, http.StatusBadRequest, codeInvalidRequest,
-			errors.New("no previous advise question to repeat; send a workload (see POST /advise)"))
-		return
-	}
-	if !req.isZero() {
-		var err error
-		wl, err = s.workload(req.workloadJSON)
+	var wl *designer.Workload
+	s.sessionVerb(w, r, &req, http.StatusOK, func() (err error) {
+		if !req.isZero() {
+			wl, err = s.workload(req.workloadJSON)
+		}
+		return err
+	}, func(ctx context.Context, sess *session) (any, error) {
+		asked := &req
+		if req.isZero() {
+			// An empty body means "repeat the last question"; a session that
+			// never asked one gets an error — that beats fabricating a default
+			// workload on what is documented as the instant cached path.
+			if sess.lastWl == nil {
+				return nil, errors.New("no previous advise question to repeat; send a workload (see POST /advise)")
+			}
+			asked, wl = sess.lastReq, sess.lastWl
+		}
+		start := time.Now()
+		advice, stats, err := sess.ds.ReAdvise(ctx, wl, asked.options())
 		if err != nil {
-			sess.mu.Unlock()
-			writeFacadeError(w, r, err)
-			return
+			return nil, err
 		}
-		opts = req.options()
-	}
-	start := time.Now()
-	advice, stats, err := sess.ds.ReAdvise(ctx, wl, opts)
-	if err == nil {
-		stored := req
-		if req.isZero() && sess.lastReq != nil {
-			stored = *sess.lastReq
+		sess.lastReq, sess.lastWl = asked, wl
+		resp := adviceResponse(advice)
+		resp["readvise"] = map[string]any{
+			"warm":                stats.Warm,
+			"cached":              stats.Cached,
+			"candidates_reused":   stats.CandidatesReused,
+			"solver_warm_started": stats.SolverWarmStarted,
+			"recosted_queries":    stats.RecostedQueries,
+			"reused_queries":      stats.ReusedQueries,
+			"elapsed_ms":          float64(time.Since(start).Microseconds()) / 1000.0,
 		}
-		sess.lastReq, sess.lastWl = &stored, wl
-	}
-	sess.mu.Unlock()
-	if err != nil {
-		writeFacadeError(w, r, err)
-		return
-	}
-	resp := adviceResponse(advice)
-	resp["readvise"] = map[string]any{
-		"warm":                stats.Warm,
-		"cached":              stats.Cached,
-		"candidates_reused":   stats.CandidatesReused,
-		"solver_warm_started": stats.SolverWarmStarted,
-		"recosted_queries":    stats.RecostedQueries,
-		"reused_queries":      stats.ReusedQueries,
-		"elapsed_ms":          float64(time.Since(start).Microseconds()) / 1000.0,
-	}
-	writeJSON(w, http.StatusOK, resp)
+		return resp, nil
+	})
 }
 
 func (s *Server) handleMaterialize(w http.ResponseWriter, r *http.Request) {
@@ -1230,20 +1121,12 @@ func (s *Server) handleTunerCreate(w http.ResponseWriter, r *http.Request) {
 		opts.WhatIfBudget = req.WhatIfBudget
 	}
 	s.tunerMu.Lock()
-	if s.tuner != nil {
-		s.tuner.Close()
-	}
-	if s.ap != nil {
-		// Replacing the tuner retires its autopilot too (saving its state
-		// when persistence is on).
-		s.ap.Close()
-		s.ap = nil
-	}
-	s.tuner = s.d.NewOnlineTuner(opts)
 	s.tunerOpts = opts
-	id := s.resetTunerState()
+	// Replacing the tuner retires its autopilot too (saving its state when
+	// persistence is on); a failed save does not stop the replacement.
+	v, _ := s.seatTuner(s.d.NewOnlineTuner(opts), true)
 	s.tunerMu.Unlock()
-	writeJSON(w, http.StatusCreated, map[string]any{"id": id, "epoch_length": opts.EpochLength})
+	writeJSON(w, http.StatusCreated, map[string]any{"id": v.id(), "epoch_length": opts.EpochLength})
 }
 
 func (s *Server) handleTunerObserve(w http.ResponseWriter, r *http.Request) {
@@ -1273,7 +1156,7 @@ func (s *Server) handleTunerObserve(w http.ResponseWriter, r *http.Request) {
 		qs = append(qs, q)
 	}
 	s.tunerMu.Lock()
-	if s.tuner == nil && s.ap == nil {
+	if s.occupant == nil {
 		s.tunerMu.Unlock()
 		// No silent auto-create: an observe against a tuner that was never
 		// configured is a client mistake (its options would be defaults the
@@ -1282,14 +1165,8 @@ func (s *Server) handleTunerObserve(w http.ResponseWriter, r *http.Request) {
 			errors.New("no tuner configured; POST /api/v1/tuner first"))
 		return
 	}
-	var total float64
-	var err error
-	if s.ap != nil {
-		total, err = s.ap.ObserveAll(r.Context(), qs)
-	} else {
-		total, err = s.tuner.ObserveAll(r.Context(), qs)
-	}
-	alerts := s.refreshTunerState()
+	total, err := s.occupant.ObserveAll(r.Context(), qs)
+	v := s.publishTuner(false)
 	s.tunerMu.Unlock()
 	if err != nil {
 		writeFacadeError(w, r, err)
@@ -1298,7 +1175,7 @@ func (s *Server) handleTunerObserve(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"observed":       len(qs),
 		"estimated_cost": total,
-		"alerts_total":   alerts,
+		"alerts_total":   len(v.alerts),
 	})
 }
 
@@ -1311,152 +1188,143 @@ type tunerAlertJSON struct {
 	Description string   `json:"description"`
 }
 
-// resetTunerState clears the read-side telemetry copy for a fresh tuner,
-// bumps the generation, and returns the new tuner id. Callers hold
+// observer is what occupies the tuner slot. *designer.Tuner and
+// *designer.Autopilot both satisfy it; the autopilot's own telemetry is
+// reached by a type assertion.
+type observer interface {
+	ObserveAll(ctx context.Context, qs []designer.Query) (float64, error)
+	Alerts() []designer.TunerAlert
+	Reports() []designer.TunerReport
+	Current() []designer.Index
+}
+
+// tunerView is one immutable reading of the tuner slot. gen counts tuner
+// generations — it bumps when POST /tuner or StartAutopilot seats a fresh
+// tuner, not when the autopilot starts or stops on the same one — so stream
+// cursors can reset instead of skipping a fresh tuner's alerts; 0 means no
+// tuner has ever existed. active and autopilot say what the slot held when
+// the view was built. status, decisions and regret are the autopilot's.
+type tunerView struct {
+	gen       int64
+	active    bool
+	autopilot bool
+	alerts    []tunerAlertJSON
+	reports   []designer.TunerReport
+	current   []string
+	status    designer.AutopilotStatus
+	decisions []designer.AutopilotDecision
+	regret    []designer.AutopilotRegretPoint
+}
+
+// id is the tuner id ("t<gen>") the autopilot routes address.
+func (v *tunerView) id() string { return fmt.Sprintf("t%d", v.gen) }
+
+// seatTuner retires the slot's occupant (an autopilot persists its state on
+// the way out; its save error is the one returned), seats o in its place —
+// nil empties the slot — and publishes the slot's new reading. Callers hold
 // tunerMu.
-func (s *Server) resetTunerState() string {
-	s.tunerStateMu.Lock()
-	defer s.tunerStateMu.Unlock()
-	s.tunerGen++
-	s.tunerID = fmt.Sprintf("t%d", s.tunerGen)
-	s.tunerActive = true
-	s.tunerAlerts = nil
-	s.tunerReports = nil
-	s.tunerCurrent = nil
-	s.apActive = false
-	s.apDecisions = nil
-	s.apStatus = designer.AutopilotStatus{}
-	s.apRegret = nil
-	return s.tunerID
-}
-
-// refreshTunerState re-copies the live tuner's (or autopilot's) telemetry
-// into the read-side state and returns the alert count. Callers hold
-// tunerMu (which excludes concurrent observation, making the handles safe
-// to read).
-func (s *Server) refreshTunerState() int {
-	var srcAlerts []designer.TunerAlert
-	var srcReports []designer.TunerReport
-	var srcCurrent []designer.Index
-	var decisions []designer.AutopilotDecision
-	var apStatus designer.AutopilotStatus
-	var regret []designer.AutopilotRegretPoint
-	apLive := s.ap != nil
-	if apLive {
-		srcAlerts = s.ap.Alerts()
-		srcReports = s.ap.Reports()
-		srcCurrent = s.ap.Current()
-		decisions = s.ap.Decisions(0)
-		apStatus = s.ap.Status()
-		regret = s.ap.Regret()
-	} else {
-		srcAlerts = s.tuner.Alerts()
-		srcReports = s.tuner.Reports()
-		srcCurrent = s.tuner.Current()
+func (s *Server) seatTuner(o observer, fresh bool) (*tunerView, error) {
+	var err error
+	switch old := s.occupant.(type) {
+	case *designer.Autopilot:
+		err = old.Close()
+	case *designer.Tuner:
+		old.Close()
 	}
-	var alerts []tunerAlertJSON
-	for _, a := range srcAlerts {
-		aj := tunerAlertJSON{
-			Epoch: a.Epoch, BenefitEst: a.ExpectedBenefit, Applied: a.Applied,
-			Added: []string{}, Dropped: []string{}, Description: a.String(),
-		}
-		for _, ix := range a.Added {
-			aj.Added = append(aj.Added, ix.Key())
-		}
-		for _, ix := range a.Dropped {
-			aj.Dropped = append(aj.Dropped, ix.Key())
-		}
-		alerts = append(alerts, aj)
+	s.occupant = o
+	return s.publishTuner(fresh), err
+}
+
+// seatAutopilot builds an autopilot over the tuner options and seats it in
+// place of whatever the slot holds; the slot is untouched when the build
+// fails. Callers hold tunerMu.
+func (s *Server) seatAutopilot(topts designer.TunerOptions, aopts designer.AutopilotOptions, fresh bool) (*tunerView, error) {
+	ap, err := s.d.NewAutopilot(topts, aopts)
+	if err != nil {
+		return nil, err
 	}
-	var current []string
-	for _, ix := range srcCurrent {
-		current = append(current, ix.Key())
+	s.tunerOpts = topts
+	v, _ := s.seatTuner(ap, fresh) // a retiring autopilot's save error does not stop its replacement
+	return v, nil
+}
+
+// publishTuner builds the slot's reading from what it holds now and
+// publishes it; fresh starts a new tuner generation. active and autopilot
+// are derived from the occupant, never kept beside it, and an emptied slot
+// keeps its last telemetry readable with both off. Callers hold tunerMu,
+// which excludes a concurrent observation and so makes the occupant safe to
+// read.
+func (s *Server) publishTuner(fresh bool) *tunerView {
+	v := *s.tunerView.Load() // start from the last reading: an emptied slot changes only its flags
+	if fresh {
+		v = tunerView{gen: v.gen + 1}
 	}
-
-	s.tunerStateMu.Lock()
-	defer s.tunerStateMu.Unlock()
-	s.tunerAlerts = alerts
-	s.tunerReports = srcReports
-	s.tunerCurrent = current
-	s.apActive = apLive
-	s.apDecisions = decisions
-	s.apStatus = apStatus
-	s.apRegret = regret
-	return len(alerts)
+	ap, isAP := s.occupant.(*designer.Autopilot)
+	v.active, v.autopilot = s.occupant != nil, isAP
+	if v.active {
+		srcAlerts := s.occupant.Alerts()
+		v.alerts = make([]tunerAlertJSON, len(srcAlerts))
+		for i, a := range srcAlerts {
+			v.alerts[i] = tunerAlertJSON{
+				Epoch: a.Epoch, BenefitEst: a.ExpectedBenefit, Applied: a.Applied,
+				Added: keysOf(a.Added), Dropped: keysOf(a.Dropped), Description: a.String(),
+			}
+		}
+		v.reports = s.occupant.Reports()
+		v.current = nil // JSON null while the design holds no index
+		for _, ix := range s.occupant.Current() {
+			v.current = append(v.current, ix.Key())
+		}
+	}
+	if isAP {
+		v.status, v.decisions, v.regret = ap.Status(), ap.Decisions(0), ap.Regret()
+	}
+	s.tunerView.Store(&v)
+	return &v
 }
 
-// tunerSnapshot reads the cheap telemetry copy — it never waits on an
-// in-flight observation. gen identifies the tuner instance: it bumps every
-// time POST /tuner replaces the tuner, so stream cursors can reset instead
-// of skipping a fresh tuner's alerts.
-func (s *Server) tunerSnapshot() (gen int64, active bool, alerts []tunerAlertJSON, reports []designer.TunerReport, current []string) {
-	s.tunerStateMu.Lock()
-	defer s.tunerStateMu.Unlock()
-	return s.tunerGen, s.tunerActive, s.tunerAlerts, s.tunerReports, s.tunerCurrent
+// keysOf lists the indexes' canonical keys (never nil).
+func keysOf(ixs []designer.Index) []string {
+	keys := make([]string, len(ixs))
+	for i, ix := range ixs {
+		keys[i] = ix.Key()
+	}
+	return keys
 }
 
-// autopilotSnapshot reads the autopilot's read-side copy.
-func (s *Server) autopilotSnapshot() (gen int64, active bool, status designer.AutopilotStatus, decisions []designer.AutopilotDecision, regret []designer.AutopilotRegretPoint) {
-	s.tunerStateMu.Lock()
-	defer s.tunerStateMu.Unlock()
-	return s.tunerGen, s.apActive, s.apStatus, s.apDecisions, s.apRegret
-}
-
-// checkTunerID verifies a path's tuner id against the live one. Callers
-// hold no locks; on mismatch it writes the structured 404 and returns
-// false. A stale id (from a replaced tuner) and an unknown id answer the
-// same way: that tuner is gone.
-func (s *Server) checkTunerID(w http.ResponseWriter, id string) bool {
-	s.tunerStateMu.Lock()
-	liveID := s.tunerID
-	s.tunerStateMu.Unlock()
-	if liveID == "" {
+// checkTunerID verifies a path's tuner id against the slot's reading and
+// returns that reading. Callers hold no locks; on mismatch it writes the
+// structured 404 and returns nil. A stale id (from a replaced tuner) and an
+// unknown id answer the same way: that tuner is gone.
+func (s *Server) checkTunerID(w http.ResponseWriter, id string) *tunerView {
+	v := s.tunerView.Load()
+	switch {
+	case v.gen == 0:
 		writeError(w, http.StatusNotFound, codeTunerNotConfigured,
 			errors.New("no tuner configured; POST /api/v1/tuner first"))
-		return false
-	}
-	if id != liveID {
+	case id != v.id():
 		writeError(w, http.StatusNotFound, codeTunerNotConfigured,
-			fmt.Errorf("tuner %q is not live (current tuner is %q)", id, liveID))
-		return false
+			fmt.Errorf("tuner %q is not live (current tuner is %q)", id, v.id()))
+	default:
+		return v
 	}
-	return true
+	return nil
 }
 
 func (s *Server) handleTunerStatus(w http.ResponseWriter, r *http.Request) {
-	gen, active, alerts, reports, current := s.tunerSnapshot()
-	if gen == 0 {
-		// gen counts tuner creations; 0 means no tuner has ever existed.
+	v := s.tunerView.Load()
+	if v.gen == 0 {
 		writeError(w, http.StatusNotFound, codeTunerNotConfigured,
 			errors.New("no tuner configured; POST /api/v1/tuner first"))
 		return
 	}
-	type epochJSON struct {
-		Epoch         int      `json:"epoch"`
-		Queries       int      `json:"queries"`
-		EpochCost     float64  `json:"epoch_cost"`
-		WhatIfCalls   int      `json:"whatif_calls"`
-		ConfigChanged bool     `json:"config_changed"`
-		Indexes       []string `json:"indexes"`
-	}
-	epochs := []epochJSON{}
-	for _, rep := range reports {
-		epochs = append(epochs, epochJSON{
-			Epoch: rep.Epoch, Queries: rep.Queries, EpochCost: rep.EpochCost,
-			WhatIfCalls: rep.WhatIfCalls, ConfigChanged: rep.ConfigChanged, Indexes: rep.IndexKeys,
-		})
-	}
-	if alerts == nil {
-		alerts = []tunerAlertJSON{}
-	}
-	_, apActive, _, _, _ := s.autopilotSnapshot()
 	writeJSON(w, http.StatusOK, map[string]any{
-		"id":        fmt.Sprintf("t%d", gen),
-		"active":    active,
-		"autopilot": apActive,
-		"current":   current,
-		"alerts":    alerts,
-		"epochs":    epochs,
+		"id":        v.id(),
+		"active":    v.active,
+		"autopilot": v.autopilot,
+		"current":   v.current,
+		"alerts":    v.alerts,
+		"epochs":    v.reports,
 	})
 }
 
@@ -1503,7 +1371,7 @@ func (s *Server) handleAutopilotStart(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeInvalidRequest, err)
 		return
 	}
-	if !s.checkTunerID(w, r.PathValue("id")) {
+	if s.checkTunerID(w, r.PathValue("id")) == nil {
 		return
 	}
 	opts := designer.DefaultAutopilotOptions()
@@ -1525,40 +1393,35 @@ func (s *Server) handleAutopilotStart(w http.ResponseWriter, r *http.Request) {
 	opts.StatePath = req.StatePath
 
 	s.tunerMu.Lock()
-	if s.ap != nil {
-		s.tunerMu.Unlock()
+	_, running := s.occupant.(*designer.Autopilot)
+	var v *tunerView
+	var err error
+	if !running {
+		v, err = s.seatAutopilot(s.tunerOpts, opts, false)
+	}
+	s.tunerMu.Unlock()
+	switch {
+	case running:
 		writeError(w, http.StatusConflict, codeAutopilotActive,
 			errors.New("autopilot already running; DELETE it first"))
-		return
-	}
-	ap, err := s.d.NewAutopilot(s.tunerOpts, opts)
-	if err != nil {
-		s.tunerMu.Unlock()
+	case err != nil:
 		writeFacadeError(w, r, err)
-		return
+	default:
+		writeJSON(w, http.StatusCreated, autopilotStatusJSON(v.id(), v.status, v.regret))
 	}
-	if s.tuner != nil {
-		s.tuner.Close()
-		s.tuner = nil
-	}
-	s.ap = ap
-	s.refreshTunerState()
-	_, _, st, _, regret := s.autopilotSnapshot()
-	s.tunerMu.Unlock()
-	writeJSON(w, http.StatusCreated, autopilotStatusJSON(r.PathValue("id"), st, regret))
 }
 
 func (s *Server) handleAutopilotStatus(w http.ResponseWriter, r *http.Request) {
-	if !s.checkTunerID(w, r.PathValue("id")) {
+	v := s.checkTunerID(w, r.PathValue("id"))
+	if v == nil {
 		return
 	}
-	_, active, st, _, regret := s.autopilotSnapshot()
-	if !active {
+	if !v.autopilot {
 		writeError(w, http.StatusNotFound, codeAutopilotNotActive,
 			errors.New("autopilot not running; POST to start it"))
 		return
 	}
-	writeJSON(w, http.StatusOK, autopilotStatusJSON(r.PathValue("id"), st, regret))
+	writeJSON(w, http.StatusOK, autopilotStatusJSON(v.id(), v.status, v.regret))
 }
 
 // handleAutopilotStop retires the autopilot (persisting its state when a
@@ -1566,28 +1429,25 @@ func (s *Server) handleAutopilotStatus(w http.ResponseWriter, r *http.Request) {
 // supervisor owned the only learning state, so continuing as a plain
 // tuner would silently discard it — POST /api/v1/tuner starts fresh.
 func (s *Server) handleAutopilotStop(w http.ResponseWriter, r *http.Request) {
-	if !s.checkTunerID(w, r.PathValue("id")) {
+	if s.checkTunerID(w, r.PathValue("id")) == nil {
 		return
 	}
 	s.tunerMu.Lock()
-	if s.ap == nil {
-		s.tunerMu.Unlock()
+	_, running := s.occupant.(*designer.Autopilot)
+	var err error
+	if running {
+		_, err = s.seatTuner(nil, false)
+	}
+	s.tunerMu.Unlock()
+	switch {
+	case !running:
 		writeError(w, http.StatusNotFound, codeAutopilotNotActive,
 			errors.New("autopilot not running; POST to start it"))
-		return
-	}
-	err := s.ap.Close()
-	s.ap = nil
-	s.tunerStateMu.Lock()
-	s.tunerActive = false
-	s.apActive = false
-	s.tunerStateMu.Unlock()
-	s.tunerMu.Unlock()
-	if err != nil {
+	case err != nil:
 		writeError(w, http.StatusInternalServerError, codeInternal, err)
-		return
+	default:
+		writeJSON(w, http.StatusOK, map[string]any{"stopped": true})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"stopped": true})
 }
 
 // handleTunerStream streams new tuner alerts — and, when the autopilot is
@@ -1618,22 +1478,21 @@ func (s *Server) handleTunerStream(w http.ResponseWriter, r *http.Request) {
 		case <-s.closing:
 			return // server shutting down; release the connection
 		case <-ticker.C:
-			gen, _, alerts, _, _ := s.tunerSnapshot()
-			_, _, _, decisions, _ := s.autopilotSnapshot()
-			if gen != lastGen {
-				lastGen = gen
+			v := s.tunerView.Load()
+			if v.gen != lastGen {
+				lastGen = v.gen
 				sent = 0    // a replaced tuner restarts its alert list
 				sentDec = 0 // ... and its decision journal
 			}
-			for ; sent < len(alerts); sent++ {
-				payload, err := json.Marshal(alerts[sent])
+			for ; sent < len(v.alerts); sent++ {
+				payload, err := json.Marshal(v.alerts[sent])
 				if err != nil {
 					continue
 				}
 				fmt.Fprintf(w, "event: alert\ndata: %s\n\n", payload)
 			}
-			for ; sentDec < len(decisions); sentDec++ {
-				payload, err := json.Marshal(decisions[sentDec])
+			for ; sentDec < len(v.decisions); sentDec++ {
+				payload, err := json.Marshal(v.decisions[sentDec])
 				if err != nil {
 					continue
 				}

@@ -6,7 +6,6 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/colt"
 	"repro/internal/engine"
-	"repro/internal/workload"
 )
 
 // Tuner is the COLT continuous online tuner (Scenario 3): it watches the
@@ -34,12 +33,9 @@ func (t *Tuner) Observe(ctx context.Context, q Query) (float64, error) {
 // ObserveAll feeds a whole stream and returns the total estimated cost
 // experienced. A cancelled context aborts between queries.
 func (t *Tuner) ObserveAll(ctx context.Context, qs []Query) (float64, error) {
-	stream := make([]workload.Query, 0, len(qs))
-	for _, q := range qs {
-		if err := q.valid(); err != nil {
-			return 0, err
-		}
-		stream = append(stream, q.internal())
+	stream, err := queriesToInternal(qs)
+	if err != nil {
+		return 0, err
 	}
 	return t.t.ObserveAll(ctx, stream)
 }
@@ -55,31 +51,10 @@ func (t *Tuner) Current() []Index {
 }
 
 // Alerts returns all alerts raised so far.
-func (t *Tuner) Alerts() []TunerAlert {
-	alerts := t.t.Alerts()
-	out := make([]TunerAlert, len(alerts))
-	for i, a := range alerts {
-		out[i] = alertFromInternal(a)
-	}
-	return out
-}
+func (t *Tuner) Alerts() []TunerAlert { return alertsFromInternal(t.t.Alerts()) }
 
 // Reports returns per-epoch summaries.
-func (t *Tuner) Reports() []TunerReport {
-	reps := t.t.Reports()
-	out := make([]TunerReport, len(reps))
-	for i, r := range reps {
-		out[i] = TunerReport{
-			Epoch:         r.Epoch,
-			Queries:       r.Queries,
-			EpochCost:     r.EpochCost,
-			WhatIfCalls:   r.WhatIfCalls,
-			ConfigChanged: r.ConfigChanged,
-			IndexKeys:     append([]string(nil), r.IndexKeys...),
-		}
-	}
-	return out
-}
+func (t *Tuner) Reports() []TunerReport { return reportsFromInternal(t.t.Reports()) }
 
 // Close releases the tuner's cached costing entries from the shared
 // engine. Call it when retiring a tuner on a long-lived designer; the

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/autopart"
 	"repro/internal/catalog"
 	"repro/internal/colt"
 	"repro/internal/cophy"
@@ -240,7 +241,7 @@ func reportFromInternal(rep *whatif.Report) *Report {
 		NewTotal:  rep.NewTotal,
 	}
 	for i, qb := range rep.Queries {
-		out.Queries[i] = QueryBenefit{ID: qb.ID, SQL: qb.SQL, BaseCost: qb.BaseCost, NewCost: qb.NewCost}
+		out.Queries[i] = QueryBenefit(qb)
 	}
 	return out
 }
@@ -525,9 +526,7 @@ func (s IOStats) String() string {
 	return fmt.Sprintf("io{seq=%d rand=%d tuples=%d}", s.SeqPages, s.RandomPages, s.TuplesRead)
 }
 
-func ioFromInternal(io storage.IOCounter) IOStats {
-	return IOStats{SeqPages: io.SeqPages, RandomPages: io.RandomPages, TuplesRead: io.TuplesRead}
-}
+func ioFromInternal(io storage.IOCounter) IOStats { return IOStats(io) }
 
 // ColumnInfo describes one column of a table.
 type ColumnInfo struct {
@@ -592,22 +591,10 @@ type CandidateOptions struct {
 
 // DefaultCandidateOptions returns the enumeration defaults.
 func DefaultCandidateOptions() CandidateOptions {
-	return candidateOptionsFromInternal(whatif.DefaultCandidateOptions())
+	return CandidateOptions(whatif.DefaultCandidateOptions())
 }
 
-func (o CandidateOptions) internal() whatif.CandidateOptions {
-	return whatif.CandidateOptions{
-		MaxPerTable: o.MaxPerTable, MaxWidth: o.MaxWidth, IncludeCovering: o.IncludeCovering,
-		IncludeProjections: o.IncludeProjections, IncludeAggViews: o.IncludeAggViews,
-	}
-}
-
-func candidateOptionsFromInternal(o whatif.CandidateOptions) CandidateOptions {
-	return CandidateOptions{
-		MaxPerTable: o.MaxPerTable, MaxWidth: o.MaxWidth, IncludeCovering: o.IncludeCovering,
-		IncludeProjections: o.IncludeProjections, IncludeAggViews: o.IncludeAggViews,
-	}
-}
+func (o CandidateOptions) internal() whatif.CandidateOptions { return whatif.CandidateOptions(o) }
 
 // SolverOptions configure a standalone CoPhy advisor run.
 type SolverOptions struct {
@@ -662,7 +649,15 @@ type PartitionOptions struct {
 }
 
 // DefaultPartitionOptions returns the AutoPart defaults.
-func DefaultPartitionOptions() PartitionOptions { return autopartDefaults() }
+func DefaultPartitionOptions() PartitionOptions {
+	return PartitionOptions(autopart.DefaultOptions())
+}
+
+func (o PartitionOptions) internal() autopart.Options {
+	out := autopart.Options(o)
+	out.HorizontalFragments = append([]int(nil), o.HorizontalFragments...)
+	return out
+}
 
 // TunerOptions configure the COLT online tuner.
 type TunerOptions struct {
@@ -692,34 +687,9 @@ type TunerOptions struct {
 }
 
 // DefaultTunerOptions returns the COLT defaults.
-func DefaultTunerOptions() TunerOptions {
-	o := colt.DefaultOptions()
-	return TunerOptions{
-		EpochLength:              o.EpochLength,
-		SpaceBudgetPages:         o.SpaceBudgetPages,
-		WhatIfBudget:             o.WhatIfBudget,
-		EWMAAlpha:                o.EWMAAlpha,
-		AdoptThreshold:           o.AdoptThreshold,
-		AutoMaterialize:          o.AutoMaterialize,
-		HotPromotionObservations: o.HotPromotionObservations,
-		ChargeBuildCost:          o.ChargeBuildCost,
-		BuildHorizonEpochs:       o.BuildHorizonEpochs,
-	}
-}
+func DefaultTunerOptions() TunerOptions { return TunerOptions(colt.DefaultOptions()) }
 
-func (o TunerOptions) internal() colt.Options {
-	return colt.Options{
-		EpochLength:              o.EpochLength,
-		SpaceBudgetPages:         o.SpaceBudgetPages,
-		WhatIfBudget:             o.WhatIfBudget,
-		EWMAAlpha:                o.EWMAAlpha,
-		AdoptThreshold:           o.AdoptThreshold,
-		AutoMaterialize:          o.AutoMaterialize,
-		HotPromotionObservations: o.HotPromotionObservations,
-		ChargeBuildCost:          o.ChargeBuildCost,
-		BuildHorizonEpochs:       o.BuildHorizonEpochs,
-	}
-}
+func (o TunerOptions) internal() colt.Options { return colt.Options(o) }
 
 // TunerAlert is the message the online tuner raises when a better
 // configuration exists.
@@ -770,14 +740,32 @@ func alertFromInternal(a colt.Alert) TunerAlert {
 	return out
 }
 
+func alertsFromInternal(alerts []colt.Alert) []TunerAlert {
+	out := make([]TunerAlert, len(alerts))
+	for i, a := range alerts {
+		out[i] = alertFromInternal(a)
+	}
+	return out
+}
+
 // TunerReport summarizes one tuning epoch for dashboards.
 type TunerReport struct {
-	Epoch         int
-	Queries       int
-	EpochCost     float64 // Σ estimated query costs under the live config
-	WhatIfCalls   int
-	ConfigChanged bool
-	IndexKeys     []string
+	Epoch         int      `json:"epoch"`
+	Queries       int      `json:"queries"`
+	EpochCost     float64  `json:"epoch_cost"` // Σ estimated query costs under the live config
+	WhatIfCalls   int      `json:"whatif_calls"`
+	ConfigChanged bool     `json:"config_changed"`
+	IndexKeys     []string `json:"indexes"`
+}
+
+// reportsFromInternal converts per-epoch summaries, copying each key list.
+func reportsFromInternal(reps []colt.EpochReport) []TunerReport {
+	out := make([]TunerReport, len(reps))
+	for i, r := range reps {
+		out[i] = TunerReport(r)
+		out[i].IndexKeys = append([]string(nil), r.IndexKeys...)
+	}
+	return out
 }
 
 // ConfigurationDiff describes what separates two index sets.

@@ -48,6 +48,19 @@ func queryFromInternal(q workload.Query) Query {
 	return Query{id: q.ID, sql: q.SQL, weight: q.Weight, stmt: q.Stmt}
 }
 
+// queriesToInternal unwraps parsed queries, rejecting any that did not come
+// from ParseQuery.
+func queriesToInternal(qs []Query) ([]workload.Query, error) {
+	out := make([]workload.Query, 0, len(qs))
+	for _, q := range qs {
+		if err := q.valid(); err != nil {
+			return nil, err
+		}
+		out = append(out, q.internal())
+	}
+	return out, nil
+}
+
 func queriesFromInternal(qs []workload.Query) []Query {
 	out := make([]Query, len(qs))
 	for i, q := range qs {
@@ -63,14 +76,11 @@ type Workload struct {
 
 // NewWorkload assembles a workload from parsed queries.
 func NewWorkload(queries ...Query) (*Workload, error) {
-	w := &workload.Workload{}
-	for _, q := range queries {
-		if err := q.valid(); err != nil {
-			return nil, err
-		}
-		w.Queries = append(w.Queries, q.internal())
+	qs, err := queriesToInternal(queries)
+	if err != nil {
+		return nil, err
 	}
-	return &Workload{w: w}, nil
+	return &Workload{w: &workload.Workload{Queries: qs}}, nil
 }
 
 func workloadFromInternal(w *workload.Workload) *Workload { return &Workload{w: w} }

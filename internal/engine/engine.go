@@ -62,34 +62,6 @@ type snapshot struct {
 	env     *optimizer.Env
 	backend CostBackend
 	session *whatif.Session
-
-	// prepMu guards prepared: the set of workload fingerprints whose queries
-	// all have backend entries in this generation (the prepareAll fast path).
-	prepMu   sync.Mutex
-	prepared map[string]bool
-}
-
-// maxPreparedWorkloads bounds the prepared set. A generation can live as
-// long as its process and meet any number of distinct workloads; at the
-// bound the set starts over, and a forgotten workload costs one idempotent
-// backend Prepare per query the next time it is swept.
-const maxPreparedWorkloads = 1024
-
-// preparedFor reports whether a workload fingerprint was fully prepared.
-func (s *snapshot) preparedFor(fp string) bool {
-	s.prepMu.Lock()
-	defer s.prepMu.Unlock()
-	return s.prepared[fp]
-}
-
-// markPrepared records a fully prepared workload fingerprint.
-func (s *snapshot) markPrepared(fp string) {
-	s.prepMu.Lock()
-	if len(s.prepared) >= maxPreparedWorkloads {
-		clear(s.prepared)
-	}
-	s.prepared[fp] = true
-	s.prepMu.Unlock()
 }
 
 // Engine is the shared, concurrency-safe what-if costing handle.
@@ -140,13 +112,12 @@ func (e *Engine) build(st *stats.Catalog, base *catalog.Configuration, spec Back
 		return nil, err
 	}
 	return &snapshot{
-		version:  version,
-		base:     base,
-		stats:    st,
-		env:      env,
-		backend:  backend,
-		session:  whatif.NewSessionFromEnv(env, base),
-		prepared: make(map[string]bool),
+		version: version,
+		base:    base,
+		stats:   st,
+		env:     env,
+		backend: backend,
+		session: whatif.NewSessionFromEnv(env, base),
 	}, nil
 }
 
@@ -293,20 +264,17 @@ func (s *snapshot) resolve(cfg *catalog.Configuration) *catalog.Configuration {
 
 // Prepare primes the pinned generation's backend for every workload query.
 // candidates guide which interesting orders get plan templates (pass the set
-// you intend to sweep). Queries are prepared in parallel over the sweep
-// pool; Prepare is idempotent per query ID within a generation, and the
-// workload's fingerprint is recorded so subsequent sweeps skip re-preparing
-// it. A cancelled context aborts between queries.
+// you intend to sweep; the workload sweeps pass nil). Queries are prepared in
+// parallel over the sweep pool. Prepare is idempotent per query ID within a
+// generation — a query the backend already holds costs one lookup and builds
+// nothing — which is why every workload sweep simply runs it instead of
+// remembering which workloads it has seen. A cancelled context aborts between
+// queries.
 func (v *View) Prepare(ctx context.Context, w *workload.Workload, candidates []*catalog.Index) error {
-	err := v.e.sweep(ctx, len(w.Queries), func(i int) error {
+	return v.e.sweep(ctx, len(w.Queries), func(i int) error {
 		q := w.Queries[i]
 		return v.s.backend.Prepare(q.ID, q.Stmt, candidates)
 	})
-	if err != nil {
-		return err
-	}
-	v.s.markPrepared(w.Fingerprint())
-	return nil
 }
 
 // PrepareQuery primes the pinned backend for one query and returns the

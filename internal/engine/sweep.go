@@ -16,10 +16,11 @@ import (
 // sweepChunkMax bounds how many jobs a worker claims per scheduling step.
 const sweepChunkMax = 64
 
-// sweepChunkSize picks the self-scheduling granularity: small enough that
-// every worker is dealt several chunks (so stealing can rebalance skewed
-// job sizes), large enough that a 10k-job sweep of tiny INUM costings pays
-// for a shared atomic operation once per chunk instead of once per job.
+// sweepChunkSize picks the self-scheduling granularity: small enough that a
+// sweep is cut into several chunks per worker (so a worker that drew cheap
+// jobs comes back for more while another is still busy), large enough that a
+// 10k-job sweep of tiny INUM costings pays for the shared atomic operation
+// once per chunk instead of once per job.
 func sweepChunkSize(n, workers int) int {
 	c := n / (workers * 8)
 	if c < 1 {
@@ -31,75 +32,47 @@ func sweepChunkSize(n, workers int) int {
 	return c
 }
 
-// chunkQueue is one worker's deal of the chunk space: a half-open range of
-// chunk indexes [next, hi) claimed one chunk at a time through the atomic
-// cursor. Thieves claim from a victim's queue with the same fetch-add the
-// owner uses, so ownership transfer needs no extra synchronization; the
-// cursor may overshoot hi, which every claimer treats as "queue empty".
-type chunkQueue struct {
-	next atomic.Int64
-	hi   int64
-}
-
 // runChunked executes run(0..n-1) on the given number of goroutines using
-// chunked self-scheduling with work-stealing: the chunk space is dealt
-// evenly into per-worker queues, each worker drains its own queue first
-// (contention-free in the balanced case), then steals remaining chunks from
-// the other queues in round-robin order. Results are written at each job's
-// own index by run, so the schedule cannot influence what a sweep returns.
+// chunked self-scheduling: every worker claims the next unclaimed chunk from
+// one shared atomic cursor until the chunk space is exhausted, so skewed job
+// sizes balance themselves and a whole sweep makes about max(8·workers, n/64)
+// claims. Results are written at each job's own index by run, so the schedule
+// cannot influence what a sweep returns.
 func runChunked(ctx context.Context, n, workers int, run func(i int)) {
 	chunk := sweepChunkSize(n, workers)
 	nChunks := (n + chunk - 1) / chunk
 	if workers > nChunks {
 		workers = nChunks
 	}
-	queues := make([]chunkQueue, workers)
-	per, extra := nChunks/workers, nChunks%workers
-	lo := 0
-	for w := range queues {
-		size := per
-		if w < extra {
-			size++
-		}
-		queues[w].next.Store(int64(lo))
-		queues[w].hi = int64(lo + size)
-		lo += size
-	}
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(self int) {
+		go func() {
 			defer wg.Done()
-			for pass := 0; pass < workers; pass++ {
-				q := &queues[(self+pass)%workers]
-				for {
-					c := q.next.Add(1) - 1
-					if c >= q.hi {
-						break
+			for {
+				c := int(next.Add(1) - 1)
+				if c >= nChunks {
+					return
+				}
+				for i, last := c*chunk, min((c+1)*chunk, n); i < last; i++ {
+					if ctx.Err() != nil {
+						return
 					}
-					first := int(c) * chunk
-					last := first + chunk
-					if last > n {
-						last = n
-					}
-					for i := first; i < last; i++ {
-						if ctx.Err() != nil {
-							return
-						}
-						run(i)
-					}
+					run(i)
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 }
 
 // sweep runs fn(0..n-1) over a bounded worker pool and returns the
-// first-index error (deterministic regardless of completion order). Work is
-// handed out through chunked self-scheduling with per-worker queues and
-// work-stealing (runChunked), so per-job overhead is amortized over a chunk
-// while skewed job sizes still balance across the pool.
+// first-index error (deterministic regardless of completion order: a failing
+// job records itself under a mutex only the error path takes, and the lowest
+// index wins). Work is handed out through chunked self-scheduling
+// (runChunked), so per-job overhead is amortized over a chunk while skewed
+// job sizes still balance across the pool.
 //
 // The context is checked before every job: a cancelled context stops
 // workers from picking up new work, and the sweep returns ctx.Err() — the
@@ -108,30 +81,31 @@ func (e *Engine) sweep(ctx context.Context, n int, fn func(i int) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if n == 0 {
-		return nil
+	var first struct {
+		sync.Mutex
+		idx int
+		err error
 	}
-	errs := make([]error, n)
-	workers := e.workerCount(n)
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
+	run := func(i int) {
+		if err := fn(i); err != nil {
+			first.Lock()
+			if first.err == nil || i < first.idx {
+				first.idx, first.err = i, err
 			}
-			errs[i] = fn(i)
+			first.Unlock()
 		}
+	}
+	if workers := e.workerCount(n); workers > 1 {
+		runChunked(ctx, n, workers, run)
 	} else {
-		runChunked(ctx, n, workers, func(i int) { errs[i] = fn(i) })
+		for i := 0; i < n && ctx.Err() == nil; i++ {
+			run(i)
+		}
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return first.err
 }
 
 // SweepConfigs prices the whole workload under every configuration in
@@ -140,7 +114,7 @@ func (e *Engine) sweep(ctx context.Context, n int, fn func(i int) error) error {
 // pinned base. Results are identical to calling WorkloadCost serially per
 // configuration.
 func (v *View) SweepConfigs(ctx context.Context, w *workload.Workload, cfgs []*catalog.Configuration) ([]float64, error) {
-	if err := v.prepareAll(ctx, w); err != nil {
+	if err := v.Prepare(ctx, w, nil); err != nil {
 		return nil, err
 	}
 	price, err := v.s.pricer(w)
@@ -167,7 +141,7 @@ func (v *View) SweepConfigs(ctx context.Context, w *workload.Workload, cfgs []*c
 // base ∪ {cands[i]}, against the pinned generation. This is the inner loop
 // of greedy selection and materialization scheduling.
 func (v *View) SweepCandidates(ctx context.Context, w *workload.Workload, base *catalog.Configuration, cands []*catalog.Index) ([]float64, error) {
-	if err := v.prepareAll(ctx, w); err != nil {
+	if err := v.Prepare(ctx, w, nil); err != nil {
 		return nil, err
 	}
 	price, err := v.s.pricer(w)
@@ -211,27 +185,6 @@ func (v *View) SweepQueryConfigs(ctx context.Context, q workload.Query, cfgs []*
 		return nil, err
 	}
 	return costs, nil
-}
-
-// prepareAll primes backend entries for every workload query in parallel
-// (nil candidate guidance; callers wanting candidate-guided templates call
-// Prepare first). A workload already prepared against this generation — by
-// Prepare or by an earlier sweep — is skipped wholesale: the prepared-set
-// fast path turns the per-sweep prepare cost from |W| backend calls into
-// one fingerprint lookup.
-func (v *View) prepareAll(ctx context.Context, w *workload.Workload) error {
-	fp := w.Fingerprint()
-	if v.s.preparedFor(fp) {
-		return nil
-	}
-	if err := v.e.sweep(ctx, len(w.Queries), func(i int) error {
-		q := w.Queries[i]
-		return v.s.backend.Prepare(q.ID, q.Stmt, nil)
-	}); err != nil {
-		return err
-	}
-	v.s.markPrepared(fp)
-	return nil
 }
 
 // Evaluate costs every query under the pinned base and the hypothetical
