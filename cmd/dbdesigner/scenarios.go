@@ -58,11 +58,10 @@ func cmdAdvise(args []string) error {
 		Interactions:       true,
 		SeedIndexes:        seeds,
 		PinIndexes:         *pin,
-	}
-	if *projections || *aggviews {
-		opts.CandidateOptions = designer.DefaultCandidateOptions()
-		opts.CandidateOptions.IncludeProjections = *projections
-		opts.CandidateOptions.IncludeAggViews = *aggviews
+		CandidateOptions: designer.CandidateOptions{
+			IncludeProjections: *projections,
+			IncludeAggViews:    *aggviews,
+		},
 	}
 	advice, err := d.Advise(ctx, w, opts)
 	if err != nil {

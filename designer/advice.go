@@ -20,7 +20,9 @@ type AdviceOptions struct {
 	// Interactions enables the interaction graph and the
 	// interaction-aware materialization schedule.
 	Interactions bool
-	// CandidateOptions tunes candidate enumeration; zero value = defaults.
+	// CandidateOptions tunes candidate enumeration. Left unsized
+	// (MaxPerTable 0) it takes the default sizing and keeps its Include*
+	// widening flags.
 	CandidateOptions CandidateOptions
 	// SeedIndexes are user-suggested candidates added to the automatically
 	// enumerated set — the paper's "starting point of the search" control.

@@ -398,6 +398,35 @@ func TestJoinSteeredEvaluateHonorsWorkers(t *testing.T) {
 	}
 }
 
+// TestSteeredEvaluateReportsItsOwnSplit: a join-steered Evaluate re-prices
+// every query, and says so — it does not leave the previous delta
+// evaluation's split standing as its own.
+func TestSteeredEvaluateReportsItsOwnSplit(t *testing.T) {
+	ctx := context.Background()
+	d := open(t)
+	w := sdssWorkload(t, d, 12)
+	s := d.NewDesignSession()
+	if _, err := s.Evaluate(ctx, w); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AddIndex("specobj", "z"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Evaluate(ctx, w); err != nil {
+		t.Fatal(err)
+	}
+	if _, reused := s.LastEvaluateDelta(); reused == 0 {
+		t.Fatal("the add-one-index evaluate reused nothing; the steered read below would prove nothing")
+	}
+	s.SetJoinControl(designer.JoinControl{DisableHashJoin: true})
+	if _, err := s.Evaluate(ctx, w); err != nil {
+		t.Fatal(err)
+	}
+	if recosted, reused := s.LastEvaluateDelta(); recosted != 12 || reused != 0 {
+		t.Fatalf("steered evaluate reports a %d+%d split, want 12+0", recosted, reused)
+	}
+}
+
 // TestSessionPinIsolation covers the serve layer's isolation contract: a
 // design session created before a concurrent Materialize keeps evaluating
 // against its pinned engine generation instead of tearing mid-run.

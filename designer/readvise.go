@@ -171,7 +171,11 @@ func (d *Designer) advisePipeline(ctx context.Context, v *engine.View, iw *workl
 	} else {
 		candOpts := opts.CandidateOptions.internal()
 		if candOpts.MaxPerTable == 0 {
-			candOpts = whatif.DefaultCandidateOptions()
+			// Unsized options take the default sizing and keep their
+			// widening flags.
+			sized := whatif.DefaultCandidateOptions()
+			sized.IncludeProjections, sized.IncludeAggViews = candOpts.IncludeProjections, candOpts.IncludeAggViews
+			candOpts = sized
 		}
 		cands = v.Session().GenerateCandidates(iw, candOpts)
 		// User-suggested candidates join (and may be pinned into) the search.

@@ -914,18 +914,16 @@ func (req *adviseRequestJSON) isZero() bool {
 
 // options maps the wire request to facade advice options.
 func (req *adviseRequestJSON) options() designer.AdviceOptions {
-	opts := designer.AdviceOptions{
+	return designer.AdviceOptions{
 		StorageBudgetPages: req.BudgetPages,
 		NodeBudget:         req.NodeBudget,
 		Partitions:         req.Partitions,
 		Interactions:       req.Interactions,
+		CandidateOptions: designer.CandidateOptions{
+			IncludeProjections: req.Projections,
+			IncludeAggViews:    req.AggViews,
+		},
 	}
-	if req.Projections || req.AggViews {
-		opts.CandidateOptions = designer.DefaultCandidateOptions()
-		opts.CandidateOptions.IncludeProjections = req.Projections
-		opts.CandidateOptions.IncludeAggViews = req.AggViews
-	}
-	return opts
 }
 
 func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {

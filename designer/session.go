@@ -231,6 +231,10 @@ func (s *DesignSession) Evaluate(ctx context.Context, w *Workload) (*Report, err
 		if err != nil {
 			return nil, err
 		}
+		// The steered path prices every query and leaves nothing a later
+		// delta evaluation could reuse.
+		s.evalState = nil
+		s.lastRecosted, s.lastReused = len(rep.Queries), 0
 		return reportFromInternal(rep), nil
 	}
 	// Delta costing: successive evaluations of the same workload reuse the

@@ -89,6 +89,25 @@ func TestIndexOnlyAdviceUnchangedByRefactor(t *testing.T) {
 	}
 }
 
+// TestWideningFlagAloneIsHonored: AdviceOptions carrying nothing but a
+// widening flag takes the default candidate sizing and still widens — the
+// flag is not dropped along with the missing sizes.
+func TestWideningFlagAloneIsHonored(t *testing.T) {
+	d := open(t)
+	advice, err := d.Advise(context.Background(), aggWorkload(t, d), designer.AdviceOptions{
+		CandidateOptions: designer.CandidateOptions{IncludeAggViews: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ix := range advice.Indexes {
+		if ix.Kind == "aggview" {
+			return
+		}
+	}
+	t.Fatalf("IncludeAggViews alone advised no aggregate view: %+v", advice.Indexes)
+}
+
 // TestWideAdvicePicksStructures runs the widened pipeline end to end: with
 // projections and aggregate views admitted, an aggregate-heavy workload gets
 // a mixed-kind design whose DDL and schedule carry the structures.

@@ -179,16 +179,7 @@ func (a *Advisor) usageFragments(w *workload.Workload, t *catalog.Table) [][]str
 				cols[strings.ToLower(c.Column)] = true
 			}
 		}
-		for _, p := range q.Stmt.Projections {
-			sqlparse.WalkColumns(p.Expr, collect)
-		}
-		sqlparse.WalkColumns(q.Stmt.Where, collect)
-		for _, g := range q.Stmt.GroupBy {
-			sqlparse.WalkColumns(g, collect)
-		}
-		for _, o := range q.Stmt.OrderBy {
-			sqlparse.WalkColumns(o.Expr, collect)
-		}
+		q.Stmt.EachExpr(func(slot *sqlparse.Expr) { sqlparse.WalkColumns(*slot, collect) })
 		for c := range cols {
 			if !pk[c] {
 				sig[c] = append(sig[c], qi)

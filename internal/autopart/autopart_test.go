@@ -2,6 +2,7 @@ package autopart_test
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -212,5 +213,103 @@ func TestAdviseWithIndexesAsBase(t *testing.T) {
 	}
 	if res.NewCost > res.BaselineCost {
 		t.Fatalf("cost should not regress: %f -> %f", res.BaselineCost, res.NewCost)
+	}
+}
+
+// raDecLayout splits photoobj into {dec, ra} (fragment 0) and every other
+// non-key column (fragment 1).
+func raDecLayout(f *fixture) *catalog.Configuration {
+	var rest []string
+	for _, c := range f.schema.Table("photoobj").Columns {
+		if lc := strings.ToLower(c.Name); lc != "ra" && lc != "dec" && lc != "objid" {
+			rest = append(rest, lc)
+		}
+	}
+	cfg := catalog.NewConfiguration()
+	cfg.SetVertical(&catalog.VerticalLayout{Table: "photoobj", Fragments: [][]string{{"dec", "ra"}, rest}})
+	return cfg
+}
+
+// rewrite resolves sql, rewrites it under cfg and parses the result back,
+// checking on the way that every column reference names a table in FROM.
+func rewrite(t *testing.T, f *fixture, cfg *catalog.Configuration, sql string) *sqlparse.SelectStmt {
+	t.Helper()
+	sel, err := sqlparse.ParseSelect(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sqlparse.Resolve(sel, f.schema); err != nil {
+		t.Fatal(err)
+	}
+	before := sel.String()
+	text, _ := autopart.RewriteQuery(sel, f.schema, cfg)
+	if sel.String() != before {
+		t.Fatalf("RewriteQuery modified its input: %s", sel)
+	}
+	out, err := sqlparse.ParseSelect(text)
+	if err != nil {
+		t.Fatalf("rewritten SQL does not parse: %v\n%s", err, text)
+	}
+	from := map[string]bool{}
+	for _, ref := range out.From {
+		from[ref.Name] = true
+	}
+	out.EachExpr(func(slot *sqlparse.Expr) {
+		sqlparse.WalkColumns(*slot, func(c *sqlparse.ColumnRef) {
+			if !from[c.Table] {
+				t.Errorf("rewritten SQL reads %s, which is not in FROM: %s", c, text)
+			}
+		})
+	})
+	return out
+}
+
+func conjunctStrings(sel *sqlparse.SelectStmt) []string {
+	var out []string
+	for _, c := range sqlparse.Conjuncts(sel.Where) {
+		out = append(out, c.String())
+	}
+	return out
+}
+
+// TestRewriteKeepsPredicateStructure: a disjunction over two fragments stays
+// one conjunct of the rewritten WHERE, next to the PK stitch — not an OR
+// that swallows the join.
+func TestRewriteKeepsPredicateStructure(t *testing.T) {
+	f := newFixture(t)
+	out := rewrite(t, f, raDecLayout(f), "SELECT objid FROM photoobj WHERE (ra = 1 OR mode = 2) AND flags = 3")
+	want := []string{
+		"photoobj__f0.ra = 1 OR photoobj__f1.mode = 2",
+		"photoobj__f1.flags = 3",
+		"photoobj__f0.objid = photoobj__f1.objid",
+	}
+	if got := conjunctStrings(out); !reflect.DeepEqual(got, want) {
+		t.Errorf("rewritten WHERE conjuncts:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestRewriteJoinsEveryFragmentItReads: a column only HAVING mentions still
+// brings its fragment into FROM, and a key column is read from a fragment
+// the query joins anyway.
+func TestRewriteJoinsEveryFragmentItReads(t *testing.T) {
+	f := newFixture(t)
+	cfg := raDecLayout(f)
+	out := rewrite(t, f, cfg, "SELECT type, count(*) FROM photoobj GROUP BY type HAVING max(ra) > 5")
+	if len(out.From) != 2 {
+		t.Errorf("HAVING-only column: FROM = %v, want both fragments", out.From)
+	}
+	out = rewrite(t, f, cfg, "SELECT objid, type FROM photoobj WHERE objid > 5")
+	if len(out.From) != 1 || out.From[0].Name != "photoobj__f1" {
+		t.Errorf("key column beside fragment 1: FROM = %v, want photoobj__f1 alone", out.From)
+	}
+
+	// Every statement of the fixture workload under the layout AutoPart
+	// itself advises.
+	res, err := f.adv.AdviseView(context.Background(), f.v, f.w, nil, autopart.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range f.w.Queries {
+		rewrite(t, f, res.Config, q.SQL)
 	}
 }

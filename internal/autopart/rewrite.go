@@ -15,173 +15,99 @@ func FragmentTableName(table string, i int) string {
 	return fmt.Sprintf("%s__f%d", strings.ToLower(table), i)
 }
 
-// RewriteQuery renders the SQL a query would take against a vertical
-// layout: each partitioned table is replaced by the join of the fragments
-// it needs on the primary key. This is the "save the rewritten queries for
-// the new table partitions" feature of Scenario 1/2. The rewrite is
-// textual — fragment tables are a naming convention, not catalog objects.
+// RewriteQuery returns the SQL a resolved query takes against a vertical
+// layout: each partitioned table is replaced by the join, on the primary
+// key, of the fragments the query reads. This is the "save the rewritten
+// queries for the new table partitions" feature of Scenario 1/2. It builds
+// the rewritten statement and hands it to sqlparse's renderer, so the text
+// parses and keeps the original's predicate structure; fragment tables are a
+// naming convention, not catalog objects.
 func RewriteQuery(sel *sqlparse.SelectStmt, schema *catalog.Schema, cfg *catalog.Configuration) (string, bool) {
-	rewritten := false
-	var fromParts []string
-	var pkJoins []string
-
+	out := *sel
+	out.From = nil
+	first := map[string]string{} // partitioned table -> its first fragment table in FROM
+	var stitch []sqlparse.Expr   // PK equalities chaining each table's fragments
 	for _, ref := range sel.From {
+		var layout *catalog.VerticalLayout
 		t := schema.Table(ref.Name)
-		if t == nil {
-			fromParts = append(fromParts, ref.Name)
-			continue
+		if t != nil {
+			layout = cfg.VerticalOn(t.Name)
 		}
-		layout := cfg.VerticalOn(t.Name)
 		if layout == nil {
-			// Column references were resolved to real table names, so the
-			// rewritten FROM drops aliases and uses the table name directly.
-			fromParts = append(fromParts, strings.ToLower(t.Name))
+			out.From = append(out.From, ref)
 			continue
 		}
-		// Which fragments does this query need?
-		needed := map[int]bool{}
-		collect := func(c *sqlparse.ColumnRef) {
+		names := fragmentTables(sel, t, layout)
+		first[catalog.NormCol(t.Name)] = names[0]
+		for i, name := range names {
+			out.From = append(out.From, sqlparse.TableRef{Name: name})
+			if i == 0 {
+				continue
+			}
+			for _, pk := range t.PrimaryKey {
+				stitch = append(stitch, &sqlparse.BinaryExpr{
+					Op: sqlparse.OpEq,
+					L:  &sqlparse.ColumnRef{Table: names[0], Column: strings.ToLower(pk)},
+					R:  &sqlparse.ColumnRef{Table: name, Column: strings.ToLower(pk)},
+				})
+			}
+		}
+	}
+	if len(first) == 0 {
+		return sel.String(), false
+	}
+
+	requalify := func(e sqlparse.Expr) sqlparse.Expr {
+		c, ok := e.(*sqlparse.ColumnRef)
+		if !ok {
+			return e
+		}
+		layout := cfg.VerticalOn(c.Table)
+		if layout == nil {
+			return e
+		}
+		// PK columns live in every fragment; read them from the first one
+		// the query joins anyway.
+		table := first[catalog.NormCol(c.Table)]
+		if fi := layout.FragmentFor(c.Column); fi >= 0 {
+			table = FragmentTableName(c.Table, fi)
+		}
+		return &sqlparse.ColumnRef{Table: table, Column: strings.ToLower(c.Column)}
+	}
+	out.Projections = append([]sqlparse.SelectItem(nil), sel.Projections...)
+	out.GroupBy = append([]sqlparse.Expr(nil), sel.GroupBy...)
+	out.OrderBy = append([]sqlparse.OrderItem(nil), sel.OrderBy...)
+	out.EachExpr(func(slot *sqlparse.Expr) { *slot = sqlparse.Rewrite(*slot, requalify) })
+	out.Where = sqlparse.AndAll(append(sqlparse.Conjuncts(out.Where), stitch...))
+	return out.String(), true
+}
+
+// fragmentTables names, in fragment order, the fragments of t the query
+// reads a non-key column from; a query touching only the primary key can
+// use any fragment and gets the first.
+func fragmentTables(sel *sqlparse.SelectStmt, t *catalog.Table, layout *catalog.VerticalLayout) []string {
+	needed := map[int]bool{}
+	sel.EachExpr(func(slot *sqlparse.Expr) {
+		sqlparse.WalkColumns(*slot, func(c *sqlparse.ColumnRef) {
 			if !strings.EqualFold(c.Table, t.Name) {
 				return
 			}
 			if fi := layout.FragmentFor(c.Column); fi >= 0 {
 				needed[fi] = true
 			}
-		}
-		for _, p := range sel.Projections {
-			sqlparse.WalkColumns(p.Expr, collect)
-		}
-		sqlparse.WalkColumns(sel.Where, collect)
-		for _, g := range sel.GroupBy {
-			sqlparse.WalkColumns(g, collect)
-		}
-		for _, o := range sel.OrderBy {
-			sqlparse.WalkColumns(o.Expr, collect)
-		}
-		if len(needed) == 0 {
-			needed[0] = true // PK-only access can use any fragment
-		}
-		frags := make([]int, 0, len(needed))
-		for fi := range needed {
-			frags = append(frags, fi)
-		}
-		sort.Ints(frags)
-
-		rewritten = true
-		names := make([]string, len(frags))
-		for i, fi := range frags {
-			names[i] = FragmentTableName(t.Name, fi)
-			fromParts = append(fromParts, names[i])
-		}
-		// PK equality joins chaining the fragments.
-		for i := 1; i < len(names); i++ {
-			for _, pk := range t.PrimaryKey {
-				pkJoins = append(pkJoins,
-					fmt.Sprintf("%s.%s = %s.%s", names[0], strings.ToLower(pk), names[i], strings.ToLower(pk)))
-			}
-		}
+		})
+	})
+	if len(needed) == 0 {
+		needed[0] = true
 	}
-	if !rewritten {
-		return sel.String(), false
+	frags := make([]int, 0, len(needed))
+	for fi := range needed {
+		frags = append(frags, fi)
 	}
-
-	var b strings.Builder
-	b.WriteString("SELECT ")
-	if sel.Distinct {
-		b.WriteString("DISTINCT ")
+	sort.Ints(frags)
+	names := make([]string, len(frags))
+	for i, fi := range frags {
+		names[i] = FragmentTableName(t.Name, fi)
 	}
-	for i, p := range sel.Projections {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(rewriteExprText(p.Expr, schema, cfg) + aliasSuffix(p))
-	}
-	b.WriteString(" FROM " + strings.Join(fromParts, ", "))
-
-	var whereParts []string
-	for _, conj := range sqlparse.Conjuncts(sel.Where) {
-		whereParts = append(whereParts, rewriteExprText(conj, schema, cfg))
-	}
-	whereParts = append(whereParts, pkJoins...)
-	if len(whereParts) > 0 {
-		b.WriteString(" WHERE " + strings.Join(whereParts, " AND "))
-	}
-	if len(sel.GroupBy) > 0 {
-		parts := make([]string, len(sel.GroupBy))
-		for i, g := range sel.GroupBy {
-			parts[i] = rewriteExprText(g, schema, cfg)
-		}
-		b.WriteString(" GROUP BY " + strings.Join(parts, ", "))
-	}
-	if sel.Having != nil {
-		b.WriteString(" HAVING " + rewriteExprText(sel.Having, schema, cfg))
-	}
-	if len(sel.OrderBy) > 0 {
-		parts := make([]string, len(sel.OrderBy))
-		for i, o := range sel.OrderBy {
-			parts[i] = rewriteExprText(o.Expr, schema, cfg)
-			if o.Desc {
-				parts[i] += " DESC"
-			}
-		}
-		b.WriteString(" ORDER BY " + strings.Join(parts, ", "))
-	}
-	if sel.Limit >= 0 {
-		fmt.Fprintf(&b, " LIMIT %d", sel.Limit)
-	}
-	return b.String(), true
-}
-
-func aliasSuffix(p sqlparse.SelectItem) string {
-	if p.Alias != "" {
-		return " AS " + p.Alias
-	}
-	return ""
-}
-
-// rewriteExprText renders an expression with partitioned column references
-// re-qualified to their fragment tables.
-func rewriteExprText(e sqlparse.Expr, schema *catalog.Schema, cfg *catalog.Configuration) string {
-	switch v := e.(type) {
-	case *sqlparse.ColumnRef:
-		t := schema.Table(v.Table)
-		if t != nil {
-			if layout := cfg.VerticalOn(t.Name); layout != nil {
-				fi := layout.FragmentFor(v.Column)
-				if fi < 0 {
-					fi = 0 // PK columns live in every fragment; use the first
-				}
-				return FragmentTableName(t.Name, fi) + "." + strings.ToLower(v.Column)
-			}
-		}
-		return v.String()
-	case *sqlparse.BinaryExpr:
-		l := rewriteExprText(v.L, schema, cfg)
-		r := rewriteExprText(v.R, schema, cfg)
-		return l + " " + string(v.Op) + " " + r
-	case *sqlparse.NotExpr:
-		return "NOT (" + rewriteExprText(v.E, schema, cfg) + ")"
-	case *sqlparse.BetweenExpr:
-		return rewriteExprText(v.E, schema, cfg) + " BETWEEN " +
-			rewriteExprText(v.Lo, schema, cfg) + " AND " + rewriteExprText(v.Hi, schema, cfg)
-	case *sqlparse.InExpr:
-		parts := make([]string, len(v.List))
-		for i, item := range v.List {
-			parts[i] = rewriteExprText(item, schema, cfg)
-		}
-		return rewriteExprText(v.E, schema, cfg) + " IN (" + strings.Join(parts, ", ") + ")"
-	case *sqlparse.IsNullExpr:
-		s := rewriteExprText(v.E, schema, cfg) + " IS "
-		if v.Not {
-			s += "NOT "
-		}
-		return s + "NULL"
-	case *sqlparse.FuncExpr:
-		if v.Star {
-			return string(v.Func) + "(*)"
-		}
-		return string(v.Func) + "(" + rewriteExprText(v.Arg, schema, cfg) + ")"
-	default:
-		return e.String()
-	}
+	return names
 }

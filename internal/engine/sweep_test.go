@@ -30,7 +30,7 @@ func TestSweepChunkSize(t *testing.T) {
 	}
 }
 
-// TestRunChunkedCoversEveryIndexOnce drives the chunked work-stealing
+// TestRunChunkedCoversEveryIndexOnce drives the chunked single-cursor
 // scheduler across skewed (n, workers) shapes — fewer jobs than workers,
 // one job, prime worker counts, uneven chunk deals — and asserts every
 // index runs exactly once.

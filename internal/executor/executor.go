@@ -622,11 +622,15 @@ func (ex *Executor) execHashAgg(n *optimizer.Node, io *storage.IOCounter) (*rowS
 	// the planner stored in n.Filter. Those reference aggregate calls, so
 	// they are evaluated here by recomputing against the synthetic columns.
 	if len(n.Filter) > 0 {
+		filters := make([]sqlparse.Expr, len(n.Filter))
+		for i, f := range n.Filter {
+			filters[i] = rewriteAggRefs(f, n)
+		}
 		kept := out[:0]
 		for gi, r := range out {
 			keep := true
-			for _, f := range n.Filter {
-				v, err := evalHaving(f, n, outRS, r)
+			for _, f := range filters {
+				v, err := evalExpr(f, outRS, r)
 				if err != nil {
 					return nil, nil, err
 				}
@@ -676,31 +680,19 @@ func finishAgg(a optimizer.AggSpec, groupCount, nonNull int64, sum float64, min,
 	}
 }
 
-// evalHaving evaluates a HAVING predicate by substituting aggregate calls
-// with their synthetic output columns.
-func evalHaving(e sqlparse.Expr, n *optimizer.Node, rs *rowSchema, row catalog.Row) (catalog.Datum, error) {
-	rewritten := rewriteAggRefs(e, n)
-	return evalExpr(rewritten, rs, row)
-}
-
-// rewriteAggRefs replaces FuncExpr nodes with references to the matching
-// synthetic aggregate column.
+// rewriteAggRefs replaces every aggregate call, wherever it sits in e, with
+// a reference to the matching synthetic aggregate column of n.
 func rewriteAggRefs(e sqlparse.Expr, n *optimizer.Node) sqlparse.Expr {
-	switch v := e.(type) {
-	case *sqlparse.FuncExpr:
-		for i, a := range n.Aggs {
-			if matchAgg(v, a) {
-				return &sqlparse.ColumnRef{Column: aggColName(a, i)}
+	return sqlparse.Rewrite(e, func(e sqlparse.Expr) sqlparse.Expr {
+		if f, ok := e.(*sqlparse.FuncExpr); ok {
+			for i, a := range n.Aggs {
+				if matchAgg(f, a) {
+					return &sqlparse.ColumnRef{Column: aggColName(a, i)}
+				}
 			}
 		}
 		return e
-	case *sqlparse.BinaryExpr:
-		return &sqlparse.BinaryExpr{Op: v.Op, L: rewriteAggRefs(v.L, n), R: rewriteAggRefs(v.R, n)}
-	case *sqlparse.NotExpr:
-		return &sqlparse.NotExpr{E: rewriteAggRefs(v.E, n)}
-	default:
-		return e
-	}
+	})
 }
 
 func matchAgg(f *sqlparse.FuncExpr, a optimizer.AggSpec) bool {
@@ -743,14 +735,17 @@ func (ex *Executor) execProject(n *optimizer.Node, io *storage.IOCounter) (*rowS
 		cols = append(cols, ColID{Column: strings.ToLower(name)})
 	}
 	outRS := newRowSchema(cols)
+	exprs := make([]sqlparse.Expr, len(n.Projections))
+	for i, p := range n.Projections {
+		exprs[i] = p.Expr
+		if aggCtx != nil {
+			exprs[i] = rewriteAggRefs(p.Expr, aggCtx)
+		}
+	}
 	out := make([]catalog.Row, 0, len(rows))
 	for _, r := range rows {
 		row := make(catalog.Row, 0, len(n.Projections))
-		for _, p := range n.Projections {
-			expr := p.Expr
-			if aggCtx != nil {
-				expr = rewriteAggRefs(expr, aggCtx)
-			}
+		for _, expr := range exprs {
 			v, err := evalExpr(expr, rs, r)
 			if err != nil {
 				return nil, nil, err

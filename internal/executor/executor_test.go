@@ -1,6 +1,7 @@
 package executor_test
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -308,6 +309,34 @@ func TestHavingFilter(t *testing.T) {
 			t.Fatalf("having leaked group %s", r)
 		}
 	}
+}
+
+// TestAggregatesUnderEveryPredicateKind: an aggregate call is computed and
+// substituted wherever it sits — under BETWEEN, IN and IS NULL as under a
+// comparison — in HAVING and in the projection list.
+func TestAggregatesUnderEveryPredicateKind(t *testing.T) {
+	f := newFixture(t)
+	const groups = "SELECT camcol, COUNT(*) FROM photoobj GROUP BY camcol"
+	all := f.run(t, groups)
+	n0, n1 := all.Rows[0][1].I, all.Rows[1][1].I
+	for _, c := range []struct{ having, same string }{
+		{"COUNT(*) BETWEEN 1 AND 300", "COUNT(*) >= 1 AND COUNT(*) <= 300"},
+		{fmt.Sprintf("COUNT(*) IN (%d, %d)", n0, n1), fmt.Sprintf("COUNT(*) = %d OR COUNT(*) = %d", n0, n1)},
+		{"MAX(ra) IS NOT NULL", "COUNT(*) > 0"},
+		{"MAX(ra) IS NULL", "COUNT(*) < 0"},
+		{"NOT (MIN(ra) BETWEEN 0 AND 1) AND COUNT(*) + 1 IN (1, 2, SUM(camcol))", "COUNT(*) < 0"},
+	} {
+		got := f.run(t, groups+" HAVING "+c.having)
+		want := f.run(t, groups+" HAVING "+c.same)
+		sameRows(t, got, want, "HAVING "+c.having)
+	}
+	if some := f.run(t, groups+" HAVING COUNT(*) BETWEEN 1 AND 300"); len(some.Rows) == 0 || len(some.Rows) >= len(all.Rows) {
+		t.Fatalf("BETWEEN 1 AND 300 kept %d of %d groups; the pair above compared nothing", len(some.Rows), len(all.Rows))
+	}
+	sameRows(t,
+		f.run(t, "SELECT camcol, COUNT(*) BETWEEN 1 AND 300, MAX(ra) IS NULL FROM photoobj GROUP BY camcol"),
+		f.run(t, "SELECT camcol, COUNT(*) >= 1 AND COUNT(*) <= 300, COUNT(*) < 0 FROM photoobj GROUP BY camcol"),
+		"aggregates under BETWEEN and IS NULL in the projection list")
 }
 
 func TestProjectionExpressions(t *testing.T) {

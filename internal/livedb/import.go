@@ -298,14 +298,10 @@ func Instantiate(sql string, snap *Snapshot) (string, error) {
 		return "", fmt.Errorf("parameterized statement: %w", err)
 	}
 	replacePlaceholders(stmt, snap)
-	// Resolve qualified every column reference with its real table name, so
-	// aliases in FROM would no longer bind on re-parse; drop them.
-	for i := range stmt.From {
-		stmt.From[i].Alias = ""
-	}
-	// A sentinel that survived the walk sits in a position the instantiator
-	// doesn't understand (e.g. a projection expression); reject rather
-	// than emit a nonsense constant.
+	// Resolve left the statement in canonical form, so its rendering parses
+	// and resolves again. A sentinel that survived the walk sits in a
+	// position the instantiator doesn't understand (e.g. a projection
+	// expression); reject rather than emit a nonsense constant.
 	rendered := stmt.String()
 	if strings.Contains(rendered, strconv.FormatInt(sentinelBase, 10)[:8]) {
 		return "", fmt.Errorf("placeholder in unsupported position")
@@ -354,52 +350,40 @@ func isSentinel(e sqlparse.Expr) *sqlparse.Literal {
 	return l
 }
 
-// replacePlaceholders walks the WHERE/HAVING trees substituting sentinel
-// literals with constants chosen from column statistics.
+// replacePlaceholders substitutes the sentinel literals of the WHERE and
+// HAVING trees with constants chosen from column statistics, wherever a
+// sentinel is compared with a column: col OP $n (either way round), col
+// BETWEEN $n AND $m, col IN ($n, ...).
 func replacePlaceholders(stmt *sqlparse.SelectStmt, snap *Snapshot) {
-	var walk func(e sqlparse.Expr)
-	walk = func(e sqlparse.Expr) {
+	set := func(e sqlparse.Expr, col *sqlparse.ColumnRef, role valueRole) {
+		if l := isSentinel(e); l != nil {
+			l.Value = pickValue(snap, col, role)
+		}
+	}
+	visit := func(e sqlparse.Expr) bool {
 		switch v := e.(type) {
 		case *sqlparse.BinaryExpr:
 			if col, ok := v.L.(*sqlparse.ColumnRef); ok {
-				if l := isSentinel(v.R); l != nil {
-					l.Value = pickValue(snap, col, roleForOp(v.Op))
-					return
-				}
+				set(v.R, col, roleForOp(v.Op))
+			} else if col, ok := v.R.(*sqlparse.ColumnRef); ok {
+				set(v.L, col, flipRole(roleForOp(v.Op)))
 			}
-			if col, ok := v.R.(*sqlparse.ColumnRef); ok {
-				if l := isSentinel(v.L); l != nil {
-					l.Value = pickValue(snap, col, flipRole(roleForOp(v.Op)))
-					return
-				}
-			}
-			walk(v.L)
-			walk(v.R)
 		case *sqlparse.BetweenExpr:
 			if col, ok := v.E.(*sqlparse.ColumnRef); ok {
-				if l := isSentinel(v.Lo); l != nil {
-					l.Value = pickValue(snap, col, roleLo)
-				}
-				if l := isSentinel(v.Hi); l != nil {
-					l.Value = pickValue(snap, col, roleHi)
-				}
-				return
+				set(v.Lo, col, roleLo)
+				set(v.Hi, col, roleHi)
 			}
 		case *sqlparse.InExpr:
 			if col, ok := v.E.(*sqlparse.ColumnRef); ok {
 				for _, item := range v.List {
-					if l := isSentinel(item); l != nil {
-						l.Value = pickValue(snap, col, roleEq)
-					}
+					set(item, col, roleEq)
 				}
-				return
 			}
-		case *sqlparse.NotExpr:
-			walk(v.E)
 		}
+		return true
 	}
-	walk(stmt.Where)
-	walk(stmt.Having)
+	sqlparse.Walk(stmt.Where, visit)
+	sqlparse.Walk(stmt.Having, visit)
 }
 
 type valueRole int

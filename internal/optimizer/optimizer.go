@@ -187,25 +187,18 @@ func (e *Env) addAggregation(n *Node, sel *sqlparse.SelectStmt) *Node {
 	return agg
 }
 
-// collectAggs gathers aggregate calls from an expression.
+// collectAggs gathers the aggregate calls anywhere in an expression (their
+// arguments hold none).
 func collectAggs(expr sqlparse.Expr, out *[]AggSpec) {
-	switch v := expr.(type) {
-	case nil:
-		return
-	case *sqlparse.FuncExpr:
-		spec := AggSpec{Func: v.Func, Star: v.Star}
-		if v.Arg != nil {
-			if col, ok := v.Arg.(*sqlparse.ColumnRef); ok {
-				spec.Arg = col
-			}
+	sqlparse.Walk(expr, func(e sqlparse.Expr) bool {
+		f, isAgg := e.(*sqlparse.FuncExpr)
+		if isAgg {
+			spec := AggSpec{Func: f.Func, Star: f.Star}
+			spec.Arg, _ = f.Arg.(*sqlparse.ColumnRef)
+			*out = append(*out, spec)
 		}
-		*out = append(*out, spec)
-	case *sqlparse.BinaryExpr:
-		collectAggs(v.L, out)
-		collectAggs(v.R, out)
-	case *sqlparse.NotExpr:
-		collectAggs(v.E, out)
-	}
+		return !isAgg
+	})
 }
 
 // addOrdering appends a Sort when the plan's delivered order does not

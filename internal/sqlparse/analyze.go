@@ -34,32 +34,12 @@ func AndAll(factors []Expr) Expr {
 
 // WalkColumns invokes fn for every ColumnRef in the expression tree.
 func WalkColumns(e Expr, fn func(*ColumnRef)) {
-	switch v := e.(type) {
-	case nil:
-	case *ColumnRef:
-		fn(v)
-	case *Literal, *StarExpr:
-	case *BinaryExpr:
-		WalkColumns(v.L, fn)
-		WalkColumns(v.R, fn)
-	case *NotExpr:
-		WalkColumns(v.E, fn)
-	case *BetweenExpr:
-		WalkColumns(v.E, fn)
-		WalkColumns(v.Lo, fn)
-		WalkColumns(v.Hi, fn)
-	case *InExpr:
-		WalkColumns(v.E, fn)
-		for _, x := range v.List {
-			WalkColumns(x, fn)
+	Walk(e, func(n Expr) bool {
+		if c, ok := n.(*ColumnRef); ok {
+			fn(c)
 		}
-	case *IsNullExpr:
-		WalkColumns(v.E, fn)
-	case *FuncExpr:
-		if v.Arg != nil {
-			WalkColumns(v.Arg, fn)
-		}
-	}
+		return true
+	})
 }
 
 // ReferencedColumns returns, per lower-case table name, the set of
@@ -77,43 +57,25 @@ func ReferencedColumns(sel *SelectStmt) (cols map[string]map[string]bool, star b
 		}
 		cols[lt][lc] = true
 	}
-	for _, p := range sel.Projections {
-		if _, ok := p.Expr.(*StarExpr); ok {
-			star = true
-			continue
-		}
-		WalkColumns(p.Expr, add)
-	}
-	WalkColumns(sel.Where, add)
-	for _, g := range sel.GroupBy {
-		WalkColumns(g, add)
-	}
-	WalkColumns(sel.Having, add)
-	for _, o := range sel.OrderBy {
-		WalkColumns(o.Expr, add)
-	}
+	sel.EachExpr(func(slot *Expr) {
+		Walk(*slot, func(n Expr) bool {
+			switch v := n.(type) {
+			case *StarExpr:
+				star = true
+			case *ColumnRef:
+				add(v)
+			}
+			return true
+		})
+	})
 	return cols, star
 }
 
-// ColumnsIn returns the distinct table-qualified columns referenced by the
-// expression, as "table.column" (lower-cased), in first-seen order.
-func ColumnsIn(e Expr) []string {
-	seen := make(map[string]bool)
-	var out []string
-	WalkColumns(e, func(c *ColumnRef) {
-		key := strings.ToLower(c.Table + "." + c.Column)
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, key)
-		}
-	})
-	return out
-}
-
-// Resolve qualifies every bare column reference in the statement against
-// the schema, replaces alias table names with real table names, and
-// verifies every referenced column exists. Aliases remain usable in SQL
-// text; after Resolve, ColumnRef.Table always holds the real table name.
+// Resolve qualifies every column reference in the statement with its real
+// table name — bare columns against the schema, alias-qualified ones
+// through the FROM bindings — verifies every referenced column exists, and
+// then clears the FROM aliases, which nothing refers to any more. The result
+// is the canonical form: its String() parses and resolves to itself.
 func Resolve(sel *SelectStmt, schema *catalog.Schema) error {
 	// Map binding (alias or name, lower-case) -> real table name.
 	binding := make(map[string]string, len(sel.From))
@@ -131,89 +93,39 @@ func Resolve(sel *SelectStmt, schema *catalog.Schema) error {
 		tables = append(tables, t.Name)
 	}
 
-	var resolve func(e Expr) error
-	resolve = func(e Expr) error {
-		switch v := e.(type) {
-		case nil:
-			return nil
-		case *ColumnRef:
-			if v.Table != "" {
-				real, ok := binding[strings.ToLower(v.Table)]
-				if !ok {
-					return fmt.Errorf("sqlparse: unknown table or alias %q", v.Table)
-				}
-				v.Table = real
-			} else {
-				real, err := schema.ResolveColumn(v.Column, tables)
-				if err != nil {
-					return err
-				}
-				v.Table = real
+	resolve := func(c *ColumnRef) error {
+		if c.Table != "" {
+			real, ok := binding[strings.ToLower(c.Table)]
+			if !ok {
+				return fmt.Errorf("sqlparse: unknown table or alias %q", c.Table)
 			}
-			t := schema.Table(v.Table)
-			if !t.HasColumn(v.Column) {
-				return fmt.Errorf("sqlparse: table %s has no column %q", v.Table, v.Column)
-			}
-			return nil
-		case *Literal, *StarExpr:
-			return nil
-		case *BinaryExpr:
-			if err := resolve(v.L); err != nil {
+			c.Table = real
+		} else {
+			real, err := schema.ResolveColumn(c.Column, tables)
+			if err != nil {
 				return err
 			}
-			return resolve(v.R)
-		case *NotExpr:
-			return resolve(v.E)
-		case *BetweenExpr:
-			if err := resolve(v.E); err != nil {
-				return err
-			}
-			if err := resolve(v.Lo); err != nil {
-				return err
-			}
-			return resolve(v.Hi)
-		case *InExpr:
-			if err := resolve(v.E); err != nil {
-				return err
-			}
-			for _, x := range v.List {
-				if err := resolve(x); err != nil {
-					return err
-				}
-			}
-			return nil
-		case *IsNullExpr:
-			return resolve(v.E)
-		case *FuncExpr:
-			if v.Arg != nil {
-				return resolve(v.Arg)
-			}
-			return nil
-		default:
-			return fmt.Errorf("sqlparse: unhandled expression %T", e)
+			c.Table = real
 		}
-	}
-
-	for i := range sel.Projections {
-		if err := resolve(sel.Projections[i].Expr); err != nil {
-			return err
+		if !schema.Table(c.Table).HasColumn(c.Column) {
+			return fmt.Errorf("sqlparse: table %s has no column %q", c.Table, c.Column)
 		}
+		return nil
 	}
-	if err := resolve(sel.Where); err != nil {
+	var err error
+	sel.EachExpr(func(slot *Expr) {
+		Walk(*slot, func(n Expr) bool {
+			if c, ok := n.(*ColumnRef); ok && err == nil {
+				err = resolve(c)
+			}
+			return err == nil
+		})
+	})
+	if err != nil {
 		return err
 	}
-	for _, g := range sel.GroupBy {
-		if err := resolve(g); err != nil {
-			return err
-		}
-	}
-	if err := resolve(sel.Having); err != nil {
-		return err
-	}
-	for i := range sel.OrderBy {
-		if err := resolve(sel.OrderBy[i].Expr); err != nil {
-			return err
-		}
+	for i := range sel.From {
+		sel.From[i].Alias = ""
 	}
 	return nil
 }
@@ -401,22 +313,17 @@ func GroupKeyColumns(sel *SelectStmt) (cols []string, allPlain bool) {
 // answer a query only when every entry here is among its stored aggregates.
 func Aggregates(sel *SelectStmt) []string {
 	var out []string
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch v := e.(type) {
-		case *FuncExpr:
-			out = append(out, AggString(v))
-		case *BinaryExpr:
-			walk(v.L)
-			walk(v.R)
-		case *NotExpr:
-			walk(v.E)
+	collect := func(e Expr) bool {
+		f, isAgg := e.(*FuncExpr)
+		if isAgg {
+			out = append(out, AggString(f))
 		}
+		return !isAgg
 	}
 	for _, p := range sel.Projections {
-		walk(p.Expr)
+		Walk(p.Expr, collect)
 	}
-	walk(sel.Having)
+	Walk(sel.Having, collect)
 	return out
 }
 
@@ -435,25 +342,13 @@ func AggString(f *FuncExpr) string {
 
 // HasAggregate reports whether the statement computes any aggregate.
 func HasAggregate(sel *SelectStmt) bool {
+	found := len(sel.GroupBy) > 0
 	for _, p := range sel.Projections {
-		found := false
-		var walk func(Expr)
-		walk = func(e Expr) {
-			if _, ok := e.(*FuncExpr); ok {
-				found = true
-			}
-			switch v := e.(type) {
-			case *BinaryExpr:
-				walk(v.L)
-				walk(v.R)
-			case *NotExpr:
-				walk(v.E)
-			}
-		}
-		walk(p.Expr)
-		if found {
-			return true
-		}
+		Walk(p.Expr, func(e Expr) bool {
+			_, isAgg := e.(*FuncExpr)
+			found = found || isAgg
+			return !found
+		})
 	}
-	return len(sel.GroupBy) > 0
+	return found
 }

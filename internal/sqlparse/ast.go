@@ -7,10 +7,33 @@ import (
 	"repro/internal/catalog"
 )
 
-// Expr is any SQL scalar expression node.
+// Expr is any SQL scalar expression node. The unexported method seals the
+// set of node kinds to this package.
 type Expr interface {
 	fmt.Stringer
-	exprNode()
+	// prec is the grammar level the node's rendering parses at.
+	prec() int
+}
+
+// Grammar levels, loosest first (the package comment's expression grammar).
+// A node rendered where the grammar wants a tighter level gets parentheses,
+// so String() parses back to the tree it was rendered from.
+const (
+	precOr = iota
+	precAnd
+	precNot
+	precPredicate // comparison, BETWEEN, IN, IS NULL
+	precAdditive
+	precMultiplicative
+	precPrimary
+)
+
+// operand renders e for a position that needs at least level min.
+func operand(e Expr, min int) string {
+	if e.prec() < min {
+		return "(" + e.String() + ")"
+	}
+	return e.String()
 }
 
 // ColumnRef references table.column; Table may be empty before resolution.
@@ -19,7 +42,7 @@ type ColumnRef struct {
 	Column string
 }
 
-func (*ColumnRef) exprNode() {}
+func (*ColumnRef) prec() int { return precPrimary }
 
 // String renders the (possibly qualified) reference.
 func (c *ColumnRef) String() string {
@@ -34,7 +57,7 @@ type Literal struct {
 	Value catalog.Datum
 }
 
-func (*Literal) exprNode() {}
+func (*Literal) prec() int { return precPrimary }
 
 // String renders the literal in SQL form.
 func (l *Literal) String() string { return l.Value.String() }
@@ -73,18 +96,40 @@ type BinaryExpr struct {
 	L, R Expr
 }
 
-func (*BinaryExpr) exprNode() {}
+func (b *BinaryExpr) prec() int {
+	switch b.Op {
+	case OpOr:
+		return precOr
+	case OpAnd:
+		return precAnd
+	case OpAdd, OpSub:
+		return precAdditive
+	case OpMul, OpDiv:
+		return precMultiplicative
+	default:
+		return precPredicate
+	}
+}
 
-// String renders the expression with minimal parentheses around AND/OR.
+// String renders the expression with the parentheses its operands need to
+// parse back into the same tree. AND and OR chain without them (both
+// associate), an AND under an OR keeps them for the reader, arithmetic is
+// left-associative, and a comparison's operands are arithmetic.
 func (b *BinaryExpr) String() string {
-	ls, rs := b.L.String(), b.R.String()
-	if b.Op == OpAnd || b.Op == OpOr {
-		if inner, ok := b.L.(*BinaryExpr); ok && (inner.Op == OpAnd || inner.Op == OpOr) && inner.Op != b.Op {
-			ls = "(" + ls + ")"
+	var ls, rs string
+	switch p := b.prec(); p {
+	case precOr, precAnd:
+		logical := func(e Expr) string {
+			if inner, ok := e.(*BinaryExpr); ok && inner.Op == b.Op {
+				return e.String()
+			}
+			return operand(e, precNot)
 		}
-		if inner, ok := b.R.(*BinaryExpr); ok && (inner.Op == OpAnd || inner.Op == OpOr) && inner.Op != b.Op {
-			rs = "(" + rs + ")"
-		}
+		ls, rs = logical(b.L), logical(b.R)
+	case precPredicate:
+		ls, rs = operand(b.L, precAdditive), operand(b.R, precAdditive)
+	default:
+		ls, rs = operand(b.L, p), operand(b.R, p+1)
 	}
 	return ls + " " + string(b.Op) + " " + rs
 }
@@ -94,7 +139,7 @@ type NotExpr struct {
 	E Expr
 }
 
-func (*NotExpr) exprNode() {}
+func (*NotExpr) prec() int { return precNot }
 
 // String renders NOT (e).
 func (n *NotExpr) String() string { return "NOT (" + n.E.String() + ")" }
@@ -104,11 +149,11 @@ type BetweenExpr struct {
 	E, Lo, Hi Expr
 }
 
-func (*BetweenExpr) exprNode() {}
+func (*BetweenExpr) prec() int { return precPredicate }
 
 // String renders the BETWEEN form.
 func (b *BetweenExpr) String() string {
-	return b.E.String() + " BETWEEN " + b.Lo.String() + " AND " + b.Hi.String()
+	return operand(b.E, precAdditive) + " BETWEEN " + operand(b.Lo, precAdditive) + " AND " + operand(b.Hi, precAdditive)
 }
 
 // InExpr is e IN (v1, v2, ...).
@@ -117,15 +162,15 @@ type InExpr struct {
 	List []Expr
 }
 
-func (*InExpr) exprNode() {}
+func (*InExpr) prec() int { return precPredicate }
 
 // String renders the IN form.
 func (i *InExpr) String() string {
 	parts := make([]string, len(i.List))
 	for k, e := range i.List {
-		parts[k] = e.String()
+		parts[k] = operand(e, precAdditive)
 	}
-	return i.E.String() + " IN (" + strings.Join(parts, ", ") + ")"
+	return operand(i.E, precAdditive) + " IN (" + strings.Join(parts, ", ") + ")"
 }
 
 // IsNullExpr is e IS [NOT] NULL.
@@ -134,14 +179,14 @@ type IsNullExpr struct {
 	Not bool
 }
 
-func (*IsNullExpr) exprNode() {}
+func (*IsNullExpr) prec() int { return precPredicate }
 
 // String renders IS [NOT] NULL.
 func (i *IsNullExpr) String() string {
 	if i.Not {
-		return i.E.String() + " IS NOT NULL"
+		return operand(i.E, precAdditive) + " IS NOT NULL"
 	}
-	return i.E.String() + " IS NULL"
+	return operand(i.E, precAdditive) + " IS NULL"
 }
 
 // AggFunc enumerates aggregate functions.
@@ -163,7 +208,7 @@ type FuncExpr struct {
 	Star bool
 }
 
-func (*FuncExpr) exprNode() {}
+func (*FuncExpr) prec() int { return precPrimary }
 
 // String renders the call.
 func (f *FuncExpr) String() string {
@@ -176,7 +221,7 @@ func (f *FuncExpr) String() string {
 // StarExpr is the bare * projection.
 type StarExpr struct{}
 
-func (*StarExpr) exprNode() {}
+func (*StarExpr) prec() int { return precPrimary }
 
 // String renders "*".
 func (*StarExpr) String() string { return "*" }

@@ -1,9 +1,65 @@
 // Package sqlparse implements the SQL dialect the designer consumes: single
-// block SELECT queries with inner joins, conjunctive predicates, grouping,
-// ordering and limits, plus the CREATE TABLE / CREATE INDEX DDL used to load
-// schemas. The parser produces a typed AST; analysis helpers extract the
-// predicate structure (conjuncts, referenced columns, join edges) that the
-// advisors feed on.
+// block SELECT queries with inner joins, grouping, ordering and limits, plus
+// the CREATE TABLE / CREATE INDEX DDL used to load schemas. The parser
+// produces a typed AST; analysis helpers extract the predicate structure
+// (conjuncts, referenced columns, join edges) that the advisors feed on.
+//
+// The accepted grammar, as EBNF (keywords are case-insensitive, "--" starts a
+// line comment, a string is single-quoted and doubles a quote it contains):
+//
+//	script     := (statement? ';')* statement?
+//	statement  := select | create-table | create-index
+//
+//	select     := SELECT DISTINCT? item (',' item)*
+//	              FROM table-ref (',' table-ref | join)*
+//	              (WHERE expr)?
+//	              (GROUP BY expr (',' expr)*)?
+//	              (HAVING expr)?
+//	              (ORDER BY expr (ASC | DESC)? (',' expr (ASC | DESC)?)*)?
+//	              (LIMIT INT)?
+//	item       := '*' | expr (AS? ID)?
+//	table-ref  := ID (AS? ID)?
+//	join       := INNER? CROSS? JOIN table-ref (ON expr)?
+//
+//	expr       := and (OR and)*
+//	and        := not (AND not)*
+//	not        := NOT not | predicate
+//	predicate  := additive ( cmp additive
+//	                       | BETWEEN additive AND additive
+//	                       | IN '(' additive (',' additive)* ')'
+//	                       | IS NOT? NULL )?
+//	cmp        := '=' | '<>' | '!=' | '<' | '<=' | '>' | '>='
+//	additive   := term (('+' | '-') term)*
+//	term       := primary (('*' | '/') primary)*
+//	primary    := NUMBER | STRING | NULL | ID ('.' ID)? | agg | '(' expr ')' | '-' primary
+//	agg        := (COUNT | SUM | AVG | MIN | MAX) '(' ('*' | expr) ')'
+//
+//	create-table := CREATE TABLE ID '(' column-or-key (',' column-or-key)* ')'
+//	column-or-key := ID type (PRIMARY KEY)? | PRIMARY KEY '(' ID (',' ID)* ')'
+//	type       := (BIGINT | INT | INTEGER | DOUBLE | FLOAT | REAL | TEXT | VARCHAR) ('(' INT? ')')?
+//	create-index := CREATE UNIQUE? INDEX ID ON ID '(' ID (',' ID)* ')'
+//
+// JOIN ... ON predicates are AND-ed into WHERE at parse time, and "- x" is
+// read as the constant -x or as 0 - x.
+//
+// Canonical form. String() renders any tree with the parentheses its
+// operands need, so the text parses back into a tree of the same shape (a
+// right-nested AND or OR chain, which associates, comes back left-nested)
+// and renders to itself. Resolve qualifies every column reference with its
+// real table name and clears the FROM aliases, so String() of a resolved
+// statement parses and resolves to itself — the text INUM matches re-parsed
+// statements on, record/replay keys on, and the facade hands back as SQL.
+// (A self-join resolves, its bindings being distinct, but stands outside the
+// form: both copies' references carry the one table name, and the optimizer
+// rejects it.) FuzzParseRenderParse holds both properties.
+//
+// Traversal. Walk (pre-order, prunable), Rewrite (bottom-up, rebuilding) and
+// SelectStmt.EachExpr (the statement's expression slots: projections, WHERE,
+// GROUP BY, HAVING, ORDER BY) are the only code that knows a node's children
+// or a statement's clauses; every other pass, in this package and outside
+// it, is a visitor handed to them. A type switch elsewhere interprets one
+// node (evaluation, selectivity, rendering, shape matches); it does not
+// descend.
 package sqlparse
 
 import (

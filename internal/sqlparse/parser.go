@@ -323,16 +323,8 @@ func (p *parser) parseTableRef() (TableRef, error) {
 	return ref, nil
 }
 
-// Expression grammar (precedence climbing):
-//
-//	expr    := orExpr
-//	orExpr  := andExpr (OR andExpr)*
-//	andExpr := notExpr (AND notExpr)*
-//	notExpr := NOT notExpr | predicate
-//	predicate := additive ((cmp additive) | BETWEEN .. AND .. | IN (...) | IS [NOT] NULL)?
-//	additive  := multiplicative ((+|-) multiplicative)*
-//	multiplicative := primary ((*|/) primary)*
-//	primary := literal | columnref | aggcall | ( expr ) | - primary
+// parseExpr climbs the expression grammar of the package comment, one
+// function per level.
 func (p *parser) parseExpr() (Expr, error) { return p.parseOr() }
 
 func (p *parser) parseOr() (Expr, error) {
@@ -556,7 +548,9 @@ func (p *parser) parsePrimary() (Expr, error) {
 			case catalog.KindInt:
 				return &Literal{Value: catalog.Int(-lit.Value.I)}, nil
 			case catalog.KindFloat:
-				return &Literal{Value: catalog.Float(-lit.Value.F)}, nil
+				// 0 - f, not -f: "-0.0" is the constant 0, not a negative
+				// zero that renders as "-0" and parses back as an integer.
+				return &Literal{Value: catalog.Float(0 - lit.Value.F)}, nil
 			}
 		}
 		return &BinaryExpr{Op: OpSub, L: &Literal{Value: catalog.Int(0)}, R: inner}, nil

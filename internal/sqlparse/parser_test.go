@@ -256,7 +256,7 @@ func TestResolveQualifiesBareColumns(t *testing.T) {
 	if err := Resolve(sel, testSchema()); err != nil {
 		t.Fatal(err)
 	}
-	cols := ColumnsIn(sel.Where)
+	cols := columnsIn(sel.Where)
 	want := map[string]bool{"p.id": true, "q.pid": true}
 	for _, c := range cols {
 		if !want[c] {

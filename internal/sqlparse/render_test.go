@@ -1,6 +1,7 @@
 package sqlparse
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -57,19 +58,42 @@ func TestDDLRendering(t *testing.T) {
 
 func TestWalkColumnsCoversAllNodeTypes(t *testing.T) {
 	sel, err := ParseSelect(
-		"SELECT COUNT(x), a + b FROM t WHERE NOT (c = 1) AND d BETWEEN e AND f AND g IN (h, 1) AND i IS NULL")
+		"SELECT COUNT(x), a + b FROM t WHERE NOT (c = 1) AND d BETWEEN e AND f AND g IN (h, 1) AND i IS NULL" +
+			" GROUP BY a HAVING NOT (SUM(j) = 1) AND MIN(k) BETWEEN 1 AND AVG(l) AND MAX(m) IN (1, COUNT(*)) AND SUM(n) + 1 IS NOT NULL")
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := map[string]bool{}
-	for _, p := range sel.Projections {
-		WalkColumns(p.Expr, func(c *ColumnRef) { seen[strings.ToLower(c.Column)] = true })
-	}
-	WalkColumns(sel.Where, func(c *ColumnRef) { seen[strings.ToLower(c.Column)] = true })
-	for _, want := range []string{"x", "a", "b", "c", "d", "e", "f", "g", "h", "i"} {
+	sel.EachExpr(func(slot *Expr) {
+		WalkColumns(*slot, func(c *ColumnRef) { seen[strings.ToLower(c.Column)] = true })
+	})
+	for _, want := range []string{"x", "a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l", "m", "n"} {
 		if !seen[want] {
 			t.Errorf("WalkColumns missed %q (saw %v)", want, seen)
 		}
+	}
+	// The aggregate readings see a call under every node kind too.
+	wantAggs := []string{"count(x)", "sum(j)", "min(k)", "avg(l)", "max(m)", "count(*)", "sum(n)"}
+	if got := Aggregates(sel); !reflect.DeepEqual(got, wantAggs) {
+		t.Errorf("Aggregates = %v, want %v", got, wantAggs)
+	}
+	for _, proj := range []string{
+		"MAX(x) + 1", "NOT (MAX(x) = 1)", "MAX(x) BETWEEN 1 AND 2", "1 BETWEEN 0 AND MAX(x)",
+		"MAX(x) IN (1, 2)", "1 IN (2, MAX(x))", "MAX(x) IS NULL",
+	} {
+		sel, err := ParseSelect("SELECT " + proj + " FROM t")
+		if err != nil {
+			t.Fatalf("%s: %v", proj, err)
+		}
+		if !HasAggregate(sel) {
+			t.Errorf("HasAggregate missed the call in %q", proj)
+		}
+		if got := Aggregates(sel); !reflect.DeepEqual(got, []string{"max(x)"}) {
+			t.Errorf("Aggregates(%q) = %v, want [max(x)]", proj, got)
+		}
+	}
+	if sel, _ := ParseSelect("SELECT a + 1 FROM t WHERE b IN (1, 2)"); HasAggregate(sel) {
+		t.Error("HasAggregate invented an aggregate")
 	}
 }
 
@@ -91,13 +115,30 @@ func TestJoinEdgeString(t *testing.T) {
 	}
 }
 
+// columnsIn reads the distinct "table.column" references (lower-cased,
+// first-seen order) off one Walk.
+func columnsIn(e Expr) []string {
+	seen := map[string]bool{}
+	var out []string
+	Walk(e, func(n Expr) bool {
+		if c, ok := n.(*ColumnRef); ok {
+			if key := strings.ToLower(c.Table + "." + c.Column); !seen[key] {
+				seen[key] = true
+				out = append(out, key)
+			}
+		}
+		return true
+	})
+	return out
+}
+
 func TestColumnsIn(t *testing.T) {
 	sel, err := ParseSelect("SELECT a FROM t WHERE t.a = 1 AND t.b > 2 AND t.a < 5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols := ColumnsIn(sel.Where)
+	cols := columnsIn(sel.Where)
 	if len(cols) != 2 {
-		t.Fatalf("ColumnsIn = %v, want 2 distinct", cols)
+		t.Fatalf("columnsIn = %v, want 2 distinct", cols)
 	}
 }

@@ -416,16 +416,7 @@ func collectQueryColumns(sel *sqlparse.SelectStmt, table string) []string {
 			out = append(out, lc)
 		}
 	}
-	for _, p := range sel.Projections {
-		sqlparse.WalkColumns(p.Expr, visit)
-	}
-	sqlparse.WalkColumns(sel.Where, visit)
-	for _, g := range sel.GroupBy {
-		sqlparse.WalkColumns(g, visit)
-	}
-	for _, o := range sel.OrderBy {
-		sqlparse.WalkColumns(o.Expr, visit)
-	}
+	sel.EachExpr(func(slot *sqlparse.Expr) { sqlparse.WalkColumns(*slot, visit) })
 	return out
 }
 
