@@ -178,16 +178,26 @@ func (d *Designer) SetWorkers(n int) { d.eng.SetWorkers(n) }
 func (d *Designer) Workers() int { return d.eng.Workers() }
 
 // ParseQuery parses and resolves one SELECT statement into a workload
-// query (weight 1).
+// query (weight 1). A statement with a $n parameter is refused: the advisors
+// price constants, and only a live import has statistics to choose them by.
 func (d *Designer) ParseQuery(id, sql string) (Query, error) {
 	stmt, err := sqlparse.ParseSelect(sql)
 	if err != nil {
 		return Query{}, err
 	}
-	if err := sqlparse.Resolve(stmt, d.store.Schema); err != nil {
+	if err := d.resolveBound(stmt); err != nil {
 		return Query{}, err
 	}
 	return Query{id: id, sql: sql, weight: 1, stmt: stmt}, nil
+}
+
+// resolveBound resolves a parsed statement against the schema and refuses
+// one that holds a parameter, at the parameter's position.
+func (d *Designer) resolveBound(stmt *sqlparse.SelectStmt) error {
+	if p := stmt.FirstParam(); p != nil {
+		return p.Errorf("parameter %s is not bound", p)
+	}
+	return sqlparse.Resolve(stmt, d.store.Schema)
 }
 
 // WorkloadFromSQL builds a workload from SQL strings (weight 1 each).
@@ -215,7 +225,7 @@ func (d *Designer) WorkloadFromScript(script string) (*Workload, error) {
 		if !ok {
 			return nil, fmt.Errorf("designer: statement %d is not a SELECT", i)
 		}
-		if err := sqlparse.Resolve(sel, d.store.Schema); err != nil {
+		if err := d.resolveBound(sel); err != nil {
 			return nil, err
 		}
 		w.Queries = append(w.Queries, workload.Query{

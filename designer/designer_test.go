@@ -53,6 +53,32 @@ func TestWorkloadFromSQLAndScript(t *testing.T) {
 	if _, err := d.WorkloadFromSQL([]string{"SELECT nope FROM photoobj"}); err == nil {
 		t.Fatal("bad column should fail")
 	}
+
+	// A parameter parses, but only a live import can bind one: every parse
+	// door refuses the statement at the parameter's position.
+	const open = "SELECT objid FROM photoobj WHERE ra > 1 AND type = $1"
+	_, errQuery := d.ParseQuery("q", open)
+	_, errSQL := d.WorkloadFromSQL([]string{"SELECT z FROM specobj", open + " LIMIT $2"})
+	_, errScript := d.WorkloadFromScript("SELECT z FROM specobj;\n" + open)
+	_, errLimit := d.ParseQuery("q", "SELECT objid FROM photoobj LIMIT $2")
+	for door, tc := range map[string]struct {
+		err  error
+		want string
+	}{
+		"ParseQuery":         {errQuery, "sql:1:52: parameter $1 is not bound"},
+		"WorkloadFromSQL":    {errSQL, "query 1: sql:1:52: parameter $1 is not bound"},
+		"WorkloadFromScript": {errScript, "sql:2:52: parameter $1 is not bound"},
+		"ParseQuery LIMIT":   {errLimit, "sql:1:34: parameter $2 is not bound"},
+	} {
+		if tc.err == nil || !strings.Contains(tc.err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", door, tc.err, tc.want)
+		}
+	}
+	// A self-join is refused at the door too, not handed on with its two
+	// copies' references collapsed into one table name.
+	if _, err := d.ParseQuery("q", "SELECT a.objid FROM photoobj a, photoobj b WHERE a.objid = b.parentid"); err == nil || !strings.Contains(err.Error(), "self-join") {
+		t.Errorf("ParseQuery of a self-join: err = %v", err)
+	}
 }
 
 func TestAdviseEndToEnd(t *testing.T) {

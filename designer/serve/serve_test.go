@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -576,6 +577,66 @@ func TestAdviseNotAliasedAcrossRequests(t *testing.T) {
 	for _, k := range secondKeys {
 		if strings.HasPrefix(k, "photoobj") {
 			t.Fatalf("second advise priced against the first request's cached plans: recommended %s for a neighbors-only workload", k)
+		}
+	}
+}
+
+// TestUnboundParameterIsRefusedAtEverySQLDoor: $n parses, so the lexer no
+// longer turns it away; every route that takes SQL must, with the position.
+func TestUnboundParameterIsRefusedAtEverySQLDoor(t *testing.T) {
+	base := start(t)
+	sp := "/sessions/" + call(t, "POST", base+"/sessions", nil, http.StatusCreated)["id"].(string)
+	call(t, "POST", base+"/tuner", map[string]any{"epoch_length": 4}, http.StatusCreated)
+	const list = `{"sql":["SELECT z FROM specobj", "SELECT objid FROM photoobj WHERE type = $1"]}`
+	for _, door := range []struct{ path, body string }{
+		{"/advise", list},
+		{sp + "/evaluate", list},
+		{sp + "/advise", list},
+		{sp + "/readvise", list},
+		{sp + "/explain", `{"sql":"SELECT objid FROM photoobj WHERE type = $1"}`},
+		{"/tuner/observe", list},
+	} {
+		resp, err := http.Post(base+door.path, "application/json", strings.NewReader(door.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), `"invalid_request"`) ||
+			!strings.Contains(string(data), "sql:1:41: parameter $1 is not bound") {
+			t.Errorf("POST %s: status %d body %s, want 400 invalid_request naming the parameter", door.path, resp.StatusCode, data)
+		}
+	}
+}
+
+// TestSessionListAndDetailAgreeOnDesignOrder: a session created over a
+// materialized design names the same keys in the same (key) order in
+// GET /sessions and GET /sessions/{id}.
+func TestSessionListAndDetailAgreeOnDesignOrder(t *testing.T) {
+	base := start(t)
+	call(t, "POST", base+"/materialize", map[string]any{"indexes": []map[string]any{
+		{"table": "specobj", "columns": []string{"z"}},
+		{"table": "photoobj", "columns": []string{"ra"}},
+		{"table": "photoobj", "columns": []string{"type", "psfmag_r"}},
+		{"table": "specobj", "columns": []string{"bestobjid"}},
+		{"table": "photoobj", "columns": []string{"dec"}},
+	}}, http.StatusOK)
+	want := []string{"photoobj(dec)", "photoobj(ra)", "photoobj(type,psfmag_r)", "specobj(bestobjid)", "specobj(z)"}
+	for i := 0; i < 5; i++ {
+		id := call(t, "POST", base+"/sessions", nil, http.StatusCreated)["id"].(string)
+		var detail, listed []string
+		for _, ix := range call(t, "GET", base+"/sessions/"+id, nil, http.StatusOK)["indexes"].([]any) {
+			detail = append(detail, ix.(map[string]any)["key"].(string))
+		}
+		for _, s := range call(t, "GET", base+"/sessions", nil, http.StatusOK)["sessions"].([]any) {
+			if s := s.(map[string]any); s["id"] == id {
+				for _, k := range s["indexes"].([]any) {
+					listed = append(listed, k.(string))
+				}
+			}
+		}
+		if !reflect.DeepEqual(detail, want) || !reflect.DeepEqual(listed, want) {
+			t.Fatalf("session %s: detail %v, list %v, want %v", id, detail, listed, want)
 		}
 	}
 }

@@ -119,6 +119,7 @@ type candState struct {
 	hot           bool
 	ewmaBenefit   float64 // per-relevant-query benefit estimate
 	epochRelevant int     // queries this epoch the candidate was relevant to
+	measured      bool    // profiled at least once: ewmaBenefit is a reading, not a blank
 }
 
 // tunerSeq distinguishes tuners sharing one engine (see Tuner.idPrefix).
@@ -263,6 +264,7 @@ func (t *Tuner) Observe(ctx context.Context, q workload.Query) (float64, error) 
 				return 0, err
 			}
 			t.whatIfUsed++
+			st.measured = true
 			benefit := math.Max(curCost-withIx, 0) * q.Weight
 			st.ewmaBenefit = t.opts.EWMAAlpha*benefit + (1-t.opts.EWMAAlpha)*st.ewmaBenefit
 		}
@@ -326,8 +328,17 @@ func (t *Tuner) endEpoch(v *engine.View) error {
 		return ranked[i].st.ix.Key() < ranked[j].st.ix.Key()
 	})
 
+	// Observe does not profile what is live, so a seeded index has no score
+	// to lose on: a live index never measured is carried, its pages charged
+	// to the budget. The tuner re-decides only what it has scored.
 	proposed := catalog.NewConfiguration()
 	var used int64
+	for _, ix := range t.current.Indexes {
+		if st := t.candidates[ix.Key()]; st == nil || !st.measured {
+			proposed = proposed.WithIndex(ix)
+			used += ix.EstimatedPages
+		}
+	}
 	var expectedBenefit float64
 	scores := make(map[string]float64)
 	for _, r := range ranked {

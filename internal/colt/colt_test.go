@@ -197,3 +197,73 @@ func keysOf(cfg *catalog.Configuration) []string {
 	}
 	return out
 }
+
+// TestSeededDesignSurvivesReselection: a tuner seeded with a design cannot
+// profile what is already live, so it has no score for it; proposing only
+// what it has scored used to drop the whole seed at the first alert. An
+// index the tuner has never measured is carried; it re-decides what it has.
+func TestSeededDesignSurvivesReselection(t *testing.T) {
+	store, err := workload.Generate(workload.TinySize(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := engine.New(store.Schema, store.Stats, nil)
+	seed := catalog.NewConfiguration()
+	var seedPages int64
+	for _, spec := range [][]string{
+		{"photoobj", "objid"}, {"photoobj", "ra"}, {"photoobj", "type", "psfmag_r"},
+		{"specobj", "bestobjid"}, {"specobj", "z"},
+	} {
+		ix, err := eng.Pin().Session().HypotheticalIndex(spec[0], spec[1:]...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed = seed.WithIndex(ix)
+		seedPages += ix.EstimatedPages
+	}
+	w, err := workload.NewWorkload(store.Schema, 1, 48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(opts colt.Options) *colt.Tuner {
+		t.Helper()
+		opts.EpochLength = len(w.Queries) // every epoch prices the same statements
+		tuner := colt.New(eng, seed, opts)
+		for pass := 0; pass < 3; pass++ {
+			if _, err := tuner.ObserveAll(context.Background(), w.Queries); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tuner
+	}
+
+	tuner := run(colt.DefaultOptions())
+	if len(tuner.Alerts()) == 0 {
+		t.Fatal("no configuration change to survive")
+	}
+	for _, a := range tuner.Alerts() {
+		if len(a.Dropped) > 0 {
+			t.Errorf("alert drops indexes the tuner never measured: %s", a)
+		}
+	}
+	for _, ix := range seed.Indexes {
+		if !tuner.Current().HasIndex(ix.Key()) {
+			t.Errorf("seeded %s is gone; live design %v", ix.Key(), keysOf(tuner.Current()))
+		}
+	}
+	reports := tuner.Reports()
+	for i := 1; i < len(reports); i++ {
+		if reports[i-1].ConfigChanged && reports[i].EpochCost > reports[i-1].EpochCost {
+			t.Errorf("the change at epoch %d raised the same statements' cost: %.1f -> %.1f",
+				i-1, reports[i-1].EpochCost, reports[i].EpochCost)
+		}
+	}
+
+	// The carried indexes count against the space budget: with room for the
+	// seed and nothing else, nothing is added.
+	tight := colt.DefaultOptions()
+	tight.SpaceBudgetPages = seedPages
+	if alerts := run(tight).Alerts(); len(alerts) != 0 {
+		t.Errorf("budget is full of carried indexes, yet: %v", alerts)
+	}
+}

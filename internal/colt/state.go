@@ -55,6 +55,7 @@ type CandidateState struct {
 	Hot           bool       `json:"hot,omitempty"`
 	EWMABenefit   float64    `json:"ewma_benefit"`
 	EpochRelevant int        `json:"epoch_relevant,omitempty"`
+	Measured      bool       `json:"measured,omitempty"`
 }
 
 // State is a point-in-time snapshot of everything a Tuner has learned:
@@ -107,6 +108,7 @@ func (t *Tuner) Snapshot() State {
 			Hot:           c.hot,
 			EWMABenefit:   c.ewmaBenefit,
 			EpochRelevant: c.epochRelevant,
+			Measured:      c.measured,
 		})
 	}
 	return st
@@ -136,6 +138,8 @@ func Restore(eng *engine.Engine, st State, opts Options) *Tuner {
 			hot:           cs.Hot,
 			ewmaBenefit:   cs.EWMABenefit,
 			epochRelevant: cs.EpochRelevant,
+			// In a state older than the field, a non-zero reading says so.
+			measured: cs.Measured || cs.EWMABenefit != 0,
 		}
 	}
 	return t

@@ -143,6 +143,20 @@ func TestSnapshotRestoreResumesIdentically(t *testing.T) {
 	}
 	freshEng := engine.New(store.Schema, store.Stats, nil)
 	resumed := colt.Restore(freshEng, state, opts)
+	if !reflect.DeepEqual(resumed.Snapshot(), first.Snapshot()) {
+		t.Fatalf("snapshot does not survive JSON and Restore:\nwas %+v\nnow %+v", first.Snapshot(), resumed.Snapshot())
+	}
+	// A state file written before "measured" existed restores to the same
+	// tuner: the indexes it chose itself are not taken for a seeded design.
+	if len(state.Current) == 0 {
+		t.Fatal("the tuner holds no index at the cut: the old-file case is not exercised")
+	}
+	for i := range state.Candidates {
+		state.Candidates[i].Measured = false
+	}
+	if old := colt.Restore(freshEng, state, opts); !reflect.DeepEqual(old.Snapshot(), first.Snapshot()) {
+		t.Fatalf("a state without the measured field restores differently:\nwas %+v\nnow %+v", first.Snapshot(), old.Snapshot())
+	}
 	resumedStream := indexFriendlyStream(t, freshEng, 40, false)
 	resumedStream = append(resumedStream, indexFriendlyStream(t, freshEng, 35, true)...)
 	if _, err := resumed.ObserveAll(context.Background(), resumedStream[cut:]); err != nil {

@@ -1,6 +1,7 @@
 package executor_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
@@ -169,5 +170,37 @@ func TestOrPredicateExecution(t *testing.T) {
 		"SELECT id FROM l WHERE k = 10 OR id = 3")
 	if len(res.Rows) != 3 {
 		t.Fatalf("OR rows = %d, want 3", len(res.Rows))
+	}
+}
+
+// TestUnboundParameterIsAnErrorNotAPanic: the parse doors refuse a statement
+// that still holds a $n; should one slip past them, the optimizer prices it
+// with its defaults and the evaluator refuses to run it.
+func TestUnboundParameterIsAnErrorNotAPanic(t *testing.T) {
+	_, env, exec := nullableFixture(t)
+	ran := 0
+	for _, sql := range []string{
+		"SELECT id FROM l WHERE k = $1",
+		"SELECT id FROM l WHERE k BETWEEN $1 AND 5",
+		"SELECT id, $1 FROM l WHERE k IN (1, $2)",
+	} {
+		sel, err := sqlparse.ParseSelect(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sqlparse.Resolve(sel, env.Schema); err != nil {
+			t.Fatal(err)
+		}
+		plan, err := env.Optimize(sel)
+		if err != nil {
+			continue // refused earlier: as good
+		}
+		ran++
+		if _, err := exec.Run(plan); err == nil || !strings.Contains(err.Error(), "unhandled expression *sqlparse.Param") {
+			t.Errorf("%s: Run = %v, want the evaluator to refuse the parameter", sql, err)
+		}
+	}
+	if ran == 0 {
+		t.Error("no statement reached the evaluator")
 	}
 }

@@ -6,6 +6,13 @@
 // against EXPLAIN cost probes, and applies an advised schedule back to the
 // server — secondary indexes natively, wider structures as advisory DDL.
 //
+// The importer reads SQL through internal/sqlparse and holds no scanner of
+// its own: SplitScript cuts a file into statements, Template groups them,
+// and a $n parameter is a node of the parsed tree that Instantiate binds to
+// a constant from the compared column's statistics. A statement it cannot
+// use — outside the grammar, or with a parameter no column is compared with,
+// LIMIT $n included — is reported with a positioned reason, not dropped.
+//
 // Every interaction with the server flows through a Querier, and the
 // record/replay tracer (Trace, Recorder, Replayer) captures those
 // interactions at the SQL level. A recorded trace committed under testdata/

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 
 	"repro/internal/catalog"
 	"repro/internal/sqlparse"
@@ -70,320 +69,141 @@ func ImportPgStatStatements(ctx context.Context, db *DB, snap *Snapshot, opts Im
 	if err != nil {
 		return nil, fmt.Errorf("livedb: import: %w (is pg_stat_statements in shared_preload_libraries?)", err)
 	}
-	type entry struct {
-		sql   string
-		calls int64
-	}
-	var entries []entry
+	entries := make([]entry, 0, len(res.Rows))
 	for _, r := range res.Rows {
 		if len(r) < 2 {
 			continue
 		}
 		calls, _ := strconv.ParseInt(r[1], 10, 64)
-		if calls < 1 {
-			calls = 1
-		}
-		entries = append(entries, entry{sql: r[0], calls: calls})
+		entries = append(entries, entry{sql: r[0], calls: max(calls, 1)})
 	}
-	rep := &ImportReport{Source: "pg_stat_statements"}
-	importEntries(rep, snap, opts, func(yield func(string, int64)) {
-		for _, e := range entries {
-			yield(e.sql, e.calls)
-		}
-	})
-	return rep, nil
+	return importEntries("pg_stat_statements", snap, opts, entries), nil
 }
 
 // ImportSQLFile imports a workload from raw SQL text (slow-query-log dump,
-// migration script): statements split on top-level semicolons, repeated
+// migration script): statements cut at top-level semicolons, repeated
 // templates accumulate weight.
 func ImportSQLFile(name string, text string, snap *Snapshot, opts ImportOptions) *ImportReport {
-	rep := &ImportReport{Source: "file:" + name}
-	importEntries(rep, snap, opts, func(yield func(string, int64)) {
-		for _, stmt := range SplitStatements(text) {
-			yield(stmt, 1)
-		}
-	})
-	return rep
+	return importEntries("file:"+name, snap, opts, []entry{{sql: text, calls: 1}})
 }
 
-// importEntries runs the shared dedup + instantiate + resolve pipeline.
-func importEntries(rep *ImportReport, snap *Snapshot, opts ImportOptions, each func(func(sql string, weight int64))) {
-	type tmpl struct {
-		first  string // first SQL text seen for this fingerprint
-		weight int64
-		order  int
-	}
-	templates := map[string]*tmpl{}
-	each(func(sql string, weight int64) {
-		sql = strings.TrimSpace(sql)
-		if sql == "" {
-			return
-		}
-		rep.Seen++
-		fp := TemplateFingerprint(sql)
-		if t := templates[fp]; t != nil {
-			t.weight += weight
-			return
-		}
-		templates[fp] = &tmpl{first: sql, weight: weight, order: len(templates)}
-	})
+// entry is a SQL text and how often it ran: what the importer is handed,
+// and what it keeps of a template (the first text seen, the calls summed).
+type entry struct {
+	sql   string
+	calls int64
+}
 
-	ordered := make([]*tmpl, 0, len(templates))
-	for _, t := range templates {
-		ordered = append(ordered, t)
-	}
-	// Heaviest templates first; arrival order breaks ties so the import is
-	// deterministic for equal-weight templates.
-	sort.Slice(ordered, func(i, j int) bool {
-		if ordered[i].weight != ordered[j].weight {
-			return ordered[i].weight > ordered[j].weight
+// importEntries runs the shared split + dedup + instantiate pipeline; a file
+// is one entry that ran once. Every text is cut into statements by
+// sqlparse.SplitScript (a pg_stat_statements row is a script of one) and
+// grouped by sqlparse.Template, which is defined for whatever lexes: a
+// statement the designer cannot use is still one template, skipped once.
+func importEntries(source string, snap *Snapshot, opts ImportOptions, entries []entry) *ImportReport {
+	rep := &ImportReport{Source: source}
+	templates := map[string]*entry{}
+	var ordered []*entry
+	for _, e := range entries {
+		for _, sql := range sqlparse.SplitScript(e.sql) {
+			rep.Seen++
+			key := sqlparse.Template(sql)
+			if t := templates[key]; t != nil {
+				t.calls += e.calls
+				continue
+			}
+			t := &entry{sql: sql, calls: e.calls}
+			templates[key] = t
+			ordered = append(ordered, t)
 		}
-		return ordered[i].order < ordered[j].order
-	})
+	}
+	// Heaviest templates first; the stable sort keeps arrival order among
+	// equals, so the import is deterministic.
+	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].calls > ordered[j].calls })
 
 	for _, t := range ordered {
-		if opts.MinCalls > 0 && t.weight < opts.MinCalls {
+		if opts.MinCalls > 0 && t.calls < opts.MinCalls {
 			continue
 		}
 		if len(rep.Queries) >= opts.maxTemplates() {
-			rep.Skipped = append(rep.Skipped, SkippedQuery{SQL: t.first, Reason: "template cap reached"})
+			rep.Skipped = append(rep.Skipped, SkippedQuery{SQL: t.sql, Reason: "template cap reached"})
 			continue
 		}
-		concrete, err := Instantiate(t.first, snap)
+		stmt, concrete, err := Instantiate(t.sql, snap)
 		if err != nil {
-			rep.Skipped = append(rep.Skipped, SkippedQuery{SQL: t.first, Reason: err.Error()})
-			continue
-		}
-		stmt, err := sqlparse.ParseSelect(concrete)
-		if err != nil {
-			rep.Skipped = append(rep.Skipped, SkippedQuery{SQL: t.first, Reason: err.Error()})
-			continue
-		}
-		if err := sqlparse.Resolve(stmt, snap.Schema); err != nil {
-			rep.Skipped = append(rep.Skipped, SkippedQuery{SQL: t.first, Reason: err.Error()})
+			rep.Skipped = append(rep.Skipped, SkippedQuery{SQL: t.sql, Reason: err.Error()})
 			continue
 		}
 		rep.Queries = append(rep.Queries, workload.Query{
 			ID:     fmt.Sprintf("live#%d", len(rep.Queries)),
 			SQL:    concrete,
-			Weight: float64(t.weight),
+			Weight: float64(t.calls),
 			Stmt:   stmt,
 		})
 	}
+	return rep
 }
 
-// SplitStatements splits SQL text on top-level semicolons, honoring quoted
-// strings and stripping line comments.
-func SplitStatements(text string) []string {
-	var out []string
-	var cur strings.Builder
-	inQuote := false
-	for i := 0; i < len(text); i++ {
-		c := text[i]
-		switch {
-		case inQuote:
-			cur.WriteByte(c)
-			if c == '\'' {
-				inQuote = false
-			}
-		case c == '\'':
-			inQuote = true
-			cur.WriteByte(c)
-		case c == '-' && i+1 < len(text) && text[i+1] == '-':
-			for i < len(text) && text[i] != '\n' {
-				i++
-			}
-		case c == ';':
-			if s := strings.TrimSpace(cur.String()); s != "" {
-				out = append(out, s)
-			}
-			cur.Reset()
-		default:
-			cur.WriteByte(c)
-		}
-	}
-	if s := strings.TrimSpace(cur.String()); s != "" {
-		out = append(out, s)
-	}
-	return out
-}
-
-// TemplateFingerprint masks $n placeholders, string literals, and numbers,
-// then normalizes whitespace and case: two statements with the same
-// fingerprint are instances of one template.
-func TemplateFingerprint(sql string) string {
-	var b strings.Builder
-	i := 0
-	for i < len(sql) {
-		c := sql[i]
-		switch {
-		case c == '\'':
-			// Skip the string literal (doubled quotes escape).
-			j := i + 1
-			for j < len(sql) {
-				if sql[j] == '\'' {
-					if j+1 < len(sql) && sql[j+1] == '\'' {
-						j += 2
-						continue
-					}
-					break
-				}
-				j++
-			}
-			b.WriteByte('?')
-			i = j + 1
-		case c == '$' && i+1 < len(sql) && isDigit(sql[i+1]):
-			j := i + 1
-			for j < len(sql) && isDigit(sql[j]) {
-				j++
-			}
-			b.WriteByte('?')
-			i = j
-		case isDigit(c) && (i == 0 || !isIdentChar(sql[i-1])):
-			j := i
-			for j < len(sql) && (isDigit(sql[j]) || sql[j] == '.' || sql[j] == 'e' ||
-				(j > i && (sql[j] == '+' || sql[j] == '-') && (sql[j-1] == 'e' || sql[j-1] == 'E'))) {
-				j++
-			}
-			b.WriteByte('?')
-			i = j
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			for i < len(sql) && (sql[i] == ' ' || sql[i] == '\t' || sql[i] == '\n' || sql[i] == '\r') {
-				i++
-			}
-			b.WriteByte(' ')
-		default:
-			b.WriteByte(byte(lowerASCII(c)))
-			i++
-		}
-	}
-	return strings.TrimSpace(b.String())
-}
-
-func isDigit(c byte) bool { return c >= '0' && c <= '9' }
-func isIdentChar(c byte) bool {
-	return c == '_' || isDigit(c) || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
-}
-func lowerASCII(c byte) byte {
-	if c >= 'A' && c <= 'Z' {
-		return c + ('a' - 'A')
-	}
-	return c
-}
-
-// sentinelBase marks substituted placeholders inside the parsed AST: $n
-// becomes the integer literal sentinelBase-n, far outside any plausible
-// data domain, then the AST walk swaps each sentinel for a statistics-
-// driven constant.
-const sentinelBase int64 = -9_000_000_001
-
-// Instantiate replaces $n placeholders with representative constants drawn
-// from the snapshot's statistics: equality predicates get the most common
-// value, range bounds get histogram quartiles. Statements without
-// placeholders pass through unchanged.
-func Instantiate(sql string, snap *Snapshot) (string, error) {
-	if !strings.Contains(sql, "$") {
-		return sql, nil
-	}
-	masked, count := maskPlaceholders(sql)
-	if count == 0 {
-		return sql, nil
-	}
-	stmt, err := sqlparse.ParseSelect(masked)
+// Instantiate parses and resolves one statement and binds its $n parameters
+// to representative constants from the snapshot's statistics: equality gets
+// the most common value, range bounds get histogram quartiles. It returns
+// the resolved statement and its SQL: the text as written when it held no
+// parameter, the bound statement's rendering otherwise. A parameter nothing
+// compares with a column has no statistics to draw on; the statement is
+// refused at the parameter's position, not given a nonsense constant.
+func Instantiate(sql string, snap *Snapshot) (*sqlparse.SelectStmt, string, error) {
+	stmt, err := sqlparse.ParseSelect(sql)
 	if err != nil {
-		return "", fmt.Errorf("parameterized statement: %w", err)
+		return nil, "", err
 	}
 	if err := sqlparse.Resolve(stmt, snap.Schema); err != nil {
-		return "", fmt.Errorf("parameterized statement: %w", err)
+		return nil, "", err
 	}
-	replacePlaceholders(stmt, snap)
-	// Resolve left the statement in canonical form, so its rendering parses
-	// and resolves again. A sentinel that survived the walk sits in a
-	// position the instantiator doesn't understand (e.g. a projection
-	// expression); reject rather than emit a nonsense constant.
-	rendered := stmt.String()
-	if strings.Contains(rendered, strconv.FormatInt(sentinelBase, 10)[:8]) {
-		return "", fmt.Errorf("placeholder in unsupported position")
+	if stmt.FirstParam() == nil {
+		return stmt, sql, nil
 	}
-	return rendered, nil
+	stmt.Where = sqlparse.Rewrite(stmt.Where, snap.bindParams)
+	stmt.Having = sqlparse.Rewrite(stmt.Having, snap.bindParams)
+	switch p := stmt.FirstParam(); {
+	case p == nil:
+		return stmt, stmt.String(), nil
+	case p == stmt.LimitParam:
+		return nil, "", p.Errorf("parameter %s in LIMIT has no column to take a value from", p)
+	default:
+		return nil, "", p.Errorf("parameter %s is not compared with a column in WHERE or HAVING: no column to take a value from", p)
+	}
 }
 
-// maskPlaceholders rewrites $1..$n as sentinel integer literals.
-func maskPlaceholders(sql string) (string, int) {
-	var b strings.Builder
-	count := 0
-	i := 0
-	for i < len(sql) {
-		c := sql[i]
-		if c == '\'' {
-			j := i + 1
-			for j < len(sql) && sql[j] != '\'' {
-				j++
-			}
-			b.WriteString(sql[i:min(j+1, len(sql))])
-			i = j + 1
-			continue
-		}
-		if c == '$' && i+1 < len(sql) && isDigit(sql[i+1]) {
-			j := i + 1
-			for j < len(sql) && isDigit(sql[j]) {
-				j++
-			}
-			n, _ := strconv.ParseInt(sql[i+1:j], 10, 64)
-			b.WriteString(strconv.FormatInt(sentinelBase-n, 10))
-			count++
-			i = j
-			continue
-		}
-		b.WriteByte(c)
-		i++
-	}
-	return b.String(), count
-}
-
-func isSentinel(e sqlparse.Expr) *sqlparse.Literal {
-	l, ok := e.(*sqlparse.Literal)
-	if !ok || l.Value.Kind != catalog.KindInt || l.Value.I > sentinelBase {
-		return nil
-	}
-	return l
-}
-
-// replacePlaceholders substitutes the sentinel literals of the WHERE and
-// HAVING trees with constants chosen from column statistics, wherever a
-// sentinel is compared with a column: col OP $n (either way round), col
-// BETWEEN $n AND $m, col IN ($n, ...).
-func replacePlaceholders(stmt *sqlparse.SelectStmt, snap *Snapshot) {
-	set := func(e sqlparse.Expr, col *sqlparse.ColumnRef, role valueRole) {
-		if l := isSentinel(e); l != nil {
-			l.Value = pickValue(snap, col, role)
+// bindParams is the Rewrite step of Instantiate: a node that sets a column
+// against parameters — col OP $n (either way round), col BETWEEN $n AND $m,
+// col IN ($n, ...) — gets each of them replaced by a constant chosen from
+// the column's statistics. e is Rewrite's fresh copy, so it is edited in
+// place.
+func (snap *Snapshot) bindParams(e sqlparse.Expr) sqlparse.Expr {
+	bind := func(slot *sqlparse.Expr, col *sqlparse.ColumnRef, role valueRole) {
+		if _, ok := (*slot).(*sqlparse.Param); ok {
+			*slot = &sqlparse.Literal{Value: pickValue(snap, col, role)}
 		}
 	}
-	visit := func(e sqlparse.Expr) bool {
-		switch v := e.(type) {
-		case *sqlparse.BinaryExpr:
-			if col, ok := v.L.(*sqlparse.ColumnRef); ok {
-				set(v.R, col, roleForOp(v.Op))
-			} else if col, ok := v.R.(*sqlparse.ColumnRef); ok {
-				set(v.L, col, flipRole(roleForOp(v.Op)))
-			}
-		case *sqlparse.BetweenExpr:
-			if col, ok := v.E.(*sqlparse.ColumnRef); ok {
-				set(v.Lo, col, roleLo)
-				set(v.Hi, col, roleHi)
-			}
-		case *sqlparse.InExpr:
-			if col, ok := v.E.(*sqlparse.ColumnRef); ok {
-				for _, item := range v.List {
-					set(item, col, roleEq)
-				}
+	switch v := e.(type) {
+	case *sqlparse.BinaryExpr:
+		if col, ok := v.L.(*sqlparse.ColumnRef); ok {
+			bind(&v.R, col, roleFor(v.Op, false))
+		} else if col, ok := v.R.(*sqlparse.ColumnRef); ok {
+			bind(&v.L, col, roleFor(v.Op, true))
+		}
+	case *sqlparse.BetweenExpr:
+		if col, ok := v.E.(*sqlparse.ColumnRef); ok {
+			bind(&v.Lo, col, roleLo)
+			bind(&v.Hi, col, roleHi)
+		}
+	case *sqlparse.InExpr:
+		if col, ok := v.E.(*sqlparse.ColumnRef); ok {
+			for i := range v.List {
+				bind(&v.List[i], col, roleEq)
 			}
 		}
-		return true
 	}
-	sqlparse.Walk(stmt.Where, visit)
-	sqlparse.Walk(stmt.Having, visit)
+	return e
 }
 
 type valueRole int
@@ -394,26 +214,22 @@ const (
 	roleHi           // upper bound of a range (col < $n)
 )
 
-func roleForOp(op sqlparse.BinOp) valueRole {
+// roleFor reads the parameter's role in col OP $n — or in $n OP col, where
+// the comparison bounds the column from the other side.
+func roleFor(op sqlparse.BinOp, paramOnLeft bool) valueRole {
 	switch op {
 	case sqlparse.OpGt, sqlparse.OpGe:
+		if paramOnLeft {
+			return roleHi
+		}
 		return roleLo
 	case sqlparse.OpLt, sqlparse.OpLe:
+		if paramOnLeft {
+			return roleLo
+		}
 		return roleHi
-	default:
-		return roleEq
 	}
-}
-
-func flipRole(r valueRole) valueRole {
-	switch r {
-	case roleLo:
-		return roleHi
-	case roleHi:
-		return roleLo
-	default:
-		return roleEq
-	}
+	return roleEq
 }
 
 // pickValue chooses a representative constant for a predicate on col:
@@ -468,11 +284,4 @@ func quantile(cs *stats.ColumnStats, q float64) catalog.Datum {
 	}
 	i := int(q * float64(len(cs.Hist.Bounds)-1))
 	return cs.Hist.Bounds[i]
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,11 +14,12 @@ import (
 	"repro/internal/livedb"
 	"repro/internal/livedb/livedbtest"
 	"repro/internal/livedb/pgwire"
+	"repro/internal/sqlparse"
 )
 
 func ctx() context.Context { return context.Background() }
 
-func snapFake(t *testing.T) (*livedb.DB, *livedb.Snapshot) {
+func snapFake(t testing.TB) (*livedb.DB, *livedb.Snapshot) {
 	t.Helper()
 	db := livedb.NewFromQuerier(livedbtest.NewFake())
 	snap, err := livedb.TakeSnapshot(ctx(), db)
@@ -157,13 +159,13 @@ DELETE FROM orders WHERE order_id = 1;
 }
 
 func TestTemplateFingerprintMasksLiterals(t *testing.T) {
-	a := livedb.TemplateFingerprint("SELECT x FROM t WHERE a = 5 AND b = 'x'")
-	b := livedb.TemplateFingerprint("select x from t where a = 99 and b = 'other'")
-	c := livedb.TemplateFingerprint("SELECT x FROM t WHERE a = $1 AND b = $2")
+	a := sqlparse.Template("SELECT x FROM t WHERE a = 5 AND b = 'x'")
+	b := sqlparse.Template("select x from t where a = 99 and b = 'other'")
+	c := sqlparse.Template("SELECT x FROM t WHERE a = $1 AND b = $2")
 	if a != b || b != c {
 		t.Errorf("fingerprints differ:\n%q\n%q\n%q", a, b, c)
 	}
-	d := livedb.TemplateFingerprint("SELECT y FROM t WHERE a = 5")
+	d := sqlparse.Template("SELECT y FROM t WHERE a = 5")
 	if a == d {
 		t.Error("different templates collided")
 	}
@@ -450,4 +452,110 @@ func mustRead(t *testing.T, path string) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// importText imports one SQL file over the fake snapshot.
+func importText(t *testing.T, text string) *livedb.ImportReport {
+	t.Helper()
+	_, snap := snapFake(t)
+	return livedb.ImportSQLFile("w.sql", text, snap, livedb.ImportOptions{})
+}
+
+// TestImportBindsEveryParameterItReads: "amount-$2" is a subtraction to the
+// importer because it is one to the lexer; no conjunct is lost, and the
+// spaced spelling imports as it always did.
+func TestImportBindsEveryParameterItReads(t *testing.T) {
+	const want = "SELECT orders.order_id FROM orders WHERE orders.customer_id = 17 AND orders.amount - 500.99 > 3 AND orders.status = 'shipped'"
+	for _, minus := range []string{"amount-$2", "amount - $2"} {
+		rep := importText(t, "SELECT order_id FROM orders WHERE customer_id = $1 AND "+minus+" > 3 AND status = $3")
+		if len(rep.Queries) != 1 || len(rep.Skipped) != 0 || rep.Queries[0].SQL != want {
+			t.Errorf("%s: imported %+v, skipped %+v\nwant %s", minus, rep.Queries, rep.Skipped, want)
+			continue
+		}
+		if q := rep.Queries[0]; q.Stmt.String() != q.SQL || q.Stmt.FirstParam() != nil {
+			t.Errorf("%s: kept statement %q for SQL %q", minus, q.Stmt, q.SQL)
+		}
+	}
+}
+
+// TestImportRefusesParametersItCannotBind: a parameter nothing compares with
+// a column is named, with what it is, at its place in the text as written.
+func TestImportRefusesParametersItCannotBind(t *testing.T) {
+	for _, tc := range []struct{ sql, param, says string }{
+		{"SELECT order_id, amount FROM orders WHERE customer_id = $1 ORDER BY amount LIMIT $2", "$2", "parameter $2 in LIMIT"},
+		{"SELECT order_id, $1 FROM orders", "$1", "parameter $1 is not compared with a column"},
+		{"SELECT order_id FROM orders WHERE amount > $1 + 5", "$1", "parameter $1 is not compared with a column"},
+	} {
+		rep := importText(t, tc.sql)
+		if len(rep.Queries) != 0 || len(rep.Skipped) != 1 {
+			t.Errorf("%s: imported %+v, skipped %+v", tc.sql, rep.Queries, rep.Skipped)
+			continue
+		}
+		reason := rep.Skipped[0].Reason
+		want := fmt.Sprintf("sql:1:%d: %s", strings.LastIndex(tc.sql, tc.param)+1, tc.says)
+		if !strings.HasPrefix(reason, want) {
+			t.Errorf("%s: reason %q, want %q...", tc.sql, reason, want)
+		}
+	}
+}
+
+// TestImportCountsOneTemplateOnce: the template is the lexer's token stream,
+// so spelling does not split a template's weight and nothing else joins two.
+func TestImportCountsOneTemplateOnce(t *testing.T) {
+	const head = "SELECT order_id FROM orders WHERE "
+	for _, pair := range [][2]string{
+		{"customer_id=5", "customer_id = 6"},
+		{"customer_id <> 5", "customer_id != 6"},
+		{"amount < 1E5", "amount < 2E7"},
+		{"customer_id IN (1,2)", "customer_id IN (1, 2)"},
+		{"customer_id = 5", "customer_id = 6 -- the other one"},
+		{"status = 'it''s; $1 -- x'", "status = 'plain'"},
+	} {
+		rep := importText(t, head+pair[0]+";\n"+head+pair[1])
+		if rep.Seen != 2 || len(rep.Queries) != 1 || rep.Queries[0].Weight != 2 {
+			t.Errorf("%q + %q: seen %d, imported %+v, skipped %+v; want one 2x template",
+				pair[0], pair[1], rep.Seen, rep.Queries, rep.Skipped)
+			continue
+		}
+		// No parameter: the statement keeps the text it was written in.
+		if got := rep.Queries[0].SQL; got != head+pair[0] {
+			t.Errorf("SQL = %q, want %q", got, head+pair[0])
+		}
+	}
+	for _, pair := range [][2]string{
+		{"SELECT x FROM t1 WHERE a = 1", "SELECT x FROM t2 WHERE a = 1"},
+		{head + "customer_id = 5", head + "customer_id > 5"},
+	} {
+		rep := importText(t, pair[0]+";"+pair[1])
+		if n := len(rep.Queries) + len(rep.Skipped); n != 2 {
+			t.Errorf("%q + %q: %d templates, want 2", pair[0], pair[1], n)
+		}
+	}
+	// A statement the designer cannot use is one template too: skipped once.
+	rep := importText(t, "UPDATE orders SET status = 'a' WHERE order_id = 1; update orders set status='b' where order_id=2")
+	if rep.Seen != 2 || len(rep.Skipped) != 1 {
+		t.Errorf("two UPDATEs: seen %d, skipped %+v; want one entry", rep.Seen, rep.Skipped)
+	}
+}
+
+// TestImportSurvivesCharactersTheLexerLacks: a cast, a quoted identifier or
+// "||" costs the statement it stands in and no other.
+func TestImportSurvivesCharactersTheLexerLacks(t *testing.T) {
+	const good = "SELECT order_id FROM orders WHERE customer_id = 5"
+	for _, bad := range []string{"SELECT a::int FROM t", `SELECT "order_id" FROM orders`, "SELECT order_id FROM orders WHERE status = 'a' || status"} {
+		rep := importText(t, bad+"; "+good)
+		if rep.Seen != 2 || len(rep.Queries) != 1 || rep.Queries[0].SQL != good ||
+			len(rep.Skipped) != 1 || rep.Skipped[0].SQL != bad || !strings.Contains(rep.Skipped[0].Reason, "unexpected character") {
+			t.Errorf("%s: seen %d, imported %+v, skipped %+v", bad, rep.Seen, rep.Queries, rep.Skipped)
+		}
+	}
+}
+
+// TestImportSkipsSelfJoins: the importer keeps the statement it resolved, so
+// it must not keep one whose SQL would not resolve again; Resolve refuses it.
+func TestImportSkipsSelfJoins(t *testing.T) {
+	rep := importText(t, "SELECT a.order_id FROM orders a, orders b WHERE a.customer_id = b.customer_id AND b.amount > $1")
+	if len(rep.Queries) != 0 || len(rep.Skipped) != 1 || !strings.Contains(rep.Skipped[0].Reason, "self-join") {
+		t.Errorf("imported %+v, skipped %+v", rep.Queries, rep.Skipped)
+	}
 }

@@ -171,3 +171,27 @@ func TestPlansWithoutStatistics(t *testing.T) {
 		t.Fatal("degenerate cost without statistics")
 	}
 }
+
+// TestSelectivityOfUnboundParameterIsADefault: a $n is no constant the
+// estimator can look up; wherever one stands, the answer is a default
+// fraction, never a panic.
+func TestSelectivityOfUnboundParameterIsADefault(t *testing.T) {
+	env := testEnv(t, nil)
+	for _, pred := range []string{
+		"type = $1", "$1 < ra", "ra BETWEEN $1 AND $2", "type IN (3, $1)", "ra - $1 > 3", "NOT (type = $1) OR $2 IS NULL", "$1",
+	} {
+		sel, err := sqlparse.ParseSelect("SELECT objid FROM photoobj WHERE " + pred + " LIMIT $9")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sqlparse.Resolve(sel, env.Schema); err != nil {
+			t.Fatal(err)
+		}
+		if s := env.Selectivity(sel.Where); !(s > 0 && s <= 1) {
+			t.Errorf("Selectivity(%s) = %v, want a fraction", pred, s)
+		}
+		if _, err := env.Optimize(sel); err != nil {
+			t.Errorf("Optimize(%s): %v", sel, err)
+		}
+	}
+}

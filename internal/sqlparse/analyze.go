@@ -2,6 +2,7 @@ package sqlparse
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/catalog"
@@ -75,7 +76,8 @@ func ReferencedColumns(sel *SelectStmt) (cols map[string]map[string]bool, star b
 // table name — bare columns against the schema, alias-qualified ones
 // through the FROM bindings — verifies every referenced column exists, and
 // then clears the FROM aliases, which nothing refers to any more. The result
-// is the canonical form: its String() parses and resolves to itself.
+// is the canonical form: its String() parses and resolves to itself. A table
+// named twice in FROM is refused: only its aliases told the copies apart.
 func Resolve(sel *SelectStmt, schema *catalog.Schema) error {
 	// Map binding (alias or name, lower-case) -> real table name.
 	binding := make(map[string]string, len(sel.From))
@@ -88,6 +90,9 @@ func Resolve(sel *SelectStmt, schema *catalog.Schema) error {
 		b := strings.ToLower(ref.Binding())
 		if _, dup := binding[b]; dup {
 			return fmt.Errorf("sqlparse: duplicate table binding %q", ref.Binding())
+		}
+		if slices.Contains(tables, t.Name) {
+			return fmt.Errorf("sqlparse: self-join: table %q stands twice in FROM", t.Name)
 		}
 		binding[b] = t.Name
 		tables = append(tables, t.Name)

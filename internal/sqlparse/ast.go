@@ -62,6 +62,25 @@ func (*Literal) prec() int { return precPrimary }
 // String renders the literal in SQL form.
 func (l *Literal) String() string { return l.Value.String() }
 
+// Param is a parameter: a constant the statement leaves open. Name is its
+// text, "$1". It remembers the text it was parsed from and its place there,
+// so whoever cannot bind it can say so where its author will look.
+type Param struct {
+	Name string
+	src  string
+	pos  int
+}
+
+func (*Param) prec() int { return precPrimary }
+
+// String renders the parameter as written.
+func (p *Param) String() string { return p.Name }
+
+// Errorf formats an error about the parameter, positioned like the parser's.
+func (p *Param) Errorf(format string, args ...any) error {
+	return errorAt(p.src, p.pos, format, args...)
+}
+
 // BinOp enumerates binary operators.
 type BinOp string
 
@@ -288,7 +307,8 @@ type SelectStmt struct {
 	GroupBy     []Expr
 	Having      Expr
 	OrderBy     []OrderItem
-	Limit       int64 // -1 when absent
+	Limit       int64  // -1 when absent
+	LimitParam  *Param // LIMIT $n: the row count is open and Limit is -1
 }
 
 // String reassembles SQL text (canonical, not source-preserving).
@@ -331,7 +351,10 @@ func (s *SelectStmt) String() string {
 		}
 		b.WriteString(" ORDER BY " + strings.Join(parts, ", "))
 	}
-	if s.Limit >= 0 {
+	switch {
+	case s.LimitParam != nil:
+		b.WriteString(" LIMIT " + s.LimitParam.String())
+	case s.Limit >= 0:
 		fmt.Fprintf(&b, " LIMIT %d", s.Limit)
 	}
 	return b.String()

@@ -13,7 +13,7 @@ var fuzzTokens = []string{
 	"LIMIT", "JOIN", "ON", "BETWEEN", "IN", "IS", "NULL", "COUNT", "(*)",
 	"(", ")", ",", "*", "=", "<", ">", "<=", ">=", "<>", "+", "-", "/",
 	"a", "b", "t1", "t2", "1", "2.5", "'s'", "''", ";", ".", "x.y",
-	"--c\n", "1e9", "BETWEEN 1 AND", "IN (", "NOT NOT",
+	"--c\n", "1e9", "BETWEEN 1 AND", "IN (", "NOT NOT", "$1", "$", "LIMIT $2",
 }
 
 // TestParserNeverPanics: any token soup must produce a value or an error,

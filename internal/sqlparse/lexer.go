@@ -16,7 +16,7 @@
 //	              (GROUP BY expr (',' expr)*)?
 //	              (HAVING expr)?
 //	              (ORDER BY expr (ASC | DESC)? (',' expr (ASC | DESC)?)*)?
-//	              (LIMIT INT)?
+//	              (LIMIT (INT | param))?
 //	item       := '*' | expr (AS? ID)?
 //	table-ref  := ID (AS? ID)?
 //	join       := INNER? CROSS? JOIN table-ref (ON expr)?
@@ -31,7 +31,8 @@
 //	cmp        := '=' | '<>' | '!=' | '<' | '<=' | '>' | '>='
 //	additive   := term (('+' | '-') term)*
 //	term       := primary (('*' | '/') primary)*
-//	primary    := NUMBER | STRING | NULL | ID ('.' ID)? | agg | '(' expr ')' | '-' primary
+//	primary    := NUMBER | STRING | NULL | param | ID ('.' ID)? | agg | '(' expr ')' | '-' primary
+//	param      := '$' DIGIT+
 //	agg        := (COUNT | SUM | AVG | MIN | MAX) '(' ('*' | expr) ')'
 //
 //	create-table := CREATE TABLE ID '(' column-or-key (',' column-or-key)* ')'
@@ -42,6 +43,25 @@
 // JOIN ... ON predicates are AND-ed into WHERE at parse time, and "- x" is
 // read as the constant -x or as 0 - x.
 //
+// One reader. The lexer in this file is the only code that reads SQL bytes:
+// what a string, a comment, a number or a parameter is gets decided here and
+// nowhere else. Whoever needs less than a tree takes it from the token
+// stream — SplitScript cuts a script at its top-level ';' tokens, Template
+// reduces a statement to its shape — and does not scan the text again.
+//
+// Parameters. $n is a token and a leaf node (Param), rendered as $n, so a
+// statement normalized by pg_stat_statements parses as itself. A parameter
+// has no value: whoever turns a statement into a workload query binds every
+// one (internal/livedb, from column statistics) or refuses the statement
+// (SelectStmt.FirstParam finds what is left).
+//
+// Template. Template(sql) is the statement's token stream with every string,
+// number and parameter token written "?", keywords upper-cased, identifiers
+// lower-cased and one space between tokens. Two texts with one template
+// differ only in constants, letter case, white space, comments and operator
+// spelling ("!=" is "<>"). It is defined for whatever lexes, parseable or
+// not; for text that does not lex it is the trimmed text.
+//
 // Canonical form. String() renders any tree with the parentheses its
 // operands need, so the text parses back into a tree of the same shape (a
 // right-nested AND or OR chain, which associates, comes back left-nested)
@@ -49,9 +69,9 @@
 // real table name and clears the FROM aliases, so String() of a resolved
 // statement parses and resolves to itself — the text INUM matches re-parsed
 // statements on, record/replay keys on, and the facade hands back as SQL.
-// (A self-join resolves, its bindings being distinct, but stands outside the
-// form: both copies' references carry the one table name, and the optimizer
-// rejects it.) FuzzParseRenderParse holds both properties.
+// (Resolve refuses a self-join: with the aliases cleared both copies'
+// references would carry the one table name.) FuzzParseRenderParse holds
+// both properties.
 //
 // Traversal. Walk (pre-order, prunable), Rewrite (bottom-up, rebuilding) and
 // SelectStmt.EachExpr (the statement's expression slots: projections, WHERE,
@@ -76,6 +96,7 @@ const (
 	tokIdent
 	tokNumber
 	tokString
+	tokParam   // $n
 	tokSymbol  // punctuation and operators
 	tokKeyword // reserved word (upper-cased in val)
 )
@@ -106,8 +127,6 @@ type lexer struct {
 	pos int
 }
 
-func newLexer(src string) *lexer { return &lexer{src: src} }
-
 // errorAt formats a lexing/parsing error with line/column context.
 func errorAt(src string, pos int, format string, args ...any) error {
 	line, col := 1, 1
@@ -121,6 +140,9 @@ func errorAt(src string, pos int, format string, args ...any) error {
 	}
 	return fmt.Errorf("sql:%d:%d: %s", line, col, fmt.Sprintf(format, args...))
 }
+
+// whitespace is what skipSpace skips besides comments.
+const whitespace = " \t\n\r"
 
 func (l *lexer) skipSpace() {
 	for l.pos < len(l.src) {
@@ -183,6 +205,13 @@ func (l *lexer) next() (token, error) {
 		}
 		return token{kind: tokNumber, val: l.src[start:l.pos], pos: start}, nil
 
+	case c == '$' && l.pos+1 < len(l.src) && l.src[l.pos+1] >= '0' && l.src[l.pos+1] <= '9':
+		l.pos++
+		for l.pos < len(l.src) && l.src[l.pos] >= '0' && l.src[l.pos] <= '9' {
+			l.pos++
+		}
+		return token{kind: tokParam, val: l.src[start:l.pos], pos: start}, nil
+
 	case c == '\'':
 		l.pos++
 		var sb strings.Builder
@@ -236,7 +265,7 @@ func isIdentPart(r rune) bool {
 // lexAll tokenizes the whole input (convenient for the recursive-descent
 // parser, which needs small lookahead).
 func lexAll(src string) ([]token, error) {
-	lx := newLexer(src)
+	lx := &lexer{src: src}
 	var out []token
 	for {
 		t, err := lx.next()
@@ -246,6 +275,73 @@ func lexAll(src string) ([]token, error) {
 		out = append(out, t)
 		if t.kind == tokEOF {
 			return out, nil
+		}
+	}
+}
+
+// SplitScript cuts a script at its top-level ';' tokens and returns the
+// source text of each statement, first token to last: a ';' inside a string
+// or a comment cuts nothing, empty statements are dropped, a comment between
+// two tokens stays in the slice. Nothing is parsed, so a statement the grammar
+// lacks does not fail the script, and neither does a character the lexer
+// lacks: it is stepped over and stays in its statement, which Parse refuses
+// with the lexer's message while the cutting goes on. Only a string left
+// open runs to the end of the text, as the last statement. Joining the
+// result with ";" and splitting again returns it.
+func SplitScript(src string) []string {
+	lx := &lexer{src: src}
+	var out []string
+	start, end := -1, 0 // the open statement is src[start:end]; none when start < 0
+	for {
+		lx.skipSpace()
+		pos := lx.pos
+		t, err := lx.next()
+		cut := err == nil && (t.kind == tokEOF || t.kind == tokSymbol && t.val == ";")
+		if !cut && start < 0 {
+			start = pos // a statement opens at this token, lexable or not
+		}
+		switch {
+		case err != nil && lx.pos >= len(src): // unterminated string
+			return append(out, strings.TrimRight(src[start:], whitespace))
+		case err != nil: // unexpected character: lx.pos is on it
+			lx.pos++
+			fallthrough
+		case !cut:
+			end = lx.pos
+			continue
+		case start >= 0:
+			out = append(out, src[start:end])
+			start = -1
+		}
+		if t.kind == tokEOF {
+			return out
+		}
+	}
+}
+
+// Template reduces a statement to its shape (the package comment defines
+// it): statements with one template are instances of one query template.
+func Template(sql string) string {
+	lx := &lexer{src: sql}
+	var b strings.Builder
+	for {
+		t, err := lx.next()
+		if err != nil {
+			return strings.Trim(sql, whitespace)
+		}
+		if t.kind == tokEOF {
+			return b.String()
+		}
+		if b.Len() > 0 {
+			b.WriteByte(' ')
+		}
+		switch t.kind {
+		case tokNumber, tokString, tokParam:
+			b.WriteByte('?')
+		case tokIdent:
+			b.WriteString(strings.ToLower(t.val))
+		default:
+			b.WriteString(t.val)
 		}
 	}
 }

@@ -259,16 +259,19 @@ fromDone:
 		}
 	}
 	if p.acceptKeyword("LIMIT") {
-		t := p.peek()
-		if t.kind != tokNumber {
+		switch t := p.peek(); t.kind {
+		case tokParam:
+			sel.LimitParam = p.parseParam()
+		case tokNumber:
+			n, err := strconv.ParseInt(t.val, 10, 64)
+			if err != nil {
+				return nil, p.errHere("bad LIMIT value %q", t.val)
+			}
+			p.advance()
+			sel.Limit = n
+		default:
 			return nil, p.errHere("expected number after LIMIT")
 		}
-		n, err := strconv.ParseInt(t.val, 10, 64)
-		if err != nil {
-			return nil, p.errHere("bad LIMIT value %q", t.val)
-		}
-		p.advance()
-		sel.Limit = n
 	}
 	return sel, nil
 }
@@ -501,6 +504,9 @@ func (p *parser) parsePrimary() (Expr, error) {
 		p.advance()
 		return &Literal{Value: catalog.String_(t.val)}, nil
 
+	case t.kind == tokParam:
+		return p.parseParam(), nil
+
 	case t.kind == tokKeyword && t.val == "NULL":
 		p.advance()
 		return &Literal{Value: catalog.Null()}, nil
@@ -569,6 +575,12 @@ func (p *parser) parsePrimary() (Expr, error) {
 	default:
 		return nil, p.errHere("unexpected token %q in expression", t.val)
 	}
+}
+
+// parseParam consumes a parameter token.
+func (p *parser) parseParam() *Param {
+	t := p.advance()
+	return &Param{Name: t.val, src: p.src, pos: t.pos}
 }
 
 func (p *parser) parseCreate() (Statement, error) {

@@ -1,6 +1,7 @@
 package sqlparse
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -168,6 +169,8 @@ func TestParseErrors(t *testing.T) {
 		"SELECT a FROM t WHERE s = 'unterminated",
 		"CREATE VIEW v",
 		"SELECT a FROM t trailing garbage ,",
+		"SELECT a FROM t WHERE a = $",
+		"SELECT a FROM t WHERE a = $x",
 	}
 	for _, sql := range bad {
 		if _, err := Parse(sql); err == nil {
@@ -284,7 +287,8 @@ func TestResolveErrors(t *testing.T) {
 		"SELECT x FROM nosuch",
 		"SELECT nosuchcol FROM p",
 		"SELECT z.x FROM p",
-		"SELECT x FROM p, p", // duplicate binding
+		"SELECT x FROM p, p",                          // duplicate binding
+		"SELECT a.x FROM p a JOIN p b ON a.id = b.id", // self-join: distinct bindings, one table
 	} {
 		sel, err := ParseSelect(sql)
 		if err != nil {
@@ -378,5 +382,123 @@ func TestErrorPosition(t *testing.T) {
 	_, err := Parse("SELECT a\nFROM t WHERE ^")
 	if err == nil || !strings.Contains(err.Error(), "sql:2:") {
 		t.Fatalf("error should carry line info, got %v", err)
+	}
+}
+
+// TestParamParsesAsItself: $n is a token and a leaf, wherever the grammar
+// takes a constant and after LIMIT, and renders as written.
+func TestParamParsesAsItself(t *testing.T) {
+	for _, sql := range []string{
+		"SELECT a FROM t WHERE a = $1",
+		"SELECT a FROM t WHERE a - $1 > 3 AND b BETWEEN $2 AND $3 AND c IN ($4, 5)",
+		"SELECT a, $1 FROM t GROUP BY a HAVING COUNT(*) > $2 ORDER BY a LIMIT $3",
+		"SELECT a FROM t WHERE a = $007 LIMIT $99999999999999999999",
+	} {
+		if got := parseSelect(t, sql).String(); got != sql {
+			t.Errorf("%q renders as %q", sql, got)
+		}
+	}
+	// "amount-$2" is a subtraction, not the start of a comment.
+	sel := parseSelect(t, "SELECT a FROM t WHERE a = $1 AND b-$2 > 3 AND c = $3")
+	if n := len(Conjuncts(sel.Where)); n != 3 {
+		t.Errorf("%d conjuncts in %q, want 3", n, sel)
+	}
+	// A parameter knows where it stood in the text that was parsed.
+	sel = parseSelect(t, "SELECT a FROM t\nWHERE a = 1 LIMIT $7")
+	err := sel.FirstParam().Errorf("parameter %s is open", sel.FirstParam())
+	if err.Error() != "sql:2:19: parameter $7 is open" {
+		t.Errorf("positioned error = %q", err)
+	}
+	if sel.Limit != -1 {
+		t.Errorf("LIMIT $7 set Limit = %d, want -1", sel.Limit)
+	}
+}
+
+// TestTemplate: one minimal pair per thing a template ignores, and per
+// thing it must not.
+func TestTemplate(t *testing.T) {
+	const base = "SELECT x FROM t WHERE a = 5"
+	if got, want := Template(base), "SELECT x FROM t WHERE a = ?"; got != want {
+		t.Fatalf("Template(%q) = %q, want %q", base, got, want)
+	}
+	for _, same := range []string{
+		"SELECT x FROM t WHERE a=6", "select X from T where A = 7", "SELECT x\n\tFROM t  WHERE a = 5",
+		"SELECT x FROM t WHERE a = 1E5", "SELECT x FROM t WHERE a = 2.5e-7", "SELECT x FROM t WHERE a = .5",
+		"SELECT x FROM t WHERE a = 'it''s; $1 -- x'", "SELECT x FROM t WHERE a = $12",
+		"SELECT x FROM t WHERE a = 5 -- who asked", "SELECT x -- why\nFROM t WHERE a = 5",
+	} {
+		if Template(same) != Template(base) {
+			t.Errorf("Template(%q) = %q, want that of %q", same, Template(same), base)
+		}
+	}
+	for _, other := range []string{
+		"SELECT y FROM t WHERE a = 5", "SELECT x FROM t1 WHERE a = 5", "SELECT x FROM t2 WHERE a = 5",
+		"SELECT x FROM t WHERE a > 5", "SELECT x FROM t WHERE a = -5", "SELECT x FROM t WHERE a = 5 AND a = 5",
+	} {
+		if Template(other) == Template(base) {
+			t.Errorf("Template(%q) collides with that of %q", other, base)
+		}
+	}
+	if Template("SELECT x FROM t1 WHERE a = 5") == Template("SELECT x FROM t2 WHERE a = 5") {
+		t.Error("a digit inside an identifier was masked")
+	}
+	for _, pair := range [][2]string{
+		{"SELECT x FROM t WHERE a <> 1", "SELECT x FROM t WHERE a != 1"},
+		{"SELECT x FROM t WHERE a IN (1,2)", "SELECT x FROM t WHERE a IN (1, 2)"},
+		{"UPDATE t SET a = 1 WHERE b = 2", "update t set a=3 where b=4"}, // lexes, so it has a template
+	} {
+		if Template(pair[0]) != Template(pair[1]) {
+			t.Errorf("Template(%q) = %q, Template(%q) = %q", pair[0], Template(pair[0]), pair[1], Template(pair[1]))
+		}
+	}
+	// What does not lex is its own template.
+	if got := Template("  SELECT # FROM t "); got != "SELECT # FROM t" {
+		t.Errorf("Template of unlexable text = %q", got)
+	}
+}
+
+func TestSplitScript(t *testing.T) {
+	script := `
+-- morning batch; nothing to cut here
+SELECT a FROM t WHERE s = 'it''s; $1 -- x';;
+DELETE FROM t -- the grammar lacks it; the splitter does not care
+  WHERE a = 1 -- trailing
+;
+SELECT b
+FROM t`
+	want := []string{
+		"SELECT a FROM t WHERE s = 'it''s; $1 -- x'",
+		"DELETE FROM t -- the grammar lacks it; the splitter does not care\n  WHERE a = 1",
+		"SELECT b\nFROM t",
+	}
+	got := SplitScript(script)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("SplitScript = %q, want %q", got, want)
+	}
+	if again := SplitScript(strings.Join(got, ";")); !reflect.DeepEqual(again, got) {
+		t.Errorf("split, join, split = %q, want %q", again, got)
+	}
+	// A character the lexer lacks stays in its statement; the cutting goes on.
+	got = SplitScript(`SELECT "id" FROM t; SELECT a::int, b || c FROM t WHERE d @> e[1] ; SELECT é ; SELECT 2 ?`)
+	want = []string{`SELECT "id" FROM t`, "SELECT a::int, b || c FROM t WHERE d @> e[1]", "SELECT é", "SELECT 2 ?"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("SplitScript = %q, want %q", got, want)
+	}
+	if again := SplitScript(strings.Join(got, ";")); !reflect.DeepEqual(again, got) {
+		t.Errorf("split, join, split = %q, want %q", again, got)
+	}
+	if _, err := Parse(got[0]); err == nil || !strings.Contains(err.Error(), `sql:1:8: unexpected character '"'`) {
+		t.Errorf("Parse(%q) = %v, want the lexer's positioned error", got[0], err)
+	}
+	// A string left open is the last statement, whole, and Parse says why.
+	got = SplitScript("SELECT 1; SELECT 'open; SELECT 2 ")
+	if want := []string{"SELECT 1", "SELECT 'open; SELECT 2"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("SplitScript = %q, want %q", got, want)
+	}
+	if _, err := Parse(got[1]); err == nil || !strings.Contains(err.Error(), "sql:1:8: unterminated string") {
+		t.Errorf("Parse(%q) = %v, want the lexer's positioned error", got[1], err)
+	}
+	if got := SplitScript(" ;; -- nothing\n"); len(got) != 0 {
+		t.Errorf("SplitScript of an empty script = %q", got)
 	}
 }

@@ -58,16 +58,29 @@ func TestDDLRendering(t *testing.T) {
 
 func TestWalkColumnsCoversAllNodeTypes(t *testing.T) {
 	sel, err := ParseSelect(
-		"SELECT COUNT(x), a + b FROM t WHERE NOT (c = 1) AND d BETWEEN e AND f AND g IN (h, 1) AND i IS NULL" +
-			" GROUP BY a HAVING NOT (SUM(j) = 1) AND MIN(k) BETWEEN 1 AND AVG(l) AND MAX(m) IN (1, COUNT(*)) AND SUM(n) + 1 IS NOT NULL")
+		"SELECT COUNT(x), a + b FROM t WHERE NOT (c = 1) AND d BETWEEN e AND f AND g IN (h, 1) AND i IS NULL AND o > $1" +
+			" GROUP BY a HAVING NOT (SUM(j) = 1) AND MIN(k) BETWEEN 1 AND AVG(l) AND MAX(m) IN (1, COUNT(*)) AND SUM(n) + 1 IS NOT NULL LIMIT $2")
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The parameter is a leaf like any other: walked past, found, rendered.
+	if p := sel.FirstParam(); p == nil || p.Name != "$1" || !strings.HasSuffix(sel.String(), " LIMIT $2") {
+		t.Errorf("FirstParam = %v, rendering %q", p, sel)
+	}
+	sel.Where = Rewrite(sel.Where, func(e Expr) Expr {
+		if _, ok := e.(*Param); ok {
+			return &Literal{}
+		}
+		return e
+	})
+	if p := sel.FirstParam(); p != sel.LimitParam {
+		t.Errorf("FirstParam after binding WHERE = %v, want the LIMIT parameter", p)
 	}
 	seen := map[string]bool{}
 	sel.EachExpr(func(slot *Expr) {
 		WalkColumns(*slot, func(c *ColumnRef) { seen[strings.ToLower(c.Column)] = true })
 	})
-	for _, want := range []string{"x", "a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l", "m", "n"} {
+	for _, want := range []string{"x", "a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l", "m", "n", "o"} {
 		if !seen[want] {
 			t.Errorf("WalkColumns missed %q (saw %v)", want, seen)
 		}

@@ -10,7 +10,7 @@ func Walk(e Expr, visit func(Expr) bool) {
 		return
 	}
 	switch v := e.(type) {
-	case *ColumnRef, *Literal, *StarExpr:
+	case *ColumnRef, *Literal, *Param, *StarExpr:
 	case *BinaryExpr:
 		Walk(v.L, visit)
 		Walk(v.R, visit)
@@ -42,7 +42,7 @@ func Rewrite(e Expr, fn func(Expr) Expr) Expr {
 	switch v := e.(type) {
 	case nil:
 		return nil
-	case *ColumnRef, *Literal, *StarExpr:
+	case *ColumnRef, *Literal, *Param, *StarExpr:
 		return fn(e)
 	case *BinaryExpr:
 		return fn(&BinaryExpr{Op: v.Op, L: Rewrite(v.L, fn), R: Rewrite(v.R, fn)})
@@ -83,4 +83,23 @@ func (s *SelectStmt) EachExpr(fn func(slot *Expr)) {
 	for i := range s.OrderBy {
 		fn(&s.OrderBy[i].Expr)
 	}
+}
+
+// FirstParam returns the first parameter the statement still holds, in
+// clause order with LIMIT last, or nil when every constant is bound. A
+// statement it returns nil for is one the optimizer and executor can take.
+func (s *SelectStmt) FirstParam() *Param {
+	var found *Param
+	s.EachExpr(func(slot *Expr) {
+		Walk(*slot, func(n Expr) bool {
+			if p, ok := n.(*Param); ok && found == nil {
+				found = p
+			}
+			return found == nil
+		})
+	})
+	if found == nil {
+		found = s.LimitParam
+	}
+	return found
 }

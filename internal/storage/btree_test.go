@@ -2,6 +2,7 @@ package storage
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -343,4 +344,34 @@ func sortedInts(m map[int64]bool) []int64 {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// TestMaterializedConfigurationIsInKeyOrder: the live design is listed the
+// same way by every reader, every time — not in map order.
+func TestMaterializedConfigurationIsInKeyOrder(t *testing.T) {
+	cols := []catalog.Column{{Name: "id", Type: catalog.KindInt}}
+	for _, name := range []string{"e", "c", "a", "d", "b"} {
+		cols = append(cols, catalog.Column{Name: name, Type: catalog.KindInt})
+	}
+	schema := catalog.NewSchema()
+	schema.MustAddTable(catalog.MustTable("w", cols, "id"))
+	st := NewStore(schema)
+	for _, c := range cols[1:] {
+		if _, _, err := st.CreateIndex("i_"+c.Name, "w", []string{c.Name}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []string{"w(a)", "w(b)", "w(c)", "w(d)", "w(e)"}
+	for call := 0; call < 20; call++ {
+		var cfg, ixs []string
+		for _, ix := range st.MaterializedConfiguration().Indexes {
+			cfg = append(cfg, ix.Key())
+		}
+		for _, bt := range st.Indexes() {
+			ixs = append(ixs, bt.Meta.Key())
+		}
+		if !reflect.DeepEqual(cfg, want) || !reflect.DeepEqual(ixs, want) {
+			t.Fatalf("call %d: configuration %v, indexes %v, want %v", call, cfg, ixs, want)
+		}
+	}
 }

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"repro/internal/catalog"
@@ -133,20 +134,22 @@ func (s *Store) DropIndex(key string) bool {
 // Index returns the materialized index with the canonical key, or nil.
 func (s *Store) Index(key string) *BTree { return s.indexes[strings.ToLower(key)] }
 
-// Indexes lists all materialized indexes.
+// Indexes lists all materialized indexes, in key order.
 func (s *Store) Indexes() []*BTree {
 	out := make([]*BTree, 0, len(s.indexes))
 	for _, bt := range s.indexes {
 		out = append(out, bt)
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Meta.Key() < out[j].Meta.Key() })
 	return out
 }
 
 // MaterializedConfiguration returns the real (non-hypothetical) design
-// currently in the store.
+// currently in the store, in key order: every reader of the live design
+// lists it the same way.
 func (s *Store) MaterializedConfiguration() *catalog.Configuration {
 	cfg := catalog.NewConfiguration()
-	for _, bt := range s.indexes {
+	for _, bt := range s.Indexes() {
 		cfg.Indexes = append(cfg.Indexes, bt.Meta)
 	}
 	return cfg
