@@ -334,3 +334,61 @@ func TestFreshTunerReportsMaterializedDesign(t *testing.T) {
 		t.Fatalf("current after one observation = %v, want %v", got, want)
 	}
 }
+
+// TestAutopilotRoutesActOnTheAddressedTuner hammers POST /tuner against
+// autopilot starts and stops addressed to whatever tuner /tuner/status last
+// named. A request whose tuner is replaced under it must answer the stale-id
+// 404; one that is answered 2xx acted on the tuner in its path, and says so.
+// Run under -race (ci.yml: race-soak).
+func TestAutopilotRoutesActOnTheAddressedTuner(t *testing.T) {
+	base := start(t)
+	do := func(method, url, body string) (int, map[string]any) {
+		req, err := http.NewRequest(method, url, strings.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return 0, nil
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Error(err)
+			return 0, nil
+		}
+		defer resp.Body.Close()
+		var out map[string]any
+		json.NewDecoder(resp.Body).Decode(&out)
+		return resp.StatusCode, out
+	}
+	do("POST", base+"/tuner", `{"epoch_length": 4}`)
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for c := 0; c < 3; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				_, st := do("GET", base+"/tuner/status", "")
+				id, _ := st["id"].(string)
+				url := base + "/tuners/" + id + "/autopilot"
+				for _, method := range []string{"POST", "DELETE"} {
+					code, body := do(method, url, "{}")
+					if got, ok := body["tuner_id"]; code/100 == 2 && ok && got != id {
+						t.Errorf("%s %s answered %d for tuner %v", method, url, code, got)
+					}
+				}
+			}
+		}()
+	}
+	for i := 0; i < 300; i++ {
+		if code, _ := do("POST", base+"/tuner", `{"epoch_length": 4}`); code != http.StatusCreated {
+			t.Errorf("reseat %d: status %d", i, code)
+		}
+	}
+	close(done)
+	wg.Wait()
+}

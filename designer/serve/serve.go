@@ -1290,23 +1290,21 @@ func keysOf(ixs []designer.Index) []string {
 	return keys
 }
 
-// checkTunerID verifies a path's tuner id against the slot's reading and
-// returns that reading. Callers hold no locks; on mismatch it writes the
-// structured 404 and returns nil. A stale id (from a replaced tuner) and an
-// unknown id answer the same way: that tuner is gone.
-func (s *Server) checkTunerID(w http.ResponseWriter, id string) *tunerView {
+// liveTuner returns the slot's reading when id addresses it, and otherwise
+// the error to answer 404 with: a stale id (from a replaced tuner) and an
+// unknown id answer the same way, that tuner is gone. A handler that acts
+// on the occupant calls it under tunerMu, where the reading is the
+// occupant's own — checked any earlier, a POST /tuner landing in between
+// would hand the request the next tuner.
+func (s *Server) liveTuner(id string) (*tunerView, error) {
 	v := s.tunerView.Load()
 	switch {
 	case v.gen == 0:
-		writeError(w, http.StatusNotFound, codeTunerNotConfigured,
-			errors.New("no tuner configured; POST /api/v1/tuner first"))
+		return nil, errors.New("no tuner configured; POST /api/v1/tuner first")
 	case id != v.id():
-		writeError(w, http.StatusNotFound, codeTunerNotConfigured,
-			fmt.Errorf("tuner %q is not live (current tuner is %q)", id, v.id()))
-	default:
-		return v
+		return nil, fmt.Errorf("tuner %q is not live (current tuner is %q)", id, v.id())
 	}
-	return nil
+	return v, nil
 }
 
 func (s *Server) handleTunerStatus(w http.ResponseWriter, r *http.Request) {
@@ -1369,9 +1367,6 @@ func (s *Server) handleAutopilotStart(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeInvalidRequest, err)
 		return
 	}
-	if s.checkTunerID(w, r.PathValue("id")) == nil {
-		return
-	}
 	opts := designer.DefaultAutopilotOptions()
 	if req.BuildBudgetPages > 0 {
 		opts.BuildBudgetPages = req.BuildBudgetPages
@@ -1391,14 +1386,16 @@ func (s *Server) handleAutopilotStart(w http.ResponseWriter, r *http.Request) {
 	opts.StatePath = req.StatePath
 
 	s.tunerMu.Lock()
+	v, idErr := s.liveTuner(r.PathValue("id"))
 	_, running := s.occupant.(*designer.Autopilot)
-	var v *tunerView
 	var err error
-	if !running {
+	if idErr == nil && !running {
 		v, err = s.seatAutopilot(s.tunerOpts, opts, false)
 	}
 	s.tunerMu.Unlock()
 	switch {
+	case idErr != nil:
+		writeError(w, http.StatusNotFound, codeTunerNotConfigured, idErr)
 	case running:
 		writeError(w, http.StatusConflict, codeAutopilotActive,
 			errors.New("autopilot already running; DELETE it first"))
@@ -1410,8 +1407,9 @@ func (s *Server) handleAutopilotStart(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleAutopilotStatus(w http.ResponseWriter, r *http.Request) {
-	v := s.checkTunerID(w, r.PathValue("id"))
-	if v == nil {
+	v, err := s.liveTuner(r.PathValue("id"))
+	if err != nil {
+		writeError(w, http.StatusNotFound, codeTunerNotConfigured, err)
 		return
 	}
 	if !v.autopilot {
@@ -1427,17 +1425,17 @@ func (s *Server) handleAutopilotStatus(w http.ResponseWriter, r *http.Request) {
 // supervisor owned the only learning state, so continuing as a plain
 // tuner would silently discard it — POST /api/v1/tuner starts fresh.
 func (s *Server) handleAutopilotStop(w http.ResponseWriter, r *http.Request) {
-	if s.checkTunerID(w, r.PathValue("id")) == nil {
-		return
-	}
 	s.tunerMu.Lock()
+	_, idErr := s.liveTuner(r.PathValue("id"))
 	_, running := s.occupant.(*designer.Autopilot)
 	var err error
-	if running {
+	if idErr == nil && running {
 		_, err = s.seatTuner(nil, false)
 	}
 	s.tunerMu.Unlock()
 	switch {
+	case idErr != nil:
+		writeError(w, http.StatusNotFound, codeTunerNotConfigured, idErr)
 	case !running:
 		writeError(w, http.StatusNotFound, codeAutopilotNotActive,
 			errors.New("autopilot not running; POST to start it"))

@@ -107,7 +107,7 @@ func (a *Advisor) AdviseView(ctx context.Context, v *engine.View, w *workload.Wo
 		base = catalog.NewConfiguration()
 	}
 	res := &Result{Config: base.Clone()}
-	if err := v.Prepare(ctx, w, base.Indexes); err != nil {
+	if err := v.Prepare(ctx, w, nil); err != nil {
 		return nil, err
 	}
 	cost := func(cfg *catalog.Configuration) (float64, error) {

@@ -645,7 +645,7 @@ func (a *Autopilot) sampleRegretLocked(ctx context.Context, v *engine.View, epoc
 		w.Queries[i] = nq
 	}
 
-	if err := v.Prepare(ctx, w, pool); err != nil {
+	if err := v.Prepare(ctx, w, nil); err != nil {
 		return err
 	}
 	liveCost, err := v.WorkloadCost(w, live)

@@ -84,7 +84,7 @@ func NewEnv(sizeName string, seed int64, profile string, numQ int, spec engine.B
 	}
 	v := eng.Pin()
 	cands := v.Session().GenerateCandidates(w, whatif.DefaultCandidateOptions())
-	if err := v.Prepare(context.Background(), w, cands); err != nil {
+	if err := v.Prepare(context.Background(), w, nil); err != nil {
 		return nil, err
 	}
 	return &Env{

@@ -159,7 +159,7 @@ func (a *Advisor) AdviseView(ctx context.Context, v *engine.View, w *workload.Wo
 	// Prepare INUM entries — template building is one full optimization per
 	// seed configuration and query, so it runs on the engine's sweep pool,
 	// not query by query in the loop below — and per-query atoms.
-	if err := v.Prepare(ctx, w, a.candidates); err != nil {
+	if err := v.Prepare(ctx, w, nil); err != nil {
 		return nil, err
 	}
 	type queryAtoms struct {
@@ -172,7 +172,7 @@ func (a *Advisor) AdviseView(ctx context.Context, v *engine.View, w *workload.Wo
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		tables, err := v.PrepareQuery(q, a.candidates)
+		tables, err := v.PrepareQuery(q)
 		if err != nil {
 			return nil, err
 		}

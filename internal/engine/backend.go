@@ -65,12 +65,15 @@ type CostBackend interface {
 	// Params exposes the cost constants the backend prices with; consumers
 	// like the materialization scheduler use them for build-cost models.
 	Params() optimizer.CostParams
-	// Prepare primes per-query state (plan templates) for a candidate set.
-	Prepare(id string, stmt *sqlparse.SelectStmt, candidates []*catalog.Index) error
+	// Prepare primes per-query state: the complete set of plan templates,
+	// which depends on the statement and on nothing the caller holds.
+	Prepare(id string, stmt *sqlparse.SelectStmt) error
 	// Pricer resolves the queries against the backend's cached
-	// (INUM-style) path — preparing any that are not — and returns the
-	// function that prices them. What it resolved lives as long as the
-	// returned function and no longer.
+	// (INUM-style) path and returns the function that prices them. A query
+	// nobody prepared is resolved on demand — one optimization, the
+	// no-order template only, what a streamed statement costed once or
+	// twice can afford — and stays so until somebody prepares it. What
+	// Pricer resolved lives as long as the returned function and no longer.
 	Pricer(queries []workload.Query) (Pricer, error)
 	// StmtCost prices a statement with the backend's reference model (the
 	// full optimizer for analytical backends), bypassing the cached path.
@@ -221,15 +224,15 @@ func (b *envBackend) Params() optimizer.CostParams  { return b.env.Params }
 func (b *envBackend) CacheStats() (int64, int64)    { return b.cache.Stats() }
 func (b *envBackend) EvictPrefix(prefix string) int { return b.cache.EvictPrefix(prefix) }
 
-func (b *envBackend) Prepare(id string, stmt *sqlparse.SelectStmt, candidates []*catalog.Index) error {
-	_, err := b.cache.Prepare(id, stmt, candidates)
+func (b *envBackend) Prepare(id string, stmt *sqlparse.SelectStmt) error {
+	_, err := b.cache.Prepare(id, stmt, nil)
 	return err
 }
 
 func (b *envBackend) Pricer(queries []workload.Query) (Pricer, error) {
 	entries := make([]*inum.CachedQuery, len(queries))
 	for i, q := range queries {
-		cq, err := b.cache.Prepare(q.ID, q.Stmt, nil)
+		cq, err := b.cache.OnDemand(q.ID, q.Stmt)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", q.ID, err)
 		}
@@ -269,7 +272,7 @@ func (b *replayBackend) Describe() string {
 func (b *replayBackend) Params() optimizer.CostParams { return b.params }
 
 // Prepare is a no-op: the trace holds finished costs, not plan templates.
-func (b *replayBackend) Prepare(string, *sqlparse.SelectStmt, []*catalog.Index) error { return nil }
+func (b *replayBackend) Prepare(string, *sqlparse.SelectStmt) error { return nil }
 
 func (b *replayBackend) Pricer(queries []workload.Query) (Pricer, error) {
 	sqls := renderAll(queries)
@@ -322,8 +325,8 @@ func (b *recordingBackend) Params() optimizer.CostParams  { return b.inner.Param
 func (b *recordingBackend) CacheStats() (int64, int64)    { return b.inner.CacheStats() }
 func (b *recordingBackend) EvictPrefix(prefix string) int { return b.inner.EvictPrefix(prefix) }
 
-func (b *recordingBackend) Prepare(id string, stmt *sqlparse.SelectStmt, candidates []*catalog.Index) error {
-	return b.inner.Prepare(id, stmt, candidates)
+func (b *recordingBackend) Prepare(id string, stmt *sqlparse.SelectStmt) error {
+	return b.inner.Prepare(id, stmt)
 }
 
 func (b *recordingBackend) Pricer(queries []workload.Query) (Pricer, error) {

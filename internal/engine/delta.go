@@ -55,28 +55,19 @@ type queryRelevance struct {
 
 // relevanceOf resolves a query's tables and relevance analysis.
 func (v *View) relevanceOf(q workload.Query) (queryRelevance, error) {
-	rel := queryRelevance{Relevance: optimizer.RelevanceOf(q.Stmt)}
-	for _, ref := range q.Stmt.From {
-		t := v.e.schema.Table(ref.Name)
-		if t == nil {
-			return queryRelevance{}, fmt.Errorf("engine: %s: unknown table %q", q.ID, ref.Name)
-		}
-		rel.tables = append(rel.tables, strings.ToLower(t.Name))
-	}
-	return rel, nil
+	tables, err := v.tablesOf(q)
+	return queryRelevance{tables: tables, Relevance: optimizer.RelevanceOf(q.Stmt)}, err
 }
 
 // relevantSignature renders the slice of cfg that can influence the query's
 // access to its t-th table: the keys of relevant structures (sorted) plus
 // any partition layouts. Two configurations with equal relevant signatures
-// on every table of a query price that query identically. The full
-// optimizer only wants orders over columns the query references, so CanUse
-// is asked about no extra orders.
+// on every table of a query price that query identically.
 func (rel *queryRelevance) relevantSignature(cfg *catalog.Configuration, t int) string {
 	table := rel.tables[t]
 	var parts []string
 	for _, ix := range cfg.IndexesOn(table) {
-		if rel.CanUse(table, ix, nil) {
+		if rel.CanUse(table, ix) {
 			parts = append(parts, ix.Key())
 		}
 	}

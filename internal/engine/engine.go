@@ -16,6 +16,11 @@
 // view. A question — one advisor run, one observation, one facade call —
 // pins once and passes the view down, so it is answered on one generation
 // by construction; there is no call that pins on the caller's behalf.
+// Within a generation an answer does not depend on the questions asked
+// before it: what Prepare builds for a query is a function of its statement,
+// and every workload sweep prepares before it prices. The one exception is
+// spelled out at CostBackend.Pricer: a query priced without ever being
+// prepared is resolved on demand, more coarsely, until somebody prepares it.
 //
 // Costing itself is pluggable (backend.go): a view delegates every
 // query/statement pricing call to its generation's CostBackend — native
@@ -262,28 +267,33 @@ func (s *snapshot) resolve(cfg *catalog.Configuration) *catalog.Configuration {
 	return s.base
 }
 
-// Prepare primes the pinned generation's backend for every workload query.
-// candidates guide which interesting orders get plan templates (pass the set
-// you intend to sweep; the workload sweeps pass nil). Queries are prepared in
-// parallel over the sweep pool. Prepare is idempotent per query ID within a
-// generation — a query the backend already holds costs one lookup and builds
-// nothing — which is why every workload sweep simply runs it instead of
-// remembering which workloads it has seen. A cancelled context aborts between
-// queries.
-func (v *View) Prepare(ctx context.Context, w *workload.Workload, candidates []*catalog.Index) error {
+// Prepare primes the pinned generation's backend for every workload query,
+// in parallel over the sweep pool. What is built for a query depends on its
+// statement alone; the third argument is ignored and is still there only
+// because the benchmark module, which no code change may edit, passes one
+// (ROADMAP 6(g)). Prepare is idempotent per query ID within a generation — a
+// query the backend already holds costs one lookup and builds nothing — so
+// every workload sweep simply runs it instead of remembering which
+// workloads it has seen. A cancelled context aborts between queries.
+func (v *View) Prepare(ctx context.Context, w *workload.Workload, _ []*catalog.Index) error {
 	return v.e.sweep(ctx, len(w.Queries), func(i int) error {
 		q := w.Queries[i]
-		return v.s.backend.Prepare(q.ID, q.Stmt, candidates)
+		return v.s.backend.Prepare(q.ID, q.Stmt)
 	})
 }
 
 // PrepareQuery primes the pinned backend for one query and returns the
 // lower-case names of the base tables it references (the per-query table
 // set CoPhy enumerates atoms over).
-func (v *View) PrepareQuery(q workload.Query, candidates []*catalog.Index) ([]string, error) {
-	if err := v.s.backend.Prepare(q.ID, q.Stmt, candidates); err != nil {
+func (v *View) PrepareQuery(q workload.Query) ([]string, error) {
+	if err := v.s.backend.Prepare(q.ID, q.Stmt); err != nil {
 		return nil, err
 	}
+	return v.tablesOf(q)
+}
+
+// tablesOf resolves the lower-case base tables of a query, in FROM order.
+func (v *View) tablesOf(q workload.Query) ([]string, error) {
 	tables := make([]string, 0, len(q.Stmt.From))
 	for _, ref := range q.Stmt.From {
 		t := v.e.schema.Table(ref.Name)

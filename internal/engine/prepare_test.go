@@ -17,9 +17,9 @@ type countingBackend struct {
 	prepares atomic.Int64
 }
 
-func (c *countingBackend) Prepare(id string, stmt *sqlparse.SelectStmt, candidates []*catalog.Index) error {
+func (c *countingBackend) Prepare(id string, stmt *sqlparse.SelectStmt) error {
 	c.prepares.Add(1)
-	return c.CostBackend.Prepare(id, stmt, candidates)
+	return c.CostBackend.Prepare(id, stmt)
 }
 
 // newCountingEngine builds an engine over the tiny dataset with its backend

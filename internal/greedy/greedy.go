@@ -54,7 +54,7 @@ func (r *Result) Improvement() float64 {
 // the current configuration in one parallel sweep; a cancelled context
 // aborts mid-sweep and returns ctx.Err().
 func Advise(ctx context.Context, v *engine.View, candidates []*catalog.Index, w *workload.Workload, opts Options) (*Result, error) {
-	if err := v.Prepare(ctx, w, candidates); err != nil {
+	if err := v.Prepare(ctx, w, nil); err != nil {
 		return nil, err
 	}
 	res := &Result{}
@@ -135,9 +135,6 @@ func Advise(ctx context.Context, v *engine.View, candidates []*catalog.Index, w 
 // E7 ground truth). Subsets are priced in bounded parallel batches so peak
 // memory stays fixed instead of materializing all 2^n configurations.
 func Exhaustive(ctx context.Context, v *engine.View, candidates []*catalog.Index, w *workload.Workload, budgetPages int64) (*Result, error) {
-	if err := v.Prepare(ctx, w, candidates); err != nil {
-		return nil, err
-	}
 	res := &Result{}
 	n := len(candidates)
 	const batchSize = 4096

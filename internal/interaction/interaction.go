@@ -84,7 +84,7 @@ func AnalyzeView(ctx context.Context, v *engine.View, w *workload.Workload, inde
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		tables, err := v.PrepareQuery(q, indexes)
+		tables, err := v.PrepareQuery(q)
 		if err != nil {
 			return nil, err
 		}

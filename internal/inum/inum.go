@@ -8,18 +8,25 @@
 // lattice walks feasible ("speeds up the cost estimation process by orders
 // of magnitude", paper §1; experiment E8).
 //
-// A costing is a function of the slice of the configuration the query can
-// see, and nothing else. Per table of the query that slice is the set of
+// An entry is a function of its statement, and a costing a function of the
+// entry and the slice of the configuration the query can see — nothing
+// else, in particular not who prepared the query first or what they meant
+// to sweep. Prepare seeds the templates from the statement's own
+// interesting orders (see build). One fork is explicit: a statement priced
+// without having been prepared (OnDemand, the online tuner's door) gets the
+// no-order template only, and a later Prepare replaces that entry with
+// exactly the one a direct Prepare builds.
+//
+// Per table of the query the visible slice of a configuration is the set of
 // structures that could enter one of its plans (optimizer's
-// Relevance.CanUse, plus the leaf orders the cached templates require)
-// and the table's partition layouts — the paper's extension of INUM "to
-// cache table partitions and partial plans" (§3.3): access costs are
-// partition-aware, while cached internals are reused across layouts. Each
-// cached query numbers the structures it meets (memo.go), keys its
-// access-cost memo on the set of relevant numbers, and evaluates its
-// templates as a loop over slices: a costing whose slices were priced before
-// allocates nothing and takes no lock. A configuration priced against many
-// queries is split into per-table slices once (Digest).
+// Relevance.CanUse) and the table's partition layouts — the paper's
+// extension of INUM "to cache table partitions and partial plans" (§3.3):
+// access costs are partition-aware, while cached internals are reused
+// across layouts. Each cached query numbers the structures it meets
+// (memo.go), keys its access-cost memo on the set of relevant numbers, and
+// evaluates its templates as a loop over slices: a costing whose slices
+// were priced before allocates nothing and takes no lock. A configuration
+// priced against many queries is split into per-table slices once (Digest).
 package inum
 
 import (
@@ -37,8 +44,7 @@ import (
 // maxTemplatesPerQuery bounds the cached plan templates per query.
 const maxTemplatesPerQuery = 24
 
-// maxOrderCombos bounds the interesting-order cross product explored during
-// Prepare.
+// maxOrderCombos bounds the seed configurations of a complete entry.
 const maxOrderCombos = 16
 
 // template is one plan skeleton while Prepare collects them: the internal
@@ -76,9 +82,11 @@ type CachedQuery struct {
 	// INUM's speedup comes from — most CostFor calls in a configuration
 	// sweep resolve every table from it.
 	memo atomic.Pointer[costMemo]
-	// prepOptimizerCalls counts the full optimizations spent in Prepare;
-	// amortized over every subsequent CostFor call.
-	prepOptimizerCalls int
+	// prepOptimizerCalls counts the full optimizations spent building the
+	// entry; amortized over every subsequent CostFor call.
+	prepOptimizerCalls int32
+	// complete tells Prepare's entry from OnDemand's.
+	complete bool
 }
 
 // Cache is the INUM store for a workload.
@@ -106,19 +114,35 @@ func (c *Cache) Stats() (fullOpts, cachedCostings int64) {
 	return c.fullOptimizations.Load(), c.cachedCostings.Load()
 }
 
-// Prepare populates the cache for one query. candidates are the indexes the
-// caller intends to sweep over (e.g. CoPhy's candidate set); they guide
-// which interesting orders get a template. Prepare is idempotent per
-// (ID, statement): an existing entry is returned only if it was built for
-// the same statement — a different statement under a reused ID (two
-// workloads both numbering their queries q0, q1, ... against one
-// long-lived engine) rebuilds and replaces the entry instead of silently
-// pricing the new query with the old query's plans.
-func (c *Cache) Prepare(id string, stmt *sqlparse.SelectStmt, candidates []*catalog.Index) (*CachedQuery, error) {
+// Prepare returns the query's complete entry, building it when the cache
+// holds none for the statement or only an on-demand one. It is idempotent
+// per (ID, statement): a different statement under a reused ID (two
+// workloads both numbering their queries q0, q1, ... against one long-lived
+// engine) rebuilds and replaces the entry instead of silently pricing the
+// new query with the old query's plans. The third argument is ignored and
+// is still there only because the benchmark module, which no code change
+// may edit, passes one (ROADMAP 6(g)).
+func (c *Cache) Prepare(id string, stmt *sqlparse.SelectStmt, _ []*catalog.Index) (*CachedQuery, error) {
+	return c.entry(id, stmt, true)
+}
+
+// OnDemand returns whatever entry the cache holds for the statement and,
+// when it holds none, builds the on-demand one: the no-order template only,
+// one full optimization — the door of the online tuner, which prices each
+// statement of a stream once or twice.
+func (c *Cache) OnDemand(id string, stmt *sqlparse.SelectStmt) (*CachedQuery, error) {
+	return c.entry(id, stmt, false)
+}
+
+// entry looks the statement up under id and builds on a miss. An on-demand
+// entry is a miss for Prepare, never the other way round: an entry only
+// moves from on-demand to complete.
+func (c *Cache) entry(id string, stmt *sqlparse.SelectStmt, complete bool) (*CachedQuery, error) {
 	c.mu.RLock()
 	q := c.entries[id]
 	c.mu.RUnlock()
-	if q != nil && q.Stmt == stmt {
+	fits := func(q *CachedQuery) bool { return q != nil && (q.complete || !complete) }
+	if fits(q) && q.Stmt == stmt {
 		// The common case: one workload reuses its parsed statements for
 		// every costing.
 		return q, nil
@@ -126,17 +150,17 @@ func (c *Cache) Prepare(id string, stmt *sqlparse.SelectStmt, candidates []*cata
 	// A re-parsed workload matches on canonical SQL, rendered once here and
 	// handed to build on a miss.
 	sql := stmt.String()
-	if q != nil && q.sql == sql {
+	if fits(q) && q.sql == sql {
 		return q, nil
 	}
 
-	q, err := c.build(id, stmt, sql, candidates)
+	q, err := c.build(id, stmt, sql, complete)
 	if err != nil {
 		return nil, err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if prev, ok := c.entries[id]; ok && (prev.Stmt == stmt || prev.sql == sql) {
+	if prev := c.entries[id]; fits(prev) && (prev.Stmt == stmt || prev.sql == sql) {
 		return prev, nil
 	}
 	c.entries[id] = q
@@ -167,8 +191,9 @@ func (c *Cache) EvictPrefix(prefix string) int {
 	return n
 }
 
-// build computes the template set for a query.
-func (c *Cache) build(id string, stmt *sqlparse.SelectStmt, sql string, candidates []*catalog.Index) (*CachedQuery, error) {
+// build computes the template set for a query: the complete one, or the
+// on-demand entry's no-order template alone.
+func (c *Cache) build(id string, stmt *sqlparse.SelectStmt, sql string, complete bool) (*CachedQuery, error) {
 	tables := make([]string, 0, len(stmt.From))
 	for _, ref := range stmt.From {
 		t := c.base.Schema.Table(ref.Name)
@@ -178,46 +203,32 @@ func (c *Cache) build(id string, stmt *sqlparse.SelectStmt, sql string, candidat
 		tables = append(tables, strings.ToLower(t.Name))
 	}
 	q := &CachedQuery{
-		ID: id, Stmt: stmt, Tables: tables, sql: sql,
+		ID: id, Stmt: stmt, Tables: tables, sql: sql, complete: complete,
 		accessCtx: c.base.PrepareAccess(stmt),
 	}
 
 	// Seed configurations, following INUM's interesting-order structure:
 	// the plan internals only change when a leaf can deliver an order the
 	// upper plan exploits (merge-join keys, ORDER BY). So we optimize under
-	// (a) no indexes, (b) all candidates on the query's tables, and (c) one
-	// singleton config per candidate whose leading column is an interesting
-	// order column. Everything else reuses these internals with plugged
-	// access costs.
+	// (a) no indexes, (b) a single-column index on every interesting order
+	// column at once, and (c) each of those indexes alone. Everything else
+	// reuses these internals with plugged access costs. The indexes are
+	// unsized (the optimizer sizes them from statistics) and lead with a
+	// column the statement references, which is what CanUse relies on.
 	seeds := []*catalog.Configuration{catalog.NewConfiguration()}
-	allCand := catalog.NewConfiguration()
-	tset := make(map[string]bool, len(tables))
-	for _, t := range tables {
-		tset[t] = true
-	}
-	for _, ix := range candidates {
-		// Aggregate views never participate in templates: their plans are
-		// whole-query rewrites whose MVScan leaf is not a table scan, so
-		// internal = total - ScanCostTotal would absorb the leaf cost and
-		// corrupt the template. CostFor prices them separately.
-		if ix.Kind == catalog.KindAggView {
-			continue
+	if complete {
+		all := catalog.NewConfiguration()
+		for _, col := range interestingOrderColumns(stmt) {
+			all = all.WithIndex(&catalog.Index{Table: col.Table, Columns: []string{col.Column}})
 		}
-		if tset[strings.ToLower(ix.Table)] {
-			allCand = allCand.WithIndex(ix)
+		if len(all.Indexes) > 1 {
+			seeds = append(seeds, all)
 		}
-	}
-	if len(allCand.Indexes) > 0 {
-		seeds = append(seeds, allCand)
-	}
-	interesting := interestingOrderColumns(stmt)
-	for _, ix := range allCand.Indexes {
-		lt := strings.ToLower(ix.Table)
-		if interesting[lt] != nil && interesting[lt][strings.ToLower(ix.LeadingColumn())] {
-			seeds = append(seeds, catalog.NewConfiguration().WithIndex(ix))
+		for _, ix := range all.Indexes {
 			if len(seeds) >= maxOrderCombos {
 				break
 			}
+			seeds = append(seeds, catalog.NewConfiguration().WithIndex(ix))
 		}
 	}
 
@@ -228,9 +239,6 @@ func (c *Cache) build(id string, stmt *sqlparse.SelectStmt, sql string, candidat
 		if templates, err = c.addTemplate(q, cfg, templates, seen); err != nil {
 			return nil, err
 		}
-	}
-	if len(templates) == 0 {
-		return nil, fmt.Errorf("inum: no templates built for %s", id)
 	}
 	// Deterministic template order: by signature.
 	sort.Slice(templates, func(a, b int) bool { return templates[a].sig < templates[b].sig })
@@ -374,26 +382,19 @@ func (c *Cache) cost(q *CachedQuery, cfg *catalog.Configuration, d *Digest) floa
 	return best
 }
 
-// interestingOrderColumns returns, per table, the columns whose sort order
-// the plan internals can exploit: equi-join endpoints and the leading ORDER
-// BY column (INUM's interesting orders).
-func interestingOrderColumns(stmt *sqlparse.SelectStmt) map[string]map[string]bool {
-	out := make(map[string]map[string]bool)
-	add := func(table, column string) {
-		lt, lc := strings.ToLower(table), strings.ToLower(column)
-		if out[lt] == nil {
-			out[lt] = make(map[string]bool)
-		}
-		out[lt][lc] = true
-	}
+// interestingOrderColumns lists the columns whose sort order the plan
+// internals can exploit: equi-join endpoints and the leading ORDER BY column
+// (INUM's interesting orders), in the statement's own order.
+func interestingOrderColumns(stmt *sqlparse.SelectStmt) []*sqlparse.ColumnRef {
+	var out []*sqlparse.ColumnRef
 	_, joins, _ := sqlparse.SplitPredicates(stmt)
 	for _, j := range joins {
-		add(j.LeftTable, j.LeftColumn)
-		add(j.RightTable, j.RightColumn)
+		out = append(out, &sqlparse.ColumnRef{Table: j.LeftTable, Column: j.LeftColumn},
+			&sqlparse.ColumnRef{Table: j.RightTable, Column: j.RightColumn})
 	}
 	if len(stmt.OrderBy) > 0 {
 		if col, ok := stmt.OrderBy[0].Expr.(*sqlparse.ColumnRef); ok {
-			add(col.Table, col.Column)
+			out = append(out, col)
 		}
 	}
 	return out
@@ -410,4 +411,4 @@ func (c *Cache) FullCost(q *CachedQuery, cfg *catalog.Configuration) (float64, e
 func (q *CachedQuery) TemplateCount() int { return len(q.internals) }
 
 // PrepCost reports the number of full optimizations Prepare spent.
-func (q *CachedQuery) PrepCost() int { return q.prepOptimizerCalls }
+func (q *CachedQuery) PrepCost() int { return int(q.prepOptimizerCalls) }

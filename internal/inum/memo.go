@@ -146,8 +146,7 @@ func (m *costMemo) idOf(q *CachedQuery, t int, ix *catalog.Index) int32 {
 		return v.(int32)
 	}
 	id := int32(-1)
-	// Visible per CanUse, under the orders the templates require of the table.
-	if q.accessCtx.CanUse(q.Tables[t], ix, q.orders[t]) {
+	if q.accessCtx.CanUse(q.Tables[t], ix) {
 		id = m.nextID
 		m.nextID++
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -201,12 +202,11 @@ func TestMemoMatchesColdTwin(t *testing.T) {
 	}
 }
 
-// TestTemplateOrderMakesStructureVisible pins the one relevance case the
-// full optimizer does not have. A covering index with an unreferenced
-// leading column in the seed set gives a template whose leaf order is that
-// column; a non-covering index sharing the leading column is then neither
-// referenced nor covering, yet BestAccessWith keeps its full scan for the
-// order it delivers, so the memo must see it.
+// TestTemplateOrderMakesStructureVisible pins what lets the memo use the
+// optimizer's own relevance rule: a template's leaf order is read off a
+// plan seeded from the statement's interesting orders, so it names a column
+// the statement references, and an index leading with that column — neither
+// filtered on nor covering — is visible for the order it delivers.
 func TestTemplateOrderMakesStructureVisible(t *testing.T) {
 	store, err := workload.Generate(workload.TinySize(), 41)
 	if err != nil {
@@ -215,12 +215,8 @@ func TestTemplateOrderMakesStructureVisible(t *testing.T) {
 	env := optimizer.NewEnv(store.Schema, store.Stats, nil)
 	sess := whatif.NewSessionFromEnv(env, nil)
 	w, err := workload.NewWorkloadFrom(store.Schema, 1, 1, []workload.Template{{
-		Name: "all_ra", Gen: func(*rand.Rand) string { return "SELECT ra FROM photoobj" },
+		Name: "ra_by_objid", Gen: func(*rand.Rand) string { return "SELECT ra FROM photoobj ORDER BY objid" },
 	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	covering, err := sess.HypotheticalIndex("photoobj", "objid", "ra")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,11 +228,10 @@ func TestTemplateOrderMakesStructureVisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seeds := []*catalog.Index{covering}
 
 	cache := New(env)
 	q := w.Queries[0]
-	cq, err := cache.Prepare(q.ID, q.Stmt, seeds)
+	cq, err := cache.Prepare(q.ID, q.Stmt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +240,7 @@ func TestTemplateOrderMakesStructureVisible(t *testing.T) {
 		ordered = ordered || (len(o) > 0 && o[0].Column == "objid")
 	}
 	if !ordered {
-		t.Fatalf("no template requires photoobj ordered by objid (orders %v): the seed plan no longer scans the covering index, rebuild this case", cq.orders[0])
+		t.Fatalf("no template requires photoobj ordered by objid (orders %v): the seed plan no longer scans the order index, rebuild this case", cq.orders[0])
 	}
 	m := cq.costMemo()
 	if m.idOf(cq, 0, sharing) < 0 {
@@ -254,10 +249,10 @@ func TestTemplateOrderMakesStructureVisible(t *testing.T) {
 	if m.idOf(cq, 0, other) >= 0 {
 		t.Error("an index that is neither referenced, covering nor ordering must stay invisible")
 	}
-	for _, members := range [][]*catalog.Index{nil, {covering}, {sharing}, {other}, {sharing, other}, {covering, sharing, other}} {
+	for _, members := range [][]*catalog.Index{nil, {sharing}, {other}, {sharing, other}} {
 		cfg := catalog.NewConfiguration()
 		cfg.Indexes = members
-		checkAgainstCold(t, env, cache, cq, seeds, cfg, fmt.Sprintf("%d structures", len(members)))
+		checkAgainstCold(t, env, cache, cq, nil, cfg, fmt.Sprintf("%d structures", len(members)))
 	}
 	// The case has teeth only while the sharing index's ordered scan beats
 	// sorting a sequential scan (objid is the clustering key).
@@ -275,6 +270,102 @@ func TestTemplateOrderMakesStructureVisible(t *testing.T) {
 	}
 	if !moved {
 		t.Errorf("the sharing index changes no access cost (%v): the case no longer shows what an invisible structure would get wrong", bare)
+	}
+}
+
+// TestEntryIsAFunctionOfItsStatement is the differential test of the one
+// fork in the cache. For every statement of the five workload profiles, the
+// entry Prepare builds is the same whatever candidate list rides in its
+// ignored argument and whether or not the statement was priced on demand
+// first: equal template counts, and bit-equal costs over a family of
+// generated configurations. The on-demand entry alone holds the no-order
+// template and cost one optimization. Every order a template requires names
+// a column the statement references — what CanUse relies on.
+func TestEntryIsAFunctionOfItsStatement(t *testing.T) {
+	store, err := workload.Generate(workload.TinySize(), 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := optimizer.NewEnv(store.Schema, store.Stats, nil)
+	multi := 0
+	for pi, name := range workload.ProfileNames() {
+		profile, err := workload.ProfileByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := profile.Generate(store.Schema, int64(70+pi), 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		space := designSpace(t, store, w)
+		reversed := append([]*catalog.Index(nil), space...)
+		slices.Reverse(reversed)
+		rng := rand.New(rand.NewSource(int64(pi)))
+		cfgs := []*catalog.Configuration{catalog.NewConfiguration()}
+		all := catalog.NewConfiguration()
+		all.Indexes = space
+		cfgs = append(cfgs, all)
+		for k := 0; k < 20; k++ {
+			cfgs = append(cfgs, randomDesign(rng, store, space))
+		}
+
+		alone, completed := New(env), New(env)
+		for _, q := range w.Queries {
+			want, err := alone.Prepare(q.ID, q.Stmt, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ti, orders := range want.orders {
+				for _, o := range orders {
+					if len(o) > 0 && !want.accessCtx.Needed[want.Tables[ti]][catalog.NormCol(o[0].Column)] {
+						t.Errorf("%s %q: a template wants %s ordered by %s, which the statement does not reference", name, q.SQL, want.Tables[ti], o[0].Column)
+					}
+				}
+			}
+
+			if want.TemplateCount() > 1 {
+				multi++
+			}
+
+			onDemand, err := completed.OnDemand(q.ID, q.Stmt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if onDemand.TemplateCount() != 1 || onDemand.PrepCost() != 1 {
+				t.Errorf("%s %q: on-demand entry holds %d templates for %d optimizations, want 1 and 1", name, q.SQL, onDemand.TemplateCount(), onDemand.PrepCost())
+			}
+			after, err := completed.Prepare(q.ID, q.Stmt, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again, _ := completed.OnDemand(q.ID, q.Stmt); again != after {
+				t.Errorf("%s %q: a prepared entry went back to on-demand", name, q.SQL)
+			}
+			twins := map[string]*CachedQuery{"on-demand then Prepare": after}
+			for label, cands := range map[string][]*catalog.Index{"the design space": space, "the space reversed": reversed, "a single index": space[:1]} {
+				fresh := New(env)
+				if twins["Prepare with "+label], err = fresh.Prepare(q.ID, q.Stmt, cands); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for label, got := range twins {
+				if got.TemplateCount() != want.TemplateCount() {
+					t.Errorf("%s %q: %s holds %d templates, Prepare alone %d", name, q.SQL, label, got.TemplateCount(), want.TemplateCount())
+					continue
+				}
+				for k, cfg := range cfgs {
+					a, _ := alone.CostFor(want, cfg)
+					b, _ := alone.CostFor(got, cfg)
+					if math.Float64bits(a) != math.Float64bits(b) {
+						t.Errorf("%s %q configuration %d: %s prices %v, Prepare alone %v", name, q.SQL, k, label, b, a)
+						break
+					}
+				}
+			}
+		}
+	}
+	if multi == 0 {
+		t.Error("no statement has more than the no-order template: the workloads no longer tell a complete entry from an on-demand one")
 	}
 }
 

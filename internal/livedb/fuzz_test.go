@@ -39,7 +39,7 @@ func FuzzImportSQL(f *testing.F) {
 			skipped[sqlparse.Template(s.SQL)] = true
 		}
 		seen := map[string]bool{}
-		var first []string // of each template that was not skipped
+		var first []string // of each template that was not skipped, the first text that instantiates
 		var weight float64
 		for _, s := range stmts {
 			key := sqlparse.Template(s)
@@ -47,8 +47,10 @@ func FuzzImportSQL(f *testing.F) {
 				continue
 			}
 			if !seen[key] {
-				seen[key] = true
-				first = append(first, s)
+				if _, _, err := livedb.Instantiate(s, snap); err == nil {
+					seen[key] = true
+					first = append(first, s)
+				}
 			}
 			weight++
 		}

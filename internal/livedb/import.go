@@ -87,11 +87,21 @@ func ImportSQLFile(name string, text string, snap *Snapshot, opts ImportOptions)
 	return importEntries("file:"+name, snap, opts, []entry{{sql: text, calls: 1}})
 }
 
-// entry is a SQL text and how often it ran: what the importer is handed,
-// and what it keeps of a template (the first text seen, the calls summed).
+// entry is a SQL text and how often it ran: what the importer is handed.
 type entry struct {
 	sql   string
 	calls int64
+}
+
+// template is what the importer keeps of one: the calls of its texts summed
+// and a representative — the first text that instantiates, with what it
+// gave, or else the first text seen, with why not. Arrival order among a
+// template's texts decides neither whether it is imported nor its weight.
+type template struct {
+	entry
+	stmt     *sqlparse.SelectStmt
+	concrete string
+	err      error
 }
 
 // importEntries runs the shared split + dedup + instantiate pipeline; a file
@@ -101,19 +111,25 @@ type entry struct {
 // statement the designer cannot use is still one template, skipped once.
 func importEntries(source string, snap *Snapshot, opts ImportOptions, entries []entry) *ImportReport {
 	rep := &ImportReport{Source: source}
-	templates := map[string]*entry{}
-	var ordered []*entry
+	templates := map[string]*template{}
+	var ordered []*template
 	for _, e := range entries {
 		for _, sql := range sqlparse.SplitScript(e.sql) {
 			rep.Seen++
 			key := sqlparse.Template(sql)
-			if t := templates[key]; t != nil {
-				t.calls += e.calls
-				continue
+			t := templates[key]
+			if t == nil || t.err != nil {
+				stmt, concrete, err := Instantiate(sql, snap)
+				switch {
+				case t == nil:
+					t = &template{entry{sql: sql}, stmt, concrete, err}
+					templates[key] = t
+					ordered = append(ordered, t)
+				case err == nil:
+					t.sql, t.stmt, t.concrete, t.err = sql, stmt, concrete, nil
+				}
 			}
-			t := &entry{sql: sql, calls: e.calls}
-			templates[key] = t
-			ordered = append(ordered, t)
+			t.calls += e.calls
 		}
 	}
 	// Heaviest templates first; the stable sort keeps arrival order among
@@ -128,16 +144,15 @@ func importEntries(source string, snap *Snapshot, opts ImportOptions, entries []
 			rep.Skipped = append(rep.Skipped, SkippedQuery{SQL: t.sql, Reason: "template cap reached"})
 			continue
 		}
-		stmt, concrete, err := Instantiate(t.sql, snap)
-		if err != nil {
-			rep.Skipped = append(rep.Skipped, SkippedQuery{SQL: t.sql, Reason: err.Error()})
+		if t.err != nil {
+			rep.Skipped = append(rep.Skipped, SkippedQuery{SQL: t.sql, Reason: t.err.Error()})
 			continue
 		}
 		rep.Queries = append(rep.Queries, workload.Query{
 			ID:     fmt.Sprintf("live#%d", len(rep.Queries)),
-			SQL:    concrete,
+			SQL:    t.concrete,
 			Weight: float64(t.calls),
-			Stmt:   stmt,
+			Stmt:   t.stmt,
 		})
 	}
 	return rep

@@ -531,6 +531,23 @@ func TestImportCountsOneTemplateOnce(t *testing.T) {
 			t.Errorf("%q + %q: %d templates, want 2", pair[0], pair[1], n)
 		}
 	}
+	// A template's representative is the first text that imports, whichever
+	// arrives first: a text the designer cannot use ahead of one it can
+	// neither skips the template nor splits its weight.
+	for _, pair := range [][2]string{
+		{head + "customer_id = 5 LIMIT $2", head + "customer_id = 5 LIMIT 10"},
+		{head + "customer_id = ?", head + "customer_id = 5"},
+	} {
+		if a, b := sqlparse.Template(pair[0]), sqlparse.Template(pair[1]); a != b {
+			t.Fatalf("%q and %q are templates %q and %q: not a case of one template", pair[0], pair[1], a, b)
+		}
+		for _, text := range []string{pair[0] + ";" + pair[1], pair[1] + ";" + pair[0]} {
+			rep := importText(t, text)
+			if rep.Seen != 2 || len(rep.Skipped) != 0 || len(rep.Queries) != 1 || rep.Queries[0].Weight != 2 || rep.Queries[0].SQL != pair[1] {
+				t.Errorf("%q: seen %d, imported %+v, skipped %+v; want %q as one 2x template", text, rep.Seen, rep.Queries, rep.Skipped, pair[1])
+			}
+		}
+	}
 	// A statement the designer cannot use is one template too: skipped once.
 	rep := importText(t, "UPDATE orders SET status = 'a' WHERE order_id = 1; update orders set status='b' where order_id=2")
 	if rep.Seen != 2 || len(rep.Skipped) != 1 {

@@ -64,35 +64,20 @@ func (e *Env) PrepareAccess(sel *sqlparse.SelectStmt) *AccessContext {
 // through its table (lower-case) — the exact-conservative mirror of the
 // keep rule in indexAccess and of mvRewritePlan's preconditions. A row
 // structure is usable only when its leading column is referenced somewhere
-// in the query (every sargable match needs a predicate on it), when it
-// covers every column the query reads from the table and the query is not
-// SELECT * (index-only scans), or when its leading column leads one of the
-// given required orders (a full index scan kept for the order it delivers).
-// Orders the query itself wants — ORDER BY, join keys — name referenced
-// columns, so the full optimizer passes none; INUM passes the leaf orders of
-// its cached templates, which are read off seed plans and can name a column
-// the query never mentions. An aggregate view is usable only as a
-// whole-query rewrite of a single-table aggregate query whose plain group
-// keys are a subset of the view's keys. A structure failing these tests is
-// invisible to every costing of the query: adding or dropping it cannot
-// change a cost.
-func (c *Relevance) CanUse(table string, ix *catalog.Index, orders [][]OrderKey) bool {
+// in the query (every sargable match needs a predicate on it, and every
+// order the query or one of INUM's templates wants — ORDER BY, join keys —
+// names a referenced column), or when it covers every column the query
+// reads from the table and the query is not SELECT * (index-only scans).
+// An aggregate view is usable only as a whole-query rewrite of a
+// single-table aggregate query whose plain group keys are a subset of the
+// view's keys. A structure failing these tests is invisible to every
+// costing of the query: adding or dropping it cannot change a cost.
+func (c *Relevance) CanUse(table string, ix *catalog.Index) bool {
 	if ix.Kind == catalog.KindAggView {
 		return c.aggViewApplies(ix)
 	}
-	lead := catalog.NormCol(ix.LeadingColumn())
-	if c.Needed[table][lead] {
-		return true
-	}
-	if !c.Star && ix.CoversAll(c.Needed[table]) {
-		return true
-	}
-	for _, o := range orders {
-		if len(o) > 0 && catalog.NormCol(o[0].Column) == lead {
-			return true
-		}
-	}
-	return false
+	return c.Needed[table][catalog.NormCol(ix.LeadingColumn())] ||
+		(!c.Star && ix.CoversAll(c.Needed[table]))
 }
 
 // aggViewApplies is CanUse for aggregate views (the full applicability

@@ -152,32 +152,33 @@ func TestCanUseMirrorsPathGeneration(t *testing.T) {
 	env := testEnv(t, nil)
 	sel := resolvedStmt(t, env, "SELECT ra, dec FROM photoobj WHERE type = 3 ORDER BY dec")
 	ctx := env.PrepareAccess(sel)
-	byObjid := [][]optimizer.OrderKey{nil, {{Table: "photoobj", Column: "objid"}}}
+	// The orders a query or one of its INUM templates can want of a table
+	// name columns the query references.
+	byDec := [][]optimizer.OrderKey{nil, {{Table: "photoobj", Column: "dec"}}}
 	cases := []struct {
-		name   string
-		ix     *catalog.Index
-		orders [][]optimizer.OrderKey
-		want   bool
+		name string
+		ix   *catalog.Index
+		want bool
 	}{
-		{"leading column filtered", hypoIndex(env, "photoobj", "type", "objid"), nil, true},
-		{"leading column only projected", hypoIndex(env, "photoobj", "ra"), nil, true},
-		{"covering, leading column unreferenced", hypoIndex(env, "photoobj", "objid", "ra", "dec", "type"), nil, true},
-		{"unreferenced and not covering", hypoIndex(env, "photoobj", "objid", "ra"), nil, false},
-		{"the same, leading a required order", hypoIndex(env, "photoobj", "objid", "ra"), byObjid, true},
-		{"aggregate view on a plain query", &catalog.Index{Table: "photoobj", Columns: []string{"type"}, Kind: catalog.KindAggView, Aggs: []string{"count(*)"}}, nil, false},
+		{"leading column filtered", hypoIndex(env, "photoobj", "type", "objid"), true},
+		{"leading column only projected", hypoIndex(env, "photoobj", "ra"), true},
+		{"leading column only ordered by", hypoIndex(env, "photoobj", "dec", "objid"), true},
+		{"covering, leading column unreferenced", hypoIndex(env, "photoobj", "objid", "ra", "dec", "type"), true},
+		{"unreferenced and not covering", hypoIndex(env, "photoobj", "objid", "ra"), false},
+		{"aggregate view on a plain query", &catalog.Index{Table: "photoobj", Columns: []string{"type"}, Kind: catalog.KindAggView, Aggs: []string{"count(*)"}}, false},
 	}
-	bare, err := env.AccessCosts(ctx, "photoobj", optimizer.TableDesign{}, byObjid)
+	bare, err := env.AccessCosts(ctx, "photoobj", optimizer.TableDesign{}, byDec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range cases {
-		if got := ctx.CanUse("photoobj", tc.ix, tc.orders); got != tc.want {
+		if got := ctx.CanUse("photoobj", tc.ix); got != tc.want {
 			t.Errorf("%s: CanUse = %v, want %v", tc.name, got, tc.want)
 		}
 		if tc.want {
 			continue
 		}
-		with, err := env.AccessCosts(ctx, "photoobj", optimizer.TableDesign{Indexes: []*catalog.Index{tc.ix}}, tc.orders)
+		with, err := env.AccessCosts(ctx, "photoobj", optimizer.TableDesign{Indexes: []*catalog.Index{tc.ix}}, byDec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,14 +190,14 @@ func TestCanUseMirrorsPathGeneration(t *testing.T) {
 	}
 
 	star := env.PrepareAccess(resolvedStmt(t, env, "SELECT * FROM field"))
-	if star.CanUse("field", hypoIndex(env, "field", "quality", "fieldid"), nil) {
+	if star.CanUse("field", hypoIndex(env, "field", "quality", "fieldid")) {
 		t.Error("SELECT * admits no index-only scan: a covering index with an unreferenced leading column is invisible")
 	}
 	agg := env.PrepareAccess(resolvedStmt(t, env, "SELECT type, COUNT(*) FROM photoobj GROUP BY type"))
 	view := func(keys ...string) *catalog.Index {
 		return &catalog.Index{Table: "photoobj", Columns: keys, Kind: catalog.KindAggView, Aggs: []string{"count(*)"}}
 	}
-	if !agg.CanUse("photoobj", view("type", "fieldid"), nil) || agg.CanUse("photoobj", view("fieldid"), nil) {
+	if !agg.CanUse("photoobj", view("type", "fieldid")) || agg.CanUse("photoobj", view("fieldid")) {
 		t.Error("an aggregate view is usable exactly when the query's group keys are among its keys")
 	}
 }

@@ -107,13 +107,13 @@ type Scheduler struct{}
 // priced on the view its method is handed.
 func New(_ *engine.Engine) *Scheduler { return &Scheduler{} }
 
-// workloadCost prices the workload under a configuration against a pinned
-// engine view.
-func workloadCost(ctx context.Context, v *engine.View, w *workload.Workload, indexes []*catalog.Index, cfg *catalog.Configuration) (float64, error) {
-	if err := v.Prepare(ctx, w, indexes); err != nil {
+// baseCost prepares the workload on the pinned view, so that every price of
+// the schedule, swept or not, reads complete entries; then prices it bare.
+func baseCost(ctx context.Context, v *engine.View, w *workload.Workload) (float64, error) {
+	if err := v.Prepare(ctx, w, nil); err != nil {
 		return 0, err
 	}
-	return v.WorkloadCost(w, cfg)
+	return v.WorkloadCost(w, catalog.NewConfiguration())
 }
 
 // GreedyView computes the interaction-aware schedule against one pinned
@@ -123,7 +123,7 @@ func workloadCost(ctx context.Context, v *engine.View, w *workload.Workload, ind
 func (s *Scheduler) GreedyView(ctx context.Context, v *engine.View, w *workload.Workload, indexes []*catalog.Index) (*Schedule, error) {
 	out := &Schedule{}
 	cfg := catalog.NewConfiguration()
-	cur, err := workloadCost(ctx, v, w, indexes, cfg)
+	cur, err := baseCost(ctx, v, w)
 	if err != nil {
 		return nil, err
 	}
@@ -165,7 +165,7 @@ func (s *Scheduler) GreedyView(ctx context.Context, v *engine.View, w *workload.
 func (s *Scheduler) ObliviousView(ctx context.Context, v *engine.View, w *workload.Workload, indexes []*catalog.Index) (*Schedule, error) {
 	out := &Schedule{}
 	empty := catalog.NewConfiguration()
-	base, err := workloadCost(ctx, v, w, indexes, empty)
+	base, err := baseCost(ctx, v, w)
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +189,7 @@ func (s *Scheduler) ObliviousView(ctx context.Context, v *engine.View, w *worklo
 	cfg := catalog.NewConfiguration()
 	for _, r := range order {
 		cfg = cfg.WithIndex(r.ix)
-		c, err := workloadCost(ctx, v, w, indexes, cfg)
+		c, err := v.WorkloadCost(w, cfg)
 		if err != nil {
 			return nil, err
 		}
