@@ -13,15 +13,16 @@ import (
 // TestAdviseAllocationCeiling guards what the benchmark's advise_full
 // workload measures, in tier-1 and in a second: one fixed 48-statement
 // script, SQL text in, full advice (partitions, interactions) and DDL out,
-// on the tiny dataset. An answer allocates 6,000 KB (it repeats to a few
-// KB); the ceiling sits a tenth above. The same answer allocated 45,740 KB
-// while INUM rendered a configuration signature per query and table, built
-// a node for every access path it then discarded and keyed its memo on
-// every structure of the table, so a costing path that starts allocating
-// per call again trips this long before the ceiling's slack matters. (Not
-// under -race: the detector's instrumentation allocates.)
+// on the tiny dataset. An answer allocates 5,705 KB (it repeats to a few
+// KB); the ceiling sits a tenth above. The same answer allocated 6,003 KB
+// while the plan search built a node for every plan it considered, and
+// 45,740 KB while INUM rendered a configuration signature per query and
+// table, built a node for every access path it then discarded and keyed its
+// memo on every structure of the table, so a costing path that starts
+// allocating per call again trips this long before the ceiling's slack
+// matters. (Not under -race: the detector's instrumentation allocates.)
 func TestAdviseAllocationCeiling(t *testing.T) {
-	const ceilingKB = 6650
+	const ceilingKB = 6275
 	ctx := context.Background()
 	d, err := designer.OpenSDSS("tiny", 41)
 	if err != nil {
@@ -60,5 +61,65 @@ func TestAdviseAllocationCeiling(t *testing.T) {
 	t.Logf("%.0f KB an answer, ceiling %d KB", perAnswerKB, ceilingKB)
 	if perAnswerKB > ceilingKB {
 		t.Fatalf("one advise answer allocates %.0f KB, ceiling %d KB", perAnswerKB, ceilingKB)
+	}
+}
+
+// TestEvaluateEditAllocationCeiling guards what the benchmark's whatif_edit
+// workload measures: Scenario 1's loop of one index added or dropped, then
+// the whole workload (300 generated statements, tiny dataset) re-evaluated,
+// which re-plans every statement that can see the edited table. An edit
+// allocates 293 KB (it repeats to a KB); the ceiling sits a tenth above.
+// The same loop allocated 553 KB an edit while the plan search built a node
+// for every plan it considered, so a search that starts building its losers
+// again trips this. (Not under -race: the detector's instrumentation
+// allocates.)
+func TestEvaluateEditAllocationCeiling(t *testing.T) {
+	const ceilingKB = 322
+	ctx := context.Background()
+	d, err := designer.OpenSDSS("tiny", 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := d.GenerateWorkload(7, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edits := [][]string{
+		{"photoobj", "type", "psfmag_r"}, {"photoobj", "ra", "dec"}, {"photoobj", "psfmag_r"},
+		{"photoobj", "fieldid"}, {"photoobj", "objid"}, {"specobj", "bestobjid"}, {"specobj", "class", "z"},
+		{"specobj", "z"}, {"neighbors", "objid"}, {"neighbors", "distance"}, {"field", "quality"},
+	}
+	sess := d.NewDesignSession()
+	evaluate := func() {
+		if _, err := sess.Evaluate(ctx, w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round := func() {
+		for _, e := range edits {
+			ix, err := sess.AddIndex(e[0], e[1:]...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			evaluate()
+			if !sess.DropIndex(ix.Key()) {
+				t.Fatalf("index %s is not in the design", ix.Key())
+			}
+			evaluate()
+		}
+	}
+	evaluate()
+	round() // warm-up: lazy one-time state
+	const rounds = 2
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		round()
+	}
+	runtime.ReadMemStats(&after)
+	perEditKB := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / (rounds * 2 * float64(len(edits)))
+	t.Logf("%.0f KB an edit, ceiling %d KB", perEditKB, ceilingKB)
+	if perEditKB > ceilingKB {
+		t.Fatalf("one edit and evaluation allocate %.0f KB, ceiling %d KB", perEditKB, ceilingKB)
 	}
 }

@@ -62,7 +62,7 @@ func (e *Env) PrepareAccess(sel *sqlparse.SelectStmt) *AccessContext {
 
 // CanUse reports whether the structure could enter some plan of the query
 // through its table (lower-case) — the exact-conservative mirror of the
-// keep rule in indexAccess and of mvRewritePlan's preconditions. A row
+// keep rule in indexAccess and of mvScan's preconditions. A row
 // structure is usable only when its leading column is referenced somewhere
 // in the query (every sargable match needs a predicate on it, and every
 // order the query or one of INUM's templates wants — ORDER BY, join keys —
@@ -81,7 +81,7 @@ func (c *Relevance) CanUse(table string, ix *catalog.Index) bool {
 }
 
 // aggViewApplies is CanUse for aggregate views (the full applicability
-// check in mvRewritePlan also inspects filters and aggregate coverage).
+// check in mvScan also inspects filters and aggregate coverage).
 func (c *Relevance) aggViewApplies(mv *catalog.Index) bool {
 	if !c.aggOK {
 		return false

@@ -92,29 +92,6 @@ func TestScanCostTotalAndLeafOrders(t *testing.T) {
 	}
 }
 
-func TestNodeCloneIsDeep(t *testing.T) {
-	env := testEnv(t, nil)
-	sel := resolvedStmt(t, env, "SELECT objid FROM photoobj WHERE objid = 1 ORDER BY ra")
-	plan, err := env.Optimize(sel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clone := plan.Root.Clone()
-	clone.Walk(func(n *optimizer.Node) { n.TotalCost = -1 })
-	ok := true
-	plan.Root.Walk(func(n *optimizer.Node) {
-		if n.TotalCost == -1 {
-			ok = false
-		}
-	})
-	if !ok {
-		t.Fatal("Clone shares nodes with the original")
-	}
-	if plan.EstRows() < 0 {
-		t.Fatal("EstRows broken")
-	}
-}
-
 func TestNodeKindStrings(t *testing.T) {
 	kinds := []optimizer.NodeKind{
 		optimizer.NodeSeqScan, optimizer.NodeIndexScan, optimizer.NodeIndexOnlyScan,

@@ -38,38 +38,50 @@ func benchStmt(b *testing.B, env *optimizer.Env, sql string) *sqlparse.SelectStm
 	return sel
 }
 
-func BenchmarkOptimizeSingleTable(b *testing.B) {
+// The three statements the Optimize/Cost benchmark pairs plan: one table,
+// a two-way and a three-way join.
+const (
+	benchSingleTable = "SELECT objid, ra FROM photoobj WHERE type = 6 AND psfmag_r BETWEEN 15 AND 17"
+	benchTwoWayJoin  = "SELECT p.objid, s.z FROM photoobj p JOIN specobj s ON p.objid = s.bestobjid WHERE s.z > 0.5 AND p.psfmag_r < 20"
+	benchThreeWay    = "SELECT p.objid, s.z, f.quality FROM photoobj p JOIN specobj s ON p.objid = s.bestobjid JOIN field f ON p.fieldid = f.fieldid WHERE s.class = 1"
+)
+
+var benchCost float64
+
+func benchOptimize(b *testing.B, sql string) {
 	env := benchEnv(b)
-	sel := benchStmt(b, env, "SELECT objid, ra FROM photoobj WHERE type = 6 AND psfmag_r BETWEEN 15 AND 17")
+	sel := benchStmt(b, env, sql)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := env.Optimize(sel); err != nil {
+		plan, err := env.Optimize(sel)
+		if err != nil {
 			b.Fatal(err)
 		}
+		benchCost = plan.TotalCost()
 	}
 }
 
-func BenchmarkOptimizeTwoWayJoin(b *testing.B) {
+func benchCostOf(b *testing.B, sql string) {
 	env := benchEnv(b)
-	sel := benchStmt(b, env, "SELECT p.objid, s.z FROM photoobj p JOIN specobj s ON p.objid = s.bestobjid WHERE s.z > 0.5 AND p.psfmag_r < 20")
+	sel := benchStmt(b, env, sql)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := env.Optimize(sel); err != nil {
+		c, err := env.Cost(sel)
+		if err != nil {
 			b.Fatal(err)
 		}
+		benchCost = c
 	}
 }
 
-func BenchmarkOptimizeThreeWayJoin(b *testing.B) {
-	env := benchEnv(b)
-	sel := benchStmt(b, env, "SELECT p.objid, s.z, f.quality FROM photoobj p JOIN specobj s ON p.objid = s.bestobjid JOIN field f ON p.fieldid = f.fieldid WHERE s.class = 1")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := env.Optimize(sel); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkOptimizeSingleTable(b *testing.B)  { benchOptimize(b, benchSingleTable) }
+func BenchmarkCostSingleTable(b *testing.B)      { benchCostOf(b, benchSingleTable) }
+func BenchmarkOptimizeTwoWayJoin(b *testing.B)   { benchOptimize(b, benchTwoWayJoin) }
+func BenchmarkCostTwoWayJoin(b *testing.B)       { benchCostOf(b, benchTwoWayJoin) }
+func BenchmarkOptimizeThreeWayJoin(b *testing.B) { benchOptimize(b, benchThreeWay) }
+func BenchmarkCostThreeWayJoin(b *testing.B)     { benchCostOf(b, benchThreeWay) }
 
 func BenchmarkBestTableAccess(b *testing.B) {
 	env := benchEnv(b)

@@ -6,6 +6,13 @@
 // with nested-loop / hash / merge methods, and produces EXPLAIN-able plans
 // with PostgreSQL-shaped costs.
 //
+// There is one plan search, and it works on values: access paths, join
+// candidates and the steps above the join are compared as compact path
+// records (estimates, delivered order, and what it takes to build the
+// node), so a plan that loses is never built. It has two readers: Optimize
+// builds the winner's nodes, and Cost reads the winner's total and builds
+// none.
+//
 // The optimizer is deliberately *configuration-driven*: it plans against an
 // Env holding a schema, a statistics catalog, and a physical Configuration.
 // Swapping the Configuration for a hypothetical one (internal/whatif) is

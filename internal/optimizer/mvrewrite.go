@@ -44,39 +44,45 @@ func (e *Env) BestMVRewriteCost(sel *sqlparse.SelectStmt, views []*catalog.Index
 	if t == nil {
 		return -1
 	}
-	n := e.bestMVRewrite(sel, catalog.NormCol(t.Name), views)
-	if n == nil {
+	q := tailOf(sel)
+	mv, total := q.bestMVRewrite(e, catalog.NormCol(t.Name), views)
+	if mv == nil {
 		return -1
 	}
-	return n.TotalCost
+	return total
 }
 
-// bestMVRewrite returns the cheapest finished MV-rewrite plan for the
-// statement over the given structures, or nil when no aggregate view on its
-// table among them applies.
-func (e *Env) bestMVRewrite(sel *sqlparse.SelectStmt, table string, views []*catalog.Index) *Node {
-	var best *Node
+// bestMVRewrite returns the aggregate view on the statement's table, among
+// the given structures, whose finished rewrite plan is cheapest, and that
+// plan's total cost; nil when none applies. It builds no plan.
+func (q *tail) bestMVRewrite(e *Env, table string, views []*catalog.Index) (best *catalog.Index, total float64) {
 	for _, mv := range views {
 		if mv.Kind != catalog.KindAggView || catalog.NormCol(mv.Table) != table {
 			continue
 		}
-		n := e.mvRewritePlan(sel, table, mv)
-		if n != nil && (best == nil || n.TotalCost < best.TotalCost) {
-			best = n
+		t, agg, ok := e.mvScan(q.sel, table, mv, false)
+		if !ok {
+			continue
+		}
+		q.finish(e, &t, agg)
+		if best == nil || t.total < total {
+			best, total = mv, t.total
 		}
 	}
-	return best
+	return best, total
 }
 
-// mvRewritePlan builds the finished plan answering sel from mv, or nil when
-// the view does not apply.
-func (e *Env) mvRewritePlan(sel *sqlparse.SelectStmt, table string, mv *catalog.Index) *Node {
+// mvScan starts the plan answering sel from mv: the view's scan, with its
+// node when build is set, and whether an aggregation must follow it — a
+// rollup to a strict subset of the view's keys, or HAVING. It reports false
+// when the view does not apply.
+func (e *Env) mvScan(sel *sqlparse.SelectStmt, table string, mv *catalog.Index, build bool) (t top, agg, ok bool) {
 	if !sqlparse.HasAggregate(sel) || sel.Distinct {
-		return nil
+		return
 	}
 	queryKeys, allPlain := sqlparse.GroupKeyColumns(sel)
 	if !allPlain {
-		return nil
+		return
 	}
 	keySet := make(map[string]bool, len(mv.Columns))
 	for _, k := range catalog.NormCols(mv.Columns) {
@@ -84,7 +90,7 @@ func (e *Env) mvRewritePlan(sel *sqlparse.SelectStmt, table string, mv *catalog.
 	}
 	for _, k := range queryKeys {
 		if !keySet[k] {
-			return nil
+			return
 		}
 	}
 	rollup := len(queryKeys) < len(keySet)
@@ -95,24 +101,24 @@ func (e *Env) mvRewritePlan(sel *sqlparse.SelectStmt, table string, mv *catalog.
 	}
 	for _, a := range sqlparse.Aggregates(sel) {
 		if !aggSet[a] {
-			return nil
+			return
 		}
 		if rollup && strings.HasPrefix(a, "avg(") {
-			return nil // AVG does not re-aggregate from finer groups
+			return // AVG does not re-aggregate from finer groups
 		}
 	}
 
 	// WHERE conjuncts must be evaluable over the view's key columns.
 	conjuncts := sqlparse.Conjuncts(sel.Where)
 	for _, c := range conjuncts {
-		ok := true
+		keysOnly := true
 		sqlparse.WalkColumns(c, func(col *sqlparse.ColumnRef) {
 			if !keySet[catalog.NormCol(col.Column)] {
-				ok = false
+				keysOnly = false
 			}
 		})
-		if !ok {
-			return nil
+		if !keysOnly {
+			return
 		}
 	}
 
@@ -141,79 +147,35 @@ func (e *Env) mvRewritePlan(sel *sqlparse.SelectStmt, table string, mv *catalog.
 	}
 	for _, p := range sel.Projections {
 		if !exprOK(p.Expr) {
-			return nil
+			return
 		}
 	}
 	for _, o := range sel.OrderBy {
 		if !exprOK(o.Expr) {
-			return nil
+			return
 		}
 	}
 	if !exprOK(sel.Having) {
-		return nil
+		return
 	}
 
-	// --- Build the plan: MVScan -> [filter] -> [rollup HashAgg] -> tail. ---
+	// --- The scan: MVScan -> [filter]; finish adds [rollup HashAgg] -> tail. ---
 	ts := e.tableStats(table)
 	mvRows, mvPages := e.aggViewGeometry(mv, ts)
-
-	scan := &Node{
-		Kind:    NodeMVScan,
-		Table:   table,
-		Index:   mv,
-		EstRows: mvRows,
-	}
-	scan.TotalCost = e.Params.seqScanCost(mvPages, mvRows, len(conjuncts))
+	t = top{rows: mvRows, total: e.Params.seqScanCost(mvPages, mvRows, len(conjuncts))}
 	if len(conjuncts) > 0 {
-		scan.Filter = conjuncts
 		// Filter selectivity over group keys carries over from base-table
 		// stats: an equality keeping 1/NDV of the rows keeps 1/NDV of the
 		// groups.
-		scan.EstRows = math.Max(mvRows*e.SelectivityAll(conjuncts), 1)
+		t.rows = math.Max(mvRows*e.SelectivityAll(conjuncts), 1)
 	}
-
-	n := scan
-	if rollup || sel.Having != nil {
-		var groupBy []*sqlparse.ColumnRef
-		for _, g := range sel.GroupBy {
-			if col, ok := g.(*sqlparse.ColumnRef); ok {
-				groupBy = append(groupBy, col)
-			}
+	if build {
+		t.node = &Node{Kind: NodeMVScan, Table: table, Index: mv, EstRows: t.rows, TotalCost: t.total}
+		if len(conjuncts) > 0 {
+			t.node.Filter = conjuncts
 		}
-		var aggs []AggSpec
-		for _, p := range sel.Projections {
-			collectAggs(p.Expr, &aggs)
-		}
-		collectAggs(sel.Having, &aggs)
-
-		groups := 1.0
-		for _, g := range groupBy {
-			groups *= e.distinctOf(g.Table, g.Column, n.EstRows)
-		}
-		if groups > n.EstRows {
-			groups = n.EstRows
-		}
-		if groups < 1 {
-			groups = 1
-		}
-		agg := &Node{
-			Kind:        NodeHashAgg,
-			GroupBy:     groupBy,
-			Aggs:        aggs,
-			Children:    []*Node{n},
-			EstRows:     groups,
-			StartupCost: n.TotalCost,
-			TotalCost:   n.TotalCost + e.Params.aggCost(n.EstRows, groups, len(aggs)),
-		}
-		if sel.Having != nil {
-			agg.Filter = sqlparse.Conjuncts(sel.Having)
-			agg.EstRows = math.Max(groups*defaultSel, 1)
-		}
-		n = agg
 	}
-	n = e.addOrdering(n, sel)
-	n = e.addLimit(n, sel)
-	return e.addProjection(n, sel)
+	return t, rollup || sel.Having != nil, true
 }
 
 // aggViewGeometry returns the view's row count and heap pages, estimating

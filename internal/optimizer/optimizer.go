@@ -4,108 +4,134 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/sqlparse"
 )
 
 // Optimize plans a resolved SELECT statement against the environment's
-// physical configuration and returns the cheapest plan found.
+// physical configuration and returns the cheapest plan found. It runs the
+// plan search, which compares plans by value, and builds only the winner's
+// nodes: no plan that loses is ever built.
 //
 // The statement must already be resolved (sqlparse.Resolve) so that every
 // column reference carries its real table name.
 func (e *Env) Optimize(sel *sqlparse.SelectStmt) (*Plan, error) {
-	if len(sel.From) == 0 {
-		return nil, errors.New("optimizer: SELECT without FROM is not supported")
+	var s search
+	if err := s.run(e, sel); err != nil {
+		return nil, err
 	}
-	tables := make([]string, 0, len(sel.From))
-	tableBit := make(map[string]int, len(sel.From))
-	for i, ref := range sel.From {
+	return &Plan{Root: s.build(), Tables: s.tables}, nil
+}
+
+// Cost is the total cost of the plan Optimize returns, bit for bit. It runs
+// the same search and reads the winner's total without building a node; it
+// is the designer's most frequently called entry point.
+func (e *Env) Cost(sel *sqlparse.SelectStmt) (float64, error) {
+	var s search
+	if err := s.run(e, sel); err != nil {
+		return 0, err
+	}
+	return s.total, nil
+}
+
+// run searches the plans of a resolved statement and leaves the winner in
+// s.best (or s.mv) and its total in s.total.
+func (s *search) run(e *Env, sel *sqlparse.SelectStmt) error {
+	if len(sel.From) == 0 {
+		return errors.New("optimizer: SELECT without FROM is not supported")
+	}
+	s.env = e
+	s.tables = make([]string, 0, len(sel.From))
+	for _, ref := range sel.From {
 		t := e.Schema.Table(ref.Name)
 		if t == nil {
-			return nil, fmt.Errorf("optimizer: unknown table %q", ref.Name)
+			return fmt.Errorf("optimizer: unknown table %q", ref.Name)
 		}
 		lt := strings.ToLower(t.Name)
-		if _, dup := tableBit[lt]; dup {
-			return nil, fmt.Errorf("optimizer: self-joins need distinct table copies; %q appears twice", t.Name)
+		if slices.Contains(s.tables, lt) {
+			return fmt.Errorf("optimizer: self-joins need distinct table copies; %q appears twice", t.Name)
 		}
-		tableBit[lt] = i
-		tables = append(tables, lt)
+		s.tables = append(s.tables, lt)
 	}
-	if len(tables) > 12 {
-		return nil, fmt.Errorf("optimizer: joins over %d tables exceed the DP limit of 12", len(tables))
+	if len(s.tables) > 12 {
+		return fmt.Errorf("optimizer: joins over %d tables exceed the DP limit of 12", len(s.tables))
 	}
 
 	filters, joins, residual := sqlparse.SplitPredicates(sel)
 	needed, star := neededColumns(sel)
-
-	st := &joinState{
-		env:          e,
-		tables:       tables,
-		tableBit:     tableBit,
-		filters:      filters,
-		joins:        joins,
-		needed:       needed,
-		star:         star,
-		wantedOrders: e.wantedOrders(sel, joins),
-		memo:         make(map[int][]*Node),
+	s.scans = make([]tableScan, len(s.tables))
+	for i, t := range s.tables {
+		s.scans[i] = e.newTableScan(t, DesignOn(e.Config, t), filters[t], needed[t], star)
 	}
-	paths := st.bestJoin()
+	s.joins, s.residual = joins, residual
+	if len(residual) > 0 {
+		s.resSel = e.SelectivityAll(residual)
+	}
+	s.tail = tailOf(sel)
+	s.wantedOrders = wantedOrders(s.orderBy, joins)
+	paths := s.bestJoin()
 	if len(paths) == 0 {
-		return nil, errors.New("optimizer: no plan found")
+		return errors.New("optimizer: no plan found")
 	}
 
-	// Residual cross-table predicates filter the join result.
-	applyResidual := func(n *Node) *Node {
-		if len(residual) == 0 {
-			return n
-		}
-		selres := e.SelectivityAll(residual)
-		out := n.Clone()
-		out.Filter = append(append([]sqlparse.Expr(nil), out.Filter...), residual...)
-		out.EstRows = math.Max(n.EstRows*selres, 1)
-		out.TotalCost += n.EstRows * e.Params.CPUOperatorCost * float64(len(residual))
-		return out
-	}
-
-	finish := func(base *Node) *Node {
-		n := applyResidual(base)
-		n = e.addAggregation(n, sel)
-		n = e.addOrdering(n, sel)
-		n = e.addLimit(n, sel)
-		return e.addProjection(n, sel)
-	}
-
-	var best *Node
-	for _, p := range paths {
-		c := finish(p)
-		if best == nil || c.TotalCost < best.TotalCost {
-			best = c
+	for i := range paths {
+		if t := s.finished(&paths[i], false); s.best == nil || t.total < s.total {
+			s.best, s.total = &paths[i], t.total
 		}
 	}
 	// A materialized aggregate view competes as a whole-query alternative:
 	// the rewrite replaces scan+aggregation wholesale, so it cannot be
 	// composed from per-table access paths.
-	if len(tables) == 1 {
-		if mv := e.bestMVRewrite(sel, tables[0], e.Config.Indexes); mv != nil && mv.TotalCost < best.TotalCost {
-			best = mv
+	if len(s.tables) == 1 {
+		if mv, total := s.bestMVRewrite(e, s.tables[0], e.Config.Indexes); mv != nil && total < s.total {
+			s.best, s.mv, s.total = nil, mv, total
 		}
 	}
-	return &Plan{Root: best, Tables: tables}, nil
+	return nil
+}
+
+// build turns the search's winner into its plan tree.
+func (s *search) build() *Node {
+	if s.mv != nil {
+		t, agg, _ := s.env.mvScan(s.sel, s.tables[0], s.mv, true)
+		s.finish(s.env, &t, agg)
+		return t.node
+	}
+	return s.finished(s.best, true).node
+}
+
+// finished puts every step above the join search over path p: the residual
+// predicates filter the join result, then the tail. With build it also
+// builds the plan.
+func (s *search) finished(p *path, build bool) top {
+	t := top{rows: p.rows, startup: p.startup, total: p.total, ord: p.ord}
+	if build {
+		t.node = s.node(p)
+	}
+	if len(s.residual) > 0 {
+		rows := math.Max(t.rows*s.resSel, 1)
+		t.total += t.rows * s.env.Params.CPUOperatorCost * float64(len(s.residual))
+		t.rows = rows
+		if n := t.node; n != nil {
+			n.Filter = append(append([]sqlparse.Expr(nil), n.Filter...), s.residual...)
+			n.EstRows, n.TotalCost = t.rows, t.total
+		}
+	}
+	s.finish(s.env, &t, s.agg)
+	return t
 }
 
 // wantedOrders lists sort orders worth preserving through the plan: the
 // ORDER BY order (when fully column-based) and each merge-joinable key.
-func (e *Env) wantedOrders(sel *sqlparse.SelectStmt, joins []sqlparse.JoinEdge) [][]OrderKey {
+func wantedOrders(orderBy []OrderKey, joins []sqlparse.JoinEdge) [][]OrderKey {
 	var out [][]OrderKey
-	if ord := orderByKeys(sel); ord != nil {
-		out = append(out, ord)
+	if orderBy != nil {
+		out = append(out, orderBy)
 	}
 	for _, j := range joins {
-		out = append(out,
-			[]OrderKey{{Table: strings.ToLower(j.LeftTable), Column: strings.ToLower(j.LeftColumn)}},
-			[]OrderKey{{Table: strings.ToLower(j.RightTable), Column: strings.ToLower(j.RightColumn)}},
-		)
+		out = append(out, []OrderKey{joinKey(j.LeftTable, j.LeftColumn)}, []OrderKey{joinKey(j.RightTable, j.RightColumn)})
 	}
 	return out
 }
@@ -131,60 +157,50 @@ func orderByKeys(sel *sqlparse.SelectStmt) []OrderKey {
 	return out
 }
 
-// addAggregation inserts a HashAggregate for GROUP BY / aggregates /
-// DISTINCT queries.
-func (e *Env) addAggregation(n *Node, sel *sqlparse.SelectStmt) *Node {
-	hasAgg := sqlparse.HasAggregate(sel)
-	if !hasAgg && !sel.Distinct {
-		return n
-	}
+// tail is what the steps every plan ends with read of a statement: its
+// aggregation, its ORDER BY as keys, LIMIT and the projections.
+type tail struct {
+	sel      *sqlparse.SelectStmt
+	agg      bool // GROUP BY, aggregates or DISTINCT: a HashAggregate
+	groupBy  []*sqlparse.ColumnRef
+	aggs     []AggSpec
+	orderBy  []OrderKey // nil when some ORDER BY item is an expression
+	sortKeys []OrderKey // what an ORDER BY sort sorts by
+}
 
-	var groupBy []*sqlparse.ColumnRef
+// tailOf reads a resolved statement's tail.
+func tailOf(sel *sqlparse.SelectStmt) tail {
+	q := tail{sel: sel, orderBy: orderByKeys(sel)}
+	if q.sortKeys = q.orderBy; q.sortKeys == nil && len(sel.OrderBy) > 0 {
+		// Expression sort keys: evaluated by the executor, an unnamed order.
+		q.sortKeys = make([]OrderKey, len(sel.OrderBy))
+		for i := range q.sortKeys {
+			q.sortKeys[i].Column = "<expr>"
+		}
+	}
+	hasAgg := sqlparse.HasAggregate(sel)
+	if q.agg = hasAgg || sel.Distinct; !q.agg {
+		return q
+	}
 	if hasAgg {
 		for _, g := range sel.GroupBy {
 			if col, ok := g.(*sqlparse.ColumnRef); ok {
-				groupBy = append(groupBy, col)
+				q.groupBy = append(q.groupBy, col)
 			}
 		}
 	} else {
 		// DISTINCT: group by every projected column reference.
 		for _, p := range sel.Projections {
 			if col, ok := p.Expr.(*sqlparse.ColumnRef); ok {
-				groupBy = append(groupBy, col)
+				q.groupBy = append(q.groupBy, col)
 			}
 		}
 	}
-	var aggs []AggSpec
 	for _, p := range sel.Projections {
-		collectAggs(p.Expr, &aggs)
+		collectAggs(p.Expr, &q.aggs)
 	}
-	collectAggs(sel.Having, &aggs)
-
-	groups := 1.0
-	for _, g := range groupBy {
-		groups *= e.distinctOf(g.Table, g.Column, n.EstRows)
-	}
-	if groups > n.EstRows {
-		groups = n.EstRows
-	}
-	if groups < 1 {
-		groups = 1
-	}
-
-	agg := &Node{
-		Kind:        NodeHashAgg,
-		GroupBy:     groupBy,
-		Aggs:        aggs,
-		Children:    []*Node{n},
-		EstRows:     groups,
-		StartupCost: n.TotalCost,
-		TotalCost:   n.TotalCost + e.Params.aggCost(n.EstRows, groups, len(aggs)),
-	}
-	if sel.Having != nil {
-		agg.Filter = sqlparse.Conjuncts(sel.Having)
-		agg.EstRows = math.Max(groups*defaultSel, 1)
-	}
-	return agg
+	collectAggs(sel.Having, &q.aggs)
+	return q
 }
 
 // collectAggs gathers the aggregate calls anywhere in an expression (their
@@ -201,78 +217,105 @@ func collectAggs(expr sqlparse.Expr, out *[]AggSpec) {
 	})
 }
 
-// addOrdering appends a Sort when the plan's delivered order does not
-// already satisfy ORDER BY.
-func (e *Env) addOrdering(n *Node, sel *sqlparse.SelectStmt) *Node {
-	if len(sel.OrderBy) == 0 {
-		return n
+// top is the top of a plan being finished: the estimates the step above it
+// reads, the order it delivers and — when the plan is being built rather
+// than priced — its node.
+type top struct {
+	rows, startup, total float64
+	ord                  order
+	node                 *Node
+}
+
+// wrap puts an operator over the top. It becomes a node, over the top's,
+// only when the plan is being built; with keepOrder the node delivers the
+// order of the one below it. wrap returns the node (nil while pricing).
+func (t *top) wrap(op Node, keepOrder bool) *Node {
+	t.rows, t.startup, t.total = op.EstRows, op.StartupCost, op.TotalCost
+	if t.node == nil {
+		return nil
 	}
-	want := orderByKeys(sel)
-	if want != nil && orderSatisfies(n.Order, want) {
-		return n
+	n := op
+	n.Children = []*Node{t.node}
+	if keepOrder {
+		n.Order = t.node.Order
 	}
-	keys := want
-	if keys == nil {
-		// Expression sort keys: evaluated by the executor; approximate with
-		// an unnamed order.
-		keys = []OrderKey{}
-		for range sel.OrderBy {
-			keys = append(keys, OrderKey{Column: "<expr>"})
+	t.node = &n
+	return t.node
+}
+
+// sort puts an explicit sort on keys over the top (the keys matter only to
+// the node).
+func (t *top) sort(p CostParams, keys []OrderKey) {
+	startup, total := p.sortCost(t.rows)
+	t.wrap(Node{Kind: NodeSort, SortKeys: keys, Order: keys, EstRows: t.rows, StartupCost: t.total + startup, TotalCost: t.total + total}, false)
+}
+
+// sortNode puts an explicit sort on keys over n.
+func (p CostParams) sortNode(n *Node, keys []OrderKey) *Node {
+	t := top{rows: n.EstRows, total: n.TotalCost, node: n}
+	t.sort(p, keys)
+	return t.node
+}
+
+// finish puts the statement's steps over t, in order: a HashAggregate for
+// GROUP BY / aggregates / DISTINCT (when agg is set), a Sort when the
+// delivered order does not already satisfy ORDER BY, a Limit that discounts
+// total cost by the fraction of rows produced, and the output projection.
+func (q *tail) finish(e *Env, t *top, agg bool) {
+	sel := q.sel
+	if agg {
+		groups := 1.0
+		for _, g := range q.groupBy {
+			groups *= e.distinctOf(g.Table, g.Column, t.rows)
 		}
+		if groups > t.rows {
+			groups = t.rows
+		}
+		if groups < 1 {
+			groups = 1
+		}
+		rows := groups
+		if sel.Having != nil {
+			rows = math.Max(groups*defaultSel, 1)
+		}
+		n := t.wrap(Node{
+			Kind:        NodeHashAgg,
+			GroupBy:     q.groupBy,
+			Aggs:        q.aggs,
+			EstRows:     rows,
+			StartupCost: t.total,
+			TotalCost:   t.total + e.Params.aggCost(t.rows, groups, len(q.aggs)),
+		}, false)
+		if n != nil && sel.Having != nil {
+			n.Filter = sqlparse.Conjuncts(sel.Having)
+		}
+		t.ord = order{}
 	}
-	startup, total := e.Params.sortCost(n.EstRows)
-	return &Node{
-		Kind:        NodeSort,
-		SortKeys:    keys,
-		Children:    []*Node{n},
-		EstRows:     n.EstRows,
-		StartupCost: n.TotalCost + startup,
-		TotalCost:   n.TotalCost + total,
-		Order:       keys,
-	}
-}
 
-// addLimit wraps the plan in a Limit node and discounts total cost by the
-// fraction of rows actually produced.
-func (e *Env) addLimit(n *Node, sel *sqlparse.SelectStmt) *Node {
-	if sel.Limit < 0 {
-		return n
+	if q.sortKeys != nil && (q.orderBy == nil || !t.ord.satisfies(q.orderBy)) {
+		t.sort(e.Params, q.sortKeys)
 	}
-	frac := 1.0
-	if n.EstRows > 0 {
-		frac = math.Min(float64(sel.Limit)/n.EstRows, 1)
-	}
-	rows := math.Min(float64(sel.Limit), n.EstRows)
-	return &Node{
-		Kind:        NodeLimit,
-		Limit:       sel.Limit,
-		Children:    []*Node{n},
-		EstRows:     rows,
-		StartupCost: n.StartupCost,
-		TotalCost:   n.StartupCost + (n.TotalCost-n.StartupCost)*frac,
-		Order:       n.Order,
-	}
-}
 
-// addProjection wraps the plan in the output projection.
-func (e *Env) addProjection(n *Node, sel *sqlparse.SelectStmt) *Node {
-	return &Node{
+	if sel.Limit >= 0 {
+		frac := 1.0
+		if t.rows > 0 {
+			frac = math.Min(float64(sel.Limit)/t.rows, 1)
+		}
+		rows := math.Min(float64(sel.Limit), t.rows)
+		t.wrap(Node{
+			Kind:        NodeLimit,
+			Limit:       sel.Limit,
+			EstRows:     rows,
+			StartupCost: t.startup,
+			TotalCost:   t.startup + (t.total-t.startup)*frac,
+		}, true)
+	}
+
+	t.wrap(Node{
 		Kind:        NodeProject,
 		Projections: sel.Projections,
-		Children:    []*Node{n},
-		EstRows:     n.EstRows,
-		StartupCost: n.StartupCost,
-		TotalCost:   n.TotalCost + n.EstRows*e.Params.CPUTupleCost*0.25,
-		Order:       n.Order,
-	}
-}
-
-// Cost is a convenience that plans the statement and returns the total
-// cost; it is the designer's most frequently called entry point.
-func (e *Env) Cost(sel *sqlparse.SelectStmt) (float64, error) {
-	p, err := e.Optimize(sel)
-	if err != nil {
-		return 0, err
-	}
-	return p.TotalCost(), nil
+		EstRows:     t.rows,
+		StartupCost: t.startup,
+		TotalCost:   t.total + t.rows*e.Params.CPUTupleCost*0.25,
+	}, true)
 }

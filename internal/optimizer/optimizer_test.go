@@ -329,6 +329,9 @@ func TestExplainRendersPlan(t *testing.T) {
 			t.Errorf("explain missing %q:\n%s", want, out)
 		}
 	}
+	if plan.EstRows() != plan.Root.EstRows || plan.EstRows() < 0 {
+		t.Errorf("plan EstRows %v, root's %v", plan.EstRows(), plan.Root.EstRows)
+	}
 }
 
 func TestOptimizeErrors(t *testing.T) {

@@ -77,63 +77,41 @@ func (s *tableScan) seqNode() *Node {
 	}
 }
 
-// scanPaths enumerates access paths for one base table under its design: a
+// scanPaths makes the access paths of table t the search's candidates: a
 // sequential scan (partition-aware), plus one path per usable index (index
-// scan or index-only scan). wantedOrders lists single-table sort orders that
-// would be useful upstream (ORDER BY, GROUP BY, merge-join keys); full index
-// scans that deliver one are kept even without matching predicates.
-func (e *Env) scanPaths(
-	table string,
-	d TableDesign,
-	filters []sqlparse.Expr,
-	needed map[string]bool,
-	star bool,
-	wantedOrders [][]OrderKey,
-) []*Node {
-	s := e.newTableScan(table, d, filters, needed, star)
-	paths := []*Node{s.seqNode()}
-	if e.Opts.DisableIndexScan {
-		return paths
+// scan or index-only scan) under the table's design. Wanted orders are
+// single-table sort orders that would be useful upstream (ORDER BY, GROUP
+// BY, merge-join keys); full index scans that deliver one are kept even
+// without matching predicates.
+func (s *search) scanPaths(t int) {
+	sc := &s.scans[t]
+	s.cands = append(s.cands[:0], path{kind: NodeSeqScan, table: int32(t), rows: sc.outRows, total: sc.seqCost})
+	if s.env.Opts.DisableIndexScan {
+		return
 	}
-	for _, ix := range s.indexes {
+	for _, ix := range sc.indexes {
 		if ix.Kind == catalog.KindAggView {
 			continue // aggregate views rewrite whole queries, not row scans
 		}
-		u, ok := s.indexAccess(ix, wantedOrders)
+		u, ok := sc.indexAccess(ix, s.wantedOrders)
 		if !ok {
 			continue
 		}
-		n := s.indexNode(ix, u)
-		paths = append(paths, n)
-		// A backward twin serves descending wanted orders at equal cost.
-		if bw := backwardTwin(n, wantedOrders); bw != nil {
-			paths = append(paths, bw)
+		p := path{kind: NodeIndexScan, table: int32(t), rows: sc.outRows, startup: u.startup, total: u.total, ord: order{ix: ix, table: sc.table}}
+		if u.indexOnly {
+			p.kind = NodeIndexOnlyScan
+		}
+		s.cands = append(s.cands, p)
+		// A backward twin serves, at equal cost, a descending wanted order
+		// the forward scan cannot.
+		for _, w := range s.wantedOrders {
+			if len(w) > 0 && indexDelivers(sc.table, ix, w, true) && !indexDelivers(sc.table, ix, w, false) {
+				p.ord.desc = true
+				s.cands = append(s.cands, p)
+				break
+			}
 		}
 	}
-	return paths
-}
-
-// backwardTwin clones an index path scanning in reverse when some wanted
-// order requires descending delivery the forward scan cannot provide.
-func backwardTwin(n *Node, wantedOrders [][]OrderKey) *Node {
-	useful := false
-	for _, w := range wantedOrders {
-		if len(w) > 0 && indexDelivers(n.Table, n.Index, w, true) && !indexDelivers(n.Table, n.Index, w, false) {
-			useful = true
-			break
-		}
-	}
-	if !useful {
-		return nil
-	}
-	bw := *n
-	bw.Backward = true
-	bw.Order = make([]OrderKey, len(n.Order))
-	for i, k := range n.Order {
-		k.Desc = !k.Desc
-		bw.Order[i] = k
-	}
-	return &bw
 }
 
 // indexDelivers reports whether scanning the index forward (desc false: its
@@ -368,23 +346,30 @@ func (s *tableScan) indexNode(ix *catalog.Index, u indexUse) *Node {
 	return n
 }
 
-// innerIndexPath builds a parameterized index scan of `table` keyed by the
-// join column, for use as the inner side of a nested-loop join re-executed
-// `loops` times. Returns nil when no index leads with the join column.
+// indexProbe is a parameterized index scan priced by value: the inner side
+// of a nested-loop join, probed once per outer row.
+type indexProbe struct {
+	ix                   *catalog.Index
+	kind                 NodeKind
+	rows, startup, total float64
+}
+
+// innerIndexPath prices the cheapest parameterized index scan of `table`
+// keyed by the join column, for use as the inner side of a nested-loop join
+// re-executed `loops` times. Its index is nil when no index leads with the
+// join column.
 func (e *Env) innerIndexPath(
 	table, joinColumn string,
-	outerTable, outerColumn string,
 	filters []sqlparse.Expr,
 	needed map[string]bool, star bool,
 	loops float64,
-) *Node {
+) (best indexProbe) {
 	if e.Opts.DisableIndexScan {
-		return nil
+		return best
 	}
 	ts := e.tableStats(table)
 	rows := float64(ts.RowCount)
 
-	var best *Node
 	for _, ix := range e.Config.IndexesOn(table) {
 		if ix.Kind == catalog.KindAggView {
 			continue
@@ -392,14 +377,7 @@ func (e *Env) innerIndexPath(
 		if !strings.EqualFold(ix.LeadingColumn(), joinColumn) {
 			continue
 		}
-		n := &Node{
-			Kind:             NodeIndexScan,
-			Table:            table,
-			Index:            ix,
-			ParamOuterTable:  outerTable,
-			ParamOuterColumn: outerColumn,
-			Filter:           filters,
-		}
+		p := indexProbe{ix: ix, kind: NodeIndexScan}
 		// Selectivity of one probe: rows per distinct join key.
 		perKey := 1.0
 		if d := e.distinctOf(table, joinColumn, rows); d > 0 {
@@ -407,24 +385,23 @@ func (e *Env) innerIndexPath(
 		}
 		indexSel := perKey
 		filterSel := e.SelectivityAll(filters)
-		n.EstRows = math.Max(rows*indexSel*filterSel, 0)
+		p.rows = math.Max(rows*indexSel*filterSel, 0)
 
 		indexOnly := !star && ix.CoversAll(needed) && len(filters) == 0
 		if indexOnly {
-			n.Kind = NodeIndexOnlyScan
+			p.kind = NodeIndexOnlyScan
 		}
 		corr := 0.0
 		if cs := ts.Column(ix.LeadingColumn()); cs != nil {
 			corr = cs.Correlation
 		}
 		geom := e.geometry(ix, ts)
-		startup, total := e.Params.indexScanCost(
+		p.startup, p.total = e.Params.indexScanCost(
 			geom, float64(ts.Pages), rows, indexSel, indexSel, corr,
 			indexOnly, len(filters), loops,
 		)
-		n.StartupCost, n.TotalCost = startup, total
-		if best == nil || n.TotalCost < best.TotalCost {
-			best = n
+		if best.ix == nil || p.total < best.total {
+			best = p
 		}
 	}
 	return best

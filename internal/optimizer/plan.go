@@ -290,17 +290,6 @@ func orderSatisfies(have, want []OrderKey) bool {
 	return true
 }
 
-// Clone deep-copies the node tree (cost fields included). INUM mutates
-// clones when re-pricing cached plans.
-func (n *Node) Clone() *Node {
-	out := *n
-	out.Children = make([]*Node, len(n.Children))
-	for i, c := range n.Children {
-		out.Children[i] = c.Clone()
-	}
-	return &out
-}
-
 // Walk visits the node and all descendants depth-first.
 func (n *Node) Walk(fn func(*Node)) {
 	fn(n)

@@ -178,7 +178,7 @@ func TestPlansWithoutStatistics(t *testing.T) {
 func TestSelectivityOfUnboundParameterIsADefault(t *testing.T) {
 	env := testEnv(t, nil)
 	for _, pred := range []string{
-		"type = $1", "$1 < ra", "ra BETWEEN $1 AND $2", "type IN (3, $1)", "ra - $1 > 3", "NOT (type = $1) OR $2 IS NULL", "$1",
+		"type = $1", "$1 < ra", "ra BETWEEN $1 AND $2", "type IN (3, $1)", "ra - $1 > 3", "NOT (type = $1) OR $2 IS NULL", "$1 = $2",
 	} {
 		sel, err := sqlparse.ParseSelect("SELECT objid FROM photoobj WHERE " + pred + " LIMIT $9")
 		if err != nil {

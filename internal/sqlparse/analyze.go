@@ -77,8 +77,16 @@ func ReferencedColumns(sel *SelectStmt) (cols map[string]map[string]bool, star b
 // through the FROM bindings — verifies every referenced column exists, and
 // then clears the FROM aliases, which nothing refers to any more. The result
 // is the canonical form: its String() parses and resolves to itself. A table
-// named twice in FROM is refused: only its aliases told the copies apart.
+// named twice in FROM is refused: only its aliases told the copies apart. So
+// is a WHERE or HAVING whose AND/OR/NOT operands are not all predicates.
 func Resolve(sel *SelectStmt, schema *catalog.Schema) error {
+	if bad := notAPredicate(sel.Where); bad != nil {
+		return fmt.Errorf("sqlparse: WHERE operand %q is not a predicate", bad)
+	}
+	if bad := notAPredicate(sel.Having); bad != nil {
+		return fmt.Errorf("sqlparse: HAVING operand %q is not a predicate", bad)
+	}
+
 	// Map binding (alias or name, lower-case) -> real table name.
 	binding := make(map[string]string, len(sel.From))
 	tables := make([]string, 0, len(sel.From))
@@ -133,6 +141,29 @@ func Resolve(sel *SelectStmt, schema *catalog.Schema) error {
 		sel.From[i].Alias = ""
 	}
 	return nil
+}
+
+// notAPredicate returns the first operand of a condition's AND/OR/NOT tree
+// that is not a predicate — a comparison, BETWEEN, IN or IS [NOT] NULL — or
+// nil. The dialect has no boolean type, so nothing else can be true or false.
+func notAPredicate(cond Expr) Expr {
+	switch v := cond.(type) {
+	case nil, *BetweenExpr, *InExpr, *IsNullExpr:
+		return nil
+	case *NotExpr:
+		return notAPredicate(v.E)
+	case *BinaryExpr:
+		if v.Op == OpAnd || v.Op == OpOr {
+			if bad := notAPredicate(v.L); bad != nil {
+				return bad
+			}
+			return notAPredicate(v.R)
+		}
+		if v.Op.IsComparison() {
+			return nil
+		}
+	}
+	return cond
 }
 
 // JoinEdge is an equality join predicate between two tables' columns.

@@ -300,6 +300,39 @@ func TestResolveErrors(t *testing.T) {
 	}
 }
 
+// TestResolveRefusesNonPredicates: with no boolean type, every operand of
+// AND/OR/NOT in WHERE and HAVING must be a comparison, BETWEEN, IN or IS
+// [NOT] NULL; Resolve names the first operand that is not.
+func TestResolveRefusesNonPredicates(t *testing.T) {
+	for _, c := range []struct {
+		sql, bad string // bad: the operand named, "" when the statement resolves
+	}{
+		{"SELECT id FROM p WHERE x", "x"},
+		{"SELECT id FROM p WHERE x + 1 AND id = 3", "x + 1"},
+		{"SELECT id FROM p WHERE NOT x", "x"},
+		{"SELECT id FROM p WHERE id = 3 OR NOT (x > 1 AND 2)", "2"},
+		{"SELECT id FROM p WHERE id = 3 AND $1", "$1"},
+		{"SELECT id, COUNT(*) FROM p GROUP BY id HAVING COUNT(*)", "COUNT(*)"},
+		{"SELECT id, COUNT(*) FROM p GROUP BY id HAVING COUNT(*) > 1 AND SUM(x)", "SUM(x)"},
+		{"SELECT id FROM p WHERE NOT (x > 1) OR x IS NULL", ""},
+		{"SELECT id FROM p WHERE x BETWEEN 1 AND 2 AND id IN (3, 6) AND $1 < x", ""},
+		{"SELECT id FROM p WHERE 1 = 1 AND NOT (NOT (id <> 2))", ""},
+		{"SELECT id, COUNT(*) FROM p GROUP BY id HAVING COUNT(*) > 1 AND NOT (id = 3)", ""},
+	} {
+		sel, err := ParseSelect(c.sql)
+		if err != nil {
+			t.Fatalf("parse %q: %v", c.sql, err)
+		}
+		err = Resolve(sel, testSchema())
+		switch {
+		case c.bad == "" && err != nil:
+			t.Errorf("Resolve(%q): %v", c.sql, err)
+		case c.bad != "" && (err == nil || !strings.Contains(err.Error(), `"`+c.bad+`" is not a predicate`)):
+			t.Errorf("Resolve(%q) = %v, want %q named as no predicate", c.sql, err, c.bad)
+		}
+	}
+}
+
 func TestSplitPredicates(t *testing.T) {
 	sel, err := ParseSelect(
 		"SELECT p.x FROM p, q WHERE p.id = q.pid AND p.x > 1 AND q.y < 2 AND p.x + q.y > 0")
