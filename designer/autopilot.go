@@ -239,6 +239,7 @@ func (a *Autopilot) Reports() []TunerReport { return reportsFromInternal(a.a.Tun
 // epoch-boundary snapshots happen automatically.
 func (a *Autopilot) Save() error { return a.a.Save() }
 
-// Close snapshots (when persistence is on) and releases cached costing
-// entries. The autopilot must not be used after.
+// Close snapshots the state when persistence is on. There is no costing
+// state to release: each epoch prices on a pinned view of its own. The
+// autopilot must not be used after.
 func (a *Autopilot) Close() error { return a.a.Close() }

@@ -12,10 +12,10 @@ import (
 // suggested structure — CREATE INDEX, CREATE INDEX ... INCLUDE for covering
 // projections, CREATE MATERIALIZED VIEW for aggregate views — in
 // materialization-schedule order when a schedule exists, plus CREATE TABLE
-// statements for the fragment tables of each vertical layout — the
-// "physically create the suggested partitions and indexes" output of
-// Scenario 2. The advice carries its designer's schema, so no arguments
-// are needed.
+// statements for the fragment tables of each vertical layout and a comment
+// naming each horizontal range layout — the "physically create the
+// suggested partitions and indexes" output of Scenario 2. The advice
+// carries its designer's schema, so no arguments are needed.
 func (a *Advice) DDL() string {
 	var b strings.Builder
 	b.WriteString("-- Generated by the DB designer (Scenario 2)\n")
@@ -44,8 +44,11 @@ func (a *Advice) DDL() string {
 
 	if a.cfg != nil && a.schema != nil {
 		for _, t := range a.schema.Tables() {
-			v := a.cfg.VerticalOn(t.Name)
+			v, h := a.cfg.VerticalOn(t.Name), a.cfg.HorizontalOn(t.Name)
 			if v == nil {
+				if h != nil {
+					fmt.Fprintf(&b, "\n-- Horizontal range layout: %s\n", h)
+				}
 				continue
 			}
 			b.WriteString("\n-- Vertical fragments for " + strings.ToLower(t.Name) + "\n")
@@ -71,7 +74,6 @@ func (a *Advice) DDL() string {
 				fmt.Fprintf(&b, "CREATE TABLE %s (%s);\n",
 					autopart.FragmentTableName(t.Name, fi), strings.Join(cols, ", "))
 			}
-			h := a.cfg.HorizontalOn(t.Name)
 			if h != nil {
 				fmt.Fprintf(&b, "-- plus horizontal range layout: %s\n", h)
 			}

@@ -62,3 +62,34 @@ func TestAdviceDDL(t *testing.T) {
 		}
 	}
 }
+
+// TestAdviceDDLPrintsEveryHorizontalLayout is the regression test for a
+// horizontal range layout on a table without a vertical one: the DDL used
+// to print a horizontal layout only inside a vertical-fragments block, so
+// such a table was missing from it.
+func TestAdviceDDLPrintsEveryHorizontalLayout(t *testing.T) {
+	d := open(t)
+	advice, err := d.Advise(context.Background(), sdssWorkload(t, d, 12), designer.AdviceOptions{Partitions: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if advice.Partitions == nil {
+		t.Fatal("no partition advice")
+	}
+	ddl := advice.DDL()
+	horizontalOnly := 0
+	for _, tr := range advice.Partitions.Tables {
+		if tr.Horizontal == "" {
+			continue
+		}
+		if tr.Vertical == "" {
+			horizontalOnly++
+		}
+		if !strings.Contains(ddl, tr.Horizontal) {
+			t.Errorf("DDL misses %s's horizontal layout %q:\n%s", tr.Table, tr.Horizontal, ddl)
+		}
+	}
+	if horizontalOnly == 0 {
+		t.Fatal("no table got a horizontal layout without a vertical one: the test checks nothing")
+	}
+}

@@ -163,8 +163,10 @@ func (d *Designer) CurrentConfiguration() *Configuration {
 	return configFromInternal(d.store.MaterializedConfiguration())
 }
 
-// CacheStats reports the costing engine's full-optimization and cached
-// costing counters.
+// CacheStats reports the full optimizations and cached costings of every
+// question the designer has answered, over its whole life. Each question
+// builds its own costing cache, so the counts only rise: to measure one
+// question, read them before and after it and take the difference.
 func (d *Designer) CacheStats() CacheStats {
 	full, cached := d.eng.CacheStats()
 	return CacheStats{FullOptimizations: full, CachedCostings: cached}
@@ -360,10 +362,10 @@ func (d *Designer) Materialize(ctx context.Context, indexes []Index) (IOStats, e
 	defer d.mu.Unlock()
 	// One invalidation point, which must run even when the loop stops
 	// early (cancellation, build error) after building some indexes: the
-	// engine rebuilds the optimizer environment, the what-if session, AND
-	// the INUM cache against the new physical design — a store holding
-	// indexes the engine's generation doesn't know about would silently
-	// mis-price the "current design" (the PR 1 stale-cache bug). Design
+	// engine rebuilds the optimizer environment and the what-if session
+	// against the new physical design, and every later question builds its
+	// INUM cache on them — a store holding indexes the engine's generation
+	// doesn't know about would silently mis-price the "current design". Design
 	// sessions pinned before this point keep their generation (see
 	// NewDesignSession).
 	built := false

@@ -1,0 +1,48 @@
+package designer_test
+
+import (
+	"context"
+	"runtime"
+	"testing"
+
+	"repro/designer"
+)
+
+// TestTunerRetainsNoCostingState guards what the benchmark's online_stream
+// workload holds on the heap: a tuner keeps no costing state per statement
+// it observed, because every observation prices on a pinned view of its own
+// and drops it. The stream is built first, so its statements are on the
+// heap before the first reading; the growth over ~2,000 observed statements
+// is then the tuner's learning state alone: 15 KB. When the tuner's INUM
+// entries lived in a cache shared across observations, the same stream grew
+// the heap by 4,516 KB; the ceiling sits at a tenth of that.
+func TestTunerRetainsNoCostingState(t *testing.T) {
+	const ceilingKB = 450
+	ctx := context.Background()
+	d, err := designer.OpenSDSS("tiny", 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := d.DriftStream(7, 667)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuner := d.NewOnlineTuner(designer.DefaultTunerOptions())
+	heap := func() float64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc)
+	}
+	before := heap()
+	if _, err := tuner.ObserveAll(ctx, stream); err != nil {
+		t.Fatal(err)
+	}
+	grownKB := (heap() - before) / 1024
+	runtime.KeepAlive(stream)
+	t.Logf("the heap grew %.0f KB over %d observed statements, ceiling %d KB", grownKB, len(stream), ceilingKB)
+	if grownKB > ceilingKB {
+		t.Fatalf("a tuner that observed %d statements retains %.0f KB, ceiling %d KB", len(stream), grownKB, ceilingKB)
+	}
+	tuner.Close()
+}

@@ -87,10 +87,10 @@ func (s *Server) initFabric() {
 		"Sessions created over the server's lifetime.").With()
 	s.mSessActive = s.reg.Gauge("dbdesigner_sessions_active",
 		"Live sessions by tenant.", "tenant")
-	s.mCacheFullOpt = s.reg.Gauge("dbdesigner_engine_cache_full_optimizations",
-		"Engine costing-cache full optimizer runs (sampled at scrape).").With()
-	s.mCacheCostings = s.reg.Gauge("dbdesigner_engine_cache_cached_costings",
-		"Engine costing-cache cached costings (sampled at scrape).").With()
+	s.mCacheFullOpt = s.reg.Counter("dbdesigner_engine_cache_full_optimizations_total",
+		"Full optimizer runs spent building costing-cache entries, over the engine's life.").With()
+	s.mCacheCostings = s.reg.Counter("dbdesigner_engine_cache_cached_costings_total",
+		"Costings answered from the costing cache, over the engine's life.").With()
 	s.mAPActive = s.reg.Gauge("dbdesigner_autopilot_active",
 		"1 while the autopilot supervises the tuner slot, 0 otherwise.").With()
 	s.mAPEpoch = s.reg.Gauge("dbdesigner_autopilot_epoch",

@@ -41,7 +41,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net"
 	"net/http"
@@ -96,8 +95,8 @@ type Server struct {
 	mQuotaRejected *metrics.Counter
 	mSessCreated   *metrics.Counter
 	mSessActive    *metrics.GaugeVec
-	mCacheFullOpt  *metrics.Gauge
-	mCacheCostings *metrics.Gauge
+	mCacheFullOpt  *metrics.Counter
+	mCacheCostings *metrics.Counter
 	mAPActive      *metrics.Gauge
 	mAPEpoch       *metrics.Gauge
 	mAPRegret      *metrics.Gauge
@@ -124,6 +123,10 @@ type Server struct {
 	// /tuner/status, the SSE stream and /metrics never block behind a
 	// long-running ObserveAll, and never see two halves of two states.
 	tunerView atomic.Pointer[tunerView]
+	// observed counts the statements /tuner/observe has parsed; each is
+	// labelled by its position in that stream, so no two statements of one
+	// autopilot epoch share an ID.
+	observed atomic.Int64
 }
 
 // goneClosed marks a session released by an explicit DELETE (as opposed
@@ -1141,12 +1144,7 @@ func (s *Server) handleTunerObserve(w http.ResponseWriter, r *http.Request) {
 	}
 	var qs []designer.Query
 	for _, sql := range req.SQL {
-		// Content-derived IDs: identical SQL re-observed over HTTP reuses
-		// the tuner's cached costing entry instead of growing the cache by
-		// one entry per request.
-		h := fnv.New64a()
-		h.Write([]byte(sql))
-		q, err := s.d.ParseQuery(fmt.Sprintf("http-%x", h.Sum64()), sql)
+		q, err := s.d.ParseQuery(fmt.Sprintf("http-%d", s.observed.Add(1)), sql)
 		if err != nil {
 			writeFacadeError(w, r, err)
 			return

@@ -48,7 +48,8 @@ type DesignSession struct {
 }
 
 // NewDesignSession starts an interactive what-if session on top of the
-// current materialized design, pinned to the current engine generation.
+// current materialized design, pinned to the current engine generation. The
+// session is one question: its costing cache lives as long as it does.
 func (d *Designer) NewDesignSession() *DesignSession {
 	return newDesignSession(d, d.eng.Pin())
 }
@@ -72,9 +73,9 @@ type SessionOptions struct {
 	Backend BackendSpec
 }
 
-// NewDesignSessionWith starts a what-if session with explicit options. A
-// session-scoped backend gets fresh per-generation costing state (its own
-// plan-cost cache), so it can never alias the designer's cached costs.
+// NewDesignSessionWith starts a what-if session with explicit options. Like
+// every session, it owns its costing state (its own plan-cost cache), so a
+// session-scoped backend can never alias the designer's cached costs.
 func (d *Designer) NewDesignSessionWith(opts SessionOptions) (*DesignSession, error) {
 	if opts.Backend.inherit() {
 		return d.NewDesignSession(), nil

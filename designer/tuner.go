@@ -56,7 +56,8 @@ func (t *Tuner) Alerts() []TunerAlert { return alertsFromInternal(t.t.Alerts()) 
 // Reports returns per-epoch summaries.
 func (t *Tuner) Reports() []TunerReport { return reportsFromInternal(t.t.Reports()) }
 
-// Close releases the tuner's cached costing entries from the shared
-// engine. Call it when retiring a tuner on a long-lived designer; the
-// tuner must not be used after. It returns the number of evicted entries.
-func (t *Tuner) Close() int { return t.t.Close() }
+// Close releases nothing: the tuner keeps no costing state between
+// observations, since each observation prices on a pinned view of its own
+// that is dropped when the observation returns. It is kept so callers that
+// retire tuners explicitly still compile.
+func (t *Tuner) Close() { t.t.Close() }

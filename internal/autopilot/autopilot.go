@@ -23,7 +23,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/catalog"
 	"repro/internal/colt"
@@ -183,17 +182,13 @@ type probationState struct {
 	measuredTotal  float64
 }
 
-// apSeq distinguishes autopilots sharing one engine (cache namespacing).
-var apSeq atomic.Int64
-
 // Autopilot is the supervisor. All methods are safe for concurrent use;
 // one internal lock serializes observation, epoch tasks, and snapshots.
 type Autopilot struct {
-	mu       sync.Mutex
-	eng      *engine.Engine
-	tuner    *colt.Tuner
-	opts     Options
-	idPrefix string
+	mu    sync.Mutex
+	eng   *engine.Engine
+	tuner *colt.Tuner
+	opts  Options
 
 	builds    []*buildState              // FIFO: first in line gets the budget
 	probation map[string]*probationState // key -> measurement
@@ -223,7 +218,6 @@ func New(eng *engine.Engine, initial *catalog.Configuration, opts Options) (*Aut
 	a := &Autopilot{
 		eng:       eng,
 		opts:      opts,
-		idPrefix:  fmt.Sprintf("ap%d|", apSeq.Add(1)),
 		probation: make(map[string]*probationState),
 		cooldown:  make(map[string]int),
 	}
@@ -259,18 +253,16 @@ func (a *Autopilot) Tuner() *colt.Tuner {
 	return a.tuner
 }
 
-// Close evicts this autopilot's (and its tuner's) engine-cache entries and
-// persists a final snapshot when persistence is enabled.
+// Close persists a final snapshot when persistence is enabled. The
+// autopilot holds no costing state to release: each epoch prices on a view
+// of its own.
 func (a *Autopilot) Close() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	var err error
-	if a.opts.StatePath != "" {
-		err = a.saveLocked()
+	if a.opts.StatePath == "" {
+		return nil
 	}
-	a.tuner.Close()
-	a.eng.EvictPrefix(a.idPrefix)
-	return err
+	return a.saveLocked()
 }
 
 // Save persists the current state (tuner learning state included, even
@@ -552,13 +544,11 @@ func (a *Autopilot) measureProbationLocked(ctx context.Context, v *engine.View, 
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			nq := q
-			nq.ID = a.idPrefix + q.ID
-			with, err := v.QueryCost(nq, live)
+			with, err := v.QueryCost(q, live)
 			if err != nil {
 				return err
 			}
-			wo, err := v.QueryCost(nq, without)
+			wo, err := v.QueryCost(q, without)
 			if err != nil {
 				return err
 			}
@@ -636,15 +626,9 @@ func (a *Autopilot) sampleRegretLocked(ctx context.Context, v *engine.View, epoc
 		pool = pool[:a.opts.RegretCandidates]
 	}
 
-	// The window as a namespaced workload (IDs may repeat when the same
-	// statement recurs — preparation is idempotent per ID).
-	w := &workload.Workload{Queries: make([]workload.Query, len(window))}
-	for i, q := range window {
-		nq := q
-		nq.ID = a.idPrefix + q.ID
-		w.Queries[i] = nq
-	}
-
+	// The window as a workload (IDs may repeat when the same statement
+	// recurs — preparation is idempotent per ID).
+	w := &workload.Workload{Queries: window}
 	if err := v.Prepare(ctx, w, nil); err != nil {
 		return err
 	}

@@ -22,7 +22,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/catalog"
 	"repro/internal/engine"
@@ -122,18 +121,10 @@ type candState struct {
 	measured      bool    // profiled at least once: ewmaBenefit is a reading, not a blank
 }
 
-// tunerSeq distinguishes tuners sharing one engine (see Tuner.idPrefix).
-var tunerSeq atomic.Int64
-
 // Tuner is the online tuning engine.
 type Tuner struct {
 	eng  *engine.Engine
 	opts Options
-	// idPrefix namespaces this tuner's INUM entries in the shared engine
-	// cache: stream query IDs may collide with an offline workload's (both
-	// are commonly q0..qN for different SQL), and INUM's Prepare is
-	// idempotent per ID.
-	idPrefix string
 
 	current    *catalog.Configuration
 	candidates map[string]*candState
@@ -168,17 +159,16 @@ func New(eng *engine.Engine, initial *catalog.Configuration, opts Options) *Tune
 	return &Tuner{
 		eng:             eng,
 		opts:            opts,
-		idPrefix:        fmt.Sprintf("colt%d|", tunerSeq.Add(1)),
 		current:         initial.Clone(),
 		candidates:      make(map[string]*candState),
 		budgetThisEpoch: opts.WhatIfBudget,
 	}
 }
 
-// Close releases the tuner's INUM entries from the shared engine cache.
-// Call it when retiring a tuner on a long-lived designer so dead tuners'
-// cached templates do not accumulate; the tuner must not be used after.
-func (t *Tuner) Close() int { return t.eng.EvictPrefix(t.idPrefix) }
+// Close releases nothing: a tuner holds no costing state between
+// observations, because each observation prices on a view of its own. It
+// stays for callers that retire tuners explicitly (ROADMAP 6(g)).
+func (t *Tuner) Close() {}
 
 // OnAlert registers a callback invoked for every alert.
 func (t *Tuner) OnAlert(fn func(Alert)) { t.onAlert = fn }
@@ -220,13 +210,10 @@ func (t *Tuner) Observe(ctx context.Context, q workload.Query) (float64, error) 
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	// Pin one generation per observation, and cost under the tuner's
-	// namespace so shared-engine entries for other components (or other
-	// tuners) can never alias this query's ID.
+	// Pin one view per observation: its INUM entry is this query's alone
+	// and is released with the view.
 	v := t.eng.Pin()
-	nq := q
-	nq.ID = t.idPrefix + q.ID
-	curCost, err := v.QueryCost(nq, t.current)
+	curCost, err := v.QueryCost(q, t.current)
 	if err != nil {
 		return 0, err
 	}
@@ -259,7 +246,7 @@ func (t *Tuner) Observe(ctx context.Context, q workload.Query) (float64, error) 
 			if t.current.HasIndex(st.ix.Key()) {
 				continue // already materialized; benefit captured in curCost
 			}
-			withIx, err := v.QueryCost(nq, t.current.WithIndex(st.ix))
+			withIx, err := v.QueryCost(q, t.current.WithIndex(st.ix))
 			if err != nil {
 				return 0, err
 			}

@@ -15,10 +15,10 @@
 //     trace-driven portability tests without any live engine. Record mode
 //     (BackendSpec.Recorder) wraps any backend and dumps its calls.
 //
-// Backend state is generation-scoped: every engine snapshot builds a fresh
-// backend instance (own INUM cache), and a per-session backend (PinBackend)
-// derives its own, so no view can be served plan costs cached under a
-// different backend.
+// Backend state is per view: every Pin and PinBackend builds a fresh backend
+// instance (own INUM cache) over its generation's environment, so a view is
+// only ever served plan costs it cached itself, and everything it cached is
+// released with it. Only the engine's work counters outlive a view.
 package engine
 
 import (
@@ -46,9 +46,10 @@ func BackendKinds() []string { return []string{BackendNative, BackendCalibrated,
 // resolves nil configurations to the generation's base before calling a
 // backend, so implementations always see a concrete configuration.
 //
-// Backends are built per engine generation and discarded on invalidation;
-// they may cache freely (the native backend's INUM cache) without any
-// cross-generation or cross-backend aliasing concern.
+// Backends are built per pinned view and dropped with it; they may cache
+// freely (the native backend's INUM cache) without any cross-view,
+// cross-generation or cross-backend aliasing concern. They count their work
+// into the engine's counters.
 //
 // Cached-path pricing is staged, because a sweep prices |queries| ×
 // |configurations| cells and most of a cell's work belongs to its row or
@@ -70,18 +71,15 @@ type CostBackend interface {
 	Prepare(id string, stmt *sqlparse.SelectStmt) error
 	// Pricer resolves the queries against the backend's cached
 	// (INUM-style) path and returns the function that prices them. A query
-	// nobody prepared is resolved on demand — one optimization, the
+	// the view never prepared is resolved on demand — one optimization, the
 	// no-order template only, what a streamed statement costed once or
-	// twice can afford — and stays so until somebody prepares it. What
-	// Pricer resolved lives as long as the returned function and no longer.
+	// twice can afford — and stays so until the same question prepares it;
+	// the coarse entry dies with its question. What Pricer resolved lives as
+	// long as the returned function and no longer.
 	Pricer(queries []workload.Query) (Pricer, error)
 	// StmtCost prices a statement with the backend's reference model (the
 	// full optimizer for analytical backends), bypassing the cached path.
 	StmtCost(stmt *sqlparse.SelectStmt, cfg *catalog.Configuration) (float64, error)
-	// CacheStats reports full-optimization and cached-costing counters.
-	CacheStats() (fullOpts, cachedCostings int64)
-	// EvictPrefix drops per-query cached state by query-ID prefix.
-	EvictPrefix(prefix string) int
 }
 
 // Pricer takes one configuration in — digesting it once, however many
@@ -159,48 +157,56 @@ func (spec BackendSpec) Validate() error {
 	}
 }
 
-// build assembles the backend for one generation. baseEnv is the
-// generation's native optimizer environment (schema + stats + base config +
-// join switches). The returned env is the one the generation should plan
-// against (Optimize/Explain, what-if sessions): the calibrated backend
-// substitutes its cost constants, the replay backend keeps the native env
-// (plan rendering stays available even when costing is trace-served).
-func (spec BackendSpec) build(baseEnv *optimizer.Env) (CostBackend, *optimizer.Env, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, nil, err
+// calibration resolves the calibrated backend's constants with the default.
+func (spec BackendSpec) calibration() *Calibration {
+	if spec.Calibration == nil {
+		return DefaultCalibration()
 	}
+	return spec.Calibration
+}
+
+// env derives the environment a generation plans against under the spec
+// (Optimize/Explain, what-if sessions) from its native one (schema + stats +
+// base config + join switches): the calibrated backend substitutes its cost
+// constants, the others keep the native env — under replay, plan rendering
+// stays available even when costing is trace-served.
+func (spec BackendSpec) env(native *optimizer.Env) *optimizer.Env {
+	if spec.kind() != BackendCalibrated {
+		return native
+	}
+	cenv := *native
+	cenv.Params = spec.calibration().Params()
+	return &cenv
+}
+
+// backend builds a fresh backend, with empty caches, over the env spec.env
+// derived, counting its work into n. The spec has been validated.
+func (spec BackendSpec) backend(env *optimizer.Env, n *inum.Counters) CostBackend {
 	var backend CostBackend
-	env := baseEnv
 	switch spec.kind() {
 	case BackendNative:
 		backend = &envBackend{
 			kind:  BackendNative,
 			desc:  "built-in optimizer + INUM cache (default cost constants)",
 			env:   env,
-			cache: inum.New(env),
+			cache: inum.New(env, n),
 		}
 	case BackendCalibrated:
-		cal := spec.Calibration
-		if cal == nil {
-			cal = DefaultCalibration()
-		}
-		cenv := *baseEnv
-		cenv.Params = cal.Params()
-		env = &cenv
+		cal := spec.calibration()
 		backend = &envBackend{
 			kind: BackendCalibrated,
 			desc: fmt.Sprintf("analytical model calibrated as %q (seq=%g random=%g cpu_tuple=%g)",
 				cal.Name, cal.SeqPageCost, cal.RandomPageCost, cal.CPUTupleCost),
 			env:   env,
-			cache: inum.New(env),
+			cache: inum.New(env, n),
 		}
 	case BackendReplay:
-		backend = &replayBackend{trace: spec.Trace, params: baseEnv.Params}
+		backend = &replayBackend{trace: spec.Trace, params: env.Params, served: &n.CachedCostings}
 	}
 	if spec.Recorder != nil {
 		backend = &recordingBackend{inner: backend, rec: spec.Recorder}
 	}
-	return backend, env, nil
+	return backend
 }
 
 // ---------------------------------------------------------------------------
@@ -218,11 +224,9 @@ type envBackend struct {
 	cache *inum.Cache
 }
 
-func (b *envBackend) Kind() string                  { return b.kind }
-func (b *envBackend) Describe() string              { return b.desc }
-func (b *envBackend) Params() optimizer.CostParams  { return b.env.Params }
-func (b *envBackend) CacheStats() (int64, int64)    { return b.cache.Stats() }
-func (b *envBackend) EvictPrefix(prefix string) int { return b.cache.EvictPrefix(prefix) }
+func (b *envBackend) Kind() string                 { return b.kind }
+func (b *envBackend) Describe() string             { return b.desc }
+func (b *envBackend) Params() optimizer.CostParams { return b.env.Params }
 
 func (b *envBackend) Prepare(id string, stmt *sqlparse.SelectStmt) error {
 	_, err := b.cache.Prepare(id, stmt, nil)
@@ -259,10 +263,12 @@ func (b *envBackend) StmtCost(stmt *sqlparse.SelectStmt, cfg *catalog.Configurat
 // replayBackend: trace-served costing, no live optimizer needed.
 // ---------------------------------------------------------------------------
 
+// replayBackend counts every served call as a cached costing (no full
+// optimizations ever happen under replay).
 type replayBackend struct {
 	trace  *Trace
 	params optimizer.CostParams
-	served atomic.Int64
+	served *atomic.Int64
 }
 
 func (b *replayBackend) Kind() string { return BackendReplay }
@@ -304,12 +310,6 @@ func (b *replayBackend) lookup(op, sql, sig string) (float64, error) {
 	return 0, fmt.Errorf("engine: replay: no recorded %s cost for %q under config %q — re-record the trace with this workload and configuration space", op, sql, sig)
 }
 
-// CacheStats reports every served call as a cached costing (no full
-// optimizations ever happen under replay).
-func (b *replayBackend) CacheStats() (int64, int64) { return 0, b.served.Load() }
-
-func (b *replayBackend) EvictPrefix(string) int { return 0 }
-
 // ---------------------------------------------------------------------------
 // recordingBackend: transparent call capture around any backend.
 // ---------------------------------------------------------------------------
@@ -319,11 +319,9 @@ type recordingBackend struct {
 	rec   *Recorder
 }
 
-func (b *recordingBackend) Kind() string                  { return b.inner.Kind() }
-func (b *recordingBackend) Describe() string              { return b.inner.Describe() + " [recording]" }
-func (b *recordingBackend) Params() optimizer.CostParams  { return b.inner.Params() }
-func (b *recordingBackend) CacheStats() (int64, int64)    { return b.inner.CacheStats() }
-func (b *recordingBackend) EvictPrefix(prefix string) int { return b.inner.EvictPrefix(prefix) }
+func (b *recordingBackend) Kind() string                 { return b.inner.Kind() }
+func (b *recordingBackend) Describe() string             { return b.inner.Describe() + " [recording]" }
+func (b *recordingBackend) Params() optimizer.CostParams { return b.inner.Params() }
 
 func (b *recordingBackend) Prepare(id string, stmt *sqlparse.SelectStmt) error {
 	return b.inner.Prepare(id, stmt)

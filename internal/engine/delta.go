@@ -141,7 +141,7 @@ func (v *View) EvaluateDelta(ctx context.Context, w *workload.Workload, cfg *cat
 	err := v.e.sweep(ctx, len(affected), func(k int) error {
 		i := affected[k]
 		q := w.Queries[i]
-		nw, err := v.s.backend.StmtCost(q.Stmt, newCfg)
+		nw, err := v.backend.StmtCost(q.Stmt, newCfg)
 		if err != nil {
 			return fmt.Errorf("engine: %s: %w", q.ID, err)
 		}

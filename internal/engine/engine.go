@@ -1,34 +1,35 @@
 // Package engine is the single what-if costing layer every designer
-// component plans through. It owns the triple that used to be wired by hand
-// in each advisor — the optimizer environment (schema + statistics + cost
-// parameters), the INUM cost cache (§3.2.1), and the what-if session
-// (§3.1) — as immutable, versioned generations: when the physical design
-// changes (indexes are materialized, statistics are refreshed), the engine
-// builds all three members afresh and bumps the version, so no consumer can
-// keep pricing against a stale cache.
+// component plans through. It owns the optimizer environment (schema +
+// statistics + cost parameters) and the what-if session (§3.1) as
+// immutable, versioned generations: when the physical design changes
+// (indexes are materialized, statistics are refreshed), the engine builds
+// both afresh and bumps the version. The INUM cost cache (§3.2.1) is not
+// part of a generation; it belongs to the question that fills it.
 //
 // The package has two types with two jobs. *Engine is the lifecycle object:
 // construct it, Pin a generation, reconfigure it through the two doors the
 // product uses (SetBaseConfig after Materialize, SetStats after Analyze),
 // bound its worker pool, read its counters. *View is one pinned generation
-// and the only what-if interface: sizing, candidates, prepare, query and
-// workload costs, plans, sweeps and benefit reports are all methods on a
-// view. A question — one advisor run, one observation, one facade call —
-// pins once and passes the view down, so it is answered on one generation
-// by construction; there is no call that pins on the caller's behalf.
-// Within a generation an answer does not depend on the questions asked
-// before it: what Prepare builds for a query is a function of its statement,
-// and every workload sweep prepares before it prices. The one exception is
-// spelled out at CostBackend.Pricer: a query priced without ever being
-// prepared is resolved on demand, more coarsely, until somebody prepares it.
+// plus the cost backend built for it, and the only what-if interface:
+// sizing, candidates, prepare, query and workload costs, plans, sweeps and
+// benefit reports are all methods on a view. A question — one advisor run,
+// one design session, one observation, one autopilot epoch, one facade call
+// — pins once and passes the view down, so it is answered on one generation
+// by construction; there is no call that pins on the caller's behalf. Every
+// pin builds a fresh backend, so a question only ever reads INUM entries it
+// built itself, and they are released when its view is dropped. Within a
+// view an answer does not depend on the calls made before it: what Prepare
+// builds for a query is a function of its statement, and every workload
+// sweep prepares before it prices. The one exception is spelled out at
+// CostBackend.Pricer: a query priced without ever being prepared is
+// resolved on demand, more coarsely, until the same view prepares it.
 //
 // Costing itself is pluggable (backend.go): a view delegates every
-// query/statement pricing call to its generation's CostBackend — native
-// (built-in optimizer + INUM), calibrated (JSON-loaded cost constants), or
-// replay (trace-served) — which is what makes the designer portable across
-// cost models. The backend is chosen when the engine is opened
-// (NewWithBackend) or per pinned view (PinBackend); backend state is built
-// per generation and per derived view, never shared between two.
+// query/statement pricing call to its CostBackend — native (built-in
+// optimizer + INUM), calibrated (JSON-loaded cost constants), or replay
+// (trace-served) — which is what makes the designer portable across cost
+// models. The backend kind is chosen when the engine is opened
+// (NewWithBackend) or per pinned view (PinBackend).
 //
 // Sweeps (SweepConfigs, SweepCandidates, SweepQueryConfigs, Evaluate,
 // EvaluateDelta) price many hypothetical designs in parallel over a bounded
@@ -47,6 +48,7 @@ import (
 	"sync"
 
 	"repro/internal/catalog"
+	"repro/internal/inum"
 	"repro/internal/optimizer"
 	"repro/internal/sqlparse"
 	"repro/internal/stats"
@@ -54,9 +56,9 @@ import (
 	"repro/internal/workload"
 )
 
-// snapshot is one immutable generation of the costing state. Consumers
-// that need multiple consistent calls grab a snapshot once; the engine
-// never mutates a published snapshot, only swaps in a new one.
+// snapshot is one immutable generation of the planning state. A view holds
+// one; the engine never mutates a published snapshot, only swaps in a new
+// one.
 type snapshot struct {
 	version uint64
 	base    *catalog.Configuration
@@ -65,7 +67,6 @@ type snapshot struct {
 	// carries cost constants (native, calibrated), the native one otherwise
 	// (replay still renders plans through the built-in optimizer).
 	env     *optimizer.Env
-	backend CostBackend
 	session *whatif.Session
 }
 
@@ -79,6 +80,10 @@ type Engine struct {
 
 	// workers bounds sweep parallelism; 0 means GOMAXPROCS.
 	workers int
+
+	// counters tallies the costing work of every backend the engine builds,
+	// over its whole life.
+	counters inum.Counters
 }
 
 // New creates an engine over a schema/statistics snapshot and a base
@@ -99,42 +104,29 @@ func NewWithBackend(schema *catalog.Schema, st *stats.Catalog, base *catalog.Con
 		return nil, err
 	}
 	e := &Engine{schema: schema, spec: spec}
-	snap, err := e.build(st, base, spec, 1)
-	if err != nil {
-		return nil, err
-	}
-	e.snap = snap
+	e.snap = e.build(st, base, spec, 1)
 	return e, nil
 }
 
-// build assembles a fresh generation of the costing state.
-func (e *Engine) build(st *stats.Catalog, base *catalog.Configuration, spec BackendSpec, version uint64) (*snapshot, error) {
+// build assembles a generation of the planning state under a validated
+// spec.
+func (e *Engine) build(st *stats.Catalog, base *catalog.Configuration, spec BackendSpec, version uint64) *snapshot {
 	if base == nil {
 		base = catalog.NewConfiguration()
 	}
-	backend, env, err := spec.build(optimizer.NewEnv(e.schema, st, base))
-	if err != nil {
-		return nil, err
-	}
+	env := spec.env(optimizer.NewEnv(e.schema, st, base))
 	return &snapshot{
 		version: version,
 		base:    base,
 		stats:   st,
 		env:     env,
-		backend: backend,
 		session: whatif.NewSessionFromEnv(env, base),
-	}, nil
+	}
 }
 
 // rebuild swaps in the next generation; callers hold e.mu.
 func (e *Engine) rebuild(st *stats.Catalog, base *catalog.Configuration) {
-	snap, err := e.build(st, base, e.spec, e.snap.version+1)
-	if err != nil {
-		// Only reachable with a spec that validated but failed to build —
-		// the current backend kinds cannot do that.
-		panic(err)
-	}
-	e.snap = snap
+	e.snap = e.build(st, base, e.spec, e.snap.version+1)
 }
 
 // snapshot returns the current generation under a read lock.
@@ -144,36 +136,41 @@ func (e *Engine) snapshot() *snapshot {
 	return e.snap
 }
 
-// View is one pinned configuration generation of the engine, and the one
-// what-if interface: every costing, sizing and planning call is a method on
-// a view, so a question that spans many of them (prepare, base costs, many
-// sweeps) is answered on one generation — environment, backend, session,
-// statistics and base design — even if the engine is reconfigured
-// concurrently. The caller pins once per question and passes the view down;
-// the next question picks up the new generation.
+// View is one pinned configuration generation of the engine with the cost
+// backend built for it, and the one what-if interface: every costing,
+// sizing and planning call is a method on a view, so a question that spans
+// many of them (prepare, base costs, many sweeps) is answered on one
+// generation — environment, session, statistics and base design — even if
+// the engine is reconfigured concurrently. The backend and its INUM entries
+// are the view's own: no other view reads them, and they go when the view
+// does. The caller pins once per question and passes the view down; the
+// next question picks up the new generation and starts from empty caches.
 type View struct {
-	e *Engine
-	s *snapshot
+	e       *Engine
+	s       *snapshot
+	backend CostBackend
 }
 
-// Pin captures the current generation. The returned view is unaffected by
-// subsequent SetBaseConfig/SetStats calls.
-func (e *Engine) Pin() *View { return &View{e: e, s: e.snapshot()} }
+// Pin captures the current generation and builds a fresh backend over it.
+// The returned view is unaffected by subsequent SetBaseConfig/SetStats
+// calls.
+func (e *Engine) Pin() *View { return e.view(e.snapshot(), e.spec) }
 
-// PinBackend captures the current generation but substitutes a different
-// cost backend built against the same base configuration and statistics —
-// the per-session backend surface: one HTTP design session can price
-// through the calibrated model while the engine (and every other consumer)
-// stays on its own backend. The derived backend has fresh per-generation
-// state (its own INUM cache), so per-session backends can never alias the
-// engine's cached plan costs.
+// PinBackend is Pin with a different cost backend, built against the same
+// base configuration and statistics — the per-session backend surface: one
+// HTTP design session can price through the calibrated model while the
+// engine (and every other consumer) stays on its own backend.
 func (e *Engine) PinBackend(spec BackendSpec) (*View, error) {
-	cur := e.snapshot()
-	derived, err := e.build(cur.stats, cur.base, spec, cur.version)
-	if err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	return &View{e: e, s: derived}, nil
+	cur := e.snapshot()
+	return e.view(e.build(cur.stats, cur.base, spec, cur.version), spec), nil
+}
+
+// view builds the backend a pinned generation prices through.
+func (e *Engine) view(s *snapshot, spec BackendSpec) *View {
+	return &View{e: e, s: s, backend: spec.backend(s.env, &e.counters)}
 }
 
 // Version reports the pinned generation. It increments every time the base
@@ -192,11 +189,11 @@ func (v *View) Session() *whatif.Session { return v.s.session }
 func (v *View) Stats() *stats.Catalog { return v.s.stats }
 
 // Params returns the pinned generation's cost parameters (the backend's).
-func (v *View) Params() optimizer.CostParams { return v.s.backend.Params() }
+func (v *View) Params() optimizer.CostParams { return v.backend.Params() }
 
 // Backend describes the pinned generation's cost backend.
 func (v *View) Backend() BackendInfo {
-	return BackendInfo{Kind: v.s.backend.Kind(), Description: v.s.backend.Describe()}
+	return BackendInfo{Kind: v.backend.Kind(), Description: v.backend.Describe()}
 }
 
 // SessionWith returns a throwaway what-if session over the pinned base
@@ -238,11 +235,10 @@ func (e *Engine) Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// SetBaseConfig swaps the base configuration and invalidates every cached
-// artifact: environment, what-if session, and — crucially — the backend,
-// whose memoized access costs and plan templates were computed for the old
-// generation. Designer.Materialize calls this after physically building
-// indexes.
+// SetBaseConfig swaps the base configuration and starts a new generation:
+// environment and what-if session. Views pinned after it price on the new
+// generation; views pinned before keep theirs. Designer.Materialize calls
+// this after physically building indexes.
 func (e *Engine) SetBaseConfig(base *catalog.Configuration) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -267,18 +263,18 @@ func (s *snapshot) resolve(cfg *catalog.Configuration) *catalog.Configuration {
 	return s.base
 }
 
-// Prepare primes the pinned generation's backend for every workload query,
-// in parallel over the sweep pool. What is built for a query depends on its
-// statement alone; the third argument is ignored and is still there only
-// because the benchmark module, which no code change may edit, passes one
-// (ROADMAP 6(g)). Prepare is idempotent per query ID within a generation — a
-// query the backend already holds costs one lookup and builds nothing — so
+// Prepare primes the view's backend for every workload query, in parallel
+// over the sweep pool. What is built for a query depends on its statement
+// alone; the third argument is ignored and is still there only because the
+// benchmark module, which no code change may edit, passes one (ROADMAP
+// 6(g)). Prepare is idempotent per query ID within a view — a query the
+// backend already holds costs one lookup and builds nothing — so
 // every workload sweep simply runs it instead of remembering which
 // workloads it has seen. A cancelled context aborts between queries.
 func (v *View) Prepare(ctx context.Context, w *workload.Workload, _ []*catalog.Index) error {
 	return v.e.sweep(ctx, len(w.Queries), func(i int) error {
 		q := w.Queries[i]
-		return v.s.backend.Prepare(q.ID, q.Stmt)
+		return v.backend.Prepare(q.ID, q.Stmt)
 	})
 }
 
@@ -286,7 +282,7 @@ func (v *View) Prepare(ctx context.Context, w *workload.Workload, _ []*catalog.I
 // lower-case names of the base tables it references (the per-query table
 // set CoPhy enumerates atoms over).
 func (v *View) PrepareQuery(q workload.Query) ([]string, error) {
-	if err := v.s.backend.Prepare(q.ID, q.Stmt); err != nil {
+	if err := v.backend.Prepare(q.ID, q.Stmt); err != nil {
 		return nil, err
 	}
 	return v.tablesOf(q)
@@ -308,7 +304,7 @@ func (v *View) tablesOf(q workload.Query) ([]string, error) {
 // QueryCost prices one query under a configuration through the pinned
 // backend's cached path (nil = the pinned base configuration).
 func (v *View) QueryCost(q workload.Query, cfg *catalog.Configuration) (float64, error) {
-	price, err := v.s.backend.Pricer([]workload.Query{q})
+	price, err := v.backend.Pricer([]workload.Query{q})
 	if err != nil {
 		return 0, err
 	}
@@ -318,7 +314,7 @@ func (v *View) QueryCost(q workload.Query, cfg *catalog.Configuration) (float64,
 // WorkloadCost sums weighted backend query costs under a configuration
 // (nil = base) against the pinned generation.
 func (v *View) WorkloadCost(w *workload.Workload, cfg *catalog.Configuration) (float64, error) {
-	price, err := v.s.pricer(w)
+	price, err := v.pricer(w)
 	if err != nil {
 		return 0, err
 	}
@@ -327,8 +323,8 @@ func (v *View) WorkloadCost(w *workload.Workload, cfg *catalog.Configuration) (f
 
 // pricer resolves the workload's queries against the backend, once for
 // however many configurations the caller then prices.
-func (s *snapshot) pricer(w *workload.Workload) (Pricer, error) {
-	price, err := s.backend.Pricer(w.Queries)
+func (v *View) pricer(w *workload.Workload) (Pricer, error) {
+	price, err := v.backend.Pricer(w.Queries)
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
@@ -354,7 +350,7 @@ func workloadCost(w *workload.Workload, price QueryPricer) (float64, error) {
 // bypassing the cached path — the E8 comparison baseline and the exactness
 // fallback.
 func (v *View) FullCost(stmt *sqlparse.SelectStmt, cfg *catalog.Configuration) (float64, error) {
-	return v.s.backend.StmtCost(stmt, v.s.resolve(cfg))
+	return v.backend.StmtCost(stmt, v.s.resolve(cfg))
 }
 
 // Optimize plans a statement under a configuration (nil = base) and returns
@@ -365,17 +361,11 @@ func (v *View) Optimize(stmt *sqlparse.SelectStmt, cfg *catalog.Configuration) (
 	return v.s.env.WithConfig(v.s.resolve(cfg)).Optimize(stmt)
 }
 
-// CacheStats reports the current generation's full-optimization and cached
-// costing counters (the E8 telemetry).
+// CacheStats reports the full optimizations and cached costings of every
+// view the engine has pinned, over its whole life (the E8 telemetry). The
+// counts only rise; a caller measuring one question reads the difference.
 func (e *Engine) CacheStats() (fullOpts, cachedCostings int64) {
-	return e.snapshot().backend.CacheStats()
-}
-
-// EvictPrefix drops backend entries whose query ID starts with prefix from
-// the current generation, returning the count. Long-lived engines shared by
-// transient components (online tuners) use this to bound cache growth.
-func (e *Engine) EvictPrefix(prefix string) int {
-	return e.snapshot().backend.EvictPrefix(prefix)
+	return e.counters.FullOptimizations.Load(), e.counters.CachedCostings.Load()
 }
 
 // workerCount resolves the sweep pool size for n jobs.

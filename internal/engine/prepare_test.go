@@ -10,11 +10,12 @@ import (
 	"repro/internal/workload"
 )
 
-// countingBackend wraps a CostBackend and counts Prepare calls — the probe
-// for how often a sweep's prepare pass reaches the backend.
+// countingBackend wraps a view's CostBackend and counts its Prepare calls
+// into its prepareCounter — the probe for how often a sweep's prepare pass
+// reaches the backend.
 type countingBackend struct {
 	CostBackend
-	prepares atomic.Int64
+	prepares *atomic.Int64
 }
 
 func (c *countingBackend) Prepare(id string, stmt *sqlparse.SelectStmt) error {
@@ -22,9 +23,22 @@ func (c *countingBackend) Prepare(id string, stmt *sqlparse.SelectStmt) error {
 	return c.CostBackend.Prepare(id, stmt)
 }
 
-// newCountingEngine builds an engine over the tiny dataset with its backend
-// wrapped in a Prepare counter.
-func newCountingEngine(t *testing.T) (*Engine, *workload.Workload, *countingBackend) {
+// prepareCounter counts the Prepare calls that reach the backends of the
+// views pinned through it.
+type prepareCounter struct {
+	prepares atomic.Int64
+}
+
+// pin pins a view whose backend counts its Prepare calls into pc.
+func (pc *prepareCounter) pin(e *Engine) *View {
+	v := e.Pin()
+	v.backend = &countingBackend{CostBackend: v.backend, prepares: &pc.prepares}
+	return v
+}
+
+// newCountingEngine builds an engine over the tiny dataset, a workload for
+// it, and a Prepare counter to pin views through.
+func newCountingEngine(t *testing.T) (*Engine, *workload.Workload, *prepareCounter) {
 	t.Helper()
 	store, err := workload.Generate(workload.TinySize(), 41)
 	if err != nil {
@@ -35,20 +49,25 @@ func newCountingEngine(t *testing.T) (*Engine, *workload.Workload, *countingBack
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb := &countingBackend{CostBackend: e.snap.backend}
-	e.snap.backend = cb
-	return e, w, cb
+	return e, w, &prepareCounter{}
+}
+
+// fullOpts reads the engine's full-optimization counter.
+func fullOpts(e *Engine) int64 {
+	full, _ := e.CacheStats()
+	return full
 }
 
 // TestSweepPreparesWorkloadOnce is the regression test for the per-sweep
-// re-prepare bug: the first sweep builds every query's templates exactly
-// once (its prepare pass makes one backend call per query), and every
-// subsequent sweep of the same workload in the same generation builds
-// nothing — its prepare pass is answered from the cache, so the
+// re-prepare bug: a view's first sweep builds every query's templates
+// exactly once (its prepare pass makes one backend call per query), and
+// every later sweep of the same workload on the same view builds nothing —
+// its prepare pass is answered from the view's cache, so the engine's
 // full-optimization counter does not move.
 func TestSweepPreparesWorkloadOnce(t *testing.T) {
 	e, w, cb := newCountingEngine(t)
-	ctx, v := context.Background(), e.Pin()
+	v := cb.pin(e)
+	ctx := context.Background()
 	cfgs := []*catalog.Configuration{nil, catalog.NewConfiguration()}
 
 	first, err := v.SweepConfigs(ctx, w, cfgs)
@@ -58,7 +77,7 @@ func TestSweepPreparesWorkloadOnce(t *testing.T) {
 	if got := cb.prepares.Load(); got != int64(len(w.Queries)) {
 		t.Fatalf("first sweep made %d Prepare calls, want %d", got, len(w.Queries))
 	}
-	afterFirst, _ := e.CacheStats()
+	afterFirst := fullOpts(e)
 	if afterFirst == 0 {
 		t.Fatal("first sweep ran no full optimization: the probe cannot see a re-prepare")
 	}
@@ -74,17 +93,19 @@ func TestSweepPreparesWorkloadOnce(t *testing.T) {
 			}
 		}
 	}
-	if got, _ := e.CacheStats(); got != afterFirst {
+	if got := fullOpts(e); got != afterFirst {
 		t.Fatalf("repeat sweeps re-prepared: %d full optimizations, want %d", got, afterFirst)
 	}
 }
 
 // TestExplicitPrepareSkipsSweepPrepare asserts a workload prepared through
-// Prepare is never rebuilt by later sweeps: the sweep's own prepare pass
-// finds every entry in place and runs no full optimization.
+// a view's Prepare is never rebuilt by later sweeps on that view: the
+// sweep's own prepare pass finds every entry in place and runs no full
+// optimization.
 func TestExplicitPrepareSkipsSweepPrepare(t *testing.T) {
 	e, w, cb := newCountingEngine(t)
-	ctx, v := context.Background(), e.Pin()
+	v := cb.pin(e)
+	ctx := context.Background()
 
 	if err := v.Prepare(ctx, w, nil); err != nil {
 		t.Fatal(err)
@@ -92,36 +113,79 @@ func TestExplicitPrepareSkipsSweepPrepare(t *testing.T) {
 	if got := cb.prepares.Load(); got != int64(len(w.Queries)) {
 		t.Fatalf("Prepare made %d backend calls, want %d", got, len(w.Queries))
 	}
-	afterPrepare, _ := e.CacheStats()
+	afterPrepare := fullOpts(e)
 	if afterPrepare == 0 {
 		t.Fatal("Prepare ran no full optimization: the probe cannot see a re-prepare")
 	}
 	if _, err := v.SweepConfigs(ctx, w, []*catalog.Configuration{nil}); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := e.CacheStats(); got != afterPrepare {
+	if got := fullOpts(e); got != afterPrepare {
 		t.Fatalf("sweep after Prepare re-prepared: %d full optimizations, want %d", got, afterPrepare)
 	}
 }
 
-// TestNewGenerationRePrepares asserts prepared state is generation scoped:
-// after an invalidation (the same base installed again) the new snapshot
-// re-prepares the workload — stale templates must never satisfy a fresh
-// generation.
+// TestNewGenerationRePrepares asserts prepared state is view scoped: a view
+// pinned after an invalidation (the same base installed again) prepares
+// the workload from scratch — stale templates must never satisfy a fresh
+// generation — and builds exactly what the first view built.
 func TestNewGenerationRePrepares(t *testing.T) {
-	e, w, _ := newCountingEngine(t)
+	e, w, cb := newCountingEngine(t)
 	ctx, v := context.Background(), e.Pin()
 	if _, err := v.SweepConfigs(ctx, w, []*catalog.Configuration{nil}); err != nil {
 		t.Fatal(err)
 	}
+	built := fullOpts(e)
 	e.SetBaseConfig(v.Base())
-	// The rebuilt snapshot has a fresh (unwrapped) backend; count again.
-	cb := &countingBackend{CostBackend: e.snap.backend}
-	e.snap.backend = cb
-	if _, err := e.Pin().SweepConfigs(ctx, w, []*catalog.Configuration{nil}); err != nil {
+	fresh := cb.pin(e)
+	if _, err := fresh.SweepConfigs(ctx, w, []*catalog.Configuration{nil}); err != nil {
 		t.Fatal(err)
 	}
 	if got := cb.prepares.Load(); got != int64(len(w.Queries)) {
 		t.Fatalf("post-invalidation sweep made %d Prepare calls, want %d", got, len(w.Queries))
+	}
+	if got := fullOpts(e); got != 2*built {
+		t.Fatalf("post-invalidation sweep: %d full optimizations in all, want %d (the first view's %d again)", got, 2*built, built)
+	}
+}
+
+// TestViewsShareNoINUMEntry asserts two views pinned on one generation own
+// separate caches: view B rebuilds every entry view A built — the engine's
+// counters see the same full optimizations twice — and prices the same
+// costs, while A's entries still answer A without building anything.
+func TestViewsShareNoINUMEntry(t *testing.T) {
+	e, w, _ := newCountingEngine(t)
+	ctx := context.Background()
+	a, b := e.Pin(), e.Pin()
+	if a.s != b.s {
+		t.Fatal("two pins of one generation hold different generations")
+	}
+	cfgs := []*catalog.Configuration{nil, catalog.NewConfiguration()}
+
+	costA, err := a.SweepConfigs(ctx, w, cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	builtA := fullOpts(e)
+	if builtA == 0 {
+		t.Fatal("view A built nothing: the probe cannot see sharing")
+	}
+	costB, err := b.SweepConfigs(ctx, w, cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fullOpts(e); got != 2*builtA {
+		t.Fatalf("view B built %d full optimizations, want view A's %d: the views share entries", got-builtA, builtA)
+	}
+	for i := range costA {
+		if costA[i] != costB[i] {
+			t.Fatalf("config %d: view A %v != view B %v", i, costA[i], costB[i])
+		}
+	}
+	if _, err := a.SweepConfigs(ctx, w, cfgs); err != nil {
+		t.Fatal(err)
+	}
+	if got := fullOpts(e); got != 2*builtA {
+		t.Fatalf("view A rebuilt its own entries: %d full optimizations, want %d", got, 2*builtA)
 	}
 }

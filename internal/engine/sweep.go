@@ -117,7 +117,7 @@ func (v *View) SweepConfigs(ctx context.Context, w *workload.Workload, cfgs []*c
 	if err := v.Prepare(ctx, w, nil); err != nil {
 		return nil, err
 	}
-	price, err := v.s.pricer(w)
+	price, err := v.pricer(w)
 	if err != nil {
 		return nil, err
 	}
@@ -144,7 +144,7 @@ func (v *View) SweepCandidates(ctx context.Context, w *workload.Workload, base *
 	if err := v.Prepare(ctx, w, nil); err != nil {
 		return nil, err
 	}
-	price, err := v.s.pricer(w)
+	price, err := v.pricer(w)
 	if err != nil {
 		return nil, err
 	}
@@ -168,7 +168,7 @@ func (v *View) SweepCandidates(ctx context.Context, w *workload.Workload, base *
 // against the pinned generation — CoPhy's atom pricing. costs[i]
 // corresponds to cfgs[i].
 func (v *View) SweepQueryConfigs(ctx context.Context, q workload.Query, cfgs []*catalog.Configuration) ([]float64, error) {
-	price, err := v.s.backend.Pricer([]workload.Query{q})
+	price, err := v.backend.Pricer([]workload.Query{q})
 	if err != nil {
 		return nil, err
 	}
@@ -195,7 +195,7 @@ func (v *View) SweepQueryConfigs(ctx context.Context, q workload.Query, cfgs []*
 // if the engine is reconfigured. Queries are priced in parallel, and
 // results are deterministic and identical to a serial loop over FullCost.
 func (v *View) Evaluate(ctx context.Context, w *workload.Workload, cfg *catalog.Configuration) (*whatif.Report, error) {
-	return v.evaluate(ctx, w, cfg, v.s.backend.StmtCost)
+	return v.evaluate(ctx, w, cfg, v.backend.StmtCost)
 }
 
 // EvaluateSteered is Evaluate with per-session join steering: every query is

@@ -17,6 +17,10 @@
 // no-order template only, and a later Prepare replaces that entry with
 // exactly the one a direct Prepare builds.
 //
+// A cache belongs to one question. The engine builds one per pinned view,
+// so the entries live exactly as long as the question that built them and
+// nothing is ever evicted; only the work counters (Counters) outlive it.
+//
 // Per table of the query the visible slice of a configuration is the set of
 // structures that could enter one of its plans (optimizer's
 // Relevance.CanUse) and the table's partition layouts — the paper's
@@ -89,37 +93,44 @@ type CachedQuery struct {
 	complete bool
 }
 
-// Cache is the INUM store for a workload.
+// Cache is the INUM store of one question: the entries of every statement
+// it prepared or priced, keyed by the caller's query ID.
 type Cache struct {
 	base *optimizer.Env
 
 	mu      sync.RWMutex
 	entries map[string]*CachedQuery
 
-	// Telemetry for the E8 experiment.
-	fullOptimizations atomic.Int64
-	cachedCostings    atomic.Int64
+	counters *Counters
+}
+
+// Counters tallies the work of every cache that counts into it — the E8
+// telemetry: full optimizations spent building entries, and costings
+// answered from cached templates.
+type Counters struct {
+	FullOptimizations atomic.Int64
+	CachedCostings    atomic.Int64
 }
 
 // New creates an INUM cache over the base environment (schema, stats, cost
 // params). The base configuration inside env is ignored; configurations are
-// supplied per costing call.
-func New(env *optimizer.Env) *Cache {
-	return &Cache{base: env, entries: make(map[string]*CachedQuery)}
-}
-
-// Stats reports how many full optimizations and cached costings the cache
-// has performed.
-func (c *Cache) Stats() (fullOpts, cachedCostings int64) {
-	return c.fullOptimizations.Load(), c.cachedCostings.Load()
+// supplied per costing call. The cache counts its work into counters — the
+// engine hands every view's cache the same one — or, given none, into a
+// tally nobody reads.
+func New(env *optimizer.Env, counters ...*Counters) *Cache {
+	c := &Cache{base: env, entries: make(map[string]*CachedQuery), counters: new(Counters)}
+	if len(counters) > 0 {
+		c.counters = counters[0]
+	}
+	return c
 }
 
 // Prepare returns the query's complete entry, building it when the cache
 // holds none for the statement or only an on-demand one. It is idempotent
-// per (ID, statement): a different statement under a reused ID (two
-// workloads both numbering their queries q0, q1, ... against one long-lived
-// engine) rebuilds and replaces the entry instead of silently pricing the
-// new query with the old query's plans. The third argument is ignored and
+// per (ID, statement): a different statement under a reused ID (one session
+// asked about two workloads that both number their queries q0, q1, ...)
+// rebuilds and replaces the entry instead of silently pricing the new query
+// with the old query's plans. The third argument is ignored and
 // is still there only because the benchmark module, which no code change
 // may edit, passes one (ROADMAP 6(g)).
 func (c *Cache) Prepare(id string, stmt *sqlparse.SelectStmt, _ []*catalog.Index) (*CachedQuery, error) {
@@ -165,30 +176,6 @@ func (c *Cache) entry(id string, stmt *sqlparse.SelectStmt, complete bool) (*Cac
 	}
 	c.entries[id] = q
 	return q, nil
-}
-
-// Get returns the cached entry, or nil.
-func (c *Cache) Get(id string) *CachedQuery {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.entries[id]
-}
-
-// EvictPrefix removes every cached entry whose query ID starts with prefix
-// and reports how many were dropped. Components that namespace their
-// entries (e.g. the online tuner) use this to release their share of a
-// long-lived shared cache.
-func (c *Cache) EvictPrefix(prefix string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for id := range c.entries {
-		if strings.HasPrefix(id, prefix) {
-			delete(c.entries, id)
-			n++
-		}
-	}
-	return n
 }
 
 // build computes the template set for a query: the complete one, or the
@@ -282,7 +269,7 @@ func (c *Cache) addTemplate(q *CachedQuery, cfg *catalog.Configuration, template
 		return nil, fmt.Errorf("inum: %s: %w", q.ID, err)
 	}
 	q.prepOptimizerCalls++
-	c.fullOptimizations.Add(1)
+	c.counters.FullOptimizations.Add(1)
 
 	orders := optimizer.LeafOrders(plan.Root, q.Tables)
 	internal := plan.TotalCost() - optimizer.ScanCostTotal(plan.Root)
@@ -345,7 +332,7 @@ func (c *Cache) CostUnder(q *CachedQuery, d *Digest) float64 {
 // query, whose slice of the configuration comes from the digest when there
 // is one and is cut out of cfg otherwise.
 func (c *Cache) cost(q *CachedQuery, cfg *catalog.Configuration, d *Digest) float64 {
-	c.cachedCostings.Add(1)
+	c.counters.CachedCostings.Add(1)
 	m := q.costMemo()
 
 	// Accumulate per template in table order, so every total is the same
@@ -398,13 +385,6 @@ func interestingOrderColumns(stmt *sqlparse.SelectStmt) []*sqlparse.ColumnRef {
 		}
 	}
 	return out
-}
-
-// FullCost bypasses the cache and runs the complete optimizer — the
-// comparison baseline for E8 and the fallback for exactness checks.
-func (c *Cache) FullCost(q *CachedQuery, cfg *catalog.Configuration) (float64, error) {
-	c.fullOptimizations.Add(1)
-	return c.base.WithConfig(cfg).Cost(q.Stmt)
 }
 
 // TemplateCount reports how many plan skeletons are cached for a query.

@@ -103,7 +103,7 @@ func TestCostForTracksFullOptimizer(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fc, err := f.cache.FullCost(cq, cfg)
+			fc, err := f.env.WithConfig(cfg).Cost(q.Stmt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -223,29 +223,38 @@ func TestPartitionAwareCosting(t *testing.T) {
 	}
 }
 
+// TestTelemetryCounters checks that caches sharing one Counters add to the
+// same two totals: building entries counts full optimizations, a costing
+// counts one cached costing and no optimization.
 func TestTelemetryCounters(t *testing.T) {
 	f := newFixture(t, 3)
+	var n inum.Counters
+	a, b := inum.New(f.env, &n), inum.New(f.env, &n)
+	var first *inum.CachedQuery
 	for _, q := range f.w.Queries {
-		if _, err := f.cache.Prepare(q.ID, q.Stmt, f.cands); err != nil {
+		cq, err := a.Prepare(q.ID, q.Stmt, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if first == nil {
+			first = cq
+		}
 	}
-	fullBefore, cachedBefore := f.cache.Stats()
+	fullBefore, cachedBefore := n.FullOptimizations.Load(), n.CachedCostings.Load()
 	if fullBefore == 0 {
 		t.Fatal("prepare should count full optimizations")
 	}
-	cq := f.cache.Get(f.w.Queries[0].ID)
-	if cq == nil {
-		t.Fatal("Get returned nil for prepared query")
-	}
-	if _, err := f.cache.CostFor(cq, catalog.NewConfiguration()); err != nil {
+	if _, err := a.CostFor(first, catalog.NewConfiguration()); err != nil {
 		t.Fatal(err)
 	}
-	fullAfter, cachedAfter := f.cache.Stats()
-	if fullAfter != fullBefore {
-		t.Error("CostFor must not run the full optimizer")
+	if full, cached := n.FullOptimizations.Load(), n.CachedCostings.Load(); full != fullBefore || cached != cachedBefore+1 {
+		t.Errorf("CostFor: full optimizations %d -> %d, cached costings %d -> %d", fullBefore, full, cachedBefore, cached)
 	}
-	if cachedAfter != cachedBefore+1 {
-		t.Errorf("cached costings: %d -> %d", cachedBefore, cachedAfter)
+	q := f.w.Queries[0]
+	if _, err := b.Prepare(q.ID, q.Stmt, nil); err != nil {
+		t.Fatal(err)
+	}
+	if full := n.FullOptimizations.Load(); full != fullBefore+int64(first.PrepCost()) {
+		t.Errorf("a second cache rebuilt %s: full optimizations %d -> %d, want +%d", q.ID, fullBefore, full, first.PrepCost())
 	}
 }
