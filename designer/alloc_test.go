@@ -13,16 +13,18 @@ import (
 // TestAdviseAllocationCeiling guards what the benchmark's advise_full
 // workload measures, in tier-1 and in a second: one fixed 48-statement
 // script, SQL text in, full advice (partitions, interactions) and DDL out,
-// on the tiny dataset. An answer allocates 5,705 KB (it repeats to a few
-// KB); the ceiling sits a tenth above. The same answer allocated 6,003 KB
-// while the plan search built a node for every plan it considered, and
-// 45,740 KB while INUM rendered a configuration signature per query and
-// table, built a node for every access path it then discarded and keyed its
-// memo on every structure of the table, so a costing path that starts
-// allocating per call again trips this long before the ceiling's slack
-// matters. (Not under -race: the detector's instrumentation allocates.)
+// on the tiny dataset. An answer allocates 4,155 KB (it repeats to a few
+// KB); the ceiling sits a tenth above. The same answer allocated 4,610 KB
+// while the plan search, INUM and the candidate passes each derived a
+// statement's analysis for themselves, 6,003 KB while the plan search built
+// a node for every plan it considered, and 45,740 KB while INUM rendered a
+// configuration signature per query and table, built a node for every
+// access path it then discarded and keyed its memo on every structure of
+// the table, so a costing path that starts allocating per call again trips
+// this long before the ceiling's slack matters. (Not under -race: the
+// detector's instrumentation allocates.)
 func TestAdviseAllocationCeiling(t *testing.T) {
-	const ceilingKB = 6275
+	const ceilingKB = 4570
 	ctx := context.Background()
 	d, err := designer.OpenSDSS("tiny", 41)
 	if err != nil {
@@ -68,13 +70,15 @@ func TestAdviseAllocationCeiling(t *testing.T) {
 // workload measures: Scenario 1's loop of one index added or dropped, then
 // the whole workload (300 generated statements, tiny dataset) re-evaluated,
 // which re-plans every statement that can see the edited table. An edit
-// allocates 293 KB (it repeats to a KB); the ceiling sits a tenth above.
-// The same loop allocated 553 KB an edit while the plan search built a node
-// for every plan it considered, so a search that starts building its losers
-// again trips this. (Not under -race: the detector's instrumentation
-// allocates.)
+// allocates 199 KB (it repeats to a KB); the ceiling sits a tenth above.
+// The same loop allocated 294 KB an edit while the plan search derived each
+// statement's analysis (its predicate split and referenced columns) on
+// every costing, and 553 KB while it built a node for every plan it
+// considered, so a search that starts deriving what its statement carries,
+// or building its losers, again trips this. (Not under -race: the
+// detector's instrumentation allocates.)
 func TestEvaluateEditAllocationCeiling(t *testing.T) {
-	const ceilingKB = 322
+	const ceilingKB = 219
 	ctx := context.Background()
 	d, err := designer.OpenSDSS("tiny", 41)
 	if err != nil {

@@ -173,14 +173,7 @@ func (a *Advisor) usageFragments(w *workload.Workload, t *catalog.Table) [][]str
 	}
 	sig := map[string][]int{} // column -> query ordinals
 	for qi, q := range w.Queries {
-		cols := map[string]bool{}
-		collect := func(c *sqlparse.ColumnRef) {
-			if strings.EqualFold(c.Table, t.Name) {
-				cols[strings.ToLower(c.Column)] = true
-			}
-		}
-		q.Stmt.EachExpr(func(slot *sqlparse.Expr) { sqlparse.WalkColumns(*slot, collect) })
-		for c := range cols {
+		for c := range q.Stmt.Analysis().ColumnsOf(strings.ToLower(t.Name)) {
 			if !pk[c] {
 				sig[c] = append(sig[c], qi)
 			}
@@ -350,8 +343,7 @@ func (a *Advisor) bestHorizontal(
 func (a *Advisor) rangeFilteredColumn(w *workload.Workload, t *catalog.Table) string {
 	score := map[string]float64{}
 	for _, q := range w.Queries {
-		filters, _, _ := sqlparse.SplitPredicates(q.Stmt)
-		for _, conj := range filters[strings.ToLower(t.Name)] {
+		for _, conj := range q.Stmt.Analysis().FiltersOf(strings.ToLower(t.Name)) {
 			sr, ok := sqlparse.SargableOf(conj)
 			if ok && sr.IsRange {
 				score[strings.ToLower(sr.Column)] += q.Weight

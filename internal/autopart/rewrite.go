@@ -21,10 +21,15 @@ func FragmentTableName(table string, i int) string {
 // queries for the new table partitions" feature of Scenario 1/2. It builds
 // the rewritten statement and hands it to sqlparse's renderer, so the text
 // parses and keeps the original's predicate structure; fragment tables are a
-// naming convention, not catalog objects.
+// naming convention, not catalog objects. The rewritten statement is a new
+// one, so it carries none of the source's analysis.
 func RewriteQuery(sel *sqlparse.SelectStmt, schema *catalog.Schema, cfg *catalog.Configuration) (string, bool) {
-	out := *sel
-	out.From = nil
+	out := &sqlparse.SelectStmt{
+		Distinct: sel.Distinct, Where: sel.Where, Having: sel.Having, Limit: sel.Limit, LimitParam: sel.LimitParam,
+		Projections: append([]sqlparse.SelectItem(nil), sel.Projections...),
+		GroupBy:     append([]sqlparse.Expr(nil), sel.GroupBy...),
+		OrderBy:     append([]sqlparse.OrderItem(nil), sel.OrderBy...),
+	}
 	first := map[string]string{} // partitioned table -> its first fragment table in FROM
 	var stitch []sqlparse.Expr   // PK equalities chaining each table's fragments
 	for _, ref := range sel.From {
@@ -74,9 +79,6 @@ func RewriteQuery(sel *sqlparse.SelectStmt, schema *catalog.Schema, cfg *catalog
 		}
 		return &sqlparse.ColumnRef{Table: table, Column: strings.ToLower(c.Column)}
 	}
-	out.Projections = append([]sqlparse.SelectItem(nil), sel.Projections...)
-	out.GroupBy = append([]sqlparse.Expr(nil), sel.GroupBy...)
-	out.OrderBy = append([]sqlparse.OrderItem(nil), sel.OrderBy...)
 	out.EachExpr(func(slot *sqlparse.Expr) { *slot = sqlparse.Rewrite(*slot, requalify) })
 	out.Where = sqlparse.AndAll(append(sqlparse.Conjuncts(out.Where), stitch...))
 	return out.String(), true
@@ -87,16 +89,11 @@ func RewriteQuery(sel *sqlparse.SelectStmt, schema *catalog.Schema, cfg *catalog
 // use any fragment and gets the first.
 func fragmentTables(sel *sqlparse.SelectStmt, t *catalog.Table, layout *catalog.VerticalLayout) []string {
 	needed := map[int]bool{}
-	sel.EachExpr(func(slot *sqlparse.Expr) {
-		sqlparse.WalkColumns(*slot, func(c *sqlparse.ColumnRef) {
-			if !strings.EqualFold(c.Table, t.Name) {
-				return
-			}
-			if fi := layout.FragmentFor(c.Column); fi >= 0 {
-				needed[fi] = true
-			}
-		})
-	})
+	for col := range sel.Analysis().ColumnsOf(catalog.NormCol(t.Name)) {
+		if fi := layout.FragmentFor(col); fi >= 0 {
+			needed[fi] = true
+		}
+	}
 	if len(needed) == 0 {
 		needed[0] = true
 	}

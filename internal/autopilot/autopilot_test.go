@@ -3,6 +3,7 @@ package autopilot_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -205,6 +206,80 @@ func TestAutopilotRollsBackUnderperformingIndex(t *testing.T) {
 	}
 	if _, held := st.Cooldown[ix.Key()]; !held {
 		t.Fatal("rolled-back index not in cooldown")
+	}
+}
+
+// TestProbationPricesThePreparedWindow holds the autopilot to one reading
+// of an epoch: probation prices the window on the complete INUM entries the
+// regret oracle reads, so an index that pays off only through an ordered
+// plan template — photoobj(objid, type) under ORDER BY objid, which the
+// no-order template of an unprepared statement cannot credit — is measured
+// with the benefit a fresh view that prepared the window reads, bit for bit.
+func TestProbationPricesThePreparedWindow(t *testing.T) {
+	ctx := context.Background()
+	eng := newEngine(t)
+	opts := testOptions()
+	opts.Colt.AdoptThreshold = math.Inf(1) // no alerts: the adopted index is the only design change
+	opts.BuildBudgetPages = 1 << 20        // built at the first epoch boundary
+	opts.ProbationEpochs = 1               // and judged on that epoch's window
+	ap, err := autopilot.New(eng, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ap.Close()
+	ix, err := eng.Pin().Session().HypotheticalIndex("photoobj", "objid", "type")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ap.Adopt(ix, 0)
+	const sql = "SELECT ra FROM photoobj ORDER BY objid"
+	window := make([]workload.Query, opts.Colt.EpochLength)
+	for i := range window {
+		stmt, err := sqlparse.ParseSelect(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sqlparse.Resolve(stmt, eng.Schema()); err != nil {
+			t.Fatal(err)
+		}
+		window[i] = workload.Query{ID: fmt.Sprintf("q%d", i), SQL: sql, Weight: 1, Stmt: stmt}
+	}
+	if _, err := ap.ObserveAll(ctx, window); err != nil {
+		t.Fatal(err)
+	}
+	var verdict *autopilot.Decision
+	for _, d := range ap.Decisions(0) {
+		if d.Index == ix.Key() && (d.Kind == autopilot.KindProbationPass || d.Kind == autopilot.KindRollback) {
+			verdict = &d
+		}
+	}
+	if verdict == nil {
+		t.Fatalf("no probation verdict for %s: %+v", ix.Key(), ap.Decisions(0))
+	}
+
+	v := eng.Pin()
+	if err := v.Prepare(ctx, &workload.Workload{Queries: window}, nil); err != nil {
+		t.Fatal(err)
+	}
+	live := ap.Current()
+	without := live.WithoutIndex(ix.Key())
+	var want float64
+	for _, q := range window {
+		with, err := v.QueryCost(q, live)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wo, err := v.QueryCost(q, without)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += (wo - with) * q.Weight
+	}
+	if want <= 0 {
+		t.Fatalf("%s saves nothing on %q (%v): the case no longer tells the two templates apart", ix.Key(), sql, want)
+	}
+	if math.Float64bits(verdict.Measured) != math.Float64bits(want) {
+		t.Fatalf("probation measured %v, a view that prepared the window reads %v", verdict.Measured, want)
 	}
 }
 

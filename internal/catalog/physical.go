@@ -8,7 +8,7 @@ import (
 
 // NormCol is the single canonicalization rule for column (and table) names
 // across the design pipeline. Every identity comparison — Key, Covers, the
-// optimizer's coverage and relevance checks (Relevance.CanUse), INUM's
+// optimizer's coverage and relevance checks (optimizer.CanUse), INUM's
 // per-table configuration slices — must go through this helper so two layers
 // can never disagree about whether "RA" and "ra" name the same column.
 func NormCol(name string) string { return strings.ToLower(name) }

@@ -435,15 +435,15 @@ func extractCandidates(sel *sqlparse.SelectStmt) []candSpec {
 			out = append(out, c)
 		}
 	}
-	filters, joins, _ := sqlparse.SplitPredicates(sel)
-	for table, conjs := range filters {
-		for _, conj := range conjs {
+	a := sel.Analysis()
+	for i, table := range a.Tables {
+		for _, conj := range a.Filters[i] {
 			if sr, ok := sqlparse.SargableOf(conj); ok {
 				add(table, sr.Column)
 			}
 		}
 	}
-	for _, j := range joins {
+	for _, j := range a.Joins {
 		add(j.LeftTable, j.LeftColumn)
 		add(j.RightTable, j.RightColumn)
 	}

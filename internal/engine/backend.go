@@ -74,8 +74,12 @@ type CostBackend interface {
 	// the view never prepared is resolved on demand — one optimization, the
 	// no-order template only, what a streamed statement costed once or
 	// twice can afford — and stays so until the same question prepares it;
-	// the coarse entry dies with its question. What Pricer resolved lives as
-	// long as the returned function and no longer.
+	// the coarse entry dies with its question. The fork is kept by
+	// measurement (package inum): order templates built lazily read the
+	// complete entry exactly but cost more optimizations than they save,
+	// so a question that prices a query more than once or twice prepares it
+	// first. What Pricer resolved lives as long as the returned function
+	// and no longer.
 	Pricer(queries []workload.Query) (Pricer, error)
 	// StmtCost prices a statement with the backend's reference model (the
 	// full optimizer for analytical backends), bypassing the cached path.

@@ -8,13 +8,14 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/optimizer"
+	"repro/internal/sqlparse"
 	"repro/internal/whatif"
 	"repro/internal/workload"
 )
 
 // EvalState is the reusable outcome of one benefit evaluation: the per-query
 // costs computed for a (workload, configuration) pair against one pinned
-// generation, together with each query's relevance sets — which tables it
+// generation, together with each query's footprint — which tables it
 // touches and which columns it references on them. A subsequent evaluation
 // of the same workload under a configuration that differs by K indexes (or
 // partition layouts) only recosts the queries whose plan choice could
@@ -23,9 +24,13 @@ import (
 // loop: identical numbers to a cold Evaluate, a fraction of the work.
 //
 // Relevance is the optimizer's own exact-conservative rule
-// (optimizer.Relevance.CanUse, next to the path generation it mirrors):
-// a structure failing it is invisible to that query's optimization, so
-// adding or dropping it cannot change the query's cost.
+// (optimizer.CanUse, next to the path generation it mirrors): a structure
+// failing it is invisible to that query's optimization, so adding or
+// dropping it cannot change the query's cost. The state keeps each query's
+// footprint, not its statement: a re-parsed workload (every serve request
+// parses its statements afresh) is matched by fingerprint, so the state
+// neither pins the statements it was built from nor analyses the new ones
+// beyond those a delta recosts.
 type EvalState struct {
 	// snap pins the generation the costs were computed against; a state is
 	// only reusable on a view holding the same snapshot.
@@ -34,8 +39,8 @@ type EvalState struct {
 	workloadFP string
 	// queries are the per-query weighted costs of the state's evaluation.
 	queries []whatif.QueryBenefit
-	// rels are the per-query relevance sets.
-	rels []queryRelevance
+	// rels are the per-query footprints.
+	rels []*sqlparse.Footprint
 	// sigs[i][t] is query i's relevant design signature for its t-th table
 	// under the state's evaluated configuration.
 	sigs [][]string
@@ -46,28 +51,16 @@ type EvalState struct {
 	Reused   int
 }
 
-// queryRelevance is the precomputed relevance set of one query: the tables
-// it references and the analysis CanUse decides on.
-type queryRelevance struct {
-	tables []string // lower-case base tables, in FROM order
-	*optimizer.Relevance
-}
-
-// relevanceOf resolves a query's tables and relevance analysis.
-func (v *View) relevanceOf(q workload.Query) (queryRelevance, error) {
-	tables, err := v.tablesOf(q)
-	return queryRelevance{tables: tables, Relevance: optimizer.RelevanceOf(q.Stmt)}, err
-}
-
-// relevantSignature renders the slice of cfg that can influence the query's
-// access to its t-th table: the keys of relevant structures (sorted) plus
-// any partition layouts. Two configurations with equal relevant signatures
-// on every table of a query price that query identically.
-func (rel *queryRelevance) relevantSignature(cfg *catalog.Configuration, t int) string {
-	table := rel.tables[t]
+// relevantSignature renders the slice of cfg that can influence the access
+// of the query with footprint f to its t-th table: the keys of relevant
+// structures (sorted) plus any partition layouts. Two configurations with
+// equal relevant signatures on every table of a query price that query
+// identically.
+func relevantSignature(f *sqlparse.Footprint, cfg *catalog.Configuration, t int) string {
+	table := f.Tables[t]
 	var parts []string
 	for _, ix := range cfg.IndexesOn(table) {
-		if rel.CanUse(table, ix) {
+		if optimizer.CanUse(f, table, ix) {
 			parts = append(parts, ix.Key())
 		}
 	}
@@ -82,12 +75,12 @@ func (rel *queryRelevance) relevantSignature(cfg *catalog.Configuration, t int) 
 }
 
 // signatures computes every query's per-table relevant signatures for cfg.
-func signatures(rels []queryRelevance, cfg *catalog.Configuration) [][]string {
+func signatures(rels []*sqlparse.Footprint, cfg *catalog.Configuration) [][]string {
 	out := make([][]string, len(rels))
-	for i := range rels {
-		sigs := make([]string, len(rels[i].tables))
-		for t := range rels[i].tables {
-			sigs[t] = rels[i].relevantSignature(cfg, t)
+	for i, f := range rels {
+		sigs := make([]string, len(f.Tables))
+		for t := range f.Tables {
+			sigs[t] = relevantSignature(f, cfg, t)
 		}
 		out[i] = sigs
 	}
@@ -163,17 +156,13 @@ func (v *View) EvaluateDelta(ctx context.Context, w *workload.Workload, cfg *cat
 
 // evaluateCold runs the full evaluation and records the delta state.
 func (v *View) evaluateCold(ctx context.Context, w *workload.Workload, newCfg *catalog.Configuration) (*whatif.Report, *EvalState, error) {
-	rels := make([]queryRelevance, len(w.Queries))
-	for i, q := range w.Queries {
-		rel, err := v.relevanceOf(q)
-		if err != nil {
-			return nil, nil, err
-		}
-		rels[i] = rel
-	}
 	rep, err := v.Evaluate(ctx, w, newCfg)
 	if err != nil {
 		return nil, nil, err
+	}
+	rels := make([]*sqlparse.Footprint, len(w.Queries))
+	for i, q := range w.Queries {
+		rels[i] = q.Stmt.Analysis().Footprint
 	}
 	st := &EvalState{
 		snap:       v.s,

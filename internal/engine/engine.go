@@ -22,7 +22,11 @@
 // builds for a query is a function of its statement, and every workload
 // sweep prepares before it prices. The one exception is spelled out at
 // CostBackend.Pricer: a query priced without ever being prepared is
-// resolved on demand, more coarsely, until the same view prepares it.
+// resolved on demand, more coarsely, until the same view prepares it. It is
+// kept because making it complete, eagerly or lazily, was measured to cost
+// more than it saves (package inum); a question that prices a query more
+// than once prepares it first, so one question never reads a statement
+// coarse and then complete.
 //
 // Costing itself is pluggable (backend.go): a view delegates every
 // query/statement pricing call to its CostBackend — native (built-in
@@ -44,7 +48,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 
 	"repro/internal/catalog"
@@ -279,26 +282,14 @@ func (v *View) Prepare(ctx context.Context, w *workload.Workload, _ []*catalog.I
 }
 
 // PrepareQuery primes the pinned backend for one query and returns the
-// lower-case names of the base tables it references (the per-query table
-// set CoPhy enumerates atoms over).
+// lower-case names of the base tables it references, in FROM order (the
+// per-query table set CoPhy enumerates atoms over; read-only, it is the
+// statement's analysis).
 func (v *View) PrepareQuery(q workload.Query) ([]string, error) {
 	if err := v.backend.Prepare(q.ID, q.Stmt); err != nil {
 		return nil, err
 	}
-	return v.tablesOf(q)
-}
-
-// tablesOf resolves the lower-case base tables of a query, in FROM order.
-func (v *View) tablesOf(q workload.Query) ([]string, error) {
-	tables := make([]string, 0, len(q.Stmt.From))
-	for _, ref := range q.Stmt.From {
-		t := v.e.schema.Table(ref.Name)
-		if t == nil {
-			return nil, fmt.Errorf("engine: %s: unknown table %q", q.ID, ref.Name)
-		}
-		tables = append(tables, strings.ToLower(t.Name))
-	}
-	return tables, nil
+	return q.Stmt.Analysis().Tables, nil
 }
 
 // QueryCost prices one query under a configuration through the pinned

@@ -22,12 +22,13 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/catalog"
 	"repro/internal/engine"
-	"repro/internal/sqlparse"
+	"repro/internal/optimizer"
 	"repro/internal/workload"
 )
 
@@ -205,34 +206,12 @@ func AnalyzeView(ctx context.Context, v *engine.View, w *workload.Workload, inde
 }
 
 // aggViewUsable reports whether any workload query could be rewritten by
-// the aggregate view: a single-table aggregate query on the view's table
-// whose plain group keys are a subset of the view's keys (the optimizer's
-// applicability precondition, evaluated conservatively).
+// the aggregate view: the optimizer's own relevance rule, on the view's
+// table.
 func aggViewUsable(w *workload.Workload, mv *catalog.Index) bool {
 	lt := strings.ToLower(mv.Table)
-	keys := make(map[string]bool, len(mv.Columns))
-	for _, c := range mv.Columns {
-		keys[strings.ToLower(c)] = true
-	}
 	for _, q := range w.Queries {
-		if len(q.Stmt.From) != 1 || !strings.EqualFold(q.Stmt.From[0].Name, lt) {
-			continue
-		}
-		if !sqlparse.HasAggregate(q.Stmt) {
-			continue
-		}
-		gkeys, allPlain := sqlparse.GroupKeyColumns(q.Stmt)
-		if !allPlain {
-			continue
-		}
-		ok := true
-		for _, k := range gkeys {
-			if !keys[k] {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if f := q.Stmt.Analysis().Footprint; slices.Contains(f.Tables, lt) && optimizer.CanUse(f, lt, mv) {
 			return true
 		}
 	}

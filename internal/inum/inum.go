@@ -12,18 +12,36 @@
 // entry and the slice of the configuration the query can see — nothing
 // else, in particular not who prepared the query first or what they meant
 // to sweep. Prepare seeds the templates from the statement's own
-// interesting orders (see build). One fork is explicit: a statement priced
-// without having been prepared (OnDemand, the online tuner's door) gets the
-// no-order template only, and a later Prepare replaces that entry with
-// exactly the one a direct Prepare builds.
+// interesting orders (see build). An entry holds no analysis of its own:
+// its tables, its interesting orders and every access costing read the
+// statement's (sqlparse.SelectStmt.Analysis).
+//
+// One fork is explicit: a statement priced without having been prepared
+// (OnDemand, the online tuner's door) gets the no-order template only, and a
+// later Prepare replaces that entry with exactly the one a direct Prepare
+// builds. It stays by measurement. Building an order template lazily — on
+// the first costing whose visible slice holds a structure leading one of the
+// statement's interesting-order columns, the only slice where an ordered
+// template can beat the no-order one — reads exactly what the complete
+// entry reads: over the five workload profiles, two seeds and 24 statements
+// each, 38,685 (statement, design) pairs that did not trigger it priced bit
+// for bit as the complete entry. But it is not cheaper: nearly every advised
+// statement triggers, so a rebuild-on-trigger prototype spent 179.9 full
+// optimizations an advise_full answer instead of 104, and 174.4 instead of
+// 100 an online_stream answer with 54 % more allocation; reusing the no-order
+// template still cost at least 37 more an answer. So a question that prices
+// a statement more than once or twice prepares it first — every workload
+// sweep does, and so does the autopilot's epoch before probation — and only
+// a statement a question prices once or twice (a COLT observation) reads
+// the no-order template, for the whole of that question.
 //
 // A cache belongs to one question. The engine builds one per pinned view,
 // so the entries live exactly as long as the question that built them and
 // nothing is ever evicted; only the work counters (Counters) outlive it.
 //
 // Per table of the query the visible slice of a configuration is the set of
-// structures that could enter one of its plans (optimizer's
-// Relevance.CanUse) and the table's partition layouts — the paper's
+// structures that could enter one of its plans (optimizer.CanUse on the
+// statement's footprint) and the table's partition layouts — the paper's
 // extension of INUM "to cache table partitions and partial plans" (§3.3):
 // access costs are partition-aware, while cached internals are reused
 // across layouts. Each cached query numbers the structures it meets
@@ -79,8 +97,6 @@ type CachedQuery struct {
 	internals []float64
 	slots     []int32
 	orders    [][][]optimizer.OrderKey
-	// accessCtx is the one-time query analysis reused by every costing.
-	accessCtx *optimizer.AccessContext
 	// memo is the access-cost memo (memo.go), made by the first costing:
 	// an entry that is prepared and never priced carries none. It is where
 	// INUM's speedup comes from — most CostFor calls in a configuration
@@ -181,18 +197,7 @@ func (c *Cache) entry(id string, stmt *sqlparse.SelectStmt, complete bool) (*Cac
 // build computes the template set for a query: the complete one, or the
 // on-demand entry's no-order template alone.
 func (c *Cache) build(id string, stmt *sqlparse.SelectStmt, sql string, complete bool) (*CachedQuery, error) {
-	tables := make([]string, 0, len(stmt.From))
-	for _, ref := range stmt.From {
-		t := c.base.Schema.Table(ref.Name)
-		if t == nil {
-			return nil, fmt.Errorf("inum: unknown table %q", ref.Name)
-		}
-		tables = append(tables, strings.ToLower(t.Name))
-	}
-	q := &CachedQuery{
-		ID: id, Stmt: stmt, Tables: tables, sql: sql, complete: complete,
-		accessCtx: c.base.PrepareAccess(stmt),
-	}
+	q := &CachedQuery{ID: id, Stmt: stmt, Tables: stmt.Analysis().Tables, sql: sql, complete: complete}
 
 	// Seed configurations, following INUM's interesting-order structure:
 	// the plan internals only change when a leaf can deliver an order the
@@ -374,8 +379,7 @@ func (c *Cache) cost(q *CachedQuery, cfg *catalog.Configuration, d *Digest) floa
 // (INUM's interesting orders), in the statement's own order.
 func interestingOrderColumns(stmt *sqlparse.SelectStmt) []*sqlparse.ColumnRef {
 	var out []*sqlparse.ColumnRef
-	_, joins, _ := sqlparse.SplitPredicates(stmt)
-	for _, j := range joins {
+	for _, j := range stmt.Analysis().Joins {
 		out = append(out, &sqlparse.ColumnRef{Table: j.LeftTable, Column: j.LeftColumn},
 			&sqlparse.ColumnRef{Table: j.RightTable, Column: j.RightColumn})
 	}

@@ -146,7 +146,7 @@ func (m *costMemo) idOf(q *CachedQuery, t int, ix *catalog.Index) int32 {
 		return v.(int32)
 	}
 	id := int32(-1)
-	if q.accessCtx.CanUse(q.Tables[t], ix) {
+	if optimizer.CanUse(q.Stmt.Analysis().Footprint, q.Tables[t], ix) {
 		id = m.nextID
 		m.nextID++
 	}
@@ -270,7 +270,7 @@ func (c *Cache) accessCosts(q *CachedQuery, m *costMemo, t int, s *tableSlice) (
 		design := optimizer.TableDesign{Indexes: c.visible(q, m, t, s, false), Vertical: s.vertical, Horizontal: s.horizontal}
 		// The table was resolved against the schema when the entry was
 		// built, the only error AccessCosts can report.
-		costs, _ := c.base.AccessCosts(q.accessCtx, table, design, q.orders[t])
+		costs, _ := c.base.AccessCosts(q.Stmt, table, design, q.orders[t])
 		e = m.put(&memoEntry{table: int32(t), set: append([]uint64(nil), rows...), layout: s.layout, hash: h, costs: costs})
 	}
 	if len(views) == 0 {

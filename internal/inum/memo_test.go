@@ -24,7 +24,7 @@ import (
 func coldCosts(t *testing.T, c *Cache, q *CachedQuery, cfg *catalog.Configuration) (access [][]float64, mv, total float64) {
 	t.Helper()
 	for ti, table := range q.Tables {
-		costs, err := c.base.AccessCosts(q.accessCtx, table, optimizer.DesignOn(cfg, table), q.orders[ti])
+		costs, err := c.base.AccessCosts(q.Stmt, table, optimizer.DesignOn(cfg, table), q.orders[ti])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +317,7 @@ func TestEntryIsAFunctionOfItsStatement(t *testing.T) {
 			}
 			for ti, orders := range want.orders {
 				for _, o := range orders {
-					if len(o) > 0 && !want.accessCtx.Needed[want.Tables[ti]][catalog.NormCol(o[0].Column)] {
+					if len(o) > 0 && !q.Stmt.Analysis().Columns[ti][catalog.NormCol(o[0].Column)] {
 						t.Errorf("%s %q: a template wants %s ordered by %s, which the statement does not reference", name, q.SQL, want.Tables[ti], o[0].Column)
 					}
 				}

@@ -20,49 +20,9 @@ type TableAccess struct {
 	Sorted bool
 }
 
-// AccessContext caches the per-query analysis (predicate split, needed
-// columns) so repeated access costings — INUM's configuration sweep — skip
-// re-analysis. Build once with PrepareAccess, reuse across configurations.
-type AccessContext struct {
-	Filters map[string][]sqlparse.Expr
-	// Relevance holds the needed columns and decides which structures the
-	// costings can see at all (CanUse).
-	*Relevance
-}
-
-// Relevance is the part of a query's analysis that decides which structures
-// can enter its plans: the columns it reads per table, and its aggregate
-// shape. The engine's delta costing keeps one per statement of a session's
-// workload, so it holds nothing the rule does not read.
-type Relevance struct {
-	Needed map[string]map[string]bool
-	Star   bool
-
-	aggOK   bool     // single-table aggregate query with plain group keys
-	aggKeys []string // its lower-case GROUP BY columns
-}
-
-// RelevanceOf analyzes a resolved query for CanUse. The result does not
-// reference the statement.
-func RelevanceOf(sel *sqlparse.SelectStmt) *Relevance {
-	needed, star := neededColumns(sel)
-	r := &Relevance{Needed: needed, Star: star}
-	if len(sel.From) == 1 && sqlparse.HasAggregate(sel) {
-		r.aggKeys, r.aggOK = sqlparse.GroupKeyColumns(sel)
-	}
-	return r
-}
-
-// PrepareAccess analyzes a resolved query once for repeated BestAccessWith
-// calls.
-func (e *Env) PrepareAccess(sel *sqlparse.SelectStmt) *AccessContext {
-	filters, _, _ := sqlparse.SplitPredicates(sel)
-	return &AccessContext{Filters: filters, Relevance: RelevanceOf(sel)}
-}
-
 // CanUse reports whether the structure could enter some plan of the query
-// through its table (lower-case) — the exact-conservative mirror of the
-// keep rule in indexAccess and of mvScan's preconditions. A row
+// with footprint f through its table (lower-case) — the exact-conservative
+// mirror of the keep rule in indexAccess and of mvScan's preconditions. A row
 // structure is usable only when its leading column is referenced somewhere
 // in the query (every sargable match needs a predicate on it, and every
 // order the query or one of INUM's templates wants — ORDER BY, join keys —
@@ -72,21 +32,21 @@ func (e *Env) PrepareAccess(sel *sqlparse.SelectStmt) *AccessContext {
 // single-table aggregate query whose plain group keys are a subset of the
 // view's keys. A structure failing these tests is invisible to every
 // costing of the query: adding or dropping it cannot change a cost.
-func (c *Relevance) CanUse(table string, ix *catalog.Index) bool {
+func CanUse(f *sqlparse.Footprint, table string, ix *catalog.Index) bool {
 	if ix.Kind == catalog.KindAggView {
-		return c.aggViewApplies(ix)
+		return aggViewApplies(f, ix)
 	}
-	return c.Needed[table][catalog.NormCol(ix.LeadingColumn())] ||
-		(!c.Star && ix.CoversAll(c.Needed[table]))
+	cols := f.ColumnsOf(table)
+	return cols[catalog.NormCol(ix.LeadingColumn())] || (!f.Star && ix.CoversAll(cols))
 }
 
 // aggViewApplies is CanUse for aggregate views (the full applicability
 // check in mvScan also inspects filters and aggregate coverage).
-func (c *Relevance) aggViewApplies(mv *catalog.Index) bool {
-	if !c.aggOK {
+func aggViewApplies(f *sqlparse.Footprint, mv *catalog.Index) bool {
+	if len(f.Tables) != 1 || !f.Aggregate || !f.PlainGroups {
 		return false
 	}
-	for _, k := range c.aggKeys {
+	for _, k := range f.GroupKeys {
 		found := false
 		for _, col := range mv.Columns {
 			if catalog.NormCol(col) == k {
@@ -102,18 +62,13 @@ func (c *Relevance) aggViewApplies(mv *catalog.Index) bool {
 }
 
 // BestTableAccess computes the cheapest access path for one base table of a
-// resolved query under e.Config, optionally required to deliver the given
-// sort order. It runs only single-table path generation — no join search —
-// which is what makes INUM's configuration sweep orders of magnitude
-// cheaper than full re-optimization (experiment E8).
-func (e *Env) BestTableAccess(sel *sqlparse.SelectStmt, table string, required []OrderKey) (TableAccess, error) {
-	return e.BestAccessWith(e.PrepareAccess(sel), table, DesignOn(e.Config, table), required)
-}
-
-// BestAccessWith is BestTableAccess with a precomputed AccessContext and an
-// explicit table design; e.Config is not consulted.
-func (e *Env) BestAccessWith(ctx *AccessContext, table string, d TableDesign, required []OrderKey) (TableAccess, error) {
-	s, err := e.scanOf(ctx, table, d)
+// resolved query under the table design d (e.Config is not consulted),
+// optionally required to deliver the given sort order. It runs only
+// single-table path generation — no join search — which is what makes
+// INUM's configuration sweep orders of magnitude cheaper than full
+// re-optimization (experiment E8).
+func (e *Env) BestTableAccess(sel *sqlparse.SelectStmt, table string, d TableDesign, required []OrderKey) (TableAccess, error) {
+	s, err := e.scanOf(sel, table, d)
 	if err != nil {
 		return TableAccess{}, err
 	}
@@ -121,21 +76,21 @@ func (e *Env) BestAccessWith(ctx *AccessContext, table string, d TableDesign, re
 	return TableAccess{Node: s.node(c), Cost: c.cost, Sorted: c.sorted}, nil
 }
 
-// scanOf starts access-path selection for one table of an analyzed query.
-func (e *Env) scanOf(ctx *AccessContext, table string, d TableDesign) (tableScan, error) {
+// scanOf starts access-path selection for one table of a resolved query.
+func (e *Env) scanOf(sel *sqlparse.SelectStmt, table string, d TableDesign) (tableScan, error) {
 	if e.Schema.Table(table) == nil {
 		return tableScan{}, fmt.Errorf("optimizer: unknown table %q", table)
 	}
-	lt := strings.ToLower(table)
-	return e.newTableScan(lt, d, ctx.Filters[lt], ctx.Needed[lt], ctx.Star), nil
+	a, lt := sel.Analysis(), strings.ToLower(table)
+	return e.newTableScan(lt, d, a.FiltersOf(lt), a.ColumnsOf(lt), a.Star), nil
 }
 
-// AccessCosts is the Cost of BestAccessWith for each of the required orders
+// AccessCosts is the Cost of BestTableAccess for each of the required orders
 // (nil = any order), sharing the table's scan analysis between them and
 // building no plan node. This is what INUM computes on a memo miss, with a
 // design holding the structures CanUse admits and nothing else.
-func (e *Env) AccessCosts(ctx *AccessContext, table string, d TableDesign, orders [][]OrderKey) ([]float64, error) {
-	s, err := e.scanOf(ctx, table, d)
+func (e *Env) AccessCosts(sel *sqlparse.SelectStmt, table string, d TableDesign, orders [][]OrderKey) ([]float64, error) {
+	s, err := e.scanOf(sel, table, d)
 	if err != nil {
 		return nil, err
 	}

@@ -27,7 +27,7 @@ func TestBestTableAccessUnordered(t *testing.T) {
 	env := envBase.WithConfig(cfg)
 	sel := resolvedStmt(t, env, "SELECT objid, ra FROM photoobj WHERE objid = 1000005")
 
-	acc, err := env.BestTableAccess(sel, "photoobj", nil)
+	acc, err := env.BestTableAccess(sel, "photoobj", optimizer.DesignOn(env.Config, "photoobj"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestBestTableAccessWithRequiredOrder(t *testing.T) {
 	want := []optimizer.OrderKey{{Table: "photoobj", Column: "ra"}}
 
 	// Without any index the order can only come from an explicit sort.
-	acc, err := envBase.BestTableAccess(sel, "photoobj", want)
+	acc, err := envBase.BestTableAccess(sel, "photoobj", optimizer.DesignOn(envBase.Config, "photoobj"), want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestBestTableAccessWithRequiredOrder(t *testing.T) {
 	// With an index on ra, the ordered path should win for cheap orders.
 	cfg := catalog.NewConfiguration().WithIndex(hypoIndex(envBase, "photoobj", "ra"))
 	env := envBase.WithConfig(cfg)
-	acc2, err := env.BestTableAccess(sel, "photoobj", want)
+	acc2, err := env.BestTableAccess(sel, "photoobj", optimizer.DesignOn(env.Config, "photoobj"), want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestBestTableAccessWithRequiredOrder(t *testing.T) {
 func TestBestTableAccessUnknownTable(t *testing.T) {
 	env := testEnv(t, nil)
 	sel := resolvedStmt(t, env, "SELECT objid FROM photoobj")
-	if _, err := env.BestTableAccess(sel, "nosuch", nil); err == nil {
+	if _, err := env.BestTableAccess(sel, "nosuch", optimizer.TableDesign{}, nil); err == nil {
 		t.Fatal("unknown table should error")
 	}
 }
@@ -128,7 +128,7 @@ func TestOrderKeyAndAggSpecStrings(t *testing.T) {
 func TestCanUseMirrorsPathGeneration(t *testing.T) {
 	env := testEnv(t, nil)
 	sel := resolvedStmt(t, env, "SELECT ra, dec FROM photoobj WHERE type = 3 ORDER BY dec")
-	ctx := env.PrepareAccess(sel)
+	fp := sel.Analysis().Footprint
 	// The orders a query or one of its INUM templates can want of a table
 	// name columns the query references.
 	byDec := [][]optimizer.OrderKey{nil, {{Table: "photoobj", Column: "dec"}}}
@@ -144,18 +144,18 @@ func TestCanUseMirrorsPathGeneration(t *testing.T) {
 		{"unreferenced and not covering", hypoIndex(env, "photoobj", "objid", "ra"), false},
 		{"aggregate view on a plain query", &catalog.Index{Table: "photoobj", Columns: []string{"type"}, Kind: catalog.KindAggView, Aggs: []string{"count(*)"}}, false},
 	}
-	bare, err := env.AccessCosts(ctx, "photoobj", optimizer.TableDesign{}, byDec)
+	bare, err := env.AccessCosts(sel, "photoobj", optimizer.TableDesign{}, byDec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range cases {
-		if got := ctx.CanUse("photoobj", tc.ix); got != tc.want {
+		if got := optimizer.CanUse(fp, "photoobj", tc.ix); got != tc.want {
 			t.Errorf("%s: CanUse = %v, want %v", tc.name, got, tc.want)
 		}
 		if tc.want {
 			continue
 		}
-		with, err := env.AccessCosts(ctx, "photoobj", optimizer.TableDesign{Indexes: []*catalog.Index{tc.ix}}, byDec)
+		with, err := env.AccessCosts(sel, "photoobj", optimizer.TableDesign{Indexes: []*catalog.Index{tc.ix}}, byDec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,25 +166,24 @@ func TestCanUseMirrorsPathGeneration(t *testing.T) {
 		}
 	}
 
-	star := env.PrepareAccess(resolvedStmt(t, env, "SELECT * FROM field"))
-	if star.CanUse("field", hypoIndex(env, "field", "quality", "fieldid")) {
+	star := resolvedStmt(t, env, "SELECT * FROM field").Analysis().Footprint
+	if optimizer.CanUse(star, "field", hypoIndex(env, "field", "quality", "fieldid")) {
 		t.Error("SELECT * admits no index-only scan: a covering index with an unreferenced leading column is invisible")
 	}
-	agg := env.PrepareAccess(resolvedStmt(t, env, "SELECT type, COUNT(*) FROM photoobj GROUP BY type"))
+	agg := resolvedStmt(t, env, "SELECT type, COUNT(*) FROM photoobj GROUP BY type").Analysis().Footprint
 	view := func(keys ...string) *catalog.Index {
 		return &catalog.Index{Table: "photoobj", Columns: keys, Kind: catalog.KindAggView, Aggs: []string{"count(*)"}}
 	}
-	if !agg.CanUse("photoobj", view("type", "fieldid")) || agg.CanUse("photoobj", view("fieldid")) {
+	if !optimizer.CanUse(agg, "photoobj", view("type", "fieldid")) || optimizer.CanUse(agg, "photoobj", view("fieldid")) {
 		t.Error("an aggregate view is usable exactly when the query's group keys are among its keys")
 	}
 }
 
-// TestAccessCostsIsBestAccessCost holds AccessCosts to BestAccessWith, order
+// TestAccessCostsIsBestAccessCost holds AccessCosts to BestTableAccess, order
 // by order, under a design with matching, ordering and useless indexes.
 func TestAccessCostsIsBestAccessCost(t *testing.T) {
 	env := testEnv(t, nil)
 	sel := resolvedStmt(t, env, "SELECT objid, ra FROM photoobj WHERE psfmag_r < 18 AND type = 3")
-	ctx := env.PrepareAccess(sel)
 	d := optimizer.TableDesign{Indexes: []*catalog.Index{
 		hypoIndex(env, "photoobj", "type", "psfmag_r"),
 		hypoIndex(env, "photoobj", "ra"),
@@ -196,20 +195,20 @@ func TestAccessCostsIsBestAccessCost(t *testing.T) {
 		{{Table: "photoobj", Column: "ra", Desc: true}},
 		{{Table: "photoobj", Column: "dec"}},
 	}
-	costs, err := env.AccessCosts(ctx, "photoobj", d, orders)
+	costs, err := env.AccessCosts(sel, "photoobj", d, orders)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, required := range orders {
-		acc, err := env.BestAccessWith(ctx, "photoobj", d, required)
+		acc, err := env.BestTableAccess(sel, "photoobj", d, required)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if costs[i] != acc.Cost {
-			t.Errorf("order %v: AccessCosts %v, BestAccessWith %v", required, costs[i], acc.Cost)
+			t.Errorf("order %v: AccessCosts %v, BestTableAccess %v", required, costs[i], acc.Cost)
 		}
 	}
-	if _, err := env.AccessCosts(ctx, "nosuch", d, orders); err == nil {
+	if _, err := env.AccessCosts(sel, "nosuch", d, orders); err == nil {
 		t.Error("unknown table should error")
 	}
 }

@@ -86,10 +86,9 @@ func BenchmarkCostThreeWayJoin(b *testing.B)     { benchCostOf(b, benchThreeWay)
 func BenchmarkBestTableAccess(b *testing.B) {
 	env := benchEnv(b)
 	sel := benchStmt(b, env, "SELECT objid, ra FROM photoobj WHERE type = 6 AND psfmag_r BETWEEN 15 AND 17")
-	ctx := env.PrepareAccess(sel)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := env.BestAccessWith(ctx, "photoobj", optimizer.DesignOn(env.Config, "photoobj"), nil); err != nil {
+		if _, err := env.BestTableAccess(sel, "photoobj", optimizer.DesignOn(env.Config, "photoobj"), nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -22,7 +22,6 @@ package optimizer
 
 import (
 	"repro/internal/catalog"
-	"repro/internal/sqlparse"
 	"repro/internal/stats"
 )
 
@@ -85,15 +84,4 @@ func (e *Env) tableStats(table string) *stats.TableStats {
 		return ts
 	}
 	return &stats.TableStats{RowCount: 1000, Pages: 10, Columns: map[string]*stats.ColumnStats{}}
-}
-
-// neededColumns maps each table to the set of its columns the query touches
-// anywhere (projection, predicates, grouping, ordering), plus whether the
-// query projects * (star needs all columns; the caller handles it).
-// Index-only scans and vertical-fragment selection both key off this, and
-// the engine's delta costing keys its relevance sets off the SAME walk
-// (sqlparse.ReferencedColumns) — one source of truth, so the two can never
-// drift apart and silently break delta exactness.
-func neededColumns(sel *sqlparse.SelectStmt) (map[string]map[string]bool, bool) {
-	return sqlparse.ReferencedColumns(sel)
 }

@@ -77,13 +77,11 @@ func (q *tail) bestMVRewrite(e *Env, table string, views []*catalog.Index) (best
 // rollup to a strict subset of the view's keys, or HAVING. It reports false
 // when the view does not apply.
 func (e *Env) mvScan(sel *sqlparse.SelectStmt, table string, mv *catalog.Index, build bool) (t top, agg, ok bool) {
-	if !sqlparse.HasAggregate(sel) || sel.Distinct {
+	a := sel.Analysis()
+	if !a.Aggregate || sel.Distinct || !a.PlainGroups {
 		return
 	}
-	queryKeys, allPlain := sqlparse.GroupKeyColumns(sel)
-	if !allPlain {
-		return
-	}
+	queryKeys := a.GroupKeys
 	keySet := make(map[string]bool, len(mv.Columns))
 	for _, k := range catalog.NormCols(mv.Columns) {
 		keySet[k] = true
@@ -96,20 +94,20 @@ func (e *Env) mvScan(sel *sqlparse.SelectStmt, table string, mv *catalog.Index, 
 	rollup := len(queryKeys) < len(keySet)
 
 	aggSet := make(map[string]bool, len(mv.Aggs))
-	for _, a := range catalog.NormCols(mv.Aggs) {
-		aggSet[a] = true
+	for _, stored := range catalog.NormCols(mv.Aggs) {
+		aggSet[stored] = true
 	}
-	for _, a := range sqlparse.Aggregates(sel) {
-		if !aggSet[a] {
+	for _, call := range a.Aggregates {
+		if !aggSet[call] {
 			return
 		}
-		if rollup && strings.HasPrefix(a, "avg(") {
+		if rollup && strings.HasPrefix(call, "avg(") {
 			return // AVG does not re-aggregate from finer groups
 		}
 	}
 
 	// WHERE conjuncts must be evaluable over the view's key columns.
-	conjuncts := sqlparse.Conjuncts(sel.Where)
+	conjuncts := a.Conjuncts
 	for _, c := range conjuncts {
 		keysOnly := true
 		sqlparse.WalkColumns(c, func(col *sqlparse.ColumnRef) {

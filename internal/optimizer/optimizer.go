@@ -42,35 +42,30 @@ func (s *search) run(e *Env, sel *sqlparse.SelectStmt) error {
 	if len(sel.From) == 0 {
 		return errors.New("optimizer: SELECT without FROM is not supported")
 	}
-	s.env = e
-	s.tables = make([]string, 0, len(sel.From))
-	for _, ref := range sel.From {
-		t := e.Schema.Table(ref.Name)
-		if t == nil {
-			return fmt.Errorf("optimizer: unknown table %q", ref.Name)
+	a := sel.Analysis()
+	s.env, s.tables = e, a.Tables
+	for i, t := range s.tables {
+		if e.Schema.Table(t) == nil {
+			return fmt.Errorf("optimizer: unknown table %q", sel.From[i].Name)
 		}
-		lt := strings.ToLower(t.Name)
-		if slices.Contains(s.tables, lt) {
-			return fmt.Errorf("optimizer: self-joins need distinct table copies; %q appears twice", t.Name)
+		if slices.Contains(s.tables[:i], t) {
+			return fmt.Errorf("optimizer: self-joins need distinct table copies; %q appears twice", sel.From[i].Name)
 		}
-		s.tables = append(s.tables, lt)
 	}
 	if len(s.tables) > 12 {
 		return fmt.Errorf("optimizer: joins over %d tables exceed the DP limit of 12", len(s.tables))
 	}
 
-	filters, joins, residual := sqlparse.SplitPredicates(sel)
-	needed, star := neededColumns(sel)
 	s.scans = make([]tableScan, len(s.tables))
 	for i, t := range s.tables {
-		s.scans[i] = e.newTableScan(t, DesignOn(e.Config, t), filters[t], needed[t], star)
+		s.scans[i] = e.newTableScan(t, DesignOn(e.Config, t), a.Filters[i], a.Columns[i], a.Star)
 	}
-	s.joins, s.residual = joins, residual
-	if len(residual) > 0 {
-		s.resSel = e.SelectivityAll(residual)
+	s.joins, s.residual = a.Joins, a.Residual
+	if len(s.residual) > 0 {
+		s.resSel = e.SelectivityAll(s.residual)
 	}
 	s.tail = tailOf(sel)
-	s.wantedOrders = wantedOrders(s.orderBy, joins)
+	s.wantedOrders = wantedOrders(s.orderBy, s.joins)
 	paths := s.bestJoin()
 	if len(paths) == 0 {
 		return errors.New("optimizer: no plan found")
@@ -178,7 +173,7 @@ func tailOf(sel *sqlparse.SelectStmt) tail {
 			q.sortKeys[i].Column = "<expr>"
 		}
 	}
-	hasAgg := sqlparse.HasAggregate(sel)
+	hasAgg := sel.Analysis().Aggregate
 	if q.agg = hasAgg || sel.Distinct; !q.agg {
 		return q
 	}

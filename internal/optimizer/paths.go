@@ -13,7 +13,7 @@ import (
 // TableDesign is the slice of a physical configuration one table's access
 // paths can see: the structures defined on the table and its partition
 // layouts. Nothing else in a Configuration can change what scanPaths or
-// BestAccessWith compute for that table.
+// BestTableAccess compute for that table.
 type TableDesign struct {
 	Indexes    []*catalog.Index
 	Vertical   *catalog.VerticalLayout

@@ -127,9 +127,8 @@ func familySpace(env *optimizer.Env, stmts []*sqlparse.SelectStmt) []*catalog.In
 		}
 	}
 	for _, sel := range stmts {
-		needed, _ := sqlparse.ReferencedColumns(sel)
-		for _, table := range sortedKeys(needed) {
-			cols := sortedKeys(needed[table])
+		for _, table := range slices.Sorted(slices.Values(sel.Analysis().Tables)) {
+			cols := sortedKeys(sel.Analysis().ColumnsOf(table))
 			for _, a := range cols {
 				add(table, a)
 			}

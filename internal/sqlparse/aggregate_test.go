@@ -18,7 +18,7 @@ func parseSelect(t *testing.T, sql string) *SelectStmt {
 	return sel
 }
 
-// TestAggregateAnalysis pins the three analysis functions aggregate-MV
+// TestAggregateAnalysis pins the three analysis readings aggregate-MV
 // matching is built on, over the shapes that exercised their edge cases:
 // HAVING-only aggregates, aliased aggregates, and computed group keys.
 func TestAggregateAnalysis(t *testing.T) {
@@ -87,19 +87,18 @@ func TestAggregateAnalysis(t *testing.T) {
 		},
 	}
 	for _, c := range cases {
-		sel := parseSelect(t, c.sql)
-		if got := HasAggregate(sel); got != c.hasAgg {
-			t.Errorf("HasAggregate(%q) = %v, want %v", c.sql, got, c.hasAgg)
+		a := parseSelect(t, c.sql).Analysis()
+		if a.Aggregate != c.hasAgg {
+			t.Errorf("%q: Aggregate = %v, want %v", c.sql, a.Aggregate, c.hasAgg)
 		}
-		keys, allPlain := GroupKeyColumns(sel)
-		if !reflect.DeepEqual(keys, c.groupKeys) {
-			t.Errorf("GroupKeyColumns(%q) = %v, want %v", c.sql, keys, c.groupKeys)
+		if !reflect.DeepEqual(a.GroupKeys, c.groupKeys) {
+			t.Errorf("%q: GroupKeys = %v, want %v", c.sql, a.GroupKeys, c.groupKeys)
 		}
-		if allPlain != c.allPlain {
-			t.Errorf("GroupKeyColumns(%q) allPlain = %v, want %v", c.sql, allPlain, c.allPlain)
+		if a.PlainGroups != c.allPlain {
+			t.Errorf("%q: PlainGroups = %v, want %v", c.sql, a.PlainGroups, c.allPlain)
 		}
-		if got := Aggregates(sel); !reflect.DeepEqual(got, c.aggs) {
-			t.Errorf("Aggregates(%q) = %v, want %v", c.sql, got, c.aggs)
+		if !reflect.DeepEqual(a.Aggregates, c.aggs) {
+			t.Errorf("%q: Aggregates = %v, want %v", c.sql, a.Aggregates, c.aggs)
 		}
 	}
 }

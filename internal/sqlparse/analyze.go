@@ -43,33 +43,157 @@ func WalkColumns(e Expr, fn func(*ColumnRef)) {
 	})
 }
 
-// ReferencedColumns returns, per lower-case table name, the set of
-// lower-case columns a resolved statement references anywhere —
-// projections, WHERE, GROUP BY, HAVING, ORDER BY — plus whether the
-// statement projects a bare star. This is the per-query relevance set the
-// engine's delta costing keys on: an index over columns a query never
-// mentions cannot enter any of its plans.
-func ReferencedColumns(sel *SelectStmt) (cols map[string]map[string]bool, star bool) {
-	cols = make(map[string]map[string]bool)
-	add := func(c *ColumnRef) {
-		lt, lc := strings.ToLower(c.Table), strings.ToLower(c.Column)
-		if cols[lt] == nil {
-			cols[lt] = make(map[string]bool)
-		}
-		cols[lt][lc] = true
+// Footprint is the part of a statement's analysis that holds no node of the
+// statement: the tables it reads, the columns it references on each, and its
+// grouping. It is allocated apart from the rest of the analysis, so a holder
+// that outlives the statement — the engine's delta state keeps one per query
+// across answers — keeps this alone and does not pin the tree.
+type Footprint struct {
+	// Tables are the lower-case FROM tables, in FROM order. Every per-table
+	// reading of the analysis is a slice indexed like it.
+	Tables []string
+	// Columns[i] is the set of lower-case columns of Tables[i] the statement
+	// references anywhere: projections, WHERE, GROUP BY, HAVING, ORDER BY.
+	// Index-only scans, vertical-fragment selection and the optimizer's
+	// relevance rule all read this one set, so they cannot drift apart: an
+	// index over columns a query never mentions cannot enter any of its
+	// plans.
+	Columns []map[string]bool
+	// Star reports a bare * projection.
+	Star bool
+	// Aggregate reports GROUP BY or an aggregate call in a projection.
+	Aggregate bool
+	// GroupKeys are the GROUP BY keys that are plain column references,
+	// lower-case, in clause order; PlainGroups reports that every key is one
+	// (vacuously so without GROUP BY). Aggregate-view matching keys on them:
+	// a view stores one row per distinct key combination, which is only
+	// well-defined when the keys are columns, not computed expressions.
+	GroupKeys   []string
+	PlainGroups bool
+}
+
+// Analysis is what every reader of a resolved statement needs of it beyond
+// the tree: its footprint, its WHERE conjuncts classified, and the aggregate
+// calls a view must store to answer it. SelectStmt.Analysis derives it once;
+// it is read-only.
+type Analysis struct {
+	*Footprint
+	// Conjuncts are the WHERE clause's top-level AND factors.
+	Conjuncts []Expr
+	// Filters, Joins and Residual classify the conjuncts: Filters[i] holds
+	// those whose columns all come from Tables[i], Joins the equi-join edges
+	// between two tables, and Residual everything else (constant and
+	// cross-table non-equi predicates).
+	Filters  [][]Expr
+	Joins    []JoinEdge
+	Residual []Expr
+	// Aggregates lists the aggregate calls of the projections (in order) and
+	// of HAVING, rendered canonically by AggString; calls nested in
+	// arithmetic ("max(ra) - min(ra)") count individually. An aggregate view
+	// can answer the statement only when it stores every one.
+	Aggregates []string
+}
+
+// Analysis returns the statement's analysis, deriving it on first use. It
+// describes the statement as it stands then, so a statement is analysed
+// only once it is final: Resolve and parameter binding come first, and
+// nothing edits it afterwards (a rewrite builds a new statement). Racing
+// first uses derive equal values and all return the one published.
+func (s *SelectStmt) Analysis() *Analysis {
+	if a := s.analysis.Load(); a != nil {
+		return a
+	}
+	s.analysis.CompareAndSwap(nil, analyze(s))
+	return s.analysis.Load()
+}
+
+// ColumnsOf is Columns for a lower-case table; nil when the statement does
+// not read it.
+func (f *Footprint) ColumnsOf(table string) map[string]bool {
+	if i := slices.Index(f.Tables, table); i >= 0 {
+		return f.Columns[i]
+	}
+	return nil
+}
+
+// FiltersOf is Filters for a lower-case table; nil when the statement does
+// not read it.
+func (a *Analysis) FiltersOf(table string) []Expr {
+	if i := slices.Index(a.Tables, table); i >= 0 {
+		return a.Filters[i]
+	}
+	return nil
+}
+
+// analyze derives a statement's analysis. It reads a resolved statement: a
+// column is credited to the FROM table that qualifies it, and a filter whose
+// qualifier names none is left to the residual.
+func analyze(sel *SelectStmt) *Analysis {
+	n := len(sel.From)
+	f := &Footprint{Tables: make([]string, n), Columns: make([]map[string]bool, n), PlainGroups: true}
+	for i, ref := range sel.From {
+		f.Tables[i] = strings.ToLower(ref.Name)
 	}
 	sel.EachExpr(func(slot *Expr) {
-		Walk(*slot, func(n Expr) bool {
-			switch v := n.(type) {
+		Walk(*slot, func(e Expr) bool {
+			switch v := e.(type) {
 			case *StarExpr:
-				star = true
+				f.Star = true
 			case *ColumnRef:
-				add(v)
+				if i := slices.Index(f.Tables, strings.ToLower(v.Table)); i >= 0 {
+					if f.Columns[i] == nil {
+						f.Columns[i] = make(map[string]bool)
+					}
+					f.Columns[i][strings.ToLower(v.Column)] = true
+				}
 			}
 			return true
 		})
 	})
-	return cols, star
+	for _, g := range sel.GroupBy {
+		if c, ok := g.(*ColumnRef); ok {
+			f.GroupKeys = append(f.GroupKeys, strings.ToLower(c.Column))
+		} else {
+			f.PlainGroups = false
+		}
+	}
+
+	a := &Analysis{Footprint: f, Conjuncts: Conjuncts(sel.Where), Filters: make([][]Expr, n)}
+	collect := func(e Expr) bool {
+		fn, isAgg := e.(*FuncExpr)
+		if isAgg {
+			a.Aggregates = append(a.Aggregates, AggString(fn))
+		}
+		return !isAgg
+	}
+	for _, p := range sel.Projections {
+		Walk(p.Expr, collect)
+	}
+	f.Aggregate = len(sel.GroupBy) > 0 || len(a.Aggregates) > 0
+	Walk(sel.Having, collect)
+
+	for _, conj := range a.Conjuncts {
+		tables := tablesOf(conj)
+		switch len(tables) {
+		case 0:
+			a.Residual = append(a.Residual, conj) // constant predicate
+		case 1:
+			if i := slices.Index(f.Tables, tables[0]); i >= 0 {
+				a.Filters[i] = append(a.Filters[i], conj)
+			} else {
+				a.Residual = append(a.Residual, conj)
+			}
+		case 2:
+			if je, ok := asJoinEdge(conj); ok {
+				a.Joins = append(a.Joins, je)
+			} else {
+				a.Residual = append(a.Residual, conj)
+			}
+		default:
+			a.Residual = append(a.Residual, conj)
+		}
+	}
+	return a
 }
 
 // Resolve qualifies every column reference in the statement with its real
@@ -176,32 +300,6 @@ type JoinEdge struct {
 // String renders l.t = r.t form.
 func (j JoinEdge) String() string {
 	return fmt.Sprintf("%s.%s = %s.%s", j.LeftTable, j.LeftColumn, j.RightTable, j.RightColumn)
-}
-
-// SplitPredicates classifies the WHERE conjuncts of a resolved SELECT into
-// per-table filters (all columns from one table), equi-join edges, and a
-// residual list of anything else (cross-table non-equi predicates).
-func SplitPredicates(sel *SelectStmt) (filters map[string][]Expr, joins []JoinEdge, residual []Expr) {
-	filters = make(map[string][]Expr)
-	for _, conj := range Conjuncts(sel.Where) {
-		tables := tablesOf(conj)
-		switch len(tables) {
-		case 0:
-			residual = append(residual, conj) // constant predicate
-		case 1:
-			t := tables[0]
-			filters[t] = append(filters[t], conj)
-		case 2:
-			if je, ok := asJoinEdge(conj); ok {
-				joins = append(joins, je)
-			} else {
-				residual = append(residual, conj)
-			}
-		default:
-			residual = append(residual, conj)
-		}
-	}
-	return filters, joins, residual
 }
 
 // tablesOf returns the distinct (lower-case) table names referenced.
@@ -325,44 +423,6 @@ func reverseCmp(op BinOp) BinOp {
 	}
 }
 
-// GroupKeyColumns returns the GROUP BY keys that are plain column
-// references, as lower-case column names in clause order, plus whether
-// every group key is a plain column. Aggregate-MV matching keys on this:
-// a view stores one row per distinct key combination, which is only
-// well-defined when the keys are columns, not computed expressions.
-func GroupKeyColumns(sel *SelectStmt) (cols []string, allPlain bool) {
-	allPlain = true
-	for _, g := range sel.GroupBy {
-		if c, ok := g.(*ColumnRef); ok {
-			cols = append(cols, strings.ToLower(c.Column))
-		} else {
-			allPlain = false
-		}
-	}
-	return cols, allPlain
-}
-
-// Aggregates lists the aggregate function calls in the projection list (in
-// projection order) and HAVING clause, rendered canonically ("count(*)",
-// "sum(psfmag_r)", lower-case). Calls nested in arithmetic
-// ("max(ra) - min(ra)") are included individually. An aggregate MV can
-// answer a query only when every entry here is among its stored aggregates.
-func Aggregates(sel *SelectStmt) []string {
-	var out []string
-	collect := func(e Expr) bool {
-		f, isAgg := e.(*FuncExpr)
-		if isAgg {
-			out = append(out, AggString(f))
-		}
-		return !isAgg
-	}
-	for _, p := range sel.Projections {
-		Walk(p.Expr, collect)
-	}
-	Walk(sel.Having, collect)
-	return out
-}
-
 // AggString renders one aggregate call canonically as func(arg) or func(*),
 // lower-cased. This is the string form aggregate MVs store in
 // catalog.Index.Aggs, so matching is a set-membership test.
@@ -374,17 +434,4 @@ func AggString(f *FuncExpr) string {
 		return strings.ToLower(string(f.Func) + "(" + c.Column + ")")
 	}
 	return strings.ToLower(string(f.Func) + "(" + f.Arg.String() + ")")
-}
-
-// HasAggregate reports whether the statement computes any aggregate.
-func HasAggregate(sel *SelectStmt) bool {
-	found := len(sel.GroupBy) > 0
-	for _, p := range sel.Projections {
-		Walk(p.Expr, func(e Expr) bool {
-			_, isAgg := e.(*FuncExpr)
-			found = found || isAgg
-			return !found
-		})
-	}
-	return found
 }

@@ -3,6 +3,7 @@ package sqlparse
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/catalog"
 )
@@ -298,7 +299,9 @@ func (o OrderItem) String() string {
 // SelectStmt is a single-block query. Explicit JOIN ... ON clauses are
 // normalized at parse time: the joined tables land in From and the ON
 // predicates are AND-ed into Where, which is the form the optimizer and the
-// advisors consume.
+// advisors consume. A statement is not copied: its analysis memo is not a
+// value (go vet's copylocks check holds that), so a rewrite builds a new
+// statement.
 type SelectStmt struct {
 	Distinct    bool
 	Projections []SelectItem
@@ -309,6 +312,8 @@ type SelectStmt struct {
 	OrderBy     []OrderItem
 	Limit       int64  // -1 when absent
 	LimitParam  *Param // LIMIT $n: the row count is open and Limit is -1
+
+	analysis atomic.Pointer[Analysis] // see Analysis
 }
 
 // String reassembles SQL text (canonical, not source-preserving).

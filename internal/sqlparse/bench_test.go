@@ -44,7 +44,7 @@ func BenchmarkParseAndResolve(b *testing.B) {
 	}
 }
 
-func BenchmarkSplitPredicates(b *testing.B) {
+func BenchmarkAnalyze(b *testing.B) {
 	schema := benchSchema()
 	sel, err := ParseSelect(benchSQL)
 	if err != nil {
@@ -55,6 +55,6 @@ func BenchmarkSplitPredicates(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SplitPredicates(sel)
+		analyze(sel)
 	}
 }

@@ -75,8 +75,8 @@ func TestParseGroupOrderLimit(t *testing.T) {
 	if sel.Limit != 10 {
 		t.Fatalf("limit = %d", sel.Limit)
 	}
-	if !HasAggregate(sel) {
-		t.Fatal("HasAggregate should be true")
+	if !sel.Analysis().Aggregate {
+		t.Fatal("Aggregate should be true")
 	}
 }
 
@@ -342,9 +342,10 @@ func TestSplitPredicates(t *testing.T) {
 	if err := Resolve(sel, testSchema()); err != nil {
 		t.Fatal(err)
 	}
-	filters, joins, residual := SplitPredicates(sel)
-	if len(filters["p"]) != 1 || len(filters["q"]) != 1 {
-		t.Fatalf("filters = %v", filters)
+	a := sel.Analysis()
+	joins, residual := a.Joins, a.Residual
+	if len(a.FiltersOf("p")) != 1 || len(a.FiltersOf("q")) != 1 {
+		t.Fatalf("filters = %v", a.Filters)
 	}
 	if len(joins) != 1 || joins[0].String() != "p.id = q.pid" {
 		t.Fatalf("joins = %v", joins)

@@ -87,7 +87,7 @@ func TestWalkColumnsCoversAllNodeTypes(t *testing.T) {
 	}
 	// The aggregate readings see a call under every node kind too.
 	wantAggs := []string{"count(x)", "sum(j)", "min(k)", "avg(l)", "max(m)", "count(*)", "sum(n)"}
-	if got := Aggregates(sel); !reflect.DeepEqual(got, wantAggs) {
+	if got := sel.Analysis().Aggregates; !reflect.DeepEqual(got, wantAggs) {
 		t.Errorf("Aggregates = %v, want %v", got, wantAggs)
 	}
 	for _, proj := range []string{
@@ -98,15 +98,15 @@ func TestWalkColumnsCoversAllNodeTypes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", proj, err)
 		}
-		if !HasAggregate(sel) {
-			t.Errorf("HasAggregate missed the call in %q", proj)
+		if !sel.Analysis().Aggregate {
+			t.Errorf("Aggregate missed the call in %q", proj)
 		}
-		if got := Aggregates(sel); !reflect.DeepEqual(got, []string{"max(x)"}) {
+		if got := sel.Analysis().Aggregates; !reflect.DeepEqual(got, []string{"max(x)"}) {
 			t.Errorf("Aggregates(%q) = %v, want [max(x)]", proj, got)
 		}
 	}
-	if sel, _ := ParseSelect("SELECT a + 1 FROM t WHERE b IN (1, 2)"); HasAggregate(sel) {
-		t.Error("HasAggregate invented an aggregate")
+	if sel, _ := ParseSelect("SELECT a + 1 FROM t WHERE b IN (1, 2)"); sel.Analysis().Aggregate {
+		t.Error("Aggregate invented an aggregate")
 	}
 }
 

@@ -1,6 +1,8 @@
 package whatif
 
 import (
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -83,11 +85,11 @@ func (s *Session) GenerateCandidates(w *workload.Workload, opts CandidateOptions
 	}
 
 	for _, q := range w.Queries {
-		filters, joins, _ := sqlparse.SplitPredicates(q.Stmt)
+		a := q.Stmt.Analysis()
 		perTableEq := map[string][]string{}
 		perTableRange := map[string][]string{}
-		for table, conjs := range filters {
-			for _, c := range conjs {
+		for i, table := range a.Tables {
+			for _, c := range a.Filters[i] {
 				sr, ok := sqlparse.SargableOf(c)
 				if !ok {
 					continue
@@ -113,7 +115,7 @@ func (s *Session) GenerateCandidates(w *workload.Workload, opts CandidateOptions
 		}
 		// Range-only composites are just the single columns (added above).
 		// Join endpoints.
-		for _, j := range joins {
+		for _, j := range a.Joins {
 			add(q.Weight, j.LeftTable, j.LeftColumn)
 			add(q.Weight, j.RightTable, j.RightColumn)
 			// Join column + local equality prefix.
@@ -141,12 +143,12 @@ func (s *Session) GenerateCandidates(w *workload.Workload, opts CandidateOptions
 			}
 		}
 		// Covering candidate: single-table queries with narrow column sets.
-		if opts.IncludeCovering && len(q.Stmt.From) == 1 {
-			table := q.Stmt.From[0].Name
-			cols := collectQueryColumns(q.Stmt, table)
+		if opts.IncludeCovering && len(a.Tables) == 1 {
+			table := a.Tables[0]
+			cols := slices.Collect(maps.Keys(a.Columns[0]))
 			if len(cols) > 0 && len(cols) <= opts.MaxWidth+2 {
 				// Sargable columns first for a useful prefix.
-				ordered := orderCoveringColumns(cols, perTableEq[strings.ToLower(table)], perTableRange[strings.ToLower(table)])
+				ordered := orderCoveringColumns(cols, perTableEq[table], perTableRange[table])
 				add(q.Weight*0.75, table, ordered...)
 			}
 		}
@@ -206,18 +208,14 @@ type structCand struct {
 func (s *Session) generateStructureCandidates(w *workload.Workload, opts CandidateOptions) []*catalog.Index {
 	acc := make(map[string]*structCand)
 	for _, q := range w.Queries {
-		if len(q.Stmt.From) != 1 {
+		a := q.Stmt.Analysis()
+		if len(a.Tables) != 1 || s.env.Schema.Table(a.Tables[0]) == nil {
 			continue
 		}
-		table := strings.ToLower(q.Stmt.From[0].Name)
-		if s.env.Schema.Table(table) == nil {
-			continue
-		}
-		filters, _, _ := sqlparse.SplitPredicates(q.Stmt)
-		conjs := filters[table]
+		table := a.Tables[0]
 
 		if opts.IncludeProjections {
-			if c := projectionCandidate(q.Stmt, table, conjs, opts.MaxWidth); c != nil {
+			if c := projectionCandidate(a, opts.MaxWidth); c != nil {
 				c.score = q.Weight * 0.75
 				mergeStructCand(acc, c)
 			}
@@ -295,19 +293,14 @@ func mergeStructCand(acc map[string]*structCand, c *structCand) {
 // maxWidth), every other referenced column rides as INCLUDE payload. Nil
 // when the query leaves nothing to include — a plain covering index already
 // handles it.
-func projectionCandidate(sel *sqlparse.SelectStmt, table string, conjs []sqlparse.Expr, maxWidth int) *structCand {
-	cols := collectQueryColumns(sel, table)
-	if len(cols) < 2 {
-		return nil
-	}
-	for _, p := range sel.Projections {
-		if _, star := p.Expr.(*sqlparse.StarExpr); star {
-			return nil // SELECT * can never be index-only
-		}
+func projectionCandidate(a *sqlparse.Analysis, maxWidth int) *structCand {
+	cols := slices.Collect(maps.Keys(a.Columns[0]))
+	if len(cols) < 2 || a.Star {
+		return nil // SELECT * can never be index-only
 	}
 	var eqs, ranges []string
 	eqSet, rangeSet := map[string]bool{}, map[string]bool{}
-	for _, c := range conjs {
+	for _, c := range a.Filters[0] {
 		sr, ok := sqlparse.SargableOf(c)
 		if !ok {
 			continue
@@ -341,7 +334,7 @@ func projectionCandidate(sel *sqlparse.SelectStmt, table string, conjs []sqlpars
 	}
 	return &structCand{
 		kind:    catalog.KindProjection,
-		table:   table,
+		table:   a.Tables[0],
 		keys:    ordered[:nKey],
 		include: ordered[nKey:],
 	}
@@ -351,14 +344,12 @@ func projectionCandidate(sel *sqlparse.SelectStmt, table string, conjs []sqlpars
 // query: view keys are the group keys plus every WHERE column (so filters
 // remain evaluable over the view), aggregates are the query's own calls.
 func aggViewCandidate(sel *sqlparse.SelectStmt, table string) *structCand {
-	if !sqlparse.HasAggregate(sel) || sel.Distinct {
+	a := sel.Analysis()
+	if !a.Aggregate || sel.Distinct || !a.PlainGroups {
 		return nil
 	}
-	gkeys, allPlain := sqlparse.GroupKeyColumns(sel)
-	if !allPlain {
-		return nil
-	}
-	aggs := dedupStrings(sqlparse.Aggregates(sel))
+	gkeys := a.GroupKeys
+	aggs := dedupStrings(a.Aggregates)
 	if len(aggs) == 0 {
 		return nil // GROUP BY without aggregates: a plain index serves
 	}
@@ -397,26 +388,6 @@ func dedupStrings(in []string) []string {
 			out = append(out, s)
 		}
 	}
-	return out
-}
-
-// collectQueryColumns returns the lower-cased columns of one table a query
-// touches anywhere.
-func collectQueryColumns(sel *sqlparse.SelectStmt, table string) []string {
-	lt := strings.ToLower(table)
-	seen := map[string]bool{}
-	var out []string
-	visit := func(c *sqlparse.ColumnRef) {
-		if strings.ToLower(c.Table) != lt {
-			return
-		}
-		lc := strings.ToLower(c.Column)
-		if !seen[lc] {
-			seen[lc] = true
-			out = append(out, lc)
-		}
-	}
-	sel.EachExpr(func(slot *sqlparse.Expr) { sqlparse.WalkColumns(*slot, visit) })
 	return out
 }
 
