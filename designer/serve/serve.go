@@ -124,8 +124,9 @@ type Server struct {
 	// long-running ObserveAll, and never see two halves of two states.
 	tunerView atomic.Pointer[tunerView]
 	// observed counts the statements /tuner/observe has parsed; each is
-	// labelled by its position in that stream, so no two statements of one
-	// autopilot epoch share an ID.
+	// labelled by its position in that stream. The labels only name
+	// statements to a reader: costing keys a statement by its text, so two
+	// that shared a label would still be priced apart.
 	observed atomic.Int64
 }
 

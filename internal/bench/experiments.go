@@ -73,9 +73,6 @@ func runINUMVsOptimizer(e *Env, spec Spec, x *Experiment) error {
 	}
 	x.Quality["costings_per_optimizer_call"] = ratio
 	x.Counts["queries"] = int64(len(e.W.Queries))
-	// A constant the committed baselines carry for this experiment; it
-	// stays so every baseline cell remains byte-identical.
-	x.Counts["configs"] = 16
 	x.Counts["candidates"] = int64(len(e.Cands))
 	return nil
 }

@@ -54,9 +54,10 @@ func BackendKinds() []string { return []string{BackendNative, BackendCalibrated,
 // Cached-path pricing is staged, because a sweep prices |queries| ×
 // |configurations| cells and most of a cell's work belongs to its row or
 // its column: Pricer does the per-query work once per sweep call (the INUM
-// entry lookup, the SQL rendering of a trace key), the Pricer it returns
-// does the per-configuration work once per configuration (INUM's digest,
-// the configuration signature), and only what is left runs per cell.
+// entry lookup), the Pricer it returns does the per-configuration work once
+// per configuration (INUM's digest, the configuration signature), and only
+// what is left runs per cell. A statement's trace key is its Key, rendered
+// once in the statement's life.
 type CostBackend interface {
 	// Kind identifies the backend ("native", "calibrated", "replay").
 	Kind() string
@@ -67,8 +68,9 @@ type CostBackend interface {
 	// like the materialization scheduler use them for build-cost models.
 	Params() optimizer.CostParams
 	// Prepare primes per-query state: the complete set of plan templates,
-	// which depends on the statement and on nothing the caller holds.
-	Prepare(id string, stmt *sqlparse.SelectStmt) error
+	// which depends on the statement (its Key) and on nothing the caller
+	// holds.
+	Prepare(stmt *sqlparse.SelectStmt) error
 	// Pricer resolves the queries against the backend's cached
 	// (INUM-style) path and returns the function that prices them. A query
 	// the view never prepared is resolved on demand — one optimization, the
@@ -232,15 +234,15 @@ func (b *envBackend) Kind() string                 { return b.kind }
 func (b *envBackend) Describe() string             { return b.desc }
 func (b *envBackend) Params() optimizer.CostParams { return b.env.Params }
 
-func (b *envBackend) Prepare(id string, stmt *sqlparse.SelectStmt) error {
-	_, err := b.cache.Prepare(id, stmt, nil)
+func (b *envBackend) Prepare(stmt *sqlparse.SelectStmt) error {
+	_, err := b.cache.Prepare("", stmt, nil)
 	return err
 }
 
 func (b *envBackend) Pricer(queries []workload.Query) (Pricer, error) {
 	entries := make([]*inum.CachedQuery, len(queries))
 	for i, q := range queries {
-		cq, err := b.cache.OnDemand(q.ID, q.Stmt)
+		cq, err := b.cache.OnDemand(q.Stmt)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", q.ID, err)
 		}
@@ -282,28 +284,17 @@ func (b *replayBackend) Describe() string {
 func (b *replayBackend) Params() optimizer.CostParams { return b.params }
 
 // Prepare is a no-op: the trace holds finished costs, not plan templates.
-func (b *replayBackend) Prepare(string, *sqlparse.SelectStmt) error { return nil }
+func (b *replayBackend) Prepare(*sqlparse.SelectStmt) error { return nil }
 
 func (b *replayBackend) Pricer(queries []workload.Query) (Pricer, error) {
-	sqls := renderAll(queries)
 	return func(cfg *catalog.Configuration) QueryPricer {
-		sig := configSignature(cfg)
-		return func(i int) (float64, error) { return b.lookup(opQuery, sqls[i], sig) }
+		sig := cfg.Signature()
+		return func(i int) (float64, error) { return b.lookup(opQuery, queries[i].Stmt.Key(), sig) }
 	}, nil
 }
 
 func (b *replayBackend) StmtCost(stmt *sqlparse.SelectStmt, cfg *catalog.Configuration) (float64, error) {
-	return b.lookup(opStmt, stmt.String(), configSignature(cfg))
-}
-
-// renderAll renders each query's canonical SQL, the statement half of a
-// trace key.
-func renderAll(queries []workload.Query) []string {
-	sqls := make([]string, len(queries))
-	for i, q := range queries {
-		sqls[i] = q.Stmt.String()
-	}
-	return sqls
+	return b.lookup(opStmt, stmt.Key(), cfg.Signature())
 }
 
 func (b *replayBackend) lookup(op, sql, sig string) (float64, error) {
@@ -327,8 +318,8 @@ func (b *recordingBackend) Kind() string                 { return b.inner.Kind()
 func (b *recordingBackend) Describe() string             { return b.inner.Describe() + " [recording]" }
 func (b *recordingBackend) Params() optimizer.CostParams { return b.inner.Params() }
 
-func (b *recordingBackend) Prepare(id string, stmt *sqlparse.SelectStmt) error {
-	return b.inner.Prepare(id, stmt)
+func (b *recordingBackend) Prepare(stmt *sqlparse.SelectStmt) error {
+	return b.inner.Prepare(stmt)
 }
 
 func (b *recordingBackend) Pricer(queries []workload.Query) (Pricer, error) {
@@ -336,13 +327,12 @@ func (b *recordingBackend) Pricer(queries []workload.Query) (Pricer, error) {
 	if err != nil {
 		return nil, err
 	}
-	sqls := renderAll(queries)
 	return func(cfg *catalog.Configuration) QueryPricer {
-		price, sig := inner(cfg), configSignature(cfg)
+		price, sig := inner(cfg), cfg.Signature()
 		return func(i int) (float64, error) {
 			cost, err := price(i)
 			if err == nil {
-				b.rec.record(b.inner.Kind(), opQuery, sqls[i], sig, cost)
+				b.rec.record(b.inner.Kind(), opQuery, queries[i].Stmt.Key(), sig, cost)
 			}
 			return cost, err
 		}
@@ -352,7 +342,7 @@ func (b *recordingBackend) Pricer(queries []workload.Query) (Pricer, error) {
 func (b *recordingBackend) StmtCost(stmt *sqlparse.SelectStmt, cfg *catalog.Configuration) (float64, error) {
 	cost, err := b.inner.StmtCost(stmt, cfg)
 	if err == nil {
-		b.rec.record(b.inner.Kind(), opStmt, stmt.String(), configSignature(cfg), cost)
+		b.rec.record(b.inner.Kind(), opStmt, stmt.Key(), cfg.Signature(), cost)
 	}
 	return cost, err
 }

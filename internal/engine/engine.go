@@ -270,14 +270,15 @@ func (s *snapshot) resolve(cfg *catalog.Configuration) *catalog.Configuration {
 // over the sweep pool. What is built for a query depends on its statement
 // alone; the third argument is ignored and is still there only because the
 // benchmark module, which no code change may edit, passes one (ROADMAP
-// 6(g)). Prepare is idempotent per query ID within a view — a query the
-// backend already holds costs one lookup and builds nothing — so
-// every workload sweep simply runs it instead of remembering which
-// workloads it has seen. A cancelled context aborts between queries.
+// 6(g)). Prepare is idempotent per statement within a view — a statement
+// whose text the backend already holds, under any ID or parse, costs one
+// lookup and builds nothing — so every workload sweep simply runs it instead
+// of remembering which workloads it has seen. A query's ID only labels its
+// error. A cancelled context aborts between queries.
 func (v *View) Prepare(ctx context.Context, w *workload.Workload, _ []*catalog.Index) error {
 	return v.e.sweep(ctx, len(w.Queries), func(i int) error {
-		q := w.Queries[i]
-		return v.backend.Prepare(q.ID, q.Stmt)
+		_, err := v.PrepareQuery(w.Queries[i])
+		return err
 	})
 }
 
@@ -286,8 +287,8 @@ func (v *View) Prepare(ctx context.Context, w *workload.Workload, _ []*catalog.I
 // per-query table set CoPhy enumerates atoms over; read-only, it is the
 // statement's analysis).
 func (v *View) PrepareQuery(q workload.Query) ([]string, error) {
-	if err := v.backend.Prepare(q.ID, q.Stmt); err != nil {
-		return nil, err
+	if err := v.backend.Prepare(q.Stmt); err != nil {
+		return nil, fmt.Errorf("engine: %s: %w", q.ID, err)
 	}
 	return q.Stmt.Analysis().Tables, nil
 }

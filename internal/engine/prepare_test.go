@@ -2,11 +2,15 @@ package engine
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/inum"
 	"repro/internal/sqlparse"
+	"repro/internal/whatif"
 	"repro/internal/workload"
 )
 
@@ -18,9 +22,9 @@ type countingBackend struct {
 	prepares *atomic.Int64
 }
 
-func (c *countingBackend) Prepare(id string, stmt *sqlparse.SelectStmt) error {
+func (c *countingBackend) Prepare(stmt *sqlparse.SelectStmt) error {
 	c.prepares.Add(1)
-	return c.CostBackend.Prepare(id, stmt)
+	return c.CostBackend.Prepare(stmt)
 }
 
 // prepareCounter counts the Prepare calls that reach the backends of the
@@ -187,5 +191,125 @@ func TestViewsShareNoINUMEntry(t *testing.T) {
 	}
 	if got := fullOpts(e); got != 2*builtA {
 		t.Fatalf("view A rebuilt its own entries: %d full optimizations, want %d", got, 2*builtA)
+	}
+}
+
+// parsed parses and resolves one statement: a fresh tree nobody has keyed.
+func parsed(t *testing.T, e *Engine, sql string) *sqlparse.SelectStmt {
+	t.Helper()
+	stmt, err := sqlparse.ParseSelect(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sqlparse.Resolve(stmt, e.Schema()); err != nil {
+		t.Fatal(err)
+	}
+	return stmt
+}
+
+// TestViewBuildsEachStatementOnce holds that a view's INUM entries are keyed
+// by their statements' text, never by the ids a caller gives them. One view,
+// three minimal histories:
+//   - two workloads numbered alike with different texts, asked about in
+//     turn, build nothing after each was asked once, and price what fresh
+//     views price, bit for bit;
+//   - a re-parse of a workload under other ids finds the entries of the
+//     first parse, the same pointers, and builds nothing;
+//   - one text under 16 ids, prepared on the sweep pool with four workers,
+//     costs exactly one statement's optimizations: the askers of a text wait
+//     for its one builder (run it under -race -count=20; ci.yml race-soak).
+func TestViewBuildsEachStatementOnce(t *testing.T) {
+	e, w, _ := newCountingEngine(t)
+	ctx := context.Background()
+	twin, err := workload.NewWorkload(e.Schema(), 43, len(w.Queries))
+	if err != nil {
+		t.Fatal(err)
+	}
+	differ := 0
+	for i, q := range w.Queries {
+		if twin.Queries[i].ID != q.ID {
+			t.Fatalf("query %d: ids %q and %q: the workloads are not numbered alike", i, q.ID, twin.Queries[i].ID)
+		}
+		if twin.Queries[i].Stmt.Key() != q.Stmt.Key() {
+			differ++
+		}
+	}
+	if differ == 0 {
+		t.Fatal("the two workloads hold the same texts: nothing collides")
+	}
+	all := catalog.NewConfiguration()
+	all.Indexes = e.Pin().Session().GenerateCandidates(w, whatif.DefaultCandidateOptions())
+	cfgs := []*catalog.Configuration{nil, catalog.NewConfiguration(), all}
+
+	v := e.Pin()
+	workloads := []*workload.Workload{w, twin}
+	want := make([][]float64, len(workloads))
+	for i, x := range workloads {
+		if want[i], err = e.Pin().SweepConfigs(ctx, x, cfgs); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := v.SweepConfigs(ctx, x, cfgs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	primed := fullOpts(e)
+	for round := 0; round < 4; round++ {
+		got, err := v.SweepConfigs(ctx, workloads[round%2], cfgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range got {
+			if math.Float64bits(got[k]) != math.Float64bits(want[round%2][k]) {
+				t.Fatalf("round %d configuration %d: %v, a fresh view %v", round, k, got[k], want[round%2][k])
+			}
+		}
+	}
+	if built := fullOpts(e) - primed; built != 0 {
+		t.Fatalf("alternating two workloads numbered alike built %d full optimizations after priming, want 0", built)
+	}
+
+	cache := v.backend.(*envBackend).cache
+	again := &workload.Workload{}
+	for _, q := range w.Queries {
+		again.Queries = append(again.Queries, workload.Query{ID: "re-" + q.ID, SQL: q.SQL, Weight: q.Weight, Stmt: parsed(t, e, q.Stmt.String())})
+	}
+	if err := v.Prepare(ctx, again, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range again.Queries {
+		got, err := cache.OnDemand(q.Stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, err := cache.OnDemand(w.Queries[i].Stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != first {
+			t.Errorf("%q: the re-parse found another entry than the first parse", q.SQL)
+		}
+	}
+	if built := fullOpts(e) - primed; built != 0 {
+		t.Fatalf("a re-parse of a prepared workload built %d full optimizations, want 0", built)
+	}
+
+	const sql = "SELECT photoobj.objid, specobj.z FROM photoobj, specobj WHERE photoobj.objid = specobj.bestobjid AND specobj.z > 1 ORDER BY photoobj.ra"
+	same := &workload.Workload{}
+	for i := 0; i < 16; i++ {
+		same.Queries = append(same.Queries, workload.Query{ID: fmt.Sprintf("same%d", i), SQL: sql, Weight: 1, Stmt: parsed(t, e, sql)})
+	}
+	e.SetWorkers(4)
+	if err := v.Prepare(ctx, same, nil); err != nil {
+		t.Fatal(err)
+	}
+	entry, err := inum.New(v.s.env).Prepare("", parsed(t, e, sql), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if entry.PrepCost() < 2 {
+		t.Fatalf("the statement builds in %d optimization: too few to see a second builder", entry.PrepCost())
+	}
+	if built := fullOpts(e) - primed; built != int64(entry.PrepCost()) {
+		t.Fatalf("one text under 16 ids built %d full optimizations, want one statement's %d", built, entry.PrepCost())
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"os"
 	"sort"
 	"sync"
-
-	"repro/internal/catalog"
 )
 
 // TraceSchemaVersion identifies the trace document layout.
@@ -33,7 +31,9 @@ type TraceCall struct {
 	Cost   float64 `json:"cost"`
 }
 
-func traceKey(op, sql, cfgSig string) string { return op + "\x00" + sql + "\x00" + cfgSig }
+// traceKey is a call's identity: the fields a lookup matches on, kept
+// apart so no field's bytes can run into the next.
+type traceKey struct{ op, sql, config string }
 
 // Trace is a recorded set of costing calls — the portable artifact of the
 // record/replay workflow: record once against a live backend, then run the
@@ -47,21 +47,21 @@ type Trace struct {
 	Calls     []TraceCall `json:"calls"`
 
 	once  sync.Once
-	index map[string]float64
+	index map[traceKey]float64
 }
 
 // lookup resolves one recorded call, building the key index lazily.
 func (t *Trace) lookup(op, sql, cfgSig string) (float64, bool) {
 	t.once.Do(func() {
-		t.index = make(map[string]float64, len(t.Calls))
+		t.index = make(map[traceKey]float64, len(t.Calls))
 		for _, c := range t.Calls {
-			k := traceKey(c.Op, c.SQL, c.Config)
+			k := traceKey{c.Op, c.SQL, c.Config}
 			if _, dup := t.index[k]; !dup {
 				t.index[k] = c.Cost
 			}
 		}
 	})
-	v, ok := t.index[traceKey(op, sql, cfgSig)]
+	v, ok := t.index[traceKey{op, sql, cfgSig}]
 	return v, ok
 }
 
@@ -69,9 +69,11 @@ func (t *Trace) lookup(op, sql, cfgSig string) (float64, bool) {
 func (t *Trace) Len() int { return len(t.Calls) }
 
 // sortCalls orders calls canonically by (op, sql, config) — the one
-// ordering the byte-identical-files determinism contract rests on.
+// ordering the byte-identical-files determinism contract rests on. The sort
+// is stable: a key listed twice keeps its first-listed cost first, so the
+// cost a trace serves survives a write and a reload.
 func sortCalls(calls []TraceCall) {
-	sort.Slice(calls, func(i, j int) bool {
+	sort.SliceStable(calls, func(i, j int) bool {
 		a, b := calls[i], calls[j]
 		if a.Op != b.Op {
 			return a.Op < b.Op
@@ -122,7 +124,7 @@ func LoadTrace(path string) (*Trace, error) {
 type Recorder struct {
 	mu    sync.Mutex
 	kind  string
-	calls map[string]TraceCall
+	calls map[traceKey]TraceCall
 	// conflicts counts keys recorded twice with different costs — a sign
 	// the recording spanned a configuration-generation or statistics change.
 	conflicts int
@@ -130,14 +132,14 @@ type Recorder struct {
 
 // NewRecorder creates an empty recorder.
 func NewRecorder() *Recorder {
-	return &Recorder{calls: make(map[string]TraceCall)}
+	return &Recorder{calls: make(map[traceKey]TraceCall)}
 }
 
 func (r *Recorder) record(kind, op, sql, cfgSig string, cost float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.kind = kind
-	k := traceKey(op, sql, cfgSig)
+	k := traceKey{op, sql, cfgSig}
 	if prev, ok := r.calls[k]; ok {
 		if prev.Cost != cost {
 			r.conflicts++
@@ -168,12 +170,3 @@ func (r *Recorder) Trace() *Trace {
 
 // WriteFile snapshots and saves the recorded trace.
 func (r *Recorder) WriteFile(path string) error { return r.Trace().WriteFile(path) }
-
-// configSignature renders the replay/record identity of a configuration
-// (nil = empty design).
-func configSignature(cfg *catalog.Configuration) string {
-	if cfg == nil {
-		return catalog.NewConfiguration().Signature()
-	}
-	return cfg.Signature()
-}

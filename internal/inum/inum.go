@@ -38,6 +38,9 @@
 // A cache belongs to one question. The engine builds one per pinned view,
 // so the entries live exactly as long as the question that built them and
 // nothing is ever evicted; only the work counters (Counters) outlive it.
+// Within it an entry is found by its statement's content (SelectStmt.Key),
+// never by a caller's name for the statement, and built once however many
+// statements, names or goroutines ask for it.
 //
 // Per table of the query the visible slice of a configuration is the set of
 // structures that could enter one of its plans (optimizer.CanUse on the
@@ -78,15 +81,11 @@ type template struct {
 	sig      string
 }
 
-// CachedQuery holds the INUM state for one query.
+// CachedQuery holds the INUM state for one query: the statement that first
+// asked for it, standing for every statement with the same key.
 type CachedQuery struct {
-	ID     string
 	Stmt   *sqlparse.SelectStmt
 	Tables []string
-	// sql is the canonical rendering of Stmt, captured at build time so
-	// Prepare can detect ID collisions across workloads without
-	// re-rendering the cached side.
-	sql string
 
 	// The cached templates, flattened for the costing loop. Template i has
 	// internal cost internals[i] and needs table t (an index into Tables) to
@@ -110,14 +109,24 @@ type CachedQuery struct {
 }
 
 // Cache is the INUM store of one question: the entries of every statement
-// it prepared or priced, keyed by the caller's query ID.
+// it prepared or priced, one slot per statement key (SelectStmt.Key). Two
+// workloads that number their queries alike share nothing by it, and a
+// re-parse of a workload finds the entries of the first parse.
 type Cache struct {
 	base *optimizer.Env
 
-	mu      sync.RWMutex
-	entries map[string]*CachedQuery
+	mu    sync.Mutex
+	slots map[string]*slot
 
 	counters *Counters
+}
+
+// slot holds the entry of one statement key. Its lock is held while the
+// entry is built, so concurrent askers for one text wait for the one builder
+// and each kind of entry is built at most once.
+type slot struct {
+	mu sync.Mutex
+	q  *CachedQuery
 }
 
 // Counters tallies the work of every cache that counts into it — the E8
@@ -134,70 +143,59 @@ type Counters struct {
 // engine hands every view's cache the same one — or, given none, into a
 // tally nobody reads.
 func New(env *optimizer.Env, counters ...*Counters) *Cache {
-	c := &Cache{base: env, entries: make(map[string]*CachedQuery), counters: new(Counters)}
+	c := &Cache{base: env, slots: make(map[string]*slot), counters: new(Counters)}
 	if len(counters) > 0 {
 		c.counters = counters[0]
 	}
 	return c
 }
 
-// Prepare returns the query's complete entry, building it when the cache
-// holds none for the statement or only an on-demand one. It is idempotent
-// per (ID, statement): a different statement under a reused ID (one session
-// asked about two workloads that both number their queries q0, q1, ...)
-// rebuilds and replaces the entry instead of silently pricing the new query
-// with the old query's plans. The third argument is ignored and
-// is still there only because the benchmark module, which no code change
-// may edit, passes one (ROADMAP 6(g)).
-func (c *Cache) Prepare(id string, stmt *sqlparse.SelectStmt, _ []*catalog.Index) (*CachedQuery, error) {
-	return c.entry(id, stmt, true)
+// Prepare returns the statement's complete entry, building it when the cache
+// holds none for the statement's key or only an on-demand one. The first and
+// third arguments are ignored and are still there only because the
+// benchmark module, which no code change may edit, passes them (ROADMAP
+// 6(g)).
+func (c *Cache) Prepare(_ string, stmt *sqlparse.SelectStmt, _ []*catalog.Index) (*CachedQuery, error) {
+	return c.entry(stmt, true)
 }
 
 // OnDemand returns whatever entry the cache holds for the statement and,
 // when it holds none, builds the on-demand one: the no-order template only,
 // one full optimization — the door of the online tuner, which prices each
 // statement of a stream once or twice.
-func (c *Cache) OnDemand(id string, stmt *sqlparse.SelectStmt) (*CachedQuery, error) {
-	return c.entry(id, stmt, false)
+func (c *Cache) OnDemand(stmt *sqlparse.SelectStmt) (*CachedQuery, error) {
+	return c.entry(stmt, false)
 }
 
-// entry looks the statement up under id and builds on a miss. An on-demand
-// entry is a miss for Prepare, never the other way round: an entry only
-// moves from on-demand to complete.
-func (c *Cache) entry(id string, stmt *sqlparse.SelectStmt, complete bool) (*CachedQuery, error) {
-	c.mu.RLock()
-	q := c.entries[id]
-	c.mu.RUnlock()
-	fits := func(q *CachedQuery) bool { return q != nil && (q.complete || !complete) }
-	if fits(q) && q.Stmt == stmt {
-		// The common case: one workload reuses its parsed statements for
-		// every costing.
-		return q, nil
-	}
-	// A re-parsed workload matches on canonical SQL, rendered once here and
-	// handed to build on a miss.
-	sql := stmt.String()
-	if fits(q) && q.sql == sql {
-		return q, nil
-	}
-
-	q, err := c.build(id, stmt, sql, complete)
-	if err != nil {
-		return nil, err
-	}
+// entry returns the entry in the statement's slot, building it when the slot
+// holds none or, for Prepare, only an on-demand one: an entry only moves from
+// on-demand to complete.
+func (c *Cache) entry(stmt *sqlparse.SelectStmt, complete bool) (*CachedQuery, error) {
+	key := stmt.Key()
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if prev := c.entries[id]; fits(prev) && (prev.Stmt == stmt || prev.sql == sql) {
-		return prev, nil
+	s := c.slots[key]
+	if s == nil {
+		s = new(slot)
+		c.slots[key] = s
 	}
-	c.entries[id] = q
-	return q, nil
+	c.mu.Unlock()
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.q == nil || complete && !s.q.complete {
+		q, err := c.build(stmt, complete)
+		if err != nil {
+			return nil, err
+		}
+		s.q = q
+	}
+	return s.q, nil
 }
 
 // build computes the template set for a query: the complete one, or the
 // on-demand entry's no-order template alone.
-func (c *Cache) build(id string, stmt *sqlparse.SelectStmt, sql string, complete bool) (*CachedQuery, error) {
-	q := &CachedQuery{ID: id, Stmt: stmt, Tables: stmt.Analysis().Tables, sql: sql, complete: complete}
+func (c *Cache) build(stmt *sqlparse.SelectStmt, complete bool) (*CachedQuery, error) {
+	q := &CachedQuery{Stmt: stmt, Tables: stmt.Analysis().Tables, complete: complete}
 
 	// Seed configurations, following INUM's interesting-order structure:
 	// the plan internals only change when a leaf can deliver an order the
@@ -271,7 +269,7 @@ func (c *Cache) addTemplate(q *CachedQuery, cfg *catalog.Configuration, template
 	env := c.base.WithConfig(cfg)
 	plan, err := env.Optimize(q.Stmt)
 	if err != nil {
-		return nil, fmt.Errorf("inum: %s: %w", q.ID, err)
+		return nil, fmt.Errorf("inum: %w", err)
 	}
 	q.prepOptimizerCalls++
 	c.counters.FullOptimizations.Add(1)

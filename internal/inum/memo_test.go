@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/optimizer"
+	"repro/internal/sqlparse"
 	"repro/internal/storage"
 	"repro/internal/whatif"
 	"repro/internal/workload"
@@ -56,7 +57,7 @@ func coldCosts(t *testing.T, c *Cache, q *CachedQuery, cfg *catalog.Configuratio
 func checkAgainstCold(t *testing.T, env *optimizer.Env, warm *Cache, wq *CachedQuery, cands []*catalog.Index, cfg *catalog.Configuration, what string) {
 	t.Helper()
 	fresh := New(env)
-	fq, err := fresh.Prepare(wq.ID, wq.Stmt, cands)
+	fq, err := fresh.Prepare("", wq.Stmt, cands)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,21 +274,48 @@ func TestTemplateOrderMakesStructureVisible(t *testing.T) {
 	}
 }
 
+// parsed parses and resolves one statement: a fresh tree nobody has keyed.
+func parsed(t *testing.T, schema *catalog.Schema, sql string) *sqlparse.SelectStmt {
+	t.Helper()
+	stmt, err := sqlparse.ParseSelect(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sqlparse.Resolve(stmt, schema); err != nil {
+		t.Fatal(err)
+	}
+	return stmt
+}
+
 // TestEntryIsAFunctionOfItsStatement is the differential test of the one
-// fork in the cache. For every statement of the five workload profiles, the
-// entry Prepare builds is the same whatever candidate list rides in its
-// ignored argument and whether or not the statement was priced on demand
-// first: equal template counts, and bit-equal costs over a family of
-// generated configurations. The on-demand entry alone holds the no-order
-// template and cost one optimization. Every order a template requires names
-// a column the statement references — what CanUse relies on.
+// fork in the cache and of its key. For every statement of the five workload
+// profiles, the entry Prepare builds is the same whatever candidate list
+// rides in its ignored argument, whether or not the statement was priced on
+// demand first, and whether it is asked for by the statement or by the
+// statement re-parsed from its own rendering: equal template counts, and
+// bit-equal costs over a family of generated configurations. One cache hands
+// the statement and its re-parse one entry. The on-demand entry alone holds
+// the no-order template and cost one optimization. Every order a template
+// requires names a column the statement references — what CanUse relies on.
+// Pairs of statements written differently that render alike — a float
+// constant with an integer value, an alias, JOIN ... ON, keyword case and
+// spacing — are one key, and the entry built from either prices the other as
+// its own fresh entry does. (An identifier keeps its case in the rendering,
+// so `PhotoObj` and `photoobj` key apart: two entries, neither wrong.)
 func TestEntryIsAFunctionOfItsStatement(t *testing.T) {
 	store, err := workload.Generate(workload.TinySize(), 41)
 	if err != nil {
 		t.Fatal(err)
 	}
 	env := optimizer.NewEnv(store.Schema, store.Stats, nil)
-	multi := 0
+	// Each source pairs every statement with another text of it: its own
+	// rendering for the profiles, a different spelling for the pairs.
+	type source struct {
+		name      string
+		w         *workload.Workload
+		spellings []string
+	}
+	var sources []source
 	for pi, name := range workload.ProfileNames() {
 		profile, err := workload.ProfileByName(name)
 		if err != nil {
@@ -297,6 +325,35 @@ func TestEntryIsAFunctionOfItsStatement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		src := source{name: name, w: w}
+		for _, q := range w.Queries {
+			src.spellings = append(src.spellings, q.Stmt.String())
+		}
+		sources = append(sources, src)
+	}
+	pairs := [][2]string{
+		{"SELECT objid FROM photoobj WHERE ra > 16", "SELECT objid FROM photoobj WHERE ra > 16.0"},
+		{"SELECT ra FROM photoobj WHERE psfmag_r BETWEEN 17 AND 18.0 ORDER BY ra", "SELECT ra FROM photoobj WHERE psfmag_r BETWEEN 17.0 AND 18 ORDER BY ra"},
+		{"SELECT p.objid, p.ra FROM photoobj p WHERE p.type = 3 ORDER BY p.objid", "SELECT objid, ra FROM photoobj WHERE type = 3 ORDER BY objid"},
+		{"SELECT p.objid, s.z FROM photoobj p JOIN specobj s ON p.objid = s.bestobjid WHERE s.z > 1", "SELECT photoobj.objid, specobj.z FROM photoobj, specobj WHERE specobj.z > 1 AND photoobj.objid = specobj.bestobjid"},
+		{"SELECT p.objid, n.distance FROM photoobj p JOIN neighbors n ON p.objid = n.objid ORDER BY n.objid", "SELECT photoobj.objid, neighbors.distance FROM photoobj, neighbors WHERE photoobj.objid = neighbors.objid ORDER BY neighbors.objid"},
+		{"select type, count(*) from photoobj where dec < -5 group by type order by type desc", "SELECT type, COUNT(*) FROM photoobj WHERE dec < -5 GROUP BY type ORDER BY type DESC"},
+		{"SELECT  objid,ra\n  FROM photoobj\tWHERE type=6 AND psfmag_r<14", "SELECT objid, ra FROM photoobj WHERE type = 6 AND psfmag_r < 14"},
+	}
+	var written []workload.Template
+	apart := source{name: "written apart"}
+	for i, pair := range pairs {
+		written = append(written, workload.Template{Name: fmt.Sprintf("pair%d", i), Gen: func(*rand.Rand) string { return pair[0] }})
+		apart.spellings = append(apart.spellings, pair[1])
+	}
+	if apart.w, err = workload.NewWorkloadFrom(store.Schema, 1, len(pairs), written); err != nil {
+		t.Fatal(err)
+	}
+	sources = append(sources, apart)
+
+	multi := 0
+	for pi, src := range sources {
+		name, w := src.name, src.w
 		space := designSpace(t, store, w)
 		reversed := append([]*catalog.Index(nil), space...)
 		slices.Reverse(reversed)
@@ -310,10 +367,17 @@ func TestEntryIsAFunctionOfItsStatement(t *testing.T) {
 		}
 
 		alone, completed := New(env), New(env)
-		for _, q := range w.Queries {
+		for i, q := range w.Queries {
 			want, err := alone.Prepare(q.ID, q.Stmt, nil)
 			if err != nil {
 				t.Fatal(err)
+			}
+			spelled := parsed(t, store.Schema, src.spellings[i])
+			if spelled.Key() != q.Stmt.Key() {
+				t.Fatalf("%s %q and %q render apart:\n%s\n%s", name, q.SQL, src.spellings[i], q.Stmt.Key(), spelled.Key())
+			}
+			if same, err := alone.Prepare("", spelled, nil); err != nil || same != want {
+				t.Errorf("%s %q: one cache holds another entry for %q (%v)", name, q.SQL, src.spellings[i], err)
 			}
 			for ti, orders := range want.orders {
 				for _, o := range orders {
@@ -327,7 +391,7 @@ func TestEntryIsAFunctionOfItsStatement(t *testing.T) {
 				multi++
 			}
 
-			onDemand, err := completed.OnDemand(q.ID, q.Stmt)
+			onDemand, err := completed.OnDemand(q.Stmt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -338,7 +402,7 @@ func TestEntryIsAFunctionOfItsStatement(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if again, _ := completed.OnDemand(q.ID, q.Stmt); again != after {
+			if again, _ := completed.OnDemand(q.Stmt); again != after {
 				t.Errorf("%s %q: a prepared entry went back to on-demand", name, q.SQL)
 			}
 			twins := map[string]*CachedQuery{"on-demand then Prepare": after}
@@ -347,6 +411,13 @@ func TestEntryIsAFunctionOfItsStatement(t *testing.T) {
 				if twins["Prepare with "+label], err = fresh.Prepare(q.ID, q.Stmt, cands); err != nil {
 					t.Fatal(err)
 				}
+			}
+			twin := "the statement re-parsed from its own rendering"
+			if src.spellings[i] != q.Stmt.String() {
+				twin = fmt.Sprintf("the statement written %q", src.spellings[i])
+			}
+			if twins[twin], err = New(env).Prepare("", spelled, nil); err != nil {
+				t.Fatal(err)
 			}
 			for label, got := range twins {
 				if got.TemplateCount() != want.TemplateCount() {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/autopart"
 	"repro/internal/catalog"
@@ -46,16 +47,17 @@ func reparse(t *testing.T, sel *sqlparse.SelectStmt, schema *catalog.Schema) *sq
 	return twin
 }
 
-// TestAnalysisIsAFunctionOfItsStatement holds the memo on the statement to
+// TestAnalysisIsAFunctionOfItsStatement holds the memos on the statement to
 // the statement. For every statement of the five workload profiles and a
 // set of hand-written shapes, the analysis a statement carries — derived
 // once, where the workload was built, and read ever after — equals a fresh
-// derivation on a re-parse of its rendering; the optimizer prices the
-// statement and its twin bit for bit alike over 22 generated designs; eight
-// goroutines racing the first use see one analysis; a vertical rewrite
-// leaves the source's analysis as it was and carries none of it. A
-// statement whose $n parameters are bound after Resolve is analysed with
-// the literals, never the parameters.
+// derivation on a re-parse of its rendering, and its key is that rendering;
+// the optimizer prices the statement and its twin bit for bit alike over 22
+// generated designs; eight goroutines racing the first uses see one analysis
+// and one key; a vertical rewrite leaves the source's analysis and key as
+// they were and carries a key of its own. A statement whose $n parameters
+// are bound after Resolve is analysed and keyed with the literals, never the
+// parameters.
 func TestAnalysisIsAFunctionOfItsStatement(t *testing.T) {
 	store, err := workload.Generate(workload.TinySize(), 41)
 	if err != nil {
@@ -121,10 +123,13 @@ func TestAnalysisIsAFunctionOfItsStatement(t *testing.T) {
 		if q.Stmt.Analysis() != a {
 			t.Fatalf("%q: a second use derived the analysis again", q.SQL)
 		}
-		want := describe(a)
+		want, key := describe(a), q.Stmt.Key()
 		twin := reparse(t, q.Stmt, schema)
 		if got := describe(twin.Analysis()); got != want {
 			t.Errorf("%q: the statement carries\n%s a re-parse derives\n%s", q.SQL, want, got)
+		}
+		if key != twin.String() {
+			t.Errorf("%q: the statement is keyed %q, its re-parse renders %q", q.SQL, key, twin.String())
 		}
 		for k, cfg := range designs {
 			at, err := env.WithConfig(cfg).Cost(q.Stmt)
@@ -143,6 +148,7 @@ func TestAnalysisIsAFunctionOfItsStatement(t *testing.T) {
 
 		racer := reparse(t, q.Stmt, schema)
 		seen := make([]*sqlparse.Analysis, 8)
+		keys := make([]string, len(seen))
 		start := make(chan struct{})
 		var wg sync.WaitGroup
 		for g := range seen {
@@ -150,7 +156,7 @@ func TestAnalysisIsAFunctionOfItsStatement(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				<-start
-				seen[g] = racer.Analysis()
+				seen[g], keys[g] = racer.Analysis(), racer.Key()
 			}()
 		}
 		close(start)
@@ -158,6 +164,9 @@ func TestAnalysisIsAFunctionOfItsStatement(t *testing.T) {
 		for g := range seen {
 			if seen[g] != seen[0] {
 				t.Fatalf("%q: goroutines %d and 0 racing the first use see two analyses", q.SQL, g)
+			}
+			if keys[g] != key || unsafe.StringData(keys[g]) != unsafe.StringData(keys[0]) {
+				t.Fatalf("%q: goroutines %d and 0 racing the first use see two keys", q.SQL, g)
 			}
 		}
 		if got := describe(seen[0]); got != want {
@@ -171,12 +180,15 @@ func TestAnalysisIsAFunctionOfItsStatement(t *testing.T) {
 		if !changed {
 			t.Fatalf("%q: the vertical layout on photoobj rewrote nothing", q.SQL)
 		}
-		if q.Stmt.Analysis() != a || describe(a) != want {
-			t.Errorf("%q: the rewrite changed the source's analysis", q.SQL)
+		if q.Stmt.Analysis() != a || describe(a) != want || q.Stmt.Key() != key {
+			t.Errorf("%q: the rewrite changed the source's analysis or key", q.SQL)
 		}
 		rewritten, err := sqlparse.ParseSelect(text)
 		if err != nil {
 			t.Fatalf("%q: the rewrite %q does not parse: %v", q.SQL, text, err)
+		}
+		if rewritten.Key() != text {
+			t.Errorf("%q: the rewrite renders %q and is keyed %q", q.SQL, text, rewritten.Key())
 		}
 		for _, table := range rewritten.Analysis().Tables {
 			if table == "photoobj" {
@@ -204,8 +216,12 @@ func TestAnalysisIsAFunctionOfItsStatement(t *testing.T) {
 				return true
 			})
 		}
-		if got, want := describe(a), describe(reparse(t, stmt, schema).Analysis()); got != want || len(a.Filters[0]) == 0 {
+		twin := reparse(t, stmt, schema)
+		if got, want := describe(a), describe(twin.Analysis()); got != want || len(a.Filters[0]) == 0 {
 			t.Errorf("%q (bound as %q): the statement carries\n%s a re-parse derives\n%s", sql, bound, got, want)
+		}
+		if stmt.Key() != twin.String() || stmt.Key() != bound {
+			t.Errorf("%q (bound as %q): the statement is keyed %q, its re-parse renders %q", sql, bound, stmt.Key(), twin.String())
 		}
 	}
 }

@@ -299,8 +299,8 @@ func (o OrderItem) String() string {
 // SelectStmt is a single-block query. Explicit JOIN ... ON clauses are
 // normalized at parse time: the joined tables land in From and the ON
 // predicates are AND-ed into Where, which is the form the optimizer and the
-// advisors consume. A statement is not copied: its analysis memo is not a
-// value (go vet's copylocks check holds that), so a rewrite builds a new
+// advisors consume. A statement is not copied: its analysis and key memos are
+// not values (go vet's copylocks check holds that), so a rewrite builds a new
 // statement.
 type SelectStmt struct {
 	Distinct    bool
@@ -314,6 +314,21 @@ type SelectStmt struct {
 	LimitParam  *Param // LIMIT $n: the row count is open and Limit is -1
 
 	analysis atomic.Pointer[Analysis] // see Analysis
+	key      atomic.Pointer[string]   // see Key
+}
+
+// Key is the statement's identity: its canonical rendering, made on first use
+// and kept. Two statements that render alike are one query to every cache
+// keyed by it (INUM entries, recorded and replayed costings), whatever text
+// or tree they were parsed from. Like Analysis it describes the statement as
+// it stands then, so it is asked for only once the statement is final.
+func (s *SelectStmt) Key() string {
+	if k := s.key.Load(); k != nil {
+		return *k
+	}
+	k := s.String()
+	s.key.CompareAndSwap(nil, &k)
+	return *s.key.Load()
 }
 
 // String reassembles SQL text (canonical, not source-preserving).
