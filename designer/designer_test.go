@@ -128,6 +128,47 @@ func TestAdviseEndToEnd(t *testing.T) {
 	}
 }
 
+// TestAdvisedIndexesServeAChosenPlan holds CoPhy's design to the plans it
+// chose: under a budget, an index variable costs nothing in the objective,
+// so the solver may leave one open that no chosen plan uses. On this tiny
+// workload, at a quarter of the unconstrained footprint, the solver left
+// field(fieldid) and field(quality) open (2 of 4 advised indexes, 2 of the
+// 19 budget pages); the design must not include them.
+func TestAdvisedIndexesServeAChosenPlan(t *testing.T) {
+	ctx := context.Background()
+	d, err := designer.OpenSDSS("tiny", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := d.GenerateWorkload(6, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	free, err := d.Advise(ctx, w, designer.AdviceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var footprint int64
+	for _, ix := range free.Indexes {
+		footprint += ix.EstimatedPages
+	}
+	advice, err := d.Advise(ctx, w, designer.AdviceOptions{StorageBudgetPages: footprint / 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := map[string]bool{}
+	for _, qp := range advice.Solver.PerQuery {
+		for _, ix := range qp.Indexes {
+			used[ix.Key()] = true
+		}
+	}
+	for _, ix := range advice.Indexes {
+		if !used[ix.Key()] {
+			t.Errorf("%s (%d pages) is advised, but no chosen plan uses it", ix.Key(), ix.EstimatedPages)
+		}
+	}
+}
+
 func TestMaterializeAdvice(t *testing.T) {
 	ctx := context.Background()
 	d := open(t)

@@ -210,11 +210,11 @@ func (a *Advisor) AdviseView(ctx context.Context, v *engine.View, w *workload.Wo
 		p.AddConstraint(coefs, lp.LE, float64(opts.StorageBudgetPages))
 	}
 	// Pinned candidates: y_j = 1.
-	if len(opts.PinnedKeys) > 0 {
-		pinned := make(map[string]bool, len(opts.PinnedKeys))
-		for _, k := range opts.PinnedKeys {
-			pinned[strings.ToLower(k)] = true
-		}
+	pinned := make(map[string]bool, len(opts.PinnedKeys))
+	for _, k := range opts.PinnedKeys {
+		pinned[strings.ToLower(k)] = true
+	}
+	if len(pinned) > 0 {
 		matched := 0
 		for j, ix := range a.candidates {
 			if pinned[ix.Key()] {
@@ -253,10 +253,6 @@ func (a *Advisor) AdviseView(ctx context.Context, v *engine.View, w *workload.Wo
 		basis := make(map[string]bool, len(opts.WarmStartKeys))
 		for _, k := range opts.WarmStartKeys {
 			basis[strings.ToLower(k)] = true
-		}
-		pinned := make(map[string]bool, len(opts.PinnedKeys))
-		for _, k := range opts.PinnedKeys {
-			pinned[strings.ToLower(k)] = true
 		}
 		warmX = make([]float64, C+numX)
 		for j, ix := range a.candidates {
@@ -321,19 +317,18 @@ func (a *Advisor) AdviseView(ctx context.Context, v *engine.View, w *workload.Wo
 		return nil, fmt.Errorf("cophy: solver returned %v", sol.Status)
 	}
 
-	// Extract the configuration and per-query plans.
-	for j, ix := range a.candidates {
-		if sol.X[j] > 0.5 {
-			res.Indexes = append(res.Indexes, ix)
-		}
-	}
-	sort.Slice(res.Indexes, func(i, j int) bool { return res.Indexes[i].Key() < res.Indexes[j].Key() })
+	// Extract the per-query plans, then the configuration: the indexes the
+	// chosen plans use, plus the pinned candidates. A y_j has objective 0,
+	// so under a budget the solver may leave one at 1 that no chosen plan
+	// uses; advising it would fill budget for nothing.
+	used := make([]bool, C)
 	xBase = C
 	for _, qa := range all {
 		for k, at := range qa.atoms {
 			if sol.X[xBase+k] > 0.5 {
 				qp := QueryPlan{QueryID: qa.q.ID, Cost: at.cost}
 				for _, j := range at.indexes {
+					used[j] = true
 					qp.Indexes = append(qp.Indexes, a.candidates[j])
 				}
 				res.PerQuery = append(res.PerQuery, qp)
@@ -342,6 +337,12 @@ func (a *Advisor) AdviseView(ctx context.Context, v *engine.View, w *workload.Wo
 		}
 		xBase += len(qa.atoms)
 	}
+	for j, ix := range a.candidates {
+		if used[j] || pinned[ix.Key()] {
+			res.Indexes = append(res.Indexes, ix)
+		}
+	}
+	sort.Slice(res.Indexes, func(i, j int) bool { return res.Indexes[i].Key() < res.Indexes[j].Key() })
 	return res, nil
 }
 
