@@ -13,8 +13,10 @@ import (
 // TestAdviseAllocationCeiling guards what the benchmark's advise_full
 // workload measures, in tier-1 and in a second: one fixed 48-statement
 // script, SQL text in, full advice (partitions, interactions) and DDL out,
-// on the tiny dataset. An answer allocates 4,035 KB (it repeats to a few
-// KB); the ceiling sits a tenth above. The same answer allocated 4,155 KB
+// on the tiny dataset. An answer allocates 2,922 KB (it repeats to a few
+// KB); the ceiling sits a tenth above. The same answer allocated 4,035 KB
+// while its one branch-and-bound node solved a dense tableau with a row for
+// every binary's x <= 1, 4,155 KB
 // while INUM kept one entry per caller's id, so a text repeated under two
 // ids in one question was built twice, 4,610 KB
 // while the plan search, INUM and the candidate passes each derived a
@@ -26,7 +28,7 @@ import (
 // this long before the ceiling's slack matters. (Not under -race: the
 // detector's instrumentation allocates.)
 func TestAdviseAllocationCeiling(t *testing.T) {
-	const ceilingKB = 4440
+	const ceilingKB = 3215
 	ctx := context.Background()
 	d, err := designer.OpenSDSS("tiny", 41)
 	if err != nil {
@@ -65,6 +67,64 @@ func TestAdviseAllocationCeiling(t *testing.T) {
 	t.Logf("%.0f KB an answer, ceiling %d KB", perAnswerKB, ceilingKB)
 	if perAnswerKB > ceilingKB {
 		t.Fatalf("one advise answer allocates %.0f KB, ceiling %d KB", perAnswerKB, ceilingKB)
+	}
+}
+
+// TestReAdviseAllocationCeiling guards what the benchmark's readvise_budget
+// workload measures: one session, primed by an unconstrained advice on a
+// fixed 48-statement script (tiny dataset), walked down the benchmark's
+// budget ladder, where most of an answer is CoPhy's branch-and-bound. An
+// answer allocates 506 KB; the ceiling sits a tenth above. The same walk
+// allocated 9,178 KB an answer while every node of the search built a fresh
+// dense tableau with a row, and a map, for every variable bound and branch
+// fixing, so a solver that starts allocating per node again trips this.
+// (Not under -race: the detector's instrumentation allocates.)
+func TestReAdviseAllocationCeiling(t *testing.T) {
+	const ceilingKB = 556
+	ctx := context.Background()
+	d, err := designer.OpenSDSS("tiny", 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := d.GenerateWorkload(7, 48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := d.NewDesignSession()
+	free, err := s.Advise(ctx, w, designer.AdviceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var footprint int64
+	for _, ix := range free.Indexes {
+		footprint += ix.EstimatedPages
+	}
+	ladder := []float64{0.9, 0.5, 0.75, 0.25, 0.6, 0.1, 0.4}
+	nodes := 0
+	walk := func() {
+		for _, rung := range ladder {
+			budget := max(1, int64(rung*float64(footprint)))
+			adv, _, err := s.ReAdvise(ctx, w, designer.AdviceOptions{StorageBudgetPages: budget})
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes += adv.Solver.Nodes
+		}
+	}
+	walk() // warm-up: lazy one-time state
+	const walks = 2
+	nodes = 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < walks; i++ {
+		walk()
+	}
+	runtime.ReadMemStats(&after)
+	answers := float64(walks * len(ladder))
+	perAnswerKB := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / answers
+	t.Logf("%.0f KB an answer (%.1f branch-and-bound nodes), ceiling %d KB", perAnswerKB, float64(nodes)/answers, ceilingKB)
+	if perAnswerKB > ceilingKB {
+		t.Fatalf("one re-advise answer allocates %.0f KB, ceiling %d KB", perAnswerKB, ceilingKB)
 	}
 }
 

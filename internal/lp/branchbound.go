@@ -25,11 +25,14 @@ type MIPOptions struct {
 	WarmX []float64
 }
 
-// bbNode is one branch-and-bound subproblem: variable fixings plus the
-// parent's LP bound (priority).
+// bbNode is one branch-and-bound subproblem: its parent's fixings plus
+// one more (variable v at val; the root has no parent and fixes nothing),
+// and the parent's LP bound (priority).
 type bbNode struct {
-	fixLo, fixHi []float64
-	bound        float64
+	parent *bbNode
+	v      int
+	val    float64
+	bound  float64
 }
 
 // nodeQueue is a min-heap on bound (best-bound-first search).
@@ -54,30 +57,30 @@ const intTol = 1e-6
 // carries the proven bound, so callers can report an optimality gap even
 // when the node budget cuts the search short.
 //
+// Every node's relaxation is solved in one workspace allocated here: a
+// node's fixings are bounds, set from its chain of parents.
+//
+// An integral LP solution becomes the incumbent with its binaries rounded
+// and its objective recomputed on the rounded vector, so an answer does not
+// depend on the pivots that reached it.
+//
 // The context is checked before every node expansion: a cancelled or
 // expired context aborts the search promptly (one LP relaxation at most)
 // and yields StatusCancelled, regardless of whether an incumbent exists.
 func SolveMIP(ctx context.Context, p *Problem, opts MIPOptions) *MIPSolution {
-	root := &bbNode{
-		fixLo: fill(p.NumVars, -1),
-		fixHi: fill(p.NumVars, -1),
-	}
-	rootLP := solveLPWithBounds(p, root.fixLo, root.fixHi)
+	ws := newWorkspace(p)
+	ws.relax()
+	status, rootObj := ws.solve()
 	out := &MIPSolution{Solution: Solution{Status: StatusNoSolution}, Bound: math.Inf(-1)}
-	switch rootLP.Status {
-	case StatusInfeasible:
-		out.Status = StatusInfeasible
-		return out
-	case StatusUnbounded:
-		out.Status = StatusUnbounded
+	if status != StatusOptimal {
+		out.Status = status
 		return out
 	}
-	root.bound = rootLP.Objective
-	out.Bound = rootLP.Objective
-
-	queue := &nodeQueue{}
-	heap.Init(queue)
-	heap.Push(queue, root)
+	out.Bound = rootObj
+	// The root's solution stays in the workspace until the root, the first
+	// node popped, is expanded.
+	root := &bbNode{v: -1, bound: rootObj}
+	queue := &nodeQueue{root}
 
 	incumbent := math.Inf(1)
 	var incumbentX []float64
@@ -101,22 +104,30 @@ func SolveMIP(ctx context.Context, p *Problem, opts MIPOptions) *MIPSolution {
 		if node.bound >= incumbent-1e-9 {
 			continue // pruned by bound
 		}
-		lpSol := solveLPWithBounds(p, node.fixLo, node.fixHi)
+		obj := rootObj
+		if node != root {
+			ws.relax()
+			for f := node; f.parent != nil; f = f.parent {
+				ws.lo[f.v], ws.hi[f.v] = f.val, f.val
+			}
+			status, obj = ws.solve()
+		}
 		nodes++
-		if lpSol.Status != StatusOptimal {
+		if status != StatusOptimal {
 			continue // infeasible subtree
 		}
-		if lpSol.Objective >= incumbent-1e-9 {
+		if obj >= incumbent-1e-9 {
 			continue
 		}
 		// Find the most fractional binary variable.
+		x := ws.x
 		branch := -1
 		worst := intTol
 		for i := 0; i < p.NumVars; i++ {
 			if p.Binary == nil || !p.Binary[i] {
 				continue
 			}
-			f := lpSol.X[i] - math.Floor(lpSol.X[i])
+			f := x[i] - math.Floor(x[i])
 			frac := math.Min(f, 1-f)
 			if frac > worst {
 				worst = frac
@@ -124,22 +135,21 @@ func SolveMIP(ctx context.Context, p *Problem, opts MIPOptions) *MIPSolution {
 			}
 		}
 		if branch < 0 {
-			// Integral: new incumbent.
-			if lpSol.Objective < incumbent {
-				incumbent = lpSol.Objective
-				incumbentX = append([]float64(nil), lpSol.X...)
+			// Integral: the rounded vector is a candidate incumbent.
+			for i := range x {
+				if p.Binary != nil && p.Binary[i] {
+					x[i] = math.Round(x[i])
+				}
+			}
+			if val := p.ObjectiveValue(x); val < incumbent {
+				incumbent = val
+				incumbentX = append(incumbentX[:0], x...)
 			}
 			continue
 		}
 		// Branch x=0 and x=1.
-		for _, v := range []float64{0, 1} {
-			child := &bbNode{
-				fixLo: append([]float64(nil), node.fixLo...),
-				fixHi: append([]float64(nil), node.fixHi...),
-				bound: lpSol.Objective,
-			}
-			child.fixLo[branch], child.fixHi[branch] = v, v
-			heap.Push(queue, child)
+		for v := 0.0; v <= 1; v++ {
+			heap.Push(queue, &bbNode{parent: node, v: branch, val: v, bound: obj})
 		}
 		// Optional early stop on gap.
 		if opts.GapTolerance > 0 && !math.IsInf(incumbent, 1) {
@@ -199,12 +209,4 @@ func relGap(incumbent, bound float64) float64 {
 		return 0
 	}
 	return g
-}
-
-func fill(n int, v float64) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = v
-	}
-	return out
 }

@@ -2,6 +2,7 @@ package lp
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -174,71 +175,194 @@ func TestMIPNodeLimitReportsGap(t *testing.T) {
 }
 
 // TestMIPMatchesBruteForce cross-checks branch-and-bound against exhaustive
-// enumeration on random small binary programs.
+// enumeration on random small binary programs of three shapes: LE rows
+// only, rows of every sense, and CoPhy's own.
 func TestMIPMatchesBruteForce(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(8) // up to 10 binaries
-		p := NewProblem(n)
-		for i := 0; i < n; i++ {
-			p.Binary[i] = true
-			p.Objective[i] = math.Round(rng.Float64()*20 - 10) // integers avoid tie noise
+	shapes := []struct {
+		name string
+		draw func(*rand.Rand) *Problem
+	}{
+		{"LE rows", randomLE},
+		{"every sense", randomEverySense},
+		{"CoPhy-shaped", randomCoPhy},
+	}
+	for _, shape := range shapes {
+		f := func(seed int64) bool {
+			p := shape.draw(rand.New(rand.NewSource(seed)))
+			if why := disagreesWithBruteForce(p); why != "" {
+				t.Logf("%s, seed %d: %s", shape.name, seed, why)
+				return false
+			}
+			return true
 		}
-		// 1-3 random <= constraints.
-		for c := 0; c < 1+rng.Intn(3); c++ {
-			coefs := map[int]float64{}
-			for i := 0; i < n; i++ {
-				if rng.Intn(2) == 0 {
-					coefs[i] = math.Round(rng.Float64() * 5)
+		if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+			t.Fatalf("%s: %v", shape.name, err)
+		}
+	}
+}
+
+// randomLE draws up to 10 binaries under one to three LE rows with
+// non-negative coefficients.
+func randomLE(rng *rand.Rand) *Problem {
+	n := 2 + rng.Intn(8)
+	p := NewProblem(n)
+	for i := 0; i < n; i++ {
+		p.Binary[i] = true
+		p.Objective[i] = math.Round(rng.Float64()*20 - 10) // integers avoid tie noise
+	}
+	for c := 0; c < 1+rng.Intn(3); c++ {
+		coefs := map[int]float64{}
+		for i := 0; i < n; i++ {
+			if rng.Intn(2) == 0 {
+				coefs[i] = math.Round(rng.Float64() * 5)
+			}
+		}
+		p.AddConstraint(coefs, LE, math.Round(rng.Float64()*float64(n)*2))
+	}
+	return p
+}
+
+// randomEverySense draws up to 10 binaries under one to five rows of every
+// sense with signed coefficients. Most rows hold at a random binary point,
+// so most programs are feasible; one row in six takes a random right-hand
+// side.
+func randomEverySense(rng *rand.Rand) *Problem {
+	n := 2 + rng.Intn(9)
+	p := NewProblem(n)
+	point := make([]float64, n)
+	for i := 0; i < n; i++ {
+		p.Binary[i] = true
+		p.Objective[i] = float64(rng.Intn(21) - 10)
+		point[i] = float64(rng.Intn(2))
+	}
+	for c := 0; c < 1+rng.Intn(5); c++ {
+		coefs := map[int]float64{}
+		at := 0.0
+		for i := 0; i < n; i++ {
+			if rng.Intn(2) == 0 {
+				coefs[i] = float64(rng.Intn(11) - 5)
+				at += coefs[i] * point[i]
+			}
+		}
+		sense := Sense(rng.Intn(3))
+		switch {
+		case rng.Intn(6) == 0:
+			at = float64(rng.Intn(2*n+1) - n/2)
+		case sense == LE:
+			at += float64(rng.Intn(3))
+		case sense == GE:
+			at -= float64(rng.Intn(3))
+		}
+		p.AddConstraint(coefs, sense, at)
+	}
+	return p
+}
+
+// randomCoPhy draws CoPhy's binary program at toy size: index variables
+// y_j, then per query a few plan atoms x_{q,p} (the first uses no index),
+// an assignment row Σ_p x_{q,p} = 1 per query, a linking row x_{q,p} <= y_j
+// for every index an atom uses, one storage budget row over the y_j, and
+// now and then a pin y_j = 1, which can make the program infeasible.
+func randomCoPhy(rng *rand.Rand) *Problem {
+	C, Q := 2+rng.Intn(3), 1+rng.Intn(3)
+	atoms := make([]int, Q)
+	n := C
+	for q := range atoms {
+		atoms[q] = 1 + rng.Intn(3)
+		n += atoms[q]
+	}
+	p := NewProblem(n)
+	for j := range p.Binary {
+		p.Binary[j] = true
+	}
+	budget, total := map[int]float64{}, 0.0
+	for j := 0; j < C; j++ {
+		budget[j] = float64(1 + rng.Intn(5))
+		total += budget[j]
+	}
+	p.AddConstraint(budget, LE, float64(rng.Intn(int(total)+1)))
+	x := C
+	for q := 0; q < Q; q++ {
+		weight := float64(1 + rng.Intn(3))
+		base := float64(20 + rng.Intn(20))
+		assign := map[int]float64{}
+		for a := 0; a < atoms[q]; a++ {
+			assign[x] = 1
+			p.Objective[x] = weight * base
+			if a > 0 {
+				p.Objective[x] = weight * float64(1+rng.Intn(int(base)))
+				for _, j := range rng.Perm(C)[:1+rng.Intn(2)] {
+					p.AddConstraint(map[int]float64{x: 1, j: -1}, LE, 0)
 				}
 			}
-			p.AddConstraint(coefs, LE, math.Round(rng.Float64()*float64(n)*2))
+			x++
 		}
+		p.AddConstraint(assign, EQ, 1)
+	}
+	if rng.Intn(3) == 0 {
+		p.AddConstraint(map[int]float64{rng.Intn(C): 1}, EQ, 1)
+	}
+	return p
+}
 
-		sol := SolveMIP(context.Background(), p, MIPOptions{})
+// disagreesWithBruteForce solves a binary program by branch-and-bound and
+// by enumerating every assignment, and says how the two disagree ("" when
+// they do not): on status, on the optimum (1e-6 relative), or on the
+// returned point, which must be feasible, binary and carry exactly its own
+// objective.
+func disagreesWithBruteForce(p *Problem) string {
+	sol := SolveMIP(context.Background(), p, MIPOptions{})
+	best, feasible := bruteForce(p)
+	switch {
+	case !feasible && sol.Status != StatusInfeasible:
+		return fmt.Sprintf("status %v, but no assignment is feasible", sol.Status)
+	case !feasible:
+		return ""
+	case sol.Status != StatusOptimal || !sol.Proven:
+		return fmt.Sprintf("status %v (proven %v), brute force optimum %v", sol.Status, sol.Proven, best)
+	case math.Abs(sol.Objective-best) > 1e-6*math.Max(1, math.Abs(best)):
+		return fmt.Sprintf("objective %v, brute force optimum %v", sol.Objective, best)
+	case !p.FeasibleBinary(sol.X):
+		return fmt.Sprintf("returned point %v is not a feasible binary assignment", sol.X)
+	case math.Float64bits(p.ObjectiveValue(sol.X)) != math.Float64bits(sol.Objective):
+		return fmt.Sprintf("objective %v, but its point's is %v", sol.Objective, p.ObjectiveValue(sol.X))
+	}
+	return ""
+}
 
-		// Brute force.
-		best := math.Inf(1)
-		feasibleExists := false
-		for mask := 0; mask < 1<<n; mask++ {
-			obj := 0.0
-			ok := true
-			for _, c := range p.Constraints {
-				lhs := 0.0
-				for i, v := range c.Coefs {
-					if mask&(1<<i) != 0 {
-						lhs += v
-					}
-				}
-				if lhs > c.RHS+1e-9 {
-					ok = false
-					break
-				}
+// bruteForce enumerates every 0/1 assignment of an all-binary program and
+// returns the least objective over the feasible ones.
+func bruteForce(p *Problem) (best float64, feasible bool) {
+	best = math.Inf(1)
+	x := make([]float64, p.NumVars)
+	for mask := 0; mask < 1<<p.NumVars; mask++ {
+		for i := range x {
+			x[i] = float64(mask >> i & 1)
+		}
+		ok := true
+		for _, c := range p.Constraints {
+			lhs := 0.0
+			for i, v := range c.Coefs {
+				lhs += v * x[i]
+			}
+			switch c.Sense {
+			case LE:
+				ok = lhs <= c.RHS+1e-9
+			case GE:
+				ok = lhs >= c.RHS-1e-9
+			case EQ:
+				ok = math.Abs(lhs-c.RHS) <= 1e-9
 			}
 			if !ok {
-				continue
-			}
-			feasibleExists = true
-			for i := 0; i < n; i++ {
-				if mask&(1<<i) != 0 {
-					obj += p.Objective[i]
-				}
-			}
-			if obj < best {
-				best = obj
+				break
 			}
 		}
-		if !feasibleExists {
-			return sol.Status == StatusInfeasible
+		if ok {
+			feasible = true
+			best = math.Min(best, p.ObjectiveValue(x))
 		}
-		if sol.Status != StatusOptimal {
-			return false
-		}
-		return almostEq(sol.Objective, best, 1e-6)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
+	return best, feasible
 }
 
 // TestLPBoundBelowMIP checks the fundamental relaxation property on random

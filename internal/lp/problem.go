@@ -1,7 +1,14 @@
-// Package lp implements a dense two-phase primal simplex solver and a
+// Package lp implements a bounded-variable two-phase primal simplex and a
 // best-bound branch-and-bound MIP layer on top of it. It is the stdlib-only
 // stand-in for the commercial "sophisticated and mature solver" CoPhy
 // delegates its binary program to (paper §1, §3.2.1; DESIGN.md §4).
+//
+// A variable's bounds — a binary's 0 <= x <= 1, a branch's fixing x = v —
+// are bounds, never rows: the tableau has one row per constraint. One
+// workspace per SolveMIP holds the tableau, basis and solution, and every
+// branch-and-bound node's relaxation is filled into it and solved from
+// scratch. The dense form it replaced, with a row for every bound, is kept
+// in the tests as the reference it is checked against.
 //
 // The solver targets the small-to-medium binary programs the index advisor
 // produces (hundreds of variables and constraints). It reports the LP
