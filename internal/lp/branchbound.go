@@ -61,15 +61,14 @@ const intTol = 1e-6
 // node's fixings are bounds, set from its chain of parents.
 //
 // An integral LP solution becomes the incumbent with its binaries rounded
-// and its objective recomputed on the rounded vector, so an answer does not
-// depend on the pivots that reached it.
+// and its objective recomputed on the rounded vector, so the objective
+// reported for a point does not depend on the pivots that reached it.
 //
 // The context is checked before every node expansion: a cancelled or
 // expired context aborts the search promptly (one LP relaxation at most)
 // and yields StatusCancelled, regardless of whether an incumbent exists.
 func SolveMIP(ctx context.Context, p *Problem, opts MIPOptions) *MIPSolution {
 	ws := newWorkspace(p)
-	ws.relax()
 	status, rootObj := ws.solve()
 	out := &MIPSolution{Solution: Solution{Status: StatusNoSolution}, Bound: math.Inf(-1)}
 	if status != StatusOptimal {
@@ -79,7 +78,7 @@ func SolveMIP(ctx context.Context, p *Problem, opts MIPOptions) *MIPSolution {
 	out.Bound = rootObj
 	// The root's solution stays in the workspace until the root, the first
 	// node popped, is expanded.
-	root := &bbNode{v: -1, bound: rootObj}
+	root := &bbNode{bound: rootObj}
 	queue := &nodeQueue{root}
 
 	incumbent := math.Inf(1)

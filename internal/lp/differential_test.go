@@ -74,7 +74,6 @@ func randomRelaxation(rng *rand.Rand) (p *Problem, fixLo, fixHi []float64) {
 // solveBounded solves the relaxation under fixLo/fixHi in a workspace.
 func solveBounded(p *Problem, fixLo, fixHi []float64) (*workspace, Status, float64) {
 	ws := newWorkspace(p)
-	ws.relax()
 	for i := range fixLo {
 		if fixLo[i] >= 0 {
 			ws.lo[i] = fixLo[i]

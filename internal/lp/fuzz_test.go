@@ -2,6 +2,7 @@ package lp
 
 import (
 	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -61,7 +62,7 @@ func decodeProgram(data []byte) *Problem {
 func encodeProgram(p *Problem) []byte {
 	out := []byte{byte(p.NumVars - 1), byte(len(p.Constraints))}
 	number := func(v float64) {
-		out = binary.LittleEndian.AppendUint16(out, uint16(int16(v*100+0.5*sign(v))))
+		out = binary.LittleEndian.AppendUint16(out, uint16(int16(math.Round(v*100))))
 	}
 	for _, c := range p.Objective {
 		number(c)
@@ -74,13 +75,6 @@ func encodeProgram(p *Problem) []byte {
 		}
 	}
 	return out
-}
-
-func sign(v float64) float64 {
-	if v < 0 {
-		return -1
-	}
-	return 1
 }
 
 // corpusPrograms are the named programs of FuzzSolveMIP's committed corpus.

@@ -11,7 +11,6 @@ const (
 // variable is relaxed to the bounds 0 <= x <= 1.
 func SolveLP(p *Problem) *Solution {
 	ws := newWorkspace(p)
-	ws.relax()
 	status, obj := ws.solve()
 	if status != StatusOptimal {
 		return &Solution{Status: status}
@@ -70,6 +69,7 @@ func newWorkspace(p *Problem) *workspace {
 	ws.upper = make([]bool, w)
 	ws.x = make([]float64, n)
 	ws.nz = make([]int, 0, w)
+	ws.relax()
 	return ws
 }
 
