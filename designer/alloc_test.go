@@ -13,8 +13,9 @@ import (
 // TestAdviseAllocationCeiling guards what the benchmark's advise_full
 // workload measures, in tier-1 and in a second: one fixed 48-statement
 // script, SQL text in, full advice (partitions, interactions) and DDL out,
-// on the tiny dataset. An answer allocates 2,922 KB (it repeats to a few
-// KB); the ceiling sits a tenth above. The same answer allocated 4,035 KB
+// on the tiny dataset. An answer allocates 2,796 KB (it repeats to a few
+// KB); the ceiling sits a tenth above. The same answer allocated 2,922 KB
+// while the parser read a token list the lexer built before it, 4,035 KB
 // while its one branch-and-bound node solved a dense tableau with a row for
 // every binary's x <= 1, 4,155 KB
 // while INUM kept one entry per caller's id, so a text repeated under two
@@ -28,7 +29,7 @@ import (
 // this long before the ceiling's slack matters. (Not under -race: the
 // detector's instrumentation allocates.)
 func TestAdviseAllocationCeiling(t *testing.T) {
-	const ceilingKB = 3215
+	const ceilingKB = 3076
 	ctx := context.Background()
 	d, err := designer.OpenSDSS("tiny", 41)
 	if err != nil {
@@ -67,6 +68,54 @@ func TestAdviseAllocationCeiling(t *testing.T) {
 	t.Logf("%.0f KB an answer, ceiling %d KB", perAnswerKB, ceilingKB)
 	if perAnswerKB > ceilingKB {
 		t.Fatalf("one advise answer allocates %.0f KB, ceiling %d KB", perAnswerKB, ceilingKB)
+	}
+}
+
+// TestWorkloadFromSQLAllocationCeiling guards the parse that the front door
+// pays on every request that carries its statements inline (the benchmark's
+// serve_whatif re-parses 960 of them an answer): 960 generated statements,
+// SQL text in, a resolved *Workload out, on the tiny dataset. A statement
+// allocates 991 B, its tree and its resolution, and the ceiling sits a
+// tenth above. The same parse allocated 3,633 B a statement while the
+// parser read a token list the lexer built first, upper-casing every word
+// to ask whether it was a keyword, so a parser that starts collecting
+// tokens, or a lexer that allocates per token, trips this. (Not under
+// -race: the detector's instrumentation allocates.)
+func TestWorkloadFromSQLAllocationCeiling(t *testing.T) {
+	const ceilingBytes = 1090
+	d, err := designer.OpenSDSS("tiny", 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := d.GenerateWorkload(7, 960)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var script []string
+	for _, q := range gen.Queries() {
+		script = append(script, q.SQL())
+	}
+	parse := func() {
+		w, err := d.WorkloadFromSQL(script)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.Len() != len(script) {
+			t.Fatalf("%d queries from %d statements", w.Len(), len(script))
+		}
+	}
+	parse() // warm-up: lazy one-time state
+	const parses = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < parses; i++ {
+		parse()
+	}
+	runtime.ReadMemStats(&after)
+	perStmt := float64(after.TotalAlloc-before.TotalAlloc) / float64(parses*len(script))
+	t.Logf("%.0f B a statement, ceiling %d B", perStmt, ceilingBytes)
+	if perStmt > ceilingBytes {
+		t.Fatalf("parsing one statement allocates %.0f B, ceiling %d B", perStmt, ceilingBytes)
 	}
 }
 

@@ -30,6 +30,7 @@ package designer
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -204,9 +205,9 @@ func (d *Designer) resolveBound(stmt *sqlparse.SelectStmt) error {
 
 // WorkloadFromSQL builds a workload from SQL strings (weight 1 each).
 func (d *Designer) WorkloadFromSQL(sqls []string) (*Workload, error) {
-	w := &workload.Workload{}
+	w := &workload.Workload{Queries: make([]workload.Query, 0, len(sqls))}
 	for i, sql := range sqls {
-		q, err := d.ParseQuery(fmt.Sprintf("q%d", i), sql)
+		q, err := d.ParseQuery("q"+strconv.Itoa(i), sql)
 		if err != nil {
 			return nil, fmt.Errorf("designer: query %d: %w", i, err)
 		}
@@ -221,7 +222,7 @@ func (d *Designer) WorkloadFromScript(script string) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &workload.Workload{}
+	w := &workload.Workload{Queries: make([]workload.Query, 0, len(stmts))}
 	for i, stmt := range stmts {
 		sel, ok := stmt.(*sqlparse.SelectStmt)
 		if !ok {
@@ -231,7 +232,7 @@ func (d *Designer) WorkloadFromScript(script string) (*Workload, error) {
 			return nil, err
 		}
 		w.Queries = append(w.Queries, workload.Query{
-			ID: fmt.Sprintf("q%d", i), SQL: sel.String(), Weight: 1, Stmt: sel,
+			ID: "q" + strconv.Itoa(i), SQL: sel.String(), Weight: 1, Stmt: sel,
 		})
 	}
 	return workloadFromInternal(w), nil

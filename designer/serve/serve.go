@@ -503,12 +503,12 @@ func (s *Server) workload(req workloadJSON) (*designer.Workload, error) {
 // Plumbing.
 // --------------------------------------------------------------------------
 
+// writeJSON writes v as compact JSON: an indented reply is a third larger
+// and the encoder renders it twice.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func readJSON(r *http.Request, v any) error {

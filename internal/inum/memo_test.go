@@ -298,10 +298,11 @@ func parsed(t *testing.T, schema *catalog.Schema, sql string) *sqlparse.SelectSt
 // the no-order template and cost one optimization. Every order a template
 // requires names a column the statement references — what CanUse relies on.
 // Pairs of statements written differently that render alike — a float
-// constant with an integer value, an alias, JOIN ... ON, keyword case and
+// constant spelled two ways, an alias, JOIN ... ON, keyword case and
 // spacing — are one key, and the entry built from either prices the other as
 // its own fresh entry does. (An identifier keeps its case in the rendering,
-// so `PhotoObj` and `photoobj` key apart: two entries, neither wrong.)
+// so `PhotoObj` and `photoobj` key apart: two entries, neither wrong. So do
+// 16 and 16.0, an integer and a float: two trees.)
 func TestEntryIsAFunctionOfItsStatement(t *testing.T) {
 	store, err := workload.Generate(workload.TinySize(), 41)
 	if err != nil {
@@ -332,8 +333,8 @@ func TestEntryIsAFunctionOfItsStatement(t *testing.T) {
 		sources = append(sources, src)
 	}
 	pairs := [][2]string{
-		{"SELECT objid FROM photoobj WHERE ra > 16", "SELECT objid FROM photoobj WHERE ra > 16.0"},
-		{"SELECT ra FROM photoobj WHERE psfmag_r BETWEEN 17 AND 18.0 ORDER BY ra", "SELECT ra FROM photoobj WHERE psfmag_r BETWEEN 17.0 AND 18 ORDER BY ra"},
+		{"SELECT objid FROM photoobj WHERE ra > 16.0", "SELECT objid FROM photoobj WHERE ra > 1.6e1"},
+		{"SELECT ra FROM photoobj WHERE psfmag_r BETWEEN 17 AND 18.0 ORDER BY ra", "SELECT ra FROM photoobj WHERE psfmag_r BETWEEN 17 AND 180E-1 ORDER BY ra"},
 		{"SELECT p.objid, p.ra FROM photoobj p WHERE p.type = 3 ORDER BY p.objid", "SELECT objid, ra FROM photoobj WHERE type = 3 ORDER BY objid"},
 		{"SELECT p.objid, s.z FROM photoobj p JOIN specobj s ON p.objid = s.bestobjid WHERE s.z > 1", "SELECT photoobj.objid, specobj.z FROM photoobj, specobj WHERE specobj.z > 1 AND photoobj.objid = specobj.bestobjid"},
 		{"SELECT p.objid, n.distance FROM photoobj p JOIN neighbors n ON p.objid = n.objid ORDER BY n.objid", "SELECT photoobj.objid, neighbors.distance FROM photoobj, neighbors WHERE photoobj.objid = neighbors.objid ORDER BY neighbors.objid"},

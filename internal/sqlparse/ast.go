@@ -60,8 +60,15 @@ type Literal struct {
 
 func (*Literal) prec() int { return precPrimary }
 
-// String renders the literal in SQL form.
-func (l *Literal) String() string { return l.Value.String() }
+// String renders the literal in SQL form. A float keeps a point when its
+// shortest form has none ("3.0", not "3"), so it parses back as a float.
+func (l *Literal) String() string {
+	s := l.Value.String()
+	if l.Value.Kind == catalog.KindFloat && !strings.ContainsAny(s, ".eIN") { // no point, exponent, Inf or NaN
+		s += ".0"
+	}
+	return s
+}
 
 // Param is a parameter: a constant the statement leaves open. Name is its
 // text, "$1". It remembers the text it was parsed from and its place there,

@@ -24,6 +24,7 @@ func benchSchema() *catalog.Schema {
 }
 
 func BenchmarkParseSelect(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := ParseSelect(benchSQL); err != nil {
 			b.Fatal(err)

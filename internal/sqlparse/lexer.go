@@ -47,7 +47,12 @@
 // what a string, a comment, a number or a parameter is gets decided here and
 // nowhere else. Whoever needs less than a tree takes it from the token
 // stream — SplitScript cuts a script at its top-level ';' tokens, Template
-// reduces a statement to its shape — and does not scan the text again.
+// reduces a statement to its shape — and does not scan the text again. The
+// parser pulls its tokens one at a time (the grammar is LL(1)), so no token
+// list is built, and a token's text is a slice of the source or an interned
+// keyword: parsing allocates the tree and little else. A lexer failure is a
+// token that matches nothing, so the error reported is the first one in
+// source order, whether the lexer's or the parser's.
 //
 // Parameters. $n is a token and a leaf node (Param), rendered as $n, so a
 // statement normalized by pg_stat_statements parses as itself. A parameter
@@ -86,6 +91,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // tokenKind enumerates lexical classes.
@@ -99,6 +105,7 @@ const (
 	tokParam   // $n
 	tokSymbol  // punctuation and operators
 	tokKeyword // reserved word (upper-cased in val)
+	tokError   // what the lexer refused; the parser matches nothing to it
 )
 
 // token is one lexeme with its source position (byte offset).
@@ -108,17 +115,44 @@ type token struct {
 	pos  int
 }
 
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "AND": true, "OR": true,
-	"NOT": true, "GROUP": true, "BY": true, "ORDER": true, "ASC": true,
-	"DESC": true, "LIMIT": true, "AS": true, "JOIN": true, "INNER": true,
-	"ON": true, "BETWEEN": true, "IN": true, "IS": true, "NULL": true,
-	"LIKE": true, "DISTINCT": true, "CREATE": true, "TABLE": true,
-	"INDEX": true, "PRIMARY": true, "KEY": true, "UNIQUE": true,
-	"BIGINT": true, "INT": true, "INTEGER": true, "DOUBLE": true,
-	"FLOAT": true, "REAL": true, "TEXT": true, "VARCHAR": true,
-	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
-	"HAVING": true, "CROSS": true,
+// keywords maps each reserved word to itself, so that a lookup by scratch
+// bytes hands back the interned string.
+var keywords = func() map[string]string {
+	m := map[string]string{}
+	for _, kw := range strings.Fields(`SELECT FROM WHERE AND OR NOT GROUP BY
+		ORDER ASC DESC LIMIT AS JOIN INNER ON BETWEEN IN IS NULL LIKE DISTINCT
+		CREATE TABLE INDEX PRIMARY KEY UNIQUE BIGINT INT INTEGER DOUBLE FLOAT
+		REAL TEXT VARCHAR COUNT SUM AVG MIN MAX HAVING CROSS`) {
+		m[kw] = kw
+	}
+	return m
+}()
+
+// keyword returns the reserved word that word spells in any letter case,
+// under strings.ToUpper's rule. An ASCII word is upper-cased into a buffer
+// on the stack, which is as long as the longest keyword, so the lookup
+// allocates nothing. A word with a non-ASCII byte takes strings.ToUpper
+// itself, and is tested for first: "diſtinct" is nine bytes and DISTINCT.
+func keyword(word string) (string, bool) {
+	for i := 0; i < len(word); i++ {
+		if word[i] >= utf8.RuneSelf {
+			kw, ok := keywords[strings.ToUpper(word)]
+			return kw, ok
+		}
+	}
+	var buf [8]byte
+	if len(word) > len(buf) {
+		return "", false
+	}
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	kw, ok := keywords[string(buf[:len(word)])]
+	return kw, ok
 }
 
 // lexer walks the input producing tokens.
@@ -174,9 +208,8 @@ func (l *lexer) next() (token, error) {
 			l.pos++
 		}
 		word := l.src[start:l.pos]
-		upper := strings.ToUpper(word)
-		if keywords[upper] {
-			return token{kind: tokKeyword, val: upper, pos: start}, nil
+		if kw, ok := keyword(word); ok {
+			return token{kind: tokKeyword, val: kw, pos: start}, nil
 		}
 		return token{kind: tokIdent, val: word, pos: start}, nil
 
@@ -214,25 +247,27 @@ func (l *lexer) next() (token, error) {
 
 	case c == '\'':
 		l.pos++
-		var sb strings.Builder
+		doubled := false
 		for {
 			if l.pos >= len(l.src) {
 				return token{}, errorAt(l.src, start, "unterminated string literal")
 			}
-			ch := l.src[l.pos]
-			if ch == '\'' {
+			if l.src[l.pos] == '\'' {
 				if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-					sb.WriteByte('\'')
+					doubled = true
 					l.pos += 2
 					continue
 				}
 				l.pos++
 				break
 			}
-			sb.WriteByte(ch)
 			l.pos++
 		}
-		return token{kind: tokString, val: sb.String(), pos: start}, nil
+		val := l.src[start+1 : l.pos-1]
+		if doubled {
+			val = strings.ReplaceAll(val, "''", "'")
+		}
+		return token{kind: tokString, val: val, pos: start}, nil
 
 	default:
 		// Multi-char operators first.
@@ -248,7 +283,7 @@ func (l *lexer) next() (token, error) {
 		}
 		if strings.ContainsRune("(),.*=<>+-/%;", rune(c)) {
 			l.pos++
-			return token{kind: tokSymbol, val: string(c), pos: start}, nil
+			return token{kind: tokSymbol, val: l.src[start:l.pos], pos: start}, nil
 		}
 		return token{}, errorAt(l.src, l.pos, "unexpected character %q", c)
 	}
@@ -260,23 +295,6 @@ func isIdentStart(r rune) bool {
 
 func isIdentPart(r rune) bool {
 	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_'
-}
-
-// lexAll tokenizes the whole input (convenient for the recursive-descent
-// parser, which needs small lookahead).
-func lexAll(src string) ([]token, error) {
-	lx := &lexer{src: src}
-	var out []token
-	for {
-		t, err := lx.next()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-		if t.kind == tokEOF {
-			return out, nil
-		}
-	}
 }
 
 // SplitScript cuts a script at its top-level ';' tokens and returns the

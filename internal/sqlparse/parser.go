@@ -7,21 +7,28 @@ import (
 	"repro/internal/catalog"
 )
 
-// parser is a recursive-descent parser over a pre-lexed token stream.
+// parser is a recursive-descent parser that pulls one token at a time from
+// its lexer: tok is the lookahead, the only token the grammar needs. When
+// the lexer fails, tok is a tokError at the failure and err is the lexer's
+// error, which every error raised there reports.
 type parser struct {
-	src  string
-	toks []token
-	i    int
+	lx  lexer
+	tok token
+	err error
+}
+
+// newParser returns a parser on src's first token. It is a value: a parser
+// lives on its caller's stack.
+func newParser(src string) parser {
+	p := parser{lx: lexer{src: src}}
+	p.read()
+	return p
 }
 
 // Parse parses a single SQL statement (SELECT or CREATE ...). A trailing
 // semicolon is permitted.
 func Parse(src string) (Statement, error) {
-	toks, err := lexAll(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{src: src, toks: toks}
+	p := newParser(src)
 	stmt, err := p.parseStatement()
 	if err != nil {
 		return nil, err
@@ -49,11 +56,7 @@ func ParseSelect(src string) (*SelectStmt, error) {
 // ParseScript parses a semicolon-separated sequence of statements, ignoring
 // blank statements and line comments.
 func ParseScript(src string) ([]Statement, error) {
-	toks, err := lexAll(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{src: src, toks: toks}
+	p := newParser(src)
 	var out []Statement
 	for !p.atEOF() {
 		if p.acceptSymbol(";") {
@@ -71,18 +74,33 @@ func ParseScript(src string) ([]Statement, error) {
 	return out, nil
 }
 
-func (p *parser) peek() token { return p.toks[p.i] }
-func (p *parser) atEOF() bool { return p.peek().kind == tokEOF }
+func (p *parser) peek() token { return p.tok }
+func (p *parser) atEOF() bool { return p.tok.kind == tokEOF }
+
+// advance consumes the lookahead and returns it. EOF and a lexer failure
+// are never consumed.
 func (p *parser) advance() token {
-	t := p.toks[p.i]
-	if t.kind != tokEOF {
-		p.i++
+	t := p.tok
+	if t.kind != tokEOF && t.kind != tokError {
+		p.read()
 	}
 	return t
 }
 
+// read pulls the next token into the lookahead.
+func (p *parser) read() {
+	if p.tok, p.err = p.lx.next(); p.err != nil {
+		p.tok = token{kind: tokError}
+	}
+}
+
+// errHere reports an error at the lookahead; at a lexer failure, the
+// lexer's own error.
 func (p *parser) errHere(format string, args ...any) error {
-	return errorAt(p.src, p.peek().pos, format, args...)
+	if p.err != nil {
+		return p.err
+	}
+	return errorAt(p.lx.src, p.tok.pos, format, args...)
 }
 
 // acceptKeyword consumes the keyword if present.
@@ -486,19 +504,22 @@ func (p *parser) parsePrimary() (Expr, error) {
 	t := p.peek()
 	switch {
 	case t.kind == tokNumber:
-		p.advance()
+		var v catalog.Datum
 		if strings.ContainsAny(t.val, ".eE") {
 			f, err := strconv.ParseFloat(t.val, 64)
 			if err != nil {
 				return nil, p.errHere("bad number %q", t.val)
 			}
-			return &Literal{Value: catalog.Float(f)}, nil
+			v = catalog.Float(f)
+		} else {
+			n, err := strconv.ParseInt(t.val, 10, 64)
+			if err != nil {
+				return nil, p.errHere("bad number %q", t.val)
+			}
+			v = catalog.Int(n)
 		}
-		n, err := strconv.ParseInt(t.val, 10, 64)
-		if err != nil {
-			return nil, p.errHere("bad number %q", t.val)
-		}
-		return &Literal{Value: catalog.Int(n)}, nil
+		p.advance()
+		return &Literal{Value: v}, nil
 
 	case t.kind == tokString:
 		p.advance()
@@ -580,7 +601,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 // parseParam consumes a parameter token.
 func (p *parser) parseParam() *Param {
 	t := p.advance()
-	return &Param{Name: t.val, src: p.src, pos: t.pos}
+	return &Param{Name: t.val, src: p.lx.src, pos: t.pos}
 }
 
 func (p *parser) parseCreate() (Statement, error) {
