@@ -13,8 +13,10 @@ import (
 // TestAdviseAllocationCeiling guards what the benchmark's advise_full
 // workload measures, in tier-1 and in a second: one fixed 48-statement
 // script, SQL text in, full advice (partitions, interactions) and DDL out,
-// on the tiny dataset. An answer allocates 2,796 KB (it repeats to a few
-// KB); the ceiling sits a tenth above. The same answer allocated 2,922 KB
+// on the tiny dataset. An answer allocates 2,239 KB (it repeats to a few
+// KB); the ceiling sits a tenth above. The same answer allocated 2,796 KB
+// while every plan search allocated its buffers afresh and every delta
+// evaluation rendered a relevance signature per query and table, 2,922 KB
 // while the parser read a token list the lexer built before it, 4,035 KB
 // while its one branch-and-bound node solved a dense tableau with a row for
 // every binary's x <= 1, 4,155 KB
@@ -29,7 +31,7 @@ import (
 // this long before the ceiling's slack matters. (Not under -race: the
 // detector's instrumentation allocates.)
 func TestAdviseAllocationCeiling(t *testing.T) {
-	const ceilingKB = 3076
+	const ceilingKB = 2463
 	ctx := context.Background()
 	d, err := designer.OpenSDSS("tiny", 41)
 	if err != nil {
@@ -123,13 +125,15 @@ func TestWorkloadFromSQLAllocationCeiling(t *testing.T) {
 // workload measures: one session, primed by an unconstrained advice on a
 // fixed 48-statement script (tiny dataset), walked down the benchmark's
 // budget ladder, where most of an answer is CoPhy's branch-and-bound. An
-// answer allocates 506 KB; the ceiling sits a tenth above. The same walk
-// allocated 9,178 KB an answer while every node of the search built a fresh
+// answer allocates 446 KB; the ceiling sits a tenth above. The same walk
+// allocated 506 KB an answer while every plan search allocated its buffers
+// afresh and every delta evaluation rendered a relevance signature per
+// query and table, and 9,178 KB while every node of the search built a fresh
 // dense tableau with a row, and a map, for every variable bound and branch
 // fixing, so a solver that starts allocating per node again trips this.
 // (Not under -race: the detector's instrumentation allocates.)
 func TestReAdviseAllocationCeiling(t *testing.T) {
-	const ceilingKB = 556
+	const ceilingKB = 491
 	ctx := context.Background()
 	d, err := designer.OpenSDSS("tiny", 41)
 	if err != nil {
@@ -181,15 +185,18 @@ func TestReAdviseAllocationCeiling(t *testing.T) {
 // workload measures: Scenario 1's loop of one index added or dropped, then
 // the whole workload (300 generated statements, tiny dataset) re-evaluated,
 // which re-plans every statement that can see the edited table. An edit
-// allocates 199 KB (it repeats to a KB); the ceiling sits a tenth above.
-// The same loop allocated 294 KB an edit while the plan search derived each
-// statement's analysis (its predicate split and referenced columns) on
-// every costing, and 553 KB while it built a node for every plan it
-// considered, so a search that starts deriving what its statement carries,
-// or building its losers, again trips this. (Not under -race: the
-// detector's instrumentation allocates.)
+// allocates 37 KB (it repeats to a KB); the ceiling sits a tenth above. The
+// same loop allocated 199 KB an edit while every plan search allocated its
+// buffers afresh and the delta rendered a relevance signature for every
+// query and table to find the ones an edit reaches, 294 KB while the plan
+// search derived each statement's analysis (its predicate split and
+// referenced columns) on every costing, and 553 KB while it built a node
+// for every plan it considered, so a search that starts allocating per
+// call, deriving what its statement carries or building its losers again,
+// or a delta that renders strings per query again, trips this. (Not under
+// -race: the detector's instrumentation allocates.)
 func TestEvaluateEditAllocationCeiling(t *testing.T) {
-	const ceilingKB = 219
+	const ceilingKB = 41
 	ctx := context.Background()
 	d, err := designer.OpenSDSS("tiny", 41)
 	if err != nil {

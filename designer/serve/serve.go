@@ -522,6 +522,11 @@ func readJSON(r *http.Request, v any) error {
 		}
 		return fmt.Errorf("invalid JSON body: %w", err)
 	}
+	// A body is one object: a second value, or anything but white space,
+	// after it would otherwise be dropped unread.
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return errors.New("invalid JSON body: data after the object")
+	}
 	return nil
 }
 

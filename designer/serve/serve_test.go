@@ -403,6 +403,7 @@ func TestErrorMappingAllHandlers(t *testing.T) {
 		{"session list bad limit", "GET", "/sessions?limit=banana", "", http.StatusBadRequest, "invalid_request"},
 		{"session list bad cursor", "GET", "/sessions?cursor=@@@", "", http.StatusBadRequest, "invalid_request"},
 		{"advise malformed body", "POST", "/advise", malformed, http.StatusBadRequest, "invalid_request"},
+		{"advise two objects", "POST", "/advise", `{"queries":8}{"queries":9}`, http.StatusBadRequest, "invalid_request"},
 		{"advise wrong field type", "POST", "/advise", `{"sql": "not-a-list"}`, http.StatusBadRequest, "invalid_request"},
 		{"advise bad workload sql", "POST", "/advise", `{"sql":["SELECT broken FROM nowhere"]}`, http.StatusBadRequest, "invalid_request"},
 		{"materialize malformed body", "POST", "/materialize", malformed, http.StatusBadRequest, "invalid_request"},
@@ -419,6 +420,7 @@ func TestErrorMappingAllHandlers(t *testing.T) {
 	sp := "/sessions/" + id
 	run([]tc{
 		{"add index malformed body", "POST", sp + "/indexes", malformed, http.StatusBadRequest, "invalid_request"},
+		{"add index trailing data", "POST", sp + "/indexes", `{"table":"photoobj","columns":["ra"]} trailing`, http.StatusBadRequest, "invalid_request"},
 		{"add index empty body", "POST", sp + "/indexes", "", http.StatusBadRequest, "invalid_request"},
 		{"add index unknown table", "POST", sp + "/indexes", `{"table":"nosuch","columns":["x"]}`, http.StatusBadRequest, "invalid_request"},
 		{"add index unknown column", "POST", sp + "/indexes", `{"table":"photoobj","columns":["nope"]}`, http.StatusBadRequest, "invalid_request"},

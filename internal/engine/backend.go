@@ -262,7 +262,7 @@ func (b *envBackend) Pricer(queries []workload.Query) (Pricer, error) {
 }
 
 func (b *envBackend) StmtCost(stmt *sqlparse.SelectStmt, cfg *catalog.Configuration) (float64, error) {
-	return b.env.WithConfig(cfg).Cost(stmt)
+	return b.env.CostUnder(stmt, cfg)
 }
 
 // ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@ package engine
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/optimizer"
@@ -94,9 +96,10 @@ func (c *Calibration) Params() optimizer.CostParams {
 	}
 }
 
-// LoadCalibration reads and validates a calibration JSON file. Unknown
-// fields are rejected so a typo'd constant name fails loudly instead of
-// silently keeping a default.
+// LoadCalibration reads and validates a calibration JSON file: one object,
+// nothing but white space after it. Unknown fields are rejected so a typo'd
+// constant name fails loudly instead of silently keeping a default, and so
+// is a second object, whose constants would otherwise be dropped unread.
 func LoadCalibration(path string) (*Calibration, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -107,6 +110,9 @@ func LoadCalibration(path string) (*Calibration, error) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(c); err != nil {
 		return nil, fmt.Errorf("engine: calibration %s: %w", path, err)
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return nil, fmt.Errorf("engine: calibration %s: data after the object", path)
 	}
 	if err := c.Validate(); err != nil {
 		return nil, err

@@ -3,8 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 
 	"repro/internal/catalog"
 	"repro/internal/optimizer"
@@ -16,34 +15,41 @@ import (
 // EvalState is the reusable outcome of one benefit evaluation: the per-query
 // costs computed for a (workload, configuration) pair against one pinned
 // generation, together with each query's footprint — which tables it
-// touches and which columns it references on them. A subsequent evaluation
-// of the same workload under a configuration that differs by K indexes (or
-// partition layouts) only recosts the queries whose plan choice could
-// actually move; every other query's cost is provably unchanged and is
-// copied. This is the delta-costing layer behind the interactive re-advise
-// loop: identical numbers to a cold Evaluate, a fraction of the work.
+// touches and which columns it references on them — and the configuration
+// itself. A subsequent evaluation of the same workload under a
+// configuration that differs by K indexes (or partition layouts) only
+// recosts the queries whose plan choice could actually move; every other
+// query's cost is provably unchanged and is copied. This is the
+// delta-costing layer behind the interactive re-advise loop: identical
+// numbers to a cold Evaluate, a fraction of the work.
 //
 // Relevance is the optimizer's own exact-conservative rule
 // (optimizer.CanUse, next to the path generation it mirrors): a structure
 // failing it is invisible to that query's optimization, so adding or
-// dropping it cannot change the query's cost. The state keeps each query's
-// footprint, not its statement: a re-parsed workload (every serve request
-// parses its statements afresh) is matched by fingerprint, so the state
-// neither pins the statements it was built from nor analyses the new ones
-// beyond those a delta recosts.
+// dropping it cannot change the query's cost. A delta works out what
+// differs between the two configurations once (designDiff), then asks of
+// each query only whether a difference reaches it. The state keeps each
+// query's footprint, not its statement: a re-parsed workload (every serve
+// request parses its statements afresh) is matched by fingerprint, so the
+// state neither pins the statements it was built from nor analyses the new
+// ones beyond those a delta recosts.
+//
+// A state is read-only once returned, and the report returned with it
+// shares its per-query slice: neither may be written to.
 type EvalState struct {
 	// snap pins the generation the costs were computed against; a state is
 	// only reusable on a view holding the same snapshot.
 	snap *snapshot
 	// workloadFP fingerprints the workload (IDs, SQL, weights, order).
 	workloadFP string
+	// cfg is a shallow copy of the resolved configuration the costs were
+	// computed under: a caller may go on editing its own configuration's
+	// layouts in place.
+	cfg *catalog.Configuration
 	// queries are the per-query weighted costs of the state's evaluation.
 	queries []whatif.QueryBenefit
 	// rels are the per-query footprints.
 	rels []*sqlparse.Footprint
-	// sigs[i][t] is query i's relevant design signature for its t-th table
-	// under the state's evaluated configuration.
-	sigs [][]string
 
 	// Recosted and Reused report how the state was built: a cold evaluation
 	// recosts every query; a delta evaluation reuses the complement.
@@ -51,38 +57,95 @@ type EvalState struct {
 	Reused   int
 }
 
-// relevantSignature renders the slice of cfg that can influence the access
-// of the query with footprint f to its t-th table: the keys of relevant
-// structures (sorted) plus any partition layouts. Two configurations with
-// equal relevant signatures on every table of a query price that query
-// identically.
-func relevantSignature(f *sqlparse.Footprint, cfg *catalog.Configuration, t int) string {
-	table := f.Tables[t]
-	var parts []string
-	for _, ix := range cfg.IndexesOn(table) {
-		if optimizer.CanUse(f, table, ix) {
-			parts = append(parts, ix.Key())
-		}
-	}
-	sort.Strings(parts)
-	if v := cfg.VerticalOn(table); v != nil {
-		parts = append(parts, v.String())
-	}
-	if h := cfg.HorizontalOn(table); h != nil {
-		parts = append(parts, h.String())
-	}
-	return strings.Join(parts, ";")
+// designDiff is what differs between two configurations, as far as any
+// query's costs can tell: the structures of their symmetric difference and
+// the tables whose vertical or horizontal layout changed.
+type designDiff struct {
+	structures []*catalog.Index
+	layouts    []string // lower-case
 }
 
-// signatures computes every query's per-table relevant signatures for cfg.
-func signatures(rels []*sqlparse.Footprint, cfg *catalog.Configuration) [][]string {
-	out := make([][]string, len(rels))
-	for i, f := range rels {
-		sigs := make([]string, len(f.Tables))
-		for t := range f.Tables {
-			sigs[t] = relevantSignature(f, cfg, t)
+// diffDesigns works out the difference between configurations a and b. A
+// structure of one cancels a structure of the other with the same pointer,
+// or failing that the same Key, each key rendered once; a list of keys is a
+// multiset, so a key listed twice cancels twice. A layout changed when its
+// rendering did.
+func diffDesigns(a, b *catalog.Configuration) designDiff {
+	var d designDiff
+	restA := slices.Clone(a.Indexes)
+	var restB []*catalog.Index
+	for _, ix := range b.Indexes {
+		if i := slices.Index(restA, ix); i >= 0 {
+			restA = slices.Delete(restA, i, i+1)
+		} else {
+			restB = append(restB, ix)
 		}
-		out[i] = sigs
+	}
+	if len(restA) > 0 && len(restB) > 0 {
+		keys := make([]string, len(restA))
+		for i, ix := range restA {
+			keys[i] = ix.Key()
+		}
+		unmatched := restB[:0]
+		for _, ix := range restB {
+			if i := slices.Index(keys, ix.Key()); i >= 0 {
+				restA, keys = slices.Delete(restA, i, i+1), slices.Delete(keys, i, i+1)
+			} else {
+				unmatched = append(unmatched, ix)
+			}
+		}
+		restB = unmatched
+	}
+	d.structures = append(restB, restA...)
+	d.layouts = changedLayouts(d.layouts, a.Vertical, b.Vertical)
+	d.layouts = changedLayouts(d.layouts, a.Horizontal, b.Horizontal)
+	return d
+}
+
+// changedLayouts appends to out the tables whose layout differs between a
+// and b: present in one only, or in both under different renderings.
+func changedLayouts[L interface {
+	comparable
+	String() string
+}](out []string, a, b map[string]L) []string {
+	var none L
+	for _, m := range []map[string]L{a, b} {
+		for t := range m {
+			x, y := a[t], b[t]
+			if x != y && (x == none || y == none || x.String() != y.String()) && !slices.Contains(out, t) {
+				out = append(out, t)
+			}
+		}
+	}
+	return out
+}
+
+// reaches reports whether the difference can move the costs of the query
+// with footprint f: one of its tables changed layout, or a structure of the
+// difference on one of its tables could enter one of its plans.
+func (d *designDiff) reaches(f *sqlparse.Footprint) bool {
+	for _, t := range f.Tables {
+		if slices.Contains(d.layouts, t) {
+			return true
+		}
+		for _, ix := range d.structures {
+			if catalog.NormCol(ix.Table) == t && optimizer.CanUse(f, t, ix) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// affectedQueries lists, in order, the queries (by footprint) whose costs
+// can differ between configurations a and b.
+func affectedQueries(rels []*sqlparse.Footprint, a, b *catalog.Configuration) []int {
+	d := diffDesigns(a, b)
+	var out []int
+	for i, f := range rels {
+		if d.reaches(f) {
+			out = append(out, i)
+		}
 	}
 	return out
 }
@@ -111,25 +174,18 @@ func (v *View) EvaluateDelta(ctx context.Context, w *workload.Workload, cfg *cat
 		return v.evaluateCold(ctx, w, newCfg)
 	}
 
-	sigs := signatures(prev.rels, newCfg)
-	var affected []int
-	for i := range prev.rels {
-		for t := range sigs[i] {
-			if sigs[i][t] != prev.sigs[i][t] {
-				affected = append(affected, i)
-				break
-			}
-		}
-	}
-
+	affected := affectedQueries(prev.rels, prev.cfg, newCfg)
 	next := &EvalState{
 		snap:       v.s,
 		workloadFP: prev.workloadFP,
-		queries:    append([]whatif.QueryBenefit(nil), prev.queries...),
+		cfg:        newCfg.Clone(),
+		queries:    prev.queries, // read-only: shared until a query is recosted
 		rels:       prev.rels,
-		sigs:       sigs,
 		Recosted:   len(affected),
 		Reused:     len(w.Queries) - len(affected),
+	}
+	if len(affected) > 0 {
+		next.queries = slices.Clone(prev.queries)
 	}
 	err := v.e.sweep(ctx, len(affected), func(k int) error {
 		i := affected[k]
@@ -146,7 +202,7 @@ func (v *View) EvaluateDelta(ctx context.Context, w *workload.Workload, cfg *cat
 	if err != nil {
 		return nil, nil, err
 	}
-	rep := &whatif.Report{Queries: append([]whatif.QueryBenefit(nil), next.queries...)}
+	rep := &whatif.Report{Queries: next.queries}
 	for _, qb := range rep.Queries {
 		rep.BaseTotal += qb.BaseCost
 		rep.NewTotal += qb.NewCost
@@ -167,9 +223,9 @@ func (v *View) evaluateCold(ctx context.Context, w *workload.Workload, newCfg *c
 	st := &EvalState{
 		snap:       v.s,
 		workloadFP: w.Fingerprint(),
-		queries:    append([]whatif.QueryBenefit(nil), rep.Queries...),
+		cfg:        newCfg.Clone(),
+		queries:    rep.Queries,
 		rels:       rels,
-		sigs:       signatures(rels, newCfg),
 		Recosted:   len(w.Queries),
 	}
 	return rep, st, nil

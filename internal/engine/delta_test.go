@@ -3,9 +3,16 @@ package engine_test
 import (
 	"context"
 	"math/rand"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/engine"
+	"repro/internal/optimizer"
+	"repro/internal/sqlparse"
+	"repro/internal/whatif"
 	"repro/internal/workload"
 )
 
@@ -25,9 +32,14 @@ func (f *fixture) randomConfig(rng *rand.Rand) *catalog.Configuration {
 // differing from a previously-costed one by K indexes" shape of the
 // interactive loop.
 func (f *fixture) mutateConfig(rng *rand.Rand, cfg *catalog.Configuration, k int) *catalog.Configuration {
+	return flip(rng, f.cands, cfg, k)
+}
+
+// flip flips k random memberships of the given structures.
+func flip(rng *rand.Rand, cands []*catalog.Index, cfg *catalog.Configuration, k int) *catalog.Configuration {
 	out := cfg
 	for i := 0; i < k; i++ {
-		ix := f.cands[rng.Intn(len(f.cands))]
+		ix := cands[rng.Intn(len(cands))]
 		if out.HasIndex(ix.Key()) {
 			out = out.WithoutIndex(ix.Key())
 		} else {
@@ -194,5 +206,205 @@ func TestEvaluateDeltaPartitionChange(t *testing.T) {
 	}
 	if next.Recosted == 0 {
 		t.Fatal("vertical layout change recosted no queries")
+	}
+}
+
+// TestEvaluateDeltaSeesInPlaceLayoutEdit: a caller may set a layout on the
+// very configuration it evaluated (a design session partitions its own
+// design in place), so the state must keep a copy of the configuration it
+// was evaluated under, not the caller's pointer.
+func TestEvaluateDeltaSeesInPlaceLayoutEdit(t *testing.T) {
+	f := newFixture(t)
+	ctx := context.Background()
+	v := f.eng.Pin()
+	cfg := catalog.NewConfiguration().WithIndex(f.cands[0])
+	_, state, err := v.EvaluateDelta(ctx, f.w, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.SetHorizontal(&catalog.HorizontalLayout{Table: "photoobj", Column: "ra", Bounds: []catalog.Datum{catalog.Float(180)}})
+	warm, next, err := v.EvaluateDelta(ctx, f.w, cfg, state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := v.Evaluate(ctx, f.w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.Recosted == 0 || warm.NewTotal != cold.NewTotal {
+		t.Fatalf("an in-place layout edit recosted %d queries, total %v, cold %v", next.Recosted, warm.NewTotal, cold.NewTotal)
+	}
+}
+
+// relevantSignature renders the slice of cfg that can influence the access
+// of the query with footprint f to its t-th table: the keys of relevant
+// structures (sorted) plus any partition layouts. Two configurations with
+// equal relevant signatures on every table of a query price that query
+// identically. This was the delta's relevance rule, rendered per query and
+// table on every evaluation; it stays here as the reference the rule that
+// replaced it must agree with.
+func relevantSignature(f *sqlparse.Footprint, cfg *catalog.Configuration, t int) string {
+	table := f.Tables[t]
+	var parts []string
+	for _, ix := range cfg.IndexesOn(table) {
+		if optimizer.CanUse(f, table, ix) {
+			parts = append(parts, ix.Key())
+		}
+	}
+	sort.Strings(parts)
+	if v := cfg.VerticalOn(table); v != nil {
+		parts = append(parts, v.String())
+	}
+	if h := cfg.HorizontalOn(table); h != nil {
+		parts = append(parts, h.String())
+	}
+	return strings.Join(parts, ";")
+}
+
+// signatures computes every query's per-table relevant signatures for cfg.
+func signatures(rels []*sqlparse.Footprint, cfg *catalog.Configuration) [][]string {
+	out := make([][]string, len(rels))
+	for i, f := range rels {
+		sigs := make([]string, len(f.Tables))
+		for t := range f.Tables {
+			sigs[t] = relevantSignature(f, cfg, t)
+		}
+		out[i] = sigs
+	}
+	return out
+}
+
+// TestDeltaRelevanceMatchesSignatures holds the delta's relevance rule to
+// the signature rule it replaced: over random pairs of configurations — K
+// structures flipped, a layout set, dropped, replaced or re-made under a
+// new pointer, a structure replaced by a same-key copy or listed twice —
+// both rules must pick the same queries, in both directions.
+func TestDeltaRelevanceMatchesSignatures(t *testing.T) {
+	f := newFixture(t)
+	w, err := workload.NewWorkload(f.eng.Schema(), 5, 240)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rels := make([]*sqlparse.Footprint, len(w.Queries))
+	for i, q := range w.Queries {
+		rels[i] = q.Stmt.Analysis().Footprint
+	}
+	opts := whatif.DefaultCandidateOptions()
+	opts.IncludeProjections, opts.IncludeAggViews = true, true
+	cands := f.v.Session().GenerateCandidates(w, opts)
+	kinds := map[catalog.StructureKind]bool{}
+	for _, ix := range cands {
+		kinds[ix.Kind] = true
+	}
+	if len(kinds) < 3 {
+		t.Fatalf("candidates cover %d structure kinds, want 3", len(kinds))
+	}
+	verticals := []*catalog.VerticalLayout{
+		{Table: "photoobj", Fragments: [][]string{{"ra", "dec"}, {"type", "psfmag_r", "psfmag_g", "run", "camcol"}}},
+		{Table: "photoobj", Fragments: [][]string{{"ra", "dec", "type"}, {"psfmag_r", "psfmag_g", "run", "camcol"}}},
+		{Table: "specobj", Fragments: [][]string{{"z", "zerr"}, {"class", "subclass", "plate"}}},
+	}
+	horizontals := []*catalog.HorizontalLayout{
+		{Table: "photoobj", Column: "ra", Bounds: []catalog.Datum{catalog.Float(90), catalog.Float(180)}},
+		{Table: "photoobj", Column: "ra", Bounds: []catalog.Datum{catalog.Float(120)}},
+		{Table: "field", Column: "quality", Bounds: []catalog.Datum{catalog.Int(2)}},
+	}
+	rng := rand.New(rand.NewSource(11))
+	draw := func() *catalog.Configuration {
+		cfg := catalog.NewConfiguration()
+		for _, ix := range cands {
+			if rng.Intn(4) == 0 {
+				cfg = cfg.WithIndex(ix)
+			}
+		}
+		if rng.Intn(3) == 0 {
+			cfg.SetVertical(verticals[rng.Intn(len(verticals))])
+		}
+		if rng.Intn(3) == 0 {
+			cfg.SetHorizontal(horizontals[rng.Intn(len(horizontals))])
+		}
+		return cfg
+	}
+	// copyOf is a structure with a's key under another name and pointer.
+	copyOf := func(ix *catalog.Index) *catalog.Index {
+		c := *ix
+		c.Name += "_copy"
+		return &c
+	}
+	edits := []struct {
+		name string
+		edit func(a *catalog.Configuration) *catalog.Configuration
+	}{
+		{"flip K structures", func(a *catalog.Configuration) *catalog.Configuration { return flip(rng, cands, a, 1+rng.Intn(3)) }},
+		{"set or replace a vertical layout", func(a *catalog.Configuration) *catalog.Configuration {
+			b := a.Clone()
+			b.SetVertical(verticals[rng.Intn(len(verticals))])
+			return b
+		}},
+		{"set or replace a horizontal layout", func(a *catalog.Configuration) *catalog.Configuration {
+			b := a.Clone()
+			b.SetHorizontal(horizontals[rng.Intn(len(horizontals))])
+			return b
+		}},
+		{"drop every layout", func(a *catalog.Configuration) *catalog.Configuration {
+			b := catalog.NewConfiguration()
+			b.Indexes = a.Indexes
+			return b
+		}},
+		{"re-make the layouts under new pointers", func(a *catalog.Configuration) *catalog.Configuration {
+			b := a.Clone()
+			for k, v := range b.Vertical {
+				c := *v
+				b.Vertical[k] = &c
+			}
+			for k, h := range b.Horizontal {
+				c := *h
+				b.Horizontal[k] = &c
+			}
+			return b
+		}},
+		{"a same-key structure under a new pointer", func(a *catalog.Configuration) *catalog.Configuration {
+			if len(a.Indexes) == 0 {
+				return a.WithIndex(cands[rng.Intn(len(cands))])
+			}
+			ix := a.Indexes[rng.Intn(len(a.Indexes))]
+			return a.WithoutIndex(ix.Key()).WithIndex(copyOf(ix))
+		}},
+		{"a structure listed twice", func(a *catalog.Configuration) *catalog.Configuration {
+			b := a.Clone()
+			if len(a.Indexes) > 0 {
+				b.Indexes = append(b.Indexes, copyOf(a.Indexes[rng.Intn(len(a.Indexes))]))
+			}
+			return b
+		}},
+	}
+	moved := make(map[string]int) // per edit, the trials that recost some query
+	for trial := 0; trial < 700; trial++ {
+		e := edits[trial%len(edits)]
+		a := draw()
+		b := e.edit(a)
+		for _, pair := range [][2]*catalog.Configuration{{a, b}, {b, a}} {
+			sa, sb := signatures(rels, pair[0]), signatures(rels, pair[1])
+			var want []int
+			for i := range rels {
+				if !slices.Equal(sa[i], sb[i]) {
+					want = append(want, i)
+				}
+			}
+			if got := engine.AffectedQueries(rels, pair[0], pair[1]); !slices.Equal(got, want) {
+				t.Fatalf("trial %d (%s): the delta recosts %v, the signatures %v", trial, e.name, got, want)
+			}
+			if len(want) > 0 {
+				moved[e.name]++
+			}
+		}
+	}
+	for _, e := range edits {
+		t.Logf("%-40s %3d of %d directions recost some query", e.name, moved[e.name], 2*700/len(edits))
+	}
+	for _, name := range []string{"flip K structures", "set or replace a vertical layout", "set or replace a horizontal layout", "a structure listed twice"} {
+		if moved[name] == 0 {
+			t.Errorf("%s never recosts a query: the pairs do not exercise the rule", name)
+		}
 	}
 }

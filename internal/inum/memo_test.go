@@ -25,7 +25,7 @@ import (
 func coldCosts(t *testing.T, c *Cache, q *CachedQuery, cfg *catalog.Configuration) (access [][]float64, mv, total float64) {
 	t.Helper()
 	for ti, table := range q.Tables {
-		costs, err := c.base.AccessCosts(q.Stmt, table, optimizer.DesignOn(cfg, table), q.orders[ti])
+		costs, err := c.base.AccessCosts(q.Stmt, table, optimizer.TableDesign{Indexes: cfg.IndexesOn(table), Vertical: cfg.VerticalOn(table), Horizontal: cfg.HorizontalOn(table)}, q.orders[ti])
 		if err != nil {
 			t.Fatal(err)
 		}

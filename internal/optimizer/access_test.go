@@ -21,13 +21,19 @@ func resolvedStmt(t *testing.T, env *optimizer.Env, sql string) *sqlparse.Select
 	return sel
 }
 
+// designOn is one table's slice of a configuration: what BestTableAccess
+// and AccessCosts see of it.
+func designOn(cfg *catalog.Configuration, table string) optimizer.TableDesign {
+	return optimizer.TableDesign{Indexes: cfg.IndexesOn(table), Vertical: cfg.VerticalOn(table), Horizontal: cfg.HorizontalOn(table)}
+}
+
 func TestBestTableAccessUnordered(t *testing.T) {
 	envBase := testEnv(t, nil)
 	cfg := catalog.NewConfiguration().WithIndex(hypoIndex(envBase, "photoobj", "objid"))
 	env := envBase.WithConfig(cfg)
 	sel := resolvedStmt(t, env, "SELECT objid, ra FROM photoobj WHERE objid = 1000005")
 
-	acc, err := env.BestTableAccess(sel, "photoobj", optimizer.DesignOn(env.Config, "photoobj"), nil)
+	acc, err := env.BestTableAccess(sel, "photoobj", designOn(env.Config, "photoobj"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +51,7 @@ func TestBestTableAccessWithRequiredOrder(t *testing.T) {
 	want := []optimizer.OrderKey{{Table: "photoobj", Column: "ra"}}
 
 	// Without any index the order can only come from an explicit sort.
-	acc, err := envBase.BestTableAccess(sel, "photoobj", optimizer.DesignOn(envBase.Config, "photoobj"), want)
+	acc, err := envBase.BestTableAccess(sel, "photoobj", designOn(envBase.Config, "photoobj"), want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +61,7 @@ func TestBestTableAccessWithRequiredOrder(t *testing.T) {
 	// With an index on ra, the ordered path should win for cheap orders.
 	cfg := catalog.NewConfiguration().WithIndex(hypoIndex(envBase, "photoobj", "ra"))
 	env := envBase.WithConfig(cfg)
-	acc2, err := env.BestTableAccess(sel, "photoobj", optimizer.DesignOn(env.Config, "photoobj"), want)
+	acc2, err := env.BestTableAccess(sel, "photoobj", designOn(env.Config, "photoobj"), want)
 	if err != nil {
 		t.Fatal(err)
 	}

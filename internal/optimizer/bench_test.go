@@ -9,7 +9,7 @@ import (
 	"repro/internal/workload"
 )
 
-func benchEnv(b *testing.B) *optimizer.Env {
+func benchEnv(b testing.TB) *optimizer.Env {
 	b.Helper()
 	store, err := workload.Generate(workload.SmallSize(), 1)
 	if err != nil {
@@ -26,7 +26,7 @@ func benchEnv(b *testing.B) *optimizer.Env {
 	return optimizer.NewEnv(store.Schema, store.Stats, cfg)
 }
 
-func benchStmt(b *testing.B, env *optimizer.Env, sql string) *sqlparse.SelectStmt {
+func benchStmt(b testing.TB, env *optimizer.Env, sql string) *sqlparse.SelectStmt {
 	b.Helper()
 	sel, err := sqlparse.ParseSelect(sql)
 	if err != nil {
@@ -88,7 +88,7 @@ func BenchmarkBestTableAccess(b *testing.B) {
 	sel := benchStmt(b, env, "SELECT objid, ra FROM photoobj WHERE type = 6 AND psfmag_r BETWEEN 15 AND 17")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := env.BestTableAccess(sel, "photoobj", optimizer.DesignOn(env.Config, "photoobj"), nil); err != nil {
+		if _, err := env.BestTableAccess(sel, "photoobj", designOn(env.Config, "photoobj"), nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -13,6 +13,20 @@
 // builds the winner's nodes, and Cost reads the winner's total and builds
 // none.
 //
+// The search runs in a workspace taken from a pool and handed back when the
+// answer is read, so a warm search allocates nothing of its own: its scans,
+// each table's structures (read straight from the configuration), the join
+// edges' positions and oriented edge lists, the wanted orders, each
+// relation set's paths and the candidates at hand are buffers it reuses.
+// CostUnder prices under another configuration without copying the Env.
+// Two lifetime rules keep the pool invisible:
+//
+//   - the plan Optimize returns owns everything it holds; its join edges in
+//     particular are copied out of the workspace's edge buffer;
+//   - a workspace goes back to the pool with every pointer its buffers hold
+//     cleared, so an idle one pins no configuration's structures and no
+//     statement.
+//
 // The optimizer is deliberately *configuration-driven*: it plans against an
 // Env holding a schema, a statistics catalog, and a physical Configuration.
 // Swapping the Configuration for a hypothetical one (internal/whatif) is

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/catalog"
 	"repro/internal/sqlparse"
@@ -55,17 +56,28 @@ func (o order) satisfies(want []OrderKey) bool {
 // paths, dynamic-programming join ordering with nested-loop / hash / merge
 // methods, then the steps above the join. It compares plans as path
 // records and builds nothing; Optimize builds its winner, Cost reads it.
+//
+// A search is a workspace taken from a pool (newSearch) and handed back
+// (release): its buffers outlive it, so a warm search allocates nothing of
+// its own. Everything a search derives lives in one of them — the scans,
+// each table's structures, the join edges' FROM positions and every edge
+// list connectingEdges orients, the wanted orders' join keys, each relation
+// set's paths and the candidates of the set at hand.
 type search struct {
 	tail
 	env          *Env
 	tables       []string    // lower-case resolved names, FROM order
 	scans        []tableScan // per table, FROM order
 	joins        []sqlparse.JoinEdge
+	joinPos      [][2]int        // per join edge: its left and right table's FROM position, -1 for none
 	residual     []sqlparse.Expr // cross-table and constant predicates
 	resSel       float64
 	wantedOrders [][]OrderKey
-	memo         [][]path // the pruned paths of each relation set
-	cands        []path   // the candidates of the relation set at hand
+	joinKeys     []OrderKey          // the wanted orders' join keys, one a run
+	indexes      []*catalog.Index    // each table's structures, one run a table
+	edges        []sqlparse.JoinEdge // every edge list connectingEdges returned
+	memo         [][]path            // the pruned paths of each relation set
+	cands        []path              // the candidates of the relation set at hand
 
 	// The winner: the cheapest finished path of the full set, or an
 	// aggregate view answering the whole query.
@@ -77,19 +89,57 @@ type search struct {
 // maxPathsPerSet bounds the pruned path list kept per relation set.
 const maxPathsPerSet = 5
 
+// searches holds the idle workspaces.
+var searches = sync.Pool{New: func() any { return new(search) }}
+
+// newSearch takes a workspace from the pool.
+func newSearch() *search { return searches.Get().(*search) }
+
+// release hands the workspace back to the pool, reset.
+func (s *search) release() {
+	s.reset()
+	searches.Put(s)
+}
+
+// reset empties the workspace and keeps its buffers. It first clears every
+// pointer they hold, beyond their lengths too, so an idle workspace pins no
+// configuration's structures and no statement.
+func (s *search) reset() {
+	for _, m := range s.memo {
+		clear(m[:cap(m)])
+	}
+	clear(s.scans[:cap(s.scans)])
+	clear(s.wantedOrders[:cap(s.wantedOrders)])
+	clear(s.joinKeys[:cap(s.joinKeys)])
+	clear(s.indexes[:cap(s.indexes)])
+	clear(s.edges[:cap(s.edges)])
+	clear(s.cands[:cap(s.cands)])
+	*s = search{
+		scans:        s.scans[:0],
+		joinPos:      s.joinPos[:0],
+		wantedOrders: s.wantedOrders[:0],
+		joinKeys:     s.joinKeys[:0],
+		indexes:      s.indexes[:0],
+		edges:        s.edges[:0],
+		memo:         s.memo[:0],
+		cands:        s.cands[:0],
+	}
+}
+
 // bestJoin runs the DP and returns the pruned path list for the full set.
 func (s *search) bestJoin() []path {
 	n := len(s.tables)
 	full := (1 << n) - 1
-	s.memo = make([][]path, full+1)
-	// keep stores a relation set's pruned candidates. The candidate list is
-	// reused by the next set, so every set but the last keeps a copy.
+	if cap(s.memo) <= full {
+		// Keep the sets' slices grown so far: they are the buffers.
+		s.memo = slices.Grow(s.memo[:cap(s.memo)], full+1-cap(s.memo))
+	}
+	s.memo = s.memo[:full+1]
+	// keep stores a relation set's pruned candidates in the set's own slice,
+	// which nothing else writes during the search, so the paths above it may
+	// point into it.
 	keep := func(mask int) {
-		kept := prunePaths(s.cands, s.wantedOrders)
-		if mask != full {
-			kept = slices.Clone(kept)
-		}
-		s.memo[mask] = kept
+		s.memo[mask] = append(s.memo[mask][:0], prunePaths(s.cands, s.wantedOrders)...)
 	}
 
 	// Base: single-table access paths.
@@ -133,27 +183,27 @@ func (s *search) bestJoin() []path {
 }
 
 // connectingEdges returns join edges with one endpoint in each side,
-// oriented so the left endpoint is in maskL.
+// oriented so the left endpoint is in maskL. The list is a run of the
+// search's edge buffer, valid until the search is released.
 func (s *search) connectingEdges(maskL, maskR int) []sqlparse.JoinEdge {
-	var out []sqlparse.JoinEdge
-	for _, e := range s.joins {
-		lb := slices.Index(s.tables, strings.ToLower(e.LeftTable))
-		rb := slices.Index(s.tables, strings.ToLower(e.RightTable))
+	start := len(s.edges)
+	for k, e := range s.joins {
+		lb, rb := s.joinPos[k][0], s.joinPos[k][1]
 		if lb < 0 || rb < 0 {
 			continue
 		}
 		switch {
 		case maskL&(1<<lb) != 0 && maskR&(1<<rb) != 0:
-			out = append(out, e)
+			s.edges = append(s.edges, e)
 		case maskL&(1<<rb) != 0 && maskR&(1<<lb) != 0:
-			out = append(out, sqlparse.JoinEdge{
+			s.edges = append(s.edges, sqlparse.JoinEdge{
 				LeftTable: e.RightTable, LeftColumn: e.RightColumn,
 				RightTable: e.LeftTable, RightColumn: e.LeftColumn,
 				Pred: e.Pred,
 			})
 		}
 	}
-	return out
+	return s.edges[start:len(s.edges):len(s.edges)]
 }
 
 // joinKey is the ascending order on one endpoint of a join edge.
@@ -162,9 +212,9 @@ func joinKey(table, column string) OrderKey {
 }
 
 // mergeKeys are the orders a merge join on edge e needs of its outer and
-// inner inputs.
-func mergeKeys(e sqlparse.JoinEdge) (outer, inner []OrderKey) {
-	return []OrderKey{joinKey(e.LeftTable, e.LeftColumn)}, []OrderKey{joinKey(e.RightTable, e.RightColumn)}
+// inner inputs, as values: the search compares them and keeps neither.
+func mergeKeys(e sqlparse.JoinEdge) (outer, inner [1]OrderKey) {
+	return [1]OrderKey{joinKey(e.LeftTable, e.LeftColumn)}, [1]OrderKey{joinKey(e.RightTable, e.RightColumn)}
 }
 
 // joinPair adds the candidate joins with maskOuter as the outer side to
@@ -201,8 +251,8 @@ func (s *search) joinPair(maskOuter, maskInner int, edges []sqlparse.JoinEdge) {
 	// --- Merge join on the first edge. ------------------------------------
 	if !env.Opts.DisableMergeJoin && len(edges) > 0 {
 		wantO, wantI := mergeKeys(edges[0])
-		o := s.withOrder(outers, wantO)
-		i := s.withOrder(inners, wantI)
+		o := s.withOrder(outers, wantO[:])
+		i := s.withOrder(inners, wantI[:])
 		s.cands = append(s.cands, path{
 			kind: NodeMergeJoin, edges: edges, outer: o.p, inner: i.p, sortOuter: o.sorted, sortInner: i.sorted,
 			rows: outRows, ord: order{merge: &edges[0]},
@@ -331,7 +381,7 @@ func (s *search) node(p *path) *Node {
 	o := s.node(p.outer)
 	n := &Node{
 		Kind:        p.kind,
-		JoinEdges:   p.edges,
+		JoinEdges:   append([]sqlparse.JoinEdge(nil), p.edges...), // the plan outlives the edge buffer
 		EstRows:     p.rows,
 		StartupCost: p.startup,
 		TotalCost:   p.total,
@@ -340,7 +390,8 @@ func (s *search) node(p *path) *Node {
 	var i *Node
 	switch {
 	case p.kind == NodeMergeJoin:
-		wantO, wantI := mergeKeys(p.edges[0])
+		keyO, keyI := mergeKeys(p.edges[0])
+		wantO, wantI := keyO[:], keyI[:]
 		if p.sortOuter {
 			o = s.env.Params.sortNode(o, wantO)
 		}
@@ -374,5 +425,5 @@ func (s *search) node(p *path) *Node {
 // for a nested loop that runs it loops times.
 func (s *search) probe(t int, e sqlparse.JoinEdge, loops float64) indexProbe {
 	sc := &s.scans[t]
-	return s.env.innerIndexPath(sc.table, e.RightColumn, sc.filters, sc.needed, sc.star, loops)
+	return s.env.innerIndexPath(sc.table, sc.indexes, e.RightColumn, sc.filters, sc.needed, sc.star, loops)
 }

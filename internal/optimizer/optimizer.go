@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 
+	"repro/internal/catalog"
 	"repro/internal/sqlparse"
 )
 
@@ -18,8 +19,9 @@ import (
 // The statement must already be resolved (sqlparse.Resolve) so that every
 // column reference carries its real table name.
 func (e *Env) Optimize(sel *sqlparse.SelectStmt) (*Plan, error) {
-	var s search
-	if err := s.run(e, sel); err != nil {
+	s := newSearch()
+	defer s.release()
+	if err := s.run(e, e.Config, sel); err != nil {
 		return nil, err
 	}
 	return &Plan{Root: s.build(), Tables: s.tables}, nil
@@ -29,16 +31,27 @@ func (e *Env) Optimize(sel *sqlparse.SelectStmt) (*Plan, error) {
 // the same search and reads the winner's total without building a node; it
 // is the designer's most frequently called entry point.
 func (e *Env) Cost(sel *sqlparse.SelectStmt) (float64, error) {
-	var s search
-	if err := s.run(e, sel); err != nil {
+	return e.CostUnder(sel, e.Config)
+}
+
+// CostUnder is e.WithConfig(cfg).Cost(sel), bit for bit, without the copy
+// of the environment: the what-if entry point of a caller that prices one
+// statement under many configurations. A nil cfg is the empty design.
+func (e *Env) CostUnder(sel *sqlparse.SelectStmt, cfg *catalog.Configuration) (float64, error) {
+	if cfg == nil {
+		cfg = catalog.NewConfiguration()
+	}
+	s := newSearch()
+	defer s.release()
+	if err := s.run(e, cfg, sel); err != nil {
 		return 0, err
 	}
 	return s.total, nil
 }
 
-// run searches the plans of a resolved statement and leaves the winner in
-// s.best (or s.mv) and its total in s.total.
-func (s *search) run(e *Env, sel *sqlparse.SelectStmt) error {
+// run searches the plans of a resolved statement under cfg and leaves the
+// winner in s.best (or s.mv) and its total in s.total.
+func (s *search) run(e *Env, cfg *catalog.Configuration, sel *sqlparse.SelectStmt) error {
 	if len(sel.From) == 0 {
 		return errors.New("optimizer: SELECT without FROM is not supported")
 	}
@@ -56,16 +69,32 @@ func (s *search) run(e *Env, sel *sqlparse.SelectStmt) error {
 		return fmt.Errorf("optimizer: joins over %d tables exceed the DP limit of 12", len(s.tables))
 	}
 
-	s.scans = make([]tableScan, len(s.tables))
+	// Each table's structures, in configuration order, are one run of the
+	// index buffer. No two tables share a structure, so the runs fit in the
+	// configuration's length and none moves once cut.
+	s.indexes = slices.Grow(s.indexes, len(cfg.Indexes))
 	for i, t := range s.tables {
-		s.scans[i] = e.newTableScan(t, DesignOn(e.Config, t), a.Filters[i], a.Columns[i], a.Star)
+		start := len(s.indexes)
+		for _, ix := range cfg.Indexes {
+			if catalog.NormCol(ix.Table) == t {
+				s.indexes = append(s.indexes, ix)
+			}
+		}
+		d := TableDesign{Indexes: s.indexes[start:len(s.indexes):len(s.indexes)], Vertical: cfg.VerticalOn(t), Horizontal: cfg.HorizontalOn(t)}
+		s.scans = append(s.scans, e.newTableScan(t, d, a.Filters[i], a.Columns[i], a.Star))
 	}
 	s.joins, s.residual = a.Joins, a.Residual
+	for _, j := range s.joins {
+		s.joinPos = append(s.joinPos, [2]int{
+			slices.Index(s.tables, strings.ToLower(j.LeftTable)),
+			slices.Index(s.tables, strings.ToLower(j.RightTable)),
+		})
+	}
 	if len(s.residual) > 0 {
 		s.resSel = e.SelectivityAll(s.residual)
 	}
 	s.tail = tailOf(sel)
-	s.wantedOrders = wantedOrders(s.orderBy, s.joins)
+	s.wantOrders()
 	paths := s.bestJoin()
 	if len(paths) == 0 {
 		return errors.New("optimizer: no plan found")
@@ -80,7 +109,7 @@ func (s *search) run(e *Env, sel *sqlparse.SelectStmt) error {
 	// the rewrite replaces scan+aggregation wholesale, so it cannot be
 	// composed from per-table access paths.
 	if len(s.tables) == 1 {
-		if mv, total := s.bestMVRewrite(e, s.tables[0], e.Config.Indexes); mv != nil && total < s.total {
+		if mv, total := s.bestMVRewrite(e, s.tables[0], cfg.Indexes); mv != nil && total < s.total {
 			s.best, s.mv, s.total = nil, mv, total
 		}
 	}
@@ -118,17 +147,19 @@ func (s *search) finished(p *path, build bool) top {
 	return t
 }
 
-// wantedOrders lists sort orders worth preserving through the plan: the
-// ORDER BY order (when fully column-based) and each merge-joinable key.
-func wantedOrders(orderBy []OrderKey, joins []sqlparse.JoinEdge) [][]OrderKey {
-	var out [][]OrderKey
-	if orderBy != nil {
-		out = append(out, orderBy)
+// wantOrders lists the sort orders worth preserving through the plan: the
+// ORDER BY order (when fully column-based) and each merge-joinable key. The
+// join keys are runs of one buffer, cut once it is full.
+func (s *search) wantOrders() {
+	if s.orderBy != nil {
+		s.wantedOrders = append(s.wantedOrders, s.orderBy)
 	}
-	for _, j := range joins {
-		out = append(out, []OrderKey{joinKey(j.LeftTable, j.LeftColumn)}, []OrderKey{joinKey(j.RightTable, j.RightColumn)})
+	for _, j := range s.joins {
+		s.joinKeys = append(s.joinKeys, joinKey(j.LeftTable, j.LeftColumn), joinKey(j.RightTable, j.RightColumn))
 	}
-	return out
+	for k := range s.joinKeys {
+		s.wantedOrders = append(s.wantedOrders, s.joinKeys[k:k+1:k+1])
+	}
 }
 
 // orderByKeys converts ORDER BY into OrderKeys when every item is a plain

@@ -20,15 +20,6 @@ type TableDesign struct {
 	Horizontal *catalog.HorizontalLayout
 }
 
-// DesignOn extracts one table's slice of a configuration.
-func DesignOn(cfg *catalog.Configuration, table string) TableDesign {
-	return TableDesign{
-		Indexes:    cfg.IndexesOn(table),
-		Vertical:   cfg.VerticalOn(table),
-		Horizontal: cfg.HorizontalOn(table),
-	}
-}
-
 // tableScan holds what every access path of one table shares: the
 // structures to try, the query's filters and needed columns on the table,
 // the row estimates, and the sequential scan's cost under the table's
@@ -355,11 +346,11 @@ type indexProbe struct {
 }
 
 // innerIndexPath prices the cheapest parameterized index scan of `table`
-// keyed by the join column, for use as the inner side of a nested-loop join
-// re-executed `loops` times. Its index is nil when no index leads with the
-// join column.
+// keyed by the join column, over the table's structures, for use as the
+// inner side of a nested-loop join re-executed `loops` times. Its index is
+// nil when no index leads with the join column.
 func (e *Env) innerIndexPath(
-	table, joinColumn string,
+	table string, indexes []*catalog.Index, joinColumn string,
 	filters []sqlparse.Expr,
 	needed map[string]bool, star bool,
 	loops float64,
@@ -370,7 +361,7 @@ func (e *Env) innerIndexPath(
 	ts := e.tableStats(table)
 	rows := float64(ts.RowCount)
 
-	for _, ix := range e.Config.IndexesOn(table) {
+	for _, ix := range indexes {
 		if ix.Kind == catalog.KindAggView {
 			continue
 		}

@@ -166,11 +166,10 @@ func (s *Session) HypotheticalAggView(table string, keys, aggs []string) (*catal
 // Cost plans the query under the given configuration and returns its
 // estimated cost. A nil configuration means the session base.
 func (s *Session) Cost(sel *sqlparse.SelectStmt, cfg *catalog.Configuration) (float64, error) {
-	env := s.env
-	if cfg != nil {
-		env = s.env.WithConfig(cfg)
+	if cfg == nil {
+		return s.env.Cost(sel)
 	}
-	return env.Cost(sel)
+	return s.env.CostUnder(sel, cfg)
 }
 
 // Explain plans the query under the configuration and renders the plan.
