@@ -85,6 +85,10 @@ func (d Datum) AsFloat() float64 {
 // floats compare numerically across kinds; strings compare
 // lexicographically. Comparing a string against a number orders by kind,
 // which is sufficient for the synthetic workloads in this repository.
+//
+// A float NaN follows PostgreSQL's float8 rule: it equals another NaN and is
+// greater than every other number, so Compare is a total order and a sort or
+// B-tree over a NaN-bearing column is well defined.
 func (d Datum) Compare(o Datum) int {
 	if d.Kind == KindNull || o.Kind == KindNull {
 		switch {
@@ -118,8 +122,16 @@ func (d Datum) Compare(o Datum) int {
 			return -1
 		case a > b:
 			return 1
-		default:
+		}
+		// Neither is less: equal numbers, or at least one NaN.
+		an, bn := a != a, b != b
+		switch {
+		case an == bn:
 			return 0
+		case an:
+			return 1
+		default:
+			return -1
 		}
 	case dn:
 		return -1

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -78,6 +79,44 @@ func TestDatumCompareTransitive(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDatumCompareNaNIsTotal holds Compare to PostgreSQL's float8 rule: a NaN
+// equals a NaN and is greater than every other number, so Compare stays a
+// total order over a set that holds NaNs.
+func TestDatumCompareNaNIsTotal(t *testing.T) {
+	nan := Float(math.NaN())
+	for _, c := range []struct {
+		a, b Datum
+		want int
+	}{
+		{nan, nan, 0},
+		{nan, Float(math.Inf(1)), 1},
+		{Float(math.Inf(1)), nan, -1},
+		{nan, Int(math.MaxInt64), 1},
+		{Int(math.MinInt64), nan, -1},
+		{nan, Float(-0.0), 1},
+		{nan, String_("a"), -1}, // numbers, NaN among them, order before strings
+		{Null(), nan, -1},
+	} {
+		if got := c.a.Compare(c.b); got != c.want {
+			t.Errorf("Compare(%v,%v) = %d, want %d", c.a, c.b, got, c.want)
+		}
+	}
+	set := []Datum{Null(), nan, Float(math.NaN()), Float(math.Inf(-1)), Float(math.Inf(1)),
+		Float(-0.0), Int(0), Float(2.5), Int(3), Int(math.MaxInt64), String_("x")}
+	for _, a := range set {
+		for _, b := range set {
+			if a.Compare(b) != -b.Compare(a) {
+				t.Errorf("Compare(%v,%v) is not antisymmetric", a, b)
+			}
+			for _, c := range set {
+				if a.Compare(b) <= 0 && b.Compare(c) <= 0 && a.Compare(c) > 0 {
+					t.Errorf("Compare is not transitive over %v <= %v <= %v", a, b, c)
+				}
+			}
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 )
 
 func BenchmarkAnalyze100k(b *testing.B) {
+	b.ReportAllocs()
 	rng := rand.New(rand.NewSource(1))
 	rows := make([]catalog.Row, 100000)
 	for i := range rows {

@@ -6,12 +6,28 @@
 // The designer is only as good as the selectivity estimates underneath it
 // (the paper ports to "any relational DBMS which offers ... a way to extract
 // and create statistics"); this package is that portability surface.
+//
+// ANALYZE sorts each column's non-null (value, position) pairs once, in
+// place, by catalog.Datum.Compare and then by row position. The pairs are
+// gathered in position order, so this is the permutation a stable sort by
+// value gives, and every statistic is read off it: Min and Max, the
+// histogram bounds, the MCVs, the correlation, and the distinct count, one
+// per run of equal values (an int and a float that agree only as float64,
+// beyond 2^53, still count apart). Compare follows PostgreSQL's float8 rule
+// for NaN: a NaN equals a NaN and is greater than every other number, so
+// the sort is total and a column's NaNs count as one distinct value. A
+// table's columns are analysed on min(GOMAXPROCS, columns) goroutines, each
+// writing its own column's slot, so the result does not depend on the width.
 package stats
 
 import (
+	"cmp"
 	"errors"
 	"math"
-	"sort"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/catalog"
 )
@@ -175,7 +191,9 @@ func (c *Catalog) Table(name string) *TableStats { return c.Tables[lower(name)] 
 func (c *Catalog) Put(name string, ts *TableStats) { c.Tables[lower(name)] = ts }
 
 // Analyze computes full statistics for a table's rows. pageSize is the heap
-// page capacity in bytes used to derive the page count.
+// page capacity in bytes used to derive the page count. Columns are analysed
+// on min(GOMAXPROCS, columns) goroutines; each writes its own column's slot,
+// so the result does not depend on the width.
 func Analyze(t *catalog.Table, rows []catalog.Row, pageSize int) (*TableStats, error) {
 	if pageSize <= 0 {
 		return nil, errors.New("stats: pageSize must be positive")
@@ -193,106 +211,151 @@ func Analyze(t *catalog.Table, rows []catalog.Row, pageSize int) (*TableStats, e
 		ts.Pages = 1
 	}
 
+	cols := make([]*ColumnStats, len(t.Columns))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(cols)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ci := int(next.Add(1) - 1); ci < len(cols); ci = int(next.Add(1) - 1) {
+				cols[ci] = analyzeColumn(rows, ci)
+			}
+		}()
+	}
+	wg.Wait()
 	for ci, col := range t.Columns {
-		cs := analyzeColumn(rows, ci)
-		cs.AvgWidth = col.WidthBytes()
-		ts.Columns[lower(col.Name)] = cs
+		cols[ci].AvgWidth = col.WidthBytes()
+		ts.Columns[lower(col.Name)] = cols[ci]
 	}
 	return ts, nil
 }
 
-// analyzeColumn computes stats over one column position.
+// posVal is one non-null value of a column and its row position.
+type posVal struct {
+	v   catalog.Datum
+	pos int
+}
+
+// analyzeColumn computes stats over one column position from one sort of
+// its non-null values, by value and then by position.
 func analyzeColumn(rows []catalog.Row, ci int) *ColumnStats {
 	cs := &ColumnStats{}
 	n := len(rows)
 	if n == 0 {
 		return cs
 	}
-	type posVal struct {
-		pos int
-		v   catalog.Datum
-	}
 	vals := make([]posVal, 0, n)
-	nulls := 0
-	distinct := make(map[catalog.Datum]struct{}, 1024)
 	for i, r := range rows {
-		v := r[ci]
-		if v.IsNull() {
-			nulls++
-			continue
+		if v := r[ci]; !v.IsNull() {
+			vals = append(vals, posVal{v: v, pos: i})
 		}
-		vals = append(vals, posVal{pos: i, v: v})
-		distinct[canonDatum(v)] = struct{}{}
 	}
-	cs.NullFrac = float64(nulls) / float64(n)
-	cs.NDV = int64(len(distinct))
+	cs.NullFrac = float64(n-len(vals)) / float64(n)
 	if len(vals) == 0 {
 		return cs
 	}
-	sorted := make([]posVal, len(vals))
-	copy(sorted, vals)
-	sort.SliceStable(sorted, func(a, b int) bool { return sorted[a].v.Less(sorted[b].v) })
-	cs.Min, cs.Max = sorted[0].v, sorted[len(sorted)-1].v
+	slices.SortFunc(vals, func(a, b posVal) int {
+		if c := a.v.Compare(b.v); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
+	cs.Min, cs.Max = vals[0].v, vals[len(vals)-1].v
 
-	ordered := make([]catalog.Datum, len(sorted))
-	for i, pv := range sorted {
+	ordered := make([]catalog.Datum, len(vals))
+	positions := make([]int, len(vals))
+	for i, pv := range vals {
 		ordered[i] = pv.v
-	}
-	cs.MCVs = collectMCVs(ordered, n)
-	cs.Hist = BuildEquiDepth(ordered, DefaultBuckets)
-
-	// Correlation: Pearson correlation between physical position and value
-	// rank, the same quantity PostgreSQL stores in pg_statistic.
-	positions := make([]int, len(sorted))
-	for i, pv := range sorted {
 		positions[i] = pv.pos
 	}
+	runs, ndv := countRuns(ordered)
+	cs.NDV = ndv
+	cs.MCVs = collectMCVs(ordered, runs, n)
+	cs.Hist = BuildEquiDepth(ordered, DefaultBuckets)
+	// Correlation: Pearson correlation between physical position and value
+	// rank, the same quantity PostgreSQL stores in pg_statistic.
 	cs.Correlation = positionRankCorrelation(positions)
 	return cs
 }
 
-// collectMCVs extracts the most common values from the sorted value list.
-// A value qualifies when it appears clearly more often than average (at
-// least twice, and at least 1.25x the mean frequency) — PostgreSQL's
-// analyze heuristic in miniature.
-func collectMCVs(sorted []catalog.Datum, totalRows int) []MCV {
+// countRuns counts the runs of equal values in a sorted column and its
+// distinct values. A run is one distinct value unless canonDatum tells its
+// members apart.
+func countRuns(sorted []catalog.Datum) (runs int, ndv int64) {
+	for start, end := 0, 0; start < len(sorted); start = end {
+		end = runEnd(sorted, start)
+		runs++
+		ndv += runDistinct(sorted[start:end])
+	}
+	return runs, ndv
+}
+
+// runEnd returns the end of the run of values equal to sorted[start].
+func runEnd(sorted []catalog.Datum, start int) int {
+	end := start + 1
+	for end < len(sorted) && sorted[end].Equal(sorted[start]) {
+		end++
+	}
+	return end
+}
+
+// runDistinct counts the distinct values in a run of Compare-equal datums.
+// Such datums differ only as canonical ints: an int and a float that agree
+// as float64 but not as integers (beyond 2^53). A run of strings, of
+// fractional floats or of NaNs is one value.
+func runDistinct(run []catalog.Datum) int64 {
+	first := canonDatum(run[0])
+	if first.Kind != catalog.KindInt {
+		return 1
+	}
+	var seen map[int64]struct{}
+	for _, v := range run[1:] {
+		c := canonDatum(v)
+		if seen == nil {
+			if c.I == first.I {
+				continue
+			}
+			seen = map[int64]struct{}{first.I: {}}
+		}
+		seen[c.I] = struct{}{}
+	}
+	if seen == nil {
+		return 1
+	}
+	return int64(len(seen))
+}
+
+// collectMCVs extracts the most common values from the sorted value list,
+// which holds runs runs of equal values. A value qualifies when it appears
+// clearly more often than average (at least twice, and at least 1.25x the
+// mean frequency) — PostgreSQL's analyze heuristic in miniature.
+func collectMCVs(sorted []catalog.Datum, runs, totalRows int) []MCV {
 	if len(sorted) == 0 || totalRows == 0 {
 		return nil
+	}
+	meanCount := float64(len(sorted)) / float64(runs)
+	threshold := meanCount * 1.25
+	if threshold < 2 {
+		threshold = 2
 	}
 	type run struct {
 		v     catalog.Datum
 		count int
 	}
-	var runs []run
-	cur := run{v: sorted[0], count: 1}
-	distinct := 1
-	for _, v := range sorted[1:] {
-		if v.Equal(cur.v) {
-			cur.count++
-			continue
-		}
-		runs = append(runs, cur)
-		cur = run{v: v, count: 1}
-		distinct++
-	}
-	runs = append(runs, cur)
-
-	meanCount := float64(len(sorted)) / float64(distinct)
-	threshold := meanCount * 1.25
-	if threshold < 2 {
-		threshold = 2
-	}
 	var qualified []run
-	for _, r := range runs {
-		if float64(r.count) >= threshold {
-			qualified = append(qualified, r)
+	for start, end := 0, 0; start < len(sorted); start = end {
+		end = runEnd(sorted, start)
+		if float64(end-start) >= threshold {
+			qualified = append(qualified, run{v: sorted[start], count: end - start})
 		}
 	}
-	sort.SliceStable(qualified, func(a, b int) bool {
-		if qualified[a].count != qualified[b].count {
-			return qualified[a].count > qualified[b].count
+	// Runs hold distinct values, so (count, value) is a total order.
+	slices.SortFunc(qualified, func(a, b run) int {
+		if c := cmp.Compare(b.count, a.count); c != 0 {
+			return c
 		}
-		return qualified[a].v.Less(qualified[b].v)
+		return a.v.Compare(b.v)
 	})
 	if len(qualified) > MaxMCVs {
 		qualified = qualified[:MaxMCVs]

@@ -325,3 +325,37 @@ func TestStringHistogram(t *testing.T) {
 		t.Errorf("mid fraction = %f", mid)
 	}
 }
+
+// TestAnalyzeOrdersNaN analyses a float column that holds NaNs. Under
+// Compare's float8 rule (a NaN equals a NaN and is greater than every
+// number) Min <= Max, the histogram bounds never descend, the NaNs count as
+// one distinct value, and a range holding a quarter of the rows is seen.
+func TestAnalyzeOrdersNaN(t *testing.T) {
+	nan := math.NaN()
+	var rows []catalog.Row
+	for _, v := range []float64{5, nan, 1, 3, nan, 3, nan, 1} {
+		rows = append(rows, catalog.Row{catalog.Float(v)})
+	}
+	ts, err := Analyze(oneColTable(), rows, 8192)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := ts.Column("a")
+	if cs.Min.Compare(cs.Max) > 0 {
+		t.Errorf("Min %v > Max %v", cs.Min, cs.Max)
+	}
+	if cs.NDV != 4 {
+		t.Errorf("NDV = %d, want 4 (1, 3, 5 and NaN)", cs.NDV)
+	}
+	if cs.Hist == nil {
+		t.Fatal("no histogram")
+	}
+	for i := 1; i < len(cs.Hist.Bounds); i++ {
+		if cs.Hist.Bounds[i-1].Compare(cs.Hist.Bounds[i]) > 0 {
+			t.Fatalf("histogram bounds descend: %v", cs.Hist.Bounds)
+		}
+	}
+	if sel := cs.RangeSelectivity(catalog.Float(2), catalog.Float(4)); sel <= 0 {
+		t.Errorf("RangeSelectivity(2, 4) = %v, want > 0: the 3s are a quarter of the rows", sel)
+	}
+}

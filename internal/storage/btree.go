@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -106,12 +108,13 @@ func BuildIndex(name string, h *Heap, columns []string, buildIO *IOCounter) (*BT
 		entries = append(entries, entry{key: k, id: id})
 		return true
 	})
-	sort.SliceStable(entries, func(a, b int) bool {
-		c := entries[a].key.FullCompare(entries[b].key)
-		if c != 0 {
-			return c < 0
+	// Row ids are unique, so this is a total order and no stable sort is
+	// needed.
+	slices.SortFunc(entries, func(a, b entry) int {
+		if c := a.key.FullCompare(b.key); c != 0 {
+			return c
 		}
-		return entries[a].id < entries[b].id
+		return cmp.Compare(a.id, b.id)
 	})
 
 	bt := &BTree{

@@ -30,7 +30,7 @@ func Generate(size Size, seed int64) (*storage.Store, error) {
 	if err := store.Load("field", genFields(rng, size.Field)); err != nil {
 		return nil, err
 	}
-	photoRows := genPhotoObj(rng, size.PhotoObj, size.Field)
+	photoRows := genPhotoObj(rng, size.PhotoObj, size.Field, len(schema.Table("photoobj").Columns))
 	if err := store.Load("photoobj", photoRows); err != nil {
 		return nil, err
 	}
@@ -75,12 +75,14 @@ func gaussMag(rng *rand.Rand, mean, sigma float64) float64 {
 // genPhotoObj generates the wide photometric table. Rows are emitted in
 // objid order and objid increases with a sky stripe sweep, so objid and ra
 // have high physical correlation while dec and magnitudes do not — the
-// correlation structure index costing cares about.
-func genPhotoObj(rng *rand.Rand, n, numFields int) []catalog.Row {
+// correlation structure index costing cares about. Each row is allocated at
+// its exact width, the table's column count: the store keeps the rows.
+func genPhotoObj(rng *rand.Rand, n, numFields, width int) []catalog.Row {
 	rows := make([]catalog.Row, 0, n)
 	if numFields < 1 {
 		numFields = 1
 	}
+	offsets := []float64{1.8, 0.6, 0.0, -0.3, -0.5} // band offsets from r: u g r i z
 	for i := 0; i < n; i++ {
 		objid := int64(1_000_000 + i)
 		// Sweep RA as objid grows (stripes), jitter within the stripe.
@@ -103,14 +105,14 @@ func genPhotoObj(rng *rand.Rand, n, numFields int) []catalog.Row {
 		}
 		rMag := gaussMag(rng, base, 1.8)
 
-		row := catalog.Row{
+		row := append(make(catalog.Row, 0, width),
 			catalog.Int(objid),
 			catalog.Float(ra),
 			catalog.Float(dec),
 			catalog.Int(typ),
-			catalog.Int(int64(1 + rng.Intn(2))),   // mode
-			catalog.Int(int64(rng.Intn(1 << 16))), // flags
-			catalog.Int(int64(rng.Intn(4))),       // status
+			catalog.Int(int64(1+rng.Intn(2))),   // mode
+			catalog.Int(int64(rng.Intn(1<<16))), // flags
+			catalog.Int(int64(rng.Intn(4))),     // status
 			catalog.Int(run),
 			catalog.Int(301), // rerun constant, a realistic near-zero-NDV column
 			catalog.Int(camcol),
@@ -118,9 +120,8 @@ func genPhotoObj(rng *rand.Rand, n, numFields int) []catalog.Row {
 			catalog.Int(0),                  // parentid
 			catalog.Int(int64(rng.Intn(3))), // nchild
 			catalog.Int(0),                  // specobjid (filled for some)
-		}
+		)
 		// Five bands with realistic color offsets from r.
-		offsets := []float64{1.8, 0.6, 0.0, -0.3, -0.5} // u g r i z
 		for _, off := range offsets {
 			mag := rMag + off + rng.NormFloat64()*0.3
 			row = append(row,

@@ -180,3 +180,21 @@ func TestTemplateByName(t *testing.T) {
 		t.Fatal("unknown template should be nil")
 	}
 }
+
+// TestGeneratedRowsHaveExactWidth checks that every generated row is
+// allocated at its table's width: the store keeps the rows, so spare
+// capacity would be retained for the life of the dataset.
+func TestGeneratedRowsHaveExactWidth(t *testing.T) {
+	store, err := Generate(TinySize(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, table := range store.Schema.Tables() {
+		want := len(table.Columns)
+		for i, r := range store.Heap(table.Name).Rows() {
+			if len(r) != want || cap(r) != want {
+				t.Fatalf("%s row %d: len %d, cap %d, want both %d", table.Name, i, len(r), cap(r), want)
+			}
+		}
+	}
+}
