@@ -327,7 +327,7 @@ func cmdCompare(args []string) error {
 		return err
 	}
 	// Determine the total candidate footprint for budget fractions.
-	probe, err := d.AdviseCoPhy(ctx, w, designer.DefaultSolverOptions())
+	probe, err := d.AdviseCoPhy(ctx, w, designer.SolverOptions{})
 	if err != nil {
 		return err
 	}
@@ -341,9 +341,7 @@ func cmdCompare(args []string) error {
 	fmt.Println("budget(pages)  cophy-cost  cophy-gap  greedy-cost  cophy-wins-by")
 	for _, frac := range []float64{0.25, 0.5, 0.75, 1.0} {
 		budget := int64(float64(total) * frac)
-		copts := designer.DefaultSolverOptions()
-		copts.StorageBudgetPages = budget
-		cres, err := d.AdviseCoPhy(ctx, w, copts)
+		cres, err := d.AdviseCoPhy(ctx, w, designer.SolverOptions{StorageBudgetPages: budget})
 		if err != nil {
 			return err
 		}

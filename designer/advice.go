@@ -20,9 +20,8 @@ type AdviceOptions struct {
 	// Interactions enables the interaction graph and the
 	// interaction-aware materialization schedule.
 	Interactions bool
-	// CandidateOptions tunes candidate enumeration. Left unsized
-	// (MaxPerTable 0) it takes the default sizing and keeps its Include*
-	// widening flags.
+	// CandidateOptions widens candidate enumeration; the zero value is
+	// the default design space.
 	CandidateOptions CandidateOptions
 	// SeedIndexes are user-suggested candidates added to the automatically
 	// enumerated set — the paper's "starting point of the search" control.

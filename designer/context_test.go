@@ -21,18 +21,14 @@ func TestCoPhyCancellation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, err := d.GenerateWorkload(78, 96)
+		w, err := d.GenerateWorkload(78, 192)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := designer.DefaultSolverOptions()
-		// A tight storage budget plus a wide atom enumeration force real
+		// A large workload under a tight storage budget forces real
 		// knapsack branching: tens of branch-and-bound nodes, with most of
 		// the wall-clock inside the solver rather than atom pricing.
-		opts.StorageBudgetPages = 500
-		opts.MaxIndexesPerQueryTable = 10
-		opts.MaxAtomsPerQuery = 1024
-		return d, w, opts
+		return d, w, designer.SolverOptions{StorageBudgetPages: 200}
 	}
 
 	// Probe: how long the full run takes on a cold designer. This anchors

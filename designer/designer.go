@@ -417,7 +417,7 @@ func (d *Designer) NewOnlineTuner(opts TunerOptions) *Tuner {
 func (d *Designer) AdviseGreedy(ctx context.Context, w *Workload, budgetPages int64) (*GreedyResult, error) {
 	iw, v := w.internal(), d.eng.Pin()
 	cands := v.Session().GenerateCandidates(iw, whatif.DefaultCandidateOptions())
-	res, err := greedy.Advise(ctx, v, cands, iw, greedy.Options{StorageBudgetPages: budgetPages, BenefitPerPage: true})
+	res, err := greedy.Advise(ctx, v, cands, iw, budgetPages)
 	if err != nil {
 		return nil, err
 	}

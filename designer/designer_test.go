@@ -423,7 +423,7 @@ func TestGreedyVsCoPhyIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := d.AdviseCoPhy(ctx, w, designer.DefaultSolverOptions())
+	c, err := d.AdviseCoPhy(ctx, w, designer.SolverOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,9 +85,7 @@ func (h *AdviceHandle) Last() *Advice {
 // depends on: candidate options and seed indexes.
 func candOptionsFP(opts AdviceOptions) string {
 	var b strings.Builder
-	co := opts.CandidateOptions
-	fmt.Fprintf(&b, "%d|%d|%v|%v|%v|", co.MaxPerTable, co.MaxWidth, co.IncludeCovering,
-		co.IncludeProjections, co.IncludeAggViews)
+	fmt.Fprintf(&b, "%v|%v|", opts.CandidateOptions.IncludeProjections, opts.CandidateOptions.IncludeAggViews)
 	for _, ix := range opts.SeedIndexes {
 		b.WriteString(ix.Key())
 		b.WriteString(";")
@@ -169,14 +167,9 @@ func (d *Designer) advisePipeline(ctx context.Context, v *engine.View, iw *workl
 		stats.Warm = true
 		stats.CandidatesReused = true
 	} else {
-		candOpts := opts.CandidateOptions.internal()
-		if candOpts.MaxPerTable == 0 {
-			// Unsized options take the default sizing and keep their
-			// widening flags.
-			sized := whatif.DefaultCandidateOptions()
-			sized.IncludeProjections, sized.IncludeAggViews = candOpts.IncludeProjections, candOpts.IncludeAggViews
-			candOpts = sized
-		}
+		candOpts := whatif.DefaultCandidateOptions()
+		candOpts.IncludeProjections = opts.CandidateOptions.IncludeProjections
+		candOpts.IncludeAggViews = opts.CandidateOptions.IncludeAggViews
 		cands = v.Session().GenerateCandidates(iw, candOpts)
 		// User-suggested candidates join (and may be pinned into) the search.
 		have := make(map[string]bool, len(cands))

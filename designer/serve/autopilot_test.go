@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -103,6 +105,36 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 		time.Sleep(50 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// TestAutopilotRefusesClientStatePath pins that a client cannot choose a
+// file on the server: a start body naming state_path — a fresh path, an
+// empty one or null — answers 400 invalid_request and starts nothing, so
+// the stop that follows has nothing to persist and the file never appears.
+func TestAutopilotRefusesClientStatePath(t *testing.T) {
+	base := start(t)
+	created := call(t, "POST", base+"/tuner", map[string]any{"epoch_length": 4}, http.StatusCreated)
+	apURL := base + "/tuners/" + created["id"].(string) + "/autopilot"
+	path := filepath.Join(t.TempDir(), "chosen-by-client.json")
+	quoted, _ := json.Marshal(path)
+	for _, body := range []string{
+		`{"state_path":` + string(quoted) + `}`,
+		`{"probation_epochs":2,"state_path":` + string(quoted) + `}`,
+		`{"state_path":""}`,
+		`{"state_path":null}`,
+	} {
+		if got, code := envelopeCall(t, "POST", apURL, body); got != http.StatusBadRequest || code != "invalid_request" {
+			t.Errorf("start with %s: %d %q, want 400 invalid_request", body, got, code)
+		}
+		if got, code := envelopeCall(t, "DELETE", apURL, ""); got != http.StatusNotFound || code != "autopilot_not_active" {
+			t.Errorf("stop after %s: %d %q, want 404 autopilot_not_active", body, got, code)
+		}
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("a client-named state file exists: %v", err)
+	}
+	// The route itself still works without the field.
+	call(t, "POST", apURL, map[string]any{"probation_epochs": 2}, http.StatusCreated)
 }
 
 // TestAutopilotLifecycleOverHTTP walks the full surface: start on the live

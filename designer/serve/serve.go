@@ -1354,10 +1354,10 @@ func autopilotStatusJSON(id string, st designer.AutopilotStatus, regret []design
 }
 
 // handleAutopilotStart upgrades the live tuner to autopilot supervision:
-// budgeted background builds, probation with rollback, regret tracking,
-// and (with state_path) crash-safe persistence. The supervisor starts from
-// the tuner's options but its own fresh learning state — or resumes from
-// the state file when one exists.
+// budgeted background builds, probation with rollback and regret tracking.
+// The supervisor starts from the tuner's options but its own fresh
+// learning state. Persistence is a deployment setting: only the operator
+// names a state file (StartAutopilot), so a body naming one is refused.
 func (s *Server) handleAutopilotStart(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		BuildBudgetPages int64   `json:"build_budget_pages,omitempty"`
@@ -1365,10 +1365,16 @@ func (s *Server) handleAutopilotStart(w http.ResponseWriter, r *http.Request) {
 		RollbackMargin   float64 `json:"rollback_margin,omitempty"`
 		CooldownEpochs   int     `json:"cooldown_epochs,omitempty"`
 		RegretCandidates int     `json:"regret_candidates,omitempty"`
-		StatePath        string  `json:"state_path,omitempty"`
+		// StatePath is read only to refuse it.
+		StatePath json.RawMessage `json:"state_path"`
 	}
 	if err := readJSON(r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, codeInvalidRequest, err)
+		return
+	}
+	if req.StatePath != nil {
+		writeError(w, http.StatusBadRequest, codeInvalidRequest,
+			errors.New("state_path is not a request field: the operator configures autopilot persistence (dbdesigner tune --server --state)"))
 		return
 	}
 	opts := designer.DefaultAutopilotOptions()
@@ -1387,7 +1393,6 @@ func (s *Server) handleAutopilotStart(w http.ResponseWriter, r *http.Request) {
 	if req.RegretCandidates > 0 {
 		opts.RegretCandidates = req.RegretCandidates
 	}
-	opts.StatePath = req.StatePath
 
 	s.tunerMu.Lock()
 	v, idErr := s.liveTuner(r.PathValue("id"))

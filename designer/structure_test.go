@@ -117,7 +117,6 @@ func TestWideAdvicePicksStructures(t *testing.T) {
 	w := aggWorkload(t, d)
 
 	opts := designer.AdviceOptions{Interactions: true}
-	opts.CandidateOptions = designer.DefaultCandidateOptions()
 	opts.CandidateOptions.IncludeAggViews = true
 	opts.CandidateOptions.IncludeProjections = true
 	advice, err := d.Advise(ctx, w, opts)

@@ -572,14 +572,11 @@ func (j JoinControl) internal() optimizer.Options {
 	}
 }
 
-// CandidateOptions tune automatic candidate-structure enumeration.
+// CandidateOptions widen automatic candidate-structure enumeration beyond
+// plain secondary indexes. The zero value is the default design space:
+// composite indexes up to three key columns plus covering indexes, at most
+// twelve candidates per table.
 type CandidateOptions struct {
-	// MaxPerTable caps candidates per table (by workload frequency).
-	MaxPerTable int
-	// MaxWidth caps composite index width.
-	MaxWidth int
-	// IncludeCovering adds covering candidates (key + projected columns).
-	IncludeCovering bool
 	// IncludeProjections widens the design space with covering-projection
 	// candidates (key prefix + INCLUDE payload). Off by default so
 	// plain-index advice stays bit-identical.
@@ -589,23 +586,12 @@ type CandidateOptions struct {
 	IncludeAggViews bool
 }
 
-// DefaultCandidateOptions returns the enumeration defaults.
-func DefaultCandidateOptions() CandidateOptions {
-	return CandidateOptions(whatif.DefaultCandidateOptions())
-}
-
-func (o CandidateOptions) internal() whatif.CandidateOptions { return whatif.CandidateOptions(o) }
-
-// SolverOptions configure a standalone CoPhy advisor run.
+// SolverOptions configure a standalone CoPhy advisor run. The zero value
+// solves to optimality with no storage budget.
 type SolverOptions struct {
 	// StorageBudgetPages caps the total estimated index footprint; 0 means
 	// unlimited.
 	StorageBudgetPages int64
-	// MaxIndexesPerQueryTable bounds how many candidate indexes per
-	// (query, table) slot enter atom enumeration.
-	MaxIndexesPerQueryTable int
-	// MaxAtomsPerQuery bounds plan atoms per query.
-	MaxAtomsPerQuery int
 	// NodeBudget caps branch-and-bound nodes (0 = solve to optimality).
 	NodeBudget int
 	// PinnedKeys forces candidates with these canonical keys into the
@@ -613,39 +599,19 @@ type SolverOptions struct {
 	PinnedKeys []string
 }
 
-// DefaultSolverOptions returns the CoPhy defaults.
-func DefaultSolverOptions() SolverOptions {
-	o := cophy.DefaultOptions()
-	return SolverOptions{
-		StorageBudgetPages:      o.StorageBudgetPages,
-		MaxIndexesPerQueryTable: o.MaxIndexesPerQueryTable,
-		MaxAtomsPerQuery:        o.MaxAtomsPerQuery,
-		NodeBudget:              o.NodeBudget,
-		PinnedKeys:              o.PinnedKeys,
-	}
-}
-
 func (o SolverOptions) internal() cophy.Options {
-	return cophy.Options{
-		StorageBudgetPages:      o.StorageBudgetPages,
-		MaxIndexesPerQueryTable: o.MaxIndexesPerQueryTable,
-		MaxAtomsPerQuery:        o.MaxAtomsPerQuery,
-		NodeBudget:              o.NodeBudget,
-		PinnedKeys:              append([]string(nil), o.PinnedKeys...),
-	}
+	out := cophy.DefaultOptions()
+	out.StorageBudgetPages = o.StorageBudgetPages
+	out.NodeBudget = o.NodeBudget
+	out.PinnedKeys = append([]string(nil), o.PinnedKeys...)
+	return out
 }
 
 // PartitionOptions tune the AutoPart partitioning search.
 type PartitionOptions struct {
-	// MinFragmentColumns merges any fragment smaller than this into its
-	// best partner at the end. 0 disables.
-	MinFragmentColumns int
 	// HorizontalFragments lists fragment counts to try per table (e.g.
 	// 4, 8, 16). Empty disables horizontal partitioning.
 	HorizontalFragments []int
-	// MinImprovement is the relative workload-cost gain a layout must
-	// achieve to be adopted.
-	MinImprovement float64
 }
 
 // DefaultPartitionOptions returns the AutoPart defaults.
@@ -654,9 +620,7 @@ func DefaultPartitionOptions() PartitionOptions {
 }
 
 func (o PartitionOptions) internal() autopart.Options {
-	out := autopart.Options(o)
-	out.HorizontalFragments = append([]int(nil), o.HorizontalFragments...)
-	return out
+	return autopart.Options{HorizontalFragments: append([]int(nil), o.HorizontalFragments...)}
 }
 
 // TunerOptions configure the COLT online tuner.
@@ -668,17 +632,12 @@ type TunerOptions struct {
 	SpaceBudgetPages int64
 	// WhatIfBudget is the maximum number of what-if costings per epoch.
 	WhatIfBudget int
-	// EWMAAlpha is the smoothing factor for per-candidate benefit.
-	EWMAAlpha float64
 	// AdoptThreshold is the minimum relative epoch-cost gain required to
 	// change the configuration.
 	AdoptThreshold float64
 	// AutoMaterialize applies proposed changes immediately; otherwise the
 	// tuner only alerts (the DBA decides, as the paper describes).
 	AutoMaterialize bool
-	// HotPromotionObservations is how many sightings move a candidate from
-	// cold to hot.
-	HotPromotionObservations int
 	// ChargeBuildCost makes adoption pay for materialization within
 	// BuildHorizonEpochs epochs — COLT's guard against thrashing.
 	ChargeBuildCost bool

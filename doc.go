@@ -23,7 +23,8 @@
 // with an INCLUDE payload, or a single-table aggregate materialized view
 // (the optimizer rewrites matching aggregate queries — including rollups
 // over key subsets — to MV scans). Projections and views are opt-in
-// (AdviceOptions.CandidateOptions) and advisory-only; with the flags off,
+// (the two AdviceOptions.CandidateOptions flags, whose zero value is the
+// default design space) and advisory-only; with the flags off,
 // candidate enumeration and advice are bit-identical to the index-only
 // designer. See README.md ("Design space"). All cost
 // estimation is unified behind repro/internal/engine: an Engine builds

@@ -32,25 +32,19 @@ import (
 
 // Options tune the partitioning search.
 type Options struct {
-	// MinFragmentColumns merges any fragment smaller than this into its
-	// best partner at the end (avoids silly one-column fragments unless
-	// they carry hot columns). 0 disables.
-	MinFragmentColumns int
 	// HorizontalFragments lists fragment counts to try per table (e.g.
 	// 4, 8, 16). Empty disables horizontal partitioning.
 	HorizontalFragments []int
-	// MinImprovement is the relative workload-cost gain a layout must
-	// achieve to be adopted (guards against noise-level wins).
-	MinImprovement float64
 }
 
 // DefaultOptions returns the advisor defaults.
 func DefaultOptions() Options {
-	return Options{
-		HorizontalFragments: []int{4, 8, 16},
-		MinImprovement:      0.01,
-	}
+	return Options{HorizontalFragments: []int{4, 8, 16}}
 }
+
+// minImprovement is the relative workload-cost gain a layout must achieve
+// to be adopted (guards against noise-level wins).
+const minImprovement = 0.01
 
 // TableResult reports the decision for one table.
 type TableResult struct {
@@ -132,7 +126,7 @@ func (a *Advisor) AdviseView(ctx context.Context, v *engine.View, w *workload.Wo
 		// --- Vertical. -----------------------------------------------------
 		frags := a.usageFragments(w, t)
 		if len(frags) >= 2 {
-			layout, improved, newCost, err := a.greedyMerge(t, frags, res.Config, cost, sweep, current, opts)
+			layout, improved, newCost, err := a.greedyMerge(t, frags, res.Config, cost, sweep, current)
 			if err != nil {
 				return nil, err
 			}
@@ -210,7 +204,7 @@ func (a *Advisor) greedyMerge(
 	cfg *catalog.Configuration,
 	cost func(*catalog.Configuration) (float64, error),
 	sweep func([]*catalog.Configuration) ([]float64, error),
-	current float64, opts Options,
+	current float64,
 ) (*catalog.VerticalLayout, bool, float64, error) {
 	layout := &catalog.VerticalLayout{Table: strings.ToLower(t.Name), Fragments: frags}
 	trial := cfg.Clone()
@@ -255,7 +249,7 @@ func (a *Advisor) greedyMerge(
 
 	// Adopt only when the final layout clears the improvement bar against
 	// the unpartitioned table.
-	if best < current*(1-opts.MinImprovement) && len(layout.Fragments) > 1 {
+	if best < current*(1-minImprovement) && len(layout.Fragments) > 1 {
 		return layout, true, best, nil
 	}
 	return nil, false, current, nil
@@ -332,7 +326,7 @@ func (a *Advisor) bestHorizontal(
 			bestLayout = layout
 		}
 	}
-	if bestLayout != nil && bestCost < current*(1-opts.MinImprovement) {
+	if bestLayout != nil && bestCost < current*(1-minImprovement) {
 		return bestLayout, true, bestCost, nil
 	}
 	return nil, false, current, nil

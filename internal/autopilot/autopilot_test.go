@@ -15,7 +15,7 @@ import (
 	"repro/internal/workload"
 )
 
-func newEngine(t *testing.T) *engine.Engine {
+func newEngine(t testing.TB) *engine.Engine {
 	t.Helper()
 	store, err := workload.Generate(workload.TinySize(), 101)
 	if err != nil {
@@ -26,7 +26,7 @@ func newEngine(t *testing.T) *engine.Engine {
 
 // stream builds a deterministic two-phase query stream where single-column
 // indexes genuinely help (same shape as the colt tests).
-func stream(t *testing.T, eng *engine.Engine, n int, phase2 bool) []workload.Query {
+func stream(t testing.TB, eng *engine.Engine, n int, phase2 bool) []workload.Query {
 	t.Helper()
 	var sqls []string
 	if !phase2 {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/catalog"
 	"repro/internal/colt"
 	"repro/internal/engine"
 	"repro/internal/sqlparse"
@@ -129,6 +130,9 @@ func (a *Autopilot) load(path string) (bool, error) {
 	if st.Version != stateVersion {
 		return false, fmt.Errorf("autopilot: state %s has version %d, want %d", path, st.Version, stateVersion)
 	}
+	if err := checkState(&st, a.eng.Schema()); err != nil {
+		return false, fmt.Errorf("autopilot: state %s: %w", path, err)
+	}
 
 	a.tuner = colt.Restore(a.eng, st.Tuner, a.opts.Colt)
 	a.tuner.OnAlert(func(al colt.Alert) { a.pendingAlerts = append(a.pendingAlerts, al) })
@@ -170,6 +174,59 @@ func (a *Autopilot) load(path string) (bool, error) {
 		a.window = append(a.window, workload.Query{ID: pq.ID, SQL: pq.SQL, Weight: pq.Weight, Stmt: stmt})
 	}
 	return true, nil
+}
+
+// maxWeight bounds a window query's weight, an execution count: float64
+// counts are exact up to 2^53, and a weight beyond it could overflow a
+// priced window to an infinite cost, which no state file can hold.
+const maxWeight = 1 << 53
+
+// checkState refuses a snapshot naming an index the engine's schema cannot
+// hold — an unknown table or column, no column at all — a candidate filed
+// under another index's key, or a window query whose weight is not a
+// positive count. A resumed supervisor prices and reports every one of
+// them, so each is checked before anything resumes.
+func checkState(st *persistedState, schema *catalog.Schema) error {
+	for i, ix := range st.Tuner.Current {
+		if err := checkIndex(ix, schema); err != nil {
+			return fmt.Errorf("tuner.current[%d]: %w", i, err)
+		}
+	}
+	for i, c := range st.Tuner.Candidates {
+		if err := checkIndex(c.Index, schema); err != nil {
+			return fmt.Errorf("tuner.candidates[%d]: %w", i, err)
+		}
+		if key := c.Index.Index().Key(); c.Key != key {
+			return fmt.Errorf("tuner.candidates[%d]: key %q is not its index's key %q", i, c.Key, key)
+		}
+	}
+	for i, b := range st.Builds {
+		if err := checkIndex(b.Index, schema); err != nil {
+			return fmt.Errorf("builds[%d]: %w", i, err)
+		}
+	}
+	for i, q := range st.Window {
+		if !(q.Weight > 0 && q.Weight <= maxWeight) {
+			return fmt.Errorf("window[%d]: weight %v is not a positive count", i, q.Weight)
+		}
+	}
+	return nil
+}
+
+func checkIndex(ix colt.IndexState, schema *catalog.Schema) error {
+	t := schema.Table(ix.Table)
+	if t == nil {
+		return fmt.Errorf("index on unknown table %q", ix.Table)
+	}
+	if len(ix.Columns) == 0 {
+		return fmt.Errorf("index on %s has no columns", ix.Table)
+	}
+	for _, c := range ix.Columns {
+		if !t.HasColumn(c) {
+			return fmt.Errorf("index on %s names unknown column %q", ix.Table, c)
+		}
+	}
+	return nil
 }
 
 // restoreBuild reconstructs a tracker and replays its completed pages.

@@ -84,12 +84,13 @@ func runINUMVsOptimizer(e *Env, spec Spec, x *Experiment) error {
 // must replay those costs exactly with no live engine behind it.
 func runBackendPortability(e *Env, spec Spec, x *Experiment) error {
 	ctx := context.Background()
-	// Unlimited budget: each backend keeps every index it finds beneficial.
-	// The claim under test is that both economies recognize the same
-	// beneficial structures — tight budgets instead test knapsack
-	// tie-breaking, where a 3.6x random-page-cost swing legitimately ranks
-	// marginal indexes differently.
-	gopts := greedy.Options{StorageBudgetPages: 0, BenefitPerPage: true}
+	// Every selection below runs at an unlimited budget (0): each backend
+	// keeps every index it finds beneficial. The claim under test is that
+	// both economies recognize the same beneficial structures — tight
+	// budgets instead test knapsack tie-breaking, where a 3.6x
+	// random-page-cost swing legitimately ranks marginal indexes
+	// differently.
+	//
 	// pinFresh builds an unshared, cold-cache engine over the Env's dataset
 	// on the given backend and pins its one generation.
 	pinFresh := func(backend engine.BackendSpec) (*engine.View, error) {
@@ -106,7 +107,7 @@ func runBackendPortability(e *Env, spec Spec, x *Experiment) error {
 	if err != nil {
 		return err
 	}
-	nres, err := greedy.Advise(ctx, native, e.Cands, e.W, gopts)
+	nres, err := greedy.Advise(ctx, native, e.Cands, e.W, 0)
 	if err != nil {
 		return err
 	}
@@ -117,7 +118,7 @@ func runBackendPortability(e *Env, spec Spec, x *Experiment) error {
 	if err != nil {
 		return err
 	}
-	cres, err := greedy.Advise(ctx, calib, e.Cands, e.W, gopts)
+	cres, err := greedy.Advise(ctx, calib, e.Cands, e.W, 0)
 	if err != nil {
 		return err
 	}
@@ -129,7 +130,7 @@ func runBackendPortability(e *Env, spec Spec, x *Experiment) error {
 	if err != nil {
 		return err
 	}
-	rres, err := greedy.Advise(ctx, replay, e.Cands, e.W, gopts)
+	rres, err := greedy.Advise(ctx, replay, e.Cands, e.W, 0)
 	if err != nil {
 		return fmt.Errorf("replaying the recorded native selection: %w", err)
 	}
@@ -333,8 +334,7 @@ func runCoPhyVsGreedy(e *Env, spec Spec, x *Experiment) error {
 		if err != nil {
 			return err
 		}
-		g, err := greedy.Advise(ctx, e.View, e.Cands, e.W,
-			greedy.Options{StorageBudgetPages: budget, BenefitPerPage: true})
+		g, err := greedy.Advise(ctx, e.View, e.Cands, e.W, budget)
 		if err != nil {
 			return err
 		}

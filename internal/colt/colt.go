@@ -39,17 +39,12 @@ type Options struct {
 	SpaceBudgetPages int64
 	// WhatIfBudget is the maximum number of what-if costings per epoch.
 	WhatIfBudget int
-	// EWMAAlpha is the smoothing factor for per-candidate benefit.
-	EWMAAlpha float64
 	// AdoptThreshold is the minimum relative epoch-cost gain required to
 	// change the configuration.
 	AdoptThreshold float64
 	// AutoMaterialize applies proposed changes immediately; otherwise the
 	// tuner only alerts (the DBA decides, as the paper describes).
 	AutoMaterialize bool
-	// HotPromotionObservations is how many sightings move a candidate from
-	// cold to hot.
-	HotPromotionObservations int
 	// ChargeBuildCost makes adoption pay for materialization: a new index
 	// is only adopted when its projected benefit over BuildHorizonEpochs
 	// epochs exceeds its estimated build cost. This is COLT's guard
@@ -62,14 +57,20 @@ type Options struct {
 // DefaultOptions returns the tuner defaults.
 func DefaultOptions() Options {
 	return Options{
-		EpochLength:              25,
-		WhatIfBudget:             200,
-		EWMAAlpha:                0.4,
-		AdoptThreshold:           0.02,
-		AutoMaterialize:          true,
-		HotPromotionObservations: 2,
+		EpochLength:     25,
+		WhatIfBudget:    200,
+		AdoptThreshold:  0.02,
+		AutoMaterialize: true,
 	}
 }
+
+const (
+	// ewmaAlpha is the smoothing factor for per-candidate benefit.
+	ewmaAlpha = 0.4
+	// hotPromotionObservations is how many sightings move a candidate from
+	// cold to hot.
+	hotPromotionObservations = 2
+)
 
 // Alert is the message COLT raises when a better configuration exists.
 type Alert struct {
@@ -146,12 +147,6 @@ type Tuner struct {
 func New(eng *engine.Engine, initial *catalog.Configuration, opts Options) *Tuner {
 	if opts.EpochLength <= 0 {
 		opts.EpochLength = 25
-	}
-	if opts.EWMAAlpha <= 0 || opts.EWMAAlpha > 1 {
-		opts.EWMAAlpha = 0.4
-	}
-	if opts.HotPromotionObservations <= 0 {
-		opts.HotPromotionObservations = 2
 	}
 	if initial == nil {
 		initial = catalog.NewConfiguration()
@@ -235,7 +230,7 @@ func (t *Tuner) Observe(ctx context.Context, q workload.Query) (float64, error) 
 		st.observations++
 		st.lastSeenEpoch = t.epoch
 		st.epochRelevant++
-		if !st.hot && st.observations >= t.opts.HotPromotionObservations {
+		if !st.hot && st.observations >= hotPromotionObservations {
 			st.hot = true
 		}
 		// Profile hot candidates against this query within budget. No
@@ -253,7 +248,7 @@ func (t *Tuner) Observe(ctx context.Context, q workload.Query) (float64, error) 
 			t.whatIfUsed++
 			st.measured = true
 			benefit := math.Max(curCost-withIx, 0) * q.Weight
-			st.ewmaBenefit = t.opts.EWMAAlpha*benefit + (1-t.opts.EWMAAlpha)*st.ewmaBenefit
+			st.ewmaBenefit = ewmaAlpha*benefit + (1-ewmaAlpha)*st.ewmaBenefit
 		}
 	}
 

@@ -147,7 +147,7 @@ func TestCoPhyAtLeastAsGoodAsGreedy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gres, err := greedy.Advise(context.Background(), f.v, f.cands, f.w, greedy.Options{StorageBudgetPages: budget, BenefitPerPage: true})
+		gres, err := greedy.Advise(context.Background(), f.v, f.cands, f.w, budget)
 		if err != nil {
 			t.Fatal(err)
 		}

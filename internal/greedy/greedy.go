@@ -1,6 +1,6 @@
 // Package greedy implements the DTA-style greedy index advisor that
 // commercial tools use (paper §1/§2): repeatedly add the candidate index
-// with the best benefit(-per-page) until the storage budget is exhausted or
+// with the best benefit per page until the storage budget is exhausted or
 // no candidate helps. It is the comparison baseline for CoPhy (experiment
 // E7) — greedy prunes the search space and can land in local optima, which
 // is exactly the deficiency the paper calls out.
@@ -23,15 +23,6 @@ import (
 	"repro/internal/workload"
 )
 
-// Options tune the greedy search.
-type Options struct {
-	// StorageBudgetPages caps the selected indexes' footprint; 0 = unlimited.
-	StorageBudgetPages int64
-	// BenefitPerPage ranks candidates by benefit/size instead of raw
-	// benefit (the usual knapsack heuristic).
-	BenefitPerPage bool
-}
-
 // Result is the greedy recommendation.
 type Result struct {
 	Indexes      []*catalog.Index
@@ -50,10 +41,13 @@ func (r *Result) Improvement() float64 {
 }
 
 // Advise runs the greedy loop over a candidate set against one pinned
-// engine generation. Every iteration prices the eligible candidates against
-// the current configuration in one parallel sweep; a cancelled context
-// aborts mid-sweep and returns ctx.Err().
-func Advise(ctx context.Context, v *engine.View, candidates []*catalog.Index, w *workload.Workload, opts Options) (*Result, error) {
+// engine generation, keeping the selected indexes' footprint within
+// budgetPages (0 = unlimited). Candidates are ranked by benefit per page,
+// the usual knapsack heuristic (an unsized candidate by its raw benefit).
+// Every iteration prices the eligible candidates against the current
+// configuration in one parallel sweep; a cancelled context aborts
+// mid-sweep and returns ctx.Err().
+func Advise(ctx context.Context, v *engine.View, candidates []*catalog.Index, w *workload.Workload, budgetPages int64) (*Result, error) {
 	if err := v.Prepare(ctx, w, nil); err != nil {
 		return nil, err
 	}
@@ -77,7 +71,7 @@ func Advise(ctx context.Context, v *engine.View, candidates []*catalog.Index, w 
 			if ix == nil {
 				continue
 			}
-			if opts.StorageBudgetPages > 0 && usedPages+ix.EstimatedPages > opts.StorageBudgetPages {
+			if budgetPages > 0 && usedPages+ix.EstimatedPages > budgetPages {
 				continue
 			}
 			elig = append(elig, i)
@@ -105,7 +99,7 @@ func Advise(ctx context.Context, v *engine.View, candidates []*catalog.Index, w 
 				continue
 			}
 			score := benefit
-			if opts.BenefitPerPage && ix.EstimatedPages > 0 {
+			if ix.EstimatedPages > 0 {
 				score = benefit / float64(ix.EstimatedPages)
 			}
 			if score > bestScore {

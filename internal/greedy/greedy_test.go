@@ -33,7 +33,7 @@ func fixture(t *testing.T, nQueries, maxCands int) (*engine.View, []*catalog.Ind
 
 func TestGreedyImproves(t *testing.T) {
 	v, cands, w := fixture(t, 12, 20)
-	res, err := greedy.Advise(context.Background(), v, cands, w, greedy.Options{})
+	res, err := greedy.Advise(context.Background(), v, cands, w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestGreedyRespectsBudget(t *testing.T) {
 		total += ix.EstimatedPages
 	}
 	budget := total / 4
-	res, err := greedy.Advise(context.Background(), v, cands, w, greedy.Options{StorageBudgetPages: budget, BenefitPerPage: true})
+	res, err := greedy.Advise(context.Background(), v, cands, w, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestGreedyRespectsBudget(t *testing.T) {
 func TestGreedyNeverWorseThanBaseline(t *testing.T) {
 	v, cands, w := fixture(t, 8, 10)
 	for _, budget := range []int64{0, 1, 100, 100000} {
-		res, err := greedy.Advise(context.Background(), v, cands, w, greedy.Options{StorageBudgetPages: budget})
+		res, err := greedy.Advise(context.Background(), v, cands, w, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func TestGreedyNeverWorseThanBaseline(t *testing.T) {
 
 func TestExhaustiveAtLeastAsGoodAsGreedy(t *testing.T) {
 	v, cands, w := fixture(t, 6, 8)
-	gres, err := greedy.Advise(context.Background(), v, cands, w, greedy.Options{})
+	gres, err := greedy.Advise(context.Background(), v, cands, w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,9 +11,6 @@ type MIPOptions struct {
 	// MaxNodes bounds the number of LP relaxations solved; 0 means
 	// unlimited. This is the execution-time/quality knob of E10.
 	MaxNodes int
-	// GapTolerance stops the search once the relative gap between the
-	// incumbent and the best bound falls below it.
-	GapTolerance float64
 	// WarmX optionally seeds the search with a known assignment (length
 	// NumVars) — typically the solution of a closely related prior solve.
 	// If it is feasible and binary-integral it becomes the initial
@@ -150,14 +147,6 @@ func SolveMIP(ctx context.Context, p *Problem, opts MIPOptions) *MIPSolution {
 		for v := 0.0; v <= 1; v++ {
 			heap.Push(queue, &bbNode{parent: node, v: branch, val: v, bound: obj})
 		}
-		// Optional early stop on gap.
-		if opts.GapTolerance > 0 && !math.IsInf(incumbent, 1) {
-			bound := bestBound(queue, incumbent)
-			if relGap(incumbent, bound) <= opts.GapTolerance {
-				out.Bound = bound
-				break
-			}
-		}
 	}
 
 	// Final bound: min over remaining open nodes (or incumbent if closed).
@@ -167,7 +156,7 @@ func SolveMIP(ctx context.Context, p *Problem, opts MIPOptions) *MIPSolution {
 	if incumbentX != nil {
 		out.X = incumbentX
 		out.Objective = incumbent
-		if queue.Len() == 0 || relGap(incumbent, finalBound) <= 1e-9 || (opts.GapTolerance > 0 && relGap(incumbent, finalBound) <= opts.GapTolerance) {
+		if queue.Len() == 0 || relGap(incumbent, finalBound) <= 1e-9 {
 			out.Status = StatusOptimal
 			out.Proven = true
 			out.Bound = incumbent
