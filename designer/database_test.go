@@ -82,6 +82,41 @@ func TestInsertValidation(t *testing.T) {
 	if err := d.Insert("t", nil, 2.5); err != nil {
 		t.Errorf("nil should insert as NULL: %v", err)
 	}
+	if err := d.Insert("t", "x", 2.5); err == nil {
+		t.Error("TEXT into a BIGINT column should fail")
+	}
+	if err := d.Insert("t", 3.5, 4); err != nil {
+		t.Errorf("a float into BIGINT and an int into DOUBLE should insert: %v", err)
+	}
+	if err := d.InsertRows("t", [][]any{{5, 6.0}, {7, "y"}}); err == nil || !strings.Contains(err.Error(), "row 1") {
+		t.Errorf("a bulk load with TEXT in a DOUBLE column should fail naming row 1, got %v", err)
+	}
+	s, err := designer.NewFromDDL("CREATE TABLE s (id BIGINT, name TEXT, PRIMARY KEY (id));")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Insert("s", 1, 2.5); err == nil {
+		t.Error("a number into a TEXT column should fail")
+	}
+	if err := s.Insert("s", 1, "x"); err != nil {
+		t.Errorf("TEXT into a TEXT column should insert: %v", err)
+	}
+	if got := tableRows(d, "t"); got != 2 {
+		t.Errorf("table t holds %d rows after the refusals, want 2", got)
+	}
+	if got := tableRows(s, "s"); got != 1 {
+		t.Errorf("table s holds %d rows after the refusals, want 1", got)
+	}
+}
+
+// tableRows returns the row count Describe reports for a table.
+func tableRows(d *designer.Designer, table string) int64 {
+	for _, ti := range d.Describe().Tables {
+		if ti.Name == table {
+			return ti.RowCount
+		}
+	}
+	return -1
 }
 
 func TestInsertRowsRefusesIndexedTable(t *testing.T) {

@@ -53,3 +53,32 @@ func TestTunerRetainsNoCostingState(t *testing.T) {
 	}
 	tuner.Close()
 }
+
+// TestStoreRetentionCeiling guards what an opened SDSS dataset keeps on the
+// heap: the store's column vectors (one kind byte and one 8-byte word a
+// value), the statistics and the schema. After OpenSDSS("small", 1) and two
+// GCs the heap holds 10.21 MiB more than before it, with or without -race;
+// the ceiling sits a tenth above. When the store kept a []catalog.Row a
+// table, 1,134,000 40-byte datums in per-row slices, the same reading was
+// 47.37 MiB.
+func TestStoreRetentionCeiling(t *testing.T) {
+	const ceilingMiB = 11.2
+	heap := func() float64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc)
+	}
+	before := heap()
+	d, err := designer.OpenSDSS("small", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grownMiB := (heap() - before) / (1 << 20)
+	runtime.KeepAlive(d)
+	t.Logf("an opened small SDSS dataset retains %.2f MiB, ceiling %.1f MiB", grownMiB, ceilingMiB)
+	if grownMiB > ceilingMiB {
+		t.Fatalf("an opened small SDSS dataset retains %.2f MiB, ceiling %.1f MiB", grownMiB, ceilingMiB)
+	}
+}

@@ -1,7 +1,7 @@
 // Package executor runs optimizer plans against the storage layer. It
 // exists for two reasons: the demo scenarios actually execute queries, and
 // the test suite validates the optimizer's cost model by comparing
-// estimated page I/O against the IOCounter charged here (DESIGN.md §4's
+// estimated page I/O against the IOCounter charged here (the
 // "estimated-vs-executed" check).
 package executor
 

@@ -98,6 +98,8 @@ func (ex *Executor) execSeqScan(n *optimizer.Node, io *storage.IOCounter) (*rowS
 	rs := tableSchema(h.Table)
 	var out []catalog.Row
 	var evalErr error
+	// The filter reads the scan's reused buffer; only emitted rows are
+	// copied out.
 	h.Scan(io, func(_ int64, r catalog.Row) bool {
 		ok, err := passesAll(n.Filter, rs, r)
 		if err != nil {
@@ -105,7 +107,7 @@ func (ex *Executor) execSeqScan(n *optimizer.Node, io *storage.IOCounter) (*rowS
 			return false
 		}
 		if ok {
-			out = append(out, r)
+			out = append(out, r.Clone())
 		}
 		return true
 	})

@@ -1,7 +1,7 @@
 // Package lp implements a bounded-variable two-phase primal simplex and a
 // best-bound branch-and-bound MIP layer on top of it. It is the stdlib-only
 // stand-in for the commercial "sophisticated and mature solver" CoPhy
-// delegates its binary program to (paper §1, §3.2.1; DESIGN.md §4).
+// delegates its binary program to (paper §1, §3.2.1).
 //
 // A variable's bounds — a binary's 0 <= x <= 1, a branch's fixing x = v —
 // are bounds, never rows: the tableau has one row per constraint. One

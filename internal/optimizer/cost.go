@@ -159,8 +159,8 @@ func (e *Env) geometry(ix *catalog.Index, ts *stats.TableStats) indexGeom {
 }
 
 // EstimateIndexLeafPages sizes a B-tree's leaf level from key widths and
-// row count; this is the sizing model the what-if layer publishes
-// (DESIGN.md: the §2 critique of size-zero hypothetical indexes).
+// row count; this is the sizing model the what-if layer publishes, so a
+// hypothetical index is never priced at size zero.
 func EstimateIndexLeafPages(t *catalog.Table, columns []string, rows int64) float64 {
 	keyWid := 12 // item pointer + alignment, matching storage.BuildIndex
 	for _, c := range columns {

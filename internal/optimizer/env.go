@@ -1,6 +1,6 @@
 // Package optimizer implements the cost-based query optimizer the designer
 // plans against — the stand-in for PostgreSQL's optimizer in the paper's
-// architecture (DESIGN.md §4). It performs selectivity estimation from
+// architecture (PAPER.md, "This reproduction"). It performs selectivity estimation from
 // statistics, single-table access-path selection (sequential, index, and
 // index-only scans, partition-aware), dynamic-programming join ordering
 // with nested-loop / hash / merge methods, and produces EXPLAIN-able plans

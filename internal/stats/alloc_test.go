@@ -21,13 +21,13 @@ import (
 func TestAnalyzeAllocationCeiling(t *testing.T) {
 	const ceilingKB = 10458
 	rng := rand.New(rand.NewSource(1))
-	rows := make([]catalog.Row, 100000)
-	for i := range rows {
-		rows[i] = catalog.Row{catalog.Int(rng.Int63n(5000))}
+	cols := make([]catalog.Vector, 1)
+	for range 100000 {
+		cols[0].Append(catalog.Int(rng.Int63n(5000)))
 	}
 	table := oneColTable()
 	analyze := func() {
-		if _, err := Analyze(table, rows, 8192); err != nil {
+		if _, err := Analyze(table, cols, 8192); err != nil {
 			t.Fatal(err)
 		}
 	}

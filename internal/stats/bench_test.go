@@ -12,14 +12,14 @@ import (
 func BenchmarkAnalyze100k(b *testing.B) {
 	b.ReportAllocs()
 	rng := rand.New(rand.NewSource(1))
-	rows := make([]catalog.Row, 100000)
-	for i := range rows {
-		rows[i] = catalog.Row{catalog.Int(rng.Int63n(5000))}
+	cols := make([]catalog.Vector, 1)
+	for range 100000 {
+		cols[0].Append(catalog.Int(rng.Int63n(5000)))
 	}
 	t := oneColTable()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Analyze(t, rows, 8192); err != nil {
+		if _, err := Analyze(t, cols, 8192); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -40,8 +40,8 @@ func BenchmarkHistogramLookup(b *testing.B) {
 }
 
 // BenchmarkAblationHistogramBuckets measures range-selectivity error as a
-// function of histogram resolution — the ablation DESIGN.md calls out for
-// the statistics substrate. The reported metric is the mean absolute error
+// function of histogram resolution, an ablation of the statistics
+// substrate. The reported metric is the mean absolute error
 // against ground truth over random ranges of a skewed distribution.
 func BenchmarkAblationHistogramBuckets(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))

@@ -128,6 +128,18 @@ func collectMCVsReference(sorted []catalog.Datum, totalRows int) []MCV {
 	return out
 }
 
+// ColumnsOf lays rows of the given width out as the column vectors Analyze
+// reads, so a test can hand the same rows to Analyze and AnalyzeReference.
+func ColumnsOf(rows []catalog.Row, width int) []catalog.Vector {
+	cols := make([]catalog.Vector, width)
+	for _, r := range rows {
+		for ci := range cols {
+			cols[ci].Append(r[ci])
+		}
+	}
+	return cols
+}
+
 // DiffTableStats describes the first difference between two TableStats,
 // or returns "" when they are equal field for field: datums by kind and
 // payload, floats by Float64bits.

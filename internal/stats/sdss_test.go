@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/stats"
+	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -90,7 +91,7 @@ func TestAnalyzeMatchesStableReference(t *testing.T) {
 					rows[i][c] = col.gen(rng)
 				}
 			}
-			got, err := stats.Analyze(table, rows, 8192)
+			got, err := stats.Analyze(table, stats.ColumnsOf(rows, len(twinColumns)), 8192)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,12 +106,22 @@ func TestAnalyzeMatchesStableReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, table := range store.Schema.Tables() {
-			want := stats.AnalyzeReference(table, store.Heap(table.Name).Rows(), 8192)
+			want := stats.AnalyzeReference(table, heapRows(store.Heap(table.Name)), 8192)
 			if d := stats.DiffTableStats(store.Stats.Table(table.Name), want); d != "" {
 				t.Fatalf("seed %d, %s: %s", seed, table.Name, d)
 			}
 		}
 	}
+}
+
+// heapRows reads a heap's rows back one by one, for the reference twin,
+// which takes rows.
+func heapRows(h *storage.Heap) []catalog.Row {
+	rows := make([]catalog.Row, h.RowCount())
+	for id := range rows {
+		rows[id] = h.Row(int64(id))
+	}
+	return rows
 }
 
 // TestAnalyzeIsWidthIndependent analyses the 48-column photoobj table on one
@@ -122,13 +133,13 @@ func TestAnalyzeIsWidthIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	table := store.Schema.Table("photoobj")
-	rows := store.Heap("photoobj").Rows()
+	cols := store.Heap("photoobj").Columns()
 	if len(table.Columns) != 48 {
 		t.Fatalf("photoobj has %d columns, want 48", len(table.Columns))
 	}
 	analyzeAt := func(procs int) *stats.TableStats {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		ts, err := stats.Analyze(table, rows, 8192)
+		ts, err := stats.Analyze(table, cols, 8192)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,11 +159,11 @@ func BenchmarkAnalyzePhotoObj(b *testing.B) {
 		b.Fatal(err)
 	}
 	table := store.Schema.Table("photoobj")
-	rows := store.Heap("photoobj").Rows()
+	cols := store.Heap("photoobj").Columns()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := stats.Analyze(table, rows, 8192); err != nil {
+		if _, err := stats.Analyze(table, cols, 8192); err != nil {
 			b.Fatal(err)
 		}
 	}

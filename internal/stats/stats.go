@@ -1,7 +1,7 @@
 // Package stats implements the statistics substrate the optimizer and the
 // what-if layer depend on: per-column equi-depth histograms, distinct-value
 // counts, null fractions, min/max, and physical-order correlation, plus the
-// ANALYZE pass that derives them from stored rows.
+// ANALYZE pass that derives them from a table's column vectors.
 //
 // The designer is only as good as the selectivity estimates underneath it
 // (the paper ports to "any relational DBMS which offers ... a way to extract
@@ -23,6 +23,7 @@ package stats
 import (
 	"cmp"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -190,16 +191,30 @@ func (c *Catalog) Table(name string) *TableStats { return c.Tables[lower(name)] 
 // Put registers table stats under the table name.
 func (c *Catalog) Put(name string, ts *TableStats) { c.Tables[lower(name)] = ts }
 
-// Analyze computes full statistics for a table's rows. pageSize is the heap
-// page capacity in bytes used to derive the page count. Columns are analysed
-// on min(GOMAXPROCS, columns) goroutines; each writes its own column's slot,
-// so the result does not depend on the width.
-func Analyze(t *catalog.Table, rows []catalog.Row, pageSize int) (*TableStats, error) {
+// Analyze computes full statistics for a table from its column vectors,
+// one a column in the table's order and all of one length. pageSize is the
+// heap page capacity in bytes used to derive the page count. Columns are
+// analysed on min(GOMAXPROCS, columns) goroutines; each writes its own
+// column's slot, so the result does not depend on the width.
+func Analyze(t *catalog.Table, cols []catalog.Vector, pageSize int) (*TableStats, error) {
 	if pageSize <= 0 {
 		return nil, errors.New("stats: pageSize must be positive")
 	}
+	if len(cols) != len(t.Columns) {
+		return nil, fmt.Errorf("stats: table %s has %d columns, got %d vectors", t.Name, len(t.Columns), len(cols))
+	}
+	n := 0
+	if len(cols) > 0 {
+		n = cols[0].Len()
+	}
+	for ci := range cols {
+		if cols[ci].Len() != n {
+			return nil, fmt.Errorf("stats: table %s column %s holds %d values, column %s %d",
+				t.Name, t.Columns[ci].Name, cols[ci].Len(), t.Columns[0].Name, n)
+		}
+	}
 	ts := &TableStats{
-		RowCount: int64(len(rows)),
+		RowCount: int64(n),
 		Columns:  make(map[string]*ColumnStats, len(t.Columns)),
 	}
 	rowsPerPage := pageSize / t.RowWidthBytes()
@@ -211,22 +226,22 @@ func Analyze(t *catalog.Table, rows []catalog.Row, pageSize int) (*TableStats, e
 		ts.Pages = 1
 	}
 
-	cols := make([]*ColumnStats, len(t.Columns))
+	out := make([]*ColumnStats, len(t.Columns))
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), len(cols)) {
+	for range min(runtime.GOMAXPROCS(0), len(out)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for ci := int(next.Add(1) - 1); ci < len(cols); ci = int(next.Add(1) - 1) {
-				cols[ci] = analyzeColumn(rows, ci)
+			for ci := int(next.Add(1) - 1); ci < len(out); ci = int(next.Add(1) - 1) {
+				out[ci] = analyzeColumn(&cols[ci])
 			}
 		}()
 	}
 	wg.Wait()
 	for ci, col := range t.Columns {
-		cols[ci].AvgWidth = col.WidthBytes()
-		ts.Columns[lower(col.Name)] = cols[ci]
+		out[ci].AvgWidth = col.WidthBytes()
+		ts.Columns[lower(col.Name)] = out[ci]
 	}
 	return ts, nil
 }
@@ -237,17 +252,17 @@ type posVal struct {
 	pos int
 }
 
-// analyzeColumn computes stats over one column position from one sort of
-// its non-null values, by value and then by position.
-func analyzeColumn(rows []catalog.Row, ci int) *ColumnStats {
+// analyzeColumn computes stats over one column from one sort of its
+// non-null values, by value and then by position.
+func analyzeColumn(col *catalog.Vector) *ColumnStats {
 	cs := &ColumnStats{}
-	n := len(rows)
+	n := col.Len()
 	if n == 0 {
 		return cs
 	}
 	vals := make([]posVal, 0, n)
-	for i, r := range rows {
-		if v := r[ci]; !v.IsNull() {
+	for i := range n {
+		if v := col.At(i); !v.IsNull() {
 			vals = append(vals, posVal{v: v, pos: i})
 		}
 	}

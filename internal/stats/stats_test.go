@@ -24,7 +24,7 @@ func oneColTable() *catalog.Table {
 
 func TestAnalyzeBasics(t *testing.T) {
 	rows := intRows(1, 2, 3, 4, 5, 5, 5, 8, 9, 10)
-	ts, err := Analyze(oneColTable(), rows, 8192)
+	ts, err := Analyze(oneColTable(), ColumnsOf(rows, 1), 8192)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestAnalyzeNulls(t *testing.T) {
 	rows := []catalog.Row{
 		{catalog.Int(1)}, {catalog.Null()}, {catalog.Int(2)}, {catalog.Null()},
 	}
-	ts, err := Analyze(oneColTable(), rows, 8192)
+	ts, err := Analyze(oneColTable(), ColumnsOf(rows, 1), 8192)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,14 +72,14 @@ func TestAnalyzeReverseSortedCorrelation(t *testing.T) {
 	for i := 100; i > 0; i-- {
 		rows = append(rows, catalog.Row{catalog.Int(int64(i))})
 	}
-	ts, _ := Analyze(oneColTable(), rows, 8192)
+	ts, _ := Analyze(oneColTable(), ColumnsOf(rows, 1), 8192)
 	if c := ts.Column("a").Correlation; c > -0.99 {
 		t.Errorf("Correlation = %f, want ~-1", c)
 	}
 }
 
 func TestAnalyzeEmptyTable(t *testing.T) {
-	ts, err := Analyze(oneColTable(), nil, 8192)
+	ts, err := Analyze(oneColTable(), ColumnsOf(nil, 1), 8192)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestAnalyzeEmptyTable(t *testing.T) {
 
 func TestEqSelectivity(t *testing.T) {
 	rows := intRows(1, 1, 2, 3, 4)
-	ts, _ := Analyze(oneColTable(), rows, 8192)
+	ts, _ := Analyze(oneColTable(), ColumnsOf(rows, 1), 8192)
 	cs := ts.Column("a")
 	// 1 is an MCV with frequency 0.4; the remaining 0.6 mass spreads over
 	// the 3 non-MCV distinct values.
@@ -120,7 +120,7 @@ func TestMCVCollection(t *testing.T) {
 	for i := int64(0); i < 10; i++ {
 		vals = append(vals, 100+i) // unique tail
 	}
-	ts, _ := Analyze(oneColTable(), intRows(vals...), 8192)
+	ts, _ := Analyze(oneColTable(), ColumnsOf(intRows(vals...), 1), 8192)
 	cs := ts.Column("a")
 	if len(cs.MCVs) < 2 {
 		t.Fatalf("MCVs = %v, want the two hot values", cs.MCVs)
@@ -144,7 +144,7 @@ func TestMCVUniformColumnHasNoMCVs(t *testing.T) {
 	// Two values with identical counts: no skew, so no MCV entries, and
 	// equality selectivity falls back to the uniform 1/NDV estimate.
 	rows := intRows(1, 1, 1, 2, 2, 2)
-	ts, _ := Analyze(oneColTable(), rows, 8192)
+	ts, _ := Analyze(oneColTable(), ColumnsOf(rows, 1), 8192)
 	cs := ts.Column("a")
 	if len(cs.MCVs) != 0 {
 		t.Fatalf("MCVs = %v, want none for a uniform column", cs.MCVs)
@@ -160,7 +160,7 @@ func TestMCVMassPlusRestIsBounded(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		vals = append(vals, rng.Int63n(20)) // skewed-ish small domain
 	}
-	ts, _ := Analyze(oneColTable(), intRows(vals...), 8192)
+	ts, _ := Analyze(oneColTable(), ColumnsOf(intRows(vals...), 1), 8192)
 	cs := ts.Column("a")
 	var mass float64
 	for _, m := range cs.MCVs {
@@ -184,7 +184,7 @@ func TestRangeSelectivityUniform(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		rows = append(rows, catalog.Row{catalog.Int(int64(i))})
 	}
-	ts, _ := Analyze(oneColTable(), rows, 8192)
+	ts, _ := Analyze(oneColTable(), ColumnsOf(rows, 1), 8192)
 	cs := ts.Column("a")
 	got := cs.RangeSelectivity(catalog.Int(250), catalog.Int(500))
 	if got < 0.2 || got > 0.3 {
@@ -291,7 +291,7 @@ func TestSyntheticStats(t *testing.T) {
 
 func TestRangeSelectivityInvertedBounds(t *testing.T) {
 	rows := intRows(1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
-	ts, _ := Analyze(oneColTable(), rows, 8192)
+	ts, _ := Analyze(oneColTable(), ColumnsOf(rows, 1), 8192)
 	cs := ts.Column("a")
 	if got := cs.RangeSelectivity(catalog.Int(8), catalog.Int(2)); got != 0 {
 		t.Errorf("inverted range sel = %f, want 0", got)
@@ -336,7 +336,7 @@ func TestAnalyzeOrdersNaN(t *testing.T) {
 	for _, v := range []float64{5, nan, 1, 3, nan, 3, nan, 1} {
 		rows = append(rows, catalog.Row{catalog.Float(v)})
 	}
-	ts, err := Analyze(oneColTable(), rows, 8192)
+	ts, err := Analyze(oneColTable(), ColumnsOf(rows, 1), 8192)
 	if err != nil {
 		t.Fatal(err)
 	}

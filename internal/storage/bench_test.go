@@ -11,11 +11,11 @@ func benchHeap(b *testing.B, n int) *Heap {
 	b.Helper()
 	h := NewHeap(numTable())
 	rng := rand.New(rand.NewSource(1))
-	rows := make([]catalog.Row, 0, n)
 	for i := 0; i < n; i++ {
-		rows = append(rows, catalog.Row{catalog.Int(rng.Int63n(int64(n))), catalog.Float(rng.Float64())})
+		if _, err := h.Insert(catalog.Row{catalog.Int(rng.Int63n(int64(n))), catalog.Float(rng.Float64())}); err != nil {
+			b.Fatal(err)
+		}
 	}
-	h.BulkLoad(rows)
 	return h
 }
 

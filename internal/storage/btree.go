@@ -99,15 +99,24 @@ func BuildIndex(name string, h *Heap, columns []string, buildIO *IOCounter) (*BT
 		keyWid += h.Table.Columns[ord].WidthBytes()
 	}
 
-	entries := make([]entry, 0, h.RowCount())
-	h.Scan(buildIO, func(id int64, r catalog.Row) bool {
-		k := make(Key, len(ords))
+	// The build reads the key columns' vectors and is charged the full
+	// heap scan a row store would make.
+	cols := h.Columns()
+	n := int(h.RowCount())
+	w := len(ords)
+	keys := make([]catalog.Datum, n*w)
+	entries := make([]entry, n)
+	for id := range entries {
+		k := Key(keys[id*w : (id+1)*w : (id+1)*w])
 		for i, o := range ords {
-			k[i] = r[o]
+			k[i] = cols[o].At(id)
 		}
-		entries = append(entries, entry{key: k, id: id})
-		return true
-	})
+		entries[id] = entry{key: k, id: int64(id)}
+	}
+	if buildIO != nil {
+		buildIO.SeqPages += h.Pages()
+		buildIO.TuplesRead += int64(n)
+	}
 	// Row ids are unique, so this is a total order and no stable sort is
 	// needed.
 	slices.SortFunc(entries, func(a, b entry) int {

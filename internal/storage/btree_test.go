@@ -67,9 +67,9 @@ func TestBTreeRangeScanMatchesReference(t *testing.T) {
 	// Reference: filter the heap directly.
 	lo, hi := int64(200), int64(400)
 	want := map[int64]int{}
-	for id, r := range h.Rows() {
-		if v := r[0].I; v >= lo && v <= hi {
-			want[int64(id)]++
+	for id := range h.RowCount() {
+		if v := h.Row(id)[0].I; v >= lo && v <= hi {
+			want[id]++
 		}
 	}
 	got := map[int64]int{}

@@ -1,9 +1,12 @@
-// Package storage implements the in-memory paged row store and B-tree index
-// the executor runs against. Pages are an accounting fiction (there is no
-// real disk), but every operator charges logical page reads through an
-// IOCounter, which is what lets the repository compare the optimizer's cost
-// estimates with "measured" I/O — the substitution for the paper's
-// PostgreSQL storage engine described in DESIGN.md §4.
+// Package storage implements the in-memory column store and B-tree index
+// the executor runs against. A table's heap keeps one typed vector a column
+// (catalog.Vector), and rows are built only as the executor reads them.
+// Pages are an accounting fiction (there is no real disk): they are counted
+// at the table's row width, as a row store lays tuples out, and every
+// operator charges logical page reads through an IOCounter, which is what
+// lets the repository compare the optimizer's cost estimates with
+// "measured" I/O — the substitution for the paper's PostgreSQL storage
+// engine (PAPER.md, "This reproduction").
 package storage
 
 import (
@@ -39,10 +42,15 @@ func (c *IOCounter) String() string {
 	return fmt.Sprintf("io{seq=%d rand=%d tuples=%d}", c.SeqPages, c.RandomPages, c.TuplesRead)
 }
 
-// Heap is an append-only paged row store for one table.
+// Heap is an append-only store for one table, one typed vector a column.
+// Rows exist only on the way in and out: Insert copies a row's values into
+// the vectors, Get and Row build a fresh row, and Scan fills one reused
+// buffer. Pages are counted at the table's row width, as a row store would
+// lay the tuples out, so every IOCounter charge is a row store's.
 type Heap struct {
 	Table       *catalog.Table
-	rows        []catalog.Row
+	cols        []catalog.Vector
+	rows        int
 	rowsPerPage int
 }
 
@@ -52,31 +60,74 @@ func NewHeap(t *catalog.Table) *Heap {
 	if rpp < 1 {
 		rpp = 1
 	}
-	return &Heap{Table: t, rowsPerPage: rpp}
+	return &Heap{Table: t, cols: make([]catalog.Vector, len(t.Columns)), rowsPerPage: rpp}
 }
 
 // Insert appends a row and returns its row id. The row must match the
-// table's column count.
+// table's column count, and each value its column's type: a TEXT value in
+// a numeric column or a number in a TEXT column is refused (an int in a
+// DOUBLE column, or a float in a BIGINT one, is kept as given). Nothing is
+// stored when the row is refused.
 func (h *Heap) Insert(r catalog.Row) (int64, error) {
-	if len(r) != len(h.Table.Columns) {
-		return 0, fmt.Errorf("storage: table %s expects %d columns, got %d",
-			h.Table.Name, len(h.Table.Columns), len(r))
+	if err := h.check(r); err != nil {
+		return 0, err
 	}
-	h.rows = append(h.rows, r)
-	return int64(len(h.rows) - 1), nil
+	return h.append(r), nil
 }
 
-// BulkLoad appends many rows without per-row validation (generator path).
-func (h *Heap) BulkLoad(rows []catalog.Row) {
-	h.rows = append(h.rows, rows...)
+// append stores a checked row and returns its row id.
+func (h *Heap) append(r catalog.Row) int64 {
+	for ci := range h.cols {
+		h.cols[ci].Append(r[ci])
+	}
+	h.rows++
+	return int64(h.rows - 1)
+}
+
+// check reports why the heap would refuse the row, or nil.
+func (h *Heap) check(r catalog.Row) error {
+	if len(r) != len(h.cols) {
+		return fmt.Errorf("storage: table %s expects %d columns, got %d",
+			h.Table.Name, len(h.cols), len(r))
+	}
+	for ci, col := range h.Table.Columns {
+		if !admits(col.Type, r[ci].Kind) {
+			return fmt.Errorf("storage: table %s column %s (%s) cannot hold %s",
+				h.Table.Name, col.Name, col.Type, r[ci])
+		}
+	}
+	return nil
+}
+
+// admits reports whether a column of the declared type stores a value of
+// the kind. NULL fits every column; an untyped column takes any value.
+func admits(col, v catalog.Kind) bool {
+	switch v {
+	case catalog.KindNull:
+		return true
+	case catalog.KindInt, catalog.KindFloat:
+		return col != catalog.KindString
+	case catalog.KindString:
+		return col != catalog.KindInt && col != catalog.KindFloat
+	default:
+		return false
+	}
+}
+
+// Grow makes room for n more rows, so a table loaded at a known size keeps
+// no spare capacity.
+func (h *Heap) Grow(n int) {
+	for ci := range h.cols {
+		h.cols[ci].Grow(n)
+	}
 }
 
 // RowCount returns the number of stored rows.
-func (h *Heap) RowCount() int64 { return int64(len(h.rows)) }
+func (h *Heap) RowCount() int64 { return int64(h.rows) }
 
 // Pages returns the heap footprint in pages.
 func (h *Heap) Pages() int64 {
-	n := int64(len(h.rows))
+	n := int64(h.rows)
 	if n == 0 {
 		return 1
 	}
@@ -90,7 +141,20 @@ func (h *Heap) Get(id int64, io *IOCounter) catalog.Row {
 		io.RandomPages++
 		io.TuplesRead++
 	}
-	return h.rows[id]
+	return h.Row(id)
+}
+
+// Row builds a fresh copy of one row without charging I/O.
+func (h *Heap) Row(id int64) catalog.Row {
+	return h.fill(make(catalog.Row, len(h.cols)), int(id))
+}
+
+// fill writes row i's values into r and returns it.
+func (h *Heap) fill(r catalog.Row, i int) catalog.Row {
+	for ci := range h.cols {
+		r[ci] = h.cols[ci].At(i)
+	}
+	return r
 }
 
 // PageOf returns the page number holding the row id.
@@ -98,10 +162,12 @@ func (h *Heap) PageOf(id int64) int64 { return id / int64(h.rowsPerPage) }
 
 // Scan iterates all rows in physical order, charging sequential page reads.
 // The callback may return false to stop early (pages read so far remain
-// charged).
+// charged). The row passed to fn is one buffer refilled for every row: it
+// is valid only during the call, and a caller that keeps a row clones it.
 func (h *Heap) Scan(io *IOCounter, fn func(id int64, r catalog.Row) bool) {
 	lastPage := int64(-1)
-	for i, r := range h.rows {
+	buf := make(catalog.Row, len(h.cols))
+	for i := 0; i < h.rows; i++ {
 		id := int64(i)
 		if io != nil {
 			if p := h.PageOf(id); p != lastPage {
@@ -110,15 +176,16 @@ func (h *Heap) Scan(io *IOCounter, fn func(id int64, r catalog.Row) bool) {
 			}
 			io.TuplesRead++
 		}
-		if !fn(id, r) {
+		if !fn(id, h.fill(buf, i)) {
 			return
 		}
 	}
-	if len(h.rows) == 0 && io != nil {
+	if h.rows == 0 && io != nil {
 		io.SeqPages++ // even an empty table costs one page visit
 	}
 }
 
-// Rows returns the underlying row slice (read-only contract; used by
-// ANALYZE and index builds which account their own costs).
-func (h *Heap) Rows() []catalog.Row { return h.rows }
+// Columns returns the column vectors, in the table's column order
+// (read-only contract; used by ANALYZE and index builds, which account
+// their own costs).
+func (h *Heap) Columns() []catalog.Vector { return h.cols }

@@ -36,13 +36,23 @@ func NewStore(schema *catalog.Schema) *Store {
 // Heap returns the heap for the named table, or nil.
 func (s *Store) Heap(table string) *Heap { return s.heaps[strings.ToLower(table)] }
 
-// Load bulk-loads rows into a table's heap.
+// Load bulk-loads rows into a table's heap without index maintenance. It
+// checks every row as Heap.Insert does before storing any, and refuses the
+// load naming the first bad row.
 func (s *Store) Load(table string, rows []catalog.Row) error {
 	h := s.Heap(table)
 	if h == nil {
 		return fmt.Errorf("storage: unknown table %q", table)
 	}
-	h.BulkLoad(rows)
+	for i, r := range rows {
+		if err := h.check(r); err != nil {
+			return fmt.Errorf("row %d: %w", i, err)
+		}
+	}
+	h.Grow(len(rows))
+	for _, r := range rows {
+		h.append(r)
+	}
 	return nil
 }
 
@@ -66,7 +76,7 @@ func (s *Store) Analyze(tables ...string) error {
 		if t == nil {
 			return fmt.Errorf("storage: unknown table %q", name)
 		}
-		ts, err := stats.Analyze(t, s.Heap(name).Rows(), PageSize)
+		ts, err := stats.Analyze(t, s.Heap(name).Columns(), PageSize)
 		if err != nil {
 			return err
 		}

@@ -23,27 +23,41 @@ var objTypeDist = []struct {
 // Generate builds a deterministic synthetic SDSS-like dataset of the given
 // size into a fresh store, and analyzes it.
 func Generate(size Size, seed int64) (*storage.Store, error) {
-	schema := Schema()
-	store := storage.NewStore(schema)
+	store := storage.NewStore(Schema())
 	rng := rand.New(rand.NewSource(seed))
-
-	if err := store.Load("field", genFields(rng, size.Field)); err != nil {
-		return nil, err
+	tables := []struct {
+		name string
+		n    int
+		row  func(row catalog.Row, i int) catalog.Row
+	}{
+		{"field", size.Field, fieldRow(rng)},
+		{"photoobj", size.PhotoObj, photoObjRow(rng, size.PhotoObj, size.Field)},
+		{"specobj", size.SpecObj, specObjRow(rng, size.PhotoObj)},
+		{"neighbors", size.Neighbors, neighborsRow(rng, size.PhotoObj)},
 	}
-	photoRows := genPhotoObj(rng, size.PhotoObj, size.Field, len(schema.Table("photoobj").Columns))
-	if err := store.Load("photoobj", photoRows); err != nil {
-		return nil, err
-	}
-	if err := store.Load("specobj", genSpecObj(rng, size.SpecObj, size.PhotoObj)); err != nil {
-		return nil, err
-	}
-	if err := store.Load("neighbors", genNeighbors(rng, size.Neighbors, size.PhotoObj)); err != nil {
-		return nil, err
+	for _, t := range tables {
+		if err := load(store.Heap(t.name), t.n, t.row); err != nil {
+			return nil, err
+		}
 	}
 	if err := store.Analyze(); err != nil {
 		return nil, err
 	}
 	return store, nil
+}
+
+// load inserts n generated rows into a heap. Each row is built in one
+// reused buffer, which the heap copies into its column vectors, so the
+// generator allocates no row per row.
+func load(h *storage.Heap, n int, gen func(row catalog.Row, i int) catalog.Row) error {
+	h.Grow(n)
+	buf := make(catalog.Row, 0, len(h.Table.Columns))
+	for i := 0; i < n; i++ {
+		if _, err := h.Insert(gen(buf[:0], i)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // pickType samples the skewed object-type distribution.
@@ -72,18 +86,16 @@ func gaussMag(rng *rand.Rand, mean, sigma float64) float64 {
 	return v
 }
 
-// genPhotoObj generates the wide photometric table. Rows are emitted in
-// objid order and objid increases with a sky stripe sweep, so objid and ra
-// have high physical correlation while dec and magnitudes do not — the
-// correlation structure index costing cares about. Each row is allocated at
-// its exact width, the table's column count: the store keeps the rows.
-func genPhotoObj(rng *rand.Rand, n, numFields, width int) []catalog.Row {
-	rows := make([]catalog.Row, 0, n)
+// photoObjRow generates the wide photometric table's rows. Rows are
+// emitted in objid order and objid increases with a sky stripe sweep, so
+// objid and ra have high physical correlation while dec and magnitudes do
+// not — the correlation structure index costing cares about.
+func photoObjRow(rng *rand.Rand, n, numFields int) func(catalog.Row, int) catalog.Row {
 	if numFields < 1 {
 		numFields = 1
 	}
 	offsets := []float64{1.8, 0.6, 0.0, -0.3, -0.5} // band offsets from r: u g r i z
-	for i := 0; i < n; i++ {
+	return func(row catalog.Row, i int) catalog.Row {
 		objid := int64(1_000_000 + i)
 		// Sweep RA as objid grows (stripes), jitter within the stripe.
 		ra := math.Mod(float64(i)/float64(n)*360+rng.Float64()*0.5, 360)
@@ -105,7 +117,7 @@ func genPhotoObj(rng *rand.Rand, n, numFields, width int) []catalog.Row {
 		}
 		rMag := gaussMag(rng, base, 1.8)
 
-		row := append(make(catalog.Row, 0, width),
+		row = append(row,
 			catalog.Int(objid),
 			catalog.Float(ra),
 			catalog.Float(dec),
@@ -133,23 +145,20 @@ func genPhotoObj(rng *rand.Rand, n, numFields, width int) []catalog.Row {
 				catalog.Float(0.5+rng.ExpFloat64()*2),        // petror50
 			)
 		}
-		row = append(row,
+		return append(row,
 			catalog.Float(rng.Float64()*1489),  // rowc
 			catalog.Float(rng.Float64()*2048),  // colc
 			catalog.Float(rng.Float64()*50),    // sky_r
 			catalog.Float(1+rng.Float64()*0.8), // airmass_r
 		)
-		rows = append(rows, row)
 	}
-	return rows
 }
 
-// genSpecObj generates spectra for a subset of photo objects.
-func genSpecObj(rng *rand.Rand, n, numPhoto int) []catalog.Row {
-	rows := make([]catalog.Row, 0, n)
-	for i := 0; i < n; i++ {
+// specObjRow generates spectra for a subset of photo objects.
+func specObjRow(rng *rand.Rand, numPhoto int) func(catalog.Row, int) catalog.Row {
+	return func(row catalog.Row, i int) catalog.Row {
 		specid := int64(5_000_000 + i)
-		best := int64(1_000_000 + rng.Intn(maxInt(numPhoto, 1)))
+		best := int64(1_000_000 + rng.Intn(max(numPhoto, 1)))
 		class := int64(0) // galaxy
 		r := rng.Float64()
 		var z float64
@@ -166,66 +175,54 @@ func genSpecObj(rng *rand.Rand, n, numPhoto int) []catalog.Row {
 		if z > 7 {
 			z = 7
 		}
-		rows = append(rows, catalog.Row{
+		return append(row,
 			catalog.Int(specid),
 			catalog.Int(best),
 			catalog.Float(z),
-			catalog.Float(0.0001 + rng.Float64()*0.001),
+			catalog.Float(0.0001+rng.Float64()*0.001),
 			catalog.Int(class),
 			catalog.Int(int64(rng.Intn(12))),
-			catalog.Int(int64(266 + rng.Intn(3000))),
-			catalog.Int(int64(51600 + rng.Intn(3000))),
-			catalog.Int(int64(1 + rng.Intn(640))),
-			catalog.Float(1 + rng.ExpFloat64()*8),
-			catalog.Float(rng.Float64() * 350),
-		})
+			catalog.Int(int64(266+rng.Intn(3000))),
+			catalog.Int(int64(51600+rng.Intn(3000))),
+			catalog.Int(int64(1+rng.Intn(640))),
+			catalog.Float(1+rng.ExpFloat64()*8),
+			catalog.Float(rng.Float64()*350),
+		)
 	}
-	return rows
 }
 
-// genNeighbors generates nearest-neighbor pairs with exponentially
+// neighborsRow generates nearest-neighbor pairs with exponentially
 // distributed separations (most neighbors are very close).
-func genNeighbors(rng *rand.Rand, n, numPhoto int) []catalog.Row {
-	rows := make([]catalog.Row, 0, n)
-	for i := 0; i < n; i++ {
-		a := int64(1_000_000 + rng.Intn(maxInt(numPhoto, 1)))
-		b := int64(1_000_000 + rng.Intn(maxInt(numPhoto, 1)))
-		rows = append(rows, catalog.Row{
+func neighborsRow(rng *rand.Rand, numPhoto int) func(catalog.Row, int) catalog.Row {
+	return func(row catalog.Row, _ int) catalog.Row {
+		a := int64(1_000_000 + rng.Intn(max(numPhoto, 1)))
+		b := int64(1_000_000 + rng.Intn(max(numPhoto, 1)))
+		return append(row,
 			catalog.Int(a),
 			catalog.Int(b),
-			catalog.Float(rng.ExpFloat64() * 0.1), // arcmin
+			catalog.Float(rng.ExpFloat64()*0.1), // arcmin
 			catalog.Int(pickType(rng)),
 			catalog.Int(pickType(rng)),
-		})
+		)
 	}
-	return rows
 }
 
-// genFields generates imaging fields with bounding boxes.
-func genFields(rng *rand.Rand, n int) []catalog.Row {
-	rows := make([]catalog.Row, 0, n)
-	for i := 0; i < n; i++ {
+// fieldRow generates imaging fields with bounding boxes.
+func fieldRow(rng *rand.Rand) func(catalog.Row, int) catalog.Row {
+	return func(row catalog.Row, i int) catalog.Row {
 		raMin := rng.Float64() * 359
 		decMin := -30 + rng.Float64()*60
-		rows = append(rows, catalog.Row{
+		return append(row,
 			catalog.Int(int64(i)),
-			catalog.Int(int64(100 + rng.Intn(20))),
-			catalog.Int(int64(1 + rng.Intn(6))),
-			catalog.Int(int64(11 + rng.Intn(800))),
+			catalog.Int(int64(100+rng.Intn(20))),
+			catalog.Int(int64(1+rng.Intn(6))),
+			catalog.Int(int64(11+rng.Intn(800))),
 			catalog.Float(raMin),
-			catalog.Float(raMin + 0.25),
+			catalog.Float(raMin+0.25),
 			catalog.Float(decMin),
-			catalog.Float(decMin + 0.25),
-			catalog.Int(int64(1 + rng.Intn(3))), // quality 1..3
-			catalog.Int(int64(51600 + rng.Intn(3000))),
-		})
+			catalog.Float(decMin+0.25),
+			catalog.Int(int64(1+rng.Intn(3))), // quality 1..3
+			catalog.Int(int64(51600+rng.Intn(3000))),
+		)
 	}
-	return rows
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

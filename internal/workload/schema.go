@@ -1,6 +1,7 @@
 // Package workload provides the SDSS-inspired synthetic database and query
 // workload used throughout the repository — the substitution for the real
-// Sloan Digital Sky Survey dataset the paper demonstrates on (DESIGN.md §4).
+// Sloan Digital Sky Survey dataset the paper demonstrates on (PAPER.md,
+// "This reproduction").
 //
 // The schema preserves the properties the designer's behaviour depends on:
 // a wide fact table (PhotoObj) that rewards vertical partitioning, sky

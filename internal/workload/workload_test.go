@@ -36,11 +36,10 @@ func TestGenerateDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra := a.Heap("photoobj").Rows()
-	rb := b.Heap("photoobj").Rows()
-	for i := range ra {
-		if ra[i].String() != rb[i].String() {
-			t.Fatalf("row %d differs across same-seed runs", i)
+	ha, hb := a.Heap("photoobj"), b.Heap("photoobj")
+	for id := range ha.RowCount() {
+		if ha.Row(id).String() != hb.Row(id).String() {
+			t.Fatalf("row %d differs across same-seed runs", id)
 		}
 	}
 }
@@ -181,9 +180,10 @@ func TestTemplateByName(t *testing.T) {
 	}
 }
 
-// TestGeneratedRowsHaveExactWidth checks that every generated row is
-// allocated at its table's width: the store keeps the rows, so spare
-// capacity would be retained for the life of the dataset.
+// TestGeneratedRowsHaveExactWidth checks that every generated row reads
+// back at its table's width, and that each of the table's column vectors
+// holds exactly one value a row: the generator builds its rows in one
+// reused buffer, so a row built past its table's columns shows here.
 func TestGeneratedRowsHaveExactWidth(t *testing.T) {
 	store, err := Generate(TinySize(), 3)
 	if err != nil {
@@ -191,9 +191,18 @@ func TestGeneratedRowsHaveExactWidth(t *testing.T) {
 	}
 	for _, table := range store.Schema.Tables() {
 		want := len(table.Columns)
-		for i, r := range store.Heap(table.Name).Rows() {
-			if len(r) != want || cap(r) != want {
-				t.Fatalf("%s row %d: len %d, cap %d, want both %d", table.Name, i, len(r), cap(r), want)
+		h := store.Heap(table.Name)
+		for id := range h.RowCount() {
+			if r := h.Row(id); len(r) != want || cap(r) != want {
+				t.Fatalf("%s row %d: len %d, cap %d, want both %d", table.Name, id, len(r), cap(r), want)
+			}
+		}
+		if cols := h.Columns(); len(cols) != want {
+			t.Fatalf("%s has %d column vectors, want %d", table.Name, len(cols), want)
+		}
+		for ci, col := range h.Columns() {
+			if int64(col.Len()) != h.RowCount() {
+				t.Fatalf("%s column %d holds %d values, want %d", table.Name, ci, col.Len(), h.RowCount())
 			}
 		}
 	}
