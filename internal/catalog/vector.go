@@ -1,6 +1,9 @@
 package catalog
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Vector is one column's values, stored by type rather than as datums: a
 // kind byte a value, and a 64-bit word holding the int64, the float64's
@@ -30,20 +33,11 @@ func (v *Vector) Append(d Datum) {
 	v.bits = append(v.bits, b)
 }
 
-// Grow makes room for n more values without reallocating, so a column
-// loaded at a known size keeps no spare capacity.
+// Grow makes room for n more values, so a column of known size is
+// allocated once.
 func (v *Vector) Grow(n int) {
-	v.kinds = growTo(v.kinds, n)
-	v.bits = growTo(v.bits, n)
-}
-
-func growTo[T any](s []T, n int) []T {
-	if cap(s)-len(s) >= n {
-		return s
-	}
-	out := make([]T, len(s), len(s)+n)
-	copy(out, s)
-	return out
+	v.kinds = slices.Grow(v.kinds, n)
+	v.bits = slices.Grow(v.bits, n)
 }
 
 // Len returns the number of values.

@@ -98,8 +98,7 @@ func (ex *Executor) execSeqScan(n *optimizer.Node, io *storage.IOCounter) (*rowS
 	rs := tableSchema(h.Table)
 	var out []catalog.Row
 	var evalErr error
-	// The filter reads the scan's reused buffer; only emitted rows are
-	// copied out.
+	// Filter the scan's reused buffer; copy out only the rows emitted.
 	h.Scan(io, func(_ int64, r catalog.Row) bool {
 		ok, err := passesAll(n.Filter, rs, r)
 		if err != nil {

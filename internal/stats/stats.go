@@ -209,8 +209,7 @@ func Analyze(t *catalog.Table, cols []catalog.Vector, pageSize int) (*TableStats
 	}
 	for ci := range cols {
 		if cols[ci].Len() != n {
-			return nil, fmt.Errorf("stats: table %s column %s holds %d values, column %s %d",
-				t.Name, t.Columns[ci].Name, cols[ci].Len(), t.Columns[0].Name, n)
+			return nil, fmt.Errorf("stats: table %s column %s holds %d values, not %d", t.Name, t.Columns[ci].Name, cols[ci].Len(), n)
 		}
 	}
 	ts := &TableStats{

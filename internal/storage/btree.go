@@ -99,8 +99,7 @@ func BuildIndex(name string, h *Heap, columns []string, buildIO *IOCounter) (*BT
 		keyWid += h.Table.Columns[ord].WidthBytes()
 	}
 
-	// The build reads the key columns' vectors and is charged the full
-	// heap scan a row store would make.
+	// Read the key columns' vectors; charge the heap scan a row store makes.
 	cols := h.Columns()
 	n := int(h.RowCount())
 	w := len(ords)

@@ -43,10 +43,9 @@ func (c *IOCounter) String() string {
 }
 
 // Heap is an append-only store for one table, one typed vector a column.
-// Rows exist only on the way in and out: Insert copies a row's values into
-// the vectors, Get and Row build a fresh row, and Scan fills one reused
-// buffer. Pages are counted at the table's row width, as a row store would
-// lay the tuples out, so every IOCounter charge is a row store's.
+// Insert copies a row into the vectors, Get and Row build a fresh row, and
+// Scan fills one reused buffer. Pages are counted at the table's row width,
+// so every IOCounter charge is a row store's.
 type Heap struct {
 	Table       *catalog.Table
 	cols        []catalog.Vector
@@ -64,10 +63,8 @@ func NewHeap(t *catalog.Table) *Heap {
 }
 
 // Insert appends a row and returns its row id. The row must match the
-// table's column count, and each value its column's type: a TEXT value in
-// a numeric column or a number in a TEXT column is refused (an int in a
-// DOUBLE column, or a float in a BIGINT one, is kept as given). Nothing is
-// stored when the row is refused.
+// table's column count and each value its column's type (admits); a refused
+// row stores nothing.
 func (h *Heap) Insert(r catalog.Row) (int64, error) {
 	if err := h.check(r); err != nil {
 		return 0, err
@@ -100,7 +97,8 @@ func (h *Heap) check(r catalog.Row) error {
 }
 
 // admits reports whether a column of the declared type stores a value of
-// the kind. NULL fits every column; an untyped column takes any value.
+// the kind: NULL fits any column, a number (int or float, kept as given)
+// any but a TEXT one, and TEXT a TEXT or an untyped column.
 func admits(col, v catalog.Kind) bool {
 	switch v {
 	case catalog.KindNull:
@@ -108,14 +106,12 @@ func admits(col, v catalog.Kind) bool {
 	case catalog.KindInt, catalog.KindFloat:
 		return col != catalog.KindString
 	case catalog.KindString:
-		return col != catalog.KindInt && col != catalog.KindFloat
-	default:
-		return false
+		return col == catalog.KindString || col == catalog.KindNull
 	}
+	return false
 }
 
-// Grow makes room for n more rows, so a table loaded at a known size keeps
-// no spare capacity.
+// Grow makes room for n more rows, so a table of known size is allocated once.
 func (h *Heap) Grow(n int) {
 	for ci := range h.cols {
 		h.cols[ci].Grow(n)
@@ -157,26 +153,21 @@ func (h *Heap) fill(r catalog.Row, i int) catalog.Row {
 	return r
 }
 
-// PageOf returns the page number holding the row id.
-func (h *Heap) PageOf(id int64) int64 { return id / int64(h.rowsPerPage) }
-
-// Scan iterates all rows in physical order, charging sequential page reads.
-// The callback may return false to stop early (pages read so far remain
-// charged). The row passed to fn is one buffer refilled for every row: it
-// is valid only during the call, and a caller that keeps a row clones it.
+// Scan iterates all rows in physical order, charging a sequential page
+// read as it enters each page. The callback may return false to stop early
+// (pages read so far remain charged). The row passed to fn is one buffer
+// refilled for every row: it is valid only during the call, and a caller
+// that keeps a row clones it.
 func (h *Heap) Scan(io *IOCounter, fn func(id int64, r catalog.Row) bool) {
-	lastPage := int64(-1)
 	buf := make(catalog.Row, len(h.cols))
-	for i := 0; i < h.rows; i++ {
-		id := int64(i)
+	for i := range h.rows {
 		if io != nil {
-			if p := h.PageOf(id); p != lastPage {
+			if i%h.rowsPerPage == 0 {
 				io.SeqPages++
-				lastPage = p
 			}
 			io.TuplesRead++
 		}
-		if !fn(id, h.fill(buf, i)) {
+		if !fn(int64(i), h.fill(buf, i)) {
 			return
 		}
 	}

@@ -37,8 +37,8 @@ func NewStore(schema *catalog.Schema) *Store {
 func (s *Store) Heap(table string) *Heap { return s.heaps[strings.ToLower(table)] }
 
 // Load bulk-loads rows into a table's heap without index maintenance. It
-// checks every row as Heap.Insert does before storing any, and refuses the
-// load naming the first bad row.
+// checks every row as Heap.Insert does before storing any, and names the
+// first bad row.
 func (s *Store) Load(table string, rows []catalog.Row) error {
 	h := s.Heap(table)
 	if h == nil {

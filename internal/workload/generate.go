@@ -46,9 +46,8 @@ func Generate(size Size, seed int64) (*storage.Store, error) {
 	return store, nil
 }
 
-// load inserts n generated rows into a heap. Each row is built in one
-// reused buffer, which the heap copies into its column vectors, so the
-// generator allocates no row per row.
+// load inserts n generated rows into a heap, building each in one reused
+// buffer that the heap copies into its column vectors.
 func load(h *storage.Heap, n int, gen func(row catalog.Row, i int) catalog.Row) error {
 	h.Grow(n)
 	buf := make(catalog.Row, 0, len(h.Table.Columns))
