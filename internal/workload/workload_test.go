@@ -182,8 +182,9 @@ func TestTemplateByName(t *testing.T) {
 
 // TestGeneratedRowsHaveExactWidth checks that every generated row reads
 // back at its table's width, and that each of the table's column vectors
-// holds exactly one value a row: the generator builds its rows in one
-// reused buffer, so a row built past its table's columns shows here.
+// holds exactly one value a row. The generator builds its rows in one
+// reused buffer; a row of the wrong width would make the heap refuse it
+// and Generate fail here.
 func TestGeneratedRowsHaveExactWidth(t *testing.T) {
 	store, err := Generate(TinySize(), 3)
 	if err != nil {
