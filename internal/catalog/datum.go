@@ -11,7 +11,9 @@
 package catalog
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -86,9 +88,13 @@ func (d Datum) AsFloat() float64 {
 // lexicographically. Comparing a string against a number orders by kind,
 // which is sufficient for the synthetic workloads in this repository.
 //
-// A float NaN follows PostgreSQL's float8 rule: it equals another NaN and is
-// greater than every other number, so Compare is a total order and a sort or
-// B-tree over a NaN-bearing column is well defined.
+// An int and a float compare exactly, as the numbers they are, never by
+// rounding the int to a float64: 2^53+1 is above the float 2^53, and 2^53
+// equals it. So Compare is a total order over numbers of both kinds, and
+// Compare-equal numbers are one value. (PostgreSQL keeps int8 and float8 in
+// separate btree operator families for the same reason: rounded, the order
+// is not transitive.) A float NaN follows PostgreSQL's float8 rule: it equals
+// another NaN and is greater than every other number.
 func (d Datum) Compare(o Datum) int {
 	if d.Kind == KindNull || o.Kind == KindNull {
 		switch {
@@ -104,19 +110,15 @@ func (d Datum) Compare(o Datum) int {
 	on := o.Kind == KindInt || o.Kind == KindFloat
 	switch {
 	case dn && on:
-		// Fast path: both integers compares exactly, avoiding float
-		// rounding for large int64 values.
-		if d.Kind == KindInt && o.Kind == KindInt {
-			switch {
-			case d.I < o.I:
-				return -1
-			case d.I > o.I:
-				return 1
-			default:
-				return 0
-			}
+		switch {
+		case d.Kind == KindInt && o.Kind == KindInt:
+			return cmp.Compare(d.I, o.I)
+		case d.Kind == KindInt:
+			return compareIntFloat(d.I, o.F)
+		case o.Kind == KindInt:
+			return -compareIntFloat(o.I, d.F)
 		}
-		a, b := d.AsFloat(), o.AsFloat()
+		a, b := d.F, o.F
 		switch {
 		case a < b:
 			return -1
@@ -139,6 +141,32 @@ func (d Datum) Compare(o Datum) int {
 		return 1
 	default:
 		return strings.Compare(d.S, o.S)
+	}
+}
+
+// compareIntFloat compares an int with a float exactly: by the float's
+// integer part, which any float inside the int64 range holds exactly, and
+// then by its fraction.
+func compareIntFloat(i int64, f float64) int {
+	switch {
+	case f != f:
+		return -1 // NaN is above every number
+	case f < -0x1p63:
+		return 1
+	case f >= 0x1p63:
+		return -1
+	}
+	t := math.Trunc(f)
+	if c := cmp.Compare(i, int64(t)); c != 0 {
+		return c
+	}
+	switch {
+	case f > t:
+		return -1
+	case f < t:
+		return 1
+	default:
+		return 0
 	}
 }
 

@@ -44,6 +44,55 @@ func TestDatumCompareLargeInts(t *testing.T) {
 	}
 }
 
+// TestDatumCompareIntFloatIsExact compares ints with floats as the numbers
+// they are. Rounding the int to a float64 made 2^53+1 equal the float 2^53,
+// which equals 2^53, while 2^53 < 2^53+1: not transitive, so a sort's
+// result depended on its path.
+func TestDatumCompareIntFloatIsExact(t *testing.T) {
+	const two53 = 1 << 53
+	for _, c := range []struct {
+		a, b Datum
+		want int
+	}{
+		{Int(two53 + 1), Float(two53), 1},
+		{Int(two53), Float(two53), 0},
+		{Int(two53 - 1), Float(two53), -1},
+		{Int(-two53 - 1), Float(-two53), -1},
+		{Int(math.MaxInt64), Float(0x1p63), -1},
+		{Int(math.MinInt64), Float(-0x1p63), 0},
+		{Int(math.MinInt64), Float(math.Nextafter(-0x1p63, math.Inf(-1))), 1},
+		{Int(math.MaxInt64), Float(math.Nextafter(0x1p63, 0)), 1},
+		{Int(0), Float(math.Copysign(0, -1)), 0},
+		{Int(2), Float(2.5), -1},
+		{Int(3), Float(2.5), 1},
+		{Int(-2), Float(-2.5), 1},
+		{Int(-3), Float(-2.5), -1},
+		{Int(math.MaxInt64), Float(math.Inf(1)), -1},
+		{Int(math.MinInt64), Float(math.Inf(-1)), 1},
+	} {
+		if got := c.a.Compare(c.b); got != c.want {
+			t.Errorf("Compare(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
+		}
+		if got := c.b.Compare(c.a); got != -c.want {
+			t.Errorf("Compare(%v, %v) = %d, want %d", c.b, c.a, got, -c.want)
+		}
+	}
+	var set []Datum
+	for k := int64(-3); k <= 3; k++ {
+		set = append(set, Int(two53+k), Float(float64(two53+k)), Int(-two53+k), Float(float64(-two53+k)))
+	}
+	set = append(set, Int(math.MaxInt64), Int(math.MinInt64), Float(0x1p63), Float(-0x1p63), Float(math.NaN()))
+	for _, a := range set {
+		for _, b := range set {
+			for _, c := range set {
+				if a.Compare(b) <= 0 && b.Compare(c) <= 0 && a.Compare(c) > 0 {
+					t.Errorf("Compare is not transitive over %v <= %v <= %v", a, b, c)
+				}
+			}
+		}
+	}
+}
+
 func randDatum(rng *rand.Rand) Datum {
 	switch rng.Intn(4) {
 	case 0:

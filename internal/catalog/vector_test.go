@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"encoding/binary"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -122,26 +123,34 @@ func corpusColumns() map[string][]Datum {
 	}
 }
 
-// TestFuzzCorpusHoldsItsColumns keeps the committed corpus what its names
-// say: each file holds encodeDatums' output for its named column, so a
-// change to the byte format fails here instead of quietly emptying the
-// corpus of its cases.
+// TestFuzzCorpusHoldsItsColumns keeps the committed corpora what their
+// names say: each file holds encodeDatums' output for its named column
+// (FuzzVectorRoundTrip's corpusColumns; FuzzVectorSort's, those and
+// sortCorpusColumns), so a change to the byte format fails here instead of
+// quietly emptying a corpus of its cases.
 func TestFuzzCorpusHoldsItsColumns(t *testing.T) {
-	for name, vals := range corpusColumns() {
-		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzVectorRoundTrip", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		literal, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
-		if !ok {
-			t.Fatalf("%s: not a one-value []byte corpus file", name)
-		}
-		got, err := strconv.Unquote(strings.TrimSuffix(literal, ")"))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if want := encodeDatums(vals); got != string(want) {
-			t.Errorf("%s: corpus file holds %q, encodeDatums gives %q", name, got, want)
+	sortColumns := corpusColumns()
+	maps.Copy(sortColumns, sortCorpusColumns())
+	for target, columns := range map[string]map[string][]Datum{
+		"FuzzVectorRoundTrip": corpusColumns(),
+		"FuzzVectorSort":      sortColumns,
+	} {
+		for name, vals := range columns {
+			raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", target, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			literal, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+			if !ok {
+				t.Fatalf("%s/%s: not a one-value []byte corpus file", target, name)
+			}
+			got, err := strconv.Unquote(strings.TrimSuffix(literal, ")"))
+			if err != nil {
+				t.Fatalf("%s/%s: %v", target, name, err)
+			}
+			if want := encodeDatums(vals); got != string(want) {
+				t.Errorf("%s/%s: corpus file holds %q, encodeDatums gives %q", target, name, got, want)
+			}
 		}
 	}
 }

@@ -25,7 +25,12 @@ func (h *Histogram) Buckets() int {
 // BuildEquiDepth builds a histogram from values already sorted ascending.
 // It returns nil when there are fewer than two values.
 func BuildEquiDepth(sorted []catalog.Datum, buckets int) *Histogram {
-	n := len(sorted)
+	return equiDepth(len(sorted), buckets, func(i int) catalog.Datum { return sorted[i] })
+}
+
+// equiDepth builds a histogram over n sorted values, reading only the
+// bounds it keeps: at(i) is the i-th smallest value.
+func equiDepth(n, buckets int, at func(int) catalog.Datum) *Histogram {
 	if n < 2 || buckets < 1 {
 		return nil
 	}
@@ -34,8 +39,7 @@ func BuildEquiDepth(sorted []catalog.Datum, buckets int) *Histogram {
 	}
 	bounds := make([]catalog.Datum, buckets+1)
 	for i := 0; i <= buckets; i++ {
-		idx := i * (n - 1) / buckets
-		bounds[i] = sorted[idx]
+		bounds[i] = at(i * (n - 1) / buckets)
 	}
 	return &Histogram{Bounds: bounds}
 }

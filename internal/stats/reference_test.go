@@ -79,6 +79,16 @@ func analyzeColumnReference(rows []catalog.Row, ci int) *ColumnStats {
 	return cs
 }
 
+// canonDatum collapses numerically equal int/float datums for the
+// reference's distinct count.
+func canonDatum(v catalog.Datum) catalog.Datum {
+	if v.Kind == catalog.KindFloat && v.F == math.Trunc(v.F) &&
+		v.F >= math.MinInt64 && v.F <= math.MaxInt64 {
+		return catalog.Int(int64(v.F))
+	}
+	return v
+}
+
 func collectMCVsReference(sorted []catalog.Datum, totalRows int) []MCV {
 	if len(sorted) == 0 || totalRows == 0 {
 		return nil

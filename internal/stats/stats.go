@@ -7,17 +7,20 @@
 // (the paper ports to "any relational DBMS which offers ... a way to extract
 // and create statistics"); this package is that portability surface.
 //
-// ANALYZE sorts each column's non-null (value, position) pairs once, in
-// place, by catalog.Datum.Compare and then by row position. The pairs are
-// gathered in position order, so this is the permutation a stable sort by
-// value gives, and every statistic is read off it: Min and Max, the
-// histogram bounds, the MCVs, the correlation, and the distinct count, one
-// per run of equal values (an int and a float that agree only as float64,
-// beyond 2^53, still count apart). Compare follows PostgreSQL's float8 rule
-// for NaN: a NaN equals a NaN and is greater than every other number, so
-// the sort is total and a column's NaNs count as one distinct value. A
+// ANALYZE sorts each column's non-null row positions once, by order key
+// (catalog.Vector.Sort: one uint64 a value whose order is
+// catalog.Datum.Compare's, radix-sorted), and reads every statistic off the
+// sorted keys: the distinct count, one per run of equal keys, the MCVs and
+// the correlation. It builds a datum only for what it keeps: Min and Max,
+// the histogram bounds and the MCVs. The positions are gathered in
+// ascending order and the sort is stable, so the permutation is the one a
+// stable sort by value gives. Compare is exact between ints and floats and
+// follows PostgreSQL's float8 rule for NaN (a NaN equals a NaN and is
+// greater than every other number), so it is a total order, a run of equal
+// keys is one value, and a column's NaNs count as one distinct value. A
 // table's columns are analysed on min(GOMAXPROCS, columns) goroutines, each
-// writing its own column's slot, so the result does not depend on the width.
+// writing its own column's slot, so the result does not depend on the
+// width.
 package stats
 
 import (
@@ -245,149 +248,79 @@ func Analyze(t *catalog.Table, cols []catalog.Vector, pageSize int) (*TableStats
 	return ts, nil
 }
 
-// posVal is one non-null value of a column and its row position.
-type posVal struct {
-	v   catalog.Datum
-	pos int
-}
-
 // analyzeColumn computes stats over one column from one sort of its
-// non-null values, by value and then by position.
+// non-null positions, by value and then by position.
 func analyzeColumn(col *catalog.Vector) *ColumnStats {
 	cs := &ColumnStats{}
 	n := col.Len()
 	if n == 0 {
 		return cs
 	}
-	vals := make([]posVal, 0, n)
+	pos := make([]int, 0, n)
 	for i := range n {
-		if v := col.At(i); !v.IsNull() {
-			vals = append(vals, posVal{v: v, pos: i})
+		if !col.IsNull(i) {
+			pos = append(pos, i)
 		}
 	}
-	cs.NullFrac = float64(n-len(vals)) / float64(n)
-	if len(vals) == 0 {
+	cs.NullFrac = float64(n-len(pos)) / float64(n)
+	if len(pos) == 0 {
 		return cs
 	}
-	slices.SortFunc(vals, func(a, b posVal) int {
-		if c := a.v.Compare(b.v); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.pos, b.pos)
-	})
-	cs.Min, cs.Max = vals[0].v, vals[len(vals)-1].v
-
-	ordered := make([]catalog.Datum, len(vals))
-	positions := make([]int, len(vals))
-	for i, pv := range vals {
-		ordered[i] = pv.v
-		positions[i] = pv.pos
+	keys := col.Sort(pos)
+	at := func(i int) catalog.Datum { return col.At(pos[i]) }
+	cs.Min, cs.Max = at(0), at(len(pos)-1)
+	for start := 0; start < len(keys); start = runEnd(keys, start) {
+		cs.NDV++
 	}
-	runs, ndv := countRuns(ordered)
-	cs.NDV = ndv
-	cs.MCVs = collectMCVs(ordered, runs, n)
-	cs.Hist = BuildEquiDepth(ordered, DefaultBuckets)
+	cs.MCVs = collectMCVs(keys, cs.NDV, n, at)
+	cs.Hist = equiDepth(len(pos), DefaultBuckets, at)
 	// Correlation: Pearson correlation between physical position and value
 	// rank, the same quantity PostgreSQL stores in pg_statistic.
-	cs.Correlation = positionRankCorrelation(positions)
+	cs.Correlation = positionRankCorrelation(pos)
 	return cs
 }
 
-// countRuns counts the runs of equal values in a sorted column and its
-// distinct values. A run is one distinct value unless canonDatum tells its
-// members apart.
-func countRuns(sorted []catalog.Datum) (runs int, ndv int64) {
-	for start, end := 0, 0; start < len(sorted); start = end {
-		end = runEnd(sorted, start)
-		runs++
-		ndv += runDistinct(sorted[start:end])
-	}
-	return runs, ndv
-}
-
-// runEnd returns the end of the run of values equal to sorted[start].
-func runEnd(sorted []catalog.Datum, start int) int {
+// runEnd returns the end of the run of keys equal to sorted[start].
+func runEnd(sorted []uint64, start int) int {
 	end := start + 1
-	for end < len(sorted) && sorted[end].Equal(sorted[start]) {
+	for end < len(sorted) && sorted[end] == sorted[start] {
 		end++
 	}
 	return end
 }
 
-// runDistinct counts the distinct values in a run of Compare-equal datums.
-// Such datums differ only as canonical ints: an int and a float that agree
-// as float64 but not as integers (beyond 2^53). A run of strings, of
-// fractional floats or of NaNs is one value.
-func runDistinct(run []catalog.Datum) int64 {
-	first := canonDatum(run[0])
-	if first.Kind != catalog.KindInt {
-		return 1
-	}
-	var seen map[int64]struct{}
-	for _, v := range run[1:] {
-		c := canonDatum(v)
-		if seen == nil {
-			if c.I == first.I {
-				continue
-			}
-			seen = map[int64]struct{}{first.I: {}}
-		}
-		seen[c.I] = struct{}{}
-	}
-	if seen == nil {
-		return 1
-	}
-	return int64(len(seen))
-}
-
-// collectMCVs extracts the most common values from the sorted value list,
-// which holds runs runs of equal values. A value qualifies when it appears
-// clearly more often than average (at least twice, and at least 1.25x the
-// mean frequency) — PostgreSQL's analyze heuristic in miniature.
-func collectMCVs(sorted []catalog.Datum, runs, totalRows int) []MCV {
-	if len(sorted) == 0 || totalRows == 0 {
-		return nil
-	}
-	meanCount := float64(len(sorted)) / float64(runs)
-	threshold := meanCount * 1.25
-	if threshold < 2 {
-		threshold = 2
-	}
-	type run struct {
-		v     catalog.Datum
-		count int
-	}
+// collectMCVs extracts the most common values from a column's sorted order
+// keys, which hold ndv runs of equal values; at(i) is the value at sorted
+// index i. A value qualifies when it appears clearly more often than
+// average (at least twice, and at least 1.25x the mean frequency) —
+// PostgreSQL's analyze heuristic in miniature.
+func collectMCVs(sorted []uint64, ndv int64, totalRows int, at func(int) catalog.Datum) []MCV {
+	meanCount := float64(len(sorted)) / float64(ndv)
+	threshold := max(meanCount*1.25, 2)
+	type run struct{ start, count int }
 	var qualified []run
 	for start, end := 0, 0; start < len(sorted); start = end {
 		end = runEnd(sorted, start)
 		if float64(end-start) >= threshold {
-			qualified = append(qualified, run{v: sorted[start], count: end - start})
+			qualified = append(qualified, run{start: start, count: end - start})
 		}
 	}
-	// Runs hold distinct values, so (count, value) is a total order.
+	// Runs are distinct values in ascending order, so ordering ties by where
+	// a run starts orders them by value.
 	slices.SortFunc(qualified, func(a, b run) int {
 		if c := cmp.Compare(b.count, a.count); c != 0 {
 			return c
 		}
-		return a.v.Compare(b.v)
+		return cmp.Compare(a.start, b.start)
 	})
 	if len(qualified) > MaxMCVs {
 		qualified = qualified[:MaxMCVs]
 	}
 	out := make([]MCV, len(qualified))
 	for i, r := range qualified {
-		out[i] = MCV{Value: r.v, Freq: float64(r.count) / float64(totalRows)}
+		out[i] = MCV{Value: at(r.start), Freq: float64(r.count) / float64(totalRows)}
 	}
 	return out
-}
-
-// canonDatum collapses numerically equal int/float datums for NDV counting.
-func canonDatum(v catalog.Datum) catalog.Datum {
-	if v.Kind == catalog.KindFloat && v.F == math.Trunc(v.F) &&
-		v.F >= math.MinInt64 && v.F <= math.MaxInt64 {
-		return catalog.Int(int64(v.F))
-	}
-	return v
 }
 
 // positionRankCorrelation computes the Pearson correlation between the

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -87,6 +86,13 @@ type BTree struct {
 // The returned index is marked materialized (Hypothetical=false) and carries
 // measured page/height figures. buildIO, when non-nil, is charged the build
 // cost: one full heap scan plus writing every leaf page.
+//
+// The leaves hold the entries in key order, equal keys by row id. Row ids
+// are sorted one key column at a time, last to first, each pass stable:
+// NULLs first in their own partition (an int column's order key has no
+// value to spare for them), then the rest by catalog.Vector.Sort, a radix
+// sort on a 64-bit order key a value. A datum is built only for the keys
+// the tree stores.
 func BuildIndex(name string, h *Heap, columns []string, buildIO *IOCounter) (*BTree, error) {
 	ords := make([]int, len(columns))
 	keyWid := 12 // per-entry overhead: item pointer + alignment
@@ -102,28 +108,28 @@ func BuildIndex(name string, h *Heap, columns []string, buildIO *IOCounter) (*BT
 	// Read the key columns' vectors; charge the heap scan a row store makes.
 	cols := h.Columns()
 	n := int(h.RowCount())
-	w := len(ords)
-	keys := make([]catalog.Datum, n*w)
-	entries := make([]entry, n)
-	for id := range entries {
-		k := Key(keys[id*w : (id+1)*w : (id+1)*w])
-		for i, o := range ords {
-			k[i] = cols[o].At(id)
-		}
-		entries[id] = entry{key: k, id: int64(id)}
-	}
 	if buildIO != nil {
 		buildIO.SeqPages += h.Pages()
 		buildIO.TuplesRead += int64(n)
 	}
-	// Row ids are unique, so this is a total order and no stable sort is
-	// needed.
-	slices.SortFunc(entries, func(a, b entry) int {
-		if c := a.key.FullCompare(b.key); c != 0 {
-			return c
+	ids := make([]int, n)
+	for id := range ids {
+		ids[id] = id
+	}
+	for i := len(ords) - 1; i >= 0; i-- {
+		col := &cols[ords[i]]
+		col.Sort(ids[nullsFirst(col, ids):])
+	}
+	w := len(ords)
+	keys := make([]catalog.Datum, n*w)
+	entries := make([]entry, n)
+	for j, id := range ids {
+		k := Key(keys[j*w : (j+1)*w : (j+1)*w])
+		for i, o := range ords {
+			k[i] = cols[o].At(id)
 		}
-		return cmp.Compare(a.id, b.id)
-	})
+		entries[j] = entry{key: k, id: int64(id)}
+	}
 
 	bt := &BTree{
 		Meta: &catalog.Index{
@@ -145,6 +151,27 @@ func BuildIndex(name string, h *Heap, columns []string, buildIO *IOCounter) (*BT
 	return bt, nil
 }
 
+// nullsFirst moves the ids of col's NULLs to the front of ids, keeping the
+// order of both parts, and returns how many there are.
+func nullsFirst(col *catalog.Vector, ids []int) int {
+	first := slices.IndexFunc(ids, col.IsNull)
+	if first < 0 {
+		return 0
+	}
+	rest := append(make([]int, 0, len(ids)), ids[:first]...)
+	nulls := 0
+	for _, id := range ids[first:] {
+		if col.IsNull(id) {
+			ids[nulls] = id
+			nulls++
+		} else {
+			rest = append(rest, id)
+		}
+	}
+	copy(ids[nulls:], rest)
+	return nulls
+}
+
 // bulkBuild constructs the tree bottom-up from sorted entries.
 func (bt *BTree) bulkBuild(entries []entry) *node {
 	if len(entries) == 0 {
@@ -157,7 +184,9 @@ func (bt *BTree) bulkBuild(entries []entry) *node {
 		if end > len(entries) {
 			end = len(entries)
 		}
-		leaves = append(leaves, &node{leaf: true, entries: append([]entry(nil), entries[start:end]...)})
+		// Capped, so an Insert into the leaf reallocates instead of writing
+		// over the next leaf's entries.
+		leaves = append(leaves, &node{leaf: true, entries: entries[start:end:end]})
 	}
 	for i := 0; i+1 < len(leaves); i++ {
 		leaves[i].next = leaves[i+1]

@@ -3,6 +3,7 @@ package storage
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -111,5 +112,59 @@ func TestBuildIndexOverNaNFindsEveryRow(t *testing.T) {
 	}
 	if len(got) != want {
 		t.Fatalf("range scan [5, 9] found %d rows, want %d", len(got), want)
+	}
+}
+
+// TestIndexFindsWhatAScanFinds builds an index over a DOUBLE column that
+// holds ints beyond 2^53 beside floats, and holds every point scan of it to
+// a filtered heap scan. When Compare rounded an int to a float64 it was not
+// transitive there (2^53+1 equalled the float 2^53, which equals 2^53, yet
+// 2^53 < 2^53+1), so the leaf order depended on the sort's path and a
+// point scan for 2^53 found none of the two rows a heap scan finds.
+func TestIndexFindsWhatAScanFinds(t *testing.T) {
+	const two53 = 1 << 53
+	h := NewHeap(numTable())
+	insert := func(b catalog.Datum) {
+		if _, err := h.Insert(catalog.Row{catalog.Int(h.RowCount()), b}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, b := range []catalog.Datum{catalog.Int(two53 + 1), catalog.Float(two53), catalog.Int(two53)} {
+		insert(b)
+	}
+	rng := rand.New(rand.NewSource(8))
+	for range 2000 {
+		if x := int64(two53 + rng.Intn(9) - 4); rng.Intn(2) == 0 {
+			insert(catalog.Int(x))
+		} else {
+			insert(catalog.Float(float64(x)))
+		}
+	}
+	bt, err := BuildIndex("i", h, []string{"b"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bt.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for id := range h.RowCount() {
+		probe := h.Row(id)[1]
+		var want, got []int64
+		h.Scan(nil, func(id int64, r catalog.Row) bool {
+			if r[1].Equal(probe) {
+				want = append(want, id)
+			}
+			return true
+		})
+		bt.Scan(Key{probe}, Key{probe}, nil, func(_ Key, id int64) bool {
+			got = append(got, id)
+			return true
+		})
+		if id == 2 && (len(want) < 2 || want[0] != 1 || want[1] != 2) {
+			t.Fatalf("heap scan for %v finds rows %v, want 1 and 2 first", probe, want)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("index scan for %v finds rows %v, heap scan %v", probe, got, want)
+		}
 	}
 }
