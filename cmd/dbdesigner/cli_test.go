@@ -19,7 +19,7 @@ import (
 )
 
 // captureStdout runs fn with os.Stdout redirected to a pipe and returns
-// what it printed (cmdGenerate/cmdCompare write straight to os.Stdout).
+// what it printed (cmdGenerate/cmdInteractions write straight to os.Stdout).
 func captureStdout(t *testing.T, fn func() error) string {
 	t.Helper()
 	old := os.Stdout
@@ -73,20 +73,25 @@ func TestCmdGenerateEmitWorkload(t *testing.T) {
 	}
 }
 
-func TestCmdCompareSmoke(t *testing.T) {
-	args := []string{"--size", "tiny", "--seed", "1", "--queries", "8"}
-	out1 := captureStdout(t, func() error { return cmdCompare(args) })
-	out2 := captureStdout(t, func() error { return cmdCompare(args) })
-	if out1 != out2 {
-		t.Fatalf("compare output not deterministic under fixed seed:\n%s\nvs\n%s", out1, out2)
-	}
-	if !strings.Contains(out1, "budget(pages)") {
-		t.Errorf("missing header:\n%s", out1)
-	}
-	// Four budget fractions → four data rows.
-	lines := strings.Split(strings.TrimSpace(out1), "\n")
-	if len(lines) != 5 {
-		t.Errorf("got %d lines, want header + 4 budget rows:\n%s", len(lines), out1)
+// TestCmdInteractionsOutputPinned pins `dbdesigner interactions --size
+// tiny --seed 1` to its committed bytes: the rendering of Advice.Graph
+// over the advised indexes.
+func TestCmdInteractionsOutputPinned(t *testing.T) {
+	const want = `interaction graph over 7 advised indexes (top 10 edges):
+photoobj(fieldid)                        ~ photoobj(type,fieldid)                   doi=0.0650
+photoobj(dec,objid,ra)                   ~ photoobj(ra)                             doi=0.0222
+
+stable subsets (doi >= 0.05 connects):
+  1: neighbors(distance,neighborobjid,objid)
+  2: photoobj(dec,objid,ra)
+  3: photoobj(psfmag_r,camcol,run)
+  4: photoobj(ra)
+  5: photoobj(fieldid), photoobj(type,fieldid)
+  6: photoobj(type,psfmag_r)
+`
+	got := captureStdout(t, func() error { return cmdInteractions([]string{"--size", "tiny", "--seed", "1"}) })
+	if got != want {
+		t.Fatalf("interactions output moved:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -17,8 +17,9 @@
 //	interactions  render the index-interaction graph (Figure 2)
 //	partition     automatic partition suggestion panel (Figure 3)
 //	explain       plan one query under the current design
-//	compare       CoPhy vs greedy baseline across storage budgets
 //	bench         run the experiment harness, emit BENCH_<label>.json
+//	              (--experiments cophy_vs_greedy: CoPhy vs greedy and the
+//	              exhaustive optimum across storage budgets)
 //	generate      describe the synthetic SDSS dataset
 //	import        snapshot a live PostgreSQL database and import its workload
 //	apply         advise on a live workload and apply the result to the server
@@ -68,8 +69,6 @@ func main() {
 		err = cmdPartition(args)
 	case "explain":
 		err = cmdExplain(args)
-	case "compare":
-		err = cmdCompare(args)
 	case "bench":
 		err = cmdBench(args, os.Stdout, os.Stderr)
 	case "generate":
@@ -103,8 +102,9 @@ Commands:
   interactions  render the index-interaction graph (Figure 2)
   partition     automatic partition suggestion panel (Figure 3)
   explain       plan one query under the current design
-  compare       CoPhy vs greedy baseline across storage budgets
   bench         run the experiment harness, emit BENCH_<label>.json
+                (--experiments cophy_vs_greedy: CoPhy vs greedy and the
+                exhaustive optimum across storage budgets)
   generate      describe the synthetic SDSS dataset
   import        snapshot a live PostgreSQL database and import its workload
   apply         advise on a live workload and apply the result to the server

@@ -245,7 +245,7 @@ func cmdInteractions(args []string) error {
 	if err != nil {
 		return err
 	}
-	advice, err := d.Advise(ctx, w, designer.AdviceOptions{})
+	advice, err := d.Advise(ctx, w, designer.AdviceOptions{Interactions: true})
 	if err != nil {
 		return err
 	}
@@ -253,10 +253,7 @@ func cmdInteractions(args []string) error {
 		fmt.Println("fewer than two advised indexes; nothing to interact")
 		return nil
 	}
-	g, err := d.Interactions(ctx, w, advice.Indexes)
-	if err != nil {
-		return err
-	}
+	g := advice.Graph
 	switch {
 	case *dot:
 		fmt.Print(g.DOT(*topK))
@@ -307,52 +304,6 @@ func cmdExplain(args []string) error {
 		return err
 	}
 	fmt.Print(plan)
-	return df.finish(d)
-}
-
-// cmdCompare sweeps storage budgets comparing CoPhy against greedy (E7).
-func cmdCompare(args []string) error {
-	fs := flag.NewFlagSet("compare", flag.ExitOnError)
-	df := commonFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	ctx := context.Background()
-	d, err := df.open()
-	if err != nil {
-		return err
-	}
-	w, err := d.GenerateWorkload(*df.seed+1, *df.queries)
-	if err != nil {
-		return err
-	}
-	// Determine the total candidate footprint for budget fractions.
-	probe, err := d.AdviseCoPhy(ctx, w, designer.SolverOptions{})
-	if err != nil {
-		return err
-	}
-	var total int64
-	for _, ix := range probe.Indexes {
-		total += ix.EstimatedPages
-	}
-	if total == 0 {
-		total = 1000
-	}
-	fmt.Println("budget(pages)  cophy-cost  cophy-gap  greedy-cost  cophy-wins-by")
-	for _, frac := range []float64{0.25, 0.5, 0.75, 1.0} {
-		budget := int64(float64(total) * frac)
-		cres, err := d.AdviseCoPhy(ctx, w, designer.SolverOptions{StorageBudgetPages: budget})
-		if err != nil {
-			return err
-		}
-		gres, err := d.AdviseGreedy(ctx, w, budget)
-		if err != nil {
-			return err
-		}
-		winBy := (gres.Objective - cres.Objective) / gres.Objective * 100
-		fmt.Printf("%13d  %10.1f  %8.2f%%  %11.1f  %12.2f%%\n",
-			budget, cres.Objective, cres.Gap()*100, gres.Objective, winBy)
-	}
 	return df.finish(d)
 }
 

@@ -40,7 +40,7 @@ func runTune(args []string, ctl *serveControl) error {
 	probation := fs.Int("probation", 0, "probation window in epochs (0 = default)")
 	margin := fs.Float64("margin", 0, "rollback margin: allowed shortfall vs the what-if promise (0 = default)")
 	cooldown := fs.Int("cooldown", 0, "epochs a rolled-back index stays suppressed (0 = default)")
-	regretCandidates := fs.Int("regret-candidates", 0, "oracle candidate cap for regret tracking (0 = default)")
+	regretCandidates := fs.Int("regret-candidates", 0, "oracle candidate cap for regret tracking (0 = default, at most 14)")
 	server := fs.Bool("server", false, "serve the design API with the autopilot running instead of tuning locally")
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address for --server (host:0 for an ephemeral port)")
 	grace := fs.Duration("grace", 10*time.Second, "graceful-shutdown timeout for --server")

@@ -39,6 +39,16 @@ func TestCmdOnlineBadWorkloadFile(t *testing.T) {
 	}
 }
 
+// TestCmdTuneRefusesRegretCandidatesOverCap: the regret oracle enumerates
+// 2^k subsets an epoch, so a --regret-candidates above its cap fails the
+// command, naming the cap.
+func TestCmdTuneRefusesRegretCandidatesOverCap(t *testing.T) {
+	err := runTune([]string{"--size", "tiny", "--seed", "1", "--per-phase", "5", "--regret-candidates", "1000"}, nil)
+	if err == nil || !strings.Contains(err.Error(), "at most 14") {
+		t.Fatalf("tune --regret-candidates 1000: err = %v, want a refusal naming the cap", err)
+	}
+}
+
 // TestCmdOnlineWorkloadFile drives scenario 3 from a SQL script instead of
 // the generated drift stream.
 func TestCmdOnlineWorkloadFile(t *testing.T) {

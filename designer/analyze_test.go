@@ -60,22 +60,3 @@ func TestCompressWorkload(t *testing.T) {
 		t.Fatalf("total weight changed: %f vs %f", c.TotalWeight(), w.TotalWeight())
 	}
 }
-
-func TestDiffIndexes(t *testing.T) {
-	d := open(t)
-	ixA, err := d.HypotheticalIndex("photoobj", "ra")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ixB, err := d.HypotheticalIndex("photoobj", "dec")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diff := designer.DiffIndexes([]designer.Index{ixA}, []designer.Index{ixB})
-	if len(diff.AddedIndexes) != 1 || diff.AddedIndexes[0].Key() != "photoobj(dec)" {
-		t.Fatalf("added = %v", diff.AddedIndexes)
-	}
-	if len(diff.DroppedIndexes) != 1 || diff.DroppedIndexes[0].Key() != "photoobj(ra)" {
-		t.Fatalf("dropped = %v", diff.DroppedIndexes)
-	}
-}

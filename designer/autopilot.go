@@ -24,7 +24,8 @@ type AutopilotOptions struct {
 	// (default 5).
 	CooldownEpochs int
 	// RegretCandidates caps the exhaustive oracle's candidate set (default
-	// 8; 0 disables regret tracking).
+	// 8; 0 disables regret tracking). The oracle enumerates 2^k subsets an
+	// epoch, so NewAutopilot refuses more than 14.
 	RegretCandidates int
 	// StatePath enables persistence: the supervisor snapshots its full
 	// state there at every epoch boundary (and on Save/Close), and resumes

@@ -10,12 +10,12 @@ import (
 )
 
 // TestCoPhyCancellation is the regression test for context plumbing: a
-// cancelled or deadlined context must abort a large CoPhy run — candidate
-// pricing sweeps and the branch-and-bound — promptly, returning ctx.Err(),
-// instead of running to completion and reporting the context error after
-// the fact.
+// cancelled or deadlined context must abort a large Advise — candidate
+// pricing sweeps and CoPhy's branch-and-bound — promptly, returning
+// ctx.Err(), instead of running to completion and reporting the context
+// error after the fact.
 func TestCoPhyCancellation(t *testing.T) {
-	mk := func(t *testing.T) (*designer.Designer, *designer.Workload, designer.SolverOptions) {
+	mk := func(t *testing.T) (*designer.Designer, *designer.Workload, designer.AdviceOptions) {
 		t.Helper()
 		d, err := designer.OpenSDSS("small", 77)
 		if err != nil {
@@ -28,14 +28,14 @@ func TestCoPhyCancellation(t *testing.T) {
 		// A large workload under a tight storage budget forces real
 		// knapsack branching: tens of branch-and-bound nodes, with most of
 		// the wall-clock inside the solver rather than atom pricing.
-		return d, w, designer.SolverOptions{StorageBudgetPages: 200}
+		return d, w, designer.AdviceOptions{StorageBudgetPages: 200}
 	}
 
 	// Probe: how long the full run takes on a cold designer. This anchors
 	// the promptness bound below, so the test scales with the machine.
 	dProbe, wProbe, opts := mk(t)
 	start := time.Now()
-	if _, err := dProbe.AdviseCoPhy(context.Background(), wProbe, opts); err != nil {
+	if _, err := dProbe.Advise(context.Background(), wProbe, opts); err != nil {
 		t.Fatal(err)
 	}
 	full := time.Since(start)
@@ -51,7 +51,7 @@ func TestCoPhyCancellation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
 	start = time.Now()
-	_, err := dDead.AdviseCoPhy(ctx, wDead, opts)
+	_, err := dDead.Advise(ctx, wDead, opts)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("deadlined advise returned %v, want context.DeadlineExceeded", err)
@@ -66,7 +66,7 @@ func TestCoPhyCancellation(t *testing.T) {
 	cctx, ccancel := context.WithCancel(context.Background())
 	ccancel()
 	start = time.Now()
-	if _, err := dDead.AdviseCoPhy(cctx, wDead, opts); !errors.Is(err, context.Canceled) {
+	if _, err := dDead.Advise(cctx, wDead, opts); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled advise returned %v, want context.Canceled", err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
@@ -84,9 +84,6 @@ func TestCancellationAcrossEntryPoints(t *testing.T) {
 
 	if _, err := d.Advise(ctx, w, designer.AdviceOptions{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("Advise: %v", err)
-	}
-	if _, err := d.AdviseGreedy(ctx, w, 0); !errors.Is(err, context.Canceled) {
-		t.Errorf("AdviseGreedy: %v", err)
 	}
 	if _, err := d.AdvisePartitions(ctx, w, designer.DefaultPartitionOptions()); !errors.Is(err, context.Canceled) {
 		t.Errorf("AdvisePartitions: %v", err)
@@ -113,5 +110,8 @@ func TestCancellationAcrossEntryPoints(t *testing.T) {
 	s := d.NewDesignSession()
 	if _, err := s.Evaluate(ctx, w); !errors.Is(err, context.Canceled) {
 		t.Errorf("DesignSession.Evaluate: %v", err)
+	}
+	if _, err := s.Advise(ctx, w, designer.AdviceOptions{Interactions: true}); !errors.Is(err, context.Canceled) {
+		t.Errorf("DesignSession.Advise: %v", err)
 	}
 }

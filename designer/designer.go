@@ -7,11 +7,22 @@
 // This is the v2 facade: every exported signature speaks only
 // designer-owned types — no internal/... type appears anywhere on the
 // public surface (the api_hygiene test enforces it) — and every
-// long-running entry point (Advise, AdviseCoPhy, AdviseGreedy, Evaluate,
-// Materialize, the online tuner) takes a context.Context as its first
-// argument. Cancellation is honored deep inside the costing engine's
-// parallel sweeps and the CoPhy branch-and-bound, so a cancelled context
-// aborts mid-sweep, not after.
+// long-running entry point (Advise, AdvisePartitions, Evaluate,
+// Materialize, the online tuner and the autopilot, a design session's
+// Evaluate, Advise, ReAdvise and InteractionGraph) takes a
+// context.Context as its first argument. Cancellation is honored deep
+// inside the costing engine's parallel sweeps and the CoPhy
+// branch-and-bound, so a cancelled context aborts mid-sweep, not after.
+//
+// One design question has one entry point: Advise answers it, and every
+// panel of the answer — CoPhy's solution and gap, AutoPart's partitions,
+// the benefit report, the interaction graph and the schedule — is a field
+// of the Advice it returns. AdvisePartitions asks a different question
+// (partitions over the current design, Figure 3). The baselines the
+// paper's experiments compare against (DTA-style greedy, the exhaustive
+// optimum, the interaction-oblivious schedule) are not entry points:
+// `dbdesigner bench --experiments cophy_vs_greedy,interaction_schedule`
+// reproduces those comparisons.
 //
 // Typical use:
 //
@@ -36,15 +47,10 @@ import (
 
 	"repro/internal/autopart"
 	"repro/internal/catalog"
-	"repro/internal/cophy"
 	"repro/internal/engine"
 	"repro/internal/executor"
-	"repro/internal/greedy"
-	"repro/internal/interaction"
-	"repro/internal/schedule"
 	"repro/internal/sqlparse"
 	"repro/internal/storage"
-	"repro/internal/whatif"
 	"repro/internal/workload"
 )
 
@@ -412,30 +418,6 @@ func (d *Designer) NewOnlineTuner(opts TunerOptions) *Tuner {
 	return &Tuner{t: newColtTuner(d.eng, d.eng.Pin().Base(), opts)}
 }
 
-// AdviseGreedy runs the DTA-style greedy baseline over the same candidate
-// set CoPhy would use — the comparison the paper's introduction draws.
-func (d *Designer) AdviseGreedy(ctx context.Context, w *Workload, budgetPages int64) (*GreedyResult, error) {
-	iw, v := w.internal(), d.eng.Pin()
-	cands := v.Session().GenerateCandidates(iw, whatif.DefaultCandidateOptions())
-	res, err := greedy.Advise(ctx, v, cands, iw, budgetPages)
-	if err != nil {
-		return nil, err
-	}
-	return greedyResultFromInternal(res), nil
-}
-
-// AdviseCoPhy runs only the CoPhy index advisor with explicit options. The
-// context is honored through atom pricing and every branch-and-bound node.
-func (d *Designer) AdviseCoPhy(ctx context.Context, w *Workload, opts SolverOptions) (*SolverResult, error) {
-	iw, v := w.internal(), d.eng.Pin()
-	cands := v.Session().GenerateCandidates(iw, whatif.DefaultCandidateOptions())
-	res, err := cophy.New(d.eng, cands).AdviseView(ctx, v, iw, opts.internal())
-	if err != nil {
-		return nil, err
-	}
-	return solverResultFromInternal(res), nil
-}
-
 // AdvisePartitions runs only the AutoPart partition advisor on top of the
 // current materialized design (existing indexes keep pricing credit).
 func (d *Designer) AdvisePartitions(ctx context.Context, w *Workload, opts PartitionOptions) (*PartitionResult, error) {
@@ -473,35 +455,4 @@ func (d *Designer) partitionResultFromInternal(w *workload.Workload, res *autopa
 		}
 	}
 	return out
-}
-
-// Interactions computes the index-interaction graph (Figure 2) for an
-// index set against the workload.
-func (d *Designer) Interactions(ctx context.Context, w *Workload, indexes []Index) (*InteractionGraph, error) {
-	g, err := interaction.AnalyzeView(ctx, d.eng.Pin(), w.internal(), indexesToInternal(indexes), interaction.DefaultOptions())
-	if err != nil {
-		return nil, err
-	}
-	return graphFromInternal(g), nil
-}
-
-// ScheduleGreedy computes the interaction-aware materialization order for
-// an index set: each step builds the index with the best marginal
-// benefit-to-build-cost ratio given the prefix already built.
-func (d *Designer) ScheduleGreedy(ctx context.Context, w *Workload, indexes []Index) (*Schedule, error) {
-	s, err := schedule.New(d.eng).GreedyView(ctx, d.eng.Pin(), w.internal(), indexesToInternal(indexes))
-	if err != nil {
-		return nil, err
-	}
-	return scheduleFromInternal(s), nil
-}
-
-// ScheduleOblivious computes the interaction-oblivious baseline order:
-// indexes ranked once by standalone benefit per build cost.
-func (d *Designer) ScheduleOblivious(ctx context.Context, w *Workload, indexes []Index) (*Schedule, error) {
-	s, err := schedule.New(d.eng).ObliviousView(ctx, d.eng.Pin(), w.internal(), indexesToInternal(indexes))
-	if err != nil {
-		return nil, err
-	}
-	return scheduleFromInternal(s), nil
 }

@@ -20,24 +20,8 @@ var earlierQuestions = []struct {
 		_, err := d.AdvisePartitions(ctx, w, designer.PartitionOptions{})
 		return err
 	}},
-	{"ScheduleGreedy over one index", func(ctx context.Context, d *designer.Designer, w *designer.Workload) error {
-		ixs, err := orderIndexes(d, 1)
-		if err != nil {
-			return err
-		}
-		_, err = d.ScheduleGreedy(ctx, w, ixs)
-		return err
-	}},
-	{"Interactions over two indexes", func(ctx context.Context, d *designer.Designer, w *designer.Workload) error {
-		ixs, err := orderIndexes(d, 2)
-		if err != nil {
-			return err
-		}
-		_, err = d.Interactions(ctx, w, ixs)
-		return err
-	}},
-	{"AdviseGreedy", func(ctx context.Context, d *designer.Designer, w *designer.Workload) error {
-		_, err := d.AdviseGreedy(ctx, w, 0)
+	{"Advise with the interaction graph and the schedule", func(ctx context.Context, d *designer.Designer, w *designer.Workload) error {
+		_, err := d.Advise(ctx, w, designer.AdviceOptions{Interactions: true})
 		return err
 	}},
 	{"a widened Advise", func(ctx context.Context, d *designer.Designer, w *designer.Workload) error {
@@ -49,19 +33,6 @@ var earlierQuestions = []struct {
 // joinColumns are join endpoints of the SDSS templates: an index on one
 // delivers an order a plan's internals can exploit.
 var joinColumns = [][2]string{{"specobj", "bestobjid"}, {"neighbors", "objid"}}
-
-// orderIndexes sizes a hypothetical index on each of the first n join columns.
-func orderIndexes(d *designer.Designer, n int) ([]designer.Index, error) {
-	var out []designer.Index
-	for _, tc := range joinColumns[:n] {
-		ix, err := d.HypotheticalIndex(tc[0], tc[1])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ix)
-	}
-	return out, nil
-}
 
 // adviceDiff names the first reading in which two advices differ, comparing
 // costs bit for bit; "" when they are the same answer.

@@ -17,9 +17,8 @@ import (
 )
 
 // This file implements the incremental re-advise pipeline — the interactive
-// pillar at scale. A design session carries an AdviceHandle across
-// successive design questions; ReAdvise reuses as much of the previous
-// answer's derivation as the input delta allows:
+// pillar at scale. A design session keeps its last answer's derivation
+// state; ReAdvise reuses as much of it as the input delta allows:
 //
 //   - identical question (workload, options, generation): the cached advice
 //     is returned outright — nothing is recosted, nothing is re-solved;
@@ -29,7 +28,7 @@ import (
 //     report is delta-costed — only queries whose tables' design slices
 //     changed between the two advised configurations are re-priced;
 //   - anything else (workload edits, a new engine generation after
-//     Materialize/Analyze): the pipeline runs cold and the handle is
+//     Materialize/Analyze): the pipeline runs cold and the state is
 //     refreshed.
 //
 // Warm answers are exact: every reused number is the number the cold
@@ -54,7 +53,7 @@ type ReadviseStats struct {
 	ReusedQueries   int
 }
 
-// adviceState is the cached derivation state behind an AdviceHandle.
+// adviceState is the cached derivation state of a session's last answer.
 type adviceState struct {
 	version    uint64
 	workloadFP string
@@ -64,21 +63,6 @@ type adviceState struct {
 	basisKeys  []string
 	cands      []*catalog.Index
 	evalState  *engine.EvalState
-}
-
-// AdviceHandle carries the re-advise state a design session accumulates.
-// It is owned by its session and shares the session's (lack of) concurrency
-// guarantees; the serve layer serializes access per session.
-type AdviceHandle struct {
-	st *adviceState
-}
-
-// Last returns the most recent advice computed through the handle, or nil.
-func (h *AdviceHandle) Last() *Advice {
-	if h == nil || h.st == nil {
-		return nil
-	}
-	return h.st.advice
 }
 
 // candOptionsFP fingerprints the option subset candidate enumeration
@@ -101,8 +85,8 @@ func optionsFP(opts AdviceOptions) string {
 }
 
 // Advise runs the full automatic design pipeline for the session's pinned
-// generation — Scenario 2 scoped to one interactive session — and primes
-// the session's AdviceHandle so a subsequent ReAdvise starts warm. Unlike
+// generation — Scenario 2 scoped to one interactive session — and keeps
+// its derivation state so a subsequent ReAdvise starts warm. Unlike
 // session evaluation, advising always searches from the base design: the
 // session's hypothetical indexes steer evaluation, not candidate selection
 // (seed candidates via AdviceOptions.SeedIndexes to inject them).
@@ -111,7 +95,7 @@ func (s *DesignSession) Advise(ctx context.Context, w *Workload, opts AdviceOpti
 	if err != nil {
 		return nil, err
 	}
-	s.handle.st = st
+	s.last = st
 	return advice, nil
 }
 
@@ -120,7 +104,7 @@ func (s *DesignSession) Advise(ctx context.Context, w *Workload, opts AdviceOpti
 // comment for the reuse ladder). The result is exactly what Advise would
 // return for the same inputs; the stats report what was reused.
 func (s *DesignSession) ReAdvise(ctx context.Context, w *Workload, opts AdviceOptions) (*Advice, ReadviseStats, error) {
-	prev := s.handle.st
+	prev := s.last
 	iw := w.internal()
 	if prev != nil && prev.version == s.view.Version() &&
 		prev.workloadFP == iw.Fingerprint() && prev.optsFP == optionsFP(opts) {
@@ -135,12 +119,9 @@ func (s *DesignSession) ReAdvise(ctx context.Context, w *Workload, opts AdviceOp
 	if err != nil {
 		return nil, ReadviseStats{}, err
 	}
-	s.handle.st = st
+	s.last = st
 	return advice, stats, nil
 }
-
-// Handle exposes the session's advice handle.
-func (s *DesignSession) Handle() *AdviceHandle { return &s.handle }
 
 // advisePipeline is the shared advise pipeline: candidate generation →
 // CoPhy BIP → AutoPart partitions → benefit report → interaction graph →

@@ -43,8 +43,14 @@ func TestSessionAdviseMatchesDesignerAdvise(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameAdvice(t, "session advise", got, want)
-	if s.Handle().Last() != got {
-		t.Fatal("handle does not carry the last advice")
+	// The session keeps the answer: the same question again is served
+	// from it, the same *Advice.
+	again, stats, err := s.ReAdvise(ctx, w, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !stats.Cached || again != got {
+		t.Fatalf("the session does not carry its last advice: cached %v, same advice %v", stats.Cached, again == got)
 	}
 }
 

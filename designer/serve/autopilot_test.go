@@ -137,6 +137,23 @@ func TestAutopilotRefusesClientStatePath(t *testing.T) {
 	call(t, "POST", apURL, map[string]any{"probation_epochs": 2}, http.StatusCreated)
 }
 
+// TestAutopilotRefusesRegretCandidatesOverCap: the regret oracle
+// enumerates 2^k subsets every epoch under the tuner lock, so a start body
+// asking for more candidates than the cap answers 400 invalid_request and
+// starts nothing.
+func TestAutopilotRefusesRegretCandidatesOverCap(t *testing.T) {
+	base := start(t)
+	created := call(t, "POST", base+"/tuner", map[string]any{"epoch_length": 4}, http.StatusCreated)
+	apURL := base + "/tuners/" + created["id"].(string) + "/autopilot"
+	if got, code := envelopeCall(t, "POST", apURL, `{"regret_candidates":1000}`); got != http.StatusBadRequest || code != "invalid_request" {
+		t.Fatalf("start with regret_candidates 1000: %d %q, want 400 invalid_request", got, code)
+	}
+	if got, code := envelopeCall(t, "GET", apURL, ""); got != http.StatusNotFound || code != "autopilot_not_active" {
+		t.Fatalf("status after the refused start: %d %q, want 404 autopilot_not_active", got, code)
+	}
+	call(t, "POST", apURL, map[string]any{"regret_candidates": 14}, http.StatusCreated)
+}
+
 // TestAutopilotLifecycleOverHTTP walks the full surface: start on the live
 // tuner, observe through the closed loop, read the snapshot and metrics,
 // reject a double start, stop, and answer 404 after.

@@ -483,10 +483,18 @@ type workloadJSON struct {
 	Seed    int64 `json:"seed,omitempty"`
 }
 
+// maxGeneratedQueries caps a request's "queries": the body is capped at
+// 1 MiB, but a count in it asks the server to generate and parse that
+// many statements.
+const maxGeneratedQueries = 10000
+
 // workload resolves the request's workload description.
 func (s *Server) workload(req workloadJSON) (*designer.Workload, error) {
 	if len(req.SQL) > 0 {
 		return s.d.WorkloadFromSQL(req.SQL)
+	}
+	if req.Queries > maxGeneratedQueries {
+		return nil, fmt.Errorf("queries %d: at most %d generated statements a request", req.Queries, maxGeneratedQueries)
 	}
 	n := req.Queries
 	if n <= 0 {
@@ -1006,7 +1014,8 @@ func adviceResponse(advice *designer.Advice) map[string]any {
 }
 
 // handleSessionAdvise runs the cold session-scoped pipeline against the
-// session's pinned generation and primes its re-advise handle.
+// session's pinned generation; the session keeps the answer's derivation
+// for a warm readvise.
 func (s *Server) handleSessionAdvise(w http.ResponseWriter, r *http.Request) {
 	var req adviseRequestJSON
 	var wl *designer.Workload

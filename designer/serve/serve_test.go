@@ -456,6 +456,22 @@ func TestErrorMappingAllHandlers(t *testing.T) {
 	}
 }
 
+// TestGeneratedWorkloadIsCapped: a request's "queries" asks the server to
+// generate and parse that many statements, so a count above the limit is
+// refused with 400 invalid_request naming it, on every route that takes a
+// workload, before any work.
+func TestGeneratedWorkloadIsCapped(t *testing.T) {
+	base := start(t)
+	id := call(t, "POST", base+"/sessions", nil, http.StatusCreated)["id"].(string)
+	over := map[string]any{"queries": 10001}
+	for _, path := range []string{"/sessions/" + id + "/evaluate", "/sessions/" + id + "/advise", "/sessions/" + id + "/readvise", "/advise"} {
+		env, _ := call(t, "POST", base+path, over, http.StatusBadRequest)["error"].(map[string]any)
+		if msg, _ := env["message"].(string); env["code"] != "invalid_request" || !strings.Contains(msg, "at most 10000") {
+			t.Errorf("POST %s with 10001 queries: error %v, want invalid_request naming the limit", path, env)
+		}
+	}
+}
+
 // TestSessionBackendOverHTTP drives the per-session backend field: a
 // calibrated session evaluates the same design with different absolute
 // costs than a native one, and both report their backend in session

@@ -36,9 +36,9 @@ type DesignSession struct {
 	joinOpts    optimizer.Options
 	hasJoinOpts bool
 
-	// handle carries the session's incremental re-advise state
-	// (Advise/ReAdvise, readvise.go).
-	handle AdviceHandle
+	// last is the derivation state of the session's last advice, nil
+	// before the first (Advise/ReAdvise, readvise.go).
+	last *adviceState
 	// evalState warm-starts successive Evaluate calls: when the session's
 	// design changes by K indexes between evaluations of the same
 	// workload, only the queries touching changed tables are re-priced.

@@ -26,8 +26,8 @@ func aggWorkload(t *testing.T, d *designer.Designer) *designer.Workload {
 // TestIndexOnlyAdviceUnchangedByRefactor is the regression pin for the
 // structure refactor: plain-index advice must be bit-identical run to run
 // and contain no structure kinds — DTO kind stays "", candidate enumeration
-// stays secondary-only, and Advise/AdviseCoPhy/ReAdvise all agree on the
-// same design and objective. Together with the byte-identical committed
+// stays secondary-only, and Advise and ReAdvise agree on the same design
+// and objective. Together with the byte-identical committed
 // baselines, this pins "plain-index workloads behave exactly as before".
 func TestIndexOnlyAdviceUnchangedByRefactor(t *testing.T) {
 	ctx := context.Background()
@@ -50,15 +50,6 @@ func TestIndexOnlyAdviceUnchangedByRefactor(t *testing.T) {
 			}
 			keys = append(keys, ix.Key())
 		}
-		sr, err := d.AdviseCoPhy(ctx, w, designer.SolverOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, ix := range sr.Indexes {
-			if ix.Kind != "" {
-				t.Fatalf("AdviseCoPhy returned a %q structure: %s", ix.Kind, ix.Key())
-			}
-		}
 		// A warm ReAdvise of the identical question must agree bit-for-bit.
 		sess := d.NewDesignSession()
 		if _, err := sess.Advise(ctx, w, designer.AdviceOptions{}); err != nil {
@@ -67,6 +58,9 @@ func TestIndexOnlyAdviceUnchangedByRefactor(t *testing.T) {
 		warm, _, err := sess.ReAdvise(ctx, w, designer.AdviceOptions{})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if warm.Solver.Objective != advice.Solver.Objective {
+			t.Fatalf("warm re-advise objective %v, advise %v", warm.Solver.Objective, advice.Solver.Objective)
 		}
 		if len(warm.Indexes) != len(advice.Indexes) {
 			t.Fatalf("warm re-advise changed the design: %d vs %d indexes",
@@ -78,7 +72,7 @@ func TestIndexOnlyAdviceUnchangedByRefactor(t *testing.T) {
 					i, warm.Indexes[i].Key(), advice.Indexes[i].Key())
 			}
 		}
-		return run{keys: keys, objective: sr.Objective, newTotal: advice.Report.NewTotal}
+		return run{keys: keys, objective: advice.Solver.Objective, newTotal: advice.Report.NewTotal}
 	}
 	a, b := doRun(), doRun()
 	if strings.Join(a.keys, ";") != strings.Join(b.keys, ";") {

@@ -2,7 +2,6 @@ package designer
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -10,7 +9,6 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/colt"
 	"repro/internal/cophy"
-	"repro/internal/greedy"
 	"repro/internal/interaction"
 	"repro/internal/optimizer"
 	"repro/internal/schedule"
@@ -319,36 +317,6 @@ func solverResultFromInternal(res *cophy.Result) *SolverResult {
 	return out
 }
 
-// GreedyResult is the DTA-style greedy baseline's recommendation.
-type GreedyResult struct {
-	Indexes      []Index
-	Objective    float64 // workload cost under Indexes
-	BaselineCost float64 // workload cost with no indexes
-	Steps        int     // greedy iterations
-	PricingCalls int
-}
-
-// Improvement returns the relative cost reduction vs. no indexes.
-func (r *GreedyResult) Improvement() float64 {
-	if r.BaselineCost == 0 {
-		return 0
-	}
-	return (r.BaselineCost - r.Objective) / r.BaselineCost
-}
-
-func greedyResultFromInternal(res *greedy.Result) *GreedyResult {
-	if res == nil {
-		return nil
-	}
-	return &GreedyResult{
-		Indexes:      indexesFromInternal(res.Indexes),
-		Objective:    res.Objective,
-		BaselineCost: res.BaselineCost,
-		Steps:        res.Steps,
-		PricingCalls: res.PricingCalls,
-	}
-}
-
 // TablePartition reports the partitioning decision for one table. Vertical
 // and Horizontal are rendered layout descriptions ("" = keep as is).
 type TablePartition struct {
@@ -586,27 +554,6 @@ type CandidateOptions struct {
 	IncludeAggViews bool
 }
 
-// SolverOptions configure a standalone CoPhy advisor run. The zero value
-// solves to optimality with no storage budget.
-type SolverOptions struct {
-	// StorageBudgetPages caps the total estimated index footprint; 0 means
-	// unlimited.
-	StorageBudgetPages int64
-	// NodeBudget caps branch-and-bound nodes (0 = solve to optimality).
-	NodeBudget int
-	// PinnedKeys forces candidates with these canonical keys into the
-	// solution — the interactive control where the DBA seeds the search.
-	PinnedKeys []string
-}
-
-func (o SolverOptions) internal() cophy.Options {
-	out := cophy.DefaultOptions()
-	out.StorageBudgetPages = o.StorageBudgetPages
-	out.NodeBudget = o.NodeBudget
-	out.PinnedKeys = append([]string(nil), o.PinnedKeys...)
-	return out
-}
-
 // PartitionOptions tune the AutoPart partitioning search.
 type PartitionOptions struct {
 	// HorizontalFragments lists fragment counts to try per table (e.g.
@@ -623,7 +570,9 @@ func (o PartitionOptions) internal() autopart.Options {
 	return autopart.Options{HorizontalFragments: append([]int(nil), o.HorizontalFragments...)}
 }
 
-// TunerOptions configure the COLT online tuner.
+// TunerOptions configure the COLT online tuner. The adoption threshold (a
+// 2% epoch-cost gain) and auto-materialization (on) are COLT's defaults and
+// no caller varies them.
 type TunerOptions struct {
 	// EpochLength is the number of observed queries per tuning epoch.
 	EpochLength int
@@ -632,23 +581,21 @@ type TunerOptions struct {
 	SpaceBudgetPages int64
 	// WhatIfBudget is the maximum number of what-if costings per epoch.
 	WhatIfBudget int
-	// AdoptThreshold is the minimum relative epoch-cost gain required to
-	// change the configuration.
-	AdoptThreshold float64
-	// AutoMaterialize applies proposed changes immediately; otherwise the
-	// tuner only alerts (the DBA decides, as the paper describes).
-	AutoMaterialize bool
-	// ChargeBuildCost makes adoption pay for materialization within
-	// BuildHorizonEpochs epochs — COLT's guard against thrashing.
-	ChargeBuildCost bool
-	// BuildHorizonEpochs is the amortization horizon (default 5).
-	BuildHorizonEpochs int
 }
 
 // DefaultTunerOptions returns the COLT defaults.
-func DefaultTunerOptions() TunerOptions { return TunerOptions(colt.DefaultOptions()) }
+func DefaultTunerOptions() TunerOptions {
+	o := colt.DefaultOptions()
+	return TunerOptions{EpochLength: o.EpochLength, SpaceBudgetPages: o.SpaceBudgetPages, WhatIfBudget: o.WhatIfBudget}
+}
 
-func (o TunerOptions) internal() colt.Options { return colt.Options(o) }
+func (o TunerOptions) internal() colt.Options {
+	out := colt.DefaultOptions()
+	out.EpochLength = o.EpochLength
+	out.SpaceBudgetPages = o.SpaceBudgetPages
+	out.WhatIfBudget = o.WhatIfBudget
+	return out
+}
 
 // TunerAlert is the message the online tuner raises when a better
 // configuration exists.
@@ -725,36 +672,4 @@ func reportsFromInternal(reps []colt.EpochReport) []TunerReport {
 		out[i].IndexKeys = append([]string(nil), r.IndexKeys...)
 	}
 	return out
-}
-
-// ConfigurationDiff describes what separates two index sets.
-type ConfigurationDiff struct {
-	AddedIndexes   []Index
-	DroppedIndexes []Index
-}
-
-// DiffIndexes reports the index changes from old to new, by canonical key.
-func DiffIndexes(old, new []Index) ConfigurationDiff {
-	oldKeys := make(map[string]bool, len(old))
-	for _, ix := range old {
-		oldKeys[ix.Key()] = true
-	}
-	newKeys := make(map[string]bool, len(new))
-	for _, ix := range new {
-		newKeys[ix.Key()] = true
-	}
-	var d ConfigurationDiff
-	for _, ix := range new {
-		if !oldKeys[ix.Key()] {
-			d.AddedIndexes = append(d.AddedIndexes, ix)
-		}
-	}
-	for _, ix := range old {
-		if !newKeys[ix.Key()] {
-			d.DroppedIndexes = append(d.DroppedIndexes, ix)
-		}
-	}
-	sort.Slice(d.AddedIndexes, func(i, j int) bool { return d.AddedIndexes[i].Key() < d.AddedIndexes[j].Key() })
-	sort.Slice(d.DroppedIndexes, func(i, j int) bool { return d.DroppedIndexes[i].Key() < d.DroppedIndexes[j].Key() })
-	return d
 }

@@ -50,7 +50,8 @@ type Options struct {
 	// (default 5).
 	CooldownEpochs int
 	// RegretCandidates caps the exhaustive oracle's candidate set (default
-	// 8, i.e. 256 subsets; 0 disables regret tracking).
+	// 8, i.e. 256 subsets; 0 disables regret tracking; New refuses more
+	// than greedy.MaxExhaustiveCandidates).
 	RegretCandidates int
 	// StatePath, when non-empty, enables persistence: the state file is
 	// rewritten atomically at every epoch boundary and on Save/Close, and
@@ -214,6 +215,11 @@ type Autopilot struct {
 // state, build queue, probation, cooldowns, decision journal) and initial
 // is ignored; otherwise it starts from initial (nil = no indexes).
 func New(eng *engine.Engine, initial *catalog.Configuration, opts Options) (*Autopilot, error) {
+	if opts.RegretCandidates > greedy.MaxExhaustiveCandidates {
+		// The oracle enumerates 2^k subsets every epoch under the lock.
+		return nil, fmt.Errorf("autopilot: regret candidates %d: at most %d",
+			opts.RegretCandidates, greedy.MaxExhaustiveCandidates)
+	}
 	opts = opts.withDefaults()
 	a := &Autopilot{
 		eng:       eng,

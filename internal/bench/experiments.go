@@ -348,7 +348,7 @@ func runCoPhyVsGreedy(e *Env, spec Spec, x *Experiment) error {
 
 		// Ground truth at the midpoint budget: cost ratio vs the exhaustive
 		// optimum, only when 2^|candidates| is enumerable.
-		if frac.label == "budget50" && len(e.Cands) <= 14 {
+		if frac.label == "budget50" && len(e.Cands) <= greedy.MaxExhaustiveCandidates {
 			ex, err := greedy.Exhaustive(ctx, e.View, e.Cands, e.W, budget)
 			if err != nil {
 				return err

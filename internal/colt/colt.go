@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/engine"
-	"repro/internal/schedule"
 	"repro/internal/sqlparse"
 	"repro/internal/workload"
 )
@@ -45,13 +44,6 @@ type Options struct {
 	// AutoMaterialize applies proposed changes immediately; otherwise the
 	// tuner only alerts (the DBA decides, as the paper describes).
 	AutoMaterialize bool
-	// ChargeBuildCost makes adoption pay for materialization: a new index
-	// is only adopted when its projected benefit over BuildHorizonEpochs
-	// epochs exceeds its estimated build cost. This is COLT's guard
-	// against thrashing on short-lived workload shifts.
-	ChargeBuildCost bool
-	// BuildHorizonEpochs is the amortization horizon (default 5).
-	BuildHorizonEpochs int
 }
 
 // DefaultOptions returns the tuner defaults.
@@ -254,9 +246,7 @@ func (t *Tuner) Observe(ctx context.Context, q workload.Query) (float64, error) 
 
 	t.queriesInEpoch++
 	if t.queriesInEpoch >= t.opts.EpochLength {
-		if err := t.endEpoch(v); err != nil {
-			return 0, err
-		}
+		t.endEpoch()
 	}
 	return curCost, nil
 }
@@ -276,9 +266,8 @@ func (t *Tuner) ObserveAll(ctx context.Context, qs []workload.Query) (float64, e
 	return total, nil
 }
 
-// endEpoch re-selects the materialized set and alerts on change, pricing
-// builds on the generation of the observation that closed the epoch.
-func (t *Tuner) endEpoch(v *engine.View) error {
+// endEpoch re-selects the materialized set and alerts on change.
+func (t *Tuner) endEpoch() {
 	report := EpochReport{
 		Epoch:       t.epoch,
 		Queries:     t.queriesInEpoch,
@@ -342,22 +331,6 @@ func (t *Tuner) endEpoch(v *engine.View) error {
 	if changed && len(proposed.Indexes) < len(t.current.Indexes) && expectedBenefit == 0 {
 		adopt = true
 	}
-	// Materialization-cost guard: new indexes must pay for their builds
-	// within the amortization horizon.
-	if adopt && t.opts.ChargeBuildCost {
-		horizon := t.opts.BuildHorizonEpochs
-		if horizon <= 0 {
-			horizon = 5
-		}
-		var buildCost float64
-		for _, ix := range diffIndexes(proposed, t.current) {
-			buildCost += schedule.BuildCost(ix, v.Stats(), v.Params())
-		}
-		if buildCost > 0 && expectedBenefit*float64(horizon) < buildCost {
-			adopt = false
-		}
-	}
-
 	if adopt {
 		alert := Alert{
 			Epoch:           t.epoch,
@@ -399,7 +372,6 @@ func (t *Tuner) endEpoch(v *engine.View) error {
 	for _, st := range t.candidates {
 		st.epochRelevant = 0
 	}
-	return nil
 }
 
 // sizedIndex builds a single-column hypothetical index with realistic size

@@ -15,6 +15,7 @@ package greedy
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sort"
 
@@ -28,8 +29,6 @@ type Result struct {
 	Indexes      []*catalog.Index
 	Objective    float64 // workload cost under Indexes
 	BaselineCost float64 // workload cost with no indexes
-	Steps        int     // greedy iterations
-	PricingCalls int
 }
 
 // Improvement returns the relative cost reduction vs. no indexes.
@@ -57,7 +56,6 @@ func Advise(ctx context.Context, v *engine.View, candidates []*catalog.Index, w 
 	if err != nil {
 		return nil, err
 	}
-	res.PricingCalls += len(w.Queries)
 	res.BaselineCost = cur
 	remaining := append([]*catalog.Index(nil), candidates...)
 	var usedPages int64
@@ -87,7 +85,6 @@ func Advise(ctx context.Context, v *engine.View, candidates []*catalog.Index, w 
 		if err != nil {
 			return nil, err
 		}
-		res.PricingCalls += len(trials) * len(w.Queries)
 
 		bestIdx := -1
 		bestScore := 0.0
@@ -117,20 +114,28 @@ func Advise(ctx context.Context, v *engine.View, candidates []*catalog.Index, w 
 		cur = bestCost
 		remaining[bestIdx] = nil
 		res.Indexes = append(res.Indexes, ix)
-		res.Steps++
 	}
 	res.Objective = cur
 	sort.Slice(res.Indexes, func(i, j int) bool { return res.Indexes[i].Key() < res.Indexes[j].Key() })
 	return res, nil
 }
 
+// MaxExhaustiveCandidates is the most candidates Exhaustive enumerates:
+// 2^14 = 16,384 subsets, each a sweep of the workload.
+const MaxExhaustiveCandidates = 14
+
 // Exhaustive enumerates every candidate subset within budget and returns
-// the true optimum. Exponential — use only with small candidate sets (the
-// E7 ground truth). Subsets are priced in bounded parallel batches so peak
-// memory stays fixed instead of materializing all 2^n configurations.
+// the true optimum. Exponential, so it refuses more than
+// MaxExhaustiveCandidates candidates (the E7 ground truth and the
+// autopilot's regret oracle stay below it). Subsets are priced in bounded
+// parallel batches so peak memory stays fixed instead of materializing all
+// 2^n configurations.
 func Exhaustive(ctx context.Context, v *engine.View, candidates []*catalog.Index, w *workload.Workload, budgetPages int64) (*Result, error) {
-	res := &Result{}
 	n := len(candidates)
+	if n > MaxExhaustiveCandidates {
+		return nil, fmt.Errorf("greedy: exhaustive search over %d candidates: at most %d", n, MaxExhaustiveCandidates)
+	}
+	res := &Result{}
 	const batchSize = 4096
 
 	best := math.Inf(1)
@@ -145,7 +150,6 @@ func Exhaustive(ctx context.Context, v *engine.View, candidates []*catalog.Index
 		if err != nil {
 			return err
 		}
-		res.PricingCalls += len(cfgs) * len(w.Queries)
 		for k, mask := range masks {
 			if mask == 0 {
 				res.BaselineCost = costs[k]

@@ -37,7 +37,7 @@ func TestGreedyImproves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Indexes) == 0 || res.Steps == 0 {
+	if len(res.Indexes) == 0 {
 		t.Fatal("greedy selected nothing")
 	}
 	if res.Objective >= res.BaselineCost {
@@ -97,5 +97,42 @@ func TestExhaustiveAtLeastAsGoodAsGreedy(t *testing.T) {
 	}
 	if eres.BaselineCost != gres.BaselineCost {
 		t.Fatalf("baselines differ: %f vs %f", eres.BaselineCost, gres.BaselineCost)
+	}
+}
+
+// TestExhaustiveRefusesTooManyCandidates: past the cap Exhaustive errors
+// instead of enumerating 2^n subsets. At 64 candidates 1<<n overflows to 0,
+// which once priced no subset and returned +Inf with a nil error.
+func TestExhaustiveRefusesTooManyCandidates(t *testing.T) {
+	store, err := workload.Generate(workload.TinySize(), 61)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := engine.New(store.Schema, store.Stats, nil).Pin()
+	w, err := workload.NewWorkload(store.Schema, 62, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cands []*catalog.Index
+	for _, tbl := range store.Schema.Tables() {
+		for _, col := range tbl.Columns {
+			if len(cands) == 64 {
+				break
+			}
+			ix, err := v.Session().HypotheticalIndex(tbl.Name, col.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cands = append(cands, ix)
+		}
+	}
+	if len(cands) != 64 {
+		t.Fatalf("the schema has %d columns, want 64", len(cands))
+	}
+	for _, n := range []int{greedy.MaxExhaustiveCandidates + 1, 64} {
+		res, err := greedy.Exhaustive(context.Background(), v, cands[:n], w, 0)
+		if err == nil {
+			t.Fatalf("%d candidates: no error (objective %v)", n, res.Objective)
+		}
 	}
 }
