@@ -71,6 +71,10 @@ type Designer struct {
 	// write lock, store-reading paths the read lock. Pure costing paths go
 	// through the engine's own snapshotting and need no lock.
 	mu sync.RWMutex
+
+	// trees shares one parsed tree per exact SQL text among ParseQuery's
+	// callers, for as long as some holder keeps it (trees.go).
+	trees *treeTable
 }
 
 // openStore creates a designer over a populated, analyzed store with the
@@ -93,6 +97,7 @@ func openStore(store *storage.Store, opts []Option) (*Designer, error) {
 		eng:      eng,
 		exec:     executor.New(store),
 		recorder: rec,
+		trees:    newTreeTable(),
 	}, nil
 }
 
@@ -189,13 +194,23 @@ func (d *Designer) Workers() int { return d.eng.Workers() }
 // ParseQuery parses and resolves one SELECT statement into a workload
 // query (weight 1). A statement with a $n parameter is refused: the advisors
 // price constants, and only a live import has statistics to choose them by.
+//
+// Trees are shared by exact text: while any holder keeps the tree of an
+// earlier ParseQuery of the same text — a workload, a design session's last
+// evaluation — that tree is returned instead of a new parse. A tree is
+// immutable after Resolve, so two queries (under different IDs or weights)
+// may share one.
 func (d *Designer) ParseQuery(id, sql string) (Query, error) {
-	stmt, err := sqlparse.ParseSelect(sql)
-	if err != nil {
-		return Query{}, err
-	}
-	if err := d.resolveBound(stmt); err != nil {
-		return Query{}, err
+	stmt := d.trees.lookup(sql)
+	if stmt == nil {
+		parsed, err := sqlparse.ParseSelect(sql)
+		if err != nil {
+			return Query{}, err
+		}
+		if err := d.resolveBound(parsed); err != nil {
+			return Query{}, err
+		}
+		stmt = d.trees.publish(sql, parsed)
 	}
 	return Query{id: id, sql: sql, weight: 1, stmt: stmt}, nil
 }
@@ -209,7 +224,9 @@ func (d *Designer) resolveBound(stmt *sqlparse.SelectStmt) error {
 	return sqlparse.Resolve(stmt, d.store.Schema)
 }
 
-// WorkloadFromSQL builds a workload from SQL strings (weight 1 each).
+// WorkloadFromSQL builds a workload from SQL strings (weight 1 each),
+// through ParseQuery: a text whose tree is still held elsewhere is not
+// parsed again, and its query shares that immutable tree.
 func (d *Designer) WorkloadFromSQL(sqls []string) (*Workload, error) {
 	w := &workload.Workload{Queries: make([]workload.Query, 0, len(sqls))}
 	for i, sql := range sqls {

@@ -103,7 +103,7 @@ func openLive(ctx context.Context, db *livedb.DB, o openOptions) (*Live, error) 
 	if err != nil {
 		return nil, err
 	}
-	d := &Designer{store: store, eng: eng, exec: executor.New(store)}
+	d := &Designer{store: store, eng: eng, exec: executor.New(store), trees: newTreeTable()}
 	return &Live{Designer: d, db: db, snap: snap, cal: cal}, nil
 }
 

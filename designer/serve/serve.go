@@ -37,6 +37,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -519,23 +520,54 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// maxBodyBytes caps a request body.
+const maxBodyBytes = 1 << 20
+
+// readJSON decodes the request body, one JSON object, into v: an empty body
+// (or white space) is a valid "all defaults" request, and anything after the
+// object is refused. The body is read once into a buffer sized by its
+// Content-Length and decoded in one pass; a streaming decoder would double
+// its own buffer past the body's size while it filled it.
 func readJSON(r *http.Request, v any) error {
 	if r.Body == nil {
 		return nil
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
-	if err := dec.Decode(v); err != nil {
-		if errors.Is(err, io.EOF) { // empty body is a valid "all defaults" request
-			return nil
-		}
+	body, err := readBody(r)
+	if err != nil {
 		return fmt.Errorf("invalid JSON body: %w", err)
 	}
-	// A body is one object: a second value, or anything but white space,
-	// after it would otherwise be dropped unread.
-	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
-		return errors.New("invalid JSON body: data after the object")
+	if len(bytes.TrimSpace(body)) == 0 {
+		return nil
+	}
+	if err := json.Unmarshal(body, v); err != nil {
+		return fmt.Errorf("invalid JSON body: %w", err)
 	}
 	return nil
+}
+
+// readBody reads the whole body, at most maxBodyBytes of it. A declared
+// length sizes the buffer with one byte to spare, so the read that finds
+// the end needs no growth; a chunked body grows it as io.ReadAll would.
+func readBody(r *http.Request) ([]byte, error) {
+	size := int64(512)
+	if r.ContentLength > 0 && r.ContentLength <= maxBodyBytes {
+		size = r.ContentLength + 1
+	}
+	buf := make([]byte, 0, size)
+	body := http.MaxBytesReader(nil, r.Body, maxBodyBytes)
+	for {
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if errors.Is(err, io.EOF) {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+	}
 }
 
 // session resolves the request's session through the manager: 404 for

@@ -658,3 +658,70 @@ func TestSessionListAndDetailAgreeOnDesignOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestRequestBodyIsOneObject holds readJSON, which reads a body once into a
+// buffer sized by its Content-Length and decodes it in one pass, to the
+// answers the streaming decoder it replaced gave: data after the object is
+// a 400 invalid JSON body, so is a body over 1 MiB, an empty or blank body
+// asks for the defaults, and a chunked body with no Content-Length decodes
+// like any other.
+func TestRequestBodyIsOneObject(t *testing.T) {
+	base := start(t)
+	id := call(t, "POST", base+"/sessions", nil, http.StatusCreated)["id"].(string)
+	evaluate := base + "/sessions/" + id + "/evaluate"
+	one := `{"sql":["` + testSQL + `"]}`
+	huge := `{"sql":["` + testSQL + strings.Repeat(" ", 1<<20) + `"]}`
+
+	// post sends body, chunked when its length is hidden from the client,
+	// and returns the status, the error message and the number of priced
+	// statements.
+	post := func(body io.Reader) (int, string, int) {
+		t.Helper()
+		req, err := http.NewRequest("POST", evaluate, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out struct {
+			Queries []any `json:"queries"`
+			Error   struct {
+				Message string `json:"message"`
+			} `json:"error"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, out.Error.Message, len(out.Queries)
+	}
+	chunked := func(s string) io.Reader { return io.MultiReader(strings.NewReader(s)) }
+
+	for _, c := range []struct {
+		name string
+		body io.Reader
+		code int
+		msg  string // a substring of the error message
+		n    int    // statements priced
+	}{
+		{"one object", strings.NewReader(one), http.StatusOK, "", 1},
+		{"one object, chunked", chunked(one), http.StatusOK, "", 1},
+		{"trailing white space", strings.NewReader(one + " \n"), http.StatusOK, "", 1},
+		{"empty body: the defaults", strings.NewReader(""), http.StatusOK, "", 16},
+		{"blank body: the defaults", strings.NewReader(" \n\t"), http.StatusOK, "", 16},
+		{"blank body, chunked", chunked(" \n"), http.StatusOK, "", 16},
+		{"data after the object", strings.NewReader(one + " x"), http.StatusBadRequest, "invalid JSON body", 0},
+		{"a second object", strings.NewReader(one + one), http.StatusBadRequest, "invalid JSON body", 0},
+		{"a second object, chunked", chunked(one + one), http.StatusBadRequest, "invalid JSON body", 0},
+		{"an unfinished object", strings.NewReader(`{"sql":[`), http.StatusBadRequest, "invalid JSON body", 0},
+		{"over 1 MiB", strings.NewReader(huge), http.StatusBadRequest, "too large", 0},
+		{"over 1 MiB, chunked", chunked(huge), http.StatusBadRequest, "too large", 0},
+	} {
+		code, msg, n := post(c.body)
+		if code != c.code || !strings.Contains(msg, c.msg) || n != c.n {
+			t.Errorf("%s: %d %q pricing %d statements, want %d %q pricing %d", c.name, code, msg, n, c.code, c.msg, c.n)
+		}
+	}
+}

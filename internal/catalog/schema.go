@@ -3,7 +3,7 @@ package catalog
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -138,7 +138,8 @@ func (s *Schema) Tables() []*Table { return s.ordered }
 // given candidate tables (used to qualify bare column references in SQL).
 // It returns an error when the column is ambiguous or unknown.
 func (s *Schema) ResolveColumn(column string, among []string) (string, error) {
-	var found []string
+	var buf [2]string // on the stack: resolving allocates nothing
+	found := buf[:0]
 	for _, tn := range among {
 		t := s.Table(tn)
 		if t != nil && t.HasColumn(column) {
@@ -151,7 +152,8 @@ func (s *Schema) ResolveColumn(column string, among []string) (string, error) {
 	case 0:
 		return "", fmt.Errorf("catalog: column %q not found in %v", column, among)
 	default:
-		sort.Strings(found)
-		return "", fmt.Errorf("catalog: column %q is ambiguous between %v", column, found)
+		names := slices.Clone(found)
+		slices.Sort(names)
+		return "", fmt.Errorf("catalog: column %q is ambiguous between %v", column, names)
 	}
 }

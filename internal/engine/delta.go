@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/catalog"
@@ -14,8 +15,7 @@ import (
 
 // EvalState is the reusable outcome of one benefit evaluation: the per-query
 // costs computed for a (workload, configuration) pair against one pinned
-// generation, together with each query's footprint — which tables it
-// touches and which columns it references on them — and the configuration
+// generation, together with the workload's queries and the configuration
 // itself. A subsequent evaluation of the same workload under a
 // configuration that differs by K indexes (or partition layouts) only
 // recosts the queries whose plan choice could actually move; every other
@@ -28,11 +28,13 @@ import (
 // failing it is invisible to that query's optimization, so adding or
 // dropping it cannot change the query's cost. A delta works out what
 // differs between the two configurations once (designDiff), then asks of
-// each query only whether a difference reaches it. The state keeps each
-// query's footprint, not its statement: a re-parsed workload (every serve
-// request parses its statements afresh) is matched by fingerprint, so the
-// state neither pins the statements it was built from nor analyses the new
-// ones beyond those a delta recosts.
+// each query only whether a difference reaches it, reading the footprint
+// its statement's analysis carries. The state keeps a copy of the workload
+// it priced, trees included: a later workload is the same one when every
+// query's ID, SQL and weight match, compared element by element, so a
+// re-parsed workload is matched without analysing its statements. Holding
+// the trees keeps them alive for the designer's tree sharing, so a
+// session's next request of the same text finds them instead of a parse.
 //
 // A state is read-only once returned, and the report returned with it
 // shares its per-query slice: neither may be written to.
@@ -40,16 +42,14 @@ type EvalState struct {
 	// snap pins the generation the costs were computed against; a state is
 	// only reusable on a view holding the same snapshot.
 	snap *snapshot
-	// workloadFP fingerprints the workload (IDs, SQL, weights, order).
-	workloadFP string
+	// queries is the workload the costs were computed for, copied.
+	queries []workload.Query
 	// cfg is a shallow copy of the resolved configuration the costs were
 	// computed under: a caller may go on editing its own configuration's
 	// layouts in place.
 	cfg *catalog.Configuration
-	// queries are the per-query weighted costs of the state's evaluation.
-	queries []whatif.QueryBenefit
-	// rels are the per-query footprints.
-	rels []*sqlparse.Footprint
+	// costs are the per-query weighted costs of the state's evaluation.
+	costs []whatif.QueryBenefit
 
 	// Recosted and Reused report how the state was built: a cold evaluation
 	// recosts every query; a delta evaluation reuses the complement.
@@ -137,13 +137,13 @@ func (d *designDiff) reaches(f *sqlparse.Footprint) bool {
 	return false
 }
 
-// affectedQueries lists, in order, the queries (by footprint) whose costs
-// can differ between configurations a and b.
-func affectedQueries(rels []*sqlparse.Footprint, a, b *catalog.Configuration) []int {
+// affectedQueries lists, in order, the queries whose costs can differ
+// between configurations a and b.
+func affectedQueries(qs []workload.Query, a, b *catalog.Configuration) []int {
 	d := diffDesigns(a, b)
 	var out []int
-	for i, f := range rels {
-		if d.reaches(f) {
+	for i, q := range qs {
+		if d.reaches(q.Stmt.Analysis().Footprint) {
 			out = append(out, i)
 		}
 	}
@@ -151,9 +151,16 @@ func affectedQueries(rels []*sqlparse.Footprint, a, b *catalog.Configuration) []
 }
 
 // Reusable reports whether the state can seed a delta evaluation for the
-// given view and workload: same pinned generation, same workload content.
+// given view and workload: same pinned generation, and the same queries in
+// the same order — IDs, SQL and weights (by bits) equal.
 func (st *EvalState) Reusable(v *View, w *workload.Workload) bool {
-	return st != nil && st.snap == v.s && st.workloadFP == w.Fingerprint()
+	return st != nil && st.snap == v.s && slices.EqualFunc(st.queries, w.Queries, sameQuery)
+}
+
+// sameQuery reports whether two workload members price alike: the same ID,
+// SQL text and weight bits, whichever trees they carry.
+func sameQuery(a, b workload.Query) bool {
+	return a.ID == b.ID && a.SQL == b.SQL && math.Float64bits(a.Weight) == math.Float64bits(b.Weight)
 }
 
 // EvaluateDelta is Evaluate with warm-start: it returns the benefit report
@@ -174,18 +181,17 @@ func (v *View) EvaluateDelta(ctx context.Context, w *workload.Workload, cfg *cat
 		return v.evaluateCold(ctx, w, newCfg)
 	}
 
-	affected := affectedQueries(prev.rels, prev.cfg, newCfg)
+	affected := affectedQueries(prev.queries, prev.cfg, newCfg)
 	next := &EvalState{
-		snap:       v.s,
-		workloadFP: prev.workloadFP,
-		cfg:        newCfg.Clone(),
-		queries:    prev.queries, // read-only: shared until a query is recosted
-		rels:       prev.rels,
-		Recosted:   len(affected),
-		Reused:     len(w.Queries) - len(affected),
+		snap:     v.s,
+		queries:  prev.queries,
+		cfg:      newCfg.Clone(),
+		costs:    prev.costs, // read-only: shared until a query is recosted
+		Recosted: len(affected),
+		Reused:   len(w.Queries) - len(affected),
 	}
 	if len(affected) > 0 {
-		next.queries = slices.Clone(prev.queries)
+		next.costs = slices.Clone(prev.costs)
 	}
 	err := v.e.sweep(ctx, len(affected), func(k int) error {
 		i := affected[k]
@@ -196,13 +202,13 @@ func (v *View) EvaluateDelta(ctx context.Context, w *workload.Workload, cfg *cat
 		}
 		// Base costs are pinned to the view's base configuration and never
 		// move within a generation; only the hypothetical side is recosted.
-		next.queries[i].NewCost = nw * q.Weight
+		next.costs[i].NewCost = nw * q.Weight
 		return nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	rep := &whatif.Report{Queries: next.queries}
+	rep := &whatif.Report{Queries: next.costs}
 	for _, qb := range rep.Queries {
 		rep.BaseTotal += qb.BaseCost
 		rep.NewTotal += qb.NewCost
@@ -216,17 +222,12 @@ func (v *View) evaluateCold(ctx context.Context, w *workload.Workload, newCfg *c
 	if err != nil {
 		return nil, nil, err
 	}
-	rels := make([]*sqlparse.Footprint, len(w.Queries))
-	for i, q := range w.Queries {
-		rels[i] = q.Stmt.Analysis().Footprint
-	}
 	st := &EvalState{
-		snap:       v.s,
-		workloadFP: w.Fingerprint(),
-		cfg:        newCfg.Clone(),
-		queries:    rep.Queries,
-		rels:       rels,
-		Recosted:   len(w.Queries),
+		snap:     v.s,
+		queries:  slices.Clone(w.Queries),
+		cfg:      newCfg.Clone(),
+		costs:    rep.Queries,
+		Recosted: len(w.Queries),
 	}
 	return rep, st, nil
 }

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -173,6 +174,84 @@ func TestEvaluateDeltaStateInvalidation(t *testing.T) {
 	v2 := f.eng.Pin()
 	if state.Reusable(v2, f.w) {
 		t.Fatal("state reusable across generations")
+	}
+}
+
+// TestEvaluateDeltaReusableComparesQueries holds Reusable to the workload's
+// content, member by member: a re-parse of the same queries (other trees,
+// equal IDs, SQL and weights) reuses the state and prices like it; an
+// edited ID, text or weight (down to one ulp, or only the sign of a zero),
+// a reordered, dropped or added member does not. The state keeps its own
+// copy, so a caller editing its workload in place after the evaluation does
+// not make the state reusable for the edited one.
+func TestEvaluateDeltaReusableComparesQueries(t *testing.T) {
+	f := newFixture(t)
+	ctx := context.Background()
+	v := f.eng.Pin()
+	cfg := catalog.NewConfiguration().WithIndex(f.cands[0])
+	base := &workload.Workload{Queries: slices.Clone(f.w.Queries)}
+	base.Queries[1].Weight = 0
+	cold, state, err := v.EvaluateDelta(ctx, base, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	reparsed := &workload.Workload{}
+	for _, q := range base.Queries {
+		stmt, err := sqlparse.ParseSelect(q.SQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sqlparse.Resolve(stmt, f.eng.Schema()); err != nil {
+			t.Fatal(err)
+		}
+		q.Stmt = stmt
+		reparsed.Queries = append(reparsed.Queries, q)
+	}
+	if !state.Reusable(v, reparsed) {
+		t.Fatal("a re-parse of the same workload does not reuse the state")
+	}
+	warm, next, err := v.EvaluateDelta(ctx, reparsed, cfg, state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.Reused != len(base.Queries) || warm.NewTotal != cold.NewTotal || warm.BaseTotal != cold.BaseTotal {
+		t.Fatalf("the re-parse reused %d of %d queries and priced (%v, %v), want (%v, %v)",
+			next.Reused, len(base.Queries), warm.BaseTotal, warm.NewTotal, cold.BaseTotal, cold.NewTotal)
+	}
+
+	edit := func(fn func(qs []workload.Query) []workload.Query) *workload.Workload {
+		return &workload.Workload{Queries: fn(slices.Clone(base.Queries))}
+	}
+	for name, w := range map[string]*workload.Workload{
+		"an ID": edit(func(qs []workload.Query) []workload.Query { qs[2].ID += "'"; return qs }),
+		"a text": edit(func(qs []workload.Query) []workload.Query {
+			qs[2].SQL = qs[3].SQL
+			return qs
+		}),
+		"a weight by one ulp": edit(func(qs []workload.Query) []workload.Query {
+			qs[2].Weight = math.Nextafter(qs[2].Weight, 2)
+			return qs
+		}),
+		"a zero weight's sign": edit(func(qs []workload.Query) []workload.Query {
+			qs[1].Weight = math.Copysign(0, -1)
+			return qs
+		}),
+		"the order": edit(func(qs []workload.Query) []workload.Query {
+			qs[0], qs[1] = qs[1], qs[0]
+			return qs
+		}),
+		"a dropped member": edit(func(qs []workload.Query) []workload.Query { return qs[:len(qs)-1] }),
+		"an added member":  edit(func(qs []workload.Query) []workload.Query { return append(qs, qs[0]) }),
+	} {
+		if state.Reusable(v, w) {
+			t.Errorf("a workload with %s edited reuses the state", name)
+		}
+	}
+
+	base.Queries[2].Weight = 3
+	if state.Reusable(v, base) {
+		t.Error("a workload edited in place after its evaluation reuses the state")
 	}
 }
 
@@ -391,7 +470,7 @@ func TestDeltaRelevanceMatchesSignatures(t *testing.T) {
 					want = append(want, i)
 				}
 			}
-			if got := engine.AffectedQueries(rels, pair[0], pair[1]); !slices.Equal(got, want) {
+			if got := engine.AffectedQueries(w.Queries, pair[0], pair[1]); !slices.Equal(got, want) {
 				t.Fatalf("trial %d (%s): the delta recosts %v, the signatures %v", trial, e.name, got, want)
 			}
 			if len(want) > 0 {

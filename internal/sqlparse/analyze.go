@@ -45,9 +45,7 @@ func WalkColumns(e Expr, fn func(*ColumnRef)) {
 
 // Footprint is the part of a statement's analysis that holds no node of the
 // statement: the tables it reads, the columns it references on each, and its
-// grouping. It is allocated apart from the rest of the analysis, so a holder
-// that outlives the statement — the engine's delta state keeps one per query
-// across answers — keeps this alone and does not pin the tree.
+// grouping — what the optimizer's relevance rule (optimizer.CanUse) reads.
 type Footprint struct {
 	// Tables are the lower-case FROM tables, in FROM order. Every per-table
 	// reading of the analysis is a slice indexed like it.
