@@ -37,10 +37,10 @@ func (w *Workload) TotalWeight() float64 {
 
 // Fingerprint identifies the workload by content: a SHA-256 digest over
 // query IDs, SQL, weights, and order. Two workloads with equal fingerprints
-// are interchangeable for costing, so every warm-start layer (engine delta
-// evaluation, greedy frontier replay, designer re-advise) keys its reuse
-// decisions on this one definition — hence a cryptographic digest: a
-// collision would serve one workload another's cached state.
+// are interchangeable for costing, so the designer's re-advise keys its
+// reuse decisions on it — hence a cryptographic digest: a collision would
+// serve one workload another's cached state. (The engine's delta state keeps
+// the queries themselves and compares them member by member.)
 func (w *Workload) Fingerprint() string {
 	h := sha256.New()
 	var buf []byte
