@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 	"time"
@@ -61,31 +62,40 @@ type errorEnvelopeJSON struct {
 	Error errorBodyJSON `json:"error"`
 }
 
-func writeError(w http.ResponseWriter, status int, code string, err error) {
-	writeJSON(w, status, errorEnvelopeJSON{Error: errorBodyJSON{Code: code, Message: err.Error()}})
+// apiError is a failed request's reply: the HTTP status, the stable code,
+// and for a backoff the Retry-After hint. A route returns one where it knows
+// the answer; writeError maps every other error.
+type apiError struct {
+	status int
+	code   string
+	retry  time.Duration
+	err    error
 }
 
-// writeErrorRetry is writeError plus backoff guidance: a Retry-After
-// header (whole seconds, rounded up) and the envelope's retry_after_ms.
-func writeErrorRetry(w http.ResponseWriter, status int, code string, err error, retry time.Duration) {
-	secs := int64((retry + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	writeJSON(w, status, errorEnvelopeJSON{Error: errorBodyJSON{
-		Code: code, Message: err.Error(), RetryAfterMS: retry.Milliseconds(),
-	}})
+func (e *apiError) Error() string { return e.err.Error() }
+
+// errorf builds an apiError from a message.
+func errorf(status int, code, format string, args ...any) *apiError {
+	return &apiError{status: status, code: code, err: fmt.Errorf(format, args...)}
 }
 
-// writeFacadeError maps an error out of the designer facade: context
-// cancellation to 503 (the client hung up or the session was reclaimed
-// mid-work), everything else to a 400 (facade errors are caller errors:
-// unknown tables, bad SQL, invalid layouts).
-func writeFacadeError(w http.ResponseWriter, r *http.Request, err error) {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		writeError(w, http.StatusServiceUnavailable, codeCancelled, err)
-		return
+// writeError is the one error reply. An *apiError answers with its own
+// status and code; context cancellation is 503 cancelled (the client hung
+// up or the session was reclaimed mid-work); any other error out of the
+// facade or a request's validation is the caller's, 400 invalid_request. A
+// retry hint adds a Retry-After header (whole seconds, rounded up) and the
+// envelope's retry_after_ms.
+func writeError(w http.ResponseWriter, err error) {
+	ae := &apiError{status: http.StatusBadRequest, code: codeInvalidRequest}
+	switch {
+	case errors.As(err, &ae):
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		ae = &apiError{status: http.StatusServiceUnavailable, code: codeCancelled}
 	}
-	writeError(w, http.StatusBadRequest, codeInvalidRequest, err)
+	body := errorBodyJSON{Code: ae.code, Message: err.Error()}
+	if ae.retry > 0 {
+		w.Header().Set("Retry-After", strconv.FormatInt(max(1, int64((ae.retry+time.Second-1)/time.Second)), 10))
+		body.RetryAfterMS = ae.retry.Milliseconds()
+	}
+	writeJSON(w, ae.status, errorEnvelopeJSON{Error: body})
 }

@@ -24,7 +24,7 @@ const defaultTenant = "default"
 
 // autopilotDecisionKinds mirrors the supervisor's decision-kind vocabulary
 // (designer.AutopilotDecision.Kind) so the decisions_total family shows all
-// its series from the first scrape.
+// its series from the first scrape (CI greps for them cold).
 var autopilotDecisionKinds = []string{
 	"adopt", "skip_cooldown", "build_progress", "materialized",
 	"probation_pass", "rollback", "drop",
@@ -49,8 +49,9 @@ func tenantFrom(r *http.Request) string {
 	return t
 }
 
-// initFabric builds the session manager, admission pool, and metric
-// families. Called by New after options are applied.
+// initFabric builds the session manager, admission pool, and the metric
+// families the request path counts. Called by New after options are
+// applied.
 func (s *Server) initFabric() {
 	s.sm = sessionmgr.New(sessionmgr.Config{
 		MaxSessions: s.maxSessions,
@@ -73,57 +74,10 @@ func (s *Server) initFabric() {
 		"HTTP requests by route, method, and status code.", "route", "method", "code")
 	s.mDur = s.reg.Histogram("dbdesigner_http_request_duration_seconds",
 		"HTTP request latency by route.", metrics.DefBuckets, "route")
-	s.mQueueDepth = s.reg.Gauge("dbdesigner_admission_queue_depth",
-		"Jobs waiting in the admission queue by priority class.", "class")
-	s.mRunning = s.reg.Gauge("dbdesigner_admission_running",
-		"Jobs currently executing in the worker pool.").With()
-	s.mRejected = s.reg.Counter("dbdesigner_admission_rejected_total",
-		"Queue-full rejections by priority class.", "class")
-	s.mEvicted = s.reg.Counter("dbdesigner_sessions_evicted_total",
-		"Sessions reclaimed by the manager, by reason (ttl, lru).", "reason")
 	s.mQuotaRejected = s.reg.Counter("dbdesigner_sessions_quota_rejected_total",
 		"Session creations rejected by per-tenant quota.").With()
 	s.mSessCreated = s.reg.Counter("dbdesigner_sessions_created_total",
 		"Sessions created over the server's lifetime.").With()
-	s.mSessActive = s.reg.Gauge("dbdesigner_sessions_active",
-		"Live sessions by tenant.", "tenant")
-	s.mCacheFullOpt = s.reg.Counter("dbdesigner_engine_cache_full_optimizations_total",
-		"Full optimizer runs spent building costing-cache entries, over the engine's life.").With()
-	s.mCacheCostings = s.reg.Counter("dbdesigner_engine_cache_cached_costings_total",
-		"Costings answered from the costing cache, over the engine's life.").With()
-	s.mAPActive = s.reg.Gauge("dbdesigner_autopilot_active",
-		"1 while the autopilot supervises the tuner slot, 0 otherwise.").With()
-	s.mAPEpoch = s.reg.Gauge("dbdesigner_autopilot_epoch",
-		"Observation epochs completed by the supervised tuner.").With()
-	s.mAPRegret = s.reg.Gauge("dbdesigner_autopilot_regret_pct",
-		"Latest sampled regret versus the oracle-best design, percent.").With()
-	s.mAPBuildsDone = s.reg.Counter("dbdesigner_autopilot_builds_completed_total",
-		"Background index builds materialized by the autopilot.").With()
-	s.mAPRollbacks = s.reg.Counter("dbdesigner_autopilot_rollbacks_total",
-		"Indexes rolled back after underperforming their what-if promise.").With()
-	s.mAPBuildPages = s.reg.Counter("dbdesigner_autopilot_build_pages_total",
-		"Pages of background materialization work performed.").With()
-	s.mAPDecisions = s.reg.Counter("dbdesigner_autopilot_decisions_total",
-		"Journaled autopilot decisions by kind.", "kind")
-	s.mAPPending = s.reg.Gauge("dbdesigner_autopilot_pending",
-		"Builds queued or in flight, and indexes under probation.", "stage")
-
-	// Materialize the fixed label values up front so every family shows
-	// its series from the first scrape (CI greps for them cold).
-	for _, class := range []admission.Class{admission.Interactive, admission.Batch} {
-		s.mQueueDepth.With(class.String()).Set(0)
-		s.mRejected.With(class.String()).Add(0)
-	}
-	for _, reason := range []sessionmgr.Reason{sessionmgr.ReasonTTL, sessionmgr.ReasonLRU} {
-		s.mEvicted.With(string(reason)).Add(0)
-	}
-	s.mSessActive.With(defaultTenant).Set(0)
-	for _, kind := range autopilotDecisionKinds {
-		s.mAPDecisions.With(kind).Add(0)
-	}
-	for _, stage := range []string{"build", "probation"} {
-		s.mAPPending.With(stage).Set(0)
-	}
 }
 
 // releaseSession finishes a detached session in the background: once any
@@ -151,24 +105,24 @@ func retryAfterFor(class admission.Class) time.Duration {
 	return 2 * time.Second
 }
 
-// admit runs fn through the bounded worker pool at the given priority.
-// On rejection it writes the 429/503 response itself; fn is responsible
-// for the response otherwise. admit does not return until fn has run or
-// is guaranteed never to run — the ResponseWriter stays valid throughout.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request, class admission.Class, fn func()) {
+// admit runs fn through the bounded worker pool at the given priority and
+// returns the error to answer when the pool refuses it (429 on a full
+// queue, 503 on shutdown). admit does not return until fn has run or is
+// guaranteed never to run, so what fn set is safe to read afterwards.
+func (s *Server) admit(r *http.Request, class admission.Class, fn func()) error {
 	err := s.pool.Do(r.Context(), class, fn)
 	switch {
 	case err == nil:
+		return nil
 	case errors.Is(err, admission.ErrQueueFull):
-		writeErrorRetry(w, http.StatusTooManyRequests, codeQueueFull,
-			fmt.Errorf("server saturated: %s queue is full", class), retryAfterFor(class))
+		return &apiError{status: http.StatusTooManyRequests, code: codeQueueFull, retry: retryAfterFor(class),
+			err: fmt.Errorf("server saturated: %s queue is full", class)}
 	case errors.Is(err, admission.ErrClosed):
-		writeError(w, http.StatusServiceUnavailable, codeCancelled, errors.New("server shutting down"))
-	default:
-		// The request context died while the job was queued; the client is
-		// gone, but complete the exchange anyway.
-		writeError(w, http.StatusServiceUnavailable, codeCancelled, err)
+		return errorf(http.StatusServiceUnavailable, codeCancelled, "server shutting down")
 	}
+	// The request context died while the job was queued; the client is
+	// gone, but complete the exchange anyway.
+	return &apiError{status: http.StatusServiceUnavailable, code: codeCancelled, err: err}
 }
 
 // workCtx merges the request context with the session's lifetime context:
@@ -230,22 +184,20 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 // --------------------------------------------------------------------------
 
 // handleHealthz is the liveness probe: the process is up and serving.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ok"})
+func (s *Server) handleHealthz(r *http.Request) (int, any, error) {
+	return http.StatusOK, map[string]any{"status": "ok"}, nil
 }
 
 // handleReadyz is the readiness probe: unready (503) while the admission
 // queue is saturated, so a load balancer rotates the instance out before
 // it starts bouncing batch work with 429s.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleReadyz(r *http.Request) (int, any, error) {
 	st := s.pool.Stats()
 	if s.pool.Saturated() {
-		writeErrorRetry(w, http.StatusServiceUnavailable, codeNotReady,
-			fmt.Errorf("admission queue saturated (%d/%d batch jobs queued)", st.QueuedBatch, st.QueueDepth),
-			retryAfterFor(admission.Batch))
-		return
+		return 0, nil, &apiError{status: http.StatusServiceUnavailable, code: codeNotReady, retry: retryAfterFor(admission.Batch),
+			err: fmt.Errorf("admission queue saturated (%d/%d batch jobs queued)", st.QueuedBatch, st.QueueDepth)}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	return http.StatusOK, map[string]any{
 		"status":   "ready",
 		"sessions": s.sm.Len(),
 		"pool": map[string]any{
@@ -255,56 +207,80 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 			"queued_batch":       st.QueuedBatch,
 			"queue_depth":        st.QueueDepth,
 		},
-	})
+	}, nil
 }
 
-// handleMetrics scrapes the registry in Prometheus text format. Sampled
-// families (queue depth, per-tenant sessions, engine cache) refresh here;
-// counters incremented on the hot path are read as-is.
+// handleMetrics scrapes the registry in Prometheus text format. The
+// counters the request path increments are read as they are; every sampled
+// family is registered and set here from one read of its owner — the pool,
+// the session manager, the engine cache, and one reading of the tuner slot,
+// so the autopilot families agree with each other. Registering a family
+// again returns the same one.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	gauge := func(name, help string, v float64) { s.reg.Gauge(name, help).With().Set(v) }
+	counter := func(name, help string, v float64) { s.reg.Counter(name, help).With().Set(v) }
+
 	st := s.pool.Stats()
-	s.mQueueDepth.With(admission.Interactive.String()).Set(float64(st.QueuedInteractive))
-	s.mQueueDepth.With(admission.Batch.String()).Set(float64(st.QueuedBatch))
-	s.mRunning.Set(float64(st.Running))
+	queued := s.reg.Gauge("dbdesigner_admission_queue_depth",
+		"Jobs waiting in the admission queue by priority class.", "class")
+	queued.With(admission.Interactive.String()).Set(float64(st.QueuedInteractive))
+	queued.With(admission.Batch.String()).Set(float64(st.QueuedBatch))
+	gauge("dbdesigner_admission_running", "Jobs currently executing in the worker pool.", float64(st.Running))
 	// The pool owns the monotonic rejection totals; mirror them.
-	s.mRejected.With(admission.Interactive.String()).Set(float64(st.RejectedInteractive))
-	s.mRejected.With(admission.Batch.String()).Set(float64(st.RejectedBatch))
-	for reason, n := range s.sm.EvictedTotals() {
-		s.mEvicted.With(string(reason)).Set(float64(n))
+	rejected := s.reg.Counter("dbdesigner_admission_rejected_total",
+		"Queue-full rejections by priority class.", "class")
+	rejected.With(admission.Interactive.String()).Set(float64(st.RejectedInteractive))
+	rejected.With(admission.Batch.String()).Set(float64(st.RejectedBatch))
+
+	evicted := s.reg.Counter("dbdesigner_sessions_evicted_total",
+		"Sessions reclaimed by the manager, by reason (ttl, lru).", "reason")
+	evictions := s.sm.EvictedTotals()
+	for _, reason := range []sessionmgr.Reason{sessionmgr.ReasonTTL, sessionmgr.ReasonLRU} {
+		evicted.With(string(reason)).Set(float64(evictions[reason]))
 	}
-	s.mSessActive.Reset()
+	active := s.reg.Gauge("dbdesigner_sessions_active", "Live sessions by tenant.", "tenant")
+	active.Reset()
 	tenants := s.sm.Tenants()
 	if len(tenants) == 0 {
-		s.mSessActive.With(defaultTenant).Set(0)
+		tenants[defaultTenant] = 0
 	}
 	for tenant, n := range tenants {
-		s.mSessActive.With(tenant).Set(float64(n))
+		active.With(tenant).Set(float64(n))
 	}
+
 	cs := s.d.CacheStats()
-	s.mCacheFullOpt.Set(float64(cs.FullOptimizations))
-	s.mCacheCostings.Set(float64(cs.CachedCostings))
+	counter("dbdesigner_engine_cache_full_optimizations_total",
+		"Full optimizer runs spent building costing-cache entries, over the engine's life.", float64(cs.FullOptimizations))
+	counter("dbdesigner_engine_cache_cached_costings_total",
+		"Costings answered from the costing cache, over the engine's life.", float64(cs.CachedCostings))
 
 	// The autopilot owns its monotonic totals; mirror the slot's reading.
 	tv := s.tunerView.Load()
-	apSt, apDecs := tv.status, tv.decisions
+	ap := tv.status
+	on := 0.0
 	if tv.autopilot {
-		s.mAPActive.Set(1)
-	} else {
-		s.mAPActive.Set(0)
+		on = 1
 	}
-	s.mAPEpoch.Set(float64(apSt.Epoch))
-	s.mAPRegret.Set(apSt.RegretPct)
-	s.mAPBuildsDone.Set(float64(apSt.BuildsCompleted))
-	s.mAPRollbacks.Set(float64(apSt.Rollbacks))
-	s.mAPBuildPages.Set(float64(apSt.BuildPages))
-	s.mAPPending.With("build").Set(float64(len(apSt.Builds)))
-	s.mAPPending.With("probation").Set(float64(len(apSt.Probation)))
+	gauge("dbdesigner_autopilot_active", "1 while the autopilot supervises the tuner slot, 0 otherwise.", on)
+	gauge("dbdesigner_autopilot_epoch", "Observation epochs completed by the supervised tuner.", float64(ap.Epoch))
+	gauge("dbdesigner_autopilot_regret_pct", "Latest sampled regret versus the oracle-best design, percent.", ap.RegretPct)
+	counter("dbdesigner_autopilot_builds_completed_total",
+		"Background index builds materialized by the autopilot.", float64(ap.BuildsCompleted))
+	counter("dbdesigner_autopilot_rollbacks_total",
+		"Indexes rolled back after underperforming their what-if promise.", float64(ap.Rollbacks))
+	counter("dbdesigner_autopilot_build_pages_total",
+		"Pages of background materialization work performed.", float64(ap.BuildPages))
+	pending := s.reg.Gauge("dbdesigner_autopilot_pending",
+		"Builds queued or in flight, and indexes under probation.", "stage")
+	pending.With("build").Set(float64(len(ap.Builds)))
+	pending.With("probation").Set(float64(len(ap.Probation)))
 	kindCounts := make(map[string]int)
-	for _, d := range apDecs {
+	for _, d := range tv.decisions {
 		kindCounts[d.Kind]++
 	}
+	decisions := s.reg.Counter("dbdesigner_autopilot_decisions_total", "Journaled autopilot decisions by kind.", "kind")
 	for _, kind := range autopilotDecisionKinds {
-		s.mAPDecisions.With(kind).Set(float64(kindCounts[kind]))
+		decisions.With(kind).Set(float64(kindCounts[kind]))
 	}
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

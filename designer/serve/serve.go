@@ -27,13 +27,16 @@
 // Design sessions are isolated on pinned engine generations: a
 // concurrent /materialize does not tear an open session's evaluations.
 //
-// Two rules are spelled once each. Every session-scoped verb runs through
-// sessionVerb, which owns session lookup, decoding, the work lock and error
-// mapping, so a DesignSession is only ever touched locked and live. The
-// online tuner lives in one slot (a plain tuner or the autopilot supervising
-// one) whose holder publishes an immutable reading after every change; the
-// status routes, the SSE stream and /metrics answer from that reading alone
-// and never wait on an observation in flight.
+// Three rules are spelled once each. Every JSON route has one shape, a
+// route: it returns a status and a body, or an error, and writeError is the
+// only error reply — an *apiError carries its own status and code, and any
+// other error maps to 503 cancelled or 400 invalid_request. Every
+// session-scoped verb runs through sessionVerb, which owns session lookup,
+// decoding and the work lock, so a DesignSession is only ever touched locked
+// and live. The online tuner lives in one slot (a plain tuner or the
+// autopilot supervising one) whose holder publishes an immutable reading
+// after every change; the status routes, the SSE stream and /metrics answer
+// from that reading alone and never wait on an observation in flight.
 package serve
 
 import (
@@ -85,27 +88,13 @@ type Server struct {
 	// CPU-heavy verbs.
 	pool *admission.Pool
 
-	// Metrics (fabric.go).
+	// Metrics (fabric.go): the families the request path counts. Every
+	// sampled family is registered where /metrics reads it.
 	reg            *metrics.Registry
 	mReqs          *metrics.CounterVec
 	mDur           *metrics.HistogramVec
-	mQueueDepth    *metrics.GaugeVec
-	mRunning       *metrics.Gauge
-	mRejected      *metrics.CounterVec
-	mEvicted       *metrics.CounterVec
 	mQuotaRejected *metrics.Counter
 	mSessCreated   *metrics.Counter
-	mSessActive    *metrics.GaugeVec
-	mCacheFullOpt  *metrics.Counter
-	mCacheCostings *metrics.Counter
-	mAPActive      *metrics.Gauge
-	mAPEpoch       *metrics.Gauge
-	mAPRegret      *metrics.Gauge
-	mAPBuildsDone  *metrics.Counter
-	mAPRollbacks   *metrics.Counter
-	mAPBuildPages  *metrics.Counter
-	mAPDecisions   *metrics.CounterVec
-	mAPPending     *metrics.GaugeVec
 
 	// tunerMu guards the tuner slot and every call into its occupant: the
 	// COLT tuner serializes observation, so the server serializes access.
@@ -169,11 +158,12 @@ type session struct {
 	keys   []string
 }
 
-// indexKeys snapshots the session's design keys without the work lock.
+// indexKeys snapshots the session's design keys without the work lock
+// (never nil).
 func (sess *session) indexKeys() []string {
 	sess.metaMu.Lock()
 	defer sess.metaMu.Unlock()
-	return append([]string(nil), sess.keys...)
+	return append([]string{}, sess.keys...)
 }
 
 func (sess *session) addKey(key string) {
@@ -193,24 +183,20 @@ func (sess *session) dropKey(key string) {
 	}
 }
 
-// lockLive acquires the session work lock and reports whether the
-// session is still live. On a session whose resources were already
-// released it writes the appropriate error and does not hold the lock.
-func (sess *session) lockLive(w http.ResponseWriter) bool {
+// lockLive acquires the session work lock on a live session. On a session
+// whose resources were already released it returns the error to answer and
+// does not hold the lock.
+func (sess *session) lockLive() error {
 	sess.mu.Lock()
-	if sess.gone != "" {
-		gone := sess.gone
-		sess.mu.Unlock()
-		if gone == goneClosed {
-			writeError(w, http.StatusNotFound, codeSessionNotFound,
-				fmt.Errorf("session %q is closed", sess.id))
-		} else {
-			writeError(w, http.StatusGone, codeSessionEvicted,
-				fmt.Errorf("session %q was evicted (%s); create a new session", sess.id, gone))
-		}
-		return false
+	gone := sess.gone
+	if gone == "" {
+		return nil
 	}
-	return true
+	sess.mu.Unlock()
+	if gone == goneClosed {
+		return errorf(http.StatusNotFound, codeSessionNotFound, "session %q is closed", sess.id)
+	}
+	return evictedError(sess.id, gone)
 }
 
 // Option configures a Server at construction time.
@@ -264,7 +250,9 @@ func New(d *designer.Designer, opts ...Option) *Server {
 		opt(s)
 	}
 	s.initFabric()
-	s.routes()
+	for _, rt := range s.routeTable() {
+		s.mux.Handle(rt.method+" "+rt.pattern, rt.h)
+	}
 	s.handler = s.instrument(s.mux)
 	return s
 }
@@ -347,37 +335,65 @@ func (s *Server) StartAutopilot(topts designer.TunerOptions, aopts designer.Auto
 	return v.id(), nil
 }
 
-// route is one registered endpoint. The table is the single source of
-// truth for the mux, the openapi.yaml parity test, and (via pooled
-// wrappers) admission control.
-type route struct {
-	method  string
-	pattern string
-	h       http.HandlerFunc
+// route is the one shape of a JSON endpoint: it answers a status and the
+// body to encode, or an error for writeError.
+type route func(r *http.Request) (int, any, error)
+
+func (rt route) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	status, body, err := rt(r)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	writeJSON(w, status, body)
 }
 
-// pooled runs a handler through the admission pool at the given priority.
-func (s *Server) pooled(class admission.Class, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.admit(w, r, class, func() { h(w, r) })
+// withBody decodes the request's one-object body into a fresh T and hands
+// it to h; a body that does not decode is a 400.
+func withBody[T any](h func(r *http.Request, req *T) (int, any, error)) route {
+	return func(r *http.Request) (int, any, error) {
+		var req T
+		if err := readJSON(r, &req); err != nil {
+			return 0, nil, err
+		}
+		return h(r, &req)
 	}
+}
+
+// pooled runs a route through the admission pool at the given priority.
+func (s *Server) pooled(class admission.Class, h route) route {
+	return func(r *http.Request) (status int, body any, err error) {
+		if refused := s.admit(r, class, func() { status, body, err = h(r) }); refused != nil {
+			return 0, nil, refused
+		}
+		return status, body, err
+	}
+}
+
+// endpoint is one registered route. The table is the single source of
+// truth for the mux, the openapi.yaml parity test, and (via pooled
+// wrappers) admission control.
+type endpoint struct {
+	method  string
+	pattern string
+	h       http.Handler
 }
 
 // routeTable lists every endpoint. Interactive what-if verbs (index
 // add/drop, partitions, evaluate, explain, readvise) are admitted ahead
 // of batch work (advise, materialize); control-plane and read-only
 // endpoints bypass the pool entirely.
-func (s *Server) routeTable() []route {
-	return []route{
-		{method: "GET", pattern: "/healthz", h: s.handleHealthz},
-		{method: "GET", pattern: "/readyz", h: s.handleReadyz},
-		{method: "GET", pattern: "/metrics", h: s.handleMetrics},
-		{method: "GET", pattern: "/api/v1/schema", h: s.handleSchema},
-		{method: "GET", pattern: "/api/v1/stats", h: s.handleStats},
-		{method: "POST", pattern: "/api/v1/sessions", h: s.handleSessionCreate},
-		{method: "GET", pattern: "/api/v1/sessions", h: s.handleSessionList},
-		{method: "GET", pattern: "/api/v1/sessions/{id}", h: s.handleSessionGet},
-		{method: "DELETE", pattern: "/api/v1/sessions/{id}", h: s.handleSessionClose},
+func (s *Server) routeTable() []endpoint {
+	return []endpoint{
+		{method: "GET", pattern: "/healthz", h: route(s.handleHealthz)},
+		{method: "GET", pattern: "/readyz", h: route(s.handleReadyz)},
+		{method: "GET", pattern: "/metrics", h: http.HandlerFunc(s.handleMetrics)},
+		{method: "GET", pattern: "/api/v1/schema", h: route(s.handleSchema)},
+		{method: "GET", pattern: "/api/v1/stats", h: route(s.handleStats)},
+		{method: "POST", pattern: "/api/v1/sessions", h: withBody(s.handleSessionCreate)},
+		{method: "GET", pattern: "/api/v1/sessions", h: route(s.handleSessionList)},
+		{method: "GET", pattern: "/api/v1/sessions/{id}", h: route(s.handleSessionGet)},
+		{method: "DELETE", pattern: "/api/v1/sessions/{id}", h: route(s.handleSessionClose)},
 		{method: "POST", pattern: "/api/v1/sessions/{id}/indexes", h: s.pooled(admission.Interactive, s.handleSessionAddIndex)},
 		{method: "DELETE", pattern: "/api/v1/sessions/{id}/indexes", h: s.pooled(admission.Interactive, s.handleSessionDropIndex)},
 		{method: "POST", pattern: "/api/v1/sessions/{id}/partitions/vertical", h: s.pooled(admission.Interactive, s.handleSessionVertical)},
@@ -386,21 +402,15 @@ func (s *Server) routeTable() []route {
 		{method: "POST", pattern: "/api/v1/sessions/{id}/explain", h: s.pooled(admission.Interactive, s.handleSessionExplain)},
 		{method: "POST", pattern: "/api/v1/sessions/{id}/advise", h: s.pooled(admission.Batch, s.handleSessionAdvise)},
 		{method: "POST", pattern: "/api/v1/sessions/{id}/readvise", h: s.pooled(admission.Interactive, s.handleSessionReadvise)},
-		{method: "POST", pattern: "/api/v1/advise", h: s.pooled(admission.Batch, s.handleAdvise)},
-		{method: "POST", pattern: "/api/v1/materialize", h: s.pooled(admission.Batch, s.handleMaterialize)},
-		{method: "POST", pattern: "/api/v1/tuner", h: s.handleTunerCreate},
-		{method: "POST", pattern: "/api/v1/tuner/observe", h: s.handleTunerObserve},
-		{method: "GET", pattern: "/api/v1/tuner/status", h: s.handleTunerStatus},
-		{method: "GET", pattern: "/api/v1/tuner/stream", h: s.handleTunerStream},
-		{method: "POST", pattern: "/api/v1/tuners/{id}/autopilot", h: s.pooled(admission.Batch, s.handleAutopilotStart)},
-		{method: "GET", pattern: "/api/v1/tuners/{id}/autopilot", h: s.handleAutopilotStatus},
-		{method: "DELETE", pattern: "/api/v1/tuners/{id}/autopilot", h: s.handleAutopilotStop},
-	}
-}
-
-func (s *Server) routes() {
-	for _, rt := range s.routeTable() {
-		s.mux.HandleFunc(rt.method+" "+rt.pattern, rt.h)
+		{method: "POST", pattern: "/api/v1/advise", h: s.pooled(admission.Batch, withBody(s.handleAdvise))},
+		{method: "POST", pattern: "/api/v1/materialize", h: s.pooled(admission.Batch, withBody(s.handleMaterialize))},
+		{method: "POST", pattern: "/api/v1/tuner", h: withBody(s.handleTunerCreate)},
+		{method: "POST", pattern: "/api/v1/tuner/observe", h: withBody(s.handleTunerObserve)},
+		{method: "GET", pattern: "/api/v1/tuner/status", h: route(s.handleTunerStatus)},
+		{method: "GET", pattern: "/api/v1/tuner/stream", h: http.HandlerFunc(s.handleTunerStream)},
+		{method: "POST", pattern: "/api/v1/tuners/{id}/autopilot", h: s.pooled(admission.Batch, withBody(s.handleAutopilotStart))},
+		{method: "GET", pattern: "/api/v1/tuners/{id}/autopilot", h: route(s.handleAutopilotStatus)},
+		{method: "DELETE", pattern: "/api/v1/tuners/{id}/autopilot", h: route(s.handleAutopilotStop)},
 	}
 }
 
@@ -491,21 +501,26 @@ const maxGeneratedQueries = 10000
 
 // workload resolves the request's workload description.
 func (s *Server) workload(req workloadJSON) (*designer.Workload, error) {
-	if len(req.SQL) > 0 {
+	switch {
+	case len(req.SQL) > 0:
 		return s.d.WorkloadFromSQL(req.SQL)
-	}
-	if req.Queries > maxGeneratedQueries {
+	case req.Queries > maxGeneratedQueries:
 		return nil, fmt.Errorf("queries %d: at most %d generated statements a request", req.Queries, maxGeneratedQueries)
-	}
-	n := req.Queries
-	if n <= 0 {
-		n = 16
 	}
 	seed := req.Seed
 	if seed == 0 {
 		seed = 2
 	}
-	return s.d.GenerateWorkload(seed, n)
+	return s.d.GenerateWorkload(seed, orDefault(req.Queries, 16))
+}
+
+// orDefault is a request's optional count or size: v when positive, else
+// the default.
+func orDefault[T int | int64 | float64](v, def T) T {
+	if v > 0 {
+		return v
+	}
+	return def
 }
 
 // --------------------------------------------------------------------------
@@ -533,13 +548,10 @@ func readJSON(r *http.Request, v any) error {
 		return nil
 	}
 	body, err := readBody(r)
+	if err == nil && len(bytes.TrimSpace(body)) > 0 {
+		err = json.Unmarshal(body, v)
+	}
 	if err != nil {
-		return fmt.Errorf("invalid JSON body: %w", err)
-	}
-	if len(bytes.TrimSpace(body)) == 0 {
-		return nil
-	}
-	if err := json.Unmarshal(body, v); err != nil {
 		return fmt.Errorf("invalid JSON body: %w", err)
 	}
 	return nil
@@ -573,29 +585,27 @@ func readBody(r *http.Request) ([]byte, error) {
 // session resolves the request's session through the manager: 404 for
 // unknown/closed IDs or another tenant's session (existence is not
 // leaked across tenants), 410 for one the manager reclaimed.
-func (s *Server) session(w http.ResponseWriter, r *http.Request) *session {
+func (s *Server) session(r *http.Request) (*session, error) {
 	id := r.PathValue("id")
 	ms, err := s.sm.Get(id)
-	if err != nil {
-		writeSessionLookupError(w, id, err)
-		return nil
+	if err == nil && ms.Value.(*session).tenant == tenantFrom(r) {
+		return ms.Value.(*session), nil
 	}
-	sess := ms.Value.(*session)
-	if sess.tenant != tenantFrom(r) {
-		writeError(w, http.StatusNotFound, codeSessionNotFound, fmt.Errorf("no such session %q", id))
-		return nil
-	}
-	return sess
+	return nil, lookupError(id, err)
 }
 
-func writeSessionLookupError(w http.ResponseWriter, id string, err error) {
+// lookupError is the answer for an id the manager did not hand out: 410
+// for a session it evicted, 404 otherwise.
+func lookupError(id string, err error) error {
 	var ev *sessionmgr.EvictedError
 	if errors.As(err, &ev) {
-		writeError(w, http.StatusGone, codeSessionEvicted,
-			fmt.Errorf("session %q was evicted (%s); create a new session", id, ev.Reason))
-		return
+		return evictedError(id, string(ev.Reason))
 	}
-	writeError(w, http.StatusNotFound, codeSessionNotFound, fmt.Errorf("no such session %q", id))
+	return errorf(http.StatusNotFound, codeSessionNotFound, "no such session %q", id)
+}
+
+func evictedError(id, reason string) error {
+	return errorf(http.StatusGone, codeSessionEvicted, "session %q was evicted (%s); create a new session", id, reason)
 }
 
 // sessionVerb is the one shape of a session-scoped route; a verb is its
@@ -605,54 +615,35 @@ func writeSessionLookupError(w http.ResponseWriter, id string, err error) {
 // 960-statement WorkloadFromSQL must not hold it. It then takes the work
 // lock on a live session, hands run the locked session under the merged
 // request/session context, unlocks, and answers run's body with status or
-// maps its error. A verb never sees the lock or the gone flag, so it cannot
+// its error. A verb never sees the lock or the gone flag, so it cannot
 // forget the unlock or touch a released DesignSession.
-func (s *Server) sessionVerb(w http.ResponseWriter, r *http.Request, req any, status int,
-	check func() error, run func(ctx context.Context, sess *session) (any, error)) {
-	sess := s.session(w, r)
-	if sess == nil {
-		return
-	}
-	var err error
-	if req != nil {
+func (s *Server) sessionVerb(r *http.Request, req any, status int,
+	check func() error, run func(ctx context.Context, sess *session) (any, error)) (int, any, error) {
+	sess, err := s.session(r)
+	if err == nil && req != nil {
 		err = readJSON(r, req)
 	}
 	if err == nil && check != nil {
 		err = check()
 	}
 	if err != nil {
-		writeFacadeError(w, r, err)
-		return
+		return 0, nil, err
 	}
 	ctx, cancel := workCtx(r, sess)
 	defer cancel()
-	if !sess.lockLive(w) {
-		return
+	if err := sess.lockLive(); err != nil {
+		return 0, nil, err
 	}
 	body, err := run(ctx, sess)
 	sess.mu.Unlock()
-	var missing indexNotFoundError
-	switch {
-	case errors.As(err, &missing):
-		writeError(w, http.StatusNotFound, codeIndexNotFound, err)
-	case err != nil:
-		writeFacadeError(w, r, err)
-	default:
-		writeJSON(w, status, body)
-	}
+	return status, body, err
 }
-
-// indexNotFoundError is the one verb failure writeFacadeError cannot map:
-// dropping a key the design does not hold is a 404 index_not_found.
-type indexNotFoundError struct{ key string }
-
-func (e indexNotFoundError) Error() string { return fmt.Sprintf("index %q not in the design", e.key) }
 
 // --------------------------------------------------------------------------
 // Handlers: schema, stats.
 // --------------------------------------------------------------------------
 
-func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSchema(r *http.Request) (int, any, error) {
 	type columnJSON struct {
 		Name       string `json:"name"`
 		Type       string `json:"type"`
@@ -673,44 +664,39 @@ func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 		}
 		out = append(out, tj)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	return http.StatusOK, map[string]any{
 		"backend": map[string]any{"kind": info.Backend.Kind, "description": info.Backend.Description},
 		"tables":  out,
-	})
+	}, nil
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleStats(r *http.Request) (int, any, error) {
 	cs := s.d.CacheStats()
-	writeJSON(w, http.StatusOK, map[string]any{
+	return http.StatusOK, map[string]any{
 		"full_optimizations": cs.FullOptimizations,
 		"cached_costings":    cs.CachedCostings,
-	})
+	}, nil
 }
 
 // --------------------------------------------------------------------------
 // Handlers: what-if design sessions (Scenario 1 over the wire).
 // --------------------------------------------------------------------------
 
-func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		// Backend prices this session through a different cost backend
-		// ("native", "calibrated", "live"); empty inherits the designer's.
-		Backend string `json:"backend,omitempty"`
-		// DSN connects a "live" session's cost model to a PostgreSQL server:
-		// the constants are fitted from its pg_settings at create time.
-		DSN string `json:"dsn,omitempty"`
-		// LiveTrace points a "live" session at a server-side recorded livedb
-		// trace instead of a running server.
-		LiveTrace string `json:"live_trace,omitempty"`
-	}
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, err)
-		return
-	}
+type sessionCreateJSON struct {
+	// Backend prices this session through a different cost backend
+	// ("native", "calibrated", "live"); empty inherits the designer's.
+	Backend string `json:"backend,omitempty"`
+	// DSN connects a "live" session's cost model to a PostgreSQL server:
+	// the constants are fitted from its pg_settings at create time.
+	DSN string `json:"dsn,omitempty"`
+	// LiveTrace points a "live" session at a server-side recorded livedb
+	// trace instead of a running server.
+	LiveTrace string `json:"live_trace,omitempty"`
+}
+
+func (s *Server) handleSessionCreate(r *http.Request, req *sessionCreateJSON) (int, any, error) {
 	if (req.DSN != "" || req.LiveTrace != "") && req.Backend != designer.BackendLive {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest,
-			fmt.Errorf("dsn/live_trace require backend %q, got %q", designer.BackendLive, req.Backend))
-		return
+		return 0, nil, fmt.Errorf("dsn/live_trace require backend %q, got %q", designer.BackendLive, req.Backend)
 	}
 	tenant := tenantFrom(r)
 	// Build the session (which pins an engine generation and may briefly
@@ -722,34 +708,30 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	})
 	if err != nil {
 		// A backend the designer cannot build (unknown kind, replay without
-		// a server-side trace) is a caller error.
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, err)
-		return
+		// a server-side trace, an unreachable server) is a caller error.
+		return 0, nil, &apiError{status: http.StatusBadRequest, code: codeInvalidRequest, err: err}
 	}
 	// The cheap key snapshot is seeded from the full design (base materialized
 	// indexes included) so the list and detail endpoints agree.
 	sess := &session{tenant: tenant, backend: ds.Backend().Kind, ds: ds, keys: keysOf(ds.Config().Indexes())}
 	ms, err := s.sm.Create(tenant, sess)
+	if errors.Is(err, sessionmgr.ErrQuotaExceeded) {
+		s.mQuotaRejected.Inc()
+		return 0, nil, &apiError{status: http.StatusTooManyRequests, code: codeQuotaExceeded, retry: 10 * time.Second,
+			err: fmt.Errorf("tenant %q is at its session quota (%d); close a session or retry later", tenant, s.tenantQuota)}
+	}
 	if err != nil {
-		if errors.Is(err, sessionmgr.ErrQuotaExceeded) {
-			s.mQuotaRejected.Inc()
-			writeErrorRetry(w, http.StatusTooManyRequests, codeQuotaExceeded,
-				fmt.Errorf("tenant %q is at its session quota (%d); close a session or retry later", tenant, s.tenantQuota),
-				10*time.Second)
-			return
-		}
-		writeError(w, http.StatusInternalServerError, codeInternal, err)
-		return
+		return 0, nil, &apiError{status: http.StatusInternalServerError, code: codeInternal, err: err}
 	}
 	sess.id, sess.created, sess.ctx = ms.ID, ms.Created, ms.Context()
 	s.mSessCreated.Inc()
-	writeJSON(w, http.StatusCreated, map[string]any{"id": ms.ID, "backend": sess.backend, "tenant": tenant})
+	return http.StatusCreated, map[string]any{"id": ms.ID, "backend": sess.backend, "tenant": tenant}, nil
 }
 
 // maxListLimit caps one page of the session listing.
 const maxListLimit = 1000
 
-func (s *Server) handleSessionList(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSessionList(r *http.Request) (int, any, error) {
 	type sessionJSON struct {
 		ID      string   `json:"id"`
 		Tenant  string   `json:"tenant"`
@@ -762,9 +744,7 @@ func (s *Server) handleSessionList(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {
-			writeError(w, http.StatusBadRequest, codeInvalidRequest,
-				fmt.Errorf("invalid limit %q: want a positive integer", v))
-			return
+			return 0, nil, fmt.Errorf("invalid limit %q: want a positive integer", v)
 		}
 		if n > maxListLimit {
 			n = maxListLimit
@@ -773,9 +753,7 @@ func (s *Server) handleSessionList(w http.ResponseWriter, r *http.Request) {
 	}
 	page, next, err := s.sm.Page(q.Get("tenant"), q.Get("cursor"), limit)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest,
-			fmt.Errorf("invalid cursor %q", q.Get("cursor")))
-		return
+		return 0, nil, fmt.Errorf("invalid cursor %q", q.Get("cursor"))
 	}
 	out := []sessionJSON{}
 	for _, ms := range page {
@@ -786,20 +764,19 @@ func (s *Server) handleSessionList(w http.ResponseWriter, r *http.Request) {
 		sj := sessionJSON{
 			ID: ms.ID, Tenant: ms.Tenant,
 			Created: ms.Created.UTC().Format(time.RFC3339),
-			Backend: sess.backend, Indexes: []string{},
+			Backend: sess.backend, Indexes: sess.indexKeys(),
 		}
-		sj.Indexes = append(sj.Indexes, sess.indexKeys()...)
 		out = append(out, sj)
 	}
 	resp := map[string]any{"sessions": out}
 	if next != "" {
 		resp["next_cursor"] = next
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return http.StatusOK, resp, nil
 }
 
-func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
-	s.sessionVerb(w, r, nil, http.StatusOK, nil, func(_ context.Context, sess *session) (any, error) {
+func (s *Server) handleSessionGet(r *http.Request) (int, any, error) {
+	return s.sessionVerb(r, nil, http.StatusOK, nil, func(_ context.Context, sess *session) (any, error) {
 		return map[string]any{
 			"id":      sess.id,
 			"tenant":  sess.tenant,
@@ -814,22 +791,21 @@ func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 // even while a long evaluate/advise holds its work lock — cancels its
 // in-flight work through the session context, and releases resources
 // asynchronously once the work drains.
-func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
-	sess := s.session(w, r)
-	if sess == nil {
-		return
+func (s *Server) handleSessionClose(r *http.Request) (int, any, error) {
+	sess, err := s.session(r)
+	if err != nil {
+		return 0, nil, err
 	}
 	id := r.PathValue("id")
 	if _, err := s.sm.Close(id); err != nil {
 		// Raced an eviction or another close between Get and Close.
-		writeSessionLookupError(w, id, err)
-		return
+		return 0, nil, lookupError(id, err)
 	}
 	s.releaseSession(sess, goneClosed)
-	writeJSON(w, http.StatusOK, map[string]any{"closed": id})
+	return http.StatusOK, map[string]any{"closed": id}, nil
 }
 
-func (s *Server) handleSessionAddIndex(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSessionAddIndex(r *http.Request) (int, any, error) {
 	var req struct {
 		Table   string   `json:"table"`
 		Columns []string `json:"columns"`
@@ -839,7 +815,7 @@ func (s *Server) handleSessionAddIndex(w http.ResponseWriter, r *http.Request) {
 		Include []string `json:"include,omitempty"`
 		Aggs    []string `json:"aggs,omitempty"`
 	}
-	s.sessionVerb(w, r, &req, http.StatusCreated, func() error {
+	return s.sessionVerb(r, &req, http.StatusCreated, func() error {
 		if len(req.Include) > 0 && len(req.Aggs) > 0 {
 			return errors.New("include and aggs are mutually exclusive")
 		}
@@ -865,49 +841,49 @@ func (s *Server) handleSessionAddIndex(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleSessionDropIndex(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSessionDropIndex(r *http.Request) (int, any, error) {
 	key := r.URL.Query().Get("key")
-	s.sessionVerb(w, r, nil, http.StatusOK, func() error {
+	return s.sessionVerb(r, nil, http.StatusOK, func() error {
 		if key == "" {
 			return errors.New("missing ?key=table(col,...)")
 		}
 		return nil
 	}, func(_ context.Context, sess *session) (any, error) {
 		if !sess.ds.DropIndex(key) {
-			return nil, indexNotFoundError{key}
+			return nil, errorf(http.StatusNotFound, codeIndexNotFound, "index %q not in the design", key)
 		}
 		sess.dropKey(strings.ToLower(key))
 		return map[string]any{"dropped": key}, nil
 	})
 }
 
-func (s *Server) handleSessionVertical(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSessionVertical(r *http.Request) (int, any, error) {
 	var req struct {
 		Table     string     `json:"table"`
 		Fragments [][]string `json:"fragments"`
 	}
-	s.sessionVerb(w, r, &req, http.StatusCreated, nil, func(_ context.Context, sess *session) (any, error) {
+	return s.sessionVerb(r, &req, http.StatusCreated, nil, func(_ context.Context, sess *session) (any, error) {
 		err := sess.ds.AddVerticalPartition(req.Table, req.Fragments)
 		return map[string]any{"table": req.Table, "fragments": len(req.Fragments)}, err
 	})
 }
 
-func (s *Server) handleSessionHorizontal(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSessionHorizontal(r *http.Request) (int, any, error) {
 	var req struct {
 		Table     string `json:"table"`
 		Column    string `json:"column"`
 		Fragments int    `json:"fragments"`
 	}
-	s.sessionVerb(w, r, &req, http.StatusCreated, nil, func(_ context.Context, sess *session) (any, error) {
+	return s.sessionVerb(r, &req, http.StatusCreated, nil, func(_ context.Context, sess *session) (any, error) {
 		err := sess.ds.AddHorizontalPartition(req.Table, req.Column, req.Fragments)
 		return map[string]any{"table": req.Table, "column": req.Column, "fragments": req.Fragments}, err
 	})
 }
 
-func (s *Server) handleSessionEvaluate(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSessionEvaluate(r *http.Request) (int, any, error) {
 	var req workloadJSON
 	var wl *designer.Workload
-	s.sessionVerb(w, r, &req, http.StatusOK, func() (err error) {
+	return s.sessionVerb(r, &req, http.StatusOK, func() (err error) {
 		wl, err = s.workload(req)
 		return err
 	}, func(ctx context.Context, sess *session) (any, error) {
@@ -916,12 +892,12 @@ func (s *Server) handleSessionEvaluate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleSessionExplain(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSessionExplain(r *http.Request) (int, any, error) {
 	var req struct {
 		SQL string `json:"sql"`
 	}
 	var q designer.Query
-	s.sessionVerb(w, r, &req, http.StatusOK, func() (err error) {
+	return s.sessionVerb(r, &req, http.StatusOK, func() (err error) {
 		if req.SQL == "" {
 			return errors.New("missing sql")
 		}
@@ -975,23 +951,16 @@ func (req *adviseRequestJSON) options() designer.AdviceOptions {
 	}
 }
 
-func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
-	var req adviseRequestJSON
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, err)
-		return
-	}
+func (s *Server) handleAdvise(r *http.Request, req *adviseRequestJSON) (int, any, error) {
 	wl, err := s.workload(req.workloadJSON)
 	if err != nil {
-		writeFacadeError(w, r, err)
-		return
+		return 0, nil, err
 	}
 	advice, err := s.d.Advise(r.Context(), wl, req.options())
 	if err != nil {
-		writeFacadeError(w, r, err)
-		return
+		return 0, nil, err
 	}
-	writeJSON(w, http.StatusOK, adviceResponse(advice))
+	return http.StatusOK, adviceResponse(advice), nil
 }
 
 // adviceResponse renders an advice in the wire layout shared by /advise and
@@ -1048,10 +1017,10 @@ func adviceResponse(advice *designer.Advice) map[string]any {
 // handleSessionAdvise runs the cold session-scoped pipeline against the
 // session's pinned generation; the session keeps the answer's derivation
 // for a warm readvise.
-func (s *Server) handleSessionAdvise(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSessionAdvise(r *http.Request) (int, any, error) {
 	var req adviseRequestJSON
 	var wl *designer.Workload
-	s.sessionVerb(w, r, &req, http.StatusOK, func() (err error) {
+	return s.sessionVerb(r, &req, http.StatusOK, func() (err error) {
 		wl, err = s.workload(req.workloadJSON)
 		return err
 	}, func(ctx context.Context, sess *session) (any, error) {
@@ -1070,10 +1039,10 @@ func (s *Server) handleSessionAdvise(w http.ResponseWriter, r *http.Request) {
 // path); a non-empty body is a full new question, resolved exactly like
 // /advise. The response carries a "readvise" object reporting what was
 // reused.
-func (s *Server) handleSessionReadvise(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSessionReadvise(r *http.Request) (int, any, error) {
 	var req adviseRequestJSON
 	var wl *designer.Workload
-	s.sessionVerb(w, r, &req, http.StatusOK, func() (err error) {
+	return s.sessionVerb(r, &req, http.StatusOK, func() (err error) {
 		if !req.isZero() {
 			wl, err = s.workload(req.workloadJSON)
 		}
@@ -1109,92 +1078,72 @@ func (s *Server) handleSessionReadvise(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleMaterialize(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Indexes []struct {
-			Table   string   `json:"table"`
-			Columns []string `json:"columns"`
-		} `json:"indexes"`
-	}
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, err)
-		return
-	}
+type materializeJSON struct {
+	Indexes []struct {
+		Table   string   `json:"table"`
+		Columns []string `json:"columns"`
+	} `json:"indexes"`
+}
+
+func (s *Server) handleMaterialize(r *http.Request, req *materializeJSON) (int, any, error) {
 	if len(req.Indexes) == 0 {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, errors.New("no indexes given"))
-		return
+		return 0, nil, errors.New("no indexes given")
 	}
 	var ixs []designer.Index
 	for _, spec := range req.Indexes {
 		ix, err := s.d.HypotheticalIndex(spec.Table, spec.Columns...)
 		if err != nil {
-			writeFacadeError(w, r, err)
-			return
+			return 0, nil, err
 		}
 		ixs = append(ixs, ix)
 	}
 	ioStats, err := s.d.Materialize(r.Context(), ixs)
 	if err != nil {
-		writeFacadeError(w, r, err)
-		return
+		return 0, nil, err
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"materialized": len(ixs),
-		"build_io":     ioStats.Total(),
-	})
+	return http.StatusOK, map[string]any{"materialized": len(ixs), "build_io": ioStats.Total()}, nil
 }
 
 // --------------------------------------------------------------------------
 // Handlers: online tuning (Scenario 3 over the wire).
 // --------------------------------------------------------------------------
 
-func (s *Server) handleTunerCreate(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		EpochLength      int   `json:"epoch_length,omitempty"`
-		SpaceBudgetPages int64 `json:"space_budget_pages,omitempty"`
-		WhatIfBudget     int   `json:"whatif_budget,omitempty"`
-	}
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, err)
-		return
-	}
+type tunerCreateJSON struct {
+	EpochLength      int   `json:"epoch_length,omitempty"`
+	SpaceBudgetPages int64 `json:"space_budget_pages,omitempty"`
+	WhatIfBudget     int   `json:"whatif_budget,omitempty"`
+}
+
+func (s *Server) handleTunerCreate(r *http.Request, req *tunerCreateJSON) (int, any, error) {
 	opts := designer.DefaultTunerOptions()
-	if req.EpochLength > 0 {
-		opts.EpochLength = req.EpochLength
-	}
-	if req.SpaceBudgetPages > 0 {
-		opts.SpaceBudgetPages = req.SpaceBudgetPages
-	}
-	if req.WhatIfBudget > 0 {
-		opts.WhatIfBudget = req.WhatIfBudget
-	}
+	opts.EpochLength = orDefault(req.EpochLength, opts.EpochLength)
+	opts.SpaceBudgetPages = orDefault(req.SpaceBudgetPages, opts.SpaceBudgetPages)
+	opts.WhatIfBudget = orDefault(req.WhatIfBudget, opts.WhatIfBudget)
 	s.tunerMu.Lock()
 	s.tunerOpts = opts
 	// Replacing the tuner retires its autopilot too (saving its state when
 	// persistence is on); a failed save does not stop the replacement.
 	v, _ := s.seatTuner(s.d.NewOnlineTuner(opts), true)
 	s.tunerMu.Unlock()
-	writeJSON(w, http.StatusCreated, map[string]any{"id": v.id(), "epoch_length": opts.EpochLength})
+	return http.StatusCreated, map[string]any{"id": v.id(), "epoch_length": opts.EpochLength}, nil
 }
 
-func (s *Server) handleTunerObserve(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		SQL []string `json:"sql"`
-	}
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, err)
-		return
-	}
+type observeJSON struct {
+	SQL []string `json:"sql"`
+}
+
+// errNoTuner answers the tuner routes before POST /tuner.
+var errNoTuner = errorf(http.StatusNotFound, codeTunerNotConfigured, "no tuner configured; POST /api/v1/tuner first")
+
+func (s *Server) handleTunerObserve(r *http.Request, req *observeJSON) (int, any, error) {
 	if len(req.SQL) == 0 {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, errors.New("no sql given"))
-		return
+		return 0, nil, errors.New("no sql given")
 	}
 	var qs []designer.Query
 	for _, sql := range req.SQL {
 		q, err := s.d.ParseQuery(fmt.Sprintf("http-%d", s.observed.Add(1)), sql)
 		if err != nil {
-			writeFacadeError(w, r, err)
-			return
+			return 0, nil, err
 		}
 		qs = append(qs, q)
 	}
@@ -1204,22 +1153,19 @@ func (s *Server) handleTunerObserve(w http.ResponseWriter, r *http.Request) {
 		// No silent auto-create: an observe against a tuner that was never
 		// configured is a client mistake (its options would be defaults the
 		// caller never chose), and burying that as a 200 hides it.
-		writeError(w, http.StatusNotFound, codeTunerNotConfigured,
-			errors.New("no tuner configured; POST /api/v1/tuner first"))
-		return
+		return 0, nil, errNoTuner
 	}
 	total, err := s.occupant.ObserveAll(r.Context(), qs)
 	v := s.publishTuner(false)
 	s.tunerMu.Unlock()
 	if err != nil {
-		writeFacadeError(w, r, err)
-		return
+		return 0, nil, err
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	return http.StatusOK, map[string]any{
 		"observed":       len(qs),
 		"estimated_cost": total,
 		"alerts_total":   len(v.alerts),
-	})
+	}, nil
 }
 
 type tunerAlertJSON struct {
@@ -1345,28 +1291,26 @@ func (s *Server) liveTuner(id string) (*tunerView, error) {
 	v := s.tunerView.Load()
 	switch {
 	case v.gen == 0:
-		return nil, errors.New("no tuner configured; POST /api/v1/tuner first")
+		return nil, errNoTuner
 	case id != v.id():
-		return nil, fmt.Errorf("tuner %q is not live (current tuner is %q)", id, v.id())
+		return nil, errorf(http.StatusNotFound, codeTunerNotConfigured, "tuner %q is not live (current tuner is %q)", id, v.id())
 	}
 	return v, nil
 }
 
-func (s *Server) handleTunerStatus(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleTunerStatus(r *http.Request) (int, any, error) {
 	v := s.tunerView.Load()
 	if v.gen == 0 {
-		writeError(w, http.StatusNotFound, codeTunerNotConfigured,
-			errors.New("no tuner configured; POST /api/v1/tuner first"))
-		return
+		return 0, nil, errNoTuner
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	return http.StatusOK, map[string]any{
 		"id":        v.id(),
 		"active":    v.active,
 		"autopilot": v.autopilot,
 		"current":   v.current,
 		"alerts":    v.alerts,
 		"epochs":    v.reports,
-	})
+	}, nil
 }
 
 // --------------------------------------------------------------------------
@@ -1399,41 +1343,26 @@ func autopilotStatusJSON(id string, st designer.AutopilotStatus, regret []design
 // The supervisor starts from the tuner's options but its own fresh
 // learning state. Persistence is a deployment setting: only the operator
 // names a state file (StartAutopilot), so a body naming one is refused.
-func (s *Server) handleAutopilotStart(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		BuildBudgetPages int64   `json:"build_budget_pages,omitempty"`
-		ProbationEpochs  int     `json:"probation_epochs,omitempty"`
-		RollbackMargin   float64 `json:"rollback_margin,omitempty"`
-		CooldownEpochs   int     `json:"cooldown_epochs,omitempty"`
-		RegretCandidates int     `json:"regret_candidates,omitempty"`
-		// StatePath is read only to refuse it.
-		StatePath json.RawMessage `json:"state_path"`
-	}
-	if err := readJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest, err)
-		return
-	}
+type autopilotStartJSON struct {
+	BuildBudgetPages int64   `json:"build_budget_pages,omitempty"`
+	ProbationEpochs  int     `json:"probation_epochs,omitempty"`
+	RollbackMargin   float64 `json:"rollback_margin,omitempty"`
+	CooldownEpochs   int     `json:"cooldown_epochs,omitempty"`
+	RegretCandidates int     `json:"regret_candidates,omitempty"`
+	// StatePath is read only to refuse it.
+	StatePath json.RawMessage `json:"state_path"`
+}
+
+func (s *Server) handleAutopilotStart(r *http.Request, req *autopilotStartJSON) (int, any, error) {
 	if req.StatePath != nil {
-		writeError(w, http.StatusBadRequest, codeInvalidRequest,
-			errors.New("state_path is not a request field: the operator configures autopilot persistence (dbdesigner tune --server --state)"))
-		return
+		return 0, nil, errors.New("state_path is not a request field: the operator configures autopilot persistence (dbdesigner tune --server --state)")
 	}
 	opts := designer.DefaultAutopilotOptions()
-	if req.BuildBudgetPages > 0 {
-		opts.BuildBudgetPages = req.BuildBudgetPages
-	}
-	if req.ProbationEpochs > 0 {
-		opts.ProbationEpochs = req.ProbationEpochs
-	}
-	if req.RollbackMargin > 0 {
-		opts.RollbackMargin = req.RollbackMargin
-	}
-	if req.CooldownEpochs > 0 {
-		opts.CooldownEpochs = req.CooldownEpochs
-	}
-	if req.RegretCandidates > 0 {
-		opts.RegretCandidates = req.RegretCandidates
-	}
+	opts.BuildBudgetPages = orDefault(req.BuildBudgetPages, opts.BuildBudgetPages)
+	opts.ProbationEpochs = orDefault(req.ProbationEpochs, opts.ProbationEpochs)
+	opts.RollbackMargin = orDefault(req.RollbackMargin, opts.RollbackMargin)
+	opts.CooldownEpochs = orDefault(req.CooldownEpochs, opts.CooldownEpochs)
+	opts.RegretCandidates = orDefault(req.RegretCandidates, opts.RegretCandidates)
 
 	s.tunerMu.Lock()
 	v, idErr := s.liveTuner(r.PathValue("id"))
@@ -1445,36 +1374,35 @@ func (s *Server) handleAutopilotStart(w http.ResponseWriter, r *http.Request) {
 	s.tunerMu.Unlock()
 	switch {
 	case idErr != nil:
-		writeError(w, http.StatusNotFound, codeTunerNotConfigured, idErr)
+		return 0, nil, idErr
 	case running:
-		writeError(w, http.StatusConflict, codeAutopilotActive,
-			errors.New("autopilot already running; DELETE it first"))
+		return 0, nil, errorf(http.StatusConflict, codeAutopilotActive, "autopilot already running; DELETE it first")
 	case err != nil:
-		writeFacadeError(w, r, err)
-	default:
-		writeJSON(w, http.StatusCreated, autopilotStatusJSON(v.id(), v.status, v.regret))
+		return 0, nil, err
 	}
+	return http.StatusCreated, autopilotStatusJSON(v.id(), v.status, v.regret), nil
 }
 
-func (s *Server) handleAutopilotStatus(w http.ResponseWriter, r *http.Request) {
+// errNoAutopilot answers the autopilot status and stop routes while the
+// tuner runs without one.
+var errNoAutopilot = errorf(http.StatusNotFound, codeAutopilotNotActive, "autopilot not running; POST to start it")
+
+func (s *Server) handleAutopilotStatus(r *http.Request) (int, any, error) {
 	v, err := s.liveTuner(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, codeTunerNotConfigured, err)
-		return
+		return 0, nil, err
 	}
 	if !v.autopilot {
-		writeError(w, http.StatusNotFound, codeAutopilotNotActive,
-			errors.New("autopilot not running; POST to start it"))
-		return
+		return 0, nil, errNoAutopilot
 	}
-	writeJSON(w, http.StatusOK, autopilotStatusJSON(v.id(), v.status, v.regret))
+	return http.StatusOK, autopilotStatusJSON(v.id(), v.status, v.regret), nil
 }
 
 // handleAutopilotStop retires the autopilot (persisting its state when a
 // state path was configured). The tuner slot becomes unconfigured: the
 // supervisor owned the only learning state, so continuing as a plain
 // tuner would silently discard it — POST /api/v1/tuner starts fresh.
-func (s *Server) handleAutopilotStop(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleAutopilotStop(r *http.Request) (int, any, error) {
 	s.tunerMu.Lock()
 	_, idErr := s.liveTuner(r.PathValue("id"))
 	_, running := s.occupant.(*designer.Autopilot)
@@ -1485,15 +1413,13 @@ func (s *Server) handleAutopilotStop(w http.ResponseWriter, r *http.Request) {
 	s.tunerMu.Unlock()
 	switch {
 	case idErr != nil:
-		writeError(w, http.StatusNotFound, codeTunerNotConfigured, idErr)
+		return 0, nil, idErr
 	case !running:
-		writeError(w, http.StatusNotFound, codeAutopilotNotActive,
-			errors.New("autopilot not running; POST to start it"))
+		return 0, nil, errNoAutopilot
 	case err != nil:
-		writeError(w, http.StatusInternalServerError, codeInternal, err)
-	default:
-		writeJSON(w, http.StatusOK, map[string]any{"stopped": true})
+		return 0, nil, &apiError{status: http.StatusInternalServerError, code: codeInternal, err: err}
 	}
+	return http.StatusOK, map[string]any{"stopped": true}, nil
 }
 
 // handleTunerStream streams new tuner alerts — and, when the autopilot is
@@ -1503,7 +1429,7 @@ func (s *Server) handleAutopilotStop(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTunerStream(w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, codeInternal, errors.New("streaming unsupported"))
+		writeError(w, errorf(http.StatusInternalServerError, codeInternal, "streaming unsupported"))
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
