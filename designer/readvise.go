@@ -3,8 +3,7 @@ package designer
 import (
 	"context"
 	"errors"
-	"fmt"
-	"strings"
+	"slices"
 
 	"repro/internal/autopart"
 	"repro/internal/catalog"
@@ -53,35 +52,30 @@ type ReadviseStats struct {
 	ReusedQueries   int
 }
 
-// adviceState is the cached derivation state of a session's last answer.
+// adviceState is the cached derivation state of a session's last answer:
+// the options it answered (seeds cloned), and the engine's own delta state,
+// which knows the generation and the workload it was computed for.
 type adviceState struct {
-	version    uint64
-	workloadFP string
-	candFP     string // candidate-relevant option fingerprint
-	optsFP     string // full option fingerprint
-	advice     *Advice
-	basisKeys  []string
-	cands      []*catalog.Index
-	evalState  *engine.EvalState
+	opts      AdviceOptions
+	advice    *Advice
+	basisKeys []string
+	cands     []*catalog.Index
+	evalState *engine.EvalState
 }
 
-// candOptionsFP fingerprints the option subset candidate enumeration
-// depends on: candidate options and seed indexes.
-func candOptionsFP(opts AdviceOptions) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%v|%v|", opts.CandidateOptions.IncludeProjections, opts.CandidateOptions.IncludeAggViews)
-	for _, ix := range opts.SeedIndexes {
-		b.WriteString(ix.Key())
-		b.WriteString(";")
-	}
-	return b.String()
+// sameCandidates reports whether two questions enumerate the same
+// candidates: the same candidate options and the same seeds, by key in
+// order.
+func sameCandidates(a, b AdviceOptions) bool {
+	return a.CandidateOptions == b.CandidateOptions &&
+		slices.EqualFunc(a.SeedIndexes, b.SeedIndexes, func(x, y Index) bool { return x.Key() == y.Key() })
 }
 
-// optionsFP fingerprints the full advice options.
-func optionsFP(opts AdviceOptions) string {
-	return fmt.Sprintf("%d|%d|%v|%v|%v|%s",
-		opts.StorageBudgetPages, opts.NodeBudget, opts.Partitions,
-		opts.Interactions, opts.PinIndexes, candOptionsFP(opts))
+// sameQuestion reports whether two questions are one: every option equal.
+func sameQuestion(a, b AdviceOptions) bool {
+	return a.StorageBudgetPages == b.StorageBudgetPages && a.NodeBudget == b.NodeBudget &&
+		a.Partitions == b.Partitions && a.Interactions == b.Interactions &&
+		a.PinIndexes == b.PinIndexes && sameCandidates(a, b)
 }
 
 // Advise runs the full automatic design pipeline for the session's pinned
@@ -106,8 +100,7 @@ func (s *DesignSession) Advise(ctx context.Context, w *Workload, opts AdviceOpti
 func (s *DesignSession) ReAdvise(ctx context.Context, w *Workload, opts AdviceOptions) (*Advice, ReadviseStats, error) {
 	prev := s.last
 	iw := w.internal()
-	if prev != nil && prev.version == s.view.Version() &&
-		prev.workloadFP == iw.Fingerprint() && prev.optsFP == optionsFP(opts) {
+	if prev != nil && prev.evalState.Reusable(s.view, iw) && sameQuestion(prev.opts, opts) {
 		// Identical question against the same generation: the answer
 		// cannot have changed.
 		return prev.advice, ReadviseStats{
@@ -132,18 +125,16 @@ func (d *Designer) advisePipeline(ctx context.Context, v *engine.View, iw *workl
 		return nil, nil, ReadviseStats{}, errors.New("designer: empty workload")
 	}
 	stats := ReadviseStats{}
-	wfp := iw.Fingerprint()
-	cfp := candOptionsFP(opts)
 
 	// Warm state from another generation or workload is useless; drop it
 	// here so every reuse below can key on the simpler conditions.
-	if warm != nil && (warm.version != v.Version() || warm.workloadFP != wfp) {
+	if warm != nil && !warm.evalState.Reusable(v, iw) {
 		warm = nil
 	}
 
 	seeds := indexesToInternal(opts.SeedIndexes)
 	var cands []*catalog.Index
-	if warm != nil && warm.candFP == cfp {
+	if warm != nil && sameCandidates(warm.opts, opts) {
 		cands = warm.cands
 		stats.Warm = true
 		stats.CandidatesReused = true
@@ -240,15 +231,7 @@ func (d *Designer) advisePipeline(ctx context.Context, v *engine.View, iw *workl
 	for _, ix := range cres.Indexes {
 		basis = append(basis, ix.Key())
 	}
-	st := &adviceState{
-		version:    v.Version(),
-		workloadFP: wfp,
-		candFP:     cfp,
-		optsFP:     optionsFP(opts),
-		advice:     out,
-		basisKeys:  basis,
-		cands:      cands,
-		evalState:  evalState,
-	}
+	opts.SeedIndexes = slices.Clone(opts.SeedIndexes)
+	st := &adviceState{opts: opts, advice: out, basisKeys: basis, cands: cands, evalState: evalState}
 	return out, st, stats, nil
 }

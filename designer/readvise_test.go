@@ -2,6 +2,7 @@ package designer_test
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"repro/designer"
@@ -79,6 +80,36 @@ func TestReAdviseCachedPath(t *testing.T) {
 	}
 	if again != first {
 		t.Fatal("cached path rebuilt the advice")
+	}
+
+	// The same question is recognised by content, not by the *Workload: the
+	// same statements parsed again take the cached path, and one statement's
+	// weight moved by one ulp does not.
+	reparse := func(bump int) *designer.Workload {
+		t.Helper()
+		var qs []designer.Query
+		for i, q := range w.Queries() {
+			p, err := d.ParseQuery(q.ID(), q.SQL())
+			if err != nil {
+				t.Fatal(err)
+			}
+			weight := q.Weight()
+			if i == bump {
+				weight = math.Nextafter(weight, math.Inf(1))
+			}
+			qs = append(qs, p.WithWeight(weight))
+		}
+		rw, err := designer.NewWorkload(qs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rw
+	}
+	if got, stats, err := s.ReAdvise(ctx, reparse(-1), opts); err != nil || !stats.Cached || got != first {
+		t.Fatalf("re-parsed identical workload: cached %v, same advice %v, err %v", stats.Cached, got == first, err)
+	}
+	if _, stats, err := s.ReAdvise(ctx, reparse(3), opts); err != nil || stats.Cached {
+		t.Fatalf("one-ulp weight change: cached %v, err %v", stats.Cached, err)
 	}
 }
 

@@ -37,10 +37,11 @@ func (w *Workload) TotalWeight() float64 {
 
 // Fingerprint identifies the workload by content: a SHA-256 digest over
 // query IDs, SQL, weights, and order. Two workloads with equal fingerprints
-// are interchangeable for costing, so the designer's re-advise keys its
-// reuse decisions on it — hence a cryptographic digest: a collision would
-// serve one workload another's cached state. (The engine's delta state keeps
-// the queries themselves and compares them member by member.)
+// are interchangeable for costing — hence a cryptographic digest: a
+// collision would serve one workload another's cached state. Its one
+// caller is the benchmark's pipeline replica; the designer's re-advise and
+// the engine's delta state keep the queries themselves and compare them
+// member by member (engine.EvalState.Reusable).
 func (w *Workload) Fingerprint() string {
 	h := sha256.New()
 	var buf []byte
