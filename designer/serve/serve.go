@@ -504,6 +504,8 @@ func (s *Server) workload(req workloadJSON) (*designer.Workload, error) {
 	switch {
 	case len(req.SQL) > 0:
 		return s.d.WorkloadFromSQL(req.SQL)
+	case req.Queries < 0:
+		return nil, fmt.Errorf("queries %d: a generated workload cannot have a negative size", req.Queries)
 	case req.Queries > maxGeneratedQueries:
 		return nil, fmt.Errorf("queries %d: at most %d generated statements a request", req.Queries, maxGeneratedQueries)
 	}

@@ -406,6 +406,9 @@ func TestErrorMappingAllHandlers(t *testing.T) {
 		{"advise two objects", "POST", "/advise", `{"queries":8}{"queries":9}`, http.StatusBadRequest, "invalid_request"},
 		{"advise wrong field type", "POST", "/advise", `{"sql": "not-a-list"}`, http.StatusBadRequest, "invalid_request"},
 		{"advise bad workload sql", "POST", "/advise", `{"sql":["SELECT broken FROM nowhere"]}`, http.StatusBadRequest, "invalid_request"},
+		{"advise negative budget", "POST", "/advise", `{"queries":4,"budget_pages":-1}`, http.StatusBadRequest, "invalid_request"},
+		{"advise negative node budget", "POST", "/advise", `{"queries":4,"node_budget":-5}`, http.StatusBadRequest, "invalid_request"},
+		{"advise negative queries", "POST", "/advise", `{"queries":-3}`, http.StatusBadRequest, "invalid_request"},
 		{"materialize malformed body", "POST", "/materialize", malformed, http.StatusBadRequest, "invalid_request"},
 		{"materialize empty index list", "POST", "/materialize", `{}`, http.StatusBadRequest, "invalid_request"},
 		{"materialize unknown table", "POST", "/materialize", `{"indexes":[{"table":"nosuch","columns":["x"]}]}`, http.StatusBadRequest, "invalid_request"},
@@ -438,6 +441,9 @@ func TestErrorMappingAllHandlers(t *testing.T) {
 		{"explain malformed body", "POST", sp + "/explain", malformed, http.StatusBadRequest, "invalid_request"},
 		{"explain missing sql", "POST", sp + "/explain", `{}`, http.StatusBadRequest, "invalid_request"},
 		{"explain bad sql", "POST", sp + "/explain", `{"sql":"SELECT broken FROM nowhere"}`, http.StatusBadRequest, "invalid_request"},
+		{"session advise negative budget", "POST", sp + "/advise", `{"queries":4,"budget_pages":-1000}`, http.StatusBadRequest, "invalid_request"},
+		{"readvise negative node budget", "POST", sp + "/readvise", `{"queries":4,"node_budget":-5}`, http.StatusBadRequest, "invalid_request"},
+		{"evaluate negative queries", "POST", sp + "/evaluate", `{"queries":-3}`, http.StatusBadRequest, "invalid_request"},
 	})
 
 	// Phase 3: tuner configured; body validation still maps to 400.
@@ -458,16 +464,25 @@ func TestErrorMappingAllHandlers(t *testing.T) {
 
 // TestGeneratedWorkloadIsCapped: a request's "queries" asks the server to
 // generate and parse that many statements, so a count above the limit is
-// refused with 400 invalid_request naming it, on every route that takes a
-// workload, before any work.
+// refused with 400 invalid_request naming it, and so is a negative count
+// (0 is the default size), on every route that takes a workload, before
+// any work.
 func TestGeneratedWorkloadIsCapped(t *testing.T) {
 	base := start(t)
 	id := call(t, "POST", base+"/sessions", nil, http.StatusCreated)["id"].(string)
-	over := map[string]any{"queries": 10001}
-	for _, path := range []string{"/sessions/" + id + "/evaluate", "/sessions/" + id + "/advise", "/sessions/" + id + "/readvise", "/advise"} {
-		env, _ := call(t, "POST", base+path, over, http.StatusBadRequest)["error"].(map[string]any)
-		if msg, _ := env["message"].(string); env["code"] != "invalid_request" || !strings.Contains(msg, "at most 10000") {
-			t.Errorf("POST %s with 10001 queries: error %v, want invalid_request naming the limit", path, env)
+	for _, c := range []struct {
+		queries int
+		want    string
+	}{
+		{10001, "at most 10000"},
+		{-3, "negative"},
+	} {
+		body := map[string]any{"queries": c.queries}
+		for _, path := range []string{"/sessions/" + id + "/evaluate", "/sessions/" + id + "/advise", "/sessions/" + id + "/readvise", "/advise"} {
+			env, _ := call(t, "POST", base+path, body, http.StatusBadRequest)["error"].(map[string]any)
+			if msg, _ := env["message"].(string); env["code"] != "invalid_request" || !strings.Contains(msg, c.want) {
+				t.Errorf("POST %s with %d queries: error %v, want invalid_request naming %q", path, c.queries, env, c.want)
+			}
 		}
 	}
 }

@@ -145,8 +145,15 @@ func (a *Advisor) Candidates() []*catalog.Index { return a.candidates }
 // by handing each the same view. The context is honored through every
 // phase: atom pricing aborts mid-sweep, and the branch-and-bound solver
 // checks it before every node expansion — a cancelled or deadlined run
-// returns ctx.Err() promptly.
+// returns ctx.Err() promptly. A negative budget is refused: 0 is the
+// unlimited one.
 func (a *Advisor) AdviseView(ctx context.Context, v *engine.View, w *workload.Workload, opts Options) (*Result, error) {
+	switch {
+	case opts.StorageBudgetPages < 0:
+		return nil, fmt.Errorf("cophy: storage budget %d pages: want 0 (unlimited) or more", opts.StorageBudgetPages)
+	case opts.NodeBudget < 0:
+		return nil, fmt.Errorf("cophy: node budget %d: want 0 (solve to optimality) or more", opts.NodeBudget)
+	}
 	if opts.MaxIndexesPerQueryTable <= 0 {
 		opts.MaxIndexesPerQueryTable = 3
 	}

@@ -3,6 +3,7 @@ package cophy_test
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
@@ -67,6 +68,31 @@ func TestAdviseImprovesWorkload(t *testing.T) {
 	}
 	if len(res.PerQuery) != len(f.w.Queries) {
 		t.Fatalf("per-query plans = %d, want %d", len(res.PerQuery), len(f.w.Queries))
+	}
+}
+
+// TestNegativeBudgetIsRefused: 0 is the unlimited storage budget and the
+// solve-to-optimality node budget, and a negative one is a mistake, not a
+// second spelling of either — it is refused before any work.
+func TestNegativeBudgetIsRefused(t *testing.T) {
+	f := newFixture(t, 4, 8)
+	adv := cophy.New(f.eng, f.cands)
+	for _, c := range []struct {
+		name  string
+		pages int64
+		nodes int
+		want  string
+	}{
+		{"storage -1", -1, 0, "storage budget -1 pages"},
+		{"storage -1000", -1000, 0, "storage budget -1000 pages"},
+		{"nodes -5", 0, -5, "node budget -5"},
+	} {
+		opts := cophy.DefaultOptions()
+		opts.StorageBudgetPages, opts.NodeBudget = c.pages, c.nodes
+		res, err := adv.AdviseView(context.Background(), f.v, f.w, opts)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: result %v, error %v; want an error naming %q", c.name, res, err, c.want)
+		}
 	}
 }
 
