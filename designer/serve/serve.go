@@ -596,8 +596,8 @@ func (s *Server) session(r *http.Request) (*session, error) {
 	return nil, lookupError(id, err)
 }
 
-// lookupError is the answer for an id the manager did not hand out: 410
-// for a session it evicted, 404 otherwise.
+// lookupError answers an id that names no live session of the caller's:
+// 410 for one the manager evicted, 404 otherwise.
 func lookupError(id string, err error) error {
 	var ev *sessionmgr.EvictedError
 	if errors.As(err, &ev) {
