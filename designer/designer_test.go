@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -312,6 +313,92 @@ func TestDesignSessionValidation(t *testing.T) {
 	}
 	if err := s.AddHorizontalPartition("photoobj", "nope", 4); err == nil {
 		t.Error("unknown column should error")
+	}
+}
+
+// TestAddVerticalPartitionKeepsItsOwnLowerCaseCopy pins what the session
+// stores of a vertical layout: the caller's fragments lower-cased, in a copy.
+// Fragments spelled in mixed case price bit for bit as their lower-case
+// spelling, and editing the caller's slices after the call moves no later
+// evaluation — while handing the edited fragments over does.
+func TestAddVerticalPartitionKeepsItsOwnLowerCaseCopy(t *testing.T) {
+	ctx := context.Background()
+	d := open(t)
+	w, err := d.WorkloadFromSQL([]string{
+		"SELECT objid, ra, dec FROM photoobj WHERE ra BETWEEN 100 AND 120",
+		"SELECT psfmag_r FROM photoobj WHERE type = 6",
+		"SELECT ra, psfmag_r FROM photoobj WHERE dec < 5",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, ok := d.DescribeTable("photoobj")
+	if !ok {
+		t.Fatal("photoobj missing from Describe")
+	}
+	// fragments returns {ra, dec}, {psfmag_r, type} and the rest, each
+	// column spelled by spell.
+	fragments := func(spell func(string) string) [][]string {
+		frags := make([][]string, 3)
+		for _, c := range tab.Columns {
+			lc := strings.ToLower(c.Name)
+			switch lc {
+			case "objid":
+			case "ra", "dec":
+				frags[0] = append(frags[0], spell(lc))
+			case "psfmag_r", "type":
+				frags[1] = append(frags[1], spell(lc))
+			default:
+				frags[2] = append(frags[2], spell(lc))
+			}
+		}
+		return frags
+	}
+	evaluate := func(frags [][]string, after func()) []float64 {
+		s := d.NewDesignSession()
+		if err := s.AddVerticalPartition("photoobj", frags); err != nil {
+			t.Fatal(err)
+		}
+		after()
+		rep, err := s.Evaluate(ctx, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var costs []float64
+		for _, q := range rep.Queries {
+			costs = append(costs, q.NewCost)
+		}
+		return costs
+	}
+	same := func(a, b []float64) bool {
+		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+	}
+	nothing := func() {}
+	mixed := func(c string) string {
+		if len(c)%2 == 0 {
+			return strings.ToUpper(c)
+		}
+		return strings.ToUpper(c[:1]) + c[1:]
+	}
+	lower := evaluate(fragments(strings.ToLower), nothing)
+	if got := evaluate(fragments(mixed), nothing); !same(got, lower) {
+		t.Errorf("mixed-case fragments price %v, lower-case %v", got, lower)
+	}
+
+	// Swap ra and psfmag_r between the caller's first two fragments after
+	// the call.
+	swap := func(frags [][]string) {
+		i, j := slices.Index(frags[0], "ra"), slices.Index(frags[1], "psfmag_r")
+		frags[0][i], frags[1][j] = frags[1][j], frags[0][i]
+	}
+	edited := fragments(strings.ToLower)
+	if got := evaluate(edited, func() { swap(edited) }); !same(got, lower) {
+		t.Errorf("editing the caller's fragments after the call moved the costs to %v, from %v", got, lower)
+	}
+	swapped := fragments(strings.ToLower)
+	swap(swapped)
+	if got := evaluate(swapped, nothing); same(got, lower) {
+		t.Errorf("the swapped layout prices as the original (%v): the edit has no teeth", got)
 	}
 }
 

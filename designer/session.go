@@ -151,7 +151,9 @@ func (s *DesignSession) DropIndex(key string) bool {
 }
 
 // AddVerticalPartition declares a hypothetical vertical layout. Fragments
-// list non-PK columns; every column of the table must appear exactly once.
+// list non-PK columns, in any case; every column of the table must appear
+// exactly once. The session keeps a lower-case copy: editing fragments
+// afterwards changes nothing in the design.
 func (s *DesignSession) AddVerticalPartition(table string, fragments [][]string) error {
 	t := s.d.store.Schema.Table(table)
 	if t == nil {
@@ -162,9 +164,12 @@ func (s *DesignSession) AddVerticalPartition(table string, fragments [][]string)
 		pk[strings.ToLower(c)] = true
 	}
 	seen := map[string]bool{}
-	for _, frag := range fragments {
-		for _, c := range frag {
+	layout := &catalog.VerticalLayout{Table: strings.ToLower(t.Name), Fragments: make([][]string, len(fragments))}
+	for i, frag := range fragments {
+		layout.Fragments[i] = make([]string, len(frag))
+		for j, c := range frag {
 			lc := strings.ToLower(c)
+			layout.Fragments[i][j] = lc
 			if !t.HasColumn(c) {
 				return fmt.Errorf("designer: table %s has no column %q", table, c)
 			}
@@ -183,7 +188,7 @@ func (s *DesignSession) AddVerticalPartition(table string, fragments [][]string)
 			return fmt.Errorf("designer: column %q missing from the layout", col.Name)
 		}
 	}
-	s.cfg.SetVertical(&catalog.VerticalLayout{Table: strings.ToLower(t.Name), Fragments: fragments})
+	s.cfg.SetVertical(layout)
 	return nil
 }
 

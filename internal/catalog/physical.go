@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 )
@@ -209,8 +210,10 @@ func (ix *Index) DDL(name string) string {
 // Every fragment implicitly also stores the table's primary key (AutoPart's
 // replication rule), so fragments can be joined back on the PK.
 type VerticalLayout struct {
-	Table     string
-	Fragments [][]string // each inner slice: non-PK column names of a fragment
+	Table string
+	// Fragments lists each fragment's non-PK column names, lower-case: the
+	// optimizer matches them against a query's columns as they are.
+	Fragments [][]string
 }
 
 // FragmentFor returns the fragment ordinal containing the column, or -1.
@@ -270,7 +273,9 @@ func (h *HorizontalLayout) String() string {
 
 // Configuration is a complete physical design: a set of indexes plus
 // optional partition layouts per table. Configurations are value-like;
-// Clone before mutating a shared one.
+// Clone before mutating a shared one. A layout map is nil until a layout
+// is set on it (SetVertical, SetHorizontal), so most configurations —
+// indexes only — carry none.
 type Configuration struct {
 	Indexes    []*Index
 	Vertical   map[string]*VerticalLayout   // keyed by lower-case table name
@@ -279,22 +284,18 @@ type Configuration struct {
 
 // NewConfiguration returns an empty configuration.
 func NewConfiguration() *Configuration {
-	return &Configuration{
-		Vertical:   make(map[string]*VerticalLayout),
-		Horizontal: make(map[string]*HorizontalLayout),
-	}
+	return &Configuration{}
 }
 
-// Clone deep-copies the configuration (index structs are shared; the slices
-// and maps are fresh).
+// Clone deep-copies the configuration (index structs and layouts are
+// shared; the slice and any non-empty map are fresh).
 func (c *Configuration) Clone() *Configuration {
-	out := NewConfiguration()
-	out.Indexes = append([]*Index(nil), c.Indexes...)
-	for k, v := range c.Vertical {
-		out.Vertical[k] = v
+	out := &Configuration{Indexes: append([]*Index(nil), c.Indexes...)}
+	if len(c.Vertical) > 0 {
+		out.Vertical = maps.Clone(c.Vertical)
 	}
-	for k, v := range c.Horizontal {
-		out.Horizontal[k] = v
+	if len(c.Horizontal) > 0 {
+		out.Horizontal = maps.Clone(c.Horizontal)
 	}
 	return out
 }
@@ -356,11 +357,17 @@ func (c *Configuration) HasAggView(table string) bool {
 
 // SetVertical records (or replaces) the vertical layout for its table.
 func (c *Configuration) SetVertical(v *VerticalLayout) {
+	if c.Vertical == nil {
+		c.Vertical = make(map[string]*VerticalLayout)
+	}
 	c.Vertical[NormCol(v.Table)] = v
 }
 
 // SetHorizontal records (or replaces) the horizontal layout for its table.
 func (c *Configuration) SetHorizontal(h *HorizontalLayout) {
+	if c.Horizontal == nil {
+		c.Horizontal = make(map[string]*HorizontalLayout)
+	}
 	c.Horizontal[NormCol(h.Table)] = h
 }
 

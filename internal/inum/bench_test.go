@@ -1,6 +1,9 @@
 package inum_test
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
@@ -92,3 +95,88 @@ func BenchmarkCostForColdConfigs(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCostForLayoutTrials prices AutoPart-shaped merge trials: the
+// photoobj columns grouped by which queries read them, every pairwise merge
+// of those fragments as a fresh layout, and each trial priced once against
+// every query through a digest, as the engine's sweep does. An operation is
+// one trial; a pass over the trials starts from a fresh cache, as one advise
+// does. A trial moves the scan footprint of only the queries that read one
+// of the two merged fragments; the others price from the access memo.
+func BenchmarkCostForLayoutTrials(b *testing.B) {
+	_, qs, cands, env := benchSetup(b)
+	var cache *inum.Cache
+	prepared := make([]*inum.CachedQuery, len(qs))
+	prepare := func() {
+		cache = inum.New(env)
+		for i, q := range qs {
+			cq, err := cache.Prepare(q.ID, q.Stmt, cands)
+			if err != nil {
+				b.Fatal(err)
+			}
+			prepared[i] = cq
+		}
+	}
+	table := env.Schema.Table("photoobj")
+	groups := map[string][]string{}
+	var order []string
+	for _, c := range table.Columns {
+		lc := strings.ToLower(c.Name)
+		if slices.Contains(table.PrimaryKey, lc) {
+			continue
+		}
+		sig := ""
+		for i, q := range qs {
+			if q.Stmt.Analysis().ColumnsOf("photoobj")[lc] {
+				sig += fmt.Sprint(i, ",")
+			}
+		}
+		if groups[sig] == nil {
+			order = append(order, sig)
+		}
+		groups[sig] = append(groups[sig], lc)
+	}
+	var frags [][]string
+	for _, sig := range order {
+		frags = append(frags, groups[sig])
+	}
+	base := catalog.NewConfiguration()
+	for i, ix := range cands {
+		if i%3 == 0 {
+			base = base.WithIndex(ix)
+		}
+	}
+	var trials []*catalog.Configuration
+	for i := range frags {
+		for j := i + 1; j < len(frags); j++ {
+			merged := [][]string{append(append([]string(nil), frags[i]...), frags[j]...)}
+			for k, f := range frags {
+				if k != i && k != j {
+					merged = append(merged, f)
+				}
+			}
+			trial := base.Clone()
+			trial.SetVertical(&catalog.VerticalLayout{Table: "photoobj", Fragments: merged})
+			trials = append(trials, trial)
+		}
+	}
+	if len(trials) == 0 {
+		b.Fatal("the workload reads photoobj's columns in one pattern: no merge to try")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%len(trials) == 0 {
+			b.StopTimer()
+			prepare()
+			b.StartTimer()
+		}
+		d := inum.DigestOf(trials[i%len(trials)])
+		for _, cq := range prepared {
+			sink += cache.CostUnder(cq, d)
+		}
+	}
+}
+
+// sink keeps the benchmarked costings from being optimized away.
+var sink float64

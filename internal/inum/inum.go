@@ -48,10 +48,16 @@
 // extension of INUM "to cache table partitions and partial plans" (§3.3):
 // access costs are partition-aware, while cached internals are reused
 // across layouts. Each cached query numbers the structures it meets
-// (memo.go), keys its access-cost memo on the set of relevant numbers, and
-// evaluates its templates as a loop over slices: a costing whose slices
-// were priced before allocates nothing and takes no lock. A configuration
-// priced against many queries is split into per-table slices once (Digest).
+// (memo.go) and keys its access-cost memo per table on the set of relevant
+// numbers plus the table's scan footprint under its layouts
+// (optimizer.LayoutFootprint: pages, CPU rows, fragment-stitch CPU) — all a
+// layout changes about an access cost, and nothing of the layout's text, so
+// an AutoPart trial that merges fragments a query does not read is a memo
+// hit for it, and a layout edited in place is keyed by what it holds when
+// priced. It evaluates its templates as a loop over slices: a costing whose
+// slices were priced before allocates nothing and takes no lock. A
+// configuration priced against many queries is split into per-table slices
+// once (Digest).
 package inum
 
 import (

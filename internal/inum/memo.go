@@ -1,7 +1,7 @@
 package inum
 
 import (
-	"hash/maphash"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -13,39 +13,23 @@ import (
 // tableSlice is the part of a configuration one table's costing can see:
 // the structures to consider and the table's partition layouts. structs may
 // hold structures of other tables (CostFor hands over cfg.Indexes as it
-// is); they are skipped by name.
+// is); they are skipped by name. The layouts are read when the slice is
+// priced, not when it is cut.
 type tableSlice struct {
 	structs    []*catalog.Index
 	vertical   *catalog.VerticalLayout
 	horizontal *catalog.HorizontalLayout
-	// layout identifies the two layouts by content — a layout object can be
-	// edited in place between two costings (AutoPart's merge loop does), so
-	// its address is no identity. Empty when the table is unpartitioned.
-	layout     string
-	layoutHash uint64
 }
-
-var layoutSeed = maphash.MakeSeed()
 
 // sliceOf cuts table's slice out of cfg, considering the given structures.
 func sliceOf(cfg *catalog.Configuration, table string, structs []*catalog.Index) tableSlice {
-	s := tableSlice{structs: structs, vertical: cfg.VerticalOn(table), horizontal: cfg.HorizontalOn(table)}
-	if s.vertical != nil {
-		s.layout = s.vertical.String()
-	}
-	if s.horizontal != nil {
-		s.layout += "\x00" + s.horizontal.String()
-	}
-	if s.layout != "" {
-		s.layoutHash = maphash.String(layoutSeed, s.layout)
-	}
-	return s
+	return tableSlice{structs: structs, vertical: cfg.VerticalOn(table), horizontal: cfg.HorizontalOn(table)}
 }
 
 // Digest is a configuration split once into per-table slices, so that
 // pricing it against a whole workload walks, per query, only the structures
-// on that query's tables and renders each layout once instead of once per
-// query. It is a snapshot: build it, price with it, drop it.
+// on that query's tables. Its structure lists are a snapshot: build it,
+// price with it, drop it.
 type Digest struct {
 	tables []digestTable // a schema has a handful of tables: scanned, not hashed
 }
@@ -107,8 +91,13 @@ const maxInterned = 4096
 // costMemo is the access-cost memo of one cached query. Every structure the
 // query is priced against is numbered on first sight — or marked as
 // invisible, when it cannot enter any plan of the query — and a table's
-// access costs are keyed on the set of visible numbers present plus the
-// table's layouts. Everything stored is a pure function of its key, so
+// access costs are keyed on the set of visible numbers present plus what the
+// table's layouts change for the query: its scan footprint
+// (optimizer.LayoutFootprint), the one input of the access costs a layout
+// reaches. Two layouts with one footprint share an entry — a merge of two
+// fragments the query does not read prices nothing — and a layout edited in
+// place between two costings (AutoPart's merge loop) is keyed by what it
+// holds when priced. Everything stored is a pure function of its key, so
 // readers never wait: ids and entries are published atomically and read
 // without a lock; mu only orders the writers.
 type costMemo struct {
@@ -157,14 +146,25 @@ func (m *costMemo) idOf(q *CachedQuery, t int, ix *catalog.Index) int32 {
 
 // memoEntry is one memoized pricing: the access cost of table (an index
 // into CachedQuery.Tables) per required-order slot, under the visible
-// structures in set and the layouts in layout. table == len(Tables) holds
-// the aggregate-view rewrite cost of a single-table query in costs[0].
+// structures and the scan footprint in key. table == len(Tables) holds the
+// aggregate-view rewrite cost of a single-table query in costs[0].
 type memoEntry struct {
-	table  int32
-	set    []uint64 // bitset of structure numbers, no trailing zero word
-	layout string
+	table int32
+	// layout reports that key ends with the scan footprint's
+	// footprintWords words, which it holds only when the table's layouts
+	// change the footprint: an unpartitioned table's key is the bitset alone.
+	layout bool
+	key    []uint64 // bitset of structure numbers, no trailing zero word; then the footprint
 	hash   uint64
 	costs  []float64
+}
+
+// footprintWords is the length of a footprint in a memo key.
+const footprintWords = 3
+
+// appendFootprint appends the footprint's bits to a memo key.
+func appendFootprint(key []uint64, fp optimizer.ScanFootprint) []uint64 {
+	return append(key, math.Float64bits(fp.Pages), math.Float64bits(fp.CPURows), math.Float64bits(fp.StitchCPU))
 }
 
 // memoTable is an open-addressing table of entries, at most half full.
@@ -175,17 +175,21 @@ type memoTable struct {
 	used  int // writers only
 }
 
-func memoHash(table int32, set []uint64, layoutHash uint64) uint64 {
+func memoHash(table int32, layout bool, key []uint64) uint64 {
 	const mult = 0x9E3779B97F4A7C15
-	h := (uint64(table) + 1) * mult
-	for _, w := range set {
+	h := uint64(table)<<1 + 1
+	if layout {
+		h++
+	}
+	h *= mult
+	for _, w := range key {
 		h = (h ^ w) * mult
 		h ^= h >> 29
 	}
-	return h ^ layoutHash
+	return h
 }
 
-func (t *memoTable) find(hash uint64, table int32, set []uint64, layout string) *memoEntry {
+func (t *memoTable) find(hash uint64, table int32, layout bool, key []uint64) *memoEntry {
 	if t == nil {
 		return nil
 	}
@@ -195,7 +199,7 @@ func (t *memoTable) find(hash uint64, table int32, set []uint64, layout string) 
 		if e == nil {
 			return nil
 		}
-		if e.hash == hash && e.table == table && e.layout == layout && slices.Equal(e.set, set) {
+		if e.hash == hash && e.table == table && e.layout == layout && slices.Equal(e.key, key) {
 			return e
 		}
 	}
@@ -217,7 +221,7 @@ func (m *costMemo) put(e *memoEntry) *memoEntry {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	t := m.tab.Load()
-	if prev := t.find(e.hash, e.table, e.set, e.layout); prev != nil {
+	if prev := t.find(e.hash, e.table, e.layout, e.key); prev != nil {
 		return prev
 	}
 	if t == nil || 2*(t.used+1) > len(t.slots) {
@@ -244,11 +248,12 @@ func (m *costMemo) put(e *memoEntry) *memoEntry {
 // cost per required-order slot and the cost of the cheapest aggregate-view
 // rewrite (-1 when no view in s can rewrite the query; only a single-table
 // query has visible views). Both come from the memo when the same visible
-// structures and layouts were priced before.
+// structures and scan footprint were priced before.
 func (c *Cache) accessCosts(q *CachedQuery, m *costMemo, t int, s *tableSlice) (access []float64, mv float64) {
 	table := q.Tables[t]
-	var rowBuf, viewBuf [4]uint64
-	rows, views := rowBuf[:0], viewBuf[:0]
+	var keyBuf [4 + footprintWords]uint64
+	var viewBuf [4]uint64
+	key, views := keyBuf[:0], viewBuf[:0]
 	for _, ix := range s.structs {
 		if catalog.NormCol(ix.Table) != table {
 			continue
@@ -260,28 +265,35 @@ func (c *Cache) accessCosts(q *CachedQuery, m *costMemo, t int, s *tableSlice) (
 		if ix.Kind == catalog.KindAggView {
 			views = setBit(views, id)
 		} else {
-			rows = setBit(rows, id)
+			key = setBit(key, id)
+		}
+	}
+	layout := false
+	if s.vertical != nil || s.horizontal != nil {
+		var fp optimizer.ScanFootprint
+		if fp, layout = c.base.LayoutFootprint(q.Stmt, table, s.vertical, s.horizontal); layout {
+			key = appendFootprint(key, fp)
 		}
 	}
 
-	h := memoHash(int32(t), rows, s.layoutHash)
-	e := m.tab.Load().find(h, int32(t), rows, s.layout)
+	h := memoHash(int32(t), layout, key)
+	e := m.tab.Load().find(h, int32(t), layout, key)
 	if e == nil {
 		design := optimizer.TableDesign{Indexes: c.visible(q, m, t, s, false), Vertical: s.vertical, Horizontal: s.horizontal}
 		// The table was resolved against the schema when the entry was
 		// built, the only error AccessCosts can report.
 		costs, _ := c.base.AccessCosts(q.Stmt, table, design, q.orders[t])
-		e = m.put(&memoEntry{table: int32(t), set: append([]uint64(nil), rows...), layout: s.layout, hash: h, costs: costs})
+		e = m.put(&memoEntry{table: int32(t), layout: layout, key: append([]uint64(nil), key...), hash: h, costs: costs})
 	}
 	if len(views) == 0 {
 		return e.costs, -1
 	}
 	rewrite := int32(len(q.Tables))
-	h = memoHash(rewrite, views, 0)
-	ve := m.tab.Load().find(h, rewrite, views, "")
+	h = memoHash(rewrite, false, views)
+	ve := m.tab.Load().find(h, rewrite, false, views)
 	if ve == nil {
 		cost := c.base.BestMVRewriteCost(q.Stmt, c.visible(q, m, t, s, true))
-		ve = m.put(&memoEntry{table: rewrite, set: append([]uint64(nil), views...), hash: h, costs: []float64{cost}})
+		ve = m.put(&memoEntry{table: rewrite, key: append([]uint64(nil), views...), hash: h, costs: []float64{cost}})
 	}
 	return e.costs, ve.costs[0]
 }

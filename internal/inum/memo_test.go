@@ -564,3 +564,163 @@ func TestMemoStartsOverAtTheBound(t *testing.T) {
 		t.Fatal("the memo was never replaced")
 	}
 }
+
+// TestMemoKeysOnTheLayoutFootprint is the differential test of the memo's
+// layout key, on AutoPart-shaped sequences over one table: every pairwise
+// merge of the current fragments priced as a fresh layout — merges of
+// fragments a query reads and of fragments it does not — then one merge
+// applied in place to a layout the configuration already holds, priced
+// before and after the edit; and horizontal layouts on a column some queries
+// filter and on one none does. Each costing equals a cold pricing bit for
+// bit, and each query's memo holds exactly one entry per distinct (visible
+// structures, scan footprint) it was priced under — the footprint left out
+// when the layouts leave it as the unpartitioned table's.
+func TestMemoKeysOnTheLayoutFootprint(t *testing.T) {
+	store, err := workload.Generate(workload.TinySize(), 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := optimizer.NewEnv(store.Schema, store.Stats, nil)
+	sess := whatif.NewSessionFromEnv(env, nil)
+	var structs []*catalog.Index
+	for _, cols := range [][]string{{"specobj", "z"}, {"specobj", "bestobjid", "z"}, {"photoobj", "objid"}} {
+		ix, err := sess.HypotheticalIndex(cols[0], cols[1:]...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		structs = append(structs, ix)
+	}
+	bare, indexed := catalog.NewConfiguration(), catalog.NewConfiguration()
+	indexed.Indexes = structs
+
+	warm := New(env)
+	var entries []*CachedQuery
+	for _, sql := range []string{
+		"SELECT z, class, plate FROM specobj WHERE z > 1",
+		"SELECT bestobjid, sn_median FROM specobj WHERE zerr < 0.01 ORDER BY bestobjid",
+		"SELECT specobjid FROM specobj WHERE specobjid < 100",
+		"SELECT p.objid, s.z FROM photoobj p JOIN specobj s ON p.objid = s.bestobjid WHERE s.z > 1",
+	} {
+		q, err := warm.Prepare("", parsed(t, store.Schema, sql), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries = append(entries, q)
+	}
+
+	// keys[i] collects query i's distinct (table, visible structures,
+	// footprint) keys, the footprint omitted when the layouts leave it alone.
+	keys := make([]map[string]bool, len(entries))
+	for i := range keys {
+		keys[i] = map[string]bool{}
+	}
+	type scan struct{ pages, rows float64 }
+	stitches := map[scan]map[float64]bool{} // footprints seen, per (pages, rows)
+	horizontalMoved, horizontalIdle := false, false
+	price := func(cfg *catalog.Configuration, what string) {
+		for i, q := range entries {
+			checkAgainstCold(t, env, warm, q, nil, cfg, fmt.Sprintf("%s, %s", what, q.Stmt.Key()))
+			for ti, table := range q.Tables {
+				v, h := cfg.VerticalOn(table), cfg.HorizontalOn(table)
+				fp, moved := env.LayoutFootprint(q.Stmt, table, v, h)
+				key := fmt.Sprint(ti)
+				for _, ix := range cfg.IndexesOn(table) {
+					if optimizer.CanUse(q.Stmt.Analysis().Footprint, table, ix) {
+						key += "," + ix.Key()
+					}
+				}
+				if moved {
+					key += fmt.Sprintf("|%x|%x|%x", math.Float64bits(fp.Pages), math.Float64bits(fp.CPURows), math.Float64bits(fp.StitchCPU))
+					s := scan{fp.Pages, fp.CPURows}
+					if stitches[s] == nil {
+						stitches[s] = map[float64]bool{}
+					}
+					stitches[s][fp.StitchCPU] = true
+				}
+				keys[i][key] = true
+				if h != nil {
+					alone, _ := env.LayoutFootprint(q.Stmt, table, v, nil)
+					horizontalMoved = horizontalMoved || alone != fp
+					horizontalIdle = horizontalIdle || alone == fp
+				}
+			}
+		}
+	}
+	merged := func(frags [][]string, i, j int) [][]string {
+		var out [][]string
+		for k, f := range frags {
+			switch k {
+			case i:
+				out = append(out, append(append([]string(nil), f...), frags[j]...))
+			case j:
+			default:
+				out = append(out, f)
+			}
+		}
+		return out
+	}
+
+	layout := &catalog.VerticalLayout{Table: "specobj", Fragments: [][]string{
+		{"bestobjid"}, {"z"}, {"zerr"}, {"class"}, {"plate"}, {"mjd", "fiberid"}, {"subclass", "sn_median", "veldisp"},
+	}}
+	for round := 0; len(layout.Fragments) > 1; round++ {
+		for _, base := range []*catalog.Configuration{bare, indexed} {
+			for i := range layout.Fragments {
+				for j := i + 1; j < len(layout.Fragments); j++ {
+					trial := base.Clone()
+					trial.SetVertical(&catalog.VerticalLayout{Table: layout.Table, Fragments: merged(layout.Fragments, i, j)})
+					price(trial, fmt.Sprintf("round %d: merge %d and %d of %v", round, i, j, layout.Fragments))
+				}
+			}
+		}
+		// Edit the held layout in place, alternating the first two
+		// fragments and the last two.
+		held := indexed.Clone()
+		held.SetVertical(layout)
+		price(held, fmt.Sprintf("round %d: %v before the edit", round, layout.Fragments))
+		i := 0
+		if round%2 == 1 {
+			i = len(layout.Fragments) - 2
+		}
+		layout.Fragments = merged(layout.Fragments, i, i+1)
+		price(held, fmt.Sprintf("round %d: %v edited in place", round, layout.Fragments))
+	}
+
+	split := &catalog.VerticalLayout{Table: "specobj", Fragments: [][]string{
+		{"bestobjid", "z", "zerr", "class"}, {"plate", "mjd", "fiberid", "subclass", "sn_median", "veldisp"},
+	}}
+	zs := store.Stats.Table("specobj").Column("z").Hist
+	vs := store.Stats.Table("specobj").Column("veldisp").Hist
+	for _, base := range []*catalog.Configuration{bare, indexed} {
+		for _, v := range []*catalog.VerticalLayout{nil, split} {
+			for _, h := range []*catalog.HorizontalLayout{
+				{Table: "specobj", Column: "veldisp", Bounds: []catalog.Datum{vs.Quantile(0.25), vs.Quantile(0.5), vs.Quantile(0.75)}},
+				{Table: "specobj", Column: "z", Bounds: []catalog.Datum{zs.Quantile(0.5)}},
+				{Table: "specobj", Column: "z", Bounds: []catalog.Datum{zs.Quantile(0.25), zs.Quantile(0.5), zs.Quantile(0.75)}},
+			} {
+				cfg := base.Clone()
+				if v != nil {
+					cfg.SetVertical(v)
+				}
+				cfg.SetHorizontal(h)
+				price(cfg, fmt.Sprintf("vertical %v, horizontal %v", v, h))
+			}
+		}
+	}
+
+	for i, q := range entries {
+		if used := q.memo.Load().tab.Load().used; used != len(keys[i]) {
+			t.Errorf("%s: the memo holds %d entries for %d distinct (visible structures, footprint) keys", q.Stmt.Key(), used, len(keys[i]))
+		}
+	}
+	stitchOnly := false
+	for _, seen := range stitches {
+		stitchOnly = stitchOnly || len(seen) > 1
+	}
+	if !stitchOnly {
+		t.Error("no two footprints differ in their stitch CPU alone: the sequence no longer shows what a key without it would get wrong")
+	}
+	if !horizontalMoved || !horizontalIdle {
+		t.Errorf("a horizontal layout moved a footprint: %v, left one alone: %v; the sequence needs both", horizontalMoved, horizontalIdle)
+	}
+}

@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -46,8 +47,8 @@ func (e *Env) newTableScan(table string, d TableDesign, filters []sqlparse.Expr,
 	if outRows < 1 && rows > 0 {
 		outRows = 1
 	}
-	effPages, cpuRows, fragJoinCPU := e.effectiveScanFootprint(table, d, ts.Pages, rows, filters, needed, star)
-	seqCost := e.Params.seqScanCost(effPages, cpuRows, len(filters)) + fragJoinCPU
+	fp := e.scanFootprint(table, d.Vertical, d.Horizontal, ts, filters, needed, star)
+	seqCost := e.Params.seqScanCost(fp.Pages, fp.CPURows, len(filters)) + fp.StitchCPU
 	if e.Opts.DisableSeqScan {
 		seqCost += 1e7 // discouraged, not impossible (PostgreSQL's enable_seqscan)
 	}
@@ -398,27 +399,50 @@ func (e *Env) innerIndexPath(
 	return best
 }
 
-// effectiveScanFootprint adapts a sequential scan's page and CPU footprint
-// to the table's partition layouts (the what-if table component, §3.1b):
+// ScanFootprint is everything a table's partition layouts change about one
+// query's access to the table: the pages and rows its sequential scan reads
+// and the CPU of stitching vertical fragments back together. newTableScan
+// reads the layouts through nothing else, so two designs of a table with the
+// same structures and the same footprint price every access path alike.
+type ScanFootprint struct {
+	Pages     float64
+	CPURows   float64
+	StitchCPU float64
+}
+
+// LayoutFootprint is the footprint of a resolved query's access to table
+// under the vertical and horizontal layouts (either may be nil), and whether
+// it differs from the unpartitioned table's. It reads the layouts as they
+// are now, and allocates nothing.
+func (e *Env) LayoutFootprint(sel *sqlparse.SelectStmt, table string, v *catalog.VerticalLayout, h *catalog.HorizontalLayout) (ScanFootprint, bool) {
+	a, lt := sel.Analysis(), strings.ToLower(table)
+	ts := e.tableStats(lt)
+	fp := e.scanFootprint(lt, v, h, ts, a.FiltersOf(lt), a.ColumnsOf(lt), a.Star)
+	return fp, fp != ScanFootprint{Pages: float64(ts.Pages), CPURows: float64(ts.RowCount)}
+}
+
+// scanFootprint adapts a sequential scan's page and CPU footprint to the
+// table's partition layouts (the what-if table component, §3.1b):
 //
 //   - A vertical layout means only fragments containing needed columns are
 //     scanned; reading k>1 fragments adds a primary-key stitch cost.
+//     Fragment columns are lower-case, as needed's keys are.
 //   - A horizontal layout prunes range fragments that cannot satisfy a
 //     sargable predicate on the partition column.
-func (e *Env) effectiveScanFootprint(
-	table string, d TableDesign, pages int64, rows float64,
-	filters []sqlparse.Expr,
+func (e *Env) scanFootprint(
+	table string, v *catalog.VerticalLayout, h *catalog.HorizontalLayout,
+	ts *stats.TableStats, filters []sqlparse.Expr,
 	needed map[string]bool, star bool,
-) (effPages, cpuRows, fragJoinCPU float64) {
-	effPages = float64(pages)
-	cpuRows = rows
+) ScanFootprint {
+	rows := float64(ts.RowCount)
+	fp := ScanFootprint{Pages: float64(ts.Pages), CPURows: rows}
 	t := e.Schema.Table(table)
 	if t == nil {
-		return effPages, cpuRows, 0
+		return fp
 	}
 
 	// Vertical layout: scan only the fragments covering needed columns.
-	if v := d.Vertical; v != nil && !star {
+	if v != nil && !star {
 		fullWidth := float64(t.RowWidthBytes())
 		pkWidth := 24 // tuple header
 		for _, pk := range t.PrimaryKey {
@@ -426,12 +450,21 @@ func (e *Env) effectiveScanFootprint(
 				pkWidth += c.WidthBytes()
 			}
 		}
+		// A query reads a handful of a table's columns: compare each
+		// fragment column with them rather than hash it into needed.
+		var buf [16]string
+		reads, few := buf[:0], len(needed) <= len(buf)
+		if few {
+			for col := range needed {
+				reads = append(reads, col)
+			}
+		}
 		fragsUsed := 0
 		var scanWidth float64
 		for _, frag := range v.Fragments {
 			used := false
 			for _, col := range frag {
-				if needed[strings.ToLower(col)] {
+				if few && slices.Contains(reads, col) || !few && needed[col] {
 					used = true
 					break
 				}
@@ -457,23 +490,23 @@ func (e *Env) effectiveScanFootprint(
 		if frac > 1 {
 			frac = 1
 		}
-		effPages = math.Max(math.Ceil(effPages*frac), 1)
+		fp.Pages = math.Max(math.Ceil(fp.Pages*frac), 1)
 		if fragsUsed > 1 {
 			// Stitching fragments back together on the PK: hash-join-like
 			// CPU per row per extra fragment.
-			fragJoinCPU = rows * float64(fragsUsed-1) *
+			fp.StitchCPU = rows * float64(fragsUsed-1) *
 				(e.Params.CPUOperatorCost*2 + e.Params.CPUTupleCost)
 		}
 	}
 
 	// Horizontal layout: prune fragments by sargable bounds on the
 	// partition column.
-	if h := d.Horizontal; h != nil {
+	if h != nil {
 		frac := e.horizontalCoverage(table, h, filters)
-		effPages = math.Max(math.Ceil(effPages*frac), 1)
-		cpuRows = math.Max(rows*frac, 1)
+		fp.Pages = math.Max(math.Ceil(fp.Pages*frac), 1)
+		fp.CPURows = math.Max(rows*frac, 1)
 	}
-	return effPages, cpuRows, fragJoinCPU
+	return fp
 }
 
 // horizontalCoverage estimates the fraction of rows in fragments that
