@@ -3,6 +3,7 @@ package designer
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/autopart"
@@ -152,8 +153,10 @@ func (s *DesignSession) DropIndex(key string) bool {
 
 // AddVerticalPartition declares a hypothetical vertical layout. Fragments
 // list non-PK columns, in any case; every column of the table must appear
-// exactly once. The session keeps a lower-case copy: editing fragments
-// afterwards changes nothing in the design.
+// exactly once. The session keeps its own copy, lower-cased as every layout
+// is: editing fragments afterwards changes nothing in the design, and the
+// layout renders (DDL, reports, rewrites) in lower case whatever the
+// caller's spelling.
 func (s *DesignSession) AddVerticalPartition(table string, fragments [][]string) error {
 	t := s.d.store.Schema.Table(table)
 	if t == nil {
@@ -166,10 +169,9 @@ func (s *DesignSession) AddVerticalPartition(table string, fragments [][]string)
 	seen := map[string]bool{}
 	layout := &catalog.VerticalLayout{Table: strings.ToLower(t.Name), Fragments: make([][]string, len(fragments))}
 	for i, frag := range fragments {
-		layout.Fragments[i] = make([]string, len(frag))
-		for j, c := range frag {
+		layout.Fragments[i] = slices.Clone(frag)
+		for _, c := range frag {
 			lc := strings.ToLower(c)
-			layout.Fragments[i][j] = lc
 			if !t.HasColumn(c) {
 				return fmt.Errorf("designer: table %s has no column %q", table, c)
 			}

@@ -213,6 +213,7 @@ type VerticalLayout struct {
 	Table string
 	// Fragments lists each fragment's non-PK column names, lower-case: the
 	// optimizer matches them against a query's columns as they are.
+	// SetVertical lower-cases them; an edit after it must keep them so.
 	Fragments [][]string
 }
 
@@ -355,8 +356,19 @@ func (c *Configuration) HasAggView(table string) bool {
 	return false
 }
 
-// SetVertical records (or replaces) the vertical layout for its table.
+// SetVertical records (or replaces) the vertical layout for its table. It
+// lower-cases the layout's fragment columns in place, so the layout renders
+// in lower case whatever its producer's spelling. A column already
+// lower-case is not written, so setting a shared lower-case layout again
+// races with no reader.
 func (c *Configuration) SetVertical(v *VerticalLayout) {
+	for _, frag := range v.Fragments {
+		for i, col := range frag {
+			if lc := NormCol(col); lc != col {
+				frag[i] = lc
+			}
+		}
+	}
 	if c.Vertical == nil {
 		c.Vertical = make(map[string]*VerticalLayout)
 	}

@@ -179,3 +179,17 @@ func TestLayoutStrings(t *testing.T) {
 		t.Errorf("horizontal String() = %q", h)
 	}
 }
+
+func TestSetVerticalLowerCasesFragments(t *testing.T) {
+	v := &VerticalLayout{Table: "t", Fragments: [][]string{{"A", "b"}, {"cD"}}}
+	NewConfiguration().SetVertical(v)
+	if got := v.String(); got != "t: {a,b}{cd}" {
+		t.Fatalf("layout after SetVertical = %q, want t: {a,b}{cd}", got)
+	}
+	// Setting a lower-case layout again writes nothing, so it races with
+	// no reader of a configuration that already holds it (go test -race).
+	done := make(chan string)
+	go func() { done <- v.String() }()
+	NewConfiguration().SetVertical(v)
+	<-done
+}

@@ -1,6 +1,7 @@
 package optimizer_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -276,6 +277,42 @@ func TestVerticalPartitionReducesScanCost(t *testing.T) {
 	// The narrow fragment holds ~3 of 48 columns: expect a large saving.
 	if partPlan.TotalCost() > basePlan.TotalCost()*0.5 {
 		t.Errorf("saving too small: %.2f vs %.2f", partPlan.TotalCost(), basePlan.TotalCost())
+	}
+}
+
+// The optimizer matches fragment columns against a query's columns as they
+// are, and SetVertical lower-cases them: a layout spelled in mixed case
+// prices every access bit-equal to its lower-case spelling.
+func TestMixedCaseLayoutPricesAsLowerCase(t *testing.T) {
+	envBase := testEnv(t, nil)
+	spelled := func(spell func(string) string) *optimizer.Env {
+		var hot, warm, rest []string
+		for _, c := range envBase.Schema.Table("photoobj").Columns {
+			switch lc := strings.ToLower(c.Name); lc {
+			case "objid":
+			case "ra", "dec":
+				hot = append(hot, spell(lc))
+			case "type", "psfmag_r":
+				warm = append(warm, spell(lc))
+			default:
+				rest = append(rest, spell(lc))
+			}
+		}
+		cfg := catalog.NewConfiguration()
+		cfg.SetVertical(&catalog.VerticalLayout{Table: "photoobj", Fragments: [][]string{hot, warm, rest}})
+		return envBase.WithConfig(cfg)
+	}
+	lower := spelled(func(c string) string { return c })
+	mixed := spelled(func(c string) string { return strings.ToUpper(c[:1]) + c[1:] })
+	for _, sql := range []string{
+		"SELECT objid, ra, dec FROM photoobj WHERE ra BETWEEN 10 AND 20", // one fragment
+		"SELECT ra, psfmag_r FROM photoobj WHERE type = 6",               // two: stitched
+		"SELECT objid FROM photoobj WHERE objid < 100",                   // the key alone
+	} {
+		want := mustPlan(t, lower, sql).TotalCost()
+		if got := mustPlan(t, mixed, sql).TotalCost(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: mixed-case layout costs %v, lower-case %v", sql, got, want)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package optimizer
 
 import (
 	"math"
-	"slices"
 	"sort"
 	"strings"
 
@@ -426,7 +425,8 @@ func (e *Env) LayoutFootprint(sel *sqlparse.SelectStmt, table string, v *catalog
 //
 //   - A vertical layout means only fragments containing needed columns are
 //     scanned; reading k>1 fragments adds a primary-key stitch cost.
-//     Fragment columns are lower-case, as needed's keys are.
+//     Fragment columns are lower-case (Configuration.SetVertical makes
+//     them so), as needed's keys are.
 //   - A horizontal layout prunes range fragments that cannot satisfy a
 //     sargable predicate on the partition column.
 func (e *Env) scanFootprint(
@@ -450,21 +450,12 @@ func (e *Env) scanFootprint(
 				pkWidth += c.WidthBytes()
 			}
 		}
-		// A query reads a handful of a table's columns: compare each
-		// fragment column with them rather than hash it into needed.
-		var buf [16]string
-		reads, few := buf[:0], len(needed) <= len(buf)
-		if few {
-			for col := range needed {
-				reads = append(reads, col)
-			}
-		}
 		fragsUsed := 0
 		var scanWidth float64
 		for _, frag := range v.Fragments {
 			used := false
 			for _, col := range frag {
-				if few && slices.Contains(reads, col) || !few && needed[col] {
+				if needed[col] {
 					used = true
 					break
 				}
