@@ -13,8 +13,10 @@ import (
 // TestAdviseAllocationCeiling guards what the benchmark's advise_full
 // workload measures, in tier-1 and in a second: one fixed 48-statement
 // script, SQL text in, full advice (partitions, interactions) and DDL out,
-// on the tiny dataset. An answer allocates 1,366 KB (it repeats to a few
-// KB); the ceiling sits a tenth above. The same answer allocated 2,124 KB
+// on the tiny dataset. An answer allocates 1,154 KB (it repeats to a few
+// tens of KB); the ceiling sits a tenth above. The same answer allocated
+// 1,366 KB while INUM built the plan tree of every template it read, walked
+// it twice and keyed the template on a rendered signature, 2,124 KB
 // while INUM keyed its access memo on each partition layout's rendered text,
 // so every AutoPart trial missed it for every query of the trial's table,
 // and every configuration made both of its layout maps, 2,796 KB
@@ -34,7 +36,7 @@ import (
 // this long before the ceiling's slack matters. (Not under -race: the
 // detector's instrumentation allocates.)
 func TestAdviseAllocationCeiling(t *testing.T) {
-	const ceilingKB = 1503
+	const ceilingKB = 1270
 	ctx := context.Background()
 	d, err := designer.OpenSDSS("tiny", 41)
 	if err != nil {
@@ -73,6 +75,49 @@ func TestAdviseAllocationCeiling(t *testing.T) {
 	t.Logf("%.0f KB an answer, ceiling %d KB", perAnswerKB, ceilingKB)
 	if perAnswerKB > ceilingKB {
 		t.Fatalf("one advise answer allocates %.0f KB, ceiling %d KB", perAnswerKB, ceilingKB)
+	}
+}
+
+// TestObserveAllocationCeiling guards what the benchmark's online_stream
+// workload measures past the parse: a fresh online tuner observing a fixed
+// drifting stream (300 statements, tiny dataset), where every observation
+// pins a view of its own, so each statement's INUM entry — its no-order
+// template, one full optimization — is built anew and priced once or twice.
+// A statement allocates 2,860 B; the ceiling sits a tenth above. The same
+// stream allocated 5,251 B a statement while INUM built each template's plan
+// tree, walked it twice and keyed the template on a rendered signature, so a
+// template build that starts building plans again trips this. (Not under
+// -race: the detector's instrumentation allocates.)
+func TestObserveAllocationCeiling(t *testing.T) {
+	const ceilingBytes = 3146
+	ctx := context.Background()
+	d, err := designer.OpenSDSS("tiny", 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := d.DriftStream(7, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	observe := func() {
+		tuner := d.NewOnlineTuner(designer.DefaultTunerOptions())
+		defer tuner.Close()
+		if _, err := tuner.ObserveAll(ctx, stream); err != nil {
+			t.Fatal(err)
+		}
+	}
+	observe() // warm-up: lazy one-time state
+	const rounds = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		observe()
+	}
+	runtime.ReadMemStats(&after)
+	perStmt := float64(after.TotalAlloc-before.TotalAlloc) / float64(rounds*len(stream))
+	t.Logf("%.0f B a statement, ceiling %d B", perStmt, ceilingBytes)
+	if perStmt > ceilingBytes {
+		t.Fatalf("observing one statement allocates %.0f B, ceiling %d B", perStmt, ceilingBytes)
 	}
 }
 

@@ -47,6 +47,40 @@ func BenchmarkPrepare(b *testing.B) {
 	}
 }
 
+// BenchmarkOnDemand measures the online tuner's door: per operation, one
+// statement's on-demand entry, built in a fresh cache as every observation
+// pins a view of its own, and the two costings an observation makes of it —
+// under the live design and under the live design plus a hot candidate on
+// one of the statement's tables.
+func BenchmarkOnDemand(b *testing.B) {
+	_, qs, cands, env := benchSetup(b)
+	live := catalog.NewConfiguration()
+	withCand := make([]*catalog.Configuration, len(qs))
+	for i, q := range qs {
+		withCand[i] = live
+		for _, ix := range cands {
+			if catalog.NormCol(ix.Table) == q.Stmt.Analysis().Tables[0] {
+				withCand[i] = live.WithIndex(ix)
+				break
+			}
+		}
+	}
+	var counters inum.Counters
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(qs)
+		cache := inum.New(env, &counters)
+		cq, err := cache.OnDemand(qs[k].Stmt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cur, _ := cache.CostFor(cq, live)
+		with, _ := cache.CostFor(cq, withCand[k])
+		sink += cur + with
+	}
+}
+
 func BenchmarkCostForWarm(b *testing.B) {
 	cache, qs, cands, _ := benchSetup(b)
 	var prepared []*inum.CachedQuery

@@ -8,6 +8,11 @@
 // lattice walks feasible ("speeds up the cost estimation process by orders
 // of magnitude", paper §1; experiment E8).
 //
+// A template is one full optimization read off the plan search's winner
+// (optimizer.ShapeUnder), no plan built: its internal cost is the total less
+// the leaf scans, a parameterized nested-loop inner counting as internal, and
+// it wants each table's leading leaf order.
+//
 // An entry is a function of its statement, and a costing a function of the
 // entry and the slice of the configuration the query can see — nothing
 // else, in particular not who prepared the query first or what they meant
@@ -62,8 +67,7 @@ package inum
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -72,19 +76,17 @@ import (
 	"repro/internal/sqlparse"
 )
 
-// maxTemplatesPerQuery bounds the cached plan templates per query.
-const maxTemplatesPerQuery = 24
-
-// maxOrderCombos bounds the seed configurations of a complete entry.
-const maxOrderCombos = 16
+// maxTemplates bounds the seed configurations of a complete entry and so
+// the plan templates a query caches: a seed yields at most one.
+const maxTemplates = 16
 
 // template is one plan skeleton while Prepare collects them: the internal
-// (non-leaf) cost and the leaf order each table must deliver for the
-// internals to be valid. build flattens the kept ones into CachedQuery.
+// (non-leaf) cost and, per table position, the leading key of the leaf order
+// the table must deliver for the internals to be valid (the zero key: any
+// order). build flattens the kept ones into CachedQuery.
 type template struct {
-	orders   map[string][]optimizer.OrderKey // per table; nil = any order
+	orders   []optimizer.OrderKey
 	internal float64
-	sig      string
 }
 
 // CachedQuery holds the INUM state for one query: the statement that first
@@ -149,11 +151,10 @@ type Counters struct {
 // engine hands every view's cache the same one — or, given none, into a
 // tally nobody reads.
 func New(env *optimizer.Env, counters ...*Counters) *Cache {
-	c := &Cache{base: env, slots: make(map[string]*slot), counters: new(Counters)}
-	if len(counters) > 0 {
-		c.counters = counters[0]
+	if len(counters) == 0 {
+		counters = []*Counters{new(Counters)}
 	}
-	return c
+	return &Cache{base: env, slots: make(map[string]*slot), counters: counters[0]}
 }
 
 // Prepare returns the statement's complete entry, building it when the cache
@@ -221,38 +222,38 @@ func (c *Cache) build(stmt *sqlparse.SelectStmt, complete bool) (*CachedQuery, e
 			seeds = append(seeds, all)
 		}
 		for _, ix := range all.Indexes {
-			if len(seeds) >= maxOrderCombos {
+			if len(seeds) >= maxTemplates {
 				break
 			}
 			seeds = append(seeds, catalog.NewConfiguration().WithIndex(ix))
 		}
 	}
 
-	var templates []template
+	templates := make([]template, 0, len(seeds))
 	var err error
-	seen := make(map[string]bool)
 	for _, cfg := range seeds {
-		if templates, err = c.addTemplate(q, cfg, templates, seen); err != nil {
+		if templates, err = c.addTemplate(q, cfg, templates); err != nil {
 			return nil, err
 		}
 	}
-	// Deterministic template order: by signature.
-	sort.Slice(templates, func(a, b int) bool { return templates[a].sig < templates[b].sig })
 	q.flatten(templates)
 	return q, nil
 }
 
 // flatten stores the templates in the form the costing loop reads. Two
 // templates share an order slot of a table when they require the same
-// leading column of it — the identity the template signature is built from.
+// leading column of it.
 func (q *CachedQuery) flatten(templates []template) {
 	q.internals = make([]float64, len(templates))
 	q.slots = make([]int32, 0, len(templates)*len(q.Tables))
 	q.orders = make([][][]optimizer.OrderKey, len(q.Tables))
 	for i, tpl := range templates {
 		q.internals[i] = tpl.internal
-		for t, table := range q.Tables {
-			want := tpl.orders[table]
+		for t := range q.Tables {
+			want := tpl.orders[t : t+1 : t+1]
+			if want[0].Column == "" {
+				want = nil // any order
+			}
 			slot := -1
 			for k, have := range q.orders[t] {
 				if len(have) == len(want) && (len(want) == 0 || have[0].Column == want[0].Column) {
@@ -269,53 +270,27 @@ func (q *CachedQuery) flatten(templates []template) {
 	}
 }
 
-// addTemplate optimizes the query under cfg and appends the resulting plan
-// skeleton if its leaf-order signature is new.
-func (c *Cache) addTemplate(q *CachedQuery, cfg *catalog.Configuration, templates []template, seen map[string]bool) ([]template, error) {
-	env := c.base.WithConfig(cfg)
-	plan, err := env.Optimize(q.Stmt)
+// addTemplate reads the plan skeleton of the query under cfg off the plan
+// search's winner and appends it, unless a template already requires the
+// same leading column of every table: then it keeps the cheaper internals.
+func (c *Cache) addTemplate(q *CachedQuery, cfg *catalog.Configuration, templates []template) ([]template, error) {
+	shape, err := c.base.ShapeUnder(q.Stmt, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("inum: %w", err)
 	}
 	q.prepOptimizerCalls++
 	c.counters.FullOptimizations.Add(1)
 
-	orders := optimizer.LeafOrders(plan.Root, q.Tables)
-	internal := plan.TotalCost() - optimizer.ScanCostTotal(plan.Root)
-	if internal < 0 {
-		internal = 0
-	}
-	tpl := template{orders: map[string][]optimizer.OrderKey{}, internal: internal}
-	var sigParts []string
-	for _, t := range q.Tables {
-		o := orders[t]
-		// Only the order is part of the template contract; trim to the
-		// leading key, which is what joins and ORDER BY consume.
-		if len(o) > 0 {
-			o = o[:1]
-		}
-		tpl.orders[t] = o
-		if len(o) > 0 {
-			sigParts = append(sigParts, t+":"+o[0].Column)
-		} else {
-			sigParts = append(sigParts, t+":-")
-		}
-	}
-	tpl.sig = strings.Join(sigParts, "|")
-	if seen[tpl.sig] {
-		// Keep the cheaper internals for an existing signature.
-		for i := range templates {
-			if templates[i].sig == tpl.sig && tpl.internal < templates[i].internal {
-				templates[i].internal = tpl.internal
+	internal := max(shape.Total-shape.Scans, 0)
+	for i := range templates {
+		if slices.EqualFunc(templates[i].orders, shape.Orders, func(a, b optimizer.OrderKey) bool { return a.Column == b.Column }) {
+			if internal < templates[i].internal {
+				templates[i].internal = internal
 			}
+			return templates, nil
 		}
-		return templates, nil
 	}
-	seen[tpl.sig] = true
-	if len(templates) < maxTemplatesPerQuery {
-		templates = append(templates, tpl)
-	}
-	return templates, nil
+	return append(templates, template{orders: shape.Orders, internal: internal}), nil
 }
 
 // CostFor prices the query under an arbitrary configuration using cached
@@ -346,7 +321,7 @@ func (c *Cache) cost(q *CachedQuery, cfg *catalog.Configuration, d *Digest) floa
 
 	// Accumulate per template in table order, so every total is the same
 	// sum, in the same order, as pricing the templates one by one.
-	var buf [maxTemplatesPerQuery]float64
+	var buf [maxTemplates]float64
 	totals := buf[:len(q.internals)]
 	copy(totals, q.internals)
 	nt := len(q.Tables)

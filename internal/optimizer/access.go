@@ -173,39 +173,3 @@ func (s *tableScan) node(c accessChoice) *Node {
 	}
 	return n
 }
-
-// ScanCostTotal sums the total costs of all leaf scan nodes in a plan. The
-// difference between the plan total and this sum is INUM's "internal" cost:
-// joins, sorts, aggregation — everything that does not depend on which
-// access paths implement the leaves.
-func ScanCostTotal(root *Node) float64 {
-	var total float64
-	root.Walk(func(n *Node) {
-		switch n.Kind {
-		case NodeSeqScan, NodeIndexScan, NodeIndexOnlyScan:
-			if n.ParamOuterColumn != "" {
-				// A parameterized inner scan's cost is charged per loop by
-				// its join; treat it as part of the join (internal) cost.
-				return
-			}
-			total += n.TotalCost
-		}
-	})
-	return total
-}
-
-// LeafOrders reports, per table, the sort order each leaf scan delivers in
-// the plan (nil when unordered). INUM keys its plan cache on this vector.
-func LeafOrders(root *Node, tables []string) map[string][]OrderKey {
-	out := make(map[string][]OrderKey, len(tables))
-	root.Walk(func(n *Node) {
-		switch n.Kind {
-		case NodeSeqScan, NodeIndexScan, NodeIndexOnlyScan:
-			if n.ParamOuterColumn != "" {
-				return
-			}
-			out[strings.ToLower(n.Table)] = n.Order
-		}
-	})
-	return out
-}

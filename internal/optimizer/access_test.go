@@ -78,26 +78,6 @@ func TestBestTableAccessUnknownTable(t *testing.T) {
 	}
 }
 
-func TestScanCostTotalAndLeafOrders(t *testing.T) {
-	envBase := testEnv(t, nil)
-	cfg := catalog.NewConfiguration().WithIndex(hypoIndex(envBase, "specobj", "bestobjid"))
-	env := envBase.WithConfig(cfg)
-	sel := resolvedStmt(t, env,
-		"SELECT p.objid, s.z FROM photoobj p JOIN specobj s ON p.objid = s.bestobjid WHERE s.z > 0.5")
-	plan, err := env.Optimize(sel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scans := optimizer.ScanCostTotal(plan.Root)
-	if scans <= 0 || scans > plan.TotalCost() {
-		t.Fatalf("scan cost %f out of range (total %f)", scans, plan.TotalCost())
-	}
-	orders := optimizer.LeafOrders(plan.Root, []string{"photoobj", "specobj"})
-	if len(orders) == 0 {
-		t.Fatal("no leaf orders reported")
-	}
-}
-
 func TestNodeKindStrings(t *testing.T) {
 	kinds := []optimizer.NodeKind{
 		optimizer.NodeSeqScan, optimizer.NodeIndexScan, optimizer.NodeIndexOnlyScan,

@@ -14,17 +14,14 @@ import (
 // Optimize plans a resolved SELECT statement against the environment's
 // physical configuration and returns the cheapest plan found. It runs the
 // plan search, which compares plans by value, and builds only the winner's
-// nodes: no plan that loses is ever built.
+// nodes: no plan that loses is ever built. A caller that reads only the
+// winner's total (Cost, CostUnder) or its leaf scans (ShapeUnder) builds
+// none.
 //
 // The statement must already be resolved (sqlparse.Resolve) so that every
 // column reference carries its real table name.
 func (e *Env) Optimize(sel *sqlparse.SelectStmt) (*Plan, error) {
-	s := newSearch()
-	defer s.release()
-	if err := s.run(e, e.Config, sel); err != nil {
-		return nil, err
-	}
-	return &Plan{Root: s.build(), Tables: s.tables}, nil
+	return searched(e, sel, e.Config, func(s *search) *Plan { return &Plan{Root: s.build(), Tables: s.tables} })
 }
 
 // Cost is the total cost of the plan Optimize returns, bit for bit. It runs
@@ -38,15 +35,72 @@ func (e *Env) Cost(sel *sqlparse.SelectStmt) (float64, error) {
 // of the environment: the what-if entry point of a caller that prices one
 // statement under many configurations. A nil cfg is the empty design.
 func (e *Env) CostUnder(sel *sqlparse.SelectStmt, cfg *catalog.Configuration) (float64, error) {
+	return searched(e, sel, cfg, func(s *search) float64 { return s.total })
+}
+
+// PlanShape is what INUM reads of the plan Optimize returns: its total, the
+// sum of its leaf scans' totals, and per FROM position the leading key of
+// the order the table's leaf scan delivers — the zero key for none, for the
+// parameterized inner of a nested loop (its probe is join cost, not a leaf)
+// and for a table an aggregate view answers.
+type PlanShape struct {
+	Total  float64
+	Scans  float64
+	Orders []OrderKey
+}
+
+// ShapeUnder is the shape of e.WithConfig(cfg).Optimize(sel), bit for bit —
+// the scans summed in Node.Walk's order, outer input before inner — read
+// off the search's winner without building a node. A nil cfg is the empty
+// design.
+func (e *Env) ShapeUnder(sel *sqlparse.SelectStmt, cfg *catalog.Configuration) (PlanShape, error) {
+	return searched(e, sel, cfg, (*search).shape)
+}
+
+// searched runs the plan search of sel under cfg (nil: the empty design) in
+// a pooled workspace and reads its winner.
+func searched[T any](e *Env, sel *sqlparse.SelectStmt, cfg *catalog.Configuration, read func(*search) T) (T, error) {
 	if cfg == nil {
 		cfg = catalog.NewConfiguration()
 	}
 	s := newSearch()
 	defer s.release()
 	if err := s.run(e, cfg, sel); err != nil {
-		return 0, err
+		var none T
+		return none, err
 	}
-	return s.total, nil
+	return read(s), nil
+}
+
+// shape reads the winner's shape.
+func (s *search) shape() PlanShape {
+	sh := PlanShape{Total: s.total, Orders: make([]OrderKey, len(s.tables))}
+	if p := s.best; p != nil {
+		s.addScans(p, &sh)
+		if p.outer == nil {
+			// A lone scan is the node the residual predicates filter at
+			// (finished): it carries their cost.
+			sh.Scans = s.filtered(p).total
+		}
+	}
+	return sh
+}
+
+// addScans adds the leaf scans under path p to the shape, the outer input's
+// before the inner's.
+func (s *search) addScans(p *path, sh *PlanShape) {
+	switch p.kind {
+	case NodeSeqScan, NodeIndexScan, NodeIndexOnlyScan:
+		sh.Scans += p.total
+		if p.ord.ix != nil {
+			sh.Orders[p.table] = OrderKey{Table: p.ord.table, Column: p.ord.ix.Columns[0], Desc: p.ord.desc}
+		}
+		return
+	}
+	s.addScans(p.outer, sh)
+	if p.inner != nil {
+		s.addScans(p.inner, sh)
+	}
 }
 
 // run searches the plans of a resolved statement under cfg and leaves the
@@ -130,20 +184,27 @@ func (s *search) build() *Node {
 // predicates filter the join result, then the tail. With build it also
 // builds the plan.
 func (s *search) finished(p *path, build bool) top {
-	t := top{rows: p.rows, startup: p.startup, total: p.total, ord: p.ord}
+	t := s.filtered(p)
 	if build {
 		t.node = s.node(p)
-	}
-	if len(s.residual) > 0 {
-		rows := math.Max(t.rows*s.resSel, 1)
-		t.total += t.rows * s.env.Params.CPUOperatorCost * float64(len(s.residual))
-		t.rows = rows
-		if n := t.node; n != nil {
+		if n := t.node; len(s.residual) > 0 {
 			n.Filter = append(append([]sqlparse.Expr(nil), n.Filter...), s.residual...)
 			n.EstRows, n.TotalCost = t.rows, t.total
 		}
 	}
 	s.finish(s.env, &t, s.agg)
+	return t
+}
+
+// filtered is the top of path p under the residual predicates, which its
+// top node evaluates.
+func (s *search) filtered(p *path) top {
+	t := top{rows: p.rows, startup: p.startup, total: p.total, ord: p.ord}
+	if len(s.residual) > 0 {
+		rows := math.Max(t.rows*s.resSel, 1)
+		t.total += t.rows * s.env.Params.CPUOperatorCost * float64(len(s.residual))
+		t.rows = rows
+	}
 	return t
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -92,10 +93,24 @@ func freshPlan(e *Env, sel *sqlparse.SelectStmt) (*Plan, error) {
 	return &Plan{Root: s.build(), Tables: s.tables}, nil
 }
 
+func freshShape(e *Env, sel *sqlparse.SelectStmt) (PlanShape, error) {
+	var s search
+	if err := s.run(e, e.Config, sel); err != nil {
+		return PlanShape{}, err
+	}
+	return s.shape(), nil
+}
+
+// sameShape compares two shapes bit for bit.
+func sameShape(a, b PlanShape) bool {
+	return math.Float64bits(a.Total) == math.Float64bits(b.Total) && math.Float64bits(a.Scans) == math.Float64bits(b.Scans) && slices.Equal(a.Orders, b.Orders)
+}
+
 // TestPooledSearchMatchesFreshSearch holds the pooled workspace to a fresh
-// one: four goroutines interleave Cost and Optimize over one- to six-table
-// statements under three designs, and every cost, every plan's total and
-// every plan's EXPLAIN must equal the fresh twin's, bit for bit. Each
+// one: four goroutines interleave Cost, Optimize and ShapeUnder over one- to
+// six-table statements under three designs, and every cost, every plan's
+// total and EXPLAIN, and every shape must equal the fresh twin's, bit for
+// bit. Each
 // goroutine keeps the first plan it built and, after its 1,000 further
 // searches, that plan must still render as it did: a plan owns its join
 // edges, it does not read them from the workspace that built it.
@@ -106,6 +121,7 @@ func TestPooledSearchMatchesFreshSearch(t *testing.T) {
 		sel     *sqlparse.SelectStmt
 		cost    uint64
 		explain string
+		shape   PlanShape
 	}
 	var twins []twin
 	for _, cfg := range designs {
@@ -122,7 +138,11 @@ func TestPooledSearchMatchesFreshSearch(t *testing.T) {
 			if math.Float64bits(cost) != math.Float64bits(plan.TotalCost()) {
 				t.Fatalf("%s: fresh Cost %v, fresh plan %v", sel, cost, plan.TotalCost())
 			}
-			twins = append(twins, twin{e, sel, math.Float64bits(cost), plan.Explain()})
+			shape, err := freshShape(e, sel)
+			if err != nil {
+				t.Fatalf("%s: %v", sel, err)
+			}
+			twins = append(twins, twin{e, sel, math.Float64bits(cost), plan.Explain(), shape})
 		}
 	}
 
@@ -142,10 +162,18 @@ func TestPooledSearchMatchesFreshSearch(t *testing.T) {
 			}
 			for i := 0; i < searches; i++ {
 				tw := twins[rng.Intn(len(twins))]
-				if i%2 == 0 {
+				switch i % 3 {
+				case 0:
 					cost, err := tw.env.Cost(tw.sel)
 					if err != nil || math.Float64bits(cost) != tw.cost {
 						errs <- fmt.Errorf("worker %d, search %d, %s: pooled Cost %v (%v), fresh %v", g, i, tw.sel, cost, err, math.Float64frombits(tw.cost))
+						return
+					}
+					continue
+				case 1:
+					shape, err := tw.env.ShapeUnder(tw.sel, tw.env.Config)
+					if err != nil || !sameShape(shape, tw.shape) {
+						errs <- fmt.Errorf("worker %d, search %d, %s: pooled shape %+v (%v), fresh %+v", g, i, tw.sel, shape, err, tw.shape)
 						return
 					}
 					continue
