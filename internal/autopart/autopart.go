@@ -101,12 +101,9 @@ func (a *Advisor) AdviseView(ctx context.Context, v *engine.View, w *workload.Wo
 		base = catalog.NewConfiguration()
 	}
 	res := &Result{Config: base.Clone()}
-	if err := v.Prepare(ctx, w, nil); err != nil {
-		return nil, err
-	}
 	cost := func(cfg *catalog.Configuration) (float64, error) {
 		res.PricingCalls += len(w.Queries)
-		return v.WorkloadCost(w, cfg)
+		return v.WorkloadCost(ctx, w, cfg)
 	}
 	sweep := func(cfgs []*catalog.Configuration) ([]float64, error) {
 		res.PricingCalls += len(cfgs) * len(w.Queries)

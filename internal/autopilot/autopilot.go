@@ -430,10 +430,7 @@ func (a *Autopilot) buildQueuedLocked(key string) bool {
 // so resumed runs replay identically: alerts -> builds -> probation ->
 // regret -> snapshot. One generation is pinned for the whole epoch, so
 // builds are sized, probation measured and regret sampled (live design and
-// oracle alike) against the same statistics and cache. The window is
-// prepared first: probation and regret then read the same complete INUM
-// entries, never an on-demand one that a later prepare would refine within
-// the epoch.
+// oracle alike) against the same statistics and cache.
 func (a *Autopilot) endEpochLocked(ctx context.Context, epoch int) error {
 	window := a.window
 	a.window = nil
@@ -441,11 +438,6 @@ func (a *Autopilot) endEpochLocked(ctx context.Context, epoch int) error {
 	a.lastEpoch = epoch
 
 	v := a.eng.Pin()
-	// IDs may repeat when the same statement recurs: preparation is
-	// idempotent per ID.
-	if err := v.Prepare(ctx, &workload.Workload{Queries: window}, nil); err != nil {
-		return err
-	}
 	a.consumeAlertsLocked(v, prevEpoch)
 	a.advanceBuildsLocked(prevEpoch)
 	if err := a.measureProbationLocked(ctx, v, prevEpoch, window); err != nil {
@@ -640,9 +632,8 @@ func (a *Autopilot) sampleRegretLocked(ctx context.Context, v *engine.View, epoc
 		pool = pool[:a.opts.RegretCandidates]
 	}
 
-	// The window as a workload, prepared by endEpochLocked.
 	w := &workload.Workload{Queries: window}
-	liveCost, err := v.WorkloadCost(w, live)
+	liveCost, err := v.WorkloadCost(ctx, w, live)
 	if err != nil {
 		return err
 	}

@@ -12,7 +12,6 @@
 package bench
 
 import (
-	"context"
 	"sync"
 
 	"repro/designer"
@@ -25,9 +24,8 @@ import (
 
 // Env is one cell of the experiment matrix: a generated dataset, a workload
 // drawn from one profile, the candidate index set, and the shared costing
-// engine (pre-warmed INUM cache) with its one pinned view. Building an Env
-// is the expensive part of every experiment; one Env serves every
-// experiment of its cell.
+// engine with its one pinned view. Building an Env is the expensive part of
+// every experiment; one Env serves every experiment of its cell.
 type Env struct {
 	SizeName string
 	Seed     int64
@@ -58,9 +56,9 @@ type Env struct {
 
 // NewEnv generates the dataset (dataset seed = seed), draws NumQ queries
 // from the named workload profile (workload seed = seed+1, so dataset and
-// workload randomness stay independent), enumerates candidates, and warms
-// the INUM cache of the given cost backend — the whole experiment suite runs
-// unchanged on any backend, which is itself the portability claim.
+// workload randomness stay independent), enumerates candidates, and pins a
+// view of the given cost backend — the whole experiment suite runs unchanged
+// on any backend, which is itself the portability claim.
 func NewEnv(sizeName string, seed int64, profile string, numQ int, spec engine.BackendSpec) (*Env, error) {
 	size, err := workload.SizeByName(sizeName)
 	if err != nil {
@@ -84,9 +82,6 @@ func NewEnv(sizeName string, seed int64, profile string, numQ int, spec engine.B
 	}
 	v := eng.Pin()
 	cands := v.Session().GenerateCandidates(w, whatif.DefaultCandidateOptions())
-	if err := v.Prepare(context.Background(), w, nil); err != nil {
-		return nil, err
-	}
 	return &Env{
 		SizeName:    sizeName,
 		Seed:        seed,

@@ -158,11 +158,11 @@ func runBackendPortability(e *Env, spec Spec, x *Experiment) error {
 	// versa, the maximum of the two directions. The paper's portability
 	// claim is exactly that this penalty stays small even when absolute
 	// costs (and greedy tie-breaks in the tail) differ.
-	nativeUnderCalib, err := calib.WorkloadCost(e.W, configOf(nres.Indexes))
+	nativeUnderCalib, err := calib.WorkloadCost(ctx, e.W, configOf(nres.Indexes))
 	if err != nil {
 		return err
 	}
-	calibUnderNative, err := native.WorkloadCost(e.W, configOf(cres.Indexes))
+	calibUnderNative, err := native.WorkloadCost(ctx, e.W, configOf(cres.Indexes))
 	if err != nil {
 		return err
 	}
@@ -365,8 +365,8 @@ func runCoPhyVsGreedy(e *Env, spec Spec, x *Experiment) error {
 
 // profileStream draws the online experiments' query stream from the Env's
 // profile (stream seed = dataset seed + 2) and prices it under the empty
-// configuration on v — the static no-index baseline adaptive savings are
-// measured against.
+// configuration on v, an online view as the tuner's own are — the static
+// no-index baseline adaptive savings are measured against.
 func (e *Env) profileStream(v *engine.View, streamLen int) (stream []workload.Query, static float64, err error) {
 	p, err := workload.ProfileByName(e.Profile)
 	if err != nil {
@@ -400,7 +400,7 @@ func savingsPct(static, adaptive float64) float64 {
 // the static no-index baseline (E6).
 func runCOLTConvergence(e *Env, spec Spec, x *Experiment) error {
 	eng := e.FreshEngine()
-	stream, static, err := e.profileStream(eng.Pin(), spec.StreamLen)
+	stream, static, err := e.profileStream(eng.PinOnline(), spec.StreamLen)
 	if err != nil {
 		return err
 	}
@@ -434,7 +434,7 @@ func runCOLTConvergence(e *Env, spec Spec, x *Experiment) error {
 // as adopted indexes materialize.
 func runColtAutopilot(e *Env, spec Spec, x *Experiment) error {
 	eng := e.FreshEngine()
-	stream, static, err := e.profileStream(eng.Pin(), spec.StreamLen)
+	stream, static, err := e.profileStream(eng.PinOnline(), spec.StreamLen)
 	if err != nil {
 		return err
 	}

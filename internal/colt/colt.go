@@ -197,9 +197,9 @@ func (t *Tuner) Observe(ctx context.Context, q workload.Query) (float64, error) 
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	// Pin one view per observation: its INUM entry is this query's alone
-	// and is released with the view.
-	v := t.eng.Pin()
+	// Pin one online view per observation: its INUM entry is this query's
+	// alone and is released with the view.
+	v := t.eng.PinOnline()
 	curCost, err := v.QueryCost(q, t.current)
 	if err != nil {
 		return 0, err

@@ -163,9 +163,10 @@ func (a *Advisor) AdviseView(ctx context.Context, v *engine.View, w *workload.Wo
 
 	res := &Result{}
 
-	// Prepare INUM entries — template building is one full optimization per
-	// seed configuration and query, so it runs on the engine's sweep pool,
-	// not query by query in the loop below — and per-query atoms.
+	// Pre-warm the INUM entries on the engine's sweep pool — template
+	// building is one full optimization per seed configuration and query,
+	// which the loop below would otherwise pay query by query — then
+	// enumerate per-query atoms.
 	if err := v.Prepare(ctx, w, nil); err != nil {
 		return nil, err
 	}
@@ -179,10 +180,6 @@ func (a *Advisor) AdviseView(ctx context.Context, v *engine.View, w *workload.Wo
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		tables, err := v.PrepareQuery(q)
-		if err != nil {
-			return nil, err
-		}
 		baseCost, err := v.QueryCost(q, emptyCfg)
 		if err != nil {
 			return nil, err
@@ -190,7 +187,7 @@ func (a *Advisor) AdviseView(ctx context.Context, v *engine.View, w *workload.Wo
 		res.PricingCalls++
 		res.BaselineCost += baseCost * q.Weight
 
-		atoms, calls, err := a.enumerateAtoms(ctx, v, tables, q, baseCost, opts)
+		atoms, calls, err := a.enumerateAtoms(ctx, v, q.Stmt.Analysis().Tables, q, baseCost, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -67,21 +67,14 @@ type CostBackend interface {
 	// Params exposes the cost constants the backend prices with; consumers
 	// like the materialization scheduler use them for build-cost models.
 	Params() optimizer.CostParams
-	// Prepare primes per-query state: the complete set of plan templates,
-	// which depends on the statement (its Key) and on nothing the caller
-	// holds.
+	// Prepare builds the statement's entry of the kind its view prices
+	// from, which depends on the statement (its Key) and on nothing the
+	// caller holds.
 	Prepare(stmt *sqlparse.SelectStmt) error
 	// Pricer resolves the queries against the backend's cached
-	// (INUM-style) path and returns the function that prices them. A query
-	// the view never prepared is resolved on demand — one optimization, the
-	// no-order template only, what a streamed statement costed once or
-	// twice can afford — and stays so until the same question prepares it;
-	// the coarse entry dies with its question. The fork is kept by
-	// measurement (package inum): order templates built lazily read the
-	// complete entry exactly but cost more optimizations than they save,
-	// so a question that prices a query more than once or twice prepares it
-	// first. What Pricer resolved lives as long as the returned function
-	// and no longer.
+	// (INUM-style) path, building any entry it lacks, and returns the
+	// function that prices them. What Pricer resolved lives as long as the
+	// returned function and no longer.
 	Pricer(queries []workload.Query) (Pricer, error)
 	// StmtCost prices a statement with the backend's reference model (the
 	// full optimizer for analytical backends), bypassing the cached path.
@@ -186,26 +179,15 @@ func (spec BackendSpec) env(native *optimizer.Env) *optimizer.Env {
 }
 
 // backend builds a fresh backend, with empty caches, over the env spec.env
-// derived, counting its work into n. The spec has been validated.
-func (spec BackendSpec) backend(env *optimizer.Env, n *inum.Counters) CostBackend {
+// derived, counting its work into n; online says which INUM entries it
+// prices from (envBackend.entry). The spec has been validated.
+func (spec BackendSpec) backend(env *optimizer.Env, n *inum.Counters, online bool) CostBackend {
 	var backend CostBackend
 	switch spec.kind() {
 	case BackendNative:
-		backend = &envBackend{
-			kind:  BackendNative,
-			desc:  "built-in optimizer + INUM cache (default cost constants)",
-			env:   env,
-			cache: inum.New(env, n),
-		}
+		backend = &envBackend{env: env, cache: inum.New(env, n), online: online}
 	case BackendCalibrated:
-		cal := spec.calibration()
-		backend = &envBackend{
-			kind: BackendCalibrated,
-			desc: fmt.Sprintf("analytical model calibrated as %q (seq=%g random=%g cpu_tuple=%g)",
-				cal.Name, cal.SeqPageCost, cal.RandomPageCost, cal.CPUTupleCost),
-			env:   env,
-			cache: inum.New(env, n),
-		}
+		backend = &envBackend{cal: spec.calibration(), env: env, cache: inum.New(env, n), online: online}
 	case BackendReplay:
 		backend = &replayBackend{trace: spec.Trace, params: env.Params, served: &n.CachedCostings}
 	}
@@ -224,25 +206,54 @@ func (spec BackendSpec) backend(env *optimizer.Env, n *inum.Counters) CostBacken
 // native and calibrated backends differ only in the environment's cost
 // constants.
 type envBackend struct {
-	kind  string
-	desc  string
+	// cal holds the calibrated backend's constants; nil is the native one.
+	cal   *Calibration
 	env   *optimizer.Env
 	cache *inum.Cache
+	// online marks an online view's backend (Engine.PinOnline).
+	online bool
 }
 
-func (b *envBackend) Kind() string                 { return b.kind }
-func (b *envBackend) Describe() string             { return b.desc }
+func (b *envBackend) Kind() string {
+	if b.cal == nil {
+		return BackendNative
+	}
+	return BackendCalibrated
+}
+
+func (b *envBackend) Describe() string {
+	if b.cal == nil {
+		return "built-in optimizer + INUM cache (default cost constants)"
+	}
+	return fmt.Sprintf("analytical model calibrated as %q (seq=%g random=%g cpu_tuple=%g)",
+		b.cal.Name, b.cal.SeqPageCost, b.cal.RandomPageCost, b.cal.CPUTupleCost)
+}
+
 func (b *envBackend) Params() optimizer.CostParams { return b.env.Params }
 
+// entry returns the statement's INUM entry of the kind the view prices
+// from, building it when the cache lacks it: the complete entry for a
+// design view, the on-demand one (one optimization, the no-order template)
+// for an online view, whose question prices a streamed statement once or
+// twice. The on-demand entry is kept by measurement (package inum): order
+// templates built lazily read the complete entry exactly but cost more
+// optimizations than they save.
+func (b *envBackend) entry(stmt *sqlparse.SelectStmt) (*inum.CachedQuery, error) {
+	if b.online {
+		return b.cache.OnDemand(stmt)
+	}
+	return b.cache.Prepare("", stmt, nil)
+}
+
 func (b *envBackend) Prepare(stmt *sqlparse.SelectStmt) error {
-	_, err := b.cache.Prepare("", stmt, nil)
+	_, err := b.entry(stmt)
 	return err
 }
 
 func (b *envBackend) Pricer(queries []workload.Query) (Pricer, error) {
 	entries := make([]*inum.CachedQuery, len(queries))
 	for i, q := range queries {
-		cq, err := b.cache.OnDemand(q.Stmt)
+		cq, err := b.entry(q.Stmt)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", q.ID, err)
 		}

@@ -311,7 +311,7 @@ func TestConcurrentBaseSwapsStayConsistent(t *testing.T) {
 					return
 				}
 				for i, cfg := range cfgs {
-					want, err := v.WorkloadCost(f.w, cfg)
+					want, err := v.WorkloadCost(context.Background(), f.w, cfg)
 					if err != nil {
 						errs[g] = err
 						return

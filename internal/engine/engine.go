@@ -17,16 +17,12 @@
 // — pins once and passes the view down, so it is answered on one generation
 // by construction; there is no call that pins on the caller's behalf. Every
 // pin builds a fresh backend, so a question only ever reads INUM entries it
-// built itself, and they are released when its view is dropped. Within a
-// view an answer does not depend on the calls made before it: what Prepare
-// builds for a query is a function of its statement, and every workload
-// sweep prepares before it prices. The one exception is spelled out at
-// CostBackend.Pricer: a query priced without ever being prepared is
-// resolved on demand, more coarsely, until the same view prepares it. It is
-// kept because making it complete, eagerly or lazily, was measured to cost
-// more than it saves (package inum); a question that prices a query more
-// than once prepares it first, so one question never reads a statement
-// coarse and then complete.
+// built itself, and they are released when its view is dropped. Which
+// entries a view prices from is fixed when it is pinned: a design view
+// (Pin, PinBackend) reads each query's complete entry, an online view
+// (PinOnline: a COLT observation, a stream's static baseline) its on-demand
+// one. Every door builds the entries it lacks, so within a view an answer
+// does not depend on the calls made before it, and no caller prepares.
 //
 // Costing itself is pluggable (backend.go): a view delegates every
 // query/statement pricing call to its CostBackend — native (built-in
@@ -35,13 +31,12 @@
 // models. The backend kind is chosen when the engine is opened
 // (NewWithBackend) or per pinned view (PinBackend).
 //
-// Sweeps (SweepConfigs, SweepCandidates, SweepQueryConfigs, Evaluate,
-// EvaluateDelta) price many hypothetical designs in parallel over a bounded
-// worker pool — the hot path of CoPhy's atom enumeration, the interaction
-// analyzer's lattice walks, and greedy candidate selection. A concurrent
-// reconfiguration never tears a sweep in half, and results are
-// deterministic: a parallel sweep returns bit-for-bit the costs a serial
-// loop would.
+// Sweeps (SweepConfigs, SweepQueryConfigs, Evaluate, EvaluateDelta) price
+// many hypothetical designs in parallel over a bounded worker pool — the
+// hot path of CoPhy's atom enumeration, the interaction analyzer's lattice
+// walks, and greedy candidate selection. A concurrent reconfiguration never
+// tears a sweep in half, and results are deterministic: a parallel sweep
+// returns bit-for-bit the costs a serial loop would.
 package engine
 
 import (
@@ -142,9 +137,9 @@ func (e *Engine) snapshot() *snapshot {
 // View is one pinned configuration generation of the engine with the cost
 // backend built for it, and the one what-if interface: every costing,
 // sizing and planning call is a method on a view, so a question that spans
-// many of them (prepare, base costs, many sweeps) is answered on one
-// generation — environment, session, statistics and base design — even if
-// the engine is reconfigured concurrently. The backend and its INUM entries
+// many of them (base costs, many sweeps) is answered on one generation —
+// environment, session, statistics and base design — even if the engine is
+// reconfigured concurrently. The backend and its INUM entries
 // are the view's own: no other view reads them, and they go when the view
 // does. The caller pins once per question and passes the view down; the
 // next question picks up the new generation and starts from empty caches.
@@ -154,10 +149,16 @@ type View struct {
 	backend CostBackend
 }
 
-// Pin captures the current generation and builds a fresh backend over it.
-// The returned view is unaffected by subsequent SetBaseConfig/SetStats
-// calls.
-func (e *Engine) Pin() *View { return e.view(e.snapshot(), e.spec) }
+// Pin captures the current generation and builds a fresh backend over it:
+// a design view, pricing every query from its complete INUM entry. The
+// returned view is unaffected by subsequent SetBaseConfig/SetStats calls.
+func (e *Engine) Pin() *View { return e.view(e.snapshot(), e.spec, false) }
+
+// PinOnline is Pin for a question that prices each statement once or twice
+// — one COLT observation, a stream's static baseline: the view prices every
+// query from its on-demand INUM entry, one full optimization and the
+// no-order template.
+func (e *Engine) PinOnline() *View { return e.view(e.snapshot(), e.spec, true) }
 
 // PinBackend is Pin with a different cost backend, built against the same
 // base configuration and statistics — the per-session backend surface: one
@@ -168,12 +169,12 @@ func (e *Engine) PinBackend(spec BackendSpec) (*View, error) {
 		return nil, err
 	}
 	cur := e.snapshot()
-	return e.view(e.build(cur.stats, cur.base, spec, cur.version), spec), nil
+	return e.view(e.build(cur.stats, cur.base, spec, cur.version), spec, false), nil
 }
 
 // view builds the backend a pinned generation prices through.
-func (e *Engine) view(s *snapshot, spec BackendSpec) *View {
-	return &View{e: e, s: s, backend: spec.backend(s.env, &e.counters)}
+func (e *Engine) view(s *snapshot, spec BackendSpec, online bool) *View {
+	return &View{e: e, s: s, backend: spec.backend(s.env, &e.counters, online)}
 }
 
 // Version reports the pinned generation. It increments every time the base
@@ -266,31 +267,22 @@ func (s *snapshot) resolve(cfg *catalog.Configuration) *catalog.Configuration {
 	return s.base
 }
 
-// Prepare primes the view's backend for every workload query, in parallel
-// over the sweep pool. What is built for a query depends on its statement
-// alone; the third argument is ignored and is still there only because the
-// benchmark module, which no code change may edit, passes one (ROADMAP
-// 6(g)). Prepare is idempotent per statement within a view — a statement
-// whose text the backend already holds, under any ID or parse, costs one
-// lookup and builds nothing — so every workload sweep simply runs it instead
-// of remembering which workloads it has seen. A query's ID only labels its
-// error. A cancelled context aborts between queries.
+// Prepare builds, in parallel over the sweep pool, the entry every workload
+// query is priced from on this view. Every door builds what it lacks, and
+// the workload doors build on the pool this way, so no answer depends on
+// Prepare: it is a pre-warm. What is built for a query depends on its
+// statement alone; the third argument is ignored and is still there only
+// because the benchmark module, which no code change may edit, passes one
+// (ROADMAP 6(g)). A statement whose text the backend already holds, under
+// any ID or parse, costs one lookup and builds nothing. A query's ID only
+// labels its error. A cancelled context aborts between queries.
 func (v *View) Prepare(ctx context.Context, w *workload.Workload, _ []*catalog.Index) error {
 	return v.e.sweep(ctx, len(w.Queries), func(i int) error {
-		_, err := v.PrepareQuery(w.Queries[i])
-		return err
+		if err := v.backend.Prepare(w.Queries[i].Stmt); err != nil {
+			return fmt.Errorf("engine: %s: %w", w.Queries[i].ID, err)
+		}
+		return nil
 	})
-}
-
-// PrepareQuery primes the pinned backend for one query and returns the
-// lower-case names of the base tables it references, in FROM order (the
-// per-query table set CoPhy enumerates atoms over; read-only, it is the
-// statement's analysis).
-func (v *View) PrepareQuery(q workload.Query) ([]string, error) {
-	if err := v.backend.Prepare(q.Stmt); err != nil {
-		return nil, fmt.Errorf("engine: %s: %w", q.ID, err)
-	}
-	return q.Stmt.Analysis().Tables, nil
 }
 
 // QueryCost prices one query under a configuration through the pinned
@@ -305,17 +297,21 @@ func (v *View) QueryCost(q workload.Query, cfg *catalog.Configuration) (float64,
 
 // WorkloadCost sums weighted backend query costs under a configuration
 // (nil = base) against the pinned generation.
-func (v *View) WorkloadCost(w *workload.Workload, cfg *catalog.Configuration) (float64, error) {
-	price, err := v.pricer(w)
+func (v *View) WorkloadCost(ctx context.Context, w *workload.Workload, cfg *catalog.Configuration) (float64, error) {
+	price, err := v.pricer(ctx, w)
 	if err != nil {
 		return 0, err
 	}
 	return workloadCost(w, price(v.s.resolve(cfg)))
 }
 
-// pricer resolves the workload's queries against the backend, once for
-// however many configurations the caller then prices.
-func (v *View) pricer(w *workload.Workload) (Pricer, error) {
+// pricer builds the workload's missing entries on the sweep pool, then
+// resolves its queries against the backend, once for however many
+// configurations the caller then prices.
+func (v *View) pricer(ctx context.Context, w *workload.Workload) (Pricer, error) {
+	if err := v.Prepare(ctx, w, nil); err != nil {
+		return nil, err
+	}
 	price, err := v.backend.Pricer(w.Queries)
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)

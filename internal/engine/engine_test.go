@@ -72,7 +72,7 @@ func TestSweepConfigsMatchesSerial(t *testing.T) {
 
 	serial := make([]float64, len(cfgs))
 	for i, cfg := range cfgs {
-		c, err := f.v.WorkloadCost(f.w, cfg)
+		c, err := f.v.WorkloadCost(context.Background(), f.w, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,27 +89,6 @@ func TestSweepConfigsMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestSweepCandidatesMatchesSerial checks the base-plus-one-candidate sweep
-// against serial WorkloadCost calls.
-func TestSweepCandidatesMatchesSerial(t *testing.T) {
-	f := newFixture(t)
-	base := catalog.NewConfiguration().WithIndex(f.cands[0])
-
-	costs, err := f.v.SweepCandidates(context.Background(), f.w, base, f.cands[1:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, ix := range f.cands[1:] {
-		want, err := f.v.WorkloadCost(f.w, base.WithIndex(ix))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if costs[i] != want {
-			t.Fatalf("candidate %s: sweep %v != serial %v", ix.Key(), costs[i], want)
-		}
-	}
-}
-
 // TestConcurrentSweepsMatchSerial sweeps the same workload from many
 // goroutines simultaneously and asserts every goroutine observes exactly
 // the serial results — the -race guarantee the engine layer exists to give.
@@ -119,7 +98,7 @@ func TestConcurrentSweepsMatchSerial(t *testing.T) {
 
 	serial := make([]float64, len(cfgs))
 	for i, cfg := range cfgs {
-		c, err := f.v.WorkloadCost(f.w, cfg)
+		c, err := f.v.WorkloadCost(context.Background(), f.w, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -478,7 +457,7 @@ func TestSetWorkers(t *testing.T) {
 // question cannot be answered on two generations.
 func TestEngineIsLifecycleOnly(t *testing.T) {
 	want := []string{
-		"Base", "CacheStats", "Env", "Pin", "PinBackend",
+		"Base", "CacheStats", "Env", "Pin", "PinBackend", "PinOnline",
 		"Schema", "SetBaseConfig", "SetStats", "SetWorkers", "Workers",
 	}
 	typ := reflect.TypeOf((*engine.Engine)(nil))

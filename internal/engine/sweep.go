@@ -114,44 +114,13 @@ func (e *Engine) sweep(ctx context.Context, n int, fn func(i int) error) error {
 // pinned base. Results are identical to calling WorkloadCost serially per
 // configuration.
 func (v *View) SweepConfigs(ctx context.Context, w *workload.Workload, cfgs []*catalog.Configuration) ([]float64, error) {
-	if err := v.Prepare(ctx, w, nil); err != nil {
-		return nil, err
-	}
-	price, err := v.pricer(w)
+	price, err := v.pricer(ctx, w)
 	if err != nil {
 		return nil, err
 	}
 	costs := make([]float64, len(cfgs))
 	err = v.e.sweep(ctx, len(cfgs), func(i int) error {
 		c, err := workloadCost(w, price(v.s.resolve(cfgs[i])))
-		if err != nil {
-			return err
-		}
-		costs[i] = c
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return costs, nil
-}
-
-// SweepCandidates prices, in parallel, the workload under base extended by
-// each candidate index on its own: costs[i] is the workload cost under
-// base ∪ {cands[i]}, against the pinned generation. This is the inner loop
-// of greedy selection and materialization scheduling.
-func (v *View) SweepCandidates(ctx context.Context, w *workload.Workload, base *catalog.Configuration, cands []*catalog.Index) ([]float64, error) {
-	if err := v.Prepare(ctx, w, nil); err != nil {
-		return nil, err
-	}
-	price, err := v.pricer(w)
-	if err != nil {
-		return nil, err
-	}
-	base = v.s.resolve(base)
-	costs := make([]float64, len(cands))
-	err = v.e.sweep(ctx, len(cands), func(i int) error {
-		c, err := workloadCost(w, price(base.WithIndex(cands[i])))
 		if err != nil {
 			return err
 		}

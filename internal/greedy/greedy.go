@@ -47,12 +47,9 @@ func (r *Result) Improvement() float64 {
 // configuration in one parallel sweep; a cancelled context aborts
 // mid-sweep and returns ctx.Err().
 func Advise(ctx context.Context, v *engine.View, candidates []*catalog.Index, w *workload.Workload, budgetPages int64) (*Result, error) {
-	if err := v.Prepare(ctx, w, nil); err != nil {
-		return nil, err
-	}
 	res := &Result{}
 	cfg := catalog.NewConfiguration()
-	cur, err := v.WorkloadCost(w, cfg)
+	cur, err := v.WorkloadCost(ctx, w, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -77,11 +74,11 @@ func Advise(ctx context.Context, v *engine.View, candidates []*catalog.Index, w 
 		if len(elig) == 0 {
 			break
 		}
-		trials := make([]*catalog.Index, len(elig))
+		trials := make([]*catalog.Configuration, len(elig))
 		for k, i := range elig {
-			trials[k] = remaining[i]
+			trials[k] = cfg.WithIndex(remaining[i])
 		}
-		costs, err := v.SweepCandidates(ctx, w, cfg, trials)
+		costs, err := v.SweepConfigs(ctx, w, trials)
 		if err != nil {
 			return nil, err
 		}

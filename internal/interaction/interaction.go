@@ -75,20 +75,14 @@ func AnalyzeView(ctx context.Context, v *engine.View, w *workload.Workload, inde
 	if n < 2 {
 		return g, nil
 	}
-	// Prepare every query and collect its table relevance set. Two indexes
-	// can only interact through a query that references both of their
-	// tables: for any query missing either table, the four lattice-corner
-	// costs cancel exactly, so pairs with no co-referencing query have
-	// doi = 0 by construction and are skipped without pricing.
+	// Collect every query's table relevance set. Two indexes can only
+	// interact through a query that references both of their tables: for
+	// any query missing either table, the four lattice-corner costs cancel
+	// exactly, so pairs with no co-referencing query have doi = 0 by
+	// construction and are skipped without pricing.
 	coRef := make(map[string]map[string]bool)
 	for _, q := range w.Queries {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		tables, err := v.PrepareQuery(q)
-		if err != nil {
-			return nil, err
-		}
+		tables := q.Stmt.Analysis().Tables
 		for _, t1 := range tables {
 			if coRef[t1] == nil {
 				coRef[t1] = make(map[string]bool)

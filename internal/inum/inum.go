@@ -21,24 +21,23 @@
 // its tables, its interesting orders and every access costing read the
 // statement's (sqlparse.SelectStmt.Analysis).
 //
-// One fork is explicit: a statement priced without having been prepared
-// (OnDemand, the online tuner's door) gets the no-order template only, and a
-// later Prepare replaces that entry with exactly the one a direct Prepare
-// builds. It stays by measurement. Building an order template lazily — on
-// the first costing whose visible slice holds a structure leading one of the
-// statement's interesting-order columns, the only slice where an ordered
-// template can beat the no-order one — reads exactly what the complete
-// entry reads: over the five workload profiles, two seeds and 24 statements
-// each, 38,685 (statement, design) pairs that did not trigger it priced bit
-// for bit as the complete entry. But it is not cheaper: nearly every advised
-// statement triggers, so a rebuild-on-trigger prototype spent 179.9 full
-// optimizations an advise_full answer instead of 104, and 174.4 instead of
-// 100 an online_stream answer with 54 % more allocation; reusing the no-order
-// template still cost at least 37 more an answer. So a question that prices
-// a statement more than once or twice prepares it first — every workload
-// sweep does, and so does the autopilot's epoch before probation — and only
-// a statement a question prices once or twice (a COLT observation) reads
-// the no-order template, for the whole of that question.
+// One fork is explicit: OnDemand, the online tuner's door, builds the
+// no-order template only, and a later Prepare replaces that entry with
+// exactly the one a direct Prepare builds. It stays by measurement.
+// Building an order template lazily — on the first costing whose visible
+// slice holds a structure leading one of the statement's interesting-order
+// columns, the only slice where an ordered template can beat the no-order
+// one — reads exactly what the complete entry reads: over the five workload
+// profiles, two seeds and 24 statements each, 38,685 (statement, design)
+// pairs that did not trigger it priced bit for bit as the complete entry.
+// But it is not cheaper: nearly every advised statement triggers, so a
+// rebuild-on-trigger prototype spent 179.9 full optimizations an
+// advise_full answer instead of 104, and 174.4 instead of 100 an
+// online_stream answer with 54 % more allocation; reusing the no-order
+// template still cost at least 37 more an answer. So the door is picked
+// once per question, not per statement: the engine's online views (a COLT
+// observation, which prices a statement once or twice) read OnDemand's
+// entry, its design views Prepare's, each for the whole of the question.
 //
 // A cache belongs to one question. The engine builds one per pinned view,
 // so the entries live exactly as long as the question that built them and

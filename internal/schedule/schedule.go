@@ -107,13 +107,13 @@ type Scheduler struct{}
 // priced on the view its method is handed.
 func New(_ *engine.Engine) *Scheduler { return &Scheduler{} }
 
-// baseCost prepares the workload on the pinned view, so that every price of
-// the schedule, swept or not, reads complete entries; then prices it bare.
-func baseCost(ctx context.Context, v *engine.View, w *workload.Workload) (float64, error) {
-	if err := v.Prepare(ctx, w, nil); err != nil {
-		return 0, err
+// extended returns base extended by each index on its own.
+func extended(base *catalog.Configuration, indexes []*catalog.Index) []*catalog.Configuration {
+	cfgs := make([]*catalog.Configuration, len(indexes))
+	for i, ix := range indexes {
+		cfgs[i] = base.WithIndex(ix)
 	}
-	return v.WorkloadCost(w, catalog.NewConfiguration())
+	return cfgs
 }
 
 // GreedyView computes the interaction-aware schedule against one pinned
@@ -123,7 +123,7 @@ func baseCost(ctx context.Context, v *engine.View, w *workload.Workload) (float6
 func (s *Scheduler) GreedyView(ctx context.Context, v *engine.View, w *workload.Workload, indexes []*catalog.Index) (*Schedule, error) {
 	out := &Schedule{}
 	cfg := catalog.NewConfiguration()
-	cur, err := baseCost(ctx, v, w)
+	cur, err := v.WorkloadCost(ctx, w, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +131,7 @@ func (s *Scheduler) GreedyView(ctx context.Context, v *engine.View, w *workload.
 
 	remaining := append([]*catalog.Index(nil), indexes...)
 	for len(remaining) > 0 {
-		costs, err := v.SweepCandidates(ctx, w, cfg, remaining)
+		costs, err := v.SweepConfigs(ctx, w, extended(cfg, remaining))
 		if err != nil {
 			return nil, err
 		}
@@ -165,7 +165,7 @@ func (s *Scheduler) GreedyView(ctx context.Context, v *engine.View, w *workload.
 func (s *Scheduler) ObliviousView(ctx context.Context, v *engine.View, w *workload.Workload, indexes []*catalog.Index) (*Schedule, error) {
 	out := &Schedule{}
 	empty := catalog.NewConfiguration()
-	base, err := baseCost(ctx, v, w)
+	base, err := v.WorkloadCost(ctx, w, empty)
 	if err != nil {
 		return nil, err
 	}
@@ -175,7 +175,7 @@ func (s *Scheduler) ObliviousView(ctx context.Context, v *engine.View, w *worklo
 		ix   *catalog.Index
 		rate float64
 	}
-	costs, err := v.SweepCandidates(ctx, w, empty, indexes)
+	costs, err := v.SweepConfigs(ctx, w, extended(empty, indexes))
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +189,7 @@ func (s *Scheduler) ObliviousView(ctx context.Context, v *engine.View, w *worklo
 	cfg := catalog.NewConfiguration()
 	for _, r := range order {
 		cfg = cfg.WithIndex(r.ix)
-		c, err := v.WorkloadCost(w, cfg)
+		c, err := v.WorkloadCost(ctx, w, cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -108,7 +108,7 @@ func TestGreedyBeatsOrMatchesOblivious(t *testing.T) {
 func fixedOrder(t *testing.T, f *fixture, indexes []*catalog.Index) *schedule.Schedule {
 	t.Helper()
 	cfg := catalog.NewConfiguration()
-	base, err := f.v.WorkloadCost(f.w, cfg)
+	base, err := f.v.WorkloadCost(context.Background(), f.w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func fixedOrder(t *testing.T, f *fixture, indexes []*catalog.Index) *schedule.Sc
 	prev := base
 	for _, ix := range indexes {
 		cfg = cfg.WithIndex(ix)
-		c, err := f.v.WorkloadCost(f.w, cfg)
+		c, err := f.v.WorkloadCost(context.Background(), f.w, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
