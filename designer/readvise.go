@@ -21,18 +21,25 @@ import (
 //
 //   - identical question (workload, options, generation): the cached advice
 //     is returned outright — nothing is recosted, nothing is re-solved;
-//   - same workload, different options (budget, partitions, ...): candidate
-//     enumeration is skipped, CoPhy's branch-and-bound is seeded with the
-//     previous advice's basis as its initial incumbent, and the benefit
-//     report is delta-costed — only queries whose tables' design slices
-//     changed between the two advised configurations are re-priced;
+//   - same workload, different options (budget, node budget, pins,
+//     partitions, ...) over the same candidates: the session's CoPhy
+//     advisor is asked again, and it answers from the priced program it
+//     kept — no prepare, no baseline or atom pricing, only the BIP's rows
+//     and the branch-and-bound, seeded with the previous advice's basis as
+//     its initial incumbent — and the benefit report is delta-costed: only
+//     queries whose tables' design slices changed between the two advised
+//     configurations are re-priced;
+//   - same workload, other candidate options or seeds: candidates are
+//     enumerated and priced afresh, the solver is still warm-started and
+//     the report delta-costed;
 //   - anything else (workload edits, a new engine generation after
 //     Materialize/Analyze): the pipeline runs cold and the state is
 //     refreshed.
 //
 // Warm answers are exact: every reused number is the number the cold
-// pipeline would recompute (differential-tested at the engine layer), and
-// solver warm starts only prune the search tree, never change the optimum.
+// pipeline would recompute (differential-tested at the engine layer and by
+// TestReAdviseReusesProgramExactly), and solver warm starts only prune the
+// search tree, never change the optimum.
 
 // ReadviseStats reports how much of a re-advise was served from prior work.
 type ReadviseStats struct {
@@ -53,13 +60,14 @@ type ReadviseStats struct {
 }
 
 // adviceState is the cached derivation state of a session's last answer:
-// the options it answered (seeds cloned), and the engine's own delta state,
-// which knows the generation and the workload it was computed for.
+// the options it answered (seeds cloned), the CoPhy advisor over its
+// candidates, which keeps the program it priced, and the engine's own delta
+// state, which knows the generation and the workload it was computed for.
 type adviceState struct {
 	opts      AdviceOptions
 	advice    *Advice
 	basisKeys []string
-	cands     []*catalog.Index
+	adv       *cophy.Advisor
 	evalState *engine.EvalState
 }
 
@@ -133,16 +141,16 @@ func (d *Designer) advisePipeline(ctx context.Context, v *engine.View, iw *workl
 	}
 
 	seeds := indexesToInternal(opts.SeedIndexes)
-	var cands []*catalog.Index
+	var adv *cophy.Advisor
 	if warm != nil && sameCandidates(warm.opts, opts) {
-		cands = warm.cands
+		adv = warm.adv
 		stats.Warm = true
 		stats.CandidatesReused = true
 	} else {
 		candOpts := whatif.DefaultCandidateOptions()
 		candOpts.IncludeProjections = opts.CandidateOptions.IncludeProjections
 		candOpts.IncludeAggViews = opts.CandidateOptions.IncludeAggViews
-		cands = v.Session().GenerateCandidates(iw, candOpts)
+		cands := v.Session().GenerateCandidates(iw, candOpts)
 		// User-suggested candidates join (and may be pinned into) the search.
 		have := make(map[string]bool, len(cands))
 		for _, ix := range cands {
@@ -154,6 +162,7 @@ func (d *Designer) advisePipeline(ctx context.Context, v *engine.View, iw *workl
 				have[ix.Key()] = true
 			}
 		}
+		adv = cophy.New(d.eng, cands)
 	}
 
 	copts := cophy.DefaultOptions()
@@ -167,7 +176,6 @@ func (d *Designer) advisePipeline(ctx context.Context, v *engine.View, iw *workl
 	if warm != nil {
 		copts.WarmStartKeys = warm.basisKeys
 	}
-	adv := cophy.New(d.eng, cands)
 	cres, err := adv.AdviseView(ctx, v, iw, copts)
 	if err != nil {
 		return nil, nil, ReadviseStats{}, err
@@ -232,6 +240,6 @@ func (d *Designer) advisePipeline(ctx context.Context, v *engine.View, iw *workl
 		basis = append(basis, ix.Key())
 	}
 	opts.SeedIndexes = slices.Clone(opts.SeedIndexes)
-	st := &adviceState{opts: opts, advice: out, basisKeys: basis, cands: cands, evalState: evalState}
+	st := &adviceState{opts: opts, advice: out, basisKeys: basis, adv: adv, evalState: evalState}
 	return out, st, stats, nil
 }

@@ -271,7 +271,10 @@ type SolverResult struct {
 	PerQuery []QueryPlan
 	// SolveTime is wall-clock time spent in the solver (excludes pricing).
 	SolveTime time.Duration
-	// PricingCalls counts INUM costings spent building the BIP.
+	// PricingCalls counts INUM costings spent building the BIP: 0 when a
+	// design session's re-advise answered from the program its advisor
+	// priced for an earlier question (same generation, workload and
+	// candidates).
 	PricingCalls int
 }
 

@@ -12,13 +12,25 @@
 // solved by internal/lp's branch-and-bound. The LP relaxation bound yields
 // the advertised optimality-gap guarantee, and the node budget is the
 // execution-time/quality trade-off knob (experiments E7 and E10).
+//
+// An answer is two steps: build the priced program, then solve it. Only the
+// budget row, the pins and the warm start depend on the question; the
+// costs c_{q,p} and the atoms' index sets depend on the view, the workload
+// and the atom caps alone. So an Advisor builds the program once — prepare,
+// price each query's baseline, enumerate its atoms — keeps it, and answers
+// every later question about the same view, workload and caps by writing
+// the rows and solving, with no pricing at all (Result.PricingCalls is 0).
+// A design session keeps its advisor, and a rung of a budget ladder is one
+// solve.
 package cophy
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/catalog"
@@ -90,7 +102,8 @@ type Result struct {
 	// SolveTime is wall-clock time spent in the solver (excludes INUM
 	// pricing).
 	SolveTime time.Duration
-	// PricingCalls counts INUM costings spent building the BIP.
+	// PricingCalls counts INUM costings spent building the BIP: 0 when the
+	// advisor's kept program answered the question.
 	PricingCalls int
 	// WarmStarted reports whether a WarmStartKeys basis was accepted as the
 	// solver's initial incumbent.
@@ -123,9 +136,61 @@ type atom struct {
 	indexes []int // candidate ordinals used
 }
 
-// Advisor runs CoPhy over a fixed workload and candidate set.
+// program is CoPhy's priced binary program: every coefficient of the BIP
+// that no question's budget, pins or warm start changes. It was priced on
+// one view, for one workload, under one pair of atom caps, and is never
+// written after it is built, so concurrent solves share it.
+//
+// Query i's atoms are the indexes atomEnd[i-1] (0 for the first query) to
+// atomEnd[i]-1 of cost, cheapest first; the last is the all-sequential
+// atom, whose cost is the query's baseline. Atom a uses the candidate
+// ordinals ords[ordEnd[a-1]:ordEnd[a]].
+type program struct {
+	view                 *engine.View
+	queries              []workload.Query
+	maxIndexes, maxAtoms int
+
+	atomEnd []int32
+	cost    []float64
+	ordEnd  []int32
+	ords    []int32
+}
+
+// atoms returns the range [lo, hi) of query i's atoms.
+func (p *program) atoms(i int) (lo, hi int) {
+	if i > 0 {
+		lo = int(p.atomEnd[i-1])
+	}
+	return lo, int(p.atomEnd[i])
+}
+
+// uses returns the candidate ordinals of atom a.
+func (p *program) uses(a int) []int32 {
+	lo := int32(0)
+	if a > 0 {
+		lo = p.ordEnd[a-1]
+	}
+	return p.ords[lo:p.ordEnd[a]]
+}
+
+// baseline is query i's cost with no index: its all-sequential atom.
+func (p *program) baseline(i int) float64 { return p.cost[p.atomEnd[i]-1] }
+
+// prices reports whether the program is the one a question about the
+// workload on the view under opts' atom caps would build.
+func (p *program) prices(v *engine.View, w *workload.Workload, opts Options) bool {
+	return p != nil && p.view == v &&
+		p.maxIndexes == opts.MaxIndexesPerQueryTable && p.maxAtoms == opts.MaxAtomsPerQuery &&
+		workload.SameQueries(p.queries, w.Queries)
+}
+
+// Advisor runs CoPhy over a fixed candidate set. It keeps the last program
+// it built: a question about the same view and workload under the same
+// atom caps — a design session walking a budget ladder, toggling pins —
+// prices nothing and only solves. An Advisor is safe for concurrent use.
 type Advisor struct {
 	candidates []*catalog.Index
+	last       atomic.Pointer[program]
 }
 
 // New creates an advisor over a candidate index set (typically the what-if
@@ -142,7 +207,9 @@ func (a *Advisor) Candidates() []*catalog.Index { return a.candidates }
 // one pinned engine generation: every base cost and atom sweep prices
 // against the same cache/env even if the engine is reconfigured
 // concurrently, and a multi-phase pipeline stays consistent across advisors
-// by handing each the same view. The context is honored through every
+// by handing each the same view. The program is built only when the
+// advisor's last one was priced for another view, workload or pair of atom
+// caps; otherwise PricingCalls is 0. The context is honored through every
 // phase: atom pricing aborts mid-sweep, and the branch-and-bound solver
 // checks it before every node expansion — a cancelled or deadlined run
 // returns ctx.Err() promptly. A negative budget is refused: 0 is the
@@ -162,45 +229,74 @@ func (a *Advisor) AdviseView(ctx context.Context, v *engine.View, w *workload.Wo
 	}
 
 	res := &Result{}
+	prog := a.last.Load()
+	if !prog.prices(v, w, opts) {
+		var err error
+		if prog, res.PricingCalls, err = a.build(ctx, v, w, opts); err != nil {
+			return nil, err
+		}
+		a.last.Store(prog)
+	}
+	return a.solve(ctx, prog, opts, res)
+}
 
+// build prices the program: each query's baseline and plan atoms.
+func (a *Advisor) build(ctx context.Context, v *engine.View, w *workload.Workload, opts Options) (*program, int, error) {
 	// Pre-warm the INUM entries on the engine's sweep pool — template
 	// building is one full optimization per seed configuration and query,
 	// which the loop below would otherwise pay query by query — then
 	// enumerate per-query atoms.
 	if err := v.Prepare(ctx, w, nil); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	type queryAtoms struct {
-		q     workload.Query
-		atoms []atom
+	prog := &program{
+		view:       v,
+		queries:    slices.Clone(w.Queries),
+		maxIndexes: opts.MaxIndexesPerQueryTable,
+		maxAtoms:   opts.MaxAtomsPerQuery,
+		atomEnd:    make([]int32, 0, len(w.Queries)),
 	}
+	calls := 0
 	emptyCfg := catalog.NewConfiguration()
-	var all []queryAtoms
 	for _, q := range w.Queries {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		baseCost, err := v.QueryCost(q, emptyCfg)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		res.PricingCalls++
-		res.BaselineCost += baseCost * q.Weight
-
-		atoms, calls, err := a.enumerateAtoms(ctx, v, q.Stmt.Analysis().Tables, q, baseCost, opts)
+		atoms, n, err := a.enumerateAtoms(ctx, v, q.Stmt.Analysis().Tables, q, baseCost, opts)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		res.PricingCalls += calls
-		all = append(all, queryAtoms{q: q, atoms: atoms})
+		calls += 1 + n
+		for _, at := range atoms {
+			prog.cost = append(prog.cost, at.cost)
+			for _, j := range at.indexes {
+				prog.ords = append(prog.ords, int32(j))
+			}
+			prog.ordEnd = append(prog.ordEnd, int32(len(prog.ords)))
+		}
+		prog.atomEnd = append(prog.atomEnd, int32(len(prog.cost)))
+	}
+	// Copy out of the appends' spare capacity: a design session keeps the
+	// program.
+	prog.cost, prog.ordEnd, prog.ords = slices.Clone(prog.cost), slices.Clone(prog.ordEnd), slices.Clone(prog.ords)
+	return prog, calls, nil
+}
+
+// solve answers one question from a priced program: it writes the BIP's
+// rows — budget, pins, each query's linking rows and assignment — applies
+// the warm start and runs the branch-and-bound.
+func (a *Advisor) solve(ctx context.Context, prog *program, opts Options, res *Result) (*Result, error) {
+	for i, q := range prog.queries {
+		res.BaselineCost += prog.baseline(i) * q.Weight
 	}
 
-	// Build the BIP. Variable layout: y_0..y_{C-1}, then x atoms.
+	// Variable layout: y_0..y_{C-1}, then one x per atom.
 	C := len(a.candidates)
-	numX := 0
-	for _, qa := range all {
-		numX += len(qa.atoms)
-	}
+	numX := len(prog.cost)
 	p := lp.NewProblem(C + numX)
 	for j := 0; j < C+numX; j++ {
 		p.Binary[j] = true
@@ -214,37 +310,34 @@ func (a *Advisor) AdviseView(ctx context.Context, v *engine.View, w *workload.Wo
 		p.AddConstraint(coefs, lp.LE, float64(opts.StorageBudgetPages))
 	}
 	// Pinned candidates: y_j = 1.
-	pinned := make(map[string]bool, len(opts.PinnedKeys))
-	for _, k := range opts.PinnedKeys {
-		pinned[strings.ToLower(k)] = true
-	}
-	if len(pinned) > 0 {
+	pinned := make([]bool, C)
+	if keys := keySet(opts.PinnedKeys); len(keys) > 0 {
 		matched := 0
 		for j, ix := range a.candidates {
-			if pinned[ix.Key()] {
+			if keys[ix.Key()] {
+				pinned[j] = true
 				p.AddConstraint(map[int]float64{j: 1}, lp.EQ, 1)
 				matched++
 			}
 		}
-		if matched < len(pinned) {
-			return nil, fmt.Errorf("cophy: %d pinned keys do not match any candidate", len(pinned)-matched)
+		if matched < len(keys) {
+			return nil, fmt.Errorf("cophy: %d pinned keys do not match any candidate", len(keys)-matched)
 		}
 	}
-	xBase := C
-	for _, qa := range all {
+	for i, q := range prog.queries {
 		// Assignment: exactly one atom.
-		assign := map[int]float64{}
-		for k, at := range qa.atoms {
-			xv := xBase + k
+		lo, hi := prog.atoms(i)
+		assign := make(map[int]float64, hi-lo)
+		for at := lo; at < hi; at++ {
+			xv := C + at
 			assign[xv] = 1
-			p.Objective[xv] = at.cost * qa.q.Weight
+			p.Objective[xv] = prog.cost[at] * q.Weight
 			// Linking constraints.
-			for _, j := range at.indexes {
-				p.AddConstraint(map[int]float64{xv: 1, j: -1}, lp.LE, 0)
+			for _, j := range prog.uses(at) {
+				p.AddConstraint(map[int]float64{xv: 1, int(j): -1}, lp.LE, 0)
 			}
 		}
 		p.AddConstraint(assign, lp.EQ, 1)
-		xBase += len(qa.atoms)
 	}
 
 	// Warm start: assemble a feasible incumbent from the previous advice's
@@ -253,38 +346,29 @@ func (a *Advisor) AdviseView(ctx context.Context, v *engine.View, w *workload.Wo
 	// the y variables those atoms use plus any pinned candidates. The seed
 	// is vetted by the solver (budget, pins) and ignored if stale.
 	var warmX []float64
-	if len(opts.WarmStartKeys) > 0 {
-		basis := make(map[string]bool, len(opts.WarmStartKeys))
-		for _, k := range opts.WarmStartKeys {
-			basis[strings.ToLower(k)] = true
+	if keys := keySet(opts.WarmStartKeys); len(keys) > 0 {
+		inBasis := make([]bool, C)
+		for j, ix := range a.candidates {
+			inBasis[j] = keys[ix.Key()]
 		}
 		warmX = make([]float64, C+numX)
-		for j, ix := range a.candidates {
-			if pinned[ix.Key()] {
+		for j := range pinned {
+			if pinned[j] {
 				warmX[j] = 1
 			}
 		}
-		xb := C
-		for _, qa := range all {
-			pick := -1
-			for k, at := range qa.atoms { // atoms are sorted cheapest-first
-				supported := true
-				for _, j := range at.indexes {
-					if !basis[a.candidates[j].Key()] {
-						supported = false
-						break
-					}
+		for i := range prog.queries {
+			lo, hi := prog.atoms(i)
+			for at := lo; at < hi; at++ { // atoms are sorted cheapest-first
+				if !supported(prog.uses(at), inBasis) {
+					continue
 				}
-				if supported {
-					pick = k
-					break
+				warmX[C+at] = 1
+				for _, j := range prog.uses(at) {
+					warmX[j] = 1
 				}
+				break
 			}
-			warmX[xb+pick] = 1
-			for _, j := range qa.atoms[pick].indexes {
-				warmX[j] = 1
-			}
-			xb += len(qa.atoms)
 		}
 		if p.FeasibleBinary(warmX) {
 			res.WarmStarted = true
@@ -307,15 +391,19 @@ func (a *Advisor) AdviseView(ctx context.Context, v *engine.View, w *workload.Wo
 		res.Nodes = sol.Nodes
 	case lp.StatusNoSolution:
 		// The node budget expired before any incumbent was found. The
-		// empty design is always feasible, so fall back to it — the
-		// anytime behaviour a time-boxed advisor must have (E10).
+		// empty design plus the pins is always feasible (the root
+		// relaxation fits the pins in the budget), so fall back to it —
+		// the anytime behaviour a time-boxed advisor must have (E10). A y
+		// carries no cost: every query keeps its all-sequential atom and
+		// the objective is the baseline.
 		res.Objective = res.BaselineCost
 		res.Bound = sol.Bound
 		res.Proven = false
 		res.Nodes = sol.Nodes
-		for _, qa := range all {
-			res.PerQuery = append(res.PerQuery, QueryPlan{QueryID: qa.q.ID, Cost: qa.atoms[len(qa.atoms)-1].cost})
+		for i, q := range prog.queries {
+			res.PerQuery = append(res.PerQuery, QueryPlan{QueryID: q.ID, Cost: prog.baseline(i)})
 		}
+		res.Indexes = a.chosen(pinned)
 		return res, nil
 	default:
 		return nil, fmt.Errorf("cophy: solver returned %v", sol.Status)
@@ -325,13 +413,13 @@ func (a *Advisor) AdviseView(ctx context.Context, v *engine.View, w *workload.Wo
 	// chosen plans use, plus the pinned candidates. A y_j has objective 0,
 	// so under a budget the solver may leave one at 1 that no chosen plan
 	// uses; advising it would fill budget for nothing.
-	used := make([]bool, C)
-	xBase = C
-	for _, qa := range all {
-		for k, at := range qa.atoms {
-			if sol.X[xBase+k] > 0.5 {
-				qp := QueryPlan{QueryID: qa.q.ID, Cost: at.cost}
-				for _, j := range at.indexes {
+	used := slices.Clone(pinned)
+	for i, q := range prog.queries {
+		lo, hi := prog.atoms(i)
+		for at := lo; at < hi; at++ {
+			if sol.X[C+at] > 0.5 {
+				qp := QueryPlan{QueryID: q.ID, Cost: prog.cost[at]}
+				for _, j := range prog.uses(at) {
 					used[j] = true
 					qp.Indexes = append(qp.Indexes, a.candidates[j])
 				}
@@ -339,15 +427,40 @@ func (a *Advisor) AdviseView(ctx context.Context, v *engine.View, w *workload.Wo
 				break
 			}
 		}
-		xBase += len(qa.atoms)
 	}
+	res.Indexes = a.chosen(used)
+	return res, nil
+}
+
+// chosen returns the candidates marked in pick, sorted by key.
+func (a *Advisor) chosen(pick []bool) []*catalog.Index {
+	var out []*catalog.Index
 	for j, ix := range a.candidates {
-		if used[j] || pinned[ix.Key()] {
-			res.Indexes = append(res.Indexes, ix)
+		if pick[j] {
+			out = append(out, ix)
 		}
 	}
-	sort.Slice(res.Indexes, func(i, j int) bool { return res.Indexes[i].Key() < res.Indexes[j].Key() })
-	return res, nil
+	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
+	return out
+}
+
+// supported reports whether every candidate an atom uses is in the basis.
+func supported(uses []int32, inBasis []bool) bool {
+	for _, j := range uses {
+		if !inBasis[j] {
+			return false
+		}
+	}
+	return true
+}
+
+// keySet is a set of canonical index keys, lower-cased.
+func keySet(keys []string) map[string]bool {
+	set := make(map[string]bool, len(keys))
+	for _, k := range keys {
+		set[strings.ToLower(k)] = true
+	}
+	return set
 }
 
 // enumerateAtoms prices the plan atoms of one query: the all-sequential

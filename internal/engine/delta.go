@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"math"
 	"slices"
 
 	"repro/internal/catalog"
@@ -154,13 +153,7 @@ func affectedQueries(qs []workload.Query, a, b *catalog.Configuration) []int {
 // given view and workload: same pinned generation, and the same queries in
 // the same order — IDs, SQL and weights (by bits) equal.
 func (st *EvalState) Reusable(v *View, w *workload.Workload) bool {
-	return st != nil && st.snap == v.s && slices.EqualFunc(st.queries, w.Queries, sameQuery)
-}
-
-// sameQuery reports whether two workload members price alike: the same ID,
-// SQL text and weight bits, whichever trees they carry.
-func sameQuery(a, b workload.Query) bool {
-	return a.ID == b.ID && a.SQL == b.SQL && math.Float64bits(a.Weight) == math.Float64bits(b.Weight)
+	return st != nil && st.snap == v.s && workload.SameQueries(st.queries, w.Queries)
 }
 
 // EvaluateDelta is Evaluate with warm-start: it returns the benefit report

@@ -21,6 +21,7 @@ package lp
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Sense is a constraint direction.
@@ -113,10 +114,18 @@ func (p *Problem) FeasibleBinary(x []float64) bool {
 			}
 		}
 	}
+	// Each row sums in column order, as fill's residual does: whether a
+	// point is within the tolerance must not depend on the map's order.
+	var cols []int
 	for _, c := range p.Constraints {
+		cols = cols[:0]
+		for j := range c.Coefs {
+			cols = append(cols, j)
+		}
+		slices.Sort(cols)
 		var lhs float64
-		for j, a := range c.Coefs {
-			lhs += a * x[j]
+		for _, j := range cols {
+			lhs += c.Coefs[j] * x[j]
 		}
 		switch c.Sense {
 		case LE:

@@ -85,3 +85,22 @@ func TestWarmStartRejectsBadSeeds(t *testing.T) {
 		t.Fatalf("suboptimal seed changed the answer: %v / %v", warm2.Status, warm2.Objective)
 	}
 }
+
+// TestFeasibleBinarySumsInColumnOrder pins the warm-start check to one
+// summation order. The row 1e16·x0 + x1 − 1e16·x2 <= 0.5 at x = (1, 1, 1)
+// sums to 0 in column order (the 1 is absorbed by 1e16) and to 1 when x2's
+// term comes before x1's, so a map-ordered sum accepted the seed on some
+// runs and refused it on others.
+func TestFeasibleBinarySumsInColumnOrder(t *testing.T) {
+	p := NewProblem(3)
+	for i := range p.Binary {
+		p.Binary[i] = true
+	}
+	p.AddConstraint(map[int]float64{0: 1e16, 1: 1, 2: -1e16}, LE, 0.5)
+	x := []float64{1, 1, 1}
+	for i := 0; i < 200; i++ {
+		if !p.FeasibleBinary(x) {
+			t.Fatalf("try %d: the column-order sum is 0 <= 0.5, but the point was refused", i)
+		}
+	}
+}

@@ -5,7 +5,9 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 
 	"repro/internal/catalog"
@@ -35,13 +37,23 @@ func (w *Workload) TotalWeight() float64 {
 	return t
 }
 
+// SameQueries reports whether two member lists price alike: the same
+// queries in the same order, each with the same ID, SQL text and weight
+// bits, whichever trees they carry. Every state kept across questions (the
+// engine's delta state, CoPhy's priced program) is reused by this rule.
+func SameQueries(a, b []Query) bool {
+	return slices.EqualFunc(a, b, func(x, y Query) bool {
+		return x.ID == y.ID && x.SQL == y.SQL && math.Float64bits(x.Weight) == math.Float64bits(y.Weight)
+	})
+}
+
 // Fingerprint identifies the workload by content: a SHA-256 digest over
 // query IDs, SQL, weights, and order. Two workloads with equal fingerprints
 // are interchangeable for costing — hence a cryptographic digest: a
 // collision would serve one workload another's cached state. Its one
 // caller is the benchmark's pipeline replica; the designer's re-advise and
 // the engine's delta state keep the queries themselves and compare them
-// member by member (engine.EvalState.Reusable).
+// member by member (SameQueries).
 func (w *Workload) Fingerprint() string {
 	h := sha256.New()
 	var buf []byte
