@@ -38,6 +38,15 @@ func TestCmdImportOverTrace(t *testing.T) {
 	}
 }
 
+// TestCmdImportShortRowTrace: import over a trace whose tables query
+// returned a row narrower than its select list is an error, not a crash.
+func TestCmdImportShortRowTrace(t *testing.T) {
+	err := cmdImport([]string{"--live-trace", "../../designer/testdata/live_shopdb_short_row.json"})
+	if err == nil || !strings.Contains(err.Error(), "snapshot tables") {
+		t.Fatalf("import over a short-row trace: err = %v, want the tables query refused", err)
+	}
+}
+
 func TestCmdImportFromSQLFile(t *testing.T) {
 	sqlPath := filepath.Join(t.TempDir(), "workload.sql")
 	script := "SELECT order_id FROM orders WHERE customer_id = 42;\n" +

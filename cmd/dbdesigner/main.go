@@ -30,10 +30,8 @@
 //
 // All commands accept --size (tiny|small|medium) and --seed; the dataset is
 // regenerated deterministically per invocation (the store is in-memory).
-// Cost-backend selection is shared too: --backend native|calibrated|replay,
-// --calibration <json> for calibrated constants, --trace <json> as the
-// replay source, and --record <json> to dump every costing call as a
-// replayable trace on exit (the portability workflow).
+// Cost-backend selection is shared too: --backend native|calibrated, and
+// --calibration <json> for calibrated constants.
 package main
 
 import (
@@ -121,8 +119,6 @@ type dataFlags struct {
 
 	backend     *string
 	calibration *string
-	trace       *string
-	record      *string
 }
 
 // commonFlags registers the shared flags.
@@ -135,10 +131,6 @@ func commonFlags(fs *flag.FlagSet) *dataFlags {
 			"cost backend: "+strings.Join(designer.BackendKinds(), "|")),
 		calibration: fs.String("calibration", "",
 			"JSON cost-constant file for --backend calibrated (empty = built-in SSD profile)"),
-		trace: fs.String("trace", "",
-			"recorded costing trace for --backend replay"),
-		record: fs.String("record", "",
-			"record every costing call and write a replay trace to this file on exit"),
 	}
 }
 
@@ -147,7 +139,6 @@ func (f *dataFlags) spec() designer.BackendSpec {
 	return designer.BackendSpec{
 		Kind:            *f.backend,
 		CalibrationFile: *f.calibration,
-		TraceFile:       *f.trace,
 	}
 }
 
@@ -156,24 +147,7 @@ func (f *dataFlags) spec() designer.BackendSpec {
 func (f *dataFlags) open() (*designer.Designer, error) {
 	fmt.Fprintf(os.Stderr, "generating %s SDSS dataset (seed %d, backend %s)...\n",
 		*f.size, *f.seed, *f.backend)
-	opts := []designer.Option{designer.WithBackend(f.spec())}
-	if *f.record != "" {
-		opts = append(opts, designer.WithRecording())
-	}
-	return designer.OpenSDSS(*f.size, *f.seed, opts...)
-}
-
-// finish writes the recorded trace when --record was given. Call it after
-// the command's costing work is done.
-func (f *dataFlags) finish(d *designer.Designer) error {
-	if *f.record == "" {
-		return nil
-	}
-	if err := d.WriteTrace(*f.record); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "dbdesigner: wrote costing trace to %s\n", *f.record)
-	return nil
+	return designer.OpenSDSS(*f.size, *f.seed, designer.WithBackend(f.spec()))
 }
 
 func cmdGenerate(args []string) error {
@@ -195,7 +169,7 @@ func cmdGenerate(args []string) error {
 		for _, q := range w.Queries() {
 			fmt.Printf("-- %s\n%s;\n", q.ID(), q.SQL())
 		}
-		return df.finish(d)
+		return nil
 	}
 	info := d.Describe()
 	fmt.Printf("backend: %s (%s)\n", info.Backend.Kind, info.Backend.Description)
@@ -204,5 +178,5 @@ func cmdGenerate(args []string) error {
 		fmt.Printf("  %-10s %8d rows %6d pages %3d columns (row width %d bytes)\n",
 			t.Name, t.RowCount, t.Pages, len(t.Columns), t.RowWidthBytes)
 	}
-	return df.finish(d)
+	return nil
 }

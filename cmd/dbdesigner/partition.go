@@ -84,7 +84,7 @@ func cmdPartition(args []string) error {
 			fmt.Println("  (none affected)")
 		}
 	}
-	return df.finish(d)
+	return nil
 }
 
 // wrapFragments softly wraps a long fragment listing for the panel.

@@ -78,7 +78,7 @@ func cmdAdvise(args []string) error {
 		}
 		fmt.Printf("\nmaterialized %d indexes (%s)\n", len(advice.Indexes), io.String())
 	}
-	return df.finish(d)
+	return nil
 }
 
 // cmdWhatIf is Scenario 1: the user specifies a candidate design and the
@@ -173,7 +173,7 @@ func cmdWhatIf(args []string) error {
 			}
 		}
 	}
-	return df.finish(d)
+	return nil
 }
 
 // cmdOnline is Scenario 3: continuous tuning over a drifting stream.
@@ -223,7 +223,7 @@ func cmdOnline(args []string) error {
 			r.Epoch, r.Queries, r.EpochCost, r.WhatIfCalls, changed,
 			strings.Join(r.IndexKeys, ", "))
 	}
-	return df.finish(d)
+	return nil
 }
 
 // cmdInteractions renders Figure 2 for the advised index set.
@@ -267,7 +267,7 @@ func cmdInteractions(args []string) error {
 			fmt.Printf("  %d: %s\n", i+1, strings.Join(grp, ", "))
 		}
 	}
-	return df.finish(d)
+	return nil
 }
 
 // cmdExplain plans one query; --analyze also executes it and reports
@@ -304,7 +304,7 @@ func cmdExplain(args []string) error {
 		return err
 	}
 	fmt.Print(plan)
-	return df.finish(d)
+	return nil
 }
 
 // onlineStream resolves the query stream for the online/tune scenarios:

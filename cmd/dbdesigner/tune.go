@@ -74,7 +74,7 @@ func runTune(args []string, ctl *serveControl) error {
 	aopts.StatePath = *statePath
 
 	if *server {
-		return tuneServer(d, df, topts, aopts, *addr, *grace, ctl)
+		return tuneServer(d, topts, aopts, *addr, *grace, ctl)
 	}
 	return tuneLocal(d, df, topts, aopts, *workloadFile, *perPhase)
 }
@@ -126,13 +126,13 @@ func tuneLocal(d *designer.Designer, df *dataFlags, topts designer.TunerOptions,
 		}
 		fmt.Fprintf(os.Stderr, "dbdesigner: autopilot state saved to %s\n", aopts.StatePath)
 	}
-	return df.finish(d)
+	return nil
 }
 
 // tuneServer runs the serve fabric with the autopilot already supervising
 // the tuner slot, until SIGINT/SIGTERM; graceful shutdown persists the
 // autopilot state.
-func tuneServer(d *designer.Designer, df *dataFlags, topts designer.TunerOptions,
+func tuneServer(d *designer.Designer, topts designer.TunerOptions,
 	aopts designer.AutopilotOptions, addr string, grace time.Duration, ctl *serveControl) error {
 	srv := serve.New(d)
 	id, err := srv.StartAutopilot(topts, aopts)
@@ -169,5 +169,5 @@ func tuneServer(d *designer.Designer, df *dataFlags, topts designer.TunerOptions
 		fmt.Fprintf(os.Stderr, "dbdesigner: autopilot state saved to %s\n", aopts.StatePath)
 	}
 	fmt.Fprintln(os.Stderr, "dbdesigner: shutdown complete")
-	return df.finish(d)
+	return nil
 }

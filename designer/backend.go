@@ -1,6 +1,7 @@
 package designer
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 
@@ -13,13 +14,12 @@ import (
 const (
 	BackendNative     = "native"     // built-in optimizer + INUM cache (default)
 	BackendCalibrated = "calibrated" // analytical model with JSON-loaded cost constants
-	BackendReplay     = "replay"     // serves recorded costing calls from a trace
 	BackendLive       = "live"       // calibrated from a live PostgreSQL server's own planner settings
 )
 
 // BackendKinds lists the selectable backend kinds in canonical order.
 func BackendKinds() []string {
-	return []string{BackendNative, BackendCalibrated, BackendReplay, BackendLive}
+	return []string{BackendNative, BackendCalibrated, BackendLive}
 }
 
 // CalibrationParams are inline cost constants for the calibrated backend —
@@ -58,7 +58,7 @@ func (c CalibrationParams) internal() *engine.Calibration {
 // BackendSpec selects and parameterizes the cost backend a designer prices
 // through. The zero value is the native backend.
 type BackendSpec struct {
-	// Kind is "native" (default when empty), "calibrated", or "replay".
+	// Kind is "native" (default when empty), "calibrated", or "live".
 	Kind string
 	// CalibrationFile points at a JSON cost-constant file for the
 	// calibrated backend (see the README's "Portability & backends" section
@@ -66,8 +66,6 @@ type BackendSpec struct {
 	CalibrationFile string
 	// Calibration supplies inline cost constants when no file is given.
 	Calibration *CalibrationParams
-	// TraceFile points at a recorded costing trace for the replay backend.
-	TraceFile string
 	// DSN connects the live backend to a PostgreSQL server whose planner
 	// settings fit the cost constants (resolves to a calibrated backend).
 	DSN string
@@ -76,10 +74,20 @@ type BackendSpec struct {
 	LiveTraceFile string
 }
 
-// internal resolves the spec — loading calibration/trace files — into the
-// engine's backend spec.
+// internal resolves the spec — loading a calibration file or fitting a live
+// server's constants — into the engine's backend spec. Like
+// engine.BackendSpec.Validate, it refuses parameters the selected kind
+// would ignore instead of dropping them.
 func (spec BackendSpec) internal() (engine.BackendSpec, error) {
-	if spec.Kind == BackendLive {
+	switch kind := cmp.Or(spec.Kind, BackendNative); kind {
+	case BackendNative, BackendCalibrated:
+		if spec.DSN != "" || spec.LiveTraceFile != "" {
+			return engine.BackendSpec{}, fmt.Errorf("designer: DSN or live trace given but backend is %q (want %q)", kind, BackendLive)
+		}
+	case BackendLive:
+		if spec.CalibrationFile != "" || spec.Calibration != nil {
+			return engine.BackendSpec{}, errors.New("designer: calibration given but the live backend fits its own from the server")
+		}
 		// "live" is sugar for a calibrated backend whose constants come from
 		// the server (or a recorded trace) instead of a file.
 		cal, err := liveCalibration(spec)
@@ -91,6 +99,8 @@ func (spec BackendSpec) internal() (engine.BackendSpec, error) {
 			return engine.BackendSpec{}, err
 		}
 		return out, nil
+	default:
+		return engine.BackendSpec{}, fmt.Errorf("designer: unknown backend kind %q (have %v)", spec.Kind, BackendKinds())
 	}
 	out := engine.BackendSpec{Kind: spec.Kind}
 	switch {
@@ -103,13 +113,6 @@ func (spec BackendSpec) internal() (engine.BackendSpec, error) {
 	case spec.Calibration != nil:
 		out.Calibration = spec.Calibration.internal()
 	}
-	if spec.TraceFile != "" {
-		trace, err := engine.LoadTrace(spec.TraceFile)
-		if err != nil {
-			return engine.BackendSpec{}, err
-		}
-		out.Trace = trace
-	}
 	if err := out.Validate(); err != nil {
 		return engine.BackendSpec{}, err
 	}
@@ -120,7 +123,7 @@ func (spec BackendSpec) internal() (engine.BackendSpec, error) {
 // with no extra parameters.
 func (spec BackendSpec) IsNative() bool {
 	return (spec.Kind == "" || spec.Kind == BackendNative) &&
-		spec.CalibrationFile == "" && spec.Calibration == nil && spec.TraceFile == "" &&
+		spec.CalibrationFile == "" && spec.Calibration == nil &&
 		spec.DSN == "" && spec.LiveTraceFile == ""
 }
 
@@ -130,13 +133,12 @@ func (spec BackendSpec) IsNative() bool {
 // calibrated designer gets a native backend, not the calibrated one.
 func (spec BackendSpec) inherit() bool {
 	return spec.Kind == "" && spec.CalibrationFile == "" &&
-		spec.Calibration == nil && spec.TraceFile == "" &&
-		spec.DSN == "" && spec.LiveTraceFile == ""
+		spec.Calibration == nil && spec.DSN == "" && spec.LiveTraceFile == ""
 }
 
 // BackendInfo describes an active cost backend.
 type BackendInfo struct {
-	// Kind is the backend kind ("native", "calibrated", "replay").
+	// Kind is the backend kind ("native", "calibrated").
 	Kind string
 	// Description is a human-readable parameter summary.
 	Description string
@@ -146,7 +148,8 @@ func backendInfoFromInternal(info engine.BackendInfo) BackendInfo {
 	return BackendInfo{Kind: info.Kind, Description: info.Description}
 }
 
-// Option configures a designer at open time (OpenSDSS, NewFromDDL).
+// Option configures a designer at open time (OpenSDSS, NewFromDDL, OpenLive,
+// OpenLiveTrace).
 type Option func(*openOptions)
 
 type openOptions struct {
@@ -159,45 +162,14 @@ func WithBackend(spec BackendSpec) Option {
 	return func(o *openOptions) { o.spec = spec }
 }
 
-// WithRecording captures every costing call the designer's backend serves,
-// for a later WriteTrace — the record half of the record/replay portability
-// workflow. Recording composes with any backend.
+// WithRecording makes a live designer (OpenLive, OpenLiveTrace) record its
+// wire traffic, for a later WriteLiveTrace. A designer over a generated or
+// DDL-defined store has no server to record and refuses it.
 func WithRecording() Option {
 	return func(o *openOptions) { o.record = true }
-}
-
-// resolve builds the engine backend spec (and optional recorder) from the
-// collected options.
-func (o *openOptions) resolve() (engine.BackendSpec, *engine.Recorder, error) {
-	espec, err := o.spec.internal()
-	if err != nil {
-		return engine.BackendSpec{}, nil, err
-	}
-	var rec *engine.Recorder
-	if o.record {
-		rec = engine.NewRecorder()
-		espec.Recorder = rec
-	}
-	return espec, rec, nil
 }
 
 // Backend reports the designer's active cost backend.
 func (d *Designer) Backend() BackendInfo {
 	return backendInfoFromInternal(d.eng.Pin().Backend())
-}
-
-// WriteTrace saves every costing call recorded so far (the designer must
-// have been opened with WithRecording) as a replay trace. The file can back
-// a replay-backend designer on a machine with no dataset at all.
-func (d *Designer) WriteTrace(path string) error {
-	if d.recorder == nil {
-		return errors.New("designer: not recording; open with designer.WithRecording()")
-	}
-	if d.recorder.Len() == 0 {
-		return errors.New("designer: no costing calls recorded yet")
-	}
-	if err := d.recorder.WriteFile(path); err != nil {
-		return fmt.Errorf("designer: write trace: %w", err)
-	}
-	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/designer"
@@ -134,69 +135,71 @@ func TestExplicitNativeSessionOnCalibratedDesigner(t *testing.T) {
 }
 
 // TestMismatchedBackendParamsRejected: parameters the selected kind would
-// ignore fail loudly instead of silently running a different cost model.
+// ignore fail loudly instead of silently running a different cost model, at
+// open time and per session alike.
 func TestMismatchedBackendParamsRejected(t *testing.T) {
 	cal := filepath.Join(t.TempDir(), "cal.json")
 	if err := os.WriteFile(cal, []byte(`{"name":"ok","random_page_cost":2}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// Calibration file without --backend calibrated (kind defaults native).
-	if _, err := designer.OpenSDSS("tiny", 41,
-		designer.WithBackend(designer.BackendSpec{CalibrationFile: cal})); err == nil {
-		t.Error("calibration file on a native backend accepted")
+	const liveTrace = "testdata/live_shopdb.json"
+	d, err := designer.OpenSDSS("tiny", 41)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Trace file without the replay kind.
-	if _, err := designer.OpenSDSS("tiny", 41,
-		designer.WithBackend(designer.BackendSpec{Kind: designer.BackendCalibrated, TraceFile: cal})); err == nil {
-		t.Error("trace file on a calibrated backend accepted")
+	for _, bad := range []struct {
+		what string
+		spec designer.BackendSpec
+	}{
+		// Calibration file without --backend calibrated (kind defaults native).
+		{"calibration file on a native backend", designer.BackendSpec{CalibrationFile: cal}},
+		// Live parameters on a kind that never connects.
+		{"DSN on a calibrated backend", designer.BackendSpec{Kind: designer.BackendCalibrated, DSN: "postgres://x@y/z"}},
+		{"DSN with no kind", designer.BackendSpec{DSN: "postgres://x@y/z"}},
+		{"live trace on a native backend", designer.BackendSpec{Kind: designer.BackendNative, LiveTraceFile: liveTrace}},
+		// The live backend fits its own constants.
+		{"calibration file on a live backend", designer.BackendSpec{Kind: designer.BackendLive, LiveTraceFile: liveTrace, CalibrationFile: cal}},
+		{"inline calibration on a live backend", designer.BackendSpec{Kind: designer.BackendLive, LiveTraceFile: liveTrace,
+			Calibration: &designer.CalibrationParams{RandomPageCost: 2}}},
+	} {
+		if _, err := designer.OpenSDSS("tiny", 41, designer.WithBackend(bad.spec)); err == nil {
+			t.Errorf("OpenSDSS: %s accepted", bad.what)
+		}
+		if _, err := d.NewDesignSessionWith(designer.SessionOptions{Backend: bad.spec}); err == nil {
+			t.Errorf("NewDesignSessionWith: %s accepted", bad.what)
+		}
 	}
 }
 
-// TestRecordReplayThroughFacade drives record/replay via the public API:
-// record a session evaluation, write the trace, reopen with the replay
-// backend, and reproduce the report exactly with no live cost model.
-func TestRecordReplayThroughFacade(t *testing.T) {
-	rec, err := designer.OpenSDSS("tiny", 41, designer.WithRecording())
-	if err != nil {
+// TestWithRecordingNeedsALiveServer: recording captures a live server's
+// wire traffic, so a designer over a generated or DDL-defined store refuses
+// the option instead of ignoring it.
+func TestWithRecordingNeedsALiveServer(t *testing.T) {
+	const ddl = "CREATE TABLE t (a BIGINT, b DOUBLE, PRIMARY KEY (a));"
+	if _, err := designer.NewFromDDL(ddl); err != nil {
 		t.Fatal(err)
 	}
-	want := evaluateProbe(t, rec, designer.SessionOptions{})
-	path := filepath.Join(t.TempDir(), "trace.json")
-	if err := rec.WriteTrace(path); err != nil {
-		t.Fatal(err)
-	}
-
-	replay, err := designer.OpenSDSS("tiny", 41,
-		designer.WithBackend(designer.BackendSpec{Kind: designer.BackendReplay, TraceFile: path}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := replay.Describe().Backend.Kind; got != "replay" {
-		t.Fatalf("replay backend = %q", got)
-	}
-	if got := evaluateProbe(t, replay, designer.SessionOptions{}); got != want {
-		t.Fatalf("replayed evaluation %v != recorded %v", got, want)
-	}
-
-	// A designer that never recorded refuses to write a trace.
-	plain, err := designer.OpenSDSS("tiny", 41)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := plain.WriteTrace(filepath.Join(t.TempDir(), "x.json")); err == nil {
-		t.Fatal("WriteTrace without WithRecording should error")
+	for door, open := range map[string]func() (*designer.Designer, error){
+		"OpenSDSS":   func() (*designer.Designer, error) { return designer.OpenSDSS("tiny", 41, designer.WithRecording()) },
+		"NewFromDDL": func() (*designer.Designer, error) { return designer.NewFromDDL(ddl, designer.WithRecording()) },
+	} {
+		if _, err := open(); err == nil || !strings.Contains(err.Error(), "WithRecording") {
+			t.Errorf("%s with WithRecording: err = %v, want a refusal naming the option", door, err)
+		}
 	}
 }
 
 // TestOpenRejectsBadBackendSpecs pins the open-time validation surface.
 func TestOpenRejectsBadBackendSpecs(t *testing.T) {
-	if _, err := designer.OpenSDSS("tiny", 41,
-		designer.WithBackend(designer.BackendSpec{Kind: "voodoo"})); err == nil {
-		t.Error("unknown backend kind accepted")
-	}
-	if _, err := designer.OpenSDSS("tiny", 41,
-		designer.WithBackend(designer.BackendSpec{Kind: designer.BackendReplay})); err == nil {
-		t.Error("replay without a trace file accepted")
+	// An unknown kind — "replay" included, a kind that no longer exists —
+	// is refused with the facade's own list, which has "live".
+	for _, kind := range []string{"voodoo", "replay"} {
+		_, err := designer.OpenSDSS("tiny", 41, designer.WithBackend(designer.BackendSpec{Kind: kind}))
+		if err == nil {
+			t.Errorf("backend kind %q accepted", kind)
+		} else if !strings.Contains(err.Error(), "[native calibrated live]") {
+			t.Errorf("backend kind %q: error %q does not list the facade's kinds", kind, err)
+		}
 	}
 	bad := filepath.Join(t.TempDir(), "cal.json")
 	if err := os.WriteFile(bad, []byte(`{"seq_page_cost": -4}`), 0o644); err != nil {

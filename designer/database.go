@@ -14,7 +14,7 @@ import (
 // the SDSS demo dataset.
 //
 // Load rows with Insert and call Analyze before asking for advice. Options
-// select the cost backend (WithBackend) and recording (WithRecording).
+// select the cost backend (WithBackend).
 func NewFromDDL(ddl string, opts ...Option) (*Designer, error) {
 	stmts, err := sqlparse.ParseScript(ddl)
 	if err != nil {

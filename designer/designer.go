@@ -40,6 +40,7 @@ package designer
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -62,9 +63,6 @@ type Designer struct {
 	store *storage.Store
 	eng   *engine.Engine
 	exec  *executor.Executor
-	// recorder captures costing calls when the designer was opened with
-	// WithRecording (the record half of record/replay portability).
-	recorder *engine.Recorder
 
 	// mu guards the store's mutable physical state (heaps, materialized
 	// index registry): writers (Materialize, Analyze, Insert) take the
@@ -84,7 +82,10 @@ func openStore(store *storage.Store, opts []Option) (*Designer, error) {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	espec, rec, err := o.resolve()
+	if o.record {
+		return nil, errors.New("designer: WithRecording records a live server's wire traffic; open with OpenLive or OpenLiveTrace")
+	}
+	espec, err := o.spec.internal()
 	if err != nil {
 		return nil, err
 	}
@@ -93,17 +94,16 @@ func openStore(store *storage.Store, opts []Option) (*Designer, error) {
 		return nil, err
 	}
 	return &Designer{
-		store:    store,
-		eng:      eng,
-		exec:     executor.New(store),
-		recorder: rec,
-		trees:    newTreeTable(),
+		store: store,
+		eng:   eng,
+		exec:  executor.New(store),
+		trees: newTreeTable(),
 	}, nil
 }
 
 // OpenSDSS generates the synthetic SDSS demo dataset deterministically and
 // opens a designer over it. size is "tiny", "small", or "medium". Options
-// select the cost backend (WithBackend) and recording (WithRecording).
+// select the cost backend (WithBackend).
 func OpenSDSS(size string, seed int64, opts ...Option) (*Designer, error) {
 	sz, err := workload.SizeByName(size)
 	if err != nil {

@@ -22,6 +22,10 @@ var updateLiveFixture = flag.Bool("update-live-fixture", false,
 
 const liveFixturePath = "testdata/live_shopdb.json"
 
+// shortRowFixturePath is liveFixturePath with the first row of the tables
+// query cut to one field: a result narrower than its select list.
+const shortRowFixturePath = "testdata/live_shopdb_short_row.json"
+
 // liveOutcome is everything observable from one full pipeline run.
 type liveOutcome struct {
 	info  LiveInfo
@@ -219,5 +223,18 @@ func TestLiveBackendSpecFromTrace(t *testing.T) {
 		Kind: BackendLive, DSN: "postgres://x@y/z", LiveTraceFile: liveFixturePath,
 	})); err == nil {
 		t.Error("live backend with both DSN and trace should fail")
+	}
+}
+
+// TestLiveTraceShortRowIsAnError: a recorded row narrower than its query's
+// select list fails the open with an error naming the query, not a panic.
+func TestLiveTraceShortRowIsAnError(t *testing.T) {
+	lv, err := OpenLiveTrace(shortRowFixturePath)
+	if err == nil {
+		lv.Close()
+		t.Fatal("a trace with a short row opened")
+	}
+	if !strings.Contains(err.Error(), "snapshot tables") || !strings.Contains(err.Error(), "SELECT c.relname") {
+		t.Fatalf("error %q does not name the tables query", err)
 	}
 }

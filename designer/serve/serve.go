@@ -697,9 +697,6 @@ type sessionCreateJSON struct {
 }
 
 func (s *Server) handleSessionCreate(r *http.Request, req *sessionCreateJSON) (int, any, error) {
-	if (req.DSN != "" || req.LiveTrace != "") && req.Backend != designer.BackendLive {
-		return 0, nil, fmt.Errorf("dsn/live_trace require backend %q, got %q", designer.BackendLive, req.Backend)
-	}
 	tenant := tenantFrom(r)
 	// Build the session (which pins an engine generation and may briefly
 	// wait on the designer's store lock) before registering it: the
@@ -709,8 +706,8 @@ func (s *Server) handleSessionCreate(r *http.Request, req *sessionCreateJSON) (i
 		Backend: designer.BackendSpec{Kind: req.Backend, DSN: req.DSN, LiveTraceFile: req.LiveTrace},
 	})
 	if err != nil {
-		// A backend the designer cannot build (unknown kind, replay without
-		// a server-side trace, an unreachable server) is a caller error.
+		// A backend the designer cannot build (unknown kind, dsn/live_trace
+		// without the live kind, an unreachable server) is a caller error.
 		return 0, nil, &apiError{status: http.StatusBadRequest, code: codeInvalidRequest, err: err}
 	}
 	// The cheap key snapshot is seeded from the full design (base materialized

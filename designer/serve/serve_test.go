@@ -399,7 +399,7 @@ func TestErrorMappingAllHandlers(t *testing.T) {
 		{"explain unknown session", "POST", "/sessions/nope/explain", `{"sql":"SELECT objid FROM photoobj"}`, http.StatusNotFound, "session_not_found"},
 		{"session create malformed body", "POST", "/sessions", malformed, http.StatusBadRequest, "invalid_request"},
 		{"session create unknown backend", "POST", "/sessions", `{"backend":"voodoo"}`, http.StatusBadRequest, "invalid_request"},
-		{"session create replay without trace", "POST", "/sessions", `{"backend":"replay"}`, http.StatusBadRequest, "invalid_request"},
+		{"session create removed replay kind", "POST", "/sessions", `{"backend":"replay"}`, http.StatusBadRequest, "invalid_request"},
 		{"session list bad limit", "GET", "/sessions?limit=banana", "", http.StatusBadRequest, "invalid_request"},
 		{"session list bad cursor", "GET", "/sessions?cursor=@@@", "", http.StatusBadRequest, "invalid_request"},
 		{"advise malformed body", "POST", "/advise", malformed, http.StatusBadRequest, "invalid_request"},

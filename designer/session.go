@@ -231,8 +231,7 @@ func (s *DesignSession) AddHorizontalPartition(table, column string, k int) erro
 // against the session's pinned generation and backend; a cancelled context
 // aborts mid-evaluation. When session join controls are set, evaluation
 // runs through the steered optimizer environment instead (the backend's
-// cost constants still apply for analytical backends; a replay-backed
-// session falls back to native plan costing under join steering).
+// cost constants still apply).
 func (s *DesignSession) Evaluate(ctx context.Context, w *Workload) (*Report, error) {
 	if s.hasJoinOpts {
 		rep, err := s.view.EvaluateSteered(ctx, w.internal(), s.cfg, s.joinOpts)

@@ -187,9 +187,6 @@ func (c *Configuration) HasIndex(key string) bool {
 // Indexes lists the design's indexes.
 func (c *Configuration) Indexes() []Index { return indexesFromInternal(c.base().Indexes) }
 
-// Signature returns a deterministic identity for the whole design.
-func (c *Configuration) Signature() string { return c.base().Signature() }
-
 // QueryBenefit reports one query's costs under the base and a hypothetical
 // configuration.
 type QueryBenefit struct {

@@ -36,16 +36,22 @@
 // pool included, on that view, so an answer never mixes two generations.
 //
 // Costing itself is pluggable — the paper's "portable" pillar: the engine
-// delegates every pricing call to a CostBackend. Three ship in-tree:
-// native (built-in optimizer + INUM cache), calibrated (the same
-// analytical machinery on PostgreSQL-style cost constants loaded from a
-// JSON calibration file), and replay (recorded costing calls served from a
-// trace, no live engine needed; record mode wraps any backend). Select a
-// backend at open time (designer.WithBackend), per interactive session
-// (designer.SessionOptions / the serve API's per-session backend field),
-// or per CLI run (dbdesigner --backend). Designer.Describe reports the
-// active backend. See README.md ("Portability & backends") for the
-// calibration file format and the record/replay workflow.
+// delegates every pricing call to a CostBackend. Two ship in-tree: native
+// (built-in optimizer + INUM cache) and calibrated (the same analytical
+// machinery on PostgreSQL-style cost constants loaded from a JSON
+// calibration file). The facade adds live: a calibrated backend whose
+// constants are fitted from a PostgreSQL server's planner settings
+// (internal/livedb). Select a backend at open time (designer.WithBackend),
+// per interactive session (designer.SessionOptions / the serve API's
+// per-session backend field), or per CLI run (dbdesigner --backend).
+// Designer.Describe reports the active backend.
+//
+// The one offline artifact is the livedb trace: designer.OpenLive with
+// designer.WithRecording (dbdesigner --live-record) records a live
+// server's wire traffic, and designer.OpenLiveTrace (--live-trace) replays
+// the whole import → advise → apply pipeline from it with no server. See
+// README.md ("Portability & backends") for the calibration file format and
+// the live workflow.
 //
 // The paper's experiments (E2–E12) run as the deterministic suite behind
 // `dbdesigner bench` (repro/internal/bench): quality and count cells only,

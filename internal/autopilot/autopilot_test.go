@@ -6,10 +6,13 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/autopilot"
+	"repro/internal/catalog"
 	"repro/internal/engine"
 	"repro/internal/sqlparse"
 	"repro/internal/workload"
@@ -323,13 +326,13 @@ func TestAutopilotKillRestartResumesIdentically(t *testing.T) {
 			if _, err := ap2.ObserveAll(context.Background(), qs2[cut:]); err != nil {
 				t.Fatal(err)
 			}
-			return ap2.Decisions(0), ap2.Regret(), ap2.Current().Signature()
+			return ap2.Decisions(0), ap2.Regret(), indexKeySet(ap2.Current())
 		}
 		defer ap.Close()
 		if _, err := ap.ObserveAll(context.Background(), qs); err != nil {
 			t.Fatal(err)
 		}
-		return ap.Decisions(0), ap.Regret(), ap.Current().Signature()
+		return ap.Decisions(0), ap.Regret(), indexKeySet(ap.Current())
 	}
 
 	refDec, refReg, refSig := full(t, 0, "")
@@ -415,4 +418,15 @@ func TestAutopilotConcurrentReaders(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
+}
+
+// indexKeySet renders a configuration's sorted index keys, the identity the
+// tuner's change test compares.
+func indexKeySet(cfg *catalog.Configuration) string {
+	keys := make([]string, 0, len(cfg.Indexes))
+	for _, ix := range cfg.Indexes {
+		keys = append(keys, ix.Key())
+	}
+	slices.Sort(keys)
+	return strings.Join(keys, ";")
 }

@@ -51,19 +51,9 @@ func TestRunProducesValidatedResult(t *testing.T) {
 		t.Errorf("colt stream length = %d, want 50", byName["colt_convergence"].Counts["queries"])
 	}
 	port := byName["backend_portability"]
-	if port.Quality["replay_max_abs_diff"] != 0 {
-		t.Errorf("replay of a recorded native trace drifted: max abs diff %v",
-			port.Quality["replay_max_abs_diff"])
-	}
-	if port.Counts["replay_exact"] != 1 {
-		t.Error("replayed selection did not reproduce the native design exactly")
-	}
 	if port.Counts["designs_agree"] != 1 {
 		t.Errorf("native and calibrated designs disagree: cross penalty %v%%",
 			port.Quality["cross_penalty_pct"])
-	}
-	if port.Counts["trace_calls"] == 0 {
-		t.Error("portability recorder captured no calls")
 	}
 	if res.BackendOrNative() != "native" {
 		t.Errorf("default suite backend = %q", res.BackendOrNative())
@@ -346,7 +336,7 @@ func TestCalibratedSuiteRuns(t *testing.T) {
 	}
 
 	if _, err := Run(Spec{Backend: "replay"}, nil); err == nil {
-		t.Fatal("replay as a suite backend should be rejected")
+		t.Fatal("an unknown suite backend should be rejected")
 	}
 }
 

@@ -32,8 +32,7 @@ type Env struct {
 	Profile  string
 	NumQ     int
 	// Backend is the cost-backend kind the Env's engine prices through
-	// ("native" or "calibrated"; replay appears only inside the
-	// backend_portability experiment).
+	// ("native" or "calibrated").
 	Backend string
 
 	Store *storage.Store

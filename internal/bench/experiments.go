@@ -80,8 +80,7 @@ func runINUMVsOptimizer(e *Env, spec Spec, x *Experiment) error {
 // runBackendPortability measures the paper's portability claim in
 // executable form: the same greedy selection run under the native and
 // calibrated backends should choose (nearly) the same design even though
-// the two models disagree on absolute costs, and a recorded native trace
-// must replay those costs exactly with no live engine behind it.
+// the two models disagree on absolute costs.
 func runBackendPortability(e *Env, spec Spec, x *Experiment) error {
 	ctx := context.Background()
 	// Every selection below runs at an unlimited budget (0): each backend
@@ -101,9 +100,8 @@ func runBackendPortability(e *Env, spec Spec, x *Experiment) error {
 		return eng.Pin(), nil
 	}
 
-	// Native selection, recorded.
-	rec := engine.NewRecorder()
-	native, err := pinFresh(engine.BackendSpec{Recorder: rec})
+	// Native selection.
+	native, err := pinFresh(engine.BackendSpec{})
 	if err != nil {
 		return err
 	}
@@ -121,34 +119,6 @@ func runBackendPortability(e *Env, spec Spec, x *Experiment) error {
 	cres, err := greedy.Advise(ctx, calib, e.Cands, e.W, 0)
 	if err != nil {
 		return err
-	}
-
-	// Replay the recorded native calls: the selection must reproduce the
-	// native design and every probed cost bit-for-bit.
-	trace := rec.Trace()
-	replay, err := pinFresh(engine.BackendSpec{Kind: engine.BackendReplay, Trace: trace})
-	if err != nil {
-		return err
-	}
-	rres, err := greedy.Advise(ctx, replay, e.Cands, e.W, 0)
-	if err != nil {
-		return fmt.Errorf("replaying the recorded native selection: %w", err)
-	}
-	var maxDiff float64
-	for _, q := range e.W.Queries {
-		want, err := native.QueryCost(q, nil)
-		if err != nil {
-			return err
-		}
-		got, err := replay.QueryCost(q, nil)
-		if err != nil {
-			return err
-		}
-		if d := got - want; d > maxDiff {
-			maxDiff = d
-		} else if -d > maxDiff {
-			maxDiff = -d
-		}
 	}
 
 	// Functional agreement: price each backend's chosen design under the
@@ -184,16 +154,12 @@ func runBackendPortability(e *Env, spec Spec, x *Experiment) error {
 	x.Quality["cross_penalty_pct"] = cross
 	x.Quality["native_improvement_pct"] = nres.Improvement() * 100
 	x.Quality["calibrated_improvement_pct"] = cres.Improvement() * 100
-	x.Quality["replay_max_abs_diff"] = maxDiff
 	x.Counts["native_indexes"] = int64(len(nativeKeys))
 	x.Counts["calibrated_indexes"] = int64(len(calibKeys))
-	x.Counts["trace_calls"] = int64(trace.Len())
 	// Designs "agree" when each backend's choice is within 5% of the other
 	// backend's own optimum under that backend's model — functional
 	// interchangeability, the form of the paper's portability claim.
 	x.Counts["designs_agree"] = bool01(cross <= 5.0)
-	x.Counts["replay_exact"] = bool01(maxDiff == 0 &&
-		jaccardPct(nativeKeys, indexKeys(rres.Indexes)) == 100 && rres.Objective == nres.Objective)
 	return nil
 }
 

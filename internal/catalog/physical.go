@@ -3,7 +3,6 @@ package catalog
 import (
 	"fmt"
 	"maps"
-	"sort"
 	"strings"
 )
 
@@ -391,31 +390,6 @@ func (c *Configuration) VerticalOn(table string) *VerticalLayout {
 // HorizontalOn returns the table's horizontal layout, or nil.
 func (c *Configuration) HorizontalOn(table string) *HorizontalLayout {
 	return c.Horizontal[NormCol(table)]
-}
-
-// Signature returns a deterministic identity for the whole configuration:
-// the configuration half of a recorded costing call's key (engine/trace.go).
-func (c *Configuration) Signature() string {
-	keys := make([]string, 0, len(c.Indexes))
-	for _, ix := range c.Indexes {
-		keys = append(keys, ix.Key())
-	}
-	sort.Strings(keys)
-	var parts []string
-	parts = append(parts, strings.Join(keys, ";"))
-	vt := make([]string, 0, len(c.Vertical))
-	for _, v := range c.Vertical {
-		vt = append(vt, v.String())
-	}
-	sort.Strings(vt)
-	parts = append(parts, strings.Join(vt, ";"))
-	ht := make([]string, 0, len(c.Horizontal))
-	for _, h := range c.Horizontal {
-		ht = append(ht, h.String())
-	}
-	sort.Strings(ht)
-	parts = append(parts, strings.Join(ht, ";"))
-	return strings.Join(parts, "|")
 }
 
 // TotalIndexPages sums the estimated page footprint of all indexes; this is

@@ -95,20 +95,6 @@ func TestConfigurationWithWithout(t *testing.T) {
 	}
 }
 
-func TestConfigurationSignatureOrderIndependent(t *testing.T) {
-	a := &Index{Name: "a", Table: "t", Columns: []string{"a"}}
-	b := &Index{Name: "b", Table: "t", Columns: []string{"b"}}
-	c1 := NewConfiguration().WithIndex(a).WithIndex(b)
-	c2 := NewConfiguration().WithIndex(b).WithIndex(a)
-	if c1.Signature() != c2.Signature() {
-		t.Fatalf("signatures differ:\n%s\n%s", c1.Signature(), c2.Signature())
-	}
-	c3 := c1.WithoutIndex("t(b)")
-	if c3.Signature() == c1.Signature() {
-		t.Fatal("signature must change when index set changes")
-	}
-}
-
 func TestConfigurationPartitions(t *testing.T) {
 	cfg := NewConfiguration()
 	cfg.SetVertical(&VerticalLayout{Table: "T1", Fragments: [][]string{{"x"}}})

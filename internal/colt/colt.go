@@ -20,6 +20,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -323,7 +324,7 @@ func (t *Tuner) endEpoch() {
 		scores[r.st.ix.Key()] = r.score
 	}
 
-	changed := proposed.Signature() != t.current.Signature()
+	changed := !slices.Equal(sortedIndexKeys(proposed), sortedIndexKeys(t.current))
 	// Adoption gate: the projected gain must clear the threshold relative
 	// to the epoch's cost. Dropping to a subset with no expected benefit
 	// loss is always allowed (frees space).

@@ -5,15 +5,16 @@
 // swaps the cost model under the whole designer without touching a single
 // advisor.
 //
-// Three backends ship in-tree:
+// Two backends ship in-tree:
 //
 //   - native: the built-in optimizer + INUM cache pipeline (the default).
 //   - calibrated: the same analytical machinery running on PostgreSQL-style
 //     cost constants loaded from a JSON calibration file — the stand-in for
 //     "another engine's economy" (SSD defaults built in).
-//   - replay: serves recorded costing calls from a trace, enabling
-//     trace-driven portability tests without any live engine. Record mode
-//     (BackendSpec.Recorder) wraps any backend and dumps its calls.
+//
+// A live PostgreSQL server (package livedb) reaches the engine as a
+// calibrated backend whose constants are fitted from the server's planner
+// settings; a recorded wire trace replays that fit offline.
 //
 // Backend state is per view: every Pin and PinBackend builds a fresh backend
 // instance (own INUM cache) over its generation's environment, so a view is
@@ -23,7 +24,6 @@ package engine
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/catalog"
 	"repro/internal/inum"
@@ -36,11 +36,10 @@ import (
 const (
 	BackendNative     = "native"
 	BackendCalibrated = "calibrated"
-	BackendReplay     = "replay"
 )
 
 // BackendKinds lists the selectable backend kinds in canonical order.
-func BackendKinds() []string { return []string{BackendNative, BackendCalibrated, BackendReplay} }
+func BackendKinds() []string { return []string{BackendNative, BackendCalibrated} }
 
 // CostBackend is one pluggable what-if costing implementation. The engine
 // resolves nil configurations to the generation's base before calling a
@@ -55,11 +54,9 @@ func BackendKinds() []string { return []string{BackendNative, BackendCalibrated,
 // |configurations| cells and most of a cell's work belongs to its row or
 // its column: Pricer does the per-query work once per sweep call (the INUM
 // entry lookup), the Pricer it returns does the per-configuration work once
-// per configuration (INUM's digest, the configuration signature), and only
-// what is left runs per cell. A statement's trace key is its Key, rendered
-// once in the statement's life.
+// per configuration (INUM's digest), and only what is left runs per cell.
 type CostBackend interface {
-	// Kind identifies the backend ("native", "calibrated", "replay").
+	// Kind identifies the backend ("native", "calibrated").
 	Kind() string
 	// Describe renders the backend's parameters for humans (Describe
 	// output, serve /schema).
@@ -77,7 +74,7 @@ type CostBackend interface {
 	// returned function and no longer.
 	Pricer(queries []workload.Query) (Pricer, error)
 	// StmtCost prices a statement with the backend's reference model (the
-	// full optimizer for analytical backends), bypassing the cached path.
+	// full optimizer), bypassing the cached path.
 	StmtCost(stmt *sqlparse.SelectStmt, cfg *catalog.Configuration) (float64, error)
 }
 
@@ -99,17 +96,11 @@ type BackendInfo struct {
 // BackendSpec selects and parameterizes the cost backend an engine builds
 // for every generation. The zero value means the native backend.
 type BackendSpec struct {
-	// Kind is "native" (default when empty), "calibrated", or "replay".
+	// Kind is "native" (default when empty) or "calibrated".
 	Kind string
 	// Calibration supplies the calibrated backend's cost constants;
 	// nil means DefaultCalibration().
 	Calibration *Calibration
-	// Trace backs the replay backend. Required when Kind is "replay".
-	Trace *Trace
-	// Recorder, when set, wraps the backend so every costing call is
-	// captured for a later replay. Works with any kind (recording a replay
-	// re-dumps the served calls).
-	Recorder *Recorder
 }
 
 // kind resolves the spec's kind with the native default.
@@ -122,33 +113,18 @@ func (spec BackendSpec) kind() string {
 
 // Validate checks the spec without building anything. Parameters that the
 // selected kind would ignore are rejected rather than dropped: a
-// calibration attached to a native backend (or a trace attached to an
-// analytical one) is a misconfiguration the caller must hear about, not a
-// silently different cost model.
+// calibration attached to a native backend is a misconfiguration the caller
+// must hear about, not a silently different cost model.
 func (spec BackendSpec) Validate() error {
 	switch spec.kind() {
 	case BackendNative:
 		if spec.Calibration != nil {
 			return fmt.Errorf("engine: calibration given but backend is %q (want calibrated)", spec.kind())
 		}
-		if spec.Trace != nil {
-			return fmt.Errorf("engine: trace given but backend is %q (want replay)", spec.kind())
-		}
 		return nil
 	case BackendCalibrated:
-		if spec.Trace != nil {
-			return fmt.Errorf("engine: trace given but backend is %q (want replay)", spec.kind())
-		}
 		if spec.Calibration != nil {
 			return spec.Calibration.Validate()
-		}
-		return nil
-	case BackendReplay:
-		if spec.Calibration != nil {
-			return fmt.Errorf("engine: calibration given but backend is %q (want calibrated)", spec.kind())
-		}
-		if spec.Trace == nil {
-			return fmt.Errorf("engine: replay backend needs a trace")
 		}
 		return nil
 	default:
@@ -167,8 +143,7 @@ func (spec BackendSpec) calibration() *Calibration {
 // env derives the environment a generation plans against under the spec
 // (Optimize/Explain, what-if sessions) from its native one (schema + stats +
 // base config + join switches): the calibrated backend substitutes its cost
-// constants, the others keep the native env — under replay, plan rendering
-// stays available even when costing is trace-served.
+// constants, the native one keeps the native env.
 func (spec BackendSpec) env(native *optimizer.Env) *optimizer.Env {
 	if spec.kind() != BackendCalibrated {
 		return native
@@ -182,19 +157,11 @@ func (spec BackendSpec) env(native *optimizer.Env) *optimizer.Env {
 // derived, counting its work into n; online says which INUM entries it
 // prices from (envBackend.entry). The spec has been validated.
 func (spec BackendSpec) backend(env *optimizer.Env, n *inum.Counters, online bool) CostBackend {
-	var backend CostBackend
-	switch spec.kind() {
-	case BackendNative:
-		backend = &envBackend{env: env, cache: inum.New(env, n), online: online}
-	case BackendCalibrated:
-		backend = &envBackend{cal: spec.calibration(), env: env, cache: inum.New(env, n), online: online}
-	case BackendReplay:
-		backend = &replayBackend{trace: spec.Trace, params: env.Params, served: &n.CachedCostings}
+	b := &envBackend{env: env, cache: inum.New(env, n), online: online}
+	if spec.kind() == BackendCalibrated {
+		b.cal = spec.calibration()
 	}
-	if spec.Recorder != nil {
-		backend = &recordingBackend{inner: backend, rec: spec.Recorder}
-	}
-	return backend
+	return b
 }
 
 // ---------------------------------------------------------------------------
@@ -274,86 +241,4 @@ func (b *envBackend) Pricer(queries []workload.Query) (Pricer, error) {
 
 func (b *envBackend) StmtCost(stmt *sqlparse.SelectStmt, cfg *catalog.Configuration) (float64, error) {
 	return b.env.CostUnder(stmt, cfg)
-}
-
-// ---------------------------------------------------------------------------
-// replayBackend: trace-served costing, no live optimizer needed.
-// ---------------------------------------------------------------------------
-
-// replayBackend counts every served call as a cached costing (no full
-// optimizations ever happen under replay).
-type replayBackend struct {
-	trace  *Trace
-	params optimizer.CostParams
-	served *atomic.Int64
-}
-
-func (b *replayBackend) Kind() string { return BackendReplay }
-func (b *replayBackend) Describe() string {
-	return fmt.Sprintf("replaying %d recorded %s calls", b.trace.Len(), b.trace.Backend)
-}
-func (b *replayBackend) Params() optimizer.CostParams { return b.params }
-
-// Prepare is a no-op: the trace holds finished costs, not plan templates.
-func (b *replayBackend) Prepare(*sqlparse.SelectStmt) error { return nil }
-
-func (b *replayBackend) Pricer(queries []workload.Query) (Pricer, error) {
-	return func(cfg *catalog.Configuration) QueryPricer {
-		sig := cfg.Signature()
-		return func(i int) (float64, error) { return b.lookup(opQuery, queries[i].Stmt.Key(), sig) }
-	}, nil
-}
-
-func (b *replayBackend) StmtCost(stmt *sqlparse.SelectStmt, cfg *catalog.Configuration) (float64, error) {
-	return b.lookup(opStmt, stmt.Key(), cfg.Signature())
-}
-
-func (b *replayBackend) lookup(op, sql, sig string) (float64, error) {
-	if cost, ok := b.trace.lookup(op, sql, sig); ok {
-		b.served.Add(1)
-		return cost, nil
-	}
-	return 0, fmt.Errorf("engine: replay: no recorded %s cost for %q under config %q — re-record the trace with this workload and configuration space", op, sql, sig)
-}
-
-// ---------------------------------------------------------------------------
-// recordingBackend: transparent call capture around any backend.
-// ---------------------------------------------------------------------------
-
-type recordingBackend struct {
-	inner CostBackend
-	rec   *Recorder
-}
-
-func (b *recordingBackend) Kind() string                 { return b.inner.Kind() }
-func (b *recordingBackend) Describe() string             { return b.inner.Describe() + " [recording]" }
-func (b *recordingBackend) Params() optimizer.CostParams { return b.inner.Params() }
-
-func (b *recordingBackend) Prepare(stmt *sqlparse.SelectStmt) error {
-	return b.inner.Prepare(stmt)
-}
-
-func (b *recordingBackend) Pricer(queries []workload.Query) (Pricer, error) {
-	inner, err := b.inner.Pricer(queries)
-	if err != nil {
-		return nil, err
-	}
-	return func(cfg *catalog.Configuration) QueryPricer {
-		price, sig := inner(cfg), cfg.Signature()
-		return func(i int) (float64, error) {
-			cost, err := price(i)
-			if err == nil {
-				b.rec.record(b.inner.Kind(), opQuery, queries[i].Stmt.Key(), sig, cost)
-			}
-			return cost, err
-		}
-	}, nil
-}
-
-func (b *recordingBackend) StmtCost(stmt *sqlparse.SelectStmt, cfg *catalog.Configuration) (float64, error) {
-	cost, err := b.inner.StmtCost(stmt, cfg)
-	if err == nil {
-		b.rec.record(b.inner.Kind(), opStmt, stmt.Key(), cfg.Signature(), cost)
-	}
-	return cost, err
 }

@@ -2,9 +2,9 @@ package engine_test
 
 import (
 	"context"
+	"math"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 
@@ -98,8 +98,9 @@ func TestCalibratedBackendDisagreesOnAbsoluteCosts(t *testing.T) {
 
 // TestSetBackendRejectsInvalidSpec: a backend is set when the engine is
 // opened (NewWithBackend) or per pinned view (PinBackend), and both doors
-// refuse a bad spec — an unknown kind, a replay without a trace, parameters
-// the selected kind would ignore — without touching the working engine.
+// refuse a bad spec — an unknown kind, a calibration that cannot price,
+// parameters the selected kind would ignore — without touching the working
+// engine.
 func TestSetBackendRejectsInvalidSpec(t *testing.T) {
 	f := newFixture(t)
 	for _, bad := range []struct {
@@ -107,14 +108,18 @@ func TestSetBackendRejectsInvalidSpec(t *testing.T) {
 		spec engine.BackendSpec
 	}{
 		{"unknown backend kind", engine.BackendSpec{Kind: "voodoo"}},
-		{"replay backend without a trace", engine.BackendSpec{Kind: engine.BackendReplay}},
 		{"zero-valued calibration", engine.BackendSpec{Kind: engine.BackendCalibrated, Calibration: &engine.Calibration{Name: "zero"}}},
+		{"non-finite calibration", engine.BackendSpec{Kind: engine.BackendCalibrated, Calibration: func() *engine.Calibration {
+			c := engine.DefaultCalibration()
+			c.RandomPageCost = math.NaN()
+			return c
+		}()}},
 		// Parameters the selected kind would ignore are rejected, not
 		// dropped: a calibration on a native spec means the caller thinks it
 		// applies.
 		{"calibration attached to a native backend", engine.BackendSpec{Calibration: engine.DefaultCalibration()}},
-		{"trace attached to a calibrated backend", engine.BackendSpec{Kind: engine.BackendCalibrated, Trace: &engine.Trace{}}},
-		{"calibration attached to a replay backend", engine.BackendSpec{Kind: engine.BackendReplay, Trace: &engine.Trace{}, Calibration: engine.DefaultCalibration()}},
+		// The replay kind is gone: asking for it is an unknown kind.
+		{"the removed replay kind", engine.BackendSpec{Kind: "replay"}},
 	} {
 		if _, err := f.eng.PinBackend(bad.spec); err == nil {
 			t.Errorf("PinBackend: %s accepted", bad.what)
@@ -174,82 +179,6 @@ func TestPinBackendIsolated(t *testing.T) {
 	if kept != calib || cv.Backend().Kind != engine.BackendCalibrated || cv.Version() != f.v.Version() {
 		t.Fatalf("derived view moved with the engine: cost %v (was %v), backend %q, version %d",
 			kept, calib, cv.Backend().Kind, cv.Version())
-	}
-}
-
-// TestRecordReplayReproducesCostsExactly is the trace-driven portability
-// contract: replaying a recorded native trace returns bit-identical costs
-// for every recorded call, with no live optimizer behind it.
-func TestRecordReplayReproducesCostsExactly(t *testing.T) {
-	rec := engine.NewRecorder()
-	f := newBackendFixture(t, engine.BackendSpec{Recorder: rec})
-	cfgs := f.sweepConfigs(6)
-
-	recorded := make([][]float64, len(cfgs))
-	for i, cfg := range cfgs {
-		costs := make([]float64, len(f.w.Queries))
-		for j, q := range f.w.Queries {
-			c, err := f.v.QueryCost(q, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			costs[j] = c
-		}
-		recorded[i] = costs
-	}
-	rep, err := f.v.Evaluate(context.Background(), f.w, cfgs[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Round-trip the trace through disk, as the CLI workflow would.
-	path := filepath.Join(t.TempDir(), "trace.json")
-	if err := rec.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	trace, err := engine.LoadTrace(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if trace.Backend != engine.BackendNative {
-		t.Fatalf("trace backend = %q", trace.Backend)
-	}
-
-	replayEng, err := engine.NewWithBackend(f.eng.Schema(), f.v.Stats(), nil,
-		engine.BackendSpec{Kind: engine.BackendReplay, Trace: trace})
-	if err != nil {
-		t.Fatal(err)
-	}
-	replay := replayEng.Pin()
-	for i, cfg := range cfgs {
-		for j, q := range f.w.Queries {
-			c, err := replay.QueryCost(q, cfg)
-			if err != nil {
-				t.Fatalf("replay %s under config %d: %v", q.ID, i, err)
-			}
-			if c != recorded[i][j] {
-				t.Fatalf("replay %s under config %d: %v != recorded %v", q.ID, i, c, recorded[i][j])
-			}
-		}
-	}
-	rrep, err := replay.Evaluate(context.Background(), f.w, cfgs[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rrep.BaseTotal != rep.BaseTotal || rrep.NewTotal != rep.NewTotal {
-		t.Fatalf("replayed report (%v -> %v) != recorded (%v -> %v)",
-			rrep.BaseTotal, rrep.NewTotal, rep.BaseTotal, rep.NewTotal)
-	}
-
-	// A call outside the trace fails loudly instead of inventing a number.
-	unseen := catalog.NewConfiguration()
-	for _, ix := range f.cands {
-		unseen = unseen.WithIndex(ix)
-	}
-	if _, err := replay.QueryCost(f.w.Queries[0], unseen); err == nil {
-		t.Fatal("replay served a cost for an unrecorded configuration")
-	} else if !strings.Contains(err.Error(), "replay") {
-		t.Fatalf("unhelpful replay miss error: %v", err)
 	}
 }
 

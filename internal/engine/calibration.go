@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"repro/internal/optimizer"
@@ -62,8 +63,9 @@ func DefaultCalibration() *Calibration {
 	}
 }
 
-// Validate rejects non-positive constants (a zero page cost would make
-// every design free and the advisors degenerate).
+// Validate rejects non-positive and non-finite constants (a zero page cost
+// would make every design free and the advisors degenerate; a NaN one would
+// make every comparison false).
 func (c *Calibration) Validate() error {
 	checks := []struct {
 		name string
@@ -77,8 +79,8 @@ func (c *Calibration) Validate() error {
 		{"effective_cache_size_pages", c.EffectiveCacheSizePages},
 	}
 	for _, ch := range checks {
-		if ch.v <= 0 {
-			return fmt.Errorf("engine: calibration %q: %s must be positive, got %v", c.Name, ch.name, ch.v)
+		if !(ch.v > 0) || math.IsInf(ch.v, 1) {
+			return fmt.Errorf("engine: calibration %q: %s must be positive and finite, got %v", c.Name, ch.name, ch.v)
 		}
 	}
 	return nil

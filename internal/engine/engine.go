@@ -26,10 +26,10 @@
 //
 // Costing itself is pluggable (backend.go): a view delegates every
 // query/statement pricing call to its CostBackend — native (built-in
-// optimizer + INUM), calibrated (JSON-loaded cost constants), or replay
-// (trace-served) — which is what makes the designer portable across cost
-// models. The backend kind is chosen when the engine is opened
-// (NewWithBackend) or per pinned view (PinBackend).
+// optimizer + INUM) or calibrated (JSON-loaded or fitted cost constants) —
+// which is what makes the designer portable across cost models. The
+// backend kind is chosen when the engine is opened (NewWithBackend) or per
+// pinned view (PinBackend).
 //
 // Sweeps (SweepConfigs, SweepQueryConfigs, Evaluate, EvaluateDelta) price
 // many hypothetical designs in parallel over a bounded worker pool — the
@@ -61,9 +61,8 @@ type snapshot struct {
 	version uint64
 	base    *catalog.Configuration
 	stats   *stats.Catalog
-	// env is the generation's planning environment: the backend's when it
-	// carries cost constants (native, calibrated), the native one otherwise
-	// (replay still renders plans through the built-in optimizer).
+	// env is the generation's planning environment, carrying the backend's
+	// cost constants.
 	env     *optimizer.Env
 	session *whatif.Session
 }
@@ -334,17 +333,15 @@ func workloadCost(w *workload.Workload, price QueryPricer) (float64, error) {
 }
 
 // FullCost prices a statement with the backend's reference model (the full
-// optimizer for analytical backends) against the pinned generation,
-// bypassing the cached path — the E8 comparison baseline and the exactness
-// fallback.
+// optimizer) against the pinned generation, bypassing the cached path — the
+// E8 comparison baseline and the exactness fallback.
 func (v *View) FullCost(stmt *sqlparse.SelectStmt, cfg *catalog.Configuration) (float64, error) {
 	return v.backend.StmtCost(stmt, v.s.resolve(cfg))
 }
 
 // Optimize plans a statement under a configuration (nil = base) and returns
 // the full plan tree. Planning always runs through the generation's
-// optimizer environment — under the replay backend plans are rendered with
-// the built-in optimizer while costs come from the trace.
+// optimizer environment.
 func (v *View) Optimize(stmt *sqlparse.SelectStmt, cfg *catalog.Configuration) (*optimizer.Plan, error) {
 	return v.s.env.WithConfig(v.s.resolve(cfg)).Optimize(stmt)
 }

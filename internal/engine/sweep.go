@@ -157,8 +157,8 @@ func (v *View) SweepQueryConfigs(ctx context.Context, q workload.Query, cfgs []*
 }
 
 // Evaluate costs every query under the pinned base and the hypothetical
-// configuration with the backend's reference model (the full optimizer for
-// analytical backends, the trace for replay) and returns the benefit report
+// configuration with the backend's reference model (the full optimizer
+// under the backend's cost constants) and returns the benefit report
 // the demo's Scenario 1/2 panels display. A design session pinned at
 // creation keeps evaluating against its generation (and its backend) even
 // if the engine is reconfigured. Queries are priced in parallel, and
@@ -171,8 +171,7 @@ func (v *View) Evaluate(ctx context.Context, w *workload.Workload, cfg *catalog.
 // planned by a throwaway what-if session carrying the optimizer switches
 // (SessionWith), on the same worker pool and with the same first-index error
 // and cancellation behaviour as Evaluate. The backend's cost constants still
-// apply for analytical backends; a replay-backed view falls back to native
-// plan costing under join steering.
+// apply.
 func (v *View) EvaluateSteered(ctx context.Context, w *workload.Workload, cfg *catalog.Configuration, opts optimizer.Options) (*whatif.Report, error) {
 	return v.evaluate(ctx, w, cfg, v.SessionWith(opts).Cost)
 }

@@ -3,6 +3,7 @@ package livedb
 import (
 	"context"
 	"fmt"
+	"math"
 	"strconv"
 
 	"repro/internal/engine"
@@ -34,8 +35,8 @@ func FitCalibration(ctx context.Context, db *DB, snap *Snapshot) (*engine.Calibr
 			continue
 		}
 		v, err := strconv.ParseFloat(r[1], 64)
-		if err != nil || v <= 0 {
-			continue
+		if err != nil || !(v > 0) || math.IsInf(v, 1) {
+			continue // keep the default, as for a setting the server lacks
 		}
 		switch r[0] {
 		case "seq_page_cost":

@@ -1,6 +1,12 @@
 package livedb_test
 
 import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -98,4 +104,144 @@ func FuzzImportSQL(f *testing.F) {
 			t.Fatalf("templates before binding %q, after %q", open, bound)
 		}
 	})
+}
+
+// FuzzLiveTrace feeds outside bytes to the one trace loader that reads them
+// (dbdesigner --live-trace, serve's live_trace) and on through the offline
+// pipeline's first stages: LoadTrace, NewFromTrace, TakeSnapshot and
+// FitCalibration. Every input ends in a value or a clean error, never a
+// panic, and a fitted calibration prices (positive, finite constants). A
+// trace that loads replays the same after WriteFile and a reload. Seeds: the
+// committed fixture, and the same fixture with the tables query's first row
+// cut to one field, and with every planner setting not a finite number.
+func FuzzLiveTrace(f *testing.F) {
+	for _, path := range []string{
+		"../../designer/testdata/live_shopdb.json",
+		"../../designer/testdata/live_shopdb_short_row.json",
+	} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	tr, err := livedb.LoadTrace("../../designer/testdata/live_shopdb.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i, c := range tr.Calls {
+		if strings.Contains(c.SQL, "FROM pg_settings") {
+			for j := range c.Rows {
+				tr.Calls[i].Rows[j] = []string{c.Rows[j][0], []string{"NaN", "Inf", "-Inf"}[j%3]}
+			}
+		}
+	}
+	raw, err := json.Marshal(tr)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw)
+	f.Add([]byte(`{"version":1,"calls":[{"sql":"SELECT current_database()","rows":[[]]}]}`))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		dir := t.TempDir()
+		in := filepath.Join(dir, "in.json")
+		if err := os.WriteFile(in, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		tr, err := livedb.LoadTrace(in)
+		if err != nil {
+			if tr != nil {
+				t.Fatalf("LoadTrace returned a trace with error %v", err)
+			}
+			return
+		}
+		first := replayTrace(t, tr)
+
+		out := filepath.Join(dir, "out.json")
+		if err := tr.WriteFile(out); err != nil {
+			t.Fatal(err)
+		}
+		again, err := livedb.LoadTrace(out)
+		if err != nil {
+			t.Fatalf("a written trace does not load: %v", err)
+		}
+		if second := replayTrace(t, again); second != first {
+			t.Fatalf("the reloaded trace replays differently:\n%s\nvs\n%s", first, second)
+		}
+	})
+}
+
+// replayTrace runs the snapshot and the calibration fit over the trace and
+// renders what they return.
+func replayTrace(t *testing.T, tr *livedb.Trace) string {
+	ctx := context.Background()
+	db := livedb.NewFromTrace(tr)
+	defer db.Close()
+	snap, serr := livedb.TakeSnapshot(ctx, db)
+	if (snap == nil) == (serr == nil) {
+		t.Fatalf("TakeSnapshot returned %v with error %v", snap, serr)
+	}
+	cal, cerr := livedb.FitCalibration(ctx, db, snap)
+	if (cal == nil) == (cerr == nil) {
+		t.Fatalf("FitCalibration returned %v with error %v", cal, cerr)
+	}
+	if cal != nil {
+		for _, v := range []float64{cal.SeqPageCost, cal.RandomPageCost, cal.CPUTupleCost,
+			cal.CPUIndexTupleCost, cal.CPUOperatorCost, cal.EffectiveCacheSizePages} {
+			if !(v > 0) || math.IsInf(v, 1) {
+				t.Fatalf("fitted calibration prices with %v: %+v", v, cal)
+			}
+		}
+	}
+	var b strings.Builder
+	render(&b, reflect.ValueOf([]any{snap, fmt.Sprint(serr), cal, fmt.Sprint(cerr)}))
+	return b.String()
+}
+
+// render prints v deterministically: pointers followed, map keys sorted,
+// nil and empty slices alike, NaN as text. reflect.DeepEqual would call two
+// replays of one NaN statistic different.
+func render(b *strings.Builder, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Invalid:
+		b.WriteString("nil")
+	case reflect.Pointer, reflect.Interface:
+		if v.IsNil() {
+			b.WriteString("nil")
+			return
+		}
+		render(b, v.Elem())
+	case reflect.Struct:
+		b.WriteByte('{')
+		for i := 0; i < v.NumField(); i++ {
+			render(b, v.Field(i))
+			b.WriteByte(' ')
+		}
+		b.WriteByte('}')
+	case reflect.Slice, reflect.Array:
+		b.WriteByte('[')
+		for i := 0; i < v.Len(); i++ {
+			render(b, v.Index(i))
+			b.WriteByte(' ')
+		}
+		b.WriteByte(']')
+	case reflect.Map:
+		keys := make([]string, 0, v.Len())
+		vals := map[string]reflect.Value{}
+		for it := v.MapRange(); it.Next(); {
+			k := fmt.Sprint(it.Key())
+			keys = append(keys, k)
+			vals[k] = it.Value()
+		}
+		sort.Strings(keys)
+		b.WriteByte('{')
+		for _, k := range keys {
+			fmt.Fprintf(b, "%q:", k)
+			render(b, vals[k])
+			b.WriteByte(' ')
+		}
+		b.WriteByte('}')
+	default:
+		fmt.Fprint(b, v)
+	}
 }

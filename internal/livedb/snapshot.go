@@ -33,22 +33,21 @@ type Snapshot struct {
 func TakeSnapshot(ctx context.Context, db *DB) (*Snapshot, error) {
 	snap := &Snapshot{Schema: catalog.NewSchema(), Stats: stats.NewCatalog(), Version: db.Parameter("server_version")}
 
-	res, err := db.Query(ctx, "SELECT current_database()")
+	rows, err := snapshotQuery(ctx, db, "database", sqlDatabase, 1)
 	if err != nil {
-		return nil, fmt.Errorf("livedb: snapshot: %w", err)
+		return nil, err
 	}
-	if len(res.Rows) == 1 && len(res.Rows[0]) == 1 {
-		snap.Database = res.Rows[0][0]
+	if len(rows) == 1 {
+		snap.Database = rows[0][0]
 	}
 
 	order := []string{}
 	acc := map[string]*tableAcc{}
 
-	res, err = db.Query(ctx, sqlTables)
-	if err != nil {
-		return nil, fmt.Errorf("livedb: snapshot tables: %w", err)
+	if rows, err = snapshotQuery(ctx, db, "tables", sqlTables, 3); err != nil {
+		return nil, err
 	}
-	for _, r := range res.Rows {
+	for _, r := range rows {
 		rows, _ := strconv.ParseInt(r[1], 10, 64)
 		pages, _ := strconv.ParseInt(r[2], 10, 64)
 		if rows < 0 {
@@ -58,11 +57,10 @@ func TakeSnapshot(ctx context.Context, db *DB) (*Snapshot, error) {
 		order = append(order, r[0])
 	}
 
-	res, err = db.Query(ctx, sqlColumns)
-	if err != nil {
-		return nil, fmt.Errorf("livedb: snapshot columns: %w", err)
+	if rows, err = snapshotQuery(ctx, db, "columns", sqlColumns, 3); err != nil {
+		return nil, err
 	}
-	for _, r := range res.Rows {
+	for _, r := range rows {
 		t := acc[r[0]]
 		if t == nil {
 			continue
@@ -70,11 +68,10 @@ func TakeSnapshot(ctx context.Context, db *DB) (*Snapshot, error) {
 		t.cols = append(t.cols, catalog.Column{Name: r[1], Type: kindOf(r[2])})
 	}
 
-	res, err = db.Query(ctx, sqlPrimaryKeys)
-	if err != nil {
-		return nil, fmt.Errorf("livedb: snapshot primary keys: %w", err)
+	if rows, err = snapshotQuery(ctx, db, "primary keys", sqlPrimaryKeys, 2); err != nil {
+		return nil, err
 	}
-	for _, r := range res.Rows {
+	for _, r := range rows {
 		if t := acc[r[0]]; t != nil {
 			t.pk = append(t.pk, r[1])
 		}
@@ -125,6 +122,8 @@ func TakeSnapshot(ctx context.Context, db *DB) (*Snapshot, error) {
 }
 
 const (
+	sqlDatabase = "SELECT current_database()"
+
 	sqlTables = "SELECT c.relname, c.reltuples::bigint, c.relpages FROM pg_class c " +
 		"JOIN pg_namespace n ON n.oid = c.relnamespace " +
 		"WHERE n.nspname = 'public' AND c.relkind = 'r' ORDER BY c.relname"
@@ -156,6 +155,23 @@ const (
 		"FROM pg_stats WHERE schemaname = 'public' ORDER BY tablename, attname"
 )
 
+// snapshotQuery runs one snapshot query and refuses a result with a row
+// narrower than the query's select list (width): neither pgwire nor a
+// recorded trace checks a row against its columns, and every snapshot loop
+// reads its row by position.
+func snapshotQuery(ctx context.Context, db *DB, what, sql string, width int) ([][]string, error) {
+	res, err := db.Query(ctx, sql)
+	if err != nil {
+		return nil, fmt.Errorf("livedb: snapshot %s: %w", what, err)
+	}
+	for i, r := range res.Rows {
+		if len(r) < width {
+			return nil, fmt.Errorf("livedb: snapshot %s: row %d has %d fields, %.60q selects %d", what, i, len(r), sql, width)
+		}
+	}
+	return res.Rows, nil
+}
+
 // tableAcc accumulates one table's catalog rows while the snapshot
 // queries stream in.
 type tableAcc struct {
@@ -165,12 +181,12 @@ type tableAcc struct {
 }
 
 func snapshotStats(ctx context.Context, db *DB, acc map[string]*tableAcc) (map[string]*stats.TableStats, error) {
-	res, err := db.Query(ctx, sqlStats)
+	rows, err := snapshotQuery(ctx, db, "pg_stats", sqlStats, 9)
 	if err != nil {
-		return nil, fmt.Errorf("livedb: snapshot pg_stats: %w", err)
+		return nil, err
 	}
 	out := map[string]*stats.TableStats{}
-	for _, r := range res.Rows {
+	for _, r := range rows {
 		table, column := r[0], r[1]
 		t := acc[table]
 		if t == nil {
@@ -241,13 +257,13 @@ func snapshotStats(ctx context.Context, db *DB, acc map[string]*tableAcc) (map[s
 }
 
 func snapshotIndexes(ctx context.Context, db *DB, acc map[string]*tableAcc) ([]*catalog.Index, error) {
-	res, err := db.Query(ctx, sqlIndexes)
+	rows, err := snapshotQuery(ctx, db, "indexes", sqlIndexes, 3)
 	if err != nil {
-		return nil, fmt.Errorf("livedb: snapshot indexes: %w", err)
+		return nil, err
 	}
 	var out []*catalog.Index
 	byName := map[string]*catalog.Index{}
-	for _, r := range res.Rows {
+	for _, r := range rows {
 		table, index, column := r[0], r[1], r[2]
 		if acc[table] == nil {
 			continue

@@ -326,9 +326,9 @@ type SelectStmt struct {
 
 // Key is the statement's identity: its canonical rendering, made on first use
 // and kept. Two statements that render alike are one query to every cache
-// keyed by it (INUM entries, recorded and replayed costings), whatever text
-// or tree they were parsed from. Like Analysis it describes the statement as
-// it stands then, so it is asked for only once the statement is final.
+// keyed by it (INUM entries), whatever text or tree they were parsed from.
+// Like Analysis it describes the statement as it stands then, so it is
+// asked for only once the statement is final.
 func (s *SelectStmt) Key() string {
 	if k := s.key.Load(); k != nil {
 		return *k

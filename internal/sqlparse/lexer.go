@@ -73,7 +73,7 @@
 // and renders to itself. Resolve qualifies every column reference with its
 // real table name and clears the FROM aliases, so String() of a resolved
 // statement parses and resolves to itself — the text INUM matches re-parsed
-// statements on, record/replay keys on, and the facade hands back as SQL.
+// statements on and the facade hands back as SQL.
 // (Resolve refuses a self-join: with the aliases cleared both copies'
 // references would carry the one table name.) FuzzParseRenderParse holds
 // both properties.
