@@ -13,9 +13,11 @@ import (
 // TestAdviseAllocationCeiling guards what the benchmark's advise_full
 // workload measures, in tier-1 and in a second: one fixed 48-statement
 // script, SQL text in, full advice (partitions, interactions) and DDL out,
-// on the tiny dataset. An answer allocates 1,154 KB (it repeats to a few
+// on the tiny dataset. An answer allocates 1,000 KB (it repeats to a few
 // tens of KB); the ceiling sits a tenth above. The same answer allocated
-// 1,366 KB while INUM built the plan tree of every template it read, walked
+// 1,154 KB while CoPhy's one solve carried every query and every candidate
+// into its tableau, also those no budget can move (the presolve in the cophy
+// package comment drops them), 1,366 KB while INUM built the plan tree of every template it read, walked
 // it twice and keyed the template on a rendered signature, 2,124 KB
 // while INUM keyed its access memo on each partition layout's rendered text,
 // so every AutoPart trial missed it for every query of the trial's table,
@@ -36,7 +38,7 @@ import (
 // this long before the ceiling's slack matters. (Not under -race: the
 // detector's instrumentation allocates.)
 func TestAdviseAllocationCeiling(t *testing.T) {
-	const ceilingKB = 1270
+	const ceilingKB = 1100
 	ctx := context.Background()
 	d, err := designer.OpenSDSS("tiny", 41)
 	if err != nil {
@@ -186,8 +188,11 @@ func TestWorkloadFromSQLAllocationCeiling(t *testing.T) {
 // workload measures: one session, primed by an unconstrained advice on a
 // fixed 48-statement script (tiny dataset), walked down the benchmark's
 // budget ladder, where most of an answer is CoPhy's branch-and-bound. An
-// answer allocates 181 KB, two thirds of it the solver's workspace; the
-// ceiling sits a tenth above. The same walk allocated 381 KB an answer while
+// answer allocates 52 KB; the ceiling sits a tenth above. The same walk
+// allocated 181 KB an answer, two thirds of it the solver's workspace, while
+// CoPhy wrote every query and every candidate into the tableau, also the
+// queries whose plan no budget can change and the candidates no plan uses
+// (the presolve in the cophy package comment drops them), 381 KB while
 // every rung rebuilt CoPhy's program (prepare, baseline pricing and atom
 // enumeration) instead of solving the one the session's advisor kept,
 // 444 KB while every configuration made both of its
@@ -198,7 +203,7 @@ func TestWorkloadFromSQLAllocationCeiling(t *testing.T) {
 // fixing, so a solver that starts allocating per node again trips this.
 // (Not under -race: the detector's instrumentation allocates.)
 func TestReAdviseAllocationCeiling(t *testing.T) {
-	const ceilingKB = 199
+	const ceilingKB = 57
 	ctx := context.Background()
 	d, err := designer.OpenSDSS("tiny", 41)
 	if err != nil {

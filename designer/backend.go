@@ -153,13 +153,15 @@ func backendInfoFromInternal(info engine.BackendInfo) BackendInfo {
 type Option func(*openOptions)
 
 type openOptions struct {
-	spec   BackendSpec
-	record bool
+	spec    BackendSpec
+	backend bool // WithBackend was given
+	record  bool
 }
 
-// WithBackend selects the cost backend the designer prices through.
+// WithBackend selects the cost backend the designer prices through. A live
+// designer (OpenLive, OpenLiveTrace) fits its own and refuses it.
 func WithBackend(spec BackendSpec) Option {
-	return func(o *openOptions) { o.spec = spec }
+	return func(o *openOptions) { o.spec, o.backend = spec, true }
 }
 
 // WithRecording makes a live designer (OpenLive, OpenLiveTrace) record its

@@ -31,14 +31,14 @@ type Live struct {
 // OpenLive connects to the database at dsn (PostgreSQL URL or keyword
 // form), snapshots its catalog and statistics, and opens a designer whose
 // calibrated cost model uses the server's own cost constants. Open with
-// WithRecording to capture the session for offline replay.
+// WithRecording to capture the session for offline replay; WithBackend is
+// refused.
 func OpenLive(ctx context.Context, dsn string, opts ...Option) (*Live, error) {
-	var o openOptions
-	for _, opt := range opts {
-		opt(&o)
+	o, err := liveOptions(opts)
+	if err != nil {
+		return nil, err
 	}
 	var db *livedb.DB
-	var err error
 	if o.record {
 		db, err = livedb.OpenRecording(ctx, dsn)
 	} else {
@@ -57,10 +57,11 @@ func OpenLive(ctx context.Context, dsn string, opts ...Option) (*Live, error) {
 
 // OpenLiveTrace opens a Live from a recorded trace: the full
 // import→advise→apply pipeline replays deterministically with no server.
+// Like OpenLive, it refuses WithBackend.
 func OpenLiveTrace(path string, opts ...Option) (*Live, error) {
-	var o openOptions
-	for _, opt := range opts {
-		opt(&o)
+	o, err := liveOptions(opts)
+	if err != nil {
+		return nil, err
 	}
 	t, err := livedb.LoadTrace(path)
 	if err != nil {
@@ -73,6 +74,20 @@ func OpenLiveTrace(path string, opts ...Option) (*Live, error) {
 		db = livedb.NewFromTrace(t)
 	}
 	return openLive(context.Background(), db, o)
+}
+
+// liveOptions reads a live designer's open options. A live designer prices
+// through the calibration it fits from the server's own planner settings,
+// so it refuses WithBackend rather than ignore it.
+func liveOptions(opts []Option) (openOptions, error) {
+	var o openOptions
+	for _, opt := range opts {
+		opt(&o)
+	}
+	if o.backend {
+		return o, errors.New("designer: a live designer prices through the calibration it fits from the server; WithBackend is for OpenSDSS and NewFromDDL")
+	}
+	return o, nil
 }
 
 func openLive(ctx context.Context, db *livedb.DB, o openOptions) (*Live, error) {

@@ -226,6 +226,34 @@ func TestLiveBackendSpecFromTrace(t *testing.T) {
 	}
 }
 
+// TestLiveRefusesWithBackend: a live designer prices through the
+// calibration it fits from the server, so OpenLiveTrace and OpenLive refuse
+// WithBackend, whatever it names, instead of ignoring it; OpenLive refuses
+// before it dials. Without the option the same trace opens.
+func TestLiveRefusesWithBackend(t *testing.T) {
+	for _, spec := range []BackendSpec{{Kind: BackendCalibrated}, {Kind: BackendNative}, {Kind: BackendLive, LiveTraceFile: liveFixturePath}, {}} {
+		lv, err := OpenLiveTrace(liveFixturePath, WithBackend(spec))
+		if err == nil {
+			lv.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), "WithBackend") {
+			t.Errorf("OpenLiveTrace with WithBackend(%+v): error %v, want a refusal naming WithBackend", spec, err)
+		}
+		lv, err = OpenLive(context.Background(), "postgres://nobody@127.0.0.1:1/none", WithBackend(spec), WithRecording())
+		if err == nil {
+			lv.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), "WithBackend") {
+			t.Errorf("OpenLive with WithBackend(%+v): error %v, want a refusal naming WithBackend", spec, err)
+		}
+	}
+	lv, err := OpenLiveTrace(liveFixturePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lv.Close()
+}
+
 // TestLiveTraceShortRowIsAnError: a recorded row narrower than its query's
 // select list fails the open with an error naming the query, not a panic.
 func TestLiveTraceShortRowIsAnError(t *testing.T) {

@@ -1,7 +1,7 @@
 // Package cophy implements the CoPhy index advisor (§3.2.1): index
 // selection cast as a binary linear program. For every workload query it
 // enumerates a bounded set of plan atoms (per-table index assignments),
-// prices each atom with the INUM cache, and builds the BIP
+// prices each atom with the INUM cache, and states the BIP
 //
 //	minimize   Σ_q w_q Σ_p c_{q,p} · x_{q,p}
 //	subject to Σ_p x_{q,p} = 1                      (each query picks a plan)
@@ -13,6 +13,29 @@
 // the advertised optimality-gap guarantee, and the node budget is the
 // execution-time/quality trade-off knob (experiments E7 and E10).
 //
+// The program handed to the solver is that BIP after an exact presolve,
+// which holds only the decisions that can change the answer. Every query's
+// atoms are sorted by cost, and its last, all-sequential atom (no index) is
+// strictly the dearest. Three reductions:
+//
+//   - A candidate that no atom uses and no pin names gets no y column: its
+//     y appears only in the budget row, so it could only spend budget.
+//   - A query whose only atom is the all-sequential one becomes the
+//     constant w_q·c_seq: its x is 1 in every feasible point.
+//   - A query with exactly two atoms — the sequential one and one atom a
+//     that uses a single structure j — at w_q > 0 becomes the constant
+//     w_q·c_seq plus the coefficient w_q·(c_a − c_seq) < 0 on y_j. With
+//     x_seq = 1 − x_a, the query costs w_q·c_seq + w_q·(c_a − c_seq)·x_a
+//     under x_a ≤ y_j, so every optimum, of the LP relaxation as of the
+//     binary program, has x_a = y_j: the fold loses no solution and moves
+//     no bound.
+//
+// Every other query keeps its x columns, linking rows and assignment row.
+// The answer is expanded back: a folded query takes atom a exactly when y_j
+// is 1, the objective is re-summed over the chosen atoms in query order
+// (the sum the unreduced program's objective is, bit for bit), and the bound
+// is the solver's plus the constant.
+//
 // An answer is two steps: build the priced program, then solve it. Only the
 // budget row, the pins and the warm start depend on the question; the
 // costs c_{q,p} and the atoms' index sets depend on the view, the workload
@@ -21,7 +44,8 @@
 // every later question about the same view, workload and caps by writing
 // the rows and solving, with no pricing at all (Result.PricingCalls is 0).
 // A design session keeps its advisor, and a rung of a budget ladder is one
-// solve.
+// solve. The presolve depends on the pins, so it is redone by every solve
+// and kept by none.
 package cophy
 
 import (
@@ -176,6 +200,14 @@ func (p *program) uses(a int) []int32 {
 // baseline is query i's cost with no index: its all-sequential atom.
 func (p *program) baseline(i int) float64 { return p.cost[p.atomEnd[i]-1] }
 
+// folds reports whether query i leaves the tableau: it has only its
+// all-sequential atom, or, at a positive weight, that atom and one atom that
+// uses a single structure.
+func (p *program) folds(i int) bool {
+	lo, hi := p.atoms(i)
+	return hi-lo == 1 || hi-lo == 2 && len(p.uses(lo)) == 1 && p.queries[i].Weight > 0
+}
+
 // prices reports whether the program is the one a question about the
 // workload on the view under opts' atom caps would build.
 func (p *program) prices(v *engine.View, w *workload.Workload, opts Options) bool {
@@ -286,37 +318,23 @@ func (a *Advisor) build(ctx context.Context, v *engine.View, w *workload.Workloa
 	return prog, calls, nil
 }
 
-// solve answers one question from a priced program: it writes the BIP's
-// rows — budget, pins, each query's linking rows and assignment — applies
-// the warm start and runs the branch-and-bound.
+// solve answers one question from a priced program. It writes the BIP
+// through the presolve the package comment describes — the budget row and
+// the pins over the candidates that keep a y column, and the linking rows
+// and assignment of each query that keeps its x columns — applies the warm
+// start, runs the branch-and-bound and expands the answer back to every
+// query and candidate. The presolve is recomputed here and kept nowhere.
 func (a *Advisor) solve(ctx context.Context, prog *program, opts Options, res *Result) (*Result, error) {
 	for i, q := range prog.queries {
 		res.BaselineCost += prog.baseline(i) * q.Weight
 	}
-
-	// Variable layout: y_0..y_{C-1}, then one x per atom.
 	C := len(a.candidates)
-	numX := len(prog.cost)
-	p := lp.NewProblem(C + numX)
-	for j := 0; j < C+numX; j++ {
-		p.Binary[j] = true
-	}
-	// Storage budget over y.
-	if opts.StorageBudgetPages > 0 {
-		coefs := map[int]float64{}
-		for j, ix := range a.candidates {
-			coefs[j] = float64(ix.EstimatedPages)
-		}
-		p.AddConstraint(coefs, lp.LE, float64(opts.StorageBudgetPages))
-	}
-	// Pinned candidates: y_j = 1.
 	pinned := make([]bool, C)
 	if keys := keySet(opts.PinnedKeys); len(keys) > 0 {
 		matched := 0
 		for j, ix := range a.candidates {
 			if keys[ix.Key()] {
 				pinned[j] = true
-				p.AddConstraint(map[int]float64{j: 1}, lp.EQ, 1)
 				matched++
 			}
 		}
@@ -324,17 +342,77 @@ func (a *Advisor) solve(ctx context.Context, prog *program, opts Options, res *R
 			return nil, fmt.Errorf("cophy: %d pinned keys do not match any candidate", len(keys)-matched)
 		}
 	}
+
+	// Columns: a y for each candidate that an atom uses or a pin names, in
+	// candidate order (ycol[j] is -1 for the others), then the x columns of
+	// each query that does not fold, its atoms in order from xcol[i] (-1
+	// for a query that folds). constant is what the folded queries add to
+	// every design's objective.
+	ycol := make([]int, C)
+	for _, j := range prog.ords {
+		ycol[j] = 1
+	}
+	n := 0
+	for j := range ycol {
+		if ycol[j] == 0 && !pinned[j] {
+			ycol[j] = -1
+			continue
+		}
+		ycol[j] = n
+		n++
+	}
+	xcol := make([]int, len(prog.queries))
+	constant := 0.0
 	for i, q := range prog.queries {
-		// Assignment: exactly one atom.
 		lo, hi := prog.atoms(i)
+		if prog.folds(i) {
+			constant += prog.baseline(i) * q.Weight
+			xcol[i] = -1
+			continue
+		}
+		xcol[i] = n
+		n += hi - lo
+	}
+
+	p := lp.NewProblem(n)
+	for j := range p.Binary {
+		p.Binary[j] = true
+	}
+	// Storage budget over y.
+	if opts.StorageBudgetPages > 0 {
+		coefs := map[int]float64{}
+		for j, ix := range a.candidates {
+			if ycol[j] >= 0 {
+				coefs[ycol[j]] = float64(ix.EstimatedPages)
+			}
+		}
+		p.AddConstraint(coefs, lp.LE, float64(opts.StorageBudgetPages))
+	}
+	// Pinned candidates: y_j = 1.
+	for j := range pinned {
+		if pinned[j] {
+			p.AddConstraint(map[int]float64{ycol[j]: 1}, lp.EQ, 1)
+		}
+	}
+	for i, q := range prog.queries {
+		lo, hi := prog.atoms(i)
+		if xcol[i] < 0 {
+			// A folded query with an index atom prices it on that atom's y.
+			if hi-lo == 2 {
+				y := ycol[prog.uses(lo)[0]]
+				p.Objective[y] += (prog.cost[lo] - prog.cost[lo+1]) * q.Weight
+			}
+			continue
+		}
+		// Assignment: exactly one atom.
 		assign := make(map[int]float64, hi-lo)
 		for at := lo; at < hi; at++ {
-			xv := C + at
+			xv := xcol[i] + at - lo
 			assign[xv] = 1
 			p.Objective[xv] = prog.cost[at] * q.Weight
 			// Linking constraints.
 			for _, j := range prog.uses(at) {
-				p.AddConstraint(map[int]float64{xv: 1, int(j): -1}, lp.LE, 0)
+				p.AddConstraint(map[int]float64{xv: 1, ycol[j]: -1}, lp.LE, 0)
 			}
 		}
 		p.AddConstraint(assign, lp.EQ, 1)
@@ -351,10 +429,10 @@ func (a *Advisor) solve(ctx context.Context, prog *program, opts Options, res *R
 		for j, ix := range a.candidates {
 			inBasis[j] = keys[ix.Key()]
 		}
-		warmX = make([]float64, C+numX)
+		warmX = make([]float64, n)
 		for j := range pinned {
 			if pinned[j] {
-				warmX[j] = 1
+				warmX[ycol[j]] = 1
 			}
 		}
 		for i := range prog.queries {
@@ -363,9 +441,11 @@ func (a *Advisor) solve(ctx context.Context, prog *program, opts Options, res *R
 				if !supported(prog.uses(at), inBasis) {
 					continue
 				}
-				warmX[C+at] = 1
+				if xcol[i] >= 0 {
+					warmX[xcol[i]+at-lo] = 1
+				}
 				for _, j := range prog.uses(at) {
-					warmX[j] = 1
+					warmX[ycol[j]] = 1
 				}
 				break
 			}
@@ -380,55 +460,63 @@ func (a *Advisor) solve(ctx context.Context, prog *program, opts Options, res *R
 	start := time.Now()
 	sol := lp.SolveMIP(ctx, p, lp.MIPOptions{MaxNodes: opts.NodeBudget, WarmX: warmX})
 	res.SolveTime = time.Since(start)
-	if sol.Status == lp.StatusCancelled {
-		return nil, ctx.Err()
-	}
 	switch sol.Status {
 	case lp.StatusOptimal, lp.StatusNodeLimit:
-		res.Objective = sol.Objective
-		res.Bound = sol.Bound
-		res.Proven = sol.Proven
-		res.Nodes = sol.Nodes
+	case lp.StatusCancelled:
+		return nil, ctx.Err()
 	case lp.StatusNoSolution:
 		// The node budget expired before any incumbent was found. The
 		// empty design plus the pins is always feasible (the root
 		// relaxation fits the pins in the budget), so fall back to it —
-		// the anytime behaviour a time-boxed advisor must have (E10). A y
-		// carries no cost: every query keeps its all-sequential atom and
-		// the objective is the baseline.
-		res.Objective = res.BaselineCost
-		res.Bound = sol.Bound
-		res.Proven = false
-		res.Nodes = sol.Nodes
-		for i, q := range prog.queries {
-			res.PerQuery = append(res.PerQuery, QueryPlan{QueryID: q.ID, Cost: prog.baseline(i)})
-		}
-		res.Indexes = a.chosen(pinned)
-		return res, nil
+		// the anytime behaviour a time-boxed advisor must have (E10): every
+		// query keeps its all-sequential atom, and the objective is the
+		// baseline.
+		sol.X = make([]float64, n)
 	default:
 		return nil, fmt.Errorf("cophy: solver returned %v", sol.Status)
 	}
+	res.Proven, res.Nodes = sol.Proven, sol.Nodes
 
-	// Extract the per-query plans, then the configuration: the indexes the
-	// chosen plans use, plus the pinned candidates. A y_j has objective 0,
-	// so under a budget the solver may leave one at 1 that no chosen plan
-	// uses; advising it would fill budget for nothing.
+	// Expand the per-query plans, then the configuration: the indexes the
+	// chosen plans use, plus the pinned candidates. A y_j has objective 0
+	// unless a folded query prices on it, so under a budget the solver may
+	// leave one at 1 that no chosen plan uses; advising it would fill budget
+	// for nothing. The objective sums the chosen plans in query order, the
+	// sum the unreduced program's objective is.
 	used := slices.Clone(pinned)
 	for i, q := range prog.queries {
 		lo, hi := prog.atoms(i)
-		for at := lo; at < hi; at++ {
-			if sol.X[C+at] > 0.5 {
-				qp := QueryPlan{QueryID: q.ID, Cost: prog.cost[at]}
-				for _, j := range prog.uses(at) {
-					used[j] = true
-					qp.Indexes = append(qp.Indexes, a.candidates[j])
+		at := hi - 1
+		switch {
+		case xcol[i] >= 0:
+			for k := lo; k < hi; k++ {
+				if sol.X[xcol[i]+k-lo] > 0.5 {
+					at = k
+					break
 				}
-				res.PerQuery = append(res.PerQuery, qp)
-				break
+			}
+		case hi-lo == 2:
+			if sol.X[ycol[prog.uses(lo)[0]]] > 0.5 {
+				at = lo
 			}
 		}
+		qp := QueryPlan{QueryID: q.ID, Cost: prog.cost[at]}
+		for _, j := range prog.uses(at) {
+			used[j] = true
+			qp.Indexes = append(qp.Indexes, a.candidates[j])
+		}
+		res.PerQuery = append(res.PerQuery, qp)
+		res.Objective += prog.cost[at] * q.Weight
 	}
 	res.Indexes = a.chosen(used)
+	// The solver's bound is over the reduced objective. A proven answer's
+	// bound is its objective, and no bound exceeds the objective of a design
+	// the solve found: the sum with the constant rounds apart from the
+	// objective's own in the last bits.
+	res.Bound = min(sol.Bound+constant, res.Objective)
+	if res.Proven {
+		res.Bound = res.Objective
+	}
 	return res, nil
 }
 

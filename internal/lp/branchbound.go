@@ -78,11 +78,15 @@ func SolveMIP(ctx context.Context, p *Problem, opts MIPOptions) *MIPSolution {
 	root := &bbNode{bound: rootObj}
 	queue := &nodeQueue{root}
 
+	// found says whether there is an incumbent: in a program with no
+	// variables it is the empty vector.
 	incumbent := math.Inf(1)
 	var incumbentX []float64
+	found := false
 	if p.FeasibleBinary(opts.WarmX) {
 		incumbent = p.ObjectiveValue(opts.WarmX)
 		incumbentX = append([]float64(nil), opts.WarmX...)
+		found = true
 	}
 	nodes := 0
 
@@ -140,6 +144,7 @@ func SolveMIP(ctx context.Context, p *Problem, opts MIPOptions) *MIPSolution {
 			if val := p.ObjectiveValue(x); val < incumbent {
 				incumbent = val
 				incumbentX = append(incumbentX[:0], x...)
+				found = true
 			}
 			continue
 		}
@@ -153,7 +158,7 @@ func SolveMIP(ctx context.Context, p *Problem, opts MIPOptions) *MIPSolution {
 	finalBound := bestBound(queue, incumbent)
 	out.Bound = finalBound
 	out.Nodes = nodes
-	if incumbentX != nil {
+	if found {
 		out.X = incumbentX
 		out.Objective = incumbent
 		if queue.Len() == 0 || relGap(incumbent, finalBound) <= 1e-9 {

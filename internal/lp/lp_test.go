@@ -147,6 +147,30 @@ func TestMIPInfeasible(t *testing.T) {
 	}
 }
 
+// TestMIPWithNoVariables: a program with no variables has one point, the
+// empty vector. With rows that hold at it, SolveMIP proves it optimal at
+// objective 0 with or without an (empty) warm start, as SolveLP finds it;
+// with a row that fails at it, both report the program infeasible.
+func TestMIPWithNoVariables(t *testing.T) {
+	for _, warm := range [][]float64{nil, {}} {
+		p := NewProblem(0)
+		p.AddConstraint(map[int]float64{}, LE, 5)
+		p.AddConstraint(map[int]float64{}, EQ, 0)
+		if lp := SolveLP(p); lp.Status != StatusOptimal || lp.Objective != 0 {
+			t.Fatalf("SolveLP: status %v, objective %v", lp.Status, lp.Objective)
+		}
+		sol := SolveMIP(context.Background(), p, MIPOptions{WarmX: warm})
+		if sol.Status != StatusOptimal || !sol.Proven || sol.Objective != 0 || sol.Bound != 0 || len(sol.X) != 0 {
+			t.Errorf("warm %v: status %v, proven %v, objective %v, bound %v, x %v; want optimal, proven, 0, 0, []",
+				warm, sol.Status, sol.Proven, sol.Objective, sol.Bound, sol.X)
+		}
+		p.AddConstraint(map[int]float64{}, GE, 1)
+		if sol := SolveMIP(context.Background(), p, MIPOptions{WarmX: warm}); sol.Status != StatusInfeasible {
+			t.Errorf("warm %v: 0 >= 1 gives status %v, want infeasible", warm, sol.Status)
+		}
+	}
+}
+
 func TestMIPNodeLimitReportsGap(t *testing.T) {
 	// A larger knapsack; with MaxNodes=1 only the root relaxation runs, so
 	// no incumbent may exist, or a weak one with nonzero gap.

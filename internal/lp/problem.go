@@ -16,6 +16,12 @@
 // optimality-gap quality guarantee, and it accepts a node budget — the
 // time/quality knob the paper describes ("trade off execution time against
 // the quality of the suggested solutions", experiment E10).
+//
+// A program may have no variables at all — CoPhy's presolve writes one when
+// no query's plan depends on the design and nothing is pinned. Its one point
+// is the empty vector: SolveLP and SolveMIP report it optimal (proven, for
+// SolveMIP) at objective 0 when every row holds at it (0 <= b for LE, and so
+// on), and infeasible otherwise.
 package lp
 
 import (
