@@ -34,6 +34,9 @@
 // interface — every advisor, session, observation and facade call pins
 // once and asks all its costing questions, sweeps over a bounded worker
 // pool included, on that view, so an answer never mixes two generations.
+// Within a view a costing is arithmetic: each INUM entry keeps the access
+// terms of every structure the view numbered, and the index advisors price
+// sets of candidate ordinals (engine.Pricing) as min-plus sums over them.
 //
 // Costing itself is pluggable — the paper's "portable" pillar: the engine
 // delegates every pricing call to a CostBackend. Two ship in-tree: native

@@ -274,11 +274,12 @@ func (a *Advisor) AdviseView(ctx context.Context, v *engine.View, w *workload.Wo
 
 // build prices the program: each query's baseline and plan atoms.
 func (a *Advisor) build(ctx context.Context, v *engine.View, w *workload.Workload, opts Options) (*program, int, error) {
-	// Pre-warm the INUM entries on the engine's sweep pool — template
-	// building is one full optimization per seed configuration and query,
-	// which the loop below would otherwise pay query by query — then
-	// enumerate per-query atoms.
-	if err := v.Prepare(ctx, w, nil); err != nil {
+	// Build the INUM entries on the engine's sweep pool — template building
+	// is one full optimization per seed configuration and query, which the
+	// loop below would otherwise pay query by query — and number the
+	// candidates, then enumerate per-query atoms.
+	p, err := v.Pricing(ctx, w, a.candidates)
+	if err != nil {
 		return nil, 0, err
 	}
 	prog := &program{
@@ -289,16 +290,12 @@ func (a *Advisor) build(ctx context.Context, v *engine.View, w *workload.Workloa
 		atomEnd:    make([]int32, 0, len(w.Queries)),
 	}
 	calls := 0
-	emptyCfg := catalog.NewConfiguration()
-	for _, q := range w.Queries {
+	for i, q := range w.Queries {
 		if err := ctx.Err(); err != nil {
 			return nil, 0, err
 		}
-		baseCost, err := v.QueryCost(q, emptyCfg)
-		if err != nil {
-			return nil, 0, err
-		}
-		atoms, n, err := a.enumerateAtoms(ctx, v, q.Stmt.Analysis().Tables, q, baseCost, opts)
+		baseCost := p.QueryCost(i, nil)
+		atoms, n, err := a.enumerateAtoms(ctx, p, i, q.Stmt.Analysis().Tables, baseCost, opts)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -551,32 +548,31 @@ func keySet(keys []string) map[string]bool {
 	return set
 }
 
-// enumerateAtoms prices the plan atoms of one query: the all-sequential
-// atom plus cartesian combinations of the top candidate indexes per table.
-// Both pricing phases — singleton ranking and combo evaluation — run as
-// parallel engine sweeps; the resulting atom set is identical to the serial
-// enumeration because candidates are ranked and filtered in ordinal order.
-func (a *Advisor) enumerateAtoms(ctx context.Context, v *engine.View, qTables []string, q workload.Query, baseCost float64, opts Options) ([]atom, int, error) {
+// enumerateAtoms prices the plan atoms of query i: the all-sequential atom
+// plus cartesian combinations of the top candidate indexes per table. Both
+// pricing phases — singleton ranking and combo evaluation — run as
+// parallel sweeps of candidate sets; the resulting atom set is identical to
+// the serial enumeration because candidates are ranked and filtered in
+// ordinal order.
+func (a *Advisor) enumerateAtoms(ctx context.Context, p *engine.Pricing, i int, qTables []string, baseCost float64, opts Options) ([]atom, int, error) {
 	calls := 0
 	// Rank candidates per referenced table by single-index benefit, priced
-	// in one parallel sweep over the singleton configurations.
+	// in one parallel sweep over the singletons.
 	type ranked struct {
 		ordinal int
 		benefit float64
 	}
 	var refOrdinals []int
-	var singletons []*catalog.Configuration
 	for j, ix := range a.candidates {
-		lt := strings.ToLower(ix.Table)
-		for _, t := range qTables {
-			if t == lt {
-				refOrdinals = append(refOrdinals, j)
-				singletons = append(singletons, catalog.NewConfiguration().WithIndex(ix))
-				break
-			}
+		if slices.Contains(qTables, strings.ToLower(ix.Table)) {
+			refOrdinals = append(refOrdinals, j)
 		}
 	}
-	singleCosts, err := v.SweepQueryConfigs(ctx, q, singletons)
+	singletons := make([][]int, len(refOrdinals))
+	for k := range refOrdinals {
+		singletons[k] = refOrdinals[k : k+1 : k+1]
+	}
+	singleCosts, err := p.SweepQuery(ctx, i, singletons)
 	if err != nil {
 		return nil, calls, err
 	}
@@ -628,23 +624,16 @@ func (a *Advisor) enumerateAtoms(ctx context.Context, v *engine.View, qTables []
 	// Price every combo in one parallel sweep, then filter in generation
 	// order so the retained atom set matches the serial enumeration.
 	var comboList [][]int
-	var comboCfgs []*catalog.Configuration
 	for _, combo := range combos {
-		if len(combo) == 0 {
-			continue // the all-seq atom is already in
+		if len(combo) > 0 { // the all-seq atom is already in
+			comboList = append(comboList, combo)
 		}
-		cfg := catalog.NewConfiguration()
-		for _, j := range combo {
-			cfg = cfg.WithIndex(a.candidates[j])
-		}
-		comboList = append(comboList, combo)
-		comboCfgs = append(comboCfgs, cfg)
 	}
-	comboCosts, err := v.SweepQueryConfigs(ctx, q, comboCfgs)
+	comboCosts, err := p.SweepQuery(ctx, i, comboList)
 	if err != nil {
 		return nil, calls, err
 	}
-	calls += len(comboCfgs)
+	calls += len(comboList)
 	for k, combo := range comboList {
 		c := comboCosts[k]
 		if c >= baseCost-1e-9 {

@@ -50,11 +50,10 @@ func BackendKinds() []string { return []string{BackendNative, BackendCalibrated}
 // cross-generation or cross-backend aliasing concern. They count their work
 // into the engine's counters.
 //
-// Cached-path pricing is staged, because a sweep prices |queries| ×
-// |configurations| cells and most of a cell's work belongs to its row or
-// its column: Pricer does the per-query work once per sweep call (the INUM
-// entry lookup), the Pricer it returns does the per-configuration work once
-// per configuration (INUM's digest), and only what is left runs per cell.
+// The cached path is INUM's: a sweep resolves its queries to their entries
+// once (Entries), then prices every cell from an entry's pricing table, by
+// configuration (inum.Cache.CostFor) or by a set of numbered structures
+// (inum.Cache.CostOf).
 type CostBackend interface {
 	// Kind identifies the backend ("native", "calibrated").
 	Kind() string
@@ -68,24 +67,13 @@ type CostBackend interface {
 	// from, which depends on the statement (its Key) and on nothing the
 	// caller holds.
 	Prepare(stmt *sqlparse.SelectStmt) error
-	// Pricer resolves the queries against the backend's cached
-	// (INUM-style) path, building any entry it lacks, and returns the
-	// function that prices them. What Pricer resolved lives as long as the
-	// returned function and no longer.
-	Pricer(queries []workload.Query) (Pricer, error)
+	// Entries resolves the queries against the backend's INUM cache,
+	// building any entry it lacks, and returns the cache with the entries.
+	Entries(queries []workload.Query) (*inum.Cache, []*inum.CachedQuery, error)
 	// StmtCost prices a statement with the backend's reference model (the
 	// full optimizer), bypassing the cached path.
 	StmtCost(stmt *sqlparse.SelectStmt, cfg *catalog.Configuration) (float64, error)
 }
-
-// Pricer takes one configuration in — digesting it once, however many
-// queries are then priced under it — and returns its QueryPricer. Both are
-// safe for concurrent use.
-type Pricer func(cfg *catalog.Configuration) QueryPricer
-
-// QueryPricer prices queries[i] of the slice its Pricer was made for, under
-// the configuration it was made for.
-type QueryPricer func(i int) (float64, error)
 
 // BackendInfo is the descriptive form of the active backend.
 type BackendInfo struct {
@@ -217,26 +205,16 @@ func (b *envBackend) Prepare(stmt *sqlparse.SelectStmt) error {
 	return err
 }
 
-func (b *envBackend) Pricer(queries []workload.Query) (Pricer, error) {
+func (b *envBackend) Entries(queries []workload.Query) (*inum.Cache, []*inum.CachedQuery, error) {
 	entries := make([]*inum.CachedQuery, len(queries))
 	for i, q := range queries {
 		cq, err := b.entry(q.Stmt)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", q.ID, err)
+			return nil, nil, fmt.Errorf("%s: %w", q.ID, err)
 		}
 		entries[i] = cq
 	}
-	if len(entries) == 1 {
-		// One query sees the slices of its own tables and nothing else:
-		// cutting them out of cfg directly is cheaper than a whole digest.
-		return func(cfg *catalog.Configuration) QueryPricer {
-			return func(int) (float64, error) { return b.cache.CostFor(entries[0], cfg) }
-		}, nil
-	}
-	return func(cfg *catalog.Configuration) QueryPricer {
-		d := inum.DigestOf(cfg)
-		return func(i int) (float64, error) { return b.cache.CostUnder(entries[i], d), nil }
-	}, nil
+	return b.cache, entries, nil
 }
 
 func (b *envBackend) StmtCost(stmt *sqlparse.SelectStmt, cfg *catalog.Configuration) (float64, error) {

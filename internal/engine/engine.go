@@ -31,12 +31,13 @@
 // backend kind is chosen when the engine is opened (NewWithBackend) or per
 // pinned view (PinBackend).
 //
-// Sweeps (SweepConfigs, SweepQueryConfigs, Evaluate, EvaluateDelta) price
-// many hypothetical designs in parallel over a bounded worker pool — the
-// hot path of CoPhy's atom enumeration, the interaction analyzer's lattice
-// walks, and greedy candidate selection. A concurrent reconfiguration never
-// tears a sweep in half, and results are deterministic: a parallel sweep
-// returns bit-for-bit the costs a serial loop would.
+// Sweeps (SweepConfigs, Pricing's Sweep and SweepQuery, Evaluate,
+// EvaluateDelta) price many hypothetical designs in parallel over a bounded
+// worker pool — the hot path of CoPhy's atom enumeration, the interaction
+// analyzer's lattice walks, and greedy candidate selection. A concurrent
+// reconfiguration never tears a sweep in half, and results are
+// deterministic: a parallel sweep returns bit-for-bit the costs a serial
+// loop would.
 package engine
 
 import (
@@ -287,49 +288,46 @@ func (v *View) Prepare(ctx context.Context, w *workload.Workload, _ []*catalog.I
 // QueryCost prices one query under a configuration through the pinned
 // backend's cached path (nil = the pinned base configuration).
 func (v *View) QueryCost(q workload.Query, cfg *catalog.Configuration) (float64, error) {
-	price, err := v.backend.Pricer([]workload.Query{q})
+	cache, entries, err := v.backend.Entries([]workload.Query{q})
 	if err != nil {
 		return 0, err
 	}
-	return price(v.s.resolve(cfg))(0)
+	return cache.CostFor(entries[0], v.s.resolve(cfg))
 }
 
 // WorkloadCost sums weighted backend query costs under a configuration
 // (nil = base) against the pinned generation.
 func (v *View) WorkloadCost(ctx context.Context, w *workload.Workload, cfg *catalog.Configuration) (float64, error) {
-	price, err := v.pricer(ctx, w)
+	cache, entries, err := v.entries(ctx, w)
 	if err != nil {
 		return 0, err
 	}
-	return workloadCost(w, price(v.s.resolve(cfg)))
+	return workloadCost(w, cache, entries, v.s.resolve(cfg)), nil
 }
 
-// pricer builds the workload's missing entries on the sweep pool, then
+// entries builds the workload's missing entries on the sweep pool, then
 // resolves its queries against the backend, once for however many
 // configurations the caller then prices.
-func (v *View) pricer(ctx context.Context, w *workload.Workload) (Pricer, error) {
+func (v *View) entries(ctx context.Context, w *workload.Workload) (*inum.Cache, []*inum.CachedQuery, error) {
 	if err := v.Prepare(ctx, w, nil); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	price, err := v.backend.Pricer(w.Queries)
+	cache, entries, err := v.backend.Entries(w.Queries)
 	if err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
+		return nil, nil, fmt.Errorf("engine: %w", err)
 	}
-	return price, nil
+	return cache, entries, nil
 }
 
-// workloadCost sums the weighted query costs under one configuration's
-// pricer (made by a Pricer over w.Queries).
-func workloadCost(w *workload.Workload, price QueryPricer) (float64, error) {
+// workloadCost sums the weighted costs of w's queries, whose entries these
+// are, under one configuration.
+func workloadCost(w *workload.Workload, cache *inum.Cache, entries []*inum.CachedQuery, cfg *catalog.Configuration) float64 {
 	var total float64
 	for i, q := range w.Queries {
-		c, err := price(i)
-		if err != nil {
-			return 0, fmt.Errorf("engine: %s: %w", q.ID, err)
-		}
+		c, _ := cache.CostFor(entries[i], cfg)
 		total += c * q.Weight
 	}
-	return total, nil
+	return total
 }
 
 // FullCost prices a statement with the backend's reference model (the full

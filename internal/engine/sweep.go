@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/catalog"
+	"repro/internal/inum"
 	"repro/internal/optimizer"
 	"repro/internal/sqlparse"
 	"repro/internal/whatif"
@@ -114,17 +115,13 @@ func (e *Engine) sweep(ctx context.Context, n int, fn func(i int) error) error {
 // pinned base. Results are identical to calling WorkloadCost serially per
 // configuration.
 func (v *View) SweepConfigs(ctx context.Context, w *workload.Workload, cfgs []*catalog.Configuration) ([]float64, error) {
-	price, err := v.pricer(ctx, w)
+	cache, entries, err := v.entries(ctx, w)
 	if err != nil {
 		return nil, err
 	}
 	costs := make([]float64, len(cfgs))
 	err = v.e.sweep(ctx, len(cfgs), func(i int) error {
-		c, err := workloadCost(w, price(v.s.resolve(cfgs[i])))
-		if err != nil {
-			return err
-		}
-		costs[i] = c
+		costs[i] = workloadCost(w, cache, entries, v.s.resolve(cfgs[i]))
 		return nil
 	})
 	if err != nil {
@@ -133,24 +130,61 @@ func (v *View) SweepConfigs(ctx context.Context, w *workload.Workload, cfgs []*c
 	return costs, nil
 }
 
-// SweepQueryConfigs prices one query under many configurations in parallel
-// against the pinned generation — CoPhy's atom pricing. costs[i]
-// corresponds to cfgs[i].
-func (v *View) SweepQueryConfigs(ctx context.Context, q workload.Query, cfgs []*catalog.Configuration) ([]float64, error) {
-	price, err := v.backend.Pricer([]workload.Query{q})
+// Pricing prices sets of one structure list against one workload on a
+// view: a set is positions in the list, and it prices as the configuration
+// holding those structures and no layout — which is what the index
+// advisors ask, tens of thousands of times a question. The structures are
+// numbered once, so a costing is a read of the entries' pricing tables.
+// A Pricing is safe for concurrent use and lives as long as its holder.
+type Pricing struct {
+	v       *View
+	w       *workload.Workload
+	cache   *inum.Cache
+	entries []*inum.CachedQuery
+	ords    inum.Ordinals
+}
+
+// Pricing builds the workload's missing entries on the sweep pool and
+// numbers the structures; their list should hold one structure per key, as
+// a configuration does.
+func (v *View) Pricing(ctx context.Context, w *workload.Workload, structs []*catalog.Index) (*Pricing, error) {
+	cache, entries, err := v.entries(ctx, w)
 	if err != nil {
 		return nil, err
 	}
-	costs := make([]float64, len(cfgs))
-	err = v.e.sweep(ctx, len(cfgs), func(i int) error {
-		c, err := price(v.s.resolve(cfgs[i]))(0)
-		if err != nil {
-			return err
-		}
-		costs[i] = c
+	return &Pricing{v: v, w: w, cache: cache, entries: entries, ords: cache.Number(structs)}, nil
+}
+
+// QueryCost prices query i of the workload under the set.
+func (p *Pricing) QueryCost(i int, set []int) float64 {
+	return p.cache.CostOf(p.entries[i], p.ords, set)
+}
+
+// Cost sums the weighted query costs under the set, in query order.
+func (p *Pricing) Cost(set []int) float64 {
+	var total float64
+	for i, q := range p.w.Queries {
+		total += p.QueryCost(i, set) * q.Weight
+	}
+	return total
+}
+
+// Sweep prices the workload under every set in parallel: Cost of each.
+func (p *Pricing) Sweep(ctx context.Context, sets [][]int) ([]float64, error) {
+	return p.sweep(ctx, sets, p.Cost)
+}
+
+// SweepQuery prices query i under every set in parallel: QueryCost of each.
+func (p *Pricing) SweepQuery(ctx context.Context, i int, sets [][]int) ([]float64, error) {
+	return p.sweep(ctx, sets, func(set []int) float64 { return p.QueryCost(i, set) })
+}
+
+func (p *Pricing) sweep(ctx context.Context, sets [][]int, price func([]int) float64) ([]float64, error) {
+	costs := make([]float64, len(sets))
+	if err := p.v.e.sweep(ctx, len(sets), func(k int) error {
+		costs[k] = price(sets[k])
 		return nil
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
 	}
 	return costs, nil

@@ -44,17 +44,19 @@ func (r *Result) Improvement() float64 {
 // budgetPages (0 = unlimited). Candidates are ranked by benefit per page,
 // the usual knapsack heuristic (an unsized candidate by its raw benefit).
 // Every iteration prices the eligible candidates against the current
-// configuration in one parallel sweep; a cancelled context aborts
-// mid-sweep and returns ctx.Err().
+// configuration in one parallel sweep of candidate sets; a cancelled context
+// aborts mid-sweep and returns ctx.Err(). The candidates hold one structure
+// per key, as a configuration does.
 func Advise(ctx context.Context, v *engine.View, candidates []*catalog.Index, w *workload.Workload, budgetPages int64) (*Result, error) {
-	res := &Result{}
-	cfg := catalog.NewConfiguration()
-	cur, err := v.WorkloadCost(ctx, w, cfg)
+	p, err := v.Pricing(ctx, w, candidates)
 	if err != nil {
 		return nil, err
 	}
+	res := &Result{}
+	cur := p.Cost(nil)
 	res.BaselineCost = cur
-	remaining := append([]*catalog.Index(nil), candidates...)
+	chosen := make([]bool, len(candidates))
+	var set []int
 	var usedPages int64
 	for {
 		if err := ctx.Err(); err != nil {
@@ -62,23 +64,18 @@ func Advise(ctx context.Context, v *engine.View, candidates []*catalog.Index, w 
 		}
 		// Eligible candidates this round, in stable ordinal order.
 		var elig []int
-		for i, ix := range remaining {
-			if ix == nil {
-				continue
-			}
-			if budgetPages > 0 && usedPages+ix.EstimatedPages > budgetPages {
+		var trials [][]int
+		for i, ix := range candidates {
+			if chosen[i] || budgetPages > 0 && usedPages+ix.EstimatedPages > budgetPages {
 				continue
 			}
 			elig = append(elig, i)
+			trials = append(trials, append(set[:len(set):len(set)], i))
 		}
 		if len(elig) == 0 {
 			break
 		}
-		trials := make([]*catalog.Configuration, len(elig))
-		for k, i := range elig {
-			trials[k] = cfg.WithIndex(remaining[i])
-		}
-		costs, err := v.SweepConfigs(ctx, w, trials)
+		costs, err := p.Sweep(ctx, trials)
 		if err != nil {
 			return nil, err
 		}
@@ -87,7 +84,7 @@ func Advise(ctx context.Context, v *engine.View, candidates []*catalog.Index, w 
 		bestScore := 0.0
 		bestCost := cur
 		for k, i := range elig {
-			ix := remaining[i]
+			ix := candidates[i]
 			benefit := cur - costs[k]
 			if benefit <= 1e-9 {
 				continue
@@ -105,11 +102,11 @@ func Advise(ctx context.Context, v *engine.View, candidates []*catalog.Index, w 
 		if bestIdx < 0 {
 			break
 		}
-		ix := remaining[bestIdx]
-		cfg = cfg.WithIndex(ix)
+		ix := candidates[bestIdx]
+		set = append(set, bestIdx)
 		usedPages += ix.EstimatedPages
 		cur = bestCost
-		remaining[bestIdx] = nil
+		chosen[bestIdx] = true
 		res.Indexes = append(res.Indexes, ix)
 	}
 	res.Objective = cur
@@ -124,13 +121,18 @@ const MaxExhaustiveCandidates = 14
 // Exhaustive enumerates every candidate subset within budget and returns
 // the true optimum. Exponential, so it refuses more than
 // MaxExhaustiveCandidates candidates (the E7 ground truth and the
-// autopilot's regret oracle stay below it). Subsets are priced in bounded
-// parallel batches so peak memory stays fixed instead of materializing all
-// 2^n configurations.
+// autopilot's regret oracle stay below it). Subsets are priced as sets of
+// candidate ordinals in bounded parallel batches, so peak memory stays fixed
+// instead of holding all 2^n sets. The candidates hold one structure per
+// key, as a configuration does.
 func Exhaustive(ctx context.Context, v *engine.View, candidates []*catalog.Index, w *workload.Workload, budgetPages int64) (*Result, error) {
 	n := len(candidates)
 	if n > MaxExhaustiveCandidates {
 		return nil, fmt.Errorf("greedy: exhaustive search over %d candidates: at most %d", n, MaxExhaustiveCandidates)
+	}
+	p, err := v.Pricing(ctx, w, candidates)
+	if err != nil {
+		return nil, err
 	}
 	res := &Result{}
 	const batchSize = 4096
@@ -138,12 +140,12 @@ func Exhaustive(ctx context.Context, v *engine.View, candidates []*catalog.Index
 	best := math.Inf(1)
 	bestMask := 0
 	masks := make([]int, 0, batchSize)
-	cfgs := make([]*catalog.Configuration, 0, batchSize)
+	sets := make([][]int, 0, batchSize)
 	flush := func() error {
-		if len(cfgs) == 0 {
+		if len(sets) == 0 {
 			return nil
 		}
-		costs, err := v.SweepConfigs(ctx, w, cfgs)
+		costs, err := p.Sweep(ctx, sets)
 		if err != nil {
 			return err
 		}
@@ -157,15 +159,15 @@ func Exhaustive(ctx context.Context, v *engine.View, candidates []*catalog.Index
 			}
 		}
 		masks = masks[:0]
-		cfgs = cfgs[:0]
+		sets = sets[:0]
 		return nil
 	}
 	for mask := 0; mask < 1<<n; mask++ {
-		cfg := catalog.NewConfiguration()
+		var set []int
 		var pages int64
 		for i := 0; i < n; i++ {
 			if mask&(1<<i) != 0 {
-				cfg = cfg.WithIndex(candidates[i])
+				set = append(set, i)
 				pages += candidates[i].EstimatedPages
 			}
 		}
@@ -173,8 +175,8 @@ func Exhaustive(ctx context.Context, v *engine.View, candidates []*catalog.Index
 			continue
 		}
 		masks = append(masks, mask)
-		cfgs = append(cfgs, cfg)
-		if len(cfgs) >= batchSize {
+		sets = append(sets, set)
+		if len(sets) >= batchSize {
 			if err := flush(); err != nil {
 				return nil, err
 			}

@@ -62,10 +62,9 @@ type Graph struct {
 
 // AnalyzeView computes pairwise interaction degrees for the index set
 // against the workload on one pinned engine generation. All costs flow
-// through the view's cached path, and every pair's lattice walk — the four
-// corner configurations of every sampled context — is priced in one
-// parallel sweep, which is what makes the quadratic pair analysis
-// interactive.
+// through the view's pricing tables, and every pair's lattice walk — the
+// four corner sets of every sampled context — is priced in one parallel
+// sweep, which is what makes the quadratic pair analysis interactive.
 func AnalyzeView(ctx context.Context, v *engine.View, w *workload.Workload, indexes []*catalog.Index, opts Options) (*Graph, error) {
 	if opts.SampleContexts < 0 {
 		opts.SampleContexts = 0
@@ -106,15 +105,15 @@ func AnalyzeView(ctx context.Context, v *engine.View, w *workload.Workload, inde
 	}
 
 	// Every surviving pair's lattice corners — X, X∪{a}, X∪{b}, X∪{a,b} per
-	// context — are collected first and priced in one engine sweep: one pool
-	// start-up and one workload fingerprint per analysis, not per pair.
+	// context — are collected first as sets of index ordinals and priced in
+	// one engine sweep: one pool start-up per analysis, not per pair.
 	type pairWalk struct {
 		a, b     int
-		first    int // offset of the pair's first corner in cfgs
+		first    int // offset of the pair's first corner in sets
 		contexts int
 	}
 	var pairs []pairWalk
-	var cfgs []*catalog.Configuration
+	var sets [][]int
 	// A configuration holds one structure per key (WithIndex's rule). Keys
 	// are rendered once per analysis, and corners are assembled as ordinal
 	// lists compared on them.
@@ -122,21 +121,14 @@ func AnalyzeView(ctx context.Context, v *engine.View, w *workload.Workload, inde
 	for i, ix := range indexes {
 		keys[i] = ix.Key()
 	}
+	has := func(members []int, k int) bool {
+		return slices.ContainsFunc(members, func(m int) bool { return keys[m] == keys[k] })
+	}
 	with := func(members []int, k int) []int {
-		for _, m := range members {
-			if keys[m] == keys[k] {
-				return members
-			}
+		if has(members, k) {
+			return members
 		}
 		return append(members[:len(members):len(members)], k)
-	}
-	config := func(members []int) *catalog.Configuration {
-		cfg := catalog.NewConfiguration()
-		cfg.Indexes = make([]*catalog.Index, len(members))
-		for i, k := range members {
-			cfg.Indexes[i] = indexes[k]
-		}
-		return cfg
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	for a := 0; a < n; a++ {
@@ -151,18 +143,24 @@ func AnalyzeView(ctx context.Context, v *engine.View, w *workload.Workload, inde
 				g.PrunedPairs++
 				continue
 			}
-			pairs = append(pairs, pairWalk{a: a, b: b, first: len(cfgs), contexts: len(contexts)})
+			pairs = append(pairs, pairWalk{a: a, b: b, first: len(sets), contexts: len(contexts)})
 			for _, cx := range contexts {
-				var x []int
+				x := make([]int, 0, len(cx))
 				for _, k := range cx {
-					x = with(x, k)
+					if !has(x, k) {
+						x = append(x, k)
+					}
 				}
 				xa := with(x, a)
-				cfgs = append(cfgs, config(x), config(xa), config(with(x, b)), config(with(xa, b)))
+				sets = append(sets, x, xa, with(x, b), with(xa, b))
 			}
 		}
 	}
-	costs, err := v.SweepConfigs(ctx, w, cfgs)
+	p, err := v.Pricing(ctx, w, indexes)
+	if err != nil {
+		return nil, err
+	}
+	costs, err := p.Sweep(ctx, sets)
 	if err != nil {
 		return nil, err
 	}

@@ -8,14 +8,13 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
-	"repro/internal/inum"
 )
 
-// TestMemoHitAllocatesNothing guards the costing loop: once a query has
-// priced a configuration's slices, pricing them again — against a digest or
-// against the configuration itself — makes no heap allocation, with or
-// without partition layouts. (Not under -race: the detector's
-// instrumentation allocates.)
+// TestMemoHitAllocatesNothing guards the costing loop: once a query's
+// pricing table holds a configuration's structures, pricing it again — by
+// the configuration, with or without partition layouts, or by the
+// structures' ordinals — makes no heap allocation. (Not under -race: the
+// detector's instrumentation allocates.)
 func TestMemoHitAllocatesNothing(t *testing.T) {
 	f := newFixture(t, 8)
 	rng := rand.New(rand.NewSource(5))
@@ -36,18 +35,22 @@ func TestMemoHitAllocatesNothing(t *testing.T) {
 		partitioned.SetHorizontal(&catalog.HorizontalLayout{Table: tc[0], Column: tc[1], Bounds: []catalog.Datum{hist.Quantile(0.25), hist.Quantile(0.5), hist.Quantile(0.75)}})
 	}
 
+	ords := f.cache.Number(plain.Indexes)
+	set := make([]int, len(plain.Indexes))
+	for i := range set {
+		set[i] = i
+	}
 	for name, cfg := range map[string]*catalog.Configuration{"unpartitioned": plain, "partitioned": partitioned} {
-		digest := inum.DigestOf(cfg)
 		for _, q := range f.w.Queries {
 			cq, err := f.cache.Prepare(q.ID, q.Stmt, f.cands)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := f.cache.CostFor(cq, cfg); err != nil { // fill the memo
+			if _, err := f.cache.CostFor(cq, cfg); err != nil { // fill the table
 				t.Fatal(err)
 			}
-			if n := testing.AllocsPerRun(100, func() { _ = f.cache.CostUnder(cq, digest) }); n != 0 {
-				t.Errorf("%s %s: a memo hit against a digest makes %v allocations", name, q.ID, n)
+			if n := testing.AllocsPerRun(100, func() { _ = f.cache.CostOf(cq, ords, set) }); n != 0 {
+				t.Errorf("%s %s: a table costing by ordinals makes %v allocations", name, q.ID, n)
 			}
 			if n := testing.AllocsPerRun(100, func() { _, _ = f.cache.CostFor(cq, cfg) }); n != 0 {
 				t.Errorf("%s %s: a memo hit against the configuration makes %v allocations", name, q.ID, n)

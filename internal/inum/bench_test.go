@@ -133,10 +133,10 @@ func BenchmarkCostForColdConfigs(b *testing.B) {
 // BenchmarkCostForLayoutTrials prices AutoPart-shaped merge trials: the
 // photoobj columns grouped by which queries read them, every pairwise merge
 // of those fragments as a fresh layout, and each trial priced once against
-// every query through a digest, as the engine's sweep does. An operation is
-// one trial; a pass over the trials starts from a fresh cache, as one advise
-// does. A trial moves the scan footprint of only the queries that read one
-// of the two merged fragments; the others price from the access memo.
+// every query, as the engine's sweep does. An operation is one trial; a pass
+// over the trials starts from a fresh cache, as one advise does. A trial
+// moves the scan footprint of only the queries that read one of the two
+// merged fragments; the others price from their tables' bases.
 func BenchmarkCostForLayoutTrials(b *testing.B) {
 	_, qs, cands, env := benchSetup(b)
 	var cache *inum.Cache
@@ -205,9 +205,9 @@ func BenchmarkCostForLayoutTrials(b *testing.B) {
 			prepare()
 			b.StartTimer()
 		}
-		d := inum.DigestOf(trials[i%len(trials)])
 		for _, cq := range prepared {
-			sink += cache.CostUnder(cq, d)
+			c, _ := cache.CostFor(cq, trials[i%len(trials)])
+			sink += c
 		}
 	}
 }

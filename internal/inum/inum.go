@@ -46,22 +46,25 @@
 // never by a caller's name for the statement, and built once however many
 // statements, names or goroutines ask for it.
 //
-// Per table of the query the visible slice of a configuration is the set of
-// structures that could enter one of its plans (optimizer.CanUse on the
-// statement's footprint) and the table's partition layouts — the paper's
-// extension of INUM "to cache table partitions and partial plans" (§3.3):
-// access costs are partition-aware, while cached internals are reused
-// across layouts. Each cached query numbers the structures it meets
-// (memo.go) and keys its access-cost memo per table on the set of relevant
-// numbers plus the table's scan footprint under its layouts
-// (optimizer.LayoutFootprint: pages, CPU rows, fragment-stitch CPU) — all a
-// layout changes about an access cost, and nothing of the layout's text, so
-// an AutoPart trial that merges fragments a query does not read is a memo
-// hit for it, and a layout edited in place is keyed by what it holds when
-// priced. It evaluates its templates as a loop over slices: a costing whose
-// slices were priced before allocates nothing and takes no lock. A
-// configuration priced against many queries is split into per-table slices
-// once (Digest).
+// A costing is arithmetic. Per table of the query, a structure that could
+// enter one of its plans (optimizer.CanUse on the statement's footprint)
+// adds a term per required order — the cost of the cheapest path through
+// it alone (optimizer.AccessTerms) — and the table's access cost is the min
+// of its base (the sequential scan) and those terms; an aggregate view that
+// can rewrite a single-table query adds its rewrite cost. The cost is then
+// min over templates of internal + Σ per-table access costs, bit for bit
+// what pricing each table under its whole visible design gives. The cache
+// numbers the structures its question prices, once (Number, or CostFor on
+// first sight), and each entry keeps a pricing table of their terms by
+// ordinal (table.go), so a costing of structures priced before is a loop of
+// mins and adds that allocates nothing and takes no lock; the index
+// advisors price sets of ordinals (CostOf). Partition layouts — the paper's
+// extension of INUM "to cache table partitions and partial plans" (§3.3) —
+// change only a table's base, through its scan footprint
+// (optimizer.LayoutFootprint: pages, CPU rows, fragment-stitch CPU), and
+// each entry memoizes the base per footprint: an AutoPart trial that merges
+// fragments a query does not read moves nothing for it, and a layout edited
+// in place is keyed by what it holds when priced.
 package inum
 
 import (
@@ -95,19 +98,24 @@ type CachedQuery struct {
 	Tables []string
 
 	// The cached templates, flattened for the costing loop. Template i has
-	// internal cost internals[i] and needs table t (an index into Tables) to
-	// deliver orders[t][slots[i*len(Tables)+t]]. orders[t] lists the distinct
-	// leaf orders the templates require of table t (nil = any order), so one
-	// memo entry per table — the access cost per slot — serves every
-	// template.
+	// internal cost internals[i] and reads order slot slots[i*len(Tables)+t]
+	// for table t (an index into Tables). Slots are numbered across the
+	// tables: table t's are slotAt[t] to slotAt[t+1]-1, and slot
+	// slotAt[t]+k requires orders[t][k] of it (nil = any order), so one
+	// access cost per slot serves every template.
 	internals []float64
 	slots     []int32
+	slotAt    []int32
 	orders    [][][]optimizer.OrderKey
-	// memo is the access-cost memo (memo.go), made by the first costing:
-	// an entry that is prepared and never priced carries none. It is where
-	// INUM's speedup comes from — most CostFor calls in a configuration
-	// sweep resolve every table from it.
-	memo atomic.Pointer[costMemo]
+	// tab is the entry's pricing table (table.go), made by the first
+	// costing: an entry that is prepared and never priced carries none. It
+	// is where INUM's speedup comes from — a costing of structures the table
+	// holds is a loop of mins and adds. layouts memoizes the base costs of
+	// the tables whose scan footprint a costing's layouts change. mu orders
+	// the writers of both.
+	tab     atomic.Pointer[table]
+	layouts atomic.Pointer[layoutMemo]
+	mu      sync.Mutex
 	// prepOptimizerCalls counts the full optimizations spent building the
 	// entry; amortized over every subsequent CostFor call.
 	prepOptimizerCalls int32
@@ -124,6 +132,8 @@ type Cache struct {
 
 	mu    sync.Mutex
 	slots map[string]*slot
+	// num numbers the structures the question prices (table.go).
+	num atomic.Pointer[numbering]
 
 	counters *Counters
 }
@@ -253,19 +263,22 @@ func (q *CachedQuery) flatten(templates []template) {
 			if want[0].Column == "" {
 				want = nil // any order
 			}
-			slot := -1
-			for k, have := range q.orders[t] {
-				if len(have) == len(want) && (len(want) == 0 || have[0].Column == want[0].Column) {
-					slot = k
-					break
-				}
-			}
+			slot := slices.IndexFunc(q.orders[t], func(have []optimizer.OrderKey) bool {
+				return len(have) == len(want) && (len(want) == 0 || have[0].Column == want[0].Column)
+			})
 			if slot < 0 {
 				slot = len(q.orders[t])
 				q.orders[t] = append(q.orders[t], want)
 			}
 			q.slots = append(q.slots, int32(slot))
 		}
+	}
+	q.slotAt = make([]int32, len(q.Tables)+1)
+	for t, orders := range q.orders {
+		q.slotAt[t+1] = q.slotAt[t] + int32(len(orders))
+	}
+	for i := range q.slots {
+		q.slots[i] += q.slotAt[i%len(q.Tables)]
 	}
 }
 
@@ -293,63 +306,24 @@ func (c *Cache) addTemplate(q *CachedQuery, cfg *catalog.Configuration, template
 }
 
 // CostFor prices the query under an arbitrary configuration using cached
-// templates: min over templates of internal + Σ per-table access costs.
-// Access costs are memoized on the slice of the configuration each table of
-// the query can see (memo.go), so sweeps over many configurations that share
-// relevant per-table designs resolve almost entirely from the memo. This is
-// the one-configuration form: it walks cfg directly and allocates nothing on
-// a hit. To price one configuration against many queries, digest it once
-// (DigestOf) and call CostUnder. The error is always nil — every table was
+// templates: min over templates of internal + Σ per-table access costs,
+// each the min of the table's base cost and the terms of the visible
+// structures (table.go), with the bases of tables whose layouts move their
+// scan footprint memoized on that footprint. Structures are numbered in the
+// cache on first sight, so a costing of structures priced before allocates
+// nothing and takes no lock. The error is always nil — every table was
 // resolved when the entry was built — and stays for the callers that check
 // it.
 func (c *Cache) CostFor(q *CachedQuery, cfg *catalog.Configuration) (float64, error) {
-	return c.cost(q, cfg, nil), nil
+	n := c.numbering()
+	return c.cost(q, n, len(cfg.Indexes), func(k int) int32 { return n.id(cfg.Indexes[k]) }, cfg), nil
 }
 
-// CostUnder is CostFor against a digested configuration.
-func (c *Cache) CostUnder(q *CachedQuery, d *Digest) float64 {
-	return c.cost(q, nil, d)
-}
-
-// cost evaluates the templates over the access costs of each table of the
-// query, whose slice of the configuration comes from the digest when there
-// is one and is cut out of cfg otherwise.
-func (c *Cache) cost(q *CachedQuery, cfg *catalog.Configuration, d *Digest) float64 {
-	c.counters.CachedCostings.Add(1)
-	m := q.costMemo()
-
-	// Accumulate per template in table order, so every total is the same
-	// sum, in the same order, as pricing the templates one by one.
-	var buf [maxTemplates]float64
-	totals := buf[:len(q.internals)]
-	copy(totals, q.internals)
-	nt := len(q.Tables)
-	mvCost := -1.0
-	for t, table := range q.Tables {
-		var s tableSlice
-		if d == nil {
-			s = sliceOf(cfg, table, cfg.Indexes)
-		} else if found := d.find(table); found != nil {
-			s = *found
-		}
-		var access []float64
-		access, mvCost = c.accessCosts(q, m, t, &s)
-		for i := range totals {
-			totals[i] += access[q.slots[i*nt+t]]
-		}
-	}
-	best := totals[0]
-	for _, total := range totals[1:] {
-		if total < best {
-			best = total
-		}
-	}
-	// Aggregate views compete as whole-query rewrites of single-table
-	// queries (matching what the full optimizer does).
-	if mvCost >= 0 && mvCost < best {
-		best = mvCost
-	}
-	return best
+// CostOf prices the query under the structures at the given positions of
+// the ordinals, with no layout: CostFor of the configuration holding them,
+// bit for bit, when no two of them share a key.
+func (c *Cache) CostOf(q *CachedQuery, o Ordinals, set []int) float64 {
+	return c.cost(q, o.num, len(set), func(k int) int32 { return o.ids[set[k]] }, nil)
 }
 
 // interestingOrderColumns lists the columns whose sort order the plan

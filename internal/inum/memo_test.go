@@ -25,18 +25,14 @@ import (
 func coldCosts(t *testing.T, c *Cache, q *CachedQuery, cfg *catalog.Configuration) (access [][]float64, mv, total float64) {
 	t.Helper()
 	for ti, table := range q.Tables {
-		costs, err := c.base.AccessCosts(q.Stmt, table, optimizer.TableDesign{Indexes: cfg.IndexesOn(table), Vertical: cfg.VerticalOn(table), Horizontal: cfg.HorizontalOn(table)}, q.orders[ti])
-		if err != nil {
-			t.Fatal(err)
-		}
-		access = append(access, costs)
+		access = append(access, accessCosts(c, q, ti, optimizer.TableDesign{Indexes: cfg.IndexesOn(table), Vertical: cfg.VerticalOn(table), Horizontal: cfg.HorizontalOn(table)}))
 	}
 	total = math.Inf(1)
 	nt := len(q.Tables)
 	for i, internal := range q.internals {
 		sum := internal
 		for ti := range q.Tables {
-			sum += access[ti][q.slots[i*nt+ti]]
+			sum += access[ti][q.slots[i*nt+ti]-q.slotAt[ti]]
 		}
 		total = math.Min(total, sum)
 	}
@@ -50,10 +46,9 @@ func coldCosts(t *testing.T, c *Cache, q *CachedQuery, cfg *catalog.Configuratio
 	return access, mv, total
 }
 
-// checkAgainstCold prices cfg through the long-lived cache — per table, per
-// order slot, and as a whole, in both the one-configuration and the
-// digested form — and requires every number to equal the cold twin's on a
-// fresh cache, bit for bit.
+// checkAgainstCold prices cfg through the long-lived cache — by the
+// configuration and, when it holds no layout, by its structures' ordinals —
+// and requires both to equal the cold twin's on a fresh cache, bit for bit.
 func checkAgainstCold(t *testing.T, env *optimizer.Env, warm *Cache, wq *CachedQuery, cands []*catalog.Index, cfg *catalog.Configuration, what string) {
 	t.Helper()
 	fresh := New(env)
@@ -61,32 +56,44 @@ func checkAgainstCold(t *testing.T, env *optimizer.Env, warm *Cache, wq *CachedQ
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantAccess, wantMV, want := coldCosts(t, fresh, fq, cfg)
-
-	m := wq.costMemo()
-	for ti, table := range wq.Tables {
-		s := sliceOf(cfg, table, cfg.Indexes)
-		got, gotMV := warm.accessCosts(wq, m, ti, &s)
-		if len(got) != len(wantAccess[ti]) {
-			t.Fatalf("%s: %s: %d order slots, fresh cache has %d", what, table, len(got), len(wantAccess[ti]))
-		}
-		for slot := range got {
-			if math.Float64bits(got[slot]) != math.Float64bits(wantAccess[ti][slot]) {
-				t.Fatalf("%s: %s order %v: memo %v, cold %v", what, table, wq.orders[ti][slot], got[slot], wantAccess[ti][slot])
-			}
-		}
-		if len(wq.Tables) == 1 && math.Float64bits(gotMV) != math.Float64bits(wantMV) {
-			t.Fatalf("%s: aggregate-view rewrite: memo %v, cold %v", what, gotMV, wantMV)
-		}
-	}
+	_, _, want := coldCosts(t, fresh, fq, cfg)
 	direct, err := warm.CostFor(wq, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	digested := warm.CostUnder(wq, DigestOf(cfg))
-	if math.Float64bits(direct) != math.Float64bits(want) || math.Float64bits(digested) != math.Float64bits(want) {
-		t.Fatalf("%s: CostFor %v, CostUnder %v, cold %v", what, direct, digested, want)
+	if math.Float64bits(direct) != math.Float64bits(want) {
+		t.Fatalf("%s: CostFor %v, cold %v", what, direct, want)
 	}
+	if len(cfg.Vertical) == 0 && len(cfg.Horizontal) == 0 {
+		if got := warm.CostOf(wq, warm.Number(cfg.Indexes), positions(len(cfg.Indexes))); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: CostOf %v, cold %v", what, got, want)
+		}
+	}
+}
+
+// positions is the set of the first n positions.
+func positions(n int) []int {
+	set := make([]int, n)
+	for i := range set {
+		set[i] = i
+	}
+	return set
+}
+
+// access reads table 0 of the query's access costs per order slot under the
+// structures off its pricing table: the min of the base and their terms.
+func access(c *Cache, q *CachedQuery, structs ...*catalog.Index) []float64 {
+	o := c.Number(structs)
+	tab := c.table(q, o.num, o.num.size.Load())
+	out := slices.Clone(tab.base[:q.slotAt[1]])
+	for _, id := range o.ids {
+		if col := tab.cols[id]; col.t == 0 {
+			for s := range out {
+				out[s] = min(out[s], tab.vecs[int(col.at)+s])
+			}
+		}
+	}
+	return out
 }
 
 // designSpace is everything the differential tests draw configurations
@@ -166,10 +173,10 @@ func randomDesign(rng *rand.Rand, store *storage.Store, space []*catalog.Index) 
 	return cfg
 }
 
-// TestMemoMatchesColdTwin is the differential test of the access-cost memo:
-// whatever the long-lived cache has numbered, marked invisible and memoized
-// so far, its answer for a configuration equals pricing that configuration
-// from scratch with every structure in view.
+// TestMemoMatchesColdTwin is the differential test of the pricing tables
+// and the layout memo: whatever the long-lived cache has numbered, tabled
+// and memoized so far, its answer for a configuration equals pricing that
+// configuration from scratch with every structure in view.
 func TestMemoMatchesColdTwin(t *testing.T) {
 	store, err := workload.Generate(workload.TinySize(), 41)
 	if err != nil {
@@ -203,8 +210,8 @@ func TestMemoMatchesColdTwin(t *testing.T) {
 	}
 }
 
-// TestTemplateOrderMakesStructureVisible pins what lets the memo use the
-// optimizer's own relevance rule: a template's leaf order is read off a
+// TestTemplateOrderMakesStructureVisible pins what lets the pricing table
+// use the optimizer's own relevance rule: a template's leaf order is read off a
 // plan seeded from the statement's interesting orders, so it names a column
 // the statement references, and an index leading with that column — neither
 // filtered on nor covering — is visible for the order it delivers.
@@ -243,11 +250,12 @@ func TestTemplateOrderMakesStructureVisible(t *testing.T) {
 	if !ordered {
 		t.Fatalf("no template requires photoobj ordered by objid (orders %v): the seed plan no longer scans the order index, rebuild this case", cq.orders[0])
 	}
-	m := cq.costMemo()
-	if m.idOf(cq, 0, sharing) < 0 {
+	o := cache.Number([]*catalog.Index{sharing, other})
+	tab := cache.table(cq, o.num, o.num.size.Load())
+	if tab.cols[o.ids[0]].t < 0 {
 		t.Error("an index leading with a template's order column must be visible")
 	}
-	if m.idOf(cq, 0, other) >= 0 {
+	if tab.cols[o.ids[1]].t >= 0 {
 		t.Error("an index that is neither referenced, covering nor ordering must stay invisible")
 	}
 	for _, members := range [][]*catalog.Index{nil, {sharing}, {other}, {sharing, other}} {
@@ -257,13 +265,7 @@ func TestTemplateOrderMakesStructureVisible(t *testing.T) {
 	}
 	// The case has teeth only while the sharing index's ordered scan beats
 	// sorting a sequential scan (objid is the clustering key).
-	price := func(members ...*catalog.Index) []float64 {
-		cfg := catalog.NewConfiguration()
-		cfg.Indexes = members
-		s := sliceOf(cfg, "photoobj", cfg.Indexes)
-		access, _ := cache.accessCosts(cq, m, 0, &s)
-		return access
-	}
+	price := func(members ...*catalog.Index) []float64 { return access(cache, cq, members...) }
 	bare, shared := price(), price(sharing)
 	moved := false
 	for slot := range bare {
@@ -443,8 +445,9 @@ func TestEntryIsAFunctionOfItsStatement(t *testing.T) {
 
 // TestConcurrentCostingMatchesSerial prices random configurations against
 // one cached query from eight goroutines at once — first-touch numbering,
-// misses and table growth included — and requires the serial pass's costs,
-// bit for bit. Run under -race (ci.yml: race-soak).
+// table growth, layout misses and numberings started over included — and
+// requires the serial pass's costs, bit for bit. Run under -race (ci.yml:
+// race-soak).
 func TestConcurrentCostingMatchesSerial(t *testing.T) {
 	store, err := workload.Generate(workload.TinySize(), 41)
 	if err != nil {
@@ -460,6 +463,9 @@ func TestConcurrentCostingMatchesSerial(t *testing.T) {
 	cfgs := make([]*catalog.Configuration, 96)
 	for i := range cfgs {
 		cfgs[i] = randomDesign(rng, store, space)
+		if i%2 == 1 {
+			cfgs[i].Vertical, cfgs[i].Horizontal = nil, nil
+		}
 	}
 	for _, q := range w.Queries {
 		serial := New(env)
@@ -488,14 +494,25 @@ func TestConcurrentCostingMatchesSerial(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				// Each goroutine walks the configurations from its own
-				// offset, half of them through a digest.
+				// offset, half of them pricing the layout-free ones by
+				// ordinals, and one in four prices every structure at a
+				// fresh address, so the numbering fills and starts over
+				// while the others price.
 				for k := range cfgs {
 					i := (k + g*len(cfgs)/workers) % len(cfgs)
 					var err error
-					if g%2 == 0 {
+					switch {
+					case g%4 == 3:
+						cfg := cfgs[i].Clone()
+						for j, ix := range cfg.Indexes {
+							twin := *ix
+							cfg.Indexes[j] = &twin
+						}
+						got[g][i], err = shared.CostFor(cq, cfg)
+					case g%2 == 0 || i%2 == 0:
 						got[g][i], err = shared.CostFor(cq, cfgs[i])
-					} else {
-						got[g][i] = shared.CostUnder(cq, DigestOf(cfgs[i]))
+					default:
+						got[g][i] = shared.CostOf(cq, shared.Number(cfgs[i].Indexes), positions(len(cfgs[i].Indexes)))
 					}
 					if err != nil {
 						t.Error(err)
@@ -516,8 +533,8 @@ func TestConcurrentCostingMatchesSerial(t *testing.T) {
 }
 
 // TestMemoStartsOverAtTheBound prices more distinct structure addresses
-// against one entry than a memo may number: the memo is replaced, never
-// grown past the bound, and the costs do not move.
+// against one entry than a numbering may hold: the cache starts a new
+// numbering, never grows one past the bound, and the costs do not move.
 func TestMemoStartsOverAtTheBound(t *testing.T) {
 	store, err := workload.Generate(workload.TinySize(), 41)
 	if err != nil {
@@ -545,8 +562,8 @@ func TestMemoStartsOverAtTheBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := cq.memo.Load()
-	for i := 0; i < maxInterned+10; i++ {
+	first := cache.num.Load()
+	for i := 0; i < maxNumbered+10; i++ {
 		twin := *proto // the same design at a new address
 		cfg.Indexes = []*catalog.Index{&twin}
 		got, err := cache.CostFor(cq, cfg)
@@ -556,25 +573,28 @@ func TestMemoStartsOverAtTheBound(t *testing.T) {
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("address %d: cost %v, first address cost %v", i, got, want)
 		}
-		if n := cq.memo.Load().interned.Load(); n > maxInterned {
-			t.Fatalf("memo numbers %d structures, bound %d", n, maxInterned)
+		if n := cache.num.Load().size.Load(); n > maxNumbered {
+			t.Fatalf("the numbering holds %d structures, bound %d", n, maxNumbered)
+		}
+		if tab := cq.tab.Load(); len(tab.cols) > maxNumbered {
+			t.Fatalf("the pricing table holds %d columns, bound %d", len(tab.cols), maxNumbered)
 		}
 	}
-	if cq.memo.Load() == first {
-		t.Fatal("the memo was never replaced")
+	if cache.num.Load() == first {
+		t.Fatal("the numbering was never replaced")
 	}
 }
 
-// TestMemoKeysOnTheLayoutFootprint is the differential test of the memo's
-// layout key, on AutoPart-shaped sequences over one table: every pairwise
+// TestMemoKeysOnTheLayoutFootprint is the differential test of the layout
+// memo's key, on AutoPart-shaped sequences over one table: every pairwise
 // merge of the current fragments priced as a fresh layout — merges of
 // fragments a query reads and of fragments it does not — then one merge
 // applied in place to a layout the configuration already holds, priced
 // before and after the edit; and horizontal layouts on a column some queries
 // filter and on one none does. Each costing equals a cold pricing bit for
-// bit, and each query's memo holds exactly one entry per distinct (visible
-// structures, scan footprint) it was priced under — the footprint left out
-// when the layouts leave it as the unpartitioned table's.
+// bit, and each query's layout memo holds exactly one entry per distinct
+// (table, scan footprint) it was priced under — none when the layouts leave
+// the footprint as the unpartitioned table's.
 func TestMemoKeysOnTheLayoutFootprint(t *testing.T) {
 	store, err := workload.Generate(workload.TinySize(), 41)
 	if err != nil {
@@ -608,8 +628,8 @@ func TestMemoKeysOnTheLayoutFootprint(t *testing.T) {
 		entries = append(entries, q)
 	}
 
-	// keys[i] collects query i's distinct (table, visible structures,
-	// footprint) keys, the footprint omitted when the layouts leave it alone.
+	// keys[i] collects query i's distinct (table, footprint) keys where the
+	// layouts move the footprint.
 	keys := make([]map[string]bool, len(entries))
 	for i := range keys {
 		keys[i] = map[string]bool{}
@@ -623,21 +643,14 @@ func TestMemoKeysOnTheLayoutFootprint(t *testing.T) {
 			for ti, table := range q.Tables {
 				v, h := cfg.VerticalOn(table), cfg.HorizontalOn(table)
 				fp, moved := env.LayoutFootprint(q.Stmt, table, v, h)
-				key := fmt.Sprint(ti)
-				for _, ix := range cfg.IndexesOn(table) {
-					if optimizer.CanUse(q.Stmt.Analysis().Footprint, table, ix) {
-						key += "," + ix.Key()
-					}
-				}
 				if moved {
-					key += fmt.Sprintf("|%x|%x|%x", math.Float64bits(fp.Pages), math.Float64bits(fp.CPURows), math.Float64bits(fp.StitchCPU))
+					keys[i][fmt.Sprintf("%d|%x|%x|%x", ti, math.Float64bits(fp.Pages), math.Float64bits(fp.CPURows), math.Float64bits(fp.StitchCPU))] = true
 					s := scan{fp.Pages, fp.CPURows}
 					if stitches[s] == nil {
 						stitches[s] = map[float64]bool{}
 					}
 					stitches[s][fp.StitchCPU] = true
 				}
-				keys[i][key] = true
 				if h != nil {
 					alone, _ := env.LayoutFootprint(q.Stmt, table, v, nil)
 					horizontalMoved = horizontalMoved || alone != fp
@@ -709,8 +722,12 @@ func TestMemoKeysOnTheLayoutFootprint(t *testing.T) {
 	}
 
 	for i, q := range entries {
-		if used := q.memo.Load().tab.Load().used; used != len(keys[i]) {
-			t.Errorf("%s: the memo holds %d entries for %d distinct (visible structures, footprint) keys", q.Stmt.Key(), used, len(keys[i]))
+		used := 0
+		if m := q.layouts.Load(); m != nil {
+			used = m.used
+		}
+		if used != len(keys[i]) {
+			t.Errorf("%s: the layout memo holds %d entries for %d distinct (table, footprint) keys", q.Stmt.Key(), used, len(keys[i]))
 		}
 	}
 	stitchOnly := false

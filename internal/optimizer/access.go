@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/catalog"
@@ -85,20 +86,60 @@ func (e *Env) scanOf(sel *sqlparse.SelectStmt, table string, d TableDesign) (tab
 	return e.newTableScan(lt, d, a.FiltersOf(lt), a.ColumnsOf(lt), a.Star), nil
 }
 
-// AccessCosts is the Cost of BestTableAccess for each of the required orders
-// (nil = any order), sharing the table's scan analysis between them and
-// building no plan node. This is what INUM computes on a memo miss, with a
-// design holding the structures CanUse admits and nothing else.
-func (e *Env) AccessCosts(sel *sqlparse.SelectStmt, table string, d TableDesign, orders [][]OrderKey) ([]float64, error) {
+// AccessTerms is the Cost of BestTableAccess per required order (nil = any
+// order) split by structure, sharing the table's scan analysis and building
+// no plan node. Per required order, base gets the sequential scan's cost
+// (sorted when the order asks for one), and terms, structure by structure
+// of d, the cost of the cheapest path through that structure alone,
+// delivering the order or sorted, or +Inf when it offers none (an aggregate
+// view offers none). BestTableAccess's cost under any subset of d's
+// structures is, order by order, the min of base and the subset's terms,
+// bit for bit: a path's cost does not depend on the other structures, and
+// rounding is monotone, so fl(min(a,b)+c) = min(fl(a+c), fl(b+c)). Only base
+// depends on d's layouts. This is what INUM prices a structure with, once a
+// question.
+func (e *Env) AccessTerms(sel *sqlparse.SelectStmt, table string, d TableDesign, orders [][]OrderKey, base, terms []float64) ([]float64, []float64, error) {
 	s, err := e.scanOf(sel, table, d)
 	if err != nil {
-		return nil, err
+		return base, terms, err
 	}
-	costs := make([]float64, len(orders))
-	for i, required := range orders {
-		costs[i] = s.choose(required).cost
+	_, sortTotal := e.Params.sortCost(s.outRows)
+	for _, required := range orders {
+		if len(required) == 0 {
+			base = append(base, s.seqCost)
+		} else {
+			base = append(base, s.seqCost+sortTotal)
+		}
 	}
-	return costs, nil
+	for _, ix := range d.Indexes {
+		for _, required := range orders {
+			terms = append(terms, s.through(ix, required, sortTotal))
+		}
+	}
+	return base, terms, nil
+}
+
+// through is the cost of the cheapest path through ix alone for the required
+// order: the index scan when it delivers the order, else the scan sorted
+// (sorting costs no less than nothing).
+func (s *tableScan) through(ix *catalog.Index, required []OrderKey, sortTotal float64) float64 {
+	if s.e.Opts.DisableIndexScan || ix.Kind == catalog.KindAggView {
+		return math.Inf(1)
+	}
+	var wanted [][]OrderKey
+	if len(required) > 0 {
+		wanted = [][]OrderKey{required}
+	}
+	u, ok := s.indexAccess(ix, wanted)
+	switch {
+	case !ok:
+		return math.Inf(1)
+	case len(required) == 0:
+		return u.total
+	case indexDelivers(s.table, ix, required, false) || indexDelivers(s.table, ix, required, true):
+		return u.total
+	}
+	return u.total + sortTotal
 }
 
 // accessChoice is the outcome of access-path selection for one required

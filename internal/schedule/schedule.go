@@ -107,47 +107,53 @@ type Scheduler struct{}
 // priced on the view its method is handed.
 func New(_ *engine.Engine) *Scheduler { return &Scheduler{} }
 
-// extended returns base extended by each index on its own.
-func extended(base *catalog.Configuration, indexes []*catalog.Index) []*catalog.Configuration {
-	cfgs := make([]*catalog.Configuration, len(indexes))
-	for i, ix := range indexes {
-		cfgs[i] = base.WithIndex(ix)
+// extended returns the set base extended by each of the positions on its
+// own.
+func extended(base, positions []int) [][]int {
+	sets := make([][]int, len(positions))
+	for k, j := range positions {
+		sets[k] = append(base[:len(base):len(base)], j)
 	}
-	return cfgs
+	return sets
 }
 
 // GreedyView computes the interaction-aware schedule against one pinned
 // engine generation: at each step it builds the index with the best
 // marginal-benefit-to-build-cost ratio relative to the prefix already
 // built. Every step prices the remaining candidates in one parallel sweep.
+// The indexes hold one structure per key, as a configuration does.
 func (s *Scheduler) GreedyView(ctx context.Context, v *engine.View, w *workload.Workload, indexes []*catalog.Index) (*Schedule, error) {
-	out := &Schedule{}
-	cfg := catalog.NewConfiguration()
-	cur, err := v.WorkloadCost(ctx, w, cfg)
+	p, err := v.Pricing(ctx, w, indexes)
 	if err != nil {
 		return nil, err
 	}
+	out := &Schedule{}
+	cur := p.Cost(nil)
 	out.BaseCost = cur
 
-	remaining := append([]*catalog.Index(nil), indexes...)
+	var built []int
+	remaining := make([]int, len(indexes))
+	for i := range remaining {
+		remaining[i] = i
+	}
 	for len(remaining) > 0 {
-		costs, err := v.SweepConfigs(ctx, w, extended(cfg, remaining))
+		costs, err := p.Sweep(ctx, extended(built, remaining))
 		if err != nil {
 			return nil, err
 		}
 		bestI := -1
 		bestRate := math.Inf(-1)
 		bestCost := 0.0
-		for i, ix := range remaining {
-			build := BuildCost(ix, v.Stats(), v.Params())
+		for i, j := range remaining {
+			build := BuildCost(indexes[j], v.Stats(), v.Params())
 			rate := (cur - costs[i]) / math.Max(build, 1e-9)
 			if rate > bestRate {
 				bestRate, bestI, bestCost = rate, i, costs[i]
 			}
 		}
-		ix := remaining[bestI]
+		ix := indexes[remaining[bestI]]
+		built = append(built, remaining[bestI])
 		remaining = append(remaining[:bestI], remaining[bestI+1:]...)
-		cfg = cfg.WithIndex(ix)
 		cur = bestCost
 		out.Steps = append(out.Steps, Step{
 			Index:     ix,
@@ -161,42 +167,42 @@ func (s *Scheduler) GreedyView(ctx context.Context, v *engine.View, w *workload.
 
 // ObliviousView computes the interaction-oblivious baseline against one
 // pinned engine generation: indexes ranked once by standalone benefit per
-// build cost, never re-evaluated.
+// build cost, never re-evaluated. The indexes hold one structure per key.
 func (s *Scheduler) ObliviousView(ctx context.Context, v *engine.View, w *workload.Workload, indexes []*catalog.Index) (*Schedule, error) {
-	out := &Schedule{}
-	empty := catalog.NewConfiguration()
-	base, err := v.WorkloadCost(ctx, w, empty)
+	p, err := v.Pricing(ctx, w, indexes)
 	if err != nil {
 		return nil, err
 	}
+	out := &Schedule{}
+	base := p.Cost(nil)
 	out.BaseCost = base
 
 	type ranked struct {
-		ix   *catalog.Index
+		j    int
 		rate float64
 	}
-	costs, err := v.SweepConfigs(ctx, w, extended(empty, indexes))
+	all := make([]int, len(indexes))
+	for j := range all {
+		all[j] = j
+	}
+	costs, err := p.Sweep(ctx, extended(nil, all))
 	if err != nil {
 		return nil, err
 	}
 	var order []ranked
-	for i, ix := range indexes {
+	for j, ix := range indexes {
 		build := BuildCost(ix, v.Stats(), v.Params())
-		order = append(order, ranked{ix: ix, rate: (base - costs[i]) / math.Max(build, 1e-9)})
+		order = append(order, ranked{j: j, rate: (base - costs[j]) / math.Max(build, 1e-9)})
 	}
 	sort.SliceStable(order, func(i, j int) bool { return order[i].rate > order[j].rate })
 
-	cfg := catalog.NewConfiguration()
+	var built []int
 	for _, r := range order {
-		cfg = cfg.WithIndex(r.ix)
-		c, err := v.WorkloadCost(ctx, w, cfg)
-		if err != nil {
-			return nil, err
-		}
+		built = append(built, r.j)
 		out.Steps = append(out.Steps, Step{
-			Index:     r.ix,
-			BuildCost: BuildCost(r.ix, v.Stats(), v.Params()),
-			CostAfter: c,
+			Index:     indexes[r.j],
+			BuildCost: BuildCost(indexes[r.j], v.Stats(), v.Params()),
+			CostAfter: p.Cost(built),
 		})
 	}
 	finalize(out)
