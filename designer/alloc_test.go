@@ -191,8 +191,10 @@ func TestWorkloadFromSQLAllocationCeiling(t *testing.T) {
 // workload measures: one session, primed by an unconstrained advice on a
 // fixed 48-statement script (tiny dataset), walked down the benchmark's
 // budget ladder, where most of an answer is CoPhy's branch-and-bound. An
-// answer allocates 52 KB; the ceiling sits a tenth above. The same walk
-// allocated 181 KB an answer, two thirds of it the solver's workspace, while
+// answer allocates 49 KB; the ceiling sits a tenth above. The same walk
+// allocated 52 KB an answer while the engine's evaluation held a row with
+// the query's ID and SQL for every statement and the facade copied those
+// rows again, 181 KB an answer, two thirds of it the solver's workspace, while
 // CoPhy wrote every query and every candidate into the tableau, also the
 // queries whose plan no budget can change and the candidates no plan uses
 // (the presolve in the cophy package comment drops them), 381 KB while
@@ -206,7 +208,7 @@ func TestWorkloadFromSQLAllocationCeiling(t *testing.T) {
 // fixing, so a solver that starts allocating per node again trips this.
 // (Not under -race: the detector's instrumentation allocates.)
 func TestReAdviseAllocationCeiling(t *testing.T) {
-	const ceilingKB = 57
+	const ceilingKB = 54
 	ctx := context.Background()
 	d, err := designer.OpenSDSS("tiny", 41)
 	if err != nil {
@@ -258,10 +260,13 @@ func TestReAdviseAllocationCeiling(t *testing.T) {
 // workload measures: Scenario 1's loop of one index added or dropped, then
 // the whole workload (300 generated statements, tiny dataset) re-evaluated,
 // which re-plans every statement that can see the edited table. An edit
-// allocates 37 KB (it repeats to a KB); the ceiling sits a tenth above. The
-// same loop allocated 199 KB an edit while every plan search allocated its
-// buffers afresh and the delta rendered a relevance signature for every
-// query and table to find the ones an edit reaches, 294 KB while the plan
+// allocates 23 KB (it repeats to a KB); the ceiling sits a tenth above. The
+// same loop allocated 37 KB an edit while every delta cloned a row with the
+// query's ID and SQL for every statement to change the re-priced ones'
+// costs and the facade copied those rows again, 199 KB an edit while every
+// plan search allocated its buffers afresh and the delta rendered a
+// relevance signature for every query and table to find the ones an edit
+// reaches, 294 KB while the plan
 // search derived each statement's analysis (its predicate split and
 // referenced columns) on every costing, and 553 KB while it built a node
 // for every plan it considered, so a search that starts allocating per
@@ -269,7 +274,7 @@ func TestReAdviseAllocationCeiling(t *testing.T) {
 // or a delta that renders strings per query again, trips this. (Not under
 // -race: the detector's instrumentation allocates.)
 func TestEvaluateEditAllocationCeiling(t *testing.T) {
-	const ceilingKB = 41
+	const ceilingKB = 26
 	ctx := context.Background()
 	d, err := designer.OpenSDSS("tiny", 41)
 	if err != nil {

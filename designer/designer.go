@@ -374,7 +374,7 @@ func (d *Designer) Evaluate(ctx context.Context, w *Workload, cfg *Configuration
 	if err != nil {
 		return nil, err
 	}
-	return reportFromInternal(rep), nil
+	return reportFromInternal(rep, w.internal()), nil
 }
 
 // Materialize physically builds the given indexes in the store (Scenario

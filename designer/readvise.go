@@ -215,7 +215,7 @@ func (d *Designer) advisePipeline(ctx context.Context, v *engine.View, iw *workl
 	if err != nil {
 		return nil, nil, ReadviseStats{}, err
 	}
-	out.Report = reportFromInternal(rep)
+	out.Report = reportFromInternal(rep, iw)
 	stats.RecostedQueries = evalState.Recosted
 	stats.ReusedQueries = evalState.Reused
 	if evalState.Reused > 0 {

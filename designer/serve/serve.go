@@ -474,14 +474,15 @@ func toReportJSON(rep *designer.Report) *reportJSON {
 		return nil
 	}
 	out := &reportJSON{
-		BaseTotal:  rep.BaseTotal,
-		NewTotal:   rep.NewTotal,
-		BenefitPct: rep.AvgBenefitPct(),
+		BaseTotal:     rep.BaseTotal,
+		NewTotal:      rep.NewTotal,
+		BenefitPct:    rep.AvgBenefitPct(),
+		QueryBenefits: make([]queryBenefitJSON, len(rep.Queries)),
 	}
-	for _, qb := range rep.Queries {
-		out.QueryBenefits = append(out.QueryBenefits, queryBenefitJSON{
+	for i, qb := range rep.Queries {
+		out.QueryBenefits[i] = queryBenefitJSON{
 			ID: qb.ID, BaseCost: qb.BaseCost, NewCost: qb.NewCost, BenefitPct: qb.BenefitPct(),
-		})
+		}
 	}
 	return out
 }

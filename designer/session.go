@@ -233,28 +233,29 @@ func (s *DesignSession) AddHorizontalPartition(table, column string, k int) erro
 // runs through the steered optimizer environment instead (the backend's
 // cost constants still apply).
 func (s *DesignSession) Evaluate(ctx context.Context, w *Workload) (*Report, error) {
+	iw := w.internal()
 	if s.hasJoinOpts {
-		rep, err := s.view.EvaluateSteered(ctx, w.internal(), s.cfg, s.joinOpts)
+		rep, err := s.view.EvaluateSteered(ctx, iw, s.cfg, s.joinOpts)
 		if err != nil {
 			return nil, err
 		}
 		// The steered path prices every query and leaves nothing a later
 		// delta evaluation could reuse.
 		s.evalState = nil
-		s.lastRecosted, s.lastReused = len(rep.Queries), 0
-		return reportFromInternal(rep), nil
+		s.lastRecosted, s.lastReused = len(rep.New), 0
+		return reportFromInternal(rep, iw), nil
 	}
 	// Delta costing: successive evaluations of the same workload reuse the
 	// previous per-query costs for every query whose tables' design slices
 	// did not change — the add-one-index/ask-again loop re-prices only the
 	// affected queries, with numbers identical to a cold evaluation.
-	rep, st, err := s.view.EvaluateDelta(ctx, w.internal(), s.cfg, s.evalState)
+	rep, st, err := s.view.EvaluateDelta(ctx, iw, s.cfg, s.evalState)
 	if err != nil {
 		return nil, err
 	}
 	s.evalState = st
 	s.lastRecosted, s.lastReused = st.Recosted, st.Reused
-	return reportFromInternal(rep), nil
+	return reportFromInternal(rep, iw), nil
 }
 
 // LastEvaluateDelta reports how the most recent Evaluate split the

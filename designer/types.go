@@ -14,6 +14,7 @@ import (
 	"repro/internal/schedule"
 	"repro/internal/storage"
 	"repro/internal/whatif"
+	"repro/internal/workload"
 )
 
 // This file is the v2 facade's data-transfer layer: every type the public
@@ -226,17 +227,13 @@ func (r *Report) AvgBenefitPct() float64 {
 	return r.TotalBenefit() / r.BaseTotal * 100
 }
 
-func reportFromInternal(rep *whatif.Report) *Report {
-	if rep == nil {
-		return nil
-	}
-	out := &Report{
-		Queries:   make([]QueryBenefit, len(rep.Queries)),
-		BaseTotal: rep.BaseTotal,
-		NewTotal:  rep.NewTotal,
-	}
-	for i, qb := range rep.Queries {
-		out.Queries[i] = QueryBenefit(qb)
+// reportFromInternal renders the engine's cost vectors as the public rows,
+// labelling row i with the workload's query i: the one per-query copy an
+// answer makes.
+func reportFromInternal(rep *whatif.Report, w *workload.Workload) *Report {
+	out := &Report{Queries: make([]QueryBenefit, len(rep.New)), BaseTotal: rep.BaseTotal, NewTotal: rep.NewTotal}
+	for i, q := range w.Queries {
+		out.Queries[i] = QueryBenefit{ID: q.ID, SQL: q.SQL, BaseCost: rep.Base[i], NewCost: rep.New[i]}
 	}
 	return out
 }

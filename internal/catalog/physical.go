@@ -344,17 +344,6 @@ func (c *Configuration) IndexesOn(table string) []*Index {
 	return out
 }
 
-// HasAggView reports whether any aggregate view is configured on the
-// table — the cheap guard INUM uses before attempting an MV-rewrite min.
-func (c *Configuration) HasAggView(table string) bool {
-	for _, ix := range c.IndexesOn(table) {
-		if ix.Kind == KindAggView {
-			return true
-		}
-	}
-	return false
-}
-
 // SetVertical records (or replaces) the vertical layout for its table. It
 // lower-cases the layout's fragment columns in place, so the layout renders
 // in lower case whatever its producer's spelling. A column already
@@ -390,14 +379,4 @@ func (c *Configuration) VerticalOn(table string) *VerticalLayout {
 // HorizontalOn returns the table's horizontal layout, or nil.
 func (c *Configuration) HorizontalOn(table string) *HorizontalLayout {
 	return c.Horizontal[NormCol(table)]
-}
-
-// TotalIndexPages sums the estimated page footprint of all indexes; this is
-// the quantity constrained by a designer storage budget.
-func (c *Configuration) TotalIndexPages() int64 {
-	var total int64
-	for _, ix := range c.Indexes {
-		total += ix.EstimatedPages
-	}
-	return total
 }

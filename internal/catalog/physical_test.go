@@ -146,15 +146,6 @@ func TestTableRowWidth(t *testing.T) {
 	}
 }
 
-func TestTotalIndexPages(t *testing.T) {
-	cfg := NewConfiguration().
-		WithIndex(&Index{Name: "a", Table: "t", Columns: []string{"a"}, EstimatedPages: 10}).
-		WithIndex(&Index{Name: "b", Table: "t", Columns: []string{"b"}, EstimatedPages: 5})
-	if got := cfg.TotalIndexPages(); got != 15 {
-		t.Fatalf("TotalIndexPages = %d, want 15", got)
-	}
-}
-
 func TestLayoutStrings(t *testing.T) {
 	v := &VerticalLayout{Table: "t", Fragments: [][]string{{"a", "b"}, {"c"}}}
 	if !strings.Contains(v.String(), "{a,b}{c}") {

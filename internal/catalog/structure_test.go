@@ -93,19 +93,6 @@ func TestStructureDDL(t *testing.T) {
 	}
 }
 
-func TestConfigurationHasAggView(t *testing.T) {
-	cfg := NewConfiguration().
-		WithIndex(&Index{Table: "photoobj", Columns: []string{"run"}}).
-		WithIndex(&Index{Table: "specobj", Columns: []string{"class"},
-			Kind: KindAggView, Aggs: []string{"count(*)"}})
-	if cfg.HasAggView("photoobj") {
-		t.Error("photoobj has only a secondary index")
-	}
-	if !cfg.HasAggView("SpecObj") {
-		t.Error("specobj aggview not found (table match must be case-insensitive)")
-	}
-}
-
 func TestNormColUnifiesCanonicalization(t *testing.T) {
 	if NormCol("PhotoObj") != "photoobj" {
 		t.Errorf("NormCol = %q", NormCol("PhotoObj"))

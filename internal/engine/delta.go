@@ -35,8 +35,11 @@ import (
 // the trees keeps them alive for the designer's tree sharing, so a
 // session's next request of the same text finds them instead of a parse.
 //
-// A state is read-only once returned, and the report returned with it
-// shares its per-query slice: neither may be written to.
+// A state holds the report it was evaluated to and is read-only once
+// returned, as is that report: a delta shares its Base vector, which never
+// moves within a generation, and shares its New vector too unless a query
+// is recosted, when it clones New alone. The report carries costs only;
+// the queries' IDs and SQL stay in the workload.
 type EvalState struct {
 	// snap pins the generation the costs were computed against; a state is
 	// only reusable on a view holding the same snapshot.
@@ -47,8 +50,9 @@ type EvalState struct {
 	// computed under: a caller may go on editing its own configuration's
 	// layouts in place.
 	cfg *catalog.Configuration
-	// costs are the per-query weighted costs of the state's evaluation.
-	costs []whatif.QueryBenefit
+	// rep is the state's evaluation: the weighted per-query costs under the
+	// base and under cfg, and their totals.
+	rep *whatif.Report
 
 	// Recosted and Reused report how the state was built: a cold evaluation
 	// recosts every query; a delta evaluation reuses the complement.
@@ -160,11 +164,11 @@ func (st *EvalState) Reusable(v *View, w *workload.Workload) bool {
 // for cfg plus an EvalState for the next call. When prev is reusable (same
 // pinned generation, same workload) only the queries whose relevant design
 // slices differ between prev's configuration and cfg are recosted; the rest
-// are copied. The returned report is bit-identical to a cold Evaluate of
-// the same (workload, cfg) — per-query costs are either recomputed by the
-// exact same backend call or reused from a previous run of that call, and
-// totals are summed in the same order (differential-tested in
-// delta_test.go).
+// keep prev's costs. The returned report is bit-identical to a cold
+// Evaluate of the same (workload, cfg) — per-query costs are either
+// recomputed by the exact same backend call or reused from a previous run
+// of that call, and totals are summed in the same order (differential-tested
+// in delta_test.go).
 //
 // Pass a nil prev (or an incompatible one) for a cold evaluation that
 // additionally builds the state.
@@ -175,36 +179,32 @@ func (v *View) EvaluateDelta(ctx context.Context, w *workload.Workload, cfg *cat
 	}
 
 	affected := affectedQueries(prev.queries, prev.cfg, newCfg)
+	rep := prev.rep // read-only: shared until a query is recosted
+	if len(affected) > 0 {
+		// Base costs are pinned to the view's base configuration and never
+		// move within a generation; only the hypothetical side is recosted.
+		news := slices.Clone(rep.New)
+		err := v.e.sweep(ctx, len(affected), func(k int) error {
+			q := w.Queries[affected[k]]
+			nw, err := v.backend.StmtCost(q.Stmt, newCfg)
+			if err != nil {
+				return fmt.Errorf("engine: %s: %w", q.ID, err)
+			}
+			news[affected[k]] = nw * q.Weight
+			return nil
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		rep = &whatif.Report{Base: rep.Base, New: news, BaseTotal: rep.BaseTotal, NewTotal: sum(news)}
+	}
 	next := &EvalState{
 		snap:     v.s,
 		queries:  prev.queries,
 		cfg:      newCfg.Clone(),
-		costs:    prev.costs, // read-only: shared until a query is recosted
+		rep:      rep,
 		Recosted: len(affected),
 		Reused:   len(w.Queries) - len(affected),
-	}
-	if len(affected) > 0 {
-		next.costs = slices.Clone(prev.costs)
-	}
-	err := v.e.sweep(ctx, len(affected), func(k int) error {
-		i := affected[k]
-		q := w.Queries[i]
-		nw, err := v.backend.StmtCost(q.Stmt, newCfg)
-		if err != nil {
-			return fmt.Errorf("engine: %s: %w", q.ID, err)
-		}
-		// Base costs are pinned to the view's base configuration and never
-		// move within a generation; only the hypothetical side is recosted.
-		next.costs[i].NewCost = nw * q.Weight
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	rep := &whatif.Report{Queries: next.costs}
-	for _, qb := range rep.Queries {
-		rep.BaseTotal += qb.BaseCost
-		rep.NewTotal += qb.NewCost
 	}
 	return rep, next, nil
 }
@@ -219,7 +219,7 @@ func (v *View) evaluateCold(ctx context.Context, w *workload.Workload, newCfg *c
 		snap:     v.s,
 		queries:  slices.Clone(w.Queries),
 		cfg:      newCfg.Clone(),
-		costs:    rep.Queries,
+		rep:      rep,
 		Recosted: len(w.Queries),
 	}
 	return rep, st, nil

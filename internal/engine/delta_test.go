@@ -51,7 +51,7 @@ func flip(rng *rand.Rand, cands []*catalog.Index, cfg *catalog.Configuration, k 
 }
 
 // TestEvaluateDeltaMatchesColdDifferential is the acceptance differential:
-// over 200+ randomized configuration pairs, a delta evaluation seeded with
+// over 400+ randomized configuration pairs, a delta evaluation seeded with
 // the first configuration's state must price the second configuration
 // bit-identically to a cold Evaluate — per query and in total — while
 // recosting only the queries whose referenced tables changed.
@@ -73,38 +73,51 @@ func TestEvaluateDeltaMatchesColdDifferential(t *testing.T) {
 				state.Recosted, state.Reused, len(f.w.Queries))
 		}
 		// Chain three mutations off one state: 1-index, 2-index, and K-index
-		// deltas, each checked against a cold run.
+		// deltas, each checked against a cold run. Two siblings branch from
+		// each state, and the chain goes on from the first: a delta must not
+		// write the costs it shares with the state it started from.
 		for _, k := range []int{1, 2, 1 + rng.Intn(4)} {
-			cfgB := f.mutateConfig(rng, cfgA, k)
-			warm, next, err := v.EvaluateDelta(ctx, f.w, cfgB, state)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cold, err := v.Evaluate(ctx, f.w, cfgB)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if warm.BaseTotal != cold.BaseTotal || warm.NewTotal != cold.NewTotal {
-				t.Fatalf("trial %d k=%d: delta totals (%v, %v) != cold (%v, %v)",
-					trial, k, warm.BaseTotal, warm.NewTotal, cold.BaseTotal, cold.NewTotal)
-			}
-			for i := range cold.Queries {
-				if warm.Queries[i] != cold.Queries[i] {
-					t.Fatalf("trial %d k=%d query %s: delta %+v != cold %+v",
-						trial, k, cold.Queries[i].ID, warm.Queries[i], cold.Queries[i])
+			var chainCfg *catalog.Configuration
+			var chainState *engine.EvalState
+			for b := 0; b < 2; b++ {
+				cfgB := f.mutateConfig(rng, cfgA, k)
+				warm, next, err := v.EvaluateDelta(ctx, f.w, cfgB, state)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cold, err := v.Evaluate(ctx, f.w, cfgB)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if warm.BaseTotal != cold.BaseTotal || warm.NewTotal != cold.NewTotal {
+					t.Fatalf("trial %d k=%d: delta totals (%v, %v) != cold (%v, %v)",
+						trial, k, warm.BaseTotal, warm.NewTotal, cold.BaseTotal, cold.NewTotal)
+				}
+				if len(warm.Base) != len(cold.Base) || len(warm.New) != len(cold.New) {
+					t.Fatalf("trial %d k=%d: delta prices %d/%d queries, cold %d/%d",
+						trial, k, len(warm.Base), len(warm.New), len(cold.Base), len(cold.New))
+				}
+				for i := range cold.New {
+					if warm.Base[i] != cold.Base[i] || warm.New[i] != cold.New[i] {
+						t.Fatalf("trial %d k=%d query %s: delta (%v -> %v) != cold (%v -> %v)",
+							trial, k, f.w.Queries[i].ID, warm.Base[i], warm.New[i], cold.Base[i], cold.New[i])
+					}
+				}
+				if next.Recosted+next.Reused != len(f.w.Queries) {
+					t.Fatalf("recosted %d + reused %d != %d queries",
+						next.Recosted, next.Reused, len(f.w.Queries))
+				}
+				reusedTotal += next.Reused
+				cases++
+				if b == 0 {
+					chainCfg, chainState = cfgB, next
 				}
 			}
-			if next.Recosted+next.Reused != len(f.w.Queries) {
-				t.Fatalf("recosted %d + reused %d != %d queries",
-					next.Recosted, next.Reused, len(f.w.Queries))
-			}
-			reusedTotal += next.Reused
-			cases++
-			cfgA, state = cfgB, next
+			cfgA, state = chainCfg, chainState
 		}
 	}
-	if cases < 200 {
-		t.Fatalf("differential covered %d cases, want >= 200", cases)
+	if cases < 400 {
+		t.Fatalf("differential covered %d cases, want >= 400", cases)
 	}
 	if reusedTotal == 0 {
 		t.Fatal("delta evaluation never reused a query cost — relevance sets are not pruning")

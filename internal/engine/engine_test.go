@@ -266,8 +266,8 @@ func TestEvaluateMatchesSerialFullCosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Queries) != len(f.w.Queries) {
-		t.Fatalf("report has %d queries, want %d", len(rep.Queries), len(f.w.Queries))
+	if len(rep.Base) != len(f.w.Queries) || len(rep.New) != len(f.w.Queries) {
+		t.Fatalf("report has %d/%d queries, want %d", len(rep.Base), len(rep.New), len(f.w.Queries))
 	}
 	var wantBase, wantNew float64
 	for i, q := range f.w.Queries {
@@ -279,9 +279,9 @@ func TestEvaluateMatchesSerialFullCosts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.Queries[i].BaseCost != base*q.Weight || rep.Queries[i].NewCost != nw*q.Weight {
+		if rep.Base[i] != base*q.Weight || rep.New[i] != nw*q.Weight {
 			t.Fatalf("%s: report (%v -> %v) != serial (%v -> %v)",
-				q.ID, rep.Queries[i].BaseCost, rep.Queries[i].NewCost, base*q.Weight, nw*q.Weight)
+				q.ID, rep.Base[i], rep.New[i], base*q.Weight, nw*q.Weight)
 		}
 		wantBase += base * q.Weight
 		wantNew += nw * q.Weight
@@ -314,15 +314,15 @@ func TestEvaluateBenefit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Queries) != len(f.w.Queries) {
-		t.Fatalf("report covers %d queries, want %d", len(rep.Queries), len(f.w.Queries))
+	if len(rep.Base) != len(f.w.Queries) || len(rep.New) != len(f.w.Queries) {
+		t.Fatalf("report covers %d/%d queries, want %d", len(rep.Base), len(rep.New), len(f.w.Queries))
 	}
 	if rep.TotalBenefit() <= 0 {
 		t.Fatalf("indexes should help this workload: base=%f new=%f", rep.BaseTotal, rep.NewTotal)
 	}
-	for _, qb := range rep.Queries {
-		if qb.NewCost > qb.BaseCost*1.0001 {
-			t.Errorf("query %s regressed: %f -> %f", qb.ID, qb.BaseCost, qb.NewCost)
+	for i, q := range f.w.Queries {
+		if rep.New[i] > rep.Base[i]*1.0001 {
+			t.Errorf("query %s regressed: %f -> %f", q.ID, rep.Base[i], rep.New[i])
 		}
 	}
 	if rep.AvgBenefitPct() <= 0 || rep.AvgBenefitPct() > 100 {
@@ -386,9 +386,9 @@ func TestEvaluateSteered(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if rep.Queries[i].BaseCost != base*q.Weight || rep.Queries[i].NewCost != nw*q.Weight {
+				if rep.Base[i] != base*q.Weight || rep.New[i] != nw*q.Weight {
 					t.Fatalf("%s: steered report (%v -> %v) != steered session (%v -> %v)",
-						q.ID, rep.Queries[i].BaseCost, rep.Queries[i].NewCost, base*q.Weight, nw*q.Weight)
+						q.ID, rep.Base[i], rep.New[i], base*q.Weight, nw*q.Weight)
 				}
 			}
 		} else if !reflect.DeepEqual(ref, rep) {

@@ -192,8 +192,10 @@ func (p *Pricing) sweep(ctx context.Context, sets [][]int, price func([]int) flo
 
 // Evaluate costs every query under the pinned base and the hypothetical
 // configuration with the backend's reference model (the full optimizer
-// under the backend's cost constants) and returns the benefit report
-// the demo's Scenario 1/2 panels display. A design session pinned at
+// under the backend's cost constants) and returns the two weighted cost
+// vectors, in workload order, with their totals: the numbers the demo's
+// Scenario 1/2 panels display, each row labelled by the caller with the
+// workload's query of the same index. A design session pinned at
 // creation keeps evaluating against its generation (and its backend) even
 // if the engine is reconfigured. Queries are priced in parallel, and
 // results are deterministic and identical to a serial loop over FullCost.
@@ -215,7 +217,7 @@ func (v *View) EvaluateSteered(ctx context.Context, w *workload.Workload, cfg *c
 func (v *View) evaluate(ctx context.Context, w *workload.Workload, cfg *catalog.Configuration,
 	cost func(*sqlparse.SelectStmt, *catalog.Configuration) (float64, error)) (*whatif.Report, error) {
 	newCfg := v.s.resolve(cfg)
-	queries := make([]whatif.QueryBenefit, len(w.Queries))
+	rep := &whatif.Report{Base: make([]float64, len(w.Queries)), New: make([]float64, len(w.Queries))}
 	err := v.e.sweep(ctx, len(w.Queries), func(i int) error {
 		q := w.Queries[i]
 		bc, err := cost(q.Stmt, v.s.base)
@@ -226,19 +228,22 @@ func (v *View) evaluate(ctx context.Context, w *workload.Workload, cfg *catalog.
 		if err != nil {
 			return fmt.Errorf("engine: %s: %w", q.ID, err)
 		}
-		queries[i] = whatif.QueryBenefit{
-			ID: q.ID, SQL: q.SQL,
-			BaseCost: bc * q.Weight, NewCost: nc * q.Weight,
-		}
+		rep.Base[i], rep.New[i] = bc*q.Weight, nc*q.Weight
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	rep := &whatif.Report{Queries: queries}
-	for _, qb := range rep.Queries {
-		rep.BaseTotal += qb.BaseCost
-		rep.NewTotal += qb.NewCost
-	}
+	rep.BaseTotal, rep.NewTotal = sum(rep.Base), sum(rep.New)
 	return rep, nil
+}
+
+// sum adds costs in order: every total of a report is folded this way, so a
+// delta's total is bit-identical to a cold one's.
+func sum(costs []float64) float64 {
+	var t float64
+	for _, c := range costs {
+		t += c
+	}
+	return t
 }

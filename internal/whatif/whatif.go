@@ -185,32 +185,14 @@ func (s *Session) Explain(sel *sqlparse.SelectStmt, cfg *catalog.Configuration) 
 	return plan.Explain(), nil
 }
 
-// QueryBenefit reports one query's costs under the base and a hypothetical
-// configuration.
-type QueryBenefit struct {
-	ID       string
-	SQL      string
-	BaseCost float64
-	NewCost  float64
-}
-
-// Benefit is BaseCost - NewCost (positive = improvement).
-func (q QueryBenefit) Benefit() float64 { return q.BaseCost - q.NewCost }
-
-// BenefitPct is the relative improvement in percent.
-func (q QueryBenefit) BenefitPct() float64 {
-	if q.BaseCost == 0 {
-		return 0
-	}
-	return (q.BaseCost - q.NewCost) / q.BaseCost * 100
-}
-
-// Report aggregates per-query benefits over a workload — the numbers the
-// demo's interface shows in Scenarios 1 and 2.
+// Report is the outcome of pricing a workload under the base and a
+// hypothetical configuration: Base and New are the weighted per-query
+// costs, in workload order, and each total is its vector summed in that
+// order. A report carries no query text: a reader labels row i with the
+// workload's query i.
 type Report struct {
-	Queries   []QueryBenefit
-	BaseTotal float64
-	NewTotal  float64
+	Base, New           []float64
+	BaseTotal, NewTotal float64
 }
 
 // TotalBenefit is the workload-level absolute improvement.
