@@ -91,7 +91,8 @@ func (s *Server) releaseSession(sess *session, reason string) {
 		sess.gone = reason
 		sess.ds = nil
 		sess.lastReq = nil
-		sess.lastWl = nil
+		sess.lastWl.Store(nil)
+		sess.evaluated.Store(nil)
 		sess.mu.Unlock()
 	}()
 }

@@ -150,9 +150,15 @@ type session struct {
 	gone string
 
 	// lastReq/lastWl remember the most recent advise question so an
-	// empty-body /readvise repeats it. Guarded by mu like the session.
+	// empty-body /readvise repeats it. Written under mu like the session;
+	// lastWl is also read outside it, to match a request's "sql" against.
 	lastReq *adviseRequestJSON
-	lastWl  *designer.Workload
+	lastWl  atomic.Pointer[designer.Workload]
+	// evaluated is the workload the session's delta state prices,
+	// published after each evaluate: the next evaluate whose "sql" lists
+	// the same statements is resolved to it outside the work lock
+	// (Server.workload). It wraps the state's own queries.
+	evaluated atomic.Pointer[designer.Workload]
 
 	metaMu sync.Mutex
 	keys   []string
@@ -488,8 +494,9 @@ func toReportJSON(rep *designer.Report) *reportJSON {
 }
 
 type workloadJSON struct {
-	// SQL lists explicit SELECT statements (weight 1 each).
-	SQL []string `json:"sql,omitempty"`
+	// SQL lists explicit SELECT statements (weight 1 each), kept as the
+	// body's raw JSON until a workload is resolved from it.
+	SQL sqlList `json:"sql,omitempty"`
 	// Queries/Seed draw a generated SDSS workload when SQL is empty.
 	Queries int   `json:"queries,omitempty"`
 	Seed    int64 `json:"seed,omitempty"`
@@ -500,11 +507,22 @@ type workloadJSON struct {
 // many statements.
 const maxGeneratedQueries = 10000
 
-// workload resolves the request's workload description.
-func (s *Server) workload(req workloadJSON) (*designer.Workload, error) {
+// workload resolves the request's workload description. A "sql" list that
+// names exactly the statements of held — a workload the session already
+// holds, or nil — resolves to held, and none of its texts is decoded; any
+// other list is decoded and parsed as WorkloadFromSQL does. The two are the
+// same workload, so the answer does not depend on which path ran.
+func (s *Server) workload(req workloadJSON, held *designer.Workload) (*designer.Workload, error) {
 	switch {
-	case len(req.SQL) > 0:
-		return s.d.WorkloadFromSQL(req.SQL)
+	case !req.SQL.empty():
+		if held != nil && req.SQL.matchesHeld(held) {
+			return held, nil
+		}
+		var sqls []string
+		if err := json.Unmarshal(req.SQL, &sqls); err != nil {
+			return nil, err
+		}
+		return s.d.WorkloadFromSQL(sqls)
 	case req.Queries < 0:
 		return nil, fmt.Errorf("queries %d: a generated workload cannot have a negative size", req.Queries)
 	case req.Queries > maxGeneratedQueries:
@@ -615,19 +633,20 @@ func evictedError(id, reason string) error {
 // request struct plus the lines that differ. It resolves the request's
 // session (404/410), decodes the body into req (nil: the verb has none) and
 // runs check — the verb's validation and parsing, outside the work lock: a
-// 960-statement WorkloadFromSQL must not hold it. It then takes the work
+// 960-statement WorkloadFromSQL must not hold it, so check reads only what
+// the session publishes for it. It then takes the work
 // lock on a live session, hands run the locked session under the merged
 // request/session context, unlocks, and answers run's body with status or
 // its error. A verb never sees the lock or the gone flag, so it cannot
 // forget the unlock or touch a released DesignSession.
 func (s *Server) sessionVerb(r *http.Request, req any, status int,
-	check func() error, run func(ctx context.Context, sess *session) (any, error)) (int, any, error) {
+	check func(sess *session) error, run func(ctx context.Context, sess *session) (any, error)) (int, any, error) {
 	sess, err := s.session(r)
 	if err == nil && req != nil {
 		err = readJSON(r, req)
 	}
 	if err == nil && check != nil {
-		err = check()
+		err = check(sess)
 	}
 	if err != nil {
 		return 0, nil, err
@@ -815,7 +834,7 @@ func (s *Server) handleSessionAddIndex(r *http.Request) (int, any, error) {
 		Include []string `json:"include,omitempty"`
 		Aggs    []string `json:"aggs,omitempty"`
 	}
-	return s.sessionVerb(r, &req, http.StatusCreated, func() error {
+	return s.sessionVerb(r, &req, http.StatusCreated, func(*session) error {
 		if len(req.Include) > 0 && len(req.Aggs) > 0 {
 			return errors.New("include and aggs are mutually exclusive")
 		}
@@ -843,7 +862,7 @@ func (s *Server) handleSessionAddIndex(r *http.Request) (int, any, error) {
 
 func (s *Server) handleSessionDropIndex(r *http.Request) (int, any, error) {
 	key := r.URL.Query().Get("key")
-	return s.sessionVerb(r, nil, http.StatusOK, func() error {
+	return s.sessionVerb(r, nil, http.StatusOK, func(*session) error {
 		if key == "" {
 			return errors.New("missing ?key=table(col,...)")
 		}
@@ -883,11 +902,12 @@ func (s *Server) handleSessionHorizontal(r *http.Request) (int, any, error) {
 func (s *Server) handleSessionEvaluate(r *http.Request) (int, any, error) {
 	var req workloadJSON
 	var wl *designer.Workload
-	return s.sessionVerb(r, &req, http.StatusOK, func() (err error) {
-		wl, err = s.workload(req)
+	return s.sessionVerb(r, &req, http.StatusOK, func(sess *session) (err error) {
+		wl, err = s.workload(req, sess.evaluated.Load())
 		return err
 	}, func(ctx context.Context, sess *session) (any, error) {
 		rep, err := sess.ds.Evaluate(ctx, wl)
+		sess.evaluated.Store(sess.ds.EvaluatedWorkload())
 		return toReportJSON(rep), err
 	})
 }
@@ -897,7 +917,7 @@ func (s *Server) handleSessionExplain(r *http.Request) (int, any, error) {
 		SQL string `json:"sql"`
 	}
 	var q designer.Query
-	return s.sessionVerb(r, &req, http.StatusOK, func() (err error) {
+	return s.sessionVerb(r, &req, http.StatusOK, func(*session) (err error) {
 		if req.SQL == "" {
 			return errors.New("missing sql")
 		}
@@ -932,7 +952,7 @@ type adviseRequestJSON struct {
 // isZero reports an empty request body — the /readvise "repeat the last
 // question" form.
 func (req *adviseRequestJSON) isZero() bool {
-	return len(req.SQL) == 0 && req.Queries == 0 && req.Seed == 0 &&
+	return req.SQL.empty() && req.Queries == 0 && req.Seed == 0 &&
 		req.BudgetPages == 0 && req.NodeBudget == 0 && !req.Partitions && !req.Interactions &&
 		!req.Projections && !req.AggViews
 }
@@ -952,7 +972,7 @@ func (req *adviseRequestJSON) options() designer.AdviceOptions {
 }
 
 func (s *Server) handleAdvise(r *http.Request, req *adviseRequestJSON) (int, any, error) {
-	wl, err := s.workload(req.workloadJSON)
+	wl, err := s.workload(req.workloadJSON, nil)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -1020,15 +1040,16 @@ func adviceResponse(advice *designer.Advice) map[string]any {
 func (s *Server) handleSessionAdvise(r *http.Request) (int, any, error) {
 	var req adviseRequestJSON
 	var wl *designer.Workload
-	return s.sessionVerb(r, &req, http.StatusOK, func() (err error) {
-		wl, err = s.workload(req.workloadJSON)
+	return s.sessionVerb(r, &req, http.StatusOK, func(sess *session) (err error) {
+		wl, err = s.workload(req.workloadJSON, sess.lastWl.Load())
 		return err
 	}, func(ctx context.Context, sess *session) (any, error) {
 		advice, err := sess.ds.Advise(ctx, wl, req.options())
 		if err != nil {
 			return nil, err
 		}
-		sess.lastReq, sess.lastWl = &req, wl
+		sess.lastReq = &req
+		sess.lastWl.Store(wl)
 		return adviceResponse(advice), nil
 	})
 }
@@ -1042,9 +1063,9 @@ func (s *Server) handleSessionAdvise(r *http.Request) (int, any, error) {
 func (s *Server) handleSessionReadvise(r *http.Request) (int, any, error) {
 	var req adviseRequestJSON
 	var wl *designer.Workload
-	return s.sessionVerb(r, &req, http.StatusOK, func() (err error) {
+	return s.sessionVerb(r, &req, http.StatusOK, func(sess *session) (err error) {
 		if !req.isZero() {
-			wl, err = s.workload(req.workloadJSON)
+			wl, err = s.workload(req.workloadJSON, sess.lastWl.Load())
 		}
 		return err
 	}, func(ctx context.Context, sess *session) (any, error) {
@@ -1053,17 +1074,18 @@ func (s *Server) handleSessionReadvise(r *http.Request) (int, any, error) {
 			// An empty body means "repeat the last question"; a session that
 			// never asked one gets an error — that beats fabricating a default
 			// workload on what is documented as the instant cached path.
-			if sess.lastWl == nil {
+			if wl = sess.lastWl.Load(); wl == nil {
 				return nil, errors.New("no previous advise question to repeat; send a workload (see POST /advise)")
 			}
-			asked, wl = sess.lastReq, sess.lastWl
+			asked = sess.lastReq
 		}
 		start := time.Now()
 		advice, stats, err := sess.ds.ReAdvise(ctx, wl, asked.options())
 		if err != nil {
 			return nil, err
 		}
-		sess.lastReq, sess.lastWl = asked, wl
+		sess.lastReq = asked
+		sess.lastWl.Store(wl)
 		resp := adviceResponse(advice)
 		resp["readvise"] = map[string]any{
 			"warm":                stats.Warm,

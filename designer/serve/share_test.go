@@ -82,15 +82,16 @@ func (f *shareFixture) evaluate(id string) {
 
 // TestRepeatedEvaluateParsesNothing holds the production path of tree
 // sharing to its allocation: a session's second evaluate of the same 300
-// statements finds every tree its first left in the session's delta state,
-// so the request allocates for its body, the decoded texts, the workload
-// and the reply, 200 KB, and parses nothing; one parse a statement would
+// statements finds them in the workload its delta state prices, so the
+// request decodes no text, builds no workload and parses nothing: it
+// allocates for its body and the reply, 102 KB. One parse a statement would
 // add 318 KB (1,059 B a statement, TestWorkloadFromSQLAllocationCeiling).
 // The same request allocated 559–581 KB while every evaluate parsed its
-// statements and a streaming decoder read its body. The ceiling sits a
-// tenth above.
+// statements and a streaming decoder read its body, and 200 KB while it
+// decoded the texts and built a workload of the trees its last one kept.
+// The ceiling sits a tenth above.
 func TestRepeatedEvaluateParsesNothing(t *testing.T) {
-	const ceilingKB = 220
+	const ceilingKB = 112
 	// One P: the reply encoder's buffer comes from a per-P sync.Pool, and a
 	// request served on the other P would grow a fresh one (64 KB).
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))

@@ -12,6 +12,7 @@ import (
 	"repro/internal/interaction"
 	"repro/internal/optimizer"
 	"repro/internal/whatif"
+	"repro/internal/workload"
 )
 
 // DesignSession is the interactive what-if session of Scenario 1: the user
@@ -263,6 +264,17 @@ func (s *DesignSession) Evaluate(ctx context.Context, w *Workload) (*Report, err
 // (0, 0 before any evaluation; all queries recost on a cold one).
 func (s *DesignSession) LastEvaluateDelta() (recosted, reused int) {
 	return s.lastRecosted, s.lastReused
+}
+
+// EvaluatedWorkload returns the workload the session's delta state prices —
+// the last Evaluate's, unless that one ran steered — or nil. It wraps the
+// state's own queries, so nothing is copied, and an Evaluate of it reuses
+// the state.
+func (s *DesignSession) EvaluatedWorkload() *Workload {
+	if s.evalState == nil {
+		return nil
+	}
+	return workloadFromInternal(&workload.Workload{Queries: s.evalState.Queries()})
 }
 
 // Explain renders the plan one query would take under the design.

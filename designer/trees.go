@@ -13,12 +13,13 @@ import (
 // treeTable holds at most one parsed, resolved tree per exact SQL text, and
 // holds it weakly: an entry lives only while something else — a workload, a
 // session's delta state, an INUM entry — holds its tree. A front door that
-// receives the same statements again (every evaluate of a what-if session
-// carries its whole workload) finds the trees of the last request instead of
-// parsing them again. A collected tree's cleanup removes its entry, so the
-// table has no size cap and no eviction policy. The cleanup holds the table
-// alone, never the designer, so a designer can be collected while a tree it
-// parsed lives on.
+// receives the same statements again (a what-if session's workload with one
+// statement edited, another session's copy of it) finds the trees of the
+// last request instead of parsing them again; a serve session's evaluate
+// that repeats its workload unchanged does not reach the table at all. A
+// collected tree's cleanup removes its entry, so the table has no size cap
+// and no eviction policy. The cleanup holds the table alone, never the
+// designer, so a designer can be collected while a tree it parsed lives on.
 //
 // A shared tree is immutable after Resolve: its analysis and key are
 // memoized on it, and nothing edits a statement once ParseQuery returns it

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"strings"
+	"unicode/utf8"
 )
 
 // NormCol is the single canonicalization rule for column (and table) names
@@ -125,6 +126,61 @@ func (ix *Index) Key() string {
 	default:
 		return base
 	}
+}
+
+// HasKey reports whether the structure's Key is key, without rendering the
+// key: a configuration's lookups compare every member with one key. It
+// reads Key's format piece by piece (TestHasKeyIsKeyEquality holds the two
+// together).
+func (ix *Index) HasKey(key string) bool {
+	rest, ok := cutNorm(key, ix.Table)
+	if ok {
+		rest, ok = cutList(rest, "(", ix.Columns)
+	}
+	switch {
+	case !ok:
+	case ix.Kind == KindProjection:
+		rest, ok = cutList(rest, " include(", ix.Include)
+	case ix.Kind == KindAggView:
+		rest, ok = cutList(rest, " agg(", ix.Aggs)
+	}
+	return ok && rest == ""
+}
+
+// cutList cuts open, the names canonicalized and joined by commas, and ")"
+// off the front of s.
+func cutList(s, open string, names []string) (string, bool) {
+	s, ok := strings.CutPrefix(s, open)
+	for i := 0; ok && i < len(names); i++ {
+		if i > 0 {
+			s, ok = strings.CutPrefix(s, ",")
+		}
+		if ok {
+			s, ok = cutNorm(s, names[i])
+		}
+	}
+	if ok {
+		s, ok = strings.CutPrefix(s, ")")
+	}
+	return s, ok
+}
+
+// cutNorm cuts NormCol(name) off the front of s. An ASCII name is lowered
+// byte by byte as it is compared; any other is lowered by NormCol itself.
+func cutNorm(s, name string) (string, bool) {
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if c >= utf8.RuneSelf {
+			return strings.CutPrefix(s, NormCol(name))
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if i == len(s) || s[i] != c {
+			return s, false
+		}
+	}
+	return s[len(name):], true
 }
 
 // String renders the structure in CREATE-ish form.
@@ -314,7 +370,7 @@ func (c *Configuration) WithoutIndex(key string) *Configuration {
 	out := c.Clone()
 	kept := out.Indexes[:0]
 	for _, ix := range out.Indexes {
-		if ix.Key() != key {
+		if !ix.HasKey(key) {
 			kept = append(kept, ix)
 		}
 	}
@@ -325,7 +381,7 @@ func (c *Configuration) WithoutIndex(key string) *Configuration {
 // HasIndex reports whether an index with the canonical key is present.
 func (c *Configuration) HasIndex(key string) bool {
 	for _, ix := range c.Indexes {
-		if ix.Key() == key {
+		if ix.HasKey(key) {
 			return true
 		}
 	}

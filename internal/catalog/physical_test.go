@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -169,4 +170,84 @@ func TestSetVerticalLowerCasesFragments(t *testing.T) {
 	go func() { done <- v.String() }()
 	NewConfiguration().SetVertical(v)
 	<-done
+}
+
+// TestHasKeyIsKeyEquality holds HasKey, which compares a structure with a
+// key without rendering one, to Key equality over generated designs of
+// every kind: plain indexes, projections and aggregate views, with names in
+// mixed case, names holding the key's own separators, and names whose
+// lower case is not byte for byte (NormCol's fallback). Each structure is
+// asked about every key of the design and about near misses of its own:
+// each proper prefix, the key extended, and the key with one byte changed.
+func TestHasKeyIsKeyEquality(t *testing.T) {
+	names := []string{"a", "B", "ra", "Dec", "PSFMAG_R", "a,b", "x)", "İd", "ΣUM", "ab", "A", ""}
+	aggs := []string{"count(*)", "SUM(psfmag_r)", "avg(Z)", "min(a,b)"}
+	rng := rand.New(rand.NewSource(1))
+	pick := func(from []string, min int) []string {
+		out := make([]string, min+rng.Intn(3))
+		for i := range out {
+			out[i] = from[rng.Intn(len(from))]
+		}
+		return out
+	}
+	var design []*Index
+	for i := 0; i < 300; i++ {
+		ix := &Index{Table: names[rng.Intn(len(names))], Columns: pick(names, 1), Kind: StructureKind(rng.Intn(3))}
+		switch ix.Kind {
+		case KindProjection:
+			ix.Include = pick(names, 0)
+		case KindAggView:
+			ix.Aggs = pick(aggs, 1)
+		}
+		design = append(design, ix)
+	}
+	ask := func(ix *Index, key string) {
+		if got, want := ix.HasKey(key), ix.Key() == key; got != want {
+			t.Fatalf("%q.HasKey(%q) = %v, Key equality says %v", ix.Key(), key, got, want)
+		}
+	}
+	kinds := map[StructureKind]int{}
+	for _, ix := range design {
+		kinds[ix.Kind]++
+		for _, other := range design {
+			ask(ix, other.Key())
+		}
+		key := ix.Key()
+		for n := 0; n < len(key); n++ {
+			ask(ix, key[:n])
+			ask(ix, key[:n]+"~"+key[n+1:])
+		}
+		ask(ix, key+")")
+		ask(ix, strings.ToUpper(key))
+	}
+	if len(kinds) != 3 {
+		t.Fatalf("the generated design covers %d kinds, want 3", len(kinds))
+	}
+	cfg := &Configuration{Indexes: design[:20]}
+	for _, ix := range design {
+		want := false
+		for _, member := range cfg.Indexes {
+			want = want || member.Key() == ix.Key()
+		}
+		if got := cfg.HasIndex(ix.Key()); got != want {
+			t.Fatalf("HasIndex(%q) = %v, want %v", ix.Key(), got, want)
+		}
+		if got := len(cfg.WithoutIndex(ix.Key()).Indexes); want == (got == len(cfg.Indexes)) {
+			t.Fatalf("WithoutIndex(%q) keeps %d of %d members, want a member gone: %v", ix.Key(), got, len(cfg.Indexes), want)
+		}
+	}
+}
+
+// TestHasKeyRendersNothing: comparing a member with a key is what COLT's
+// observe loop does for every hot candidate of every statement, and
+// rendering the member's key cost an allocation a member.
+func TestHasKeyRendersNothing(t *testing.T) {
+	cfg := &Configuration{Indexes: []*Index{
+		{Table: "PhotoObj", Columns: []string{"Type", "psfmag_r"}},
+		{Table: "photoobj", Columns: []string{"ra"}, Kind: KindProjection, Include: []string{"dec"}},
+		{Table: "photoobj", Columns: []string{"fieldid"}, Kind: KindAggView, Aggs: []string{"count(*)"}},
+	}}
+	if allocs := testing.AllocsPerRun(100, func() { cfg.HasIndex("specobj(z)") }); allocs != 0 {
+		t.Fatalf("HasIndex over three members allocates %.0f times, want 0", allocs)
+	}
 }

@@ -160,6 +160,10 @@ func (st *EvalState) Reusable(v *View, w *workload.Workload) bool {
 	return st != nil && st.snap == v.s && workload.SameQueries(st.queries, w.Queries)
 }
 
+// Queries is the workload the state priced, in order: the state's own
+// slice, read-only like the state.
+func (st *EvalState) Queries() []workload.Query { return st.queries }
+
 // EvaluateDelta is Evaluate with warm-start: it returns the benefit report
 // for cfg plus an EvalState for the next call. When prev is reusable (same
 // pinned generation, same workload) only the queries whose relevant design
