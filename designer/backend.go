@@ -119,14 +119,6 @@ func (spec BackendSpec) internal() (engine.BackendSpec, error) {
 	return out, nil
 }
 
-// IsNative reports whether the spec resolves to the default native backend
-// with no extra parameters.
-func (spec BackendSpec) IsNative() bool {
-	return (spec.Kind == "" || spec.Kind == BackendNative) &&
-		spec.CalibrationFile == "" && spec.Calibration == nil &&
-		spec.DSN == "" && spec.LiveTraceFile == ""
-}
-
 // inherit reports whether the spec leaves the backend choice entirely to
 // its surroundings (a zero value). An explicit Kind — even "native" — is a
 // choice, not an inheritance: a session asking for "native" on a

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/designer"
 	"repro/designer/serve/admission"
 	"repro/designer/serve/metrics"
 	"repro/designer/serve/sessionmgr"
@@ -90,7 +91,7 @@ func (s *Server) releaseSession(sess *session, reason string) {
 		sess.mu.Lock()
 		sess.gone = reason
 		sess.ds = nil
-		sess.lastReq = nil
+		sess.lastOpts = designer.AdviceOptions{}
 		sess.lastWl.Store(nil)
 		sess.evaluated.Store(nil)
 		sess.mu.Unlock()

@@ -12,7 +12,9 @@ import (
 )
 
 // sqlList is a request's "sql" value as it arrived: the raw JSON, a
-// sub-slice of the body readJSON read, which nothing else holds or reuses.
+// sub-slice of the body readJSON read. It lives as long as its request:
+// a session keeps what it needs of an advise request (its options and the
+// resolved workload), never the request, so no session holds a body.
 // It is decoded into texts only when the workload the session already
 // holds does not list them (Server.workload), so a what-if loop that sends
 // its session's workload with every evaluate pays no string for it.

@@ -149,11 +149,12 @@ type session struct {
 	// raced the release answers from it instead of touching a nil ds.
 	gone string
 
-	// lastReq/lastWl remember the most recent advise question so an
+	// lastOpts/lastWl remember the most recent advise question so an
 	// empty-body /readvise repeats it. Written under mu like the session;
 	// lastWl is also read outside it, to match a request's "sql" against.
-	lastReq *adviseRequestJSON
-	lastWl  atomic.Pointer[designer.Workload]
+	// Neither holds the request, whose "sql" is a slice of its body.
+	lastOpts designer.AdviceOptions
+	lastWl   atomic.Pointer[designer.Workload]
 	// evaluated is the workload the session's delta state prices,
 	// published after each evaluate: the next evaluate whose "sql" lists
 	// the same statements is resolved to it outside the work lock
@@ -1044,11 +1045,12 @@ func (s *Server) handleSessionAdvise(r *http.Request) (int, any, error) {
 		wl, err = s.workload(req.workloadJSON, sess.lastWl.Load())
 		return err
 	}, func(ctx context.Context, sess *session) (any, error) {
-		advice, err := sess.ds.Advise(ctx, wl, req.options())
+		opts := req.options()
+		advice, err := sess.ds.Advise(ctx, wl, opts)
 		if err != nil {
 			return nil, err
 		}
-		sess.lastReq = &req
+		sess.lastOpts = opts
 		sess.lastWl.Store(wl)
 		return adviceResponse(advice), nil
 	})
@@ -1069,7 +1071,7 @@ func (s *Server) handleSessionReadvise(r *http.Request) (int, any, error) {
 		}
 		return err
 	}, func(ctx context.Context, sess *session) (any, error) {
-		asked := &req
+		opts := req.options()
 		if req.isZero() {
 			// An empty body means "repeat the last question"; a session that
 			// never asked one gets an error — that beats fabricating a default
@@ -1077,14 +1079,14 @@ func (s *Server) handleSessionReadvise(r *http.Request) (int, any, error) {
 			if wl = sess.lastWl.Load(); wl == nil {
 				return nil, errors.New("no previous advise question to repeat; send a workload (see POST /advise)")
 			}
-			asked = sess.lastReq
+			opts = sess.lastOpts
 		}
 		start := time.Now()
-		advice, stats, err := sess.ds.ReAdvise(ctx, wl, asked.options())
+		advice, stats, err := sess.ds.ReAdvise(ctx, wl, opts)
 		if err != nil {
 			return nil, err
 		}
-		sess.lastReq = asked
+		sess.lastOpts = opts
 		sess.lastWl.Store(wl)
 		resp := adviceResponse(advice)
 		resp["readvise"] = map[string]any{

@@ -28,9 +28,9 @@
 // candidate enumeration and advice are bit-identical to the index-only
 // designer. See README.md ("Design space"). All cost
 // estimation is unified behind repro/internal/engine: an Engine builds
-// immutable, versioned generations of the optimizer environment, the
-// what-if session and the cost backend (a new one after Materialize or
-// Analyze), and a pinned View of one generation is the only what-if
+// immutable, versioned generations of the optimizer environment and the
+// what-if session (a new one after Materialize or Analyze), and a pinned
+// View of one generation, with its own INUM cache, is the only what-if
 // interface — every advisor, session, observation and facade call pins
 // once and asks all its costing questions, sweeps over a bounded worker
 // pool included, on that view, so an answer never mixes two generations.
@@ -38,11 +38,12 @@
 // terms of every structure the view numbered, and the index advisors price
 // sets of candidate ordinals (engine.Pricing) as min-plus sums over them.
 //
-// Costing itself is pluggable — the paper's "portable" pillar: the engine
-// delegates every pricing call to a CostBackend. Two ship in-tree: native
-// (built-in optimizer + INUM cache) and calibrated (the same analytical
-// machinery on PostgreSQL-style cost constants loaded from a JSON
-// calibration file). The facade adds live: a calibrated backend whose
+// The cost model is swappable — the paper's "portable" pillar: a backend
+// is the cost constants a generation's environment plans with, and every
+// plan search and INUM entry of a view prices under them. Two ship
+// in-tree: native (the built-in optimizer's constants) and calibrated (the
+// same analytical machinery on PostgreSQL-style cost constants loaded from
+// a JSON calibration file). The facade adds live: a calibrated backend whose
 // constants are fitted from a PostgreSQL server's planner settings
 // (internal/livedb). Select a backend at open time (designer.WithBackend),
 // per interactive session (designer.SessionOptions / the serve API's

@@ -102,11 +102,7 @@ func NewEnv(sizeName string, seed int64, profile string, numQ int, spec engine.B
 // exercise the public v2 pipeline and must not poison the shared engine's
 // caches.
 func (e *Env) freshFacade() (*designer.Designer, *designer.Workload, error) {
-	opts := []designer.Option{}
-	if spec := e.designerSpec(); !spec.IsNative() {
-		opts = append(opts, designer.WithBackend(spec))
-	}
-	d, err := designer.OpenSDSS(e.SizeName, e.Seed, opts...)
+	d, err := designer.OpenSDSS(e.SizeName, e.Seed, designer.WithBackend(e.designerSpec()))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -171,6 +172,22 @@ func TestPinBackendIsolated(t *testing.T) {
 		t.Fatalf("engine costing changed after PinBackend: %v != %v", again, native)
 	}
 
+	// The plan-search doors price under the view's own constants too: each
+	// equals, bit for bit, the same door on an engine opened calibrated, and
+	// differs from the native view's.
+	opened := newBackendFixture(t, engine.BackendSpec{Kind: engine.BackendCalibrated})
+	want, got, nat := planDoors(t, opened.v, f, q, cfg), planDoors(t, cv, f, q, cfg), planDoors(t, f.v, f, q, cfg)
+	for d, door := range want {
+		for i := range door.costs {
+			if math.Float64bits(got[d].costs[i]) != math.Float64bits(door.costs[i]) {
+				t.Fatalf("%s reading %d: the PinBackend view reads %v, a calibrated engine %v", door.name, i, got[d].costs[i], door.costs[i])
+			}
+		}
+		if slices.Equal(got[d].costs, nat[d].costs) {
+			t.Errorf("%s: the calibrated view reads the native view's %v", door.name, got[d].costs)
+		}
+	}
+
 	f.eng.SetBaseConfig(cfg)
 	kept, err := cv.QueryCost(q, cfg)
 	if err != nil {
@@ -179,6 +196,57 @@ func TestPinBackendIsolated(t *testing.T) {
 	if kept != calib || cv.Backend().Kind != engine.BackendCalibrated || cv.Version() != f.v.Version() {
 		t.Fatalf("derived view moved with the engine: cost %v (was %v), backend %q, version %d",
 			kept, calib, cv.Backend().Kind, cv.Version())
+	}
+}
+
+// door is what one of a view's plan-search doors reads.
+type door struct {
+	name  string
+	costs []float64
+}
+
+// planDoors reads v's plan-search doors on the fixture's workload plus the
+// probe query: FullCost of the probe, Evaluate, EvaluateDelta cold and
+// then one delta that adds a covering index for the probe, and the cost
+// constants.
+func planDoors(t *testing.T, v *engine.View, f *fixture, q workload.Query, cfg *catalog.Configuration) []door {
+	t.Helper()
+	ctx := context.Background()
+	w := &workload.Workload{Queries: append(slices.Clone(f.w.Queries), q)}
+	covering, err := f.v.Session().HypotheticalIndex("photoobj", "psfmag_r", "objid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := cfg, cfg.WithIndex(covering)
+	full, err := v.FullCost(q.Stmt, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := func(r *whatif.Report) []float64 {
+		return append(append(slices.Clone(r.Base), r.New...), r.BaseTotal, r.NewTotal)
+	}
+	ev, err := v.Evaluate(ctx, w, second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, st, err := v.EvaluateDelta(ctx, w, first, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta, next, err := v.EvaluateDelta(ctx, w, second, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.Recosted == 0 || next.Reused == 0 {
+		t.Fatalf("the delta recosted %d queries and reused %d: it shows neither path", next.Recosted, next.Reused)
+	}
+	p := v.Params()
+	return []door{
+		{"FullCost", []float64{full}},
+		{"Evaluate", rows(ev)},
+		{"EvaluateDelta cold", rows(cold)},
+		{"EvaluateDelta delta", rows(delta)},
+		{"Params", []float64{p.SeqPageCost, p.RandomPageCost, p.CPUTupleCost, p.CPUIndexTupleCost, p.CPUOperatorCost, p.EffectiveCacheSize}},
 	}
 }
 

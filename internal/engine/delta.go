@@ -170,8 +170,8 @@ func (st *EvalState) Queries() []workload.Query { return st.queries }
 // slices differ between prev's configuration and cfg are recosted; the rest
 // keep prev's costs. The returned report is bit-identical to a cold
 // Evaluate of the same (workload, cfg) — per-query costs are either
-// recomputed by the exact same backend call or reused from a previous run
-// of that call, and totals are summed in the same order (differential-tested
+// recomputed by the exact same plan search or reused from a previous run
+// of that search, and totals are summed in the same order (differential-tested
 // in delta_test.go).
 //
 // Pass a nil prev (or an incompatible one) for a cold evaluation that
@@ -190,7 +190,7 @@ func (v *View) EvaluateDelta(ctx context.Context, w *workload.Workload, cfg *cat
 		news := slices.Clone(rep.New)
 		err := v.e.sweep(ctx, len(affected), func(k int) error {
 			q := w.Queries[affected[k]]
-			nw, err := v.backend.StmtCost(q.Stmt, newCfg)
+			nw, err := v.s.env.CostUnder(q.Stmt, newCfg)
 			if err != nil {
 				return fmt.Errorf("engine: %s: %w", q.ID, err)
 			}

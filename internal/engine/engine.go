@@ -10,13 +10,13 @@
 // construct it, Pin a generation, reconfigure it through the two doors the
 // product uses (SetBaseConfig after Materialize, SetStats after Analyze),
 // bound its worker pool, read its counters. *View is one pinned generation
-// plus the cost backend built for it, and the only what-if interface:
+// plus the INUM cache built for it, and the only what-if interface:
 // sizing, candidates, prepare, query and workload costs, plans, sweeps and
 // benefit reports are all methods on a view. A question — one advisor run,
 // one design session, one observation, one autopilot epoch, one facade call
 // — pins once and passes the view down, so it is answered on one generation
 // by construction; there is no call that pins on the caller's behalf. Every
-// pin builds a fresh backend, so a question only ever reads INUM entries it
+// pin builds a fresh INUM cache, so a question only ever reads entries it
 // built itself, and they are released when its view is dropped. Which
 // entries a view prices from is fixed when it is pinned: a design view
 // (Pin, PinBackend) reads each query's complete entry, an online view
@@ -24,9 +24,11 @@
 // one. Every door builds the entries it lacks, so within a view an answer
 // does not depend on the calls made before it, and no caller prepares.
 //
-// Costing itself is pluggable (backend.go): a view delegates every
-// query/statement pricing call to its CostBackend — native (built-in
-// optimizer + INUM) or calibrated (JSON-loaded or fitted cost constants) —
+// A view prices two ways, both under its generation's cost constants: from
+// its INUM entries (QueryCost, WorkloadCost, the sweeps, Pricing), or by a
+// full plan search, the generation environment's CostUnder (FullCost,
+// Evaluate, EvaluateDelta, EvaluateSteered). The constants are the cost
+// backend (backend.go) — native or calibrated (JSON-loaded or fitted) —
 // which is what makes the designer portable across cost models. The
 // backend kind is chosen when the engine is opened (NewWithBackend) or per
 // pinned view (PinBackend).
@@ -79,7 +81,7 @@ type Engine struct {
 	// workers bounds sweep parallelism; 0 means GOMAXPROCS.
 	workers int
 
-	// counters tallies the costing work of every backend the engine builds,
+	// counters tallies the costing work of every view the engine pins,
 	// over its whole life.
 	counters inum.Counters
 }
@@ -134,22 +136,31 @@ func (e *Engine) snapshot() *snapshot {
 	return e.snap
 }
 
-// View is one pinned configuration generation of the engine with the cost
-// backend built for it, and the one what-if interface: every costing,
+// View is one pinned configuration generation of the engine with the INUM
+// cache built for it, and the one what-if interface: every costing,
 // sizing and planning call is a method on a view, so a question that spans
 // many of them (base costs, many sweeps) is answered on one generation —
 // environment, session, statistics and base design — even if the engine is
-// reconfigured concurrently. The backend and its INUM entries
-// are the view's own: no other view reads them, and they go when the view
-// does. The caller pins once per question and passes the view down; the
-// next question picks up the new generation and starts from empty caches.
+// reconfigured concurrently. The cache and its entries are the view's own:
+// no other view reads them, and they go when the view does. The caller
+// pins once per question and passes the view down; the next question picks
+// up the new generation and starts from an empty cache.
 type View struct {
-	e       *Engine
-	s       *snapshot
-	backend CostBackend
+	e     *Engine
+	s     *snapshot
+	spec  BackendSpec
+	cache *inum.Cache
+	// entry returns a statement's entry of the kind the view prices from,
+	// building it when the cache lacks it: Cache.Prepare's complete entry
+	// for a design view, Cache.OnDemand's (one optimization, the no-order
+	// template) for an online view, whose question prices a streamed
+	// statement once or twice. The on-demand entry is kept by measurement
+	// (package inum): order templates built lazily read the complete entry
+	// exactly but cost more optimizations than they save.
+	entry func(*sqlparse.SelectStmt) (*inum.CachedQuery, error)
 }
 
-// Pin captures the current generation and builds a fresh backend over it:
+// Pin captures the current generation and builds a fresh INUM cache over it:
 // a design view, pricing every query from its complete INUM entry. The
 // returned view is unaffected by subsequent SetBaseConfig/SetStats calls.
 func (e *Engine) Pin() *View { return e.view(e.snapshot(), e.spec, false) }
@@ -172,9 +183,15 @@ func (e *Engine) PinBackend(spec BackendSpec) (*View, error) {
 	return e.view(e.build(cur.stats, cur.base, spec, cur.version), spec, false), nil
 }
 
-// view builds the backend a pinned generation prices through.
+// view builds the INUM cache a pinned generation prices through.
 func (e *Engine) view(s *snapshot, spec BackendSpec, online bool) *View {
-	return &View{e: e, s: s, backend: spec.backend(s.env, &e.counters, online)}
+	v := &View{e: e, s: s, spec: spec, cache: inum.New(s.env, &e.counters)}
+	if online {
+		v.entry = v.cache.OnDemand
+	} else {
+		v.entry = func(stmt *sqlparse.SelectStmt) (*inum.CachedQuery, error) { return v.cache.Prepare("", stmt, nil) }
+	}
+	return v
 }
 
 // Version reports the pinned generation. It increments every time the base
@@ -193,12 +210,10 @@ func (v *View) Session() *whatif.Session { return v.s.session }
 func (v *View) Stats() *stats.Catalog { return v.s.stats }
 
 // Params returns the pinned generation's cost parameters (the backend's).
-func (v *View) Params() optimizer.CostParams { return v.backend.Params() }
+func (v *View) Params() optimizer.CostParams { return v.s.env.Params }
 
 // Backend describes the pinned generation's cost backend.
-func (v *View) Backend() BackendInfo {
-	return BackendInfo{Kind: v.backend.Kind(), Description: v.backend.Describe()}
-}
+func (v *View) Backend() BackendInfo { return v.spec.info() }
 
 // SessionWith returns a throwaway what-if session over the pinned base
 // configuration, statistics, and backend cost constants with the given
@@ -273,68 +288,69 @@ func (s *snapshot) resolve(cfg *catalog.Configuration) *catalog.Configuration {
 // Prepare: it is a pre-warm. What is built for a query depends on its
 // statement alone; the third argument is ignored and is still there only
 // because the benchmark module, which no code change may edit, passes one
-// (ROADMAP 6(g)). A statement whose text the backend already holds, under
+// (ROADMAP 6(g)). A statement whose text the view already holds, under
 // any ID or parse, costs one lookup and builds nothing. A query's ID only
 // labels its error. A cancelled context aborts between queries.
 func (v *View) Prepare(ctx context.Context, w *workload.Workload, _ []*catalog.Index) error {
-	return v.e.sweep(ctx, len(w.Queries), func(i int) error {
-		if err := v.backend.Prepare(w.Queries[i].Stmt); err != nil {
+	_, err := v.entries(ctx, w)
+	return err
+}
+
+// QueryCost prices one query under a configuration from its INUM entry
+// (nil = the pinned base configuration).
+func (v *View) QueryCost(q workload.Query, cfg *catalog.Configuration) (float64, error) {
+	cq, err := v.entry(q.Stmt)
+	if err != nil {
+		return 0, fmt.Errorf("%s: %w", q.ID, err)
+	}
+	return v.cache.CostFor(cq, v.s.resolve(cfg))
+}
+
+// WorkloadCost sums weighted query costs from their INUM entries under a
+// configuration (nil = base) against the pinned generation.
+func (v *View) WorkloadCost(ctx context.Context, w *workload.Workload, cfg *catalog.Configuration) (float64, error) {
+	entries, err := v.entries(ctx, w)
+	if err != nil {
+		return 0, err
+	}
+	return v.workloadCost(w, entries, v.s.resolve(cfg)), nil
+}
+
+// entries resolves the workload's queries to their entries in one pass on
+// the sweep pool, building the ones the view lacks, once for however many
+// configurations the caller then prices.
+func (v *View) entries(ctx context.Context, w *workload.Workload) ([]*inum.CachedQuery, error) {
+	entries := make([]*inum.CachedQuery, len(w.Queries))
+	err := v.e.sweep(ctx, len(w.Queries), func(i int) error {
+		cq, err := v.entry(w.Queries[i].Stmt)
+		if err != nil {
 			return fmt.Errorf("engine: %s: %w", w.Queries[i].ID, err)
 		}
+		entries[i] = cq
 		return nil
 	})
-}
-
-// QueryCost prices one query under a configuration through the pinned
-// backend's cached path (nil = the pinned base configuration).
-func (v *View) QueryCost(q workload.Query, cfg *catalog.Configuration) (float64, error) {
-	cache, entries, err := v.backend.Entries([]workload.Query{q})
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	return cache.CostFor(entries[0], v.s.resolve(cfg))
-}
-
-// WorkloadCost sums weighted backend query costs under a configuration
-// (nil = base) against the pinned generation.
-func (v *View) WorkloadCost(ctx context.Context, w *workload.Workload, cfg *catalog.Configuration) (float64, error) {
-	cache, entries, err := v.entries(ctx, w)
-	if err != nil {
-		return 0, err
-	}
-	return workloadCost(w, cache, entries, v.s.resolve(cfg)), nil
-}
-
-// entries builds the workload's missing entries on the sweep pool, then
-// resolves its queries against the backend, once for however many
-// configurations the caller then prices.
-func (v *View) entries(ctx context.Context, w *workload.Workload) (*inum.Cache, []*inum.CachedQuery, error) {
-	if err := v.Prepare(ctx, w, nil); err != nil {
-		return nil, nil, err
-	}
-	cache, entries, err := v.backend.Entries(w.Queries)
-	if err != nil {
-		return nil, nil, fmt.Errorf("engine: %w", err)
-	}
-	return cache, entries, nil
+	return entries, nil
 }
 
 // workloadCost sums the weighted costs of w's queries, whose entries these
 // are, under one configuration.
-func workloadCost(w *workload.Workload, cache *inum.Cache, entries []*inum.CachedQuery, cfg *catalog.Configuration) float64 {
+func (v *View) workloadCost(w *workload.Workload, entries []*inum.CachedQuery, cfg *catalog.Configuration) float64 {
 	var total float64
 	for i, q := range w.Queries {
-		c, _ := cache.CostFor(entries[i], cfg)
+		c, _ := v.cache.CostFor(entries[i], cfg)
 		total += c * q.Weight
 	}
 	return total
 }
 
-// FullCost prices a statement with the backend's reference model (the full
-// optimizer) against the pinned generation, bypassing the cached path — the
-// E8 comparison baseline and the exactness fallback.
+// FullCost prices a statement with a full plan search under the backend's
+// cost constants against the pinned generation, bypassing the cached path —
+// the E8 comparison baseline and the exactness fallback.
 func (v *View) FullCost(stmt *sqlparse.SelectStmt, cfg *catalog.Configuration) (float64, error) {
-	return v.backend.StmtCost(stmt, v.s.resolve(cfg))
+	return v.s.env.CostUnder(stmt, v.s.resolve(cfg))
 }
 
 // Optimize plans a statement under a configuration (nil = base) and returns

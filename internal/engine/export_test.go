@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/catalog"
 	"repro/internal/workload"
@@ -15,13 +16,13 @@ var AffectedQueries = affectedQueries
 // against the pinned view: the door the index advisors used before they
 // priced sets of numbered structures, kept for the view twins.
 func (v *View) SweepQueryConfigs(ctx context.Context, q workload.Query, cfgs []*catalog.Configuration) ([]float64, error) {
-	cache, entries, err := v.backend.Entries([]workload.Query{q})
+	cq, err := v.entry(q.Stmt)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", q.ID, err)
 	}
 	costs := make([]float64, len(cfgs))
 	err = v.e.sweep(ctx, len(cfgs), func(i int) error {
-		c, err := cache.CostFor(entries[0], v.s.resolve(cfgs[i]))
+		c, err := v.cache.CostFor(cq, v.s.resolve(cfgs[i]))
 		costs[i] = c
 		return err
 	})

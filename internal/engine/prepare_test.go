@@ -14,29 +14,21 @@ import (
 	"repro/internal/workload"
 )
 
-// countingBackend wraps a view's CostBackend and counts its Prepare calls
-// into its prepareCounter — the probe for how often a sweep's prepare pass
-// reaches the backend.
-type countingBackend struct {
-	CostBackend
-	prepares *atomic.Int64
-}
-
-func (c *countingBackend) Prepare(stmt *sqlparse.SelectStmt) error {
-	c.prepares.Add(1)
-	return c.CostBackend.Prepare(stmt)
-}
-
-// prepareCounter counts the Prepare calls that reach the backends of the
-// views pinned through it.
+// prepareCounter counts the calls that reach the entry doors of the views
+// pinned through it — the probe for how often a sweep's resolving pass
+// asks a view's cache for a statement's entry.
 type prepareCounter struct {
 	prepares atomic.Int64
 }
 
-// pin pins a view whose backend counts its Prepare calls into pc.
+// pin pins a view whose entry door counts its calls into pc.
 func (pc *prepareCounter) pin(e *Engine) *View {
 	v := e.Pin()
-	v.backend = &countingBackend{CostBackend: v.backend, prepares: &pc.prepares}
+	entry := v.entry
+	v.entry = func(stmt *sqlparse.SelectStmt) (*inum.CachedQuery, error) {
+		pc.prepares.Add(1)
+		return entry(stmt)
+	}
 	return v
 }
 
@@ -64,7 +56,7 @@ func fullOpts(e *Engine) int64 {
 
 // TestSweepPreparesWorkloadOnce is the regression test for the per-sweep
 // re-prepare bug: a view's first sweep builds every query's templates
-// exactly once (its prepare pass makes one backend call per query), and
+// exactly once (its resolving pass makes one entry call per query), and
 // every later sweep of the same workload on the same view builds nothing —
 // its prepare pass is answered from the view's cache, so the engine's
 // full-optimization counter does not move.
@@ -79,7 +71,7 @@ func TestSweepPreparesWorkloadOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := cb.prepares.Load(); got != int64(len(w.Queries)) {
-		t.Fatalf("first sweep made %d Prepare calls, want %d", got, len(w.Queries))
+		t.Fatalf("first sweep made %d entry calls, want %d", got, len(w.Queries))
 	}
 	afterFirst := fullOpts(e)
 	if afterFirst == 0 {
@@ -115,7 +107,7 @@ func TestExplicitPrepareSkipsSweepPrepare(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := cb.prepares.Load(); got != int64(len(w.Queries)) {
-		t.Fatalf("Prepare made %d backend calls, want %d", got, len(w.Queries))
+		t.Fatalf("Prepare made %d entry calls, want %d", got, len(w.Queries))
 	}
 	afterPrepare := fullOpts(e)
 	if afterPrepare == 0 {
@@ -146,7 +138,7 @@ func TestNewGenerationRePrepares(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := cb.prepares.Load(); got != int64(len(w.Queries)) {
-		t.Fatalf("post-invalidation sweep made %d Prepare calls, want %d", got, len(w.Queries))
+		t.Fatalf("post-invalidation sweep made %d entry calls, want %d", got, len(w.Queries))
 	}
 	if got := fullOpts(e); got != 2*built {
 		t.Fatalf("post-invalidation sweep: %d full optimizations in all, want %d (the first view's %d again)", got, 2*built, built)
@@ -268,7 +260,7 @@ func TestViewBuildsEachStatementOnce(t *testing.T) {
 		t.Fatalf("alternating two workloads numbered alike built %d full optimizations after priming, want 0", built)
 	}
 
-	cache := v.backend.(*envBackend).cache
+	cache := v.cache
 	again := &workload.Workload{}
 	for _, q := range w.Queries {
 		again.Queries = append(again.Queries, workload.Query{ID: "re-" + q.ID, SQL: q.SQL, Weight: q.Weight, Stmt: parsed(t, e, q.Stmt.String())})

@@ -9,7 +9,6 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/inum"
 	"repro/internal/optimizer"
-	"repro/internal/sqlparse"
 	"repro/internal/whatif"
 	"repro/internal/workload"
 )
@@ -110,18 +109,18 @@ func (e *Engine) sweep(ctx context.Context, n int, fn func(i int) error) error {
 }
 
 // SweepConfigs prices the whole workload under every configuration in
-// parallel against the pinned generation, through the backend's cached
-// path. costs[i] corresponds to cfgs[i]; a nil configuration means the
-// pinned base. Results are identical to calling WorkloadCost serially per
+// parallel against the pinned generation, from the queries' INUM entries.
+// costs[i] corresponds to cfgs[i]; a nil configuration means the pinned
+// base. Results are identical to calling WorkloadCost serially per
 // configuration.
 func (v *View) SweepConfigs(ctx context.Context, w *workload.Workload, cfgs []*catalog.Configuration) ([]float64, error) {
-	cache, entries, err := v.entries(ctx, w)
+	entries, err := v.entries(ctx, w)
 	if err != nil {
 		return nil, err
 	}
 	costs := make([]float64, len(cfgs))
 	err = v.e.sweep(ctx, len(cfgs), func(i int) error {
-		costs[i] = workloadCost(w, cache, entries, v.s.resolve(cfgs[i]))
+		costs[i] = v.workloadCost(w, entries, v.s.resolve(cfgs[i]))
 		return nil
 	})
 	if err != nil {
@@ -139,7 +138,6 @@ func (v *View) SweepConfigs(ctx context.Context, w *workload.Workload, cfgs []*c
 type Pricing struct {
 	v       *View
 	w       *workload.Workload
-	cache   *inum.Cache
 	entries []*inum.CachedQuery
 	ords    inum.Ordinals
 }
@@ -148,16 +146,16 @@ type Pricing struct {
 // numbers the structures; their list should hold one structure per key, as
 // a configuration does.
 func (v *View) Pricing(ctx context.Context, w *workload.Workload, structs []*catalog.Index) (*Pricing, error) {
-	cache, entries, err := v.entries(ctx, w)
+	entries, err := v.entries(ctx, w)
 	if err != nil {
 		return nil, err
 	}
-	return &Pricing{v: v, w: w, cache: cache, entries: entries, ords: cache.Number(structs)}, nil
+	return &Pricing{v: v, w: w, entries: entries, ords: v.cache.Number(structs)}, nil
 }
 
 // QueryCost prices query i of the workload under the set.
 func (p *Pricing) QueryCost(i int, set []int) float64 {
-	return p.cache.CostOf(p.entries[i], p.ords, set)
+	return p.v.cache.CostOf(p.entries[i], p.ords, set)
 }
 
 // Cost sums the weighted query costs under the set, in query order.
@@ -191,40 +189,39 @@ func (p *Pricing) sweep(ctx context.Context, sets [][]int, price func([]int) flo
 }
 
 // Evaluate costs every query under the pinned base and the hypothetical
-// configuration with the backend's reference model (the full optimizer
-// under the backend's cost constants) and returns the two weighted cost
-// vectors, in workload order, with their totals: the numbers the demo's
-// Scenario 1/2 panels display, each row labelled by the caller with the
-// workload's query of the same index. A design session pinned at
-// creation keeps evaluating against its generation (and its backend) even
-// if the engine is reconfigured. Queries are priced in parallel, and
-// results are deterministic and identical to a serial loop over FullCost.
+// configuration with a full plan search under the backend's cost constants
+// and returns the two weighted cost vectors, in workload order, with their
+// totals: the numbers the demo's Scenario 1/2 panels display, each row
+// labelled by the caller with the workload's query of the same index. A
+// design session pinned at creation keeps evaluating against its
+// generation (and its backend) even if the engine is reconfigured. Queries
+// are priced in parallel, and results are deterministic and identical to a
+// serial loop over FullCost.
 func (v *View) Evaluate(ctx context.Context, w *workload.Workload, cfg *catalog.Configuration) (*whatif.Report, error) {
-	return v.evaluate(ctx, w, cfg, v.backend.StmtCost)
+	return v.evaluate(ctx, w, cfg, v.s.env)
 }
 
 // EvaluateSteered is Evaluate with per-session join steering: every query is
-// planned by a throwaway what-if session carrying the optimizer switches
-// (SessionWith), on the same worker pool and with the same first-index error
-// and cancellation behaviour as Evaluate. The backend's cost constants still
+// planned under the generation's environment with the optimizer switches
+// applied, on the same worker pool and with the same first-index error and
+// cancellation behaviour as Evaluate. The backend's cost constants still
 // apply.
 func (v *View) EvaluateSteered(ctx context.Context, w *workload.Workload, cfg *catalog.Configuration, opts optimizer.Options) (*whatif.Report, error) {
-	return v.evaluate(ctx, w, cfg, v.SessionWith(opts).Cost)
+	return v.evaluate(ctx, w, cfg, v.s.env.WithOptions(opts))
 }
 
-// evaluate prices every query under the pinned base and under cfg with the
-// given statement-costing function and folds the benefit report.
-func (v *View) evaluate(ctx context.Context, w *workload.Workload, cfg *catalog.Configuration,
-	cost func(*sqlparse.SelectStmt, *catalog.Configuration) (float64, error)) (*whatif.Report, error) {
+// evaluate prices every query under the pinned base and under cfg with a
+// plan search in env and folds the benefit report.
+func (v *View) evaluate(ctx context.Context, w *workload.Workload, cfg *catalog.Configuration, env *optimizer.Env) (*whatif.Report, error) {
 	newCfg := v.s.resolve(cfg)
 	rep := &whatif.Report{Base: make([]float64, len(w.Queries)), New: make([]float64, len(w.Queries))}
 	err := v.e.sweep(ctx, len(w.Queries), func(i int) error {
 		q := w.Queries[i]
-		bc, err := cost(q.Stmt, v.s.base)
+		bc, err := env.CostUnder(q.Stmt, v.s.base)
 		if err != nil {
 			return fmt.Errorf("engine: %s: %w", q.ID, err)
 		}
-		nc, err := cost(q.Stmt, newCfg)
+		nc, err := env.CostUnder(q.Stmt, newCfg)
 		if err != nil {
 			return fmt.Errorf("engine: %s: %w", q.ID, err)
 		}

@@ -202,7 +202,7 @@ func TestEveryDoorReadsTheViewsEntries(t *testing.T) {
 				if built := fullOpts(e) - before; built != int64(len(distinct)) {
 					t.Errorf("%s: an online view spent %d full optimizations on %d statements, want one each", cell, built, len(distinct))
 				}
-				cache := online.backend.(*envBackend).cache
+				cache := online.cache
 				for _, q := range w.Queries {
 					entry, err := cache.OnDemand(q.Stmt)
 					if err != nil {
