@@ -52,13 +52,23 @@ func runServe(args []string, ctl *serveControl) error {
 		serve.WithTenantQuota(*tenantQuota),
 	}
 	d.SetWorkers(*workers)
-	srv := serve.New(d, opts...)
-	if err := srv.Start(*addr); err != nil {
+	if ctl != nil {
+		ctl.d = d
+	}
+	return serveUntilStopped(serve.New(d, opts...), *addr, *grace, ctl, func(addr string) {
+		fmt.Fprintf(os.Stderr, "dbdesigner: serving the design API on http://%s/api/v1/\n", addr)
+	})
+}
+
+// serveUntilStopped starts srv on addr, announces the bound address and
+// hands it to ctl.ready, waits for SIGINT/SIGTERM or ctl.stop, then shuts
+// srv down gracefully within grace.
+func serveUntilStopped(srv *serve.Server, addr string, grace time.Duration, ctl *serveControl, announce func(addr string)) error {
+	if err := srv.Start(addr); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "dbdesigner: serving the design API on http://%s/api/v1/\n", srv.Addr())
+	announce(srv.Addr())
 	if ctl != nil && ctl.ready != nil {
-		ctl.d = d
 		ctl.ready <- srv.Addr()
 	}
 
@@ -74,7 +84,7 @@ func runServe(args []string, ctl *serveControl) error {
 		fmt.Fprintf(os.Stderr, "dbdesigner: %v received, shutting down...\n", sig)
 	case <-stop:
 	}
-	shCtx, cancel := context.WithTimeout(context.Background(), *grace)
+	shCtx, cancel := context.WithTimeout(context.Background(), grace)
 	defer cancel()
 	if err := srv.Shutdown(shCtx); err != nil {
 		return fmt.Errorf("shutdown: %w", err)

@@ -5,9 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/designer"
@@ -139,35 +137,12 @@ func tuneServer(d *designer.Designer, topts designer.TunerOptions,
 	if err != nil {
 		return err
 	}
-	if err := srv.Start(addr); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "dbdesigner: autopilot %s tuning on http://%s/api/v1/ (observe via POST /tuner/observe)\n",
-		id, srv.Addr())
-	if ctl != nil && ctl.ready != nil {
-		ctl.ready <- srv.Addr()
-	}
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigCh)
-	var stop <-chan struct{}
-	if ctl != nil {
-		stop = ctl.stop
-	}
-	select {
-	case sig := <-sigCh:
-		fmt.Fprintf(os.Stderr, "dbdesigner: %v received, shutting down...\n", sig)
-	case <-stop:
-	}
-	shCtx, cancel := context.WithTimeout(context.Background(), grace)
-	defer cancel()
-	if err := srv.Shutdown(shCtx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	if aopts.StatePath != "" {
+	err = serveUntilStopped(srv, addr, grace, ctl, func(addr string) {
+		fmt.Fprintf(os.Stderr, "dbdesigner: autopilot %s tuning on http://%s/api/v1/ (observe via POST /tuner/observe)\n",
+			id, addr)
+	})
+	if err == nil && aopts.StatePath != "" {
 		fmt.Fprintf(os.Stderr, "dbdesigner: autopilot state saved to %s\n", aopts.StatePath)
 	}
-	fmt.Fprintln(os.Stderr, "dbdesigner: shutdown complete")
-	return nil
+	return err
 }

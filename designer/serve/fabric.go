@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"repro/designer"
 	"repro/designer/serve/admission"
@@ -37,15 +38,21 @@ const tenantHeader = "X-Tenant"
 // maxTenantLen bounds tenant names (they become metric label values).
 const maxTenantLen = 64
 
-// tenantFrom resolves the request's tenant: the X-Tenant header,
-// trimmed and length-capped, or the default tenant when absent.
+// tenantFrom resolves the request's tenant: the X-Tenant header, made
+// valid UTF-8 (a metric label must be), trimmed and cut at the last
+// character boundary within maxTenantLen bytes, or the default tenant when
+// absent.
 func tenantFrom(r *http.Request) string {
-	t := strings.TrimSpace(r.Header.Get(tenantHeader))
+	t := strings.TrimSpace(strings.ToValidUTF8(r.Header.Get(tenantHeader), "\uFFFD"))
 	if t == "" {
 		return defaultTenant
 	}
 	if len(t) > maxTenantLen {
-		t = t[:maxTenantLen]
+		n := maxTenantLen
+		for !utf8.RuneStart(t[n]) {
+			n--
+		}
+		t = t[:n]
 	}
 	return t
 }

@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"repro/designer"
 	"repro/designer/serve"
@@ -437,6 +439,38 @@ func TestTenantQuotaAndIsolation(t *testing.T) {
 	// Closing frees the quota slot.
 	tenantCall(t, "acme", "DELETE", api+"/sessions/"+a1, nil, http.StatusOK)
 	tenantCall(t, "acme", "POST", api+"/sessions", nil, http.StatusCreated)
+}
+
+// TestTenantHeaderIsCutAtACharacter sends X-Tenant headers longer than the
+// 64-byte cap whose cut falls inside a character, and one with a byte that
+// is not UTF-8. The create reply, the tenant filter of the session list and
+// the sessions_active label must all carry the same valid UTF-8 name.
+func TestTenantHeaderIsCutAtACharacter(t *testing.T) {
+	base := startWith(t)
+	api := base + "/api/v1"
+	for _, c := range []struct{ header, want string }{
+		{strings.Repeat("a", 63) + "é", strings.Repeat("a", 63)},
+		{strings.Repeat("b", 62) + "é", strings.Repeat("b", 62) + "é"},
+		{strings.Repeat("c", 62) + "€", strings.Repeat("c", 62)},
+		{"acme\xff", "acme\uFFFD"},
+	} {
+		created := tenantCall(t, c.header, "POST", api+"/sessions", nil, http.StatusCreated)
+		if got := created["tenant"]; got != c.want {
+			t.Fatalf("header %q: created tenant %q, want %q", c.header, got, c.want)
+		}
+		page := tenantCall(t, "", "GET", api+"/sessions?tenant="+url.QueryEscape(c.want), nil, http.StatusOK)
+		sessions := page["sessions"].([]any)
+		if len(sessions) != 1 || sessions[0].(map[string]any)["id"] != created["id"] {
+			t.Fatalf("header %q: tenant filter %q listed %v, want session %v", c.header, c.want, sessions, created["id"])
+		}
+		scrape := getBody(t, base+"/metrics")
+		if !utf8.ValidString(scrape) {
+			t.Fatalf("header %q: /metrics is not valid UTF-8:\n%s", c.header, grepLines(scrape, "sessions_active"))
+		}
+		if want := fmt.Sprintf("dbdesigner_sessions_active{tenant=%q} 1", c.want); !strings.Contains(scrape, want) {
+			t.Fatalf("header %q: /metrics lacks %s:\n%s", c.header, want, grepLines(scrape, "sessions_active"))
+		}
+	}
 }
 
 // TestSessionListPaginationHTTP drives ?limit/?cursor/?tenant end to end.

@@ -109,23 +109,63 @@ type Index struct {
 type Structure = Index
 
 // Key returns a canonical identity string. Two structures with equal keys
-// are interchangeable for design purposes regardless of their names.
-// Secondary indexes keep the exact legacy form table(col1,col2,...) — every
-// signature, memo key, and warm-start basis built on it stays valid —
-// while the new kinds extend it:
+// are interchangeable for design purposes regardless of their names. It is
+// StructureKey of the structure's kind, table, columns and its Include
+// (projection) or Aggs (aggregate view).
+func (ix *Index) Key() string {
+	extra := ix.Include
+	if ix.Kind == KindAggView {
+		extra = ix.Aggs
+	}
+	return StructureKey(ix.Kind, ix.Table, ix.Columns, extra)
+}
+
+// StructureKey renders the canonical identity of a structure from its parts,
+// so an enumerator can key a candidate before building it. Secondary indexes
+// keep the exact legacy form table(col1,col2,...) — every signature, memo
+// key, and warm-start basis built on it stays valid — while the other kinds
+// append their extra list (ignored for a secondary index):
 //
 //	projection: table(keys) include(i1,i2)
 //	aggview:    table(groupkeys) agg(count(*),sum(x))
-func (ix *Index) Key() string {
-	base := NormCol(ix.Table) + "(" + strings.Join(NormCols(ix.Columns), ",") + ")"
-	switch ix.Kind {
+func StructureKey(kind StructureKind, table string, columns, extra []string) string {
+	var open string
+	switch kind {
 	case KindProjection:
-		return base + " include(" + strings.Join(NormCols(ix.Include), ",") + ")"
+		open = " include("
 	case KindAggView:
-		return base + " agg(" + strings.Join(NormCols(ix.Aggs), ",") + ")"
+		open = " agg("
 	default:
-		return base
+		extra = nil
 	}
+	// Room for the names, a separator after each and the parentheses.
+	n := len(table) + 2 + len(columns) + len(open) + len(extra)
+	for _, c := range columns {
+		n += len(c)
+	}
+	for _, c := range extra {
+		n += len(c)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(NormCol(table))
+	writeList(&b, "(", columns)
+	if open != "" {
+		writeList(&b, open, extra)
+	}
+	return b.String()
+}
+
+// writeList writes open, the normalized names joined by commas, and ")".
+func writeList(b *strings.Builder, open string, names []string) {
+	b.WriteString(open)
+	for i, c := range names {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(NormCol(c))
+	}
+	b.WriteByte(')')
 }
 
 // HasKey reports whether the structure's Key is key, without rendering the

@@ -181,9 +181,6 @@ func (t *Tuner) SetCurrent(cfg *catalog.Configuration) {
 // Epoch returns the number of completed tuning epochs.
 func (t *Tuner) Epoch() int { return t.epoch }
 
-// Options returns the tuner's effective options (after defaulting).
-func (t *Tuner) Options() Options { return t.opts }
-
 // Alerts returns a copy of all alerts raised so far.
 func (t *Tuner) Alerts() []Alert { return append([]Alert(nil), t.alerts...) }
 

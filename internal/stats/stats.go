@@ -357,26 +357,3 @@ func positionRankCorrelation(positions []int) float64 {
 	}
 	return r
 }
-
-// Synthetic builds table stats without data: uniform distribution over
-// [min,max] with the given distinct count. Used by benchmarks that model
-// tables far larger than memory.
-func Synthetic(rowCount, pages, ndv int64, min, max float64) *ColumnStats {
-	if ndv <= 0 {
-		ndv = rowCount
-	}
-	cs := &ColumnStats{
-		NDV:         ndv,
-		Min:         catalog.Float(min),
-		Max:         catalog.Float(max),
-		Correlation: 0,
-		AvgWidth:    8,
-	}
-	// A uniform equi-depth histogram with linear boundaries.
-	bounds := make([]catalog.Datum, DefaultBuckets+1)
-	for i := 0; i <= DefaultBuckets; i++ {
-		bounds[i] = catalog.Float(min + (max-min)*float64(i)/float64(DefaultBuckets))
-	}
-	cs.Hist = &Histogram{Bounds: bounds}
-	return cs
-}

@@ -275,20 +275,6 @@ func TestBuildEquiDepthDegenerate(t *testing.T) {
 	}
 }
 
-func TestSyntheticStats(t *testing.T) {
-	cs := Synthetic(1_000_000, 10_000, 1000, 0, 100)
-	if cs.NDV != 1000 {
-		t.Fatalf("NDV = %d", cs.NDV)
-	}
-	sel := cs.RangeSelectivity(catalog.Float(0), catalog.Float(50))
-	if sel < 0.45 || sel > 0.55 {
-		t.Errorf("range sel = %f, want ~0.5", sel)
-	}
-	if got := cs.EqSelectivity(catalog.Float(50)); got != 0.001 {
-		t.Errorf("eq sel = %f, want 0.001", got)
-	}
-}
-
 func TestRangeSelectivityInvertedBounds(t *testing.T) {
 	rows := intRows(1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
 	ts, _ := Analyze(oneColTable(), ColumnsOf(rows, 1), 8192)

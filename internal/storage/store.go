@@ -164,12 +164,3 @@ func (s *Store) MaterializedConfiguration() *catalog.Configuration {
 	}
 	return cfg
 }
-
-// TotalIndexPages sums the leaf footprints of all materialized indexes.
-func (s *Store) TotalIndexPages() int64 {
-	var total int64
-	for _, bt := range s.indexes {
-		total += bt.LeafPages()
-	}
-	return total
-}

@@ -1,6 +1,7 @@
 package whatif
 
 import (
+	"cmp"
 	"maps"
 	"slices"
 	"sort"
@@ -11,14 +12,12 @@ import (
 	"repro/internal/workload"
 )
 
-// CandidateOptions tune candidate index enumeration.
+// CandidateOptions tune candidate enumeration. Composite keys are capped at
+// maxWidth columns and covering candidates are always enumerated.
 type CandidateOptions struct {
-	// MaxPerTable caps candidates per table (by workload frequency).
+	// MaxPerTable caps candidates per table and kind group (by workload
+	// frequency).
 	MaxPerTable int
-	// MaxWidth caps composite index width.
-	MaxWidth int
-	// IncludeCovering adds covering candidates (key + projected columns).
-	IncludeCovering bool
 	// IncludeProjections admits covering-projection candidates (key prefix
 	// + INCLUDE payload) into the design space. Off by default: plain-index
 	// advice stays bit-identical unless the caller widens the space.
@@ -28,35 +27,98 @@ type CandidateOptions struct {
 	IncludeAggViews bool
 }
 
+// maxWidth caps a composite index's key prefix; a covering candidate may
+// carry two more columns.
+const maxWidth = 3
+
 // DefaultCandidateOptions returns the advisor defaults.
 func DefaultCandidateOptions() CandidateOptions {
-	return CandidateOptions{MaxPerTable: 12, MaxWidth: 3, IncludeCovering: true}
+	return CandidateOptions{MaxPerTable: 12}
 }
 
-// scoredCandidate tracks how often a candidate column pattern is implied by
-// workload queries.
-type scoredCandidate struct {
-	table   string
-	columns []string
-	score   float64
+// candidate is one scored structure the workload implies: a secondary index
+// on keys, a covering projection (extra: its INCLUDE columns) or an
+// aggregate view (keys: its group keys, extra: its aggregates). score sums
+// the weights of the queries that imply it; key is its catalog key.
+type candidate struct {
+	kind  catalog.StructureKind
+	table string
+	keys  []string
+	extra []string
+	score float64
+	key   string
 }
 
-// GenerateCandidates enumerates hypothetical indexes implied by the
-// workload's predicate structure: single-column indexes on sargable and
-// join columns, composite equality+range prefixes, ORDER BY / GROUP BY
-// leading columns, and covering variants. Every candidate is sized via the
-// what-if sizing model. This is the candidate set both CoPhy and the greedy
-// baseline search over.
+// candidates accumulates the enumeration by catalog key.
+type candidates map[string]*candidate
+
+// merge adds score to the candidate's twin, or inserts the candidate.
+func (acc candidates) merge(kind catalog.StructureKind, table string, keys, extra []string, score float64) {
+	key := catalog.StructureKey(kind, table, keys, extra)
+	if c, ok := acc[key]; ok {
+		c.score += score
+		return
+	}
+	acc[key] = &candidate{kind: kind, table: table, keys: keys, extra: extra, score: score, key: key}
+}
+
+// rank emits the accumulated candidates: secondary indexes first, then the
+// other kinds, each group table by table, ordered by score and then key,
+// capped at maxPerTable a table and sized through the kind's Hypothetical
+// constructor. A candidate the constructor refuses is dropped.
+func (s *Session) rank(acc candidates, maxPerTable int) []*catalog.Index {
+	group := func(c *candidate) int { return min(int(c.kind), 1) } // secondary first
+	list := slices.AppendSeq(make([]*candidate, 0, len(acc)), maps.Values(acc))
+	slices.SortFunc(list, func(a, b *candidate) int {
+		return cmp.Or(cmp.Compare(group(a), group(b)),
+			strings.Compare(a.table, b.table),
+			cmp.Compare(b.score, a.score),
+			strings.Compare(a.key, b.key))
+	})
+	var out []*catalog.Index
+	n := 0
+	for i, c := range list {
+		if i > 0 && c.table == list[i-1].table && group(c) == group(list[i-1]) {
+			n++
+		} else {
+			n = 0
+		}
+		if n >= maxPerTable {
+			continue
+		}
+		var ix *catalog.Index
+		var err error
+		switch c.kind {
+		case catalog.KindProjection:
+			ix, err = s.HypotheticalProjection(c.table, c.keys, c.extra)
+		case catalog.KindAggView:
+			ix, err = s.HypotheticalAggView(c.table, c.keys, c.extra)
+		default:
+			ix, err = s.HypotheticalIndex(c.table, c.keys...)
+		}
+		if err == nil {
+			out = append(out, ix)
+		}
+	}
+	return out
+}
+
+// GenerateCandidates enumerates the structures implied by the workload's
+// predicate structure: single-column indexes on sargable and join columns,
+// composite equality+range prefixes, ORDER BY / GROUP BY leading columns,
+// and covering variants; with the options, also covering projections for
+// single-table queries whose referenced columns exceed a useful key prefix,
+// and aggregate views for GROUP BY/aggregate queries. Every candidate is
+// sized via the what-if sizing model, and the emission order is
+// deterministic so advice stays reproducible. This is the candidate set
+// both CoPhy and the greedy baseline search over.
 func (s *Session) GenerateCandidates(w *workload.Workload, opts CandidateOptions) []*catalog.Index {
 	if opts.MaxPerTable <= 0 {
 		opts.MaxPerTable = 12
 	}
-	if opts.MaxWidth <= 0 {
-		opts.MaxWidth = 3
-	}
-	acc := make(map[string]*scoredCandidate)
+	acc := candidates{}
 	add := func(weight float64, table string, cols ...string) {
-		if len(cols) == 0 || len(cols) > opts.MaxWidth+2 {
+		if len(cols) == 0 || len(cols) > maxWidth+2 {
 			return
 		}
 		t := s.env.Schema.Table(table)
@@ -73,15 +135,9 @@ func (s *Session) GenerateCandidates(w *workload.Workload, opts CandidateOptions
 			seen[lc] = true
 			clean = append(clean, lc)
 		}
-		if len(clean) == 0 {
-			return
+		if len(clean) > 0 {
+			acc.merge(catalog.KindSecondary, strings.ToLower(table), clean, nil, weight)
 		}
-		key := strings.ToLower(table) + "(" + strings.Join(clean, ",") + ")"
-		if sc, ok := acc[key]; ok {
-			sc.score += weight
-			return
-		}
-		acc[key] = &scoredCandidate{table: strings.ToLower(table), columns: clean, score: weight}
 	}
 
 	for _, q := range w.Queries {
@@ -142,161 +198,39 @@ func (s *Session) GenerateCandidates(w *workload.Workload, opts CandidateOptions
 				add(q.Weight*0.5, col.Table, col.Column)
 			}
 		}
-		// Covering candidate: single-table queries with narrow column sets.
-		if opts.IncludeCovering && len(a.Tables) == 1 {
-			table := a.Tables[0]
-			cols := slices.Collect(maps.Keys(a.Columns[0]))
-			if len(cols) > 0 && len(cols) <= opts.MaxWidth+2 {
-				// Sargable columns first for a useful prefix.
-				ordered := orderCoveringColumns(cols, perTableEq[table], perTableRange[table])
-				add(q.Weight*0.75, table, ordered...)
-			}
-		}
-	}
-
-	// Rank per table by score, cap, size, and emit deterministically.
-	perTable := map[string][]*scoredCandidate{}
-	for _, sc := range acc {
-		perTable[sc.table] = append(perTable[sc.table], sc)
-	}
-	var out []*catalog.Index
-	tables := make([]string, 0, len(perTable))
-	for t := range perTable {
-		tables = append(tables, t)
-	}
-	sort.Strings(tables)
-	for _, t := range tables {
-		list := perTable[t]
-		sort.Slice(list, func(a, b int) bool {
-			if list[a].score != list[b].score {
-				return list[a].score > list[b].score
-			}
-			return strings.Join(list[a].columns, ",") < strings.Join(list[b].columns, ",")
-		})
-		if len(list) > opts.MaxPerTable {
-			list = list[:opts.MaxPerTable]
-		}
-		for _, sc := range list {
-			ix, err := s.HypotheticalIndex(sc.table, sc.columns...)
-			if err != nil {
-				continue
-			}
-			out = append(out, ix)
-		}
-	}
-	if opts.IncludeProjections || opts.IncludeAggViews {
-		out = append(out, s.generateStructureCandidates(w, opts)...)
-	}
-	return out
-}
-
-// structCand is a scored covering-projection or aggregate-view candidate.
-type structCand struct {
-	kind    catalog.StructureKind
-	table   string
-	keys    []string
-	include []string
-	aggs    []string
-	score   float64
-}
-
-// generateStructureCandidates enumerates the wider-design-space candidates:
-// covering projections for single-table queries whose referenced column set
-// exceeds a useful key prefix, and aggregate views for GROUP BY/aggregate
-// queries (group keys plus filter columns as view keys). Emission order is
-// deterministic (table, then canonical key) so advice stays reproducible.
-func (s *Session) generateStructureCandidates(w *workload.Workload, opts CandidateOptions) []*catalog.Index {
-	acc := make(map[string]*structCand)
-	for _, q := range w.Queries {
-		a := q.Stmt.Analysis()
+		// Single-table queries: a covering candidate for narrow column sets
+		// (sargable columns first for a useful prefix), and the structures
+		// the options admit.
 		if len(a.Tables) != 1 || s.env.Schema.Table(a.Tables[0]) == nil {
 			continue
 		}
 		table := a.Tables[0]
-
+		if cols := slices.Collect(maps.Keys(a.Columns[0])); len(cols) > 0 && len(cols) <= maxWidth+2 {
+			add(q.Weight*0.75, table, orderCoveringColumns(cols, perTableEq[table], perTableRange[table])...)
+		}
 		if opts.IncludeProjections {
-			if c := projectionCandidate(a, opts.MaxWidth); c != nil {
-				c.score = q.Weight * 0.75
-				mergeStructCand(acc, c)
+			if keys, include := projectionCandidate(a); keys != nil {
+				acc.merge(catalog.KindProjection, table, keys, include, q.Weight*0.75)
 			}
 		}
 		if opts.IncludeAggViews {
-			if c := aggViewCandidate(q.Stmt, table); c != nil {
-				c.score = q.Weight
-				mergeStructCand(acc, c)
+			if keys, aggs := aggViewCandidate(q.Stmt); keys != nil {
+				acc.merge(catalog.KindAggView, table, keys, aggs, q.Weight)
 			}
 		}
 	}
-
-	perTable := map[string][]*structCand{}
-	for _, c := range acc {
-		perTable[c.table] = append(perTable[c.table], c)
-	}
-	tables := make([]string, 0, len(perTable))
-	for t := range perTable {
-		tables = append(tables, t)
-	}
-	sort.Strings(tables)
-	var out []*catalog.Index
-	for _, t := range tables {
-		list := perTable[t]
-		sort.Slice(list, func(a, b int) bool {
-			if list[a].score != list[b].score {
-				return list[a].score > list[b].score
-			}
-			return structKey(list[a]) < structKey(list[b])
-		})
-		if opts.MaxPerTable > 0 && len(list) > opts.MaxPerTable {
-			list = list[:opts.MaxPerTable]
-		}
-		for _, c := range list {
-			var ix *catalog.Index
-			var err error
-			switch c.kind {
-			case catalog.KindProjection:
-				ix, err = s.HypotheticalProjection(c.table, c.keys, c.include)
-			case catalog.KindAggView:
-				ix, err = s.HypotheticalAggView(c.table, c.keys, c.aggs)
-			}
-			if err != nil || ix == nil {
-				continue
-			}
-			out = append(out, ix)
-		}
-	}
-	return out
-}
-
-// structKey builds the candidate's canonical identity for dedup/ordering.
-func structKey(c *structCand) string {
-	k := c.table + "(" + strings.Join(c.keys, ",") + ")"
-	switch c.kind {
-	case catalog.KindProjection:
-		return k + " include(" + strings.Join(c.include, ",") + ")"
-	case catalog.KindAggView:
-		return k + " agg(" + strings.Join(c.aggs, ",") + ")"
-	}
-	return k
-}
-
-func mergeStructCand(acc map[string]*structCand, c *structCand) {
-	key := structKey(c)
-	if old, ok := acc[key]; ok {
-		old.score += c.score
-		return
-	}
-	acc[key] = c
+	return s.rank(acc, opts.MaxPerTable)
 }
 
 // projectionCandidate derives a covering projection for a single-table
 // query: sargable columns form the key prefix (equality first, capped at
 // maxWidth), every other referenced column rides as INCLUDE payload. Nil
-// when the query leaves nothing to include — a plain covering index already
-// handles it.
-func projectionCandidate(a *sqlparse.Analysis, maxWidth int) *structCand {
+// keys when the query leaves nothing to include — a plain covering index
+// already handles it.
+func projectionCandidate(a *sqlparse.Analysis) (keys, include []string) {
 	cols := slices.Collect(maps.Keys(a.Columns[0]))
 	if len(cols) < 2 || a.Star {
-		return nil // SELECT * can never be index-only
+		return nil, nil // SELECT * can never be index-only
 	}
 	var eqs, ranges []string
 	eqSet, rangeSet := map[string]bool{}, map[string]bool{}
@@ -326,35 +260,29 @@ func projectionCandidate(a *sqlparse.Analysis, maxWidth int) *structCand {
 	if nKey == 0 {
 		nKey = 1
 	}
-	if maxWidth > 0 && nKey > maxWidth {
-		nKey = maxWidth
-	}
+	nKey = min(nKey, maxWidth)
 	if nKey >= len(ordered) {
-		return nil
+		return nil, nil
 	}
-	return &structCand{
-		kind:    catalog.KindProjection,
-		table:   a.Tables[0],
-		keys:    ordered[:nKey],
-		include: ordered[nKey:],
-	}
+	return ordered[:nKey], ordered[nKey:]
 }
 
 // aggViewCandidate derives an aggregate view for a GROUP BY/aggregate
 // query: view keys are the group keys plus every WHERE column (so filters
 // remain evaluable over the view), aggregates are the query's own calls.
-func aggViewCandidate(sel *sqlparse.SelectStmt, table string) *structCand {
+// Nil keys when no view serves the query.
+func aggViewCandidate(sel *sqlparse.SelectStmt) (keys, aggs []string) {
 	a := sel.Analysis()
 	if !a.Aggregate || sel.Distinct || !a.PlainGroups {
-		return nil
+		return nil, nil
 	}
 	gkeys := a.GroupKeys
-	aggs := dedupStrings(a.Aggregates)
+	aggs = dedupStrings(a.Aggregates)
 	if len(aggs) == 0 {
-		return nil // GROUP BY without aggregates: a plain index serves
+		return nil, nil // GROUP BY without aggregates: a plain index serves
 	}
 	keySet := map[string]bool{}
-	keys := append([]string(nil), gkeys...)
+	keys = append([]string(nil), gkeys...)
 	for _, k := range gkeys {
 		keySet[k] = true
 	}
@@ -369,14 +297,9 @@ func aggViewCandidate(sel *sqlparse.SelectStmt, table string) *structCand {
 	sort.Strings(extra)
 	keys = append(keys, extra...)
 	if len(keys) == 0 {
-		return nil
+		return nil, nil
 	}
-	return &structCand{
-		kind:  catalog.KindAggView,
-		table: table,
-		keys:  keys,
-		aggs:  aggs,
-	}
+	return keys, aggs
 }
 
 func dedupStrings(in []string) []string {

@@ -4,35 +4,23 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/whatif"
 	"repro/internal/workload"
 )
 
-func TestCandidateCoveringToggle(t *testing.T) {
-	s, w := newSession(t)
-	withCov := whatif.DefaultCandidateOptions()
-	withCov.IncludeCovering = true
-	noCov := withCov
-	noCov.IncludeCovering = false
-
-	a := s.GenerateCandidates(w, withCov)
-	b := s.GenerateCandidates(w, noCov)
-	// Covering candidates add wider composites; disabling them should not
-	// produce more candidates.
-	if len(b) > len(a) {
-		t.Fatalf("covering off produced more candidates: %d > %d", len(b), len(a))
-	}
-}
-
 func TestCandidateMaxWidthRespected(t *testing.T) {
 	s, w := newSession(t)
 	opts := whatif.DefaultCandidateOptions()
-	opts.MaxWidth = 2
+	opts.IncludeProjections, opts.IncludeAggViews = true, true
 	for _, ix := range s.GenerateCandidates(w, opts) {
-		// MaxWidth bounds the composite prefix; covering candidates may add
-		// up to two extra payload columns.
-		if len(ix.Columns) > opts.MaxWidth+2 {
+		// A composite prefix holds at most three columns; covering
+		// candidates may add up to two extra payload columns.
+		if ix.Kind == catalog.KindSecondary && len(ix.Columns) > 5 {
 			t.Fatalf("candidate %s exceeds width cap", ix.Key())
+		}
+		if ix.Kind == catalog.KindProjection && len(ix.Columns) > 3 {
+			t.Fatalf("projection %s exceeds key width cap", ix.Key())
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/catalog"
-	"repro/internal/sqlparse"
 )
 
 // Profile is a named workload shape: a rule for which query templates are
@@ -180,24 +179,15 @@ func (p *Profile) Generate(schema *catalog.Schema, seed int64, n int) (*Workload
 	w := &Workload{}
 	for i := 0; i < n; i++ {
 		t := draw(i, n)
-		sql := t.Gen(rng)
-		stmt, err := sqlparse.ParseSelect(sql)
-		if err != nil {
-			return nil, fmt.Errorf("workload: profile %s: template %s: %w", p.Name, t.Name, err)
-		}
-		if err := sqlparse.Resolve(stmt, schema); err != nil {
-			return nil, fmt.Errorf("workload: profile %s: template %s: %w", p.Name, t.Name, err)
-		}
 		weight := 1.0
 		if p.weight != nil {
 			weight = p.weight(t)
 		}
-		w.Queries = append(w.Queries, Query{
-			ID:     fmt.Sprintf("%s/%s#%d", p.Name, t.Name, i),
-			SQL:    sql,
-			Weight: weight,
-			Stmt:   stmt,
-		})
+		q, err := instantiate(schema, rng, t, fmt.Sprintf("%s/%s#%d", p.Name, t.Name, i), weight)
+		if err != nil {
+			return nil, fmt.Errorf("workload: profile %s: %w", p.Name, err)
+		}
+		w.Queries = append(w.Queries, q)
 	}
 	return w, nil
 }

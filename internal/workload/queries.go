@@ -185,22 +185,27 @@ func NewWorkloadFrom(schema *catalog.Schema, seed int64, n int, templates []Temp
 	w := &Workload{}
 	for i := 0; i < n; i++ {
 		t := templates[i%len(templates)]
-		sql := t.Gen(rng)
-		stmt, err := sqlparse.ParseSelect(sql)
+		q, err := instantiate(schema, rng, t, fmt.Sprintf("%s#%d", t.Name, i), 1)
 		if err != nil {
-			return nil, fmt.Errorf("workload: template %s: %w", t.Name, err)
+			return nil, fmt.Errorf("workload: %w", err)
 		}
-		if err := sqlparse.Resolve(stmt, schema); err != nil {
-			return nil, fmt.Errorf("workload: template %s: %w", t.Name, err)
-		}
-		w.Queries = append(w.Queries, Query{
-			ID:     fmt.Sprintf("%s#%d", t.Name, i),
-			SQL:    sql,
-			Weight: 1,
-			Stmt:   stmt,
-		})
+		w.Queries = append(w.Queries, q)
 	}
 	return w, nil
+}
+
+// instantiate draws t's parameters from rng, parses and resolves the SQL
+// against the schema, and returns it as query id of the given weight.
+func instantiate(schema *catalog.Schema, rng *rand.Rand, t Template, id string, weight float64) (Query, error) {
+	sql := t.Gen(rng)
+	stmt, err := sqlparse.ParseSelect(sql)
+	if err == nil {
+		err = sqlparse.Resolve(stmt, schema)
+	}
+	if err != nil {
+		return Query{}, fmt.Errorf("template %s: %w", t.Name, err)
+	}
+	return Query{ID: id, SQL: sql, Weight: weight, Stmt: stmt}, nil
 }
 
 // Phase describes one segment of a drifting query stream: which templates
@@ -237,20 +242,11 @@ func Stream(schema *catalog.Schema, seed int64, phases []Phase) ([]Query, error)
 		}
 		for i := 0; i < ph.Length; i++ {
 			t := active[rng.Intn(len(active))]
-			sql := t.Gen(rng)
-			stmt, err := sqlparse.ParseSelect(sql)
+			q, err := instantiate(schema, rng, t, fmt.Sprintf("%s/%s#%d", ph.Name, t.Name, idx), 1)
 			if err != nil {
-				return nil, fmt.Errorf("workload: template %s: %w", t.Name, err)
+				return nil, fmt.Errorf("workload: %w", err)
 			}
-			if err := sqlparse.Resolve(stmt, schema); err != nil {
-				return nil, fmt.Errorf("workload: template %s: %w", t.Name, err)
-			}
-			out = append(out, Query{
-				ID:     fmt.Sprintf("%s/%s#%d", ph.Name, t.Name, idx),
-				SQL:    sql,
-				Weight: 1,
-				Stmt:   stmt,
-			})
+			out = append(out, q)
 			idx++
 		}
 	}
