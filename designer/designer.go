@@ -284,22 +284,14 @@ func (d *Designer) DriftStream(seed int64, perPhase int) ([]Query, error) {
 // HypotheticalIndex constructs a sized what-if index (leaf pages and
 // height estimated from statistics — the paper's honest-size requirement).
 func (d *Designer) HypotheticalIndex(table string, columns ...string) (Index, error) {
-	ix, err := d.eng.Pin().Session().HypotheticalIndex(table, columns...)
-	if err != nil {
-		return Index{}, err
-	}
-	return indexFromInternal(ix), nil
+	return d.hypothetical(catalog.KindSecondary, table, columns, nil)
 }
 
 // HypotheticalProjection constructs a sized what-if covering projection:
 // key columns plus INCLUDE leaf columns, honestly sized over the combined
 // width so budget accounting charges for the payload it carries.
 func (d *Designer) HypotheticalProjection(table string, keys, include []string) (Index, error) {
-	ix, err := d.eng.Pin().Session().HypotheticalProjection(table, keys, include)
-	if err != nil {
-		return Index{}, err
-	}
-	return indexFromInternal(ix), nil
+	return d.hypothetical(catalog.KindProjection, table, keys, include)
 }
 
 // HypotheticalAggView constructs a sized what-if single-table aggregate
@@ -307,7 +299,13 @@ func (d *Designer) HypotheticalProjection(table string, keys, include []string) 
 // like "count(*)", "sum(col)"), with the group count estimated from column
 // distinct-value statistics.
 func (d *Designer) HypotheticalAggView(table string, keys, aggs []string) (Index, error) {
-	ix, err := d.eng.Pin().Session().HypotheticalAggView(table, keys, aggs)
+	return d.hypothetical(catalog.KindAggView, table, keys, aggs)
+}
+
+// hypothetical constructs a sized what-if structure of the kind on the
+// current generation.
+func (d *Designer) hypothetical(kind catalog.StructureKind, table string, keys, extra []string) (Index, error) {
+	ix, err := d.eng.Pin().Session().Hypothetical(kind, table, keys, extra)
 	if err != nil {
 		return Index{}, err
 	}

@@ -547,6 +547,46 @@ func TestSteeredEvaluateReportsItsOwnSplit(t *testing.T) {
 	}
 }
 
+// TestClearedJoinControlDeltaCosts: SetJoinControl with every switch off
+// returns a session to delta costing — a repeated Evaluate reuses every
+// query instead of re-pricing the workload on the steered path — and its
+// rows equal a fresh session's for the same design.
+func TestClearedJoinControlDeltaCosts(t *testing.T) {
+	ctx := context.Background()
+	d := open(t)
+	w := sdssWorkload(t, d, 24)
+	s := d.NewDesignSession()
+	if _, err := s.AddIndex("photoobj", "psfmag_r"); err != nil {
+		t.Fatal(err)
+	}
+	s.SetJoinControl(designer.JoinControl{DisableHashJoin: true})
+	if _, err := s.Evaluate(ctx, w); err != nil {
+		t.Fatal(err)
+	}
+	s.SetJoinControl(designer.JoinControl{})
+	var got *designer.Report
+	for range 2 {
+		var err error
+		if got, err = s.Evaluate(ctx, w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if recosted, reused := s.LastEvaluateDelta(); recosted != 0 || reused != 24 {
+		t.Fatalf("repeated evaluate after clearing the switches reports a %d+%d split, want 0+24", recosted, reused)
+	}
+	fresh := d.NewDesignSession()
+	if _, err := fresh.AddIndex("photoobj", "psfmag_r"); err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Evaluate(ctx, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("rows after clearing the switches differ from a fresh session's:\n got %+v\nwant %+v", got, want)
+	}
+}
+
 // TestSessionPinIsolation covers the serve layer's isolation contract: a
 // design session created before a concurrent Materialize keeps evaluating
 // against its pinned engine generation instead of tearing mid-run.

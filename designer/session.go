@@ -34,9 +34,8 @@ type DesignSession struct {
 	cfg  *catalog.Configuration
 	// joinOpts are session-scoped optimizer switches (SetJoinControl);
 	// they steer this session's Evaluate/Explain without touching the
-	// designer-wide engine.
-	joinOpts    optimizer.Options
-	hasJoinOpts bool
+	// designer-wide engine. The zero value steers nothing.
+	joinOpts optimizer.Options
 
 	// last is the derivation state of the session's last advice, nil
 	// before the first (Advise/ReAdvise, readvise.go).
@@ -103,40 +102,34 @@ func (s *DesignSession) Config() *Configuration { return configFromInternal(s.cf
 
 // AddIndex adds a sized hypothetical index to the design.
 func (s *DesignSession) AddIndex(table string, columns ...string) (Index, error) {
-	ix, err := s.view.Session().HypotheticalIndex(table, columns...)
-	if err != nil {
-		return Index{}, err
-	}
-	if s.cfg.HasIndex(ix.Key()) {
-		return Index{}, fmt.Errorf("designer: index %s already in the design", ix.Key())
-	}
-	s.cfg = s.cfg.WithIndex(ix)
-	return indexFromInternal(ix), nil
+	return s.add(catalog.KindSecondary, table, columns, nil)
 }
 
 // AddProjection adds a sized hypothetical covering projection (key columns
 // plus INCLUDE payload) to the design.
 func (s *DesignSession) AddProjection(table string, keys, include []string) (Index, error) {
-	ix, err := s.view.Session().HypotheticalProjection(table, keys, include)
-	if err != nil {
-		return Index{}, err
-	}
-	if s.cfg.HasIndex(ix.Key()) {
-		return Index{}, fmt.Errorf("designer: structure %s already in the design", ix.Key())
-	}
-	s.cfg = s.cfg.WithIndex(ix)
-	return indexFromInternal(ix), nil
+	return s.add(catalog.KindProjection, table, keys, include)
 }
 
 // AddAggView adds a sized hypothetical single-table aggregate materialized
 // view (group keys plus stored aggregates) to the design.
 func (s *DesignSession) AddAggView(table string, keys, aggs []string) (Index, error) {
-	ix, err := s.view.Session().HypotheticalAggView(table, keys, aggs)
+	return s.add(catalog.KindAggView, table, keys, aggs)
+}
+
+// add adds a sized hypothetical structure of the kind to the design,
+// refusing one whose key the design already holds.
+func (s *DesignSession) add(kind catalog.StructureKind, table string, keys, extra []string) (Index, error) {
+	ix, err := s.view.Session().Hypothetical(kind, table, keys, extra)
 	if err != nil {
 		return Index{}, err
 	}
 	if s.cfg.HasIndex(ix.Key()) {
-		return Index{}, fmt.Errorf("designer: structure %s already in the design", ix.Key())
+		noun := "structure"
+		if kind == catalog.KindSecondary {
+			noun = "index"
+		}
+		return Index{}, fmt.Errorf("designer: %s %s already in the design", noun, ix.Key())
 	}
 	s.cfg = s.cfg.WithIndex(ix)
 	return indexFromInternal(ix), nil
@@ -235,7 +228,7 @@ func (s *DesignSession) AddHorizontalPartition(table, column string, k int) erro
 // cost constants still apply).
 func (s *DesignSession) Evaluate(ctx context.Context, w *Workload) (*Report, error) {
 	iw := w.internal()
-	if s.hasJoinOpts {
+	if s.joinOpts != (optimizer.Options{}) {
 		rep, err := s.view.EvaluateSteered(ctx, iw, s.cfg, s.joinOpts)
 		if err != nil {
 			return nil, err
@@ -288,7 +281,7 @@ func (s *DesignSession) Explain(q Query) (string, error) {
 // whatifSession resolves the session to evaluate against: the pinned
 // generation's shared session, or a derived one when join controls are set.
 func (s *DesignSession) whatifSession() *whatif.Session {
-	if s.hasJoinOpts {
+	if s.joinOpts != (optimizer.Options{}) {
 		return s.view.SessionWith(s.joinOpts)
 	}
 	return s.view.Session()
@@ -326,8 +319,8 @@ func (s *DesignSession) RewrittenQueries(w *Workload) map[string]string {
 // SetJoinControl steers join methods for this session's subsequent
 // Evaluate/Explain calls (the what-if join component). The switches are
 // scoped to the design session: advisor pricing and query execution on the
-// designer keep the unrestricted optimizer.
+// designer keep the unrestricted optimizer. The zero JoinControl clears
+// them, and the session's evaluations delta-cost again.
 func (s *DesignSession) SetJoinControl(jc JoinControl) {
 	s.joinOpts = jc.internal()
-	s.hasJoinOpts = true
 }

@@ -1,8 +1,10 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/engine"
@@ -24,7 +26,7 @@ type Spec struct {
 	// The first profile runs every selected experiment; additional
 	// profiles run only the workload-sensitive ones.
 	Workloads []string
-	// Experiments are experiment names from Experiments(); empty selects
+	// Experiments are experiment names from ExperimentNames(); empty selects
 	// the suite profile's default set.
 	Experiments []string
 	// Backend is the cost backend the whole suite prices through
@@ -41,49 +43,60 @@ type Spec struct {
 	EpochLen  int
 }
 
+// experiment is one registered experiment. Core experiments are the paper's
+// headline suite, run by every profile; the others are secondary figures and
+// ablations. A perWorkload experiment depends on the workload profile and
+// runs on every profile of a (size, seed); the rest (fixed template sets,
+// pure solver scaling) run on the first profile only.
+type experiment struct {
+	name        string
+	core        bool
+	perWorkload bool
+	run         func(e *Env, spec Spec, x *Experiment) error
+}
+
+// experiments registers every experiment in canonical order: the order of
+// ExperimentNames, of the CLI help and of a result document's cells.
+var experiments = []experiment{
+	{"inum_vs_optimizer", true, true, runINUMVsOptimizer},
+	{"cophy_vs_greedy", true, true, runCoPhyVsGreedy},
+	{"colt_convergence", true, true, runCOLTConvergence},
+	{"interaction_schedule", true, true, runInteractionSchedule},
+	{"backend_portability", true, true, runBackendPortability},
+	{"incremental_readvise", true, true, runIncrementalReadvise},
+	{"parallel_scaling", true, true, runParallelScaling},
+	{"colt_autopilot", true, true, runColtAutopilot},
+	{"design_space_width", true, false, runDesignSpaceWidth},
+	{"whatif_session", false, true, runWhatIfSession},
+	{"offline_advisor", false, true, runOfflineAdvisor},
+	{"autopart", false, false, runAutoPart},
+	{"size_model", false, false, runSizeModel},
+	{"candidate_ablation", false, true, runCandidateAblation},
+	{"solver_scaling", false, false, runSolverScaling},
+}
+
 // CoreExperiments are the paper's headline suite, run by every profile.
-var CoreExperiments = []string{
-	"inum_vs_optimizer",
-	"cophy_vs_greedy",
-	"colt_convergence",
-	"interaction_schedule",
-	"backend_portability",
-	"incremental_readvise",
-	"parallel_scaling",
-	"colt_autopilot",
-	"design_space_width",
-}
-
-// ExtraExperiments are the secondary figures and ablations.
-var ExtraExperiments = []string{
-	"whatif_session",
-	"offline_advisor",
-	"autopart",
-	"size_model",
-	"candidate_ablation",
-	"solver_scaling",
-}
-
-// workloadSensitive marks experiments whose result depends on the workload
-// profile. Insensitive experiments (fixed template sets, pure solver
-// scaling) run once per (size, seed) on the first profile only.
-var workloadSensitive = map[string]bool{
-	"inum_vs_optimizer":    true,
-	"backend_portability":  true,
-	"cophy_vs_greedy":      true,
-	"colt_convergence":     true,
-	"colt_autopilot":       true,
-	"interaction_schedule": true,
-	"parallel_scaling":     true,
-	"incremental_readvise": true,
-	"whatif_session":       true,
-	"offline_advisor":      true,
-	"candidate_ablation":   true,
-}
+var CoreExperiments = experimentNames(true)
 
 // ExperimentNames lists every registered experiment in canonical order.
-func ExperimentNames() []string {
-	return append(append([]string{}, CoreExperiments...), ExtraExperiments...)
+func ExperimentNames() []string { return experimentNames(false) }
+
+// experimentNames lists the registered experiments in canonical order, only
+// the core ones when coreOnly is set.
+func experimentNames(coreOnly bool) []string {
+	var out []string
+	for _, x := range experiments {
+		if x.core || !coreOnly {
+			out = append(out, x.name)
+		}
+	}
+	return out
+}
+
+// experimentIndex is the canonical position of the experiment named name,
+// or -1 when none is registered under it.
+func experimentIndex(name string) int {
+	return slices.IndexFunc(experiments, func(x experiment) bool { return x.name == name })
 }
 
 // SmokeSpec is the CI profile: tiny dataset, one seed, two workload
@@ -183,7 +196,7 @@ func (s *Spec) normalize() error {
 		return fmt.Errorf("bench: backend %q not runnable as a suite backend (native|calibrated)", s.Backend)
 	}
 	for _, name := range s.Experiments {
-		if runners[name] == nil {
+		if experimentIndex(name) < 0 {
 			return fmt.Errorf("bench: unknown experiment %q (have %v)", name, ExperimentNames())
 		}
 	}
@@ -202,27 +215,6 @@ func (s *Spec) backendSpec() (engine.BackendSpec, error) {
 		out.Calibration = cal
 	}
 	return out, out.Validate()
-}
-
-// runner computes one experiment's metrics inside a prepared Env.
-type runner func(e *Env, spec Spec, x *Experiment) error
-
-var runners = map[string]runner{
-	"inum_vs_optimizer":    runINUMVsOptimizer,
-	"backend_portability":  runBackendPortability,
-	"incremental_readvise": runIncrementalReadvise,
-	"cophy_vs_greedy":      runCoPhyVsGreedy,
-	"colt_convergence":     runCOLTConvergence,
-	"colt_autopilot":       runColtAutopilot,
-	"interaction_schedule": runInteractionSchedule,
-	"parallel_scaling":     runParallelScaling,
-	"whatif_session":       runWhatIfSession,
-	"offline_advisor":      runOfflineAdvisor,
-	"autopart":             runAutoPart,
-	"size_model":           runSizeModel,
-	"candidate_ablation":   runCandidateAblation,
-	"solver_scaling":       runSolverScaling,
-	"design_space_width":   runDesignSpaceWidth,
 }
 
 // Run executes the spec's experiment matrix and returns the answer
@@ -255,7 +247,8 @@ func Run(spec Spec, logf func(format string, args ...any)) (*Result, error) {
 					return nil, fmt.Errorf("bench: env %s/%d/%s: %w", size, seed, profile, err)
 				}
 				for _, name := range spec.Experiments {
-					if wi > 0 && !workloadSensitive[name] {
+					exp := experiments[experimentIndex(name)]
+					if wi > 0 && !exp.perWorkload {
 						continue
 					}
 					start := time.Now()
@@ -267,7 +260,7 @@ func Run(spec Spec, logf func(format string, args ...any)) (*Result, error) {
 						Quality:  map[string]float64{},
 						Counts:   map[string]int64{},
 					}
-					if err := runners[name](env, spec, &x); err != nil {
+					if err := exp.run(env, spec, &x); err != nil {
 						return nil, fmt.Errorf("bench: %s [%s/%s/seed %d]: %w", name, size, profile, seed, err)
 					}
 					res.Experiments = append(res.Experiments, x)
@@ -287,21 +280,8 @@ func Run(spec Spec, logf func(format string, args ...any)) (*Result, error) {
 // sortExperiments orders cells canonically so document layout never depends
 // on map or goroutine scheduling.
 func sortExperiments(xs []Experiment) {
-	order := map[string]int{}
-	for i, name := range ExperimentNames() {
-		order[name] = i
-	}
-	sort.SliceStable(xs, func(i, j int) bool {
-		a, b := xs[i], xs[j]
-		if a.Size != b.Size {
-			return a.Size < b.Size
-		}
-		if a.Seed != b.Seed {
-			return a.Seed < b.Seed
-		}
-		if a.Workload != b.Workload {
-			return a.Workload < b.Workload
-		}
-		return order[a.Name] < order[b.Name]
+	slices.SortStableFunc(xs, func(a, b Experiment) int {
+		return cmp.Or(strings.Compare(a.Size, b.Size), cmp.Compare(a.Seed, b.Seed),
+			strings.Compare(a.Workload, b.Workload), cmp.Compare(experimentIndex(a.Name), experimentIndex(b.Name)))
 	})
 }

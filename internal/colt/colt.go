@@ -387,16 +387,18 @@ func sizedIndex(v *engine.View, table, column string) *catalog.Index {
 // candSpec identifies a single-column candidate.
 type candSpec struct{ table, column string }
 
-func (c candSpec) key() string { return c.table + "(" + c.column + ")" }
+// key is the catalog key of the candidate's index, the one its Key() renders.
+func (c candSpec) key() string {
+	return catalog.StructureKey(catalog.KindSecondary, c.table, []string{c.column}, nil)
+}
 
-// extractCandidates pulls single-column index candidates from a query.
+// extractCandidates pulls single-column index candidates from a query, each
+// once: two specs are equal exactly when their keys are.
 func extractCandidates(sel *sqlparse.SelectStmt) []candSpec {
-	seen := map[string]bool{}
 	var out []candSpec
 	add := func(table, column string) {
 		c := candSpec{table: strings.ToLower(table), column: strings.ToLower(column)}
-		if !seen[c.key()] {
-			seen[c.key()] = true
+		if !slices.Contains(out, c) {
 			out = append(out, c)
 		}
 	}

@@ -56,6 +56,41 @@ func indexFriendlyStream(t *testing.T, eng *engine.Engine, n int, phase2 bool) [
 	return out
 }
 
+// TestCandidateKeysAreIndexKeys: a candidate is tracked under the Key() of
+// the index sized for it, whatever the case of the statement's names, so an
+// epoch's lookup of a live index finds the candidate it came from.
+func TestCandidateKeysAreIndexKeys(t *testing.T) {
+	tuner, eng := newTuner(t, colt.DefaultOptions())
+	var stream []workload.Query
+	for i, sql := range []string{
+		"SELECT PsfMag_R FROM PhotoObj WHERE PsfMag_R < 14 ORDER BY Ra",
+		"SELECT p.objid FROM photoobj p JOIN SpecObj s ON p.ObjID = s.BestObjID WHERE s.Z > 1.2",
+	} {
+		stmt, err := sqlparse.ParseSelect(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sqlparse.Resolve(stmt, eng.Schema()); err != nil {
+			t.Fatal(err)
+		}
+		stream = append(stream, workload.Query{ID: fmt.Sprint(i), SQL: sql, Weight: 1, Stmt: stmt})
+	}
+	if _, err := tuner.ObserveAll(context.Background(), stream); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for _, c := range tuner.Candidates() {
+		if c.Key != c.Index.Key() {
+			t.Errorf("candidate tracked as %q sizes an index keyed %q", c.Key, c.Index.Key())
+		}
+		keys = append(keys, c.Key)
+	}
+	want := "photoobj(objid) photoobj(psfmag_r) photoobj(ra) specobj(bestobjid) specobj(z)"
+	if got := strings.Join(keys, " "); got != want {
+		t.Errorf("candidates %s, want %s", got, want)
+	}
+}
+
 func TestTunerAdoptsBeneficialIndexes(t *testing.T) {
 	opts := colt.DefaultOptions()
 	opts.EpochLength = 10

@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/catalog"
 	"repro/internal/stats"
@@ -145,10 +146,12 @@ func (e *Env) geometry(ix *catalog.Index, ts *stats.TableStats) indexGeom {
 	}
 	if ix.EstimatedPages > 0 {
 		g.leafPages = float64(ix.EstimatedPages)
-	} else if ix.Kind == catalog.KindProjection {
-		g.leafPages = EstimateProjectionLeafPages(e.Schema.Table(ix.Table), ix.Columns, ix.Include, ts.RowCount)
 	} else {
-		g.leafPages = EstimateIndexLeafPages(e.Schema.Table(ix.Table), ix.Columns, ts.RowCount)
+		cols := ix.Columns
+		if ix.Kind == catalog.KindProjection {
+			cols = slices.Concat(cols, ix.Include) // the INCLUDE payload rides in every leaf
+		}
+		g.leafPages = EstimateIndexLeafPages(e.Schema.Table(ix.Table), cols, ts.RowCount)
 	}
 	if ix.EstimatedHeight > 0 {
 		g.height = ix.EstimatedHeight
@@ -179,14 +182,6 @@ func EstimateIndexLeafPages(t *catalog.Table, columns []string, rows int64) floa
 		pages = 1
 	}
 	return pages
-}
-
-// EstimateProjectionLeafPages sizes a covering projection's leaf level: the
-// INCLUDE payload rides in every leaf entry alongside the key, so width is
-// the sum of both column sets.
-func EstimateProjectionLeafPages(t *catalog.Table, keys, include []string, rows int64) float64 {
-	cols := append(append([]string(nil), keys...), include...)
-	return EstimateIndexLeafPages(t, cols, rows)
 }
 
 // EstimateAggViewSize sizes a single-table aggregate materialized view from

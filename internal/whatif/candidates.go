@@ -64,8 +64,8 @@ func (acc candidates) merge(kind catalog.StructureKind, table string, keys, extr
 
 // rank emits the accumulated candidates: secondary indexes first, then the
 // other kinds, each group table by table, ordered by score and then key,
-// capped at maxPerTable a table and sized through the kind's Hypothetical
-// constructor. A candidate the constructor refuses is dropped.
+// capped at maxPerTable a table and sized through Hypothetical. A candidate
+// Hypothetical refuses is dropped.
 func (s *Session) rank(acc candidates, maxPerTable int) []*catalog.Index {
 	group := func(c *candidate) int { return min(int(c.kind), 1) } // secondary first
 	list := slices.AppendSeq(make([]*candidate, 0, len(acc)), maps.Values(acc))
@@ -86,17 +86,7 @@ func (s *Session) rank(acc candidates, maxPerTable int) []*catalog.Index {
 		if n >= maxPerTable {
 			continue
 		}
-		var ix *catalog.Index
-		var err error
-		switch c.kind {
-		case catalog.KindProjection:
-			ix, err = s.HypotheticalProjection(c.table, c.keys, c.extra)
-		case catalog.KindAggView:
-			ix, err = s.HypotheticalAggView(c.table, c.keys, c.extra)
-		default:
-			ix, err = s.HypotheticalIndex(c.table, c.keys...)
-		}
-		if err == nil {
+		if ix, err := s.Hypothetical(c.kind, c.table, c.keys, c.extra); err == nil {
 			out = append(out, ix)
 		}
 	}

@@ -10,7 +10,7 @@ import (
 
 func TestHypotheticalProjectionSizing(t *testing.T) {
 	s, _ := newSession(t)
-	proj, err := s.HypotheticalProjection("photoobj", []string{"run"}, []string{"objid", "ra"})
+	proj, err := s.Hypothetical(catalog.KindProjection, "photoobj", []string{"run"}, []string{"objid", "ra"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,20 +41,20 @@ func TestHypotheticalProjectionSizing(t *testing.T) {
 	}
 
 	// Validation: overlapping key/INCLUDE, empty INCLUDE, unknown columns.
-	if _, err := s.HypotheticalProjection("photoobj", []string{"run"}, []string{"run"}); err == nil {
+	if _, err := s.Hypothetical(catalog.KindProjection, "photoobj", []string{"run"}, []string{"run"}); err == nil {
 		t.Error("key column duplicated in INCLUDE must fail")
 	}
-	if _, err := s.HypotheticalProjection("photoobj", []string{"run"}, nil); err == nil {
+	if _, err := s.Hypothetical(catalog.KindProjection, "photoobj", []string{"run"}, nil); err == nil {
 		t.Error("empty INCLUDE must fail")
 	}
-	if _, err := s.HypotheticalProjection("photoobj", []string{"nope"}, []string{"ra"}); err == nil {
+	if _, err := s.Hypothetical(catalog.KindProjection, "photoobj", []string{"nope"}, []string{"ra"}); err == nil {
 		t.Error("unknown key column must fail")
 	}
 }
 
 func TestHypotheticalAggViewSizing(t *testing.T) {
 	s, _ := newSession(t)
-	mv, err := s.HypotheticalAggView("photoobj", []string{"run", "camcol"}, []string{"COUNT(*)", "SUM(psfmag_r)"})
+	mv, err := s.Hypothetical(catalog.KindAggView, "photoobj", []string{"run", "camcol"}, []string{"COUNT(*)", "SUM(psfmag_r)"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,10 +81,10 @@ func TestHypotheticalAggViewSizing(t *testing.T) {
 		t.Errorf("view rows %d should undercut table rows %d", mv.EstimatedRows, rows)
 	}
 
-	if _, err := s.HypotheticalAggView("photoobj", nil, []string{"count(*)"}); err == nil {
+	if _, err := s.Hypothetical(catalog.KindAggView, "photoobj", nil, []string{"count(*)"}); err == nil {
 		t.Error("empty group keys must fail")
 	}
-	if _, err := s.HypotheticalAggView("photoobj", []string{"run"}, nil); err == nil {
+	if _, err := s.Hypothetical(catalog.KindAggView, "photoobj", []string{"run"}, nil); err == nil {
 		t.Error("empty aggregate list must fail")
 	}
 }

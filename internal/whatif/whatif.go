@@ -1,9 +1,11 @@
 // Package whatif implements the paper's what-if component (§3.1) — the hub
 // every other component attaches to. It simulates the benefit of physical
 // structures (indexes, vertical and horizontal partitions) without building
-// them: hypothetical indexes are sized realistically from statistics (the
-// §2 critique of size-zero simulation), folded into a hypothetical
-// Configuration, and costed by the unmodified optimizer.
+// them: one constructor, Session.Hypothetical, validates, sizes and names a
+// hypothetical index, covering projection or aggregate view realistically
+// from statistics (the §2 critique of size-zero simulation); the structure is
+// folded into a hypothetical Configuration and costed by the unmodified
+// optimizer.
 //
 // The what-if join sub-component (§3.1c) is exposed as optimizer.Options
 // pass-through: a session built over an environment with join methods
@@ -13,6 +15,7 @@ package whatif
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/catalog"
@@ -45,122 +48,82 @@ func (s *Session) Env() *optimizer.Env { return s.env }
 // Base returns the session's base configuration.
 func (s *Session) Base() *catalog.Configuration { return s.base }
 
-// HypotheticalIndex constructs a sized what-if index on the table: leaf
-// pages and height are estimated from statistics exactly as a real build
-// would produce, so the optimizer prices it honestly.
+// HypotheticalIndex constructs a sized what-if secondary index on the
+// table's columns.
 func (s *Session) HypotheticalIndex(table string, columns ...string) (*catalog.Index, error) {
+	return s.Hypothetical(catalog.KindSecondary, table, columns, nil)
+}
+
+// structureKinds holds, for each structure kind, the refusals of an empty
+// key or extra list ("" admits an empty one) and the name's prefix and
+// suffix around <table>_<keys>.
+var structureKinds = [...]struct{ noKeys, noExtra, prefix, suffix string }{
+	catalog.KindSecondary: {"whatif: index needs at least one column", "", "whatif_", ""},
+	catalog.KindProjection: {"whatif: projection needs at least one key column",
+		"whatif: projection needs at least one INCLUDE column; use HypotheticalIndex otherwise", "whatif_", "_inc"},
+	catalog.KindAggView: {"whatif: aggregate view needs at least one group-key column",
+		"whatif: aggregate view needs at least one aggregate", "whatif_mv_", ""},
+}
+
+// Hypothetical constructs a sized what-if structure of the kind on the
+// table: a secondary index on keys (extra unused), a covering projection
+// whose leaves also carry the INCLUDE columns extra, so index-only plans can
+// serve queries the key alone cannot, or a single-table aggregate
+// materialized view grouped on keys that stores the aggregates extra
+// (canonical lower-case form, e.g. "count(*)", "sum(psfmag_r)"). Leaf pages
+// and height are estimated from statistics exactly as a real build would
+// produce — a projection over key and payload width, an aggregate view from
+// its estimated group count — so the optimizer prices it honestly.
+func (s *Session) Hypothetical(kind catalog.StructureKind, table string, keys, extra []string) (*catalog.Index, error) {
+	rule := structureKinds[kind]
 	t := s.env.Schema.Table(table)
-	if t == nil {
+	switch {
+	case t == nil:
 		return nil, fmt.Errorf("whatif: unknown table %q", table)
+	case len(keys) == 0:
+		return nil, errors.New(rule.noKeys)
+	case len(extra) == 0 && rule.noExtra != "":
+		return nil, errors.New(rule.noExtra)
 	}
-	if len(columns) == 0 {
-		return nil, errors.New("whatif: index needs at least one column")
-	}
-	for _, c := range columns {
+	for _, c := range keys {
 		if !t.HasColumn(c) {
 			return nil, fmt.Errorf("whatif: table %s has no column %q", table, c)
 		}
 	}
-	ts := s.env.Stats.Table(table)
-	rows := int64(1000)
-	if ts != nil {
-		rows = ts.RowCount
-	}
-	pages := optimizer.EstimateIndexLeafPages(t, columns, rows)
 	ix := &catalog.Index{
-		Name:            hypoName(table, columns),
-		Table:           t.Name,
-		Columns:         append([]string(nil), columns...),
-		Hypothetical:    true,
-		EstimatedPages:  int64(pages),
-		EstimatedHeight: optimizer.EstimateIndexHeight(pages),
-	}
-	return ix, nil
-}
-
-func hypoName(table string, columns []string) string {
-	return "whatif_" + strings.ToLower(table) + "_" + strings.ToLower(strings.Join(columns, "_"))
-}
-
-// HypotheticalProjection constructs a sized covering projection: a
-// secondary index on the key columns whose leaves also carry the INCLUDE
-// payload, so index-only plans can serve queries the key alone cannot.
-func (s *Session) HypotheticalProjection(table string, keys, include []string) (*catalog.Index, error) {
-	t := s.env.Schema.Table(table)
-	if t == nil {
-		return nil, fmt.Errorf("whatif: unknown table %q", table)
-	}
-	if len(keys) == 0 {
-		return nil, errors.New("whatif: projection needs at least one key column")
-	}
-	if len(include) == 0 {
-		return nil, errors.New("whatif: projection needs at least one INCLUDE column; use HypotheticalIndex otherwise")
-	}
-	keySet := make(map[string]bool, len(keys))
-	for _, c := range keys {
-		if !t.HasColumn(c) {
-			return nil, fmt.Errorf("whatif: table %s has no column %q", table, c)
-		}
-		keySet[catalog.NormCol(c)] = true
-	}
-	for _, c := range include {
-		if !t.HasColumn(c) {
-			return nil, fmt.Errorf("whatif: table %s has no column %q", table, c)
-		}
-		if keySet[catalog.NormCol(c)] {
-			return nil, fmt.Errorf("whatif: column %q is both key and INCLUDE", c)
-		}
+		Name:         rule.prefix + strings.ToLower(table) + "_" + strings.ToLower(strings.Join(keys, "_")) + rule.suffix,
+		Table:        t.Name,
+		Kind:         kind,
+		Columns:      slices.Clone(keys),
+		Hypothetical: true,
 	}
 	ts := s.env.Stats.Table(table)
+	leaf := keys
+	switch kind {
+	case catalog.KindAggView:
+		ix.Aggs = catalog.NormCols(extra)
+		ix.EstimatedRows, ix.EstimatedPages = optimizer.EstimateAggViewSize(t, ts, keys, extra)
+		return ix, nil
+	case catalog.KindProjection:
+		for _, c := range extra {
+			if !t.HasColumn(c) {
+				return nil, fmt.Errorf("whatif: table %s has no column %q", table, c)
+			}
+			if slices.ContainsFunc(keys, func(k string) bool { return catalog.NormCol(k) == catalog.NormCol(c) }) {
+				return nil, fmt.Errorf("whatif: column %q is both key and INCLUDE", c)
+			}
+		}
+		ix.Include = slices.Clone(extra)
+		// The INCLUDE payload rides in every leaf entry beside the key.
+		leaf = slices.Concat(keys, extra)
+	}
 	rows := int64(1000)
 	if ts != nil {
 		rows = ts.RowCount
 	}
-	pages := optimizer.EstimateProjectionLeafPages(t, keys, include, rows)
-	return &catalog.Index{
-		Name:            hypoName(table, keys) + "_inc",
-		Table:           t.Name,
-		Kind:            catalog.KindProjection,
-		Columns:         append([]string(nil), keys...),
-		Include:         append([]string(nil), include...),
-		Hypothetical:    true,
-		EstimatedPages:  int64(pages),
-		EstimatedHeight: optimizer.EstimateIndexHeight(pages),
-	}, nil
-}
-
-// HypotheticalAggView constructs a sized single-table aggregate
-// materialized view: one row per distinct group-key combination carrying
-// the listed pre-computed aggregates (canonical lower-case form, e.g.
-// "count(*)", "sum(psfmag_r)").
-func (s *Session) HypotheticalAggView(table string, keys, aggs []string) (*catalog.Index, error) {
-	t := s.env.Schema.Table(table)
-	if t == nil {
-		return nil, fmt.Errorf("whatif: unknown table %q", table)
-	}
-	if len(keys) == 0 {
-		return nil, errors.New("whatif: aggregate view needs at least one group-key column")
-	}
-	if len(aggs) == 0 {
-		return nil, errors.New("whatif: aggregate view needs at least one aggregate")
-	}
-	for _, c := range keys {
-		if !t.HasColumn(c) {
-			return nil, fmt.Errorf("whatif: table %s has no column %q", table, c)
-		}
-	}
-	ts := s.env.Stats.Table(table)
-	rows, pages := optimizer.EstimateAggViewSize(t, ts, keys, aggs)
-	return &catalog.Index{
-		Name:           "whatif_mv_" + strings.ToLower(table) + "_" + strings.ToLower(strings.Join(keys, "_")),
-		Table:          t.Name,
-		Kind:           catalog.KindAggView,
-		Columns:        append([]string(nil), keys...),
-		Aggs:           catalog.NormCols(aggs),
-		Hypothetical:   true,
-		EstimatedPages: pages,
-		EstimatedRows:  rows,
-	}, nil
+	pages := optimizer.EstimateIndexLeafPages(t, leaf, rows)
+	ix.EstimatedPages, ix.EstimatedHeight = int64(pages), optimizer.EstimateIndexHeight(pages)
+	return ix, nil
 }
 
 // Cost plans the query under the given configuration and returns its
