@@ -175,13 +175,14 @@ func (d *Designer) CurrentConfiguration() *Configuration {
 	return configFromInternal(d.store.MaterializedConfiguration())
 }
 
-// CacheStats reports the full optimizations and cached costings of every
-// question the designer has answered, over its whole life. Each question
-// builds its own costing cache, so the counts only rise: to measure one
-// question, read them before and after it and take the difference.
+// CacheStats reports the full optimizations, cached costings and plan
+// searches of every question the designer has answered, over its whole
+// life. Each question builds its own costing cache, so the counts only
+// rise: to measure one question, read them before and after it and take the
+// difference.
 func (d *Designer) CacheStats() CacheStats {
 	full, cached := d.eng.CacheStats()
-	return CacheStats{FullOptimizations: full, CachedCostings: cached}
+	return CacheStats{FullOptimizations: full, CachedCostings: cached, PlanSearches: d.eng.PlanSearches()}
 }
 
 // SetWorkers bounds the in-process sweep pool (0 restores the GOMAXPROCS

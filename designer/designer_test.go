@@ -518,6 +518,41 @@ func TestJoinSteeredEvaluateHonorsWorkers(t *testing.T) {
 	}
 }
 
+// TestEvaluateCountsItsPlanSearches: the designer's plan-search count is
+// the plan searches its views run — a cold session evaluate adds two a
+// statement (the base design and the session's), and an evaluate after one
+// added index adds exactly the statements its delta recosted.
+func TestEvaluateCountsItsPlanSearches(t *testing.T) {
+	ctx := context.Background()
+	d := open(t)
+	w := sdssWorkload(t, d, 24)
+	s := d.NewDesignSession()
+	searches := func(evaluate func()) int64 {
+		before := d.CacheStats().PlanSearches
+		evaluate()
+		return d.CacheStats().PlanSearches - before
+	}
+	evaluate := func() {
+		if _, err := s.Evaluate(ctx, w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := searches(evaluate); got != 2*int64(w.Len()) {
+		t.Fatalf("a cold evaluate of %d statements ran %d plan searches, want %d", w.Len(), got, 2*w.Len())
+	}
+	if _, err := s.AddIndex("photoobj", "psfmag_r"); err != nil {
+		t.Fatal(err)
+	}
+	got := searches(evaluate)
+	recosted, reused := s.LastEvaluateDelta()
+	if recosted == 0 || reused == 0 {
+		t.Fatalf("the add-one-index evaluate split %d+%d; the count below would prove little", recosted, reused)
+	}
+	if got != int64(recosted) {
+		t.Fatalf("the add-one-index evaluate ran %d plan searches, its delta recosted %d statements", got, recosted)
+	}
+}
+
 // TestSteeredEvaluateReportsItsOwnSplit: a join-steered Evaluate re-prices
 // every query, and says so — it does not leave the previous delta
 // evaluation's split standing as its own.

@@ -262,6 +262,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"Full optimizer runs spent building costing-cache entries, over the engine's life.", float64(cs.FullOptimizations))
 	counter("dbdesigner_engine_cache_cached_costings_total",
 		"Costings answered from the costing cache, over the engine's life.", float64(cs.CachedCostings))
+	counter("dbdesigner_engine_plan_searches_total",
+		"Full plan searches run outside the costing cache (what-if evaluations, full-cost baselines), over the engine's life.", float64(cs.PlanSearches))
 
 	// The autopilot owns its monotonic totals; mirror the slot's reading.
 	tv := s.tunerView.Load()

@@ -562,6 +562,7 @@ func TestOperationalEndpoints(t *testing.T) {
 		"# TYPE dbdesigner_sessions_active gauge",
 		"# TYPE dbdesigner_engine_cache_full_optimizations_total counter",
 		"# TYPE dbdesigner_engine_cache_cached_costings_total counter",
+		"# TYPE dbdesigner_engine_plan_searches_total counter",
 		`dbdesigner_http_requests_total{code="201",method="POST",route="/api/v1/sessions"} 1`,
 		`dbdesigner_http_requests_total{code="404",method="GET",route="/api/v1/sessions/{id}"} 1`,
 		`dbdesigner_sessions_active{tenant="acme"} 1`,

@@ -468,11 +468,14 @@ func scheduleFromInternal(s *schedule.Schedule) *Schedule {
 	return out
 }
 
-// CacheStats reports the costing engine's full-optimization and cached
-// costing counters — the telemetry behind the paper's INUM speedup claim.
+// CacheStats reports the costing engine's counters: the full optimizations
+// spent building costing-cache entries and the costings answered from them
+// — the telemetry behind the paper's INUM speedup claim — and the full plan
+// searches run outside the cache (what-if evaluations, full-cost baselines).
 type CacheStats struct {
 	FullOptimizations int64
 	CachedCostings    int64
+	PlanSearches      int64
 }
 
 // IOStats counts logical page I/O. Sequential and random reads are tracked

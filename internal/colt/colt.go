@@ -196,7 +196,10 @@ func (t *Tuner) Observe(ctx context.Context, q workload.Query) (float64, error) 
 		return 0, err
 	}
 	// Pin one online view per observation: its INUM entry is this query's
-	// alone and is released with the view.
+	// alone and is released with the view. A cache asked one statement
+	// renders no key and makes no slot map, so the view costs the
+	// statement's entry, its pricing table and a numbering of the few
+	// structures priced, not the set-up of a whole question.
 	v := t.eng.PinOnline()
 	curCost, err := v.QueryCost(q, t.current)
 	if err != nil {

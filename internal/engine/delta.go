@@ -190,7 +190,7 @@ func (v *View) EvaluateDelta(ctx context.Context, w *workload.Workload, cfg *cat
 		news := slices.Clone(rep.New)
 		err := v.e.sweep(ctx, len(affected), func(k int) error {
 			q := w.Queries[affected[k]]
-			nw, err := v.s.env.CostUnder(q.Stmt, newCfg)
+			nw, err := v.search(v.s.env, q.Stmt, newCfg)
 			if err != nil {
 				return fmt.Errorf("engine: %s: %w", q.ID, err)
 			}

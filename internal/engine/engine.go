@@ -47,6 +47,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/catalog"
 	"repro/internal/inum"
@@ -82,8 +83,10 @@ type Engine struct {
 	workers int
 
 	// counters tallies the costing work of every view the engine pins,
-	// over its whole life.
-	counters inum.Counters
+	// over its whole life, and planSearches the full plan searches those
+	// views run outside INUM (search).
+	counters     inum.Counters
+	planSearches atomic.Int64
 }
 
 // New creates an engine over a schema/statistics snapshot and a base
@@ -150,14 +153,15 @@ type View struct {
 	s     *snapshot
 	spec  BackendSpec
 	cache *inum.Cache
-	// entry returns a statement's entry of the kind the view prices from,
-	// building it when the cache lacks it: Cache.Prepare's complete entry
-	// for a design view, Cache.OnDemand's (one optimization, the no-order
-	// template) for an online view, whose question prices a streamed
-	// statement once or twice. The on-demand entry is kept by measurement
-	// (package inum): order templates built lazily read the complete entry
-	// exactly but cost more optimizations than they save.
-	entry func(*sqlparse.SelectStmt) (*inum.CachedQuery, error)
+	// door finds or builds a statement's entry in the cache, of the kind
+	// the view prices from: Cache.Prepare's complete entry for a design
+	// view, Cache.OnDemand's (one optimization, the no-order template) for
+	// an online view, whose question prices a streamed statement once or
+	// twice. The on-demand entry is kept by measurement (package inum):
+	// order templates built lazily read the complete entry exactly but cost
+	// more optimizations than they save. Both doors are plain functions, so
+	// pinning a view makes no closure.
+	door func(*inum.Cache, *sqlparse.SelectStmt) (*inum.CachedQuery, error)
 }
 
 // Pin captures the current generation and builds a fresh INUM cache over it:
@@ -168,7 +172,11 @@ func (e *Engine) Pin() *View { return e.view(e.snapshot(), e.spec, false) }
 // PinOnline is Pin for a question that prices each statement once or twice
 // — one COLT observation, a stream's static baseline: the view prices every
 // query from its on-demand INUM entry, one full optimization and the
-// no-order template.
+// no-order template. A view asked one statement, as an observation is, pays
+// for that statement alone: its cache renders no key and makes no slot map
+// (package inum), and pinning it makes no closure. A stream's baseline,
+// which prices many statements on one view, finds them by key as a design
+// view does.
 func (e *Engine) PinOnline() *View { return e.view(e.snapshot(), e.spec, true) }
 
 // PinBackend is Pin with a different cost backend, built against the same
@@ -185,13 +193,21 @@ func (e *Engine) PinBackend(spec BackendSpec) (*View, error) {
 
 // view builds the INUM cache a pinned generation prices through.
 func (e *Engine) view(s *snapshot, spec BackendSpec, online bool) *View {
-	v := &View{e: e, s: s, spec: spec, cache: inum.New(s.env, &e.counters)}
+	v := &View{e: e, s: s, spec: spec, cache: inum.New(s.env, &e.counters), door: prepare}
 	if online {
-		v.entry = v.cache.OnDemand
-	} else {
-		v.entry = func(stmt *sqlparse.SelectStmt) (*inum.CachedQuery, error) { return v.cache.Prepare("", stmt, nil) }
+		v.door = (*inum.Cache).OnDemand
 	}
 	return v
+}
+
+// prepare is a design view's door: the statement's complete entry.
+func prepare(c *inum.Cache, stmt *sqlparse.SelectStmt) (*inum.CachedQuery, error) {
+	return c.Prepare("", stmt, nil)
+}
+
+// entry returns the statement's entry of the kind the view prices from.
+func (v *View) entry(stmt *sqlparse.SelectStmt) (*inum.CachedQuery, error) {
+	return v.door(v.cache, stmt)
 }
 
 // Version reports the pinned generation. It increments every time the base
@@ -350,7 +366,15 @@ func (v *View) workloadCost(w *workload.Workload, entries []*inum.CachedQuery, c
 // cost constants against the pinned generation, bypassing the cached path —
 // the E8 comparison baseline and the exactness fallback.
 func (v *View) FullCost(stmt *sqlparse.SelectStmt, cfg *catalog.Configuration) (float64, error) {
-	return v.s.env.CostUnder(stmt, v.s.resolve(cfg))
+	return v.search(v.s.env, stmt, v.s.resolve(cfg))
+}
+
+// search is one full plan search of the statement under cfg in env, counted
+// into the engine's plan searches: every plan search a view runs outside
+// INUM goes through it.
+func (v *View) search(env *optimizer.Env, stmt *sqlparse.SelectStmt, cfg *catalog.Configuration) (float64, error) {
+	v.e.planSearches.Add(1)
+	return env.CostUnder(stmt, cfg)
 }
 
 // Optimize plans a statement under a configuration (nil = base) and returns
@@ -366,6 +390,12 @@ func (v *View) Optimize(stmt *sqlparse.SelectStmt, cfg *catalog.Configuration) (
 func (e *Engine) CacheStats() (fullOpts, cachedCostings int64) {
 	return e.counters.FullOptimizations.Load(), e.counters.CachedCostings.Load()
 }
+
+// PlanSearches reports the full plan searches every view the engine has
+// pinned ran outside INUM — FullCost, Evaluate, EvaluateSteered and
+// EvaluateDelta's recosts — over its whole life. Like CacheStats, the
+// count only rises.
+func (e *Engine) PlanSearches() int64 { return e.planSearches.Load() }
 
 // workerCount resolves the sweep pool size for n jobs.
 func (e *Engine) workerCount(n int) int {

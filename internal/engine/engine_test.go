@@ -458,7 +458,7 @@ func TestSetWorkers(t *testing.T) {
 func TestEngineIsLifecycleOnly(t *testing.T) {
 	want := []string{
 		"Base", "CacheStats", "Env", "Pin", "PinBackend", "PinOnline",
-		"Schema", "SetBaseConfig", "SetStats", "SetWorkers", "Workers",
+		"PlanSearches", "Schema", "SetBaseConfig", "SetStats", "SetWorkers", "Workers",
 	}
 	typ := reflect.TypeOf((*engine.Engine)(nil))
 	got := make([]string, typ.NumMethod())

@@ -24,10 +24,10 @@ type prepareCounter struct {
 // pin pins a view whose entry door counts its calls into pc.
 func (pc *prepareCounter) pin(e *Engine) *View {
 	v := e.Pin()
-	entry := v.entry
-	v.entry = func(stmt *sqlparse.SelectStmt) (*inum.CachedQuery, error) {
+	door := v.door
+	v.door = func(c *inum.Cache, stmt *sqlparse.SelectStmt) (*inum.CachedQuery, error) {
 		pc.prepares.Add(1)
-		return entry(stmt)
+		return door(c, stmt)
 	}
 	return v
 }

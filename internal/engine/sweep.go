@@ -217,11 +217,11 @@ func (v *View) evaluate(ctx context.Context, w *workload.Workload, cfg *catalog.
 	rep := &whatif.Report{Base: make([]float64, len(w.Queries)), New: make([]float64, len(w.Queries))}
 	err := v.e.sweep(ctx, len(w.Queries), func(i int) error {
 		q := w.Queries[i]
-		bc, err := env.CostUnder(q.Stmt, v.s.base)
+		bc, err := v.search(env, q.Stmt, v.s.base)
 		if err != nil {
 			return fmt.Errorf("engine: %s: %w", q.ID, err)
 		}
-		nc, err := env.CostUnder(q.Stmt, newCfg)
+		nc, err := v.search(env, q.Stmt, newCfg)
 		if err != nil {
 			return fmt.Errorf("engine: %s: %w", q.ID, err)
 		}

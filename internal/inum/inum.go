@@ -44,7 +44,9 @@
 // nothing is ever evicted; only the work counters (Counters) outlive it.
 // Within it an entry is found by its statement's content (SelectStmt.Key),
 // never by a caller's name for the statement, and built once however many
-// statements, names or goroutines ask for it.
+// statements, names or goroutines ask for it. A cache asked one statement
+// pays for that statement alone: its first statement is found by pointer,
+// and keys are rendered and mapped only when a second one arrives.
 //
 // A costing is arithmetic. Per table of the query, a structure that could
 // enter one of its plans (optimizer.CanUse on the statement's footprint)
@@ -56,8 +58,9 @@
 // what pricing each table under its whole visible design gives. The cache
 // numbers the structures its question prices, once (Number, or CostFor on
 // first sight), and each entry keeps a pricing table of their terms by
-// ordinal (table.go), so a costing of structures priced before is a loop of
-// mins and adds that allocates nothing and takes no lock; the index
+// ordinal (table.go), extended once per costing that numbers structures, so
+// a costing of structures priced before is a loop of mins and adds that
+// allocates nothing and takes no lock; the index
 // advisors price sets of ordinals (CostOf). Partition layouts — the paper's
 // extension of INUM "to cache table partitions and partial plans" (§3.3) —
 // change only a table's base, through its scan footprint
@@ -124,12 +127,22 @@ type CachedQuery struct {
 }
 
 // Cache is the INUM store of one question: the entries of every statement
-// it prepared or priced, one slot per statement key (SelectStmt.Key). Two
-// workloads that number their queries alike share nothing by it, and a
-// re-parse of a workload finds the entries of the first parse.
+// it prepared or priced. The first statement asked is kept by pointer, its
+// entry in a slot of the cache's own, so a question that prices one
+// statement — a COLT observation — renders no key and makes no map. A
+// second, different statement makes the map of slots by statement key
+// (SelectStmt.Key), keyed then for it and for the first: from there on an
+// entry is found by content, so two workloads that number their queries
+// alike share nothing by it, and a re-parse of a workload finds the entries
+// of the first parse.
 type Cache struct {
 	base *optimizer.Env
 
+	// first is the first statement asked, and one its slot. slots, made
+	// under mu when another statement arrives, holds the slot of every
+	// statement key, first's included.
+	first atomic.Pointer[sqlparse.SelectStmt]
+	one   slot
 	mu    sync.Mutex
 	slots map[string]*slot
 	// num numbers the structures the question prices (table.go).
@@ -163,7 +176,7 @@ func New(env *optimizer.Env, counters ...*Counters) *Cache {
 	if len(counters) == 0 {
 		counters = []*Counters{new(Counters)}
 	}
-	return &Cache{base: env, slots: make(map[string]*slot), counters: counters[0]}
+	return &Cache{base: env, counters: counters[0]}
 }
 
 // Prepare returns the statement's complete entry, building it when the cache
@@ -187,15 +200,7 @@ func (c *Cache) OnDemand(stmt *sqlparse.SelectStmt) (*CachedQuery, error) {
 // holds none or, for Prepare, only an on-demand one: an entry only moves from
 // on-demand to complete.
 func (c *Cache) entry(stmt *sqlparse.SelectStmt, complete bool) (*CachedQuery, error) {
-	key := stmt.Key()
-	c.mu.Lock()
-	s := c.slots[key]
-	if s == nil {
-		s = new(slot)
-		c.slots[key] = s
-	}
-	c.mu.Unlock()
-
+	s := c.slotOf(stmt)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.q == nil || complete && !s.q.complete {
@@ -206,6 +211,27 @@ func (c *Cache) entry(stmt *sqlparse.SelectStmt, complete bool) (*CachedQuery, e
 		s.q = q
 	}
 	return s.q, nil
+}
+
+// slotOf returns the statement's slot: the cache's own when the statement is
+// the first asked, by pointer, or else its key's in the map, which the first
+// other statement makes. Keys are rendered outside the lock.
+func (c *Cache) slotOf(stmt *sqlparse.SelectStmt) *slot {
+	if first := c.first.Load(); first == stmt || first == nil && c.first.CompareAndSwap(nil, stmt) {
+		return &c.one
+	}
+	key, firstKey := stmt.Key(), c.first.Load().Key()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.slots == nil {
+		c.slots = map[string]*slot{firstKey: &c.one}
+	}
+	s := c.slots[key]
+	if s == nil {
+		s = new(slot)
+		c.slots[key] = s
+	}
+	return s
 }
 
 // build computes the template set for a query: the complete one, or the

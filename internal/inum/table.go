@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/catalog"
 	"repro/internal/optimizer"
@@ -17,28 +18,91 @@ import (
 const maxNumbered = 1024
 
 // numbering gives each structure a question prices an ordinal, the index
-// of every entry's table. Ordinals are handed out under mu and published
-// through ids, so a structure met before is found without a lock.
+// of every entry's table. Ordinals are handed out under mu and published in
+// an open-addressing table keyed by the structure's address, at most half
+// full, so a structure met before is found with no lock and no allocation;
+// a full table is copied into one twice its size and republished.
 type numbering struct {
 	mu      sync.Mutex
-	ids     sync.Map         // *catalog.Index → int32
+	ids     atomic.Pointer[idTable]
 	structs []*catalog.Index // by ordinal, under mu
 	size    atomic.Int32
 }
 
+// idTable is one generation of a numbering's lookup, its length a power of
+// two. A slot's ordinal is written before its structure is published, and
+// neither changes after; a reader of a replaced generation that misses
+// looks again under the lock.
+type idTable []idSlot
+
+type idSlot struct {
+	ix atomic.Pointer[catalog.Index]
+	id int32
+}
+
+// addrHash hashes a structure's address (Fibonacci hashing: the high half
+// of the product is the well-mixed one). A numbered structure is on the
+// heap — the numbering keeps it — and Go's collector does not move heap
+// objects, so its address is a stable key. hash/maphash.Comparable hashes
+// the same address, but made a warm costing, which looks each structure up
+// twice (cost), 45 % slower (BenchmarkCostForWarm).
+func addrHash(ix *catalog.Index) uint64 {
+	return uint64(uintptr(unsafe.Pointer(ix))) * 0x9E3779B97F4A7C15 >> 32
+}
+
+// find returns the structure's ordinal in the table, if it holds one.
+func (tab *idTable) find(ix *catalog.Index) (int32, bool) {
+	if tab == nil {
+		return 0, false
+	}
+	mask := uint64(len(*tab) - 1)
+	for i := addrHash(ix) & mask; ; i = (i + 1) & mask {
+		switch p := (*tab)[i].ix.Load(); p {
+		case ix:
+			return (*tab)[i].id, true
+		case nil:
+			return 0, false
+		}
+	}
+}
+
+// put publishes the structure's ordinal; callers hold the numbering's lock.
+func (tab *idTable) put(ix *catalog.Index, id int32) {
+	mask := uint64(len(*tab) - 1)
+	i := addrHash(ix) & mask
+	for (*tab)[i].ix.Load() != nil {
+		i = (i + 1) & mask
+	}
+	(*tab)[i].id = id
+	(*tab)[i].ix.Store(ix)
+}
+
 // id returns the structure's ordinal, numbering it on first sight.
 func (n *numbering) id(ix *catalog.Index) int32 {
-	if v, ok := n.ids.Load(ix); ok {
-		return v.(int32)
+	if id, ok := n.ids.Load().find(ix); ok {
+		return id
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if v, ok := n.ids.Load(ix); ok {
-		return v.(int32)
+	tab := n.ids.Load()
+	if id, ok := tab.find(ix); ok {
+		return id
 	}
 	id := int32(len(n.structs))
 	n.structs = append(n.structs, ix)
-	n.ids.Store(ix, id)
+	if tab == nil || 2*len(n.structs) > len(*tab) {
+		size := 8
+		if tab != nil {
+			size = 2 * len(*tab)
+		}
+		grown := make(idTable, size)
+		for k, s := range n.structs[:id] {
+			grown.put(s, int32(k))
+		}
+		tab = &grown
+		n.ids.Store(tab)
+	}
+	tab.put(ix, id)
 	n.size.Store(id + 1)
 	return id
 }
@@ -101,20 +165,22 @@ func (c *Cache) table(q *CachedQuery, n *numbering, need int32) *table {
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	next := &table{num: n}
 	t := q.tab.Load()
-	if t == nil || t.num != n {
-		t = &table{num: n}
+	if t != nil && t.num == n {
+		// Extending appends past the published lengths only: readers of
+		// the published table never look there.
+		next.base, next.cols, next.vecs = t.base, t.cols, t.vecs
+	} else {
+		t = nil
 	}
 	n.mu.Lock()
-	fresh := n.structs[len(t.cols):len(n.structs):len(n.structs)]
+	first := len(next.cols)
+	fresh := n.structs[first:len(n.structs):len(n.structs)]
 	n.mu.Unlock()
-	if len(fresh) == 0 && t.base != nil {
+	if len(fresh) == 0 && t != nil {
 		return t
 	}
-	// Extending appends past the published lengths only: readers of the
-	// published table never look there.
-	next := &table{num: n, base: t.base, cols: t.cols, vecs: t.vecs}
-	first := len(next.cols)
 	for range fresh {
 		next.cols = append(next.cols, column{t: -1})
 	}
@@ -136,7 +202,7 @@ func (c *Cache) table(q *CachedQuery, n *numbering, need int32) *table {
 			}
 			group, at = append(group, ix), append(at, k)
 		}
-		if len(group) == 0 && t.base != nil {
+		if len(group) == 0 && t != nil {
 			continue
 		}
 		// The table was resolved against the schema when the entry was
@@ -144,7 +210,7 @@ func (c *Cache) table(q *CachedQuery, n *numbering, need int32) *table {
 		start := len(next.vecs)
 		var base []float64
 		base, next.vecs, _ = c.base.AccessTerms(q.Stmt, name, optimizer.TableDesign{Indexes: group}, q.orders[ti], nil, next.vecs)
-		if t.base == nil {
+		if t == nil {
 			next.base = append(next.base, base...)
 		}
 		for g, k := range at {
@@ -164,7 +230,13 @@ func (c *Cache) table(q *CachedQuery, n *numbering, need int32) *table {
 // structures and the layout memo cfg's footprints.
 func (c *Cache) cost(q *CachedQuery, n *numbering, count int, ord func(int) int32, cfg *catalog.Configuration) float64 {
 	c.counters.CachedCostings.Add(1)
-	t := c.table(q, n, 0)
+	// The ordinals are resolved first, so that a costing numbering
+	// structures extends the table once, for all of them.
+	var need int32
+	for k := 0; k < count; k++ {
+		need = max(need, ord(k)+1)
+	}
+	t := c.table(q, n, need)
 	var accBuf [4 * maxTemplates]float64
 	acc := accBuf[:0]
 	acc = append(acc, t.base...)
@@ -173,11 +245,7 @@ func (c *Cache) cost(q *CachedQuery, n *numbering, count int, ord func(int) int3
 	}
 	mv := math.Inf(1)
 	for k := 0; k < count; k++ {
-		o := ord(k)
-		if int(o) >= len(t.cols) {
-			t = c.table(q, n, o+1)
-		}
-		switch col := t.cols[o]; {
+		switch col := t.cols[ord(k)]; {
 		case col.t < 0:
 		case int(col.t) == len(q.Tables):
 			mv = min(mv, t.vecs[col.at])

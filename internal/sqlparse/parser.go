@@ -53,6 +53,25 @@ func ParseSelect(src string) (*SelectStmt, error) {
 	return sel, nil
 }
 
+// ParseAggregate parses one aggregate call — COUNT(*), or one of the
+// supported aggregates over an expression — such as a materialized view
+// stores.
+func ParseAggregate(src string) (*FuncExpr, error) {
+	p := newParser(src)
+	e, err := p.parsePrimary()
+	if err != nil {
+		return nil, err
+	}
+	f, ok := e.(*FuncExpr)
+	if !ok {
+		return nil, errorAt(src, 0, "expected an aggregate call")
+	}
+	if !p.atEOF() {
+		return nil, p.errHere("unexpected trailing input %q", p.peek().val)
+	}
+	return f, nil
+}
+
 // ParseScript parses a semicolon-separated sequence of statements, ignoring
 // blank statements and line comments.
 func ParseScript(src string) ([]Statement, error) {

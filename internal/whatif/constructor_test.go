@@ -17,8 +17,9 @@ import (
 // DesignSession.Add{Index,Projection,AggView}). Besides one valid,
 // mixed-case input a kind, it holds one minimal input for each rule a
 // constructor enforces — unknown table, empty keys, empty INCLUDE or
-// aggregate list, unknown key or INCLUDE column, a key repeated in INCLUDE —
-// and two inputs that break two rules at once, which pin the order the rules
+// aggregate list, unknown key or INCLUDE column, a repeated key column, a key
+// repeated in INCLUDE, an aggregate that is not count(*) or an aggregate of a
+// column of the table, a repeated aggregate — and inputs that break two rules at once, which pin the order the rules
 // are checked in. A valid structure is pinned by key, name, pages, height and
 // rows, and a refusal by its exact text; a session refuses the same structure
 // added twice.
@@ -47,6 +48,10 @@ func TestStructureConstructors(t *testing.T) {
 			want: `whatif: table photoobj has no column "nope"`},
 		{name: "index/unknown table before empty keys", kind: index, table: "nope",
 			want: `whatif: unknown table "nope"`},
+		{name: "index/repeated key column", kind: index, table: "photoobj", keys: []string{"run", "RUN"},
+			want: `whatif: column "RUN" repeats in the key`},
+		{name: "index/unknown key column before repeated key column", kind: index, table: "photoobj", keys: []string{"run", "RUN", "nope"},
+			want: `whatif: table photoobj has no column "nope"`},
 
 		{name: "projection", kind: projection, table: "PhotoObj", keys: []string{"Run"}, extra: []string{"Ra", "ObjID"},
 			want:  "photoobj(run) include(ra,objid) whatif_photoobj_run_inc pages=13 height=2 rows=0",
@@ -77,6 +82,14 @@ func TestStructureConstructors(t *testing.T) {
 			want: "whatif: aggregate view needs at least one aggregate"},
 		{name: "aggview/unknown key column", kind: aggView, table: "photoobj", keys: []string{"nope"}, extra: []string{"count(*)"},
 			want: `whatif: table photoobj has no column "nope"`},
+		{name: "aggview/not an aggregate", kind: aggView, table: "photoobj", keys: []string{"run"}, extra: []string{"bogus"},
+			want: `whatif: aggregate "bogus" is not count(*) or an aggregate of one column`},
+		{name: "aggview/unknown aggregate column", kind: aggView, table: "photoobj", keys: []string{"run"}, extra: []string{"sum(nope)"},
+			want: `whatif: table photoobj has no column "nope"`},
+		{name: "aggview/repeated aggregate", kind: aggView, table: "photoobj", keys: []string{"run"}, extra: []string{"count(*)", "COUNT(*)"},
+			want: `whatif: aggregate "COUNT(*)" repeats count(*)`},
+		{name: "aggview/repeated key column before bad aggregate", kind: aggView, table: "photoobj", keys: []string{"run", "Run"}, extra: []string{"bogus"},
+			want: `whatif: column "Run" repeats in the key`},
 	}
 
 	store, err := workload.Generate(workload.TinySize(), 1)

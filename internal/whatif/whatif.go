@@ -90,6 +90,11 @@ func (s *Session) Hypothetical(kind catalog.StructureKind, table string, keys, e
 			return nil, fmt.Errorf("whatif: table %s has no column %q", table, c)
 		}
 	}
+	for i, c := range keys {
+		if slices.ContainsFunc(keys[:i], func(k string) bool { return strings.EqualFold(k, c) }) {
+			return nil, fmt.Errorf("whatif: column %q repeats in the key", c)
+		}
+	}
 	ix := &catalog.Index{
 		Name:         rule.prefix + strings.ToLower(table) + "_" + strings.ToLower(strings.Join(keys, "_")) + rule.suffix,
 		Table:        t.Name,
@@ -101,8 +106,12 @@ func (s *Session) Hypothetical(kind catalog.StructureKind, table string, keys, e
 	leaf := keys
 	switch kind {
 	case catalog.KindAggView:
-		ix.Aggs = catalog.NormCols(extra)
-		ix.EstimatedRows, ix.EstimatedPages = optimizer.EstimateAggViewSize(t, ts, keys, extra)
+		aggs, err := aggregates(table, t, extra)
+		if err != nil {
+			return nil, err
+		}
+		ix.Aggs = aggs
+		ix.EstimatedRows, ix.EstimatedPages = optimizer.EstimateAggViewSize(t, ts, keys, aggs)
 		return ix, nil
 	case catalog.KindProjection:
 		for _, c := range extra {
@@ -124,6 +133,33 @@ func (s *Session) Hypothetical(kind catalog.StructureKind, table string, keys, e
 	pages := optimizer.EstimateIndexLeafPages(t, leaf, rows)
 	ix.EstimatedPages, ix.EstimatedHeight = int64(pages), optimizer.EstimateIndexHeight(pages)
 	return ix, nil
+}
+
+// aggregates checks an aggregate view's stored aggregates against its table
+// and returns them in canonical form (sqlparse.AggString): each must be
+// count(*) or an aggregate of the parser's over one column of the table,
+// and none may repeat another once canonical.
+func aggregates(table string, t *catalog.Table, extra []string) ([]string, error) {
+	out := make([]string, 0, len(extra))
+	for _, a := range extra {
+		f, err := sqlparse.ParseAggregate(a)
+		var col *sqlparse.ColumnRef
+		if err == nil && !f.Star {
+			col, _ = f.Arg.(*sqlparse.ColumnRef)
+		}
+		switch {
+		case err != nil, f.Star && f.Func != sqlparse.AggCount, !f.Star && col == nil:
+			return nil, fmt.Errorf("whatif: aggregate %q is not count(*) or an aggregate of one column", a)
+		case col != nil && (!t.HasColumn(col.Column) || col.Table != "" && !strings.EqualFold(col.Table, t.Name)):
+			return nil, fmt.Errorf("whatif: table %s has no column %q", table, col)
+		}
+		canon := sqlparse.AggString(f)
+		if slices.Contains(out, canon) {
+			return nil, fmt.Errorf("whatif: aggregate %q repeats %s", a, canon)
+		}
+		out = append(out, canon)
+	}
+	return out, nil
 }
 
 // Cost plans the query under the given configuration and returns its
