@@ -45,11 +45,7 @@ func cmdAdvise(args []string) error {
 		if err != nil {
 			return err
 		}
-		ix, err := d.HypotheticalIndex(table, cols...)
-		if err != nil {
-			return err
-		}
-		seeds = append(seeds, ix)
+		seeds = append(seeds, designer.Index{Table: table, Columns: cols})
 	}
 	opts := designer.AdviceOptions{
 		StorageBudgetPages: *budget,

@@ -351,3 +351,22 @@ func TestEvaluateEditAllocationCeiling(t *testing.T) {
 		t.Fatalf("one edit and evaluation allocate %.0f KB, ceiling %d KB", perEditKB, ceilingKB)
 	}
 }
+
+// keySink keeps TestIndexKeyAllocatesOnce's renderings alive.
+var keySink string
+
+// TestIndexKeyAllocatesOnce holds Index.Key to the one allocation of its
+// rendering: the key is rendered from the spec by catalog.StructureKey. It
+// made three allocations for an index and four for a projection while Key
+// converted the DTO into a whole catalog.Index first.
+func TestIndexKeyAllocatesOnce(t *testing.T) {
+	for _, ix := range []designer.Index{
+		{Table: "photoobj", Columns: []string{"type", "psfmag_r"}},
+		{Table: "photoobj", Columns: []string{"run"}, Kind: "projection", Include: []string{"ra", "objid"}},
+		{Table: "photoobj", Columns: []string{"run", "camcol"}, Kind: "aggview", Aggs: []string{"count(*)"}},
+	} {
+		if n := testing.AllocsPerRun(100, func() { keySink = ix.Key() }); n != 1 {
+			t.Errorf("%s: %v allocations a Key, want 1", ix.Key(), n)
+		}
+	}
+}

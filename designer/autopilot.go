@@ -2,8 +2,11 @@ package designer
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/autopilot"
+	"repro/internal/catalog"
+	"repro/internal/engine"
 )
 
 // AutopilotOptions configure the closed-loop supervisor layered over the
@@ -73,15 +76,7 @@ type AutopilotDecision struct {
 }
 
 // String renders the decision for logs.
-func (d AutopilotDecision) String() string { return decisionToInternal(d).String() }
-
-func decisionFromInternal(d autopilot.Decision) AutopilotDecision {
-	return AutopilotDecision(d)
-}
-
-func decisionToInternal(d AutopilotDecision) autopilot.Decision {
-	return autopilot.Decision(d)
-}
+func (d AutopilotDecision) String() string { return autopilot.Decision(d).String() }
 
 // AutopilotRegretPoint is one epoch's measured gap between the live
 // configuration and the oracle-best design over the same window.
@@ -132,7 +127,8 @@ type AutopilotStatus struct {
 // tracks regret against the oracle-best design, and persists its state so
 // a restart resumes instead of relearning. Safe for concurrent use.
 type Autopilot struct {
-	a *autopilot.Autopilot
+	a   *autopilot.Autopilot
+	eng *engine.Engine
 }
 
 // NewAutopilot creates the supervisor over the designer's engine, seeded
@@ -143,7 +139,7 @@ func (d *Designer) NewAutopilot(topts TunerOptions, opts AutopilotOptions) (*Aut
 	if err != nil {
 		return nil, err
 	}
-	return &Autopilot{a: a}, nil
+	return &Autopilot{a: a, eng: d.eng}, nil
 }
 
 // Observe feeds one query through the loop and returns its estimated cost
@@ -171,13 +167,24 @@ func (a *Autopilot) ObserveAll(ctx context.Context, qs []Query) (float64, error)
 // The callback runs under the supervisor lock: keep it light and do not
 // call back into the autopilot from it.
 func (a *Autopilot) OnDecision(fn func(AutopilotDecision)) {
-	a.a.OnDecision(func(d autopilot.Decision) { fn(decisionFromInternal(d)) })
+	a.a.OnDecision(func(d autopilot.Decision) { fn(AutopilotDecision(d)) })
 }
 
 // Adopt queues a background build outside the tuner's alert flow — the
 // operator override. The promise is the per-epoch benefit the index must
-// honor during probation.
-func (a *Autopilot) Adopt(ix Index, promise float64) { a.a.Adopt(ix.internal(), promise) }
+// honor during probation. A spec the what-if constructor refuses, or
+// another kind than a secondary index, is refused.
+func (a *Autopilot) Adopt(ix Index, promise float64) error {
+	six, err := ix.structure(a.eng.Pin().Session())
+	if err != nil {
+		return err
+	}
+	if six.Kind != catalog.KindSecondary {
+		return fmt.Errorf("designer: adopt %s: the autopilot builds secondary indexes only", six.Key())
+	}
+	a.a.Adopt(six, promise)
+	return nil
+}
 
 // Status snapshots the supervisor.
 func (a *Autopilot) Status() AutopilotStatus {
@@ -209,7 +216,7 @@ func (a *Autopilot) Decisions(afterSeq int) []AutopilotDecision {
 	ds := a.a.Decisions(afterSeq)
 	out := make([]AutopilotDecision, len(ds))
 	for i, d := range ds {
-		out[i] = decisionFromInternal(d)
+		out[i] = AutopilotDecision(d)
 	}
 	return out
 }

@@ -29,17 +29,16 @@ func (a *Advice) DDL() string {
 		b.WriteString("-- Structures in interaction-aware materialization order.\n")
 	}
 	for i, ix := range indexes {
+		kind, extra, _ := ix.spec()
 		name := ix.Name
 		if name == "" || strings.HasPrefix(name, "whatif_") {
 			prefix := "idx"
-			if ix.kind() == catalog.KindAggView {
+			if kind == catalog.KindAggView {
 				prefix = "mv"
 			}
 			name = fmt.Sprintf("%s_%s_%d", prefix, strings.ToLower(ix.Table), i)
 		}
-		iix := ix.internal()
-		iix.Table = strings.ToLower(iix.Table)
-		b.WriteString(iix.DDL(name) + "\n")
+		b.WriteString(catalog.StructureDDL(name, kind, strings.ToLower(ix.Table), ix.Columns, extra) + "\n")
 	}
 
 	if a.cfg != nil && a.schema != nil {

@@ -48,6 +48,7 @@ import (
 
 	"repro/internal/autopart"
 	"repro/internal/catalog"
+	"repro/internal/colt"
 	"repro/internal/engine"
 	"repro/internal/executor"
 	"repro/internal/sqlparse"
@@ -314,12 +315,18 @@ func (d *Designer) hypothetical(kind catalog.StructureKind, table string, keys, 
 }
 
 // Explain plans a query under the given (or nil = current materialized)
-// configuration and renders the plan tree.
+// configuration and renders the plan tree; the design's specs resolve on
+// the current generation, and a refusal is returned.
 func (d *Designer) Explain(q Query, cfg *Configuration) (string, error) {
 	if err := q.valid(); err != nil {
 		return "", err
 	}
-	plan, err := d.eng.Pin().Optimize(q.stmt, cfg.internal())
+	v := d.eng.Pin()
+	icfg, err := cfg.resolve(v.Session())
+	if err != nil {
+		return "", err
+	}
+	plan, err := v.Optimize(q.stmt, icfg)
 	if err != nil {
 		return "", err
 	}
@@ -357,19 +364,30 @@ func (d *Designer) Execute(q Query) (*QueryResult, error) {
 }
 
 // Cost estimates one query's cost under a configuration (nil = current
-// materialized design) with the full optimizer.
+// materialized design) with the full optimizer, as Explain resolves it.
 func (d *Designer) Cost(q Query, cfg *Configuration) (float64, error) {
 	if err := q.valid(); err != nil {
 		return 0, err
 	}
-	return d.eng.Pin().FullCost(q.stmt, cfg.internal())
+	v := d.eng.Pin()
+	icfg, err := cfg.resolve(v.Session())
+	if err != nil {
+		return 0, err
+	}
+	return v.FullCost(q.stmt, icfg)
 }
 
 // Evaluate reports per-query and workload-level benefits of a hypothetical
-// configuration versus the current materialized design. Queries are priced
-// in parallel; a cancelled context aborts mid-evaluation.
+// configuration (resolved as Explain does) versus the current materialized
+// design. Queries are priced in parallel; a cancelled context aborts
+// mid-evaluation.
 func (d *Designer) Evaluate(ctx context.Context, w *Workload, cfg *Configuration) (*Report, error) {
-	rep, err := d.eng.Pin().Evaluate(ctx, w.internal(), cfg.internal())
+	v := d.eng.Pin()
+	icfg, err := cfg.resolve(v.Session())
+	if err != nil {
+		return nil, err
+	}
+	rep, err := v.Evaluate(ctx, w.internal(), icfg)
 	if err != nil {
 		return nil, err
 	}
@@ -378,8 +396,9 @@ func (d *Designer) Evaluate(ctx context.Context, w *Workload, cfg *Configuration
 
 // Materialize physically builds the given indexes in the store (Scenario
 // 2's "physically create the suggested indexes"). It returns the total
-// build I/O and honors ctx between index builds. Hypothetical indexes are
-// built for real; their catalog entries in the store are concrete.
+// build I/O and honors ctx between index builds. A spec the what-if
+// constructor refuses is refused before anything is built; a structure is
+// built under the constructor's name.
 func (d *Designer) Materialize(ctx context.Context, indexes []Index) (IOStats, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -398,11 +417,14 @@ func (d *Designer) Materialize(ctx context.Context, indexes []Index) (IOStats, e
 		}
 	}()
 	var total storage.IOCounter
-	for _, dix := range indexes {
+	ixs, err := structures(d.eng.Pin().Session(), indexes)
+	if err != nil {
+		return ioFromInternal(total), err
+	}
+	for _, ix := range ixs {
 		if err := ctx.Err(); err != nil {
 			return ioFromInternal(total), err
 		}
-		ix := dix.internal()
 		if ix.Kind != catalog.KindSecondary {
 			// The embedded store only builds plain B-tree indexes; wider
 			// structures are emitted as DDL for an external system instead of
@@ -414,11 +436,7 @@ func (d *Designer) Materialize(ctx context.Context, indexes []Index) (IOStats, e
 		if d.store.Index(ix.Key()) != nil {
 			continue
 		}
-		name := ix.Name
-		if name == "" {
-			name = "idx_" + ix.Key()
-		}
-		_, io, err := d.store.CreateIndex(name, ix.Table, ix.Columns)
+		_, io, err := d.store.CreateIndex(ix.Name, ix.Table, ix.Columns)
 		if err != nil {
 			return ioFromInternal(total), fmt.Errorf("designer: materialize %s: %w", ix.Key(), err)
 		}
@@ -431,7 +449,7 @@ func (d *Designer) Materialize(ctx context.Context, indexes []Index) (IOStats, e
 // NewOnlineTuner creates a COLT tuner seeded with the current materialized
 // design (Scenario 3). The tuner shares the designer's costing engine.
 func (d *Designer) NewOnlineTuner(opts TunerOptions) *Tuner {
-	return &Tuner{t: newColtTuner(d.eng, d.eng.Pin().Base(), opts)}
+	return &Tuner{t: colt.New(d.eng, d.eng.Pin().Base(), opts.internal())}
 }
 
 // AdvisePartitions runs only the AutoPart partition advisor on top of the

@@ -4,7 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"repro/internal/catalog"
@@ -299,10 +300,15 @@ func liveStepOut(sr livedb.StepResult) LiveApplyStep {
 
 // Apply executes the advised structures against the live server in order,
 // aborting on the first error: secondary indexes natively (CREATE INDEX IF
-// NOT EXISTS), projections and aggregate views as advisory DDL. The
-// returned report is valid even on error and shows the partial state.
+// NOT EXISTS), projections and aggregate views as advisory DDL; a spec the
+// what-if constructor refuses stops it before any step. The returned report
+// is valid even on error and shows the partial state.
 func (lv *Live) Apply(ctx context.Context, indexes []Index, opts LiveApplyOptions) (*LiveApplyReport, error) {
-	steps := livedb.BuildSteps(indexesToInternal(indexes))
+	ixs, err := structures(lv.eng.Pin().Session(), indexes)
+	if err != nil {
+		return &LiveApplyReport{}, err
+	}
+	steps := livedb.BuildSteps(ixs)
 	var iopts livedb.ApplyOptions
 	iopts.DryRun = opts.DryRun
 	if opts.Progress != nil {
@@ -378,11 +384,7 @@ func (r *LiveApplyReport) Summary() string {
 		}
 		statuses[s.Status]++
 	}
-	keys := make([]string, 0, len(statuses))
-	for k := range statuses {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := slices.Sorted(maps.Keys(statuses))
 	parts := make([]string, len(keys))
 	for i, k := range keys {
 		parts[i] = fmt.Sprintf("%s=%d", k, statuses[k])

@@ -140,7 +140,10 @@ func (d *Designer) advisePipeline(ctx context.Context, v *engine.View, iw *workl
 		warm = nil
 	}
 
-	seeds := indexesToInternal(opts.SeedIndexes)
+	seeds, err := structures(v.Session(), opts.SeedIndexes)
+	if err != nil {
+		return nil, nil, ReadviseStats{}, err
+	}
 	var adv *cophy.Advisor
 	if warm != nil && sameCandidates(warm.opts, opts) {
 		adv = warm.adv

@@ -1113,13 +1113,9 @@ func (s *Server) handleMaterialize(r *http.Request, req *materializeJSON) (int, 
 	if len(req.Indexes) == 0 {
 		return 0, nil, errors.New("no indexes given")
 	}
-	var ixs []designer.Index
-	for _, spec := range req.Indexes {
-		ix, err := s.d.HypotheticalIndex(spec.Table, spec.Columns...)
-		if err != nil {
-			return 0, nil, err
-		}
-		ixs = append(ixs, ix)
+	ixs := make([]designer.Index, len(req.Indexes))
+	for i, spec := range req.Indexes {
+		ixs[i] = designer.Index{Table: spec.Table, Columns: spec.Columns}
 	}
 	ioStats, err := s.d.Materialize(r.Context(), ixs)
 	if err != nil {

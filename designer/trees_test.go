@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -344,6 +345,48 @@ func TestLateCleanupKeepsALiveEntry(t *testing.T) {
 	}
 }
 
+// TestTreeTableShrinksAfterChurn holds the table's map to its demand: a
+// burst of 4,000 distinct texts, each tree dropped after its parse but for
+// every 400th, is collected; then a cycle of 200 more is. The map the
+// table then holds was rebuilt — its peak is the small cycle's, not the
+// burst's — while every live tree is still found by its text.
+func TestTreeTableShrinksAfterChurn(t *testing.T) {
+	d, err := OpenSDSS("tiny", 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No collection runs while a cycle's texts are parsed, so each cycle's
+	// peak is all of its texts.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var live []Query
+	churn := func(from, to int) {
+		for i := from; i < to; i++ {
+			q, err := d.ParseQuery("q", fmt.Sprintf("SELECT objid FROM photoobj WHERE ra < %d", i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i%400 == 0 {
+				live = append(live, q)
+			}
+		}
+		collectUntil(t, "the dead texts' entries to go", func() bool { return d.trees.len() == len(live) })
+	}
+	const burst = 4000
+	churn(0, burst)
+	if peak := d.trees.peakLen(); peak < burst {
+		t.Fatalf("the burst's map peaked at %d entries, want %d", peak, burst)
+	}
+	churn(burst, burst+200)
+	if peak := d.trees.peakLen(); peak >= burst/4 {
+		t.Fatalf("the table's map still counts a peak of %d entries for %d live: it was never rebuilt", peak, len(live))
+	}
+	for _, q := range live {
+		if got := d.trees.lookup(q.SQL()); got != q.stmt {
+			t.Fatalf("%s: the rebuilt table lost its live tree", q.SQL())
+		}
+	}
+}
+
 // collectUntil runs the GC until cond holds: cleanups run on their own
 // goroutine after the cycle that finds their objects dead.
 func collectUntil(t *testing.T, what string, cond func() bool) {
@@ -356,6 +399,14 @@ func collectUntil(t *testing.T, what string, cond func() bool) {
 		runtime.GC()
 		runtime.Gosched()
 	}
+}
+
+// peakLen reads the most entries the table's map has held since it was
+// made.
+func (t *treeTable) peakLen() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.peak
 }
 
 // len counts the table's entries, live or awaiting their cleanup.

@@ -3,9 +3,7 @@ package designer
 import (
 	"context"
 
-	"repro/internal/catalog"
 	"repro/internal/colt"
-	"repro/internal/engine"
 )
 
 // Tuner is the COLT continuous online tuner (Scenario 3): it watches the
@@ -15,10 +13,6 @@ import (
 // serialize observation (the serve layer does).
 type Tuner struct {
 	t *colt.Tuner
-}
-
-func newColtTuner(eng *engine.Engine, initial *catalog.Configuration, opts TunerOptions) *colt.Tuner {
-	return colt.New(eng, initial, opts.internal())
 }
 
 // Observe feeds one query through the tuner and returns its estimated cost

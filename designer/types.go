@@ -2,6 +2,8 @@ package designer
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"time"
 
@@ -23,11 +25,12 @@ import (
 // refuse anyway). The api_hygiene test walks the exported surface with
 // go/types and fails the build if an internal type ever leaks back in.
 
-// Index describes a (possibly hypothetical) physical design structure. It
-// is a plain value: construct one by hand, or let HypotheticalIndex /
-// HypotheticalProjection / HypotheticalAggView size it honestly from
-// statistics. The zero Kind is a plain B-tree secondary index, so every
-// pre-structure Index literal keeps its exact meaning.
+// Index describes a (possibly hypothetical) physical design structure. As
+// an input (Configuration.WithIndex, Materialize, SeedIndexes, Live.Apply,
+// Autopilot.Adopt) it is a spec: Kind, Table, Columns and Include or Aggs,
+// resolved through the one what-if constructor, which refuses an invalid
+// spec, resolves a key the current design holds to that structure and
+// sizes any other from statistics. The other fields are outputs only.
 type Index struct {
 	Name    string
 	Table   string
@@ -42,51 +45,60 @@ type Index struct {
 	// Aggs lists an aggregate view's stored aggregates in canonical form,
 	// e.g. "count(*)", "sum(psfmag_r)"; Columns then hold the group keys.
 	Aggs []string
-	// EstimatedRows is an aggregate view's estimated group count (0 =
-	// unsized).
+	// EstimatedRows is an aggregate view's estimated group count.
 	EstimatedRows int64
 	// Hypothetical marks a what-if structure that exists only for costing.
 	Hypothetical bool
 	// EstimatedPages and EstimatedHeight are the honest what-if size (§2 of
-	// the paper); zero means "unsized".
+	// the paper), or a materialized structure's real one.
 	EstimatedPages  int64
 	EstimatedHeight int
 }
 
 // Key returns the canonical identity string — table(col1,col2,...) for
 // secondary indexes, extended with " include(...)"/" agg(...)" suffixes for
-// the other kinds. Two structures with equal keys are interchangeable for
-// design purposes. The rendering delegates to the catalog so the DTO and
-// internal layers can never disagree.
-func (ix Index) Key() string { return ix.internal().Key() }
-
-// kind parses the DTO kind string; unknown values degrade to the secondary
-// default (API handlers validate kind strings before they get here).
-func (ix Index) kind() catalog.StructureKind {
-	k, err := catalog.StructureKindByName(ix.Kind)
-	if err != nil {
-		return catalog.KindSecondary
-	}
-	return k
+// the other kinds — rendered from the spec by catalog.StructureKey. Two
+// structures with equal keys are interchangeable for design purposes.
+func (ix Index) Key() string {
+	kind, extra, _ := ix.spec()
+	return catalog.StructureKey(kind, ix.Table, ix.Columns, extra)
 }
 
-// internal converts the DTO to the catalog representation. This pair
-// (internal / indexFromInternal) is the only conversion between
-// designer.Index and catalog.Index — every call site routes through it.
-func (ix Index) internal() *catalog.Index {
-	return &catalog.Index{
-		Name:            ix.Name,
-		Table:           ix.Table,
-		Columns:         append([]string(nil), ix.Columns...),
-		Unique:          ix.Unique,
-		Kind:            ix.kind(),
-		Include:         append([]string(nil), ix.Include...),
-		Aggs:            append([]string(nil), ix.Aggs...),
-		EstimatedRows:   ix.EstimatedRows,
-		Hypothetical:    ix.Hypothetical,
-		EstimatedPages:  ix.EstimatedPages,
-		EstimatedHeight: ix.EstimatedHeight,
+// spec reads the DTO's kind and the list that kind carries beside its
+// keys; an unknown kind is an error.
+func (ix Index) spec() (catalog.StructureKind, []string, error) {
+	kind, err := catalog.StructureKindByName(ix.Kind)
+	switch kind {
+	case catalog.KindProjection:
+		return kind, ix.Include, err
+	case catalog.KindAggView:
+		return kind, ix.Aggs, err
 	}
+	return kind, nil, err
+}
+
+// structure resolves the spec through the session's one door
+// (whatif.Session.Structure), returning its refusal.
+func (ix Index) structure(s *whatif.Session) (*catalog.Index, error) {
+	kind, extra, err := ix.spec()
+	if err != nil {
+		return nil, err
+	}
+	return s.Structure(kind, ix.Table, ix.Columns, extra)
+}
+
+// structures resolves each spec through the session's door, or returns
+// the first refusal.
+func structures(s *whatif.Session, ixs []Index) ([]*catalog.Index, error) {
+	var out []*catalog.Index
+	for _, ix := range ixs {
+		six, err := ix.structure(s)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, six)
+	}
+	return out, nil
 }
 
 func indexFromInternal(ix *catalog.Index) Index {
@@ -120,23 +132,14 @@ func indexesFromInternal(ixs []*catalog.Index) []Index {
 	return out
 }
 
-func indexesToInternal(ixs []Index) []*catalog.Index {
-	if ixs == nil {
-		return nil
-	}
-	out := make([]*catalog.Index, len(ixs))
-	for i, ix := range ixs {
-		out[i] = ix.internal()
-	}
-	return out
-}
-
 // Configuration is a physical design under consideration: a set of indexes
 // plus partition layouts. The zero of the design space is NewConfiguration;
 // a nil *Configuration passed to Evaluate/Cost/Explain means "the current
 // materialized design".
 type Configuration struct {
 	cfg *catalog.Configuration
+	// specs are the specs WithIndex added, resolved by the pricing view.
+	specs []Index
 }
 
 // NewConfiguration returns an empty physical design.
@@ -152,12 +155,22 @@ func configFromInternal(cfg *catalog.Configuration) *Configuration {
 	return &Configuration{cfg: cfg}
 }
 
-// internal unwraps (nil-safe: nil means "current design" downstream).
-func (c *Configuration) internal() *catalog.Configuration {
+// resolve builds the design on a view's what-if session: the wrapped
+// design plus every added spec through the one door, or the first
+// refusal. A nil configuration stays nil ("current design" downstream).
+func (c *Configuration) resolve(s *whatif.Session) (*catalog.Configuration, error) {
 	if c == nil {
-		return nil
+		return nil, nil
 	}
-	return c.base()
+	ixs, err := structures(s, c.specs)
+	if err != nil {
+		return nil, err
+	}
+	cfg := c.base()
+	for _, ix := range ixs {
+		cfg = cfg.WithIndex(ix)
+	}
+	return cfg, nil
 }
 
 // base resolves the wrapped design, treating the zero value as the empty
@@ -170,23 +183,51 @@ func (c *Configuration) base() *catalog.Configuration {
 	return c.cfg
 }
 
-// WithIndex returns a copy of the design extended by the index.
+// added returns the specs WithIndex added (nil-safe).
+func (c *Configuration) added() []Index {
+	if c == nil {
+		return nil
+	}
+	return c.specs
+}
+
+// WithIndex returns a copy of the design extended by the index's spec,
+// which Cost, Evaluate and Explain resolve on the view they price with.
 func (c *Configuration) WithIndex(ix Index) *Configuration {
-	return &Configuration{cfg: c.base().WithIndex(ix.internal())}
+	spec := Index{Table: ix.Table, Columns: slices.Clone(ix.Columns), Kind: ix.Kind,
+		Include: slices.Clone(ix.Include), Aggs: slices.Clone(ix.Aggs)}
+	return &Configuration{cfg: c.base(), specs: append(slices.Clip(c.added()), spec)}
 }
 
 // WithoutIndex returns a copy of the design without the keyed index.
 func (c *Configuration) WithoutIndex(key string) *Configuration {
-	return &Configuration{cfg: c.base().WithoutIndex(strings.ToLower(key))}
+	key = strings.ToLower(key)
+	return &Configuration{
+		cfg:   c.base().WithoutIndex(key),
+		specs: slices.DeleteFunc(slices.Clone(c.added()), func(s Index) bool { return s.Key() == key }),
+	}
 }
 
 // HasIndex reports whether the design contains the keyed index.
 func (c *Configuration) HasIndex(key string) bool {
-	return c.base().HasIndex(strings.ToLower(key))
+	key = strings.ToLower(key)
+	return c.base().HasIndex(key) || slices.ContainsFunc(c.added(), func(s Index) bool { return s.Key() == key })
 }
 
-// Indexes lists the design's indexes.
-func (c *Configuration) Indexes() []Index { return indexesFromInternal(c.base().Indexes) }
+// Indexes lists the design's structures, then each added spec whose key is
+// not listed yet. A spec is resolved only when priced, so it is listed as
+// its spec alone, marked Hypothetical, with no name and no size; a key the
+// pricing view's base holds resolves then to the held structure.
+func (c *Configuration) Indexes() []Index {
+	out := indexesFromInternal(c.base().Indexes)
+	for _, s := range c.added() {
+		if key := s.Key(); !slices.ContainsFunc(out, func(o Index) bool { return o.Key() == key }) {
+			s.Hypothetical = true
+			out = append(out, s)
+		}
+	}
+	return out
+}
 
 // QueryBenefit reports one query's costs under the base and a hypothetical
 // configuration.
@@ -638,10 +679,7 @@ func alertFromInternal(a colt.Alert) TunerAlert {
 		Applied:         a.Applied,
 	}
 	if len(a.Scores) > 0 {
-		out.Scores = make(map[string]float64, len(a.Scores))
-		for k, v := range a.Scores {
-			out.Scores[k] = v
-		}
+		out.Scores = maps.Clone(a.Scores)
 	}
 	return out
 }

@@ -8,10 +8,12 @@ import (
 	"repro/internal/catalog"
 )
 
-// TestIndexConversionRoundTrip is the property test over the single DTO ↔
-// catalog conversion pair: for any catalog.Index, indexFromInternal followed
-// by internal() reproduces it field-for-field, and the canonical Key() is
-// preserved in both directions. Random structures cover all three kinds.
+// TestIndexConversionRoundTrip is the property test over the DTO ↔ catalog
+// conversion pair. Outward, indexFromInternal copies the structure's name,
+// flags and sizes; inward, what a DTO carries is narrowed to its spec: the
+// kind, table, key columns and extra list read back as the structure's, and
+// the canonical Key() is preserved. Sizes are outputs only, so they are
+// never read back. Random structures cover all three kinds.
 func TestIndexConversionRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	cols := []string{"run", "camcol", "field", "objid", "ra", "dec"}
@@ -33,19 +35,28 @@ func TestIndexConversionRoundTrip(t *testing.T) {
 			EstimatedPages:  rng.Int63n(100),
 			EstimatedHeight: rng.Intn(4),
 		}
+		var extra []string
 		switch rng.Intn(3) {
 		case 1:
 			ix.Kind = catalog.KindProjection
 			ix.Include = pick(1 + rng.Intn(2))
+			extra = ix.Include
 		case 2:
 			ix.Kind = catalog.KindAggView
 			ix.Aggs = []string{"count(*)", "sum(psfmag_r)"}[:1+rng.Intn(2)]
 			ix.EstimatedRows = rng.Int63n(1000)
+			extra = ix.Aggs
 		}
 		dto := indexFromInternal(ix)
-		back := dto.internal()
-		if !reflect.DeepEqual(normalizeEmpty(ix), normalizeEmpty(back)) {
-			t.Fatalf("round trip diverged:\n in: %+v\nout: %+v", ix, back)
+		if dto.Name != ix.Name || dto.Unique != ix.Unique || dto.Hypothetical != ix.Hypothetical ||
+			dto.EstimatedPages != ix.EstimatedPages || dto.EstimatedHeight != ix.EstimatedHeight ||
+			dto.EstimatedRows != ix.EstimatedRows {
+			t.Fatalf("outward copy diverged:\n in: %+v\nout: %+v", ix, dto)
+		}
+		kind, dtoExtra, err := dto.spec()
+		if err != nil || kind != ix.Kind || dto.Table != ix.Table ||
+			!reflect.DeepEqual(dto.Columns, ix.Columns) || !reflect.DeepEqual(dtoExtra, extra) {
+			t.Fatalf("spec diverged:\n in: %+v\nout: %+v (kind %v, extra %v, %v)", ix, dto, kind, dtoExtra, err)
 		}
 		if dto.Key() != ix.Key() {
 			t.Fatalf("DTO key %q != catalog key %q", dto.Key(), ix.Key())
@@ -56,28 +67,31 @@ func TestIndexConversionRoundTrip(t *testing.T) {
 	}
 }
 
-// normalizeEmpty maps nil slices to empty ones so DeepEqual compares
-// contents, not allocation history.
-func normalizeEmpty(ix *catalog.Index) *catalog.Index {
-	out := *ix
-	if out.Columns == nil {
-		out.Columns = []string{}
+// TestUnknownDTOKindIsRefused pins the refusal that replaced the silent
+// fallback to a secondary index: a DTO whose kind the catalog does not know
+// is refused by the door, with the kind parser's text.
+func TestUnknownDTOKindIsRefused(t *testing.T) {
+	d, err := OpenSDSS("tiny", 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if out.Include == nil {
-		out.Include = []string{}
+	dto := Index{Table: "photoobj", Columns: []string{"run"}, Kind: "hologram"}
+	_, err = dto.structure(d.eng.Pin().Session())
+	if want := `catalog: unknown structure kind "hologram" (index|projection|aggview)`; err == nil || err.Error() != want {
+		t.Fatalf("unknown kind: got %v, want %s", err, want)
 	}
-	if out.Aggs == nil {
-		out.Aggs = []string{}
-	}
-	return &out
 }
 
-// TestUnknownDTOKindDegradesToSecondary pins the total-conversion choice:
-// a DTO with a kind string the catalog does not know converts as a plain
-// secondary index rather than failing deep inside the pipeline.
-func TestUnknownDTOKindDegradesToSecondary(t *testing.T) {
-	dto := Index{Table: "photoobj", Columns: []string{"run"}, Kind: "hologram"}
-	if got := dto.internal().Kind; got != catalog.KindSecondary {
-		t.Fatalf("unknown kind converted to %v", got)
+// TestConfigurationListsSpecsUnresolved pins what Indexes shows of a spec
+// WithIndex added: the spec alone, marked Hypothetical, with the DTO's
+// name and hand sizes dropped; a spec whose key the design already lists
+// is not listed twice.
+func TestConfigurationListsSpecsUnresolved(t *testing.T) {
+	spec := Index{Name: "mine", Table: "photoobj", Columns: []string{"ra"},
+		EstimatedPages: 1 << 30, EstimatedHeight: 9, EstimatedRows: 5}
+	got := NewConfiguration().WithIndex(spec).WithIndex(spec).Indexes()
+	want := []Index{{Table: "photoobj", Columns: []string{"ra"}, Hypothetical: true}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Indexes lists %+v, want %+v", got, want)
 	}
 }

@@ -20,7 +20,9 @@ package autopilot
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -382,7 +384,7 @@ func (a *Autopilot) Status() Status {
 			Key: b.build.Key(), PagesBuilt: done, PagesTotal: total, Promised: b.promise,
 		})
 	}
-	for _, key := range sortedKeys(a.probation) {
+	for _, key := range slices.Sorted(maps.Keys(a.probation)) {
 		p := a.probation[key]
 		avg := 0.0
 		if p.epochsObserved > 0 {
@@ -395,10 +397,7 @@ func (a *Autopilot) Status() Status {
 		})
 	}
 	if len(a.cooldown) > 0 {
-		st.Cooldown = make(map[string]int, len(a.cooldown))
-		for k, v := range a.cooldown {
-			st.Cooldown[k] = v
-		}
+		st.Cooldown = maps.Clone(a.cooldown)
 	}
 	return st
 }
@@ -537,7 +536,7 @@ func (a *Autopilot) measureProbationLocked(ctx context.Context, v *engine.View, 
 		return nil
 	}
 	live := a.tuner.Current()
-	for _, key := range sortedKeys(a.probation) {
+	for _, key := range slices.Sorted(maps.Keys(a.probation)) {
 		p := a.probation[key]
 		if !live.HasIndex(key) {
 			// Dropped or rolled back out from under us; abandon measurement.
@@ -597,13 +596,9 @@ func (a *Autopilot) sampleRegretLocked(ctx context.Context, v *engine.View, epoc
 
 	// Oracle candidate pool: everything live plus the strongest learned
 	// candidates, deduped by key, capped for tractability (2^n subsets).
-	byKey := make(map[string]*catalog.Index)
-	var keys []string
+	pool := catalog.NewConfiguration()
 	for _, ix := range live.Indexes {
-		if _, ok := byKey[ix.Key()]; !ok {
-			byKey[ix.Key()] = ix
-			keys = append(keys, ix.Key())
-		}
+		pool = pool.WithIndex(ix)
 	}
 	cands := a.tuner.Candidates()
 	sort.Slice(cands, func(i, j int) bool {
@@ -613,23 +608,10 @@ func (a *Autopilot) sampleRegretLocked(ctx context.Context, v *engine.View, epoc
 		return cands[i].Key < cands[j].Key
 	})
 	for _, c := range cands {
-		if len(byKey) >= a.opts.RegretCandidates {
+		if len(pool.Indexes) >= a.opts.RegretCandidates || c.EWMABenefit <= 1e-9 {
 			break
 		}
-		if c.EWMABenefit <= 1e-9 {
-			break
-		}
-		if _, ok := byKey[c.Key]; !ok {
-			byKey[c.Key] = c.Index
-			keys = append(keys, c.Key)
-		}
-	}
-	pool := make([]*catalog.Index, 0, len(byKey))
-	for _, k := range keys {
-		pool = append(pool, byKey[k])
-	}
-	if len(pool) > a.opts.RegretCandidates {
-		pool = pool[:a.opts.RegretCandidates]
+		pool = pool.WithIndex(c.Index)
 	}
 
 	w := &workload.Workload{Queries: window}
@@ -637,7 +619,7 @@ func (a *Autopilot) sampleRegretLocked(ctx context.Context, v *engine.View, epoc
 	if err != nil {
 		return err
 	}
-	oracle, err := greedy.Exhaustive(ctx, v, pool, w, a.opts.Colt.SpaceBudgetPages)
+	oracle, err := greedy.Exhaustive(ctx, v, pool.Indexes[:min(len(pool.Indexes), a.opts.RegretCandidates)], w, a.opts.Colt.SpaceBudgetPages)
 	if err != nil {
 		return err
 	}
@@ -650,13 +632,4 @@ func (a *Autopilot) sampleRegretLocked(ctx context.Context, v *engine.View, epoc
 		Epoch: epoch, LiveCost: liveCost, OracleCost: oracleCost, RegretPct: regret,
 	})
 	return nil
-}
-
-func sortedKeys(m map[string]*probationState) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -5,10 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 
-	"repro/internal/catalog"
 	"repro/internal/colt"
 	"repro/internal/engine"
 	"repro/internal/sqlparse"
@@ -16,8 +17,9 @@ import (
 )
 
 // stateVersion guards the on-disk format; a mismatch fails loudly instead
-// of silently resuming from an incompatible snapshot.
-const stateVersion = 1
+// of silently resuming from an incompatible snapshot. Version 2 persists an
+// index as its spec (colt.IndexState); version 1 carried sizes.
+const stateVersion = 2
 
 type persistedBuild struct {
 	Index   colt.IndexState `json:"index"`
@@ -73,11 +75,12 @@ func (a *Autopilot) saveLocked() error {
 	}
 	for _, b := range a.builds {
 		done, _ := b.build.Progress()
+		ix := b.build.Index()
 		st.Builds = append(st.Builds, persistedBuild{
-			Index: indexStateOf(b), Done: done, Promise: b.promise,
+			Index: colt.IndexState{Table: ix.Table, Columns: ix.Columns}, Done: done, Promise: b.promise,
 		})
 	}
-	for _, key := range sortedKeys(a.probation) {
+	for _, key := range slices.Sorted(maps.Keys(a.probation)) {
 		p := a.probation[key]
 		st.Probation = append(st.Probation, persistedProbation{
 			Key: key, Promise: p.promise,
@@ -130,11 +133,26 @@ func (a *Autopilot) load(path string) (bool, error) {
 	if st.Version != stateVersion {
 		return false, fmt.Errorf("autopilot: state %s has version %d, want %d", path, st.Version, stateVersion)
 	}
-	if err := checkState(&st, a.eng.Schema()); err != nil {
+	for i, q := range st.Window {
+		if !(q.Weight > 0 && q.Weight <= maxWeight) {
+			return false, fmt.Errorf("autopilot: state %s: window[%d]: weight %v is not a positive count", path, i, q.Weight)
+		}
+	}
+	v := a.eng.Pin()
+	builds := make([]*buildState, len(st.Builds))
+	for i, pb := range st.Builds {
+		ix, err := pb.Index.Structure(v)
+		if err != nil {
+			return false, fmt.Errorf("autopilot: state %s: builds[%d]: %w", path, i, err)
+		}
+		// The same spec and statistics yield the same total, so progress
+		// resumes exactly where the snapshot left off.
+		builds[i] = &buildState{build: engine.NewIndexBuild(ix, v.Stats()), promise: pb.Promise}
+		builds[i].build.Advance(pb.Done)
+	}
+	if a.tuner, err = colt.Restore(a.eng, st.Tuner, a.opts.Colt); err != nil {
 		return false, fmt.Errorf("autopilot: state %s: %w", path, err)
 	}
-
-	a.tuner = colt.Restore(a.eng, st.Tuner, a.opts.Colt)
 	a.tuner.OnAlert(func(al colt.Alert) { a.pendingAlerts = append(a.pendingAlerts, al) })
 	a.lastEpoch = st.Epoch
 	a.seq = st.Seq
@@ -146,14 +164,7 @@ func (a *Autopilot) load(path string) (bool, error) {
 	if st.Cooldown != nil {
 		a.cooldown = st.Cooldown
 	}
-	v := a.eng.Pin()
-	for _, pb := range st.Builds {
-		b := &buildState{
-			build:   restoreBuild(v, pb),
-			promise: pb.Promise,
-		}
-		a.builds = append(a.builds, b)
-	}
+	a.builds = builds
 	for _, pp := range st.Probation {
 		a.probation[pp.Key] = &probationState{
 			key: pp.Key, promise: pp.Promise,
@@ -180,73 +191,3 @@ func (a *Autopilot) load(path string) (bool, error) {
 // counts are exact up to 2^53, and a weight beyond it could overflow a
 // priced window to an infinite cost, which no state file can hold.
 const maxWeight = 1 << 53
-
-// checkState refuses a snapshot naming an index the engine's schema cannot
-// hold — an unknown table or column, no column at all — a candidate filed
-// under another index's key, or a window query whose weight is not a
-// positive count. A resumed supervisor prices and reports every one of
-// them, so each is checked before anything resumes.
-func checkState(st *persistedState, schema *catalog.Schema) error {
-	for i, ix := range st.Tuner.Current {
-		if err := checkIndex(ix, schema); err != nil {
-			return fmt.Errorf("tuner.current[%d]: %w", i, err)
-		}
-	}
-	for i, c := range st.Tuner.Candidates {
-		if err := checkIndex(c.Index, schema); err != nil {
-			return fmt.Errorf("tuner.candidates[%d]: %w", i, err)
-		}
-		if key := c.Index.Index().Key(); c.Key != key {
-			return fmt.Errorf("tuner.candidates[%d]: key %q is not its index's key %q", i, c.Key, key)
-		}
-	}
-	for i, b := range st.Builds {
-		if err := checkIndex(b.Index, schema); err != nil {
-			return fmt.Errorf("builds[%d]: %w", i, err)
-		}
-	}
-	for i, q := range st.Window {
-		if !(q.Weight > 0 && q.Weight <= maxWeight) {
-			return fmt.Errorf("window[%d]: weight %v is not a positive count", i, q.Weight)
-		}
-	}
-	return nil
-}
-
-func checkIndex(ix colt.IndexState, schema *catalog.Schema) error {
-	t := schema.Table(ix.Table)
-	if t == nil {
-		return fmt.Errorf("index on unknown table %q", ix.Table)
-	}
-	if len(ix.Columns) == 0 {
-		return fmt.Errorf("index on %s has no columns", ix.Table)
-	}
-	for _, c := range ix.Columns {
-		if !t.HasColumn(c) {
-			return fmt.Errorf("index on %s names unknown column %q", ix.Table, c)
-		}
-	}
-	return nil
-}
-
-// restoreBuild reconstructs a tracker and replays its completed pages.
-// The same index spec and stats yield the same total, so progress resumes
-// exactly where the snapshot left off.
-func restoreBuild(v *engine.View, pb persistedBuild) *engine.IndexBuild {
-	b := engine.NewIndexBuild(pb.Index.Index(), v.Stats())
-	b.Advance(pb.Done)
-	return b
-}
-
-func indexStateOf(b *buildState) colt.IndexState {
-	ix := b.build.Index()
-	return colt.IndexState{
-		Name:         ix.Name,
-		Table:        ix.Table,
-		Columns:      append([]string(nil), ix.Columns...),
-		Unique:       ix.Unique,
-		Hypothetical: ix.Hypothetical,
-		Pages:        ix.EstimatedPages,
-		Height:       ix.EstimatedHeight,
-	}
-}

@@ -72,7 +72,8 @@ func entry(t *testing.T, st map[string]any, path ...any) map[string]any {
 // was reported live, a candidate filed under another key was tracked
 // under it, and a window weight of 1e308 priced the next epoch to +Inf,
 // after which no snapshot could be written. Now New refuses, naming the
-// entry.
+// entry and, for an index, giving the what-if constructor's refusal; a
+// version-1 file, whose indexes carried sizes, is refused by version.
 func TestLoadRefusesStatesItCannotResume(t *testing.T) {
 	cases := []struct {
 		name string
@@ -82,23 +83,30 @@ func TestLoadRefusesStatesItCannotResume(t *testing.T) {
 	}{
 		{"live index without columns", 55, func(t *testing.T, st map[string]any) {
 			entry(t, st, "tuner", "current", 0)["columns"] = []any{}
-		}, "tuner.current[0]: index on neighbors has no columns"},
+		}, "tuner.current[0]: whatif: index needs at least one column"},
 		{"live index on an unknown table", 55, func(t *testing.T, st map[string]any) {
 			ix := entry(t, st, "tuner", "current", 0)
 			ix["table"], ix["columns"] = "nosuch", []any{"a"}
-		}, `tuner.current[0]: index on unknown table "nosuch"`},
+		}, `tuner.current[0]: whatif: unknown table "nosuch"`},
 		{"live index on an unknown column", 55, func(t *testing.T, st map[string]any) {
 			entry(t, st, "tuner", "current", 0)["columns"] = []any{"nosuch"}
-		}, `tuner.current[0]: index on neighbors names unknown column "nosuch"`},
+		}, `tuner.current[0]: whatif: table neighbors has no column "nosuch"`},
+		{"live index repeating a column", 55, func(t *testing.T, st map[string]any) {
+			ix := entry(t, st, "tuner", "current", 0)
+			ix["columns"] = append(ix["columns"].([]any), ix["columns"].([]any)[0])
+		}, `tuner.current[0]: whatif: column "distance" repeats in the key`},
+		{"a version-1 file, which carried sizes", 55, func(t *testing.T, st map[string]any) {
+			st["version"] = 1
+		}, "has version 1, want 2"},
 		{"candidate filed under another key", 55, func(t *testing.T, st map[string]any) {
 			entry(t, st, "tuner", "candidates", 0)["key"] = "photoobj(ra)"
 		}, `tuner.candidates[0]: key "photoobj(ra)" is not its index's key`},
 		{"candidate on an unknown column", 55, func(t *testing.T, st map[string]any) {
 			entry(t, st, "tuner", "candidates", 0, "index")["columns"] = []any{"nosuch"}
-		}, `tuner.candidates[0]: index on`},
+		}, `tuner.candidates[0]: whatif: table neighbors has no column "nosuch"`},
 		{"build on an unknown table", 15, func(t *testing.T, st map[string]any) {
 			entry(t, st, "builds", 0, "index")["table"] = "nosuch"
-		}, `builds[0]: index on unknown table "nosuch"`},
+		}, `builds[0]: whatif: unknown table "nosuch"`},
 		{"window query weighted beyond a count", 55, func(t *testing.T, st map[string]any) {
 			entry(t, st, "window", 0)["weight"] = 1e308
 		}, "window[0]: weight 1e+308 is not a positive count"},
@@ -130,11 +138,11 @@ func TestLoadRefusesStatesItCannotResume(t *testing.T) {
 // FuzzLoadAutopilotState feeds outside bytes to the state loader. New
 // either refuses them or resumes into a supervisor that observes a fixed
 // 60-statement stream without panicking and, once saved, resumes again to
-// the same Status. Corpus (testdata/fuzz/FuzzLoadAutopilotState): two real
-// saved states (a build in progress; a live index in probation), an empty
-// object, and the real state with its live index emptied of columns, moved
-// to an unknown table or column, with a candidate filed under another key,
-// or with a window weight of 1e308.
+// the same Status. Corpus (testdata/fuzz/FuzzLoadAutopilotState, state
+// version 2): two real saved states (a build in progress; a live index in
+// probation), an empty object, and the real state with its live index
+// emptied of columns, moved to an unknown table or column, with a candidate
+// filed under another key, or with a window weight of 1e308.
 func FuzzLoadAutopilotState(f *testing.F) {
 	eng := newEngine(f)
 	qs := fixedStream(f, eng)

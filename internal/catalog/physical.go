@@ -3,6 +3,7 @@ package catalog
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"strings"
 	"unicode/utf8"
 )
@@ -112,12 +113,25 @@ type Structure = Index
 // are interchangeable for design purposes regardless of their names. It is
 // StructureKey of the structure's kind, table, columns and its Include
 // (projection) or Aggs (aggregate view).
-func (ix *Index) Key() string {
-	extra := ix.Include
-	if ix.Kind == KindAggView {
-		extra = ix.Aggs
+func (ix *Index) Key() string { return StructureKey(ix.Kind, ix.Table, ix.Columns, ix.extra()) }
+
+// Clone returns a copy of the structure whose column lists are its own.
+func (ix *Index) Clone() *Index {
+	out := *ix
+	out.Columns, out.Include, out.Aggs = slices.Clone(ix.Columns), slices.Clone(ix.Include), slices.Clone(ix.Aggs)
+	return &out
+}
+
+// extra is the list the structure's kind carries beside its keys: a
+// projection's Include, an aggregate view's Aggs, nothing for an index.
+func (ix *Index) extra() []string {
+	switch ix.Kind {
+	case KindProjection:
+		return ix.Include
+	case KindAggView:
+		return ix.Aggs
 	}
-	return StructureKey(ix.Kind, ix.Table, ix.Columns, extra)
+	return nil
 }
 
 // StructureKey renders the canonical identity of a structure from its parts,
@@ -288,17 +302,21 @@ func (ix *Index) stores(col string) bool {
 // DDL renders the statement that would materialize the structure, using
 // name as the object name.
 func (ix *Index) DDL(name string) string {
-	switch ix.Kind {
+	return StructureDDL(name, ix.Kind, ix.Table, ix.Columns, ix.extra())
+}
+
+// StructureDDL renders the statement that would materialize a structure of
+// the kind from its parts, as StructureKey renders its identity.
+func StructureDDL(name string, kind StructureKind, table string, columns, extra []string) string {
+	cols := strings.Join(columns, ", ")
+	switch kind {
 	case KindProjection:
-		return fmt.Sprintf("CREATE INDEX %s ON %s (%s) INCLUDE (%s);", name, ix.Table,
-			strings.Join(ix.Columns, ", "), strings.Join(ix.Include, ", "))
+		return fmt.Sprintf("CREATE INDEX %s ON %s (%s) INCLUDE (%s);", name, table, cols, strings.Join(extra, ", "))
 	case KindAggView:
 		return fmt.Sprintf("CREATE MATERIALIZED VIEW %s AS SELECT %s, %s FROM %s GROUP BY %s;",
-			name, strings.Join(ix.Columns, ", "), strings.Join(ix.Aggs, ", "), ix.Table,
-			strings.Join(ix.Columns, ", "))
-	default:
-		return fmt.Sprintf("CREATE INDEX %s ON %s (%s);", name, ix.Table, strings.Join(ix.Columns, ", "))
+			name, cols, strings.Join(extra, ", "), table, cols)
 	}
+	return fmt.Sprintf("CREATE INDEX %s ON %s (%s);", name, table, cols)
 }
 
 // VerticalLayout partitions a table's columns into disjoint fragments.
@@ -418,15 +436,18 @@ func (c *Configuration) WithoutIndex(key string) *Configuration {
 	return out
 }
 
-// HasIndex reports whether an index with the canonical key is present.
-func (c *Configuration) HasIndex(key string) bool {
+// Index returns the structure with the canonical key, or nil.
+func (c *Configuration) Index(key string) *Index {
 	for _, ix := range c.Indexes {
 		if ix.HasKey(key) {
-			return true
+			return ix
 		}
 	}
-	return false
+	return nil
 }
+
+// HasIndex reports whether an index with the canonical key is present.
+func (c *Configuration) HasIndex(key string) bool { return c.Index(key) != nil }
 
 // IndexesOn returns the indexes defined on the named table.
 func (c *Configuration) IndexesOn(table string) []*Index {

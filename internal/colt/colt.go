@@ -213,8 +213,8 @@ func (t *Tuner) Observe(ctx context.Context, q workload.Query) (float64, error) 
 		key := spec.key()
 		st, ok := t.candidates[key]
 		if !ok {
-			ix := sizedIndex(v, spec.table, spec.column)
-			if ix == nil {
+			ix, err := structure(v, spec.table, []string{spec.column})
+			if err != nil {
 				continue
 			}
 			st = &candState{ix: ix}
@@ -360,9 +360,7 @@ func (t *Tuner) endEpoch() {
 		}
 	}
 
-	for _, key := range sortedIndexKeys(t.current) {
-		report.IndexKeys = append(report.IndexKeys, key)
-	}
+	report.IndexKeys = append(report.IndexKeys, sortedIndexKeys(t.current)...)
 	t.reports = append(t.reports, report)
 
 	// Reset epoch state.
@@ -375,16 +373,15 @@ func (t *Tuner) endEpoch() {
 	}
 }
 
-// sizedIndex builds a single-column hypothetical index with realistic size
-// from the pinned generation's statistics, or nil when the (lower-cased)
-// table and column do not name a base-table column.
-func sizedIndex(v *engine.View, table, column string) *catalog.Index {
-	ix, err := v.Session().HypotheticalIndex(table, column)
-	if err != nil {
-		return nil
+// structure resolves an index spec on the view (whatif.Session.Structure),
+// naming a what-if index colt_<table>_<columns>: Observe's candidates and
+// Restore's indexes.
+func structure(v *engine.View, table string, columns []string) (*catalog.Index, error) {
+	ix, err := v.Session().Structure(catalog.KindSecondary, table, columns, nil)
+	if err == nil && ix.Hypothetical {
+		ix.Name = "colt_" + strings.ToLower(table+"_"+strings.Join(columns, "_"))
 	}
-	ix.Name = "colt_" + table + "_" + column
-	return ix
+	return ix, err
 }
 
 // candSpec identifies a single-column candidate.

@@ -1,49 +1,30 @@
 package colt
 
 import (
-	"sort"
+	"fmt"
+	"maps"
+	"slices"
+	"strings"
 
 	"repro/internal/catalog"
 	"repro/internal/engine"
 )
 
-// IndexState is the JSON-serializable spec of one (hypothetical or
-// materialized) index, sufficient to reconstruct the *catalog.Index the
-// tuner priced with. Pages/Height round-trip so a restored tuner makes the
-// same knapsack and costing decisions bit-for-bit.
+// IndexState is the JSON-serializable spec of one secondary index, its
+// table and key columns; Restore resolves it through the what-if
+// constructor (Structure), so a state file names no size.
 type IndexState struct {
-	Name         string   `json:"name"`
-	Table        string   `json:"table"`
-	Columns      []string `json:"columns"`
-	Unique       bool     `json:"unique,omitempty"`
-	Hypothetical bool     `json:"hypothetical,omitempty"`
-	Pages        int64    `json:"pages"`
-	Height       int      `json:"height"`
+	Table   string   `json:"table"`
+	Columns []string `json:"columns"`
 }
 
 func indexState(ix *catalog.Index) IndexState {
-	return IndexState{
-		Name:         ix.Name,
-		Table:        ix.Table,
-		Columns:      append([]string(nil), ix.Columns...),
-		Unique:       ix.Unique,
-		Hypothetical: ix.Hypothetical,
-		Pages:        ix.EstimatedPages,
-		Height:       ix.EstimatedHeight,
-	}
+	return IndexState{Table: ix.Table, Columns: slices.Clone(ix.Columns)}
 }
 
-// Index reconstructs the catalog index the state describes.
-func (s IndexState) Index() *catalog.Index {
-	return &catalog.Index{
-		Name:            s.Name,
-		Table:           s.Table,
-		Columns:         append([]string(nil), s.Columns...),
-		Unique:          s.Unique,
-		Hypothetical:    s.Hypothetical,
-		EstimatedPages:  s.Pages,
-		EstimatedHeight: s.Height,
-	}
+// Structure resolves the spec on the view as the tuner's candidates are.
+func (s IndexState) Structure(v *engine.View) (*catalog.Index, error) {
+	return structure(v, s.Table, s.Columns)
 }
 
 // CandidateState persists one candidate's learning state.
@@ -87,18 +68,11 @@ func (t *Tuner) Snapshot() State {
 		BudgetThisEpoch: t.budgetThisEpoch,
 		StableEpochs:    t.stableEpochs,
 	}
-	for _, ix := range t.current.Indexes {
+	byKey := func(a, b *catalog.Index) int { return strings.Compare(a.Key(), b.Key()) }
+	for _, ix := range slices.SortedFunc(slices.Values(t.current.Indexes), byKey) {
 		st.Current = append(st.Current, indexState(ix))
 	}
-	sort.Slice(st.Current, func(i, j int) bool {
-		return st.Current[i].Index().Key() < st.Current[j].Index().Key()
-	})
-	keys := make([]string, 0, len(t.candidates))
-	for k := range t.candidates {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range slices.Sorted(maps.Keys(t.candidates)) {
 		c := t.candidates[k]
 		st.Candidates = append(st.Candidates, CandidateState{
 			Key:           k,
@@ -117,11 +91,18 @@ func (t *Tuner) Snapshot() State {
 // Restore builds a tuner that resumes from a snapshot instead of learning
 // from scratch. The engine is fresh (a restarted process has an empty INUM
 // cache, which only costs re-preparation, not decisions); opts must match
-// the original tuner's options for decision-identical resumption.
-func Restore(eng *engine.Engine, st State, opts Options) *Tuner {
+// the original tuner's options for decision-identical resumption. It
+// refuses, naming the entry, an index spec the what-if constructor refuses
+// and a candidate filed under another key than its index's.
+func Restore(eng *engine.Engine, st State, opts Options) (*Tuner, error) {
+	v := eng.Pin()
 	cfg := catalog.NewConfiguration()
-	for _, ixs := range st.Current {
-		cfg = cfg.WithIndex(ixs.Index())
+	for i, s := range st.Current {
+		ix, err := s.Structure(v)
+		if err != nil {
+			return nil, fmt.Errorf("tuner.current[%d]: %w", i, err)
+		}
+		cfg = cfg.WithIndex(ix)
 	}
 	t := New(eng, cfg, opts)
 	t.epoch = st.Epoch
@@ -130,9 +111,16 @@ func Restore(eng *engine.Engine, st State, opts Options) *Tuner {
 	t.whatIfUsed = st.WhatIfUsed
 	t.budgetThisEpoch = st.BudgetThisEpoch
 	t.stableEpochs = st.StableEpochs
-	for _, cs := range st.Candidates {
+	for i, cs := range st.Candidates {
+		ix, err := cs.Index.Structure(v)
+		if err != nil {
+			return nil, fmt.Errorf("tuner.candidates[%d]: %w", i, err)
+		}
+		if key := ix.Key(); cs.Key != key {
+			return nil, fmt.Errorf("tuner.candidates[%d]: key %q is not its index's key %q", i, cs.Key, key)
+		}
 		t.candidates[cs.Key] = &candState{
-			ix:            cs.Index.Index(),
+			ix:            ix,
 			observations:  cs.Observations,
 			lastSeenEpoch: cs.LastSeenEpoch,
 			hot:           cs.Hot,
@@ -142,7 +130,7 @@ func Restore(eng *engine.Engine, st State, opts Options) *Tuner {
 			measured: cs.Measured || cs.EWMABenefit != 0,
 		}
 	}
-	return t
+	return t, nil
 }
 
 // CandidateStat is a read-only view of one tracked candidate.
@@ -159,17 +147,12 @@ type CandidateStat struct {
 // Candidates returns a snapshot of all tracked candidates, sorted by key.
 // Indexes are copies; mutating them does not affect the tuner.
 func (t *Tuner) Candidates() []CandidateStat {
-	keys := make([]string, 0, len(t.candidates))
-	for k := range t.candidates {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]CandidateStat, 0, len(keys))
-	for _, k := range keys {
+	out := make([]CandidateStat, 0, len(t.candidates))
+	for _, k := range slices.Sorted(maps.Keys(t.candidates)) {
 		c := t.candidates[k]
 		out = append(out, CandidateStat{
 			Key:           k,
-			Index:         indexState(c.ix).Index(),
+			Index:         c.ix.Clone(),
 			Observations:  c.observations,
 			LastSeenEpoch: c.lastSeenEpoch,
 			Hot:           c.hot,

@@ -143,7 +143,10 @@ func TestSnapshotRestoreResumesIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 	freshEng := engine.New(store.Schema, store.Stats, nil)
-	resumed := colt.Restore(freshEng, state, opts)
+	resumed, err := colt.Restore(freshEng, state, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(resumed.Snapshot(), first.Snapshot()) {
 		t.Fatalf("snapshot does not survive JSON and Restore:\nwas %+v\nnow %+v", first.Snapshot(), resumed.Snapshot())
 	}
@@ -155,7 +158,11 @@ func TestSnapshotRestoreResumesIdentically(t *testing.T) {
 	for i := range state.Candidates {
 		state.Candidates[i].Measured = false
 	}
-	if old := colt.Restore(freshEng, state, opts); !reflect.DeepEqual(old.Snapshot(), first.Snapshot()) {
+	old, err := colt.Restore(freshEng, state, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(old.Snapshot(), first.Snapshot()) {
 		t.Fatalf("a state without the measured field restores differently:\nwas %+v\nnow %+v", first.Snapshot(), old.Snapshot())
 	}
 	resumedStream := indexFriendlyStream(t, freshEng, 40, false)

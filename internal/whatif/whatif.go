@@ -13,6 +13,7 @@
 package whatif
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -133,6 +134,18 @@ func (s *Session) Hypothetical(kind catalog.StructureKind, table string, keys, e
 	pages := optimizer.EstimateIndexLeafPages(t, leaf, rows)
 	ix.EstimatedPages, ix.EstimatedHeight = int64(pages), optimizer.EstimateIndexHeight(pages)
 	return ix, nil
+}
+
+// Structure resolves a spec from outside (a facade DTO, a state file) to
+// the structure it names: Hypothetical's, or refusal, or — when the base
+// already holds its key (materialized or imported) — the base's own, with
+// its real size.
+func (s *Session) Structure(kind catalog.StructureKind, table string, keys, extra []string) (*catalog.Index, error) {
+	ix, err := s.Hypothetical(kind, table, keys, extra)
+	if err == nil {
+		ix = cmp.Or(s.base.Index(ix.Key()), ix)
+	}
+	return ix, err
 }
 
 // aggregates checks an aggregate view's stored aggregates against its table
