@@ -183,33 +183,21 @@ func cmdApply(args []string) error {
 	if err != nil {
 		return err
 	}
-	// The advisor's solution may restate structures already on the server
-	// (they are part of the optimal design); only the new ones get applied.
-	existing := map[string]bool{}
-	for _, ix := range lv.Info().ExistingIndexes {
-		existing[ix.Key()] = true
-	}
-	var toApply []designer.Index
-	for _, ix := range adv.Indexes {
-		if existing[ix.Key()] {
-			fmt.Printf("already on server: %s\n", ix.Key())
-			continue
-		}
-		toApply = append(toApply, ix)
-	}
-	if len(toApply) == 0 {
+	// A structure already on the server is in every design, so the advice
+	// names only new ones.
+	if len(adv.Indexes) == 0 {
 		fmt.Println("advisor found no new beneficial structures; nothing to apply")
 		return lf.finish(lv)
 	}
-	fmt.Printf("advised %d structures (%d new); applying%s:\n",
-		len(adv.Indexes), len(toApply), map[bool]string{true: " (dry run)"}[*dryRun])
+	fmt.Printf("advised %d new structures; applying%s:\n",
+		len(adv.Indexes), map[bool]string{true: " (dry run)"}[*dryRun])
 
 	var done int
-	rep, applyErr := lv.Apply(ctx, toApply, designer.LiveApplyOptions{
+	rep, applyErr := lv.Apply(ctx, adv.Indexes, designer.LiveApplyOptions{
 		DryRun: *dryRun,
 		Progress: func(s designer.LiveApplyStep) {
 			done++
-			fmt.Printf("  [%d/%d] %-9s %s\n", done, len(toApply), s.Status, s.DDL)
+			fmt.Printf("  [%d/%d] %-9s %s\n", done, len(adv.Indexes), s.Status, s.DDL)
 		},
 	})
 	fmt.Print(rep.Summary())

@@ -25,6 +25,8 @@ type AdviceOptions struct {
 	CandidateOptions CandidateOptions
 	// SeedIndexes are user-suggested candidates added to the automatically
 	// enumerated set — the paper's "starting point of the search" control.
+	// A seed whose key the current design holds is already in every
+	// design: it adds no candidate and no pin.
 	SeedIndexes []Index
 	// PinIndexes additionally forces the seeds into the final solution.
 	PinIndexes bool

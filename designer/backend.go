@@ -4,13 +4,15 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/engine"
 )
 
 // Backend kinds selectable through BackendSpec.Kind. The designer's
 // portability pillar: the same design algorithms run on top of any of
-// these cost models.
+// these cost models. The facade is the one place the kinds are named: the
+// engine takes a calibration (calibrated, live) or none (native).
 const (
 	BackendNative     = "native"     // built-in optimizer + INUM cache (default)
 	BackendCalibrated = "calibrated" // analytical model with JSON-loaded cost constants
@@ -75,48 +77,38 @@ type BackendSpec struct {
 }
 
 // internal resolves the spec — loading a calibration file or fitting a live
-// server's constants — into the engine's backend spec. Like
-// engine.BackendSpec.Validate, it refuses parameters the selected kind
-// would ignore instead of dropping them.
+// server's constants — into the engine's backend spec: the native backend
+// is no calibration, the calibrated and live ones are the calibration they
+// name. It refuses an unknown kind and parameters the selected kind would
+// ignore instead of dropping them; the engine validates the calibration.
 func (spec BackendSpec) internal() (engine.BackendSpec, error) {
-	switch kind := cmp.Or(spec.Kind, BackendNative); kind {
-	case BackendNative, BackendCalibrated:
-		if spec.DSN != "" || spec.LiveTraceFile != "" {
-			return engine.BackendSpec{}, fmt.Errorf("designer: DSN or live trace given but backend is %q (want %q)", kind, BackendLive)
-		}
-	case BackendLive:
-		if spec.CalibrationFile != "" || spec.Calibration != nil {
-			return engine.BackendSpec{}, errors.New("designer: calibration given but the live backend fits its own from the server")
-		}
+	kind := cmp.Or(spec.Kind, BackendNative)
+	calibration := spec.CalibrationFile != "" || spec.Calibration != nil
+	var cal *engine.Calibration
+	var err error
+	switch {
+	case !slices.Contains(BackendKinds(), kind):
+		return engine.BackendSpec{}, fmt.Errorf("designer: unknown backend kind %q (have %v)", spec.Kind, BackendKinds())
+	case kind != BackendLive && (spec.DSN != "" || spec.LiveTraceFile != ""):
+		return engine.BackendSpec{}, fmt.Errorf("designer: DSN or live trace given but backend is %q (want %q)", kind, BackendLive)
+	case kind == BackendLive && calibration:
+		return engine.BackendSpec{}, errors.New("designer: calibration given but the live backend fits its own from the server")
+	case kind == BackendNative && calibration:
+		return engine.BackendSpec{}, fmt.Errorf("designer: calibration given but backend is %q (want %q)", kind, BackendCalibrated)
+	case kind == BackendNative:
+		return engine.BackendSpec{}, nil
+	case kind == BackendLive:
 		// "live" is sugar for a calibrated backend whose constants come from
 		// the server (or a recorded trace) instead of a file.
-		cal, err := liveCalibration(spec)
-		if err != nil {
-			return engine.BackendSpec{}, err
-		}
-		out := engine.BackendSpec{Kind: BackendCalibrated, Calibration: cal}
-		if err := out.Validate(); err != nil {
-			return engine.BackendSpec{}, err
-		}
-		return out, nil
-	default:
-		return engine.BackendSpec{}, fmt.Errorf("designer: unknown backend kind %q (have %v)", spec.Kind, BackendKinds())
-	}
-	out := engine.BackendSpec{Kind: spec.Kind}
-	switch {
+		cal, err = liveCalibration(spec)
 	case spec.CalibrationFile != "":
-		cal, err := engine.LoadCalibration(spec.CalibrationFile)
-		if err != nil {
-			return engine.BackendSpec{}, err
-		}
-		out.Calibration = cal
+		cal, err = engine.LoadCalibration(spec.CalibrationFile)
 	case spec.Calibration != nil:
-		out.Calibration = spec.Calibration.internal()
+		cal = spec.Calibration.internal()
+	default:
+		cal = engine.DefaultCalibration()
 	}
-	if err := out.Validate(); err != nil {
-		return engine.BackendSpec{}, err
-	}
-	return out, nil
+	return engine.BackendSpec{Calibration: cal}, err
 }
 
 // inherit reports whether the spec leaves the backend choice entirely to
@@ -136,8 +128,16 @@ type BackendInfo struct {
 	Description string
 }
 
-func backendInfoFromInternal(info engine.BackendInfo) BackendInfo {
-	return BackendInfo{Kind: info.Kind, Description: info.Description}
+// backendInfoFromInternal describes an engine backend for humans (Describe
+// output, serve /schema): no calibration is the native backend, a
+// calibration — from a file, inline or fitted live — the calibrated one.
+func backendInfoFromInternal(spec engine.BackendSpec) BackendInfo {
+	cal := spec.Calibration
+	if cal == nil {
+		return BackendInfo{Kind: BackendNative, Description: "built-in optimizer + INUM cache (default cost constants)"}
+	}
+	return BackendInfo{Kind: BackendCalibrated, Description: fmt.Sprintf("analytical model calibrated as %q (seq=%g random=%g cpu_tuple=%g)",
+		cal.Name, cal.SeqPageCost, cal.RandomPageCost, cal.CPUTupleCost)}
 }
 
 // Option configures a designer at open time (OpenSDSS, NewFromDDL, OpenLive,

@@ -2,6 +2,7 @@ package designer_test
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
 	"slices"
@@ -619,6 +620,98 @@ func TestClearedJoinControlDeltaCosts(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("rows after clearing the switches differ from a fresh session's:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestSteeredSessionMatchesFreshTwin: a join-steered session delta-costs
+// its edits exactly. The session evaluates once unsteered — a state priced
+// outside the switches — is steered, then walks a scripted history (an
+// index, a projection, a vertical and a horizontal partition, a drop and a
+// re-add), evaluating after each step. Every report equals a fresh
+// session's evaluate of the same design under the same switches, row by
+// row and in both totals, by Float64bits; the first steered report prices
+// every query and differs from the unsteered one, and every evaluate after
+// it recosts fewer queries than the workload holds.
+func TestSteeredSessionMatchesFreshTwin(t *testing.T) {
+	ctx := context.Background()
+	d := open(t)
+	w := sdssWorkload(t, d, 40)
+	jc := designer.JoinControl{DisableHashJoin: true, DisableMergeJoin: true}
+	history := []struct {
+		name string
+		edit func(*designer.DesignSession) error
+	}{
+		{"steer", func(*designer.DesignSession) error { return nil }},
+		{"add specobj(bestobjid)", func(s *designer.DesignSession) error {
+			_, err := s.AddIndex("specobj", "bestobjid")
+			return err
+		}},
+		{"add projection photoobj(type) include psfmag_r", func(s *designer.DesignSession) error {
+			_, err := s.AddProjection("photoobj", []string{"type"}, []string{"psfmag_r"})
+			return err
+		}},
+		{"vertical field", func(s *designer.DesignSession) error {
+			return s.AddVerticalPartition("field", [][]string{{"run", "camcol", "fieldnum", "quality", "mjd"}, {"ra_min", "ra_max", "dec_min", "dec_max"}})
+		}},
+		{"horizontal specobj(z)/4", func(s *designer.DesignSession) error {
+			return s.AddHorizontalPartition("specobj", "z", 4)
+		}},
+		{"drop specobj(bestobjid)", func(s *designer.DesignSession) error {
+			if !s.DropIndex("specobj(bestobjid)") {
+				return errors.New("nothing dropped")
+			}
+			return nil
+		}},
+		{"re-add specobj(bestobjid)", func(s *designer.DesignSession) error {
+			_, err := s.AddIndex("specobj", "bestobjid")
+			return err
+		}},
+	}
+
+	s := d.NewDesignSession()
+	plain, err := s.Evaluate(ctx, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetJoinControl(jc)
+	bits := math.Float64bits
+	for k, step := range history {
+		if err := step.edit(s); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		got, err := s.Evaluate(ctx, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := d.NewDesignSession()
+		fresh.SetJoinControl(jc)
+		for _, earlier := range history[:k+1] {
+			if err := earlier.edit(fresh); err != nil {
+				t.Fatalf("%s, replayed: %v", earlier.name, err)
+			}
+		}
+		want, err := fresh.Evaluate(ctx, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bits(got.BaseTotal) != bits(want.BaseTotal) || bits(got.NewTotal) != bits(want.NewTotal) {
+			t.Fatalf("%s: totals %v -> %v, a fresh steered session's %v -> %v", step.name,
+				got.BaseTotal, got.NewTotal, want.BaseTotal, want.NewTotal)
+		}
+		for i, g := range got.Queries {
+			if x := want.Queries[i]; g.ID != x.ID || bits(g.BaseCost) != bits(x.BaseCost) || bits(g.NewCost) != bits(x.NewCost) {
+				t.Fatalf("%s: row %d %+v, a fresh steered session's %+v", step.name, i, g, x)
+			}
+		}
+		recosted, _ := s.LastEvaluateDelta()
+		switch {
+		case k == 0 && recosted != w.Len():
+			t.Fatalf("the first steered evaluate recosted %d of %d queries: it reused a state priced outside the switches", recosted, w.Len())
+		case k == 0 && reflect.DeepEqual(got, plain):
+			t.Fatal("steering changed no cost — the switches did not reach the planner")
+		case k > 0 && recosted >= w.Len():
+			t.Fatalf("%s: recosted %d of %d queries — the steered session did not delta-cost", step.name, recosted, w.Len())
+		}
 	}
 }
 

@@ -32,6 +32,10 @@ var doorSpecs = []struct {
 	{"hand-sized to one page", designer.Index{Table: "photoobj", Columns: []string{"ra"}, EstimatedPages: 1}, ""},
 	{"hand-sized to 2^30 pages", designer.Index{Table: "photoobj", Columns: []string{"ra"},
 		EstimatedPages: 1 << 30, EstimatedHeight: 9, EstimatedRows: 5, Hypothetical: true, Name: "mine"}, ""},
+	// A key is one structure whatever its spelling: these render (Explain,
+	// DDL) byte for byte as the constructor's photoobj(ra) does.
+	{"mixed-case spelling", designer.Index{Table: "PhotoObj", Columns: []string{"RA"}}, ""},
+	{"upper-case spelling", designer.Index{Table: "PHOTOOBJ", Columns: []string{"RA"}}, ""},
 	{"unknown column", designer.Index{Table: "photoobj", Columns: []string{"nope"}},
 		`whatif: table photoobj has no column "nope"`},
 	{"unknown table", designer.Index{Table: "nope", Columns: []string{"ra"}}, `whatif: unknown table "nope"`},
@@ -142,7 +146,7 @@ func TestEveryDoorRefusesOrPricesTheSpec(t *testing.T) {
 
 			adv, err := pinned(c.spec)
 			check("SeedIndexes", err, err == nil && same(adv.Solver.Objective, refAdvice.Solver.Objective) &&
-				slices.EqualFunc(adv.Indexes, refAdvice.Indexes, sameStructure))
+				slices.EqualFunc(adv.Indexes, refAdvice.Indexes, sameStructure) && adv.DDL() == refAdvice.DDL())
 			pages, err := adopted(c.spec)
 			check("Adopt", err, err == nil && pages == refBuild)
 			mcost, err := materialized(c.spec)
@@ -178,9 +182,11 @@ func sameStructure(a, b designer.Index) bool {
 // price on: once photoobj(ra) is materialized, a hand-sized spec of it
 // resolves to the built index — not hypothetical, its real size — through
 // an autopilot state file, and Cost over a Configuration holding it prices
-// as the current design does. (Advise's seeds join a candidate set that
-// already holds a what-if twin of every key the workload implies, so its
-// answer does not show which one a seed resolved to.)
+// as the current design does. A held key is in every design already, so
+// it is no candidate — the generation's candidates hold no what-if twin of
+// it — and a pinned seed of it adds nothing: Advise names it in neither
+// its indexes nor its DDL, and reports what the unseeded advice reports,
+// by Float64bits.
 func TestHeldKeyResolvesToTheHeldStructure(t *testing.T) {
 	ctx := context.Background()
 	d, err := designer.OpenSDSS("tiny", 1)
@@ -209,6 +215,35 @@ func TestHeldKeyResolvesToTheHeldStructure(t *testing.T) {
 	}
 	if got, err := d.Cost(q, designer.NewConfiguration().WithIndex(spec)); err != nil || math.Float64bits(got) != math.Float64bits(want) {
 		t.Errorf("Cost over the held key: %v (%v), the current design prices %v", got, err, want)
+	}
+
+	for _, c := range d.CandidatesOf(w) {
+		if c.Key() == spec.Key() {
+			t.Errorf("the candidates hold a twin of the held key: %+v", c)
+		}
+	}
+	seeded, err := d.Advise(ctx, w, designer.AdviceOptions{SeedIndexes: []designer.Index{spec}, PinIndexes: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unseeded, err := d.Advise(ctx, w, designer.AdviceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.ContainsFunc(seeded.Indexes, func(ix designer.Index) bool { return ix.Key() == spec.Key() }) ||
+		strings.Contains(seeded.DDL(), "ON photoobj (ra);") {
+		t.Errorf("the advice pinning the held key names it: %+v\n%s", seeded.Indexes, seeded.DDL())
+	}
+	bits := math.Float64bits
+	got, want2 := seeded.Report, unseeded.Report
+	same := bits(got.BaseTotal) == bits(want2.BaseTotal) && bits(got.NewTotal) == bits(want2.NewTotal) &&
+		len(got.Queries) == len(want2.Queries)
+	for i := 0; same && i < len(got.Queries); i++ {
+		g, x := got.Queries[i], want2.Queries[i]
+		same = g.ID == x.ID && bits(g.BaseCost) == bits(x.BaseCost) && bits(g.NewCost) == bits(x.NewCost)
+	}
+	if !same {
+		t.Errorf("the advice pinning the held key reports %+v, the unseeded advice %+v", got, want2)
 	}
 }
 
@@ -240,8 +275,10 @@ func resumeLive(t *testing.T, d *designer.Designer, spec designer.Index) ([]desi
 // carrying random hand sizes — Designer.Hypothetical*, DesignSession.Add*,
 // Advise's pinned SeedIndexes and (for a secondary index) an autopilot
 // state file's live index all yield one Key, the DTO's own Key, and the same
-// pages, height and rows; and Cost over a Configuration built by WithIndex
-// prices the spec as the session that added it does, by Float64bits.
+// pages, height and rows; Cost over a Configuration built by WithIndex
+// prices the spec as the session that added it does, by Float64bits; and
+// the spec renders as its lower-case spelling does: Explain over either,
+// and the DDL of advice pinning either, byte for byte.
 func TestOneSpecOneStructure(t *testing.T) {
 	ctx := context.Background()
 	d, err := designer.OpenSDSS("tiny", 1)
@@ -306,6 +343,30 @@ func TestOneSpecOneStructure(t *testing.T) {
 		}
 		if j := slices.IndexFunc(adv.Indexes, func(ix designer.Index) bool { return ix.Key() == ref.Key() }); j < 0 || !sameStructure(adv.Indexes[j], ref) {
 			t.Fatalf("spec %d: the pinned seed is not the constructor's %+v in %+v", i, ref, adv.Indexes)
+		}
+		lower := spec
+		lower.Table = strings.ToLower(spec.Table)
+		for _, list := range []*[]string{&lower.Columns, &lower.Include, &lower.Aggs} {
+			*list = slices.Clone(*list)
+			for k, name := range *list {
+				(*list)[k] = strings.ToLower(name)
+			}
+		}
+		advLower, err := d.Advise(ctx, w, designer.AdviceOptions{SeedIndexes: []designer.Index{lower}, PinIndexes: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if adv.DDL() != advLower.DDL() {
+			t.Fatalf("spec %d: advice pinning it renders\n%s\nand pinning its lower-case spelling\n%s", i, adv.DDL(), advLower.DDL())
+		}
+		for j := range w.Len() {
+			plan, err := d.Explain(w.Query(j), designer.NewConfiguration().WithIndex(spec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lowerPlan, err := d.Explain(w.Query(j), designer.NewConfiguration().WithIndex(lower)); err != nil || plan != lowerPlan {
+				t.Fatalf("spec %d, query %d: Explain renders\n%s\nunder its lower-case spelling\n%s (%v)", i, j, plan, lowerPlan, err)
+			}
 		}
 
 		rep, err := sess.Evaluate(ctx, w)

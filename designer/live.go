@@ -114,8 +114,7 @@ func openLive(ctx context.Context, db *livedb.DB, o openOptions) (*Live, error) 
 			base = base.WithIndex(ix)
 		}
 	}
-	espec := engine.BackendSpec{Kind: BackendCalibrated, Calibration: cal}
-	eng, err := engine.NewWithBackend(store.Schema, store.Stats, base, espec)
+	eng, err := engine.NewWithBackend(store.Schema, store.Stats, base, engine.BackendSpec{Calibration: cal})
 	if err != nil {
 		return nil, err
 	}

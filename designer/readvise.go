@@ -144,6 +144,9 @@ func (d *Designer) advisePipeline(ctx context.Context, v *engine.View, iw *workl
 	if err != nil {
 		return nil, nil, ReadviseStats{}, err
 	}
+	// A seed the base holds is in every design already, as the candidates
+	// leave it out: it is neither a candidate nor a pin.
+	seeds = slices.DeleteFunc(seeds, func(ix *catalog.Index) bool { return v.Base().HasIndex(ix.Key()) })
 	var adv *cophy.Advisor
 	if warm != nil && sameCandidates(warm.opts, opts) {
 		adv = warm.adv

@@ -10,8 +10,6 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/engine"
 	"repro/internal/interaction"
-	"repro/internal/optimizer"
-	"repro/internal/whatif"
 	"repro/internal/workload"
 )
 
@@ -29,13 +27,16 @@ import (
 // A DesignSession is not safe for concurrent use; guard it externally (the
 // serve layer does).
 type DesignSession struct {
-	d    *Designer
+	d *Designer
+	// view is the generation the session was pinned to, in its backend: the
+	// design starts from its base, and structures are sized, advice is
+	// derived and interactions are priced on it.
 	view *engine.View
+	// eval is the view the session evaluates and explains on: view
+	// itself, or the one SetJoinControl derived from it under the
+	// session's join switches, which steer nothing else.
+	eval *engine.View
 	cfg  *catalog.Configuration
-	// joinOpts are session-scoped optimizer switches (SetJoinControl);
-	// they steer this session's Evaluate/Explain without touching the
-	// designer-wide engine. The zero value steers nothing.
-	joinOpts optimizer.Options
 
 	// last is the derivation state of the session's last advice, nil
 	// before the first (Advise/ReAdvise, readvise.go).
@@ -44,8 +45,6 @@ type DesignSession struct {
 	// design changes by K indexes between evaluations of the same
 	// workload, only the queries touching changed tables are re-priced.
 	evalState *engine.EvalState
-	// lastRecosted/lastReused report the previous Evaluate's delta split.
-	lastRecosted, lastReused int
 }
 
 // NewDesignSession starts an interactive what-if session on top of the
@@ -60,7 +59,7 @@ func (d *Designer) NewDesignSession() *DesignSession {
 // built, so the session's starting point and the generation it prices on
 // cannot disagree, whatever Materialize does in the meantime.
 func newDesignSession(d *Designer, view *engine.View) *DesignSession {
-	return &DesignSession{d: d, view: view, cfg: view.Base().Clone()}
+	return &DesignSession{d: d, view: view, eval: view, cfg: view.Base().Clone()}
 }
 
 // SessionOptions configure an interactive what-if session.
@@ -222,47 +221,39 @@ func (s *DesignSession) AddHorizontalPartition(table, column string, k int) erro
 
 // Evaluate reports the benefit of the session's design for the workload —
 // the numbers Scenario 1's panel shows. Queries are priced in parallel
-// against the session's pinned generation and backend; a cancelled context
-// aborts mid-evaluation. When session join controls are set, evaluation
-// runs through the steered optimizer environment instead (the backend's
-// cost constants still apply).
+// against the session's pinned generation and backend, under its join
+// switches if SetJoinControl set any; a cancelled context aborts
+// mid-evaluation. Evaluation is delta costing: successive evaluations of
+// the same workload on the same view reuse the previous per-query costs
+// for every query the design's edits cannot reach — the
+// add-one-index/ask-again loop re-prices only the affected queries, with
+// numbers identical to a cold evaluation. The first evaluation after
+// SetJoinControl changes the view prices every query.
 func (s *DesignSession) Evaluate(ctx context.Context, w *Workload) (*Report, error) {
 	iw := w.internal()
-	if s.joinOpts != (optimizer.Options{}) {
-		rep, err := s.view.EvaluateSteered(ctx, iw, s.cfg, s.joinOpts)
-		if err != nil {
-			return nil, err
-		}
-		// The steered path prices every query and leaves nothing a later
-		// delta evaluation could reuse.
-		s.evalState = nil
-		s.lastRecosted, s.lastReused = len(rep.New), 0
-		return reportFromInternal(rep, iw), nil
-	}
-	// Delta costing: successive evaluations of the same workload reuse the
-	// previous per-query costs for every query whose tables' design slices
-	// did not change — the add-one-index/ask-again loop re-prices only the
-	// affected queries, with numbers identical to a cold evaluation.
-	rep, st, err := s.view.EvaluateDelta(ctx, iw, s.cfg, s.evalState)
+	rep, st, err := s.eval.EvaluateDelta(ctx, iw, s.cfg, s.evalState)
 	if err != nil {
 		return nil, err
 	}
 	s.evalState = st
-	s.lastRecosted, s.lastReused = st.Recosted, st.Reused
 	return reportFromInternal(rep, iw), nil
 }
 
-// LastEvaluateDelta reports how the most recent Evaluate split the
-// workload: queries re-priced versus reused from the previous evaluation
-// (0, 0 before any evaluation; all queries recost on a cold one).
+// LastEvaluateDelta reports how the most recent successful Evaluate split
+// the workload, read off the session's delta state: queries re-priced
+// versus reused from the previous evaluation (0, 0 before any evaluation;
+// all queries recost on a cold one).
 func (s *DesignSession) LastEvaluateDelta() (recosted, reused int) {
-	return s.lastRecosted, s.lastReused
+	if s.evalState == nil {
+		return 0, 0
+	}
+	return s.evalState.Recosted, s.evalState.Reused
 }
 
 // EvaluatedWorkload returns the workload the session's delta state prices —
-// the last Evaluate's, unless that one ran steered — or nil. It wraps the
-// state's own queries, so nothing is copied, and an Evaluate of it reuses
-// the state.
+// the last successful Evaluate's — or nil. It wraps the state's own
+// queries, so nothing is copied, and an Evaluate of it on the same view
+// (no SetJoinControl between) reuses the state.
 func (s *DesignSession) EvaluatedWorkload() *Workload {
 	if s.evalState == nil {
 		return nil
@@ -275,16 +266,7 @@ func (s *DesignSession) Explain(q Query) (string, error) {
 	if err := q.valid(); err != nil {
 		return "", err
 	}
-	return s.whatifSession().Explain(q.stmt, s.cfg)
-}
-
-// whatifSession resolves the session to evaluate against: the pinned
-// generation's shared session, or a derived one when join controls are set.
-func (s *DesignSession) whatifSession() *whatif.Session {
-	if s.joinOpts != (optimizer.Options{}) {
-		return s.view.SessionWith(s.joinOpts)
-	}
-	return s.view.Session()
+	return s.eval.Session().Explain(q.stmt, s.cfg)
 }
 
 // InteractionGraph computes the interaction graph between the design's
@@ -317,10 +299,16 @@ func (s *DesignSession) RewrittenQueries(w *Workload) map[string]string {
 }
 
 // SetJoinControl steers join methods for this session's subsequent
-// Evaluate/Explain calls (the what-if join component). The switches are
-// scoped to the design session: advisor pricing and query execution on the
-// designer keep the unrestricted optimizer. The zero JoinControl clears
-// them, and the session's evaluations delta-cost again.
+// Evaluate/Explain calls (the what-if join component): they run on a view
+// derived from the session's pinned one under the switches, which fixes
+// them as a backend is fixed. The switches are scoped to the design
+// session: advisor pricing and query execution on the designer keep the
+// unrestricted optimizer. The zero JoinControl returns the session to its
+// pinned view. Either way the next Evaluate prices every query on the new
+// view, and the ones after it delta-cost there.
 func (s *DesignSession) SetJoinControl(jc JoinControl) {
-	s.joinOpts = jc.internal()
+	s.eval = s.view
+	if jc != (JoinControl{}) {
+		s.eval = s.view.WithOptions(jc.internal())
+	}
 }

@@ -116,19 +116,16 @@ func (w *Workload) Query(i int) Query { return queryFromInternal(w.internal().Qu
 // their weights — the standard preprocessing step before advising on a
 // query log, where the same template instance repeats many times.
 func CompressWorkload(w *Workload) *Workload {
-	type slot struct {
-		idx int
-	}
 	in := w.internal()
-	seen := make(map[string]slot, len(in.Queries))
+	seen := make(map[string]int, len(in.Queries))
 	out := &workload.Workload{}
 	for _, q := range in.Queries {
-		key := q.Stmt.String()
-		if s, ok := seen[key]; ok {
-			out.Queries[s.idx].Weight += q.Weight
+		key := q.Stmt.Key()
+		if i, ok := seen[key]; ok {
+			out.Queries[i].Weight += q.Weight
 			continue
 		}
-		seen[key] = slot{idx: len(out.Queries)}
+		seen[key] = len(out.Queries)
 		out.Queries = append(out.Queries, q)
 	}
 	return workloadFromInternal(out)

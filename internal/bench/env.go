@@ -12,6 +12,7 @@
 package bench
 
 import (
+	"cmp"
 	"sync"
 
 	"repro/designer"
@@ -43,8 +44,11 @@ type Env struct {
 	// Env never reconfigures its engine, so every experiment prices on it.
 	View *engine.View
 
-	// backendSpec rebuilds engines with the Env's backend (FreshEngine).
-	backendSpec engine.BackendSpec
+	// backend is the Env's cost backend in the facade's form, which
+	// freshFacade opens designers with, and engineBackend the same backend
+	// in the engine's, which FreshEngine rebuilds engines with.
+	backend       designer.BackendSpec
+	engineBackend engine.BackendSpec
 
 	// advised caches the default CoPhy recommendation (used by the
 	// interaction and schedule experiments, which analyze an advised set).
@@ -56,9 +60,14 @@ type Env struct {
 // NewEnv generates the dataset (dataset seed = seed), draws NumQ queries
 // from the named workload profile (workload seed = seed+1, so dataset and
 // workload randomness stay independent), enumerates candidates, and pins a
-// view of the given cost backend — the whole experiment suite runs unchanged
-// on any backend, which is itself the portability claim.
-func NewEnv(sizeName string, seed int64, profile string, numQ int, spec engine.BackendSpec) (*Env, error) {
+// view of the given cost backend (native or calibrated) — the whole
+// experiment suite runs unchanged on any backend, which is itself the
+// portability claim.
+func NewEnv(sizeName string, seed int64, profile string, numQ int, backend designer.BackendSpec) (*Env, error) {
+	espec, err := engineBackend(backend)
+	if err != nil {
+		return nil, err
+	}
 	size, err := workload.SizeByName(sizeName)
 	if err != nil {
 		return nil, err
@@ -75,25 +84,40 @@ func NewEnv(sizeName string, seed int64, profile string, numQ int, spec engine.B
 	if err != nil {
 		return nil, err
 	}
-	eng, err := engine.NewWithBackend(store.Schema, store.Stats, store.MaterializedConfiguration(), spec)
+	eng, err := engine.NewWithBackend(store.Schema, store.Stats, store.MaterializedConfiguration(), espec)
 	if err != nil {
 		return nil, err
 	}
 	v := eng.Pin()
 	cands := v.Session().GenerateCandidates(w, whatif.DefaultCandidateOptions())
 	return &Env{
-		SizeName:    sizeName,
-		Seed:        seed,
-		Profile:     profile,
-		NumQ:        numQ,
-		Backend:     v.Backend().Kind,
-		Store:       store,
-		W:           w,
-		Cands:       cands,
-		Eng:         eng,
-		View:        v,
-		backendSpec: spec,
+		SizeName:      sizeName,
+		Seed:          seed,
+		Profile:       profile,
+		NumQ:          numQ,
+		Backend:       cmp.Or(backend.Kind, designer.BackendNative),
+		Store:         store,
+		W:             w,
+		Cands:         cands,
+		Eng:           eng,
+		View:          v,
+		backend:       backend,
+		engineBackend: espec,
 	}, nil
+}
+
+// engineBackend resolves a suite backend, native or calibrated, into the
+// engine's spec: the calibrated backend's constants — its calibration
+// file's, or the built-in profile — or none.
+func engineBackend(backend designer.BackendSpec) (engine.BackendSpec, error) {
+	switch {
+	case backend.Kind != designer.BackendCalibrated:
+		return engine.BackendSpec{}, nil
+	case backend.CalibrationFile != "":
+		cal, err := engine.LoadCalibration(backend.CalibrationFile)
+		return engine.BackendSpec{Calibration: cal}, err
+	}
+	return engine.BackendSpec{Calibration: engine.DefaultCalibration()}, nil
 }
 
 // freshFacade generates an unshared copy of the Env's dataset, opens a
@@ -102,7 +126,7 @@ func NewEnv(sizeName string, seed int64, profile string, numQ int, spec engine.B
 // exercise the public v2 pipeline and must not poison the shared engine's
 // caches.
 func (e *Env) freshFacade() (*designer.Designer, *designer.Workload, error) {
-	d, err := designer.OpenSDSS(e.SizeName, e.Seed, designer.WithBackend(e.designerSpec()))
+	d, err := designer.OpenSDSS(e.SizeName, e.Seed, designer.WithBackend(e.backend))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -118,28 +142,11 @@ func (e *Env) freshFacade() (*designer.Designer, *designer.Workload, error) {
 	return d, fw, err
 }
 
-// designerSpec mirrors the Env's engine backend spec into the facade form.
-func (e *Env) designerSpec() designer.BackendSpec {
-	spec := designer.BackendSpec{Kind: e.backendSpec.Kind}
-	if cal := e.backendSpec.Calibration; cal != nil {
-		spec.Calibration = &designer.CalibrationParams{
-			Name:                    cal.Name,
-			SeqPageCost:             cal.SeqPageCost,
-			RandomPageCost:          cal.RandomPageCost,
-			CPUTupleCost:            cal.CPUTupleCost,
-			CPUIndexTupleCost:       cal.CPUIndexTupleCost,
-			CPUOperatorCost:         cal.CPUOperatorCost,
-			EffectiveCacheSizePages: cal.EffectiveCacheSizePages,
-		}
-	}
-	return spec
-}
-
 // FreshEngine builds an unshared, cold-cache engine over the Env's dataset
 // with the Env's backend (for cold-path measurements like the pipeline
 // calls-avoided ratio). Its caller pins it once.
 func (e *Env) FreshEngine() *engine.Engine {
-	eng, err := engine.NewWithBackend(e.Store.Schema, e.Store.Stats, nil, e.backendSpec)
+	eng, err := engine.NewWithBackend(e.Store.Schema, e.Store.Stats, nil, e.engineBackend)
 	if err != nil {
 		// The spec already built the Env's own engine once.
 		panic(err)

@@ -112,7 +112,7 @@ func runBackendPortability(e *Env, spec Spec, x *Experiment) error {
 
 	// Calibrated selection: same candidates, same workload, different cost
 	// economy.
-	calib, err := pinFresh(engine.BackendSpec{Kind: engine.BackendCalibrated})
+	calib, err := pinFresh(engine.BackendSpec{Calibration: engine.DefaultCalibration()})
 	if err != nil {
 		return err
 	}
@@ -665,7 +665,7 @@ func runSizeModel(e *Env, spec Spec, x *Experiment) error {
 	if err != nil {
 		return err
 	}
-	zero, err := e.View.SessionWith(optimizer.Options{ZeroSizeWhatIf: true}).Cost(stmt, cfg)
+	zero, err := e.View.WithOptions(optimizer.Options{ZeroSizeWhatIf: true}).Session().Cost(stmt, cfg)
 	if err != nil {
 		return err
 	}

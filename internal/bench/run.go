@@ -7,7 +7,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/engine"
+	"repro/designer"
 )
 
 // Spec selects what one harness run computes: the experiment subset and the
@@ -190,10 +190,13 @@ func (s *Spec) normalize() error {
 		s.Workloads = []string{"uniform"}
 	}
 	if s.Backend == "" {
-		s.Backend = engine.BackendNative
+		s.Backend = designer.BackendNative
 	}
-	if s.Backend != engine.BackendNative && s.Backend != engine.BackendCalibrated {
+	if s.Backend != designer.BackendNative && s.Backend != designer.BackendCalibrated {
 		return fmt.Errorf("bench: backend %q not runnable as a suite backend (native|calibrated)", s.Backend)
+	}
+	if s.CalibrationFile != "" && s.Backend != designer.BackendCalibrated {
+		return fmt.Errorf("bench: calibration file given but backend is %q (want %q)", s.Backend, designer.BackendCalibrated)
 	}
 	for _, name := range s.Experiments {
 		if experimentIndex(name) < 0 {
@@ -201,20 +204,6 @@ func (s *Spec) normalize() error {
 		}
 	}
 	return nil
-}
-
-// backendSpec resolves the spec's backend selection into the engine form,
-// loading the calibration file when given.
-func (s *Spec) backendSpec() (engine.BackendSpec, error) {
-	out := engine.BackendSpec{Kind: s.Backend}
-	if s.CalibrationFile != "" {
-		cal, err := engine.LoadCalibration(s.CalibrationFile)
-		if err != nil {
-			return engine.BackendSpec{}, err
-		}
-		out.Calibration = cal
-	}
-	return out, out.Validate()
 }
 
 // Run executes the spec's experiment matrix and returns the answer
@@ -226,10 +215,7 @@ func Run(spec Spec, logf func(format string, args ...any)) (*Result, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	espec, err := spec.backendSpec()
-	if err != nil {
-		return nil, err
-	}
+	backend := designer.BackendSpec{Kind: spec.Backend, CalibrationFile: spec.CalibrationFile}
 	res := &Result{
 		SchemaVersion: SchemaVersion,
 		Label:         spec.Label,
@@ -242,7 +228,7 @@ func Run(spec Spec, logf func(format string, args ...any)) (*Result, error) {
 				// One Env per cell, dropped when the cell completes: the
 				// harness's peak memory is a single dataset + cache, not the
 				// whole matrix.
-				env, err := NewEnv(size, seed, profile, spec.Queries, espec)
+				env, err := NewEnv(size, seed, profile, spec.Queries, backend)
 				if err != nil {
 					return nil, fmt.Errorf("bench: env %s/%d/%s: %w", size, seed, profile, err)
 				}

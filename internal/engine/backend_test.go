@@ -16,6 +16,9 @@ import (
 	"repro/internal/workload"
 )
 
+// calibrated is the backend of the built-in calibration profile.
+var calibrated = engine.BackendSpec{Calibration: engine.DefaultCalibration()}
+
 // newBackendFixture builds a dataset + workload and an engine with the
 // given backend spec.
 func newBackendFixture(t *testing.T, spec engine.BackendSpec) *fixture {
@@ -69,10 +72,10 @@ func indexProbe(t *testing.T, f *fixture) (workload.Query, *catalog.Configuratio
 // index-bearing plans while staying positive and finite.
 func TestCalibratedBackendDisagreesOnAbsoluteCosts(t *testing.T) {
 	native := newFixture(t)
-	calib := newBackendFixture(t, engine.BackendSpec{Kind: engine.BackendCalibrated})
+	calib := newBackendFixture(t, calibrated)
 
-	if got := calib.v.Backend().Kind; got != engine.BackendCalibrated {
-		t.Fatalf("backend kind = %q", got)
+	if got := calib.v.Backend(); got.Calibration == nil {
+		t.Fatalf("backend = %+v", got)
 	}
 	q, cfg := indexProbe(t, native)
 	nc, err := native.v.QueryCost(q, cfg)
@@ -99,28 +102,21 @@ func TestCalibratedBackendDisagreesOnAbsoluteCosts(t *testing.T) {
 
 // TestSetBackendRejectsInvalidSpec: a backend is set when the engine is
 // opened (NewWithBackend) or per pinned view (PinBackend), and both doors
-// refuse a bad spec — an unknown kind, a calibration that cannot price,
-// parameters the selected kind would ignore — without touching the working
-// engine.
+// refuse a calibration that cannot price without touching the working
+// engine. (A spec is its calibration or none, so there is no kind to get
+// wrong; the facade refuses unknown kinds and stray parameters.)
 func TestSetBackendRejectsInvalidSpec(t *testing.T) {
 	f := newFixture(t)
 	for _, bad := range []struct {
 		what string
 		spec engine.BackendSpec
 	}{
-		{"unknown backend kind", engine.BackendSpec{Kind: "voodoo"}},
-		{"zero-valued calibration", engine.BackendSpec{Kind: engine.BackendCalibrated, Calibration: &engine.Calibration{Name: "zero"}}},
-		{"non-finite calibration", engine.BackendSpec{Kind: engine.BackendCalibrated, Calibration: func() *engine.Calibration {
+		{"zero-valued calibration", engine.BackendSpec{Calibration: &engine.Calibration{Name: "zero"}}},
+		{"non-finite calibration", engine.BackendSpec{Calibration: func() *engine.Calibration {
 			c := engine.DefaultCalibration()
 			c.RandomPageCost = math.NaN()
 			return c
 		}()}},
-		// Parameters the selected kind would ignore are rejected, not
-		// dropped: a calibration on a native spec means the caller thinks it
-		// applies.
-		{"calibration attached to a native backend", engine.BackendSpec{Calibration: engine.DefaultCalibration()}},
-		// The replay kind is gone: asking for it is an unknown kind.
-		{"the removed replay kind", engine.BackendSpec{Kind: "replay"}},
 	} {
 		if _, err := f.eng.PinBackend(bad.spec); err == nil {
 			t.Errorf("PinBackend: %s accepted", bad.what)
@@ -146,7 +142,7 @@ func TestPinBackendIsolated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cv, err := f.eng.PinBackend(engine.BackendSpec{Kind: engine.BackendCalibrated})
+	cv, err := f.eng.PinBackend(calibrated)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,8 +157,8 @@ func TestPinBackendIsolated(t *testing.T) {
 	if fresh.Version() != f.v.Version() {
 		t.Fatal("PinBackend bumped the engine generation")
 	}
-	if got := fresh.Backend().Kind; got != engine.BackendNative {
-		t.Fatalf("PinBackend leaked into the engine: %q", got)
+	if got := fresh.Backend(); got.Calibration != nil {
+		t.Fatalf("PinBackend leaked into the engine: %+v", got)
 	}
 	again, err := fresh.QueryCost(q, cfg)
 	if err != nil {
@@ -175,7 +171,7 @@ func TestPinBackendIsolated(t *testing.T) {
 	// The plan-search doors price under the view's own constants too: each
 	// equals, bit for bit, the same door on an engine opened calibrated, and
 	// differs from the native view's.
-	opened := newBackendFixture(t, engine.BackendSpec{Kind: engine.BackendCalibrated})
+	opened := newBackendFixture(t, calibrated)
 	want, got, nat := planDoors(t, opened.v, f, q, cfg), planDoors(t, cv, f, q, cfg), planDoors(t, f.v, f, q, cfg)
 	for d, door := range want {
 		for i := range door.costs {
@@ -193,9 +189,9 @@ func TestPinBackendIsolated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kept != calib || cv.Backend().Kind != engine.BackendCalibrated || cv.Version() != f.v.Version() {
-		t.Fatalf("derived view moved with the engine: cost %v (was %v), backend %q, version %d",
-			kept, calib, cv.Backend().Kind, cv.Version())
+	if kept != calib || cv.Backend() != calibrated || cv.Version() != f.v.Version() {
+		t.Fatalf("derived view moved with the engine: cost %v (was %v), backend %+v, version %d",
+			kept, calib, cv.Backend(), cv.Version())
 	}
 }
 

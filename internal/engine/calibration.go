@@ -12,7 +12,7 @@ import (
 	"repro/internal/optimizer"
 )
 
-// Calibration is the parameter set of the `calibrated` cost backend: the
+// Calibration is the parameter set of a calibrated cost backend: the
 // PostgreSQL-style cost constants an analytical model needs to mimic a
 // target engine's optimizer. The designer's portability pillar rests on
 // this file format — calibrate the constants once against a real engine

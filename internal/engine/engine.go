@@ -24,14 +24,17 @@
 // one. Every door builds the entries it lacks, so within a view an answer
 // does not depend on the calls made before it, and no caller prepares.
 //
-// A view prices two ways, both under its generation's cost constants: from
-// its INUM entries (QueryCost, WorkloadCost, the sweeps, Pricing), or by a
-// full plan search, the generation environment's CostUnder (FullCost,
-// Evaluate, EvaluateDelta, EvaluateSteered). The constants are the cost
-// backend (backend.go) — native or calibrated (JSON-loaded or fitted) —
-// which is what makes the designer portable across cost models. The
-// backend kind is chosen when the engine is opened (NewWithBackend) or per
-// pinned view (PinBackend).
+// A view prices two ways, both in its generation's environment: from its
+// INUM entries (QueryCost, WorkloadCost, the sweeps, Pricing), or by a full
+// plan search, the environment's CostUnder (FullCost, Evaluate,
+// EvaluateDelta). The environment is fixed when the view is pinned: its
+// cost constants are the cost backend (backend.go) — the built-in ones or a
+// calibration (JSON-loaded or fitted), chosen when the engine is opened
+// (NewWithBackend) or per pinned view (PinBackend) — which is what makes
+// the designer portable across cost models; its optimizer switches (join
+// steering) make a view derived from a pinned one (WithOptions). Either
+// derivation is a generation of its own, with its own what-if session and
+// INUM cache, so nothing priced in one environment is read in another.
 //
 // Sweeps (SweepConfigs, Pricing's Sweep and SweepQuery, Evaluate,
 // EvaluateDelta) price many hypothetical designs in parallel over a bounded
@@ -90,12 +93,12 @@ type Engine struct {
 }
 
 // New creates an engine over a schema/statistics snapshot and a base
-// (currently materialized) configuration, costing through the native
-// backend. base may be nil for "no physical design".
+// (currently materialized) configuration, costing with the built-in cost
+// constants. base may be nil for "no physical design".
 func New(schema *catalog.Schema, st *stats.Catalog, base *catalog.Configuration) *Engine {
 	e, err := NewWithBackend(schema, st, base, BackendSpec{})
 	if err != nil {
-		// The zero spec is the native backend, which cannot fail to build.
+		// The zero spec carries no calibration, so it cannot fail to build.
 		panic(err)
 	}
 	return e
@@ -103,7 +106,7 @@ func New(schema *catalog.Schema, st *stats.Catalog, base *catalog.Configuration)
 
 // NewWithBackend creates an engine costing through the given backend spec.
 func NewWithBackend(schema *catalog.Schema, st *stats.Catalog, base *catalog.Configuration, spec BackendSpec) (*Engine, error) {
-	if err := spec.Validate(); err != nil {
+	if err := spec.validate(); err != nil {
 		return nil, err
 	}
 	e := &Engine{schema: schema, spec: spec}
@@ -117,7 +120,12 @@ func (e *Engine) build(st *stats.Catalog, base *catalog.Configuration, spec Back
 	if base == nil {
 		base = catalog.NewConfiguration()
 	}
-	env := spec.env(optimizer.NewEnv(e.schema, st, base))
+	return generation(version, base, st, spec.env(optimizer.NewEnv(e.schema, st, base)))
+}
+
+// generation assembles a snapshot planning in env, with its what-if
+// session over env.
+func generation(version uint64, base *catalog.Configuration, st *stats.Catalog, env *optimizer.Env) *snapshot {
 	return &snapshot{
 		version: version,
 		base:    base,
@@ -167,7 +175,7 @@ type View struct {
 // Pin captures the current generation and builds a fresh INUM cache over it:
 // a design view, pricing every query from its complete INUM entry. The
 // returned view is unaffected by subsequent SetBaseConfig/SetStats calls.
-func (e *Engine) Pin() *View { return e.view(e.snapshot(), e.spec, false) }
+func (e *Engine) Pin() *View { return e.view(e.snapshot(), e.spec, prepare) }
 
 // PinOnline is Pin for a question that prices each statement once or twice
 // — one COLT observation, a stream's static baseline: the view prices every
@@ -177,27 +185,38 @@ func (e *Engine) Pin() *View { return e.view(e.snapshot(), e.spec, false) }
 // (package inum), and pinning it makes no closure. A stream's baseline,
 // which prices many statements on one view, finds them by key as a design
 // view does.
-func (e *Engine) PinOnline() *View { return e.view(e.snapshot(), e.spec, true) }
+func (e *Engine) PinOnline() *View {
+	return e.view(e.snapshot(), e.spec, (*inum.Cache).OnDemand)
+}
 
 // PinBackend is Pin with a different cost backend, built against the same
 // base configuration and statistics — the per-session backend surface: one
-// HTTP design session can price through the calibrated model while the
+// HTTP design session can price through a calibration while the
 // engine (and every other consumer) stays on its own backend.
 func (e *Engine) PinBackend(spec BackendSpec) (*View, error) {
-	if err := spec.Validate(); err != nil {
+	if err := spec.validate(); err != nil {
 		return nil, err
 	}
 	cur := e.snapshot()
-	return e.view(e.build(cur.stats, cur.base, spec, cur.version), spec, false), nil
+	return e.view(e.build(cur.stats, cur.base, spec, cur.version), spec, prepare), nil
 }
 
-// view builds the INUM cache a pinned generation prices through.
-func (e *Engine) view(s *snapshot, spec BackendSpec, online bool) *View {
-	v := &View{e: e, s: s, spec: spec, cache: inum.New(s.env, &e.counters), door: prepare}
-	if online {
-		v.door = (*inum.Cache).OnDemand
-	}
-	return v
+// WithOptions is the view with the optimizer switches applied — per-session
+// join steering: a view of the same generation, backend and base on a
+// snapshot of its own, planning in v's environment under opts, with its own
+// what-if session and INUM cache, built the way PinBackend builds its
+// generation. Nothing priced on v is read on it (an EvalState of v is not
+// Reusable there), and the switches cannot leak into other consumers'
+// costing.
+func (v *View) WithOptions(opts optimizer.Options) *View {
+	s := v.s
+	return v.e.view(generation(s.version, s.base, s.stats, s.env.WithOptions(opts)), v.spec, v.door)
+}
+
+// view builds the INUM cache a pinned generation prices through, from the
+// entries door builds.
+func (e *Engine) view(s *snapshot, spec BackendSpec, door func(*inum.Cache, *sqlparse.SelectStmt) (*inum.CachedQuery, error)) *View {
+	return &View{e: e, s: s, spec: spec, cache: inum.New(s.env, &e.counters), door: door}
 }
 
 // prepare is a design view's door: the statement's complete entry.
@@ -228,16 +247,8 @@ func (v *View) Stats() *stats.Catalog { return v.s.stats }
 // Params returns the pinned generation's cost parameters (the backend's).
 func (v *View) Params() optimizer.CostParams { return v.s.env.Params }
 
-// Backend describes the pinned generation's cost backend.
-func (v *View) Backend() BackendInfo { return v.spec.info() }
-
-// SessionWith returns a throwaway what-if session over the pinned base
-// configuration, statistics, and backend cost constants with the given
-// optimizer switches applied — per-session join steering that cannot leak
-// into other consumers' costing.
-func (v *View) SessionWith(opts optimizer.Options) *whatif.Session {
-	return whatif.NewSessionFromEnv(v.s.env.WithOptions(opts), v.s.base)
-}
+// Backend returns the spec of the pinned generation's cost backend.
+func (v *View) Backend() BackendSpec { return v.spec }
 
 // Schema exposes the logical schema.
 func (e *Engine) Schema() *catalog.Schema { return e.schema }
@@ -366,15 +377,15 @@ func (v *View) workloadCost(w *workload.Workload, entries []*inum.CachedQuery, c
 // cost constants against the pinned generation, bypassing the cached path —
 // the E8 comparison baseline and the exactness fallback.
 func (v *View) FullCost(stmt *sqlparse.SelectStmt, cfg *catalog.Configuration) (float64, error) {
-	return v.search(v.s.env, stmt, v.s.resolve(cfg))
+	return v.search(stmt, v.s.resolve(cfg))
 }
 
-// search is one full plan search of the statement under cfg in env, counted
-// into the engine's plan searches: every plan search a view runs outside
-// INUM goes through it.
-func (v *View) search(env *optimizer.Env, stmt *sqlparse.SelectStmt, cfg *catalog.Configuration) (float64, error) {
+// search is one full plan search of the statement under cfg in the view's
+// environment, counted into the engine's plan searches: every plan search a
+// view runs outside INUM goes through it.
+func (v *View) search(stmt *sqlparse.SelectStmt, cfg *catalog.Configuration) (float64, error) {
 	v.e.planSearches.Add(1)
-	return env.CostUnder(stmt, cfg)
+	return v.s.env.CostUnder(stmt, cfg)
 }
 
 // Optimize plans a statement under a configuration (nil = base) and returns
@@ -392,8 +403,8 @@ func (e *Engine) CacheStats() (fullOpts, cachedCostings int64) {
 }
 
 // PlanSearches reports the full plan searches every view the engine has
-// pinned ran outside INUM — FullCost, Evaluate, EvaluateSteered and
-// EvaluateDelta's recosts — over its whole life. Like CacheStats, the
+// pinned ran outside INUM — FullCost, Evaluate and EvaluateDelta's
+// recosts — over its whole life. Like CacheStats, the
 // count only rises.
 func (e *Engine) PlanSearches() int64 { return e.planSearches.Load() }
 

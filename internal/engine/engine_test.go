@@ -341,8 +341,9 @@ func TestEvaluateEmptyConfigIsNeutral(t *testing.T) {
 	}
 }
 
-// TestEvaluateSteered pins the join-steered evaluate to the engine's own
-// pool: with no switch set it reproduces Evaluate bit-for-bit, with joins
+// TestEvaluateSteered pins the join-steered evaluate — Evaluate on a view
+// derived with optimizer switches (WithOptions) — to the engine's own pool:
+// with no switch set it reproduces Evaluate bit-for-bit, with joins
 // disabled it prices exactly what a steered session prices query by query,
 // at every pool width, and a cancelled context aborts it like any sweep.
 func TestEvaluateSteered(t *testing.T) {
@@ -358,20 +359,21 @@ func TestEvaluateSteered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unsteered, err := v.EvaluateSteered(ctx, f.w, cfg, optimizer.Options{})
+	unsteered, err := v.WithOptions(optimizer.Options{}).Evaluate(ctx, f.w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(plain, unsteered) {
-		t.Fatal("EvaluateSteered with no switches differs from Evaluate")
+		t.Fatal("Evaluate on a view derived with no switches differs from Evaluate")
 	}
 
 	opts := optimizer.Options{DisableHashJoin: true, DisableMergeJoin: true}
-	sess := v.SessionWith(opts)
+	steered := v.WithOptions(opts)
+	sess := whatif.NewSessionFromEnv(f.eng.Env().WithOptions(opts), v.Base())
 	var ref *whatif.Report
 	for _, width := range []int{1, 4} {
 		f.eng.SetWorkers(width)
-		rep, err := v.EvaluateSteered(ctx, f.w, cfg, opts)
+		rep, err := steered.Evaluate(ctx, f.w, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -401,24 +403,39 @@ func TestEvaluateSteered(t *testing.T) {
 
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, err := v.EvaluateSteered(cancelled, f.w, cfg, opts); !errors.Is(err, context.Canceled) {
+	if _, err := steered.Evaluate(cancelled, f.w, cfg); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled steered evaluate returned %v", err)
 	}
 }
 
-// TestSessionWithScopedJoinControl asserts per-session join steering does
-// not leak into the engine.
+// TestSessionWithScopedJoinControl asserts per-session join steering — a
+// view derived with optimizer switches (WithOptions) — does not leak into
+// the engine or the view it was derived from, and shares no costing state
+// with that view: same generation and base, a session and a snapshot of
+// its own.
 func TestSessionWithScopedJoinControl(t *testing.T) {
 	f := newFixture(t)
+	ctx := context.Background()
+	_, st, err := f.v.EvaluateDelta(ctx, f.w, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	full0, cached0 := f.eng.CacheStats()
 
-	sess := f.v.SessionWith(optimizer.Options{DisableHashJoin: true, DisableMergeJoin: true})
+	steered := f.v.WithOptions(optimizer.Options{DisableHashJoin: true, DisableMergeJoin: true})
+	sess := steered.Session()
 	if sess == f.v.Session() {
-		t.Fatal("SessionWith returned the shared session")
+		t.Fatal("WithOptions shares the view's session")
+	}
+	if steered.Version() != f.v.Version() || steered.Base() != f.v.Base() || steered.Stats() != f.v.Stats() {
+		t.Fatal("WithOptions moved off the view's generation")
+	}
+	if st.Reusable(steered, f.w) {
+		t.Fatal("an evaluation state of the view is reusable on its steered derivation")
 	}
 	full, cached := f.eng.CacheStats()
 	if f.eng.Pin().Version() != f.v.Version() || full != full0 || cached != cached0 {
-		t.Fatal("SessionWith mutated the engine")
+		t.Fatal("WithOptions mutated the engine")
 	}
 	if !sess.Env().Opts.DisableHashJoin {
 		t.Fatal("derived session did not apply the switches")

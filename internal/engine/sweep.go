@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/inum"
-	"repro/internal/optimizer"
 	"repro/internal/whatif"
 	"repro/internal/workload"
 )
@@ -196,32 +195,18 @@ func (p *Pricing) sweep(ctx context.Context, sets [][]int, price func([]int) flo
 // design session pinned at creation keeps evaluating against its
 // generation (and its backend) even if the engine is reconfigured. Queries
 // are priced in parallel, and results are deterministic and identical to a
-// serial loop over FullCost.
+// serial loop over FullCost. On a view derived with optimizer switches
+// (WithOptions), every plan search runs under them.
 func (v *View) Evaluate(ctx context.Context, w *workload.Workload, cfg *catalog.Configuration) (*whatif.Report, error) {
-	return v.evaluate(ctx, w, cfg, v.s.env)
-}
-
-// EvaluateSteered is Evaluate with per-session join steering: every query is
-// planned under the generation's environment with the optimizer switches
-// applied, on the same worker pool and with the same first-index error and
-// cancellation behaviour as Evaluate. The backend's cost constants still
-// apply.
-func (v *View) EvaluateSteered(ctx context.Context, w *workload.Workload, cfg *catalog.Configuration, opts optimizer.Options) (*whatif.Report, error) {
-	return v.evaluate(ctx, w, cfg, v.s.env.WithOptions(opts))
-}
-
-// evaluate prices every query under the pinned base and under cfg with a
-// plan search in env and folds the benefit report.
-func (v *View) evaluate(ctx context.Context, w *workload.Workload, cfg *catalog.Configuration, env *optimizer.Env) (*whatif.Report, error) {
 	newCfg := v.s.resolve(cfg)
 	rep := &whatif.Report{Base: make([]float64, len(w.Queries)), New: make([]float64, len(w.Queries))}
 	err := v.e.sweep(ctx, len(w.Queries), func(i int) error {
 		q := w.Queries[i]
-		bc, err := v.search(env, q.Stmt, v.s.base)
+		bc, err := v.search(q.Stmt, v.s.base)
 		if err != nil {
 			return fmt.Errorf("engine: %s: %w", q.ID, err)
 		}
-		nc, err := v.search(env, q.Stmt, newCfg)
+		nc, err := v.search(q.Stmt, newCfg)
 		if err != nil {
 			return fmt.Errorf("engine: %s: %w", q.ID, err)
 		}

@@ -65,10 +65,17 @@ func (acc candidates) merge(kind catalog.StructureKind, table string, keys, extr
 // rank emits the accumulated candidates: secondary indexes first, then the
 // other kinds, each group table by table, ordered by score and then key,
 // capped at maxPerTable a table and sized through Hypothetical. A candidate
-// Hypothetical refuses is dropped.
+// Hypothetical refuses is dropped, and so is one whose key the session's
+// base holds: that structure is already in every design, so a what-if twin
+// of it would only take a slot.
 func (s *Session) rank(acc candidates, maxPerTable int) []*catalog.Index {
 	group := func(c *candidate) int { return min(int(c.kind), 1) } // secondary first
-	list := slices.AppendSeq(make([]*candidate, 0, len(acc)), maps.Values(acc))
+	list := make([]*candidate, 0, len(acc))
+	for c := range maps.Values(acc) {
+		if !s.base.HasIndex(c.key) {
+			list = append(list, c)
+		}
+	}
 	slices.SortFunc(list, func(a, b *candidate) int {
 		return cmp.Or(cmp.Compare(group(a), group(b)),
 			strings.Compare(a.table, b.table),

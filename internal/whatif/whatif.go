@@ -9,7 +9,8 @@
 //
 // The what-if join sub-component (§3.1c) is exposed as optimizer.Options
 // pass-through: a session built over an environment with join methods
-// disabled (engine.View.SessionWith) steers and inspects plan shape.
+// disabled (a view derived by engine.View.WithOptions) steers and inspects
+// plan shape.
 package whatif
 
 import (
@@ -86,25 +87,24 @@ func (s *Session) Hypothetical(kind catalog.StructureKind, table string, keys, e
 	case len(extra) == 0 && rule.noExtra != "":
 		return nil, errors.New(rule.noExtra)
 	}
-	for _, c := range keys {
-		if !t.HasColumn(c) {
-			return nil, fmt.Errorf("whatif: table %s has no column %q", table, c)
-		}
+	cols, err := columns(table, t, keys)
+	if err != nil {
+		return nil, err
 	}
-	for i, c := range keys {
-		if slices.ContainsFunc(keys[:i], func(k string) bool { return strings.EqualFold(k, c) }) {
-			return nil, fmt.Errorf("whatif: column %q repeats in the key", c)
+	for i, c := range cols {
+		if slices.Contains(cols[:i], c) {
+			return nil, fmt.Errorf("whatif: column %q repeats in the key", keys[i])
 		}
 	}
 	ix := &catalog.Index{
 		Name:         rule.prefix + strings.ToLower(table) + "_" + strings.ToLower(strings.Join(keys, "_")) + rule.suffix,
 		Table:        t.Name,
 		Kind:         kind,
-		Columns:      slices.Clone(keys),
+		Columns:      cols,
 		Hypothetical: true,
 	}
 	ts := s.env.Stats.Table(table)
-	leaf := keys
+	leaf := cols
 	switch kind {
 	case catalog.KindAggView:
 		aggs, err := aggregates(table, t, extra)
@@ -112,20 +112,21 @@ func (s *Session) Hypothetical(kind catalog.StructureKind, table string, keys, e
 			return nil, err
 		}
 		ix.Aggs = aggs
-		ix.EstimatedRows, ix.EstimatedPages = optimizer.EstimateAggViewSize(t, ts, keys, aggs)
+		ix.EstimatedRows, ix.EstimatedPages = optimizer.EstimateAggViewSize(t, ts, cols, aggs)
 		return ix, nil
 	case catalog.KindProjection:
-		for _, c := range extra {
-			if !t.HasColumn(c) {
-				return nil, fmt.Errorf("whatif: table %s has no column %q", table, c)
-			}
-			if slices.ContainsFunc(keys, func(k string) bool { return catalog.NormCol(k) == catalog.NormCol(c) }) {
-				return nil, fmt.Errorf("whatif: column %q is both key and INCLUDE", c)
+		include, err := columns(table, t, extra)
+		if err != nil {
+			return nil, err
+		}
+		for i, c := range include {
+			if slices.Contains(cols, c) {
+				return nil, fmt.Errorf("whatif: column %q is both key and INCLUDE", extra[i])
 			}
 		}
-		ix.Include = slices.Clone(extra)
+		ix.Include = include
 		// The INCLUDE payload rides in every leaf entry beside the key.
-		leaf = slices.Concat(keys, extra)
+		leaf = slices.Concat(cols, include)
 	}
 	rows := int64(1000)
 	if ts != nil {
@@ -134,6 +135,20 @@ func (s *Session) Hypothetical(kind catalog.StructureKind, table string, keys, e
 	pages := optimizer.EstimateIndexLeafPages(t, leaf, rows)
 	ix.EstimatedPages, ix.EstimatedHeight = int64(pages), optimizer.EstimateIndexHeight(pages)
 	return ix, nil
+}
+
+// columns resolves the names to the table's columns, in the schema's
+// spelling: two specs of one key build structures that render alike.
+func columns(table string, t *catalog.Table, names []string) ([]string, error) {
+	out := make([]string, len(names))
+	for i, c := range names {
+		col := t.Column(c)
+		if col == nil {
+			return nil, fmt.Errorf("whatif: table %s has no column %q", table, c)
+		}
+		out[i] = col.Name
+	}
+	return out, nil
 }
 
 // Structure resolves a spec from outside (a facade DTO, a state file) to
