@@ -623,6 +623,34 @@ func TestClearedJoinControlDeltaCosts(t *testing.T) {
 	}
 }
 
+// TestRepeatedJoinControlKeepsTheView: SetJoinControl with the switches the
+// session already runs under keeps its view and delta state, so the next
+// evaluate of the unchanged design recosts nothing.
+func TestRepeatedJoinControlKeepsTheView(t *testing.T) {
+	ctx := context.Background()
+	d := open(t)
+	w := sdssWorkload(t, d, 20)
+	s := d.NewDesignSession()
+	if _, err := s.AddIndex("photoobj", "psfmag_r"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Evaluate(ctx, w); err != nil {
+		t.Fatal(err)
+	}
+	jc := designer.JoinControl{DisableHashJoin: true}
+	s.SetJoinControl(jc)
+	if _, err := s.Evaluate(ctx, w); err != nil {
+		t.Fatal(err)
+	}
+	s.SetJoinControl(jc)
+	if _, err := s.Evaluate(ctx, w); err != nil {
+		t.Fatal(err)
+	}
+	if recosted, reused := s.LastEvaluateDelta(); recosted != 0 || reused != 20 {
+		t.Fatalf("evaluate after repeating the switches reports a %d+%d split, want 0+20", recosted, reused)
+	}
+}
+
 // TestSteeredSessionMatchesFreshTwin: a join-steered session delta-costs
 // its edits exactly. The session evaluates once unsteered — a state priced
 // outside the switches — is steered, then walks a scripted history (an

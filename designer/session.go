@@ -34,8 +34,9 @@ type DesignSession struct {
 	view *engine.View
 	// eval is the view the session evaluates and explains on: view
 	// itself, or the one SetJoinControl derived from it under the
-	// session's join switches, which steer nothing else.
+	// session's join switches jc, which steer nothing else.
 	eval *engine.View
+	jc   JoinControl
 	cfg  *catalog.Configuration
 
 	// last is the derivation state of the session's last advice, nil
@@ -266,7 +267,11 @@ func (s *DesignSession) Explain(q Query) (string, error) {
 	if err := q.valid(); err != nil {
 		return "", err
 	}
-	return s.eval.Session().Explain(q.stmt, s.cfg)
+	plan, err := s.eval.Optimize(q.stmt, s.cfg)
+	if err != nil {
+		return "", err
+	}
+	return plan.Explain(), nil
 }
 
 // InteractionGraph computes the interaction graph between the design's
@@ -304,10 +309,14 @@ func (s *DesignSession) RewrittenQueries(w *Workload) map[string]string {
 // them as a backend is fixed. The switches are scoped to the design
 // session: advisor pricing and query execution on the designer keep the
 // unrestricted optimizer. The zero JoinControl returns the session to its
-// pinned view. Either way the next Evaluate prices every query on the new
+// pinned view. Switches equal to the session's keep its view and its delta
+// state; any others make the next Evaluate price every query on the new
 // view, and the ones after it delta-cost there.
 func (s *DesignSession) SetJoinControl(jc JoinControl) {
-	s.eval = s.view
+	if jc == s.jc {
+		return
+	}
+	s.eval, s.jc = s.view, jc
 	if jc != (JoinControl{}) {
 		s.eval = s.view.WithOptions(jc.internal())
 	}

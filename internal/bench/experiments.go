@@ -665,7 +665,7 @@ func runSizeModel(e *Env, spec Spec, x *Experiment) error {
 	if err != nil {
 		return err
 	}
-	zero, err := e.View.WithOptions(optimizer.Options{ZeroSizeWhatIf: true}).Session().Cost(stmt, cfg)
+	zero, err := e.View.WithOptions(optimizer.Options{ZeroSizeWhatIf: true}).FullCost(stmt, cfg)
 	if err != nil {
 		return err
 	}

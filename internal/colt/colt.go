@@ -207,13 +207,13 @@ func (t *Tuner) Observe(ctx context.Context, q workload.Query) (float64, error) 
 	}
 	t.epochCost += curCost * q.Weight
 
-	// Candidate extraction: single-column indexes from sargable predicates
-	// and join endpoints.
-	for _, spec := range extractCandidates(q.Stmt) {
-		key := spec.key()
+	// Candidate extraction: a single-column index on each column an index
+	// path can lead with.
+	for _, c := range candidatesOf(q.Stmt) {
+		key := catalog.StructureKey(catalog.KindSecondary, c.table, []string{c.column}, nil)
 		st, ok := t.candidates[key]
 		if !ok {
-			ix, err := structure(v, spec.table, []string{spec.column})
+			ix, err := structure(v, c.table, []string{c.column})
 			if err != nil {
 				continue
 			}
@@ -384,39 +384,16 @@ func structure(v *engine.View, table string, columns []string) (*catalog.Index, 
 	return ix, err
 }
 
-// candSpec identifies a single-column candidate.
-type candSpec struct{ table, column string }
+// candidate is a single-column index candidate, lower-case.
+type candidate struct{ table, column string }
 
-// key is the catalog key of the candidate's index, the one its Key() renders.
-func (c candSpec) key() string {
-	return catalog.StructureKey(catalog.KindSecondary, c.table, []string{c.column}, nil)
-}
-
-// extractCandidates pulls single-column index candidates from a query, each
-// once: two specs are equal exactly when their keys are.
-func extractCandidates(sel *sqlparse.SelectStmt) []candSpec {
-	var out []candSpec
-	add := func(table, column string) {
-		c := candSpec{table: strings.ToLower(table), column: strings.ToLower(column)}
-		if !slices.Contains(out, c) {
+// candidatesOf lists the statement's Leads as candidates, each once: two
+// candidates are equal exactly when their index keys are.
+func candidatesOf(sel *sqlparse.SelectStmt) []candidate {
+	var out []candidate
+	for l := range sel.Leads {
+		if c := (candidate{strings.ToLower(l.Table), strings.ToLower(l.Column)}); !slices.Contains(out, c) {
 			out = append(out, c)
-		}
-	}
-	a := sel.Analysis()
-	for i, table := range a.Tables {
-		for _, conj := range a.Filters[i] {
-			if sr, ok := sqlparse.SargableOf(conj); ok {
-				add(table, sr.Column)
-			}
-		}
-	}
-	for _, j := range a.Joins {
-		add(j.LeftTable, j.LeftColumn)
-		add(j.RightTable, j.RightColumn)
-	}
-	if len(sel.OrderBy) > 0 {
-		if col, ok := sel.OrderBy[0].Expr.(*sqlparse.ColumnRef); ok {
-			add(col.Table, col.Column)
 		}
 	}
 	return out

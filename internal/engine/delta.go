@@ -123,16 +123,16 @@ func changedLayouts[L interface {
 	return out
 }
 
-// reaches reports whether the difference can move the costs of the query
-// with footprint f: one of its tables changed layout, or a structure of the
+// reaches reports whether the difference can move the costs of the
+// statement: one of its tables changed layout, or a structure of the
 // difference on one of its tables could enter one of its plans.
-func (d *designDiff) reaches(f *sqlparse.Footprint) bool {
-	for _, t := range f.Tables {
+func (d *designDiff) reaches(sel *sqlparse.SelectStmt) bool {
+	for _, t := range sel.Analysis().Tables {
 		if slices.Contains(d.layouts, t) {
 			return true
 		}
 		for _, ix := range d.structures {
-			if catalog.NormCol(ix.Table) == t && optimizer.CanUse(f, t, ix) {
+			if catalog.NormCol(ix.Table) == t && optimizer.CanUse(sel, t, ix) {
 				return true
 			}
 		}
@@ -146,7 +146,7 @@ func affectedQueries(qs []workload.Query, a, b *catalog.Configuration) []int {
 	d := diffDesigns(a, b)
 	var out []int
 	for i, q := range qs {
-		if d.reaches(q.Stmt.Analysis().Footprint) {
+		if d.reaches(q.Stmt) {
 			out = append(out, i)
 		}
 	}

@@ -329,17 +329,17 @@ func TestEvaluateDeltaSeesInPlaceLayoutEdit(t *testing.T) {
 }
 
 // relevantSignature renders the slice of cfg that can influence the access
-// of the query with footprint f to its t-th table: the keys of relevant
-// structures (sorted) plus any partition layouts. Two configurations with
+// of the statement to its t-th table: the keys of relevant structures
+// (sorted) plus any partition layouts. Two configurations with
 // equal relevant signatures on every table of a query price that query
 // identically. This was the delta's relevance rule, rendered per query and
 // table on every evaluation; it stays here as the reference the rule that
 // replaced it must agree with.
-func relevantSignature(f *sqlparse.Footprint, cfg *catalog.Configuration, t int) string {
-	table := f.Tables[t]
+func relevantSignature(sel *sqlparse.SelectStmt, cfg *catalog.Configuration, t int) string {
+	table := sel.Analysis().Tables[t]
 	var parts []string
 	for _, ix := range cfg.IndexesOn(table) {
-		if optimizer.CanUse(f, table, ix) {
+		if optimizer.CanUse(sel, table, ix) {
 			parts = append(parts, ix.Key())
 		}
 	}
@@ -354,12 +354,12 @@ func relevantSignature(f *sqlparse.Footprint, cfg *catalog.Configuration, t int)
 }
 
 // signatures computes every query's per-table relevant signatures for cfg.
-func signatures(rels []*sqlparse.Footprint, cfg *catalog.Configuration) [][]string {
+func signatures(rels []*sqlparse.SelectStmt, cfg *catalog.Configuration) [][]string {
 	out := make([][]string, len(rels))
-	for i, f := range rels {
-		sigs := make([]string, len(f.Tables))
-		for t := range f.Tables {
-			sigs[t] = relevantSignature(f, cfg, t)
+	for i, sel := range rels {
+		sigs := make([]string, len(sel.Analysis().Tables))
+		for t := range sigs {
+			sigs[t] = relevantSignature(sel, cfg, t)
 		}
 		out[i] = sigs
 	}
@@ -377,9 +377,9 @@ func TestDeltaRelevanceMatchesSignatures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rels := make([]*sqlparse.Footprint, len(w.Queries))
+	rels := make([]*sqlparse.SelectStmt, len(w.Queries))
 	for i, q := range w.Queries {
-		rels[i] = q.Stmt.Analysis().Footprint
+		rels[i] = q.Stmt
 	}
 	opts := whatif.DefaultCandidateOptions()
 	opts.IncludeProjections, opts.IncludeAggViews = true, true

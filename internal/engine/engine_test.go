@@ -369,7 +369,7 @@ func TestEvaluateSteered(t *testing.T) {
 
 	opts := optimizer.Options{DisableHashJoin: true, DisableMergeJoin: true}
 	steered := v.WithOptions(opts)
-	sess := whatif.NewSessionFromEnv(f.eng.Env().WithOptions(opts), v.Base())
+	env := f.eng.Env().WithOptions(opts)
 	var ref *whatif.Report
 	for _, width := range []int{1, 4} {
 		f.eng.SetWorkers(width)
@@ -380,11 +380,11 @@ func TestEvaluateSteered(t *testing.T) {
 		if ref == nil {
 			ref = rep
 			for i, q := range f.w.Queries {
-				base, err := sess.Cost(q.Stmt, nil)
+				base, err := env.CostUnder(q.Stmt, v.Base())
 				if err != nil {
 					t.Fatal(err)
 				}
-				nw, err := sess.Cost(q.Stmt, cfg)
+				nw, err := env.CostUnder(q.Stmt, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

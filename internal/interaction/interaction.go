@@ -203,7 +203,7 @@ func AnalyzeView(ctx context.Context, v *engine.View, w *workload.Workload, inde
 func aggViewUsable(w *workload.Workload, mv *catalog.Index) bool {
 	lt := strings.ToLower(mv.Table)
 	for _, q := range w.Queries {
-		if f := q.Stmt.Analysis().Footprint; slices.Contains(f.Tables, lt) && optimizer.CanUse(f, lt, mv) {
+		if slices.Contains(q.Stmt.Analysis().Tables, lt) && optimizer.CanUse(q.Stmt, lt, mv) {
 			return true
 		}
 	}

@@ -241,17 +241,21 @@ func (c *Cache) build(stmt *sqlparse.SelectStmt, complete bool) (*CachedQuery, e
 
 	// Seed configurations, following INUM's interesting-order structure:
 	// the plan internals only change when a leaf can deliver an order the
-	// upper plan exploits (merge-join keys, ORDER BY). So we optimize under
-	// (a) no indexes, (b) a single-column index on every interesting order
-	// column at once, and (c) each of those indexes alone. Everything else
+	// upper plan exploits. So we optimize under (a) no indexes, (b) a
+	// single-column index on every interesting order column — the
+	// statement's order Leads: equi-join endpoints, then the first ORDER BY
+	// column — at once, and (c) each of those indexes alone. Everything else
 	// reuses these internals with plugged access costs. The indexes are
-	// unsized (the optimizer sizes them from statistics) and lead with a
-	// column the statement references, which is what CanUse relies on.
+	// unsized (the optimizer sizes them from statistics). So every order a
+	// template requires of a table names an order Lead, which is what
+	// CanUse relies on.
 	seeds := []*catalog.Configuration{catalog.NewConfiguration()}
 	if complete {
 		all := catalog.NewConfiguration()
-		for _, col := range interestingOrderColumns(stmt) {
-			all = all.WithIndex(&catalog.Index{Table: col.Table, Columns: []string{col.Column}})
+		for l := range stmt.Leads {
+			if l.Order {
+				all = all.WithIndex(&catalog.Index{Table: l.Table, Columns: []string{l.Column}})
+			}
 		}
 		if len(all.Indexes) > 1 {
 			seeds = append(seeds, all)
@@ -350,23 +354,6 @@ func (c *Cache) CostFor(q *CachedQuery, cfg *catalog.Configuration) (float64, er
 // bit for bit, when no two of them share a key.
 func (c *Cache) CostOf(q *CachedQuery, o Ordinals, set []int) float64 {
 	return c.cost(q, o.num, len(set), func(k int) int32 { return o.ids[set[k]] }, nil)
-}
-
-// interestingOrderColumns lists the columns whose sort order the plan
-// internals can exploit: equi-join endpoints and the leading ORDER BY column
-// (INUM's interesting orders), in the statement's own order.
-func interestingOrderColumns(stmt *sqlparse.SelectStmt) []*sqlparse.ColumnRef {
-	var out []*sqlparse.ColumnRef
-	for _, j := range stmt.Analysis().Joins {
-		out = append(out, &sqlparse.ColumnRef{Table: j.LeftTable, Column: j.LeftColumn},
-			&sqlparse.ColumnRef{Table: j.RightTable, Column: j.RightColumn})
-	}
-	if len(stmt.OrderBy) > 0 {
-		if col, ok := stmt.OrderBy[0].Expr.(*sqlparse.ColumnRef); ok {
-			out = append(out, col)
-		}
-	}
-	return out
 }
 
 // TemplateCount reports how many plan skeletons are cached for a query.

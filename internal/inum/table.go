@@ -184,13 +184,12 @@ func (c *Cache) table(q *CachedQuery, n *numbering, need int32) *table {
 	for range fresh {
 		next.cols = append(next.cols, column{t: -1})
 	}
-	f := q.Stmt.Analysis().Footprint
 	var group []*catalog.Index
 	var at []int
 	for ti, name := range q.Tables {
 		group, at = group[:0], at[:0]
 		for k, ix := range fresh {
-			if catalog.NormCol(ix.Table) != name || !optimizer.CanUse(f, name, ix) {
+			if catalog.NormCol(ix.Table) != name || !optimizer.CanUse(q.Stmt, name, ix) {
 				continue
 			}
 			if ix.Kind == catalog.KindAggView {

@@ -30,7 +30,6 @@ func accessCosts(c *Cache, q *CachedQuery, ti int, d optimizer.TableDesign) []fl
 // its layouts — plugged into the templates, then the cheapest rewrite by the
 // visible aggregate views.
 func setPricing(c *Cache, q *CachedQuery, cfg *catalog.Configuration) float64 {
-	f := q.Stmt.Analysis().Footprint
 	nt := len(q.Tables)
 	access := make([][]float64, nt)
 	var views []*catalog.Index
@@ -38,7 +37,7 @@ func setPricing(c *Cache, q *CachedQuery, cfg *catalog.Configuration) float64 {
 		var visible []*catalog.Index
 		for _, ix := range cfg.IndexesOn(table) {
 			switch {
-			case !optimizer.CanUse(f, table, ix):
+			case !optimizer.CanUse(q.Stmt, table, ix):
 			case ix.Kind == catalog.KindAggView:
 				views = append(views, ix)
 			default:

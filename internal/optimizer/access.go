@@ -3,6 +3,7 @@ package optimizer
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/catalog"
@@ -21,24 +22,31 @@ type TableAccess struct {
 	Sorted bool
 }
 
-// CanUse reports whether the structure could enter some plan of the query
-// with footprint f through its table (lower-case) — the exact-conservative
-// mirror of the keep rule in indexAccess and of mvScan's preconditions. A row
-// structure is usable only when its leading column is referenced somewhere
-// in the query (every sargable match needs a predicate on it, and every
-// order the query or one of INUM's templates wants — ORDER BY, join keys —
-// names a referenced column), or when it covers every column the query
-// reads from the table and the query is not SELECT * (index-only scans).
-// An aggregate view is usable only as a whole-query rewrite of a
-// single-table aggregate query whose plain group keys are a subset of the
-// view's keys. A structure failing these tests is invisible to every
-// costing of the query: adding or dropping it cannot change a cost.
-func CanUse(f *sqlparse.Footprint, table string, ix *catalog.Index) bool {
+// CanUse reports whether the structure could enter some plan of the
+// resolved statement through its table (lower-case): the exact-conservative
+// mirror of the keep rule in indexAccess and of mvScan's preconditions. A
+// row structure is usable only when its leading column is one of the
+// statement's Leads — indexAccess keeps a path that matches a filter on it,
+// delivers a wanted order (ORDER BY, a merge-join key) or probes a join key
+// (innerIndexPath), and INUM's templates only ask orders of those columns —
+// or when it covers every column the statement reads from the table and the
+// statement is not SELECT * (index-only scans). An aggregate view is usable
+// only as a whole-query rewrite of a single-table aggregate query whose
+// plain group keys are a subset of the view's keys. A structure failing
+// these tests is invisible to every costing of the statement: adding or
+// dropping it cannot change a cost.
+func CanUse(sel *sqlparse.SelectStmt, table string, ix *catalog.Index) bool {
+	a := sel.Analysis()
 	if ix.Kind == catalog.KindAggView {
-		return aggViewApplies(f, ix)
+		return aggViewApplies(a.Footprint, ix)
 	}
-	cols := f.ColumnsOf(table)
-	return cols[catalog.NormCol(ix.LeadingColumn())] || (!f.Star && ix.CoversAll(cols))
+	lead := ix.LeadingColumn()
+	for l := range sel.Leads {
+		if strings.EqualFold(l.Column, lead) && strings.EqualFold(l.Table, table) {
+			return true
+		}
+	}
+	return !a.Star && ix.CoversAll(a.ColumnsOf(table))
 }
 
 // aggViewApplies is CanUse for aggregate views (the full applicability
@@ -48,14 +56,7 @@ func aggViewApplies(f *sqlparse.Footprint, mv *catalog.Index) bool {
 		return false
 	}
 	for _, k := range f.GroupKeys {
-		found := false
-		for _, col := range mv.Columns {
-			if catalog.NormCol(col) == k {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.ContainsFunc(mv.Columns, func(col string) bool { return catalog.NormCol(col) == k }) {
 			return false
 		}
 	}

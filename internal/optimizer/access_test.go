@@ -110,38 +110,46 @@ func TestOrderKeyAndAggSpecStrings(t *testing.T) {
 
 // TestCanUseMirrorsPathGeneration walks the relevance rule case by case and
 // checks each verdict against what path generation does with the structure:
-// a structure CanUse rejects must leave every access cost where it was.
+// a structure CanUse rejects must leave every access cost where it was, in
+// any order and in each order a query or one of its INUM templates can want
+// of the table — one of the statement's order Leads.
 func TestCanUseMirrorsPathGeneration(t *testing.T) {
 	env := testEnv(t, nil)
-	sel := resolvedStmt(t, env, "SELECT ra, dec FROM photoobj WHERE type = 3 ORDER BY dec")
-	fp := sel.Analysis().Footprint
-	// The orders a query or one of its INUM templates can want of a table
-	// name columns the query references.
-	byDec := [][]optimizer.OrderKey{nil, {{Table: "photoobj", Column: "dec"}}}
+	const plain = "SELECT ra, dec FROM photoobj WHERE type = 3 ORDER BY dec"
 	cases := []struct {
 		name string
+		sql  string
 		ix   *catalog.Index
 		want bool
 	}{
-		{"leading column filtered", hypoIndex(env, "photoobj", "type", "objid"), true},
-		{"leading column only projected", hypoIndex(env, "photoobj", "ra"), true},
-		{"leading column only ordered by", hypoIndex(env, "photoobj", "dec", "objid"), true},
-		{"covering, leading column unreferenced", hypoIndex(env, "photoobj", "objid", "ra", "dec", "type"), true},
-		{"unreferenced and not covering", hypoIndex(env, "photoobj", "objid", "ra"), false},
-		{"aggregate view on a plain query", &catalog.Index{Table: "photoobj", Columns: []string{"type"}, Kind: catalog.KindAggView, Aggs: []string{"count(*)"}}, false},
-	}
-	bare, err := env.AccessCosts(sel, "photoobj", optimizer.TableDesign{}, byDec)
-	if err != nil {
-		t.Fatal(err)
+		{"leading column filtered", plain, hypoIndex(env, "photoobj", "type", "objid"), true},
+		{"leading column only projected", plain, hypoIndex(env, "photoobj", "ra"), false},
+		{"leading column only ordered by", plain, hypoIndex(env, "photoobj", "dec", "objid"), true},
+		{"covering, leading column unreferenced", plain, hypoIndex(env, "photoobj", "objid", "ra", "dec", "type"), true},
+		{"unreferenced and not covering", plain, hypoIndex(env, "photoobj", "objid", "ra"), false},
+		{"aggregate view on a plain query", plain, &catalog.Index{Table: "photoobj", Columns: []string{"type"}, Kind: catalog.KindAggView, Aggs: []string{"count(*)"}}, false},
+		{"leading column only grouped by", "SELECT type, COUNT(*) FROM photoobj WHERE ra < 10 GROUP BY type", hypoIndex(env, "photoobj", "type", "objid"), false},
+		{"leading column only a join key", "SELECT p.ra, s.z FROM photoobj p JOIN specobj s ON p.objid = s.bestobjid", hypoIndex(env, "photoobj", "objid", "run"), true},
 	}
 	for _, tc := range cases {
-		if got := optimizer.CanUse(fp, "photoobj", tc.ix); got != tc.want {
+		sel := resolvedStmt(t, env, tc.sql)
+		if got := optimizer.CanUse(sel, "photoobj", tc.ix); got != tc.want {
 			t.Errorf("%s: CanUse = %v, want %v", tc.name, got, tc.want)
 		}
 		if tc.want {
 			continue
 		}
-		with, err := env.AccessCosts(sel, "photoobj", optimizer.TableDesign{Indexes: []*catalog.Index{tc.ix}}, byDec)
+		orders := [][]optimizer.OrderKey{nil}
+		for l := range sel.Leads {
+			if l.Order && l.Table == "photoobj" {
+				orders = append(orders, []optimizer.OrderKey{{Table: l.Table, Column: l.Column}}, []optimizer.OrderKey{{Table: l.Table, Column: l.Column, Desc: true}})
+			}
+		}
+		bare, err := env.AccessCosts(sel, "photoobj", optimizer.TableDesign{}, orders)
+		if err != nil {
+			t.Fatal(err)
+		}
+		with, err := env.AccessCosts(sel, "photoobj", optimizer.TableDesign{Indexes: []*catalog.Index{tc.ix}}, orders)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,11 +160,11 @@ func TestCanUseMirrorsPathGeneration(t *testing.T) {
 		}
 	}
 
-	star := resolvedStmt(t, env, "SELECT * FROM field").Analysis().Footprint
+	star := resolvedStmt(t, env, "SELECT * FROM field")
 	if optimizer.CanUse(star, "field", hypoIndex(env, "field", "quality", "fieldid")) {
 		t.Error("SELECT * admits no index-only scan: a covering index with an unreferenced leading column is invisible")
 	}
-	agg := resolvedStmt(t, env, "SELECT type, COUNT(*) FROM photoobj GROUP BY type").Analysis().Footprint
+	agg := resolvedStmt(t, env, "SELECT type, COUNT(*) FROM photoobj GROUP BY type")
 	view := func(keys ...string) *catalog.Index {
 		return &catalog.Index{Table: "photoobj", Columns: keys, Kind: catalog.KindAggView, Aggs: []string{"count(*)"}}
 	}

@@ -45,7 +45,9 @@ func WalkColumns(e Expr, fn func(*ColumnRef)) {
 
 // Footprint is the part of a statement's analysis that holds no node of the
 // statement: the tables it reads, the columns it references on each, and its
-// grouping — what the optimizer's relevance rule (optimizer.CanUse) reads.
+// grouping. The optimizer's relevance rule (optimizer.CanUse) reads the
+// columns for index-only scans and the grouping for aggregate views; which
+// columns an index can lead with is the statement's Leads.
 type Footprint struct {
 	// Tables are the lower-case FROM tables, in FROM order. Every per-table
 	// reading of the analysis is a slice indexed like it.
@@ -53,9 +55,8 @@ type Footprint struct {
 	// Columns[i] is the set of lower-case columns of Tables[i] the statement
 	// references anywhere: projections, WHERE, GROUP BY, HAVING, ORDER BY.
 	// Index-only scans, vertical-fragment selection and the optimizer's
-	// relevance rule all read this one set, so they cannot drift apart: an
-	// index over columns a query never mentions cannot enter any of its
-	// plans.
+	// relevance rule for covering structures all read this one set, so they
+	// cannot drift apart.
 	Columns []map[string]bool
 	// Star reports a bare * projection.
 	Star bool
@@ -103,6 +104,44 @@ func (s *SelectStmt) Analysis() *Analysis {
 	}
 	s.analysis.CompareAndSwap(nil, analyze(s))
 	return s.analysis.Load()
+}
+
+// Lead is a column an index path of the statement can lead with, spelled as
+// the resolved statement spells it. Order marks an interesting order — an
+// equi-join endpoint or the first ORDER BY column — and its absence a
+// sargable filter column.
+type Lead struct {
+	Table, Column string
+	Order         bool
+}
+
+// Leads yields the columns an index path can lead with, in statement order
+// and with repeats: each FROM table's sargable filter columns (SargableOf),
+// both endpoints of every equi-join, then the first ORDER BY column when it
+// is a plain column. A path through an index whose leading column is none
+// of these matches no filter, probes no join and delivers no order the plan
+// wants, so only an index-only scan can keep it (optimizer.CanUse). It is
+// derived from the analysis on every call and stores nothing.
+func (s *SelectStmt) Leads(yield func(Lead) bool) {
+	a := s.Analysis()
+	for _, filters := range a.Filters {
+		for _, conj := range filters {
+			if sr, ok := SargableOf(conj); ok && !yield(Lead{Table: sr.Table, Column: sr.Column}) {
+				return
+			}
+		}
+	}
+	for _, j := range a.Joins {
+		if !yield(Lead{Table: j.LeftTable, Column: j.LeftColumn, Order: true}) ||
+			!yield(Lead{Table: j.RightTable, Column: j.RightColumn, Order: true}) {
+			return
+		}
+	}
+	if len(s.OrderBy) > 0 {
+		if col, ok := s.OrderBy[0].Expr.(*ColumnRef); ok {
+			yield(Lead{Table: col.Table, Column: col.Column, Order: true})
+		}
+	}
 }
 
 // ColumnsOf is Columns for a lower-case table; nil when the statement does

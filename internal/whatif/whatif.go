@@ -190,28 +190,6 @@ func aggregates(table string, t *catalog.Table, extra []string) ([]string, error
 	return out, nil
 }
 
-// Cost plans the query under the given configuration and returns its
-// estimated cost. A nil configuration means the session base.
-func (s *Session) Cost(sel *sqlparse.SelectStmt, cfg *catalog.Configuration) (float64, error) {
-	if cfg == nil {
-		return s.env.Cost(sel)
-	}
-	return s.env.CostUnder(sel, cfg)
-}
-
-// Explain plans the query under the configuration and renders the plan.
-func (s *Session) Explain(sel *sqlparse.SelectStmt, cfg *catalog.Configuration) (string, error) {
-	env := s.env
-	if cfg != nil {
-		env = s.env.WithConfig(cfg)
-	}
-	plan, err := env.Optimize(sel)
-	if err != nil {
-		return "", err
-	}
-	return plan.Explain(), nil
-}
-
 // Report is the outcome of pricing a workload under the base and a
 // hypothetical configuration: Base and New are the weighted per-query
 // costs, in workload order, and each total is its vector summed in that

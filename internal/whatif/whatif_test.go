@@ -69,16 +69,15 @@ func TestJoinControlChangesPlans(t *testing.T) {
 	}
 	q := w.Queries[0]
 
-	planDefault, err := s.Explain(q.Stmt, nil)
-	if err != nil {
-		t.Fatal(err)
+	explain := func(env *optimizer.Env) string {
+		plan, err := env.Optimize(q.Stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan.Explain()
 	}
-	steered := whatif.NewSessionFromEnv(
-		s.Env().WithOptions(optimizer.Options{DisableHashJoin: true, DisableMergeJoin: true}), s.Base())
-	planNL, err := steered.Explain(q.Stmt, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	planDefault := explain(s.Env())
+	planNL := explain(s.Env().WithOptions(optimizer.Options{DisableHashJoin: true, DisableMergeJoin: true}))
 	if !strings.Contains(planNL, "Nested Loop") {
 		t.Fatalf("forced nested loop missing:\n%s", planNL)
 	}
