@@ -12,9 +12,11 @@ import (
 )
 
 // sqlList is a request's "sql" value as it arrived: the raw JSON, a
-// sub-slice of the body readJSON read. It lives as long as its request:
-// a session keeps what it needs of an advise request (its options and the
-// resolved workload), never the request, so no session holds a body.
+// sub-slice of the pooled body readJSON read. It lives until its verb
+// returns and the reply is written; then the body's buffer goes back to the
+// pool and its bytes are reused by another request. So nothing keeps a
+// list: a session keeps what it needs of a request (an advise's options,
+// the resolved workload in lastWl and evaluated), and a reply carries none.
 // It is decoded into texts only when the workload the session already
 // holds does not list them (Server.workload), so a what-if loop that sends
 // its session's workload with every evaluate pays no string for it.

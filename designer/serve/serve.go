@@ -27,13 +27,15 @@
 // Design sessions are isolated on pinned engine generations: a
 // concurrent /materialize does not tear an open session's evaluations.
 //
-// Three rules are spelled once each. Every JSON route has one shape, a
+// Four rules are spelled once each. Every JSON route has one shape, a
 // route: it returns a status and a body, or an error, and writeError is the
 // only error reply — an *apiError carries its own status and code, and any
 // other error maps to 503 cancelled or 400 invalid_request. Every
 // session-scoped verb runs through sessionVerb, which owns session lookup,
 // decoding and the work lock, so a DesignSession is only ever touched locked
-// and live. The online tuner lives in one slot (a plain tuner or the
+// and live. A request body is read into a pooled buffer that goes back to
+// the pool once the route has answered, so nothing a verb keeps may point
+// into it. The online tuner lives in one slot (a plain tuner or the
 // autopilot supervising one) whose holder publishes an immutable reading
 // after every change; the status routes, the SSE stream and /metrics answer
 // from that reading alone and never wait on an observation in flight.
@@ -152,7 +154,8 @@ type session struct {
 	// lastOpts/lastWl remember the most recent advise question so an
 	// empty-body /readvise repeats it. Written under mu like the session;
 	// lastWl is also read outside it, to match a request's "sql" against.
-	// Neither holds the request, whose "sql" is a slice of its body.
+	// Neither holds the request, whose "sql" is a slice of a pooled body
+	// buffer that the next request reuses.
 	lastOpts designer.AdviceOptions
 	lastWl   atomic.Pointer[designer.Workload]
 	// evaluated is the workload the session's delta state prices,
@@ -347,12 +350,17 @@ func (s *Server) StartAutopilot(topts designer.TunerOptions, aopts designer.Auto
 type route func(r *http.Request) (int, any, error)
 
 func (rt route) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	status, body, err := rt(r)
+	if r.Body != nil {
+		body := bodies.Get().(*requestBody)
+		body.ReadCloser, r.Body = r.Body, body
+		defer body.release(r)
+	}
+	status, reply, err := rt(r)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, status, body)
+	writeJSON(w, status, reply)
 }
 
 // withBody decodes the request's one-object body into a fresh T and hands
@@ -462,38 +470,6 @@ func toIndexesJSON(ixs []designer.Index) []indexJSON {
 	return out
 }
 
-type queryBenefitJSON struct {
-	ID         string  `json:"id"`
-	BaseCost   float64 `json:"base_cost"`
-	NewCost    float64 `json:"new_cost"`
-	BenefitPct float64 `json:"benefit_pct"`
-}
-
-type reportJSON struct {
-	BaseTotal     float64            `json:"base_total"`
-	NewTotal      float64            `json:"new_total"`
-	BenefitPct    float64            `json:"benefit_pct"`
-	QueryBenefits []queryBenefitJSON `json:"queries"`
-}
-
-func toReportJSON(rep *designer.Report) *reportJSON {
-	if rep == nil {
-		return nil
-	}
-	out := &reportJSON{
-		BaseTotal:     rep.BaseTotal,
-		NewTotal:      rep.NewTotal,
-		BenefitPct:    rep.AvgBenefitPct(),
-		QueryBenefits: make([]queryBenefitJSON, len(rep.Queries)),
-	}
-	for i, qb := range rep.Queries {
-		out.QueryBenefits[i] = queryBenefitJSON{
-			ID: qb.ID, BaseCost: qb.BaseCost, NewCost: qb.NewCost, BenefitPct: qb.BenefitPct(),
-		}
-	}
-	return out
-}
-
 type workloadJSON struct {
 	// SQL lists explicit SELECT statements (weight 1 each), kept as the
 	// body's raw JSON until a workload is resolved from it.
@@ -549,22 +525,16 @@ func orDefault[T int | int64 | float64](v, def T) T {
 // Plumbing.
 // --------------------------------------------------------------------------
 
-// writeJSON writes v as compact JSON: an indented reply is a third larger
-// and the encoder renders it twice.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 // maxBodyBytes caps a request body.
 const maxBodyBytes = 1 << 20
 
 // readJSON decodes the request body, one JSON object, into v: an empty body
 // (or white space) is a valid "all defaults" request, and anything after the
-// object is refused. The body is read once into a buffer sized by its
-// Content-Length and decoded in one pass; a streaming decoder would double
-// its own buffer past the body's size while it filled it.
+// object is refused. The body is read once into a pooled buffer (readBody)
+// and decoded in one pass; a streaming decoder would double its own buffer
+// past the body's size while it filled it. What v keeps of the body beyond
+// copies — a raw sqlList — lives until the verb returns and its reply is
+// written; then the buffer, and those bytes, serve another request.
 func readJSON(r *http.Request, v any) error {
 	if r.Body == nil {
 		return nil
@@ -579,27 +549,66 @@ func readJSON(r *http.Request, v any) error {
 	return nil
 }
 
-// readBody reads the whole body, at most maxBodyBytes of it. A declared
-// length sizes the buffer with one byte to spare, so the read that finds
-// the end needs no growth; a chunked body grows it as io.ReadAll would.
-func readBody(r *http.Request) ([]byte, error) {
-	size := int64(512)
-	if r.ContentLength > 0 && r.ContentLength <= maxBodyBytes {
-		size = r.ContentLength + 1
+// requestBody is a JSON route's request body: the client's stream, and
+// the pooled buffer readBody reads it into. route.ServeHTTP takes one from
+// bodies before the verb runs and puts it back after the reply is written.
+type requestBody struct {
+	io.ReadCloser
+	buf []byte
+}
+
+// bodies pools request bodies. A buffer keeps the capacity its largest
+// request gave it, up to maxBodyBytes and a byte.
+var bodies = sync.Pool{New: func() any { return new(requestBody) }}
+
+// scribble, set only by tests, makes release overwrite a buffer before it
+// goes back to the pool, so a reader that outlived its request reads
+// garbage.
+var scribble atomic.Bool
+
+// release hands r its own body back and returns the buffer to the pool.
+func (b *requestBody) release(r *http.Request) {
+	r.Body, b.ReadCloser = b.ReadCloser, nil
+	if scribble.Load() {
+		buf := b.buf[:cap(b.buf)]
+		for i := range buf {
+			buf[i] = '#'
+		}
 	}
-	buf := make([]byte, 0, size)
-	body := http.MaxBytesReader(nil, r.Body, maxBodyBytes)
+	b.buf = b.buf[:0]
+	if cap(b.buf) > maxBodyBytes+1 {
+		b.buf = nil // a refused chunked body grew it past any body read whole
+	}
+	bodies.Put(b)
+}
+
+// readBody reads the whole body, at most maxBodyBytes of it, into the
+// route's pooled buffer (a fresh one outside a route). A declared length
+// larger than the buffer sizes a new one with one byte to spare, so the
+// read that finds the end needs no growth; a chunked body grows it as
+// io.ReadAll would.
+func readBody(r *http.Request) ([]byte, error) {
+	b, ok := r.Body.(*requestBody)
+	if !ok {
+		b = &requestBody{ReadCloser: r.Body}
+	}
+	if size := r.ContentLength + 1; size > int64(cap(b.buf)) && size <= maxBodyBytes+1 {
+		b.buf = make([]byte, 0, size)
+	} else if cap(b.buf) == 0 {
+		b.buf = make([]byte, 0, 512)
+	}
+	body := http.MaxBytesReader(nil, b.ReadCloser, maxBodyBytes)
 	for {
-		n, err := body.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
+		n, err := body.Read(b.buf[len(b.buf):cap(b.buf)])
+		b.buf = b.buf[:len(b.buf)+n]
 		if errors.Is(err, io.EOF) {
-			return buf, nil
+			return b.buf, nil
 		}
 		if err != nil {
 			return nil, err
 		}
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
+		if len(b.buf) == cap(b.buf) {
+			b.buf = append(b.buf, 0)[:len(b.buf)]
 		}
 	}
 }
@@ -909,7 +918,7 @@ func (s *Server) handleSessionEvaluate(r *http.Request) (int, any, error) {
 	}, func(ctx context.Context, sess *session) (any, error) {
 		rep, err := sess.ds.Evaluate(ctx, wl)
 		sess.evaluated.Store(sess.ds.EvaluatedWorkload())
-		return toReportJSON(rep), err
+		return report{rep}, err
 	})
 }
 
@@ -989,7 +998,7 @@ func (s *Server) handleAdvise(r *http.Request, req *adviseRequestJSON) (int, any
 func adviceResponse(advice *designer.Advice) map[string]any {
 	resp := map[string]any{
 		"indexes": toIndexesJSON(advice.Indexes),
-		"report":  toReportJSON(advice.Report),
+		"report":  report{advice.Report},
 		"ddl":     advice.DDL(),
 	}
 	if advice.Solver != nil {
