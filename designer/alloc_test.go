@@ -219,10 +219,12 @@ func TestWorkloadFromSQLAllocationCeiling(t *testing.T) {
 // workload measures: one session, primed by an unconstrained advice on a
 // fixed 48-statement script (tiny dataset), walked down the benchmark's
 // budget ladder, where most of an answer is CoPhy's branch-and-bound. An
-// answer allocates 49 KB; the ceiling sits a tenth above. The same walk
-// allocated 52 KB an answer while the engine's evaluation held a row with
-// the query's ID and SQL for every statement and the facade copied those
-// rows again, 181 KB an answer, two thirds of it the solver's workspace, while
+// answer allocates 23 KB; the ceiling sits a tenth above. The same walk
+// allocated 47 KB an answer while every rung's solve made its own simplex
+// workspace, every row of the program was copied into a map of its own and
+// the per-query plans grew by appending, 52 KB while the engine's
+// evaluation held a row with the query's ID and SQL for every statement and
+// the facade copied those rows again, 181 KB an answer, two thirds of it the solver's workspace, while
 // CoPhy wrote every query and every candidate into the tableau, also the
 // queries whose plan no budget can change and the candidates no plan uses
 // (the presolve in the cophy package comment drops them), 381 KB while
@@ -236,7 +238,7 @@ func TestWorkloadFromSQLAllocationCeiling(t *testing.T) {
 // fixing, so a solver that starts allocating per node again trips this.
 // (Not under -race: the detector's instrumentation allocates.)
 func TestReAdviseAllocationCeiling(t *testing.T) {
-	const ceilingKB = 54
+	const ceilingKB = 26
 	ctx := context.Background()
 	d, err := designer.OpenSDSS("tiny", 41)
 	if err != nil {

@@ -347,10 +347,11 @@ func solverResultFromInternal(res *cophy.Result) *SolverResult {
 		SolveTime:    res.SolveTime,
 		PricingCalls: res.PricingCalls,
 	}
-	for _, qp := range res.PerQuery {
-		out.PerQuery = append(out.PerQuery, QueryPlan{
-			QueryID: qp.QueryID, Cost: qp.Cost, Indexes: indexesFromInternal(qp.Indexes),
-		})
+	if len(res.PerQuery) > 0 {
+		out.PerQuery = make([]QueryPlan, len(res.PerQuery))
+	}
+	for i, qp := range res.PerQuery {
+		out.PerQuery[i] = QueryPlan{QueryID: qp.QueryID, Cost: qp.Cost, Indexes: indexesFromInternal(qp.Indexes)}
 	}
 	return out
 }

@@ -481,6 +481,7 @@ func (a *Advisor) solve(ctx context.Context, prog *program, opts Options, res *R
 	// for nothing. The objective sums the chosen plans in query order, the
 	// sum the unreduced program's objective is.
 	used := slices.Clone(pinned)
+	res.PerQuery = make([]QueryPlan, 0, len(prog.queries))
 	for i, q := range prog.queries {
 		lo, hi := prog.atoms(i)
 		at := hi - 1

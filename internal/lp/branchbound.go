@@ -54,8 +54,9 @@ const intTol = 1e-6
 // carries the proven bound, so callers can report an optimality gap even
 // when the node budget cuts the search short.
 //
-// Every node's relaxation is solved in one workspace allocated here: a
-// node's fixings are bounds, set from its chain of parents.
+// Every node's relaxation is solved in one workspace taken here and
+// released on return: a node's fixings are bounds, set from its chain of
+// parents.
 //
 // An integral LP solution becomes the incumbent with its binaries rounded
 // and its objective recomputed on the rounded vector, so the objective
@@ -66,6 +67,14 @@ const intTol = 1e-6
 // and yields StatusCancelled, regardless of whether an incumbent exists.
 func SolveMIP(ctx context.Context, p *Problem, opts MIPOptions) *MIPSolution {
 	ws := newWorkspace(p)
+	defer ws.release()
+	return ws.solveMIP(ctx, opts)
+}
+
+// solveMIP runs the branch-and-bound over the loaded problem. The solution
+// holds no slice of the workspace.
+func (ws *workspace) solveMIP(ctx context.Context, opts MIPOptions) *MIPSolution {
+	p := ws.p
 	status, rootObj := ws.solve()
 	out := &MIPSolution{Solution: Solution{Status: StatusNoSolution}, Bound: math.Inf(-1)}
 	if status != StatusOptimal {

@@ -18,7 +18,11 @@ func solveDense(p *Problem, fixLo, fixHi []float64) *Solution {
 	}
 	var rows []row
 	for _, c := range p.Constraints {
-		rows = append(rows, row{coefs: c.Coefs, sense: c.Sense, rhs: c.RHS})
+		coefs := make(map[int]float64, len(c.Terms))
+		for _, t := range c.Terms {
+			coefs[t.Col] = t.Coef
+		}
+		rows = append(rows, row{coefs: coefs, sense: c.Sense, rhs: c.RHS})
 	}
 	for i := 0; i < p.NumVars; i++ {
 		lo, hi := 0.0, math.Inf(1)

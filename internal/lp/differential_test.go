@@ -129,8 +129,8 @@ func violation(p *Problem, ws *workspace, tol float64) string {
 	}
 	for i, c := range p.Constraints {
 		lhs := 0.0
-		for j, a := range c.Coefs {
-			lhs += a * ws.x[j]
+		for _, t := range c.Terms {
+			lhs += t.Coef * ws.x[t.Col]
 		}
 		if (c.Sense == LE && lhs > c.RHS+tol) || (c.Sense == GE && lhs < c.RHS-tol) ||
 			(c.Sense == EQ && math.Abs(lhs-c.RHS) > tol) {

@@ -70,8 +70,12 @@ func encodeProgram(p *Problem) []byte {
 	for _, c := range p.Constraints {
 		out = append(out, byte(c.Sense))
 		number(c.RHS)
-		for i := 0; i < p.NumVars; i++ {
-			number(c.Coefs[i])
+		row := make([]float64, p.NumVars)
+		for _, t := range c.Terms {
+			row[t.Col] = t.Coef
+		}
+		for _, v := range row {
+			number(v)
 		}
 	}
 	return out

@@ -366,8 +366,8 @@ func bruteForce(p *Problem) (best float64, feasible bool) {
 		ok := true
 		for _, c := range p.Constraints {
 			lhs := 0.0
-			for i, v := range c.Coefs {
-				lhs += v * x[i]
+			for _, t := range c.Terms {
+				lhs += t.Coef * x[t.Col]
 			}
 			switch c.Sense {
 			case LE:

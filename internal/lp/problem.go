@@ -4,11 +4,13 @@
 // delegates its binary program to (paper §1, §3.2.1).
 //
 // A variable's bounds — a binary's 0 <= x <= 1, a branch's fixing x = v —
-// are bounds, never rows: the tableau has one row per constraint. One
-// workspace per SolveMIP holds the tableau, basis and solution, and every
-// branch-and-bound node's relaxation is filled into it and solved from
-// scratch. The dense form it replaced, with a row for every bound, is kept
-// in the tests as the reference it is checked against.
+// are bounds, never rows: the tableau has one row per constraint, filled
+// from the row's terms, which are stored in column order. A solve takes an
+// idle workspace holding the tableau, basis and solution and releases it
+// when it returns: every branch-and-bound node's relaxation is filled into
+// it and solved from scratch, and the next solve (CoPhy's next budget rung)
+// reuses its buffers. The dense form it replaced, with a row for every
+// bound, is kept in the tests as the reference it is checked against.
 //
 // The solver targets the small-to-medium binary programs the index advisor
 // produces (hundreds of variables and constraints). It reports the LP
@@ -25,6 +27,7 @@
 package lp
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -52,9 +55,15 @@ func (s Sense) String() string {
 	}
 }
 
-// Constraint is one linear row, sparse over variable indices.
+// Term is one nonzero coefficient of a row: Coef times variable Col.
+type Term struct {
+	Col  int
+	Coef float64
+}
+
+// Constraint is one linear row: its nonzero terms, in column order.
 type Constraint struct {
-	Coefs map[int]float64
+	Terms []Term
 	Sense Sense
 	RHS   float64
 }
@@ -78,18 +87,21 @@ func NewProblem(n int) *Problem {
 	}
 }
 
-// AddConstraint appends a row. Coefficient maps are copied.
+// AddConstraint appends a row. The map is not kept: the row stores its
+// nonzero coefficients as terms sorted by column, so every sum over a row
+// runs in column order whatever the map's order.
 func (p *Problem) AddConstraint(coefs map[int]float64, sense Sense, rhs float64) {
-	cp := make(map[int]float64, len(coefs))
+	terms := make([]Term, 0, len(coefs))
 	for k, v := range coefs {
 		if k < 0 || k >= p.NumVars {
 			panic(fmt.Sprintf("lp: variable %d out of range [0,%d)", k, p.NumVars))
 		}
 		if v != 0 {
-			cp[k] = v
+			terms = append(terms, Term{Col: k, Coef: v})
 		}
 	}
-	p.Constraints = append(p.Constraints, Constraint{Coefs: cp, Sense: sense, RHS: rhs})
+	slices.SortFunc(terms, func(a, b Term) int { return cmp.Compare(a.Col, b.Col) })
+	p.Constraints = append(p.Constraints, Constraint{Terms: terms, Sense: sense, RHS: rhs})
 }
 
 // ObjectiveValue evaluates the objective at x.
@@ -120,18 +132,10 @@ func (p *Problem) FeasibleBinary(x []float64) bool {
 			}
 		}
 	}
-	// Each row sums in column order, as fill's residual does: whether a
-	// point is within the tolerance must not depend on the map's order.
-	var cols []int
 	for _, c := range p.Constraints {
-		cols = cols[:0]
-		for j := range c.Coefs {
-			cols = append(cols, j)
-		}
-		slices.Sort(cols)
 		var lhs float64
-		for _, j := range cols {
-			lhs += c.Coefs[j] * x[j]
+		for _, t := range c.Terms {
+			lhs += t.Coef * x[t.Col]
 		}
 		switch c.Sense {
 		case LE:

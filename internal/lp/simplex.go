@@ -1,6 +1,10 @@
 package lp
 
-import "math"
+import (
+	"math"
+	"slices"
+	"sync"
+)
 
 const (
 	eps      = 1e-9
@@ -11,17 +15,25 @@ const (
 // variable is relaxed to the bounds 0 <= x <= 1.
 func SolveLP(p *Problem) *Solution {
 	ws := newWorkspace(p)
+	defer ws.release()
+	return ws.solveLP()
+}
+
+// solveLP solves the loaded problem's relaxation. The solution's X is a
+// copy: the next solve reuses the workspace.
+func (ws *workspace) solveLP() *Solution {
 	status, obj := ws.solve()
 	if status != StatusOptimal {
 		return &Solution{Status: status}
 	}
-	return &Solution{Status: status, X: ws.x, Objective: obj}
+	return &Solution{Status: status, X: slices.Clone(ws.x), Objective: obj}
 }
 
-// workspace is the state of a bounded-variable two-phase primal simplex,
-// allocated once per solve: SolveMIP fills the relaxation of every
-// branch-and-bound node into the same buffers, and the workspace dies with
-// the solve.
+// workspace is the state of a bounded-variable two-phase primal simplex. A
+// solve takes an idle one and loads its problem: SolveMIP fills the
+// relaxation of every branch-and-bound node into the same buffers, and the
+// solve's end releases the workspace, its problem dropped and its buffers
+// kept for the next solve.
 //
 // Every column carries bounds [lo, hi]. A binary's 0 <= x <= 1 and a
 // branch's fixing lo = hi = v are bounds, never rows, and a nonbasic column
@@ -45,9 +57,63 @@ type workspace struct {
 	nz      []int     // the pivot row's nonzero columns
 }
 
+// idle holds released workspaces for the next solves: at most maxIdle, none
+// whose tableau outgrew maxIdleCells. It is a free list, not a sync.Pool, so
+// a caller that solves one program after another (a session walking a
+// budget ladder) gets its workspace back on every solve, whichever
+// processor it runs on and whenever the collector runs: what a solve
+// allocates does not depend on the scheduler.
+var idle struct {
+	sync.Mutex
+	list []*workspace
+}
+
+const (
+	maxIdle      = 2
+	maxIdleCells = 1 << 17 // 1 MiB of tableau
+)
+
+// released, when set, sees every workspace as it is released.
+var released func(*workspace)
+
+// newWorkspace takes an idle workspace, or a new one, loaded with p.
 func newWorkspace(p *Problem) *workspace {
+	var ws *workspace
+	idle.Lock()
+	if n := len(idle.list); n > 0 {
+		ws = idle.list[n-1]
+		idle.list[n-1] = nil
+		idle.list = idle.list[:n-1]
+	}
+	idle.Unlock()
+	if ws == nil {
+		ws = new(workspace)
+	}
+	return ws.load(p)
+}
+
+// release drops the workspace's problem and keeps it idle, room permitting.
+func (ws *workspace) release() {
+	ws.p = nil
+	if released != nil {
+		released(ws)
+	}
+	if cap(ws.t) > maxIdleCells {
+		return
+	}
+	idle.Lock()
+	if len(idle.list) < maxIdle {
+		idle.list = append(idle.list, ws)
+	}
+	idle.Unlock()
+}
+
+// load sizes every buffer for p, reusing the ones the workspace holds, and
+// clears them: a loaded workspace reads nothing of an earlier solve.
+func (ws *workspace) load(p *Problem) *workspace {
 	m, n := len(p.Constraints), p.NumVars
-	ws := &workspace{p: p, m: m, n: n, slack: make([]int, m)}
+	ws.p, ws.m, ws.n = p, m, n
+	ws.slack = sized(ws.slack, m)
 	w := n
 	for i, c := range p.Constraints {
 		ws.slack[i] = -1
@@ -57,20 +123,32 @@ func newWorkspace(p *Problem) *workspace {
 		}
 	}
 	ws.w = w
-	ws.t = make([]float64, m*w)
-	ws.d = make([]float64, w)
-	ws.xB = make([]float64, m)
-	ws.basis = make([]int, m)
-	ws.lo = make([]float64, w)
-	ws.hi = make([]float64, w)
+	ws.t = sized(ws.t, m*w)
+	ws.d = sized(ws.d, w)
+	ws.xB = sized(ws.xB, m)
+	ws.basis = sized(ws.basis, m)
+	ws.lo = sized(ws.lo, w)
+	ws.hi = sized(ws.hi, w)
 	for j := n; j < w; j++ {
 		ws.hi[j] = math.Inf(1)
 	}
-	ws.upper = make([]bool, w)
-	ws.x = make([]float64, n)
-	ws.nz = make([]int, 0, w)
+	ws.upper = sized(ws.upper, w)
+	ws.artHi = 0
+	ws.x = sized(ws.x, n)
+	ws.nz = sized(ws.nz, w)[:0]
 	ws.relax()
 	return ws
+}
+
+// sized returns buf resized to n and cleared, reallocated only when it is
+// too small.
+func sized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // relax resets the structural bounds to the problem's own: x >= 0, and
@@ -159,13 +237,10 @@ func (ws *workspace) fill() bool {
 	artificial := false
 	for i, c := range ws.p.Constraints {
 		row := ws.row(i)
-		for k, v := range c.Coefs {
-			row[k] = v
-		}
-		// The residual sums in column order: the map's order is random.
 		r := c.RHS
-		for j, v := range row[:ws.n] {
-			r -= v * ws.lo[j]
+		for _, t := range c.Terms {
+			row[t.Col] = t.Coef
+			r -= t.Coef * ws.lo[t.Col]
 		}
 		s := ws.slack[i]
 		switch c.Sense {

@@ -138,6 +138,12 @@ func (s *Session) GenerateCandidates(w *workload.Workload, opts CandidateOptions
 	}
 
 	for _, q := range w.Queries {
+		// A single-column index on every column an index path can lead
+		// with. Every add ahead of the GROUP BY columns' carries the query's
+		// weight, so their order leaves every score's sum unchanged.
+		for l := range q.Stmt.Leads {
+			add(q.Weight, l.Table, l.Column)
+		}
 		a := q.Stmt.Analysis()
 		perTableEq := map[string][]string{}
 		perTableRange := map[string][]string{}
@@ -147,7 +153,6 @@ func (s *Session) GenerateCandidates(w *workload.Workload, opts CandidateOptions
 				if !ok {
 					continue
 				}
-				add(q.Weight, table, sr.Column)
 				if sr.IsEquality {
 					perTableEq[table] = append(perTableEq[table], sr.Column)
 				} else if sr.IsRange {
@@ -167,11 +172,8 @@ func (s *Session) GenerateCandidates(w *workload.Workload, opts CandidateOptions
 			}
 		}
 		// Range-only composites are just the single columns (added above).
-		// Join endpoints.
+		// Join column + local equality prefix.
 		for _, j := range a.Joins {
-			add(q.Weight, j.LeftTable, j.LeftColumn)
-			add(q.Weight, j.RightTable, j.RightColumn)
-			// Join column + local equality prefix.
 			if eqs := perTableEq[strings.ToLower(j.LeftTable)]; len(eqs) > 0 {
 				add(q.Weight, j.LeftTable, append([]string{j.LeftColumn}, eqs...)...)
 			}
@@ -179,11 +181,9 @@ func (s *Session) GenerateCandidates(w *workload.Workload, opts CandidateOptions
 				add(q.Weight, j.RightTable, append([]string{j.RightColumn}, eqs...)...)
 			}
 		}
-		// ORDER BY leading column.
+		// Equality prefix + ORDER BY leading column serves both.
 		if len(q.Stmt.OrderBy) > 0 {
 			if col, ok := q.Stmt.OrderBy[0].Expr.(*sqlparse.ColumnRef); ok {
-				add(q.Weight, col.Table, col.Column)
-				// Equality prefix + order column serves both.
 				if eqs := perTableEq[strings.ToLower(col.Table)]; len(eqs) > 0 {
 					add(q.Weight, col.Table, append(append([]string{}, eqs...), col.Column)...)
 				}
